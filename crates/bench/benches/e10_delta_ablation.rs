@@ -1,4 +1,4 @@
-//! Criterion bench for experiment e10_delta_ablation (see DESIGN.md §4).
+//! Criterion bench for experiment e10_delta_ablation (the table in README.md, "Experiments").
 
 use codb_workload::{DataDist, RuleStyle, Scenario, Topology};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

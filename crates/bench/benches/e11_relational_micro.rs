@@ -1,4 +1,4 @@
-//! Criterion bench for experiment e11_relational_micro (see DESIGN.md §4).
+//! Criterion bench for experiment e11_relational_micro (the table in README.md, "Experiments").
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;

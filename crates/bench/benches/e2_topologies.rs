@@ -1,4 +1,4 @@
-//! Criterion bench for experiment e2_topologies (see DESIGN.md §4).
+//! Criterion bench for experiment e2_topologies (the table in README.md, "Experiments").
 
 use codb_bench::experiments::run_update;
 use codb_workload::{DataDist, RuleStyle, Scenario, Topology};

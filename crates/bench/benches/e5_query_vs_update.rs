@@ -1,4 +1,4 @@
-//! Criterion bench for experiment e5_query_vs_update (see DESIGN.md §4).
+//! Criterion bench for experiment e5_query_vs_update (the table in README.md, "Experiments").
 
 use codb_workload::{DataDist, RuleStyle, Scenario, Topology};
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -1,4 +1,4 @@
-//! Experiment runner: prints the tables of DESIGN.md §4.
+//! Experiment runner: prints the tables listed in README.md, "Experiments".
 //!
 //! Usage: `cargo run -p codb-bench --release --bin exp -- [e1 … e20 | all]`
 //!

@@ -1,4 +1,4 @@
-//! The experiment suite (DESIGN.md §4): one function per experiment id,
+//! The experiment suite (README.md, "Experiments"): one function per experiment id,
 //! each regenerating one table/figure of the reconstructed evaluation.
 //!
 //! Every function returns a [`Table`] whose rows are the series the demo
@@ -1002,7 +1002,8 @@ pub fn e18() -> Table {
     t
 }
 
-/// One E19 row: floods `waves` waves over `topology` and reports the
+/// One E19 row: floods `waves` waves over `topology` (every peer
+/// publishing an advertisement first, with `advertise`) and reports the
 /// simulator's throughput.
 fn e19_row(
     t: &mut Table,
@@ -1010,6 +1011,7 @@ fn e19_row(
     topology: &Topology,
     latency: Option<codb_net::LatencyModel>,
     waves: u32,
+    advertise: bool,
 ) -> codb_workload::FloodReport {
     let (tracer, phases) = crate::phases::PhaseRecorder::tracer();
     let report = codb_workload::run_flood_traced(
@@ -1018,6 +1020,7 @@ fn e19_row(
         latency,
         waves,
         0xE19,
+        advertise,
         &tracer,
     );
     assert_eq!(
@@ -1053,14 +1056,14 @@ fn e19_row(
 pub fn e19() -> Table {
     let mut t = e19_table();
     for n in [100usize, 1_000, 10_000] {
-        e19_row(&mut t, &format!("chain-{n}"), &Topology::Chain(n), None, 2);
+        e19_row(&mut t, &format!("chain-{n}"), &Topology::Chain(n), None, 2, false);
     }
     for n in [100usize, 1_000, 10_000] {
         let topo = Topology::ScaleFree { n, m: 3, seed: 0x5CA1E };
-        e19_row(&mut t, &topo.to_string(), &topo, None, 2);
+        e19_row(&mut t, &topo.to_string(), &topo, None, 2, false);
     }
     let rg = Topology::RingGradient { n: 4_096, chords: 6 };
-    e19_row(&mut t, &rg.to_string(), &rg, None, 2);
+    e19_row(&mut t, &rg.to_string(), &rg, None, 2, false);
     for n in [1_000usize, 10_000] {
         let topo = Topology::ScaleFree { n, m: 3, seed: 0x5CA1E };
         e19_row(
@@ -1069,18 +1072,21 @@ pub fn e19() -> Table {
             &topo,
             Some(codb_net::LatencyModel::geo_scattered(0x6E0, n)),
             2,
+            false,
         );
     }
     t
 }
 
 /// The E19 acceptance smoke (`exp e19-quick`, run in CI): a 100 → 10k
-/// chain sweep plus one scale-free and one geo row, asserting the
-/// 10k-node chain reaches quiescence within the 10 s budget.
+/// chain sweep plus one scale-free, one advertising and one geo row,
+/// asserting the 10k-node chain reaches quiescence within the 10 s budget
+/// and that a full advertisement board costs the event loop next to
+/// nothing.
 pub fn e19_quick() -> Table {
     let mut t = e19_table();
     for n in [100usize, 1_000, 10_000] {
-        let report = e19_row(&mut t, &format!("chain-{n}"), &Topology::Chain(n), None, 1);
+        let report = e19_row(&mut t, &format!("chain-{n}"), &Topology::Chain(n), None, 1, false);
         if n == 10_000 {
             assert!(
                 report.host_ms < 10_000.0,
@@ -1091,13 +1097,45 @@ pub fn e19_quick() -> Table {
         }
     }
     let sf = Topology::ScaleFree { n: 1_000, m: 3, seed: 0x5CA1E };
-    e19_row(&mut t, &sf.to_string(), &sf, None, 1);
+    let plain = e19_row(&mut t, &sf.to_string(), &sf, None, 1, false);
+    // The same flood with every peer advertised, as every coDB node is.
+    // The flood does not read the board, so the schedule is the plain
+    // row's; the bound is relative to that row because what it guards —
+    // dispatch cost growing with the board — showed up as ~100x, while an
+    // absolute budget would only measure the host.
+    let ads = e19_row(&mut t, &format!("{sf}+ads"), &sf, None, 1, true);
+    assert_eq!(
+        (ads.messages, ads.events),
+        (plain.messages, plain.events),
+        "E19 acceptance: advertising must not change the flood's schedule"
+    );
+    let best_ms = |advertise| {
+        let run = || {
+            codb_workload::run_flood_traced(
+                &sf,
+                PipeConfig::lan(),
+                None,
+                1,
+                0xE19,
+                advertise,
+                &codb_net::Tracer::disabled(),
+            )
+        };
+        (0..3).map(|_| run().host_ms).fold(f64::INFINITY, f64::min)
+    };
+    let (plain_ms, ads_ms) = (best_ms(false), best_ms(true));
+    assert!(
+        ads_ms <= 3.0 * plain_ms,
+        "E19 acceptance: 1k advertised peers must flood within 3x of the plain run, took \
+         {ads_ms:.1} ms against {plain_ms:.1} ms"
+    );
     e19_row(
         &mut t,
         &format!("{sf}+geo"),
         &sf,
         Some(codb_net::LatencyModel::geo_scattered(0x6E0, 1_000)),
         1,
+        false,
     );
     t
 }

@@ -1,7 +1,7 @@
 //! # codb-bench
 //!
 //! The benchmark harness regenerating every experiment of the coDB
-//! reproduction (DESIGN.md §4). [`experiments`] holds one function per
+//! reproduction (listed in README.md, "Experiments"). [`experiments`] holds one function per
 //! experiment id; the `exp` binary prints the tables; the Criterion
 //! benches in `benches/` measure the host-time distributions of the same
 //! runs.

@@ -27,7 +27,8 @@ pub struct NodeSettings {
     pub retransmit_after: SimTime,
     /// Chase-depth safety valve: `UpdateData` whose propagation path would
     /// exceed this many hops is not propagated further (guards against
-    /// non-weakly-acyclic rule sets whose chase diverges; DESIGN.md §3).
+    /// non-weakly-acyclic rule sets whose chase diverges; see "Termination"
+    /// in [`crate::update`]).
     pub max_hops: u64,
     /// Pipe parameters used when this node opens pipes to acquaintances.
     pub pipe: PipeConfig,
@@ -482,7 +483,7 @@ impl CoDbNode {
     /// pipes are created per coordination rule, and several rules w.r.t.
     /// the same node share one pipe).
     fn open_acquaintance_pipes(&mut self, ctx: &mut Context<Envelope>) {
-        for acq in self.book.acquaintances(self.id) {
+        for acq in self.book.acquaintances() {
             ctx.open_pipe(acq.peer(), self.settings.pipe);
         }
     }
@@ -616,7 +617,7 @@ impl Peer<Envelope> for CoDbNode {
                 // Non-barrier traffic toward the presumed-dead peer is
                 // dropped for good. Any DS credit it carried cannot come
                 // back: surrender the deficit so this node can still
-                // disengage (DESIGN.md §3).
+                // disengage ("Termination" in crate::update).
                 self.report.count_sent("abandoned");
                 if o.body.is_ds_counted() {
                     if let Some(u) = o.body.update_id() {

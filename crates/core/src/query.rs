@@ -96,7 +96,7 @@ impl CoDbNode {
         path: &[NodeId],
     ) -> Vec<(RuleName, NodeId)> {
         self.book
-            .outgoing
+            .outgoing()
             .iter()
             .filter(|(_, r)| r.rule.head_relations().iter().any(|h| relations.contains(*h)))
             .filter(|(_, r)| !path.contains(&r.source))
@@ -113,7 +113,7 @@ impl CoDbNode {
     ) -> BTreeSet<String> {
         let mut rels = base;
         for (name, _) in links {
-            for h in self.book.outgoing[name].rule.head_relations() {
+            for h in self.book.outgoing()[name].rule.head_relations() {
                 rels.insert(h.to_owned());
             }
         }
@@ -201,7 +201,7 @@ impl CoDbNode {
         rule: RuleName,
         path: Vec<NodeId>,
     ) {
-        let Some(link) = self.book.incoming.get(&rule) else {
+        let Some(link) = self.book.incoming().get(&rule) else {
             // Stale rule: answer empty so the requester can make progress.
             self.post(ctx, from, Body::QueryAnswer { req, firings: vec![], closed: true });
             return;
@@ -217,7 +217,8 @@ impl CoDbNode {
         // The paper: "when node gets a query request, it answers it using
         // local data immediately, and it forwards it through all outgoing
         // links" — stream the local instalment now, nested data later.
-        let initial = self.book.incoming[&rule].rule.fire(&overlay).expect("schema-validated rule");
+        let initial =
+            self.book.incoming()[&rule].rule.fire(&overlay).expect("schema-validated rule");
         let done = links.is_empty();
         self.post(ctx, from, Body::QueryAnswer { req, firings: initial.clone(), closed: done });
         if done {
@@ -296,7 +297,7 @@ impl CoDbNode {
                 }
                 // Stream the increment: everything derivable now minus what
                 // was already sent.
-                let all = self.book.incoming[&s.rule]
+                let all = self.book.incoming()[&s.rule]
                     .rule
                     .fire(&s.overlay)
                     .expect("schema-validated rule");

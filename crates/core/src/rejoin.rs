@@ -52,7 +52,7 @@ impl CoDbNode {
         self.rejoin_acks.clear();
         let epoch = self.reliable.epoch();
         self.tracer.emit_with(|| TraceEvent::RejoinAnnounce { peer: self.id.0, epoch });
-        for acq in self.book.acquaintances(self.id) {
+        for acq in self.book.acquaintances().clone() {
             self.post(ctx, acq, Body::Rejoin { epoch });
         }
     }
@@ -93,13 +93,13 @@ impl CoDbNode {
     fn send_rejoin_repair(&mut self, ctx: &mut Context<Envelope>, peer: NodeId) {
         let toward: Vec<RuleName> = self
             .book
-            .incoming
+            .incoming()
             .iter()
             .filter(|(_, r)| r.target == peer)
             .map(|(name, _)| name.clone())
             .collect();
         for name in toward {
-            let glav = self.book.incoming[&name].rule.clone();
+            let glav = self.book.incoming()[&name].rule.clone();
             let firings = glav.fire(&self.ldb).expect("schema-validated rule");
             self.post_repair(ctx, &name, peer, firings);
         }
@@ -117,7 +117,7 @@ impl CoDbNode {
         rule: RuleName,
         firings: Vec<codb_relational::RuleFiring>,
     ) {
-        if !self.book.outgoing.contains_key(&rule) {
+        if !self.book.outgoing().contains_key(&rule) {
             return; // stale rule name after a reconfiguration
         }
         let cache = self.recv_cache.entry(rule.clone()).or_default();
@@ -146,19 +146,10 @@ impl CoDbNode {
         // what was just repaired (the crashed node forwarded some of it,
         // but not necessarily all). Semi-naive delta evaluation, exactly
         // like update propagation, but carried by repair messages.
-        let changed: BTreeSet<String> = deltas.keys().cloned().collect();
-        for name in self.book.incoming_reading(&changed) {
-            let link = &self.book.incoming[&name];
-            let target = link.target;
-            let glav = link.rule.clone();
-            let mut out: Vec<codb_relational::RuleFiring> = Vec::new();
-            for (rel, tuples) in &deltas {
-                if glav.body_relations().contains(rel.as_str()) {
-                    out.extend(
-                        glav.fire_delta(&self.ldb, rel, tuples).expect("schema-validated rule"),
-                    );
-                }
-            }
+        let dependents: BTreeSet<RuleName> =
+            deltas.keys().flat_map(|rel| self.book.incoming_reading(rel)).cloned().collect();
+        for name in dependents {
+            let (target, out) = self.fire_link_deltas(&name, &deltas);
             self.post_repair(ctx, &name, target, out);
         }
     }
@@ -200,8 +191,7 @@ impl CoDbNode {
         }
         if self.tracer.is_enabled() {
             let pending =
-                self.book.acquaintances(self.id).len().saturating_sub(self.rejoin_acks.len())
-                    as u64;
+                self.book.acquaintances().len().saturating_sub(self.rejoin_acks.len()) as u64;
             self.tracer.emit(TraceEvent::RejoinAck { peer: self.id.0, from: from.0, pending });
         }
     }
@@ -211,7 +201,7 @@ impl CoDbNode {
     pub(crate) fn invalidate_sent_caches_toward(&mut self, peer: NodeId) -> usize {
         let toward: BTreeSet<RuleName> = self
             .book
-            .incoming
+            .incoming()
             .iter()
             .filter(|(_, r)| r.target == peer)
             .map(|(name, _)| name.clone())
@@ -246,6 +236,7 @@ mod tests {
     use crate::ids::UpdateId;
     use crate::node::NodeSettings;
     use codb_net::{Command, PeerId, SimTime};
+    use std::collections::VecDeque;
 
     /// hub feeds both spoke1 and spoke2; spoke1 also feeds hub (so the
     /// hub has one *outgoing* link, proving those caches are untouched).
@@ -298,10 +289,16 @@ mod tests {
         }
     }
 
-    /// Drains the sends buffered in `ctx`, as `(destination, body)`.
-    fn sends(ctx: &mut Context<Envelope>) -> Vec<(PeerId, Body)> {
-        ctx.take_commands()
-            .into_iter()
+    type Commands = VecDeque<Command<Envelope>>;
+
+    /// A context for one call into `node`, queueing onto `cmds`.
+    fn ctx<'a>(node: &CoDbNode, cmds: &'a mut Commands) -> Context<'a, Envelope> {
+        Context::new(node.id.peer(), SimTime::ZERO, &[], cmds)
+    }
+
+    /// Drains the sends queued in `cmds`, as `(destination, body)`.
+    fn sends(cmds: &mut Commands) -> Vec<(PeerId, Body)> {
+        cmds.drain(..)
             .filter_map(|c| match c {
                 Command::Send { to, msg } => Some((to, msg.body)),
                 _ => None,
@@ -309,19 +306,14 @@ mod tests {
             .collect()
     }
 
-    fn ctx_ads() -> Vec<codb_net::Advertisement> {
-        Vec::new()
-    }
-
     #[test]
     fn rejoin_invalidates_only_links_toward_the_rejoined_peer() {
         let (mut node, spoke1, spoke2) = hub();
         let u = UpdateId { origin: spoke1, epoch: 0, seq: 0 };
         seed_caches(&mut node, u);
-        let ads = ctx_ads();
-        let mut ctx = Context::new(node.id.peer(), SimTime::ZERO, &ads);
+        let mut cmds = Commands::new();
 
-        node.handle_rejoin(&mut ctx, spoke1, 1);
+        node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 1);
         // Both key shapes toward spoke1 were invalidated: the per-update
         // key is gone, and the incremental key — re-primed by the repair
         // push — no longer holds the stale firing. spoke2's cache stays.
@@ -331,7 +323,7 @@ mod tests {
         // The handshake is acked (echoing the announced epoch), and the
         // link's full data is re-pushed immediately as repair — the
         // rejoined node must not wait for the next organic update.
-        let out = sends(&mut ctx);
+        let out = sends(&mut cmds);
         assert_eq!(out.len(), 2);
         assert!(matches!(out[0], (p, Body::RejoinAck { epoch: 1 }) if p == spoke1.peer()));
         match &out[1] {
@@ -348,17 +340,16 @@ mod tests {
     #[test]
     fn duplicate_rejoin_is_acked_but_invalidates_nothing() {
         let (mut node, spoke1, _) = hub();
-        let ads = ctx_ads();
-        let mut ctx = Context::new(node.id.peer(), SimTime::ZERO, &ads);
-        node.handle_rejoin(&mut ctx, spoke1, 1);
+        let mut cmds = Commands::new();
+        node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 1);
         // An update ran meanwhile and legitimately rebuilt the cache.
         node.sent_cache.entry(("to1".to_owned(), None)).or_default().insert(firing(1));
 
         // The duplicate (same epoch, e.g. a delayed copy) must not wipe
         // the rebuilt cache — but it is still acked, idempotently.
-        node.handle_rejoin(&mut ctx, spoke1, 1);
+        node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 1);
         assert!(node.sent_cache.contains_key(&("to1".to_owned(), None)));
-        let acks: Vec<_> = sends(&mut ctx)
+        let acks: Vec<_> = sends(&mut cmds)
             .into_iter()
             .filter(|(_, b)| matches!(b, Body::RejoinAck { .. }))
             .collect();
@@ -368,19 +359,18 @@ mod tests {
     #[test]
     fn stale_rejoin_from_dead_incarnation_invalidates_nothing() {
         let (mut node, spoke1, _) = hub();
-        let ads = ctx_ads();
-        let mut ctx = Context::new(node.id.peer(), SimTime::ZERO, &ads);
-        node.handle_rejoin(&mut ctx, spoke1, 3);
+        let mut cmds = Commands::new();
+        node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 3);
         node.sent_cache.entry(("to1".to_owned(), None)).or_default().insert(firing(1));
 
         // A straggler from incarnation 2 (delayed in the network while
         // incarnation 3 completed its handshake) is stale: no wipe, and
         // its ack echoes the stale epoch so the live incarnation ignores
         // it (see `stale_ack_from_old_epoch_is_ignored`).
-        node.handle_rejoin(&mut ctx, spoke1, 2);
+        node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 2);
         assert!(node.sent_cache.contains_key(&("to1".to_owned(), None)));
         assert_eq!(node.rejoin_epochs[&spoke1], 3, "the newest epoch stays on record");
-        let last = sends(&mut ctx).pop().unwrap();
+        let last = sends(&mut cmds).pop().unwrap();
         assert!(matches!(last.1, Body::RejoinAck { epoch: 2 }));
     }
 
@@ -403,12 +393,11 @@ mod tests {
         // Rejoin must invalidate again (the cache may have been rebuilt
         // by traffic between the two announcements).
         let (mut node, spoke1, _) = hub();
-        let ads = ctx_ads();
-        let mut ctx = Context::new(node.id.peer(), SimTime::ZERO, &ads);
-        node.handle_rejoin(&mut ctx, spoke1, 1);
+        let mut cmds = Commands::new();
+        node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 1);
         node.sent_cache.entry(("to1".to_owned(), None)).or_default().insert(firing(1));
 
-        node.handle_rejoin(&mut ctx, spoke1, 2);
+        node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 2);
         assert!(
             !node.sent_cache[&("to1".to_owned(), None)].contains(&firing(1)),
             "a genuinely newer incarnation invalidates again (the repair push \
@@ -424,11 +413,10 @@ mod tests {
         // invalidate, but the epoch is recorded and the ack still flows.
         let (mut node, spoke1, _) = hub();
         assert!(node.sent_cache.is_empty());
-        let ads = ctx_ads();
-        let mut ctx = Context::new(node.id.peer(), SimTime::ZERO, &ads);
-        node.handle_rejoin(&mut ctx, spoke1, 5);
+        let mut cmds = Commands::new();
+        node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 5);
         assert_eq!(node.rejoin_epochs[&spoke1], 5);
-        let out = sends(&mut ctx);
+        let out = sends(&mut cmds);
         assert!(matches!(out[0].1, Body::RejoinAck { epoch: 5 }));
     }
 
@@ -437,10 +425,9 @@ mod tests {
         let (mut node, spoke1, spoke2) = hub();
         node.reliable.set_epoch(4);
         node.pending_rejoin = true;
-        let ads = ctx_ads();
-        let mut ctx = Context::new(node.id.peer(), SimTime::ZERO, &ads);
-        node.announce_rejoin(&mut ctx);
-        let mut dests: Vec<PeerId> = sends(&mut ctx)
+        let mut cmds = Commands::new();
+        node.announce_rejoin(&mut ctx(&node, &mut cmds));
+        let mut dests: Vec<PeerId> = sends(&mut cmds)
             .into_iter()
             .filter(|(_, b)| matches!(b, Body::Rejoin { epoch: 4 }))
             .map(|(to, _)| to)
@@ -448,8 +435,8 @@ mod tests {
         dests.sort();
         assert_eq!(dests, vec![spoke1.peer(), spoke2.peer()]);
         // The announcement is one-shot.
-        node.announce_rejoin(&mut ctx);
-        assert!(sends(&mut ctx).is_empty());
+        node.announce_rejoin(&mut ctx(&node, &mut cmds));
+        assert!(sends(&mut cmds).is_empty());
         assert!(!node.rejoin_pending());
     }
 
@@ -462,9 +449,8 @@ mod tests {
         node.reliable.set_epoch(4);
         node.rejoin_acks.insert(spoke1);
         node.pending_rejoin = true;
-        let ads = ctx_ads();
-        let mut ctx = Context::new(node.id.peer(), SimTime::ZERO, &ads);
-        node.announce_rejoin(&mut ctx);
+        let mut cmds = Commands::new();
+        node.announce_rejoin(&mut ctx(&node, &mut cmds));
         assert!(node.rejoin_acks().is_empty(), "stale acks cleared with the new round");
         node.handle_rejoin_ack(spoke1, 4);
         assert_eq!(node.rejoin_acks().len(), 1);
@@ -484,16 +470,15 @@ mod tests {
     #[test]
     fn repair_applies_dedups_and_cascades() {
         let (mut node, spoke1, spoke2) = hub();
-        let ads = ctx_ads();
-        let mut ctx = Context::new(node.id.peer(), SimTime::ZERO, &ads);
+        let mut cmds = Commands::new();
         let before = node.ldb().tuple_count();
 
         // h(5) arrives as repair on the hub's outgoing link `back`.
-        node.handle_rejoin_repair(&mut ctx, "back".to_owned(), vec![h_firing(5)]);
+        node.handle_rejoin_repair(&mut ctx(&node, &mut cmds), "back".to_owned(), vec![h_firing(5)]);
         assert_eq!(node.ldb().tuple_count(), before + 1, "h(5) applied");
         // The change cascades: both links reading `h` re-fire their delta
         // toward their targets, as further repair.
-        let out = sends(&mut ctx);
+        let out = sends(&mut cmds);
         let repairs: Vec<_> = out
             .iter()
             .filter_map(|(to, b)| match b {
@@ -509,12 +494,16 @@ mod tests {
         // A duplicate repair batch is fully suppressed by the receive
         // cache: nothing applied, nothing cascaded — the termination
         // argument for repair chains in cyclic topologies.
-        node.handle_rejoin_repair(&mut ctx, "back".to_owned(), vec![h_firing(5)]);
+        node.handle_rejoin_repair(&mut ctx(&node, &mut cmds), "back".to_owned(), vec![h_firing(5)]);
         assert_eq!(node.ldb().tuple_count(), before + 1);
-        assert!(sends(&mut ctx).is_empty());
+        assert!(sends(&mut cmds).is_empty());
 
         // A stale rule name (reconfiguration race) is ignored outright.
-        node.handle_rejoin_repair(&mut ctx, "no-such-link".to_owned(), vec![h_firing(6)]);
+        node.handle_rejoin_repair(
+            &mut ctx(&node, &mut cmds),
+            "no-such-link".to_owned(),
+            vec![h_firing(6)],
+        );
         assert_eq!(node.ldb().tuple_count(), before + 1);
     }
 }

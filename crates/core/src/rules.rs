@@ -35,13 +35,24 @@ impl CoordinationRule {
 
 /// The rule book of one node: the rules it participates in, split by role,
 /// plus the intra-node dependency relation between them.
+///
+/// A book is immutable once built — a new rules file replaces it whole —
+/// so everything the protocol asks of it per message is derived once, in
+/// [`RuleBook::for_node`], and answered by reference.
 #[derive(Clone, Debug, Default)]
 pub struct RuleBook {
-    /// Rules with this node as target, by name ("outgoing links").
-    pub outgoing: BTreeMap<RuleName, CoordinationRule>,
-    /// Rules with this node as source, by name ("incoming links").
-    pub incoming: BTreeMap<RuleName, CoordinationRule>,
+    outgoing: BTreeMap<RuleName, CoordinationRule>,
+    incoming: BTreeMap<RuleName, CoordinationRule>,
+    acquaintances: BTreeSet<NodeId>,
+    /// Incoming link → the outgoing links relevant for it.
+    relevant: BTreeMap<RuleName, BTreeSet<RuleName>>,
+    /// Relation → the incoming links whose body reads it.
+    readers: BTreeMap<String, BTreeSet<RuleName>>,
 }
+
+/// What the table lookups answer for a link or relation the book does not
+/// know.
+static NO_LINKS: BTreeSet<RuleName> = BTreeSet::new();
 
 impl RuleBook {
     /// Builds the book for `node` from the full rule list.
@@ -55,34 +66,51 @@ impl RuleBook {
                 book.incoming.insert(r.name().to_owned(), r.clone());
             }
         }
+        book.acquaintances = book
+            .outgoing
+            .values()
+            .map(|r| r.source)
+            .chain(book.incoming.values().map(|r| r.target))
+            .filter(|n| *n != node)
+            .collect();
+        for (name, i) in &book.incoming {
+            let reads = i.rule.body_relations();
+            let relevant = book
+                .outgoing
+                .values()
+                .filter(|o| o.rule.head_relations().iter().any(|h| reads.contains(h)))
+                .map(|o| o.name().to_owned())
+                .collect();
+            book.relevant.insert(name.clone(), relevant);
+            for rel in reads {
+                book.readers.entry(rel.to_owned()).or_default().insert(name.clone());
+            }
+        }
         book
+    }
+
+    /// Rules with this node as target, by name ("outgoing links").
+    pub fn outgoing(&self) -> &BTreeMap<RuleName, CoordinationRule> {
+        &self.outgoing
+    }
+
+    /// Rules with this node as source, by name ("incoming links").
+    pub fn incoming(&self) -> &BTreeMap<RuleName, CoordinationRule> {
+        &self.incoming
     }
 
     /// All acquaintances: nodes this node shares a rule with (pipe
     /// endpoints, per the paper's topology discovery: "when a node starts,
     /// it creates pipes with those nodes, w.r.t. which it has coordination
     /// rules, or which have coordination rules w.r.t. the given node").
-    pub fn acquaintances(&self, myself: NodeId) -> BTreeSet<NodeId> {
-        self.outgoing
-            .values()
-            .map(|r| r.source)
-            .chain(self.incoming.values().map(|r| r.target))
-            .filter(|n| *n != myself)
-            .collect()
+    pub fn acquaintances(&self) -> &BTreeSet<NodeId> {
+        &self.acquaintances
     }
 
     /// Outgoing links *relevant for* incoming link `i`: those whose head
     /// writes a relation read by `i`'s body.
-    pub fn relevant_outgoing(&self, incoming: &RuleName) -> BTreeSet<RuleName> {
-        let Some(i) = self.incoming.get(incoming) else {
-            return BTreeSet::new();
-        };
-        let body_rels: BTreeSet<&str> = i.rule.body_relations();
-        self.outgoing
-            .values()
-            .filter(|o| o.rule.head_relations().iter().any(|h| body_rels.contains(h)))
-            .map(|o| o.name().to_owned())
-            .collect()
+    pub fn relevant_outgoing(&self, incoming: &str) -> &BTreeSet<RuleName> {
+        self.relevant.get(incoming).unwrap_or(&NO_LINKS)
     }
 
     /// Incoming links *dependent on* outgoing link `o` — the links to
@@ -99,14 +127,10 @@ impl RuleBook {
             .collect()
     }
 
-    /// Incoming links whose body reads any of `relations` — used when a
-    /// batch of deltas arrives grouped by relation.
-    pub fn incoming_reading(&self, relations: &BTreeSet<String>) -> BTreeSet<RuleName> {
-        self.incoming
-            .values()
-            .filter(|i| i.rule.body_relations().iter().any(|b| relations.contains(*b)))
-            .map(|i| i.name().to_owned())
-            .collect()
+    /// Incoming links whose body reads `relation` — the links to
+    /// re-compute when a delta arrives for it.
+    pub fn incoming_reading(&self, relation: &str) -> &BTreeSet<RuleName> {
+        self.readers.get(relation).unwrap_or(&NO_LINKS)
     }
 
     /// True iff this node has no rules at all (an isolated node).
@@ -217,6 +241,52 @@ pub fn rule_graph_is_cyclic(rules: &[CoordinationRule]) -> bool {
     false
 }
 
+/// The paper's definitions of the dependency tables, evaluated directly
+/// over the two rule maps — what [`RuleBook`] derived on every call
+/// before it kept tables, kept as the reference the tables are checked
+/// against.
+#[cfg(test)]
+pub(crate) fn assert_tables_match_definitions(book: &RuleBook, node: NodeId) {
+    let acquaintances: BTreeSet<NodeId> = book
+        .outgoing()
+        .values()
+        .map(|r| r.source)
+        .chain(book.incoming().values().map(|r| r.target))
+        .filter(|n| *n != node)
+        .collect();
+    assert_eq!(book.acquaintances(), &acquaintances, "acquaintances of {node}");
+
+    for (name, i) in book.incoming() {
+        let reads = i.rule.body_relations();
+        let relevant: BTreeSet<RuleName> = book
+            .outgoing()
+            .values()
+            .filter(|o| o.rule.head_relations().iter().any(|h| reads.contains(h)))
+            .map(|o| o.name().to_owned())
+            .collect();
+        assert_eq!(book.relevant_outgoing(name), &relevant, "relevant for {name} at {node}");
+    }
+    for name in book.outgoing().keys().filter(|o| !book.incoming().contains_key(*o)) {
+        assert!(book.relevant_outgoing(name).is_empty(), "{name} is not an incoming link");
+    }
+
+    let rules = || book.outgoing().values().chain(book.incoming().values());
+    let mut relations: BTreeSet<&str> = ["no-such-relation"].into();
+    for r in rules() {
+        relations.extend(r.rule.head_relations());
+        relations.extend(r.rule.body_relations());
+    }
+    for rel in relations {
+        let readers: BTreeSet<RuleName> = book
+            .incoming()
+            .values()
+            .filter(|i| i.rule.body_relations().contains(rel))
+            .map(|i| i.name().to_owned())
+            .collect();
+        assert_eq!(book.incoming_reading(rel), &readers, "readers of {rel} at {node}");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,9 +302,9 @@ mod tests {
     fn book_splits_roles() {
         let rules = vec![rule("a", 1, 2, "t(X) <- s(X)"), rule("b", 2, 3, "u(X) <- t(X)")];
         let book = RuleBook::for_node(NodeId(2), &rules);
-        assert!(book.outgoing.contains_key("a")); // node 2 imports via a
-        assert!(book.incoming.contains_key("b")); // node 2 serves b
-        assert_eq!(book.acquaintances(NodeId(2)), [NodeId(1), NodeId(3)].into());
+        assert!(book.outgoing().contains_key("a")); // node 2 imports via a
+        assert!(book.incoming().contains_key("b")); // node 2 serves b
+        assert_eq!(book.acquaintances(), &[NodeId(1), NodeId(3)].into());
     }
 
     #[test]
@@ -246,8 +316,8 @@ mod tests {
             rule("c", 2, 3, "w(X) <- v(X)"), // reads v: independent
         ];
         let book = RuleBook::for_node(NodeId(2), &rules);
-        assert_eq!(book.relevant_outgoing(&"b".into()), ["a".to_owned()].into());
-        assert!(book.relevant_outgoing(&"c".into()).is_empty());
+        assert_eq!(book.relevant_outgoing("b"), &["a".to_owned()].into());
+        assert!(book.relevant_outgoing("c").is_empty());
         assert_eq!(book.dependent_incoming(&"a".into()), ["b".to_owned()].into());
     }
 
@@ -255,18 +325,49 @@ mod tests {
     fn incoming_reading_groups_by_relation() {
         let rules = vec![rule("b", 2, 3, "u(X) <- t(X)"), rule("c", 2, 4, "w(X) <- t(X), v(X)")];
         let book = RuleBook::for_node(NodeId(2), &rules);
-        let rels: BTreeSet<String> = ["t".to_owned()].into();
-        assert_eq!(book.incoming_reading(&rels), ["b".to_owned(), "c".to_owned()].into());
-        let rels2: BTreeSet<String> = ["v".to_owned()].into();
-        assert_eq!(book.incoming_reading(&rels2), ["c".to_owned()].into());
+        assert_eq!(book.incoming_reading("t"), &["b".to_owned(), "c".to_owned()].into());
+        assert_eq!(book.incoming_reading("v"), &["c".to_owned()].into());
     }
 
     #[test]
     fn unknown_links_yield_empty_sets() {
         let book = RuleBook::default();
-        assert!(book.relevant_outgoing(&"zz".into()).is_empty());
+        assert!(book.relevant_outgoing("zz").is_empty());
+        assert!(book.incoming_reading("zz").is_empty());
+        assert!(book.acquaintances().is_empty());
         assert!(book.dependent_incoming(&"zz".into()).is_empty());
         assert!(book.is_empty());
+    }
+
+    #[test]
+    fn tables_equal_the_definitions_at_every_node() {
+        let fixtures = [
+            vec![rule("a", 1, 2, "t(X) <- s(X)"), rule("b", 2, 3, "u(X) <- t(X)")],
+            vec![
+                rule("a", 1, 2, "t(X) <- s(X)"),
+                rule("b", 2, 3, "u(X) <- t(X)"),
+                rule("c", 2, 3, "w(X) <- v(X)"),
+            ],
+            vec![rule("b", 2, 3, "u(X) <- t(X)"), rule("c", 2, 4, "w(X) <- t(X), v(X)")],
+            // Cycles, a self-loop, two rules between one pair of nodes, and
+            // a multi-atom head feeding several bodies.
+            vec![rule("ab", 1, 2, "t(X) <- s(X)"), rule("ba", 2, 1, "s(X) <- t(X)")],
+            vec![rule("ab", 1, 2, "t(X) <- s(X)"), rule("ba", 2, 1, "w(X) <- v(X)")],
+            vec![rule("self", 1, 1, "t(X) <- s(X)"), rule("out", 1, 2, "u(X) <- t(X), s(X)")],
+            vec![
+                rule("p", 1, 2, "t(X), v(X) <- s(X)"),
+                rule("q", 1, 2, "t(X) <- r(X)"),
+                rule("x", 2, 3, "u(X) <- t(X)"),
+                rule("y", 2, 4, "w(X) <- v(X), t(X)"),
+                rule("z", 2, 1, "r(X) <- k(X)"),
+            ],
+        ];
+        for rules in &fixtures {
+            for node in 0..=5 {
+                let node = NodeId(node);
+                assert_tables_match_definitions(&RuleBook::for_node(node, rules), node);
+            }
+        }
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub struct UpdateReport {
     /// `UpdateRequest` messages received (including duplicates).
     pub requests_received: u64,
     /// True when the chase-depth safety valve dropped data (non-weakly-
-    /// acyclic rule sets; see DESIGN.md §3).
+    /// acyclic rule sets; see [`crate::NodeSettings::max_hops`]).
     pub truncated: bool,
 }
 
@@ -186,17 +186,28 @@ impl NodeReport {
 
     /// Counts a sent message of `kind`.
     pub fn count_sent(&mut self, kind: &'static str) {
-        *self.messages_sent.entry(kind.to_owned()).or_default() += 1;
+        count(&mut self.messages_sent, kind);
     }
 
     /// Counts a received message of `kind`.
     pub fn count_received(&mut self, kind: &'static str) {
-        *self.messages_received.entry(kind.to_owned()).or_default() += 1;
+        count(&mut self.messages_received, kind);
     }
 
     /// The report for `update`, created at `now` on first touch.
     pub fn update_mut(&mut self, update: UpdateId, now: SimTime) -> &mut UpdateReport {
         self.updates.entry(update).or_insert_with(|| UpdateReport::new(update, now))
+    }
+}
+
+/// Bumps `kind`'s counter. Runs for every message, so the key is
+/// allocated only the first time a kind is seen.
+fn count(counters: &mut BTreeMap<String, u64>, kind: &str) {
+    match counters.get_mut(kind) {
+        Some(n) => *n += 1,
+        None => {
+            counters.insert(kind.to_owned(), 1);
+        }
     }
 }
 

@@ -12,7 +12,7 @@
 //!
 //! ## Termination
 //!
-//! Two cooperating mechanisms (DESIGN.md §3):
+//! Two cooperating mechanisms:
 //!
 //! 1. **The paper's open/closed link states.** An incoming link closes —
 //!    and the source notifies the target with `LinkClosed` — once every
@@ -160,7 +160,7 @@ impl CoDbNode {
     ) {
         let wanted: Vec<(RuleName, NodeId)> = self
             .book
-            .outgoing
+            .outgoing()
             .iter()
             .filter(|(_, r)| r.rule.head_relations().iter().any(|h| relations.contains(*h)))
             .map(|(name, r)| (name.clone(), r.source))
@@ -186,7 +186,7 @@ impl CoDbNode {
         let st = self.updates.get_mut(&update).expect("state created by caller");
         st.scoped = true;
         st.request_seen = true;
-        let Some(link) = self.book.incoming.get(&rule) else {
+        let Some(link) = self.book.incoming().get(&rule) else {
             return; // stale rule name after a reconfiguration
         };
         let target = link.target;
@@ -255,16 +255,15 @@ impl CoDbNode {
 
         // Initial execution of every incoming link over the current LDB.
         let incoming: Vec<(RuleName, NodeId)> =
-            self.book.incoming.iter().map(|(name, r)| (name.clone(), r.target)).collect();
+            self.book.incoming().iter().map(|(name, r)| (name.clone(), r.target)).collect();
         for (name, target) in &incoming {
-            let rule = &self.book.incoming[name].rule;
+            let rule = &self.book.incoming()[name].rule;
             let firings = rule.fire(&self.ldb).expect("schema-validated rule");
             self.send_link_data(ctx, update, name, *target, firings, 1);
         }
 
         // Flood the request to all acquaintances except the sender.
-        let acquaintances = self.book.acquaintances(self.id);
-        for acq in acquaintances {
+        for acq in self.book.acquaintances().clone() {
             if Some(acq) != from {
                 self.post(ctx, acq, Body::UpdateRequest { update });
             }
@@ -293,7 +292,7 @@ impl CoDbNode {
                 .record(firings.len() as u64, bytes as u64);
             rep.longest_path = rep.longest_path.max(hops);
         }
-        if !self.book.outgoing.contains_key(&rule) {
+        if !self.book.outgoing().contains_key(&rule) {
             // Stale rule (configuration changed mid-update): data ignored.
             return;
         }
@@ -375,28 +374,37 @@ impl CoDbNode {
         deltas: &BTreeMap<String, Vec<Tuple>>,
         hops: u64,
     ) {
-        let changed: BTreeSet<String> = deltas.keys().cloned().collect();
         let st = self.updates.get(&update).expect("state exists");
-        let scoped = st.scoped;
-        let active = st.active_in.clone();
-        let mut dependents = self.book.incoming_reading(&changed);
-        if scoped {
-            dependents.retain(|name| active.contains(name));
-        }
+        let dependents: BTreeSet<RuleName> = deltas
+            .keys()
+            .flat_map(|rel| self.book.incoming_reading(rel))
+            .filter(|name| !st.scoped || st.active_in.contains(*name))
+            .cloned()
+            .collect();
         for name in dependents {
-            let link = &self.book.incoming[&name];
-            let target = link.target;
-            let rule = link.rule.clone();
-            let mut firings: Vec<RuleFiring> = Vec::new();
-            for (rel, tuples) in deltas {
-                if rule.body_relations().contains(rel.as_str()) {
-                    firings.extend(
-                        rule.fire_delta(&self.ldb, rel, tuples).expect("schema-validated rule"),
-                    );
-                }
-            }
+            let (target, firings) = self.fire_link_deltas(&name, deltas);
             self.send_link_data(ctx, update, &name, target, firings, hops);
         }
+    }
+
+    /// Semi-naive re-computation of incoming link `name`: its target, and
+    /// the firings whose derivation uses a tuple of `deltas` in a relation
+    /// the link's body reads.
+    pub(crate) fn fire_link_deltas(
+        &self,
+        name: &RuleName,
+        deltas: &BTreeMap<String, Vec<Tuple>>,
+    ) -> (NodeId, Vec<RuleFiring>) {
+        let link = &self.book.incoming()[name];
+        let mut firings = Vec::new();
+        for (rel, tuples) in deltas {
+            if self.book.incoming_reading(rel).contains(name) {
+                firings.extend(
+                    link.rule.fire_delta(&self.ldb, rel, tuples).expect("schema-validated rule"),
+                );
+            }
+        }
+        (link.target, firings)
     }
 
     /// Filters `firings` against the sent cache for incoming link `name`
@@ -484,7 +492,7 @@ impl CoDbNode {
         }
         let candidates: Vec<(RuleName, NodeId)> = self
             .book
-            .incoming
+            .incoming()
             .iter()
             .filter(|(name, _)| !st.scoped || st.active_in.contains(*name))
             .filter(|(name, _)| !st.in_closed.contains(*name))
@@ -511,7 +519,7 @@ impl CoDbNode {
         let closed = if st.scoped {
             st.requested_out.iter().all(|name| st.out_closed.contains(name))
         } else {
-            self.book.outgoing.keys().all(|name| st.out_closed.contains(name))
+            self.book.outgoing().keys().all(|name| st.out_closed.contains(name))
         };
         if closed {
             let rep = self.report.update_mut(update, now);
@@ -570,8 +578,7 @@ impl CoDbNode {
     /// The initiator detected global quiescence: flood `UpdateComplete`.
     fn on_global_quiescence(&mut self, ctx: &mut Context<Envelope>, update: UpdateId) {
         self.finish_update(update, ctx.now());
-        let acquaintances = self.book.acquaintances(self.id);
-        for acq in acquaintances {
+        for acq in self.book.acquaintances().clone() {
             self.post(ctx, acq, Body::UpdateComplete { update });
         }
     }
@@ -589,8 +596,7 @@ impl CoDbNode {
             return;
         }
         self.finish_update(update, now);
-        let acquaintances = self.book.acquaintances(self.id);
-        for acq in acquaintances {
+        for acq in self.book.acquaintances().clone() {
             if acq != from {
                 self.post(ctx, acq, Body::UpdateComplete { update });
             }
@@ -602,10 +608,10 @@ impl CoDbNode {
     fn finish_update(&mut self, update: UpdateId, now: SimTime) {
         let st = self.updates.get_mut(&update).expect("state exists");
         st.complete = true;
-        for name in self.book.outgoing.keys() {
+        for name in self.book.outgoing().keys() {
             st.out_closed.insert(name.clone());
         }
-        for name in self.book.incoming.keys() {
+        for name in self.book.incoming().keys() {
             st.in_closed.insert(name.clone());
         }
         let rep = self.report.update_mut(update, now);

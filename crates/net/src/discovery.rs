@@ -4,10 +4,16 @@
 //! Peers publish [`Advertisement`]s on a network-wide board (the analogue
 //! of JXTA's rendezvous/advertisement caches) and read a snapshot of the
 //! board from their callback [`crate::peer::Context`].
+//!
+//! The board *is* its snapshot: one sorted, reference-counted list that
+//! the runtimes hand to every callback as-is. Dispatching an event never
+//! copies it; a change edits it in place unless a callback on another
+//! thread still holds the previous version, in which case that one change
+//! pays for one copy.
 
 use crate::peer::PeerId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// What kind of resource an advertisement describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -18,8 +24,9 @@ pub enum AdKind {
     Service,
 }
 
-/// One advertisement.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// One advertisement. Ordered by `(peer, kind, name)` — the board's
+/// (and therefore every snapshot's) order.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Advertisement {
     /// Publishing peer.
     pub peer: PeerId,
@@ -45,9 +52,9 @@ impl Advertisement {
 /// re-advertising is idempotent. Entries of a peer vanish when it leaves.
 #[derive(Clone, Debug, Default)]
 pub struct Board {
-    ads: BTreeMap<(PeerId, AdKind, String), Advertisement>,
-    /// Flat snapshot handed to contexts; rebuilt on change.
-    snapshot: Vec<Advertisement>,
+    /// Sorted, duplicate-free. Shared with the contexts of callbacks in
+    /// flight, so every mutation goes through [`Arc::make_mut`].
+    ads: Arc<Vec<Advertisement>>,
 }
 
 impl Board {
@@ -56,30 +63,36 @@ impl Board {
         Self::default()
     }
 
-    /// Publishes an advertisement (idempotent).
+    /// Publishes an advertisement (idempotent: re-publishing leaves the
+    /// shared snapshot untouched).
     pub fn publish(&mut self, ad: Advertisement) {
-        self.ads.insert((ad.peer, ad.kind, ad.name.clone()), ad);
-        self.rebuild();
+        if let Err(pos) = self.ads.binary_search(&ad) {
+            Arc::make_mut(&mut self.ads).insert(pos, ad);
+        }
     }
 
     /// Removes all advertisements of `peer` (peer left the network).
     pub fn retract_peer(&mut self, peer: PeerId) {
-        self.ads.retain(|(p, _, _), _| *p != peer);
-        self.rebuild();
+        if self.ads.iter().any(|a| a.peer == peer) {
+            Arc::make_mut(&mut self.ads).retain(|a| a.peer != peer);
+        }
     }
 
     /// Current snapshot, ordered deterministically.
     pub fn snapshot(&self) -> &[Advertisement] {
-        &self.snapshot
+        &self.ads
+    }
+
+    /// The current snapshot as a shared handle, for a runtime that cannot
+    /// keep the board borrowed while a callback runs. O(1); later changes
+    /// to the board are not visible through it.
+    pub fn shared(&self) -> Arc<Vec<Advertisement>> {
+        Arc::clone(&self.ads)
     }
 
     /// Advertisements matching a kind and name.
     pub fn find(&self, kind: AdKind, name: &str) -> Vec<&Advertisement> {
-        self.snapshot.iter().filter(|a| a.kind == kind && a.name == name).collect()
-    }
-
-    fn rebuild(&mut self) {
-        self.snapshot = self.ads.values().cloned().collect();
+        self.ads.iter().filter(|a| a.kind == kind && a.name == name).collect()
     }
 }
 
@@ -104,6 +117,52 @@ mod tests {
         b.retract_peer(PeerId(1));
         assert_eq!(b.snapshot().len(), 1);
         assert_eq!(b.snapshot()[0].peer, PeerId(2));
+    }
+
+    #[test]
+    fn many_publishes_in_any_order_equal_the_sorted_set() {
+        // 10 000 publishes in a scrambled order (with every tenth repeated)
+        // followed by one read: the same list an eager sort-and-dedup
+        // gives.
+        let n = 10_000u64;
+        let ad = |i: u64| {
+            let id = PeerId(i * 7919 % n);
+            if i.is_multiple_of(3) {
+                Advertisement::service(id, "super-peer")
+            } else {
+                Advertisement::peer(id, "codb-node")
+            }
+        };
+        let mut b = Board::new();
+        for i in 0..n {
+            b.publish(ad(i));
+            if i.is_multiple_of(10) {
+                b.publish(ad(i));
+            }
+        }
+        let mut eager: Vec<Advertisement> = (0..n).map(ad).collect();
+        eager.sort();
+        eager.dedup();
+        assert_eq!(eager.len(), n as usize);
+        assert_eq!(b.snapshot(), eager);
+    }
+
+    #[test]
+    fn unchanged_board_keeps_its_shared_snapshot() {
+        let mut b = Board::new();
+        b.publish(Advertisement::peer(PeerId(1), "codb-node"));
+        b.publish(Advertisement::peer(PeerId(2), "codb-node"));
+        let held = b.shared();
+        // Re-publishing an identical ad and retracting an absent peer are
+        // not changes: the handle still is the board's snapshot.
+        b.publish(Advertisement::peer(PeerId(1), "codb-node"));
+        b.retract_peer(PeerId(9));
+        assert!(Arc::ptr_eq(&held, &b.shared()));
+        assert_eq!(held.as_ptr(), b.snapshot().as_ptr());
+        // A real change leaves the held snapshot as it was.
+        b.publish(Advertisement::peer(PeerId(3), "codb-node"));
+        assert_eq!(held.len(), 2);
+        assert_eq!(b.snapshot().len(), 3);
     }
 
     #[test]

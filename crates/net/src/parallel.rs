@@ -341,6 +341,23 @@ mod tests {
     }
 
     #[test]
+    fn board_is_lent_to_callbacks_not_copied() {
+        use crate::sim::tests_support::{assert_board_is_lent_not_copied, BoardWatcher, Msg};
+        let mut net: ParallelNet<Msg, BoardWatcher> = ParallelNet::with_config(small(2, 8));
+        net.add_peer(PeerId(0), BoardWatcher::default());
+        // Three messages queued at once: a later one may be drained in the
+        // same scheduling visit as the one that advertised, and must still
+        // see the advertisement.
+        for i in 0..3 {
+            net.inject(PeerId(9), PeerId(0), Msg(i));
+        }
+        assert!(net.await_quiescence(Duration::from_millis(10), Duration::from_secs(10)));
+        let board_at = net.shared.board.read().snapshot().as_ptr() as usize;
+        let peers = net.shutdown();
+        assert_board_is_lent_not_copied(&peers[&PeerId(0)].views, board_at);
+    }
+
+    #[test]
     fn send_without_pipe_counted() {
         let mut net: ParallelNet<Token, Counter> = ParallelNet::new();
         net.add_peer(PeerId(0), Counter { next: PeerId(1), seen: 0 });

@@ -11,6 +11,7 @@ use crate::discovery::Advertisement;
 use crate::pipe::PipeConfig;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Network-wide peer identifier (JXTA gives peers IP-independent IDs; we
@@ -79,20 +80,29 @@ pub enum Command<M> {
     Advertise(Advertisement),
 }
 
-/// Callback context: read-only view of the runtime plus a command buffer.
+/// Callback context: read-only view of the runtime plus the runtime's
+/// command queue. Both are lent for the duration of one callback, so
+/// creating a context neither copies the board nor allocates.
 pub struct Context<'a, M: Payload> {
     self_id: PeerId,
     now: SimTime,
     /// Peers currently advertised on the discovery board (JXTA's local
     /// discovery cache).
     discovered: &'a [Advertisement],
-    commands: Vec<Command<M>>,
+    commands: &'a mut VecDeque<Command<M>>,
 }
 
 impl<'a, M: Payload> Context<'a, M> {
-    /// Creates a context (runtimes only).
-    pub fn new(self_id: PeerId, now: SimTime, discovered: &'a [Advertisement]) -> Self {
-        Context { self_id, now, discovered, commands: Vec::new() }
+    /// Creates a context (runtimes only). The callback's commands are
+    /// appended to `commands`, behind whatever the runtime still has
+    /// queued there.
+    pub fn new(
+        self_id: PeerId,
+        now: SimTime,
+        discovered: &'a [Advertisement],
+        commands: &'a mut VecDeque<Command<M>>,
+    ) -> Self {
+        Context { self_id, now, discovered, commands }
     }
 
     /// This peer's id.
@@ -108,38 +118,33 @@ impl<'a, M: Payload> Context<'a, M> {
     /// Sends a message. Delivery requires a pipe to `to`; messages without
     /// a pipe are counted as undeliverable by the runtime.
     pub fn send(&mut self, to: PeerId, msg: M) {
-        self.commands.push(Command::Send { to, msg });
+        self.commands.push_back(Command::Send { to, msg });
     }
 
     /// Schedules [`Peer::on_timer`] after `delay` with the given id.
     pub fn set_timer(&mut self, delay: SimTime, timer: u64) {
-        self.commands.push(Command::SetTimer { delay, timer });
+        self.commands.push_back(Command::SetTimer { delay, timer });
     }
 
     /// Opens (or reconfigures) a pipe to `with`.
     pub fn open_pipe(&mut self, with: PeerId, config: PipeConfig) {
-        self.commands.push(Command::OpenPipe { with, config });
+        self.commands.push_back(Command::OpenPipe { with, config });
     }
 
     /// Closes the pipe to `with`.
     pub fn close_pipe(&mut self, with: PeerId) {
-        self.commands.push(Command::ClosePipe { with });
+        self.commands.push_back(Command::ClosePipe { with });
     }
 
     /// Publishes an advertisement.
     pub fn advertise(&mut self, ad: Advertisement) {
-        self.commands.push(Command::Advertise(ad));
+        self.commands.push_back(Command::Advertise(ad));
     }
 
     /// Snapshot of the discovery board (instantaneous, like JXTA's local
     /// advertisement cache).
     pub fn discover(&self) -> &[Advertisement] {
         self.discovered
-    }
-
-    /// Drains the buffered commands (runtimes only).
-    pub fn take_commands(&mut self) -> Vec<Command<M>> {
-        std::mem::take(&mut self.commands)
     }
 }
 
@@ -155,18 +160,17 @@ mod tests {
 
     #[test]
     fn context_buffers_commands() {
-        let ads = vec![];
-        let mut ctx: Context<'_, String> = Context::new(PeerId(1), SimTime::from_millis(5), &ads);
+        let mut cmds = VecDeque::new();
+        let mut ctx: Context<'_, String> =
+            Context::new(PeerId(1), SimTime::from_millis(5), &[], &mut cmds);
         assert_eq!(ctx.self_id(), PeerId(1));
         assert_eq!(ctx.now(), SimTime::from_millis(5));
         ctx.send(PeerId(2), "hi".into());
         ctx.set_timer(SimTime::from_millis(1), 7);
         ctx.close_pipe(PeerId(2));
-        let cmds = ctx.take_commands();
         assert_eq!(cmds.len(), 3);
         assert!(matches!(cmds[0], Command::Send { to: PeerId(2), .. }));
         assert!(matches!(cmds[1], Command::SetTimer { timer: 7, .. }));
         assert!(matches!(cmds[2], Command::ClosePipe { with: PeerId(2) }));
-        assert!(ctx.take_commands().is_empty());
     }
 }

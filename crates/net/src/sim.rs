@@ -20,14 +20,19 @@
 //!   sliding window, heap fallback for far-future timers. Pop cost
 //!   scales with the population of one ~262 µs bucket, not the whole
 //!   queue.
-//! * Each [`PeerId`] is interned once into a dense `u32` slot index
-//!   (`index: HashMap<PeerId, u32>` is consulted only on the cold
-//!   control paths — `add_peer`, `open_pipe`, command targets). Events
-//!   carry slot indices, so dispatch is a `Vec` index, not a map probe.
+//! * Each [`PeerId`] is interned once into a dense `u32` slot index.
+//!   Events carry slot indices, so dispatch is a `Vec` index, not a map
+//!   probe. `index: HashMap<PeerId, u32>` is probed once per `Send`
+//!   command, to resolve the destination a peer names by id, and on the
+//!   control paths (`add_peer`, `open_pipe`, `inject`).
 //! * Pipes are adjacency lists: slot `i` holds a `dst`-sorted
 //!   `Vec<Edge>` of its outgoing half-pipes, each embedding its
 //!   [`PipeConfig`], [`PipeState`] and [`PipeStats`]. A send is a binary
 //!   search over the peer's own (typically tiny) neighbour list.
+//! * A callback's [`Context`] borrows the advertisement board and the
+//!   simulator's one command queue; dispatching an event copies neither
+//!   and allocates nothing, whatever the number of peers or
+//!   advertisements.
 //!
 //! Slots are never freed: removing a peer tombstones its slot
 //! (`peer: None`) and re-adding the same id revives it, which preserves
@@ -44,7 +49,7 @@ use crate::time::SimTime;
 use codb_trace::{TraceEvent, Tracer};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Simulator configuration.
 #[derive(Clone, Debug)]
@@ -121,6 +126,10 @@ pub struct SimNet<M: Payload, P: Peer<M>> {
     slots: Vec<Slot<P>>,
     index: HashMap<PeerId, u32>,
     board: Board,
+    /// The queue every callback's [`Context`] appends to; drained right
+    /// after the callback, so it is empty between events and its
+    /// capacity is reused.
+    commands: VecDeque<Command<M>>,
     queue: CalendarQueue<EventKind<M>>,
     now: SimTime,
     seq: u64,
@@ -143,6 +152,7 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
             slots: Vec::new(),
             index: HashMap::new(),
             board: Board::new(),
+            commands: VecDeque::new(),
             queue: CalendarQueue::new(),
             now: SimTime::ZERO,
             seq: 0,
@@ -375,9 +385,22 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
         &self.board
     }
 
-    fn apply_commands(&mut self, origin: u32, commands: Vec<Command<M>>) {
+    /// Runs one callback of peer `idx` (if it is live) and applies the
+    /// commands it emitted. The board is lent as it stands: commands take
+    /// effect only after the callback returns, so a peer never observes
+    /// its own advertisement mid-callback.
+    fn run_callback(&mut self, idx: u32, callback: impl FnOnce(&mut P, &mut Context<'_, M>)) {
+        let slot = &mut self.slots[idx as usize];
+        let Some(peer) = slot.peer.as_mut() else { return };
+        let mut ctx = Context::new(slot.id, self.now, self.board.snapshot(), &mut self.commands);
+        callback(peer, &mut ctx);
+        self.apply_commands(idx);
+    }
+
+    /// Drains the command queue on behalf of peer `origin`.
+    fn apply_commands(&mut self, origin: u32) {
         let origin_id = self.slots[origin as usize].id;
-        for cmd in commands {
+        while let Some(cmd) = self.commands.pop_front() {
             match cmd {
                 Command::Send { to, msg } => {
                     let bytes = msg.size_bytes();
@@ -453,19 +476,8 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
         // simulator itself or by node/store code inside a peer callback —
         // carries this event's sim-time.
         self.tracer.set_clock(at.as_nanos());
-        // The board snapshot is cloned so the peer callback can't observe
-        // its own command effects mid-callback.
-        let snapshot: Vec<Advertisement> = self.board.snapshot().to_vec();
         match kind {
-            EventKind::Start(idx) => {
-                let id = self.slots[idx as usize].id;
-                if let Some(peer) = self.slots[idx as usize].peer.as_mut() {
-                    let mut ctx = Context::new(id, self.now, &snapshot);
-                    peer.on_start(&mut ctx);
-                    let cmds = ctx.take_commands();
-                    self.apply_commands(idx, cmds);
-                }
-            }
+            EventKind::Start(idx) => self.run_callback(idx, |peer, ctx| peer.on_start(ctx)),
             EventKind::Deliver { from, to, msg } => {
                 if self.slots[to as usize].peer.is_some() {
                     let from_id = self.slots[from as usize].id;
@@ -493,26 +505,17 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
                             bytes: msg.size_bytes() as u64,
                         });
                     }
-                    let mut ctx = Context::new(to_id, self.now, &snapshot);
-                    let peer = self.slots[to as usize].peer.as_mut().unwrap();
-                    peer.on_message(&mut ctx, from_id, msg);
-                    let cmds = ctx.take_commands();
-                    self.apply_commands(to, cmds);
+                    self.run_callback(to, |peer, ctx| peer.on_message(ctx, from_id, msg));
                 }
                 // Peer gone: the in-flight message is silently discarded,
                 // matching a crashed JXTA peer.
             }
             EventKind::Timer { peer: idx, timer } => {
-                let id = self.slots[idx as usize].id;
-                if let Some(peer) = self.slots[idx as usize].peer.as_mut() {
-                    if self.tracer.is_enabled() {
-                        self.tracer.emit(TraceEvent::NetTimer { peer: id.0, timer });
-                    }
-                    let mut ctx = Context::new(id, self.now, &snapshot);
-                    peer.on_timer(&mut ctx, timer);
-                    let cmds = ctx.take_commands();
-                    self.apply_commands(idx, cmds);
+                let slot = &self.slots[idx as usize];
+                if slot.peer.is_some() && self.tracer.is_enabled() {
+                    self.tracer.emit(TraceEvent::NetTimer { peer: slot.id.0, timer });
                 }
+                self.run_callback(idx, |peer, ctx| peer.on_timer(ctx, timer));
             }
         }
         true
@@ -791,6 +794,19 @@ mod tests {
     }
 
     #[test]
+    fn board_is_lent_to_callbacks_not_copied() {
+        use super::tests_support::{assert_board_is_lent_not_copied, BoardWatcher, Msg};
+        let mut net: SimNet<Msg, BoardWatcher> = SimNet::new(SimConfig::default());
+        net.add_peer(PeerId(0), BoardWatcher::default());
+        for i in 0..3 {
+            net.inject(PeerId(9), PeerId(0), Msg(i));
+        }
+        net.run_until_quiescent();
+        let board_at = net.board().snapshot().as_ptr() as usize;
+        assert_board_is_lent_not_copied(&net.peer(PeerId(0)).unwrap().views, board_at);
+    }
+
+    #[test]
     fn inject_reaches_peer_without_pipe() {
         let mut net = ring(2, 0);
         net.run_until_quiescent();
@@ -931,6 +947,52 @@ pub(crate) mod tests_support {
             if let Some(to) = self.forward {
                 ctx.send(to, msg);
             }
+        }
+    }
+
+    /// What one callback saw of the discovery board.
+    #[derive(Debug, PartialEq, Eq)]
+    pub struct BoardView {
+        /// Advertisements visible on entry.
+        pub on_entry: usize,
+        /// Advertisements visible at the end of the callback.
+        pub on_exit: usize,
+        /// Address of the slice `discover()` returned.
+        pub at: usize,
+    }
+
+    /// Records a [`BoardView`] per message and advertises itself during
+    /// the first.
+    #[derive(Default)]
+    pub struct BoardWatcher {
+        pub views: Vec<BoardView>,
+    }
+
+    impl Peer<Msg> for BoardWatcher {
+        fn on_message(&mut self, ctx: &mut Context<Msg>, _from: PeerId, _msg: Msg) {
+            let on_entry = ctx.discover().len();
+            if self.views.is_empty() {
+                ctx.advertise(Advertisement::peer(ctx.self_id(), "watcher"));
+            }
+            let seen = ctx.discover();
+            self.views.push(BoardView {
+                on_entry,
+                on_exit: seen.len(),
+                at: seen.as_ptr() as usize,
+            });
+        }
+    }
+
+    /// The board semantics both runtimes owe a peer, given the views of a
+    /// lone [`BoardWatcher`] that received three messages and the address
+    /// of the board's own storage afterwards: an advertisement takes
+    /// effect after the callback that made it, and a callback is lent the
+    /// board's storage itself — a per-callback copy would live elsewhere.
+    pub fn assert_board_is_lent_not_copied(views: &[BoardView], board_at: usize) {
+        assert_eq!(views.len(), 3);
+        assert_eq!(views[0], BoardView { on_entry: 0, on_exit: 0, at: views[0].at });
+        for later in &views[1..] {
+            assert_eq!(later, &BoardView { on_entry: 1, on_exit: 1, at: board_at });
         }
     }
 }

@@ -525,13 +525,9 @@ fn apply_op<M: Payload, P: Peer<M>>(
     op: ShardOp<M, P>,
 ) {
     match op {
-        ShardOp::Add { id, mut peer, meta } => {
-            let ads = shared.board.read().snapshot().to_vec();
-            let mut ctx = Context::new(id, shared.now(), &ads);
-            peer.on_start(&mut ctx);
-            let cmds = ctx.take_commands();
-            shared.gate.inc(count_work(&cmds));
-            let mut cell = Cell { peer, meta, pending: cmds.into(), stalled: false };
+        ShardOp::Add { id, peer, meta } => {
+            let mut cell = Cell { peer, meta, pending: VecDeque::new(), stalled: false };
+            run_callback(shared, id, &mut cell, |peer, ctx| peer.on_start(ctx));
             flush(shard, shared, wheel, id, &mut cell);
             cells.insert(id, cell);
             // Mail may have arrived before the cell existed; service now —
@@ -572,10 +568,27 @@ fn retire<M: Payload, P>(
     Some(cell.peer)
 }
 
-/// Sends + timers in a command batch — the units the gate counts.
-fn count_work<M>(cmds: &[Command<M>]) -> u64 {
-    cmds.iter().filter(|c| matches!(c, Command::Send { .. } | Command::SetTimer { .. })).count()
-        as u64
+/// Runs one callback of the node in `cell`. The context borrows the
+/// board's current shared snapshot (an O(1) handle, so the board lock is
+/// not held while peer code runs) and appends straight to the cell's
+/// parked-command queue; the sends and timers it appended — the units the
+/// gate counts — are counted before returning, so the caller may release
+/// the event that caused the callback.
+fn run_callback<M: Payload, P>(
+    shared: &Shared<M>,
+    id: PeerId,
+    cell: &mut Cell<M, P>,
+    callback: impl FnOnce(&mut P, &mut Context<'_, M>),
+) {
+    let ads = shared.board.read().shared();
+    let parked = cell.pending.len();
+    callback(&mut cell.peer, &mut Context::new(id, shared.now(), &ads, &mut cell.pending));
+    let work = cell
+        .pending
+        .range(parked..)
+        .filter(|c| matches!(c, Command::Send { .. } | Command::SetTimer { .. }))
+        .count();
+    shared.gate.inc(work as u64);
 }
 
 fn fire_due_timers<M: Payload, P: Peer<M>>(
@@ -598,12 +611,7 @@ fn fire_due_timers<M: Payload, P: Peer<M>>(
             wheel.insert(now + STALL_DEFER, id, timer);
             continue;
         }
-        let ads = shared.board.read().snapshot().to_vec();
-        let mut ctx = Context::new(id, shared.now(), &ads);
-        cell.peer.on_timer(&mut ctx, timer);
-        let cmds = ctx.take_commands();
-        shared.gate.inc(count_work(&cmds));
-        cell.pending.extend(cmds);
+        run_callback(shared, id, cell, |peer, ctx| peer.on_timer(ctx, timer));
         shared.gate.dec(1); // the fired timer, after counting its output
         flush(shard, shared, wheel, id, cell);
     }
@@ -622,45 +630,17 @@ fn service<M: Payload, P: Peer<M>>(
         return;
     };
     cell.meta.scheduled.store(false, Ordering::SeqCst);
-    if !flush(shard, shared, wheel, id, cell) {
-        // Still stalled. Progress rule: drain exactly ONE message anyway
-        // (its commands park behind the stalled send, order preserved).
-        // The pop is what breaks all-stalled cycles — it frees a slot,
-        // wakes this node's own producers, and keeps the scheduling chain
-        // alive; without it, a ring of full mailboxes wedges permanently.
-        let (item, waiters) = cell.meta.mailbox.pop();
-        shared.wake_waiters(waiters);
-        if let Some((from, msg)) = item {
-            let ads = shared.board.read().snapshot().to_vec();
-            shared.delivered.fetch_add(1, Ordering::SeqCst);
-            let mut ctx = Context::new(id, shared.now(), &ads);
-            cell.peer.on_message(&mut ctx, from, msg);
-            let cmds = ctx.take_commands();
-            shared.gate.inc(count_work(&cmds));
-            cell.pending.extend(cmds);
-            shared.gate.dec(1);
-            if !flush(shard, shared, wheel, id, cell) {
-                return; // the waiter registration will reschedule us
-            }
-        } else {
-            return;
-        }
+    // Still stalled? Progress rule: drain exactly ONE message anyway (its
+    // commands park behind the stalled send, order preserved). The pop is
+    // what breaks all-stalled cycles — it frees a slot, wakes this node's
+    // own producers, and keeps the scheduling chain alive; without it, a
+    // ring of full mailboxes wedges permanently. If the node stays
+    // stalled, the waiter registration will reschedule it.
+    if !flush(shard, shared, wheel, id, cell) && !deliver_next(shard, shared, wheel, id, cell) {
+        return;
     }
-    let ads = shared.board.read().snapshot().to_vec();
     for _ in 0..shared.quantum.max(1) {
-        let (item, waiters) = cell.meta.mailbox.pop();
-        shared.wake_waiters(waiters);
-        let Some((from, msg)) = item else {
-            return;
-        };
-        shared.delivered.fetch_add(1, Ordering::SeqCst);
-        let mut ctx = Context::new(id, shared.now(), &ads);
-        cell.peer.on_message(&mut ctx, from, msg);
-        let cmds = ctx.take_commands();
-        shared.gate.inc(count_work(&cmds));
-        cell.pending.extend(cmds);
-        shared.gate.dec(1); // the consumed message, after counting its output
-        if !flush(shard, shared, wheel, id, cell) {
+        if !deliver_next(shard, shared, wheel, id, cell) {
             return;
         }
     }
@@ -669,6 +649,26 @@ fn service<M: Payload, P: Peer<M>>(
     if cell.meta.mailbox.len() > 0 {
         shared.schedule(&cell.meta, id);
     }
+}
+
+/// Pops the node's next message, hands it over and flushes what the
+/// callback emitted. `false` when the mailbox was empty or the node stalls.
+fn deliver_next<M: Payload, P: Peer<M>>(
+    shard: usize,
+    shared: &Arc<Shared<M>>,
+    wheel: &mut TimerWheel,
+    id: PeerId,
+    cell: &mut Cell<M, P>,
+) -> bool {
+    let (item, waiters) = cell.meta.mailbox.pop();
+    shared.wake_waiters(waiters);
+    let Some((from, msg)) = item else {
+        return false;
+    };
+    shared.delivered.fetch_add(1, Ordering::SeqCst);
+    run_callback(shared, id, cell, |peer, ctx| peer.on_message(ctx, from, msg));
+    shared.gate.dec(1); // the consumed message, after counting its output
+    flush(shard, shared, wheel, id, cell)
 }
 
 /// Applies a cell's parked commands until empty (returns `true`) or a send

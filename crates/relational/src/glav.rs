@@ -19,8 +19,8 @@
 //! cyclic rule sets reach a fixpoint: a cycle can only keep running while it
 //! keeps producing *new templates*. (Rule sets that are not weakly acyclic
 //! can still generate unboundedly many templates — the classical
-//! non-terminating chase — which callers guard with a round cap; see
-//! DESIGN.md §3.)
+//! non-terminating chase — which callers guard with a round cap:
+//! `NodeSettings::max_hops` in `codb-core`.)
 
 use crate::cq::{Atom, CqBody, CqError, Term, Var};
 use crate::eval::{evaluate_body, evaluate_body_delta, Bindings, EvalError};

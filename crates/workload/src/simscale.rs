@@ -16,8 +16,8 @@
 
 use crate::topology::Topology;
 use codb_net::{
-    Context, LatencyModel, NetStats, Payload, Peer, PeerId, PipeConfig, SimBuilder, SimConfig,
-    SimTime, Tracer,
+    Advertisement, Context, LatencyModel, NetStats, Payload, Peer, PeerId, PipeConfig, SimBuilder,
+    SimConfig, SimTime, Tracer,
 };
 use serde::Serialize;
 
@@ -47,6 +47,11 @@ pub struct FloodPeer {
     seen: Vec<(u32, u64)>,
     /// Waves this node originates at start (only the designated seeds).
     originate: u32,
+    /// Publish one advertisement at start, as every coDB node does. The
+    /// flood itself never reads the board, so this changes no message —
+    /// only what the simulator must carry per event if it handles the
+    /// board badly.
+    advertise: bool,
 }
 
 impl FloodPeer {
@@ -75,6 +80,9 @@ impl FloodPeer {
 
 impl Peer<FloodMsg> for FloodPeer {
     fn on_start(&mut self, ctx: &mut Context<FloodMsg>) {
+        if self.advertise {
+            ctx.advertise(Advertisement::peer(ctx.self_id(), "flood-peer"));
+        }
         let origin = ctx.self_id().0 as u32;
         for wave in 0..self.originate {
             self.mark(origin, wave);
@@ -137,11 +145,12 @@ pub fn run_flood(
     waves: u32,
     seed: u64,
 ) -> FloodReport {
-    run_flood_traced(topology, pipe, latency, waves, seed, &Tracer::disabled())
+    run_flood_traced(topology, pipe, latency, waves, seed, false, &Tracer::disabled())
 }
 
-/// [`run_flood`] with a flight-recorder handle attached to the simulator.
-/// The run is bracketed into two phases — `build` (topology + spawn) and
+/// [`run_flood`] with a flight-recorder handle attached to the simulator
+/// and, with `advertise`, every peer publishing one advertisement as it
+/// starts. The run is bracketed into two phases — `build` (topology + spawn) and
 /// `flood` (event loop to quiescence) — so `trace inspect` can attribute
 /// host time; with a disabled tracer the phase markers cost one branch.
 pub fn run_flood_traced(
@@ -150,6 +159,7 @@ pub fn run_flood_traced(
     latency: Option<LatencyModel>,
     waves: u32,
     seed: u64,
+    advertise: bool,
     tracer: &Tracer,
 ) -> FloodReport {
     assert!(waves <= 64, "per-origin wave bitmask holds at most 64 waves");
@@ -180,6 +190,7 @@ pub fn run_flood_traced(
         neighbours: std::mem::take(&mut adj[id.0 as usize]),
         seen: Vec::new(),
         originate: if id.0 == 0 { waves } else { 0 },
+        advertise,
     });
     net.attach_tracer(tracer.clone());
     tracer.phase_end("build");
@@ -245,6 +256,16 @@ mod tests {
         assert!(geo.sim_time > flat.sim_time, "intercontinental links dominate 1ms LAN");
     }
 
+    #[test]
+    fn advertising_peers_flood_the_same_messages() {
+        let t = Topology::ScaleFree { n: 200, m: 3, seed: 9 };
+        let plain = run_flood(&t, lan(), None, 2, 5);
+        let ads = run_flood_traced(&t, lan(), None, 2, 5, true, &Tracer::disabled());
+        assert_eq!(ads.reached, 200);
+        assert_eq!((ads.messages, ads.events), (plain.messages, plain.events));
+        assert_eq!(ads.sim_time, plain.sim_time);
+    }
+
     /// The tentpole determinism guarantee at scale: identical seeds push
     /// identical traces and statistics through the bucketed queue on a
     /// 1k-node scale-free network.
@@ -276,6 +297,7 @@ mod tests {
                     neighbours: std::mem::take(&mut adj[id.0 as usize]),
                     seen: Vec::new(),
                     originate: if id.0 == 0 { 2 } else { 0 },
+                    advertise: false,
                 });
             net.enable_trace();
             net.run_until_quiescent();

@@ -51,14 +51,14 @@ fn file_recorder_overhead_within_budget() {
     let off = best_ms(|| run_flood(&topology(), PipeConfig::lan(), None, WAVES, 0xE19).host_ms);
     let noop = best_ms(|| {
         let tracer = Tracer::new(Arc::new(Mutex::new(NoopSink)));
-        run_flood_traced(&topology(), PipeConfig::lan(), None, WAVES, 0xE19, &tracer).host_ms
+        run_flood_traced(&topology(), PipeConfig::lan(), None, WAVES, 0xE19, false, &tracer).host_ms
     });
     let mut run = 0u32;
     let file = best_ms(|| {
         run += 1;
         let path = dir.join(format!("overhead-{run}.trc"));
         let (tracer, _rec) = Tracer::to_file(&path).unwrap();
-        run_flood_traced(&topology(), PipeConfig::lan(), None, WAVES, 0xE19, &tracer).host_ms
+        run_flood_traced(&topology(), PipeConfig::lan(), None, WAVES, 0xE19, false, &tracer).host_ms
     });
     let _ = std::fs::remove_dir_all(&dir);
 

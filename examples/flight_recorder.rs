@@ -22,6 +22,7 @@ fn main() {
         None,
         4,
         0xE19,
+        false,
         &tracer,
     );
     drop(tracer);

@@ -1,4 +1,4 @@
-//! Property-based invariants (DESIGN.md §6): the distributed global update
+//! Property-based invariants: the distributed global update
 //! must agree with a centralized chase oracle, be independent of network
 //! timing, and the relational engine must agree with its reference
 //! evaluator.
