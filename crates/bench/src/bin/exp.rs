@@ -1,6 +1,7 @@
 //! Experiment runner: prints the tables listed in README.md, "Experiments".
 //!
-//! Usage: `cargo run -p codb-bench --release --bin exp -- [e1 … e20 | all]`
+//! Usage: `cargo run -p codb-bench --release --bin exp -- [ID … | all]`,
+//! the ids being those of [`codb_bench::EXPERIMENTS`] (`e1` … `e20`).
 //!
 //! `e19-quick` runs the CI-sized E19 acceptance smoke (100 → 10k chain
 //! sweep plus scale-free and geo rows) instead of the full sweep;
@@ -16,7 +17,7 @@
 //!   tables are printed unchanged. Combines with ids, `all` and
 //!   `--quick`.
 
-use codb_bench::{all, by_id, Table};
+use codb_bench::{all, by_id, Table, EXPERIMENTS};
 
 /// `exp timeline [chain|ring|grid]` — render an update Gantt chart.
 fn timeline(kind: &str) {
@@ -102,9 +103,10 @@ fn main() {
         args.iter()
             .map(|id| {
                 by_id(id).unwrap_or_else(|| {
+                    let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
                     fail(&format!(
-                        "unknown experiment {id:?} (use e1..e20, e19-quick, e20-quick, all, \
-                         --quick or timeline)"
+                        "unknown experiment {id:?} (use {}, all, --quick or timeline)",
+                        ids.join(", ")
                     ))
                 })
             })

@@ -1,12 +1,13 @@
-//! The experiment suite (README.md, "Experiments"): one function per experiment id,
-//! each regenerating one table/figure of the reconstructed evaluation.
+//! The experiment suite (README.md, "Experiments"): one function per
+//! experiment id, listed in [`EXPERIMENTS`], each regenerating one
+//! table/figure of the reconstructed evaluation.
 //!
 //! Every function returns a [`Table`] whose rows are the series the demo
 //! paper's statistics module would report: total update execution time
 //! (simulated), message counts and volumes per coordination rule, longest
 //! update propagation path, and the query-time vs materialised trade-off.
-//! Host (wall-clock) time is reported alongside so Criterion benches and
-//! the `exp` binary agree on what is being measured.
+//! Host (wall-clock) time is reported alongside; the numbers that gate a
+//! PR come from `benchmark/`, not from here.
 
 use crate::table::Table;
 use codb_core::{CoDbNetwork, NetworkConfig, NodeSettings, UpdateOutcome};
@@ -41,7 +42,7 @@ fn ms(d: Duration) -> String {
 }
 
 /// E1 — global update total execution time vs network size (chain).
-pub fn e1() -> Table {
+fn e1() -> Table {
     let mut t = Table::new(
         "E1 — update time vs network size (chain, 200 tuples/node)",
         &["n", "sim total", "data msgs", "data bytes", "tuples added", "host ms"],
@@ -62,7 +63,7 @@ pub fn e1() -> Table {
 }
 
 /// E2 — update time vs topology shape (≈15-node networks).
-pub fn e2() -> Table {
+fn e2() -> Table {
     let mut t = Table::new(
         "E2 — update time vs topology (~15 nodes, 100 tuples/node)",
         &["topology", "nodes", "sim total", "data msgs", "longest path", "closed early", "host ms"],
@@ -92,7 +93,7 @@ pub fn e2() -> Table {
 
 /// E3 — query-result messages per coordination rule + volume per message
 /// (the statistics module's headline numbers).
-pub fn e3() -> Table {
+fn e3() -> Table {
     let mut t = Table::new(
         "E3 — per-rule data messages and volumes (chain-8, 500 tuples/node)",
         &["rule", "messages", "firings", "bytes", "bytes/msg"],
@@ -112,7 +113,7 @@ pub fn e3() -> Table {
 }
 
 /// E4 — longest update propagation path vs topology and size.
-pub fn e4() -> Table {
+fn e4() -> Table {
     let mut t = Table::new(
         "E4 — longest update propagation path (50 tuples/node)",
         &["topology", "predicted depth", "measured longest path"],
@@ -141,7 +142,7 @@ pub fn e4() -> Table {
 
 /// E5 — query-time answering vs global update + local query (the paper's
 /// motivation for batch updates).
-pub fn e5() -> Table {
+fn e5() -> Table {
     let mut t = Table::new(
         "E5 — query-time vs materialised (chain, 200 tuples/node)",
         &[
@@ -189,7 +190,7 @@ pub fn e5() -> Table {
 }
 
 /// E6 — cyclic coordination rules: fixpoint depth and cost vs cycle length.
-pub fn e6() -> Table {
+fn e6() -> Table {
     let mut t = Table::new(
         "E6 — cyclic rules (ring, 50 tuples/node): fixpoint cost vs cycle length",
         &["n", "sim total", "data msgs", "longest path", "tuples/node at fixpoint", "host ms"],
@@ -217,7 +218,7 @@ pub fn e6() -> Table {
 
 /// E7 — dynamic networks: super-peer re-broadcast mid-update; the update
 /// still terminates and a follow-up on the new topology works.
-pub fn e7() -> Table {
+fn e7() -> Table {
     let mut t = Table::new(
         "E7 — dynamic reconfiguration (chain-8, 200 tuples/node)",
         &["churn events", "first update nodes", "rewire sim", "second update sim", "second nodes"],
@@ -261,7 +262,7 @@ pub fn e7() -> Table {
 }
 
 /// E8 — scaling the local data volume per node.
-pub fn e8() -> Table {
+fn e8() -> Table {
     let mut t = Table::new(
         "E8 — update cost vs data volume (chain-8)",
         &["tuples/node", "sim total", "data msgs", "data bytes", "host ms"],
@@ -282,7 +283,7 @@ pub fn e8() -> Table {
 
 /// E9 — ablation: GAV copy vs GAV filter vs proper GLAV (existential head
 /// variables → marked nulls).
-pub fn e9() -> Table {
+fn e9() -> Table {
     let mut t = Table::new(
         "E9 — rule-style ablation (chain-8, 1000 tuples/node)",
         &["style", "tuples added", "data bytes", "nulls at sink", "host ms"],
@@ -335,7 +336,7 @@ fn seed_instances(config: &NetworkConfig) -> BTreeMap<codb_core::NodeId, Instanc
 
 /// Naive chase: every round re-evaluates every rule body in full.
 /// Returns `(derivations computed, rounds, host time)`.
-pub fn chase_naive(config: &NetworkConfig) -> (u64, u64, Duration) {
+fn chase_naive(config: &NetworkConfig) -> (u64, u64, Duration) {
     let t0 = Instant::now();
     let mut instances = seed_instances(config);
     let mut fired: BTreeMap<String, BTreeSet<RuleFiring>> = BTreeMap::new();
@@ -373,7 +374,7 @@ pub fn chase_naive(config: &NetworkConfig) -> (u64, u64, Duration) {
 /// Semi-naive chase: after the first round, rule bodies are evaluated only
 /// against the per-relation deltas of the previous round (exactly what the
 /// distributed nodes do). Returns `(derivations computed, rounds, host)`.
-pub fn chase_seminaive(config: &NetworkConfig) -> (u64, u64, Duration) {
+fn chase_seminaive(config: &NetworkConfig) -> (u64, u64, Duration) {
     let t0 = Instant::now();
     let mut instances = seed_instances(config);
     let mut fired: BTreeMap<String, BTreeSet<RuleFiring>> = BTreeMap::new();
@@ -444,7 +445,7 @@ pub fn chase_seminaive(config: &NetworkConfig) -> (u64, u64, Duration) {
 }
 
 /// E10 — semi-naive delta propagation vs naive re-evaluation.
-pub fn e10() -> Table {
+fn e10() -> Table {
     let mut t = Table::new(
         "E10 — delta ablation: naive vs semi-naive chase (500 tuples/node)",
         &[
@@ -475,9 +476,8 @@ pub fn e10() -> Table {
     t
 }
 
-/// E11 — relational micro-benchmarks (single numbers; Criterion gives the
-/// distributions).
-pub fn e11() -> Table {
+/// E11 — relational micro-benchmarks (single numbers).
+fn e11() -> Table {
     use codb_relational::{parse_query, tup, RelationSchema, ValueType};
     let mut t = Table::new(
         "E11 — relational engine micro-measurements",
@@ -514,7 +514,7 @@ pub fn e11() -> Table {
 }
 
 /// E12 — failure injection: message loss with ARQ retransmission.
-pub fn e12() -> Table {
+fn e12() -> Table {
     let mut t = Table::new(
         "E12 — update under message loss (chain-6, 200 tuples/node)",
         &["loss %", "sim total", "protocol msgs", "retransmits", "dropped", "tuples added"],
@@ -547,7 +547,7 @@ pub fn e12() -> Table {
 
 /// E13 — query-dependent (scoped) updates vs global updates: a star where
 /// the query touches one branch.
-pub fn e13() -> Table {
+fn e13() -> Table {
     let mut t = Table::new(
         "E13 — scoped (query-dependent) vs global update (star, 500 tuples/node)",
         &["leaves", "global msgs", "global bytes", "scoped msgs", "scoped bytes", "msg ratio"],
@@ -589,7 +589,7 @@ pub fn e13() -> Table {
 }
 
 /// E14 — join-body rules (full conjunctive-query bodies) vs copy rules.
-pub fn e14() -> Table {
+fn e14() -> Table {
     let mut t = Table::new(
         "E14 — join-body rules vs copy rules (chain-6, 500 tuples/node)",
         &["style", "sim total", "data msgs", "tuples added", "host ms"],
@@ -614,7 +614,7 @@ pub fn e14() -> Table {
 
 /// E15 — incremental repeated updates: persistent sender caches vs
 /// re-shipping everything.
-pub fn e15() -> Table {
+fn e15() -> Table {
     let mut t = Table::new(
         "E15 — repeated updates: incremental vs full re-send (chain-8, 500 tuples/node)",
         &["mode", "1st msgs", "2nd msgs", "2nd data msgs", "2nd bytes", "2nd tuples"],
@@ -642,7 +642,7 @@ pub fn e15() -> Table {
 /// E16 — bandwidth-constrained pipes: with finite bandwidth, simulated
 /// update time scales with the data volume (complements E8, where
 /// infinite-bandwidth pipes made time volume-independent).
-pub fn e16() -> Table {
+fn e16() -> Table {
     let mut t = Table::new(
         "E16 — update time under 1 MB/s pipes (chain-8)",
         &["tuples/node", "sim total", "data bytes", "sim ms per MB"],
@@ -686,7 +686,7 @@ pub fn e16() -> Table {
 /// the messages survivors parked behind the rejoin barrier and released
 /// at the handshake plus the `RejoinRepair` re-sends that close the
 /// forwarded-but-unsynced window.
-pub fn e17() -> Table {
+fn e17() -> Table {
     use codb_relational::glav::TField;
     use codb_relational::{RelationSchema, Snapshot, Value, ValueType};
     use codb_store::{
@@ -915,7 +915,7 @@ impl std::fmt::Display for E18Workload {
 /// the host-crash faultplan (`codb_workload::faultplan`), smoke-run
 /// here: the host dies mid-update, every unsynced WAL tail is
 /// destroyed, and every acked record must recover.
-pub fn e18() -> Table {
+fn e18() -> Table {
     use codb_store::SyncPolicy;
 
     let mut t = Table::new(
@@ -1053,7 +1053,7 @@ fn e19_row(
 /// latency from great-circle distance between seeded lat/long
 /// placements; that reshapes the *time* axis (intercontinental hops
 /// dominate) while leaving the message complexity untouched.
-pub fn e19() -> Table {
+fn e19() -> Table {
     let mut t = e19_table();
     for n in [100usize, 1_000, 10_000] {
         e19_row(&mut t, &format!("chain-{n}"), &Topology::Chain(n), None, 2, false);
@@ -1083,7 +1083,7 @@ pub fn e19() -> Table {
 /// asserting the 10k-node chain reaches quiescence within the 10 s budget
 /// and that a full advertisement board costs the event loop next to
 /// nothing.
-pub fn e19_quick() -> Table {
+fn e19_quick() -> Table {
     let mut t = e19_table();
     for n in [100usize, 1_000, 10_000] {
         let report = e19_row(&mut t, &format!("chain-{n}"), &Topology::Chain(n), None, 1, false);
@@ -1235,7 +1235,7 @@ fn e20_row(t: &mut Table, plan: &ParallelIngestPlan, base: Option<f64>) -> f64 {
 /// host crash under group commit with the unsynced WAL tails destroyed,
 /// zero acked updates lost — rides in `e20-quick` (CI) and the
 /// `codb_workload::parallel` tests.
-pub fn e20() -> Table {
+fn e20() -> Table {
     let mut t = e20_table();
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     for nodes in [8usize, 16, 32, 64] {
@@ -1279,7 +1279,7 @@ pub fn e20() -> Table {
 /// updates, simulator-equal fixpoint, mailbox bound), plus the host-crash
 /// durability row — the pool killed without drain, every WAL's unsynced
 /// tail chopped, recovery must preserve every acked record.
-pub fn e20_quick() -> Table {
+fn e20_quick() -> Table {
     let mut t = e20_table();
     let mut base = None;
     for workers in [1usize, 2] {
@@ -1324,60 +1324,45 @@ fn dir_footprint(dir: &std::path::Path) -> (u64, u64) {
     (snap, wal)
 }
 
-/// All experiments in id order.
+/// One registered experiment: its id and the function that runs it.
+pub type Experiment = (&'static str, fn() -> Table);
+
+/// Every experiment by id, in the order `exp all` prints them. The
+/// `-quick` ids are the CI-sized acceptance smokes of E19 and E20; `all`
+/// runs the full sweeps and skips them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("e1", e1),
+    ("e2", e2),
+    ("e3", e3),
+    ("e4", e4),
+    ("e5", e5),
+    ("e6", e6),
+    ("e7", e7),
+    ("e8", e8),
+    ("e9", e9),
+    ("e10", e10),
+    ("e11", e11),
+    ("e12", e12),
+    ("e13", e13),
+    ("e14", e14),
+    ("e15", e15),
+    ("e16", e16),
+    ("e17", e17),
+    ("e18", e18),
+    ("e19", e19),
+    ("e19-quick", e19_quick),
+    ("e20", e20),
+    ("e20-quick", e20_quick),
+];
+
+/// All experiments in id order (without the `-quick` smokes).
 pub fn all() -> Vec<Table> {
-    vec![
-        e1(),
-        e2(),
-        e3(),
-        e4(),
-        e5(),
-        e6(),
-        e7(),
-        e8(),
-        e9(),
-        e10(),
-        e11(),
-        e12(),
-        e13(),
-        e14(),
-        e15(),
-        e16(),
-        e17(),
-        e18(),
-        e19(),
-        e20(),
-    ]
+    EXPERIMENTS.iter().filter(|(id, _)| !id.ends_with("-quick")).map(|(_, run)| run()).collect()
 }
 
-/// Runs one experiment by id (`"e1"` … `"e20"`, plus `"e19-quick"` /
-/// `"e20-quick"` for the CI-sized acceptance smokes).
+/// Runs one experiment by its [`EXPERIMENTS`] id.
 pub fn by_id(id: &str) -> Option<Table> {
-    match id {
-        "e1" => Some(e1()),
-        "e2" => Some(e2()),
-        "e3" => Some(e3()),
-        "e4" => Some(e4()),
-        "e5" => Some(e5()),
-        "e6" => Some(e6()),
-        "e7" => Some(e7()),
-        "e8" => Some(e8()),
-        "e9" => Some(e9()),
-        "e10" => Some(e10()),
-        "e11" => Some(e11()),
-        "e12" => Some(e12()),
-        "e13" => Some(e13()),
-        "e14" => Some(e14()),
-        "e15" => Some(e15()),
-        "e16" => Some(e16()),
-        "e17" => Some(e17()),
-        "e18" => Some(e18()),
-        "e19" => Some(e19()),
-        "e19-quick" => Some(e19_quick()),
-        "e20" => Some(e20()),
-        "e20-quick" => Some(e20_quick()),
-        _ => None,
-    }
+    EXPERIMENTS.iter().find(|(known, _)| *known == id).map(|(_, run)| run())
 }
 
 #[cfg(test)]
@@ -1397,11 +1382,13 @@ mod tests {
 
     #[test]
     fn by_id_covers_all_ids() {
-        for i in 1..=20 {
-            assert!(by_id(&format!("e{i}")).is_some(), "e{i} missing");
+        for (id, _) in EXPERIMENTS {
+            assert!(by_id(id).is_some(), "{id} missing");
         }
-        assert!(by_id("e19-quick").is_some());
-        assert!(by_id("e20-quick").is_some());
+        let full: Vec<String> = (1..=20).map(|i| format!("e{i}")).collect();
+        let listed: Vec<&str> =
+            EXPERIMENTS.iter().map(|(id, _)| *id).filter(|id| !id.ends_with("-quick")).collect();
+        assert_eq!(listed, full, "`exp all` runs e1..e20 in id order");
         assert!(by_id("e21").is_none());
     }
 

@@ -14,8 +14,10 @@
 //! trace test and the differential test below): events pop in ascending
 //! `(at, seq)` order, where `seq` is the caller-supplied global
 //! insertion sequence that breaks same-instant ties deterministically.
-//! [`HeapQueue`] keeps the original `BinaryHeap` semantics as the
-//! reference implementation the calendar queue is tested against.
+//! [`HeapQueue`] keeps the original `BinaryHeap` semantics: it is the
+//! reference implementation the calendar queue is tested against, and
+//! the worker pool's per-shard timer queue (a shard holds at most one
+//! armed timer per node, so a plain heap is the right size).
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -56,9 +58,9 @@ impl<T> PartialEq for Entry<T> {
 }
 impl<T> Eq for Entry<T> {}
 
-/// The reference event queue: a plain binary heap ordered by
-/// `(at, seq)`. This is the pre-restructure implementation, kept so the
-/// calendar queue has an executable specification to diff against.
+/// A plain binary heap ordered by `(at, seq)`: the executable
+/// specification the calendar queue is diffed against, and the shard
+/// workers' timer queue.
 #[derive(Debug)]
 pub struct HeapQueue<T> {
     heap: BinaryHeap<Entry<T>>,
@@ -84,6 +86,16 @@ impl<T> HeapQueue<T> {
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         self.heap.pop().map(|e| (e.at, e.seq, e.item))
+    }
+
+    /// The instant of the earliest event, without removing it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.at)
+    }
+
+    /// Keeps only the events whose payload satisfies `keep`.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        self.heap.retain(|e| keep(&e.item));
     }
 
     /// Number of pending events.
@@ -290,6 +302,22 @@ mod tests {
         assert_eq!(q.pop().unwrap().2, 2);
         assert_eq!(q.pop().unwrap().2, 0);
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn heap_peek_time_and_retain() {
+        let mut q = HeapQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.push(SimTime(30), 0, "c");
+        q.push(SimTime(10), 1, "a");
+        q.push(SimTime(20), 2, "b");
+        assert_eq!(q.peek_time(), Some(SimTime(10)));
+        assert_eq!(q.len(), 3, "peek removes nothing");
+        q.retain(|item| *item != "a");
+        assert_eq!(q.peek_time(), Some(SimTime(20)));
+        assert_eq!(q.pop(), Some((SimTime(20), 2, "b")));
+        assert_eq!(q.pop(), Some((SimTime(30), 0, "c")));
+        assert_eq!(q.pop(), None);
     }
 
     /// The executable spec: random schedules through both queues must

@@ -2,7 +2,7 @@
 //!
 //! N worker threads multiplex M nodes. Each worker owns one *shard*: the
 //! peer state machines assigned to it, a run queue of node ids with pending
-//! work, and a timer wheel for those nodes' timers. Cross-shard interaction
+//! work, and a timer heap for those nodes' timers. Cross-shard interaction
 //! goes through shared state only: the router (node id → mailbox), the pipe
 //! table, the discovery board and the quiescence [`Gate`].
 //!
@@ -45,6 +45,7 @@
 use crate::discovery::Board;
 use crate::mailbox::{Mailbox, TryPush, Waiter};
 use crate::peer::{Command, Context, Payload, Peer, PeerId};
+use crate::queue::HeapQueue;
 use crate::time::SimTime;
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -152,121 +153,55 @@ impl Gate {
 }
 
 // ---------------------------------------------------------------------------
-// Timer wheel
+// Shard timers
 // ---------------------------------------------------------------------------
 
-const WHEEL_SLOTS: usize = 256;
-const TICK_NANOS: u64 = 1_000_000; // 1ms ticks
-
-struct TimerEntry {
-    at: SimTime,
+/// One shard's pending timers: a [`HeapQueue`] keyed by `(deadline,
+/// insertion count)`, so due timers fire in deadline order and
+/// same-instant timers in the order they were set.
+pub(crate) struct ShardTimers {
+    heap: HeapQueue<(PeerId, u64)>,
     seq: u64,
-    peer: PeerId,
-    timer: u64,
 }
 
-/// Per-shard timer wheel: 1ms ticks over a 256-slot ring plus an overflow
-/// list for timers further out than one revolution. Insert and cancel are
-/// O(1) amortized; due timers fire in `(deadline, insertion)` order.
-pub(crate) struct TimerWheel {
-    slots: Vec<Vec<TimerEntry>>,
-    overflow: Vec<TimerEntry>,
-    /// Tick the ring cursor last advanced to.
-    last_tick: u64,
-    seq: u64,
-    len: usize,
-}
-
-impl TimerWheel {
+impl ShardTimers {
     pub(crate) fn new() -> Self {
-        TimerWheel {
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            overflow: Vec::new(),
-            last_tick: 0,
-            seq: 0,
-            len: 0,
-        }
-    }
-
-    fn tick_of(at: SimTime) -> u64 {
-        at.as_nanos() / TICK_NANOS
+        ShardTimers { heap: HeapQueue::new(), seq: 0 }
     }
 
     pub(crate) fn insert(&mut self, at: SimTime, peer: PeerId, timer: u64) {
         self.seq += 1;
-        self.len += 1;
-        let entry = TimerEntry { at, seq: self.seq, peer, timer };
-        let tick = Self::tick_of(at).max(self.last_tick);
-        if tick - self.last_tick >= WHEEL_SLOTS as u64 {
-            self.overflow.push(entry);
-        } else {
-            self.slots[(tick % WHEEL_SLOTS as u64) as usize].push(entry);
-        }
+        self.heap.push(at, self.seq, (peer, timer));
     }
 
     /// Removes and returns all entries due at `now`, ordered by deadline.
     pub(crate) fn pop_due(&mut self, now: SimTime) -> Vec<(PeerId, u64)> {
-        let now_tick = Self::tick_of(now);
-        if now_tick < self.last_tick {
-            return Vec::new();
+        let mut due = Vec::new();
+        while self.has_due(now) {
+            let (_, _, entry) = self.heap.pop().expect("has_due saw an entry");
+            due.push(entry);
         }
-        let mut due: Vec<TimerEntry> = Vec::new();
-        let span = now_tick - self.last_tick;
-        let slots_to_visit: Box<dyn Iterator<Item = u64>> = if span >= WHEEL_SLOTS as u64 {
-            // Cursor jumped a full revolution: sweep every slot once.
-            Box::new(0..WHEEL_SLOTS as u64)
-        } else {
-            Box::new(self.last_tick..=now_tick)
-        };
-        for t in slots_to_visit {
-            let slot = &mut self.slots[(t % WHEEL_SLOTS as u64) as usize];
-            let mut i = 0;
-            while i < slot.len() {
-                if slot[i].at <= now {
-                    due.push(slot.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        self.last_tick = now_tick;
-        // Pull overflow entries that now fall inside the ring window.
-        let horizon = self.last_tick + WHEEL_SLOTS as u64;
-        let mut i = 0;
-        while i < self.overflow.len() {
-            let tick = Self::tick_of(self.overflow[i].at).max(self.last_tick);
-            if self.overflow[i].at <= now {
-                due.push(self.overflow.swap_remove(i));
-            } else if tick < horizon {
-                let e = self.overflow.swap_remove(i);
-                self.slots[(tick % WHEEL_SLOTS as u64) as usize].push(e);
-            } else {
-                i += 1;
-            }
-        }
-        due.sort_by_key(|e| (e.at, e.seq));
-        self.len -= due.len();
-        due.into_iter().map(|e| (e.peer, e.timer)).collect()
+        due
     }
 
-    /// Earliest deadline across ring and overflow.
     pub(crate) fn next_deadline(&self) -> Option<SimTime> {
-        self.slots.iter().flatten().chain(self.overflow.iter()).map(|e| e.at).min()
+        self.heap.peek_time()
     }
 
     pub(crate) fn has_due(&self, now: SimTime) -> bool {
         self.next_deadline().is_some_and(|at| at <= now)
     }
 
+    /// Number of pending timers.
+    pub(crate) fn len(&self) -> usize {
+        self.heap.len()
+    }
+
     /// Drops every timer owned by `peer`; returns how many were removed.
     pub(crate) fn cancel_peer(&mut self, peer: PeerId) -> u64 {
-        let before = self.len;
-        for slot in &mut self.slots {
-            slot.retain(|e| e.peer != peer);
-        }
-        self.overflow.retain(|e| e.peer != peer);
-        self.len = self.slots.iter().map(Vec::len).sum::<usize>() + self.overflow.len();
-        (before - self.len) as u64
+        let before = self.heap.len();
+        self.heap.retain(|&(owner, _)| owner != peer);
+        (before - self.heap.len()) as u64
     }
 }
 
@@ -418,7 +353,7 @@ struct Cell<M: Payload, P> {
 }
 
 /// How long a stalled node's due timer is deferred before re-checking.
-const STALL_DEFER: SimTime = SimTime(TICK_NANOS);
+const STALL_DEFER: SimTime = SimTime(1_000_000); // 1 ms
 /// Idle sleep cap when no timer bounds the wait.
 const IDLE_WAIT: Duration = Duration::from_millis(100);
 
@@ -431,19 +366,19 @@ pub(crate) fn run_worker<M: Payload, P: Peer<M>>(
 ) -> Vec<(PeerId, P)> {
     let handle = Arc::clone(&shared.schedulers[shard]);
     let mut cells: HashMap<PeerId, Cell<M, P>> = HashMap::new();
-    let mut wheel = TimerWheel::new();
+    let mut timers = ShardTimers::new();
 
     loop {
         for op in ops.drain() {
-            apply_op(shard, &shared, &mut cells, &mut wheel, op);
+            apply_op(shard, &shared, &mut cells, &mut timers, op);
         }
         if handle.stopping() {
             break;
         }
-        fire_due_timers(shard, &shared, &mut cells, &mut wheel);
+        fire_due_timers(shard, &shared, &mut cells, &mut timers);
         let batch = handle.take_ready();
         if batch.is_empty() {
-            let timeout = wheel
+            let timeout = timers
                 .next_deadline()
                 .map(|at| {
                     Duration::from_nanos(at.saturating_sub(shared.now()).as_nanos())
@@ -456,10 +391,10 @@ pub(crate) fn run_worker<M: Payload, P: Peer<M>>(
         for id in batch {
             // Fairness rule: timers that came due never wait behind another
             // node's drain quantum.
-            if wheel.has_due(shared.now()) {
-                fire_due_timers(shard, &shared, &mut cells, &mut wheel);
+            if timers.has_due(shared.now()) {
+                fire_due_timers(shard, &shared, &mut cells, &mut timers);
             }
-            service(shard, &shared, &mut cells, &mut wheel, id);
+            service(shard, &shared, &mut cells, &mut timers, id);
         }
     }
 
@@ -474,7 +409,7 @@ pub(crate) fn run_worker<M: Payload, P: Peer<M>>(
                 );
             }
             ShardOp::Retire { id, reply } => {
-                let _ = reply.send(retire(&shared, &mut cells, &mut wheel, id));
+                let _ = reply.send(retire(&shared, &mut cells, &mut timers, id));
             }
         }
     }
@@ -494,21 +429,8 @@ pub(crate) fn run_worker<M: Payload, P: Peer<M>>(
         }
         out.push((id, cell.peer));
     }
-    shared.gate.dec(wheel.cancel_peer_all());
+    shared.gate.dec(timers.len() as u64);
     out
-}
-
-impl TimerWheel {
-    /// Drops every remaining timer (shutdown path).
-    fn cancel_peer_all(&mut self) -> u64 {
-        let n = self.len as u64;
-        for slot in &mut self.slots {
-            slot.clear();
-        }
-        self.overflow.clear();
-        self.len = 0;
-        n
-    }
 }
 
 /// Placeholder meta for a cell created after the stop flag (its mailbox was
@@ -521,22 +443,22 @@ fn apply_op<M: Payload, P: Peer<M>>(
     shard: usize,
     shared: &Arc<Shared<M>>,
     cells: &mut HashMap<PeerId, Cell<M, P>>,
-    wheel: &mut TimerWheel,
+    timers: &mut ShardTimers,
     op: ShardOp<M, P>,
 ) {
     match op {
         ShardOp::Add { id, peer, meta } => {
             let mut cell = Cell { peer, meta, pending: VecDeque::new(), stalled: false };
             run_callback(shared, id, &mut cell, |peer, ctx| peer.on_start(ctx));
-            flush(shard, shared, wheel, id, &mut cell);
+            flush(shard, shared, timers, id, &mut cell);
             cells.insert(id, cell);
             // Mail may have arrived before the cell existed; service now —
             // the ready-queue entry for it (if any) was consumed by a visit
             // that found no cell and left the scheduled flag set.
-            service(shard, shared, cells, wheel, id);
+            service(shard, shared, cells, timers, id);
         }
         ShardOp::Retire { id, reply } => {
-            let _ = reply.send(retire(shared, cells, wheel, id));
+            let _ = reply.send(retire(shared, cells, timers, id));
         }
     }
 }
@@ -546,11 +468,11 @@ fn apply_op<M: Payload, P: Peer<M>>(
 fn retire<M: Payload, P>(
     shared: &Arc<Shared<M>>,
     cells: &mut HashMap<PeerId, Cell<M, P>>,
-    wheel: &mut TimerWheel,
+    timers: &mut ShardTimers,
     id: PeerId,
 ) -> Option<P> {
     let cell = cells.remove(&id)?;
-    shared.gate.dec(wheel.cancel_peer(id));
+    shared.gate.dec(timers.cancel_peer(id));
     for cmd in &cell.pending {
         match cmd {
             Command::Send { .. } => {
@@ -595,10 +517,10 @@ fn fire_due_timers<M: Payload, P: Peer<M>>(
     shard: usize,
     shared: &Arc<Shared<M>>,
     cells: &mut HashMap<PeerId, Cell<M, P>>,
-    wheel: &mut TimerWheel,
+    timers: &mut ShardTimers,
 ) {
     let now = shared.now();
-    for (id, timer) in wheel.pop_due(now) {
+    for (id, timer) in timers.pop_due(now) {
         let Some(cell) = cells.get_mut(&id) else {
             // Owner retired between insert and fire (cancel races are
             // handled at retire; this is belt-and-braces).
@@ -608,12 +530,12 @@ fn fire_due_timers<M: Payload, P: Peer<M>>(
         if cell.stalled {
             // A stalled node cannot run callbacks ahead of its parked
             // commands; re-check shortly. The gate unit stays held.
-            wheel.insert(now + STALL_DEFER, id, timer);
+            timers.insert(now + STALL_DEFER, id, timer);
             continue;
         }
         run_callback(shared, id, cell, |peer, ctx| peer.on_timer(ctx, timer));
         shared.gate.dec(1); // the fired timer, after counting its output
-        flush(shard, shared, wheel, id, cell);
+        flush(shard, shared, timers, id, cell);
     }
 }
 
@@ -623,7 +545,7 @@ fn service<M: Payload, P: Peer<M>>(
     shard: usize,
     shared: &Arc<Shared<M>>,
     cells: &mut HashMap<PeerId, Cell<M, P>>,
-    wheel: &mut TimerWheel,
+    timers: &mut ShardTimers,
     id: PeerId,
 ) {
     let Some(cell) = cells.get_mut(&id) else {
@@ -636,11 +558,11 @@ fn service<M: Payload, P: Peer<M>>(
     // own producers, and keeps the scheduling chain alive; without it, a
     // ring of full mailboxes wedges permanently. If the node stays
     // stalled, the waiter registration will reschedule it.
-    if !flush(shard, shared, wheel, id, cell) && !deliver_next(shard, shared, wheel, id, cell) {
+    if !flush(shard, shared, timers, id, cell) && !deliver_next(shard, shared, timers, id, cell) {
         return;
     }
     for _ in 0..shared.quantum.max(1) {
-        if !deliver_next(shard, shared, wheel, id, cell) {
+        if !deliver_next(shard, shared, timers, id, cell) {
             return;
         }
     }
@@ -656,7 +578,7 @@ fn service<M: Payload, P: Peer<M>>(
 fn deliver_next<M: Payload, P: Peer<M>>(
     shard: usize,
     shared: &Arc<Shared<M>>,
-    wheel: &mut TimerWheel,
+    timers: &mut ShardTimers,
     id: PeerId,
     cell: &mut Cell<M, P>,
 ) -> bool {
@@ -668,7 +590,7 @@ fn deliver_next<M: Payload, P: Peer<M>>(
     shared.delivered.fetch_add(1, Ordering::SeqCst);
     run_callback(shared, id, cell, |peer, ctx| peer.on_message(ctx, from, msg));
     shared.gate.dec(1); // the consumed message, after counting its output
-    flush(shard, shared, wheel, id, cell)
+    flush(shard, shared, timers, id, cell)
 }
 
 /// Applies a cell's parked commands until empty (returns `true`) or a send
@@ -677,7 +599,7 @@ fn deliver_next<M: Payload, P: Peer<M>>(
 fn flush<M: Payload, P>(
     shard: usize,
     shared: &Arc<Shared<M>>,
-    wheel: &mut TimerWheel,
+    timers: &mut ShardTimers,
     id: PeerId,
     cell: &mut Cell<M, P>,
 ) -> bool {
@@ -709,7 +631,7 @@ fn flush<M: Payload, P>(
                 }
             }
             Command::SetTimer { delay, timer } => {
-                wheel.insert(shared.now() + delay, id, timer);
+                timers.insert(shared.now() + delay, id, timer);
             }
             Command::OpenPipe { with, .. } => {
                 let mut pipes = shared.pipes.write();
@@ -756,45 +678,56 @@ mod tests {
     }
 
     #[test]
-    fn wheel_fires_in_deadline_order() {
-        let mut wheel = TimerWheel::new();
-        wheel.insert(SimTime::from_millis(5), PeerId(1), 10);
-        wheel.insert(SimTime::from_millis(2), PeerId(2), 20);
-        wheel.insert(SimTime::from_millis(900), PeerId(3), 30); // overflow
-        assert_eq!(wheel.next_deadline(), Some(SimTime::from_millis(2)));
-        assert!(!wheel.has_due(SimTime::from_millis(1)));
-        assert_eq!(wheel.pop_due(SimTime::from_millis(6)), vec![(PeerId(2), 20), (PeerId(1), 10)]);
-        assert!(wheel.pop_due(SimTime::from_millis(100)).is_empty());
-        // The overflow entry fires once its tick comes around.
-        assert_eq!(wheel.pop_due(SimTime::from_millis(901)), vec![(PeerId(3), 30)]);
-        assert_eq!(wheel.next_deadline(), None);
+    fn timers_fires_in_deadline_order() {
+        let mut timers = ShardTimers::new();
+        timers.insert(SimTime::from_millis(5), PeerId(1), 10);
+        timers.insert(SimTime::from_millis(2), PeerId(2), 20);
+        timers.insert(SimTime::from_millis(900), PeerId(3), 30); // far beyond the others
+        assert_eq!(timers.next_deadline(), Some(SimTime::from_millis(2)));
+        assert!(!timers.has_due(SimTime::from_millis(1)));
+        assert_eq!(timers.pop_due(SimTime::from_millis(6)), vec![(PeerId(2), 20), (PeerId(1), 10)]);
+        assert!(timers.pop_due(SimTime::from_millis(100)).is_empty());
+        // The far entry fires once its deadline comes around.
+        assert_eq!(timers.pop_due(SimTime::from_millis(901)), vec![(PeerId(3), 30)]);
+        assert_eq!(timers.next_deadline(), None);
     }
 
     #[test]
-    fn wheel_same_tick_respects_sub_tick_deadline() {
-        let mut wheel = TimerWheel::new();
-        wheel.insert(SimTime(5_700_000), PeerId(1), 1); // 5.7ms
-        assert!(wheel.pop_due(SimTime(5_200_000)).is_empty(), "must not fire 0.5ms early");
-        assert_eq!(wheel.pop_due(SimTime(5_800_000)), vec![(PeerId(1), 1)]);
+    fn timers_same_instant_fire_in_insertion_order() {
+        let mut timers = ShardTimers::new();
+        for timer in 0..5 {
+            timers.insert(SimTime::from_millis(7), PeerId(9 - timer), timer);
+        }
+        let fired: Vec<u64> =
+            timers.pop_due(SimTime::from_millis(7)).into_iter().map(|(_, t)| t).collect();
+        assert_eq!(fired, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
-    fn wheel_cancel_peer_removes_everywhere() {
-        let mut wheel = TimerWheel::new();
-        wheel.insert(SimTime::from_millis(1), PeerId(1), 1);
-        wheel.insert(SimTime::from_millis(2), PeerId(2), 2);
-        wheel.insert(SimTime::from_secs(5), PeerId(1), 3); // overflow
-        assert_eq!(wheel.cancel_peer(PeerId(1)), 2);
-        assert_eq!(wheel.pop_due(SimTime::from_secs(10)), vec![(PeerId(2), 2)]);
+    fn timers_respect_sub_millisecond_deadline() {
+        let mut timers = ShardTimers::new();
+        timers.insert(SimTime(5_700_000), PeerId(1), 1); // 5.7ms
+        assert!(timers.pop_due(SimTime(5_200_000)).is_empty(), "must not fire 0.5ms early");
+        assert_eq!(timers.pop_due(SimTime(5_800_000)), vec![(PeerId(1), 1)]);
     }
 
     #[test]
-    fn wheel_full_revolution_sweep() {
-        let mut wheel = TimerWheel::new();
-        wheel.insert(SimTime::from_millis(3), PeerId(1), 1);
-        wheel.insert(SimTime::from_millis(400), PeerId(2), 2); // overflow band
-                                                               // Jump far past a full revolution in one step.
-        let due = wheel.pop_due(SimTime::from_secs(2));
+    fn timers_cancel_peer_removes_near_and_far() {
+        let mut timers = ShardTimers::new();
+        timers.insert(SimTime::from_millis(1), PeerId(1), 1);
+        timers.insert(SimTime::from_millis(2), PeerId(2), 2);
+        timers.insert(SimTime::from_secs(5), PeerId(1), 3);
+        assert_eq!(timers.cancel_peer(PeerId(1)), 2);
+        assert_eq!(timers.pop_due(SimTime::from_secs(10)), vec![(PeerId(2), 2)]);
+    }
+
+    #[test]
+    fn timers_one_jump_past_everything() {
+        let mut timers = ShardTimers::new();
+        timers.insert(SimTime::from_millis(3), PeerId(1), 1);
+        timers.insert(SimTime::from_millis(400), PeerId(2), 2);
+        // Jump far past every deadline in one step.
+        let due = timers.pop_due(SimTime::from_secs(2));
         assert_eq!(due, vec![(PeerId(1), 1), (PeerId(2), 2)]);
     }
 }

@@ -17,7 +17,9 @@
 //! * a text [`parser`] for queries, rules and facts (the super-peer's rule
 //!   file format builds on it);
 //! * versioned [`snapshot`]s of instances plus the compact [`binenc`]
-//!   binary wire format they (and `codb-store`'s WAL records) encode to.
+//!   binary wire format they (and `codb-store`'s WAL records) encode to;
+//! * the CRC-32 [`frame`] that wraps every persisted payload — WAL
+//!   records, snapshots and `codb-trace` blocks alike.
 //!
 //! In the paper's architecture this crate plays the role of the RDBMS + the
 //! Wrapper: "when LDB does not support nested queries, then this is the
@@ -30,6 +32,7 @@ pub mod algebra;
 pub mod binenc;
 pub mod cq;
 pub mod eval;
+pub mod frame;
 pub mod glav;
 pub mod instance;
 pub mod iso;

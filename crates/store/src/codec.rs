@@ -52,6 +52,13 @@ pub const MAGIC_LEN: usize = 8;
 const WAL_PREFIX: &[u8; 7] = b"CODBWAL";
 const SNAP_PREFIX: &[u8; 7] = b"CODBSNP";
 
+/// Magic prefix of **JSON-format** WAL files (binary WALs end in `'2'`).
+/// Kept as a named constant because it is the seed on-disk format every
+/// store written before the binary codec carries.
+pub const WAL_MAGIC: [u8; MAGIC_LEN] = Codec::Json.wal_magic();
+/// Magic prefix of **JSON-format** snapshot files (see [`WAL_MAGIC`]).
+pub const SNAP_MAGIC: [u8; MAGIC_LEN] = Codec::Json.snap_magic();
+
 /// The payload encoding of one store file, named by its format byte.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Codec {

@@ -39,15 +39,9 @@
 //! it to every acquaintance, which invalidates the incremental
 //! sent-caches pointed at the node.
 //!
-//! Both file kinds share one *frame* layout (see [`frame`]):
-//!
-//! ```text
-//! [len: u32 LE][!len: u32 LE][crc32: u32 LE][payload: len bytes]
-//! ```
-//!
-//! where `crc32` is the IEEE CRC-32 of the payload and `!len` is the
-//! bitwise complement of `len` (so a corrupted length field is caught as
-//! corruption instead of masquerading as a torn tail).
+//! After the magic, both file kinds are a sequence of CRC-32 *frames* —
+//! layout, checksum and the torn-tail / corruption scanner all live in
+//! [`frame`] (`codb_relational::frame`, shared with the flight recorder).
 //!
 //! Every file starts with an 8-byte magic whose **eighth byte is the
 //! format byte** selecting the payload [`Codec`] (see [`codec`]):
@@ -103,15 +97,14 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod frame;
 pub mod group;
 pub mod scratch;
 pub mod store;
 pub mod wal;
 
 pub use crate::store::{RecoveredState, RecoveryStats, Store, StoreError};
-pub use codec::Codec;
-pub use frame::{crc32, SNAP_MAGIC, WAL_MAGIC};
+pub use codb_relational::frame::{self, crc32};
+pub use codec::{Codec, SNAP_MAGIC, WAL_MAGIC};
 pub use group::{FsyncScheduler, FsyncSchedulerStats};
 pub use scratch::ScratchDir;
 pub use wal::{ProtocolCounters, RecvCaches, SyncPolicy, WalRecord};

@@ -4,9 +4,9 @@
 //! See the crate docs for the on-disk format and the compaction rules.
 
 use crate::codec::{self, Codec, MAGIC_LEN};
-use crate::frame::{encode_frame, FrameScanner, FrameStep};
 use crate::group::FsyncScheduler;
 use crate::wal::{read_wal, ProtocolCounters, RecvCaches, SyncPolicy, WalRecord, WalWriter};
+use codb_relational::frame::{encode_frame, FrameScanner, FrameStep};
 use codb_relational::{apply_firings, Instance, NullFactory, Snapshot, SnapshotError};
 use codb_trace::{TraceEvent, Tracer};
 use std::fmt;
@@ -1099,7 +1099,7 @@ mod tests {
         // frame) plus its WAL, as bit rot after a checkpoint would leave.
         let bad_snap = snap_path(dir.path(), 1);
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(&crate::frame::SNAP_MAGIC);
+        bytes.extend_from_slice(&crate::SNAP_MAGIC);
         bytes.extend_from_slice(&[9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 1, 2, 3]);
         std::fs::write(&bad_snap, bytes).unwrap();
         WalWriter::create(&wal_path(dir.path(), 1), SyncPolicy::Always, Codec::Binary).unwrap();

@@ -13,9 +13,9 @@
 //! (stores switch codecs at checkpoint rotation, never mid-file).
 
 use crate::codec::{self, Codec, MAGIC_LEN};
-use crate::frame::{encode_frame, FrameScanner, FrameStep};
 use crate::group::FsyncScheduler;
 use crate::store::StoreError;
+use codb_relational::frame::{encode_frame, FrameScanner, FrameStep};
 use codb_relational::{RuleFiring, Tuple};
 use codb_trace::{TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};

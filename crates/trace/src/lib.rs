@@ -13,8 +13,9 @@
 //! ## Wire format
 //!
 //! A trace file is the 8-byte magic [`TRACE_MAGIC`] (`CODBTRC1` — the
-//! trailing byte is the format version) followed by CRC-framed blocks in
-//! the `codb-store` frame style (`len`/`!len`/`crc32` header). Each
+//! trailing byte is the format version) followed by blocks, each one
+//! [`codb_relational::frame`] — the same CRC-32 frame the WAL and
+//! snapshots use. Each
 //! block's payload is one absolute base timestamp followed by events,
 //! each a ZigZag timestamp *delta* plus a tag byte plus LEB128 varint
 //! fields (the primitives of [`codb_relational::binenc`]) — a hot-path
@@ -34,7 +35,6 @@
 //! for always-on crash forensics, or a [`FileRecorder`] (streaming,
 //! CRC-framed) for full-run profiling.
 
-pub mod block;
 pub mod event;
 pub mod inspect;
 pub mod reader;

@@ -5,10 +5,10 @@
 //! block or an undecodable event is a typed [`TraceError`], and nothing
 //! ever panics or allocates proportionally to an unvalidated length.
 
-use crate::block::{BlockScanner, BlockStep};
 use crate::event::{take_event, TraceEvent};
 use crate::TRACE_MAGIC;
 use codb_relational::binenc::{BinDecodeError, Reader};
+use codb_relational::frame::{FrameScanner, FrameStep};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
@@ -120,17 +120,17 @@ pub fn read_trace(bytes: &[u8]) -> Result<TraceFile, TraceError> {
     let body = &bytes[TRACE_MAGIC.len()..];
     let mut events = Vec::new();
     let mut torn = false;
-    let mut scanner = BlockScanner::new(body);
+    let mut scanner = FrameScanner::new(body);
     loop {
         let at = TRACE_MAGIC.len() + scanner.offset();
-        match scanner.next_block() {
-            BlockStep::Block(payload) => decode_block(payload, at, &mut events)?,
-            BlockStep::End => break,
-            BlockStep::TornTail => {
+        match scanner.next_frame() {
+            FrameStep::Frame(payload) => decode_block(payload, at, &mut events)?,
+            FrameStep::End => break,
+            FrameStep::TornTail => {
                 torn = true;
                 break;
             }
-            BlockStep::Corrupt { offset, reason } => {
+            FrameStep::Corrupt { offset, reason } => {
                 return Err(TraceError::Corrupt { offset: TRACE_MAGIC.len() + offset, reason });
             }
         }

@@ -2,11 +2,11 @@
 //! implementations — discard ([`NoopSink`]), keep the last N in memory
 //! ([`RingRecorder`]), stream to disk ([`FileRecorder`]).
 
-use crate::block::{encode_block, Crc32};
 use crate::event::{put_event, TraceEvent};
 use crate::TRACE_MAGIC;
 use codb_relational::binenc::put_i64;
 use codb_relational::binenc::put_u64;
+use codb_relational::frame::{encode_frame, frame_header, Crc32};
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -98,7 +98,7 @@ impl RingRecorder {
             put_event(&mut payload, ev);
         }
         if !payload.is_empty() {
-            encode_block(&payload, &mut out);
+            encode_frame(&payload, &mut out);
         }
         out
     }
@@ -177,10 +177,7 @@ impl FileRecorder {
         }
         // Frame written directly from the running state — the payload is
         // only read once more, sequentially, by the write below.
-        let len = self.block.len() as u32;
-        self.out.write_all(&len.to_le_bytes())?;
-        self.out.write_all(&(!len).to_le_bytes())?;
-        self.out.write_all(&self.crc.finish().to_le_bytes())?;
+        self.out.write_all(&frame_header(self.block.len() as u32, self.crc.finish()))?;
         self.out.write_all(&self.block)?;
         self.block.clear();
         self.crc.reset();

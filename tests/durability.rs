@@ -200,7 +200,7 @@ fn local_insert_survives_via_wal_replay_alone() {
 /// crash lands between batch formation and drain), and after the
 /// restarts no acked record is lost and the network reconverges to the
 /// never-crashed control. The fewer-fsyncs half of the claim is
-/// asserted by experiment E18 (`codb_bench::experiments::e18`).
+/// asserted by experiment E18 (`exp e18`).
 #[test]
 fn host_crash_under_shared_group_commit_loses_no_acked_record() {
     let tmp = ScratchDir::new("durability-groupcommit");
