@@ -10,11 +10,11 @@
 //! PR come from `benchmark/`, not from here.
 
 use crate::table::Table;
-use codb_core::{CoDbNetwork, NetworkConfig, NodeSettings, UpdateOutcome};
+use codb_core::{CoDbNetwork, NodeSettings, UpdateOutcome};
 use codb_net::{PipeConfig, SimConfig, SimTime};
 use codb_relational::{Instance, NullFactory, RuleFiring};
+use codb_workload::oracle::{chase_naive, chase_seminaive};
 use codb_workload::{DataDist, ParallelIngestPlan, RuleStyle, Scenario, Topology};
-use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 /// Builds and runs one update for `scenario`; returns the outcome, the
@@ -320,130 +320,6 @@ fn e9() -> Table {
 // re-evaluation per round vs semi-naive delta evaluation.
 // ---------------------------------------------------------------------
 
-fn seed_instances(config: &NetworkConfig) -> BTreeMap<codb_core::NodeId, Instance> {
-    config
-        .nodes
-        .iter()
-        .map(|n| {
-            let mut inst = Instance::with_schema(&n.schema);
-            for (rel, t) in &n.data {
-                inst.insert(rel, t.clone()).unwrap();
-            }
-            (n.id, inst)
-        })
-        .collect()
-}
-
-/// Naive chase: every round re-evaluates every rule body in full.
-/// Returns `(derivations computed, rounds, host time)`.
-fn chase_naive(config: &NetworkConfig) -> (u64, u64, Duration) {
-    let t0 = Instant::now();
-    let mut instances = seed_instances(config);
-    let mut fired: BTreeMap<String, BTreeSet<RuleFiring>> = BTreeMap::new();
-    let mut nulls = NullFactory::new(u64::MAX - 2);
-    let mut derivations = 0u64;
-    let mut rounds = 0u64;
-    loop {
-        rounds += 1;
-        let mut changed = false;
-        for rule in &config.rules {
-            let all = rule.rule.fire(&instances[&rule.source]).unwrap();
-            derivations += all.len() as u64;
-            let fresh: Vec<RuleFiring> = all
-                .into_iter()
-                .filter(|f| fired.entry(rule.name().to_owned()).or_default().insert(f.clone()))
-                .collect();
-            if fresh.is_empty() {
-                continue;
-            }
-            let deltas = codb_relational::apply_firings(
-                instances.get_mut(&rule.target).unwrap(),
-                &fresh,
-                &mut nulls,
-            )
-            .unwrap();
-            changed |= !deltas.is_empty();
-        }
-        if !changed {
-            return (derivations, rounds, t0.elapsed());
-        }
-        assert!(rounds < 100_000, "naive chase diverged");
-    }
-}
-
-/// Semi-naive chase: after the first round, rule bodies are evaluated only
-/// against the per-relation deltas of the previous round (exactly what the
-/// distributed nodes do). Returns `(derivations computed, rounds, host)`.
-fn chase_seminaive(config: &NetworkConfig) -> (u64, u64, Duration) {
-    let t0 = Instant::now();
-    let mut instances = seed_instances(config);
-    let mut fired: BTreeMap<String, BTreeSet<RuleFiring>> = BTreeMap::new();
-    let mut nulls = NullFactory::new(u64::MAX - 3);
-    let mut derivations = 0u64;
-    let mut rounds = 0u64;
-    // node -> relation -> delta tuples from last round
-    let mut deltas: BTreeMap<codb_core::NodeId, BTreeMap<String, Vec<codb_relational::Tuple>>> =
-        BTreeMap::new();
-
-    // Round 1: full evaluation.
-    rounds += 1;
-    for rule in &config.rules {
-        let all = rule.rule.fire(&instances[&rule.source]).unwrap();
-        derivations += all.len() as u64;
-        let fresh: Vec<RuleFiring> = all
-            .into_iter()
-            .filter(|f| fired.entry(rule.name().to_owned()).or_default().insert(f.clone()))
-            .collect();
-        let new = codb_relational::apply_firings(
-            instances.get_mut(&rule.target).unwrap(),
-            &fresh,
-            &mut nulls,
-        )
-        .unwrap();
-        let slot = deltas.entry(rule.target).or_default();
-        for (rel, ts) in new {
-            slot.entry(rel).or_default().extend(ts);
-        }
-    }
-
-    while !deltas.is_empty() {
-        rounds += 1;
-        let mut next: BTreeMap<codb_core::NodeId, BTreeMap<String, Vec<codb_relational::Tuple>>> =
-            BTreeMap::new();
-        for rule in &config.rules {
-            let Some(source_deltas) = deltas.get(&rule.source) else { continue };
-            let mut produced: Vec<RuleFiring> = Vec::new();
-            for (rel, ts) in source_deltas {
-                if rule.rule.body_relations().contains(rel.as_str()) {
-                    produced
-                        .extend(rule.rule.fire_delta(&instances[&rule.source], rel, ts).unwrap());
-                }
-            }
-            derivations += produced.len() as u64;
-            let fresh: Vec<RuleFiring> = produced
-                .into_iter()
-                .filter(|f| fired.entry(rule.name().to_owned()).or_default().insert(f.clone()))
-                .collect();
-            if fresh.is_empty() {
-                continue;
-            }
-            let new = codb_relational::apply_firings(
-                instances.get_mut(&rule.target).unwrap(),
-                &fresh,
-                &mut nulls,
-            )
-            .unwrap();
-            let slot = next.entry(rule.target).or_default();
-            for (rel, ts) in new {
-                slot.entry(rel).or_default().extend(ts);
-            }
-        }
-        deltas = next;
-        assert!(rounds < 100_000, "semi-naive chase diverged");
-    }
-    (derivations, rounds, t0.elapsed())
-}
-
 /// E10 — semi-naive delta propagation vs naive re-evaluation.
 fn e10() -> Table {
     let mut t = Table::new(
@@ -462,8 +338,12 @@ fn e10() -> Table {
     {
         let s = scenario(topo, 500);
         let config = s.build_config();
-        let (nd, _, nt) = chase_naive(&config);
-        let (sd, _, st) = chase_seminaive(&config);
+        let t0 = Instant::now();
+        let nd = chase_naive(&config).derivations;
+        let nt = t0.elapsed();
+        let t0 = Instant::now();
+        let sd = chase_seminaive(&config).derivations;
+        let st = t0.elapsed();
         t.row(vec![
             topo.to_string(),
             nd.to_string(),
@@ -692,7 +572,7 @@ fn e17() -> Table {
     use codb_store::{
         Codec, ProtocolCounters, RecvCaches, ScratchDir, Store, SyncPolicy, WalRecord,
     };
-    use codb_workload::{run_crash_restart, CrashRestartPlan};
+    use codb_workload::{run_fault_plan, FaultPlan};
 
     let mut t = Table::new(
         "E17 — recovery: encoding × WAL replay vs checkpoint interval (1000 batches, 4 firings \
@@ -794,14 +674,11 @@ fn e17() -> Table {
                 tuples_per_node: 20,
                 ..codb_workload::Scenario::quick(codb_workload::Topology::Chain(4))
             };
-            let plan = CrashRestartPlan {
-                recovered_initiates: true,
-                checkpoint_victim_every: victim_ckpt,
-                codec,
-                ..CrashRestartPlan::new(s, codb_core::NodeId(1))
-            };
-            let report = run_crash_restart(&plan, crash_dir.path()).unwrap();
-            assert!(report.recovered_exactly(), "E17 rejoin run must reconverge: {report:?}");
+            let victim = codb_core::NodeId(1);
+            let plan =
+                FaultPlan { codec, ..FaultPlan::single_crash(s, victim, victim_ckpt, victim) };
+            let report = run_fault_plan(&plan, crash_dir.path()).unwrap();
+            assert!(report.converged, "E17 rejoin run must reconverge: {report:?}");
 
             t.row(vec![
                 codec.to_string(),
@@ -1368,17 +1245,6 @@ pub fn by_id(id: &str) -> Option<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chase_variants_agree_on_counts() {
-        let s = scenario(Topology::Ring(4), 20);
-        let config = s.build_config();
-        let (nd, _, _) = chase_naive(&config);
-        let (sd, _, _) = chase_seminaive(&config);
-        // Semi-naive never computes more derivations than naive.
-        assert!(sd <= nd, "semi-naive {sd} > naive {nd}");
-        assert!(sd > 0);
-    }
 
     #[test]
     fn by_id_covers_all_ids() {

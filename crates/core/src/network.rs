@@ -89,17 +89,7 @@ impl CoDbNetwork {
         let mut nodes: std::collections::HashMap<PeerId, CoDbNode> = config
             .nodes
             .iter()
-            .map(|nc| {
-                let node = CoDbNode::new(
-                    nc.id,
-                    &nc.name,
-                    nc.schema.clone(),
-                    nc.data.clone(),
-                    &config.rules,
-                    settings.clone(),
-                );
-                (nc.id.peer(), node)
-            })
+            .map(|nc| (nc.id.peer(), CoDbNode::from_config(nc, &config.rules, settings.clone())))
             .collect();
         let superpeer = with_superpeer.then(|| {
             let id = NodeId(config.nodes.iter().map(|n| n.id.0 + 1).max().unwrap_or(0));
@@ -181,10 +171,22 @@ impl CoDbNetwork {
 
     /// Starts a global update at `origin` and runs to quiescence.
     pub fn run_update(&mut self, origin: NodeId) -> UpdateOutcome {
+        self.run_update_with(origin, Body::StartUpdate)
+    }
+
+    /// Starts a query-dependent (scoped) update at `origin`: only data
+    /// feeding `relations` is materialised. Returns the outcome.
+    pub fn run_scoped_update(&mut self, origin: NodeId, relations: Vec<String>) -> UpdateOutcome {
+        self.run_update_with(origin, Body::StartScopedUpdate { relations })
+    }
+
+    /// Injects `start` (one of the two update-starting bodies) at `origin`
+    /// and measures the update it mints.
+    fn run_update_with(&mut self, origin: NodeId, start: Body) -> UpdateOutcome {
         let node = self.node(origin);
         let update = UpdateId { origin, epoch: node.epoch(), seq: node.update_state_seq() };
         let (m0, b0) = (self.sim.stats().sent, self.sim.stats().bytes_sent);
-        self.run_control(origin, Body::StartUpdate);
+        self.run_control(origin, start);
         let stats = self.sim.stats();
         let summary =
             self.network_report().summarise(update).expect("update ran on at least the origin");
@@ -195,25 +197,6 @@ impl CoDbNetwork {
             // work is done don't inflate the measurement.
             duration: summary.total_time,
             // Exclude the injected control message itself.
-            messages: stats.sent - m0 - 1,
-            bytes: stats.bytes_sent - b0,
-            summary,
-        }
-    }
-
-    /// Starts a query-dependent (scoped) update at `origin`: only data
-    /// feeding `relations` is materialised. Returns the outcome.
-    pub fn run_scoped_update(&mut self, origin: NodeId, relations: Vec<String>) -> UpdateOutcome {
-        let node = self.node(origin);
-        let update = UpdateId { origin, epoch: node.epoch(), seq: node.update_state_seq() };
-        let (m0, b0) = (self.sim.stats().sent, self.sim.stats().bytes_sent);
-        self.run_control(origin, Body::StartScopedUpdate { relations });
-        let stats = self.sim.stats();
-        let summary =
-            self.network_report().summarise(update).expect("update ran on at least the origin");
-        UpdateOutcome {
-            update,
-            duration: summary.total_time,
             messages: stats.sent - m0 - 1,
             bytes: stats.bytes_sent - b0,
             summary,
@@ -429,22 +412,26 @@ impl CoDbNetwork {
     }
 
     /// Restarts a crashed (or departed) node from its data directory: the
-    /// node is rebuilt from the configuration *without* seed data, its
-    /// state recovered from disk (snapshot + WAL replay, including the
-    /// protocol counters), and re-added to the network. Start events run
-    /// before this returns — pipe opening, advertisement, and the crash
-    /// rejoin handshake ([`crate::rejoin`]): the node announces its new
-    /// incarnation epoch and every neighbor invalidates the incremental
-    /// sent-caches pointed at it. A restarted node is a first-class peer
-    /// again — it may initiate updates and queries (its persisted
-    /// counters resume the id space, and `(epoch, seq)`-keyed ids cannot
-    /// collide with the dead incarnation's even if the counters were
-    /// lost). Returns the recovery summary (generation, WAL records
-    /// replayed, torn-tail flag, epoch).
+    /// node is rebuilt from the configuration, its state recovered from
+    /// disk (snapshot + WAL replay, including the protocol counters;
+    /// recovery replaces the configured seed data), and re-added to the
+    /// network. Start events run before this returns — pipe opening,
+    /// advertisement, and the crash rejoin handshake ([`crate::rejoin`]):
+    /// the node announces its new incarnation epoch and every neighbor
+    /// invalidates the incremental sent-caches pointed at it. A restarted
+    /// node is a first-class peer again — it may initiate updates and
+    /// queries (its persisted counters resume the id space, and
+    /// `(epoch, seq)`-keyed ids cannot collide with the dead
+    /// incarnation's even if the counters were lost). Returns the
+    /// recovery summary (generation, WAL records replayed, torn-tail
+    /// flag, epoch).
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not a configured node.
+    /// Panics if `id` is not a configured node, or if it is alive: a
+    /// second store on a live node's directory would be a second WAL
+    /// writer. [`CoDbNetwork::crash_node`] it first (a live node
+    /// re-attaches through [`CoDbNetwork::open_node_persistence`]).
     pub fn restart_node_from_disk(
         &mut self,
         id: NodeId,
@@ -467,7 +454,8 @@ impl CoDbNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not a configured node.
+    /// As [`CoDbNetwork::restart_node_from_disk`]: `id` must be a
+    /// configured node that is not alive.
     pub fn restart_node_from_disk_live(
         &mut self,
         id: NodeId,
@@ -481,19 +469,18 @@ impl CoDbNetwork {
             .iter()
             .find(|n| n.id == id)
             .unwrap_or_else(|| panic!("node {id:?} not in configuration"));
+        // Before the store is touched: opening it bumps the epoch file
+        // and starts a second writer on the live node's WAL.
+        assert!(
+            self.sim.peer(id.peer()).is_none(),
+            "node {id:?} is alive; crash it before restarting it from disk"
+        );
         if !codb_store::Store::exists(dir) {
             // An empty data dir means there is nothing to restart from;
             // refuse rather than silently rejoin with an empty database.
             return Err(codb_store::StoreError::NoState { dir: dir.to_owned() });
         }
-        let mut node = CoDbNode::new(
-            id,
-            &nc.name,
-            nc.schema.clone(),
-            Vec::new(),
-            &self.config.rules,
-            self.settings.clone(),
-        );
+        let mut node = CoDbNode::from_config(nc, &self.config.rules, self.settings.clone());
         // The new incarnation keeps recording into the same trace (rejoin
         // steps are exactly what a postmortem wants to see).
         if self.sim.tracer().is_enabled() {

@@ -167,6 +167,17 @@ impl CoDbNode {
         }
     }
 
+    /// The node `nc` declares: its id, name, schema and seed data, with the
+    /// rules of `rules` it participates in. (A restart from disk builds the
+    /// node the same way; recovery then replaces the seeded LDB.)
+    pub(crate) fn from_config(
+        nc: &crate::config::NodeConfig,
+        rules: &[CoordinationRule],
+        settings: NodeSettings,
+    ) -> Self {
+        Self::new(nc.id, &nc.name, nc.schema.clone(), nc.data.clone(), rules, settings)
+    }
+
     /// Attaches a flight-recorder handle to this node (and to its store,
     /// if one is already open). Events carry the node id; string fields
     /// (rule names, store paths) go through the tracer's intern table.

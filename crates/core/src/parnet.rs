@@ -98,25 +98,7 @@ impl ParallelCoDbNet {
         rt: RuntimeConfig,
         settings: NodeSettings,
     ) -> Result<Self, ParNetError> {
-        config.validate()?;
-        let mut net = ParallelNet::with_config(rt);
-        let nodes = config.nodes.iter().map(|nc| {
-            let node = CoDbNode::new(
-                nc.id,
-                &nc.name,
-                nc.schema.clone(),
-                nc.data.clone(),
-                &config.rules,
-                settings.clone(),
-            );
-            (nc.id.peer(), node)
-        });
-        net.add_peers(nodes.collect::<Vec<_>>());
-        let parnet = ParallelCoDbNet { net, config, fsync_sched: None };
-        // Let start events (pipe opens, adverts) settle, mirroring the
-        // simulator builder's run_until_quiescent.
-        parnet.await_quiescence(Duration::from_millis(20), Duration::from_secs(30));
-        Ok(parnet)
+        Self::build_nodes(config, rt, settings, None, |_| Ok(()))
     }
 
     /// Builds the network with persistence opened for every node under
@@ -138,29 +120,40 @@ impl ParallelCoDbNet {
         policy: codb_store::SyncPolicy,
         codec: codb_store::Codec,
     ) -> Result<(Self, RecoveryOutcomes), ParNetError> {
-        config.validate()?;
         let sched = codb_store::FsyncScheduler::for_policy(policy);
-        let mut net = ParallelNet::with_config(rt);
         let mut recovered = Vec::with_capacity(config.nodes.len());
+        let parnet = Self::build_nodes(config, rt, settings, sched.clone(), |node| {
+            let dir = CoDbNetwork::node_data_dir(root, &node.name);
+            let stats = node.open_persistence_with(&dir, policy, codec, sched.as_ref())?;
+            recovered.push((node.id, stats));
+            Ok(())
+        })?;
+        Ok((parnet, recovered))
+    }
+
+    /// The one builder: validates, makes every configured node, lets
+    /// `prepare` finish each before any joins the pool, registers them in
+    /// one batch and lets the start events (pipe opens, adverts) settle,
+    /// mirroring the simulator builder's `run_until_quiescent`.
+    fn build_nodes(
+        config: NetworkConfig,
+        rt: RuntimeConfig,
+        settings: NodeSettings,
+        fsync_sched: Option<codb_store::FsyncScheduler>,
+        mut prepare: impl FnMut(&mut CoDbNode) -> Result<(), ParNetError>,
+    ) -> Result<Self, ParNetError> {
+        config.validate()?;
         let mut nodes = Vec::with_capacity(config.nodes.len());
         for nc in &config.nodes {
-            let mut node = CoDbNode::new(
-                nc.id,
-                &nc.name,
-                nc.schema.clone(),
-                nc.data.clone(),
-                &config.rules,
-                settings.clone(),
-            );
-            let dir = CoDbNetwork::node_data_dir(root, &nc.name);
-            let stats = node.open_persistence_with(&dir, policy, codec, sched.as_ref())?;
-            recovered.push((nc.id, stats));
+            let mut node = CoDbNode::from_config(nc, &config.rules, settings.clone());
+            prepare(&mut node)?;
             nodes.push((nc.id.peer(), node));
         }
+        let mut net = ParallelNet::with_config(rt);
         net.add_peers(nodes);
-        let parnet = ParallelCoDbNet { net, config, fsync_sched: sched };
+        let parnet = ParallelCoDbNet { net, config, fsync_sched };
         parnet.await_quiescence(Duration::from_millis(20), Duration::from_secs(30));
-        Ok((parnet, recovered))
+        Ok(parnet)
     }
 
     /// The network configuration this net was built from.

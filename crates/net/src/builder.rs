@@ -193,10 +193,12 @@ mod tests {
                 }
                 net
             };
-            net.enable_trace();
+            let (tracer, recorded) = codb_trace::Tracer::ring(usize::MAX);
+            net.attach_tracer(tracer);
             net.inject(PeerId(99), PeerId(0), Msg(1));
             net.run_until_quiescent();
-            (net.now(), net.stats(), net.trace().unwrap().to_vec())
+            let events = recorded.lock().unwrap().events();
+            (net.now(), net.stats(), events)
         };
         assert_eq!(build(true), build(false), "builder must not change the schedule");
     }

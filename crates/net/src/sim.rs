@@ -76,19 +76,6 @@ enum EventKind<M> {
     Timer { peer: u32, timer: u64 },
 }
 
-/// One recorded message delivery (when tracing is enabled).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// Delivery time.
-    pub at: SimTime,
-    /// Sender.
-    pub from: PeerId,
-    /// Receiver.
-    pub to: PeerId,
-    /// Payload size.
-    pub bytes: usize,
-}
-
 /// An outgoing half-pipe: configuration, bandwidth state and counters,
 /// stored inline in the source slot's adjacency list.
 struct Edge {
@@ -141,7 +128,6 @@ pub struct SimNet<M: Payload, P: Peer<M>> {
     folded: BTreeMap<(PeerId, PeerId), PipeStats>,
     config: SimConfig,
     events_processed: u64,
-    trace: Option<Vec<TraceEntry>>,
     tracer: Tracer,
 }
 
@@ -161,14 +147,8 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
             folded: BTreeMap::new(),
             config,
             events_processed: 0,
-            trace: None,
             tracer: Tracer::disabled(),
         }
-    }
-
-    /// Enables per-delivery tracing (for tests and message-level reports).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
     }
 
     /// Attaches a flight-recorder handle: the simulator stamps it with
@@ -182,11 +162,6 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
     /// The attached flight-recorder handle (disabled by default).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// The recorded trace, if tracing is enabled.
-    pub fn trace(&self) -> Option<&[TraceEntry]> {
-        self.trace.as_deref()
     }
 
     /// Current simulated time.
@@ -490,14 +465,6 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
                         Ok(pos) => self.slots[from as usize].adj[pos].stats.delivered += 1,
                         Err(_) => self.folded.entry((from_id, to_id)).or_default().delivered += 1,
                     }
-                    if let Some(trace) = &mut self.trace {
-                        trace.push(TraceEntry {
-                            at: self.now,
-                            from: from_id,
-                            to: to_id,
-                            bytes: msg.size_bytes(),
-                        });
-                    }
                     if self.tracer.is_enabled() {
                         self.tracer.emit(TraceEvent::NetDeliver {
                             from: from_id.0,
@@ -608,9 +575,11 @@ mod tests {
     fn runs_are_deterministic() {
         let run = || {
             let mut net = ring(5, 20);
-            net.enable_trace();
+            let (tracer, recorded) = Tracer::ring(usize::MAX);
+            net.attach_tracer(tracer);
             net.run_until_quiescent();
-            (net.now(), net.stats(), net.trace().unwrap().to_vec())
+            let events = recorded.lock().unwrap().events();
+            (net.now(), net.stats(), events)
         };
         assert_eq!(run(), run());
     }
@@ -659,14 +628,22 @@ mod tests {
             );
             n
         };
-        net.enable_trace();
+        let (tracer, recorded) = Tracer::ring(usize::MAX);
+        net.attach_tracer(tracer);
         let end = net.run_until_quiescent();
         assert_eq!(end, SimTime::from_secs(2));
         // Per direction, the second message waits for the first to finish
         // transmitting.
-        let forward: Vec<SimTime> =
-            net.trace().unwrap().iter().filter(|t| t.from == PeerId(0)).map(|t| t.at).collect();
-        assert_eq!(forward, vec![SimTime::from_secs(1), SimTime::from_secs(2)]);
+        let forward_nanos: Vec<u64> = recorded
+            .lock()
+            .unwrap()
+            .events()
+            .into_iter()
+            .filter(|(_, ev)| matches!(ev, TraceEvent::NetDeliver { from: 0, .. }))
+            .map(|(at, _)| at)
+            .collect();
+        let secs = |s| SimTime::from_secs(s).as_nanos();
+        assert_eq!(forward_nanos, vec![secs(1), secs(2)]);
     }
 
     #[test]

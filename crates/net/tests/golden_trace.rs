@@ -18,6 +18,7 @@
 use codb_net::{
     Context, Edges, Payload, Peer, PeerId, PipeConfig, SimBuilder, SimConfig, SimNet, SimTime,
 };
+use codb_trace::{TraceEvent, Tracer};
 
 /// A gossip token: `(token id, remaining hops, payload bytes)`.
 #[derive(Clone, Debug)]
@@ -115,15 +116,18 @@ fn build() -> SimNet<Token, Gossip> {
 
 fn render_trace() -> String {
     let mut net = build();
-    net.enable_trace();
+    let (tracer, recorded) = Tracer::ring(usize::MAX);
+    net.attach_tracer(tracer);
     // A couple of harness injections on top of the timer-driven traffic.
     net.inject(PeerId(99), PeerId(0), Token(9_000, 4, 48));
     net.inject(PeerId(99), PeerId(12), Token(9_001, 4, 48));
     let end = net.run_until_quiescent();
     let stats = net.stats();
     let mut out = String::new();
-    for t in net.trace().unwrap() {
-        out.push_str(&format!("{} {} {} {}\n", t.at.as_nanos(), t.from.0, t.to.0, t.bytes));
+    for (at, event) in recorded.lock().unwrap().events() {
+        if let TraceEvent::NetDeliver { from, to, bytes } = event {
+            out.push_str(&format!("{at} {from} {to} {bytes}\n"));
+        }
     }
     out.push_str(&format!(
         "end={} events={} sent={} delivered={} dropped={} bytes={}\n",

@@ -23,29 +23,40 @@
 //!   [`FaultPlan::rolling_restart`] constructors build schedules where
 //!   all of that interleaves with live update traffic.
 //!
-//! The harness then asserts *reconvergence*: every experiment node's LDB
-//! must match its control counterpart — strictly for rule styles without
-//! existentials, up to marked-null renaming (isomorphism) plus
-//! null-factory counter equality for GLAV rules, whose null labels
-//! legitimately depend on apply order.
+//! The harness then asserts *reconvergence*, twice over. Every experiment
+//! node's LDB must be isomorphic (equal up to marked-null renaming) to the
+//! fixpoint of the centralised chase ([`crate::oracle`]) — an
+//! implementation that shares no protocol code with the network under
+//! test — and must match its control counterpart: strictly for rule
+//! styles without existentials, isomorphically plus null-factory counter
+//! equality for GLAV rules, whose null labels legitimately depend on
+//! apply order.
 //!
 //! Everything is deterministic: the simulator is seeded from the plan
 //! seed (loss draws included), the schedule is a pure function of the
 //! seed, and a failing case can be replayed from the seed printed in the
 //! failure message.
 //!
+//! This is the only crash/restart runner: the single mid-update crash of
+//! the durability acceptance tests and E17 is [`FaultPlan::single_crash`].
 //! Determinism buys a second harness for free:
 //! [`run_fault_plan_differential`] executes one plan twice — all stores
 //! JSON, then all stores binary — and demands byte-for-byte identical
 //! reconverged states, isolating the on-disk codec as the only moving
 //! part.
 
+use crate::oracle::chase_seminaive;
+use crate::powercut::AckedWatermark;
 use crate::scenario::{RuleStyle, Scenario};
-use codb_core::{Body, CoDbNetwork, Envelope, NodeId, NodeSettings, HARNESS_PEER};
+use codb_core::{
+    Body, CoDbNetwork, Envelope, NodeId, NodeReport, NodeSettings, UpdateId, HARNESS_PEER,
+};
 use codb_net::{PipeConfig, SimConfig};
-use codb_store::{Codec, SyncPolicy};
+use codb_relational::isomorphic;
+use codb_store::{Codec, RecoveryStats, StoreError, SyncPolicy};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// What a scheduled fault does to its node.
@@ -128,6 +139,22 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
+    /// `rounds` under the defaults every schedule starts from — lossless
+    /// pipes, an fsync per record, binary stores, crashes that leave every
+    /// written WAL byte on disk — so each constructor names only what it
+    /// changes.
+    fn over(scenario: Scenario, seed: u64, rounds: Vec<Round>) -> FaultPlan {
+        FaultPlan {
+            scenario,
+            seed,
+            loss: 0.0,
+            sync: SyncPolicy::Always,
+            codec: Codec::Binary,
+            lose_unsynced_tail: false,
+            rounds,
+        }
+    }
+
     /// Generates the schedule for `scenario` from `seed`: 2–4 rounds,
     /// each with an up-front initiator, at most one crash per round (one
     /// node down at a time), checkpoints sprinkled on live nodes, and a
@@ -171,15 +198,54 @@ impl FaultPlan {
             rounds.push(Round { initiator, faults });
         }
         let loss = if rng.gen_bool(0.5) { 0.0 } else { 0.08 };
-        FaultPlan {
-            scenario,
-            seed,
-            loss,
-            sync: SyncPolicy::Always,
-            codec: Codec::Binary,
-            lose_unsynced_tail: false,
-            rounds,
-        }
+        FaultPlan { loss, ..FaultPlan::over(scenario, seed, rounds) }
+    }
+
+    /// The one-crash schedule (the durability acceptance scenario and the
+    /// E17 rejoin-cost rows): the sink starts an update, `victim` is
+    /// killed one third of the way through it — the kill point is
+    /// calibrated on a control run of that one update, startup events
+    /// (pipes, adverts) excluded since faults count from the injection —
+    /// the survivors drain, the victim restarts from disk into an idle
+    /// network, and `reconverge_from` starts the second round: the sink
+    /// again, or the recovered victim itself (rejoin-as-initiator: its
+    /// persisted counters resume the id space under a new epoch, so the
+    /// new update cannot collide with one its dead incarnation minted).
+    /// With `checkpoint_every`, the victim's store also checkpoints every
+    /// that many events until the kill, so recovery starts from a
+    /// compacted store. Lossless pipes, `SyncPolicy::Always`, every WAL
+    /// byte surviving: what is under test is the rejoin, not the store.
+    pub fn single_crash(
+        scenario: Scenario,
+        victim: NodeId,
+        checkpoint_every: Option<u64>,
+        reconverge_from: NodeId,
+    ) -> FaultPlan {
+        let sink = scenario.sink();
+        let mut control = CoDbNetwork::build_with(
+            scenario.build_config(),
+            SimConfig::default(),
+            settings(0.0),
+            false,
+        )
+        .expect("scenario configs validate");
+        let startup_events = control.sim().events_processed();
+        control.run_update(sink);
+        let kill_at = ((control.sim().events_processed() - startup_events) / 3).max(1);
+        let mut faults: Vec<Fault> = checkpoint_every
+            .filter(|&every| every > 0)
+            .into_iter()
+            .flat_map(|every| (1..=kill_at / every).map(move |k| k * every))
+            .map(|at_event| Fault { at_event, node: victim, kind: FaultKind::Checkpoint })
+            .collect();
+        faults.push(Fault { at_event: kill_at, node: victim, kind: FaultKind::Crash });
+        let rounds = vec![
+            Round { initiator: sink, faults },
+            Round { initiator: reconverge_from, faults: vec![] },
+        ];
+        // Nothing in this plan draws from the seed; the simulator's default
+        // keeps the experiment network built as the control is.
+        FaultPlan::over(scenario, SimConfig::default().seed, rounds)
     }
 
     /// The many-node single-host crash schedule: every node persists
@@ -193,24 +259,21 @@ impl FaultPlan {
     pub fn host_crash_group_commit(scenario: Scenario, seed: u64) -> FaultPlan {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x057C_4A5B);
         let nodes = scenario.topology.node_count() as u64;
+        let rounds = vec![
+            Round {
+                initiator: scenario.sink(),
+                faults: vec![Fault {
+                    at_event: rng.gen_range(1u64..80),
+                    node: NodeId(0), // ignored by HostCrash
+                    kind: FaultKind::HostCrash,
+                }],
+            },
+            Round { initiator: scenario.sink(), faults: vec![] },
+        ];
         FaultPlan {
-            scenario,
-            seed,
-            loss: 0.0,
             sync: SyncPolicy::GroupCommit { max_batch: nodes, max_records: 8 * nodes },
-            codec: Codec::Binary,
             lose_unsynced_tail: true,
-            rounds: vec![
-                Round {
-                    initiator: scenario.sink(),
-                    faults: vec![Fault {
-                        at_event: rng.gen_range(1u64..80),
-                        node: NodeId(0), // ignored by HostCrash
-                        kind: FaultKind::HostCrash,
-                    }],
-                },
-                Round { initiator: scenario.sink(), faults: vec![] },
-            ],
+            ..FaultPlan::over(scenario, seed, rounds)
         }
     }
 
@@ -231,33 +294,28 @@ impl FaultPlan {
         if victim == sink {
             victim = NodeId((victim.0 + 1) % nodes);
         }
-        FaultPlan {
-            scenario,
-            seed,
-            loss: if rng.gen_bool(0.5) { 0.0 } else { 0.05 },
-            sync: SyncPolicy::Always,
-            codec: Codec::Binary,
-            lose_unsynced_tail: false,
-            rounds: vec![
-                Round {
-                    initiator: sink,
-                    faults: vec![Fault {
-                        at_event: rng.gen_range(1u64..60),
-                        node: victim,
-                        kind: FaultKind::Crash,
-                    }],
-                },
-                Round {
-                    initiator: sink,
-                    faults: vec![Fault {
-                        at_event: rng.gen_range(1u64..60),
-                        node: victim,
-                        kind: FaultKind::Restart,
-                    }],
-                },
-                Round { initiator: sink, faults: vec![] },
-            ],
-        }
+        // Drawn before the fault offsets: seeds name whole schedules.
+        let loss = if rng.gen_bool(0.5) { 0.0 } else { 0.05 };
+        let rounds = vec![
+            Round {
+                initiator: sink,
+                faults: vec![Fault {
+                    at_event: rng.gen_range(1u64..60),
+                    node: victim,
+                    kind: FaultKind::Crash,
+                }],
+            },
+            Round {
+                initiator: sink,
+                faults: vec![Fault {
+                    at_event: rng.gen_range(1u64..60),
+                    node: victim,
+                    kind: FaultKind::Restart,
+                }],
+            },
+            Round { initiator: sink, faults: vec![] },
+        ];
+        FaultPlan { loss, ..FaultPlan::over(scenario, seed, rounds) }
     }
 
     /// The rolling-restart-under-sustained-load schedule (window (b) of
@@ -291,48 +349,33 @@ impl FaultPlan {
             v = (v + 1) % nodes;
         };
         let sync = SyncPolicy::GroupCommit { max_batch: nodes, max_records: 8 * nodes };
-        FaultPlan {
-            scenario,
-            seed,
-            loss: 0.0,
-            sync,
-            codec: Codec::Binary,
-            lose_unsynced_tail: true,
-            rounds: vec![
-                Round {
-                    initiator: sink,
-                    faults: vec![Fault {
-                        at_event: rng.gen_range(1u64..40),
-                        node: v,
-                        kind: FaultKind::Crash,
-                    }],
-                },
-                Round {
-                    initiator: sink,
-                    faults: vec![
-                        Fault {
-                            at_event: rng.gen_range(1u64..20),
-                            node: w,
-                            kind: FaultKind::Crash,
-                        },
-                        Fault {
-                            at_event: rng.gen_range(25u64..60),
-                            node: v,
-                            kind: FaultKind::Restart,
-                        },
-                    ],
-                },
-                Round {
-                    initiator: sink,
-                    faults: vec![Fault {
-                        at_event: rng.gen_range(1u64..40),
-                        node: w,
-                        kind: FaultKind::Restart,
-                    }],
-                },
-                Round { initiator: sink, faults: vec![] },
-            ],
-        }
+        let rounds = vec![
+            Round {
+                initiator: sink,
+                faults: vec![Fault {
+                    at_event: rng.gen_range(1u64..40),
+                    node: v,
+                    kind: FaultKind::Crash,
+                }],
+            },
+            Round {
+                initiator: sink,
+                faults: vec![
+                    Fault { at_event: rng.gen_range(1u64..20), node: w, kind: FaultKind::Crash },
+                    Fault { at_event: rng.gen_range(25u64..60), node: v, kind: FaultKind::Restart },
+                ],
+            },
+            Round {
+                initiator: sink,
+                faults: vec![Fault {
+                    at_event: rng.gen_range(1u64..40),
+                    node: w,
+                    kind: FaultKind::Restart,
+                }],
+            },
+            Round { initiator: sink, faults: vec![] },
+        ];
+        FaultPlan { sync, lose_unsynced_tail: true, ..FaultPlan::over(scenario, seed, rounds) }
     }
 
     /// Total crash faults in the schedule (a host crash counts once).
@@ -345,6 +388,37 @@ impl FaultPlan {
     }
 }
 
+/// One update round as the runner saw it.
+#[derive(Clone, Copy, Debug)]
+pub struct RoundReport {
+    /// The newest update the round's initiator had started by the time
+    /// the round drained, as the live nodes' statistics modules recorded
+    /// it (`None` when the initiator never got to start one). Epoch-keyed:
+    /// a recovered initiator's id carries its new incarnation.
+    pub update: Option<UpdateId>,
+    /// Protocol messages the experiment network sent from the round's
+    /// injection to its drain (fallback re-sends and mid-round handshakes
+    /// included; end-of-round restarts excluded).
+    pub messages: u64,
+    /// Protocol messages of the same round in the never-crashed control —
+    /// the baseline re-send overhead is measured against.
+    pub control_messages: u64,
+}
+
+/// One restart from disk as the runner saw it.
+#[derive(Clone, Copy, Debug)]
+pub struct RestartReport {
+    /// The node restarted.
+    pub node: NodeId,
+    /// What recovery found: epoch, generation, WAL records replayed, torn
+    /// tail.
+    pub recovery: RecoveryStats,
+    /// The node's tuples right after recovery, before anything reached it.
+    pub tuples_at_recovery: usize,
+    /// The node's tuples at the end of the run.
+    pub tuples_final: usize,
+}
+
 /// What [`run_fault_plan`] observed.
 #[derive(Clone, Debug)]
 pub struct FaultPlanReport {
@@ -355,11 +429,19 @@ pub struct FaultPlanReport {
     /// Crashes injected (every one eventually restarted — mid-round or at
     /// its round's end).
     pub crashes: usize,
+    /// Per injected crash, in order: whether the network still had work in
+    /// flight (the kill landed mid-update rather than after quiescence).
+    pub crashed_in_flight: Vec<bool>,
+    /// Every restart performed, in order.
+    pub restarts: Vec<RestartReport>,
     /// Mid-round restarts performed (scheduled [`FaultKind::Restart`]
     /// faults that found their node down).
     pub live_restarts: usize,
     /// Checkpoints taken (scheduled ones that found their node alive).
     pub checkpoints: u64,
+    /// Per round: the update's id and its message count beside the
+    /// control's.
+    pub updates: Vec<RoundReport>,
     /// `Rejoin` + `RejoinAck` messages across the whole run.
     pub rejoin_messages: u64,
     /// Messages parked behind the rejoin barrier across the whole run
@@ -377,13 +459,18 @@ pub struct FaultPlanReport {
     /// Nodes whose final LDB is isomorphic to the control's (equality up
     /// to marked-null renaming).
     pub nodes_isomorphic: usize,
+    /// Nodes whose final LDB is isomorphic to the centralised chase's
+    /// fixpoint ([`crate::oracle`]) — the check that shares no protocol
+    /// code with the network under test.
+    pub nodes_oracle_isomorphic: usize,
     /// Nodes whose null-factory counter matches the control's.
     pub factories_equal: usize,
-    /// Node count (denominator for the three above).
+    /// Node count (denominator for the four above).
     pub nodes: usize,
-    /// True when every node reconverged under the rule style's notion of
-    /// equality (strict without existentials, isomorphic + equal factory
-    /// counters with them).
+    /// True when every node reconverged: isomorphic to the oracle's
+    /// fixpoint, and equal to the control under the rule style's notion
+    /// of equality (strict without existentials, isomorphic + equal
+    /// factory counters with them).
     pub converged: bool,
     /// Records that were **acked durable** at crash moments (summed over
     /// every crash with [`FaultPlan::lose_unsynced_tail`] set) — the
@@ -396,6 +483,25 @@ pub struct FaultPlanReport {
     pub acked_records_preserved: bool,
 }
 
+impl FaultPlanReport {
+    /// The rejoin cost in messages: the handshakes themselves plus the
+    /// re-send overhead of the final (reconvergence) round relative to the
+    /// never-crashed control (the E17 "rejoin cost" column).
+    pub fn rejoin_cost_messages(&self) -> u64 {
+        let resend =
+            self.updates.last().map_or(0, |r| r.messages.saturating_sub(r.control_messages));
+        self.rejoin_messages + resend
+    }
+
+    /// The barrier's share of the rejoin cost in messages: parked traffic
+    /// re-sent at release plus the `RejoinRepair` push (the E17 "barrier
+    /// cost" column). These messages replace the pre-barrier abandonments
+    /// and the extra reconvergence round they used to force.
+    pub fn barrier_cost_messages(&self) -> u64 {
+        self.barrier_released + self.repair_messages
+    }
+}
+
 fn settings(loss: f64) -> NodeSettings {
     NodeSettings {
         incremental_updates: true,
@@ -404,117 +510,115 @@ fn settings(loss: f64) -> NodeSettings {
     }
 }
 
-/// What must survive a crash, captured the instant before the kill: the
-/// store's durable (fsync-covered, therefore *acked*) WAL watermark.
-struct AckedWatermark {
-    generation: u64,
-    durable_frames: u64,
-    durable_len: u64,
-    wal_path: std::path::PathBuf,
-}
-
-/// Message counters banked from victims before their in-memory reports
-/// are wiped by a kill (summed with the live nodes' counts at the end).
+/// Rejoin and barrier message counters, summed over node reports. A crash
+/// wipes the victim's in-memory report, so the runner adds a victim's
+/// counts here before killing it and the live nodes' at the end —
+/// otherwise whole-run totals undercount on multi-crash schedules.
 #[derive(Default)]
-struct BankedCounters {
+struct RejoinCounters {
     rejoin: u64,
     barrier_parked: u64,
     barrier_released: u64,
     repairs: u64,
 }
 
-/// Kills `id` if it is alive, banking its rejoin and barrier counters.
-/// With `lose_tail`, first captures the store's durable watermark and —
-/// once the store handle is gone — chops the live WAL to a seeded point
-/// at or past it: the unsynced tail a power cut would take with it (the
-/// cut may land mid-frame; recovery truncates the torn remainder).
-/// Returns `Some(watermark)` when the node was alive and killed
-/// (`Some(None)` when no tail loss was requested or no store was
-/// attached).
-fn kill_node(
-    net: &mut CoDbNetwork,
-    id: NodeId,
-    lose_tail: bool,
-    rng: &mut SmallRng,
-    banked: &mut BankedCounters,
-) -> Option<Option<AckedWatermark>> {
-    let node = net.sim().peer(id.peer())?;
-    banked.rejoin += crate::crash::node_rejoin_messages(node.report());
-    let (parked, released, repairs) = crate::crash::node_barrier_counters(node.report());
-    banked.barrier_parked += parked;
-    banked.barrier_released += released;
-    banked.repairs += repairs;
-    let watermark = if lose_tail {
-        node.store().map(|store| AckedWatermark {
-            generation: store.generation(),
-            durable_frames: store.durable_wal_records(),
-            durable_len: store.durable_wal_len(),
-            wal_path: store.wal_path().to_owned(),
-        })
-    } else {
-        None
-    };
-    if !net.crash_node(id) {
-        return None;
+impl RejoinCounters {
+    fn add(&mut self, report: &NodeReport) {
+        let sent = |kind: &str| report.messages_sent.get(kind).copied().unwrap_or(0);
+        self.rejoin += sent("rejoin") + sent("rejoin_ack");
+        self.barrier_parked += sent("barrier_parked");
+        self.barrier_released += sent("barrier_released");
+        self.repairs += sent("rejoin_repair");
     }
-    if let Some(w) = &watermark {
-        // The fault must actually be injected: a silently skipped chop
-        // would let the no-acked-loss assertions pass without ever
-        // exercising the lost-tail scenario they exist to prove.
-        let meta = std::fs::metadata(&w.wal_path).expect("crashed node's WAL exists on disk");
-        let unsynced = meta.len().saturating_sub(w.durable_len);
-        let cut = w.durable_len + rng.gen_range(0..unsynced + 1);
-        if cut < meta.len() {
-            std::fs::OpenOptions::new()
-                .write(true)
-                .open(&w.wal_path)
-                .expect("reopening the crashed WAL for truncation")
-                .set_len(cut)
-                .expect("truncating the crashed WAL");
+}
+
+/// The experiment network and everything the runner tracks about it.
+struct Runner<'a> {
+    plan: &'a FaultPlan,
+    data_root: &'a Path,
+    net: CoDbNetwork,
+    /// Seeded chop points for `lose_unsynced_tail` (deterministic per plan
+    /// seed, like everything else).
+    chop_rng: SmallRng,
+    counters: RejoinCounters,
+    /// Nodes currently down, with their crash watermark (`None` when no
+    /// tail loss was requested or no store was attached). A node whose
+    /// plan schedules a later Restart fault stays here across round
+    /// boundaries instead of being auto-restarted.
+    down: BTreeMap<NodeId, Option<AckedWatermark>>,
+    restarts: Vec<RestartReport>,
+    acked_records_checked: u64,
+    acked_records_preserved: bool,
+}
+
+impl Runner<'_> {
+    /// Kills `id` if it is alive, first banking its rejoin and barrier
+    /// counters and — with `lose_unsynced_tail` — its store's durable
+    /// watermark, then cutting the power on its WAL. Returns whether the
+    /// node was alive (a duplicate crash entry is a no-op, so the down map
+    /// stays duplicate-free).
+    fn kill(&mut self, id: NodeId) -> bool {
+        let Some(node) = self.net.sim().peer(id.peer()) else { return false };
+        self.counters.add(node.report());
+        let watermark = match node.store() {
+            Some(store) if self.plan.lose_unsynced_tail => Some(AckedWatermark::capture(store)),
+            _ => None,
+        };
+        assert!(self.net.crash_node(id), "the node was alive a moment ago");
+        if let Some(w) = &watermark {
+            w.cut_power(&mut self.chop_rng);
         }
+        self.down.insert(id, watermark);
+        true
     }
-    Some(watermark)
+
+    /// Restarts `victim` from its data directory — live (mid-round, no
+    /// drain) or drained — and folds the no-acked-loss check for its
+    /// watermark into the running verdict. A node that is not down is left
+    /// alone; returns whether a restart happened.
+    fn restart(&mut self, victim: NodeId, live: bool) -> Result<bool, StoreError> {
+        let Some(watermark) = self.down.remove(&victim) else { return Ok(false) };
+        let config = self.net.config();
+        let name = &config.nodes.iter().find(|n| n.id == victim).expect("configured").name;
+        let dir = CoDbNetwork::node_data_dir(self.data_root, name);
+        let (sync, codec) = (self.plan.sync, self.plan.codec);
+        let recovery = if live {
+            self.net.restart_node_from_disk_live(victim, &dir, sync, codec)?
+        } else {
+            self.net.restart_node_from_disk(victim, &dir, sync, codec)?
+        };
+        if let Some(w) = watermark {
+            self.acked_records_checked += w.durable_frames;
+            self.acked_records_preserved &= w.survived(&recovery);
+        }
+        // A drained restart has run its handshake by now, so the count
+        // includes what the repair push restored; a live one has not.
+        let tuples = self.net.node(victim).ldb().tuple_count();
+        self.restarts.push(RestartReport {
+            node: victim,
+            recovery,
+            tuples_at_recovery: tuples,
+            tuples_final: tuples,
+        });
+        Ok(true)
+    }
+
+    /// The newest update `origin` has started, as any live node recorded it.
+    fn latest_update_of(&self, origin: NodeId) -> Option<UpdateId> {
+        self.net
+            .sim()
+            .peers()
+            .flat_map(|(_, node)| node.report().updates.keys())
+            .filter(|u| u.origin == origin)
+            .max()
+            .copied()
+    }
 }
 
-/// Restarts `victim` from its data directory — live (mid-round, no
-/// drain) or drained — and folds the no-acked-loss check for its banked
-/// watermark into the running verdict.
-#[allow(clippy::too_many_arguments)]
-fn restart_victim(
-    net: &mut CoDbNetwork,
-    config: &codb_core::NetworkConfig,
-    plan: &FaultPlan,
-    data_root: &Path,
-    victim: NodeId,
-    watermark: Option<AckedWatermark>,
-    live: bool,
-    acked_records_checked: &mut u64,
-    acked_records_preserved: &mut bool,
-) -> Result<(), codb_store::StoreError> {
-    let name = &config.nodes.iter().find(|n| n.id == victim).expect("configured").name;
-    let dir = CoDbNetwork::node_data_dir(data_root, name);
-    let stats = if live {
-        net.restart_node_from_disk_live(victim, &dir, plan.sync, plan.codec)?
-    } else {
-        net.restart_node_from_disk(victim, &dir, plan.sync, plan.codec)?
-    };
-    if let Some(w) = watermark {
-        // The no-acked-loss guarantee: recovery from the same generation
-        // must replay at least every record that was acked durable when
-        // the crash hit — the chopped tail held only never-acked records.
-        *acked_records_checked += w.durable_frames;
-        *acked_records_preserved &=
-            stats.generation == w.generation && stats.wal_records_replayed >= w.durable_frames;
-    }
-    Ok(())
-}
-
-/// Runs `plan` against a never-crashed control, persisting every node
-/// under `data_root/<node-name>`. The directory must be fresh.
-pub fn run_fault_plan(
-    plan: &FaultPlan,
-    data_root: &Path,
-) -> Result<FaultPlanReport, codb_store::StoreError> {
+/// Runs `plan` against a never-crashed control and the centralised chase,
+/// persisting every node under `data_root/<node-name>`. The directory must
+/// be fresh.
+pub fn run_fault_plan(plan: &FaultPlan, data_root: &Path) -> Result<FaultPlanReport, StoreError> {
     run_fault_plan_impl(plan, data_root, None).map(|(report, _)| report)
 }
 
@@ -526,7 +630,7 @@ pub fn run_fault_plan_traced(
     plan: &FaultPlan,
     data_root: &Path,
     tracer: &codb_trace::Tracer,
-) -> Result<FaultPlanReport, codb_store::StoreError> {
+) -> Result<FaultPlanReport, StoreError> {
     run_fault_plan_impl(plan, data_root, Some(tracer)).map(|(report, _)| report)
 }
 
@@ -536,16 +640,16 @@ fn run_fault_plan_impl(
     plan: &FaultPlan,
     data_root: &Path,
     tracer: Option<&codb_trace::Tracer>,
-) -> Result<(FaultPlanReport, Vec<(String, codb_relational::Snapshot)>), codb_store::StoreError> {
+) -> Result<(FaultPlanReport, Vec<(String, codb_relational::Snapshot)>), StoreError> {
     let config = plan.scenario.build_config();
 
-    // Control: same rounds, no faults, lossless pipes.
+    // Control: same rounds, no faults, lossless pipes. It is the
+    // message-count baseline and the strict-equality / null-factory check.
     let mut control =
         CoDbNetwork::build_with(config.clone(), SimConfig::default(), settings(0.0), false)
             .expect("scenario configs validate");
-    for round in &plan.rounds {
-        control.run_update(round.initiator);
-    }
+    let control_messages: Vec<u64> =
+        plan.rounds.iter().map(|round| control.run_update(round.initiator).messages).collect();
 
     // Experiment: seeded loss, every node durable.
     let sim_config = SimConfig {
@@ -559,39 +663,26 @@ fn run_fault_plan_impl(
         net.attach_tracer(t);
     }
     net.open_persistence_all(data_root, plan.sync, plan.codec)?;
-
-    let mut crashes = 0usize;
+    let mut run = Runner {
+        plan,
+        data_root,
+        net,
+        chop_rng: SmallRng::seed_from_u64(plan.seed ^ 0xC40F_7A11),
+        counters: RejoinCounters::default(),
+        down: BTreeMap::new(),
+        restarts: Vec::new(),
+        acked_records_checked: 0,
+        acked_records_preserved: true,
+    };
+    let mut crashed_in_flight = Vec::new();
     let mut live_restarts = 0usize;
     let mut checkpoints = 0u64;
-    // A crash wipes the victim's in-memory statistics report, so counters
-    // it accumulated (rejoin announcements, acks, barrier holds from an
-    // earlier crash's handshake) must be banked before the kill or the
-    // whole-run totals silently undercount on multi-crash schedules.
-    let mut banked = BankedCounters::default();
-    // Seeded chop points for lose_unsynced_tail (deterministic per plan
-    // seed, like everything else) and the no-acked-loss bookkeeping.
-    let mut chop_rng = SmallRng::seed_from_u64(plan.seed ^ 0xC40F_7A11);
-    let mut acked_records_checked = 0u64;
-    let mut acked_records_preserved = true;
-    // Nodes currently down, with their banked crash watermark. A node
-    // whose plan schedules a later Restart fault stays here across round
-    // boundaries instead of being auto-restarted.
-    let mut down: std::collections::BTreeMap<NodeId, Option<AckedWatermark>> =
-        std::collections::BTreeMap::new();
-    // Remaining scheduled Restart faults per node, counted over the whole
-    // plan up front so each round's end knows whom to leave down.
-    let mut pending_restarts: std::collections::BTreeMap<NodeId, usize> =
-        std::collections::BTreeMap::new();
-    for round in &plan.rounds {
-        for fault in &round.faults {
-            if fault.kind == FaultKind::Restart {
-                *pending_restarts.entry(fault.node).or_default() += 1;
-            }
-        }
-    }
-    for round in &plan.rounds {
-        let round_start = net.sim().events_processed();
-        net.sim_mut().inject(
+
+    let mut updates = Vec::with_capacity(plan.rounds.len());
+    for (i, (round, &control_messages)) in plan.rounds.iter().zip(&control_messages).enumerate() {
+        let round_start = run.net.sim().events_processed();
+        let sent_before = run.net.sim().stats().sent;
+        run.net.sim_mut().inject(
             HARNESS_PEER,
             round.initiator.peer(),
             Envelope::control(Body::StartUpdate),
@@ -603,23 +694,14 @@ fn run_fault_plan_impl(
         for fault in &round.faults {
             // Step the sim clock up to the fault's event offset (or until
             // the round quiesces first — a "late" fault, still applied).
-            while net.sim().events_processed() - round_start < fault.at_event
-                && net.sim_mut().step()
+            while run.net.sim().events_processed() - round_start < fault.at_event
+                && run.net.sim_mut().step()
             {}
+            let in_flight = !run.net.sim().is_quiescent();
             match fault.kind {
                 FaultKind::Crash => {
-                    // kill_node returns None for a node already down
-                    // (e.g. duplicate crash entries), so the down map
-                    // stays duplicate-free.
-                    if let Some(w) = kill_node(
-                        &mut net,
-                        fault.node,
-                        plan.lose_unsynced_tail,
-                        &mut chop_rng,
-                        &mut banked,
-                    ) {
-                        down.insert(fault.node, w);
-                        crashes += 1;
+                    if run.kill(fault.node) {
+                        crashed_in_flight.push(in_flight);
                     }
                 }
                 FaultKind::HostCrash => {
@@ -627,49 +709,23 @@ fn run_fault_plan_impl(
                     // down mid-whatever-it-was-doing, every store's
                     // unsynced tail is at risk together — the scenario a
                     // *shared* fsync scheduler must get right.
-                    let mut any = false;
-                    for nc in &config.nodes {
-                        if let Some(w) = kill_node(
-                            &mut net,
-                            nc.id,
-                            plan.lose_unsynced_tail,
-                            &mut chop_rng,
-                            &mut banked,
-                        ) {
-                            down.insert(nc.id, w);
-                            any = true;
-                        }
-                    }
-                    if any {
-                        crashes += 1;
+                    let killed = config.nodes.iter().filter(|nc| run.kill(nc.id)).count();
+                    if killed > 0 {
+                        crashed_in_flight.push(in_flight);
                     }
                 }
                 FaultKind::Restart => {
                     // Live restart: the rejoin handshake (and the barrier
                     // release + repair it triggers) runs interleaved with
                     // whatever traffic the round still has in flight.
-                    if let Some(e) = pending_restarts.get_mut(&fault.node) {
-                        *e = e.saturating_sub(1);
-                    }
-                    if let Some(watermark) = down.remove(&fault.node) {
-                        restart_victim(
-                            &mut net,
-                            &config,
-                            plan,
-                            data_root,
-                            fault.node,
-                            watermark,
-                            true,
-                            &mut acked_records_checked,
-                            &mut acked_records_preserved,
-                        )?;
+                    if run.restart(fault.node, true)? {
                         live_restarts += 1;
                     }
                 }
                 FaultKind::Checkpoint => {
                     // Skip nodes a crash already took down.
-                    if net.sim().peer(fault.node.peer()).is_some()
-                        && net.checkpoint_node(fault.node)?
+                    if run.net.sim().peer(fault.node.peer()).is_some()
+                        && run.net.checkpoint_node(fault.node)?
                     {
                         checkpoints += 1;
                     }
@@ -681,80 +737,78 @@ fn run_fault_plan_impl(
         // budget and — for update data and handshake envelopes — parks
         // behind the rejoin barrier rather than being abandoned, so the
         // round can quiesce with an update paused mid-flight.
-        net.sim_mut().run_until_quiescent();
+        run.net.sim_mut().run_until_quiescent();
+        updates.push(RoundReport {
+            update: run.latest_update_of(round.initiator),
+            // Excluding the injected control message itself.
+            messages: run.net.sim().stats().sent - sent_before - 1,
+            control_messages,
+        });
         // Restart every node still down before the next round — except
         // those a later Restart fault claims, which stay dead so their
         // handshake lands mid-round. Each restart here runs the rejoin
         // handshake to quiescence, so the next initiator (often one of
         // these very nodes) starts from a repaired cache topology.
-        let due: Vec<NodeId> = down
-            .keys()
-            .copied()
-            .filter(|n| pending_restarts.get(n).copied().unwrap_or(0) == 0)
-            .collect();
+        let claimed_later = |node: &NodeId| {
+            let mut later = plan.rounds[i + 1..].iter().flat_map(|r| &r.faults);
+            later.any(|f| f.kind == FaultKind::Restart && f.node == *node)
+        };
+        let due: Vec<NodeId> = run.down.keys().copied().filter(|n| !claimed_later(n)).collect();
         for victim in due {
-            let watermark = down.remove(&victim).expect("picked from the map");
-            restart_victim(
-                &mut net,
-                &config,
-                plan,
-                data_root,
-                victim,
-                watermark,
-                false,
-                &mut acked_records_checked,
-                &mut acked_records_preserved,
-            )?;
+            run.restart(victim, false)?;
         }
     }
 
-    // Compare every node against the control.
+    // Compare every node against the control and against the oracle.
+    let oracle = chase_seminaive(&config);
     let strict_style = !matches!(plan.scenario.rule_style, RuleStyle::ProjectGlav);
     let mut nodes_equal = 0;
     let mut nodes_isomorphic = 0;
+    let mut nodes_oracle_isomorphic = 0;
     let mut factories_equal = 0;
     let mut final_states = Vec::with_capacity(config.nodes.len());
     for nc in &config.nodes {
-        let ours = net.node(nc.id);
+        let ours = run.net.node(nc.id);
         let theirs = control.node(nc.id);
-        if ours.ldb() == theirs.ldb() {
-            nodes_equal += 1;
-        }
-        if codb_relational::isomorphic(ours.ldb(), theirs.ldb()) {
-            nodes_isomorphic += 1;
-        }
-        if ours.nulls_invented() == theirs.nulls_invented() {
-            factories_equal += 1;
-        }
+        run.counters.add(ours.report());
+        nodes_equal += usize::from(ours.ldb() == theirs.ldb());
+        nodes_isomorphic += usize::from(isomorphic(ours.ldb(), theirs.ldb()));
+        nodes_oracle_isomorphic += usize::from(isomorphic(ours.ldb(), &oracle.instances[&nc.id]));
+        factories_equal += usize::from(ours.nulls_invented() == theirs.nulls_invented());
         final_states.push((nc.name.clone(), ours.snapshot()));
     }
+    for restart in &mut run.restarts {
+        restart.tuples_final = run.net.node(restart.node).ldb().tuple_count();
+    }
     let nodes = config.nodes.len();
-    let converged = if strict_style {
+    let matches_control = if strict_style {
         nodes_equal == nodes
     } else {
         nodes_isomorphic == nodes && factories_equal == nodes
     };
-    let rejoin_messages = banked.rejoin + crate::crash::rejoin_messages(&net);
-    let (live_parked, live_released, live_repairs) = crate::crash::barrier_counters(&net);
 
     Ok((
         FaultPlanReport {
             seed: plan.seed,
             rounds: plan.rounds.len(),
-            crashes,
+            crashes: crashed_in_flight.len(),
+            crashed_in_flight,
+            restarts: run.restarts,
             live_restarts,
             checkpoints,
-            rejoin_messages,
-            barrier_parked: banked.barrier_parked + live_parked,
-            barrier_released: banked.barrier_released + live_released,
-            repair_messages: banked.repairs + live_repairs,
+            updates,
+            rejoin_messages: run.counters.rejoin,
+            barrier_parked: run.counters.barrier_parked,
+            barrier_released: run.counters.barrier_released,
+            repair_messages: run.counters.repairs,
             nodes_equal,
             nodes_isomorphic,
+            nodes_oracle_isomorphic,
             factories_equal,
             nodes,
-            converged,
-            acked_records_checked,
-            acked_records_preserved,
+            converged: matches_control && nodes_oracle_isomorphic == nodes,
+            acked_records_checked: run.acked_records_checked,
+            acked_records_preserved: run.acked_records_preserved,
         },
         final_states,
     ))
@@ -797,7 +851,7 @@ impl CodecDifferentialReport {
 pub fn run_fault_plan_differential(
     plan: &FaultPlan,
     data_root: &Path,
-) -> Result<CodecDifferentialReport, codb_store::StoreError> {
+) -> Result<CodecDifferentialReport, StoreError> {
     let json_plan = FaultPlan { codec: Codec::Json, ..plan.clone() };
     let binary_plan = FaultPlan { codec: Codec::Binary, ..plan.clone() };
     let (json, json_states) = run_fault_plan_impl(&json_plan, &data_root.join("json"), None)?;
@@ -857,40 +911,174 @@ mod tests {
         }
     }
 
-    /// One hand-picked schedule, exercised end to end with a crash that is
-    /// guaranteed to land (smoke for the runner's bookkeeping).
+    /// One hand-picked schedule on a lossy chain-4 with a crash that is
+    /// guaranteed to land, then rejoin-as-initiator with a checkpoint
+    /// elsewhere, then a clean round.
+    fn explicit_plan() -> FaultPlan {
+        let s = Scenario { tuples_per_node: 12, ..Scenario::quick(Topology::Chain(4)) };
+        let fault = |at_event, node, kind| Fault { at_event, node: NodeId(node), kind };
+        let rounds = vec![
+            Round { initiator: s.sink(), faults: vec![fault(9, 1, FaultKind::Crash)] },
+            Round { initiator: NodeId(1), faults: vec![fault(15, 2, FaultKind::Checkpoint)] },
+            Round { initiator: s.sink(), faults: vec![] },
+        ];
+        FaultPlan { loss: 0.05, ..FaultPlan::over(s, 7, rounds) }
+    }
+
+    /// Smoke for the runner's bookkeeping.
     #[test]
     fn explicit_crash_schedule_reconverges() {
         let tmp = ScratchDir::new("faultplan-explicit");
-        let s = Scenario { tuples_per_node: 12, ..Scenario::quick(Topology::Chain(4)) };
-        let plan = FaultPlan {
-            scenario: s,
-            seed: 7,
-            loss: 0.05,
-            sync: SyncPolicy::Always,
-            lose_unsynced_tail: false,
-            codec: Codec::Binary,
-            rounds: vec![
-                Round {
-                    initiator: s.sink(),
-                    faults: vec![Fault { at_event: 9, node: NodeId(1), kind: FaultKind::Crash }],
-                },
-                Round {
-                    // Rejoin-as-initiator, explicitly.
-                    initiator: NodeId(1),
-                    faults: vec![Fault {
-                        at_event: 15,
-                        node: NodeId(2),
-                        kind: FaultKind::Checkpoint,
-                    }],
-                },
-                Round { initiator: s.sink(), faults: vec![] },
-            ],
-        };
+        let plan = explicit_plan();
         let report = run_fault_plan(&plan, tmp.path()).unwrap();
         assert_eq!(report.crashes, 1, "{report:?}");
         assert!(report.rejoin_messages >= 2, "{report:?}");
         assert!(report.converged, "replay with seed {}: {report:?}", plan.seed);
+    }
+
+    // The single-crash scenarios (formerly `crash.rs`'s own runner), as
+    // `FaultPlan::single_crash` inputs to the one runner.
+
+    /// All nodes strictly equal to the control, null factories included —
+    /// which covers the victim — and isomorphic to the oracle.
+    fn assert_recovered_exactly(report: &FaultPlanReport) {
+        assert_eq!(report.nodes_equal, report.nodes, "{report:?}");
+        assert_eq!(report.factories_equal, report.nodes, "{report:?}");
+        assert!(report.converged, "{report:?}");
+    }
+
+    #[test]
+    fn chain_copy_rules_recover_exactly() {
+        let tmp = ScratchDir::new("crash-chain");
+        let s = Scenario { tuples_per_node: 20, ..Scenario::quick(Topology::Chain(4)) };
+        let plan = FaultPlan::single_crash(s, NodeId(1), None, s.sink());
+        let report = run_fault_plan(&plan, tmp.path()).unwrap();
+        assert_eq!(report.crashed_in_flight, [true], "the kill landed mid-update: {report:?}");
+        assert_recovered_exactly(&report);
+        let [restart] = report.restarts[..] else { panic!("one restart: {report:?}") };
+        assert_eq!(restart.node, NodeId(1), "{report:?}");
+        assert!(restart.recovery.wal_records_replayed >= 1, "{report:?}");
+        assert_eq!(restart.recovery.epoch, 1, "{report:?}");
+        assert!(report.rejoin_messages >= 2, "handshake ran: {report:?}");
+        // The handshake pushed a repair toward the recovered victim (the
+        // kill may land after in-flight traffic toward it was already
+        // acked, so parked counts can legitimately be zero — the repair
+        // push always runs).
+        assert!(report.repair_messages > 0, "{report:?}");
+        assert!(report.barrier_cost_messages() > 0, "{report:?}");
+    }
+
+    #[test]
+    fn ring_recovers_exactly() {
+        let tmp = ScratchDir::new("crash-ring");
+        let s = Scenario { tuples_per_node: 10, ..Scenario::quick(Topology::Ring(3)) };
+        let victim = NodeId(if s.sink() == NodeId(1) { 2 } else { 1 });
+        let plan = FaultPlan::single_crash(s, victim, None, s.sink());
+        assert_recovered_exactly(&run_fault_plan(&plan, tmp.path()).unwrap());
+    }
+
+    #[test]
+    fn glav_rules_recover_isomorphically() {
+        // Existential rules invent marked nulls whose labels depend on
+        // apply order; the recovered fixpoint is equal up to null renaming
+        // and the factory counters must agree.
+        let tmp = ScratchDir::new("crash-glav");
+        let s = Scenario {
+            rule_style: RuleStyle::ProjectGlav,
+            tuples_per_node: 12,
+            ..Scenario::quick(Topology::Chain(3))
+        };
+        let plan = FaultPlan::single_crash(s, NodeId(1), None, s.sink());
+        let report = run_fault_plan(&plan, tmp.path()).unwrap();
+        assert_eq!(report.nodes_isomorphic, report.nodes, "{report:?}");
+        assert_eq!(report.factories_equal, report.nodes, "{report:?}");
+    }
+
+    /// The oracle check is load-bearing: on a cyclic GLAV network every
+    /// reconverged node is isomorphic to the centralised chase's fixpoint,
+    /// and the report says so node by node.
+    #[test]
+    fn glav_ring_reconverges_to_the_oracle_fixpoint() {
+        let tmp = ScratchDir::new("crash-glav-ring");
+        let s = Scenario {
+            rule_style: RuleStyle::ProjectGlav,
+            tuples_per_node: 8,
+            ..Scenario::quick(Topology::Ring(4))
+        };
+        let victim = NodeId(if s.sink() == NodeId(1) { 2 } else { 1 });
+        let plan = FaultPlan::single_crash(s, victim, None, s.sink());
+        let report = run_fault_plan(&plan, tmp.path()).unwrap();
+        assert_eq!(report.crashed_in_flight, [true], "{report:?}");
+        assert_eq!(report.nodes_oracle_isomorphic, 4, "{report:?}");
+        assert!(report.converged, "{report:?}");
+    }
+
+    #[test]
+    fn late_kill_after_quiescence_still_recovers() {
+        // Killing after the update finished exercises the "node leaves and
+        // rejoins" (no data lost in flight) flavour.
+        let tmp = ScratchDir::new("crash-late");
+        let s = Scenario { tuples_per_node: 5, ..Scenario::quick(Topology::Chain(3)) };
+        let mut plan = FaultPlan::single_crash(s, NodeId(0), None, s.sink());
+        plan.rounds[0].faults[0].at_event = u64::MAX;
+        let report = run_fault_plan(&plan, tmp.path()).unwrap();
+        assert_eq!(report.crashed_in_flight, [false], "{report:?}");
+        assert_recovered_exactly(&report);
+    }
+
+    #[test]
+    fn crashed_initiator_initiates_again_without_id_collision() {
+        // The *update initiator* crashes mid-own-update, recovers, and
+        // initiates the reconvergence update itself. Its persisted
+        // counters resume the seq space and its bumped epoch keys the new
+        // id, so the new update cannot collide with the one its dead
+        // incarnation minted.
+        let tmp = ScratchDir::new("crash-initiator");
+        let s = Scenario { tuples_per_node: 15, ..Scenario::quick(Topology::Chain(4)) };
+        let victim = s.sink(); // the initiator itself
+        let plan = FaultPlan::single_crash(s, victim, None, victim);
+        let report = run_fault_plan(&plan, tmp.path()).unwrap();
+        assert_eq!(report.crashed_in_flight, [true], "{report:?}");
+        // The dead incarnation minted (victim, epoch 0, seq 0); the new
+        // update resumed the counter under the new epoch.
+        let recovered_update = report.updates[1].update.expect("the second round ran");
+        let victim_epoch = report.restarts[0].recovery.epoch;
+        assert_eq!(recovered_update.origin, victim, "{report:?}");
+        assert_eq!(recovered_update.epoch, victim_epoch, "{report:?}");
+        assert!(victim_epoch >= 1, "{report:?}");
+        assert!(recovered_update.seq >= 1, "counters resumed, not restarted: {report:?}");
+        assert_recovered_exactly(&report);
+    }
+
+    #[test]
+    fn incremental_caches_resume_after_one_full_resend() {
+        // With incremental updates ON (the runner's only mode), the crash
+        // is repaired by exactly one fallback re-send toward the rejoined
+        // node, and the network still reconverges to the control state.
+        let tmp = ScratchDir::new("crash-incremental");
+        let s = Scenario { tuples_per_node: 20, ..Scenario::quick(Topology::Chain(4)) };
+        let plan = FaultPlan::single_crash(s, NodeId(2), None, s.sink());
+        let report = run_fault_plan(&plan, tmp.path()).unwrap();
+        assert_recovered_exactly(&report);
+        // The reconvergence update re-sends toward the victim, so it costs
+        // more than the control's incremental second update (which ships
+        // nothing new), but the handshake keeps the overhead bounded.
+        let reconverge = report.updates[1];
+        assert!(reconverge.messages >= reconverge.control_messages, "{report:?}");
+        assert!(report.rejoin_cost_messages() > 0, "{report:?}");
+    }
+
+    #[test]
+    fn victim_checkpoints_bound_wal_replay() {
+        // Checkpointing the victim mid-run compacts the WAL: recovery
+        // starts from a later generation with a short tail.
+        let tmp = ScratchDir::new("crash-ckpt");
+        let s = Scenario { tuples_per_node: 20, ..Scenario::quick(Topology::Chain(4)) };
+        let plan = FaultPlan::single_crash(s, NodeId(1), Some(5), s.sink());
+        let report = run_fault_plan(&plan, tmp.path()).unwrap();
+        assert!(report.checkpoints >= 1, "{report:?}");
+        assert!(report.restarts[0].recovery.generation >= 1, "{report:?}");
+        assert_recovered_exactly(&report);
     }
 
     /// The codec-differential satellite: one seeded schedule with a
@@ -899,30 +1087,7 @@ mod tests {
     #[test]
     fn differential_runs_agree_byte_for_byte() {
         let tmp = ScratchDir::new("faultplan-diff");
-        let s = Scenario { tuples_per_node: 12, ..Scenario::quick(Topology::Chain(4)) };
-        let plan = FaultPlan {
-            scenario: s,
-            seed: 7,
-            loss: 0.05,
-            sync: SyncPolicy::Always,
-            lose_unsynced_tail: false,
-            codec: Codec::Binary, // overridden per run by the harness
-            rounds: vec![
-                Round {
-                    initiator: s.sink(),
-                    faults: vec![Fault { at_event: 9, node: NodeId(1), kind: FaultKind::Crash }],
-                },
-                Round {
-                    initiator: NodeId(1),
-                    faults: vec![Fault {
-                        at_event: 15,
-                        node: NodeId(2),
-                        kind: FaultKind::Checkpoint,
-                    }],
-                },
-                Round { initiator: s.sink(), faults: vec![] },
-            ],
-        };
+        let plan = explicit_plan(); // its codec is overridden per run by the harness
         let report = run_fault_plan_differential(&plan, tmp.path()).unwrap();
         assert_eq!(report.json.crashes, 1, "{report:?}");
         assert_eq!(report.binary.crashes, 1, "{report:?}");
@@ -976,20 +1141,17 @@ mod tests {
     fn single_crash_with_lost_tail_under_every_n() {
         let tmp = ScratchDir::new("faultplan-losttail");
         let s = Scenario { tuples_per_node: 12, ..Scenario::quick(Topology::Chain(4)) };
+        let rounds = vec![
+            Round {
+                initiator: s.sink(),
+                faults: vec![Fault { at_event: 14, node: NodeId(1), kind: FaultKind::Crash }],
+            },
+            Round { initiator: s.sink(), faults: vec![] },
+        ];
         let plan = FaultPlan {
-            scenario: s,
-            seed: 21,
-            loss: 0.0,
             sync: SyncPolicy::EveryN(3),
             lose_unsynced_tail: true,
-            codec: Codec::Binary,
-            rounds: vec![
-                Round {
-                    initiator: s.sink(),
-                    faults: vec![Fault { at_event: 14, node: NodeId(1), kind: FaultKind::Crash }],
-                },
-                Round { initiator: s.sink(), faults: vec![] },
-            ],
+            ..FaultPlan::over(s, 21, rounds)
         };
         let report = run_fault_plan(&plan, tmp.path()).unwrap();
         assert_eq!(report.crashes, 1, "{report:?}");
@@ -1011,17 +1173,14 @@ mod tests {
     fn forwarded_but_unsynced_records_repaired_at_barrier_release() {
         let tmp = ScratchDir::new("faultplan-window-a");
         let s = Scenario { tuples_per_node: 12, ..Scenario::quick(Topology::Chain(4)) };
+        let rounds = vec![Round {
+            initiator: s.sink(),
+            faults: vec![Fault { at_event: 16, node: NodeId(1), kind: FaultKind::Crash }],
+        }];
         let plan = FaultPlan {
-            scenario: s,
-            seed: 5,
-            loss: 0.0,
             sync: SyncPolicy::GroupCommit { max_batch: 4, max_records: 32 },
             lose_unsynced_tail: true,
-            codec: Codec::Binary,
-            rounds: vec![Round {
-                initiator: s.sink(),
-                faults: vec![Fault { at_event: 16, node: NodeId(1), kind: FaultKind::Crash }],
-            }],
+            ..FaultPlan::over(s, 5, rounds)
         };
         let report = run_fault_plan(&plan, tmp.path()).unwrap();
         assert_eq!(report.crashes, 1, "{report:?}");

@@ -4,26 +4,28 @@
 //! [`run_parallel_ingest`] drives the identical ingest + update schedule
 //! through two networks — a [`codb_core::CoDbNetwork`] under the
 //! discrete-event simulator (the control) and a [`ParallelCoDbNet`] on
-//! real worker
-//! threads — and compares every node's final LDB. Because both runtimes
-//! execute the same [`codb_core::CoDbNode`] state machines and ingest
-//! flows through the same message plane ([`codb_core::Body::IngestLocal`]),
-//! any divergence is a runtime bug, not a workload artefact. The report
-//! carries the threaded side's wall-clock throughput (updates/sec), which
-//! is what experiment E20 sweeps over worker counts.
+//! real worker threads — and compares every node's final LDB. Because both
+//! runtimes execute the same [`codb_core::CoDbNode`] state machines and
+//! ingest flows through the same message plane
+//! ([`codb_core::Body::IngestLocal`]), any divergence is a runtime bug, not
+//! a workload artefact. The report carries the threaded side's wall-clock
+//! throughput (updates/sec), which is what experiment E20 sweeps over
+//! worker counts.
 //!
 //! [`run_parallel_host_crash`] is the durability variant: the threaded
 //! network runs persistent under [`SyncPolicy::GroupCommit`] (one shared
-//! fsync scheduler), is shut down abruptly mid-workload (no drain — the
-//! pool's shutdown models a host crash), every store's WAL is chopped to a
-//! seeded point at or past its durable watermark (the page-cache loss of
-//! a real power cut), and the network is rebuilt from disk. The harness
-//! proves **no acked update is lost**: recovery must replay, from the same
-//! store generation, at least every record that was fsync-covered when the
-//! crash hit.
+//! fsync scheduler) until the schedule has quiesced, and then the host
+//! loses power. No message is in flight at that point; what is at risk is
+//! every store's unsynced WAL tail — the records the group-commit
+//! scheduler has appended but not yet fsynced. Each WAL is chopped to a
+//! seeded point at or past its durable watermark and the network is
+//! rebuilt from disk. The harness proves **no acked update is lost**:
+//! recovery must replay, from the same store generation, at least every
+//! record that was fsync-covered when the power went.
 
+use crate::powercut::AckedWatermark;
 use crate::scenario::Scenario;
-use codb_core::{NodeId, NodeSettings, ParallelCoDbNet};
+use codb_core::{Body, NodeId, NodeSettings, ParallelCoDbNet};
 use codb_net::{RuntimeConfig, SimConfig};
 use codb_relational::{Tuple, Value};
 use codb_store::{Codec, SyncPolicy};
@@ -56,6 +58,50 @@ pub struct ParallelIngestPlan {
     pub seed: u64,
 }
 
+impl ParallelIngestPlan {
+    /// The schedule, once: what `round` ingests, in injection order, as
+    /// `(node, relation, tuple)` — node by node, each tuple with a
+    /// globally unique key above [`INGEST_KEY_BASE`] and a seeded payload.
+    /// Both runtimes, the lost-update check and the host-crash harness
+    /// read it from here.
+    fn ingests(&self, round: usize) -> impl Iterator<Item = (NodeId, String, Tuple)> + '_ {
+        let nodes = self.scenario.topology.node_count();
+        (0..nodes).flat_map(move |node| {
+            (0..self.inserts_per_node).map(move |k| {
+                let key =
+                    INGEST_KEY_BASE + ((round * nodes + node) * self.inserts_per_node + k) as i64;
+                let mut rng = SmallRng::seed_from_u64(self.seed ^ key as u64);
+                let tuple =
+                    Tuple::new(vec![Value::Int(key), Value::Int(rng.gen_range(0..1 << 30))]);
+                (NodeId(node as u64), Scenario::relation_of(node), tuple)
+            })
+        })
+    }
+
+    /// The pool configuration the plan asks for.
+    fn runtime(&self) -> RuntimeConfig {
+        RuntimeConfig {
+            workers: self.workers,
+            mailbox_depth: self.mailbox_depth,
+            ..RuntimeConfig::default()
+        }
+    }
+
+    /// Injects every round's ingests and its update into the pool,
+    /// awaiting quiescence after each round when `await_rounds` is set.
+    fn drive(&self, par: &ParallelCoDbNet, await_rounds: bool) {
+        for round in 0..self.rounds {
+            for (node, relation, tuple) in self.ingests(round) {
+                par.control(node, Body::IngestLocal { relation, tuple });
+            }
+            par.start_update(self.scenario.sink());
+            if await_rounds {
+                assert!(par.await_quiescence(SETTLE, DEADLINE), "threaded round must quiesce");
+            }
+        }
+    }
+}
+
 /// What [`run_parallel_ingest`] measured.
 #[derive(Clone, Debug)]
 pub struct ParallelIngestReport {
@@ -82,15 +128,6 @@ pub struct ParallelIngestReport {
     pub converged: bool,
 }
 
-/// The tuple ingested at `node` in `round`, insert `k`: globally unique
-/// key above [`INGEST_KEY_BASE`], seeded payload value.
-fn ingest_tuple(plan: &ParallelIngestPlan, round: usize, node: usize, k: usize) -> Tuple {
-    let nodes = plan.scenario.topology.node_count();
-    let key = INGEST_KEY_BASE + ((round * nodes + node) * plan.inserts_per_node + k) as i64;
-    let mut rng = SmallRng::seed_from_u64(plan.seed ^ key as u64);
-    Tuple::new(vec![Value::Int(key), Value::Int(rng.gen_range(0..1 << 30))])
-}
-
 /// Settle/deadline windows for threaded quiescence waits.
 const SETTLE: Duration = Duration::from_millis(50);
 const DEADLINE: Duration = Duration::from_secs(120);
@@ -112,47 +149,23 @@ fn threaded_settings() -> NodeSettings {
 pub fn run_parallel_ingest(plan: &ParallelIngestPlan) -> ParallelIngestReport {
     let config = plan.scenario.build_config();
     let nodes = config.nodes.len();
-    let sink = plan.scenario.sink();
 
     // Control: the identical schedule under the simulator.
     let mut sim = codb_core::CoDbNetwork::build(config.clone(), SimConfig::default())
         .expect("control network builds");
     for round in 0..plan.rounds {
-        for (i, nc) in config.nodes.iter().enumerate() {
-            let rel = Scenario::relation_of(i);
-            for k in 0..plan.inserts_per_node {
-                sim.run_control(
-                    nc.id,
-                    codb_core::Body::IngestLocal {
-                        relation: rel.clone(),
-                        tuple: ingest_tuple(plan, round, i, k),
-                    },
-                );
-            }
+        for (node, relation, tuple) in plan.ingests(round) {
+            sim.run_control(node, Body::IngestLocal { relation, tuple });
         }
-        sim.run_update(sink);
+        sim.run_update(plan.scenario.sink());
     }
 
     // Experiment: same schedule on the worker pool, timed.
-    let rt = RuntimeConfig {
-        workers: plan.workers,
-        mailbox_depth: plan.mailbox_depth,
-        ..RuntimeConfig::default()
-    };
-    let par = ParallelCoDbNet::build_with(config.clone(), rt, threaded_settings())
+    let par = ParallelCoDbNet::build_with(config.clone(), plan.runtime(), threaded_settings())
         .expect("threaded network builds");
     let workers = par.worker_count();
     let start = Instant::now();
-    for round in 0..plan.rounds {
-        for (i, nc) in config.nodes.iter().enumerate() {
-            let rel = Scenario::relation_of(i);
-            for k in 0..plan.inserts_per_node {
-                par.ingest(nc.id, &rel, ingest_tuple(plan, round, i, k));
-            }
-        }
-        par.start_update(sink);
-        assert!(par.await_quiescence(SETTLE, DEADLINE), "threaded round must quiesce");
-    }
+    plan.drive(&par, true);
     let elapsed = start.elapsed();
     let delivered = par.delivered();
     let undeliverable = par.undeliverable();
@@ -161,21 +174,14 @@ pub fn run_parallel_ingest(plan: &ParallelIngestPlan) -> ParallelIngestReport {
 
     // Verdicts: every ingested tuple present at its own node, and full
     // LDB equality against the control.
-    let mut lost_updates = 0u64;
-    let mut converged = true;
-    for (i, nc) in config.nodes.iter().enumerate() {
-        let threaded = &final_nodes[&nc.id];
-        let rel = Scenario::relation_of(i);
-        for round in 0..plan.rounds {
-            for k in 0..plan.inserts_per_node {
-                let t = ingest_tuple(plan, round, i, k);
-                if !threaded.ldb().get(&rel).is_some_and(|r| r.contains(&t)) {
-                    lost_updates += 1;
-                }
-            }
-        }
-        converged &= threaded.ldb() == sim.node(nc.id).ldb();
-    }
+    let lost_updates = (0..plan.rounds)
+        .flat_map(|round| plan.ingests(round))
+        .filter(|(node, relation, tuple)| {
+            !final_nodes[node].ldb().get(relation).is_some_and(|r| r.contains(tuple))
+        })
+        .count() as u64;
+    let converged =
+        config.nodes.iter().all(|nc| final_nodes[&nc.id].ldb() == sim.node(nc.id).ldb());
     let inserts = plan.rounds * nodes * plan.inserts_per_node;
     ParallelIngestReport {
         nodes,
@@ -205,19 +211,9 @@ pub struct ParallelCrashReport {
     pub post_restart_quiesced: bool,
 }
 
-/// Durable watermark captured per node the instant before the "crash"
-/// (the pool's no-drain shutdown).
-struct Watermark {
-    node: NodeId,
-    generation: u64,
-    durable_frames: u64,
-    durable_len: u64,
-    wal_path: std::path::PathBuf,
-}
-
 /// Host-crash durability on the threaded runtime: run the plan's ingest
-/// schedule persistent under `GroupCommit`, kill the whole pool mid-flight
-/// (no drain), chop every WAL's unsynced tail at a seeded point, restart
+/// schedule persistent under `GroupCommit`, wait for it to quiesce, stop
+/// the pool, chop every WAL's unsynced tail at a seeded point, restart
 /// from disk, and prove no acked record was lost. `data_root` must be a
 /// fresh directory.
 pub fn run_parallel_host_crash(
@@ -227,94 +223,55 @@ pub fn run_parallel_host_crash(
     let config = plan.scenario.build_config();
     let nodes = config.nodes.len() as u64;
     let policy = SyncPolicy::GroupCommit { max_batch: nodes, max_records: 8 * nodes };
-    let rt = RuntimeConfig {
-        workers: plan.workers,
-        mailbox_depth: plan.mailbox_depth,
-        ..RuntimeConfig::default()
+    let build = || {
+        ParallelCoDbNet::build_persistent(
+            config.clone(),
+            plan.runtime(),
+            threaded_settings(),
+            data_root,
+            policy,
+            Codec::Binary,
+        )
     };
 
-    // Phase 1: fresh persistent network, ingest + update, abrupt stop.
-    let (par, recovered) = ParallelCoDbNet::build_persistent(
-        config.clone(),
-        rt,
-        threaded_settings(),
-        data_root,
-        policy,
-        Codec::Binary,
-    )?;
+    // Phase 1: fresh persistent network, the whole schedule, then stop.
+    let (par, recovered) = build()?;
     assert!(
         recovered.iter().all(|(_, stats)| stats.is_none()),
         "data_root must be fresh (found recovered state)"
     );
-    for round in 0..plan.rounds {
-        for (i, nc) in config.nodes.iter().enumerate() {
-            let rel = Scenario::relation_of(i);
-            for k in 0..plan.inserts_per_node {
-                par.ingest(nc.id, &rel, ingest_tuple(plan, round, i, k));
-            }
-        }
-        par.start_update(plan.scenario.sink());
-    }
+    plan.drive(&par, false);
     // Let the workload make real durable progress (acked records to
-    // protect), then crash without draining: whatever the group-commit
-    // scheduler has not fsynced is exactly the tail at risk.
+    // protect) before the power goes: whatever the group-commit scheduler
+    // has not fsynced by then is exactly the tail at risk.
     assert!(par.await_quiescence(SETTLE, DEADLINE), "ingest phase must quiesce");
     let final_nodes = par.shutdown();
 
-    // Capture durable watermarks, then drop the store handles before
-    // touching the files.
-    let mut watermarks = Vec::with_capacity(final_nodes.len());
-    for (id, node) in &final_nodes {
-        let store = node.store().expect("persistent node has a store");
-        watermarks.push(Watermark {
-            node: *id,
-            generation: store.generation(),
-            durable_frames: store.durable_wal_records(),
-            durable_len: store.durable_wal_len(),
-            wal_path: store.wal_path().to_owned(),
-        });
-    }
+    // Capture durable watermarks, drop the store handles, cut the power.
+    let watermarks: Vec<(NodeId, AckedWatermark)> = final_nodes
+        .iter()
+        .map(|(id, node)| {
+            (*id, AckedWatermark::capture(node.store().expect("persistent node has a store")))
+        })
+        .collect();
     drop(final_nodes);
-
-    // Chop each WAL to a seeded point at or past its durable watermark —
-    // the unsynced tail a power cut would take with it.
     let mut rng = SmallRng::seed_from_u64(plan.seed.wrapping_mul(0xA076_1D64_78BD_642F));
-    for w in &watermarks {
-        let len = std::fs::metadata(&w.wal_path).expect("crashed WAL exists").len();
-        let unsynced = len.saturating_sub(w.durable_len);
-        let cut = w.durable_len + rng.gen_range(0..unsynced + 1);
-        if cut < len {
-            std::fs::OpenOptions::new()
-                .write(true)
-                .open(&w.wal_path)
-                .expect("reopen WAL for truncation")
-                .set_len(cut)
-                .expect("truncate WAL");
-        }
+    for (_, w) in &watermarks {
+        w.cut_power(&mut rng);
     }
 
     // Phase 2: rebuild from disk and verify the no-acked-loss guarantee.
-    let (par, recovered) = ParallelCoDbNet::build_persistent(
-        config.clone(),
-        rt,
-        threaded_settings(),
-        data_root,
-        policy,
-        Codec::Binary,
-    )?;
+    let (par, recovered) = build()?;
     let mut acked_records_checked = 0;
     let mut acked_records_preserved = true;
-    let mut recovered_nodes = 0;
-    for w in &watermarks {
+    for (node, w) in &watermarks {
         let stats = recovered
             .iter()
-            .find(|(id, _)| *id == w.node)
+            .find(|(id, _)| id == node)
             .and_then(|(_, s)| s.as_ref())
             .expect("crashed node recovers from disk");
-        recovered_nodes += 1;
         acked_records_checked += w.durable_frames;
-        acked_records_preserved &=
-            stats.generation == w.generation && stats.wal_records_replayed >= w.durable_frames;
+        acked_records_preserved &= w.survived(stats);
     }
 
     // The recovered network must still be a working network: one more
@@ -324,7 +281,7 @@ pub fn run_parallel_host_crash(
     par.shutdown();
 
     Ok(ParallelCrashReport {
-        recovered_nodes,
+        recovered_nodes: watermarks.len(),
         acked_records_checked,
         acked_records_preserved,
         post_restart_quiesced,

@@ -275,33 +275,17 @@ mod tests {
             let t = Topology::ScaleFree { n: 1000, m: 3, seed: 17 };
             // Lossy pipes exercise the RNG draw sequence as well.
             let pipe = PipeConfig::lan().with_loss(0.01);
-            let n = t.node_count();
-            let edges = t.edges();
-            let mut adj: Vec<Vec<PeerId>> = vec![Vec::new(); n];
-            for &(a, b) in &edges {
-                adj[a].push(PeerId(b as u64));
-                adj[b].push(PeerId(a as u64));
-            }
-            for list in &mut adj {
-                list.sort_unstable();
-                list.dedup();
-            }
-            let mut net = SimBuilder::new(SimConfig { seed, ..Default::default() })
-                .topology(&t, pipe)
-                .latency(LatencyModel::Jittered {
-                    base: SimTime::from_millis(5),
-                    jitter: SimTime::from_millis(2),
-                    seed: 23,
-                })
-                .spawn(|id| FloodPeer {
-                    neighbours: std::mem::take(&mut adj[id.0 as usize]),
-                    seen: Vec::new(),
-                    originate: if id.0 == 0 { 2 } else { 0 },
-                    advertise: false,
-                });
-            net.enable_trace();
-            net.run_until_quiescent();
-            (net.now(), net.events_processed(), net.stats(), net.trace().unwrap().to_vec())
+            let latency = LatencyModel::Jittered {
+                base: SimTime::from_millis(5),
+                jitter: SimTime::from_millis(2),
+                seed: 23,
+            };
+            let (tracer, recorded) = Tracer::ring(usize::MAX);
+            let report = run_flood_traced(&t, pipe, Some(latency), 2, seed, false, &tracer);
+            // The delivery list: phase markers carry host time.
+            let mut deliveries = recorded.lock().unwrap().events();
+            deliveries.retain(|(_, e)| matches!(e, codb_trace::TraceEvent::NetDeliver { .. }));
+            (report.sim_time, report.events, report.stats, deliveries)
         };
         let a = run(42);
         let b = run(42);

@@ -89,9 +89,8 @@ pub mod prelude {
         read_trace_file, FileRecorder, RingRecorder, Summary, TraceEvent, TraceFile, Tracer,
     };
     pub use codb_workload::{
-        run_crash_restart, run_fault_plan, run_fault_plan_differential, CodecDifferentialReport,
-        CrashRestartPlan, CrashRestartReport, DataDist, FaultPlan, FaultPlanReport, RuleStyle,
-        Scenario, Topology,
+        run_fault_plan, run_fault_plan_differential, CodecDifferentialReport, DataDist, FaultPlan,
+        FaultPlanReport, RuleStyle, Scenario, Topology,
     };
 }
 

@@ -8,20 +8,22 @@ use codb::prelude::*;
 use codb::store::ScratchDir;
 
 /// The headline acceptance scenario: kill a chain node mid-flood, recover
-/// from disk, verify exact (instance + null factory) equality with a
-/// control node after reconvergence.
+/// from disk, verify exact (instance + null factory) equality with the
+/// control at every node — the victim included — after reconvergence.
 #[test]
 fn crashed_node_recovers_exactly_and_reconverges() {
     let tmp = ScratchDir::new("durability-accept");
     let scenario = Scenario { tuples_per_node: 30, ..Scenario::quick(Topology::Chain(5)) };
-    let plan = CrashRestartPlan::new(scenario, NodeId(2));
-    let report = run_crash_restart(&plan, tmp.path()).unwrap();
-    assert!(report.killed_mid_update, "kill must land mid-update: {report:?}");
-    assert!(report.instances_equal, "instance equality: {report:?}");
-    assert!(report.factories_equal, "null-factory equality: {report:?}");
-    assert!(report.all_nodes_equal, "whole-network fixpoint: {report:?}");
+    let plan = FaultPlan::single_crash(scenario, NodeId(2), None, scenario.sink());
+    let report = run_fault_plan(&plan, tmp.path()).unwrap();
+    assert_eq!(report.crashed_in_flight, [true], "kill must land mid-update: {report:?}");
+    assert_eq!(report.nodes_equal, report.nodes, "whole-network fixpoint: {report:?}");
+    assert_eq!(report.factories_equal, report.nodes, "null-factory equality: {report:?}");
+    assert!(report.converged, "oracle fixpoint: {report:?}");
+    let restart = report.restarts[0];
+    assert_eq!(restart.node, NodeId(2), "{report:?}");
     assert!(
-        report.victim_tuples_final >= report.victim_tuples_at_recovery,
+        restart.tuples_final >= restart.tuples_at_recovery,
         "reconvergence only adds: {report:?}"
     );
 }
@@ -36,17 +38,16 @@ fn recovered_initiator_rejoins_first_class_with_incremental_updates() {
     let tmp = ScratchDir::new("durability-rejoin");
     let scenario = Scenario { tuples_per_node: 25, ..Scenario::quick(Topology::Chain(4)) };
     let victim = scenario.sink();
-    let plan =
-        CrashRestartPlan { recovered_initiates: true, ..CrashRestartPlan::new(scenario, victim) };
-    assert!(plan.incremental_updates, "incremental updates are the default");
-    let report = run_crash_restart(&plan, tmp.path()).unwrap();
-    assert!(report.killed_mid_update, "{report:?}");
+    let plan = FaultPlan::single_crash(scenario, victim, None, victim);
+    let report = run_fault_plan(&plan, tmp.path()).unwrap();
+    assert_eq!(report.crashed_in_flight, [true], "{report:?}");
     assert!(report.rejoin_messages >= 2, "handshake must run: {report:?}");
-    assert_eq!(report.reconverge_origin, victim, "{report:?}");
-    assert_eq!(report.recovered_update.epoch, report.victim_epoch, "{report:?}");
-    assert!(report.recovered_update.seq >= 1, "counters resumed: {report:?}");
-    assert!(report.recovered_exactly(), "{report:?}");
-    assert!(report.all_nodes_equal, "{report:?}");
+    let recovered_update = report.updates[1].update.expect("the second round ran");
+    assert_eq!(recovered_update.origin, victim, "{report:?}");
+    assert_eq!(recovered_update.epoch, report.restarts[0].recovery.epoch, "{report:?}");
+    assert!(recovered_update.seq >= 1, "counters resumed: {report:?}");
+    assert_eq!(report.nodes_equal, report.nodes, "{report:?}");
+    assert_eq!(report.factories_equal, report.nodes, "{report:?}");
 }
 
 /// Seeded fault-injection schedules reconverge: the system-level pin of
@@ -120,10 +121,10 @@ fn glav_crash_recovery_is_isomorphic_with_equal_factories() {
         tuples_per_node: 15,
         ..Scenario::quick(Topology::Chain(4))
     };
-    let plan = CrashRestartPlan::new(scenario, NodeId(1));
-    let report = run_crash_restart(&plan, tmp.path()).unwrap();
-    assert!(report.isomorphic, "{report:?}");
-    assert!(report.factories_equal, "{report:?}");
+    let plan = FaultPlan::single_crash(scenario, NodeId(1), None, scenario.sink());
+    let report = run_fault_plan(&plan, tmp.path()).unwrap();
+    assert_eq!(report.nodes_isomorphic, report.nodes, "{report:?}");
+    assert_eq!(report.factories_equal, report.nodes, "{report:?}");
 }
 
 /// Persistence survives a full process-style lifecycle driven through the
@@ -271,4 +272,31 @@ fn restart_from_empty_dir_is_refused() {
         )
         .unwrap_err();
     assert!(matches!(err, StoreError::NoState { .. }), "{err}");
+}
+
+/// Restarting a node that is still alive is refused before its store is
+/// opened: a second open would bump the directory's epoch and put a
+/// second writer on the live node's WAL, and `add_peer` would then
+/// silently replace the live peer.
+#[test]
+fn restarting_a_live_node_is_refused_before_its_store_is_opened() {
+    let tmp = ScratchDir::new("durability-live-restart");
+    let scenario = Scenario { tuples_per_node: 5, ..Scenario::quick(Topology::Chain(2)) };
+    let mut net = CoDbNetwork::build(scenario.build_config(), SimConfig::default()).unwrap();
+    net.open_persistence_all(tmp.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+    let dir = CoDbNetwork::node_data_dir(tmp.path(), "node0");
+
+    let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        net.restart_node_from_disk_live(NodeId(0), &dir, SyncPolicy::Always, Codec::Binary)
+    }));
+    assert!(refused.is_err(), "a live node must not be restarted over");
+    assert_eq!(net.node(NodeId(0)).epoch(), 0, "the live incarnation is untouched");
+    net.run_update(scenario.sink());
+
+    // Once it has crashed the restart goes through — as incarnation 1,
+    // so the refused call never opened the store.
+    assert!(net.crash_node(NodeId(0)));
+    let stats =
+        net.restart_node_from_disk(NodeId(0), &dir, SyncPolicy::Always, Codec::Binary).unwrap();
+    assert_eq!(stats.epoch, 1, "{stats:?}");
 }

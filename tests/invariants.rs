@@ -7,6 +7,7 @@ use codb::core::NodeId;
 use codb::prelude::*;
 use codb::relational::eval::evaluate_body_reference;
 use codb::relational::{apply_firings, evaluate_body, GlavRule, Instance, NullFactory, RuleFiring};
+use codb::workload::oracle::chase_naive;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -14,51 +15,6 @@ use std::collections::{BTreeMap, BTreeSet};
 /// with a CI-friendly default.
 fn cases(default: u32) -> u32 {
     std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-// ---------------------------------------------------------------------
-// Centralized chase oracle: apply all rules round-robin until fixpoint,
-// with the same firing-level dedup the nodes use.
-// ---------------------------------------------------------------------
-
-fn central_chase(config: &NetworkConfig, max_rounds: usize) -> BTreeMap<NodeId, Instance> {
-    let mut instances: BTreeMap<NodeId, Instance> = config
-        .nodes
-        .iter()
-        .map(|n| {
-            let mut inst = Instance::with_schema(&n.schema);
-            for (rel, t) in &n.data {
-                inst.insert(rel, t.clone()).unwrap();
-            }
-            (n.id, inst)
-        })
-        .collect();
-    let mut fired: BTreeMap<String, BTreeSet<RuleFiring>> = BTreeMap::new();
-    let mut nulls = NullFactory::new(u64::MAX - 1);
-    for _ in 0..max_rounds {
-        let mut changed = false;
-        for rule in &config.rules {
-            let firings: Vec<RuleFiring> = rule
-                .rule
-                .fire(&instances[&rule.source])
-                .unwrap()
-                .into_iter()
-                .filter(|f| fired.entry(rule.name().to_owned()).or_default().insert(f.clone()))
-                .collect();
-            if firings.is_empty() {
-                continue;
-            }
-            let target = instances.get_mut(&rule.target).unwrap();
-            let deltas = apply_firings(target, &firings, &mut nulls).unwrap();
-            if !deltas.is_empty() {
-                changed = true;
-            }
-        }
-        if !changed {
-            return instances;
-        }
-    }
-    panic!("central chase did not converge within {max_rounds} rounds");
 }
 
 /// Canonical rendering of an instance with every marked null collapsed to
@@ -135,7 +91,7 @@ proptest! {
             seed,
         };
         let config = scenario.build_config();
-        let oracle = central_chase(&config, 10_000);
+        let oracle = chase_naive(&config).instances;
         let distributed = run_distributed(&config, SimConfig::default(), scenario.sink());
         for node in config.node_ids() {
             prop_assert_eq!(
@@ -407,23 +363,6 @@ mod relational_props {
             let _ = d1;
         }
     }
-}
-
-#[test]
-fn central_chase_smoke() {
-    let scenario = Scenario {
-        topology: Topology::Ring(3),
-        tuples_per_node: 4,
-        rule_style: RuleStyle::CopyGav,
-        dist: DataDist::Uniform { domain: 100 },
-        seed: 3,
-    };
-    let config = scenario.build_config();
-    let oracle = central_chase(&config, 1000);
-    // Ring of copies: every node holds the union (12 tuples, barring
-    // collisions which the 100-domain may produce).
-    let count = oracle[&NodeId(0)].get("r0").unwrap().len();
-    assert!((10..=12).contains(&count), "got {count}");
 }
 
 // ---------------------------------------------------------------------
