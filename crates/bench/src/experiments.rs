@@ -6,25 +6,24 @@
 //! paper's statistics module would report: total update execution time
 //! (simulated), message counts and volumes per coordination rule, longest
 //! update propagation path, and the query-time vs materialised trade-off.
-//! Host (wall-clock) time is reported alongside; the numbers that gate a
-//! PR come from `benchmark/`, not from here.
+//! Every cell is a function of the experiment's seeds — no host clock is
+//! read here, so `exp all --json` is byte-identical from run to run and is
+//! committed as `docs/EXPERIMENTS.json`. Host time is `benchmark/`'s job.
 
 use crate::table::Table;
 use codb_core::{CoDbNetwork, NodeSettings, UpdateOutcome};
 use codb_net::{PipeConfig, SimConfig, SimTime};
 use codb_relational::{Instance, NullFactory, RuleFiring};
 use codb_workload::oracle::{chase_naive, chase_seminaive};
-use codb_workload::{DataDist, ParallelIngestPlan, RuleStyle, Scenario, Topology};
-use std::time::{Duration, Instant};
+use codb_workload::{DataDist, RuleStyle, Scenario, Topology};
 
-/// Builds and runs one update for `scenario`; returns the outcome, the
-/// host time spent, and the network (for further inspection).
-pub fn run_update(scenario: &Scenario) -> (UpdateOutcome, Duration, CoDbNetwork) {
-    let config = scenario.build_config();
-    let t0 = Instant::now();
-    let mut net = CoDbNetwork::build(config, SimConfig::default()).expect("valid scenario");
+/// Builds and runs one update for `scenario`; returns the outcome and the
+/// network (for further inspection).
+fn run_update(scenario: &Scenario) -> (UpdateOutcome, CoDbNetwork) {
+    let mut net =
+        CoDbNetwork::build(scenario.build_config(), SimConfig::default()).expect("valid scenario");
     let outcome = net.run_update(scenario.sink());
-    (outcome, t0.elapsed(), net)
+    (outcome, net)
 }
 
 fn scenario(topology: Topology, tuples: usize) -> Scenario {
@@ -37,26 +36,21 @@ fn scenario(topology: Topology, tuples: usize) -> Scenario {
     }
 }
 
-fn ms(d: Duration) -> String {
-    format!("{:.1}", d.as_secs_f64() * 1e3)
-}
-
 /// E1 — global update total execution time vs network size (chain).
 fn e1() -> Table {
     let mut t = Table::new(
         "E1 — update time vs network size (chain, 200 tuples/node)",
-        &["n", "sim total", "data msgs", "data bytes", "tuples added", "host ms"],
+        &["n", "sim total", "data msgs", "data bytes", "tuples added"],
     );
     for n in [2usize, 4, 8, 16, 32, 48] {
         let s = scenario(Topology::Chain(n), 200);
-        let (o, host, _) = run_update(&s);
+        let (o, _) = run_update(&s);
         t.row(vec![
             n.to_string(),
             o.summary.total_time.to_string(),
             o.summary.data_messages.to_string(),
             o.summary.data_bytes.to_string(),
             o.summary.tuples_added.to_string(),
-            ms(host),
         ]);
     }
     t
@@ -66,7 +60,7 @@ fn e1() -> Table {
 fn e2() -> Table {
     let mut t = Table::new(
         "E2 — update time vs topology (~15 nodes, 100 tuples/node)",
-        &["topology", "nodes", "sim total", "data msgs", "longest path", "closed early", "host ms"],
+        &["topology", "nodes", "sim total", "data msgs", "longest path", "closed early"],
     );
     for topo in [
         Topology::Chain(15),
@@ -77,7 +71,7 @@ fn e2() -> Table {
         Topology::RandomDag { n: 15, p_percent: 20, seed: 5 },
     ] {
         let s = scenario(topo, 100);
-        let (o, host, _) = run_update(&s);
+        let (o, _) = run_update(&s);
         t.row(vec![
             topo.to_string(),
             topo.node_count().to_string(),
@@ -85,7 +79,6 @@ fn e2() -> Table {
             o.summary.data_messages.to_string(),
             o.summary.longest_path.to_string(),
             o.summary.closed_early.to_string(),
-            ms(host),
         ]);
     }
     t
@@ -99,7 +92,7 @@ fn e3() -> Table {
         &["rule", "messages", "firings", "bytes", "bytes/msg"],
     );
     let s = scenario(Topology::Chain(8), 500);
-    let (o, _, _) = run_update(&s);
+    let (o, _) = run_update(&s);
     for (rule, traffic) in &o.summary.per_rule {
         t.row(vec![
             rule.clone(),
@@ -130,7 +123,7 @@ fn e4() -> Table {
         Topology::Star { leaves: 8 },
     ] {
         let s = scenario(topo, 50);
-        let (o, _, _) = run_update(&s);
+        let (o, _) = run_update(&s);
         t.row(vec![
             topo.to_string(),
             topo.depth_to_sink().to_string(),
@@ -193,11 +186,11 @@ fn e5() -> Table {
 fn e6() -> Table {
     let mut t = Table::new(
         "E6 — cyclic rules (ring, 50 tuples/node): fixpoint cost vs cycle length",
-        &["n", "sim total", "data msgs", "longest path", "tuples/node at fixpoint", "host ms"],
+        &["n", "sim total", "data msgs", "longest path", "tuples/node at fixpoint"],
     );
     for n in [2usize, 4, 8, 16, 24] {
         let s = scenario(Topology::Ring(n), 50);
-        let (o, host, net) = run_update(&s);
+        let (o, net) = run_update(&s);
         let per_node = net
             .node(s.sink())
             .ldb()
@@ -210,7 +203,6 @@ fn e6() -> Table {
             o.summary.data_messages.to_string(),
             o.summary.longest_path.to_string(),
             per_node.to_string(),
-            ms(host),
         ]);
     }
     t
@@ -265,17 +257,16 @@ fn e7() -> Table {
 fn e8() -> Table {
     let mut t = Table::new(
         "E8 — update cost vs data volume (chain-8)",
-        &["tuples/node", "sim total", "data msgs", "data bytes", "host ms"],
+        &["tuples/node", "sim total", "data msgs", "data bytes"],
     );
     for tuples in [100usize, 500, 2_000, 10_000] {
         let s = scenario(Topology::Chain(8), tuples);
-        let (o, host, _) = run_update(&s);
+        let (o, _) = run_update(&s);
         t.row(vec![
             tuples.to_string(),
             o.summary.total_time.to_string(),
             o.summary.data_messages.to_string(),
             o.summary.data_bytes.to_string(),
-            ms(host),
         ]);
     }
     t
@@ -286,7 +277,7 @@ fn e8() -> Table {
 fn e9() -> Table {
     let mut t = Table::new(
         "E9 — rule-style ablation (chain-8, 1000 tuples/node)",
-        &["style", "tuples added", "data bytes", "nulls at sink", "host ms"],
+        &["style", "tuples added", "data bytes", "nulls at sink"],
     );
     for (name, style) in [
         ("copy-GAV", RuleStyle::CopyGav),
@@ -294,7 +285,7 @@ fn e9() -> Table {
         ("project-GLAV", RuleStyle::ProjectGlav),
     ] {
         let s = Scenario { rule_style: style, ..scenario(Topology::Chain(8), 1000) };
-        let (o, host, net) = run_update(&s);
+        let (o, net) = run_update(&s);
         let sink_rel = Scenario::relation_of(s.topology.sink());
         let nulls = net
             .node(s.sink())
@@ -309,7 +300,6 @@ fn e9() -> Table {
             o.summary.tuples_added.to_string(),
             o.summary.data_bytes.to_string(),
             nulls.to_string(),
-            ms(host),
         ]);
     }
     t
@@ -324,72 +314,22 @@ fn e9() -> Table {
 fn e10() -> Table {
     let mut t = Table::new(
         "E10 — delta ablation: naive vs semi-naive chase (500 tuples/node)",
-        &[
-            "topology",
-            "naive derivations",
-            "semi-naive derivations",
-            "ratio",
-            "naive ms",
-            "semi-naive ms",
-        ],
+        &["topology", "naive derivations", "semi-naive derivations", "ratio"],
     );
     for topo in
         [Topology::Chain(8), Topology::Ring(4), Topology::Ring(8), Topology::Grid { w: 3, h: 3 }]
     {
         let s = scenario(topo, 500);
         let config = s.build_config();
-        let t0 = Instant::now();
         let nd = chase_naive(&config).derivations;
-        let nt = t0.elapsed();
-        let t0 = Instant::now();
         let sd = chase_seminaive(&config).derivations;
-        let st = t0.elapsed();
         t.row(vec![
             topo.to_string(),
             nd.to_string(),
             sd.to_string(),
             format!("{:.2}x", nd as f64 / sd.max(1) as f64),
-            ms(nt),
-            ms(st),
         ]);
     }
-    t
-}
-
-/// E11 — relational micro-benchmarks (single numbers).
-fn e11() -> Table {
-    use codb_relational::{parse_query, tup, RelationSchema, ValueType};
-    let mut t = Table::new(
-        "E11 — relational engine micro-measurements",
-        &["operation", "input size", "host ms"],
-    );
-    // Join of two 10k-tuple relations via the index path.
-    let mut inst = Instance::new();
-    inst.add_relation(RelationSchema::with_types("a", &[ValueType::Int, ValueType::Int]));
-    inst.add_relation(RelationSchema::with_types("b", &[ValueType::Int, ValueType::Int]));
-    for k in 0..10_000i64 {
-        inst.insert("a", tup![k, k + 1]).unwrap();
-        inst.insert("b", tup![k + 1, k + 2]).unwrap();
-    }
-    let q = parse_query("ans(X, Z) :- a(X, Y), b(Y, Z).").unwrap();
-    let t0 = Instant::now();
-    let answers = codb_relational::answer_query(&q, &inst).unwrap();
-    t.row(vec!["hash-join 10k x 10k".into(), answers.len().to_string(), ms(t0.elapsed())]);
-
-    // Dedup insert of 100k tuples (50% duplicates).
-    let mut rel =
-        codb_relational::Relation::new(RelationSchema::with_types("r", &[ValueType::Int]));
-    let t0 = Instant::now();
-    for k in 0..100_000i64 {
-        rel.insert(tup![k % 50_000]).unwrap();
-    }
-    t.row(vec!["dedup insert 100k (50% dup)".into(), rel.len().to_string(), ms(t0.elapsed())]);
-
-    // Rule firing over 10k tuples.
-    let rule = codb_relational::parse_rule("t(X, Y) <- a(X, Y), Y > 5000.").unwrap();
-    let t0 = Instant::now();
-    let firings = rule.fire(&inst).unwrap();
-    t.row(vec!["rule fire (filter) 10k".into(), firings.len().to_string(), ms(t0.elapsed())]);
     t
 }
 
@@ -472,7 +412,7 @@ fn e13() -> Table {
 fn e14() -> Table {
     let mut t = Table::new(
         "E14 — join-body rules vs copy rules (chain-6, 500 tuples/node)",
-        &["style", "sim total", "data msgs", "tuples added", "host ms"],
+        &["style", "sim total", "data msgs", "tuples added"],
     );
     for (name, style) in [
         ("copy", RuleStyle::CopyGav),
@@ -480,13 +420,12 @@ fn e14() -> Table {
         ("join (domain 256)", RuleStyle::JoinGav { join_domain: 256 }),
     ] {
         let s = Scenario { rule_style: style, ..scenario(Topology::Chain(6), 500) };
-        let (o, host, _) = run_update(&s);
+        let (o, _) = run_update(&s);
         t.row(vec![
             name.to_string(),
             o.summary.total_time.to_string(),
             o.summary.data_messages.to_string(),
             o.summary.tuples_added.to_string(),
-            ms(host),
         ]);
     }
     t
@@ -551,11 +490,12 @@ fn e16() -> Table {
 /// synthetic: a node applies 1000 firing batches through a
 /// [`codb_store::Store`] in the row's codec; the table reports the
 /// on-disk footprint (snapshot + WAL bytes of the surviving generation)
-/// and the recovery time/rate — recovery replays whatever the last
-/// checkpoint did not compact, and must reproduce the live state exactly
+/// and the records recovery replays — whatever the last checkpoint did
+/// not compact — and recovery must reproduce the live state exactly
 /// (asserted — an end-to-end format check). Comparing a `json` row with
 /// its `binary` twin isolates the encoding: same records, same
-/// generations, smaller files and faster loads. The last column composes
+/// generations, smaller files (how much faster they load is
+/// `store.open_ms_p50` in `benchmark/`). The rejoin half composes
 /// durability with incremental propagation (the E15 axis): a chain-4
 /// network with `incremental_updates: true` crashes a node mid-update
 /// (checkpointing it at a cadence matching the row, stores in the row's
@@ -584,13 +524,10 @@ fn e17() -> Table {
             "wal records",
             "snap bytes",
             "wal bytes",
-            "recover ms",
-            "records/s",
             "tuples",
             "victim ckpt (events)",
             "rejoin cost (msgs)",
             "barrier cost (msgs)",
-            "ingest/recover ms (traced)",
         ],
     );
     const BATCHES: u64 = 1000;
@@ -598,7 +535,6 @@ fn e17() -> Table {
     for codec in [Codec::Json, Codec::Binary] {
         for interval in [0u64, 250, 50, 10] {
             let dir = ScratchDir::new("e17");
-            let (tracer, phases) = crate::phases::PhaseRecorder::tracer();
             let mut inst = Instance::new();
             inst.add_relation(RelationSchema::with_types("r", &[ValueType::Int, ValueType::Int]));
             let mut nulls = NullFactory::new(7);
@@ -612,8 +548,6 @@ fn e17() -> Table {
                 codec,
             )
             .unwrap();
-            store.attach_tracer(&tracer);
-            tracer.phase_begin("ingest");
             for b in 0..BATCHES {
                 let firings: Vec<RuleFiring> = (0..PER_BATCH)
                     .map(|k| RuleFiring {
@@ -644,7 +578,6 @@ fn e17() -> Table {
                 }
             }
             store.sync().unwrap();
-            tracer.phase_end("ingest");
             let generations = store.generation() + 1;
             let wal_records = store.wal_records();
             drop(store);
@@ -652,15 +585,10 @@ fn e17() -> Table {
             // size lever, straight from the filesystem.
             let (snap_bytes, wal_bytes) = dir_footprint(dir.path());
 
-            let t0 = Instant::now();
-            let (_reopened, rec) = tracer
-                .phase("recover", || Store::open(dir.path(), SyncPolicy::Never, codec))
-                .unwrap();
-            let elapsed = t0.elapsed();
+            let (_reopened, rec) = Store::open(dir.path(), SyncPolicy::Never, codec).unwrap();
             assert_eq!(rec.instance, inst, "recovery must reproduce the live state");
             assert_eq!(rec.nulls.invented(), nulls.invented());
             assert_eq!(rec.snapshot_codec, codec, "the store is end-to-end in the row's codec");
-            let rate = rec.wal_records_replayed as f64 / elapsed.as_secs_f64().max(1e-9);
 
             // Rejoin cost at an analogous checkpoint cadence. The units
             // differ deliberately and each gets its own column: the
@@ -687,20 +615,10 @@ fn e17() -> Table {
                 wal_records.to_string(),
                 snap_bytes.to_string(),
                 wal_bytes.to_string(),
-                ms(elapsed),
-                format!("{rate:.0}"),
                 rec.instance.tuple_count().to_string(),
                 victim_ckpt.map_or("never".to_owned(), |e| e.to_string()),
                 report.rejoin_cost_messages().to_string(),
                 report.barrier_cost_messages().to_string(),
-                {
-                    let s = crate::phases::phase_summary(&phases);
-                    format!(
-                        "{}/{}",
-                        crate::phases::phase_ms(&s, "ingest"),
-                        crate::phases::phase_ms(&s, "recover")
-                    )
-                },
             ]);
         }
     }
@@ -710,13 +628,13 @@ fn e17() -> Table {
 /// One E18 measurement: a many-node single-host ingest driven through a
 /// [`CoDbNetwork`] whose nodes persist under `policy`, with `total`
 /// local inserts distributed per `workload`. Returns
-/// `(wal_records, fsyncs, acked, host_time)`.
+/// `(wal_records, fsyncs, acked)`.
 fn e18_run(
     nodes: usize,
     workload: E18Workload,
     policy: codb_store::SyncPolicy,
     total: u64,
-) -> (u64, u64, u64, Duration) {
+) -> (u64, u64, u64) {
     use codb_core::NodeId;
     use codb_store::{Codec, ScratchDir};
     use codb_workload::Topology;
@@ -726,7 +644,6 @@ fn e18_run(
     let mut net = CoDbNetwork::build(s.build_config(), SimConfig::default()).unwrap();
     net.open_persistence_all(dir.path(), policy, Codec::Binary).unwrap();
 
-    let t0 = Instant::now();
     for k in 0..total {
         // The write target: round-robin spreads every consecutive record
         // to a different store (the scheduler's worst case — drains find
@@ -743,7 +660,6 @@ fn e18_run(
             .insert_local(&rel, codb_relational::tup![k as i64, target as i64])
             .expect("schema accepts (int, int)");
     }
-    let host = t0.elapsed();
 
     let ids: Vec<NodeId> = (0..nodes as u64).map(NodeId).collect();
     let records: u64 = ids.iter().map(|&id| net.node(id).store().unwrap().wal_records()).sum();
@@ -753,7 +669,7 @@ fn e18_run(
     // shared group-commit drains are counted once, by the scheduler.
     let writer_fsyncs: u64 = ids.iter().map(|&id| net.node(id).store().unwrap().wal_fsyncs()).sum();
     let sched_fsyncs = net.fsync_scheduler().map_or(0, |s| s.stats().fsyncs);
-    (records, writer_fsyncs + sched_fsyncs, acked, host)
+    (records, writer_fsyncs + sched_fsyncs, acked)
 }
 
 /// How E18 distributes its inserts across the host's stores.
@@ -798,16 +714,7 @@ fn e18() -> Table {
     let mut t = Table::new(
         "E18 — shared group-commit fsync scheduler vs per-node policies (single host, 1920 \
          inserts; group window = 8×nodes records)",
-        &[
-            "workload",
-            "nodes",
-            "policy",
-            "wal records",
-            "fsyncs",
-            "records/fsync",
-            "acked at end",
-            "host ms",
-        ],
+        &["workload", "nodes", "policy", "wal records", "fsyncs", "records/fsync", "acked at end"],
     );
     const TOTAL: u64 = 1920;
     const BURST: u64 = 32;
@@ -822,7 +729,7 @@ fn e18() -> Table {
             ];
             let mut fsyncs_by_policy = Vec::new();
             for (label, policy) in policies {
-                let (records, fsyncs, acked, host) = e18_run(nodes, workload, policy, TOTAL);
+                let (records, fsyncs, acked) = e18_run(nodes, workload, policy, TOTAL);
                 fsyncs_by_policy.push(fsyncs);
                 t.row(vec![
                     workload.to_string(),
@@ -832,7 +739,6 @@ fn e18() -> Table {
                     fsyncs.to_string(),
                     format!("{:.1}", records as f64 / fsyncs.max(1) as f64),
                     acked.to_string(),
-                    ms(host),
                 ]);
             }
             // The acceptance bar, enforced on every run of this table.
@@ -874,48 +780,39 @@ fn e18() -> Table {
         "-".into(),
         "-".into(),
         "all preserved".into(),
-        "-".into(),
     ]);
     t
 }
 
-/// One E19 row: floods `waves` waves over `topology` (every peer
-/// publishing an advertisement first, with `advertise`) and reports the
-/// simulator's throughput.
+/// One E19 row: floods two waves over `topology` (every peer publishing
+/// an advertisement first, with `advertise`) and reports the schedule.
 fn e19_row(
     t: &mut Table,
     label: &str,
     topology: &Topology,
     latency: Option<codb_net::LatencyModel>,
-    waves: u32,
     advertise: bool,
 ) -> codb_workload::FloodReport {
-    let (tracer, phases) = crate::phases::PhaseRecorder::tracer();
-    let report = codb_workload::run_flood_traced(
+    let report = codb_workload::run_flood(
         topology,
         PipeConfig::lan(),
         latency,
-        waves,
+        2,
         0xE19,
         advertise,
-        &tracer,
+        &codb_net::Tracer::disabled(),
     );
     assert_eq!(
         report.reached, report.nodes,
         "E19 acceptance: the flood must reach every node of {label}"
     );
-    let summary = crate::phases::phase_summary(&phases);
     t.row(vec![
         label.to_string(),
         report.nodes.to_string(),
         report.edges.to_string(),
         report.messages.to_string(),
         report.events.to_string(),
-        format!("{:.0}k", report.events_per_sec() / 1e3),
         report.sim_time.to_string(),
-        format!("{:.1}", report.host_ms),
-        crate::phases::phase_ms(&summary, "build"),
-        crate::phases::phase_ms(&summary, "flood"),
     ]);
     t.pipe_totals(label, &report.stats, 8);
     report
@@ -923,265 +820,45 @@ fn e19_row(
 
 /// E19 — simulator scalability: node-count sweep over chain, scale-free
 /// and geo-placed topologies, flooding gossip waves to quiescence. The
-/// subject under measurement is the simulator hot path itself (calendar
-/// event queue + pipe arena), not the database protocol — the flood's
-/// message complexity is known in closed form (`waves × 2 × edges`), so
-/// events/sec isolates event-loop cost. The geo rows derive per-link
-/// latency from great-circle distance between seeded lat/long
-/// placements; that reshapes the *time* axis (intercontinental hops
-/// dominate) while leaving the message complexity untouched.
+/// subject is the simulator itself (calendar event queue + pipe arena),
+/// not the database protocol — the flood's message complexity is known
+/// in closed form (`waves × 2 × edges`), so the table pins the schedule
+/// the event loop must produce at each size; what that schedule costs
+/// per event is `net.us_per_event` in `benchmark/`. The `+ads` row
+/// repeats a flood with every peer advertised, as every coDB node is:
+/// the flood never reads the board, so its schedule must not move. The
+/// geo rows derive per-link latency from great-circle distance between
+/// seeded lat/long placements; that reshapes the *time* axis
+/// (intercontinental hops dominate) while leaving the message complexity
+/// untouched.
 fn e19() -> Table {
-    let mut t = e19_table();
-    for n in [100usize, 1_000, 10_000] {
-        e19_row(&mut t, &format!("chain-{n}"), &Topology::Chain(n), None, 2, false);
-    }
-    for n in [100usize, 1_000, 10_000] {
-        let topo = Topology::ScaleFree { n, m: 3, seed: 0x5CA1E };
-        e19_row(&mut t, &topo.to_string(), &topo, None, 2, false);
-    }
-    let rg = Topology::RingGradient { n: 4_096, chords: 6 };
-    e19_row(&mut t, &rg.to_string(), &rg, None, 2, false);
-    for n in [1_000usize, 10_000] {
-        let topo = Topology::ScaleFree { n, m: 3, seed: 0x5CA1E };
-        e19_row(
-            &mut t,
-            &format!("{topo}+geo"),
-            &topo,
-            Some(codb_net::LatencyModel::geo_scattered(0x6E0, n)),
-            2,
-            false,
-        );
-    }
-    t
-}
-
-/// The E19 acceptance smoke (`exp e19-quick`, run in CI): a 100 → 10k
-/// chain sweep plus one scale-free, one advertising and one geo row,
-/// asserting the 10k-node chain reaches quiescence within the 10 s budget
-/// and that a full advertisement board costs the event loop next to
-/// nothing.
-fn e19_quick() -> Table {
-    let mut t = e19_table();
-    for n in [100usize, 1_000, 10_000] {
-        let report = e19_row(&mut t, &format!("chain-{n}"), &Topology::Chain(n), None, 1, false);
-        if n == 10_000 {
-            assert!(
-                report.host_ms < 10_000.0,
-                "E19 acceptance: 10k-node chain must reach quiescence in under 10s, took \
-                 {:.0} ms",
-                report.host_ms
-            );
-        }
-    }
-    let sf = Topology::ScaleFree { n: 1_000, m: 3, seed: 0x5CA1E };
-    let plain = e19_row(&mut t, &sf.to_string(), &sf, None, 1, false);
-    // The same flood with every peer advertised, as every coDB node is.
-    // The flood does not read the board, so the schedule is the plain
-    // row's; the bound is relative to that row because what it guards —
-    // dispatch cost growing with the board — showed up as ~100x, while an
-    // absolute budget would only measure the host.
-    let ads = e19_row(&mut t, &format!("{sf}+ads"), &sf, None, 1, true);
-    assert_eq!(
-        (ads.messages, ads.events),
-        (plain.messages, plain.events),
-        "E19 acceptance: advertising must not change the flood's schedule"
-    );
-    let best_ms = |advertise| {
-        let run = || {
-            codb_workload::run_flood_traced(
-                &sf,
-                PipeConfig::lan(),
-                None,
-                1,
-                0xE19,
-                advertise,
-                &codb_net::Tracer::disabled(),
-            )
-        };
-        (0..3).map(|_| run().host_ms).fold(f64::INFINITY, f64::min)
-    };
-    let (plain_ms, ads_ms) = (best_ms(false), best_ms(true));
-    assert!(
-        ads_ms <= 3.0 * plain_ms,
-        "E19 acceptance: 1k advertised peers must flood within 3x of the plain run, took \
-         {ads_ms:.1} ms against {plain_ms:.1} ms"
-    );
-    e19_row(
-        &mut t,
-        &format!("{sf}+geo"),
-        &sf,
-        Some(codb_net::LatencyModel::geo_scattered(0x6E0, 1_000)),
-        1,
-        false,
-    );
-    t
-}
-
-fn e19_table() -> Table {
-    Table::new(
+    let mut t = Table::new(
         "E19 — simulator scalability: flood waves to quiescence (LAN pipes; geo rows use \
          great-circle latency)",
-        &[
-            "topology",
-            "nodes",
-            "edges",
-            "messages",
-            "events",
-            "events/s",
-            "sim total",
-            "host ms",
-            "build ms",
-            "flood ms",
-        ],
-    )
-}
-
-/// One E20 cell: the sustained-ingest workload at a node/worker count.
-fn e20_plan(nodes: usize, workers: usize, inserts: usize, rounds: usize) -> ParallelIngestPlan {
-    ParallelIngestPlan {
-        scenario: Scenario {
-            topology: Topology::Chain(nodes),
-            tuples_per_node: 5,
-            rule_style: RuleStyle::CopyGav,
-            dist: DataDist::Uniform { domain: 1 << 40 },
-            seed: 0xE20,
-        },
-        workers,
-        mailbox_depth: 256,
-        inserts_per_node: inserts,
-        rounds,
-        seed: 0xE20,
-    }
-}
-
-fn e20_table() -> Table {
-    Table::new(
-        "E20 — sustained ingest on the sharded threaded runtime (chain, mailbox depth 256; \
-         every cell checked against the simulator fixpoint)",
-        &[
-            "nodes",
-            "workers",
-            "inserts",
-            "updates/s",
-            "speedup vs 1w",
-            "mailbox peak",
-            "undeliv",
-            "lost",
-            "host ms",
-        ],
-    )
-}
-
-/// Runs one E20 cell, asserts its correctness bars (zero lost updates,
-/// zero undeliverable messages, simulator-equal fixpoint) and appends the
-/// throughput row. `base` is the 1-worker updates/sec for the speedup
-/// column.
-fn e20_row(t: &mut Table, plan: &ParallelIngestPlan, base: Option<f64>) -> f64 {
-    let r = codb_workload::run_parallel_ingest(plan);
-    assert_eq!(r.lost_updates, 0, "E20: lost updates at {} nodes / {} workers", r.nodes, r.workers);
-    assert_eq!(
-        r.undeliverable, 0,
-        "E20: undeliverable at {} nodes / {} workers",
-        r.nodes, r.workers
+        &["topology", "nodes", "edges", "messages", "events", "sim total"],
     );
-    assert!(r.converged, "E20: fixpoint diverged at {} nodes / {} workers", r.nodes, r.workers);
-    assert!(r.mailbox_peak <= plan.mailbox_depth, "E20: mailbox bound violated");
-    t.row(vec![
-        r.nodes.to_string(),
-        r.workers.to_string(),
-        r.inserts.to_string(),
-        format!("{:.0}", r.updates_per_sec),
-        base.map_or("-".into(), |b| format!("{:.2}x", r.updates_per_sec / b.max(1e-9))),
-        r.mailbox_peak.to_string(),
-        r.undeliverable.to_string(),
-        r.lost_updates.to_string(),
-        ms(r.elapsed),
-    ]);
-    r.updates_per_sec
-}
-
-/// E20 — sustained-ingest throughput of the sharded worker runtime:
-/// updates/sec over node count × worker count, every cell verified
-/// against the simulator's fixpoint (same `CoDbNode` state machines, same
-/// `IngestLocal` message plane) with zero lost updates and the bounded
-/// mailbox never exceeded. The worker-scaling acceptance bar (8 workers ≥
-/// 3× 1 worker on ≥16 nodes) is asserted only when the host actually has
-/// ≥4 cores — on smaller machines the sweep still runs and the
-/// correctness bars still hold, but a speedup assertion would measure the
-/// scheduler's oversubscription, not the runtime. The durability half —
-/// host crash under group commit with the unsynced WAL tails destroyed,
-/// zero acked updates lost — rides in `e20-quick` (CI) and the
-/// `codb_workload::parallel` tests.
-fn e20() -> Table {
-    let mut t = e20_table();
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    for nodes in [8usize, 16, 32, 64] {
-        let mut base = None;
-        let mut by_workers = Vec::new();
-        for workers in [1usize, 2, 4, 8] {
-            let ups = e20_row(&mut t, &e20_plan(nodes, workers, 10, 2), base);
-            if workers == 1 {
-                base = Some(ups);
-            }
-            by_workers.push((workers, ups));
-        }
-        if nodes >= 16 && cores >= 4 {
-            let one = by_workers[0].1;
-            let eight = by_workers[3].1;
-            assert!(
-                eight >= 3.0 * one,
-                "E20 acceptance: 8 workers must deliver >=3x 1-worker throughput on {nodes} \
-                 nodes ({eight:.0} vs {one:.0} updates/s)"
+    for n in [100usize, 1_000, 10_000] {
+        e19_row(&mut t, &format!("chain-{n}"), &Topology::Chain(n), None, false);
+    }
+    for n in [100usize, 1_000, 10_000] {
+        let topo = Topology::ScaleFree { n, m: 3, seed: 0x5CA1E };
+        let plain = e19_row(&mut t, &topo.to_string(), &topo, None, false);
+        if n == 1_000 {
+            let ads = e19_row(&mut t, &format!("{topo}+ads"), &topo, None, true);
+            assert_eq!(
+                (ads.messages, ads.events, ads.sim_time),
+                (plain.messages, plain.events, plain.sim_time),
+                "E19 acceptance: advertising must not change the flood's schedule"
             );
         }
     }
-    if cores < 4 {
-        t.row(vec![
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            format!("skipped ({cores} cores)"),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-        ]);
+    let rg = Topology::RingGradient { n: 4_096, chords: 6 };
+    e19_row(&mut t, &rg.to_string(), &rg, None, false);
+    for n in [1_000usize, 10_000] {
+        let topo = Topology::ScaleFree { n, m: 3, seed: 0x5CA1E };
+        let geo = codb_net::LatencyModel::geo_scattered(0x6E0, n);
+        e19_row(&mut t, &format!("{topo}+geo"), &topo, Some(geo), false);
     }
-    t
-}
-
-/// The E20 acceptance smoke (`exp e20-quick`, run in CI): a small grid
-/// covering two worker counts with the full correctness bars (zero lost
-/// updates, simulator-equal fixpoint, mailbox bound), plus the host-crash
-/// durability row — the pool killed without drain, every WAL's unsynced
-/// tail chopped, recovery must preserve every acked record.
-fn e20_quick() -> Table {
-    let mut t = e20_table();
-    let mut base = None;
-    for workers in [1usize, 2] {
-        let ups = e20_row(&mut t, &e20_plan(6, workers, 8, 2), base);
-        if workers == 1 {
-            base = Some(ups);
-        }
-    }
-    let crash_dir = codb_store::ScratchDir::new("e20-crash");
-    let report =
-        codb_workload::run_parallel_host_crash(&e20_plan(6, 2, 8, 2), crash_dir.path()).unwrap();
-    assert!(report.acked_records_checked > 0, "E20 host-crash check: {report:?}");
-    assert!(report.acked_records_preserved, "E20 host-crash check: {report:?}");
-    assert!(report.post_restart_quiesced, "E20 host-crash check: {report:?}");
-    t.row(vec![
-        "6 (host-crash)".into(),
-        "2".into(),
-        format!("{} acked checked", report.acked_records_checked),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        "0 (all preserved)".into(),
-        "-".into(),
-    ]);
     t
 }
 
@@ -1204,9 +881,9 @@ fn dir_footprint(dir: &std::path::Path) -> (u64, u64) {
 /// One registered experiment: its id and the function that runs it.
 pub type Experiment = (&'static str, fn() -> Table);
 
-/// Every experiment by id, in the order `exp all` prints them. The
-/// `-quick` ids are the CI-sized acceptance smokes of E19 and E20; `all`
-/// runs the full sweeps and skips them.
+/// Every experiment by id, in the order `exp all` prints them. Ids are
+/// stable: E11 and E20 are retired (their host-time columns are
+/// `benchmark/` metrics now), not renumbered.
 pub const EXPERIMENTS: &[Experiment] = &[
     ("e1", e1),
     ("e2", e2),
@@ -1218,7 +895,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("e8", e8),
     ("e9", e9),
     ("e10", e10),
-    ("e11", e11),
     ("e12", e12),
     ("e13", e13),
     ("e14", e14),
@@ -1227,14 +903,11 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("e17", e17),
     ("e18", e18),
     ("e19", e19),
-    ("e19-quick", e19_quick),
-    ("e20", e20),
-    ("e20-quick", e20_quick),
 ];
 
-/// All experiments in id order (without the `-quick` smokes).
+/// All experiments, in registry order.
 pub fn all() -> Vec<Table> {
-    EXPERIMENTS.iter().filter(|(id, _)| !id.ends_with("-quick")).map(|(_, run)| run()).collect()
+    EXPERIMENTS.iter().map(|(_, run)| run()).collect()
 }
 
 /// Runs one experiment by its [`EXPERIMENTS`] id.
@@ -1246,21 +919,36 @@ pub fn by_id(id: &str) -> Option<Table> {
 mod tests {
     use super::*;
 
+    /// Ids as the README's Experiments table lists them (`| E7 | … |`).
+    fn readme_ids() -> Vec<String> {
+        let readme = include_str!("../../../README.md");
+        let section = readme.split("\n## Experiments").nth(1).expect("README has the section");
+        let section = section.split("\n## ").next().unwrap();
+        section
+            .lines()
+            .filter_map(|l| l.strip_prefix("| E")?.split_once(" |"))
+            .map(|(n, _)| format!("e{n}"))
+            .collect()
+    }
+
     #[test]
     fn by_id_covers_all_ids() {
-        for (id, _) in EXPERIMENTS {
-            assert!(by_id(id).is_some(), "{id} missing");
+        let registered: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        // Every table's title opens with its id, so the titles say what ran.
+        let ran: Vec<String> = all()
+            .iter()
+            .map(|t| t.title.split(' ').next().unwrap_or_default().to_lowercase())
+            .collect();
+        assert_eq!(ran, registered, "`exp all` runs exactly the registry, in order");
+        assert_eq!(readme_ids(), registered, "README's Experiments table is the registry");
+        for retired in ["e11", "e20", "e19-quick", "e20-quick", "e21"] {
+            assert!(by_id(retired).is_none(), "{retired} is not an experiment");
         }
-        let full: Vec<String> = (1..=20).map(|i| format!("e{i}")).collect();
-        let listed: Vec<&str> =
-            EXPERIMENTS.iter().map(|(id, _)| *id).filter(|id| !id.ends_with("-quick")).collect();
-        assert_eq!(listed, full, "`exp all` runs e1..e20 in id order");
-        assert!(by_id("e21").is_none());
     }
 
     #[test]
     fn small_experiment_renders() {
-        let t = e4();
+        let t = by_id("e4").expect("e4 is registered");
         let s = t.render();
         assert!(s.contains("chain-4"));
         assert!(s.contains("measured"));

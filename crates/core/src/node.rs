@@ -434,8 +434,7 @@ impl CoDbNode {
     pub(crate) fn post(&mut self, ctx: &mut Context<Envelope>, to: NodeId, body: Body) {
         if body.is_ds_counted() {
             if let Some(u) = body.update_id() {
-                let now = ctx.now();
-                let st = self.updates.entry(u).or_insert_with(|| UpdateState::new(u, now));
+                let st = self.updates.entry(u).or_insert_with(|| UpdateState::new(u));
                 st.deficit += 1;
             }
         }

@@ -79,7 +79,7 @@ pub struct UpdateState {
 
 impl UpdateState {
     /// Fresh state for an update first seen now.
-    pub fn new(update: UpdateId, _now: SimTime) -> Self {
+    pub fn new(update: UpdateId) -> Self {
         UpdateState {
             update,
             initiator: false,
@@ -120,7 +120,7 @@ impl CoDbNode {
     pub(crate) fn start_update(&mut self, ctx: &mut Context<Envelope>) {
         let update = self.mint_update_id();
         let now = ctx.now();
-        let st = self.updates.entry(update).or_insert_with(|| UpdateState::new(update, now));
+        let st = self.updates.entry(update).or_insert_with(|| UpdateState::new(update));
         st.initiator = true;
         st.engaged = true;
         self.report.update_mut(update, now);
@@ -138,7 +138,7 @@ impl CoDbNode {
     ) {
         let update = self.mint_update_id();
         let now = ctx.now();
-        let st = self.updates.entry(update).or_insert_with(|| UpdateState::new(update, now));
+        let st = self.updates.entry(update).or_insert_with(|| UpdateState::new(update));
         st.initiator = true;
         st.engaged = true;
         st.scoped = true;
@@ -210,8 +210,7 @@ impl CoDbNode {
     /// message kinds.
     pub(crate) fn dispatch_ds(&mut self, ctx: &mut Context<Envelope>, from: NodeId, body: Body) {
         let update = body.update_id().expect("DS messages carry an update id");
-        let now = ctx.now();
-        let st = self.updates.entry(update).or_insert_with(|| UpdateState::new(update, now));
+        let st = self.updates.entry(update).or_insert_with(|| UpdateState::new(update));
         let engaging = !st.engaged && !st.initiator;
         if engaging {
             st.engaged = true;
@@ -544,8 +543,7 @@ impl CoDbNode {
         update: UpdateId,
         credits: u64,
     ) {
-        let now = ctx.now();
-        let st = self.updates.entry(update).or_insert_with(|| UpdateState::new(update, now));
+        let st = self.updates.entry(update).or_insert_with(|| UpdateState::new(update));
         st.deficit = st.deficit.saturating_sub(credits);
         let deficit = st.deficit;
         self.tracer.emit_with(|| TraceEvent::DsCredit { peer: self.id.0, credits, deficit });
@@ -591,7 +589,7 @@ impl CoDbNode {
         update: UpdateId,
     ) {
         let now = ctx.now();
-        let st = self.updates.entry(update).or_insert_with(|| UpdateState::new(update, now));
+        let st = self.updates.entry(update).or_insert_with(|| UpdateState::new(update));
         if st.complete {
             return;
         }
@@ -630,7 +628,7 @@ mod tests {
     #[test]
     fn update_state_defaults() {
         let u = UpdateId { origin: NodeId(0), epoch: 0, seq: 0 };
-        let st = UpdateState::new(u, SimTime::ZERO);
+        let st = UpdateState::new(u);
         assert!(!st.initiator);
         assert!(!st.engaged);
         assert_eq!(st.deficit, 0);

@@ -861,3 +861,45 @@ fn streaming_queries_deliver_first_answers_before_completion() {
     // Multiple instalments arrived on the single link.
     assert!(rep.answers_received > 1, "got {}", rep.answers_received);
 }
+
+/// The chase-depth valve. `ab` and `ba` each push the second column
+/// forward and invent the next (`Z` existential), so the rules are not
+/// weakly acyclic: every pass around the cycle mints a template no node
+/// has seen and the chase has no fixpoint. `max_hops` must cut it.
+#[test]
+fn max_hops_truncates_a_chase_that_is_not_weakly_acyclic() {
+    const MAX_HOPS: u64 = 8;
+    let network = |head: &str| {
+        let src = format!(
+            "node a\nnode b\nschema a: r(int, int)\nschema b: r(int, int)\n\
+             data a: r(1, 2).\n\
+             rule ab @ a -> b: {head} <- r(X, Y).\n\
+             rule ba @ b -> a: {head} <- r(X, Y).\n"
+        );
+        let settings = NodeSettings { max_hops: MAX_HOPS, ..Default::default() };
+        let config = NetworkConfig::parse(&src).unwrap();
+        CoDbNetwork::build_with(config, SimConfig::default(), settings, false).unwrap()
+    };
+    let tuples = |net: &CoDbNetwork| -> usize {
+        ["a", "b"]
+            .iter()
+            .map(|n| net.node(net.node_id(n).unwrap()).ldb().get("r").unwrap().len())
+            .sum()
+    };
+
+    let mut runaway = network("r(Y, Z)");
+    let outcome = runaway.run_update(runaway.node_id("a").unwrap());
+    assert!(runaway.sim().is_quiescent(), "a truncated update still terminates");
+    assert!(outcome.summary.truncated, "the valve must report that it cut the chase");
+    assert_eq!(outcome.summary.longest_path, MAX_HOPS);
+    // The seed tuple, then one new tuple per hop until the cap.
+    assert_eq!(tuples(&runaway), 1 + MAX_HOPS as usize);
+
+    // The same cycle keeping the first column: the invented column is
+    // never carried into a head, so the rules are weakly acyclic and
+    // template dedup ends the chase on its own.
+    let mut bounded = network("r(X, Z)");
+    let outcome = bounded.run_update(bounded.node_id("a").unwrap());
+    assert!(!outcome.summary.truncated);
+    assert!(outcome.summary.longest_path < MAX_HOPS);
+}

@@ -36,13 +36,11 @@ pub struct RuntimeConfig {
     pub workers: usize,
     /// Per-node mailbox capacity; a full mailbox blocks/stalls senders.
     pub mailbox_depth: usize,
-    /// Max messages drained per node per scheduling visit.
-    pub quantum: usize,
 }
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
-        RuntimeConfig { workers: 0, mailbox_depth: 1024, quantum: 32 }
+        RuntimeConfig { workers: 0, mailbox_depth: 1024 }
     }
 }
 
@@ -71,8 +69,7 @@ impl<M: Payload, P: Peer<M> + 'static> ParallelNet<M, P> {
         Self::with_config(RuntimeConfig::default())
     }
 
-    /// Creates a runtime with explicit worker count, mailbox depth and
-    /// drain quantum.
+    /// Creates a runtime with explicit worker count and mailbox depth.
     pub fn with_config(config: RuntimeConfig) -> Self {
         let workers = if config.workers == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
@@ -91,7 +88,6 @@ impl<M: Payload, P: Peer<M> + 'static> ParallelNet<M, P> {
             undeliverable: AtomicU64::new(0),
             epoch: Instant::now(),
             schedulers,
-            quantum: config.quantum.max(1),
         });
         let ops: Vec<Arc<OpsQueue<M, P>>> =
             (0..workers).map(|_| Arc::new(OpsQueue::new())).collect();
@@ -320,7 +316,7 @@ mod tests {
     }
 
     fn small(workers: usize, mailbox_depth: usize) -> RuntimeConfig {
-        RuntimeConfig { workers, mailbox_depth, quantum: 8 }
+        RuntimeConfig { workers, mailbox_depth }
     }
 
     #[test]
@@ -573,7 +569,7 @@ mod tests {
         let n = 6u64;
         let burst = 10u32;
         let mut net: ParallelNet<Token, RingBurst> =
-            ParallelNet::with_config(RuntimeConfig { workers: 2, mailbox_depth: 2, quantum: 4 });
+            ParallelNet::with_config(RuntimeConfig { workers: 2, mailbox_depth: 2 });
         for i in 0..n {
             net.add_peer(PeerId(i), RingBurst { next: PeerId((i + 1) % n), burst, seen: 0 });
         }

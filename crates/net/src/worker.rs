@@ -11,7 +11,7 @@
 //! A node becomes *ready* when mail is pushed into its mailbox (the pusher
 //! flips the node's `scheduled` flag and enqueues it on its shard's run
 //! queue) or when a mailbox it stalled on frees a slot. The worker services
-//! ready nodes in FIFO order, draining at most `quantum` messages per visit
+//! ready nodes in FIFO order, draining at most `QUANTUM` messages per visit
 //! so one busy node cannot monopolize its shard; due timers are fired
 //! *between* node visits, which is the batched-drain fairness rule the
 //! timer-under-load tests pin.
@@ -309,8 +309,6 @@ pub(crate) struct Shared<M: Payload> {
     pub(crate) undeliverable: AtomicU64,
     pub(crate) epoch: Instant,
     pub(crate) schedulers: Vec<Arc<ShardHandle>>,
-    /// Max messages drained per node per scheduling visit.
-    pub(crate) quantum: usize,
 }
 
 impl<M: Payload> Shared<M> {
@@ -539,8 +537,11 @@ fn fire_due_timers<M: Payload, P: Peer<M>>(
     }
 }
 
-/// One scheduling visit: flush parked commands, then drain up to `quantum`
-/// messages, then reschedule if mail remains.
+/// Max messages drained per node per scheduling visit.
+const QUANTUM: usize = 32;
+
+/// One scheduling visit: flush parked commands, then drain up to
+/// [`QUANTUM`] messages, then reschedule if mail remains.
 fn service<M: Payload, P: Peer<M>>(
     shard: usize,
     shared: &Arc<Shared<M>>,
@@ -561,7 +562,7 @@ fn service<M: Payload, P: Peer<M>>(
     if !flush(shard, shared, timers, id, cell) && !deliver_next(shard, shared, timers, id, cell) {
         return;
     }
-    for _ in 0..shared.quantum.max(1) {
+    for _ in 0..QUANTUM {
         if !deliver_next(shard, shared, timers, id, cell) {
             return;
         }

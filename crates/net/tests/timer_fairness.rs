@@ -74,7 +74,7 @@ impl Peer<Ping> for Relay {
 fn threaded_timer_fires_mid_flood() {
     const FLOOD: u32 = 2000;
     let mut net: ParallelNet<Ping, Victim> =
-        ParallelNet::with_config(RuntimeConfig { workers: 1, mailbox_depth: 4096, quantum: 32 });
+        ParallelNet::with_config(RuntimeConfig { workers: 1, mailbox_depth: 4096 });
     let mut victim = Victim::new();
     victim.work = Duration::from_micros(50);
     net.add_peer(PeerId(0), victim);

@@ -8,9 +8,7 @@
 //! runtimes execute the same [`codb_core::CoDbNode`] state machines and
 //! ingest flows through the same message plane
 //! ([`codb_core::Body::IngestLocal`]), any divergence is a runtime bug, not
-//! a workload artefact. The report carries the threaded side's wall-clock
-//! throughput (updates/sec), which is what experiment E20 sweeps over
-//! worker counts.
+//! a workload artefact.
 //!
 //! [`run_parallel_host_crash`] is the durability variant: the threaded
 //! network runs persistent under [`SyncPolicy::GroupCommit`] (one shared
@@ -32,7 +30,7 @@ use codb_store::{Codec, SyncPolicy};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Ingested keys start here: far above any seeded scenario value (the
 /// generators draw from `DataDist` domains no larger than `1 << 40`), so
@@ -80,11 +78,7 @@ impl ParallelIngestPlan {
 
     /// The pool configuration the plan asks for.
     fn runtime(&self) -> RuntimeConfig {
-        RuntimeConfig {
-            workers: self.workers,
-            mailbox_depth: self.mailbox_depth,
-            ..RuntimeConfig::default()
-        }
+        RuntimeConfig { workers: self.workers, mailbox_depth: self.mailbox_depth }
     }
 
     /// Injects every round's ingests and its update into the pool,
@@ -117,10 +111,6 @@ pub struct ParallelIngestReport {
     pub undeliverable: u64,
     /// Deepest mailbox observed — bounded by the configured depth.
     pub mailbox_peak: usize,
-    /// Threaded wall-clock time for the whole ingest + update schedule.
-    pub elapsed: Duration,
-    /// `inserts / elapsed` — the E20 throughput metric.
-    pub updates_per_sec: f64,
     /// Ingested tuples missing from their own node's final LDB (must
     /// be 0: local ingest is applied before anything else can happen).
     pub lost_updates: u64,
@@ -145,7 +135,7 @@ fn threaded_settings() -> NodeSettings {
 
 /// Runs the plan on both runtimes and compares fixpoints. Panics on
 /// harness misuse (non-quiescence); divergence and loss are reported,
-/// not panicked on, so callers (E20, CI smoke) can assert and print.
+/// not panicked on, so callers can assert and print.
 pub fn run_parallel_ingest(plan: &ParallelIngestPlan) -> ParallelIngestReport {
     let config = plan.scenario.build_config();
     let nodes = config.nodes.len();
@@ -160,13 +150,11 @@ pub fn run_parallel_ingest(plan: &ParallelIngestPlan) -> ParallelIngestReport {
         sim.run_update(plan.scenario.sink());
     }
 
-    // Experiment: same schedule on the worker pool, timed.
+    // Experiment: same schedule on the worker pool.
     let par = ParallelCoDbNet::build_with(config.clone(), plan.runtime(), threaded_settings())
         .expect("threaded network builds");
     let workers = par.worker_count();
-    let start = Instant::now();
     plan.drive(&par, true);
-    let elapsed = start.elapsed();
     let delivered = par.delivered();
     let undeliverable = par.undeliverable();
     let mailbox_peak = par.max_mailbox_depth();
@@ -182,16 +170,13 @@ pub fn run_parallel_ingest(plan: &ParallelIngestPlan) -> ParallelIngestReport {
         .count() as u64;
     let converged =
         config.nodes.iter().all(|nc| final_nodes[&nc.id].ldb() == sim.node(nc.id).ldb());
-    let inserts = plan.rounds * nodes * plan.inserts_per_node;
     ParallelIngestReport {
         nodes,
         workers,
-        inserts,
+        inserts: plan.rounds * nodes * plan.inserts_per_node,
         delivered,
         undeliverable,
         mailbox_peak,
-        elapsed,
-        updates_per_sec: inserts as f64 / elapsed.as_secs_f64().max(1e-9),
         lost_updates,
         converged,
     }
@@ -315,12 +300,14 @@ mod tests {
 
     #[test]
     fn threaded_ingest_matches_simulator_fixpoint() {
-        let report = run_parallel_ingest(&plan(2, 256));
-        assert_eq!(report.inserts, 2 * 4 * 6);
-        assert_eq!(report.lost_updates, 0, "every ingested tuple must land");
-        assert_eq!(report.undeliverable, 0);
-        assert!(report.converged, "threaded and simulated fixpoints differ");
-        assert!(report.updates_per_sec > 0.0);
+        for plan in [plan(1, 256), plan(2, 256)] {
+            let report = run_parallel_ingest(&plan);
+            assert_eq!(report.workers, plan.workers);
+            assert_eq!(report.inserts, 2 * 4 * 6);
+            assert_eq!(report.lost_updates, 0, "every ingested tuple must land");
+            assert_eq!(report.undeliverable, 0);
+            assert!(report.converged, "threaded and simulated fixpoints differ");
+        }
     }
 
     #[test]

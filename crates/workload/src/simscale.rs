@@ -119,41 +119,18 @@ pub struct FloodReport {
     pub delivered: u64,
     /// Final simulated time.
     pub sim_time: SimTime,
-    /// Host wall-clock milliseconds for the run.
-    pub host_ms: f64,
     /// Nodes the flood reached (== `nodes` on any connected topology).
     pub reached: usize,
     /// Full network statistics.
     pub stats: NetStats,
 }
 
-impl FloodReport {
-    /// Events processed per host second — the simulator throughput
-    /// metric E19 sweeps.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / (self.host_ms / 1000.0).max(1e-9)
-    }
-}
-
 /// Builds the topology's network via [`SimBuilder`], floods `waves`
 /// waves from node 0, runs to quiescence and reports. Waves are capped
-/// at 64 (the per-origin bitmask width).
+/// at 64 (the per-origin bitmask width). With `advertise`, every peer
+/// publishes one advertisement as it starts; `tracer` is attached to the
+/// simulator ([`Tracer::disabled`] costs one branch per emission site).
 pub fn run_flood(
-    topology: &Topology,
-    pipe: PipeConfig,
-    latency: Option<LatencyModel>,
-    waves: u32,
-    seed: u64,
-) -> FloodReport {
-    run_flood_traced(topology, pipe, latency, waves, seed, false, &Tracer::disabled())
-}
-
-/// [`run_flood`] with a flight-recorder handle attached to the simulator
-/// and, with `advertise`, every peer publishing one advertisement as it
-/// starts. The run is bracketed into two phases — `build` (topology + spawn) and
-/// `flood` (event loop to quiescence) — so `trace inspect` can attribute
-/// host time; with a disabled tracer the phase markers cost one branch.
-pub fn run_flood_traced(
     topology: &Topology,
     pipe: PipeConfig,
     latency: Option<LatencyModel>,
@@ -163,8 +140,6 @@ pub fn run_flood_traced(
     tracer: &Tracer,
 ) -> FloodReport {
     assert!(waves <= 64, "per-origin wave bitmask holds at most 64 waves");
-    let start = std::time::Instant::now();
-    tracer.phase_begin("build");
     let n = topology.node_count();
     let edges = topology.edges();
     let mut adj: Vec<Vec<PeerId>> = vec![Vec::new(); n];
@@ -193,11 +168,7 @@ pub fn run_flood_traced(
         advertise,
     });
     net.attach_tracer(tracer.clone());
-    tracer.phase_end("build");
-    tracer.phase_begin("flood");
     let sim_time = net.run_until_quiescent();
-    tracer.phase_end("flood");
-    let host_ms = start.elapsed().as_secs_f64() * 1000.0;
 
     let reached = net.peers().filter(|(_, p)| (0..waves).all(|w| p.has_seen(0, w))).count();
     let stats = net.stats();
@@ -209,7 +180,6 @@ pub fn run_flood_traced(
         messages: stats.sent,
         delivered: stats.delivered,
         sim_time,
-        host_ms,
         reached,
         stats,
     }
@@ -219,13 +189,14 @@ pub fn run_flood_traced(
 mod tests {
     use super::*;
 
-    fn lan() -> PipeConfig {
-        PipeConfig::lan()
+    /// An untraced, non-advertising flood over LAN pipes.
+    fn flood(t: &Topology, latency: Option<LatencyModel>, waves: u32, seed: u64) -> FloodReport {
+        run_flood(t, PipeConfig::lan(), latency, waves, seed, false, &Tracer::disabled())
     }
 
     #[test]
     fn flood_reaches_every_node_on_a_chain() {
-        let report = run_flood(&Topology::Chain(50), lan(), None, 2, 1);
+        let report = flood(&Topology::Chain(50), None, 2, 1);
         assert_eq!(report.nodes, 50);
         assert_eq!(report.reached, 50);
         // Each wave crosses each of the 49 undirected edges exactly twice
@@ -240,7 +211,7 @@ mod tests {
             Topology::ScaleFree { n: 300, m: 3, seed: 9 },
             Topology::RingGradient { n: 300, chords: 5 },
         ] {
-            let report = run_flood(&t, lan(), None, 1, 2);
+            let report = flood(&t, None, 1, 2);
             assert_eq!(report.reached, 300, "flood covers {t}");
             assert_eq!(report.delivered, report.messages);
         }
@@ -249,8 +220,8 @@ mod tests {
     #[test]
     fn geo_latency_stretches_sim_time_not_messages() {
         let t = Topology::ScaleFree { n: 100, m: 2, seed: 4 };
-        let flat = run_flood(&t, lan(), None, 1, 3);
-        let geo = run_flood(&t, lan(), Some(LatencyModel::geo_scattered(11, 100)), 1, 3);
+        let flat = flood(&t, None, 1, 3);
+        let geo = flood(&t, Some(LatencyModel::geo_scattered(11, 100)), 1, 3);
         assert_eq!(flat.messages, geo.messages, "latency model changes timing only");
         assert_eq!(geo.reached, 100);
         assert!(geo.sim_time > flat.sim_time, "intercontinental links dominate 1ms LAN");
@@ -259,8 +230,8 @@ mod tests {
     #[test]
     fn advertising_peers_flood_the_same_messages() {
         let t = Topology::ScaleFree { n: 200, m: 3, seed: 9 };
-        let plain = run_flood(&t, lan(), None, 2, 5);
-        let ads = run_flood_traced(&t, lan(), None, 2, 5, true, &Tracer::disabled());
+        let plain = flood(&t, None, 2, 5);
+        let ads = run_flood(&t, PipeConfig::lan(), None, 2, 5, true, &Tracer::disabled());
         assert_eq!(ads.reached, 200);
         assert_eq!((ads.messages, ads.events), (plain.messages, plain.events));
         assert_eq!(ads.sim_time, plain.sim_time);
@@ -281,18 +252,16 @@ mod tests {
                 seed: 23,
             };
             let (tracer, recorded) = Tracer::ring(usize::MAX);
-            let report = run_flood_traced(&t, pipe, Some(latency), 2, seed, false, &tracer);
-            // The delivery list: phase markers carry host time.
-            let mut deliveries = recorded.lock().unwrap().events();
-            deliveries.retain(|(_, e)| matches!(e, codb_trace::TraceEvent::NetDeliver { .. }));
-            (report.sim_time, report.events, report.stats, deliveries)
+            let report = run_flood(&t, pipe, Some(latency), 2, seed, false, &tracer);
+            let trace = recorded.lock().unwrap().events();
+            (report.sim_time, report.events, report.stats, trace)
         };
         let a = run(42);
         let b = run(42);
         assert_eq!(a.0, b.0);
         assert_eq!(a.1, b.1);
         assert_eq!(a.2, b.2, "identical NetStats incl. per-pipe counters");
-        assert_eq!(a.3, b.3, "identical delivery traces");
+        assert_eq!(a.3, b.3, "identical traces, every event");
         // A different simulator seed changes the loss draws.
         let c = run(43);
         assert_ne!(a.2.dropped, 0, "1% loss on thousands of messages drops something");

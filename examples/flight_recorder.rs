@@ -7,24 +7,25 @@
 
 use codb::prelude::*;
 use codb::trace::read_trace_file;
-use codb::workload::run_flood_traced;
+use codb::workload::run_flood;
 
 fn main() {
     let path = std::env::temp_dir().join("codb-flight-recorder-example.trc");
 
-    // A file-backed tracer; `run_flood_traced` brackets the run into
-    // `build` and `flood` phases and the simulator stamps every
-    // send/deliver with sim time.
+    // A file-backed tracer: the simulator stamps every send/deliver with
+    // sim time, and the `flood` phase bracket adds the run's host time.
     let (tracer, recorder) = Tracer::to_file(&path).expect("create trace file");
-    let report = run_flood_traced(
-        &Topology::ScaleFree { n: 1000, m: 2, seed: 7 },
-        PipeConfig::lan(),
-        None,
-        4,
-        0xE19,
-        false,
-        &tracer,
-    );
+    let report = tracer.phase("flood", || {
+        run_flood(
+            &Topology::ScaleFree { n: 1000, m: 2, seed: 7 },
+            PipeConfig::lan(),
+            None,
+            4,
+            0xE19,
+            false,
+            &tracer,
+        )
+    });
     drop(tracer);
     {
         use codb::trace::TraceSink as _;

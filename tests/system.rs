@@ -83,7 +83,7 @@ fn threaded_runtime_reaches_the_same_fixpoint() {
 
     // Threaded run over the core builder: nodes open their own pipes
     // from on_start, no manual pipe wiring.
-    let rt = RuntimeConfig { workers: 2, mailbox_depth: 64, quantum: 16 };
+    let rt = RuntimeConfig { workers: 2, mailbox_depth: 64 };
     let par = ParallelCoDbNet::build(config.clone(), rt).unwrap();
     par.start_update(scenario.sink());
     assert!(
