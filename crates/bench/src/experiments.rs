@@ -550,14 +550,14 @@ fn e17() -> Table {
             .unwrap();
             for b in 0..BATCHES {
                 let firings: Vec<RuleFiring> = (0..PER_BATCH)
-                    .map(|k| RuleFiring {
-                        atoms: vec![(
-                            "r".to_owned(),
+                    .map(|k| {
+                        RuleFiring::new([(
+                            "r",
                             vec![
                                 TField::Const(Value::Int(b as i64 * PER_BATCH + k)),
                                 TField::Fresh(0),
                             ],
-                        )],
+                        )])
                     })
                     .collect();
                 let cache = recv.entry("e".to_owned()).or_default();

@@ -384,12 +384,10 @@ mod tests {
     #[test]
     fn sizes_scale_with_firings() {
         let small = Body::UpdateData { update: upd(), rule: "r".into(), firings: vec![], hops: 1 };
-        let firing = codb_relational::RuleFiring {
-            atoms: vec![(
-                "t".into(),
-                vec![codb_relational::TField::Const(codb_relational::Value::Int(1))],
-            )],
-        };
+        let firing = codb_relational::RuleFiring::new([(
+            "t",
+            vec![codb_relational::TField::Const(codb_relational::Value::Int(1))],
+        )]);
         let big =
             Body::UpdateData { update: upd(), rule: "r".into(), firings: vec![firing], hops: 1 };
         assert!(big.size_bytes() > small.size_bytes());

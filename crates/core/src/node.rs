@@ -16,9 +16,9 @@ use crate::rules::{CoordinationRule, RuleBook};
 use crate::stats::{NetworkReport, NodeReport};
 use crate::update::UpdateState;
 use codb_net::{Context, Peer, PeerId, PipeConfig, SimTime};
-use codb_relational::{ConjunctiveQuery, DatabaseSchema, Instance, NullFactory, Tuple};
+use codb_relational::{ConjunctiveQuery, DatabaseSchema, Instance, NullFactory, RuleFiring, Tuple};
 use codb_trace::Tracer;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 /// Tunables of one node.
 #[derive(Clone, Debug)]
@@ -72,19 +72,17 @@ pub struct CoDbNode {
     pub(crate) next_update_seq: u64,
     /// Sender-side per-link firing caches; keyed by `(rule, None)` in
     /// incremental mode, `(rule, Some(update))` otherwise.
-    pub(crate) sent_cache: BTreeMap<
-        (RuleName, Option<UpdateId>),
-        std::collections::BTreeSet<codb_relational::RuleFiring>,
-    >,
+    pub(crate) sent_cache: BTreeMap<(RuleName, Option<UpdateId>), HashSet<RuleFiring>>,
     /// Receiver-side per-link template caches (always cross-update).
-    pub(crate) recv_cache:
-        BTreeMap<RuleName, std::collections::BTreeSet<codb_relational::RuleFiring>>,
+    pub(crate) recv_cache: codb_store::RecvCaches,
     // ---- query engine ----
     pub(crate) next_query_seq: u64,
     pub(crate) next_req_seq: u64,
     pub(crate) queries: BTreeMap<QueryId, QueryExec>,
     pub(crate) serving: BTreeMap<ReqId, Serving>,
-    pub(crate) nested_parent: BTreeMap<ReqId, crate::query::ParentRef>,
+    /// Who each fetch request in flight was issued for, and the outgoing
+    /// link it fetches (its answers must be instances of that rule's head).
+    pub(crate) nested_parent: BTreeMap<ReqId, (crate::query::ParentRef, RuleName)>,
     /// Finished query results, for the harness to collect.
     pub completed_queries: BTreeMap<QueryId, QueryResult>,
     /// Peers discovered on the advertisement board (Figure 3 of the

@@ -24,7 +24,7 @@ use crate::messages::{Body, Envelope};
 use crate::node::CoDbNode;
 use codb_net::{Context, SimTime};
 use codb_relational::{ConjunctiveQuery, Instance, RuleFiring, Tuple};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// A finished query, as handed to the user.
 #[derive(Clone, Debug)]
@@ -62,7 +62,7 @@ pub(crate) struct Serving {
     pub overlay: Instance,
     pub pending: BTreeSet<ReqId>,
     /// Firings already streamed to the requester (instalment diffing).
-    pub sent: BTreeSet<codb_relational::RuleFiring>,
+    pub sent: HashSet<RuleFiring>,
 }
 
 /// Who a nested fetch request was issued for.
@@ -157,7 +157,7 @@ impl CoDbNode {
         for (rule, source) in links {
             let req = self.next_req();
             pending.insert(req);
-            self.nested_parent.insert(req, ParentRef::Query(query_id));
+            self.nested_parent.insert(req, (ParentRef::Query(query_id), rule.clone()));
             if let Some(rep) = self.report.queries.get_mut(&query_id) {
                 rep.requests_sent += 1;
             }
@@ -229,7 +229,7 @@ impl CoDbNode {
         for (nested_rule, source) in links {
             let nested = self.next_req();
             pending.insert(nested);
-            self.nested_parent.insert(nested, ParentRef::Serving(req));
+            self.nested_parent.insert(nested, (ParentRef::Serving(req), nested_rule.clone()));
             self.post(
                 ctx,
                 source,
@@ -259,18 +259,30 @@ impl CoDbNode {
         firings: Vec<RuleFiring>,
         closed: bool,
     ) {
-        let Some(&parent) = self.nested_parent.get(&req) else {
+        let entry = if closed {
+            self.nested_parent.remove(&req)
+        } else {
+            self.nested_parent.get(&req).cloned()
+        };
+        let Some((parent, rule)) = entry else {
             return; // duplicate/stale answer
         };
-        if closed {
-            self.nested_parent.remove(&req);
-        }
         let bytes: usize = firings.iter().map(RuleFiring::size_bytes).sum();
+        // As on the update path: an instalment that is not an instance of
+        // the fetched rule's head is dropped whole, and only counted.
+        let link = self.book.outgoing().get(&rule);
+        let mut assemble = |overlay: &mut Instance| {
+            if link.is_some_and(|l| l.rule.admits(overlay, &firings)) {
+                codb_relational::apply_firings(overlay, &firings, &mut self.nulls)
+                    .expect("the batch was admitted against the rule head and the schema");
+            } else {
+                self.report.count_received("data_rejected");
+            }
+        };
         match parent {
             ParentRef::Query(query_id) => {
                 let Some(exec) = self.queries.get_mut(&query_id) else { return };
-                codb_relational::apply_firings(&mut exec.overlay, &firings, &mut self.nulls)
-                    .expect("firings validated against schema");
+                assemble(&mut exec.overlay);
                 if closed {
                     exec.pending.remove(&req);
                 }
@@ -290,8 +302,7 @@ impl CoDbNode {
             }
             ParentRef::Serving(sreq) => {
                 let Some(s) = self.serving.get_mut(&sreq) else { return };
-                codb_relational::apply_firings(&mut s.overlay, &firings, &mut self.nulls)
-                    .expect("firings validated against schema");
+                assemble(&mut s.overlay);
                 if closed {
                     s.pending.remove(&req);
                 }
@@ -324,6 +335,8 @@ impl CoDbNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::update::tests::link;
+    use codb_relational::{parse_query, tup, TField, Value};
 
     #[test]
     fn parent_ref_is_copy_and_debug() {
@@ -332,5 +345,29 @@ mod tests {
         let _q2 = q;
         assert!(format!("{q:?}").contains("Query"));
         assert!(format!("{s:?}").contains("Serving"));
+    }
+
+    /// An answer instalment that is not an instance of the fetched rule's
+    /// head is dropped and counted; the query still finishes on the real
+    /// answer.
+    #[test]
+    fn a_misshapen_answer_is_dropped_and_the_query_still_finishes() {
+        let (mut net, src, tgt) = link("person(N, A)");
+        let query = parse_query("ans(N) :- person(N, A).").unwrap();
+        let start = Body::StartQuery { query: Box::new(query), fetch: true };
+        net.sim_mut().inject(crate::HARNESS_PEER, tgt.peer(), Envelope::control(start));
+        while net.node(tgt).nested_parent.is_empty() {
+            assert!(net.sim_mut().step(), "quiescent before the fetch went out");
+        }
+        let req = *net.node(tgt).nested_parent.keys().next().unwrap();
+        let bad = RuleFiring::new([("person", vec![TField::Const(Value::Int(1))])]);
+        let forged = Body::QueryAnswer { req, firings: vec![bad], closed: false };
+        net.sim_mut().inject(src.peer(), tgt.peer(), Envelope::control(forged));
+        net.sim_mut().run_until_quiescent();
+
+        let node = net.node(tgt);
+        assert_eq!(node.report().messages_received["data_rejected"], 1);
+        let result = node.completed_queries.values().next().expect("the query finished");
+        assert_eq!(result.answers, vec![tup!["ada"], tup!["bob"]]);
     }
 }

@@ -117,31 +117,9 @@ impl CoDbNode {
         rule: RuleName,
         firings: Vec<codb_relational::RuleFiring>,
     ) {
-        if !self.book.outgoing().contains_key(&rule) {
+        let Some(deltas) = self.receive_link_data(&rule, firings) else {
             return; // stale rule name after a reconfiguration
-        }
-        let cache = self.recv_cache.entry(rule.clone()).or_default();
-        let fresh: Vec<codb_relational::RuleFiring> =
-            firings.into_iter().filter(|f| cache.insert(f.clone())).collect();
-        if fresh.is_empty() {
-            return;
-        }
-        if self.persist.is_some() {
-            self.log_wal(codb_store::WalRecord::Applied {
-                rule: rule.clone(),
-                firings: fresh.clone(),
-            });
-        }
-        let deltas = codb_relational::apply_firings(&mut self.ldb, &fresh, &mut self.nulls)
-            .expect("firings validated against schema");
-        let added: u64 = deltas.values().map(|v| v.len() as u64).sum();
-        if self.tracer.is_enabled() {
-            let r = self.tracer.intern(&rule);
-            self.tracer.emit(TraceEvent::UpdateApply { peer: self.id.0, rule: r, tuples: added });
-        }
-        if deltas.is_empty() {
-            return;
-        }
+        };
         // Cascade: downstream nodes may also be missing data derived from
         // what was just repaired (the crashed node forwarded some of it,
         // but not necessarily all). Semi-naive delta evaluation, exactly
@@ -269,12 +247,10 @@ mod tests {
     }
 
     fn firing(k: i64) -> codb_relational::RuleFiring {
-        codb_relational::RuleFiring {
-            atoms: vec![(
-                "x".to_owned(),
-                vec![codb_relational::glav::TField::Const(codb_relational::Value::Int(k))],
-            )],
-        }
+        codb_relational::RuleFiring::new([(
+            "x",
+            vec![codb_relational::glav::TField::Const(codb_relational::Value::Int(k))],
+        )])
     }
 
     /// Populates the hub's sent caches: both key shapes toward spoke1,
@@ -459,12 +435,10 @@ mod tests {
     /// A repair firing writing `h(k)` — what a neighbor re-fires on the
     /// hub's outgoing link `back` (`h(X) <- s1(X)`).
     fn h_firing(k: i64) -> codb_relational::RuleFiring {
-        codb_relational::RuleFiring {
-            atoms: vec![(
-                "h".to_owned(),
-                vec![codb_relational::glav::TField::Const(codb_relational::Value::Int(k))],
-            )],
-        }
+        codb_relational::RuleFiring::new([(
+            "h",
+            vec![codb_relational::glav::TField::Const(codb_relational::Value::Int(k))],
+        )])
     }
 
     #[test]

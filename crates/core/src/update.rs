@@ -291,10 +291,10 @@ impl CoDbNode {
                 .record(firings.len() as u64, bytes as u64);
             rep.longest_path = rep.longest_path.max(hops);
         }
-        if !self.book.outgoing().contains_key(&rule) {
+        let Some(deltas) = self.receive_link_data(&rule, firings) else {
             // Stale rule (configuration changed mid-update): data ignored.
             return;
-        }
+        };
 
         // Count the data message and resolve a deferred close whose data
         // has now fully arrived (loss + retransmission can reorder data
@@ -307,6 +307,43 @@ impl CoDbNode {
             None => false,
         };
 
+        if !deltas.is_empty() {
+            let added: u64 = deltas.values().map(|v| v.len() as u64).sum();
+            self.report.update_mut(update, now).tuples_added += added;
+            if hops >= self.settings.max_hops {
+                // Chase safety valve.
+                self.report.update_mut(update, now).truncated = true;
+            } else {
+                // Re-compute dependent incoming links by substituting
+                // R with T'.
+                self.propagate_deltas(ctx, update, &deltas, hops + 1);
+            }
+        }
+
+        if deferred_close_ready {
+            self.commit_link_close(ctx, update, rule);
+        }
+    }
+
+    /// The receive path of outgoing link `rule`, shared by update data and
+    /// rejoin repair: check the batch, `T' = T \ R` at template level, WAL,
+    /// apply. Returns the per-relation deltas, or `None` when `rule` is not
+    /// (or no longer) an outgoing link.
+    ///
+    /// The wire is outside the program: a batch that is not an instance of
+    /// the rule's head over this node's schema is dropped whole and counted
+    /// as `data_rejected` — it must reach neither the caches nor the WAL,
+    /// where every later recovery would replay it into the same error.
+    pub(crate) fn receive_link_data(
+        &mut self,
+        rule: &RuleName,
+        firings: Vec<RuleFiring>,
+    ) -> Option<BTreeMap<String, Vec<Tuple>>> {
+        let link = self.book.outgoing().get(rule)?;
+        if !link.rule.admits(&self.ldb, &firings) {
+            self.report.count_received("data_rejected");
+            return Some(BTreeMap::new());
+        }
         // Template-level dedup against everything already received on this
         // link — across updates, not just within one: re-running an update
         // must not re-instantiate existential templates with fresh nulls
@@ -314,43 +351,26 @@ impl CoDbNode {
         let cache = self.recv_cache.entry(rule.clone()).or_default();
         let fresh: Vec<RuleFiring> =
             firings.into_iter().filter(|f| cache.insert(f.clone())).collect();
-        if !fresh.is_empty() {
-            // Durability: WAL the applied batch before mutating the LDB.
-            // Replay from the snapshot re-runs exactly these applies in
-            // order, reproducing instance, null factory and dedup caches.
-            if self.persist.is_some() {
-                self.log_wal(codb_store::WalRecord::Applied {
-                    rule: rule.clone(),
-                    firings: fresh.clone(),
-                });
-            }
-            let deltas = codb_relational::apply_firings(&mut self.ldb, &fresh, &mut self.nulls)
-                .expect("firings validated against schema");
-            let added: u64 = deltas.values().map(|v| v.len() as u64).sum();
-            self.report.update_mut(update, now).tuples_added += added;
-            if self.tracer.is_enabled() {
-                let r = self.tracer.intern(&rule);
-                self.tracer.emit(TraceEvent::UpdateApply {
-                    peer: self.id.0,
-                    rule: r,
-                    tuples: added,
-                });
-            }
-            if !deltas.is_empty() {
-                if hops >= self.settings.max_hops {
-                    // Chase safety valve.
-                    self.report.update_mut(update, now).truncated = true;
-                } else {
-                    // Re-compute dependent incoming links by substituting
-                    // R with T'.
-                    self.propagate_deltas(ctx, update, &deltas, hops + 1);
-                }
-            }
+        if fresh.is_empty() {
+            return Some(BTreeMap::new());
         }
-
-        if deferred_close_ready {
-            self.commit_link_close(ctx, update, rule);
+        // Durability: WAL the applied batch before mutating the LDB.
+        // Replay from the snapshot re-runs exactly these applies in
+        // order, reproducing instance, null factory and dedup caches.
+        if self.persist.is_some() {
+            self.log_wal(codb_store::WalRecord::Applied {
+                rule: rule.clone(),
+                firings: fresh.clone(),
+            });
         }
+        let deltas = codb_relational::apply_firings(&mut self.ldb, &fresh, &mut self.nulls)
+            .expect("the batch was admitted against the rule head and the schema");
+        if self.tracer.is_enabled() {
+            let r = self.tracer.intern(rule);
+            let tuples = deltas.values().map(|v| v.len() as u64).sum();
+            self.tracer.emit(TraceEvent::UpdateApply { peer: self.id.0, rule: r, tuples });
+        }
+        Some(deltas)
     }
 
     /// Marks outgoing link `rule` closed and runs the close cascade.
@@ -622,8 +642,13 @@ impl CoDbNode {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::config::NetworkConfig;
+    use crate::network::CoDbNetwork;
+    use codb_net::SimConfig;
+    use codb_relational::{tup, TField, Value};
+    use codb_store::{Codec, ScratchDir, SyncPolicy};
 
     #[test]
     fn update_state_defaults() {
@@ -633,5 +658,170 @@ mod tests {
         assert!(!st.engaged);
         assert_eq!(st.deficit, 0);
         assert!(st.is_out_open(&"r".to_owned()));
+    }
+
+    /// One link `r`: `src` exports `emp` to `tgt`'s `person`.
+    pub(crate) fn link(head: &str) -> (CoDbNetwork, NodeId, NodeId) {
+        let text = format!(
+            r#"
+            node src
+            node tgt
+            schema src: emp(str, int)
+            schema tgt: person(str, int)
+            data src: emp("ada", 30). emp("bob", 40).
+            rule r @ src -> tgt: {head} <- emp(N, A).
+            "#
+        );
+        let config = NetworkConfig::parse(&text).unwrap();
+        let net = CoDbNetwork::build(config, SimConfig::default()).unwrap();
+        let (src, tgt) = (net.node_id("src").unwrap(), net.node_id("tgt").unwrap());
+        (net, src, tgt)
+    }
+
+    fn sent_count(node: &CoDbNode, kind: &str) -> u64 {
+        node.report().messages_sent.get(kind).copied().unwrap_or(0)
+    }
+
+    /// The defect class of the per-hop deep copies, pinned structurally:
+    /// the handle in the sender's sent cache, the one held for
+    /// retransmission until the ack, and the one in the receiver's cache
+    /// are one allocation — which a copy anywhere on the way cannot be.
+    #[test]
+    fn a_firing_is_shared_from_sent_cache_to_recv_cache_not_copied() {
+        let (mut net, src, tgt) = link("person(N, A)");
+        net.sim_mut().inject(crate::HARNESS_PEER, tgt.peer(), Envelope::control(Body::StartUpdate));
+        // Up to the event that applies the data at `tgt`; the transport
+        // ack for it is still on its way back to `src`.
+        while net.node(tgt).recv_cache.get("r").is_none_or(|c| c.is_empty()) {
+            assert!(net.sim_mut().step(), "quiescent before any data arrived");
+        }
+        let received = &net.node(tgt).recv_cache["r"];
+        let sent = &net.node(src).sent_cache[&("r".to_owned(), None)];
+        let held: Vec<RuleFiring> = net
+            .node(src)
+            .reliable
+            .pending()
+            .into_iter()
+            .filter_map(|(_, env)| match env.body {
+                Body::UpdateData { firings, .. } => Some(firings),
+                _ => None,
+            })
+            .flatten()
+            .collect();
+        assert_eq!((received.len(), sent.len(), held.len()), (2, 2, 2));
+        for f in received {
+            assert!(sent.get(f).is_some_and(|s| s.ptr_eq(f)), "sent cache holds a copy of {f:?}");
+            assert!(held.iter().any(|h| h.ptr_eq(f)), "retransmission holds a copy of {f:?}");
+        }
+    }
+
+    fn constant(v: impl Into<Value>) -> TField {
+        TField::Const(v.into())
+    }
+
+    /// Batches that are not instances of `person(N, A)` over `tgt`'s
+    /// schema, each behind a well-formed firing: dropped whole.
+    fn misfits() -> Vec<(&'static str, Vec<RuleFiring>)> {
+        let good = || RuleFiring::new([("person", vec![constant("zed"), constant(9)])]);
+        let atom = |rel: &'static str, fields| RuleFiring::new([(rel, fields)]);
+        vec![
+            ("unknown relation", vec![good(), atom("nosuch", vec![constant("x"), constant(1)])]),
+            ("wrong arity", vec![good(), atom("person", vec![constant("x")])]),
+            ("wrong column type", vec![good(), atom("person", vec![constant(1), constant(2)])]),
+            (
+                "placeholder where the head has a body variable",
+                vec![good(), atom("person", vec![constant("x"), TField::Fresh(1)])],
+            ),
+            (
+                "more atoms than the head",
+                vec![RuleFiring::new([
+                    ("person", vec![constant("x"), constant(1)]),
+                    ("person", vec![constant("y"), constant(2)]),
+                ])],
+            ),
+        ]
+    }
+
+    /// A misshapen batch from the wire — as update data and as rejoin
+    /// repair — leaves the node alive and its LDB, receive cache and WAL
+    /// as they were, is counted, returns its DS credit, and neither the
+    /// next update nor the next recovery trips over it.
+    #[test]
+    fn a_misshapen_batch_is_dropped_whole_counted_and_never_logged() {
+        for (what, firings) in misfits() {
+            for as_repair in [false, true] {
+                let tmp = ScratchDir::new("core-misfit");
+                let (mut net, src, tgt) = link("person(N, A)");
+                net.open_persistence_all(tmp.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+                net.run_update(tgt);
+                let before = net.node(tgt);
+                let (ldb, recv) = (before.ldb().clone(), before.recv_cache.clone());
+                let wal_records = before.store().unwrap().wal_records();
+                let credits = sent_count(before, "ds_ack");
+
+                let bogus = UpdateId { origin: src, epoch: 7, seq: 0 };
+                let firings = firings.clone();
+                let body = if as_repair {
+                    Body::RejoinRepair { rule: "r".to_owned(), firings }
+                } else {
+                    Body::UpdateData { update: bogus, rule: "r".to_owned(), firings, hops: 1 }
+                };
+                net.sim_mut().inject(src.peer(), tgt.peer(), Envelope::control(body));
+                net.sim_mut().run_until_quiescent();
+
+                let node = net.node(tgt);
+                let case = format!("{what}, as_repair={as_repair}");
+                assert_eq!(node.ldb(), &ldb, "{case}");
+                assert_eq!(node.recv_cache, recv, "{case}");
+                assert_eq!(node.store().unwrap().wal_records(), wal_records, "{case}");
+                assert_eq!(node.persist_error(), None, "{case}");
+                assert_eq!(node.report().messages_received["data_rejected"], 1, "{case}");
+                if !as_repair {
+                    assert_eq!(sent_count(node, "ds_ack"), credits + 1, "{case}");
+                    let st = node.update_state(bogus).unwrap();
+                    assert!(!st.engaged && st.deficit == 0, "{case}: {st:?}");
+                }
+
+                // The link still works, and the log replays.
+                net.run_control(
+                    src,
+                    Body::IngestLocal { relation: "emp".to_owned(), tuple: tup!["cy", 50] },
+                );
+                let outcome = net.run_update(tgt);
+                assert!(net.node(tgt).update_state(outcome.update).unwrap().complete, "{case}");
+                let ldb = net.node(tgt).ldb().clone();
+                assert!(ldb.get("person").unwrap().contains(&tup!["cy", 50]), "{case}");
+                net.crash_node(tgt);
+                let dir = CoDbNetwork::node_data_dir(tmp.path(), "tgt");
+                net.restart_node_from_disk(tgt, &dir, SyncPolicy::Always, Codec::Binary)
+                    .unwrap_or_else(|e| panic!("{case}: {e}"));
+                assert_eq!(net.node(tgt).ldb(), &ldb, "{case}");
+            }
+        }
+    }
+
+    /// A receive cache read back from disk is made of other allocations
+    /// than the firings `src` fires again for the rejoin repair and the
+    /// next update; it must suppress them all the same, or every template
+    /// would be instantiated a second time with fresh nulls.
+    #[test]
+    fn a_recovered_receive_cache_suppresses_refired_templates() {
+        for codec in [Codec::Binary, Codec::Json] {
+            let tmp = ScratchDir::new("core-glav-restart");
+            let (mut net, _, tgt) = link("person(N, D)");
+            net.open_persistence_all(tmp.path(), SyncPolicy::Always, codec).unwrap();
+            net.run_update(tgt);
+            let ldb = net.node(tgt).ldb().clone();
+            assert_eq!(net.node(tgt).nulls_invented(), 2);
+
+            net.crash_node(tgt);
+            let dir = CoDbNetwork::node_data_dir(tmp.path(), "tgt");
+            net.restart_node_from_disk(tgt, &dir, SyncPolicy::Always, codec).unwrap();
+            let repaired = net.node(tgt).report().messages_received.get("rejoin_repair");
+            assert_eq!(repaired, Some(&1), "src re-fired the whole link");
+            net.run_update(tgt);
+            assert_eq!(net.node(tgt).nulls_invented(), 2, "{codec}: a null was minted twice");
+            assert_eq!(net.node(tgt).ldb(), &ldb, "{codec}");
+        }
     }
 }

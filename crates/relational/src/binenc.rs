@@ -436,8 +436,8 @@ pub fn take_tfield(r: &mut Reader<'_>) -> DecodeResult<TField> {
 
 /// Encodes one [`RuleFiring`] (atoms in head order).
 pub fn put_firing(out: &mut Vec<u8>, f: &RuleFiring) {
-    put_len(out, f.atoms.len());
-    for (rel, fields) in &f.atoms {
+    put_len(out, f.atoms().len());
+    for (rel, fields) in f.atoms() {
         put_str(out, rel);
         put_len(out, fields.len());
         for field in fields {
@@ -459,7 +459,7 @@ pub fn take_firing(r: &mut Reader<'_>) -> DecodeResult<RuleFiring> {
         }
         atoms.push((rel, fields));
     }
-    Ok(RuleFiring { atoms })
+    Ok(RuleFiring::new(atoms))
 }
 
 #[cfg(test)]
@@ -529,12 +529,10 @@ mod tests {
 
     #[test]
     fn firing_round_trips() {
-        let f = RuleFiring {
-            atoms: vec![
-                ("r".into(), vec![TField::Const(Value::Int(3)), TField::Fresh(0)]),
-                ("s".into(), vec![TField::Fresh(0)]),
-            ],
-        };
+        let f = RuleFiring::new([
+            ("r", vec![TField::Const(Value::Int(3)), TField::Fresh(0)]),
+            ("s", vec![TField::Fresh(0)]),
+        ]);
         let mut out = Vec::new();
         put_firing(&mut out, &f);
         assert_eq!(take_firing(&mut Reader::new(&out)).unwrap(), f);

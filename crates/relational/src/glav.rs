@@ -26,10 +26,14 @@ use crate::cq::{Atom, CqBody, CqError, Term, Var};
 use crate::eval::{evaluate_body, evaluate_body_delta, Bindings, EvalError};
 use crate::instance::Instance;
 use crate::tuple::Tuple;
-use crate::value::{NullFactory, Value};
+use crate::value::{NullFactory, NullId, Value};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 /// A GLAV coordination rule, node-agnostic (the `codb-core` crate pairs it
 /// with source/target node identifiers).
@@ -108,31 +112,76 @@ impl GlavRule {
         Ok(self.firings_from(bindings))
     }
 
+    /// One firing per distinct head instance, sorted. A head variable the
+    /// body leaves unbound is existential: `evaluate_body` binds exactly
+    /// the variables of the body's atoms.
     fn firings_from(&self, bindings: Vec<Bindings>) -> Vec<RuleFiring> {
-        let existentials = self.existential_vars();
-        let mut set: BTreeSet<RuleFiring> = BTreeSet::new();
-        for b in bindings {
-            let atoms = self
-                .head
-                .iter()
-                .map(|atom| {
-                    let fields = atom
-                        .terms
-                        .iter()
-                        .map(|t| match t {
-                            Term::Const(c) => TField::Const(c.clone()),
-                            Term::Var(v) if existentials.contains(v) => TField::Fresh(v.0),
-                            Term::Var(v) => TField::Const(
-                                b[v.0 as usize].clone().expect("body var bound by evaluation"),
-                            ),
-                        })
-                        .collect();
-                    (atom.relation.clone(), fields)
-                })
-                .collect();
-            set.insert(RuleFiring { atoms });
+        let names: Vec<Arc<str>> =
+            self.head.iter().map(|atom| Arc::from(atom.relation.as_str())).collect();
+        let mut instances: Vec<Vec<(Arc<str>, Vec<TField>)>> = bindings
+            .into_iter()
+            .map(|b| {
+                self.head
+                    .iter()
+                    .zip(&names)
+                    .map(|(atom, name)| {
+                        let fields = atom
+                            .terms
+                            .iter()
+                            .map(|t| match t {
+                                Term::Const(c) => TField::Const(c.clone()),
+                                Term::Var(v) => match b.get(v.0 as usize) {
+                                    Some(Some(bound)) => TField::Const(bound.clone()),
+                                    _ => TField::Fresh(v.0),
+                                },
+                            })
+                            .collect();
+                        (Arc::clone(name), fields)
+                    })
+                    .collect()
+            })
+            .collect();
+        instances.sort_unstable();
+        instances.dedup();
+        instances.into_iter().map(RuleFiring::from_atoms).collect()
+    }
+
+    /// True iff every firing of `firings` is an instance of this rule's
+    /// head that `target` can hold: the head's relations in head order,
+    /// each with the arity `target` declares, ground fields of the column's
+    /// type, and a placeholder only where the head has that existential
+    /// variable. A batch that passes cannot make [`apply_firings`] fail.
+    pub fn admits(&self, target: &Instance, firings: &[RuleFiring]) -> bool {
+        if firings.is_empty() {
+            return true;
         }
-        set.into_iter().collect()
+        let mut schemas = Vec::with_capacity(self.head.len());
+        for atom in &self.head {
+            match target.get(&atom.relation) {
+                Some(rel) if rel.arity() == atom.terms.len() => schemas.push(rel.schema()),
+                _ => return false,
+            }
+        }
+        let existential = |v: Var| !self.body.atoms.iter().any(|a| a.terms.contains(&Term::Var(v)));
+        firings.iter().all(|firing| {
+            firing.atoms().len() == self.head.len()
+                && firing.atoms().iter().zip(&self.head).zip(&schemas).all(
+                    |(((rel, fields), atom), schema)| {
+                        **rel == *atom.relation
+                            && fields.len() == atom.terms.len()
+                            && fields.iter().zip(&atom.terms).zip(&schema.columns).all(
+                                |((field, term), column)| match field {
+                                    TField::Const(v) => {
+                                        v.value_type().is_none_or(|ty| ty == column.ty)
+                                    }
+                                    TField::Fresh(id) => {
+                                        *term == Term::Var(Var(*id)) && existential(Var(*id))
+                                    }
+                                },
+                            )
+                    },
+                )
+        })
     }
 }
 
@@ -196,43 +245,49 @@ pub enum TField {
 /// The wire unit of coDB data migration: one rule firing — every head atom
 /// of the rule, projected through one body answer, with existential
 /// placeholders unresolved.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct RuleFiring {
-    /// `(relation, fields)` per head atom, in rule head order.
-    pub atoms: Vec<(String, Vec<TField>)>,
+///
+/// A firing is an immutable shared handle: built once where the rule
+/// fires, and from there to the last cache that remembers it every clone
+/// is a reference-count bump. Equality and order are structural — those of
+/// the atom list — and the hash is computed on first use, once per
+/// allocation.
+#[derive(Clone)]
+pub struct RuleFiring(Arc<FiringData>);
+
+struct FiringData {
+    atoms: Vec<(Arc<str>, Vec<TField>)>,
+    hash: OnceLock<u64>,
 }
 
 impl RuleFiring {
-    /// Instantiates the firing at the target: each distinct placeholder gets
-    /// one fresh marked null. Returns `(relation, tuple)` pairs.
-    pub fn instantiate(&self, nulls: &mut NullFactory) -> Vec<(String, Tuple)> {
-        let mut invented: BTreeMap<u32, Value> = BTreeMap::new();
-        self.atoms
-            .iter()
-            .map(|(rel, fields)| {
-                let values = fields
-                    .iter()
-                    .map(|f| match f {
-                        TField::Const(v) => v.clone(),
-                        TField::Fresh(id) => invented
-                            .entry(*id)
-                            .or_insert_with(|| Value::Null(nulls.fresh()))
-                            .clone(),
-                    })
-                    .collect::<Vec<_>>();
-                (rel.clone(), Tuple::new(values))
-            })
-            .collect()
+    /// A firing of `(relation, fields)` per head atom, in rule head order.
+    pub fn new<S: Into<Arc<str>>>(atoms: impl IntoIterator<Item = (S, Vec<TField>)>) -> Self {
+        Self::from_atoms(atoms.into_iter().map(|(rel, fields)| (rel.into(), fields)).collect())
+    }
+
+    fn from_atoms(atoms: Vec<(Arc<str>, Vec<TField>)>) -> Self {
+        RuleFiring(Arc::new(FiringData { atoms, hash: OnceLock::new() }))
+    }
+
+    /// `(relation, fields)` per head atom, in rule head order.
+    pub fn atoms(&self) -> &[(Arc<str>, Vec<TField>)] {
+        &self.0.atoms
+    }
+
+    /// True iff both handles are the same allocation (equal firings built
+    /// separately are `==` but not `ptr_eq`).
+    pub fn ptr_eq(&self, other: &RuleFiring) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
     }
 
     /// True iff the firing carries no existential placeholder.
     pub fn is_ground(&self) -> bool {
-        self.atoms.iter().all(|(_, fs)| fs.iter().all(|f| matches!(f, TField::Const(_))))
+        self.atoms().iter().all(|(_, fs)| fs.iter().all(|f| matches!(f, TField::Const(_))))
     }
 
     /// Approximate wire size in bytes (statistics accounting).
     pub fn size_bytes(&self) -> usize {
-        self.atoms
+        self.atoms()
             .iter()
             .map(|(rel, fs)| {
                 rel.len()
@@ -246,30 +301,121 @@ impl RuleFiring {
             })
             .sum()
     }
+
+    /// The hash of the atom list under the process-wide keyed SipHash:
+    /// equal firings agree, however and wherever in this process they were
+    /// built. Lazy because most firings are never hashed — a chase that
+    /// keeps them in ordered sets pays nothing for it.
+    fn content_hash(&self) -> u64 {
+        static KEYS: OnceLock<RandomState> = OnceLock::new();
+        *self.0.hash.get_or_init(|| KEYS.get_or_init(RandomState::new).hash_one(&self.0.atoms))
+    }
 }
 
-/// Applies a batch of firings to `target`: instantiates each firing (fresh
-/// nulls from `nulls`), inserts the resulting tuples, and returns the
+impl PartialEq for RuleFiring {
+    fn eq(&self, other: &Self) -> bool {
+        self.ptr_eq(other) || self.0.atoms == other.0.atoms
+    }
+}
+
+impl Eq for RuleFiring {}
+
+impl PartialOrd for RuleFiring {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for RuleFiring {
+    fn cmp(&self, other: &Self) -> Ordering {
+        if self.ptr_eq(other) {
+            Ordering::Equal
+        } else {
+            self.0.atoms.cmp(&other.0.atoms)
+        }
+    }
+}
+
+impl Hash for RuleFiring {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.content_hash());
+    }
+}
+
+impl fmt::Debug for RuleFiring {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RuleFiring").field("atoms", &self.0.atoms).finish()
+    }
+}
+
+/// `{"atoms": [[relation, fields], …]}`, the shape JSON stores on disk
+/// (and the golden-json fixture) hold. Written against the vendored serde
+/// shim's value-tree API.
+impl Serialize for RuleFiring {
+    fn to_value(&self) -> serde::Value {
+        let atoms = self
+            .atoms()
+            .iter()
+            .map(|(rel, fields)| serde::Value::Array(vec![rel.to_value(), fields.to_value()]))
+            .collect();
+        serde::Value::Object(BTreeMap::from([("atoms".to_owned(), serde::Value::Array(atoms))]))
+    }
+}
+
+impl Deserialize for RuleFiring {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let atoms = v.get("atoms").ok_or_else(|| serde::Error::custom("missing field `atoms`"))?;
+        Vec::<(String, Vec<TField>)>::from_value(atoms).map(RuleFiring::new)
+    }
+}
+
+/// Applies a batch of firings to `target`: instantiates each firing — one
+/// fresh null from `nulls` per distinct placeholder, shared across the
+/// firing's head atoms — inserts the resulting tuples, and returns the
 /// per-relation deltas (tuples that were actually new).
 ///
 /// The caller is responsible for firing-level dedup (per-link caches); this
-/// function still suppresses ground duplicates via set semantics.
+/// function still suppresses ground duplicates via set semantics. On an
+/// error the firings before the offending one stay applied; check a batch
+/// from outside the program with [`GlavRule::admits`] first.
 pub fn apply_firings(
     target: &mut Instance,
     firings: &[RuleFiring],
     nulls: &mut NullFactory,
 ) -> Result<BTreeMap<String, Vec<Tuple>>, crate::schema::SchemaError> {
     let mut deltas: BTreeMap<String, Vec<Tuple>> = BTreeMap::new();
+    // Placeholder → null of the firing in hand; a head has a few at most.
+    let mut invented: Vec<(u32, NullId)> = Vec::new();
     for firing in firings {
-        for (rel, tuple) in firing.instantiate(nulls) {
-            if target
-                .get_mut(&rel)
-                .ok_or_else(|| crate::schema::SchemaError::UnknownRelation {
-                    relation: rel.clone(),
-                })?
-                .insert(tuple.clone())?
-            {
-                deltas.entry(rel).or_default().push(tuple);
+        invented.clear();
+        for (rel, fields) in firing.atoms() {
+            let values: Vec<Value> = fields
+                .iter()
+                .map(|f| match f {
+                    TField::Const(v) => v.clone(),
+                    TField::Fresh(id) => {
+                        Value::Null(match invented.iter().find(|(seen, _)| seen == id) {
+                            Some(&(_, null)) => null,
+                            None => {
+                                let null = nulls.fresh();
+                                invented.push((*id, null));
+                                null
+                            }
+                        })
+                    }
+                })
+                .collect();
+            let tuple = Tuple::new(values);
+            let relation = target.get_mut(rel).ok_or_else(|| {
+                crate::schema::SchemaError::UnknownRelation { relation: rel.to_string() }
+            })?;
+            if relation.insert(tuple.clone())? {
+                match deltas.get_mut(&**rel) {
+                    Some(delta) => delta.push(tuple),
+                    None => {
+                        deltas.insert(rel.to_string(), vec![tuple]);
+                    }
+                }
             }
         }
     }
@@ -335,7 +481,7 @@ mod tests {
         assert_eq!(firings.len(), 1); // bob filtered by comparison
         assert!(firings[0].is_ground());
         assert_eq!(
-            firings[0].atoms[0].1,
+            firings[0].atoms()[0].1,
             vec![TField::Const(Value::str("alice")), TField::Const(Value::Int(30))]
         );
     }
@@ -346,8 +492,8 @@ mod tests {
         assert_eq!(firings.len(), 2);
         for f in &firings {
             assert!(!f.is_ground());
-            let (_, person_fields) = &f.atoms[0];
-            let (_, dept_fields) = &f.atoms[1];
+            let (_, person_fields) = &f.atoms()[0];
+            let (_, dept_fields) = &f.atoms()[1];
             assert_eq!(person_fields[1], TField::Fresh(2));
             assert_eq!(dept_fields[0], TField::Fresh(2));
         }
@@ -355,17 +501,20 @@ mod tests {
 
     #[test]
     fn instantiate_invents_one_null_per_placeholder() {
+        let mut target = Instance::new();
+        target
+            .add_relation(RelationSchema::with_types("person", &[ValueType::Str, ValueType::Str]));
+        target.add_relation(RelationSchema::with_types("dept", &[ValueType::Str]));
         let firings = glav_rule().fire(&src()).unwrap();
         let mut nulls = NullFactory::new(1);
-        let pairs = firings[0].instantiate(&mut nulls);
-        assert_eq!(pairs.len(), 2);
-        let pv = &pairs[0].1[1];
-        let dv = &pairs[1].1[0];
-        assert!(pv.is_null());
-        assert_eq!(pv, dv, "placeholder shared within a firing");
-        // A second firing invents a different null.
-        let pairs2 = firings[1].instantiate(&mut nulls);
-        assert_ne!(pairs2[0].1[1], *pv);
+        let deltas = apply_firings(&mut target, &firings, &mut nulls).unwrap();
+        assert_eq!(nulls.invented(), 2, "one null per firing, not per head atom");
+        for (person, dept) in deltas["person"].iter().zip(&deltas["dept"]) {
+            assert!(person[1].is_null());
+            assert_eq!(person[1], dept[0], "placeholder shared within a firing");
+        }
+        // The second firing invented a different null.
+        assert_ne!(deltas["dept"][0], deltas["dept"][1]);
     }
 
     #[test]
@@ -386,6 +535,103 @@ mod tests {
         assert_eq!(firings.len(), 2); // alice, bob — not 3
     }
 
+    /// What `fire` returns, by definition: the ordered set of the head's
+    /// plain atom lists, one per body answer, existentials from the rule.
+    fn fire_reference(rule: &GlavRule, source: &Instance) -> Vec<Vec<(String, Vec<TField>)>> {
+        let existentials = rule.existential_vars();
+        let mut set = BTreeSet::new();
+        for b in evaluate_body(&rule.body, source).unwrap() {
+            let atoms: Vec<(String, Vec<TField>)> = rule
+                .head
+                .iter()
+                .map(|atom| {
+                    let fields = atom
+                        .terms
+                        .iter()
+                        .map(|t| match t {
+                            Term::Const(c) => TField::Const(c.clone()),
+                            Term::Var(v) if existentials.contains(v) => TField::Fresh(v.0),
+                            Term::Var(v) => TField::Const(b[v.0 as usize].clone().unwrap()),
+                        })
+                        .collect();
+                    (atom.relation.clone(), fields)
+                })
+                .collect();
+            set.insert(atoms);
+        }
+        set.into_iter().collect()
+    }
+
+    #[test]
+    fn fire_returns_the_sorted_deduplicated_sequence_it_always_did() {
+        // 300 scrambled rows over 40 names, so a projection collapses many.
+        let mut inst = src();
+        let mut x = 7u64;
+        for _ in 0..300 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let name = format!("n{}", (x >> 33) % 40);
+            inst.insert("emp", tup![name, ((x >> 13) % 90) as i64]).unwrap();
+        }
+        let projection = GlavRule::new(
+            "p",
+            vec![
+                Atom::new("names", vec![v(0)]),
+                Atom::new("tag", vec![Term::Const(Value::Int(1))]),
+            ],
+            CqBody::new(vec![Atom::new("emp", vec![v(0), v(1)])], vec![]),
+            vec!["N".into(), "A".into()],
+        )
+        .unwrap();
+        for rule in [gav_rule(), glav_rule(), projection] {
+            let fired: Vec<Vec<(String, Vec<TField>)>> = rule
+                .fire(&inst)
+                .unwrap()
+                .iter()
+                .map(|f| f.atoms().iter().map(|(r, fs)| (r.to_string(), fs.clone())).collect())
+                .collect();
+            assert_eq!(fired, fire_reference(&rule, &inst), "{rule}");
+        }
+        assert_eq!(glav_rule().fire(&inst).unwrap().len(), 42, "alice, bob and n0..n39");
+    }
+
+    #[test]
+    fn admits_exactly_the_instances_of_the_head() {
+        let mut target = Instance::new();
+        target
+            .add_relation(RelationSchema::with_types("person", &[ValueType::Str, ValueType::Str]));
+        target.add_relation(RelationSchema::with_types("dept", &[ValueType::Str]));
+        let rule = glav_rule();
+        let fired = rule.fire(&src()).unwrap();
+        assert!(rule.admits(&target, &fired));
+        assert!(rule.admits(&Instance::new(), &[]), "nothing to hold");
+        assert!(!rule.admits(&Instance::new(), &fired), "the target lacks the head's relations");
+        let name = || TField::Const(Value::str("zed"));
+        let misfits = [
+            vec![("person", vec![name(), TField::Fresh(2)])],
+            vec![("dept", vec![TField::Fresh(2)]), ("person", vec![name(), TField::Fresh(2)])],
+            vec![("person", vec![name()]), ("dept", vec![TField::Fresh(2)])],
+            vec![
+                ("person", vec![TField::Const(Value::Int(1)), TField::Fresh(2)]),
+                ("dept", vec![TField::Fresh(2)]),
+            ],
+            vec![
+                ("person", vec![TField::Fresh(0), TField::Fresh(2)]),
+                ("dept", vec![TField::Fresh(2)]),
+            ],
+            vec![("person", vec![name(), TField::Fresh(3)]), ("dept", vec![TField::Fresh(2)])],
+        ];
+        for atoms in misfits {
+            let firing = RuleFiring::new(atoms);
+            assert!(!rule.admits(&target, &[fired[0].clone(), firing.clone()]), "{firing:?}");
+        }
+        // A null or a constant where the head has a placeholder is data.
+        let ground = RuleFiring::new([
+            ("person", vec![name(), TField::Const(Value::Null(NullId::new(9, 9)))]),
+            ("dept", vec![name()]),
+        ]);
+        assert!(rule.admits(&target, &[ground]));
+    }
+
     #[test]
     fn fire_delta_limits_to_new_tuples() {
         let mut i = src();
@@ -393,7 +639,7 @@ mod tests {
         i.insert("emp", delta[0].clone()).unwrap();
         let firings = gav_rule().fire_delta(&i, "emp", &delta).unwrap();
         assert_eq!(firings.len(), 1);
-        assert_eq!(firings[0].atoms[0].1[0], TField::Const(Value::str("carol")));
+        assert_eq!(firings[0].atoms()[0].1[0], TField::Const(Value::str("carol")));
     }
 
     #[test]

@@ -8,8 +8,7 @@
 use crate::schema::{RelationSchema, SchemaError};
 use crate::tuple::Tuple;
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// A relation instance: a schema plus a set of tuples.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -104,21 +103,6 @@ impl Relation {
     pub fn size_bytes(&self) -> usize {
         self.tuples.iter().map(Tuple::size_bytes).sum()
     }
-
-    /// Builds a hash index on one column: value at `col` → matching tuples.
-    /// Used by the evaluator for index-nested-loop joins.
-    pub fn index_on(&self, col: usize) -> HashMap<&crate::Value, Vec<&Tuple>> {
-        let mut idx: HashMap<&crate::Value, Vec<&Tuple>> = HashMap::new();
-        for t in &self.tuples {
-            match idx.entry(&t[col]) {
-                Entry::Occupied(mut e) => e.get_mut().push(t),
-                Entry::Vacant(e) => {
-                    e.insert(vec![t]);
-                }
-            }
-        }
-        idx
-    }
 }
 
 impl PartialEq for Relation {
@@ -183,17 +167,6 @@ mod tests {
         r.insert(tup![2, "b"]).unwrap();
         r.insert(tup![1, "a"]).unwrap();
         assert_eq!(r.sorted(), vec![tup![1, "a"], tup![2, "b"]]);
-    }
-
-    #[test]
-    fn index_groups_by_column_value() {
-        let mut r = rel();
-        r.insert(tup![1, "a"]).unwrap();
-        r.insert(tup![1, "b"]).unwrap();
-        r.insert(tup![2, "c"]).unwrap();
-        let idx = r.index_on(0);
-        assert_eq!(idx[&crate::Value::Int(1)].len(), 2);
-        assert_eq!(idx[&crate::Value::Int(2)].len(), 1);
     }
 
     #[test]

@@ -42,7 +42,7 @@ use crate::store::StoreError;
 use crate::wal::{ProtocolCounters, RecvCaches, WalRecord};
 use codb_relational::binenc::{self, BinDecodeError, Reader};
 use codb_relational::{RuleFiring, Snapshot, SnapshotError};
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 use std::fmt;
 use std::str::FromStr;
 
@@ -170,7 +170,7 @@ pub fn encode_record(record: &WalRecord, codec: Codec) -> Result<Vec<u8>, StoreE
                     binenc::put_len(&mut out, recv.len());
                     for (rule, firings) in recv {
                         binenc::put_str(&mut out, rule);
-                        put_firings(&mut out, firings.iter());
+                        put_firings(&mut out, sorted(firings).into_iter());
                     }
                 }
                 WalRecord::Counters { counters } => {
@@ -224,7 +224,7 @@ fn decode_record_binary(payload: &[u8]) -> Result<WalRecord, BinDecodeError> {
                 // element once): silently collapsing duplicates would
                 // mask an encoder bug as a smaller cache.
                 let count = firings.len();
-                let set: BTreeSet<_> = firings.into_iter().collect();
+                let set: HashSet<_> = firings.into_iter().collect();
                 if set.len() != count {
                     return Err(BinDecodeError {
                         offset: entry_at,
@@ -263,6 +263,14 @@ fn decode_record_binary(payload: &[u8]) -> Result<WalRecord, BinDecodeError> {
     };
     r.expect_end()?;
     Ok(record)
+}
+
+/// A cache's firings in their structural order: what either codec writes,
+/// so the bytes never depend on the process's hash keys.
+pub(crate) fn sorted(firings: &HashSet<RuleFiring>) -> Vec<&RuleFiring> {
+    let mut firings: Vec<&RuleFiring> = firings.iter().collect();
+    firings.sort_unstable();
+    firings
 }
 
 fn put_firings<'a>(out: &mut Vec<u8>, firings: impl ExactSizeIterator<Item = &'a RuleFiring>) {
@@ -310,9 +318,8 @@ mod tests {
     use codb_relational::{Instance, NullFactory, RelationSchema, Tuple, Value, ValueType};
 
     fn records() -> Vec<WalRecord> {
-        let firing = RuleFiring {
-            atoms: vec![("r".into(), vec![TField::Const(Value::Int(-7)), TField::Fresh(0)])],
-        };
+        let firing =
+            RuleFiring::new([("r", vec![TField::Const(Value::Int(-7)), TField::Fresh(0)])]);
         let mut recv = RecvCaches::new();
         recv.insert("e0".into(), [firing.clone()].into_iter().collect());
         vec![
@@ -335,6 +342,24 @@ mod tests {
                 let bytes = encode_record(&record, codec).unwrap();
                 assert_eq!(decode_record(&bytes, codec).unwrap(), record, "{codec}");
             }
+        }
+    }
+
+    #[test]
+    fn equal_caches_are_equal_bytes_whatever_the_hash_order() {
+        let firing = |k: i64| RuleFiring::new([("r", vec![TField::Const(Value::Int(k))])]);
+        // Two sets never share hash keys, so these two iterate differently.
+        let ascending: HashSet<RuleFiring> = (0..200).map(firing).collect();
+        let descending: HashSet<RuleFiring> = (0..200).rev().map(firing).collect();
+        assert!(!ascending.iter().eq(descending.iter()), "the sets iterate alike");
+        let in_order: Vec<RuleFiring> = (0..200).map(firing).collect();
+        assert!(sorted(&ascending).into_iter().eq(&in_order));
+        for codec in [Codec::Json, Codec::Binary] {
+            let [a, b] = [&ascending, &descending].map(|set| {
+                let recv = RecvCaches::from([("e0".to_owned(), set.clone())]);
+                encode_record(&WalRecord::Caches { recv }, codec).unwrap()
+            });
+            assert_eq!(a, b, "{codec}");
         }
     }
 
@@ -386,7 +411,7 @@ mod tests {
         // rejected the encoder's own output and made the WAL frame read
         // as corrupt).
         let record =
-            WalRecord::Applied { rule: "r".into(), firings: vec![RuleFiring { atoms: vec![] }; 3] };
+            WalRecord::Applied { rule: "r".into(), firings: vec![RuleFiring::new::<&str>([]); 3] };
         for codec in [Codec::Json, Codec::Binary] {
             let bytes = encode_record(&record, codec).unwrap();
             assert_eq!(decode_record(&bytes, codec).unwrap(), record, "{codec}");
@@ -396,7 +421,7 @@ mod tests {
     #[test]
     fn non_canonical_cache_payloads_are_rejected() {
         use codb_relational::binenc;
-        let firing = RuleFiring { atoms: vec![("r".into(), vec![TField::Fresh(0)])] };
+        let firing = RuleFiring::new([("r", vec![TField::Fresh(0)])]);
         // Same rule key encoded twice.
         let mut out = vec![TAG_CACHES];
         binenc::put_len(&mut out, 2);

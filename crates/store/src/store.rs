@@ -689,9 +689,7 @@ mod tests {
     }
 
     fn firing(k: i64) -> RuleFiring {
-        RuleFiring {
-            atoms: vec![("r".to_owned(), vec![TField::Const(Value::Int(k)), TField::Fresh(0)])],
-        }
+        RuleFiring::new([("r", vec![TField::Const(Value::Int(k)), TField::Fresh(0)])])
     }
 
     fn apply_live(

@@ -19,7 +19,7 @@ use codb_relational::frame::{encode_frame, FrameScanner, FrameStep};
 use codb_relational::{RuleFiring, Tuple};
 use codb_trace::{TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
@@ -27,8 +27,28 @@ use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
 /// Receiver-side per-link dedup caches, exactly as the node keeps them
-/// (`rule name → firing templates already materialised`).
-pub type RecvCaches = BTreeMap<String, BTreeSet<RuleFiring>>;
+/// (`rule name → firing templates already materialised`). The sets are
+/// unordered in memory; both codecs write them sorted, so equal caches
+/// are equal bytes.
+pub type RecvCaches = BTreeMap<String, HashSet<RuleFiring>>;
+
+/// The JSON shape of [`RecvCaches`] — `[[rule, [firing, …]], …]`, as the
+/// derive writes a map of sets — with each set in sorted order. Written
+/// against the vendored serde shim's value-tree API.
+mod sorted_caches {
+    use super::{codec, RecvCaches};
+    use serde::{Deserialize, Error, Serialize, Value};
+
+    pub fn to_value(recv: &RecvCaches) -> Value {
+        let pair =
+            |(rule, set)| Value::Array(vec![String::to_value(rule), codec::sorted(set).to_value()]);
+        Value::Array(recv.iter().map(pair).collect())
+    }
+
+    pub fn from_value(v: &Value) -> Result<RecvCaches, Error> {
+        RecvCaches::from_value(v)
+    }
+}
 
 /// Durable protocol counters: the per-node sequence numbers that make
 /// update/query/fetch identifiers unique. Persisted so a recovered node
@@ -53,6 +73,7 @@ pub enum WalRecord {
     /// that built it.
     Caches {
         /// The caches at rotation time.
+        #[serde(with = "sorted_caches")]
         recv: RecvCaches,
     },
     /// Checkpoint of the protocol counters — written right after
@@ -513,9 +534,7 @@ mod tests {
     use codb_relational::Value;
 
     fn firing(k: i64) -> RuleFiring {
-        RuleFiring {
-            atoms: vec![("r".to_owned(), vec![TField::Const(Value::Int(k)), TField::Fresh(0)])],
-        }
+        RuleFiring::new([("r", vec![TField::Const(Value::Int(k)), TField::Fresh(0)])])
     }
 
     #[test]

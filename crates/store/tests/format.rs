@@ -5,7 +5,8 @@
 
 use codb_relational::glav::TField;
 use codb_relational::{
-    Instance, NullFactory, NullId, RelationSchema, RuleFiring, Snapshot, Tuple, Value, ValueType,
+    binenc, Instance, NullFactory, NullId, RelationSchema, RuleFiring, Snapshot, Tuple, Value,
+    ValueType,
 };
 use codb_store::wal::{read_wal, WalWriter};
 use codb_store::{
@@ -35,15 +36,20 @@ fn arb_tfield() -> impl Strategy<Value = TField> {
     prop_oneof![arb_value().prop_map(TField::Const), (0u32..4).prop_map(TField::Fresh)]
 }
 
-fn arb_firing() -> impl Strategy<Value = RuleFiring> {
+/// What a firing is made of: `(relation, fields)` per head atom.
+fn arb_atoms() -> impl Strategy<Value = Vec<(String, Vec<TField>)>> {
     proptest::collection::vec((arb_name(), proptest::collection::vec(arb_tfield(), 1..4)), 1..3)
-        .prop_map(|atoms| RuleFiring { atoms })
+}
+
+fn arb_firing() -> impl Strategy<Value = RuleFiring> {
+    arb_atoms().prop_map(RuleFiring::new)
 }
 
 fn arb_caches() -> impl Strategy<Value = RecvCaches> {
     proptest::collection::btree_map(
         arb_name(),
-        proptest::collection::btree_set(arb_firing(), 0..3),
+        proptest::collection::btree_set(arb_firing(), 0..3)
+            .prop_map(|set| set.into_iter().collect()),
         0..3,
     )
 }
@@ -152,6 +158,34 @@ proptest! {
         prop_assert_eq!(contents.records, records);
         prop_assert_eq!(contents.codec, codec);
         prop_assert!(!contents.torn_tail);
+    }
+
+    /// A firing handle is its atom list: handles order and compare as the
+    /// plain lists do, and a twin built separately or read back through
+    /// either codec — another allocation, its hash not yet computed — is
+    /// `==`, compares `Equal` and hashes alike, so a cache recovered from
+    /// disk suppresses a freshly fired duplicate.
+    #[test]
+    fn firing_handles_compare_and_hash_as_their_atoms(a in arb_atoms(), b in arb_atoms()) {
+        use std::hash::BuildHasher;
+        let (fa, fb) = (RuleFiring::new(a.clone()), RuleFiring::new(b.clone()));
+        prop_assert_eq!(fa.cmp(&fb), a.cmp(&b));
+        prop_assert_eq!(fa == fb, a == b);
+
+        let mut bytes = Vec::new();
+        binenc::put_firing(&mut bytes, &fa);
+        let from_binary = binenc::take_firing(&mut binenc::Reader::new(&bytes)).unwrap();
+        let json = serde_json::to_vec(&fa).unwrap();
+        let from_json: RuleFiring = serde_json::from_slice(&json).unwrap();
+        let hasher = std::collections::hash_map::RandomState::new();
+        let cache: std::collections::HashSet<RuleFiring> = [fa.clone()].into_iter().collect();
+        for twin in [RuleFiring::new(a), from_binary, from_json] {
+            prop_assert!(!twin.ptr_eq(&fa));
+            prop_assert_eq!(&twin, &fa);
+            prop_assert_eq!(twin.cmp(&fa), std::cmp::Ordering::Equal);
+            prop_assert_eq!(hasher.hash_one(&twin), hasher.hash_one(&fa));
+            prop_assert!(cache.contains(&twin));
+        }
     }
 
     /// Snapshot save/load through the store: create + open reproduces the

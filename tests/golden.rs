@@ -40,20 +40,16 @@ fn copy_store(from: &Path, to: &Path) {
 /// A firing already materialised before the snapshot (sits in the receive
 /// cache and in the instance).
 fn firing_seen() -> RuleFiring {
-    RuleFiring {
-        atoms: vec![(
-            "emp".to_owned(),
-            vec![TField::Const(Value::str("carol")), TField::Const(Value::Int(25))],
-        )],
-    }
+    RuleFiring::new([(
+        "emp",
+        vec![TField::Const(Value::str("carol")), TField::Const(Value::Int(25))],
+    )])
 }
 
 /// A firing applied *after* the snapshot (lives only in the WAL tail; its
 /// existential field makes replay consult the null factory).
 fn firing_tail() -> RuleFiring {
-    RuleFiring {
-        atoms: vec![("emp".to_owned(), vec![TField::Const(Value::str("dave")), TField::Fresh(0)])],
-    }
+    RuleFiring::new([("emp", vec![TField::Const(Value::str("dave")), TField::Fresh(0)])])
 }
 
 /// The state captured in the fixtures' generation-0 snapshot, plus the
