@@ -9,11 +9,15 @@
 //! Concretely: a user query at node `N` spawns one fetch request per
 //! outgoing link whose head feeds a relation the query reads. The source
 //! of such a link recursively fetches whatever its own rule body needs
-//! (path-labelled, so cycles cut off), evaluates the rule body over its
+//! (path-labelled, so cycles cut off) and evaluates the rule body over its
 //! *query-time view* (LDB + fetched data, assembled in a per-request
-//! overlay — nothing is materialised permanently), and returns the rule
-//! firings in a single `QueryAnswer`. `N` assembles the answers into its
-//! own overlay and evaluates the user query there.
+//! overlay — nothing is materialised permanently). It streams: the firings
+//! of its local data go back at once, and each nested instalment that
+//! arrives is answered *semi-naively* — `GlavRule::fire_deltas` over the
+//! tuples that instalment added to the overlay, minus what was already
+//! sent — the same "substitute R by T'" the global update runs. `N`
+//! assembles the answers into its own overlay and evaluates the user query
+//! there.
 //!
 //! Query-time answering under cyclic rules is *sound but not complete*
 //! w.r.t. the global-update fixpoint (simple paths unroll each cycle at
@@ -23,8 +27,8 @@ use crate::ids::{NodeId, QueryId, ReqId, RuleName};
 use crate::messages::{Body, Envelope};
 use crate::node::CoDbNode;
 use codb_net::{Context, SimTime};
-use codb_relational::{ConjunctiveQuery, Instance, RuleFiring, Tuple};
-use std::collections::{BTreeSet, HashSet};
+use codb_relational::{ConjunctiveQuery, EvalError, Instance, RuleFiring, Tuple};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// A finished query, as handed to the user.
 #[derive(Clone, Debug)]
@@ -39,6 +43,10 @@ pub struct QueryResult {
     pub finished_at: SimTime,
     /// Whether the network was consulted.
     pub fetched: bool,
+    /// Why the query could not be evaluated over this node's view (a
+    /// relation the node does not declare, an atom of the wrong arity);
+    /// `answers` is then empty.
+    pub error: Option<EvalError>,
 }
 
 /// State of one user query at its origin node.
@@ -142,7 +150,7 @@ impl CoDbNode {
         self.report.queries.insert(query_id, crate::stats::QueryReport::new(query_id, now));
 
         if !fetch {
-            let answers = self.local_answer(&query).unwrap_or_default();
+            let answers = self.local_answer(&query);
             self.finish_query_with(query_id, answers, now, false);
             return;
         }
@@ -165,8 +173,7 @@ impl CoDbNode {
         }
         let exec = QueryExec { query, overlay, pending };
         if exec.pending.is_empty() {
-            let answers =
-                codb_relational::answer_query(&exec.query, &exec.overlay).unwrap_or_default();
+            let answers = codb_relational::answer_query(&exec.query, &exec.overlay);
             self.finish_query_with(query_id, answers, now, true);
         } else {
             self.queries.insert(query_id, exec);
@@ -176,10 +183,14 @@ impl CoDbNode {
     fn finish_query_with(
         &mut self,
         query_id: QueryId,
-        answers: Vec<Tuple>,
+        answers: Result<Vec<Tuple>, EvalError>,
         now: SimTime,
         fetched: bool,
     ) {
+        let (answers, error) = match answers {
+            Ok(answers) => (answers, None),
+            Err(e) => (Vec::new(), Some(e)),
+        };
         if let Some(rep) = self.report.queries.get_mut(&query_id) {
             rep.finished_at = Some(now);
             rep.answers = answers.len() as u64;
@@ -187,7 +198,7 @@ impl CoDbNode {
         let certain = answers.iter().filter(|t| !t.has_null()).cloned().collect();
         self.completed_queries.insert(
             query_id,
-            QueryResult { query: query_id, answers, certain, finished_at: now, fetched },
+            QueryResult { query: query_id, answers, certain, finished_at: now, fetched, error },
         );
     }
 
@@ -211,19 +222,21 @@ impl CoDbNode {
         let mut path = path;
         path.push(self.id);
         let links = self.fetchable_links(&body_rels, &path);
-        let overlay_rels = self.overlay_relations(body_rels, &links);
-        let overlay = self.overlay_for(&overlay_rels);
+        // A leaf serves from the LDB itself; the overlay exists for nested
+        // answers to be assembled into.
+        let overlay = (!links.is_empty())
+            .then(|| self.overlay_for(&self.overlay_relations(body_rels, &links)));
 
         // The paper: "when node gets a query request, it answers it using
         // local data immediately, and it forwards it through all outgoing
         // links" — stream the local instalment now, nested data later.
-        let initial =
-            self.book.incoming()[&rule].rule.fire(&overlay).expect("schema-validated rule");
-        let done = links.is_empty();
-        self.post(ctx, from, Body::QueryAnswer { req, firings: initial.clone(), closed: done });
-        if done {
-            return;
-        }
+        let initial = self.book.incoming()[&rule]
+            .rule
+            .fire(overlay.as_ref().unwrap_or(&self.ldb))
+            .expect("schema-validated rule");
+        let closed = overlay.is_none();
+        self.post(ctx, from, Body::QueryAnswer { req, firings: initial.clone(), closed });
+        let Some(overlay) = overlay else { return };
 
         let mut pending = BTreeSet::new();
         for (nested_rule, source) in links {
@@ -269,14 +282,16 @@ impl CoDbNode {
         };
         let bytes: usize = firings.iter().map(RuleFiring::size_bytes).sum();
         // As on the update path: an instalment that is not an instance of
-        // the fetched rule's head is dropped whole, and only counted.
+        // the fetched rule's head is dropped whole, and only counted; an
+        // admitted one returns the tuples it added, per relation.
         let link = self.book.outgoing().get(&rule);
         let mut assemble = |overlay: &mut Instance| {
             if link.is_some_and(|l| l.rule.admits(overlay, &firings)) {
                 codb_relational::apply_firings(overlay, &firings, &mut self.nulls)
-                    .expect("the batch was admitted against the rule head and the schema");
+                    .expect("the batch was admitted against the rule head and the schema")
             } else {
                 self.report.count_received("data_rejected");
+                BTreeMap::new()
             }
         };
         match parent {
@@ -295,25 +310,24 @@ impl CoDbNode {
                 }
                 if self.queries[&query_id].pending.is_empty() {
                     let exec = self.queries.remove(&query_id).expect("present");
-                    let answers = codb_relational::answer_query(&exec.query, &exec.overlay)
-                        .unwrap_or_default();
+                    let answers = codb_relational::answer_query(&exec.query, &exec.overlay);
                     self.finish_query_with(query_id, answers, ctx.now(), true);
                 }
             }
             ParentRef::Serving(sreq) => {
                 let Some(s) = self.serving.get_mut(&sreq) else { return };
-                assemble(&mut s.overlay);
+                let deltas = assemble(&mut s.overlay);
                 if closed {
                     s.pending.remove(&req);
                 }
-                // Stream the increment: everything derivable now minus what
-                // was already sent.
-                let all = self.book.incoming()[&s.rule]
+                // Stream the increment, semi-naively: a firing not yet sent
+                // must use a tuple this instalment added, because `sent`
+                // holds every firing of the overlay as it was before.
+                let mut fresh = self.book.incoming()[&s.rule]
                     .rule
-                    .fire(&s.overlay)
+                    .fire_deltas(&s.overlay, &deltas)
                     .expect("schema-validated rule");
-                let fresh: Vec<RuleFiring> =
-                    all.into_iter().filter(|f| s.sent.insert(f.clone())).collect();
+                fresh.retain(|f| s.sent.insert(f.clone()));
                 let finished = s.pending.is_empty();
                 let requester = s.requester;
                 let original_req = s.req;

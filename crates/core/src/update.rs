@@ -415,15 +415,7 @@ impl CoDbNode {
         deltas: &BTreeMap<String, Vec<Tuple>>,
     ) -> (NodeId, Vec<RuleFiring>) {
         let link = &self.book.incoming()[name];
-        let mut firings = Vec::new();
-        for (rel, tuples) in deltas {
-            if self.book.incoming_reading(rel).contains(name) {
-                firings.extend(
-                    link.rule.fire_delta(&self.ldb, rel, tuples).expect("schema-validated rule"),
-                );
-            }
-        }
-        (link.target, firings)
+        (link.target, link.rule.fire_deltas(&self.ldb, deltas).expect("schema-validated rule"))
     }
 
     /// Filters `firings` against the sent cache for incoming link `name`

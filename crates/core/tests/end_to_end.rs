@@ -2,7 +2,7 @@
 
 use codb_core::{CoDbNetwork, NetworkConfig, NodeSettings};
 use codb_net::{PipeConfig, SimConfig, SimTime};
-use codb_relational::tup;
+use codb_relational::{tup, Tuple};
 
 fn build(src: &str) -> CoDbNetwork {
     CoDbNetwork::build(NetworkConfig::parse(src).unwrap(), SimConfig::default()).unwrap()
@@ -208,6 +208,28 @@ fn query_time_answers_match_materialised_answers_on_chain() {
     let q2 = net2.run_query_text(last2, query, false).unwrap();
     assert_eq!(q2.result.answers, q.result.answers);
     assert_eq!(q2.messages, 0, "local query needs no messages");
+}
+
+#[test]
+fn a_query_the_node_cannot_evaluate_carries_its_error() {
+    use codb_relational::EvalError;
+    let mut net = build(TWO_NODES);
+    let portal = net.node_id("portal").unwrap();
+    for fetch in [false, true] {
+        let unknown = net.run_query_text(portal, "ans(X) :- nosuch(X).", fetch).unwrap().result;
+        assert_eq!(unknown.error, Some(EvalError::UnknownRelation("nosuch".into())));
+        let arity = net.run_query_text(portal, "ans(N) :- person(N).", fetch).unwrap().result;
+        assert!(matches!(
+            arity.error,
+            Some(EvalError::AtomArityMismatch { relation_arity: 2, atom_arity: 1, .. })
+        ));
+        // `person` is fetchable, so with `fetch` the error surfaces only
+        // once the answers are in.
+        assert!(unknown.answers.is_empty() && arity.answers.is_empty());
+        assert_eq!((unknown.fetched, arity.fetched), (fetch, fetch));
+        let fine = net.run_query_text(portal, "ans(N) :- person(N, A).", fetch).unwrap().result;
+        assert_eq!(fine.error, None);
+    }
 }
 
 #[test]
@@ -902,4 +924,194 @@ fn max_hops_truncates_a_chase_that_is_not_weakly_acyclic() {
     let outcome = bounded.run_update(bounded.node_id("a").unwrap());
     assert!(!outcome.summary.truncated);
     assert!(outcome.summary.longest_path < MAX_HOPS);
+}
+
+// ---------------------------------------------------------------------
+// Query-time serving on the shapes a chain never exercises. Each case
+// pins the fetch's traffic — messages, bytes, and `query_answer`s sent per
+// node — to what "fire the whole view, drop what was sent" shipped before
+// serving went semi-naive: same instalments, same bytes.
+// ---------------------------------------------------------------------
+
+/// `(messages, bytes, query_answer messages sent by each of names)`.
+type Traffic = (u64, u64, Vec<u64>);
+
+/// The network's traffic so far.
+fn answer_traffic(net: &CoDbNetwork, names: &[&str]) -> Traffic {
+    let sent = |name: &&str| {
+        let id = net.node_id(name).unwrap();
+        net.node(id).report().messages_sent.get("query_answer").copied().unwrap_or(0)
+    };
+    let stats = net.sim().stats();
+    (stats.sent, stats.bytes_sent, names.iter().map(sent).collect())
+}
+
+/// Runs `query` at `at` fetched on a fresh network and locally on a
+/// materialised one; returns both answer sets and the fetch's traffic.
+fn fetched_and_materialised(
+    cfg: &str,
+    at: &str,
+    query: &str,
+    names: &[&str],
+) -> (Vec<Tuple>, Vec<Tuple>, Traffic) {
+    let mut fresh = build(cfg);
+    let node = fresh.node_id(at).unwrap();
+    let fetched = fresh.run_query_text(node, query, true).unwrap();
+    let (_, _, answers_sent) = answer_traffic(&fresh, names);
+    let mut materialised = build(cfg);
+    materialised.run_update(node);
+    let local = materialised.run_query_text(node, query, false).unwrap();
+    (fetched.result.answers, local.result.answers, (fetched.messages, fetched.bytes, answers_sent))
+}
+
+#[test]
+fn diamond_serving_joins_two_nested_links_into_one_body() {
+    // q <- s <- {l, r} <- base: s's body joins what its two nested links
+    // deliver, so every instalment from either side meets the other's.
+    let mut cfg = String::from(
+        "node q\nnode s\nnode l\nnode r\nnode base\n\
+         schema q: t(int, int)\nschema s: a(int, int)\nschema s: b(int, int)\n\
+         schema l: e(int, int)\nschema r: e(int, int)\nschema base: e(int, int)\n\
+         rule bl @ base -> l: e(X, Y) <- e(X, Y).\n\
+         rule br @ base -> r: e(X, Y) <- e(X, Y).\n\
+         rule ls @ l -> s: a(X, Y) <- e(X, Y).\n\
+         rule rs @ r -> s: b(X, Y) <- e(X, Y).\n\
+         rule sq @ s -> q: t(X, Z) <- a(X, Y), b(Y, Z).\n",
+    );
+    cfg.push_str("data base: ");
+    for i in 0..12 {
+        cfg.push_str(&format!("e({i}, {}). ", (i * 5 + 1) % 12));
+    }
+    cfg.push_str("\ndata l: e(100, 0). e(3, 100).\ndata r: e(100, 7). e(7, 100).\n");
+    cfg.push_str("data s: a(200, 201). b(201, 202).\n");
+    let (fetched, local, traffic) =
+        fetched_and_materialised(&cfg, "q", "ans(X, Z) :- t(X, Z).", &["s", "l", "r", "base"]);
+    assert_eq!(fetched, local);
+    assert_eq!(fetched.len(), 16);
+    assert_eq!(traffic, (30, 2692, vec![4, 2, 2, 2]));
+}
+
+#[test]
+fn self_join_body_fed_by_two_links() {
+    // Both nested links write `e`, which s's body reads twice: a path may
+    // take its first edge from one link and its second from the other.
+    let cfg = r#"
+        node q
+        node s
+        node l
+        node r
+        schema q: p(int, int)
+        schema s: e(int, int)
+        schema l: e(int, int)
+        schema r: e(int, int)
+        data s: e(1, 2).
+        data l: e(2, 3). e(3, 4). e(9, 1).
+        data r: e(4, 5). e(2, 6). e(3, 4).
+        rule ls @ l -> s: e(X, Y) <- e(X, Y).
+        rule rs @ r -> s: e(X, Y) <- e(X, Y).
+        rule sq @ s -> q: p(X, Z) <- e(X, Y), e(Y, Z).
+    "#;
+    let (fetched, local, traffic) =
+        fetched_and_materialised(cfg, "q", "ans(X, Z) :- p(X, Z).", &["s", "l", "r"]);
+    assert_eq!(fetched, local);
+    assert_eq!(fetched, vec![tup![1, 3], tup![1, 6], tup![2, 4], tup![3, 5], tup![9, 2]]);
+    assert_eq!(traffic, (16, 969, vec![3, 1, 1]));
+}
+
+#[test]
+fn ring_fetch_is_cut_at_simple_paths() {
+    // Four nodes copying r clockwise: the fetch from a walks d, c, b and
+    // stops where the path would revisit a.
+    let cfg = r#"
+        node a
+        node b
+        node c
+        node d
+        schema a: r(int)
+        schema b: r(int)
+        schema c: r(int)
+        schema d: r(int)
+        data a: r(1). r(2).
+        data b: r(3). r(1).
+        data c: r(4).
+        data d: r(5). r(4).
+        rule ab @ a -> b: r(X) <- r(X).
+        rule bc @ b -> c: r(X) <- r(X).
+        rule cd @ c -> d: r(X) <- r(X).
+        rule da @ d -> a: r(X) <- r(X).
+    "#;
+    let mut net = build(cfg);
+    let a = net.node_id("a").unwrap();
+    let q = net.run_query_text(a, "ans(X) :- r(X).", true).unwrap();
+    assert_eq!(q.result.answers, vec![tup![1], tup![2], tup![3], tup![4], tup![5]]);
+    let (_, _, answers_sent) = answer_traffic(&net, &["b", "c", "d"]);
+    assert_eq!((q.messages, q.bytes, answers_sent), (16, 867, vec![1, 2, 2]));
+}
+
+#[test]
+fn existential_nested_link_streams_templates_once() {
+    // l -> s invents a department per employee and writes it to both
+    // relations s's body joins, so one instalment's delta spans two body
+    // relations. The nulls are s's overlay's, invented per instalment.
+    let cfg = r#"
+        node q
+        node s
+        node l
+        schema q: works(str, str)
+        schema s: in_dept(str, str)
+        schema s: dept(str)
+        schema l: emp(str)
+        data l: emp("ada"). emp("bob"). emp("cy").
+        data s: in_dept("dan", "ops"). dept("ops"). in_dept("eve", "lab").
+        rule ls @ l -> s: in_dept(N, D), dept(D) <- emp(N).
+        rule sq @ s -> q: works(N, D) <- in_dept(N, D), dept(D).
+    "#;
+    let (fetched, local, traffic) =
+        fetched_and_materialised(cfg, "q", "ans(N, D) :- works(N, D).", &["s", "l"]);
+    let names = |answers: &[Tuple]| -> Vec<_> {
+        answers.iter().map(|t| (t[0].clone(), t[1].is_null())).collect()
+    };
+    assert_eq!(names(&fetched), names(&local));
+    assert_eq!(fetched.len(), 4);
+    assert_eq!(fetched.iter().filter(|t| t.has_null()).count(), 3);
+    assert_eq!(traffic, (10, 687, vec![2, 1]));
+}
+
+#[test]
+fn rejected_instalment_mid_stream_ships_nothing_and_the_stream_goes_on() {
+    // q <- s <- l. While s is serving q and waiting for l, an instalment
+    // that is not an instance of `ls`'s head reaches s: it is dropped
+    // whole, s ships nothing for it, and l's real answer still flows.
+    let cfg = r#"
+        node q
+        node s
+        node l
+        schema q: r(int)
+        schema s: r(int)
+        schema l: r(int)
+        data s: r(1).
+        data l: r(2). r(3).
+        rule ls @ l -> s: r(X) <- r(X).
+        rule sq @ s -> q: r(X) <- r(X).
+    "#;
+    use codb_core::{Body, Envelope, ReqId};
+    use codb_relational::{parse_query, RuleFiring, TField, Value};
+    let mut net = build(cfg);
+    let [q, s, l] = ["q", "s", "l"].map(|n| net.node_id(n).unwrap());
+    let query = parse_query("ans(X) :- r(X).").unwrap();
+    let start = Body::StartQuery { query: Box::new(query), fetch: true };
+    net.sim_mut().inject(codb_core::HARNESS_PEER, q.peer(), Envelope::control(start));
+    while !net.node(s).report().messages_sent.contains_key("query_request") {
+        assert!(net.sim_mut().step(), "quiescent before s asked l");
+    }
+    let nested = ReqId { node: s, epoch: 0, seq: 0 };
+    let bad = RuleFiring::new([("r", vec![TField::Const(Value::str("x"))])]);
+    let forged = Body::QueryAnswer { req: nested, firings: vec![bad], closed: false };
+    net.sim_mut().inject(l.peer(), s.peer(), Envelope::control(forged));
+    net.sim_mut().run_until_quiescent();
+
+    assert_eq!(net.node(s).report().messages_received["data_rejected"], 1);
+    let result = net.node(q).completed_queries.values().next().expect("the query finished");
+    assert_eq!(result.answers, vec![tup![1], tup![2], tup![3]]);
+    assert_eq!(answer_traffic(&net, &["s", "l"]), (12, 599, vec![2, 1]));
 }

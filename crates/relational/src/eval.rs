@@ -2,18 +2,22 @@
 //!
 //! Two evaluators are provided:
 //!
-//! * [`evaluate_body`] — the production evaluator: greedy atom ordering
-//!   (most-bound-first, then smallest relation), per-atom hash indexes on
-//!   the first statically bound column, comparisons applied as early as
-//!   their variables are bound.
+//! * the production evaluator — greedy atom ordering (most-bound-first,
+//!   then smallest relation), per-atom hash indexes on the first statically
+//!   bound column, comparisons applied as early as their variables are
+//!   bound. It *streams*: `for_each_answer` hands every satisfying
+//!   assignment to a callback as the join reaches it, which is how rule
+//!   firing and [`answer_query`] consume it; [`evaluate_body`] collects the
+//!   same stream into a vector.
 //! * [`evaluate_body_reference`] — a deliberately naive nested-loop
 //!   evaluator used as an oracle by property-based tests.
 //!
-//! [`evaluate_body_delta`] implements the *semi-naive* variant coDB's
-//! global update algorithm relies on: given a delta `T'` for one relation,
-//! it computes exactly the derivations that use at least one delta tuple in
-//! the designated relation, by evaluating the body once per occurrence of
-//! that relation with the occurrence restricted to `T'`.
+//! `for_each_delta_answer` (collected by [`evaluate_body_delta`]) is the
+//! *semi-naive* variant coDB's global update and query-time serving rely
+//! on: given a delta `T'` for one relation, it visits exactly the
+//! derivations that use at least one delta tuple in the designated
+//! relation, by evaluating the body once per occurrence of that relation
+//! with the occurrence restricted to `T'`.
 
 use crate::cq::{Atom, CqBody, Term, Var};
 use crate::instance::Instance;
@@ -297,56 +301,85 @@ fn join<'a>(
     }
 }
 
-/// Evaluates `body` against `inst`, returning every satisfying assignment.
-///
-/// Assignments are complete for all variables occurring in relational atoms;
-/// slots for unused variable indexes remain `None`.
-pub fn evaluate_body(body: &CqBody, inst: &Instance) -> Result<Vec<Bindings>, EvalError> {
-    evaluate_with_delta(body, inst, None)
+/// Calls `out` with every satisfying assignment of `body` over `inst`, as
+/// the join reaches it — the borrowed assignment is only valid inside the
+/// call.
+pub(crate) fn for_each_answer(
+    body: &CqBody,
+    inst: &Instance,
+    out: &mut dyn FnMut(&Bindings),
+) -> Result<(), EvalError> {
+    check_atoms(body, inst)?;
+    stream_answers(body, inst, None, out);
+    Ok(())
 }
 
-/// Semi-naive evaluation: returns assignments from derivations that use a
-/// tuple of `delta` in at least one occurrence of `delta_relation`.
+/// Semi-naive evaluation: calls `out` with the assignments of derivations
+/// that use a tuple of `delta` in at least one occurrence of
+/// `delta_relation`.
 ///
 /// Implements the paper's "incoming links, which are dependent on O, are
 /// computed by substituting R by T'": each occurrence of the relation is
 /// substituted in turn, which covers every derivation touching the delta at
 /// least once (derivations touching it several times are produced multiple
 /// times and de-duplicated downstream by set semantics).
+pub(crate) fn for_each_delta_answer(
+    body: &CqBody,
+    inst: &Instance,
+    delta_relation: &str,
+    delta: &[Tuple],
+    out: &mut dyn FnMut(&Bindings),
+) -> Result<(), EvalError> {
+    check_atoms(body, inst)?;
+    for (i, atom) in body.atoms.iter().enumerate() {
+        if atom.relation == delta_relation {
+            stream_answers(body, inst, Some((i, delta)), out);
+        }
+    }
+    Ok(())
+}
+
+/// Evaluates `body` against `inst`, returning every satisfying assignment.
+///
+/// Assignments are complete for all variables occurring in relational atoms;
+/// slots for unused variable indexes remain `None`.
+pub fn evaluate_body(body: &CqBody, inst: &Instance) -> Result<Vec<Bindings>, EvalError> {
+    let mut all = Vec::new();
+    for_each_answer(body, inst, &mut |b| all.push(b.clone()))?;
+    Ok(all)
+}
+
+/// The semi-naive assignments — those of derivations that use a tuple of
+/// `delta` in at least one occurrence of `delta_relation` — collected.
 pub fn evaluate_body_delta(
     body: &CqBody,
     inst: &Instance,
     delta_relation: &str,
     delta: &[Tuple],
 ) -> Result<Vec<Bindings>, EvalError> {
-    check_atoms(body, inst)?;
     let mut all = Vec::new();
-    for (i, atom) in body.atoms.iter().enumerate() {
-        if atom.relation == delta_relation {
-            all.extend(evaluate_with_delta(body, inst, Some((i, delta)))?);
-        }
-    }
+    for_each_delta_answer(body, inst, delta_relation, delta, &mut |b| all.push(b.clone()))?;
     Ok(all)
 }
 
-fn evaluate_with_delta(
+/// One planned join over atoms [`check_atoms`] has passed, atom `delta.0`
+/// reading `delta.1` in place of its relation.
+fn stream_answers(
     body: &CqBody,
     inst: &Instance,
     delta: Option<(usize, &[Tuple])>,
-) -> Result<Vec<Bindings>, EvalError> {
-    check_atoms(body, inst)?;
+    out: &mut dyn FnMut(&Bindings),
+) {
+    let mut bindings: Bindings = vec![None; var_slots(body)];
     if body.atoms.is_empty() {
         // An empty body is trivially satisfied by the empty assignment (only
         // meaningful for constant heads).
-        return Ok(vec![vec![None; var_slots(body)]]);
+        out(&bindings);
+        return;
     }
     let order = plan_order(body, inst, delta.map(|(i, _)| i));
     let mut steps = build_steps(body, inst, &order, delta);
-    let mut bindings: Bindings = vec![None; var_slots(body)];
-    let mut trail: Vec<Var> = Vec::new();
-    let mut results = Vec::new();
-    join(&mut steps, body, &mut bindings, &mut trail, &mut |b| results.push(b.clone()));
-    Ok(results)
+    join(&mut steps, body, &mut bindings, &mut Vec::new(), out);
 }
 
 /// Oracle evaluator: plain nested loops in textual atom order, no indexes,
@@ -422,13 +455,12 @@ pub fn answer_query(
     query: &crate::cq::ConjunctiveQuery,
     inst: &Instance,
 ) -> Result<Vec<Tuple>, EvalError> {
-    let assignments = evaluate_body(&query.body, inst)?;
     let mut set: BTreeSet<Tuple> = BTreeSet::new();
-    for b in assignments {
-        set.insert(project_atom(&query.head, &b, &mut |v| {
+    for_each_answer(&query.body, inst, &mut |b| {
+        set.insert(project_atom(&query.head, b, &mut |v| {
             unreachable!("safe query head var {v:?} unbound")
         }));
-    }
+    })?;
     Ok(set.into_iter().collect())
 }
 

@@ -23,7 +23,7 @@
 //! `NodeSettings::max_hops` in `codb-core`.)
 
 use crate::cq::{Atom, CqBody, CqError, Term, Var};
-use crate::eval::{evaluate_body, evaluate_body_delta, Bindings, EvalError};
+use crate::eval::{for_each_answer, for_each_delta_answer, Bindings, EvalError};
 use crate::instance::Instance;
 use crate::tuple::Tuple;
 use crate::value::{NullFactory, NullId, Value};
@@ -96,8 +96,7 @@ impl GlavRule {
     /// Executes the rule body against `source` and returns one firing per
     /// (deduplicated) body answer.
     pub fn fire(&self, source: &Instance) -> Result<Vec<RuleFiring>, EvalError> {
-        let bindings = evaluate_body(&self.body, source)?;
-        Ok(self.firings_from(bindings))
+        self.firings_of(|out| for_each_answer(&self.body, source, out))
     }
 
     /// Semi-naive variant: only firings whose derivation uses a tuple of
@@ -108,42 +107,58 @@ impl GlavRule {
         delta_relation: &str,
         delta: &[Tuple],
     ) -> Result<Vec<RuleFiring>, EvalError> {
-        let bindings = evaluate_body_delta(&self.body, source, delta_relation, delta)?;
-        Ok(self.firings_from(bindings))
+        self.firings_of(|out| for_each_delta_answer(&self.body, source, delta_relation, delta, out))
     }
 
-    /// One firing per distinct head instance, sorted. A head variable the
-    /// body leaves unbound is existential: `evaluate_body` binds exactly
-    /// the variables of the body's atoms.
-    fn firings_from(&self, bindings: Vec<Bindings>) -> Vec<RuleFiring> {
+    /// The paper's "substitute R by T'" for a whole batch of changes: the
+    /// firings whose derivation uses a tuple of `deltas` in some occurrence
+    /// of a changed relation the body reads (relations it does not read
+    /// contribute nothing), as one sorted, deduplicated sequence — the
+    /// subsequence of [`GlavRule::fire`]'s that touches the deltas, given
+    /// `source` already holds them.
+    pub fn fire_deltas(
+        &self,
+        source: &Instance,
+        deltas: &BTreeMap<String, Vec<Tuple>>,
+    ) -> Result<Vec<RuleFiring>, EvalError> {
+        self.firings_of(|out| {
+            deltas.iter().try_for_each(|(rel, delta)| {
+                for_each_delta_answer(&self.body, source, rel, delta, out)
+            })
+        })
+    }
+
+    /// One firing per distinct head instance among the body answers
+    /// `answers` streams, sorted. A head variable the body leaves unbound
+    /// is existential: the evaluator binds exactly the variables of the
+    /// body's atoms.
+    fn firings_of(
+        &self,
+        answers: impl FnOnce(&mut dyn FnMut(&Bindings)) -> Result<(), EvalError>,
+    ) -> Result<Vec<RuleFiring>, EvalError> {
         let names: Vec<Arc<str>> =
             self.head.iter().map(|atom| Arc::from(atom.relation.as_str())).collect();
-        let mut instances: Vec<Vec<(Arc<str>, Vec<TField>)>> = bindings
-            .into_iter()
-            .map(|b| {
-                self.head
+        let mut instances: Vec<Vec<(Arc<str>, Vec<TField>)>> = Vec::new();
+        answers(&mut |b| {
+            let instance = self.head.iter().zip(&names).map(|(atom, name)| {
+                let fields = atom
+                    .terms
                     .iter()
-                    .zip(&names)
-                    .map(|(atom, name)| {
-                        let fields = atom
-                            .terms
-                            .iter()
-                            .map(|t| match t {
-                                Term::Const(c) => TField::Const(c.clone()),
-                                Term::Var(v) => match b.get(v.0 as usize) {
-                                    Some(Some(bound)) => TField::Const(bound.clone()),
-                                    _ => TField::Fresh(v.0),
-                                },
-                            })
-                            .collect();
-                        (Arc::clone(name), fields)
+                    .map(|t| match t {
+                        Term::Const(c) => TField::Const(c.clone()),
+                        Term::Var(v) => match b.get(v.0 as usize) {
+                            Some(Some(bound)) => TField::Const(bound.clone()),
+                            _ => TField::Fresh(v.0),
+                        },
                     })
-                    .collect()
-            })
-            .collect();
+                    .collect();
+                (Arc::clone(name), fields)
+            });
+            instances.push(instance.collect());
+        })?;
         instances.sort_unstable();
         instances.dedup();
-        instances.into_iter().map(RuleFiring::from_atoms).collect()
+        Ok(instances.into_iter().map(RuleFiring::from_atoms).collect())
     }
 
     /// True iff every firing of `firings` is an instance of this rule's
@@ -426,6 +441,7 @@ pub fn apply_firings(
 mod tests {
     use super::*;
     use crate::cq::{CmpOp, Comparison};
+    use crate::eval::evaluate_body;
     use crate::schema::RelationSchema;
     use crate::tup;
     use crate::value::ValueType;
@@ -640,6 +656,45 @@ mod tests {
         let firings = gav_rule().fire_delta(&i, "emp", &delta).unwrap();
         assert_eq!(firings.len(), 1);
         assert_eq!(firings[0].atoms()[0].1[0], TField::Const(Value::str("carol")));
+    }
+
+    #[test]
+    fn fire_deltas_is_one_sorted_sequence_over_every_changed_relation() {
+        // path(X, Z) <- e(X, Y), f(Y, Z): a batch that changes both body
+        // relations, plus one relation the body does not read.
+        let rule = GlavRule::new(
+            "j",
+            vec![Atom::new("path", vec![v(0), v(2)])],
+            CqBody::new(
+                vec![Atom::new("e", vec![v(0), v(1)]), Atom::new("f", vec![v(1), v(2)])],
+                vec![],
+            ),
+            vec!["X".into(), "Y".into(), "Z".into()],
+        )
+        .unwrap();
+        let mut inst = Instance::new();
+        for name in ["e", "f", "g"] {
+            inst.add_relation(RelationSchema::with_types(name, &[ValueType::Int, ValueType::Int]));
+        }
+        inst.insert("e", tup![1, 2]).unwrap();
+        inst.insert("f", tup![2, 9]).unwrap();
+        let before = rule.fire(&inst).unwrap();
+        let deltas = BTreeMap::from([
+            ("e".to_owned(), vec![tup![5, 6], tup![0, 2]]),
+            ("f".to_owned(), vec![tup![6, 7], tup![2, 3]]),
+            ("g".to_owned(), vec![tup![1, 1]]),
+        ]);
+        for (rel, tuples) in &deltas {
+            for t in tuples {
+                inst.insert(rel, t.clone()).unwrap();
+            }
+        }
+        // (5, 7) joins a new e with a new f: derived under both, kept once.
+        let fresh: Vec<RuleFiring> =
+            rule.fire(&inst).unwrap().into_iter().filter(|f| !before.contains(f)).collect();
+        assert_eq!(rule.fire_deltas(&inst, &deltas).unwrap(), fresh);
+        assert_eq!(fresh.len(), 4, "(0, 3), (0, 9), (1, 3), (5, 7)");
+        assert!(rule.fire_deltas(&inst, &BTreeMap::new()).unwrap().is_empty());
     }
 
     #[test]

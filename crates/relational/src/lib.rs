@@ -46,7 +46,7 @@ pub mod value;
 
 pub use algebra::AlgebraError;
 pub use cq::{Atom, CmpOp, Comparison, ConjunctiveQuery, CqBody, Term, Var, VarPool};
-pub use eval::{answer_query, certain_answers, evaluate_body, evaluate_body_delta};
+pub use eval::{answer_query, certain_answers, evaluate_body, evaluate_body_delta, EvalError};
 pub use glav::{apply_firings, GlavRule, RuleFiring, TField};
 pub use instance::Instance;
 pub use iso::{homomorphic, isomorphic};

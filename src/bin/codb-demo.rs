@@ -228,6 +228,9 @@ fn main() -> ExitCode {
                 let Some(id) = node_arg(&net, name) else { return ExitCode::FAILURE };
                 match net.run_query_text(id, q, fetch) {
                     Ok(out) => {
+                        if let Some(e) = &out.result.error {
+                            return fail(&format!("query failed at {name}: {e}"));
+                        }
                         println!(
                             "{} answers in {} ({} msgs):",
                             out.result.answers.len(),

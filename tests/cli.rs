@@ -135,6 +135,23 @@ fn bad_inputs_fail_cleanly() {
     assert!(!out.status.success());
 }
 
+#[test]
+fn a_query_the_node_cannot_evaluate_fails_and_says_why() {
+    let config = write_config();
+    for cmd in ["query", "local-query"] {
+        for (query, why) in [
+            ("ans(X) :- nosuch(X).", "unknown relation nosuch"),
+            ("ans(N) :- person(N).", "atom over person has arity 1, relation has 2"),
+        ] {
+            let out = demo().args([config.as_str(), cmd, "portal", query]).output().unwrap();
+            assert!(!out.status.success(), "{cmd} {query}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(why), "{cmd} {query}: {stderr}");
+            assert!(!String::from_utf8_lossy(&out.stdout).contains("answers"));
+        }
+    }
+}
+
 /// Self-cleaning scratch dirs come from codb-store; this wraps one with
 /// the &str accessor the Command args want.
 struct TempDir(codb::store::ScratchDir);

@@ -9,7 +9,7 @@ use codb::relational::eval::evaluate_body_reference;
 use codb::relational::{apply_firings, evaluate_body, GlavRule, Instance, NullFactory, RuleFiring};
 use codb::workload::oracle::chase_naive;
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// Case count honouring the `PROPTEST_CASES` env var (for soak runs)
 /// with a CI-friendly default.
@@ -332,6 +332,55 @@ mod relational_props {
             combined.sort(); combined.dedup();
 
             prop_assert_eq!(full, combined);
+        }
+
+        /// What query-time serving relies on: over a view that only grows,
+        /// firing each batch's deltas and dropping what was already sent
+        /// ships the same sequence as firing the whole view and dropping
+        /// what was already sent, and what has been sent is always the
+        /// whole view's firings.
+        #[test]
+        fn firing_the_deltas_streams_what_firing_the_view_would(
+            inst in arb_instance(6),
+            body in arb_body(),
+            head in proptest::collection::vec((arb_term(6), arb_term(6)), 1..3),
+            batches in proptest::collection::vec(
+                proptest::collection::vec((any::<bool>(), 0i64..8, 0i64..8), 0..6),
+                1..5,
+            ),
+        ) {
+            // Variables 0..4 may occur in the body; a head variable that
+            // does not (4 and 5 never do) is existential.
+            let head = head
+                .into_iter()
+                .zip(["h", "g"])
+                .map(|((t1, t2), rel)| Atom::new(rel, vec![t1, t2]))
+                .collect();
+            let names = ["A", "B", "C", "D", "E", "F"].map(String::from).to_vec();
+            let rule = GlavRule::new("r", head, body, names).unwrap();
+
+            let mut overlay = inst;
+            let mut sent: HashSet<RuleFiring> = rule.fire(&overlay).unwrap().into_iter().collect();
+            for batch in batches {
+                let mut deltas: BTreeMap<String, Vec<Tuple>> = BTreeMap::new();
+                for (into_e, a, b) in batch {
+                    let rel = if into_e { "e" } else { "f" };
+                    let tuple = Tuple::new(vec![Value::Int(a), Value::Int(b)]);
+                    deltas.entry(rel.to_owned()).or_default().extend(
+                        overlay.insert_all(rel, vec![tuple]).unwrap()
+                    );
+                }
+                let view = rule.fire(&overlay).unwrap();
+                let unsent = |firings: &[RuleFiring]| -> Vec<RuleFiring> {
+                    firings.iter().filter(|f| !sent.contains(*f)).cloned().collect()
+                };
+                let instalment = unsent(&rule.fire_deltas(&overlay, &deltas).unwrap());
+                prop_assert_eq!(&instalment, &unsent(&view));
+                sent.extend(instalment);
+                let mut so_far: Vec<RuleFiring> = sent.iter().cloned().collect();
+                so_far.sort();
+                prop_assert_eq!(so_far, view);
+            }
         }
 
         /// Rule firing + instantiation is idempotent under template dedup:
