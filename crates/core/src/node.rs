@@ -16,9 +16,9 @@ use crate::rules::{CoordinationRule, RuleBook};
 use crate::stats::{NetworkReport, NodeReport};
 use crate::update::UpdateState;
 use codb_net::{Context, Peer, PeerId, PipeConfig, SimTime};
-use codb_relational::{ConjunctiveQuery, DatabaseSchema, Instance, NullFactory, RuleFiring, Tuple};
+use codb_relational::{ConjunctiveQuery, DatabaseSchema, FiringSet, Instance, NullFactory, Tuple};
 use codb_trace::Tracer;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Tunables of one node.
 #[derive(Clone, Debug)]
@@ -72,7 +72,7 @@ pub struct CoDbNode {
     pub(crate) next_update_seq: u64,
     /// Sender-side per-link firing caches; keyed by `(rule, None)` in
     /// incremental mode, `(rule, Some(update))` otherwise.
-    pub(crate) sent_cache: BTreeMap<(RuleName, Option<UpdateId>), HashSet<RuleFiring>>,
+    pub(crate) sent_cache: BTreeMap<(RuleName, Option<UpdateId>), FiringSet>,
     /// Receiver-side per-link template caches (always cross-update).
     pub(crate) recv_cache: codb_store::RecvCaches,
     // ---- query engine ----

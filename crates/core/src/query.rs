@@ -27,8 +27,8 @@ use crate::ids::{NodeId, QueryId, ReqId, RuleName};
 use crate::messages::{Body, Envelope};
 use crate::node::CoDbNode;
 use codb_net::{Context, SimTime};
-use codb_relational::{ConjunctiveQuery, EvalError, Instance, RuleFiring, Tuple};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use codb_relational::{ConjunctiveQuery, EvalError, FiringSet, Instance, RuleFiring, Tuple};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A finished query, as handed to the user.
 #[derive(Clone, Debug)]
@@ -70,7 +70,7 @@ pub(crate) struct Serving {
     pub overlay: Instance,
     pub pending: BTreeSet<ReqId>,
     /// Firings already streamed to the requester (instalment diffing).
-    pub sent: HashSet<RuleFiring>,
+    pub sent: FiringSet,
 }
 
 /// Who a nested fetch request was issued for.
@@ -85,7 +85,8 @@ pub(crate) enum ParentRef {
 impl CoDbNode {
     /// Builds an overlay instance holding clones of `relations` (those that
     /// exist locally; missing ones are skipped — validation happens at rule
-    /// level).
+    /// level). A clone is a set of its own over the LDB's tuples, not a
+    /// copy of them.
     fn overlay_for(&self, relations: &BTreeSet<String>) -> Instance {
         let mut overlay = Instance::new();
         for name in relations {
@@ -327,6 +328,7 @@ impl CoDbNode {
                     .rule
                     .fire_deltas(&s.overlay, &deltas)
                     .expect("schema-validated rule");
+                s.sent.reserve(fresh.len());
                 fresh.retain(|f| s.sent.insert(f.clone()));
                 let finished = s.pending.is_empty();
                 let requester = s.requester;

@@ -349,8 +349,9 @@ impl CoDbNode {
         // must not re-instantiate existential templates with fresh nulls
         // (that would silently duplicate GLAV data on every run).
         let cache = self.recv_cache.entry(rule.clone()).or_default();
-        let fresh: Vec<RuleFiring> =
-            firings.into_iter().filter(|f| cache.insert(f.clone())).collect();
+        cache.reserve(firings.len());
+        let mut fresh = firings;
+        fresh.retain(|f| cache.insert(f.clone()));
         if fresh.is_empty() {
             return Some(BTreeMap::new());
         }
@@ -447,8 +448,9 @@ impl CoDbNode {
             (name.clone(), Some(update))
         };
         let cache = self.sent_cache.entry(cache_key).or_default();
-        let fresh: Vec<RuleFiring> =
-            firings.into_iter().filter(|f| cache.insert(f.clone())).collect();
+        cache.reserve(firings.len());
+        let mut fresh = firings;
+        fresh.retain(|f| cache.insert(f.clone()));
         if fresh.is_empty() {
             return;
         }

@@ -278,11 +278,19 @@ pub fn put_tuple(out: &mut Vec<u8>, t: &Tuple) {
 /// Decodes one [`Tuple`].
 pub fn take_tuple(r: &mut Reader<'_>) -> DecodeResult<Tuple> {
     let n = r.len(1)?;
-    let mut values = Vec::with_capacity(n);
-    for _ in 0..n {
-        values.push(take_value(r)?);
-    }
-    Ok(Tuple::new(values))
+    // One allocation: the range knows its length, so the first error is
+    // set aside and the fields after it are placeholders, not reads.
+    let mut failed = None;
+    let tuple = (0..n)
+        .map(|_| match failed {
+            None => take_value(r).unwrap_or_else(|e| {
+                failed = Some(e);
+                Value::Bool(false)
+            }),
+            Some(_) => Value::Bool(false),
+        })
+        .collect();
+    failed.map_or(Ok(tuple), Err)
 }
 
 // ---- schemas, relations, instances ----

@@ -194,10 +194,10 @@ enum Source<'a> {
 }
 
 impl<'a> Source<'a> {
-    fn iter(&self) -> Box<dyn Iterator<Item = &'a Tuple> + 'a> {
+    fn for_each(&self, visit: impl FnMut(&'a Tuple)) {
         match self {
-            Source::Relation(r) => Box::new(r.iter()),
-            Source::Batch(b) => Box::new(b.iter()),
+            Source::Relation(r) => r.iter().for_each(visit),
+            Source::Batch(b) => b.iter().for_each(visit),
         }
     }
 
@@ -260,44 +260,32 @@ fn join<'a>(
         return;
     };
     let mark = trail.len();
+    let atom = step.atom;
 
     // Index-accelerated path: look up candidates by the bound column value.
-    if let Some(col) = step.index_col {
-        let key = term_value(&step.atom.terms[col], bindings).cloned();
-        if let Some(key) = key {
-            // Build the index lazily, once, when the source is large enough
-            // to make hashing worthwhile.
-            if step.index.is_none() && step.source.len() >= 8 {
-                let mut idx: HashMap<Value, Vec<&Tuple>> = HashMap::new();
-                for t in step.source.iter() {
-                    idx.entry(t[col].clone()).or_default().push(t);
-                }
-                step.index = Some(idx);
-            }
-            if let Some(idx) = &step.index {
-                if let Some(cands) = idx.get(&key) {
-                    // Clone candidate list to release the borrow on `step`.
-                    let cands: Vec<&Tuple> = cands.clone();
-                    for t in cands {
-                        if match_atom(step.atom, t, bindings, trail)
-                            && comparisons_hold(body, bindings)
-                        {
-                            join(rest, body, bindings, trail, out);
-                        }
-                        undo(bindings, trail, mark);
-                    }
-                }
-                return;
-            }
+    let probe = step
+        .index_col
+        .and_then(|col| term_value(&atom.terms[col], bindings).map(|key| (col, key.clone())));
+    if let Some((col, _)) = probe {
+        // Build the index lazily, once, when the source is large enough
+        // to make hashing worthwhile.
+        if step.index.is_none() && step.source.len() >= 8 {
+            let mut idx: HashMap<Value, Vec<&Tuple>> = HashMap::new();
+            step.source.for_each(|t| idx.entry(t[col].clone()).or_default().push(t));
+            step.index = Some(idx);
         }
     }
-    // Scan path.
-    let cands: Vec<&Tuple> = step.source.iter().collect();
-    for t in cands {
-        if match_atom(step.atom, t, bindings, trail) && comparisons_hold(body, bindings) {
+    // `rest` is the other half of the split, so the candidates are visited
+    // where they lie: in the index bucket, or in the source.
+    let visit = |t: &Tuple| {
+        if match_atom(atom, t, bindings, trail) && comparisons_hold(body, bindings) {
             join(rest, body, bindings, trail, out);
         }
         undo(bindings, trail, mark);
+    };
+    match (&probe, &step.index) {
+        (Some((_, key)), Some(idx)) => idx.get(key).into_iter().flatten().copied().for_each(visit),
+        _ => step.source.for_each(visit),
     }
 }
 
@@ -438,15 +426,13 @@ pub fn project_atom(
     bindings: &Bindings,
     on_unbound: &mut dyn FnMut(Var) -> Value,
 ) -> Tuple {
-    let values = atom
-        .terms
+    atom.terms
         .iter()
         .map(|t| match t {
             Term::Const(c) => c.clone(),
             Term::Var(v) => bindings[v.0 as usize].clone().unwrap_or_else(|| on_unbound(*v)),
         })
-        .collect::<Vec<_>>();
-    Tuple::new(values)
+        .collect()
 }
 
 /// Evaluates a user query: answers are head projections, deduplicated and

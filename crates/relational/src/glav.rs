@@ -30,9 +30,9 @@ use crate::value::{NullFactory, NullId, Value};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 /// A GLAV coordination rule, node-agnostic (the `codb-core` crate pairs it
@@ -357,6 +357,38 @@ impl Hash for RuleFiring {
     }
 }
 
+/// A set of firings — the sent cache, the receive cache, a served
+/// request's instalment record — bucketed by the content hash each firing
+/// already carries, so an insert or a growth re-hash costs a load, not a
+/// second SipHash of that `u64`.
+pub type FiringSet = HashSet<RuleFiring, BuildHasherDefault<Prehashed>>;
+
+/// The [`Hasher`] of a [`FiringSet`]: hands back the one `u64` its key
+/// writes. Sound only for keys whose `Hash` writes a hash that is itself
+/// safe to bucket by — [`RuleFiring`]'s is the process-keyed SipHash of its
+/// atoms, so firings chosen on the wire still cannot aim at a bucket.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = self.0.rotate_left(5) ^ hash;
+    }
+
+    /// Total for any key: bytes fold in eight at a time.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+}
+
 impl fmt::Debug for RuleFiring {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RuleFiring").field("atoms", &self.0.atoms).finish()
@@ -404,7 +436,7 @@ pub fn apply_firings(
     for firing in firings {
         invented.clear();
         for (rel, fields) in firing.atoms() {
-            let values: Vec<Value> = fields
+            let tuple: Tuple = fields
                 .iter()
                 .map(|f| match f {
                     TField::Const(v) => v.clone(),
@@ -420,11 +452,11 @@ pub fn apply_firings(
                     }
                 })
                 .collect();
-            let tuple = Tuple::new(values);
             let relation = target.get_mut(rel).ok_or_else(|| {
                 crate::schema::SchemaError::UnknownRelation { relation: rel.to_string() }
             })?;
-            if relation.insert(tuple.clone())? {
+            // The relation and the delta hold the same allocation.
+            if relation.insert(Tuple::clone(&tuple))? {
                 match deltas.get_mut(&**rel) {
                     Some(delta) => delta.push(tuple),
                     None => {
@@ -709,6 +741,59 @@ mod tests {
         // Re-applying the same ground firing adds nothing.
         let d2 = apply_firings(&mut target, &firings, &mut nulls).unwrap();
         assert!(d2.is_empty());
+    }
+
+    #[test]
+    fn a_new_tuple_is_one_allocation_shared_by_the_relation_and_the_delta() {
+        let mut target = Instance::new();
+        target
+            .add_relation(RelationSchema::with_types("person", &[ValueType::Str, ValueType::Str]));
+        target.add_relation(RelationSchema::with_types("dept", &[ValueType::Str]));
+        let firings = glav_rule().fire(&src()).unwrap();
+        let deltas = apply_firings(&mut target, &firings, &mut NullFactory::new(1)).unwrap();
+        assert_eq!(deltas.values().map(Vec::len).sum::<usize>(), 4);
+        for (rel, delta) in &deltas {
+            for t in delta {
+                let held = target.get(rel).unwrap().iter().find(|held| *held == t).unwrap();
+                assert!(held.ptr_eq(t), "{rel}{t} was built twice");
+            }
+        }
+    }
+
+    #[test]
+    fn a_firing_set_finds_an_equal_firing_from_another_allocation() {
+        use crate::binenc::{put_firing, take_firing, Reader};
+        let fired = glav_rule().fire(&src()).unwrap();
+        let set: FiringSet = fired.iter().cloned().collect();
+        assert_eq!(set.len(), 2);
+        for firing in &fired {
+            // As recovery meets it: decoded from a WAL record.
+            let mut bytes = Vec::new();
+            put_firing(&mut bytes, firing);
+            let decoded = take_firing(&mut Reader::new(&bytes)).unwrap();
+            assert!(!decoded.ptr_eq(firing));
+            assert!(set.contains(&decoded), "{decoded:?}");
+        }
+        assert!(!set.contains(&RuleFiring::new([("dept", vec![TField::Fresh(2)])])));
+    }
+
+    #[test]
+    fn prehashed_passes_one_hash_through_and_folds_whatever_else_it_is_given() {
+        let mut one = Prehashed::default();
+        one.write_u64(0xC0DB_2004);
+        assert_eq!(one.finish(), 0xC0DB_2004);
+        // Total: bytes of any length hash, equal ones equally.
+        let hash = |bytes: &[u8]| {
+            let mut h = Prehashed::default();
+            h.write(bytes);
+            h.finish()
+        };
+        assert_eq!(hash(b"thirteen bytes"), hash(b"thirteen bytes"));
+        assert_ne!(hash(b"thirteen bytes"), hash(b"thirteen bytez"));
+        assert_eq!(hash(&[]), 0);
+        // A key that is not a firing (a `str` writes bytes, then a `u8`).
+        let names: HashSet<&str, BuildHasherDefault<Prehashed>> = ["e", "f"].into_iter().collect();
+        assert!(names.contains("e") && !names.contains("g"));
     }
 
     #[test]

@@ -168,6 +168,26 @@ mod tests {
     }
 
     #[test]
+    fn a_clone_shares_every_tuple_with_the_original() {
+        let mut i = inst();
+        for k in 0..20 {
+            i.insert("r", tup![k]).unwrap();
+            i.insert("s", tup![k, k + 1]).unwrap();
+        }
+        let mut copy = i.clone();
+        for rel in i.relations() {
+            let twin = copy.get(rel.name()).unwrap();
+            for t in rel.iter() {
+                let held = twin.iter().find(|held| *held == t).expect("cloned");
+                assert!(held.ptr_eq(t), "{t} was copied");
+            }
+        }
+        // Shared tuples, separate sets.
+        copy.insert("r", tup![99]).unwrap();
+        assert!(!i.get("r").unwrap().contains(&tup![99]));
+    }
+
+    #[test]
     fn subset_of_detects_containment() {
         let mut a = inst();
         let mut b = inst();

@@ -4,17 +4,30 @@ use crate::value::{NullId, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Index;
+use std::sync::Arc;
 
 /// A database tuple. Immutable once constructed; cheap to hash and compare,
 /// which matters because coDB's duplicate suppression (`T' = T \ R`) hashes
 /// every incoming tuple against the local relation.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct Tuple(Box<[Value]>);
+///
+/// A tuple is a shared handle on one allocation: the relation that holds
+/// it, the delta that reports it and every clone of either are
+/// reference-count bumps. Equality, order and hash are those of the fields.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Tuple(Arc<[Value]>);
 
 impl Tuple {
-    /// Builds a tuple from values.
+    /// Builds a tuple from values the caller already holds in a `Vec`
+    /// (they are copied into the shared allocation; a builder that runs
+    /// per tuple collects an exact-size iterator instead).
     pub fn new(values: impl Into<Vec<Value>>) -> Self {
-        Tuple(values.into().into_boxed_slice())
+        Tuple(values.into().into())
+    }
+
+    /// True iff both handles are the same allocation (equal tuples built
+    /// separately are `==` but not `ptr_eq`).
+    pub fn ptr_eq(&self, other: &Tuple) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
     }
 
     /// Number of fields.
@@ -63,6 +76,28 @@ impl From<Vec<Value>> for Tuple {
     }
 }
 
+/// One allocation when the iterator knows its exact length (a mapped
+/// slice, range or array does), which is how the per-tuple builders build.
+impl FromIterator<Value> for Tuple {
+    fn from_iter<I: IntoIterator<Item = Value>>(values: I) -> Self {
+        Tuple(values.into_iter().collect())
+    }
+}
+
+/// The JSON array of the fields, as the derive on a boxed slice wrote it.
+/// Written against the vendored serde shim's value-tree API.
+impl Serialize for Tuple {
+    fn to_value(&self) -> serde::Value {
+        self.0.to_value()
+    }
+}
+
+impl Deserialize for Tuple {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        Vec::<Value>::from_value(v).map(Tuple::from_iter)
+    }
+}
+
 impl Index<usize> for Tuple {
     type Output = Value;
     fn index(&self, i: usize) -> &Value {
@@ -99,7 +134,9 @@ impl fmt::Display for Tuple {
 #[macro_export]
 macro_rules! tup {
     ($($v:expr),* $(,)?) => {
-        $crate::Tuple::new(vec![$($crate::Value::from($v)),*])
+        <$crate::Tuple as ::core::iter::FromIterator<$crate::Value>>::from_iter(
+            [$($crate::Value::from($v)),*],
+        )
     };
 }
 
@@ -134,6 +171,24 @@ mod tests {
         s.insert(tup![1, "x"]);
         assert!(s.contains(&tup![1, "x"]));
         assert!(!s.contains(&tup![1, "y"]));
+    }
+
+    #[test]
+    fn a_clone_is_the_same_allocation_and_an_equal_tuple_is_not() {
+        let t = tup![1, "x"];
+        assert!(t.ptr_eq(&t.clone()));
+        let collected: Tuple = [Value::Int(1), Value::str("x")].into_iter().collect();
+        assert_eq!(t, collected);
+        assert_eq!(t, Tuple::new(vec![Value::Int(1), Value::str("x")]));
+        assert!(!t.ptr_eq(&collected));
+    }
+
+    #[test]
+    fn json_is_the_array_of_the_fields() {
+        let t = tup![1, "x", true];
+        assert_eq!(t.to_value(), t.as_slice().to_vec().to_value());
+        assert_eq!(Tuple::from_value(&t.to_value()).unwrap(), t);
+        assert!(Tuple::from_value(&serde::Value::Int(1)).is_err());
     }
 
     #[test]

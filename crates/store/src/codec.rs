@@ -41,8 +41,7 @@
 use crate::store::StoreError;
 use crate::wal::{ProtocolCounters, RecvCaches, WalRecord};
 use codb_relational::binenc::{self, BinDecodeError, Reader};
-use codb_relational::{RuleFiring, Snapshot, SnapshotError};
-use std::collections::HashSet;
+use codb_relational::{FiringSet, RuleFiring, Snapshot, SnapshotError};
 use std::fmt;
 use std::str::FromStr;
 
@@ -224,7 +223,7 @@ fn decode_record_binary(payload: &[u8]) -> Result<WalRecord, BinDecodeError> {
                 // element once): silently collapsing duplicates would
                 // mask an encoder bug as a smaller cache.
                 let count = firings.len();
-                let set: HashSet<_> = firings.into_iter().collect();
+                let set: FiringSet = firings.into_iter().collect();
                 if set.len() != count {
                     return Err(BinDecodeError {
                         offset: entry_at,
@@ -267,7 +266,7 @@ fn decode_record_binary(payload: &[u8]) -> Result<WalRecord, BinDecodeError> {
 
 /// A cache's firings in their structural order: what either codec writes,
 /// so the bytes never depend on the process's hash keys.
-pub(crate) fn sorted(firings: &HashSet<RuleFiring>) -> Vec<&RuleFiring> {
+pub(crate) fn sorted(firings: &FiringSet) -> Vec<&RuleFiring> {
     let mut firings: Vec<&RuleFiring> = firings.iter().collect();
     firings.sort_unstable();
     firings
@@ -349,8 +348,8 @@ mod tests {
     fn equal_caches_are_equal_bytes_whatever_the_hash_order() {
         let firing = |k: i64| RuleFiring::new([("r", vec![TField::Const(Value::Int(k))])]);
         // Two sets never share hash keys, so these two iterate differently.
-        let ascending: HashSet<RuleFiring> = (0..200).map(firing).collect();
-        let descending: HashSet<RuleFiring> = (0..200).rev().map(firing).collect();
+        let ascending: FiringSet = (0..200).map(firing).collect();
+        let descending: FiringSet = (0..200).rev().map(firing).collect();
         assert!(!ascending.iter().eq(descending.iter()), "the sets iterate alike");
         let in_order: Vec<RuleFiring> = (0..200).map(firing).collect();
         assert!(sorted(&ascending).into_iter().eq(&in_order));

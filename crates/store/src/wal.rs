@@ -16,10 +16,10 @@ use crate::codec::{self, Codec, MAGIC_LEN};
 use crate::group::FsyncScheduler;
 use crate::store::StoreError;
 use codb_relational::frame::{encode_frame, FrameScanner, FrameStep};
-use codb_relational::{RuleFiring, Tuple};
+use codb_relational::{FiringSet, RuleFiring, Tuple};
 use codb_trace::{TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
@@ -30,7 +30,7 @@ use std::str::FromStr;
 /// (`rule name → firing templates already materialised`). The sets are
 /// unordered in memory; both codecs write them sorted, so equal caches
 /// are equal bytes.
-pub type RecvCaches = BTreeMap<String, HashSet<RuleFiring>>;
+pub type RecvCaches = BTreeMap<String, FiringSet>;
 
 /// The JSON shape of [`RecvCaches`] — `[[rule, [firing, …]], …]`, as the
 /// derive writes a map of sets — with each set in sorted order. Written

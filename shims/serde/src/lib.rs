@@ -341,12 +341,6 @@ impl<T: Deserialize> Deserialize for Box<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Box<[T]> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Vec::<T>::from_value(v).map(Vec::into_boxed_slice)
-    }
-}
-
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
         match self {
@@ -395,13 +389,15 @@ impl<T: Deserialize + Ord> Deserialize for std::collections::BTreeSet<T> {
     }
 }
 
-impl<T: Serialize + std::hash::Hash + Eq> Serialize for std::collections::HashSet<T> {
+impl<T: Serialize, S> Serialize for std::collections::HashSet<T, S> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
 }
 
-impl<T: Deserialize + std::hash::Hash + Eq> Deserialize for std::collections::HashSet<T> {
+impl<T: Deserialize + std::hash::Hash + Eq, S: std::hash::BuildHasher + Default> Deserialize
+    for std::collections::HashSet<T, S>
+{
     fn from_value(v: &Value) -> Result<Self, Error> {
         v.as_array().ok_or_else(|| Error::expected("array", v))?.iter().map(T::from_value).collect()
     }
@@ -500,6 +496,19 @@ mod tests {
     fn int_range_checks() {
         assert!(u8::from_value(&Value::Int(300)).is_err());
         assert_eq!(u64::from_value(&Value::Int(u64::MAX as i128)).unwrap(), u64::MAX);
+    }
+
+    #[test]
+    fn a_set_round_trips_under_any_hasher() {
+        use std::collections::HashSet;
+        use std::hash::{BuildHasherDefault, DefaultHasher};
+        type Set = HashSet<u32, BuildHasherDefault<DefaultHasher>>;
+        let set: Set = [3, 1, 2].into_iter().collect();
+        let mut elements = set.to_value().as_array().unwrap().to_vec();
+        elements.sort_by_key(Value::as_u64);
+        assert_eq!(elements, vec![Value::Int(1), Value::Int(2), Value::Int(3)]);
+        assert_eq!(Set::from_value(&set.to_value()).unwrap(), set);
+        assert!(Set::from_value(&Value::Int(1)).is_err());
     }
 
     #[test]

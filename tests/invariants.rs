@@ -233,7 +233,7 @@ proptest! {
 mod relational_props {
     use super::*;
     use codb::relational::{
-        Atom, CmpOp, Comparison, CqBody, RelationSchema, Term, Tuple, Value, ValueType, Var,
+        Atom, CmpOp, Comparison, CqBody, RelationSchema, TField, Term, Tuple, Value, ValueType, Var,
     };
 
     fn arb_instance(max_tuples: usize) -> impl Strategy<Value = Instance> {
@@ -266,6 +266,15 @@ mod relational_props {
         prop_oneof![
             (0..vars).prop_map(|v| Term::Var(Var(v))),
             (0i64..8).prop_map(|c| Term::Const(Value::Int(c))),
+        ]
+    }
+
+    /// A ground value or a placeholder, from domains small enough that
+    /// firings, tuples and placeholders repeat.
+    fn arb_field() -> impl Strategy<Value = TField> {
+        prop_oneof![
+            (0i64..3).prop_map(|c| TField::Const(Value::Int(c))),
+            (0u32..2).prop_map(TField::Fresh),
         ]
     }
 
@@ -380,6 +389,87 @@ mod relational_props {
                 let mut so_far: Vec<RuleFiring> = sent.iter().cloned().collect();
                 so_far.sort();
                 prop_assert_eq!(so_far, view);
+            }
+        }
+
+        /// `apply_firings` is its definition, spelled out here one firing,
+        /// one atom, one field at a time: the same per-relation delta
+        /// sequences, the same null ids, the same final instance — over
+        /// duplicate firings, a placeholder shared by two atoms, two atoms
+        /// over one relation, batches of mixed shape and a batch that is
+        /// all duplicates.
+        #[test]
+        fn apply_firings_matches_its_naive_reference(
+            batches in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::collection::vec(
+                        (any::<bool>(), arb_field(), arb_field()),
+                        1..4,
+                    ),
+                    0..12,
+                ),
+                1..4,
+            ),
+            origin in 0u64..1000,
+        ) {
+            fn apply_reference(
+                target: &mut Instance,
+                firings: &[RuleFiring],
+                nulls: &mut NullFactory,
+            ) -> BTreeMap<String, Vec<Tuple>> {
+                let mut deltas: BTreeMap<String, Vec<Tuple>> = BTreeMap::new();
+                for firing in firings {
+                    let mut invented = BTreeMap::new();
+                    for (rel, fields) in firing.atoms() {
+                        let mut values = Vec::new();
+                        for field in fields {
+                            values.push(match field {
+                                TField::Const(v) => v.clone(),
+                                TField::Fresh(id) => Value::Null(
+                                    *invented.entry(*id).or_insert_with(|| nulls.fresh()),
+                                ),
+                            });
+                        }
+                        let tuple = Tuple::new(values);
+                        if target.insert(rel, tuple.clone()).unwrap() {
+                            deltas.entry(rel.to_string()).or_default().push(tuple);
+                        }
+                    }
+                }
+                deltas
+            }
+
+            let mut batches: Vec<Vec<RuleFiring>> = batches
+                .into_iter()
+                .map(|batch| {
+                    batch
+                        .into_iter()
+                        .map(|atoms| {
+                            RuleFiring::new(atoms.into_iter().map(|(into_h, a, b)| {
+                                (if into_h { "h" } else { "g" }, vec![a, b])
+                            }))
+                        })
+                        .collect()
+                })
+                .collect();
+            // Again, in full: ground firings are all duplicates by now.
+            batches.push(batches[0].clone());
+
+            let mut target = Instance::new();
+            for rel in ["g", "h"] {
+                target.add_relation(RelationSchema::with_types(
+                    rel,
+                    &[ValueType::Int, ValueType::Int],
+                ));
+            }
+            let (mut reference, mut reference_nulls) = (target.clone(), NullFactory::new(origin));
+            let mut nulls = NullFactory::new(origin);
+            for batch in &batches {
+                let deltas = apply_firings(&mut target, batch, &mut nulls).unwrap();
+                let expected = apply_reference(&mut reference, batch, &mut reference_nulls);
+                prop_assert_eq!(deltas, expected);
+                prop_assert_eq!(nulls.invented(), reference_nulls.invented());
+                prop_assert_eq!(&target, &reference);
             }
         }
 
