@@ -66,4 +66,7 @@ pub use node::{CoDbNode, NodeSettings};
 pub use parnet::{ParNetError, ParallelCoDbNet};
 pub use query::QueryResult;
 pub use rules::{link_graph_is_cyclic, rule_graph_is_cyclic, CoordinationRule, RuleBook};
-pub use stats::{NetworkReport, NodeReport, QueryReport, RuleTraffic, UpdateReport, UpdateSummary};
+pub use stats::{
+    Kind, KindCounts, NetworkReport, NodeReport, QueryReport, RuleTraffic, UpdateReport,
+    UpdateSummary,
+};

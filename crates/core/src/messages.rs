@@ -6,7 +6,7 @@
 
 use crate::config::NetworkConfig;
 use crate::ids::{NodeId, ReqId, RuleName, UpdateId};
-use crate::stats::NodeReport;
+use crate::stats::{Kind, NodeReport};
 use codb_net::Payload;
 use codb_relational::{ConjunctiveQuery, RuleFiring};
 use serde::{Deserialize, Serialize};
@@ -270,31 +270,31 @@ impl Body {
             )
     }
 
-    /// Short tag for per-kind statistics.
-    pub fn kind(&self) -> &'static str {
+    /// The kind the per-kind statistics count this message under.
+    pub fn kind(&self) -> Kind {
         match self {
-            Body::Ack { .. } => "ack",
-            Body::UpdateRequest { .. } => "update_request",
-            Body::DemandLink { .. } => "demand_link",
-            Body::UpdateData { .. } => "update_data",
-            Body::LinkClosed { .. } => "link_closed",
-            Body::DsAck { .. } => "ds_ack",
-            Body::UpdateComplete { .. } => "update_complete",
-            Body::Rejoin { .. } => "rejoin",
-            Body::RejoinAck { .. } => "rejoin_ack",
-            Body::RejoinRepair { .. } => "rejoin_repair",
-            Body::QueryRequest { .. } => "query_request",
-            Body::QueryAnswer { .. } => "query_answer",
-            Body::RulesFile { .. } => "rules_file",
-            Body::StatsRequest => "stats_request",
-            Body::StatsReport { .. } => "stats_report",
-            Body::StartUpdate => "start_update",
-            Body::StartScopedUpdate { .. } => "start_scoped_update",
-            Body::StartQuery { .. } => "start_query",
-            Body::CollectStats => "collect_stats",
-            Body::BroadcastRules => "broadcast_rules",
-            Body::TriggerDiscovery => "trigger_discovery",
-            Body::IngestLocal { .. } => "ingest_local",
+            Body::Ack { .. } => Kind::Ack,
+            Body::UpdateRequest { .. } => Kind::UpdateRequest,
+            Body::DemandLink { .. } => Kind::DemandLink,
+            Body::UpdateData { .. } => Kind::UpdateData,
+            Body::LinkClosed { .. } => Kind::LinkClosed,
+            Body::DsAck { .. } => Kind::DsAck,
+            Body::UpdateComplete { .. } => Kind::UpdateComplete,
+            Body::Rejoin { .. } => Kind::Rejoin,
+            Body::RejoinAck { .. } => Kind::RejoinAck,
+            Body::RejoinRepair { .. } => Kind::RejoinRepair,
+            Body::QueryRequest { .. } => Kind::QueryRequest,
+            Body::QueryAnswer { .. } => Kind::QueryAnswer,
+            Body::RulesFile { .. } => Kind::RulesFile,
+            Body::StatsRequest => Kind::StatsRequest,
+            Body::StatsReport { .. } => Kind::StatsReport,
+            Body::StartUpdate => Kind::StartUpdate,
+            Body::StartScopedUpdate { .. } => Kind::StartScopedUpdate,
+            Body::StartQuery { .. } => Kind::StartQuery,
+            Body::CollectStats => Kind::CollectStats,
+            Body::BroadcastRules => Kind::BroadcastRules,
+            Body::TriggerDiscovery => Kind::TriggerDiscovery,
+            Body::IngestLocal { .. } => Kind::IngestLocal,
         }
     }
 }

@@ -185,11 +185,14 @@ impl CoDbNetwork {
     fn run_update_with(&mut self, origin: NodeId, start: Body) -> UpdateOutcome {
         let node = self.node(origin);
         let update = UpdateId { origin, epoch: node.epoch(), seq: node.update_state_seq() };
-        let (m0, b0) = (self.sim.stats().sent, self.sim.stats().bytes_sent);
+        let (m0, b0) = self.sim.sent_totals();
         self.run_control(origin, start);
-        let stats = self.sim.stats();
-        let summary =
-            self.network_report().summarise(update).expect("update ran on at least the origin");
+        let (m1, b1) = self.sim.sent_totals();
+        // What `network_report().summarise(update)` answers, summed over
+        // the nodes' reports where they lie.
+        let reports = self.sim.peers().map(|(_, node)| node.report());
+        let summary = UpdateSummary::of(update, reports.filter(|r| Some(r.node) != self.superpeer))
+            .expect("update ran on at least the origin");
         UpdateOutcome {
             update,
             // Message-driven duration (first start to last close), so idle
@@ -197,8 +200,8 @@ impl CoDbNetwork {
             // work is done don't inflate the measurement.
             duration: summary.total_time,
             // Exclude the injected control message itself.
-            messages: stats.sent - m0 - 1,
-            bytes: stats.bytes_sent - b0,
+            messages: m1 - m0 - 1,
+            bytes: b1 - b0,
             summary,
         }
     }
@@ -213,10 +216,10 @@ impl CoDbNetwork {
     ) -> QueryOutcome {
         let n = self.node(node);
         let query_id = QueryId { origin: node, epoch: n.epoch(), seq: n.query_seq() };
-        let (m0, b0) = (self.sim.stats().sent, self.sim.stats().bytes_sent);
+        let (m0, b0) = self.sim.sent_totals();
         let t0 = self.sim.now();
         self.run_control(node, Body::StartQuery { query: Box::new(query), fetch });
-        let stats = self.sim.stats();
+        let (m1, b1) = self.sim.sent_totals();
         let result = self
             .node(node)
             .completed_queries
@@ -230,8 +233,8 @@ impl CoDbNetwork {
             duration: result.finished_at.saturating_sub(t0),
             result,
             // Exclude the injected control message itself.
-            messages: stats.sent - m0 - 1,
-            bytes: stats.bytes_sent - b0,
+            messages: m1 - m0 - 1,
+            bytes: b1 - b0,
         }
     }
 

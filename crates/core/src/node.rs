@@ -13,12 +13,13 @@ use crate::messages::{Body, Envelope};
 use crate::query::{QueryExec, QueryResult, Serving};
 use crate::reliable::Reliable;
 use crate::rules::{CoordinationRule, RuleBook};
-use crate::stats::{NetworkReport, NodeReport};
+use crate::stats::{Kind, NetworkReport, NodeReport};
 use crate::update::UpdateState;
 use codb_net::{Context, Peer, PeerId, PipeConfig, SimTime};
 use codb_relational::{ConjunctiveQuery, DatabaseSchema, FiringSet, Instance, NullFactory, Tuple};
 use codb_trace::Tracer;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Tunables of one node.
 #[derive(Clone, Debug)]
@@ -62,7 +63,9 @@ pub struct CoDbNode {
     pub(crate) ldb: Instance,
     pub(crate) schema: DatabaseSchema,
     pub(crate) nulls: NullFactory,
-    pub(crate) book: RuleBook,
+    /// Shared so a handler can hold the book while it changes the node; a
+    /// rules file replaces the handle ([`CoDbNode::install_book`]).
+    pub(crate) book: Arc<RuleBook>,
     pub(crate) settings: NodeSettings,
     pub(crate) config_version: u64,
     pub(crate) reliable: Reliable,
@@ -70,9 +73,10 @@ pub struct CoDbNode {
     // ---- update engine ----
     pub(crate) updates: BTreeMap<UpdateId, UpdateState>,
     pub(crate) next_update_seq: u64,
-    /// Sender-side per-link firing caches; keyed by `(rule, None)` in
-    /// incremental mode, `(rule, Some(update))` otherwise.
-    pub(crate) sent_cache: BTreeMap<(RuleName, Option<UpdateId>), FiringSet>,
+    /// Sender-side firing caches, per link of `book` (indexed by
+    /// [`crate::rules::LinkId`]): under key `None` in incremental mode,
+    /// `Some(update)` otherwise.
+    pub(crate) sent_cache: Vec<BTreeMap<Option<UpdateId>, FiringSet>>,
     /// Receiver-side per-link template caches (always cross-update).
     pub(crate) recv_cache: codb_store::RecvCaches,
     // ---- query engine ----
@@ -131,20 +135,21 @@ impl CoDbNode {
             ldb.insert(&rel, tuple).expect("seed data validated by config");
         }
         let retransmit_after = settings.retransmit_after;
+        let book = RuleBook::for_node(id, rules);
         CoDbNode {
             id,
             name: name.into(),
             ldb,
             schema,
             nulls: NullFactory::new(id.0),
-            book: RuleBook::for_node(id, rules),
+            sent_cache: vec![BTreeMap::new(); book.len()],
+            book: Arc::new(book),
             settings,
             config_version: 0,
             reliable: Reliable::new(retransmit_after),
             retransmit_armed: false,
             updates: BTreeMap::new(),
             next_update_seq: 0,
-            sent_cache: BTreeMap::new(),
             recv_cache: BTreeMap::new(),
             next_query_seq: 0,
             next_req_seq: 0,
@@ -432,8 +437,7 @@ impl CoDbNode {
     pub(crate) fn post(&mut self, ctx: &mut Context<Envelope>, to: NodeId, body: Body) {
         if body.is_ds_counted() {
             if let Some(u) = body.update_id() {
-                let st = self.updates.entry(u).or_insert_with(|| UpdateState::new(u));
-                st.deficit += 1;
+                self.update_entry(u).deficit += 1;
             }
         }
         self.report.count_sent(body.kind());
@@ -453,7 +457,7 @@ impl CoDbNode {
         let released = self.reliable.release_peer(peer);
         let count = released.len() as u64;
         for (to, env) in released {
-            self.report.count_sent("barrier_released");
+            self.report.count_sent(Kind::BarrierReleased);
             ctx.send(to.peer(), env);
         }
         self.tracer.emit_with(|| codb_trace::TraceEvent::BarrierRelease {
@@ -474,7 +478,7 @@ impl CoDbNode {
         seq: u64,
         epoch: u64,
     ) {
-        self.report.count_sent("ack");
+        self.report.count_sent(Kind::Ack);
         ctx.send(to.peer(), Envelope { seq: None, epoch, body: Body::Ack { seq } });
     }
 
@@ -591,7 +595,7 @@ impl Peer<Envelope> for CoDbNode {
                 // Schema violations are the harness's bug, not a protocol
                 // condition; surface them in the per-kind stats.
                 if self.insert_local(&relation, tuple).is_err() {
-                    self.report.count_received("ingest_rejected");
+                    self.report.count_received(Kind::IngestRejected);
                 }
             }
         }
@@ -603,7 +607,7 @@ impl Peer<Envelope> for CoDbNode {
             self.retransmit_armed = false;
             let round = self.reliable.retransmission_round();
             for (to, env) in round.resend {
-                self.report.count_sent("retransmit");
+                self.report.count_sent(Kind::Retransmit);
                 ctx.send(to.peer(), env);
             }
             for (peer, held) in round.barred {
@@ -613,7 +617,7 @@ impl Peer<Envelope> for CoDbNode {
                 // not surrendered — the update resumes (and completes)
                 // when the peer's new incarnation releases the barrier.
                 for _ in 0..held {
-                    self.report.count_sent("barrier_parked");
+                    self.report.count_sent(Kind::BarrierParked);
                 }
                 self.tracer.emit_with(|| codb_trace::TraceEvent::BarrierHold {
                     peer: self.id.0,
@@ -626,7 +630,7 @@ impl Peer<Envelope> for CoDbNode {
                 // dropped for good. Any DS credit it carried cannot come
                 // back: surrender the deficit so this node can still
                 // disengage ("Termination" in crate::update).
-                self.report.count_sent("abandoned");
+                self.report.count_sent(Kind::Abandoned);
                 if o.body.is_ds_counted() {
                     if let Some(u) = o.body.update_id() {
                         self.handle_ds_ack(ctx, u, 1);

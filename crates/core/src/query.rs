@@ -26,9 +26,11 @@
 use crate::ids::{NodeId, QueryId, ReqId, RuleName};
 use crate::messages::{Body, Envelope};
 use crate::node::CoDbNode;
+use crate::stats::Kind;
 use codb_net::{Context, SimTime};
 use codb_relational::{ConjunctiveQuery, EvalError, FiringSet, Instance, RuleFiring, Tuple};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// A finished query, as handed to the user.
 #[derive(Clone, Debug)]
@@ -104,12 +106,11 @@ impl CoDbNode {
         relations: &BTreeSet<String>,
         path: &[NodeId],
     ) -> Vec<(RuleName, NodeId)> {
-        self.book
-            .outgoing()
-            .iter()
-            .filter(|(_, r)| r.rule.head_relations().iter().any(|h| relations.contains(*h)))
-            .filter(|(_, r)| !path.contains(&r.source))
-            .map(|(name, r)| (name.clone(), r.source))
+        let outgoing = self.book.outgoing().iter().map(|id| self.book.link(*id));
+        outgoing
+            .filter(|l| l.rule.head_names().iter().any(|h| relations.contains(&**h)))
+            .filter(|l| !path.contains(&l.source))
+            .map(|l| (l.name.clone(), l.source))
             .collect()
     }
 
@@ -122,8 +123,9 @@ impl CoDbNode {
     ) -> BTreeSet<String> {
         let mut rels = base;
         for (name, _) in links {
-            for h in self.book.outgoing()[name].rule.head_relations() {
-                rels.insert(h.to_owned());
+            let link = self.book.outgoing_named(name).expect("a link fetchable_links chose");
+            for h in self.book.link(link).rule.head_names() {
+                rels.insert(h.to_string());
             }
         }
         rels
@@ -213,13 +215,14 @@ impl CoDbNode {
         rule: RuleName,
         path: Vec<NodeId>,
     ) {
-        let Some(link) = self.book.incoming().get(&rule) else {
+        let book = Arc::clone(&self.book);
+        let Some(link) = book.incoming_named(&rule).map(|id| book.link(id)) else {
             // Stale rule: answer empty so the requester can make progress.
             self.post(ctx, from, Body::QueryAnswer { req, firings: vec![], closed: true });
             return;
         };
         let body_rels: BTreeSet<String> =
-            link.rule.body_relations().into_iter().map(str::to_owned).collect();
+            link.rule.rule().body_relations().into_iter().map(str::to_owned).collect();
         let mut path = path;
         path.push(self.id);
         let links = self.fetchable_links(&body_rels, &path);
@@ -231,10 +234,8 @@ impl CoDbNode {
         // The paper: "when node gets a query request, it answers it using
         // local data immediately, and it forwards it through all outgoing
         // links" — stream the local instalment now, nested data later.
-        let initial = self.book.incoming()[&rule]
-            .rule
-            .fire(overlay.as_ref().unwrap_or(&self.ldb))
-            .expect("schema-validated rule");
+        let initial =
+            link.rule.fire(overlay.as_ref().unwrap_or(&self.ldb)).expect("schema-validated rule");
         let closed = overlay.is_none();
         self.post(ctx, from, Body::QueryAnswer { req, firings: initial.clone(), closed });
         let Some(overlay) = overlay else { return };
@@ -285,13 +286,14 @@ impl CoDbNode {
         // As on the update path: an instalment that is not an instance of
         // the fetched rule's head is dropped whole, and only counted; an
         // admitted one returns the tuples it added, per relation.
-        let link = self.book.outgoing().get(&rule);
+        let book = Arc::clone(&self.book);
+        let link = book.outgoing_named(&rule).map(|id| book.link(id));
         let mut assemble = |overlay: &mut Instance| {
-            if link.is_some_and(|l| l.rule.admits(overlay, &firings)) {
+            if link.is_some_and(|l| l.rule.rule().admits(overlay, &firings)) {
                 codb_relational::apply_firings(overlay, &firings, &mut self.nulls)
                     .expect("the batch was admitted against the rule head and the schema")
             } else {
-                self.report.count_received("data_rejected");
+                self.report.count_received(Kind::DataRejected);
                 BTreeMap::new()
             }
         };
@@ -324,10 +326,17 @@ impl CoDbNode {
                 // Stream the increment, semi-naively: a firing not yet sent
                 // must use a tuple this instalment added, because `sent`
                 // holds every firing of the overlay as it was before.
-                let mut fresh = self.book.incoming()[&s.rule]
-                    .rule
-                    .fire_deltas(&s.overlay, &deltas)
-                    .expect("schema-validated rule");
+                // A rules file may have retired the served link since the
+                // request came: nothing more to fire, the request still
+                // closes.
+                let mut fresh = match book.incoming_named(&s.rule) {
+                    Some(id) => book
+                        .link(id)
+                        .rule
+                        .fire_deltas(&s.overlay, &deltas)
+                        .expect("schema-validated rule"),
+                    None => Vec::new(),
+                };
                 s.sent.reserve(fresh.len());
                 fresh.retain(|f| s.sent.insert(f.clone()));
                 let finished = s.pending.is_empty();

@@ -34,9 +34,11 @@
 use crate::ids::{NodeId, RuleName};
 use crate::messages::{Body, Envelope};
 use crate::node::CoDbNode;
+use crate::rules::LinkId;
 use codb_net::Context;
 use codb_trace::TraceEvent;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 impl CoDbNode {
     /// Posts this incarnation's `Rejoin` to every acquaintance, once
@@ -52,7 +54,7 @@ impl CoDbNode {
         self.rejoin_acks.clear();
         let epoch = self.reliable.epoch();
         self.tracer.emit_with(|| TraceEvent::RejoinAnnounce { peer: self.id.0, epoch });
-        for acq in self.book.acquaintances().clone() {
+        for &acq in Arc::clone(&self.book).acquaintances() {
             self.post(ctx, acq, Body::Rejoin { epoch });
         }
     }
@@ -91,17 +93,10 @@ impl CoDbNode {
     /// Re-fires every incoming link targeting `peer` over the full LDB and
     /// ships the non-empty remainders as [`Body::RejoinRepair`].
     fn send_rejoin_repair(&mut self, ctx: &mut Context<Envelope>, peer: NodeId) {
-        let toward: Vec<RuleName> = self
-            .book
-            .incoming()
-            .iter()
-            .filter(|(_, r)| r.target == peer)
-            .map(|(name, _)| name.clone())
-            .collect();
-        for name in toward {
-            let glav = self.book.incoming()[&name].rule.clone();
-            let firings = glav.fire(&self.ldb).expect("schema-validated rule");
-            self.post_repair(ctx, &name, peer, firings);
+        let book = Arc::clone(&self.book);
+        for &id in book.incoming().iter().filter(|id| book.link(**id).target == peer) {
+            let firings = book.link(id).rule.fire(&self.ldb).expect("schema-validated rule");
+            self.post_repair(ctx, id, firings);
         }
     }
 
@@ -117,32 +112,31 @@ impl CoDbNode {
         rule: RuleName,
         firings: Vec<codb_relational::RuleFiring>,
     ) {
-        let Some(deltas) = self.receive_link_data(&rule, firings) else {
+        let Some(link) = self.book.outgoing_named(&rule) else {
             return; // stale rule name after a reconfiguration
         };
+        let deltas = self.receive_link_data(link, firings);
         // Cascade: downstream nodes may also be missing data derived from
         // what was just repaired (the crashed node forwarded some of it,
         // but not necessarily all). Semi-naive delta evaluation, exactly
         // like update propagation, but carried by repair messages.
-        let dependents: BTreeSet<RuleName> =
-            deltas.keys().flat_map(|rel| self.book.incoming_reading(rel)).cloned().collect();
-        for name in dependents {
-            let (target, out) = self.fire_link_deltas(&name, &deltas);
-            self.post_repair(ctx, &name, target, out);
+        for id in self.links_reading(&deltas) {
+            let out = self.fire_link_deltas(id, &deltas);
+            self.post_repair(ctx, id, out);
         }
     }
 
-    /// Filters repair `firings` for link `name` through the incremental
-    /// sent-cache (when one is kept) and posts the remainder to `target`.
+    /// Filters repair `firings` for incoming link `link` through the
+    /// incremental sent-cache (when one is kept) and posts the remainder to
+    /// the link's target.
     fn post_repair(
         &mut self,
         ctx: &mut Context<Envelope>,
-        name: &RuleName,
-        target: NodeId,
+        link: LinkId,
         firings: Vec<codb_relational::RuleFiring>,
     ) {
         let fresh: Vec<codb_relational::RuleFiring> = if self.settings.incremental_updates {
-            let cache = self.sent_cache.entry((name.clone(), None)).or_default();
+            let cache = self.sent_cache_for(link, None);
             firings.into_iter().filter(|f| cache.insert(f.clone())).collect()
         } else {
             // Without sender-side caches the receiver's template dedup is
@@ -152,12 +146,13 @@ impl CoDbNode {
         if fresh.is_empty() {
             return;
         }
+        let (rule, target) = (self.book.link(link).name.clone(), self.book.link(link).target);
         self.tracer.emit_with(|| TraceEvent::RuleFire {
             peer: self.id.0,
             link: target.0,
             firings: fresh.len() as u64,
         });
-        self.post(ctx, target, Body::RejoinRepair { rule: name.clone(), firings: fresh });
+        self.post(ctx, target, Body::RejoinRepair { rule, firings: fresh });
     }
 
     /// Handles a `RejoinAck`: counts it only when it confirms *this*
@@ -177,16 +172,8 @@ impl CoDbNode {
     /// Drops every sent-cache entry (incremental and per-update keyed)
     /// for links whose target is `peer`. Returns how many entries went.
     pub(crate) fn invalidate_sent_caches_toward(&mut self, peer: NodeId) -> usize {
-        let toward: BTreeSet<RuleName> = self
-            .book
-            .incoming()
-            .iter()
-            .filter(|(_, r)| r.target == peer)
-            .map(|(name, _)| name.clone())
-            .collect();
-        let before = self.sent_cache.len();
-        self.sent_cache.retain(|(rule, _), _| !toward.contains(rule));
-        before - self.sent_cache.len()
+        let toward = self.book.incoming().iter().filter(|id| self.book.link(**id).target == peer);
+        toward.map(|id| std::mem::take(&mut self.sent_cache[id.index()]).len()).sum()
     }
 
     /// Acquaintances that acknowledged this incarnation's `Rejoin`.
@@ -214,7 +201,7 @@ mod tests {
     use crate::ids::UpdateId;
     use crate::node::NodeSettings;
     use codb_net::{Command, PeerId, SimTime};
-    use std::collections::VecDeque;
+    use std::collections::{BTreeMap, VecDeque};
 
     /// hub feeds both spoke1 and spoke2; spoke1 also feeds hub (so the
     /// hub has one *outgoing* link, proving those caches are untouched).
@@ -256,12 +243,8 @@ mod tests {
     /// Populates the hub's sent caches: both key shapes toward spoke1,
     /// the incremental shape toward spoke2.
     fn seed_caches(node: &mut CoDbNode, spoke1_epoch_update: UpdateId) {
-        for key in [
-            ("to1".to_owned(), None),
-            ("to1".to_owned(), Some(spoke1_epoch_update)),
-            ("to2".to_owned(), None),
-        ] {
-            node.sent_cache.entry(key).or_default().insert(firing(7));
+        for (rule, key) in [("to1", None), ("to1", Some(spoke1_epoch_update)), ("to2", None)] {
+            node.sent_cached_mut(rule, key).insert(firing(7));
         }
     }
 
@@ -293,9 +276,9 @@ mod tests {
         // Both key shapes toward spoke1 were invalidated: the per-update
         // key is gone, and the incremental key — re-primed by the repair
         // push — no longer holds the stale firing. spoke2's cache stays.
-        assert!(!node.sent_cache.contains_key(&("to1".to_owned(), Some(u))));
-        assert!(!node.sent_cache[&("to1".to_owned(), None)].contains(&firing(7)));
-        assert!(node.sent_cache[&("to2".to_owned(), None)].contains(&firing(7)));
+        assert!(node.sent_cached("to1", Some(u)).is_none());
+        assert!(!node.sent_cached("to1", None).unwrap().contains(&firing(7)));
+        assert!(node.sent_cached("to2", None).unwrap().contains(&firing(7)));
         // The handshake is acked (echoing the announced epoch), and the
         // link's full data is re-pushed immediately as repair — the
         // rejoined node must not wait for the next organic update.
@@ -319,12 +302,12 @@ mod tests {
         let mut cmds = Commands::new();
         node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 1);
         // An update ran meanwhile and legitimately rebuilt the cache.
-        node.sent_cache.entry(("to1".to_owned(), None)).or_default().insert(firing(1));
+        node.sent_cached_mut("to1", None).insert(firing(1));
 
         // The duplicate (same epoch, e.g. a delayed copy) must not wipe
         // the rebuilt cache — but it is still acked, idempotently.
         node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 1);
-        assert!(node.sent_cache.contains_key(&("to1".to_owned(), None)));
+        assert!(node.sent_cached("to1", None).is_some());
         let acks: Vec<_> = sends(&mut cmds)
             .into_iter()
             .filter(|(_, b)| matches!(b, Body::RejoinAck { .. }))
@@ -337,14 +320,14 @@ mod tests {
         let (mut node, spoke1, _) = hub();
         let mut cmds = Commands::new();
         node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 3);
-        node.sent_cache.entry(("to1".to_owned(), None)).or_default().insert(firing(1));
+        node.sent_cached_mut("to1", None).insert(firing(1));
 
         // A straggler from incarnation 2 (delayed in the network while
         // incarnation 3 completed its handshake) is stale: no wipe, and
         // its ack echoes the stale epoch so the live incarnation ignores
         // it (see `stale_ack_from_old_epoch_is_ignored`).
         node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 2);
-        assert!(node.sent_cache.contains_key(&("to1".to_owned(), None)));
+        assert!(node.sent_cached("to1", None).is_some());
         assert_eq!(node.rejoin_epochs[&spoke1], 3, "the newest epoch stays on record");
         let last = sends(&mut cmds).pop().unwrap();
         assert!(matches!(last.1, Body::RejoinAck { epoch: 2 }));
@@ -371,11 +354,11 @@ mod tests {
         let (mut node, spoke1, _) = hub();
         let mut cmds = Commands::new();
         node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 1);
-        node.sent_cache.entry(("to1".to_owned(), None)).or_default().insert(firing(1));
+        node.sent_cached_mut("to1", None).insert(firing(1));
 
         node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 2);
         assert!(
-            !node.sent_cache[&("to1".to_owned(), None)].contains(&firing(1)),
+            !node.sent_cached("to1", None).unwrap().contains(&firing(1)),
             "a genuinely newer incarnation invalidates again (the repair push \
              re-primes the cache with the link's real firings only)"
         );
@@ -388,7 +371,7 @@ mod tests {
         // the peer's previous life, or never exchanged data): nothing to
         // invalidate, but the epoch is recorded and the ack still flows.
         let (mut node, spoke1, _) = hub();
-        assert!(node.sent_cache.is_empty());
+        assert!(node.sent_cache.iter().all(BTreeMap::is_empty));
         let mut cmds = Commands::new();
         node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 5);
         assert_eq!(node.rejoin_epochs[&spoke1], 5);

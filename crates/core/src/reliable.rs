@@ -23,7 +23,7 @@
 use crate::ids::NodeId;
 use crate::messages::{Body, Envelope};
 use codb_net::SimTime;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// An unacknowledged message.
 #[derive(Clone, Debug)]
@@ -54,15 +54,90 @@ pub struct RetransmissionRound {
     pub barred: Vec<(NodeId, u64)>,
 }
 
+/// The unacknowledged messages, indexed by transport seq. Seqs are handed
+/// out in order and retired nearly so, so the live ones sit in a short
+/// window `[base, base + slots.len())`: slot `i` holds seq `base + i`, a
+/// retired seq leaves `None`, and the window's front advances past retired
+/// slots. Registering and retiring a message are O(1); a message that
+/// stays unacknowledged (parked behind the barrier, say) pins the front,
+/// and the window then holds one empty slot per seq issued since.
+#[derive(Debug, Default)]
+struct SeqRing {
+    /// Seq of `slots[0]`; the next seq to hand out is `base + slots.len()`.
+    base: u64,
+    slots: VecDeque<Option<Outstanding>>,
+    /// Occupied slots.
+    live: usize,
+}
+
+impl SeqRing {
+    /// Registers `message` under the next seq, which it returns.
+    fn push(&mut self, message: Outstanding) -> u64 {
+        let seq = self.base + self.slots.len() as u64;
+        self.slots.push_back(Some(message));
+        self.live += 1;
+        seq
+    }
+
+    /// The slot of `seq`, if `seq` is inside the window. A seq from the
+    /// wire may be anything: one already retired and passed, one never
+    /// issued, `u64::MAX` — none of them indexes.
+    fn slot_mut(&mut self, seq: u64) -> Option<&mut Option<Outstanding>> {
+        let offset = usize::try_from(seq.checked_sub(self.base)?).ok()?;
+        self.slots.get_mut(offset)
+    }
+
+    /// Retires `seq`; `None` unless it was outstanding.
+    fn remove(&mut self, seq: u64) -> Option<Outstanding> {
+        let message = self.slot_mut(seq)?.take()?;
+        self.live -= 1;
+        self.trim();
+        Some(message)
+    }
+
+    /// Advances the window past the retired seqs at its front.
+    fn trim(&mut self) {
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+    }
+
+    /// Keeps the messages `keep` approves, visiting them in seq order.
+    fn retain(&mut self, mut keep: impl FnMut(&mut Outstanding) -> bool) {
+        for slot in &mut self.slots {
+            if slot.as_mut().is_some_and(|o| !keep(o)) {
+                *slot = None;
+                self.live -= 1;
+            }
+        }
+        self.trim();
+    }
+
+    /// `(seq, message)` in seq order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &Outstanding)> {
+        let base = self.base;
+        self.slots.iter().enumerate().filter_map(move |(i, o)| Some((base + i as u64, o.as_ref()?)))
+    }
+
+    /// `(seq, message)` in seq order, mutably.
+    fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut Outstanding)> {
+        let base = self.base;
+        self.slots
+            .iter_mut()
+            .enumerate()
+            .filter_map(move |(i, o)| Some((base + i as u64, o.as_mut()?)))
+    }
+}
+
 /// Per-node reliable-delivery state.
 #[derive(Debug)]
 pub struct Reliable {
-    next_seq: u64,
     /// This node's incarnation, stamped on every sequenced envelope. Set
     /// once at (re)start — bumping it mid-life would strand in-flight
     /// retransmissions as stale.
     epoch: u64,
-    outstanding: BTreeMap<u64, Outstanding>,
+    outstanding: SeqRing,
     /// Peers behind the rejoin barrier: retransmission toward them
     /// exhausted `max_attempts` on a message that must not be abandoned
     /// ([`Body::parks_behind_barrier`]), so the peer is presumed crashed
@@ -89,9 +164,8 @@ impl Reliable {
     /// Creates the layer with the given retransmission interval.
     pub fn new(retransmit_after: SimTime) -> Self {
         Reliable {
-            next_seq: 0,
             epoch: 0,
-            outstanding: BTreeMap::new(),
+            outstanding: SeqRing::default(),
             barred: BTreeSet::new(),
             seen: BTreeMap::new(),
             retransmit_after,
@@ -102,7 +176,7 @@ impl Reliable {
     /// Sets this node's incarnation (call before any message is sent —
     /// i.e. right after recovering from a store).
     pub fn set_epoch(&mut self, epoch: u64) {
-        debug_assert!(self.outstanding.is_empty(), "epoch change with messages in flight");
+        debug_assert!(self.outstanding.live == 0, "epoch change with messages in flight");
         self.epoch = epoch;
     }
 
@@ -114,17 +188,16 @@ impl Reliable {
     /// Wraps `body` for `to`: assigns a transport seq and registers the
     /// message for retransmission until acked.
     pub fn wrap(&mut self, to: NodeId, body: Body) -> Envelope {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.outstanding
-            .insert(seq, Outstanding { to, body: body.clone(), attempts: 0, parked: false });
-        Envelope { seq: Some(seq), epoch: self.epoch, body }
+        let held = Outstanding { to, body: body.clone(), attempts: 0, parked: false };
+        Envelope { seq: Some(self.outstanding.push(held)), epoch: self.epoch, body }
     }
 
     /// Handles a transport ack; returns `true` if it retired an
-    /// outstanding message (duplicate acks return `false`).
+    /// outstanding message. `seq` is whatever the wire carried: a
+    /// duplicate ack, one for a seq never issued and one far out of range
+    /// all return `false`.
     pub fn on_ack(&mut self, seq: u64) -> bool {
-        self.outstanding.remove(&seq).is_some()
+        self.outstanding.remove(seq).is_some()
     }
 
     /// Receiver-side dedup. Returns `true` when the message should be
@@ -163,7 +236,7 @@ impl Reliable {
         let mut round = RetransmissionRound::default();
         let mut newly_barred: BTreeSet<NodeId> = BTreeSet::new();
         let max = self.max_attempts;
-        self.outstanding.retain(|_, o| {
+        self.outstanding.retain(|o| {
             if o.parked {
                 return true;
             }
@@ -183,7 +256,7 @@ impl Reliable {
         for peer in newly_barred {
             self.barred.insert(peer);
             let mut parked = 0u64;
-            for o in self.outstanding.values_mut() {
+            for (_, o) in self.outstanding.iter_mut() {
                 if o.to == peer && !o.parked && o.body.parks_behind_barrier() {
                     o.parked = true;
                     parked += 1;
@@ -196,7 +269,7 @@ impl Reliable {
             .outstanding
             .iter()
             .filter(|(_, o)| !o.parked)
-            .map(|(seq, o)| (o.to, Envelope { seq: Some(*seq), epoch, body: o.body.clone() }))
+            .map(|(seq, o)| (o.to, Envelope { seq: Some(seq), epoch, body: o.body.clone() }))
             .collect();
         round
     }
@@ -208,7 +281,7 @@ impl Reliable {
 
     /// Messages currently parked toward `peer`.
     pub fn parked_toward(&self, peer: NodeId) -> usize {
-        self.outstanding.values().filter(|o| o.parked && o.to == peer).count()
+        self.outstanding.iter().filter(|(_, o)| o.parked && o.to == peer).count()
     }
 
     /// Lifts the barrier toward `peer` (it has been heard from again):
@@ -226,7 +299,7 @@ impl Reliable {
             .map(|(seq, o)| {
                 o.parked = false;
                 o.attempts = 0;
-                (o.to, Envelope { seq: Some(*seq), epoch, body: o.body.clone() })
+                (o.to, Envelope { seq: Some(seq), epoch, body: o.body.clone() })
             })
             .collect()
     }
@@ -237,14 +310,14 @@ impl Reliable {
         self.outstanding
             .iter()
             .map(|(seq, o)| {
-                (o.to, Envelope { seq: Some(*seq), epoch: self.epoch, body: o.body.clone() })
+                (o.to, Envelope { seq: Some(seq), epoch: self.epoch, body: o.body.clone() })
             })
             .collect()
     }
 
     /// True iff any message awaits acknowledgement (parked or not).
     pub fn has_outstanding(&self) -> bool {
-        !self.outstanding.is_empty()
+        self.outstanding.live > 0
     }
 
     /// True iff any *unparked* message awaits acknowledgement — the
@@ -253,17 +326,17 @@ impl Reliable {
     /// the clock, and an idle network with only parked traffic must be
     /// able to quiesce.
     pub fn has_retransmittable(&self) -> bool {
-        self.outstanding.values().any(|o| !o.parked)
+        self.outstanding.iter().any(|(_, o)| !o.parked)
     }
 
     /// Drops outstanding messages addressed to `node` (it left the
     /// network permanently — reconfiguration, not a crash) and lifts any
     /// barrier toward it; returns how many messages were dropped.
     pub fn forget_peer(&mut self, node: NodeId) -> usize {
-        let before = self.outstanding.len();
-        self.outstanding.retain(|_, o| o.to != node);
+        let before = self.outstanding.live;
+        self.outstanding.retain(|o| o.to != node);
         self.barred.remove(&node);
-        before - self.outstanding.len()
+        before - self.outstanding.live
     }
 }
 
@@ -463,6 +536,192 @@ mod tests {
         r.wrap(NodeId(1), body());
         assert!(r.release_peer(NodeId(1)).is_empty());
         assert!(r.has_retransmittable(), "unparked traffic untouched");
+    }
+
+    /// The layer as it was before the ring: the outstanding messages in an
+    /// ordered map by seq. Kept as the model the ring is diffed against.
+    struct MapModel {
+        next_seq: u64,
+        max_attempts: u32,
+        outstanding: BTreeMap<u64, Outstanding>,
+        barred: BTreeSet<NodeId>,
+    }
+
+    /// What an operation answered, reduced to what can be compared:
+    /// `(destination, seq)` lists and counts.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Answer {
+        flag: bool,
+        sent: Vec<(NodeId, u64)>,
+        abandoned: Vec<NodeId>,
+        barred: Vec<(NodeId, u64)>,
+    }
+
+    fn answer(flag: bool, sent: Vec<(NodeId, u64)>) -> Answer {
+        Answer { flag, sent, abandoned: Vec::new(), barred: Vec::new() }
+    }
+
+    fn seqs(envelopes: &[(NodeId, Envelope)]) -> Vec<(NodeId, u64)> {
+        envelopes.iter().map(|(to, e)| (*to, e.seq.unwrap())).collect()
+    }
+
+    impl MapModel {
+        fn wrap(&mut self, to: NodeId, body: Body) -> u64 {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.outstanding.insert(seq, Outstanding { to, body, attempts: 0, parked: false });
+            seq
+        }
+
+        fn unparked(&self) -> Vec<(NodeId, u64)> {
+            self.outstanding.iter().filter(|(_, o)| !o.parked).map(|(s, o)| (o.to, *s)).collect()
+        }
+
+        fn retransmission_round(&mut self) -> Answer {
+            let (mut abandoned, mut newly) = (Vec::new(), BTreeSet::new());
+            let max = self.max_attempts;
+            self.outstanding.retain(|_, o| {
+                if o.parked {
+                    return true;
+                }
+                o.attempts += 1;
+                if o.attempts <= max {
+                    return true;
+                }
+                if o.body.parks_behind_barrier() {
+                    newly.insert(o.to);
+                    true
+                } else {
+                    abandoned.push(o.to);
+                    false
+                }
+            });
+            let mut barred = Vec::new();
+            for peer in newly {
+                self.barred.insert(peer);
+                let mut parked = 0;
+                for o in self.outstanding.values_mut() {
+                    if o.to == peer && !o.parked && o.body.parks_behind_barrier() {
+                        o.parked = true;
+                        parked += 1;
+                    }
+                }
+                barred.push((peer, parked));
+            }
+            Answer { flag: false, sent: self.unparked(), abandoned, barred }
+        }
+
+        fn release_peer(&mut self, peer: NodeId) -> Vec<(NodeId, u64)> {
+            if !self.barred.remove(&peer) {
+                return Vec::new();
+            }
+            let mut released = Vec::new();
+            for (seq, o) in self.outstanding.iter_mut().filter(|(_, o)| o.parked && o.to == peer) {
+                o.parked = false;
+                o.attempts = 0;
+                released.push((o.to, *seq));
+            }
+            released
+        }
+
+        fn forget_peer(&mut self, node: NodeId) -> usize {
+            let before = self.outstanding.len();
+            self.outstanding.retain(|_, o| o.to != node);
+            self.barred.remove(&node);
+            before - self.outstanding.len()
+        }
+    }
+
+    /// The ring against the map under random traffic: every operation
+    /// answers the same, and what is pending, parked and retransmittable
+    /// agrees after each. Acks come as the wire may bring them — in order,
+    /// out of order, twice, for seqs never issued, for `u64::MAX`.
+    #[test]
+    fn the_seq_ring_answers_as_the_ordered_map_did() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x5E0_0126);
+        for round in 0..60 {
+            let mut ring = Reliable::new(SimTime::from_millis(10));
+            ring.max_attempts = rng.gen_range(1..4);
+            let mut map = MapModel {
+                next_seq: 0,
+                max_attempts: ring.max_attempts,
+                outstanding: BTreeMap::new(),
+                barred: BTreeSet::new(),
+            };
+            for step in 0..300 {
+                let peer = NodeId(rng.gen_range(0..3));
+                let (got, want) = match rng.gen_range(0..100) {
+                    0..=44 => {
+                        let body = if rng.gen_bool(0.4) {
+                            Body::Rejoin { epoch: step }
+                        } else {
+                            Body::StatsRequest
+                        };
+                        let seq = ring.wrap(peer, body.clone()).seq.unwrap();
+                        (
+                            answer(true, vec![(peer, seq)]),
+                            answer(true, vec![(peer, map.wrap(peer, body))]),
+                        )
+                    }
+                    45..=79 => {
+                        let seq = match rng.gen_range(0..10) {
+                            0 => u64::MAX,
+                            1 => map.next_seq + rng.gen_range(0..5),
+                            2 => rng.gen_range(0..map.next_seq + 1),
+                            // Mostly a live one: the oldest, or any.
+                            3..=6 => map.outstanding.keys().next().copied().unwrap_or(0),
+                            _ => {
+                                let live: Vec<u64> = map.outstanding.keys().copied().collect();
+                                if live.is_empty() {
+                                    7
+                                } else {
+                                    live[rng.gen_range(0..live.len())]
+                                }
+                            }
+                        };
+                        let retired = map.outstanding.remove(&seq).is_some();
+                        (answer(ring.on_ack(seq), vec![]), answer(retired, vec![]))
+                    }
+                    80..=89 => {
+                        let r = ring.retransmission_round();
+                        let got = Answer {
+                            flag: false,
+                            sent: seqs(&r.resend),
+                            abandoned: r.abandoned.iter().map(|o| o.to).collect(),
+                            barred: r.barred,
+                        };
+                        (got, map.retransmission_round())
+                    }
+                    90..=95 => (
+                        answer(false, seqs(&ring.release_peer(peer))),
+                        answer(false, map.release_peer(peer)),
+                    ),
+                    _ => {
+                        let (a, b) = (ring.forget_peer(peer), map.forget_peer(peer));
+                        (
+                            answer(false, vec![(peer, a as u64)]),
+                            answer(false, vec![(peer, b as u64)]),
+                        )
+                    }
+                };
+                assert_eq!(got, want, "round {round}, step {step}");
+                let all: Vec<_> = map.outstanding.iter().map(|(s, o)| (o.to, *s)).collect();
+                assert_eq!(seqs(&ring.pending()), all, "round {round}, step {step}");
+                assert_eq!(ring.has_outstanding(), !all.is_empty());
+                assert_eq!(ring.has_retransmittable(), !map.unparked().is_empty());
+                for p in (0..3).map(NodeId) {
+                    assert_eq!(ring.is_barred(p), map.barred.contains(&p));
+                    let parked = map.outstanding.values().filter(|o| o.parked && o.to == p).count();
+                    assert_eq!(ring.parked_toward(p), parked);
+                }
+                // The window never outgrows what is live plus the gaps
+                // between, and closes when nothing is.
+                let window = map.outstanding.keys().next().map_or(0, |first| map.next_seq - first);
+                assert_eq!(ring.outstanding.slots.len() as u64, window);
+            }
+        }
     }
 
     #[test]

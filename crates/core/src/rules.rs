@@ -10,7 +10,7 @@
 //! node.
 
 use crate::ids::{NodeId, RuleName};
-use codb_relational::GlavRule;
+use codb_relational::{GlavRule, PreparedRule};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -33,70 +33,144 @@ impl CoordinationRule {
     }
 }
 
-/// The rule book of one node: the rules it participates in, split by role,
-/// plus the intra-node dependency relation between them.
+/// A link's number in the [`RuleBook`] that holds it: dense from zero, in
+/// rule-name order. An id means something only to the book that assigned
+/// it — it never leaves the node, and state indexed by it is re-keyed by
+/// name when a rules file replaces the book.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct LinkId(u32);
+
+impl LinkId {
+    /// The id as an index into a per-link table.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// One rule this node takes part in, as the protocol uses it.
+#[derive(Clone, Debug)]
+pub struct Link {
+    /// The rule's name: what the wire, the WAL, reports and traces call
+    /// this link.
+    pub name: RuleName,
+    /// The rule, ready to fire.
+    pub rule: PreparedRule,
+    /// Node that evaluates the body and pushes firings.
+    pub source: NodeId,
+    /// Node that imports the head tuples.
+    pub target: NodeId,
+}
+
+/// The rule book of one node: the rules it participates in, numbered, plus
+/// the intra-node dependency relation between them.
 ///
 /// A book is immutable once built — a new rules file replaces it whole —
 /// so everything the protocol asks of it per message is derived once, in
-/// [`RuleBook::for_node`], and answered by reference.
+/// [`RuleBook::for_node`], and answered by reference: a rule name from the
+/// wire is resolved to its [`LinkId`] once, and the dependency tables are
+/// lists of ids.
 #[derive(Clone, Debug, Default)]
 pub struct RuleBook {
-    outgoing: BTreeMap<RuleName, CoordinationRule>,
-    incoming: BTreeMap<RuleName, CoordinationRule>,
+    node: NodeId,
+    /// Every link, in name order; a link's id is its position.
+    links: Vec<Link>,
+    /// Links with this node as target.
+    outgoing: Vec<LinkId>,
+    /// Links with this node as source.
+    incoming: Vec<LinkId>,
     acquaintances: BTreeSet<NodeId>,
-    /// Incoming link → the outgoing links relevant for it.
-    relevant: BTreeMap<RuleName, BTreeSet<RuleName>>,
+    /// Per link: if incoming, the outgoing links relevant for it.
+    relevant: Vec<Vec<LinkId>>,
     /// Relation → the incoming links whose body reads it.
-    readers: BTreeMap<String, BTreeSet<RuleName>>,
+    readers: BTreeMap<String, Vec<LinkId>>,
 }
-
-/// What the table lookups answer for a link or relation the book does not
-/// know.
-static NO_LINKS: BTreeSet<RuleName> = BTreeSet::new();
 
 impl RuleBook {
     /// Builds the book for `node` from the full rule list.
     pub fn for_node(node: NodeId, rules: &[CoordinationRule]) -> Self {
-        let mut book = RuleBook::default();
-        for r in rules {
-            if r.target == node {
-                book.outgoing.insert(r.name().to_owned(), r.clone());
-            }
-            if r.source == node {
-                book.incoming.insert(r.name().to_owned(), r.clone());
-            }
-        }
-        book.acquaintances = book
-            .outgoing
-            .values()
-            .map(|r| r.source)
-            .chain(book.incoming.values().map(|r| r.target))
-            .filter(|n| *n != node)
+        let mine: BTreeMap<&str, &CoordinationRule> = rules
+            .iter()
+            .filter(|r| r.target == node || r.source == node)
+            .map(|r| (r.name(), r))
             .collect();
-        for (name, i) in &book.incoming {
-            let reads = i.rule.body_relations();
-            let relevant = book
-                .outgoing
-                .values()
-                .filter(|o| o.rule.head_relations().iter().any(|h| reads.contains(h)))
-                .map(|o| o.name().to_owned())
+        let links: Vec<Link> = mine
+            .into_values()
+            .map(|r| Link {
+                name: r.name().to_owned(),
+                rule: PreparedRule::new(r.rule.clone()),
+                source: r.source,
+                target: r.target,
+            })
+            .collect();
+        let ids_where = |end: fn(&Link) -> NodeId| -> Vec<LinkId> {
+            let here = links.iter().enumerate().filter(|(_, l)| end(l) == node);
+            here.map(|(i, _)| LinkId(u32::try_from(i).expect("more than u32::MAX rules"))).collect()
+        };
+        let outgoing = ids_where(|l| l.target);
+        let incoming = ids_where(|l| l.source);
+        let acquaintances =
+            links.iter().flat_map(|l| [l.source, l.target]).filter(|n| *n != node).collect();
+        let mut relevant = vec![Vec::new(); links.len()];
+        let mut readers: BTreeMap<String, Vec<LinkId>> = BTreeMap::new();
+        for &i in &incoming {
+            let reads = links[i.index()].rule.rule().body_relations();
+            relevant[i.index()] = outgoing
+                .iter()
+                .copied()
+                .filter(|o| links[o.index()].rule.head_names().iter().any(|h| reads.contains(&**h)))
                 .collect();
-            book.relevant.insert(name.clone(), relevant);
             for rel in reads {
-                book.readers.entry(rel.to_owned()).or_default().insert(name.clone());
+                readers.entry(rel.to_owned()).or_default().push(i);
             }
         }
-        book
+        RuleBook { node, links, outgoing, incoming, acquaintances, relevant, readers }
     }
 
-    /// Rules with this node as target, by name ("outgoing links").
-    pub fn outgoing(&self) -> &BTreeMap<RuleName, CoordinationRule> {
+    /// Number of links; every [`LinkId`] of this book is below it.
+    pub fn len(&self) -> usize {
+        self.links.len()
+    }
+
+    /// The link numbered `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not of this book.
+    pub fn link(&self, id: LinkId) -> &Link {
+        &self.links[id.index()]
+    }
+
+    /// Every link with its id, in id (and so name) order.
+    pub fn links(&self) -> impl Iterator<Item = (LinkId, &Link)> {
+        self.links.iter().enumerate().map(|(i, l)| (LinkId(i as u32), l))
+    }
+
+    /// Rules with this node as target ("outgoing links"), in name order.
+    pub fn outgoing(&self) -> &[LinkId] {
         &self.outgoing
     }
 
-    /// Rules with this node as source, by name ("incoming links").
-    pub fn incoming(&self) -> &BTreeMap<RuleName, CoordinationRule> {
+    /// Rules with this node as source ("incoming links"), in name order.
+    pub fn incoming(&self) -> &[LinkId] {
         &self.incoming
+    }
+
+    /// The link `name` names, whichever end of it this node is.
+    pub fn link_named(&self, name: &str) -> Option<LinkId> {
+        let at = self.links.binary_search_by(|l| l.name.as_str().cmp(name)).ok()?;
+        Some(LinkId(at as u32))
+    }
+
+    /// The outgoing link `name` names — `None` for a name this book does
+    /// not know (a stale rule, or anything else the wire carried) and for
+    /// a link this node only serves.
+    pub fn outgoing_named(&self, name: &str) -> Option<LinkId> {
+        self.link_named(name).filter(|id| self.link(*id).target == self.node)
+    }
+
+    /// The incoming link `name` names, as [`RuleBook::outgoing_named`].
+    pub fn incoming_named(&self, name: &str) -> Option<LinkId> {
+        self.link_named(name).filter(|id| self.link(*id).source == self.node)
     }
 
     /// All acquaintances: nodes this node shares a rule with (pipe
@@ -108,34 +182,21 @@ impl RuleBook {
     }
 
     /// Outgoing links *relevant for* incoming link `i`: those whose head
-    /// writes a relation read by `i`'s body.
-    pub fn relevant_outgoing(&self, incoming: &str) -> &BTreeSet<RuleName> {
-        self.relevant.get(incoming).unwrap_or(&NO_LINKS)
-    }
-
-    /// Incoming links *dependent on* outgoing link `o` — the links to
-    /// re-compute when `o` delivers new data.
-    pub fn dependent_incoming(&self, outgoing: &RuleName) -> BTreeSet<RuleName> {
-        let Some(o) = self.outgoing.get(outgoing) else {
-            return BTreeSet::new();
-        };
-        let head_rels: BTreeSet<&str> = o.rule.head_relations();
-        self.incoming
-            .values()
-            .filter(|i| i.rule.body_relations().iter().any(|b| head_rels.contains(b)))
-            .map(|i| i.name().to_owned())
-            .collect()
+    /// writes a relation read by `i`'s body. Empty for a link this node
+    /// does not serve.
+    pub fn relevant_outgoing(&self, incoming: LinkId) -> &[LinkId] {
+        &self.relevant[incoming.index()]
     }
 
     /// Incoming links whose body reads `relation` — the links to
-    /// re-compute when a delta arrives for it.
-    pub fn incoming_reading(&self, relation: &str) -> &BTreeSet<RuleName> {
-        self.readers.get(relation).unwrap_or(&NO_LINKS)
+    /// re-compute when a delta arrives for it — in name order.
+    pub fn incoming_reading(&self, relation: &str) -> &[LinkId] {
+        self.readers.get(relation).map_or(&[], Vec::as_slice)
     }
 
     /// True iff this node has no rules at all (an isolated node).
     pub fn is_empty(&self) -> bool {
-        self.outgoing.is_empty() && self.incoming.is_empty()
+        self.links.is_empty()
     }
 }
 
@@ -241,49 +302,90 @@ pub fn rule_graph_is_cyclic(rules: &[CoordinationRule]) -> bool {
     false
 }
 
-/// The paper's definitions of the dependency tables, evaluated directly
-/// over the two rule maps — what [`RuleBook`] derived on every call
-/// before it kept tables, kept as the reference the tables are checked
-/// against.
+/// The paper's definitions of the roles and the dependency tables,
+/// evaluated directly over the rule list the book was built from — what
+/// [`RuleBook`] derived on every call before it kept tables — as names,
+/// which every id table of the book must spell when read back through
+/// [`RuleBook::link`].
 #[cfg(test)]
-pub(crate) fn assert_tables_match_definitions(book: &RuleBook, node: NodeId) {
-    let acquaintances: BTreeSet<NodeId> = book
-        .outgoing()
-        .values()
-        .map(|r| r.source)
-        .chain(book.incoming().values().map(|r| r.target))
+pub(crate) fn assert_tables_match_definitions(
+    book: &RuleBook,
+    node: NodeId,
+    rules: &[CoordinationRule],
+) {
+    let names = |ids: &[LinkId]| -> Vec<&str> {
+        ids.iter().map(|id| book.link(*id).name.as_str()).collect()
+    };
+    let named = |keep: &dyn Fn(&CoordinationRule) -> bool| -> Vec<&str> {
+        let set: BTreeSet<&str> = rules.iter().filter(|r| keep(r)).map(|r| r.name()).collect();
+        set.into_iter().collect()
+    };
+    let outgoing = named(&|r| r.target == node);
+    let incoming = named(&|r| r.source == node);
+    assert_eq!(names(book.outgoing()), outgoing, "outgoing links of {node}");
+    assert_eq!(names(book.incoming()), incoming, "incoming links of {node}");
+
+    // Ids are dense and in name order, and a link is the rule of its name.
+    let all = named(&|r| r.target == node || r.source == node);
+    assert_eq!(book.len(), all.len());
+    assert_eq!(book.is_empty(), all.is_empty());
+    for ((id, link), name) in book.links().zip(&all) {
+        assert_eq!((link.name.as_str(), id.index()), (*name, all.binary_search(name).unwrap()));
+        let rule = rules.iter().rfind(|r| r.name() == *name).unwrap();
+        assert_eq!(
+            (link.rule.rule(), link.source, link.target),
+            (&rule.rule, rule.source, rule.target)
+        );
+        let head: Vec<&str> = rule.rule.head.iter().map(|a| a.relation.as_str()).collect();
+        assert_eq!(link.rule.head_names().iter().map(|h| &**h).collect::<Vec<_>>(), head);
+        assert_eq!(book.outgoing_named(name), outgoing.contains(name).then_some(id), "{name}");
+        assert_eq!(book.incoming_named(name), incoming.contains(name).then_some(id), "{name}");
+    }
+    for name in rules.iter().map(|r| r.name()).chain(["no-such-rule"]) {
+        if !all.contains(&name) {
+            assert_eq!((book.outgoing_named(name), book.incoming_named(name)), (None, None));
+        }
+    }
+
+    let acquaintances: BTreeSet<NodeId> = rules
+        .iter()
+        .filter(|r| r.target == node || r.source == node)
+        .flat_map(|r| [r.source, r.target])
         .filter(|n| *n != node)
         .collect();
     assert_eq!(book.acquaintances(), &acquaintances, "acquaintances of {node}");
 
-    for (name, i) in book.incoming() {
-        let reads = i.rule.body_relations();
-        let relevant: BTreeSet<RuleName> = book
+    let rule_of = |id: LinkId| book.link(id).rule.rule();
+    for (id, link) in book.links() {
+        let reads = link.rule.rule().body_relations();
+        let relevant: Vec<&str> = book
             .outgoing()
-            .values()
-            .filter(|o| o.rule.head_relations().iter().any(|h| reads.contains(h)))
-            .map(|o| o.name().to_owned())
+            .iter()
+            .filter(|_| link.source == node)
+            .filter(|o| rule_of(**o).head_relations().iter().any(|h| reads.contains(h)))
+            .map(|o| book.link(*o).name.as_str())
             .collect();
-        assert_eq!(book.relevant_outgoing(name), &relevant, "relevant for {name} at {node}");
-    }
-    for name in book.outgoing().keys().filter(|o| !book.incoming().contains_key(*o)) {
-        assert!(book.relevant_outgoing(name).is_empty(), "{name} is not an incoming link");
+        assert_eq!(
+            names(book.relevant_outgoing(id)),
+            relevant,
+            "relevant for {} at {node}",
+            link.name
+        );
     }
 
-    let rules = || book.outgoing().values().chain(book.incoming().values());
     let mut relations: BTreeSet<&str> = ["no-such-relation"].into();
-    for r in rules() {
-        relations.extend(r.rule.head_relations());
-        relations.extend(r.rule.body_relations());
+    for (_, link) in book.links() {
+        relations.extend(link.rule.rule().head_relations());
+        relations.extend(link.rule.rule().body_relations());
     }
     for rel in relations {
-        let readers: BTreeSet<RuleName> = book
+        let readers: Vec<&str> = book
             .incoming()
-            .values()
-            .filter(|i| i.rule.body_relations().contains(rel))
-            .map(|i| i.name().to_owned())
+            .iter()
+            .filter(|i| rule_of(**i).body_relations().contains(rel))
+            .map(|i| book.link(*i).name.as_str())
             .collect();
-        assert_eq!(book.incoming_reading(rel), &readers, "readers of {rel} at {node}");
+        assert_eq!(names(book.incoming_reading(rel)), readers, "readers of {rel} at {node}");
     }
 }
 
@@ -298,12 +400,17 @@ mod tests {
         CoordinationRule { rule: r, source: NodeId(src), target: NodeId(tgt) }
     }
 
+    fn names(book: &RuleBook, ids: &[LinkId]) -> Vec<String> {
+        ids.iter().map(|id| book.link(*id).name.clone()).collect()
+    }
+
     #[test]
     fn book_splits_roles() {
         let rules = vec![rule("a", 1, 2, "t(X) <- s(X)"), rule("b", 2, 3, "u(X) <- t(X)")];
         let book = RuleBook::for_node(NodeId(2), &rules);
-        assert!(book.outgoing().contains_key("a")); // node 2 imports via a
-        assert!(book.incoming().contains_key("b")); // node 2 serves b
+        assert!(book.outgoing_named("a").is_some()); // node 2 imports via a
+        assert!(book.incoming_named("b").is_some()); // node 2 serves b
+        assert_eq!((book.incoming_named("a"), book.outgoing_named("b")), (None, None));
         assert_eq!(book.acquaintances(), &[NodeId(1), NodeId(3)].into());
     }
 
@@ -316,26 +423,27 @@ mod tests {
             rule("c", 2, 3, "w(X) <- v(X)"), // reads v: independent
         ];
         let book = RuleBook::for_node(NodeId(2), &rules);
-        assert_eq!(book.relevant_outgoing("b"), &["a".to_owned()].into());
-        assert!(book.relevant_outgoing("c").is_empty());
-        assert_eq!(book.dependent_incoming(&"a".into()), ["b".to_owned()].into());
+        let id = |name| book.incoming_named(name).unwrap();
+        assert_eq!(names(&book, book.relevant_outgoing(id("b"))), ["a"]);
+        assert!(book.relevant_outgoing(id("c")).is_empty());
+        assert!(book.relevant_outgoing(book.outgoing_named("a").unwrap()).is_empty());
     }
 
     #[test]
     fn incoming_reading_groups_by_relation() {
         let rules = vec![rule("b", 2, 3, "u(X) <- t(X)"), rule("c", 2, 4, "w(X) <- t(X), v(X)")];
         let book = RuleBook::for_node(NodeId(2), &rules);
-        assert_eq!(book.incoming_reading("t"), &["b".to_owned(), "c".to_owned()].into());
-        assert_eq!(book.incoming_reading("v"), &["c".to_owned()].into());
+        assert_eq!(names(&book, book.incoming_reading("t")), ["b", "c"]);
+        assert_eq!(names(&book, book.incoming_reading("v")), ["c"]);
     }
 
     #[test]
     fn unknown_links_yield_empty_sets() {
         let book = RuleBook::default();
-        assert!(book.relevant_outgoing("zz").is_empty());
+        assert_eq!((book.outgoing_named("zz"), book.incoming_named("zz")), (None, None));
         assert!(book.incoming_reading("zz").is_empty());
         assert!(book.acquaintances().is_empty());
-        assert!(book.dependent_incoming(&"zz".into()).is_empty());
+        assert!(book.outgoing().is_empty() && book.incoming().is_empty());
         assert!(book.is_empty());
     }
 
@@ -365,7 +473,7 @@ mod tests {
         for rules in &fixtures {
             for node in 0..=5 {
                 let node = NodeId(node);
-                assert_tables_match_definitions(&RuleBook::for_node(node, rules), node);
+                assert_tables_match_definitions(&RuleBook::for_node(node, rules), node, rules);
             }
         }
     }

@@ -12,6 +12,7 @@ use crate::ids::{NodeId, QueryId, RuleName, UpdateId};
 use codb_net::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::Index;
 
 /// Serializes maps with non-string keys as sequences of pairs so the
 /// reports stay JSON-compatible (JSON object keys must be strings).
@@ -40,6 +41,16 @@ mod pairs {
         let pairs: Vec<(K, V)> = Deserialize::from_value(v)?;
         Ok(pairs.into_iter().collect())
     }
+}
+
+/// The value `map` holds under `name`, made on first touch — the only
+/// time the name is copied. For the maps that stay keyed by rule name
+/// because a report, a snapshot or a WAL record shows them that way.
+pub(crate) fn by_name<'a, V: Default>(map: &'a mut BTreeMap<String, V>, name: &str) -> &'a mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_owned(), V::default());
+    }
+    map.get_mut(name).expect("present or just inserted")
 }
 
 /// Message/volume counters for one coordination rule (one direction).
@@ -158,6 +169,167 @@ impl QueryReport {
     }
 }
 
+/// Declares [`Kind`] with each variant's report name beside it, so a
+/// variant cannot exist without a name, and [`Kind::ALL`] cannot miss one.
+macro_rules! kinds {
+    ($($(#[$doc:meta])* $variant:ident => $name:literal,)+) => {
+        /// What the per-kind counters of a [`NodeReport`] count: one kind
+        /// per [`crate::messages::Body`] variant, plus the transport and
+        /// receive-path events a node counts beside them. Inside the node
+        /// a kind is an array index; it becomes its name where a report is
+        /// read or serialised.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum Kind {
+            $($(#[$doc])* $variant,)+
+        }
+
+        impl Kind {
+            /// Every kind, in declaration order.
+            pub const ALL: [Kind; [$(Kind::$variant),+].len()] = [$(Kind::$variant),+];
+
+            /// The name reports and their JSON carry.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $(Kind::$variant => $name,)+
+                }
+            }
+        }
+    };
+}
+
+kinds! {
+    /// A transport acknowledgement.
+    Ack => "ack",
+    /// A flooded update request.
+    UpdateRequest => "update_request",
+    /// A scoped update's demand for one link.
+    DemandLink => "demand_link",
+    /// A batch of rule firings on a link.
+    UpdateData => "update_data",
+    /// A link's close notification.
+    LinkClosed => "link_closed",
+    /// A Dijkstra–Scholten credit return.
+    DsAck => "ds_ack",
+    /// The completion flood.
+    UpdateComplete => "update_complete",
+    /// A restarted node's announcement.
+    Rejoin => "rejoin",
+    /// The confirmation of a `Rejoin`.
+    RejoinAck => "rejoin_ack",
+    /// Repair data pushed at barrier release.
+    RejoinRepair => "rejoin_repair",
+    /// A query-time fetch request.
+    QueryRequest => "query_request",
+    /// An instalment of a fetch's answer.
+    QueryAnswer => "query_answer",
+    /// A super-peer's rules file.
+    RulesFile => "rules_file",
+    /// A super-peer's request for statistics.
+    StatsRequest => "stats_request",
+    /// A node's statistics report.
+    StatsReport => "stats_report",
+    /// Harness control: start a global update.
+    StartUpdate => "start_update",
+    /// Harness control: start a scoped update.
+    StartScopedUpdate => "start_scoped_update",
+    /// Harness control: run a query.
+    StartQuery => "start_query",
+    /// Harness control: collect statistics.
+    CollectStats => "collect_stats",
+    /// Harness control: broadcast the rules file.
+    BroadcastRules => "broadcast_rules",
+    /// Harness control: refresh the discovery view.
+    TriggerDiscovery => "trigger_discovery",
+    /// Harness control: insert one local tuple.
+    IngestLocal => "ingest_local",
+    /// Sent: a message resent under its original seq.
+    Retransmit => "retransmit",
+    /// Sent: a message parked behind the rejoin barrier.
+    BarrierParked => "barrier_parked",
+    /// Sent: a parked message released when its peer was heard from.
+    BarrierReleased => "barrier_released",
+    /// Sent: a message given up on after the last retransmission.
+    Abandoned => "abandoned",
+    /// Received: a batch that was not an instance of its rule's head.
+    DataRejected => "data_rejected",
+    /// Received: a local insert the schema refused.
+    IngestRejected => "ingest_rejected",
+}
+
+impl Kind {
+    /// The kind `name` names, if any.
+    pub fn from_name(name: &str) -> Option<Kind> {
+        Kind::ALL.into_iter().find(|k| k.name() == name)
+    }
+}
+
+/// One counter per [`Kind`]. Read like the name-keyed map it serialises
+/// as: a kind never counted is absent, not zero.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct KindCounts([u64; Kind::ALL.len()]);
+
+impl KindCounts {
+    /// Adds one to `kind`'s counter.
+    pub fn bump(&mut self, kind: Kind) {
+        self.0[kind as usize] += 1;
+    }
+
+    /// `kind`'s counter.
+    pub fn of(&self, kind: Kind) -> u64 {
+        self.0[kind as usize]
+    }
+
+    /// The counter `name` names, if that kind was ever counted.
+    pub fn get(&self, name: &str) -> Option<&u64> {
+        Kind::from_name(name).map(|k| &self.0[k as usize]).filter(|n| **n > 0)
+    }
+
+    /// True iff the kind `name` names was ever counted.
+    pub fn contains_key(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    /// `(name, count)` of every kind counted.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        Kind::ALL.into_iter().map(|k| (k.name(), self.of(k))).filter(|(_, n)| *n > 0)
+    }
+
+    /// The count of every kind counted.
+    pub fn values(&self) -> impl Iterator<Item = u64> + '_ {
+        self.0.iter().copied().filter(|n| *n > 0)
+    }
+}
+
+impl Index<&str> for KindCounts {
+    type Output = u64;
+
+    /// # Panics
+    ///
+    /// As the map did, when the kind was never counted.
+    fn index(&self, name: &str) -> &u64 {
+        self.get(name).unwrap_or_else(|| panic!("no message of kind {name:?} was counted"))
+    }
+}
+
+/// The JSON of the `BTreeMap<String, u64>` these counters were.
+impl Serialize for KindCounts {
+    fn to_value(&self) -> serde::Value {
+        self.iter().map(|(name, n)| (name.to_owned(), n)).collect::<BTreeMap<_, _>>().to_value()
+    }
+}
+
+impl Deserialize for KindCounts {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let mut counts = KindCounts::default();
+        for (name, n) in BTreeMap::<String, u64>::from_value(v)? {
+            let kind = Kind::from_name(&name)
+                .ok_or_else(|| serde::Error::custom(format!("unknown message kind `{name}`")))?;
+            counts.0[kind as usize] = n;
+        }
+        Ok(counts)
+    }
+}
+
 /// Everything one node's statistics module has accumulated; the payload of
 /// a `StatsReport` message.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -171,9 +343,9 @@ pub struct NodeReport {
     #[serde(with = "pairs")]
     pub queries: BTreeMap<QueryId, QueryReport>,
     /// All protocol messages sent, by kind.
-    pub messages_sent: BTreeMap<String, u64>,
+    pub messages_sent: KindCounts,
     /// All protocol messages received, by kind.
-    pub messages_received: BTreeMap<String, u64>,
+    pub messages_received: KindCounts,
     /// Total LDB tuples at report time.
     pub ldb_tuples: u64,
 }
@@ -185,29 +357,18 @@ impl NodeReport {
     }
 
     /// Counts a sent message of `kind`.
-    pub fn count_sent(&mut self, kind: &'static str) {
-        count(&mut self.messages_sent, kind);
+    pub fn count_sent(&mut self, kind: Kind) {
+        self.messages_sent.bump(kind);
     }
 
     /// Counts a received message of `kind`.
-    pub fn count_received(&mut self, kind: &'static str) {
-        count(&mut self.messages_received, kind);
+    pub fn count_received(&mut self, kind: Kind) {
+        self.messages_received.bump(kind);
     }
 
     /// The report for `update`, created at `now` on first touch.
     pub fn update_mut(&mut self, update: UpdateId, now: SimTime) -> &mut UpdateReport {
         self.updates.entry(update).or_insert_with(|| UpdateReport::new(update, now))
-    }
-}
-
-/// Bumps `kind`'s counter. Runs for every message, so the key is
-/// allocated only the first time a kind is seen.
-fn count(counters: &mut BTreeMap<String, u64>, kind: &str) {
-    match counters.get_mut(kind) {
-        Some(n) => *n += 1,
-        None => {
-            counters.insert(kind.to_owned(), 1);
-        }
     }
 }
 
@@ -268,11 +429,22 @@ impl NetworkReport {
 
     /// Aggregates one update across all reporting nodes.
     pub fn summarise(&self, update: UpdateId) -> Option<UpdateSummary> {
+        UpdateSummary::of(update, self.nodes.values())
+    }
+}
+
+impl UpdateSummary {
+    /// Aggregates `update` across `reports`, read where they lie; `None`
+    /// when none of them saw it.
+    pub fn of<'a>(
+        update: UpdateId,
+        reports: impl IntoIterator<Item = &'a NodeReport>,
+    ) -> Option<UpdateSummary> {
         let mut summary = UpdateSummary::default();
         let mut started: Option<SimTime> = None;
         let mut finished: Option<SimTime> = None;
         let mut seen = false;
-        for node in self.nodes.values() {
+        for node in reports {
             let Some(r) = node.updates.get(&update) else { continue };
             seen = true;
             summary.nodes += 1;
@@ -287,7 +459,7 @@ impl NetworkReport {
                 summary.data_messages += t.messages;
                 summary.firings += t.firings;
                 summary.data_bytes += t.bytes;
-                let agg = summary.per_rule.entry(rule.clone()).or_default();
+                let agg = by_name(&mut summary.per_rule, rule);
                 agg.messages += t.messages;
                 agg.firings += t.firings;
                 agg.bytes += t.bytes;
@@ -309,6 +481,7 @@ impl NetworkReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::Body;
 
     fn upd() -> UpdateId {
         UpdateId { origin: NodeId(0), epoch: 0, seq: 0 }
@@ -333,9 +506,9 @@ mod tests {
     #[test]
     fn node_report_counters() {
         let mut n = NodeReport::new(NodeId(3));
-        n.count_sent("update_data");
-        n.count_sent("update_data");
-        n.count_received("ds_ack");
+        n.count_sent(Kind::UpdateData);
+        n.count_sent(Kind::UpdateData);
+        n.count_received(Kind::DsAck);
         assert_eq!(n.messages_sent["update_data"], 2);
         assert_eq!(n.messages_received["ds_ack"], 1);
         let r = n.update_mut(upd(), SimTime::from_millis(1));
@@ -386,6 +559,138 @@ mod tests {
         net.ingest(b);
         assert_eq!(net.nodes[&NodeId(1)].ldb_tuples, 9);
         assert_eq!(net.nodes.len(), 1);
+    }
+
+    /// One of every body, by variant name.
+    fn bodies() -> Vec<(&'static str, Body)> {
+        let update = upd();
+        let req = crate::ids::ReqId { node: NodeId(1), epoch: 0, seq: 0 };
+        let query = codb_relational::parse_query("ans(X) :- r(X).").unwrap();
+        let rule = || "r".to_owned();
+        vec![
+            ("Ack", Body::Ack { seq: 0 }),
+            ("UpdateRequest", Body::UpdateRequest { update }),
+            ("DemandLink", Body::DemandLink { update, rule: rule() }),
+            ("UpdateData", Body::UpdateData { update, rule: rule(), firings: vec![], hops: 0 }),
+            ("LinkClosed", Body::LinkClosed { update, rule: rule(), data_msgs: 0 }),
+            ("DsAck", Body::DsAck { update, credits: 1 }),
+            ("UpdateComplete", Body::UpdateComplete { update }),
+            ("Rejoin", Body::Rejoin { epoch: 1 }),
+            ("RejoinAck", Body::RejoinAck { epoch: 1 }),
+            ("RejoinRepair", Body::RejoinRepair { rule: rule(), firings: vec![] }),
+            ("QueryRequest", Body::QueryRequest { req, rule: rule(), path: vec![] }),
+            ("QueryAnswer", Body::QueryAnswer { req, firings: vec![], closed: true }),
+            ("RulesFile", Body::RulesFile { config: Box::default() }),
+            ("StatsRequest", Body::StatsRequest),
+            ("StatsReport", Body::StatsReport { report: Box::default() }),
+            ("StartUpdate", Body::StartUpdate),
+            ("StartScopedUpdate", Body::StartScopedUpdate { relations: vec![] }),
+            ("StartQuery", Body::StartQuery { query: Box::new(query), fetch: false }),
+            ("CollectStats", Body::CollectStats),
+            ("BroadcastRules", Body::BroadcastRules),
+            ("TriggerDiscovery", Body::TriggerDiscovery),
+            (
+                "IngestLocal",
+                Body::IngestLocal { relation: rule(), tuple: codb_relational::tup![1] },
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_body_and_every_counted_event_has_one_kind_with_its_own_name() {
+        // A body's kind is the variant's own name, and serde's external
+        // tag proves the list above names the variant it builds.
+        let bodies = bodies();
+        for (variant, body) in &bodies {
+            assert_eq!(format!("{:?}", body.kind()), *variant);
+            let tagged = serde::Serialize::to_value(body);
+            let tag = tagged.as_str().or_else(|| tagged.as_object()?.keys().next().map(|k| &**k));
+            assert_eq!(tag, Some(*variant));
+        }
+        // The events a node counts that are not bodies, as the reports
+        // and the harnesses that read them spell them.
+        let events = [
+            "retransmit",
+            "barrier_parked",
+            "barrier_released",
+            "abandoned",
+            "data_rejected",
+            "ingest_rejected",
+        ];
+        assert_eq!(Kind::ALL.len(), bodies.len() + events.len(), "a kind nobody counts");
+        for name in events {
+            let kind = Kind::from_name(name).unwrap_or_else(|| panic!("no kind named {name}"));
+            assert!(bodies.iter().all(|(_, b)| b.kind() != kind), "{name} is also a body's kind");
+        }
+        // Names are the snake case of the variant, distinct, and `ALL` is
+        // the discriminants in order — which is what indexes the counters.
+        let names: std::collections::BTreeSet<&str> = Kind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(names.len(), Kind::ALL.len());
+        for (i, kind) in Kind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i);
+            assert_eq!(Kind::from_name(kind.name()), Some(kind));
+            let snake: String = format!("{kind:?}")
+                .chars()
+                .enumerate()
+                .flat_map(|(i, c)| {
+                    let sep = (c.is_uppercase() && i > 0).then_some('_');
+                    sep.into_iter().chain(c.to_lowercase())
+                })
+                .collect();
+            assert_eq!(kind.name(), snake);
+        }
+        assert_eq!(Kind::from_name("no_such_kind"), None);
+    }
+
+    #[test]
+    fn counters_read_like_the_map_they_serialise_as() {
+        let mut n = NodeReport::new(NodeId(3));
+        n.count_sent(Kind::UpdateData);
+        n.count_sent(Kind::Ack);
+        n.count_sent(Kind::Ack);
+        assert_eq!(n.messages_sent.get("ack"), Some(&2));
+        assert_eq!(n.messages_sent.get("ds_ack"), None, "never counted is absent, not zero");
+        assert_eq!(n.messages_sent.get("no_such_kind"), None);
+        assert!(n.messages_sent.contains_key("update_data"));
+        assert!(!n.messages_sent.contains_key("ds_ack"));
+        assert_eq!(n.messages_sent.values().sum::<u64>(), 3);
+        assert_eq!(n.messages_sent.iter().collect::<Vec<_>>(), [("ack", 2), ("update_data", 1)]);
+        assert_eq!(n.messages_received.iter().count(), 0);
+        assert_eq!(n.messages_sent.of(Kind::Ack), 2);
+    }
+
+    /// The report's JSON, byte for byte what the name-keyed counters
+    /// wrote: kinds in name order, only those counted.
+    #[test]
+    fn a_node_report_serialises_to_the_json_it_always_did() {
+        let mut n = NodeReport::new(NodeId(7));
+        n.count_sent(Kind::UpdateData);
+        n.count_sent(Kind::UpdateData);
+        n.count_sent(Kind::Ack);
+        n.count_sent(Kind::Retransmit);
+        n.count_received(Kind::DsAck);
+        n.count_received(Kind::DataRejected);
+        n.ldb_tuples = 3;
+        let r = n.update_mut(upd(), SimTime::from_millis(2));
+        r.received.entry("r1".into()).or_default().record(2, 100);
+        let json = serde_json::to_string(&n).unwrap();
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"ldb_tuples":3,"messages_received":[["data_rejected",1],["ds_ack",1]],"#,
+                r#""messages_sent":[["ack",1],["retransmit",1],["update_data",2]],"node":7,"#,
+                r#""queries":[],"updates":[[{"epoch":0,"origin":0,"seq":0},{"closed_at":null,"#,
+                r#""completed_at":null,"longest_path":0,"received":[["r1",{"bytes":100,"#,
+                r#""firings":2,"messages":1}]],"requests_received":0,"sent":[],"#,
+                r#""started_at":2000000,"truncated":false,"tuples_added":0,"#,
+                r#""update":{"epoch":0,"origin":0,"seq":0}}]]}"#
+            )
+        );
+        let back: NodeReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.messages_sent, n.messages_sent);
+        assert_eq!(back.messages_received, n.messages_received);
+        let unknown = json.replace("retransmit", "retransmat");
+        assert!(serde_json::from_str::<NodeReport>(&unknown).is_err());
     }
 
     #[test]

@@ -17,7 +17,8 @@ use crate::messages::{Body, Envelope};
 use crate::node::CoDbNode;
 use crate::rules::RuleBook;
 use codb_net::Context;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 impl CoDbNode {
     /// Harness control: broadcast this super-peer's configuration file to
@@ -46,12 +47,8 @@ impl CoDbNode {
         }
         self.config_version = config.version;
 
-        let old_acquaintances = self.book.acquaintances().clone();
-        self.book = RuleBook::for_node(self.id, &config.rules);
-        // Rule names may be reused with different endpoints after a
-        // reconfiguration: drop the per-link firing caches.
-        self.sent_cache.clear();
-        self.recv_cache.clear();
+        let old = self.install_book(RuleBook::for_node(self.id, &config.rules));
+        let old_acquaintances = old.acquaintances();
         let new_acquaintances = self.book.acquaintances();
 
         // "If a coordination rules file is received when a peer has already
@@ -60,7 +57,7 @@ impl CoDbNode {
         for gone in old_acquaintances.difference(new_acquaintances) {
             ctx.close_pipe(gone.peer());
         }
-        for added in new_acquaintances.difference(&old_acquaintances) {
+        for added in new_acquaintances.difference(old_acquaintances) {
             ctx.open_pipe(added.peer(), self.settings.pipe);
         }
 
@@ -74,6 +71,27 @@ impl CoDbNode {
                 }
             }
         }
+    }
+
+    /// Replaces the rule book, and with it everything numbered by the old
+    /// one; returns the old book.
+    ///
+    /// [`crate::rules::LinkId`]s mean nothing across books, so nothing
+    /// indexed by them may outlive the swap as it is: the state of every
+    /// update in flight follows its links to their new ids by name (a
+    /// vanished link's state goes, so late traffic for it finds no link and
+    /// is dropped at the name lookup), and the sent caches start empty at
+    /// the new size. Both firing caches are dropped whatever their keys:
+    /// rule names may be reused with different endpoints after a
+    /// reconfiguration.
+    pub(crate) fn install_book(&mut self, book: RuleBook) -> Arc<RuleBook> {
+        let old = std::mem::replace(&mut self.book, Arc::new(book));
+        for st in self.updates.values_mut() {
+            st.renumber(&old, &self.book);
+        }
+        self.sent_cache = vec![BTreeMap::new(); self.book.len()];
+        self.recv_cache.clear();
+        old
     }
 
     /// Harness control: ask every declared node for its statistics.
@@ -145,20 +163,172 @@ mod tests {
             &v1.rules,
             NodeSettings::default(),
         );
-        assert_tables_match_definitions(node.rule_book(), node.id);
+        let relevant = |book: &RuleBook, incoming: &str| -> Vec<String> {
+            let ids = book.relevant_outgoing(book.incoming_named(incoming).unwrap());
+            ids.iter().map(|id| book.link(*id).name.clone()).collect()
+        };
+        assert_tables_match_definitions(node.rule_book(), node.id, &v1.rules);
         assert_eq!(node.rule_book().acquaintances(), &[spoke1, spoke2].into());
-        assert_eq!(node.rule_book().relevant_outgoing("to2"), &["back".to_owned()].into());
+        assert_eq!(relevant(node.rule_book(), "to2"), ["back"]);
 
         let mut cmds = VecDeque::new();
         let mut ctx = Context::new(node.id.peer(), SimTime::ZERO, &[], &mut cmds);
-        node.handle_rules_file(&mut ctx, NetworkConfig::parse(V2).unwrap());
+        let v2 = NetworkConfig::parse(V2).unwrap();
+        node.handle_rules_file(&mut ctx, v2.clone());
 
         let book = node.rule_book();
-        assert_tables_match_definitions(book, node.id);
+        assert_tables_match_definitions(book, node.id, &v2.rules);
         assert_eq!(book.acquaintances(), &[spoke2].into());
-        assert!(book.relevant_outgoing("to1").is_empty(), "to1 is gone");
-        assert!(book.relevant_outgoing("to2").is_empty(), "to2 is an outgoing link now");
-        assert_eq!(book.relevant_outgoing("fwd"), &["to2".to_owned()].into());
-        assert_eq!(book.incoming_reading("h"), &["fwd".to_owned()].into());
+        assert_eq!(book.link_named("to1"), None, "to1 is gone");
+        assert_eq!(book.incoming_named("to2"), None, "to2 is an outgoing link now");
+        assert!(book.relevant_outgoing(book.outgoing_named("to2").unwrap()).is_empty());
+        assert_eq!(relevant(book, "fwd"), ["to2"]);
+        assert_eq!(book.incoming_reading("h"), [book.incoming_named("fwd").unwrap()]);
+    }
+
+    /// Node `b` of a chain `a -> b -> c`, before and after a file that
+    /// removes one of its links (`gone`), renames another (`old` becomes
+    /// `new`) and adds a third — which moves `keep` from id 1 to id 0.
+    const MID_V1: &str = r#"
+        node a
+        node b
+        node c
+        schema a: ta(int)
+        schema a: ua(int)
+        schema b: tb(int)
+        schema b: ub(int)
+        schema c: tc(int)
+        schema c: uc(int)
+        data b: tb(1). ub(1).
+        rule keep @ a -> b: tb(X) <- ta(X).
+        rule gone @ a -> b: ub(X) <- ua(X).
+        rule old @ b -> c: tc(X) <- tb(X).
+    "#;
+    const MID_V2: &str = r#"
+        version 2
+        node a
+        node b
+        node c
+        schema a: ta(int)
+        schema a: ua(int)
+        schema b: tb(int)
+        schema b: ub(int)
+        schema c: tc(int)
+        schema c: uc(int)
+        rule keep @ a -> b: tb(X) <- ta(X).
+        rule new @ b -> c: tc(X) <- tb(X).
+        rule third @ b -> c: uc(X) <- ub(X).
+    "#;
+
+    /// An update is in flight at `b` when the file arrives: every link's
+    /// state follows its *name* to the new numbering, late traffic for the
+    /// vanished rule is dropped with its DS credit returned, and the update
+    /// closes and completes over the new book.
+    #[test]
+    fn a_rules_file_mid_update_renumbers_the_update_and_drops_stale_traffic() {
+        use crate::ids::UpdateId;
+        use codb_net::{Command, Peer};
+        use codb_relational::{RuleFiring, TField, Value};
+
+        let v1 = NetworkConfig::parse(MID_V1).unwrap();
+        let (a, b, c) = (v1.nodes[0].id, &v1.nodes[1], v1.nodes[2].id);
+        let mut node = CoDbNode::from_config(b, &v1.rules, NodeSettings::default());
+        let update = UpdateId { origin: a, epoch: 0, seq: 0 };
+        let firing =
+            |rel: &str, k: i64| RuleFiring::new([(rel, vec![TField::Const(Value::Int(k))])]);
+        let mut cmds = VecDeque::new();
+        // Delivers `body` from `from`; returns what the node sent, by
+        // destination.
+        let mut deliver = |node: &mut CoDbNode, from: NodeId, body: Body| -> Vec<(NodeId, Body)> {
+            let mut ctx = Context::new(node.id.peer(), SimTime::ZERO, &[], &mut cmds);
+            node.on_message(&mut ctx, from.peer(), Envelope::control(body));
+            let sent = cmds.drain(..).filter_map(|cmd| match cmd {
+                Command::Send { to, msg } => Some((NodeId::from(to), msg.body)),
+                _ => None,
+            });
+            sent.collect()
+        };
+
+        // Under v1: the request engages b under a, then one data message
+        // arrives on `keep` and is forwarded on `old`.
+        deliver(&mut node, a, Body::UpdateRequest { update });
+        let data = |rule: &str, f| Body::UpdateData {
+            update,
+            rule: rule.to_owned(),
+            firings: vec![f],
+            hops: 1,
+        };
+        let sent = deliver(&mut node, a, data("keep", firing("tb", 7)));
+        assert!(sent
+            .iter()
+            .any(|(to, body)| *to == c
+                && matches!(body, Body::UpdateData { rule, .. } if rule == "old")));
+        let v1_book = node.rule_book().clone();
+        let id = |book: &RuleBook, name: &str| book.link_named(name).unwrap();
+        assert_eq!(id(&v1_book, "keep").index(), 1);
+        let st = node.update_state(update).unwrap();
+        assert_eq!(st.link(id(&v1_book, "keep")).data_received, 1);
+        assert_eq!(st.link(id(&v1_book, "old")).data_sent, 2, "the seed tuple, then the new one");
+        assert_eq!(st.deficit, 3, "the flooded request and two data messages, all to c");
+
+        let v2 = NetworkConfig::parse(MID_V2).unwrap();
+        deliver(&mut node, NodeId(9), Body::RulesFile { config: Box::new(v2.clone()) });
+        let book = node.rule_book().clone();
+        assert_tables_match_definitions(&book, node.id, &v2.rules);
+        assert_eq!(id(&book, "keep").index(), 0, "the file renumbered the surviving link");
+        let st = node.update_state(update).unwrap();
+        assert_eq!(st.link(id(&book, "keep")).data_received, 1, "state followed the name");
+        for fresh in ["new", "third"] {
+            assert_eq!(st.link(id(&book, fresh)), &crate::update::LinkState::default(), "{fresh}");
+        }
+        assert_eq!(
+            (st.deficit, st.engaged, st.parent),
+            (3, true, Some(a)),
+            "DS state is not per link"
+        );
+        assert!(node.sent_cache.iter().all(BTreeMap::is_empty) && node.recv_cache.is_empty());
+        assert_eq!(node.sent_cache.len(), book.len());
+
+        // Late traffic for the vanished rule: dropped at the name lookup,
+        // credited back.
+        let ldb = node.ldb().clone();
+        for late in [
+            data("gone", firing("ub", 9)),
+            Body::LinkClosed { update, rule: "gone".to_owned(), data_msgs: 1 },
+            data("old", firing("tc", 9)),
+        ] {
+            let sent = deliver(&mut node, a, late);
+            assert!(
+                matches!(sent[..], [(to, Body::DsAck { credits: 1, .. })] if to == a),
+                "{sent:?}"
+            );
+        }
+        assert_eq!(node.ldb(), &ldb);
+        assert!(node.recv_cache.is_empty());
+        let st = node.update_state(update).unwrap();
+        assert!(book
+            .links()
+            .all(|(id, _)| !st.link(id).out_closed && st.link(id).pending_close.is_none()));
+
+        // `keep` closes: `new` depends on it and closes behind it; `third`
+        // depends on nothing b imports and closes with it.
+        let sent = deliver(
+            &mut node,
+            a,
+            Body::LinkClosed { update, rule: "keep".to_owned(), data_msgs: 1 },
+        );
+        let closed: Vec<(&str, u64)> = sent
+            .iter()
+            .filter_map(|(to, body)| match body {
+                Body::LinkClosed { rule, data_msgs, .. } if *to == c => {
+                    Some((rule.as_str(), *data_msgs))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(closed, [("new", 0), ("third", 0)]);
+        deliver(&mut node, a, Body::UpdateComplete { update });
+        let st = node.update_state(update).unwrap();
+        assert!(st.complete && !st.is_out_open(id(&book, "keep")));
     }
 }

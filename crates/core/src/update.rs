@@ -34,10 +34,35 @@
 use crate::ids::{NodeId, RuleName, UpdateId};
 use crate::messages::{Body, Envelope};
 use crate::node::CoDbNode;
+use crate::rules::{LinkId, RuleBook};
+use crate::stats::{by_name, Kind};
 use codb_net::{Context, SimTime};
 use codb_relational::{RuleFiring, Tuple};
 use codb_trace::TraceEvent;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+/// What one update knows about one link of the node's rule book.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct LinkState {
+    /// Scoped mode: an incoming link activated by a `DemandLink`.
+    pub active_in: bool,
+    /// Scoped mode: an outgoing link this node has demanded upstream.
+    pub requested_out: bool,
+    /// An outgoing link known closed (`LinkClosed` received, or forced at
+    /// completion).
+    pub out_closed: bool,
+    /// An incoming link this node has closed (`LinkClosed` sent).
+    pub in_closed: bool,
+    /// `UpdateData` messages sent on this incoming link (carried in the
+    /// link's `LinkClosed`).
+    pub data_sent: u64,
+    /// `UpdateData` messages processed on this outgoing link.
+    pub data_received: u64,
+    /// A close notification whose data has not fully arrived yet: the
+    /// data message count it expects.
+    pub pending_close: Option<u64>,
+}
 
 /// Per-update state at one node.
 #[derive(Debug)]
@@ -56,30 +81,17 @@ pub struct UpdateState {
     pub request_seen: bool,
     /// Query-dependent (scoped) mode: only demanded links participate.
     pub scoped: bool,
-    /// Scoped mode: incoming links activated by a `DemandLink`.
-    pub active_in: BTreeSet<RuleName>,
-    /// Scoped mode: outgoing links this node has demanded upstream.
-    pub requested_out: BTreeSet<RuleName>,
-    /// Outgoing links known closed (`LinkClosed` received, or forced at
-    /// completion).
-    pub out_closed: BTreeSet<RuleName>,
-    /// Incoming links this node has closed (`LinkClosed` sent).
-    pub in_closed: BTreeSet<RuleName>,
-    /// `UpdateData` messages sent per incoming link (carried in the
-    /// link's `LinkClosed`).
-    pub data_sent: BTreeMap<RuleName, u64>,
-    /// `UpdateData` messages processed per outgoing link.
-    pub data_received: BTreeMap<RuleName, u64>,
-    /// Close notifications whose data has not fully arrived yet
-    /// (`rule → expected data message count`).
-    pub pending_close: BTreeMap<RuleName, u64>,
     /// Set once `UpdateComplete` has been processed (or initiated).
     pub complete: bool,
+    /// Per-link state, indexed by [`LinkId`] — the ids of the node's
+    /// *current* book: [`UpdateState::renumber`] follows every swap.
+    links: Vec<LinkState>,
 }
 
 impl UpdateState {
-    /// Fresh state for an update first seen now.
-    pub fn new(update: UpdateId) -> Self {
+    /// Fresh state for an update first seen now, at a node whose book
+    /// numbers `links` links.
+    pub fn new(update: UpdateId, links: usize) -> Self {
         UpdateState {
             update,
             initiator: false,
@@ -88,24 +100,52 @@ impl UpdateState {
             deficit: 0,
             request_seen: false,
             scoped: false,
-            active_in: BTreeSet::new(),
-            requested_out: BTreeSet::new(),
-            out_closed: BTreeSet::new(),
-            in_closed: BTreeSet::new(),
-            data_sent: BTreeMap::new(),
-            data_received: BTreeMap::new(),
-            pending_close: BTreeMap::new(),
             complete: false,
+            links: vec![LinkState::default(); links],
         }
     }
 
+    /// What this update knows about `link`.
+    pub fn link(&self, link: LinkId) -> &LinkState {
+        &self.links[link.index()]
+    }
+
+    fn link_mut(&mut self, link: LinkId) -> &mut LinkState {
+        &mut self.links[link.index()]
+    }
+
     /// True iff the given outgoing link is still open.
-    pub fn is_out_open(&self, rule: &RuleName) -> bool {
-        !self.out_closed.contains(rule)
+    pub fn is_out_open(&self, link: LinkId) -> bool {
+        !self.link(link).out_closed
+    }
+
+    /// Follows a rules file: the state of every link is carried to the id
+    /// the link's *name* has in `new` — where the name-keyed state this
+    /// replaces would have found it — a link `new` does not name is
+    /// forgotten, and a link only `new` names starts fresh. After this no
+    /// id of `old` is ever used on the state again.
+    pub(crate) fn renumber(&mut self, old: &RuleBook, new: &RuleBook) {
+        let mut links = vec![LinkState::default(); new.len()];
+        for (id, link) in old.links() {
+            if let Some(kept) = new.link_named(&link.name) {
+                links[kept.index()] = std::mem::take(self.link_mut(id));
+            }
+        }
+        self.links = links;
     }
 }
 
 impl CoDbNode {
+    /// The state of `update`, made on first touch.
+    pub(crate) fn update_entry(&mut self, update: UpdateId) -> &mut UpdateState {
+        let links = self.book.len();
+        self.updates.entry(update).or_insert_with(|| UpdateState::new(update, links))
+    }
+
+    fn state_mut(&mut self, update: UpdateId) -> &mut UpdateState {
+        self.updates.get_mut(&update).expect("state created by caller")
+    }
+
     /// Mints the next update id — `(origin, epoch, seq)`, so ids stay
     /// unique across crashes by construction — and WAL-logs the bumped
     /// counter so a recovered incarnation resumes the id space.
@@ -120,7 +160,7 @@ impl CoDbNode {
     pub(crate) fn start_update(&mut self, ctx: &mut Context<Envelope>) {
         let update = self.mint_update_id();
         let now = ctx.now();
-        let st = self.updates.entry(update).or_insert_with(|| UpdateState::new(update));
+        let st = self.update_entry(update);
         st.initiator = true;
         st.engaged = true;
         self.report.update_mut(update, now);
@@ -138,7 +178,7 @@ impl CoDbNode {
     ) {
         let update = self.mint_update_id();
         let now = ctx.now();
-        let st = self.updates.entry(update).or_insert_with(|| UpdateState::new(update));
+        let st = self.update_entry(update);
         st.initiator = true;
         st.engaged = true;
         st.scoped = true;
@@ -158,17 +198,15 @@ impl CoDbNode {
         update: UpdateId,
         relations: &BTreeSet<String>,
     ) {
-        let wanted: Vec<(RuleName, NodeId)> = self
-            .book
-            .outgoing()
-            .iter()
-            .filter(|(_, r)| r.rule.head_relations().iter().any(|h| relations.contains(*h)))
-            .map(|(name, r)| (name.clone(), r.source))
-            .collect();
-        for (name, source) in wanted {
-            let st = self.updates.get_mut(&update).expect("state exists");
-            if st.requested_out.insert(name.clone()) {
-                self.post(ctx, source, Body::DemandLink { update, rule: name });
+        let book = Arc::clone(&self.book);
+        for &id in book.outgoing() {
+            let link = book.link(id);
+            if !link.rule.head_names().iter().any(|h| relations.contains(&**h)) {
+                continue;
+            }
+            let st = self.state_mut(update).link_mut(id);
+            if !std::mem::replace(&mut st.requested_out, true) {
+                self.post(ctx, link.source, Body::DemandLink { update, rule: link.name.clone() });
             }
         }
     }
@@ -183,24 +221,23 @@ impl CoDbNode {
     ) {
         let now = ctx.now();
         self.report.update_mut(update, now);
-        let st = self.updates.get_mut(&update).expect("state created by caller");
+        let book = Arc::clone(&self.book);
+        let st = self.state_mut(update);
         st.scoped = true;
         st.request_seen = true;
-        let Some(link) = self.book.incoming().get(&rule) else {
+        let Some(id) = book.incoming_named(&rule) else {
             return; // stale rule name after a reconfiguration
         };
-        let target = link.target;
-        let glav = link.rule.clone();
-        let st = self.updates.get_mut(&update).expect("state exists");
-        if !st.active_in.insert(rule.clone()) {
+        if std::mem::replace(&mut st.link_mut(id).active_in, true) {
             return; // already serving this link
         }
         // Initial shipment.
-        let firings = glav.fire(&self.ldb).expect("schema-validated rule");
-        self.send_link_data(ctx, update, &rule, target, firings, 1);
+        let link = book.link(id);
+        let firings = link.rule.fire(&self.ldb).expect("schema-validated rule");
+        self.send_link_data(ctx, update, id, firings, 1);
         // Recursive demand for the body's inputs.
         let body_rels: BTreeSet<String> =
-            glav.body_relations().into_iter().map(str::to_owned).collect();
+            link.rule.rule().body_relations().into_iter().map(str::to_owned).collect();
         self.demand_relations(ctx, update, &body_rels);
         self.check_in_link_closes(ctx, update);
         self.check_node_closed(update, now);
@@ -210,7 +247,7 @@ impl CoDbNode {
     /// message kinds.
     pub(crate) fn dispatch_ds(&mut self, ctx: &mut Context<Envelope>, from: NodeId, body: Body) {
         let update = body.update_id().expect("DS messages carry an update id");
-        let st = self.updates.entry(update).or_insert_with(|| UpdateState::new(update));
+        let st = self.update_entry(update);
         let engaging = !st.engaged && !st.initiator;
         if engaging {
             st.engaged = true;
@@ -220,10 +257,10 @@ impl CoDbNode {
             Body::UpdateRequest { update } => self.process_update_request(ctx, Some(from), update),
             Body::DemandLink { update, rule } => self.process_demand_link(ctx, update, rule),
             Body::UpdateData { update, rule, firings, hops } => {
-                self.process_update_data(ctx, update, rule, firings, hops)
+                self.process_update_data(ctx, update, &rule, firings, hops)
             }
             Body::LinkClosed { update, rule, data_msgs } => {
-                self.process_link_closed(ctx, update, rule, data_msgs)
+                self.process_link_closed(ctx, update, &rule, data_msgs)
             }
             _ => unreachable!("dispatch_ds called for non-DS body"),
         }
@@ -246,23 +283,21 @@ impl CoDbNode {
     ) {
         let now = ctx.now();
         self.report.update_mut(update, now).requests_received += 1;
-        let st = self.updates.get_mut(&update).expect("state created by caller");
+        let st = self.state_mut(update);
         if st.request_seen {
             return;
         }
         st.request_seen = true;
 
         // Initial execution of every incoming link over the current LDB.
-        let incoming: Vec<(RuleName, NodeId)> =
-            self.book.incoming().iter().map(|(name, r)| (name.clone(), r.target)).collect();
-        for (name, target) in &incoming {
-            let rule = &self.book.incoming()[name].rule;
-            let firings = rule.fire(&self.ldb).expect("schema-validated rule");
-            self.send_link_data(ctx, update, name, *target, firings, 1);
+        let book = Arc::clone(&self.book);
+        for &id in book.incoming() {
+            let firings = book.link(id).rule.fire(&self.ldb).expect("schema-validated rule");
+            self.send_link_data(ctx, update, id, firings, 1);
         }
 
         // Flood the request to all acquaintances except the sender.
-        for acq in self.book.acquaintances().clone() {
+        for &acq in book.acquaintances() {
             if Some(acq) != from {
                 self.post(ctx, acq, Body::UpdateRequest { update });
             }
@@ -277,7 +312,7 @@ impl CoDbNode {
         &mut self,
         ctx: &mut Context<Envelope>,
         update: UpdateId,
-        rule: RuleName,
+        rule: &str,
         firings: Vec<RuleFiring>,
         hops: u64,
     ) {
@@ -285,34 +320,32 @@ impl CoDbNode {
         let bytes: usize = firings.iter().map(RuleFiring::size_bytes).sum();
         {
             let rep = self.report.update_mut(update, now);
-            rep.received
-                .entry(rule.clone())
-                .or_default()
-                .record(firings.len() as u64, bytes as u64);
+            by_name(&mut rep.received, rule).record(firings.len() as u64, bytes as u64);
             rep.longest_path = rep.longest_path.max(hops);
         }
-        let Some(deltas) = self.receive_link_data(&rule, firings) else {
+        // The one place a data message's rule name is looked up: from here
+        // on the link is its id.
+        let Some(link) = self.book.outgoing_named(rule) else {
             // Stale rule (configuration changed mid-update): data ignored.
             return;
         };
+        let deltas = self.receive_link_data(link, firings);
 
         // Count the data message and resolve a deferred close whose data
         // has now fully arrived (loss + retransmission can reorder data
         // past the close notification).
-        let st = self.updates.get_mut(&update).expect("state created by caller");
-        let received = st.data_received.entry(rule.clone()).or_default();
-        *received += 1;
-        let deferred_close_ready = match st.pending_close.get(&rule) {
-            Some(expected) => *received >= *expected,
-            None => false,
-        };
+        let st = self.state_mut(update).link_mut(link);
+        st.data_received += 1;
+        let deferred_close_ready =
+            st.pending_close.is_some_and(|expected| st.data_received >= expected);
 
         if !deltas.is_empty() {
             let added: u64 = deltas.values().map(|v| v.len() as u64).sum();
-            self.report.update_mut(update, now).tuples_added += added;
+            let rep = self.report.update_mut(update, now);
+            rep.tuples_added += added;
             if hops >= self.settings.max_hops {
                 // Chase safety valve.
-                self.report.update_mut(update, now).truncated = true;
+                rep.truncated = true;
             } else {
                 // Re-compute dependent incoming links by substituting
                 // R with T'.
@@ -321,14 +354,13 @@ impl CoDbNode {
         }
 
         if deferred_close_ready {
-            self.commit_link_close(ctx, update, rule);
+            self.commit_link_close(ctx, update, link);
         }
     }
 
-    /// The receive path of outgoing link `rule`, shared by update data and
+    /// The receive path of outgoing link `link`, shared by update data and
     /// rejoin repair: check the batch, `T' = T \ R` at template level, WAL,
-    /// apply. Returns the per-relation deltas, or `None` when `rule` is not
-    /// (or no longer) an outgoing link.
+    /// apply. Returns the per-relation deltas.
     ///
     /// The wire is outside the program: a batch that is not an instance of
     /// the rule's head over this node's schema is dropped whole and counted
@@ -336,52 +368,62 @@ impl CoDbNode {
     /// where every later recovery would replay it into the same error.
     pub(crate) fn receive_link_data(
         &mut self,
-        rule: &RuleName,
+        link: LinkId,
         firings: Vec<RuleFiring>,
-    ) -> Option<BTreeMap<String, Vec<Tuple>>> {
-        let link = self.book.outgoing().get(rule)?;
-        if !link.rule.admits(&self.ldb, &firings) {
-            self.report.count_received("data_rejected");
-            return Some(BTreeMap::new());
+    ) -> BTreeMap<String, Vec<Tuple>> {
+        let book = Arc::clone(&self.book);
+        let link = book.link(link);
+        if !link.rule.rule().admits(&self.ldb, &firings) {
+            self.report.count_received(Kind::DataRejected);
+            return BTreeMap::new();
         }
         // Template-level dedup against everything already received on this
         // link — across updates, not just within one: re-running an update
         // must not re-instantiate existential templates with fresh nulls
         // (that would silently duplicate GLAV data on every run).
-        let cache = self.recv_cache.entry(rule.clone()).or_default();
+        let cache = by_name(&mut self.recv_cache, &link.name);
         cache.reserve(firings.len());
         let mut fresh = firings;
         fresh.retain(|f| cache.insert(f.clone()));
         if fresh.is_empty() {
-            return Some(BTreeMap::new());
+            return BTreeMap::new();
         }
         // Durability: WAL the applied batch before mutating the LDB.
         // Replay from the snapshot re-runs exactly these applies in
         // order, reproducing instance, null factory and dedup caches.
         if self.persist.is_some() {
-            self.log_wal(codb_store::WalRecord::Applied {
-                rule: rule.clone(),
-                firings: fresh.clone(),
-            });
+            let record =
+                codb_store::WalRecord::Applied { rule: link.name.clone(), firings: fresh.clone() };
+            self.log_wal(record);
         }
         let deltas = codb_relational::apply_firings(&mut self.ldb, &fresh, &mut self.nulls)
             .expect("the batch was admitted against the rule head and the schema");
         if self.tracer.is_enabled() {
-            let r = self.tracer.intern(rule);
+            let r = self.tracer.intern(&link.name);
             let tuples = deltas.values().map(|v| v.len() as u64).sum();
             self.tracer.emit(TraceEvent::UpdateApply { peer: self.id.0, rule: r, tuples });
         }
-        Some(deltas)
+        deltas
     }
 
-    /// Marks outgoing link `rule` closed and runs the close cascade.
-    fn commit_link_close(&mut self, ctx: &mut Context<Envelope>, update: UpdateId, rule: RuleName) {
+    /// Marks outgoing link `link` closed and runs the close cascade.
+    fn commit_link_close(&mut self, ctx: &mut Context<Envelope>, update: UpdateId, link: LinkId) {
         let now = ctx.now();
-        let st = self.updates.get_mut(&update).expect("state exists");
-        st.pending_close.remove(&rule);
-        st.out_closed.insert(rule);
+        let st = self.state_mut(update).link_mut(link);
+        st.pending_close = None;
+        st.out_closed = true;
         self.check_in_link_closes(ctx, update);
         self.check_node_closed(update, now);
+    }
+
+    /// The incoming links that read any of the changed relations, in id
+    /// (and so name) order, each once.
+    pub(crate) fn links_reading(&self, deltas: &BTreeMap<String, Vec<Tuple>>) -> Vec<LinkId> {
+        let mut dependents: Vec<LinkId> =
+            deltas.keys().flat_map(|rel| self.book.incoming_reading(rel)).copied().collect();
+        dependents.sort_unstable();
+        dependents.dedup();
+        dependents
     }
 
     /// Semi-naive re-computation of the incoming links that read any of the
@@ -394,60 +436,61 @@ impl CoDbNode {
         deltas: &BTreeMap<String, Vec<Tuple>>,
         hops: u64,
     ) {
-        let st = self.updates.get(&update).expect("state exists");
-        let dependents: BTreeSet<RuleName> = deltas
-            .keys()
-            .flat_map(|rel| self.book.incoming_reading(rel))
-            .filter(|name| !st.scoped || st.active_in.contains(*name))
-            .cloned()
-            .collect();
-        for name in dependents {
-            let (target, firings) = self.fire_link_deltas(&name, deltas);
-            self.send_link_data(ctx, update, &name, target, firings, hops);
+        for id in self.links_reading(deltas) {
+            let st = &self.updates[&update];
+            if st.scoped && !st.link(id).active_in {
+                continue;
+            }
+            let firings = self.fire_link_deltas(id, deltas);
+            self.send_link_data(ctx, update, id, firings, hops);
         }
     }
 
-    /// Semi-naive re-computation of incoming link `name`: its target, and
-    /// the firings whose derivation uses a tuple of `deltas` in a relation
-    /// the link's body reads.
+    /// Semi-naive re-computation of incoming link `link`: the firings whose
+    /// derivation uses a tuple of `deltas` in a relation the link's body
+    /// reads.
     pub(crate) fn fire_link_deltas(
         &self,
-        name: &RuleName,
+        link: LinkId,
         deltas: &BTreeMap<String, Vec<Tuple>>,
-    ) -> (NodeId, Vec<RuleFiring>) {
-        let link = &self.book.incoming()[name];
-        (link.target, link.rule.fire_deltas(&self.ldb, deltas).expect("schema-validated rule"))
+    ) -> Vec<RuleFiring> {
+        self.book.link(link).rule.fire_deltas(&self.ldb, deltas).expect("schema-validated rule")
     }
 
-    /// Filters `firings` against the sent cache for incoming link `name`
-    /// and posts the remainder (if any) to `target`.
+    /// The sent cache `firings` on incoming link `link` are filtered
+    /// through: the link's one cross-update cache with
+    /// `incremental_updates`, so a re-run only ships genuinely new firings
+    /// (ablation E15), and `update`'s own otherwise.
+    pub(crate) fn sent_cache_for(
+        &mut self,
+        link: LinkId,
+        update: Option<UpdateId>,
+    ) -> &mut codb_relational::FiringSet {
+        let key = update.filter(|_| !self.settings.incremental_updates);
+        self.sent_cache[link.index()].entry(key).or_default()
+    }
+
+    /// Filters `firings` against the sent cache for incoming link `link`
+    /// and posts the remainder (if any) to the link's target.
     fn send_link_data(
         &mut self,
         ctx: &mut Context<Envelope>,
         update: UpdateId,
-        name: &RuleName,
-        target: NodeId,
+        link: LinkId,
         firings: Vec<RuleFiring>,
         hops: u64,
     ) {
-        let st = self.updates.get_mut(&update).expect("state exists");
-        if st.in_closed.contains(name) {
+        let st = self.state_mut(update);
+        if st.link(link).in_closed {
             // Only reachable once the update has completed (all in-flight
             // messages are processed before DS quiescence, so new data for
             // a link closed by the paper's rule cannot exist).
-            debug_assert!(st.complete, "data produced for a closed incoming link {name}");
+            debug_assert!(st.complete, "data produced for closed incoming link {link:?}");
             return;
         }
         // The paper's sent-side dedup ("we delete from Ri those tuples
-        // which have been already sent to the incoming link"). With
-        // `incremental_updates` the cache persists across updates, so a
-        // re-run only ships genuinely new firings (ablation E15).
-        let cache_key = if self.settings.incremental_updates {
-            (name.clone(), None)
-        } else {
-            (name.clone(), Some(update))
-        };
-        let cache = self.sent_cache.entry(cache_key).or_default();
+        // which have been already sent to the incoming link").
+        let cache = self.sent_cache_for(link, Some(update));
         cache.reserve(firings.len());
         let mut fresh = firings;
         fresh.retain(|f| cache.insert(f.clone()));
@@ -455,13 +498,10 @@ impl CoDbNode {
             return;
         }
         let bytes: usize = fresh.iter().map(RuleFiring::size_bytes).sum();
-        let st = self.updates.get_mut(&update).expect("state exists");
-        *st.data_sent.entry(name.clone()).or_default() += 1;
-        self.report
-            .update_mut(update, ctx.now())
-            .sent
-            .entry(name.clone())
-            .or_default()
+        self.state_mut(update).link_mut(link).data_sent += 1;
+        let book = Arc::clone(&self.book);
+        let (name, target) = (&book.link(link).name, book.link(link).target);
+        by_name(&mut self.report.update_mut(update, ctx.now()).sent, name)
             .record(fresh.len() as u64, bytes as u64);
         self.tracer.emit_with(|| TraceEvent::RuleFire {
             peer: self.id.0,
@@ -480,18 +520,20 @@ impl CoDbNode {
         &mut self,
         ctx: &mut Context<Envelope>,
         update: UpdateId,
-        rule: RuleName,
+        rule: &str,
         data_msgs: u64,
     ) {
-        let st = self.updates.get_mut(&update).expect("state created by caller");
-        let received = st.data_received.get(&rule).copied().unwrap_or(0);
-        if received < data_msgs {
+        let Some(link) = self.book.outgoing_named(rule) else {
+            return; // stale rule name after a reconfiguration
+        };
+        let st = self.state_mut(update).link_mut(link);
+        if st.data_received < data_msgs {
             // Data still in flight (lost + pending retransmission): defer
             // the close until the last data message is processed.
-            st.pending_close.insert(rule, data_msgs);
+            st.pending_close = Some(data_msgs);
             return;
         }
-        self.commit_link_close(ctx, update, rule);
+        self.commit_link_close(ctx, update, link);
     }
 
     /// The paper's close rule: "an acquaintance closes an incoming link …
@@ -499,41 +541,44 @@ impl CoDbNode {
     /// are in the state closed". Requires the request to have been seen
     /// (otherwise the link set is not yet initialised).
     fn check_in_link_closes(&mut self, ctx: &mut Context<Envelope>, update: UpdateId) {
-        let st = self.updates.get(&update).expect("state exists");
+        let book = Arc::clone(&self.book);
+        let st = self.state_mut(update);
         if !st.request_seen || st.complete {
             return;
         }
-        let candidates: Vec<(RuleName, NodeId)> = self
-            .book
+        // Usually none: the list then costs nothing.
+        let closing: Vec<LinkId> = book
             .incoming()
             .iter()
-            .filter(|(name, _)| !st.scoped || st.active_in.contains(*name))
-            .filter(|(name, _)| !st.in_closed.contains(*name))
-            .filter(|(name, _)| {
-                self.book.relevant_outgoing(name).iter().all(|o| st.out_closed.contains(o))
+            .copied()
+            .filter(|&id| {
+                let link = st.link(id);
+                (!st.scoped || link.active_in)
+                    && !link.in_closed
+                    && book.relevant_outgoing(id).iter().all(|o| st.link(*o).out_closed)
             })
-            .map(|(name, r)| (name.clone(), r.target))
             .collect();
-        for (name, target) in candidates {
-            let st = self.updates.get_mut(&update).expect("state exists");
-            st.in_closed.insert(name.clone());
-            let data_msgs = st.data_sent.get(&name).copied().unwrap_or(0);
-            self.post(ctx, target, Body::LinkClosed { update, rule: name, data_msgs });
+        for id in closing {
+            let st = self.state_mut(update).link_mut(id);
+            st.in_closed = true;
+            let data_msgs = st.data_sent;
+            let link = book.link(id);
+            let closed = Body::LinkClosed { update, rule: link.name.clone(), data_msgs };
+            self.post(ctx, link.target, closed);
         }
     }
 
     /// "When all outgoing links of a node are in the state closed, then the
     /// node is also in the state closed."
     fn check_node_closed(&mut self, update: UpdateId, now: SimTime) {
-        let st = self.updates.get(&update).expect("state exists");
+        let st = &self.updates[&update];
         if !st.request_seen {
             return;
         }
-        let closed = if st.scoped {
-            st.requested_out.iter().all(|name| st.out_closed.contains(name))
-        } else {
-            self.book.outgoing().keys().all(|name| st.out_closed.contains(name))
-        };
+        let closed = self.book.outgoing().iter().map(|id| st.link(*id)).all(|link| {
+            // Scoped: only the links this node demanded count.
+            link.out_closed || (st.scoped && !link.requested_out)
+        });
         if closed {
             let rep = self.report.update_mut(update, now);
             if rep.closed_at.is_none() {
@@ -557,7 +602,7 @@ impl CoDbNode {
         update: UpdateId,
         credits: u64,
     ) {
-        let st = self.updates.entry(update).or_insert_with(|| UpdateState::new(update));
+        let st = self.update_entry(update);
         st.deficit = st.deficit.saturating_sub(credits);
         let deficit = st.deficit;
         self.tracer.emit_with(|| TraceEvent::DsCredit { peer: self.id.0, credits, deficit });
@@ -566,7 +611,7 @@ impl CoDbNode {
 
     /// DS disengagement / termination detection.
     fn maybe_disengage(&mut self, ctx: &mut Context<Envelope>, update: UpdateId) {
-        let st = self.updates.get_mut(&update).expect("state exists");
+        let st = self.state_mut(update);
         if !st.engaged || st.deficit != 0 {
             return;
         }
@@ -590,7 +635,7 @@ impl CoDbNode {
     /// The initiator detected global quiescence: flood `UpdateComplete`.
     fn on_global_quiescence(&mut self, ctx: &mut Context<Envelope>, update: UpdateId) {
         self.finish_update(update, ctx.now());
-        for acq in self.book.acquaintances().clone() {
+        for &acq in Arc::clone(&self.book).acquaintances() {
             self.post(ctx, acq, Body::UpdateComplete { update });
         }
     }
@@ -603,12 +648,11 @@ impl CoDbNode {
         update: UpdateId,
     ) {
         let now = ctx.now();
-        let st = self.updates.entry(update).or_insert_with(|| UpdateState::new(update));
-        if st.complete {
+        if self.update_entry(update).complete {
             return;
         }
         self.finish_update(update, now);
-        for acq in self.book.acquaintances().clone() {
+        for &acq in Arc::clone(&self.book).acquaintances() {
             if acq != from {
                 self.post(ctx, acq, Body::UpdateComplete { update });
             }
@@ -620,11 +664,11 @@ impl CoDbNode {
     fn finish_update(&mut self, update: UpdateId, now: SimTime) {
         let st = self.updates.get_mut(&update).expect("state exists");
         st.complete = true;
-        for name in self.book.outgoing().keys() {
-            st.out_closed.insert(name.clone());
+        for &id in self.book.outgoing() {
+            st.link_mut(id).out_closed = true;
         }
-        for name in self.book.incoming().keys() {
-            st.in_closed.insert(name.clone());
+        for &id in self.book.incoming() {
+            st.link_mut(id).in_closed = true;
         }
         let rep = self.report.update_mut(update, now);
         if rep.closed_at.is_none() {
@@ -644,14 +688,40 @@ pub(crate) mod tests {
     use codb_relational::{tup, TField, Value};
     use codb_store::{Codec, ScratchDir, SyncPolicy};
 
+    impl CoDbNode {
+        /// The sent cache of incoming link `rule` under `key`, if one was
+        /// ever made.
+        pub(crate) fn sent_cached(
+            &self,
+            rule: &str,
+            key: Option<UpdateId>,
+        ) -> Option<&codb_relational::FiringSet> {
+            self.sent_cache[self.book.incoming_named(rule)?.index()].get(&key)
+        }
+
+        /// The same, made on first touch.
+        pub(crate) fn sent_cached_mut(
+            &mut self,
+            rule: &str,
+            key: Option<UpdateId>,
+        ) -> &mut codb_relational::FiringSet {
+            let link = self.book.incoming_named(rule).expect("an incoming link");
+            self.sent_cache[link.index()].entry(key).or_default()
+        }
+    }
+
     #[test]
     fn update_state_defaults() {
+        let (net, _, tgt) = link("person(N, A)");
         let u = UpdateId { origin: NodeId(0), epoch: 0, seq: 0 };
-        let st = UpdateState::new(u);
+        let book = net.node(tgt).rule_book();
+        let st = UpdateState::new(u, book.len());
         assert!(!st.initiator);
         assert!(!st.engaged);
         assert_eq!(st.deficit, 0);
-        assert!(st.is_out_open(&"r".to_owned()));
+        let r = book.outgoing_named("r").unwrap();
+        assert!(st.is_out_open(r));
+        assert_eq!(st.link(r), &LinkState::default());
     }
 
     /// One link `r`: `src` exports `emp` to `tgt`'s `person`.
@@ -690,7 +760,7 @@ pub(crate) mod tests {
             assert!(net.sim_mut().step(), "quiescent before any data arrived");
         }
         let received = &net.node(tgt).recv_cache["r"];
-        let sent = &net.node(src).sent_cache[&("r".to_owned(), None)];
+        let sent = net.node(src).sent_cached("r", None).unwrap();
         let held: Vec<RuleFiring> = net
             .node(src)
             .reliable

@@ -1,0 +1,209 @@
+//! An allocation budget for the per-message path.
+//!
+//! The benchmark notices a `name.clone()` on the data path a week later, as
+//! half a millisecond on `update_wide`; this test notices it the same
+//! afternoon, as a number. A counting global allocator wraps the system's
+//! for this one test binary, three nodes of a chain are driven by hand —
+//! every delivery is one `on_message` call the count is taken around — and
+//! the three message shapes that make up a wide update are held to what
+//! they are known to need.
+
+use codb_core::{Body, CoDbNode, Envelope, Kind, NetworkConfig, NodeId, NodeSettings};
+use codb_net::{Command, Context, Peer, SimTime};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The system allocator, counting every request for memory (a `realloc` is
+/// a request: a vector that grows has allocated).
+struct Counting;
+
+static REQUESTS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method hands its arguments to `System` unchanged and
+// returns what `System` returns, so `System`'s guarantees are this
+// allocator's; the counter is a relaxed atomic that publishes nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        REQUESTS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        REQUESTS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        REQUESTS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` through this allocator, and the
+        // caller upholds the rest of `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `a -> b -> c`, copy rules, all the data at `a`: twenty tuples, so that
+/// the twenty-first and twenty-second — the measured ones — land in hash
+/// tables with room (they grow at 14 and at 28).
+fn config() -> NetworkConfig {
+    let data: String = (0..20).map(|k| format!(" ta({k}, {}).", k * 7)).collect();
+    NetworkConfig::parse(&format!(
+        r#"
+        node a
+        node b
+        node c
+        schema a: ta(int, int)
+        schema b: tb(int, int)
+        schema c: tc(int, int)
+        data a:{data}
+        rule ab @ a -> b: tb(X, Y) <- ta(X, Y).
+        rule bc @ b -> c: tc(X, Y) <- tb(X, Y).
+        "#
+    ))
+    .unwrap()
+}
+
+/// One delivery, as the count saw it.
+#[derive(Debug)]
+struct Delivery {
+    to: NodeId,
+    kind: Kind,
+    /// Firings carried, for a data message.
+    firings: usize,
+    /// Firings of the data messages the callback sent.
+    firings_out: Vec<usize>,
+    allocations: u64,
+}
+
+/// The three nodes and the messages between them, first in first out.
+struct Chain {
+    nodes: Vec<CoDbNode>,
+    wire: VecDeque<(NodeId, NodeId, Envelope)>,
+    /// Lent to every callback, as a runtime lends its one queue.
+    commands: VecDeque<Command<Envelope>>,
+}
+
+const HARNESS: NodeId = NodeId(u64::MAX);
+
+impl Chain {
+    fn new() -> Chain {
+        let config = config();
+        let nodes = config.nodes.iter().map(|nc| {
+            let (schema, data) = (nc.schema.clone(), nc.data.clone());
+            CoDbNode::new(nc.id, &nc.name, schema, data, &config.rules, NodeSettings::default())
+        });
+        Chain { nodes: nodes.collect(), wire: VecDeque::new(), commands: VecDeque::new() }
+    }
+
+    fn control(&mut self, to: NodeId, body: Body) {
+        self.wire.push_back((HARNESS, to, Envelope::control(body)));
+    }
+
+    /// Delivers the oldest message on the wire.
+    fn deliver(&mut self) -> Option<Delivery> {
+        let (from, to, env) = self.wire.pop_front()?;
+        let kind = env.body.kind();
+        let firings = match &env.body {
+            Body::UpdateData { firings, .. } => firings.len(),
+            _ => 0,
+        };
+        let node = self.nodes.iter_mut().find(|n| n.id == to).expect("a node of the chain");
+        let mut ctx = Context::new(to.peer(), SimTime::ZERO, &[], &mut self.commands);
+        let before = REQUESTS.load(Ordering::Relaxed);
+        node.on_message(&mut ctx, from.peer(), env);
+        let allocations = REQUESTS.load(Ordering::Relaxed) - before;
+        let mut firings_out = Vec::new();
+        for command in self.commands.drain(..) {
+            // No loss here, so the retransmission timer has nothing to do.
+            if let Command::Send { to: next, msg } = command {
+                if let Body::UpdateData { firings, .. } = &msg.body {
+                    firings_out.push(firings.len());
+                }
+                self.wire.push_back((to, NodeId::from(next), msg));
+            }
+        }
+        Some(Delivery { to, kind, firings, firings_out, allocations })
+    }
+
+    /// One global update from `c`, run dry; every delivery of it.
+    fn update(&mut self) -> Vec<Delivery> {
+        let c = self.nodes[2].id;
+        self.control(c, Body::StartUpdate);
+        std::iter::from_fn(|| self.deliver()).collect()
+    }
+}
+
+/// What one `UpdateData` hop at `b` may request: a message of one firing
+/// comes in on `ab`, is checked, deduplicated and applied, `bc` is
+/// re-fired with the one new tuple, and a message of one firing goes out.
+///
+/// * receive — 1: `admits`' vector of the head atoms' schemas;
+/// * apply — 4: the tuple (the one allocation the relation and the delta
+///   share), and the delta map's entry: its key, its vector, its node;
+/// * re-fire — 7: the list of dependent links; the evaluator's binding
+///   vector and its trail; the answer list, the answer's atom vector and
+///   its field vector; the firing;
+/// * send — 3: the rule name in the message, and the retransmission copy's
+///   rule name and firing vector (the firings themselves are shared);
+/// * the statistics module — 4, once per update and link: the update
+///   report's `received["ab"]` and `sent["bc"]`, a key and a map node each.
+const DATA_HOP_BUDGET: u64 = 19;
+
+/// Beside the budget, what the transport's per-sender set of seqs seen
+/// (`Reliable::seen`, still an ordered set of every seq ever processed) may
+/// ask for when a message is the one its tree splits on: a leaf, a root.
+const SEEN_SET_GROWTH: u64 = 2;
+
+#[test]
+fn the_message_shapes_of_a_wide_update_stay_within_their_allocation_budget() {
+    let mut chain = Chain::new();
+    let (a, b) = (chain.nodes[0].id, chain.nodes[1].id);
+    // Warm: the first update moves all twenty tuples and sizes every table,
+    // cache and queue; the second is the first of the shape measured.
+    chain.update();
+    let mut hops = Vec::new();
+    let (mut acks, mut ds_acks, mut ds_ack_allocations) = (0, 0u64, 0);
+    for round in 0..3i64 {
+        let tuple = codb_relational::tup![100 + round, 1];
+        chain.control(a, Body::IngestLocal { relation: "ta".to_owned(), tuple });
+        for d in chain.update() {
+            match d.kind {
+                Kind::Ack => {
+                    acks += 1;
+                    assert_eq!(d.allocations, 0, "a transport ack allocated: {d:?}");
+                }
+                Kind::DsAck => {
+                    ds_acks += 1;
+                    ds_ack_allocations += d.allocations;
+                    // Nothing but, now and then, the seen set's next node.
+                    assert!(d.allocations <= SEEN_SET_GROWTH, "a DsAck allocated: {d:?}");
+                }
+                Kind::UpdateData if d.to == b => {
+                    assert_eq!((d.firings, &d.firings_out[..]), (1, &[1][..]), "{d:?}");
+                    hops.push(d.allocations);
+                }
+                _ => {}
+            }
+        }
+    }
+    assert!(acks >= 30 && ds_acks >= 12, "{acks} acks, {ds_acks} DsAcks");
+    assert!(ds_ack_allocations * 4 <= ds_acks, "{ds_ack_allocations} over {ds_acks} DsAcks");
+    assert_eq!(hops.len(), 3, "one one-firing hop at b per update");
+    for hop in &hops {
+        assert!(*hop <= DATA_HOP_BUDGET + SEEN_SET_GROWTH, "an UpdateData hop allocated: {hops:?}");
+    }
+    // The seen set cannot have grown under all three.
+    assert!(hops.iter().min() <= Some(&DATA_HOP_BUDGET), "an UpdateData hop allocated: {hops:?}");
+    // The data arrived: the budget was not met by doing less.
+    assert_eq!(chain.nodes[2].ldb().tuple_count(), 23);
+}

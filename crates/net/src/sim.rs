@@ -33,8 +33,12 @@
 //!   simulator's one command queue; dispatching an event copies neither
 //!   and allocates nothing, whatever the number of peers or
 //!   advertisements.
+//! * A message in flight lies in a free-listed slot store
+//!   (`InFlight`) and its `Deliver` event names the slot, so the queue
+//!   sifts 32-byte entries whatever the payload's size; the payload is
+//!   moved twice — into its slot at the send, out of it at the delivery.
 //!
-//! Slots are never freed: removing a peer tombstones its slot
+//! Peer slots are never freed: removing a peer tombstones its slot
 //! (`peer: None`) and re-adding the same id revives it, which preserves
 //! the original semantics that a message in flight toward a removed peer
 //! is delivered to a new incarnation added before the arrival time, and
@@ -69,11 +73,53 @@ impl Default for SimConfig {
 }
 
 /// Events reference peers by dense slot index, assigned at interning
-/// time — no map lookups on the dispatch path.
-enum EventKind<M> {
+/// time — no map lookups on the dispatch path — and a message by the
+/// [`InFlight`] slot it waits in.
+enum EventKind {
     Start(u32),
-    Deliver { from: u32, to: u32, msg: M },
+    Deliver { from: u32, to: u32, msg: u32 },
     Timer { peer: u32, timer: u64 },
+}
+
+/// The messages in flight, each in a slot its one `Deliver` event names.
+/// A slot is taken when the event is scheduled and freed when the event is
+/// popped — delivered or discarded — so the occupied slots are exactly the
+/// queued deliveries, and the store grows to the largest wave ever in
+/// flight and no further.
+struct InFlight<M> {
+    slots: Vec<Option<M>>,
+    free: Vec<u32>,
+}
+
+impl<M> InFlight<M> {
+    fn new() -> Self {
+        InFlight { slots: Vec::new(), free: Vec::new() }
+    }
+
+    fn put(&mut self, msg: M) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                debug_assert!(self.slots[slot as usize].is_none(), "free slot {slot} is occupied");
+                self.slots[slot as usize] = Some(msg);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("more than u32::MAX in flight");
+                self.slots.push(Some(msg));
+                slot
+            }
+        }
+    }
+
+    fn take(&mut self, slot: u32) -> M {
+        let msg = self.slots[slot as usize].take().expect("a Deliver event names an occupied slot");
+        self.free.push(slot);
+        msg
+    }
+
+    fn occupied(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
 }
 
 /// An outgoing half-pipe: configuration, bandwidth state and counters,
@@ -117,7 +163,8 @@ pub struct SimNet<M: Payload, P: Peer<M>> {
     /// after the callback, so it is empty between events and its
     /// capacity is reused.
     commands: VecDeque<Command<M>>,
-    queue: CalendarQueue<EventKind<M>>,
+    queue: CalendarQueue<EventKind>,
+    in_flight: InFlight<M>,
     now: SimTime,
     seq: u64,
     rng: SmallRng,
@@ -140,6 +187,7 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
             board: Board::new(),
             commands: VecDeque::new(),
             queue: CalendarQueue::new(),
+            in_flight: InFlight::new(),
             now: SimTime::ZERO,
             seq: 0,
             rng: SmallRng::seed_from_u64(config.seed),
@@ -195,9 +243,22 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
         }
     }
 
+    /// `(sent, bytes_sent)` so far, as [`SimNet::stats`] reports them,
+    /// without assembling the per-pipe table: what a harness reads before
+    /// and after every operation.
+    pub fn sent_totals(&self) -> (u64, u64) {
+        (self.totals.sent, self.totals.bytes_sent)
+    }
+
     /// Number of events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
+    }
+
+    /// Messages in flight: sent (or injected), not dropped, and their
+    /// delivery event not yet popped.
+    pub fn in_flight(&self) -> usize {
+        self.in_flight.occupied()
     }
 
     /// Immutable access to a peer's state machine.
@@ -238,10 +299,16 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
         i
     }
 
-    fn push(&mut self, at: SimTime, kind: EventKind<M>) {
+    fn push(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(at, seq, kind);
+    }
+
+    /// Schedules the delivery of `msg` at `at`.
+    fn push_delivery(&mut self, at: SimTime, from: u32, to: u32, msg: M) {
+        let msg = self.in_flight.put(msg);
+        self.push(at, EventKind::Deliver { from, to, msg });
     }
 
     /// Adds a peer; its [`Peer::on_start`] runs at the current time.
@@ -347,7 +414,7 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
             self.tracer.set_clock(self.now.as_nanos());
             self.tracer.emit(TraceEvent::NetSend { from: from.0, to: to.0, bytes: bytes as u64 });
         }
-        self.push(self.now, EventKind::Deliver { from: fi, to: ti, msg });
+        self.push_delivery(self.now, fi, ti, msg);
     }
 
     /// Publishes an advertisement from the harness.
@@ -419,7 +486,7 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
                             });
                         }
                     } else {
-                        self.push(arrival, EventKind::Deliver { from: origin, to: ti, msg });
+                        self.push_delivery(arrival, origin, ti, msg);
                     }
                 }
                 Command::SetTimer { delay, timer } => {
@@ -454,6 +521,8 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
         match kind {
             EventKind::Start(idx) => self.run_callback(idx, |peer, ctx| peer.on_start(ctx)),
             EventKind::Deliver { from, to, msg } => {
+                // Freed whether or not anyone is left to read it.
+                let msg = self.in_flight.take(msg);
                 if self.slots[to as usize].peer.is_some() {
                     let from_id = self.slots[from as usize].id;
                     let to_id = self.slots[to as usize].id;
@@ -558,6 +627,13 @@ mod tests {
                 received: vec![],
                 start_with: (id.0 == 0).then_some(hops),
             })
+    }
+
+    /// What the slot store is for: the queue sifts `(at, seq)` plus this,
+    /// 32 bytes an entry, whatever `M` is.
+    #[test]
+    fn an_event_is_two_words_whatever_the_payload() {
+        assert_eq!(std::mem::size_of::<EventKind>(), 16);
     }
 
     #[test]

@@ -61,10 +61,11 @@ impl std::error::Error for EvalError {}
 
 /// Number of variable slots needed to evaluate `body` (max var index + 1).
 pub fn var_slots(body: &CqBody) -> usize {
-    body.atoms
-        .iter()
-        .flat_map(|a| a.vars())
-        .chain(body.comparisons.iter().flat_map(|c| c.vars()))
+    let in_atoms = body.atoms.iter().flat_map(|a| &a.terms);
+    let in_comparisons = body.comparisons.iter().flat_map(|c| [&c.lhs, &c.rhs]);
+    in_atoms
+        .chain(in_comparisons)
+        .filter_map(Term::as_var)
         .map(|v| v.0 as usize + 1)
         .max()
         .unwrap_or(0)
@@ -350,8 +351,11 @@ pub fn evaluate_body_delta(
     Ok(all)
 }
 
-/// One planned join over atoms [`check_atoms`] has passed, atom `delta.0`
-/// reading `delta.1` in place of its relation.
+/// The answers of a body over atoms [`check_atoms`] has passed, atom
+/// `delta.0` reading `delta.1` in place of its relation. A body of several
+/// atoms is a planned join; a body of one has nothing to order and nothing
+/// to index, so its source is scanned as it lies — which is every copy,
+/// filter and projection rule, once per delta they are fired with.
 fn stream_answers(
     body: &CqBody,
     inst: &Instance,
@@ -359,15 +363,31 @@ fn stream_answers(
     out: &mut dyn FnMut(&Bindings),
 ) {
     let mut bindings: Bindings = vec![None; var_slots(body)];
-    if body.atoms.is_empty() {
-        // An empty body is trivially satisfied by the empty assignment (only
-        // meaningful for constant heads).
-        out(&bindings);
-        return;
+    match body.atoms.as_slice() {
+        // An empty body is trivially satisfied by the empty assignment
+        // (only meaningful for constant heads).
+        [] => out(&bindings),
+        [atom] => {
+            let source = match delta {
+                Some((_, batch)) => Source::Batch(batch),
+                None => Source::Relation(inst.get(&atom.relation).expect("checked")),
+            };
+            let mut trail = Vec::new();
+            source.for_each(|t| {
+                if match_atom(atom, t, &mut bindings, &mut trail)
+                    && comparisons_hold(body, &bindings)
+                {
+                    out(&bindings);
+                }
+                undo(&mut bindings, &mut trail, 0);
+            });
+        }
+        _ => {
+            let order = plan_order(body, inst, delta.map(|(i, _)| i));
+            let mut steps = build_steps(body, inst, &order, delta);
+            join(&mut steps, body, &mut bindings, &mut Vec::new(), out);
+        }
     }
-    let order = plan_order(body, inst, delta.map(|(i, _)| i));
-    let mut steps = build_steps(body, inst, &order, delta);
-    join(&mut steps, body, &mut bindings, &mut Vec::new(), out);
 }
 
 /// Oracle evaluator: plain nested loops in textual atom order, no indexes,
@@ -641,6 +661,65 @@ mod tests {
         a.dedup();
         b.dedup();
         assert_eq!(a, b);
+    }
+
+    /// A body of one atom skips the planner. Whatever the atom's shape —
+    /// a repeated variable, a constant, a comparison on top — the scan
+    /// answers as the nested-loop reference does, over the relation and
+    /// over a delta standing in for it.
+    #[test]
+    fn a_one_atom_body_answers_as_the_reference_does() {
+        let mut inst = db();
+        // Enough rows for the planned join to have built an index.
+        for k in 0..20 {
+            inst.insert("e", tup![k, k % 3]).unwrap();
+            inst.insert("e", tup![k, k]).unwrap();
+        }
+        let sorted = |mut answers: Vec<Bindings>| {
+            answers.sort();
+            answers
+        };
+        let ge = |var, k| Comparison::new(Var(var), CmpOp::Ge, Value::Int(k));
+        let bodies = [
+            CqBody::new(vec![Atom::new("e", vec![v(0), v(1)])], vec![]),
+            CqBody::new(vec![Atom::new("e", vec![v(0), v(0)])], vec![]),
+            CqBody::new(vec![Atom::new("e", vec![v(0), Term::Const(Value::Int(2))])], vec![]),
+            CqBody::new(vec![Atom::new("e", vec![Term::Const(Value::Int(7)), v(0)])], vec![]),
+            CqBody::new(vec![Atom::new("e", vec![v(0), v(1)])], vec![ge(1, 2)]),
+            CqBody::new(
+                vec![Atom::new("e", vec![v(0), v(0)])],
+                vec![ge(0, 5), Comparison::new(Var(0), CmpOp::Lt, Value::Int(9))],
+            ),
+            CqBody::new(vec![Atom::new("p", vec![v(0), v(1)])], vec![ge(1, 18)]),
+        ];
+        for body in &bodies {
+            let want = sorted(evaluate_body_reference(body, &inst).unwrap());
+            assert_eq!(sorted(evaluate_body(body, &inst).unwrap()), want, "{body:?}");
+            assert!(!want.is_empty(), "{body:?} selects something");
+
+            // Semi-naive: the answers a delta contributes are the answers
+            // over an instance holding the delta alone.
+            let relation = &body.atoms[0].relation;
+            let delta: Vec<Tuple> =
+                inst.get(relation).unwrap().sorted().into_iter().step_by(3).collect();
+            let mut alone = Instance::new();
+            alone.add_relation(inst.get(relation).unwrap().schema().clone());
+            for t in &delta {
+                alone.insert(relation, t.clone()).unwrap();
+            }
+            let want = sorted(evaluate_body_reference(body, &alone).unwrap());
+            let got = evaluate_body_delta(body, &inst, relation, &delta).unwrap();
+            assert_eq!(sorted(got), want, "{body:?} over a delta");
+
+            assert!(evaluate_body_delta(body, &inst, relation, &[]).unwrap().is_empty());
+            let unread = if relation == "e" { "p" } else { "e" };
+            let other = inst.get(unread).unwrap().sorted();
+            assert!(evaluate_body_delta(body, &inst, unread, &other).unwrap().is_empty());
+        }
+        // The checks still come first: a one-atom body over a relation the
+        // instance lacks is an error, not an empty scan.
+        let unknown = CqBody::new(vec![Atom::new("zz", vec![v(0)])], vec![]);
+        assert!(evaluate_body_delta(&unknown, &inst, "e", &[tup![1, 2]]).is_err());
     }
 
     #[test]

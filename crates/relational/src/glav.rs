@@ -93,10 +93,20 @@ impl GlavRule {
         self.body.relations()
     }
 
+    /// The head's relation names, in head order, as the shared strings
+    /// every firing of this rule carries.
+    pub fn head_names(&self) -> Vec<Arc<str>> {
+        self.head.iter().map(|atom| Arc::from(atom.relation.as_str())).collect()
+    }
+
     /// Executes the rule body against `source` and returns one firing per
     /// (deduplicated) body answer.
     pub fn fire(&self, source: &Instance) -> Result<Vec<RuleFiring>, EvalError> {
-        self.firings_of(|out| for_each_answer(&self.body, source, out))
+        self.fire_as(&self.head_names(), source)
+    }
+
+    fn fire_as(&self, names: &[Arc<str>], source: &Instance) -> Result<Vec<RuleFiring>, EvalError> {
+        self.firings_of(names, |out| for_each_answer(&self.body, source, out))
     }
 
     /// Semi-naive variant: only firings whose derivation uses a tuple of
@@ -107,7 +117,9 @@ impl GlavRule {
         delta_relation: &str,
         delta: &[Tuple],
     ) -> Result<Vec<RuleFiring>, EvalError> {
-        self.firings_of(|out| for_each_delta_answer(&self.body, source, delta_relation, delta, out))
+        self.firings_of(&self.head_names(), |out| {
+            for_each_delta_answer(&self.body, source, delta_relation, delta, out)
+        })
     }
 
     /// The paper's "substitute R by T'" for a whole batch of changes: the
@@ -121,7 +133,16 @@ impl GlavRule {
         source: &Instance,
         deltas: &BTreeMap<String, Vec<Tuple>>,
     ) -> Result<Vec<RuleFiring>, EvalError> {
-        self.firings_of(|out| {
+        self.fire_deltas_as(&self.head_names(), source, deltas)
+    }
+
+    fn fire_deltas_as(
+        &self,
+        names: &[Arc<str>],
+        source: &Instance,
+        deltas: &BTreeMap<String, Vec<Tuple>>,
+    ) -> Result<Vec<RuleFiring>, EvalError> {
+        self.firings_of(names, |out| {
             deltas.iter().try_for_each(|(rel, delta)| {
                 for_each_delta_answer(&self.body, source, rel, delta, out)
             })
@@ -129,18 +150,18 @@ impl GlavRule {
     }
 
     /// One firing per distinct head instance among the body answers
-    /// `answers` streams, sorted. A head variable the body leaves unbound
+    /// `answers` streams, sorted, its atoms named by `names` (this rule's
+    /// [`GlavRule::head_names`]). A head variable the body leaves unbound
     /// is existential: the evaluator binds exactly the variables of the
     /// body's atoms.
     fn firings_of(
         &self,
+        names: &[Arc<str>],
         answers: impl FnOnce(&mut dyn FnMut(&Bindings)) -> Result<(), EvalError>,
     ) -> Result<Vec<RuleFiring>, EvalError> {
-        let names: Vec<Arc<str>> =
-            self.head.iter().map(|atom| Arc::from(atom.relation.as_str())).collect();
         let mut instances: Vec<Vec<(Arc<str>, Vec<TField>)>> = Vec::new();
         answers(&mut |b| {
-            let instance = self.head.iter().zip(&names).map(|(atom, name)| {
+            let instance = self.head.iter().zip(names).map(|(atom, name)| {
                 let fields = atom
                     .terms
                     .iter()
@@ -197,6 +218,48 @@ impl GlavRule {
                     },
                 )
         })
+    }
+}
+
+/// A [`GlavRule`] a node fires again and again — once per update, then
+/// once per delta that reaches it — with what every firing of it shares
+/// made once: the head's relation names. The pairing is the type's whole
+/// job: names made for one rule must not label another's firings.
+#[derive(Clone, Debug)]
+pub struct PreparedRule {
+    rule: GlavRule,
+    head_names: Vec<Arc<str>>,
+}
+
+impl PreparedRule {
+    /// Prepares `rule`.
+    pub fn new(rule: GlavRule) -> Self {
+        let head_names = rule.head_names();
+        PreparedRule { rule, head_names }
+    }
+
+    /// The rule.
+    pub fn rule(&self) -> &GlavRule {
+        &self.rule
+    }
+
+    /// The head's relation names, in head order.
+    pub fn head_names(&self) -> &[Arc<str>] {
+        &self.head_names
+    }
+
+    /// [`GlavRule::fire`].
+    pub fn fire(&self, source: &Instance) -> Result<Vec<RuleFiring>, EvalError> {
+        self.rule.fire_as(&self.head_names, source)
+    }
+
+    /// [`GlavRule::fire_deltas`].
+    pub fn fire_deltas(
+        &self,
+        source: &Instance,
+        deltas: &BTreeMap<String, Vec<Tuple>>,
+    ) -> Result<Vec<RuleFiring>, EvalError> {
+        self.rule.fire_deltas_as(&self.head_names, source, deltas)
     }
 }
 
