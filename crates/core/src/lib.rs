@@ -60,7 +60,7 @@ pub mod update;
 
 pub use config::{ConfigError, NetworkConfig, NodeConfig};
 pub use ids::{NodeId, QueryId, ReqId, RuleName, UpdateId};
-pub use messages::{Body, Envelope};
+pub use messages::{Body, CarriedAck, Envelope};
 pub use network::{CoDbNetwork, QueryOutcome, UpdateOutcome, HARNESS_PEER};
 pub use node::{CoDbNode, NodeSettings};
 pub use parnet::{ParNetError, ParallelCoDbNet};

@@ -1,8 +1,11 @@
 //! The coDB wire protocol.
 //!
-//! Every message is an [`Envelope`]: an optional transport sequence number
-//! (present on all protocol messages; used by the reliable-delivery layer)
-//! plus a [`Body`]. Transport acknowledgements themselves are unsequenced.
+//! Every message is an [`Envelope`]: a transport header — an optional
+//! sequence number (present on every protocol message a node retransmits
+//! until it is answered), the sender's window base, and optionally the ack
+//! of a message that came the other way — plus a [`Body`]. What answers a
+//! message (a bare ack, the reply that returns a Dijkstra–Scholten credit)
+//! is itself unsequenced: see [`crate::reliable`].
 
 use crate::config::NetworkConfig;
 use crate::ids::{NodeId, ReqId, RuleName, UpdateId};
@@ -15,12 +18,10 @@ use serde::{Deserialize, Serialize};
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum Body {
     // ---- transport ----
-    /// Acknowledges receipt of the envelope with transport seq `seq`
-    /// (reliable-delivery layer; not a Dijkstra–Scholten signal).
-    Ack {
-        /// Acknowledged transport sequence number.
-        seq: u64,
-    },
+    /// Nothing: the envelope exists for the [`Envelope::ack`] in its header,
+    /// which found no other envelope to ride (reliable-delivery layer; not
+    /// a Dijkstra–Scholten signal).
+    Ack,
 
     // ---- global update (paper §2–3) ----
     /// Flooded request starting / propagating a global update.
@@ -65,7 +66,10 @@ pub enum Body {
         data_msgs: u64,
     },
     /// Dijkstra–Scholten credit: the receiver's deficit for `update`
-    /// decreases by `credits`.
+    /// decreases by `credits`. Unsequenced when it answers a message that
+    /// did not engage its receiver (it then carries that message's ack and
+    /// counts only if the ack retires it); sequenced when a node disengages
+    /// and returns the credit of the message that engaged it.
     DsAck {
         /// The update.
         update: UpdateId,
@@ -199,7 +203,7 @@ impl Body {
     /// are costed at small constants.
     pub fn size_bytes(&self) -> usize {
         match self {
-            Body::Ack { .. } => 16,
+            Body::Ack => 0,
             Body::UpdateRequest { .. } => 32,
             Body::DemandLink { .. } => 40,
             Body::UpdateData { firings, .. } => {
@@ -273,7 +277,7 @@ impl Body {
     /// The kind the per-kind statistics count this message under.
     pub fn kind(&self) -> Kind {
         match self {
-            Body::Ack { .. } => Kind::Ack,
+            Body::Ack => Kind::Ack,
             Body::UpdateRequest { .. } => Kind::UpdateRequest,
             Body::DemandLink { .. } => Kind::DemandLink,
             Body::UpdateData { .. } => Kind::UpdateData,
@@ -299,32 +303,58 @@ impl Body {
     }
 }
 
+/// The ack of a sequenced envelope: its seq, and the epoch it was stamped
+/// with — echoed so the sender can tell which incarnation's seq is being
+/// retired (sequence numbers restart at recovery).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CarriedAck {
+    /// Acknowledged transport sequence number.
+    pub seq: u64,
+    /// The epoch of the acknowledged envelope.
+    pub epoch: u64,
+}
+
 /// A protocol message: transport header + body.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Envelope {
-    /// Transport sequence number; `None` only for [`Body::Ack`] and
-    /// harness-injected control messages.
+    /// Transport sequence number, counted per destination; `None` for what
+    /// answers a message (a bare [`Body::Ack`], the reply returning a DS
+    /// credit) and for harness-injected control messages. Read by the
+    /// receiver's window ([`crate::reliable::Reliable::receive`]).
     pub seq: Option<u64>,
     /// Sender incarnation. A node restarted from its durable store rejoins
     /// with a higher epoch (the JXTA stand-in: a restarted peer opens new
-    /// transport sessions); receivers reset their per-sender duplicate
-    /// state when they see the epoch grow, so the fresh incarnation's
-    /// restarted sequence numbers are not mistaken for duplicates.
+    /// transport sessions); receivers start their per-sender window over
+    /// when they see the epoch grow, so the fresh incarnation's restarted
+    /// sequence numbers are not mistaken for duplicates.
     pub epoch: u64,
+    /// On a sequenced envelope, the lowest seq the sender may still
+    /// retransmit toward this receiver: everything below it was answered,
+    /// and the receiver's window forgets it.
+    pub base: u64,
+    /// An ack riding along: of the sequenced envelope from the receiver
+    /// this one answers, or merely follows. Read by the receiver's ring
+    /// ([`crate::reliable::Reliable::on_ack`]).
+    pub ack: Option<CarriedAck>,
     /// The payload.
     pub body: Body,
 }
 
 impl Envelope {
-    /// An unsequenced control envelope (harness injection / acks).
+    /// An unsequenced control envelope (harness injection).
     pub fn control(body: Body) -> Self {
-        Envelope { seq: None, epoch: 0, body }
+        Envelope { seq: None, epoch: 0, base: 0, ack: None, body }
     }
 }
 
 impl Payload for Envelope {
+    /// The fixed header, the window base where there is a seq for it to
+    /// bound, the carried ack's seq and epoch where there is one, and the
+    /// body: a bare ack is 32 bytes.
     fn size_bytes(&self) -> usize {
-        16 + self.body.size_bytes()
+        let base = if self.seq.is_some() { 8 } else { 0 };
+        let ack = if self.ack.is_some() { 16 } else { 0 };
+        16 + base + ack + self.body.size_bytes()
     }
 }
 
@@ -344,7 +374,7 @@ mod tests {
         assert!(Body::LinkClosed { update: upd(), rule: "r".into(), data_msgs: 0 }.is_ds_counted());
         assert!(!Body::DsAck { update: upd(), credits: 1 }.is_ds_counted());
         assert!(!Body::UpdateComplete { update: upd() }.is_ds_counted());
-        assert!(!Body::Ack { seq: 3 }.is_ds_counted());
+        assert!(!Body::Ack.is_ds_counted());
         assert!(!Body::StatsRequest.is_ds_counted());
         assert!(!Body::Rejoin { epoch: 1 }.is_ds_counted());
         assert!(!Body::RejoinAck { epoch: 1 }.is_ds_counted());
@@ -369,7 +399,7 @@ mod tests {
         // Bookkeeping keeps the abandonment semantics.
         assert!(!Body::DsAck { update: upd(), credits: 1 }.parks_behind_barrier());
         assert!(!Body::UpdateComplete { update: upd() }.parks_behind_barrier());
-        assert!(!Body::Ack { seq: 0 }.parks_behind_barrier());
+        assert!(!Body::Ack.parks_behind_barrier());
         assert!(!Body::StatsRequest.parks_behind_barrier());
         let req = crate::ids::ReqId { node: NodeId(1), epoch: 0, seq: 0 };
         assert!(!Body::QueryAnswer { req, firings: vec![], closed: true }.parks_behind_barrier());
@@ -392,6 +422,18 @@ mod tests {
             Body::UpdateData { update: upd(), rule: "r".into(), firings: vec![firing], hops: 1 };
         assert!(big.size_bytes() > small.size_bytes());
         assert!(Envelope::control(Body::StatsRequest).size_bytes() >= 16);
+    }
+
+    #[test]
+    fn the_header_charges_what_it_carries() {
+        let ack = Some(CarriedAck { seq: 7, epoch: 0 });
+        let bare = Envelope { ack, ..Envelope::control(Body::Ack) };
+        assert_eq!(bare.size_bytes(), 32);
+        let plain = Envelope::control(Body::DsAck { update: upd(), credits: 1 });
+        let reply = Envelope { ack, ..plain.clone() };
+        assert_eq!(reply.size_bytes(), plain.size_bytes() + 16);
+        let sequenced = Envelope { seq: Some(0), ..reply.clone() };
+        assert_eq!(sequenced.size_bytes(), reply.size_bytes() + 8);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::config::NetworkConfig;
 use crate::ids::{NodeId, QueryId, ReqId, RuleName, UpdateId};
 use crate::messages::{Body, Envelope};
 use crate::query::{QueryExec, QueryResult, Serving};
-use crate::reliable::Reliable;
+use crate::reliable::{Answer, Owed, Receipt, Reliable};
 use crate::rules::{CoordinationRule, RuleBook};
 use crate::stats::{Kind, NetworkReport, NodeReport};
 use crate::update::UpdateState;
@@ -429,7 +429,8 @@ impl CoDbNode {
 
     /// Sends `body` to `to` reliably: assigns a transport seq, records the
     /// message for retransmission, bumps Dijkstra–Scholten deficit when
-    /// applicable, counts statistics, arms the retransmit timer. A peer
+    /// applicable, counts statistics, arms the retransmit timer. If this
+    /// callback owes `to` an ack, the envelope takes it along. A peer
     /// behind the rejoin barrier still gets new sends — they double as
     /// liveness probes (a healed partition has no handshake to wait for)
     /// and park alongside the held backlog only if they, too, exhaust
@@ -468,18 +469,32 @@ impl CoDbNode {
         self.arm_retransmit(ctx);
     }
 
-    /// Sends an unsequenced transport ack, echoing the epoch of the
-    /// acknowledged envelope so the sender can tell which incarnation's
-    /// seq is being retired.
-    pub(crate) fn post_ack(
+    /// Sends the owed ack alone, as a bare [`Body::Ack`]: nothing that left
+    /// for its sender during the callback could take it along.
+    fn post_ack(&mut self, ctx: &mut Context<Envelope>, owed: Owed) {
+        self.report.count_sent(Kind::Ack);
+        ctx.send(owed.to.peer(), Envelope { ack: Some(owed.ack), ..Envelope::control(Body::Ack) });
+    }
+
+    /// Answers a DS message from `to` that did not engage this node:
+    /// returns its credit in an unsequenced `DsAck` carrying the message's
+    /// `owed` ack, so that the one envelope retires the message and pays
+    /// its credit ([`crate::reliable`], the reply rule).
+    pub(crate) fn post_credit_reply(
         &mut self,
         ctx: &mut Context<Envelope>,
         to: NodeId,
-        seq: u64,
-        epoch: u64,
+        update: UpdateId,
+        owed: Option<Owed>,
     ) {
-        self.report.count_sent(Kind::Ack);
-        ctx.send(to.peer(), Envelope { seq: None, epoch, body: Body::Ack { seq } });
+        self.tracer.emit_with(|| codb_trace::TraceEvent::DsAck {
+            peer: self.id.0,
+            to: to.0,
+            credits: 1,
+        });
+        self.report.count_sent(Kind::DsAck);
+        let reply = self.reliable.credit_reply(owed, Body::DsAck { update, credits: 1 });
+        ctx.send(to.peer(), reply);
     }
 
     pub(crate) fn arm_retransmit(&mut self, ctx: &mut Context<Envelope>) {
@@ -536,33 +551,108 @@ impl Peer<Envelope> for CoDbNode {
         // flow the moment the peer is back.
         self.release_barrier(ctx, from);
 
-        // Transport ack: retire and done. Acks echo the epoch of the
-        // envelope they acknowledge; an ack for a previous incarnation's
-        // envelope must not retire a same-seq message of this incarnation
-        // (sequence numbers restart at recovery).
-        if let Body::Ack { seq } = env.body {
-            if env.epoch == self.reliable.epoch() {
-                self.reliable.on_ack(seq);
-            }
-            return;
+        self.receive(ctx, from, env);
+        // The ack of a sequenced envelope rides the first sequenced
+        // envelope the handler posted to its sender, or the reply that
+        // returns its credit; one still owed now leaves alone.
+        if let Some(owed) = self.reliable.take_owed() {
+            self.post_ack(ctx, owed);
         }
-        // Ack every sequenced message, then drop duplicates (and stale
-        // envelopes from a previous incarnation of the sender).
-        if let Some(seq) = env.seq {
-            self.post_ack(ctx, from, seq, env.epoch);
-            if !self.reliable.should_process(from, env.epoch, Some(seq)) {
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<Envelope>, timer: u64) {
+        self.announce_rejoin(ctx);
+        if timer == TIMER_RETRANSMIT {
+            self.retransmit_armed = false;
+            let round = self.reliable.retransmission_round();
+            for (to, env) in round.resend {
+                self.report.count_sent(Kind::Retransmit);
+                ctx.send(to.peer(), env);
+            }
+            for (peer, held) in round.barred {
+                // The peer is presumed crashed mid-handshake: its update
+                // data and handshake traffic just parked behind the rejoin
+                // barrier. The DS deficit for parked messages is *held*,
+                // not surrendered — the update resumes (and completes)
+                // when the peer's new incarnation releases the barrier.
+                for _ in 0..held {
+                    self.report.count_sent(Kind::BarrierParked);
+                }
+                self.tracer.emit_with(|| codb_trace::TraceEvent::BarrierHold {
+                    peer: self.id.0,
+                    toward: peer.0,
+                    held,
+                });
+            }
+            for (_, body) in round.abandoned {
+                // Non-barrier traffic toward the presumed-dead peer is
+                // dropped for good. Any DS credit it carried cannot come
+                // back: surrender the deficit so this node can still
+                // disengage ("Termination" in crate::update).
+                self.report.count_sent(Kind::Abandoned);
+                self.surrender_credit(ctx, &body);
+            }
+            self.arm_retransmit(ctx);
+        }
+    }
+}
+
+impl CoDbNode {
+    /// The transport half of [`Peer::on_message`]: retires what the
+    /// envelope acknowledges, runs it past the sender's window, and hands a
+    /// first delivery to [`CoDbNode::dispatch`].
+    fn receive(&mut self, ctx: &mut Context<Envelope>, from: NodeId, env: Envelope) {
+        // An unsequenced `DsAck` that carries an ack is the reply returning
+        // the credit of the message it acknowledges.
+        let credit_reply = env.seq.is_none() && matches!(env.body, Body::DsAck { .. });
+        if let Some(ack) = env.ack {
+            let retired = self.reliable.on_ack(from, ack);
+            // What answers a message counts once: a second copy of a reply,
+            // or one echoing a dead incarnation's epoch, retires nothing
+            // and changes nothing.
+            if retired.is_none() && env.seq.is_none() {
                 return;
             }
+            // A DS message answered by anything but its credit engaged the
+            // peer, which holds the credit until it disengages.
+            let engaged = retired.filter(|sent| sent.is_ds_counted() && !credit_reply);
+            if let Some(update) = engaged.and_then(|sent| sent.update_id()) {
+                self.reliable.peer_engaged(from, update);
+            }
         }
+        if let Some(seq) = env.seq {
+            match self.reliable.receive(from, env.epoch, seq, env.base) {
+                Receipt::First => {}
+                // Answered again as it was answered first: with its credit,
+                // or (at the end of the callback) with a plain ack.
+                Receipt::Duplicate(Answer::Credit) => {
+                    if let Some(update) = env.body.update_id() {
+                        let owed = self.reliable.take_owed();
+                        self.post_credit_reply(ctx, from, update, owed);
+                    }
+                    return;
+                }
+                Receipt::Duplicate(Answer::Ack) | Receipt::Dropped => return,
+            }
+        }
+        self.dispatch(ctx, from, env);
+    }
 
+    /// Hands a message that is due processing to its engine.
+    fn dispatch(&mut self, ctx: &mut Context<Envelope>, from: NodeId, env: Envelope) {
         match env.body {
-            Body::Ack { .. } => unreachable!("handled above"),
+            Body::Ack => {} // it was all header
             // ---- update protocol (crate::update) ----
             Body::UpdateRequest { .. }
             | Body::DemandLink { .. }
             | Body::UpdateData { .. }
             | Body::LinkClosed { .. } => self.dispatch_ds(ctx, from, env.body),
-            Body::DsAck { update, credits } => self.handle_ds_ack(ctx, update, credits),
+            Body::DsAck { update, credits } => {
+                if env.seq.is_some() {
+                    self.reliable.peer_disengaged(from, update);
+                }
+                self.handle_ds_ack(ctx, update, credits)
+            }
             Body::UpdateComplete { update } => self.handle_update_complete(ctx, from, update),
             // ---- crash rejoin (crate::rejoin) ----
             Body::Rejoin { epoch } => self.handle_rejoin(ctx, from, epoch),
@@ -600,44 +690,250 @@ impl Peer<Envelope> for CoDbNode {
             }
         }
     }
+}
 
-    fn on_timer(&mut self, ctx: &mut Context<Envelope>, timer: u64) {
-        self.announce_rejoin(ctx);
-        if timer == TIMER_RETRANSMIT {
-            self.retransmit_armed = false;
-            let round = self.reliable.retransmission_round();
-            for (to, env) in round.resend {
-                self.report.count_sent(Kind::Retransmit);
-                ctx.send(to.peer(), env);
+#[cfg(test)]
+mod tests {
+    //! Two nodes and the wire between them, driven by hand: the wire
+    //! loses, duplicates, reorders and replays what they send, and the
+    //! Dijkstra–Scholten accounts must come out exact all the same.
+
+    use super::*;
+    use crate::config::NetworkConfig;
+    use crate::messages::CarriedAck;
+    use codb_net::Command;
+    use codb_trace::TraceEvent;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::VecDeque;
+
+    /// Copy rules both ways, so data and credits flow both ways and either
+    /// node can start an update.
+    const PAIR: &str = r#"
+        node s
+        node r
+        schema s: ts(int)
+        schema r: tr(int)
+        data s: ts(1). ts(2).
+        data r: tr(3).
+        rule sr @ s -> r: tr(X) <- ts(X).
+        rule rs @ r -> s: ts(X) <- tr(X).
+    "#;
+
+    struct Pair {
+        nodes: [CoDbNode; 2],
+        /// In flight: destination (an index into `nodes`) and envelope.
+        wire: Vec<(usize, Envelope)>,
+        /// Everything either node ever sent: any of it may come again.
+        archive: Vec<(usize, Envelope)>,
+        /// Whose retransmission timer is set.
+        armed: [bool; 2],
+        commands: VecDeque<Command<Envelope>>,
+        /// How each node first answered each `(seq, epoch)` of the other:
+        /// `true` with the credit, `false` with a plain ack.
+        answered: [BTreeMap<(u64, u64), bool>; 2],
+    }
+
+    /// What a reply that retires nothing must leave alone.
+    fn accounts(node: &CoDbNode) -> Vec<(UpdateId, u64, bool, bool)> {
+        node.updates.values().map(|st| (st.update, st.deficit, st.engaged, st.complete)).collect()
+    }
+
+    impl Pair {
+        fn new() -> Pair {
+            let config = NetworkConfig::parse(PAIR).unwrap();
+            let nodes = [0, 1].map(|i| {
+                let mut node =
+                    CoDbNode::from_config(&config.nodes[i], &config.rules, NodeSettings::default());
+                // An incarnation with a past, so that a stale epoch exists;
+                // and a wire this bad is no reason to presume anyone dead.
+                node.reliable.set_epoch(1);
+                node.reliable.max_attempts = u32::MAX;
+                node
+            });
+            Pair {
+                nodes,
+                wire: Vec::new(),
+                archive: Vec::new(),
+                armed: [false; 2],
+                commands: VecDeque::new(),
+                answered: Default::default(),
             }
-            for (peer, held) in round.barred {
-                // The peer is presumed crashed mid-handshake: its update
-                // data and handshake traffic just parked behind the rejoin
-                // barrier. The DS deficit for parked messages is *held*,
-                // not surrendered — the update resumes (and completes)
-                // when the peer's new incarnation releases the barrier.
-                for _ in 0..held {
-                    self.report.count_sent(Kind::BarrierParked);
-                }
-                self.tracer.emit_with(|| codb_trace::TraceEvent::BarrierHold {
-                    peer: self.id.0,
-                    toward: peer.0,
-                    held,
-                });
-            }
-            for o in round.abandoned {
-                // Non-barrier traffic toward the presumed-dead peer is
-                // dropped for good. Any DS credit it carried cannot come
-                // back: surrender the deficit so this node can still
-                // disengage ("Termination" in crate::update).
-                self.report.count_sent(Kind::Abandoned);
-                if o.body.is_ds_counted() {
-                    if let Some(u) = o.body.update_id() {
-                        self.handle_ds_ack(ctx, u, 1);
+        }
+
+        /// Runs one callback of node `at` and puts what it sent on the wire.
+        fn callback(&mut self, at: usize, run: impl FnOnce(&mut CoDbNode, &mut Context<Envelope>)) {
+            let node = &mut self.nodes[at];
+            let mut ctx = Context::new(node.id.peer(), SimTime::ZERO, &[], &mut self.commands);
+            run(node, &mut ctx);
+            for command in std::mem::take(&mut self.commands) {
+                match command {
+                    Command::Send { msg, .. } => {
+                        if let Some(ack) = msg.ack {
+                            // A message once answered by a plain ack — the
+                            // one that engaged this node — never draws the
+                            // credit, whatever the node has become since.
+                            let credit =
+                                msg.seq.is_none() && matches!(msg.body, Body::DsAck { .. });
+                            let first =
+                                self.answered[at].entry((ack.seq, ack.epoch)).or_insert(credit);
+                            assert!(
+                                *first || !credit,
+                                "a credit for a message that engaged: {msg:?}"
+                            );
+                        }
+                        self.wire.push((1 - at, msg.clone()));
+                        self.archive.push((1 - at, msg));
                     }
+                    Command::SetTimer { .. } => self.armed[at] = true,
+                    _ => {}
                 }
             }
-            self.arm_retransmit(ctx);
+        }
+
+        fn control(&mut self, at: usize, body: Body) {
+            self.callback(at, |node, ctx| {
+                node.on_message(ctx, crate::HARNESS_PEER, Envelope::control(body))
+            });
+        }
+
+        fn deliver(&mut self, to: usize, env: Envelope) {
+            let from = self.nodes[1 - to].id;
+            let node = &self.nodes[to];
+            // A reply (or a bare ack) whose ack retires nothing changes
+            // nothing and draws nothing.
+            let retires = |ack: CarriedAck| {
+                let pending = node.reliable.pending();
+                ack.epoch == node.epoch() && pending.iter().any(|(_, e)| e.seq == Some(ack.seq))
+            };
+            let inert = env.seq.is_none() && env.ack.is_some_and(|ack| !retires(ack));
+            let before = inert.then(|| (accounts(node), self.wire.len()));
+            self.callback(to, |node, ctx| node.on_message(ctx, from.peer(), env));
+            if let Some(before) = before {
+                assert_eq!((accounts(&self.nodes[to]), self.wire.len()), before);
+            }
+        }
+
+        fn fire_timer(&mut self, at: usize) {
+            if std::mem::take(&mut self.armed[at]) {
+                self.callback(at, |node, ctx| node.on_timer(ctx, TIMER_RETRANSMIT));
+            }
+        }
+
+        /// A wire that has stopped misbehaving: everything in flight
+        /// arrives, and what was lost is retransmitted until nothing is
+        /// outstanding.
+        fn settle(&mut self) {
+            for _ in 0..10_000 {
+                for (to, env) in std::mem::take(&mut self.wire) {
+                    self.deliver(to, env);
+                }
+                if self.wire.is_empty() {
+                    if self.nodes.iter().all(|n| !n.reliable.has_outstanding()) {
+                        return;
+                    }
+                    self.fire_timer(0);
+                    self.fire_timer(1);
+                }
+            }
+            panic!("the pair never went quiet");
+        }
+    }
+
+    #[test]
+    fn every_credit_returns_exactly_once_whatever_the_wire_does() {
+        for seed in 0..200 {
+            let mut rng = SmallRng::seed_from_u64(0xC4ED_1700 + seed);
+            let mut pair = Pair::new();
+            let (tracer, recorded) = Tracer::ring(usize::MAX);
+            for node in &mut pair.nodes {
+                node.attach_tracer(&tracer);
+            }
+            // Once over a clean wire: each has heard the other's epoch, so
+            // from here on a dead incarnation's envelopes look stale.
+            pair.control(0, Body::StartUpdate);
+            pair.settle();
+            let mut started = 0;
+            for step in 0..600 {
+                let pick =
+                    |rng: &mut SmallRng, len: usize| (len > 0).then(|| rng.gen_range(0..len));
+                match rng.gen_range(0..100) {
+                    // Out of order: any message in flight may be next.
+                    0..=44 => {
+                        if let Some(i) = pick(&mut rng, pair.wire.len()) {
+                            let (to, env) = pair.wire.swap_remove(i);
+                            pair.deliver(to, env);
+                        }
+                    }
+                    // Twice: it arrives, and stays in flight.
+                    45..=54 => {
+                        if let Some(i) = pick(&mut rng, pair.wire.len()) {
+                            let (to, env) = pair.wire[i].clone();
+                            pair.deliver(to, env);
+                        }
+                    }
+                    // Lost.
+                    55..=64 => {
+                        if let Some(i) = pick(&mut rng, pair.wire.len()) {
+                            pair.wire.swap_remove(i);
+                        }
+                    }
+                    65..=74 => pair.fire_timer(rng.gen_range(0..2)),
+                    // Again, long after: a message, an ack, a reply.
+                    75..=84 => {
+                        if let Some(i) = pick(&mut rng, pair.archive.len()) {
+                            let (to, env) = pair.archive[i].clone();
+                            pair.deliver(to, env);
+                        }
+                    }
+                    // The same from a dead incarnation: the message stamped
+                    // with its epoch, the reply echoing it.
+                    85..=89 => {
+                        if let Some(i) = pick(&mut rng, pair.archive.len()) {
+                            let (to, mut env) = pair.archive[i].clone();
+                            env.epoch = 0;
+                            if let Some(ack) = &mut env.ack {
+                                ack.epoch = 0;
+                            }
+                            pair.deliver(to, env);
+                        }
+                    }
+                    _ if started < 6 => {
+                        started += 1;
+                        let at = rng.gen_range(0..2);
+                        let (relation, tuple) =
+                            (["ts", "tr"][at], codb_relational::tup![100 + step]);
+                        pair.control(
+                            at,
+                            Body::IngestLocal { relation: relation.to_owned(), tuple },
+                        );
+                        pair.control(at, Body::StartUpdate);
+                    }
+                    _ => {}
+                }
+            }
+            pair.settle();
+
+            let events = recorded.lock().unwrap().events();
+            for node in &pair.nodes {
+                for st in node.updates.values() {
+                    let idle = st.deficit == 0 && (st.initiator || !st.engaged);
+                    assert!(st.complete && idle, "seed {seed}: {st:?}");
+                }
+                // One credit event per DS message this node ever posted —
+                // none missing, and none that the saturating deficit hid.
+                let sent = &node.report().messages_sent;
+                let posted: u64 = [Kind::UpdateRequest, Kind::UpdateData, Kind::LinkClosed]
+                    .iter()
+                    .map(|kind| sent.of(*kind))
+                    .sum();
+                let credited = events.iter().filter(
+                    |(_, ev)| matches!(ev, TraceEvent::DsCredit { peer, .. } if *peer == node.id.0),
+                );
+                assert_eq!(credited.count() as u64, posted, "seed {seed}: node {}", node.id);
+                assert!(posted > 0 && started > 0, "seed {seed}");
+            }
+            assert_eq!(pair.nodes[0].ldb().tuple_count(), pair.nodes[1].ldb().tuple_count());
         }
     }
 }

@@ -248,7 +248,8 @@ kinds! {
     BarrierParked => "barrier_parked",
     /// Sent: a parked message released when its peer was heard from.
     BarrierReleased => "barrier_released",
-    /// Sent: a message given up on after the last retransmission.
+    /// Sent: a message given up on — after the last retransmission, or
+    /// because its destination left the network.
     Abandoned => "abandoned",
     /// Received: a batch that was not an instance of its rule's head.
     DataRejected => "data_rejected",
@@ -568,7 +569,7 @@ mod tests {
         let query = codb_relational::parse_query("ans(X) :- r(X).").unwrap();
         let rule = || "r".to_owned();
         vec![
-            ("Ack", Body::Ack { seq: 0 }),
+            ("Ack", Body::Ack),
             ("UpdateRequest", Body::UpdateRequest { update }),
             ("DemandLink", Body::DemandLink { update, rule: rule() }),
             ("UpdateData", Body::UpdateData { update, rule: rule(), firings: vec![], hops: 0 }),

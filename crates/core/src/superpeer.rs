@@ -16,6 +16,7 @@ use crate::ids::NodeId;
 use crate::messages::{Body, Envelope};
 use crate::node::CoDbNode;
 use crate::rules::RuleBook;
+use crate::stats::Kind;
 use codb_net::Context;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -48,14 +49,15 @@ impl CoDbNode {
         self.config_version = config.version;
 
         let old = self.install_book(RuleBook::for_node(self.id, &config.rules));
-        let old_acquaintances = old.acquaintances();
-        let new_acquaintances = self.book.acquaintances();
+        let new = Arc::clone(&self.book);
+        let (old_acquaintances, new_acquaintances) = (old.acquaintances(), new.acquaintances());
 
         // "If a coordination rules file is received when a peer has already
         // set up coordination rules and pipes, then it drops old rules and
         // pipes, and creates new ones, where necessary."
-        for gone in old_acquaintances.difference(new_acquaintances) {
+        for &gone in old_acquaintances.difference(new_acquaintances) {
             ctx.close_pipe(gone.peer());
+            self.forget_acquaintance(ctx, gone);
         }
         for added in new_acquaintances.difference(old_acquaintances) {
             ctx.open_pipe(added.peer(), self.settings.pipe);
@@ -70,6 +72,32 @@ impl CoDbNode {
                     self.ldb.add_relation(rs.clone());
                 }
             }
+        }
+    }
+
+    /// Settles the Dijkstra–Scholten accounts with a peer whose pipe just
+    /// closed for good. Nothing more can reach it, and no reply of its can
+    /// be sent any more, so every credit it might still return is written
+    /// off now:
+    /// that of each DS message it never answered (left alone those would
+    /// park behind the rejoin barrier forever, and hold their update open
+    /// with them) and the engagement credit it holds in each update it
+    /// joined under this node. Where this node is the one engaged under the
+    /// departed peer, it stays engaged until its own deficit is zero and
+    /// then disengages with nobody to tell. (What the peer still has in
+    /// flight toward this node does arrive; `dispatch_ds` handles it
+    /// without engaging under the sender.)
+    fn forget_acquaintance(&mut self, ctx: &mut Context<Envelope>, gone: NodeId) {
+        for st in self.updates.values_mut().filter(|st| st.parent == Some(gone)) {
+            st.parent = None;
+        }
+        let forgotten = self.reliable.forget_peer(gone);
+        for sent in &forgotten.dropped {
+            self.report.count_sent(Kind::Abandoned);
+            self.surrender_credit(ctx, sent);
+        }
+        for update in forgotten.engaged {
+            self.handle_ds_ack(ctx, update, 1);
         }
     }
 

@@ -243,16 +243,29 @@ impl CoDbNode {
         self.check_node_closed(update, now);
     }
 
-    /// DS wrapper: engagement bookkeeping around the three DS-counted
-    /// message kinds.
+    /// DS wrapper: engagement bookkeeping around the DS-counted message
+    /// kinds, and the choice of what answers the message.
     pub(crate) fn dispatch_ds(&mut self, ctx: &mut Context<Envelope>, from: NodeId, body: Body) {
         let update = body.update_id().expect("DS messages carry an update id");
         let st = self.update_entry(update);
-        let engaging = !st.engaged && !st.initiator;
-        if engaging {
+        // (A node engages under an acquaintance only: a message still in
+        // flight from a peer that has since left the network is handled,
+        // but that peer has written its credits off, and nothing could
+        // tell it of a disengagement.)
+        let engaging = !st.engaged && !st.initiator && self.book.acquaintances().contains(&from);
+        // The engaging message is answered by a plain ack, which may ride
+        // whatever its handling posts back; its credit is held until
+        // disengagement. Any other is answered by its credit: the ack it is
+        // owed is set aside for that reply, whatever else leaves for the
+        // sender meanwhile.
+        let reserved = if engaging {
+            let st = self.state_mut(update);
             st.engaged = true;
             st.parent = Some(from);
-        }
+            None
+        } else {
+            self.reliable.take_owed()
+        };
         match body {
             Body::UpdateRequest { update } => self.process_update_request(ctx, Some(from), update),
             Body::DemandLink { update, rule } => self.process_demand_link(ctx, update, rule),
@@ -265,10 +278,7 @@ impl CoDbNode {
             _ => unreachable!("dispatch_ds called for non-DS body"),
         }
         if !engaging {
-            // Non-engaging DS messages are credited back immediately after
-            // processing; the engaging credit is held until disengagement.
-            self.tracer.emit_with(|| TraceEvent::DsAck { peer: self.id.0, to: from.0, credits: 1 });
-            self.post(ctx, from, Body::DsAck { update, credits: 1 });
+            self.post_credit_reply(ctx, from, update, reserved);
         }
         self.maybe_disengage(ctx, update);
     }
@@ -587,15 +597,21 @@ impl CoDbNode {
         }
     }
 
-    /// Handles a DS credit return. The deficit is an *aggregate* counter,
-    /// and under loss + crashes a credit can be returned twice for one
-    /// message: the receiver's `DsAck` arrives but the transport ack for
-    /// the DS message is lost, the sender keeps retransmitting, the
-    /// receiver then dies, and the retransmission is eventually abandoned
-    /// — surrendering a credit that already came back. The subtraction
-    /// therefore saturates: the surplus only ever *accelerates*
-    /// disengagement toward a presumed-dead subtree, which is the
-    /// documented crash semantics (the update completes without it).
+    /// Handles a DS credit return. A message that does not engage its
+    /// receiver gets its credit back exactly once: the reply that carries
+    /// it counts only if it retires the message, and a message given up on
+    /// (abandoned, or addressed to a peer that left) is retired by that, so
+    /// no reply can count after the surrender. The *engaging* message is
+    /// the one case left where a credit can come back twice: it is answered
+    /// by a plain ack and its credit returns separately, in the sequenced
+    /// `DsAck` of the peer's disengagement — so that `DsAck` can arrive
+    /// while the message itself, its ack lost, is still being retransmitted
+    /// toward a peer that then dies or leaves, and giving up on it
+    /// surrenders a credit that already came back. The deficit is an
+    /// aggregate counter, so the subtraction saturates for that case: the
+    /// surplus only ever *accelerates* disengagement toward a presumed-dead
+    /// subtree, which is the documented crash semantics (the update
+    /// completes without it).
     pub(crate) fn handle_ds_ack(
         &mut self,
         ctx: &mut Context<Envelope>,
@@ -609,6 +625,16 @@ impl CoDbNode {
         self.maybe_disengage(ctx, update);
     }
 
+    /// Gives up the credit of a DS message that will never be answered: it
+    /// was abandoned, or its destination left the network.
+    pub(crate) fn surrender_credit(&mut self, ctx: &mut Context<Envelope>, sent: &Body) {
+        if sent.is_ds_counted() {
+            if let Some(update) = sent.update_id() {
+                self.handle_ds_ack(ctx, update, 1);
+            }
+        }
+    }
+
     /// DS disengagement / termination detection.
     fn maybe_disengage(&mut self, ctx: &mut Context<Envelope>, update: UpdateId) {
         let st = self.state_mut(update);
@@ -620,9 +646,10 @@ impl CoDbNode {
                 self.on_global_quiescence(ctx, update);
             }
         } else {
-            let parent = st.parent.expect("engaged non-initiator has a parent");
             st.engaged = false;
-            st.parent = None;
+            // (No parent: it left the network while this node was engaged
+            // under it, and wrote the credit off as it went.)
+            let Some(parent) = st.parent.take() else { return };
             self.tracer.emit_with(|| TraceEvent::DsAck {
                 peer: self.id.0,
                 to: parent.0,
@@ -777,6 +804,32 @@ pub(crate) mod tests {
             assert!(sent.get(f).is_some_and(|s| s.ptr_eq(f)), "sent cache holds a copy of {f:?}");
             assert!(held.iter().any(|h| h.ptr_eq(f)), "retransmission holds a copy of {f:?}");
         }
+    }
+
+    /// Fifty updates over one link. What each end remembers of the other's
+    /// seqs is what lies above the last base it was told — the last
+    /// update's few messages — where a set of seqs seen would by now hold
+    /// every one of all fifty.
+    #[test]
+    fn the_receive_window_holds_one_update_of_seqs_not_fifty() {
+        let (mut net, src, tgt) = link("person(N, A)");
+        let sequenced = |net: &CoDbNetwork, from: NodeId, to: NodeId| {
+            let next = net.node(from).reliable.next_seq(to);
+            (next, net.node(to).reliable.window_len(from) as u64)
+        };
+        net.run_update(tgt);
+        let one_update = sequenced(&net, src, tgt).0.max(sequenced(&net, tgt, src).0);
+        for round in 0..49i64 {
+            let tuple = tup![format!("n{round}"), round];
+            net.run_control(src, Body::IngestLocal { relation: "emp".to_owned(), tuple });
+            net.run_update(tgt);
+            for (from, to) in [(src, tgt), (tgt, src)] {
+                let (issued, held) = sequenced(&net, from, to);
+                assert!(held <= one_update, "round {round}: {to} holds {held} of {from}'s seqs");
+                assert!(issued >= 2 * (round as u64 + 2), "{from} sent {issued} to {to}");
+            }
+        }
+        assert_eq!(net.node(tgt).ldb().get("person").unwrap().len(), 51);
     }
 
     fn constant(v: impl Into<Value>) -> TField {

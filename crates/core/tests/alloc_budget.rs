@@ -159,11 +159,6 @@ impl Chain {
 ///   report's `received["ab"]` and `sent["bc"]`, a key and a map node each.
 const DATA_HOP_BUDGET: u64 = 19;
 
-/// Beside the budget, what the transport's per-sender set of seqs seen
-/// (`Reliable::seen`, still an ordered set of every seq ever processed) may
-/// ask for when a message is the one its tree splits on: a leaf, a root.
-const SEEN_SET_GROWTH: u64 = 2;
-
 #[test]
 fn the_message_shapes_of_a_wide_update_stay_within_their_allocation_budget() {
     let mut chain = Chain::new();
@@ -172,21 +167,24 @@ fn the_message_shapes_of_a_wide_update_stay_within_their_allocation_budget() {
     // cache and queue; the second is the first of the shape measured.
     chain.update();
     let mut hops = Vec::new();
-    let (mut acks, mut ds_acks, mut ds_ack_allocations) = (0, 0u64, 0);
+    let (mut acks, mut ds_acks) = (0, 0);
     for round in 0..3i64 {
         let tuple = codb_relational::tup![100 + round, 1];
         chain.control(a, Body::IngestLocal { relation: "ta".to_owned(), tuple });
         for d in chain.update() {
             match d.kind {
+                // Bare, it retires a message and may note an engagement;
+                // the link's state has room for both.
                 Kind::Ack => {
                     acks += 1;
                     assert_eq!(d.allocations, 0, "a transport ack allocated: {d:?}");
                 }
+                // The reply that returns a credit, and the sequenced one
+                // of a disengagement: the ring, the window and the deficit
+                // are all the receiver touches.
                 Kind::DsAck => {
                     ds_acks += 1;
-                    ds_ack_allocations += d.allocations;
-                    // Nothing but, now and then, the seen set's next node.
-                    assert!(d.allocations <= SEEN_SET_GROWTH, "a DsAck allocated: {d:?}");
+                    assert_eq!(d.allocations, 0, "a DsAck allocated: {d:?}");
                 }
                 Kind::UpdateData if d.to == b => {
                     assert_eq!((d.firings, &d.firings_out[..]), (1, &[1][..]), "{d:?}");
@@ -196,14 +194,12 @@ fn the_message_shapes_of_a_wide_update_stay_within_their_allocation_budget() {
             }
         }
     }
-    assert!(acks >= 30 && ds_acks >= 12, "{acks} acks, {ds_acks} DsAcks");
-    assert!(ds_ack_allocations * 4 <= ds_acks, "{ds_ack_allocations} over {ds_acks} DsAcks");
+    assert!(acks >= 12 && ds_acks >= 18, "{acks} acks, {ds_acks} DsAcks");
     assert_eq!(hops.len(), 3, "one one-firing hop at b per update");
-    for hop in &hops {
-        assert!(*hop <= DATA_HOP_BUDGET + SEEN_SET_GROWTH, "an UpdateData hop allocated: {hops:?}");
-    }
-    // The seen set cannot have grown under all three.
-    assert!(hops.iter().min() <= Some(&DATA_HOP_BUDGET), "an UpdateData hop allocated: {hops:?}");
+    assert!(
+        hops.iter().all(|hop| *hop <= DATA_HOP_BUDGET),
+        "an UpdateData hop allocated: {hops:?}"
+    );
     // The data arrived: the budget was not met by doing less.
     assert_eq!(chain.nodes[2].ldb().tuple_count(), 23);
 }

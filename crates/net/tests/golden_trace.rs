@@ -150,14 +150,15 @@ fn bucketed_queue_matches_golden_heap_trace() {
     let got = render_trace();
     let want = std::fs::read_to_string(fixture_path())
         .expect("fixture missing — run the ignored `regenerate` test once");
+    // On failure, the first delivery the two schedules disagree at.
+    let diverged = got.lines().zip(want.lines()).position(|(a, b)| a != b);
+    let at = diverged.unwrap_or(got.lines().count().min(want.lines().count()));
     assert!(
         got == want,
-        "delivery schedule diverged from the golden heap-generated trace\n\
-         (first diff at byte {})",
-        got.bytes()
-            .zip(want.bytes())
-            .position(|(a, b)| a != b)
-            .unwrap_or(got.len().min(want.len()))
+        "delivery schedule diverged from the golden heap-generated trace at line {at} \
+         (`time from to bytes`)\n  golden: {:?}\n  now:    {:?}",
+        want.lines().nth(at),
+        got.lines().nth(at),
     );
 }
 

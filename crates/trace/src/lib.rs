@@ -7,8 +7,9 @@
 //! layer of the stack emits typed [`TraceEvent`]s through one shared
 //! [`Tracer`] handle into a pluggable [`TraceSink`], and the read side
 //! turns the recorded stream back into a postmortem — a human-readable
-//! dump, or a summary with per-phase time attribution, per-peer traffic
-//! and an fsync-latency histogram ([`Summary`]).
+//! dump, a summary with per-phase time attribution, per-peer traffic
+//! and an fsync-latency histogram ([`Summary`]), or the difference
+//! between two captures ([`TraceDiff`]).
 //!
 //! ## Wire format
 //!
@@ -35,15 +36,17 @@
 //! for always-on crash forensics, or a [`FileRecorder`] (streaming,
 //! CRC-framed) for full-run profiling.
 
+pub mod diff;
 pub mod event;
 pub mod inspect;
 pub mod reader;
 pub mod sink;
 pub mod tracer;
 
+pub use diff::TraceDiff;
 pub use event::TraceEvent;
 pub use inspect::{fmt_nanos, FsyncHistogram, PeerTraffic, PhaseSummary, Summary};
-pub use reader::{dump, read_trace, read_trace_file, TraceError, TraceFile};
+pub use reader::{dump, read_trace, read_trace_file, render_event, TraceError, TraceFile};
 pub use sink::{FileRecorder, NoopSink, RingRecorder, TraceSink};
 pub use tracer::{host_nanos, Tracer};
 

@@ -1144,7 +1144,9 @@ mod tests {
         let rounds = vec![
             Round {
                 initiator: s.sink(),
-                faults: vec![Fault { at_event: 14, node: NodeId(1), kind: FaultKind::Crash }],
+                // After the victim's own data was credited back, before
+                // node 0's reaches it.
+                faults: vec![Fault { at_event: 9, node: NodeId(1), kind: FaultKind::Crash }],
             },
             Round { initiator: s.sink(), faults: vec![] },
         ];
@@ -1175,7 +1177,9 @@ mod tests {
         let s = Scenario { tuples_per_node: 12, ..Scenario::quick(Topology::Chain(4)) };
         let rounds = vec![Round {
             initiator: s.sink(),
-            faults: vec![Fault { at_event: 16, node: NodeId(1), kind: FaultKind::Crash }],
+            // Event 10 delivers node 0's data to the victim, which applies
+            // and forwards it; node 0's `LinkClosed` is right behind, unacked.
+            faults: vec![Fault { at_event: 10, node: NodeId(1), kind: FaultKind::Crash }],
         }];
         let plan = FaultPlan {
             sync: SyncPolicy::GroupCommit { max_batch: 4, max_records: 32 },

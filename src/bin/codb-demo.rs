@@ -8,6 +8,7 @@
 //!           CONFIG_FILE COMMAND...
 //! codb-demo trace dump FILE
 //! codb-demo trace inspect FILE
+//! codb-demo trace diff A B
 //!
 //! Options:
 //!   --data-dir DIR                durable stores under DIR/<node>; nodes
@@ -42,6 +43,10 @@
 //!   trace dump FILE               print every recorded event
 //!   trace inspect FILE            per-phase time breakdown, per-peer
 //!                                 traffic and fsync histogram
+//!   trace diff A B                the first event at which two captures
+//!                                 disagree, and the per-kind event-count
+//!                                 delta (net events also per payload
+//!                                 size); exits 1 if they differ
 //! ```
 //!
 //! Example:
@@ -55,7 +60,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: codb-demo [--data-dir DIR] [--codec json|binary] \
     [--sync always|never|everyN:N|group[:RECORDS[,BATCH]]] [--trace FILE] CONFIG_FILE COMMAND...\n\
-    \x20      codb-demo trace dump FILE | trace inspect FILE\n\
+    \x20      codb-demo trace dump FILE | trace inspect FILE | trace diff A B\n\
     commands: update NODE | scoped-update NODE REL[,REL] | query NODE 'Q' |\n\
     local-query NODE 'Q' | show NODE | save NODE | recover NODE | stats";
 
@@ -64,23 +69,34 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// `codb-demo trace dump|inspect FILE` — offline readers for a recorded
-/// flight-recorder file; no CONFIG_FILE, no network.
+/// `codb-demo trace dump|inspect FILE`, `trace diff A B` — offline readers
+/// for recorded flight-recorder files; no CONFIG_FILE, no network.
 fn trace_mode(args: &[String]) -> ExitCode {
-    let (Some(sub), Some(path)) = (args.first(), args.get(1)) else {
+    let Some((sub, files)) = args.split_first() else {
         return fail(&format!("trace needs a subcommand and FILE\n{USAGE}"));
     };
-    if args.len() > 2 {
-        return fail(&format!("trace {sub} takes exactly one FILE\n{USAGE}"));
+    let wanted = if sub == "diff" { 2 } else { 1 };
+    if files.len() != wanted {
+        return fail(&format!("trace {sub} takes exactly {wanted} FILE argument(s)\n{USAGE}"));
     }
-    let trace = match codb::trace::read_trace_file(path) {
-        Ok(t) => t,
-        Err(e) => return fail(&format!("cannot read trace {path}: {e}")),
-    };
+    let mut traces = Vec::new();
+    for path in files {
+        match codb::trace::read_trace_file(path) {
+            Ok(t) => traces.push(t),
+            Err(e) => return fail(&format!("cannot read trace {path}: {e}")),
+        }
+    }
     match sub.as_str() {
-        "dump" => print!("{}", codb::trace::dump(&trace)),
-        "inspect" => print!("{}", codb::trace::Summary::from_trace(&trace).render()),
-        other => return fail(&format!("unknown trace subcommand {other:?} (dump|inspect)")),
+        "dump" => print!("{}", codb::trace::dump(&traces[0])),
+        "inspect" => print!("{}", codb::trace::Summary::from_trace(&traces[0]).render()),
+        "diff" => {
+            let diff = codb::trace::TraceDiff::between(&traces[0], &traces[1]);
+            print!("{}", diff.render());
+            if !diff.is_empty() {
+                return ExitCode::FAILURE;
+            }
+        }
+        other => return fail(&format!("unknown trace subcommand {other:?} (dump|inspect|diff)")),
     }
     ExitCode::SUCCESS
 }

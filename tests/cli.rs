@@ -355,6 +355,7 @@ fn usage_text_stays_in_sync_with_accepted_flags() {
         "stats",
         "trace dump",
         "trace inspect",
+        "trace diff",
     ] {
         assert!(usage.contains(cmd), "command {cmd} missing from usage:\n{usage}");
     }
@@ -420,6 +421,43 @@ fn trace_flag_records_and_subcommands_read_back() {
     let out = demo().args(["trace", "dump", config.as_str()]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("magic"));
+}
+
+/// `trace diff` says where two captures part and by how much, exits 1 when
+/// they do, and finds nothing between a capture and itself.
+#[test]
+fn trace_diff_reports_the_first_divergence_and_the_count_deltas() {
+    let config = write_config();
+    let dir = TempDir::new("codb-demo-trace-diff");
+    let record = |name: &str, commands: &[&str]| -> String {
+        let path = std::path::Path::new(dir.as_str()).join(name).to_str().unwrap().to_owned();
+        let out = demo().args(["--trace", &path, config.as_str()]).args(commands).output().unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        path
+    };
+    let short = record("short.trc", &["update", "portal"]);
+    let long =
+        record("long.trc", &["update", "portal", "query", "portal", "ans(N) :- person(N, A)."]);
+
+    let out = demo().args(["trace", "diff", &short, &short]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("identical: "));
+
+    let out = demo().args(["trace", "diff", &short, &long]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "captures that differ exit 1");
+    let diff = String::from_utf8_lossy(&out.stdout).to_string();
+    // The phase markers stamp host time, so two recordings part at the
+    // first one; the counts say what the longer run did more of.
+    for needle in ["first divergence at event ", "  A: ", "  B: ", "per event kind:", "NetSend"] {
+        assert!(diff.contains(needle), "diff misses {needle:?}:\n{diff}");
+    }
+    let phases = diff.lines().find(|l| l.trim_start().starts_with("PhaseBegin")).unwrap();
+    assert!(phases.ends_with("+1"), "the query is one more phase: {phases}");
+    assert!(diff.contains("net events per payload size"), "{diff}");
+
+    let out = demo().args(["trace", "diff", &short]).output().unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("exactly 2 FILE"));
 }
 
 #[test]

@@ -13,8 +13,10 @@
 //! tags, varint encoding, delta-timestamp scheme, block framing or the
 //! recorder's block-seal policy rewrites these bytes and fails here —
 //! which is the prompt to bump the magic, not to silently reinterpret
-//! old traces. Regenerate (only after an *intentional* format change,
-//! and say so in the PR) with:
+//! old traces. So does a protocol change that moves what the run sends;
+//! the failure then says which events moved (`codb-demo trace diff` is
+//! the same report for two files). Regenerate (only after an
+//! *intentional* change of either kind, and say so in the PR) with:
 //!
 //! ```sh
 //! cargo test --test golden_flight -- --ignored regenerate
@@ -102,14 +104,24 @@ fn golden_trace_fixture_is_byte_stable() {
     let got = build_golden_trace(&scratch.path().join("fresh.trc"));
     let want = std::fs::read(fixture_path())
         .expect("fixture missing — run the ignored `regenerate` test once");
-    assert!(
-        got == want,
-        "trace bytes diverged from the committed fixture (first diff at byte {}; got {} bytes, \
-         want {}) — if the format change is intentional, bump the magic and regenerate",
-        got.iter().zip(want.iter()).position(|(a, b)| a != b).unwrap_or(got.len().min(want.len())),
-        got.len(),
-        want.len(),
-    );
+    if got != want {
+        // Say what moved, not that bytes did: the first event the two
+        // captures disagree at, and the per-kind count deltas.
+        let decoded = (read_trace(&want), read_trace(&got));
+        let events = match &decoded {
+            (Ok(want), Ok(got)) => codb::trace::TraceDiff::between(want, got).render(),
+            _ => "(one of the two does not decode)".to_owned(),
+        };
+        let byte = got.iter().zip(&want).position(|(a, b)| a != b);
+        panic!(
+            "the trace (B) diverged from the committed fixture (A), first at byte {} of {} / {} \
+             — if the change is intentional, regenerate, and bump the magic if it is the format \
+             that changed\n{events}",
+            byte.unwrap_or(got.len().min(want.len())),
+            got.len(),
+            want.len(),
+        );
+    }
 }
 
 /// The committed bytes also *mean* the right thing: they decode cleanly,

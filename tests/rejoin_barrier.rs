@@ -42,8 +42,8 @@ fn fixture_path() -> PathBuf {
 
 /// The pinned window-(a) schedule (mirrors the fixed-seed regression in
 /// `codb-workload`): one round, sink-initiated, node 1 killed at event
-/// 16 — empirically inside the window where survivor traffic toward it
-/// is still unacked, so the barrier genuinely engages.
+/// 10 — right after it applied and forwarded node 0's data, with node 0's
+/// `LinkClosed` toward it still unacked, so the barrier genuinely engages.
 fn window_a_plan() -> FaultPlan {
     let s = Scenario { tuples_per_node: 12, ..Scenario::quick(Topology::Chain(4)) };
     FaultPlan {
@@ -55,7 +55,7 @@ fn window_a_plan() -> FaultPlan {
         codec: Codec::Binary,
         rounds: vec![Round {
             initiator: s.sink(),
-            faults: vec![Fault { at_event: 16, node: NodeId(VICTIM), kind: FaultKind::Crash }],
+            faults: vec![Fault { at_event: 10, node: NodeId(VICTIM), kind: FaultKind::Crash }],
         }],
     }
 }
