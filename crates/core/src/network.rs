@@ -221,10 +221,11 @@ impl CoDbNetwork {
         self.run_control(node, Body::StartQuery { query: Box::new(query), fetch });
         let (m1, b1) = self.sim.sent_totals();
         let result = self
-            .node(node)
+            .sim
+            .peer_mut(node.peer())
+            .expect("node exists")
             .completed_queries
-            .get(&query_id)
-            .cloned()
+            .remove(&query_id)
             .expect("query completed at quiescence");
         QueryOutcome {
             query: query_id,

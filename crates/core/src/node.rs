@@ -87,7 +87,10 @@ pub struct CoDbNode {
     /// Who each fetch request in flight was issued for, and the outgoing
     /// link it fetches (its answers must be instances of that rule's head).
     pub(crate) nested_parent: BTreeMap<ReqId, (crate::query::ParentRef, RuleName)>,
-    /// Finished query results, for the harness to collect.
+    /// Finished query results. A result waits here until the driver takes
+    /// it: [`CoDbNetwork::run_query`](crate::CoDbNetwork::run_query)
+    /// removes the one it ran; a harness that injects `StartQuery` itself
+    /// reads (or removes) its own.
     pub completed_queries: BTreeMap<QueryId, QueryResult>,
     /// Peers discovered on the advertisement board (Figure 3 of the
     /// paper: "which other nodes (not acquaintances) it has discovered").

@@ -71,8 +71,19 @@ pub(crate) struct Serving {
     pub rule: RuleName,
     pub overlay: Instance,
     pub pending: BTreeSet<ReqId>,
-    /// Firings already streamed to the requester (instalment diffing).
-    pub sent: FiringSet,
+    /// The first instalment — every firing of the local data — sorted, as
+    /// [`PreparedRule::fire`](codb_relational::PreparedRule::fire) returned
+    /// it: its own record of what was sent, searched rather than hashed.
+    pub first: Vec<RuleFiring>,
+    /// Firings streamed in later instalments (instalment diffing).
+    pub later: FiringSet,
+}
+
+impl Serving {
+    /// Records `firing` as streamed; `false` if it already was.
+    fn stream(&mut self, firing: &RuleFiring) -> bool {
+        self.first.binary_search(firing).is_err() && self.later.insert(firing.clone())
+    }
 }
 
 /// Who a nested fetch request was issued for.
@@ -236,9 +247,11 @@ impl CoDbNode {
         // links" — stream the local instalment now, nested data later.
         let initial =
             link.rule.fire(overlay.as_ref().unwrap_or(&self.ldb)).expect("schema-validated rule");
-        let closed = overlay.is_none();
-        self.post(ctx, from, Body::QueryAnswer { req, firings: initial.clone(), closed });
-        let Some(overlay) = overlay else { return };
+        let Some(overlay) = overlay else {
+            self.post(ctx, from, Body::QueryAnswer { req, firings: initial, closed: true });
+            return;
+        };
+        self.post(ctx, from, Body::QueryAnswer { req, firings: initial.clone(), closed: false });
 
         let mut pending = BTreeSet::new();
         for (nested_rule, source) in links {
@@ -259,7 +272,8 @@ impl CoDbNode {
                 rule,
                 overlay,
                 pending,
-                sent: initial.into_iter().collect(),
+                first: initial,
+                later: FiringSet::default(),
             },
         );
     }
@@ -324,8 +338,8 @@ impl CoDbNode {
                     s.pending.remove(&req);
                 }
                 // Stream the increment, semi-naively: a firing not yet sent
-                // must use a tuple this instalment added, because `sent`
-                // holds every firing of the overlay as it was before.
+                // must use a tuple this instalment added, because what was
+                // sent is every firing of the overlay as it was before.
                 // A rules file may have retired the served link since the
                 // request came: nothing more to fire, the request still
                 // closes.
@@ -337,8 +351,7 @@ impl CoDbNode {
                         .expect("schema-validated rule"),
                     None => Vec::new(),
                 };
-                s.sent.reserve(fresh.len());
-                fresh.retain(|f| s.sent.insert(f.clone()));
+                fresh.retain(|f| s.stream(f));
                 let finished = s.pending.is_empty();
                 let requester = s.requester;
                 let original_req = s.req;

@@ -1118,3 +1118,113 @@ fn rejected_instalment_mid_stream_ships_nothing_and_the_stream_goes_on() {
     assert_eq!(result.answers, vec![tup![1], tup![2], tup![3]]);
     assert_eq!(answer_traffic(&net, &["s", "l"]), (10, 607, vec![2, 1]));
 }
+
+// ---------------------------------------------------------------------
+// The read path keeps what it builds: join indexes live on the LDB's
+// relations, overlays borrow them, and a result leaves with its driver.
+// The pins are on structure — what is built, what is kept — not on time.
+// ---------------------------------------------------------------------
+
+/// `n` nodes in a chain, each with `r(key, join key)` and `s(join key,
+/// join key)`; rule `i` joins the two at node `i` into `r` at node `i+1`.
+fn join_chain_config(n: usize, tuples: usize) -> String {
+    let mut s = String::new();
+    for i in 0..n {
+        s.push_str(&format!(
+            "node node{i}\nschema node{i}: r(int, int)\nschema node{i}: s(int, int)\n"
+        ));
+        s.push_str(&format!("data node{i}: "));
+        for t in 0..tuples {
+            s.push_str(&format!("r({}, {}). ", i * 1000 + t, t % 4));
+        }
+        for k in 0..4 {
+            s.push_str(&format!("s({k}, {}). ", (k + 1) % 4));
+        }
+        s.push('\n');
+    }
+    for i in 0..n - 1 {
+        let j = i + 1;
+        s.push_str(&format!("rule j{i} @ node{i} -> node{j}: r(X, Z) <- r(X, Y), s(Y, Z).\n"));
+    }
+    s
+}
+
+/// Every `(node, relation, column)` of the chain, and whether it is indexed.
+fn indexed_columns(net: &CoDbNetwork, n: usize) -> Vec<(usize, &'static str, usize, bool)> {
+    let mut columns = Vec::new();
+    for i in 0..n {
+        let ldb = net.node(net.node_id(&format!("node{i}")).unwrap()).ldb();
+        for (rel, col) in [("r", 0), ("r", 1), ("s", 0), ("s", 1)] {
+            columns.push((i, rel, col, ldb.get(rel).unwrap().is_indexed(col)));
+        }
+    }
+    columns
+}
+
+#[test]
+fn a_warm_fetch_builds_no_index_and_leaves_the_ldbs_indexes_alone() {
+    use codb_relational::{index_builds, Value};
+    let mut net = build(&join_chain_config(3, 20));
+    let [mid, sink] = ["node1", "node2"].map(|n| net.node_id(n).unwrap());
+    let query = "ans(X, Y) :- r(X, Y).";
+
+    let built = index_builds();
+    let cold = net.run_query_text(sink, query, true).unwrap().result.answers;
+    assert_eq!(cold.len(), 60);
+    assert!(index_builds() > built, "the serving nodes joined");
+    // node1 served through an overlay: a clone of its LDB's relations that
+    // node0's answer was then written into. What the overlay built while
+    // it was still the LDB's twin is the LDB's to keep.
+    let warm_columns = indexed_columns(&net, 3);
+    let at_mid = |rel| warm_columns.iter().any(|&(i, r, _, indexed)| i == 1 && r == rel && indexed);
+    assert!(at_mid("r") && at_mid("s"), "{warm_columns:?}");
+    let key = Value::Int(2);
+    let bucket = |net: &CoDbNetwork| {
+        let r = net.node(mid).ldb().get("r").unwrap();
+        let col = (0..2).find(|col| r.is_indexed(*col)).unwrap();
+        r.matching(col, &key).as_ptr()
+    };
+    let (built, held) = (index_builds(), bucket(&net));
+
+    for _ in 0..3 {
+        assert_eq!(net.run_query_text(sink, query, true).unwrap().result.answers, cold);
+    }
+    assert_eq!(index_builds(), built, "a warm fetch finds every index it probes");
+    assert_eq!(indexed_columns(&net, 3), warm_columns);
+    assert_eq!(bucket(&net), held, "the LDB's index is the one it had");
+    assert_eq!(net.node(mid).ldb().get("r").unwrap().len(), 20, "nothing was materialised");
+}
+
+#[test]
+fn an_ingest_between_two_local_joins_keeps_the_index_up() {
+    use codb_relational::index_builds;
+    let mut net = build(&join_chain_config(3, 20));
+    let sink = net.node_id("node2").unwrap();
+    net.run_update(sink);
+    let join = "ans(X, Z) :- r(X, Y), s(Y, Z).";
+    let before = net.run_query_text(sink, join, false).unwrap().result.answers;
+    assert_eq!(before.len(), 60);
+
+    let built = index_builds();
+    net.run_control(
+        sink,
+        codb_core::Body::IngestLocal { relation: "r".into(), tuple: tup![7777, 3] },
+    );
+    let after = net.run_query_text(sink, join, false).unwrap().result.answers;
+    assert_eq!(after.len(), 61);
+    assert!(after.contains(&tup![7777, 0]));
+    assert_eq!(index_builds(), built, "maintained in place, not rebuilt");
+}
+
+#[test]
+fn a_result_leaves_the_node_with_the_driver_that_ran_the_query() {
+    let mut net = build(&chain_config(3, 4));
+    let last = net.node_id("node2").unwrap();
+    for i in 0..1000 {
+        let outcome = net.run_query_text(last, "ans(X) :- r(X).", i % 100 == 0).unwrap();
+        assert_eq!(outcome.result.answers.len(), if i % 100 == 0 { 4 } else { 0 });
+    }
+    for name in ["node0", "node1", "node2"] {
+        assert!(net.node(net.node_id(name).unwrap()).completed_queries.is_empty());
+    }
+}

@@ -3,9 +3,11 @@
 //! Two evaluators are provided:
 //!
 //! * the production evaluator — greedy atom ordering (most-bound-first,
-//!   then smallest relation), per-atom hash indexes on the first statically
-//!   bound column, comparisons applied as early as their variables are
-//!   bound. It *streams*: `for_each_answer` hands every satisfying
+//!   then smallest relation), candidates looked up through the index the
+//!   relation keeps on the atom's first statically bound column
+//!   ([`Relation::matching`](crate::relation::Relation::matching)),
+//!   comparisons applied as early as their variables are bound. It
+//!   *streams*: `for_each_answer` hands every satisfying
 //!   assignment to a callback as the join reaches it, which is how rule
 //!   firing and [`answer_query`] consume it; [`evaluate_body`] collects the
 //!   same stream into a vector.
@@ -23,7 +25,7 @@ use crate::cq::{Atom, CqBody, Term, Var};
 use crate::instance::Instance;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A (partial) assignment of values to variables, indexed by `Var`.
@@ -201,23 +203,14 @@ impl<'a> Source<'a> {
             Source::Batch(b) => b.iter().for_each(visit),
         }
     }
-
-    fn len(&self) -> usize {
-        match self {
-            Source::Relation(r) => r.len(),
-            Source::Batch(b) => b.len(),
-        }
-    }
 }
 
-/// One scheduled atom with an optional prebuilt index.
+/// One scheduled atom.
 struct Step<'a> {
     atom: &'a Atom,
     source: Source<'a>,
-    /// Column used for index lookup, if one is statically bound.
+    /// Column to look candidates up by, if one is statically bound.
     index_col: Option<usize>,
-    /// value-at-index-col → tuples; built lazily on first use.
-    index: Option<HashMap<Value, Vec<&'a Tuple>>>,
 }
 
 fn build_steps<'a>(
@@ -240,21 +233,21 @@ fn build_steps<'a>(
             Term::Var(v) => bound.contains(v),
         });
         bound.extend(atom.vars());
-        steps.push(Step { atom, source, index_col, index: None });
+        steps.push(Step { atom, source, index_col });
     }
     steps
 }
 
 /// Recursive index-nested-loop join: consumes one planned step, extends the
 /// bindings for each matching candidate tuple, recurses on the rest.
-fn join<'a>(
-    steps: &mut [Step<'a>],
+fn join(
+    steps: &[Step<'_>],
     body: &CqBody,
     bindings: &mut Bindings,
     trail: &mut Vec<Var>,
     out: &mut dyn FnMut(&Bindings),
 ) {
-    let Some((step, rest)) = steps.split_first_mut() else {
+    let Some((step, rest)) = steps.split_first() else {
         if comparisons_hold(body, bindings) {
             out(bindings);
         }
@@ -263,30 +256,24 @@ fn join<'a>(
     let mark = trail.len();
     let atom = step.atom;
 
-    // Index-accelerated path: look up candidates by the bound column value.
-    let probe = step
-        .index_col
-        .and_then(|col| term_value(&atom.terms[col], bindings).map(|key| (col, key.clone())));
-    if let Some((col, _)) = probe {
-        // Build the index lazily, once, when the source is large enough
-        // to make hashing worthwhile.
-        if step.index.is_none() && step.source.len() >= 8 {
-            let mut idx: HashMap<Value, Vec<&Tuple>> = HashMap::new();
-            step.source.for_each(|t| idx.entry(t[col].clone()).or_default().push(t));
-            step.index = Some(idx);
+    // A relation is probed through the index it keeps on the bound column
+    // (built by the first probe, there for every evaluation after it); a
+    // delta batch comes first in the plan and is scanned.
+    let bucket = match (&step.source, step.index_col) {
+        (Source::Relation(r), Some(col)) => {
+            term_value(&atom.terms[col], bindings).map(|key| r.matching(col, key))
         }
-    }
-    // `rest` is the other half of the split, so the candidates are visited
-    // where they lie: in the index bucket, or in the source.
+        _ => None,
+    };
     let visit = |t: &Tuple| {
         if match_atom(atom, t, bindings, trail) && comparisons_hold(body, bindings) {
             join(rest, body, bindings, trail, out);
         }
         undo(bindings, trail, mark);
     };
-    match (&probe, &step.index) {
-        (Some((_, key)), Some(idx)) => idx.get(key).into_iter().flatten().copied().for_each(visit),
-        _ => step.source.for_each(visit),
+    match bucket {
+        Some(candidates) => candidates.iter().for_each(visit),
+        None => step.source.for_each(visit),
     }
 }
 
@@ -384,8 +371,8 @@ fn stream_answers(
         }
         _ => {
             let order = plan_order(body, inst, delta.map(|(i, _)| i));
-            let mut steps = build_steps(body, inst, &order, delta);
-            join(&mut steps, body, &mut bindings, &mut Vec::new(), out);
+            let steps = build_steps(body, inst, &order, delta);
+            join(&steps, body, &mut bindings, &mut Vec::new(), out);
         }
     }
 }
@@ -461,13 +448,15 @@ pub fn answer_query(
     query: &crate::cq::ConjunctiveQuery,
     inst: &Instance,
 ) -> Result<Vec<Tuple>, EvalError> {
-    let mut set: BTreeSet<Tuple> = BTreeSet::new();
+    let mut answers = Vec::new();
     for_each_answer(&query.body, inst, &mut |b| {
-        set.insert(project_atom(&query.head, b, &mut |v| {
+        answers.push(project_atom(&query.head, b, &mut |v| {
             unreachable!("safe query head var {v:?} unbound")
         }));
     })?;
-    Ok(set.into_iter().collect())
+    answers.sort_unstable();
+    answers.dedup();
+    Ok(answers)
 }
 
 /// Certain answers: answers that contain no marked null.
@@ -771,6 +760,19 @@ mod tests {
             ),
             &["X", "Y", "Z"],
         );
+        let built = crate::relation::index_builds();
         assert_eq!(answer_query(&q, &i).unwrap().len(), 200);
+        assert_eq!(crate::relation::index_builds(), built + 1, "one probed column");
+
+        // The index outlives the evaluation: asking again builds nothing,
+        // and neither does asking after an insert on either side of the
+        // join — the owner keeps its index up.
+        assert_eq!(answer_query(&q, &i).unwrap().len(), 200);
+        i.insert("a", tup![500, 501]).unwrap();
+        i.insert("b", tup![501, 502]).unwrap();
+        let answers = answer_query(&q, &i).unwrap();
+        assert_eq!(answers.len(), 201);
+        assert!(answers.contains(&tup![500, 502]));
+        assert_eq!(crate::relation::index_builds(), built + 1);
     }
 }

@@ -111,6 +111,15 @@ impl Instance {
     }
 }
 
+/// The worker pool moves a node, and with it its instance, from thread to
+/// thread: the index slots relations share must not take `Send` away.
+/// (`CoDbNode: Send` is asserted by `Peer`'s supertrait, in `codb-core`.)
+const _: () = {
+    const fn send<T: Send>() {}
+    send::<Relation>();
+    send::<Instance>();
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -51,7 +51,7 @@ pub use glav::{apply_firings, FiringSet, GlavRule, Prehashed, PreparedRule, Rule
 pub use instance::Instance;
 pub use iso::{homomorphic, isomorphic};
 pub use parser::{parse_facts, parse_query, parse_rule, ParseError};
-pub use relation::Relation;
+pub use relation::{index_builds, Relation};
 pub use schema::{Column, DatabaseSchema, RelationSchema, SchemaError};
 pub use snapshot::{Snapshot, SnapshotError};
 pub use tuple::Tuple;
