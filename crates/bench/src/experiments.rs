@@ -432,11 +432,22 @@ fn e14() -> Table {
 }
 
 /// E15 — incremental repeated updates: persistent sender caches vs
-/// re-shipping everything.
+/// re-shipping everything. "2nd evaluated" is what the second update's
+/// rule bodies produced before sent-side dedup: with the caches every link
+/// is caught up and nothing was inserted, so nothing is evaluated; without
+/// them every link fires whole again.
 fn e15() -> Table {
     let mut t = Table::new(
         "E15 — repeated updates: incremental vs full re-send (chain-8, 500 tuples/node)",
-        &["mode", "1st msgs", "2nd msgs", "2nd data msgs", "2nd bytes", "2nd tuples"],
+        &[
+            "mode",
+            "1st msgs",
+            "2nd msgs",
+            "2nd data msgs",
+            "2nd bytes",
+            "2nd tuples",
+            "2nd evaluated",
+        ],
     );
     for (name, incremental) in [("incremental", true), ("full re-send", false)] {
         let s = scenario(Topology::Chain(8), 500);
@@ -453,6 +464,7 @@ fn e15() -> Table {
             second.summary.data_messages.to_string(),
             second.bytes.to_string(),
             second.summary.tuples_added.to_string(),
+            second.summary.evaluated.to_string(),
         ]);
     }
     t

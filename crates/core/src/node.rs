@@ -13,10 +13,10 @@ use crate::messages::{Body, Envelope};
 use crate::query::{QueryExec, QueryResult, Serving};
 use crate::reliable::{Answer, Owed, Receipt, Reliable};
 use crate::rules::{CoordinationRule, RuleBook};
-use crate::stats::{Kind, NetworkReport, NodeReport};
-use crate::update::UpdateState;
+use crate::stats::{by_name, Kind, NetworkReport, NodeReport};
+use crate::update::{SentCache, UpdateState};
 use codb_net::{Context, Peer, PeerId, PipeConfig, SimTime};
-use codb_relational::{ConjunctiveQuery, DatabaseSchema, FiringSet, Instance, NullFactory, Tuple};
+use codb_relational::{ConjunctiveQuery, DatabaseSchema, Instance, NullFactory, Tuple};
 use codb_trace::Tracer;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -73,10 +73,10 @@ pub struct CoDbNode {
     // ---- update engine ----
     pub(crate) updates: BTreeMap<UpdateId, UpdateState>,
     pub(crate) next_update_seq: u64,
-    /// Sender-side firing caches, per link of `book` (indexed by
-    /// [`crate::rules::LinkId`]): under key `None` in incremental mode,
-    /// `Some(update)` otherwise.
-    pub(crate) sent_cache: Vec<BTreeMap<Option<UpdateId>, FiringSet>>,
+    /// What the sender side remembers per link of `book` (indexed by
+    /// [`crate::rules::LinkId`]): the firings already shipped, and whether
+    /// the link is caught up.
+    pub(crate) sent_cache: Vec<SentCache>,
     /// Receiver-side per-link template caches (always cross-update).
     pub(crate) recv_cache: codb_store::RecvCaches,
     // ---- query engine ----
@@ -120,6 +120,12 @@ pub struct CoDbNode {
     /// Flight-recorder handle (disabled by default): update applies, rule
     /// firings, DS credit movements and rejoin steps emit typed events.
     pub(crate) tracer: Tracer,
+    // ---- update engine, between updates ----
+    /// The tuples [`CoDbNode::insert_local`] added since the last update
+    /// start, per relation: all a caught-up link has left to fire
+    /// ([`crate::update`], "What an update start fires"). Never more than
+    /// half the LDB.
+    pub(crate) unfired: BTreeMap<String, Vec<Tuple>>,
 }
 
 impl CoDbNode {
@@ -145,7 +151,7 @@ impl CoDbNode {
             ldb,
             schema,
             nulls: NullFactory::new(id.0),
-            sent_cache: vec![BTreeMap::new(); book.len()],
+            sent_cache: vec![SentCache::default(); book.len()],
             book: Arc::new(book),
             settings,
             config_version: 0,
@@ -170,6 +176,7 @@ impl CoDbNode {
             persist: None,
             persist_error: None,
             tracer: Tracer::disabled(),
+            unfired: BTreeMap::new(),
         }
     }
 
@@ -256,6 +263,18 @@ impl CoDbNode {
     pub fn restore(&mut self, snapshot: codb_relational::Snapshot) {
         self.ldb = snapshot.instance;
         self.nulls = snapshot.nulls;
+        self.forget_caught_up();
+    }
+
+    /// No link is caught up any more, and the log of local inserts that
+    /// only a caught-up link reads is dropped: the next update start fires
+    /// every link whole. For an LDB that was replaced under the links, and
+    /// for a log that outgrew its bound.
+    pub(crate) fn forget_caught_up(&mut self) {
+        for cache in &mut self.sent_cache {
+            cache.caught_up = false;
+        }
+        self.unfired.clear();
     }
 
     /// Opens durable persistence rooted at `dir`: recovers existing state
@@ -307,6 +326,7 @@ impl CoDbNode {
             self.ldb = recovered.instance;
             self.nulls = recovered.nulls;
             self.recv_cache = recovered.recv_cache;
+            self.forget_caught_up();
             // Resume (not restart) the protocol id space: the persisted
             // counters pick up where the dead incarnation stopped, so a
             // recovered node can initiate updates and queries again.
@@ -419,10 +439,22 @@ impl CoDbNode {
             relation: relation.to_owned(),
             tuple: tuple.clone(),
         });
+        // (Without `incremental_updates` no link is ever caught up, and
+        // nothing would read the log.)
+        let unfired = self.settings.incremental_updates.then(|| tuple.clone());
         let added = self.ldb.insert(relation, tuple)?;
         if added {
             if let Some(record) = record {
                 self.log_wal(record);
+            }
+            if let Some(tuple) = unfired {
+                by_name(&mut self.unfired, relation).push(tuple);
+                // Past half the LDB a whole fire costs no more than the
+                // log's: the bound is a rule, not a knob.
+                let logged: usize = self.unfired.values().map(Vec::len).sum();
+                if logged * 2 > self.ldb.tuple_count() {
+                    self.forget_caught_up();
+                }
             }
         }
         Ok(added)

@@ -17,10 +17,14 @@
 //!    acquaintance.
 //! 2. Each neighbor, on a *strictly newer* epoch than it has processed
 //!    for that peer, drops every sent-cache entry for links **targeting**
-//!    the rejoined node — the next update falls back to one full re-send
-//!    on those links (the rejoined node's recovered receive caches
-//!    suppress everything it still holds) and incremental deltas resume
-//!    from there. It answers [`Body::RejoinAck`] echoing the epoch.
+//!    the rejoined node, answers [`Body::RejoinAck`] echoing the epoch,
+//!    and at once re-fires those links over its whole LDB as
+//!    [`Body::RejoinRepair`] — one full re-send, of which the rejoined
+//!    node's recovered receive caches suppress everything it still
+//!    holds. The re-send goes through the emptied caches, so it re-primes
+//!    them and leaves the links *caught up* ([`crate::update`], "What an
+//!    update start fires"): the next update ships, and evaluates, deltas
+//!    only.
 //! 3. The rejoined node counts acks for its *current* epoch only; a
 //!    stale ack from an earlier incarnation's handshake is ignored, just
 //!    like a stale `Rejoin` (epoch ≤ the highest processed) invalidates
@@ -91,12 +95,15 @@ impl CoDbNode {
     }
 
     /// Re-fires every incoming link targeting `peer` over the full LDB and
-    /// ships the non-empty remainders as [`Body::RejoinRepair`].
+    /// ships the non-empty remainders as [`Body::RejoinRepair`]. Where a
+    /// sent cache is kept the whole view has now been through it: the link
+    /// is caught up.
     fn send_rejoin_repair(&mut self, ctx: &mut Context<Envelope>, peer: NodeId) {
         let book = Arc::clone(&self.book);
         for &id in book.incoming().iter().filter(|id| book.link(**id).target == peer) {
             let firings = book.link(id).rule.fire(&self.ldb).expect("schema-validated rule");
             self.post_repair(ctx, id, firings);
+            self.sent_cache[id.index()].caught_up = self.settings.incremental_updates;
         }
     }
 
@@ -170,7 +177,8 @@ impl CoDbNode {
     }
 
     /// Drops every sent-cache entry (incremental and per-update keyed)
-    /// for links whose target is `peer`. Returns how many entries went.
+    /// for links whose target is `peer`, and with it the link's caught-up
+    /// mark. Returns how many entries went.
     pub(crate) fn invalidate_sent_caches_toward(&mut self, peer: NodeId) -> usize {
         let toward = self.book.incoming().iter().filter(|id| self.book.link(**id).target == peer);
         toward.map(|id| std::mem::take(&mut self.sent_cache[id.index()]).len()).sum()
@@ -201,7 +209,7 @@ mod tests {
     use crate::ids::UpdateId;
     use crate::node::NodeSettings;
     use codb_net::{Command, PeerId, SimTime};
-    use std::collections::{BTreeMap, VecDeque};
+    use std::collections::VecDeque;
 
     /// hub feeds both spoke1 and spoke2; spoke1 also feeds hub (so the
     /// hub has one *outgoing* link, proving those caches are untouched).
@@ -293,7 +301,24 @@ mod tests {
             }
             other => panic!("expected RejoinRepair, got {other:?}"),
         }
-        let _ = spoke2;
+        // The whole view went through the emptied cache: `to1` is caught
+        // up, and the next update start fires only what is inserted from
+        // here on. Nothing told `to2` anything.
+        assert!(node.caught_up("to1") && !node.caught_up("to2"));
+        // What drops the cache drops the mark: they are one value.
+        assert_eq!(node.invalidate_sent_caches_toward(spoke1), 1);
+        assert!(!node.caught_up("to1"));
+        assert_eq!(node.invalidate_sent_caches_toward(spoke2), 1);
+    }
+
+    #[test]
+    fn a_repair_without_sent_caches_leaves_no_link_caught_up() {
+        let (mut node, spoke1, _) = hub();
+        node.settings.incremental_updates = false;
+        let mut cmds = Commands::new();
+        node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 1);
+        assert!(sends(&mut cmds).iter().any(|(_, b)| matches!(b, Body::RejoinRepair { .. })));
+        assert!(node.sent_cache.iter().all(crate::update::SentCache::is_empty));
     }
 
     #[test]
@@ -371,7 +396,7 @@ mod tests {
         // the peer's previous life, or never exchanged data): nothing to
         // invalidate, but the epoch is recorded and the ack still flows.
         let (mut node, spoke1, _) = hub();
-        assert!(node.sent_cache.iter().all(BTreeMap::is_empty));
+        assert!(node.sent_cache.iter().all(crate::update::SentCache::is_empty));
         let mut cmds = Commands::new();
         node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 5);
         assert_eq!(node.rejoin_epochs[&spoke1], 5);

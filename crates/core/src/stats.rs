@@ -92,6 +92,10 @@ pub struct UpdateReport {
     pub received: BTreeMap<RuleName, RuleTraffic>,
     /// Data sent per incoming link.
     pub sent: BTreeMap<RuleName, RuleTraffic>,
+    /// Firings this node's rule bodies produced for the update, before the
+    /// sent-side dedup threw away those already shipped: what the update
+    /// *evaluated* to send what `sent` counts.
+    pub evaluated: u64,
     /// Tuples actually added to the LDB by this update.
     pub tuples_added: u64,
     /// Longest update-propagation path observed (hops of the deepest
@@ -114,6 +118,7 @@ impl UpdateReport {
             completed_at: None,
             received: BTreeMap::new(),
             sent: BTreeMap::new(),
+            evaluated: 0,
             tuples_added: 0,
             longest_path: 0,
             requests_received: 0,
@@ -395,6 +400,9 @@ pub struct UpdateSummary {
     pub firings: u64,
     /// Total data bytes moved.
     pub data_bytes: u64,
+    /// Total firings evaluated network-wide, before sent-side dedup
+    /// ([`UpdateReport::evaluated`]).
+    pub evaluated: u64,
     /// Total tuples materialised network-wide.
     pub tuples_added: u64,
     /// Longest update propagation path anywhere.
@@ -465,6 +473,7 @@ impl UpdateSummary {
                 agg.firings += t.firings;
                 agg.bytes += t.bytes;
             }
+            summary.evaluated += r.evaluated;
             summary.tuples_added += r.tuples_added;
             summary.longest_path = summary.longest_path.max(r.longest_path);
             summary.truncated |= r.truncated;
@@ -681,7 +690,8 @@ mod tests {
                 r#"{"ldb_tuples":3,"messages_received":[["data_rejected",1],["ds_ack",1]],"#,
                 r#""messages_sent":[["ack",1],["retransmit",1],["update_data",2]],"node":7,"#,
                 r#""queries":[],"updates":[[{"epoch":0,"origin":0,"seq":0},{"closed_at":null,"#,
-                r#""completed_at":null,"longest_path":0,"received":[["r1",{"bytes":100,"#,
+                r#""completed_at":null,"evaluated":0,"longest_path":0,"received":[["r1","#,
+                r#"{"bytes":100,"#,
                 r#""firings":2,"messages":1}]],"requests_received":0,"sent":[],"#,
                 r#""started_at":2000000,"truncated":false,"tuples_added":0,"#,
                 r#""update":{"epoch":0,"origin":0,"seq":0}}]]}"#

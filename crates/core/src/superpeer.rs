@@ -17,8 +17,9 @@ use crate::messages::{Body, Envelope};
 use crate::node::CoDbNode;
 use crate::rules::RuleBook;
 use crate::stats::Kind;
+use crate::update::SentCache;
 use codb_net::Context;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 impl CoDbNode {
@@ -109,15 +110,15 @@ impl CoDbNode {
     /// update in flight follows its links to their new ids by name (a
     /// vanished link's state goes, so late traffic for it finds no link and
     /// is dropped at the name lookup), and the sent caches start empty at
-    /// the new size. Both firing caches are dropped whatever their keys:
-    /// rule names may be reused with different endpoints after a
-    /// reconfiguration.
+    /// the new size — no link of the new book is caught up. Both firing
+    /// caches are dropped whatever their keys: rule names may be reused
+    /// with different endpoints after a reconfiguration.
     pub(crate) fn install_book(&mut self, book: RuleBook) -> Arc<RuleBook> {
         let old = std::mem::replace(&mut self.book, Arc::new(book));
         for st in self.updates.values_mut() {
             st.renumber(&old, &self.book);
         }
-        self.sent_cache = vec![BTreeMap::new(); self.book.len()];
+        self.sent_cache = vec![SentCache::default(); self.book.len()];
         self.recv_cache.clear();
         old
     }
@@ -314,7 +315,7 @@ mod tests {
             (3, true, Some(a)),
             "DS state is not per link"
         );
-        assert!(node.sent_cache.iter().all(BTreeMap::is_empty) && node.recv_cache.is_empty());
+        assert!(node.sent_cache.iter().all(SentCache::is_empty) && node.recv_cache.is_empty());
         assert_eq!(node.sent_cache.len(), book.len());
 
         // Late traffic for the vanished rule: dropped at the name lookup,

@@ -30,6 +30,29 @@
 //!    deficit is zero. When the initiator's deficit reaches zero the whole
 //!    computation is quiescent: it floods `UpdateComplete`, which
 //!    force-closes the links cyclic dependencies kept open.
+//!
+//! ## What an update start fires
+//!
+//! The paper's start executes every incoming link over the whole LDB and
+//! deletes what was already sent. With the cross-update sent caches
+//! (`incremental_updates`) nearly all of that is deleted again, so each
+//! link also remembers one bit beside its cache, *caught up*
+//! (`SentCache`): every firing of the link over the LDB as it stood when
+//! the bit was set has been through the link's cross-update cache. The
+//! node logs what [`CoDbNode::insert_local`] adds after that
+//! (`CoDbNode::unfired`), and the start of the next update fires a
+//! caught-up link over that log alone — the same semi-naive
+//! `fire_deltas` that data arriving mid-update goes through — and every
+//! other link whole, as the paper does; then it sets the bits and clears
+//! the log.
+//!
+//! Data that *arrives* needs no log: `propagate_deltas` and the
+//! rejoin repair cascade put it through every dependent link's cache the
+//! moment it is applied. Where they do not, the link's bit is cleared
+//! instead: the hop-limit valve, a scoped update passing over a link
+//! nobody demanded, and firings dropped for a link already closed. What
+//! drops a cache drops its bit (they are one value), and an LDB replaced
+//! under the links ([`CoDbNode::restore`], recovery) clears every bit.
 
 use crate::ids::{NodeId, RuleName, UpdateId};
 use crate::messages::{Body, Envelope};
@@ -37,7 +60,7 @@ use crate::node::CoDbNode;
 use crate::rules::{LinkId, RuleBook};
 use crate::stats::{by_name, Kind};
 use codb_net::{Context, SimTime};
-use codb_relational::{RuleFiring, Tuple};
+use codb_relational::{FiringSet, RuleFiring, Tuple};
 use codb_trace::TraceEvent;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -62,6 +85,33 @@ pub struct LinkState {
     /// A close notification whose data has not fully arrived yet: the
     /// data message count it expects.
     pub pending_close: Option<u64>,
+}
+
+/// What the sender side of one incoming link remembers from update to
+/// update. One value, so that whatever drops the firings drops the mark
+/// with them.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SentCache {
+    /// The firings already shipped: under key `None` in incremental mode,
+    /// `Some(update)` otherwise.
+    sets: BTreeMap<Option<UpdateId>, FiringSet>,
+    /// Every firing of the link over the LDB as it stood when this was set
+    /// has been through `sets[&None]` (module docs, "What an update start
+    /// fires"). Never set without `incremental_updates`.
+    pub(crate) caught_up: bool,
+}
+
+impl SentCache {
+    /// How many firing sets are kept.
+    pub(crate) fn len(&self) -> usize {
+        self.sets.len()
+    }
+
+    /// True iff nothing is remembered: no firing set, and not caught up.
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.sets.is_empty() && !self.caught_up
+    }
 }
 
 /// Per-update state at one node.
@@ -231,9 +281,14 @@ impl CoDbNode {
         if std::mem::replace(&mut st.link_mut(id).active_in, true) {
             return; // already serving this link
         }
-        // Initial shipment.
+        // Initial shipment: all a caught-up link has not shipped is in the
+        // log, which stays for the links this update does not reach.
         let link = book.link(id);
-        let firings = link.rule.fire(&self.ldb).expect("schema-validated rule");
+        let firings = if self.sent_cache[id.index()].caught_up {
+            self.fire_link_deltas(id, &self.unfired)
+        } else {
+            link.rule.fire(&self.ldb).expect("schema-validated rule")
+        };
         self.send_link_data(ctx, update, id, firings, 1);
         // Recursive demand for the body's inputs.
         let body_rels: BTreeSet<String> =
@@ -299,10 +354,20 @@ impl CoDbNode {
         }
         st.request_seen = true;
 
-        // Initial execution of every incoming link over the current LDB.
+        // Initial execution of every incoming link: over what the node
+        // inserted since the last start where the link is caught up, over
+        // the whole LDB where it is not.
         let book = Arc::clone(&self.book);
+        let unfired = std::mem::take(&mut self.unfired);
         for &id in book.incoming() {
-            let firings = book.link(id).rule.fire(&self.ldb).expect("schema-validated rule");
+            let cache = &mut self.sent_cache[id.index()];
+            let whole = !std::mem::replace(&mut cache.caught_up, self.settings.incremental_updates);
+            let firings = if whole {
+                book.link(id).rule.fire(&self.ldb).expect("schema-validated rule")
+            } else {
+                self.fire_link_deltas(id, &unfired)
+            };
+            // (Which takes the mark back if it drops the firings.)
             self.send_link_data(ctx, update, id, firings, 1);
         }
 
@@ -354,8 +419,12 @@ impl CoDbNode {
             let rep = self.report.update_mut(update, now);
             rep.tuples_added += added;
             if hops >= self.settings.max_hops {
-                // Chase safety valve.
+                // Chase safety valve: the links reading these tuples have
+                // now not fired over all of the LDB.
                 rep.truncated = true;
+                for id in self.links_reading(&deltas) {
+                    self.sent_cache[id.index()].caught_up = false;
+                }
             } else {
                 // Re-compute dependent incoming links by substituting
                 // R with T'.
@@ -449,6 +518,8 @@ impl CoDbNode {
         for id in self.links_reading(deltas) {
             let st = &self.updates[&update];
             if st.scoped && !st.link(id).active_in {
+                // Nobody demanded the link: it misses these tuples.
+                self.sent_cache[id.index()].caught_up = false;
                 continue;
             }
             let firings = self.fire_link_deltas(id, deltas);
@@ -475,9 +546,9 @@ impl CoDbNode {
         &mut self,
         link: LinkId,
         update: Option<UpdateId>,
-    ) -> &mut codb_relational::FiringSet {
+    ) -> &mut FiringSet {
         let key = update.filter(|_| !self.settings.incremental_updates);
-        self.sent_cache[link.index()].entry(key).or_default()
+        self.sent_cache[link.index()].sets.entry(key).or_default()
     }
 
     /// Filters `firings` against the sent cache for incoming link `link`
@@ -490,12 +561,19 @@ impl CoDbNode {
         firings: Vec<RuleFiring>,
         hops: u64,
     ) {
+        if firings.is_empty() {
+            return;
+        }
+        let evaluated = firings.len() as u64;
         let st = self.state_mut(update);
         if st.link(link).in_closed {
             // Only reachable once the update has completed (all in-flight
             // messages are processed before DS quiescence, so new data for
-            // a link closed by the paper's rule cannot exist).
+            // a link closed by the paper's rule cannot exist). The firings
+            // never reach the cache: the link is behind from here on.
             debug_assert!(st.complete, "data produced for closed incoming link {link:?}");
+            self.sent_cache[link.index()].caught_up = false;
+            self.report.update_mut(update, ctx.now()).evaluated += evaluated;
             return;
         }
         // The paper's sent-side dedup ("we delete from Ri those tuples
@@ -504,15 +582,16 @@ impl CoDbNode {
         cache.reserve(firings.len());
         let mut fresh = firings;
         fresh.retain(|f| cache.insert(f.clone()));
+        let report = self.report.update_mut(update, ctx.now());
+        report.evaluated += evaluated;
         if fresh.is_empty() {
             return;
         }
         let bytes: usize = fresh.iter().map(RuleFiring::size_bytes).sum();
-        self.state_mut(update).link_mut(link).data_sent += 1;
         let book = Arc::clone(&self.book);
         let (name, target) = (&book.link(link).name, book.link(link).target);
-        by_name(&mut self.report.update_mut(update, ctx.now()).sent, name)
-            .record(fresh.len() as u64, bytes as u64);
+        by_name(&mut report.sent, name).record(fresh.len() as u64, bytes as u64);
+        self.state_mut(update).link_mut(link).data_sent += 1;
         self.tracer.emit_with(|| TraceEvent::RuleFire {
             peer: self.id.0,
             link: target.0,
@@ -718,12 +797,14 @@ pub(crate) mod tests {
     impl CoDbNode {
         /// The sent cache of incoming link `rule` under `key`, if one was
         /// ever made.
-        pub(crate) fn sent_cached(
-            &self,
-            rule: &str,
-            key: Option<UpdateId>,
-        ) -> Option<&codb_relational::FiringSet> {
-            self.sent_cache[self.book.incoming_named(rule)?.index()].get(&key)
+        pub(crate) fn sent_cached(&self, rule: &str, key: Option<UpdateId>) -> Option<&FiringSet> {
+            self.sent_cache[self.book.incoming_named(rule)?.index()].sets.get(&key)
+        }
+
+        /// Whether incoming link `rule` is caught up.
+        pub(crate) fn caught_up(&self, rule: &str) -> bool {
+            self.sent_cache[self.book.incoming_named(rule).expect("an incoming link").index()]
+                .caught_up
         }
 
         /// The same, made on first touch.
@@ -731,9 +812,9 @@ pub(crate) mod tests {
             &mut self,
             rule: &str,
             key: Option<UpdateId>,
-        ) -> &mut codb_relational::FiringSet {
+        ) -> &mut FiringSet {
             let link = self.book.incoming_named(rule).expect("an incoming link");
-            self.sent_cache[link.index()].entry(key).or_default()
+            self.sent_cache[link.index()].sets.entry(key).or_default()
         }
     }
 
@@ -915,6 +996,180 @@ pub(crate) mod tests {
                 assert_eq!(net.node(tgt).ldb(), &ldb, "{case}");
             }
         }
+    }
+
+    /// `mid` of `up -> mid`, `mid -> a`, `mid -> b`: one link it imports
+    /// on, two it exports on, both reading what the first writes.
+    const FORK: &str = r#"
+        node up
+        node mid
+        node a
+        node b
+        schema up: u(int)
+        schema mid: m(int)
+        schema a: ta(int)
+        schema b: tb(int)
+        data mid: m(1). m(2).
+        rule feed @ up -> mid: m(X) <- u(X).
+        rule to_a @ mid -> a: ta(X) <- m(X).
+        rule to_b @ mid -> b: tb(X) <- m(X).
+    "#;
+
+    /// `mid` alone, its wire in hand: what it sends, by rule, as the
+    /// `m`-values of the firings.
+    struct Mid {
+        node: CoDbNode,
+        up: NodeId,
+        commands: std::collections::VecDeque<codb_net::Command<Envelope>>,
+    }
+
+    impl Mid {
+        fn new(settings: crate::NodeSettings) -> Mid {
+            let config = NetworkConfig::parse(FORK).unwrap();
+            let node = CoDbNode::from_config(&config.nodes[1], &config.rules, settings);
+            Mid { node, up: config.nodes[0].id, commands: Default::default() }
+        }
+
+        /// Delivers `body` from `up`; returns the data `mid` sent for it.
+        fn deliver(&mut self, body: Body) -> Vec<(String, Vec<i64>)> {
+            let id = self.node.id.peer();
+            let mut ctx = Context::new(id, SimTime::ZERO, &[], &mut self.commands);
+            codb_net::Peer::on_message(
+                &mut self.node,
+                &mut ctx,
+                self.up.peer(),
+                Envelope::control(body),
+            );
+            let sent = self.commands.drain(..).filter_map(|c| match c {
+                codb_net::Command::Send {
+                    msg: Envelope { body: Body::UpdateData { rule, firings, .. }, .. },
+                    ..
+                } => Some((rule, firings.iter().map(value_of).collect())),
+                _ => None,
+            });
+            sent.collect()
+        }
+
+        fn data(update: UpdateId, k: i64, hops: u64) -> Body {
+            let firings = vec![RuleFiring::new([("m", vec![constant(k)])])];
+            Body::UpdateData { update, rule: "feed".to_owned(), firings, hops }
+        }
+
+        fn caught_up(&self) -> [bool; 2] {
+            ["to_a", "to_b"].map(|rule| self.node.caught_up(rule))
+        }
+    }
+
+    /// The one constant of a one-column firing.
+    fn value_of(f: &RuleFiring) -> i64 {
+        match f.atoms().first().map(|(_, fields)| &fields[0]) {
+            Some(TField::Const(Value::Int(k))) => *k,
+            other => panic!("not a one-int firing: {other:?}"),
+        }
+    }
+
+    fn update(seq: u64) -> UpdateId {
+        UpdateId { origin: NodeId(0), epoch: 0, seq }
+    }
+
+    fn both(values: &[i64]) -> Vec<(String, Vec<i64>)> {
+        vec![("to_a".to_owned(), values.to_vec()), ("to_b".to_owned(), values.to_vec())]
+    }
+
+    /// A start fire leaves the links caught up: the next start fires the
+    /// log of local inserts and nothing else, and arrivals in between went
+    /// through the caches as they came.
+    #[test]
+    fn a_caught_up_link_fires_the_log_and_an_arrival_needs_none() {
+        let mut mid = Mid::new(Default::default());
+        assert_eq!(mid.caught_up(), [false, false]);
+        assert_eq!(mid.deliver(Body::UpdateRequest { update: update(0) }), both(&[1, 2]));
+        assert_eq!(mid.caught_up(), [true, true]);
+        assert_eq!(mid.deliver(Mid::data(update(0), 3, 1)), both(&[3]));
+        mid.deliver(Body::UpdateComplete { update: update(0) });
+
+        mid.node.insert_local("m", tup![4]).unwrap();
+        assert_eq!(mid.node.unfired["m"], [tup![4]]);
+        assert_eq!(mid.deliver(Body::UpdateRequest { update: update(1) }), both(&[4]));
+        assert!(mid.node.unfired.is_empty());
+        assert_eq!(mid.node.report().updates[&update(1)].evaluated, 2);
+        assert_eq!(mid.deliver(Body::UpdateRequest { update: update(2) }), []);
+        assert_eq!(mid.node.report().updates[&update(2)].evaluated, 0);
+    }
+
+    /// The three places where applied data does *not* reach a dependent
+    /// link's cache each take the link's mark back, so the next start
+    /// fires it whole and ships what was held.
+    #[test]
+    fn data_that_bypasses_a_link_leaves_it_behind_until_a_whole_fire() {
+        // The valve: data at the hop limit is applied and goes no further.
+        let mut mid = Mid::new(crate::NodeSettings { max_hops: 2, ..Default::default() });
+        mid.deliver(Body::UpdateRequest { update: update(0) });
+        assert_eq!(mid.deliver(Mid::data(update(0), 3, 2)), []);
+        assert_eq!(mid.caught_up(), [false, false]);
+        assert!(mid.node.report().updates[&update(0)].truncated);
+        assert_eq!(mid.deliver(Body::UpdateRequest { update: update(1) }), both(&[3]));
+        assert_eq!(mid.caught_up(), [true, true]);
+
+        // A scoped update that demanded `to_a` only: `to_b` misses what it
+        // brings in.
+        let mut mid = Mid::new(Default::default());
+        mid.deliver(Body::UpdateRequest { update: update(0) });
+        mid.deliver(Body::UpdateComplete { update: update(0) });
+        let demand = Body::DemandLink { update: update(1), rule: "to_a".to_owned() };
+        assert_eq!(mid.deliver(demand), [], "caught up and nothing logged: nothing to ship");
+        assert_eq!(mid.deliver(Mid::data(update(1), 3, 1)), [("to_a".to_owned(), vec![3])]);
+        assert_eq!(mid.caught_up(), [true, false]);
+        mid.deliver(Body::UpdateComplete { update: update(1) });
+        let next = mid.deliver(Body::UpdateRequest { update: update(2) });
+        assert_eq!(next, [("to_b".to_owned(), vec![3])]);
+
+        // Data for an update that has completed here: applied, and dropped
+        // for the closed links before it reaches their caches. (No harness
+        // run reaches this: Dijkstra–Scholten completes an update after
+        // its last data message. A peer presumed dead that was not can.)
+        let mut mid = Mid::new(Default::default());
+        mid.deliver(Body::UpdateRequest { update: update(0) });
+        mid.deliver(Body::UpdateComplete { update: update(0) });
+        assert_eq!(mid.deliver(Mid::data(update(0), 3, 1)), []);
+        assert!(mid.node.ldb().get("m").unwrap().contains(&tup![3]));
+        assert_eq!(mid.caught_up(), [false, false]);
+        assert_eq!(mid.deliver(Body::UpdateRequest { update: update(1) }), both(&[3]));
+    }
+
+    /// A demand reads the log for a caught-up link and leaves it for the
+    /// links the scoped update does not reach.
+    #[test]
+    fn a_demand_reads_the_log_and_does_not_clear_it() {
+        let mut mid = Mid::new(Default::default());
+        mid.deliver(Body::UpdateRequest { update: update(0) });
+        mid.deliver(Body::UpdateComplete { update: update(0) });
+        mid.node.insert_local("m", tup![4]).unwrap();
+        let demand = Body::DemandLink { update: update(1), rule: "to_a".to_owned() };
+        assert_eq!(mid.deliver(demand), [("to_a".to_owned(), vec![4])]);
+        assert_eq!(mid.node.unfired["m"], [tup![4]]);
+        mid.deliver(Body::UpdateComplete { update: update(1) });
+        let next = mid.deliver(Body::UpdateRequest { update: update(2) });
+        assert_eq!(next, [("to_b".to_owned(), vec![4])], "to_a's went through its cache");
+    }
+
+    /// Whatever replaces the LDB under the links, or the links themselves,
+    /// takes every mark and the log with it.
+    #[test]
+    fn a_replaced_ldb_or_book_leaves_no_link_caught_up() {
+        let mut mid = Mid::new(Default::default());
+        mid.deliver(Body::UpdateRequest { update: update(0) });
+        mid.node.insert_local("m", tup![4]).unwrap();
+        let snapshot = mid.node.snapshot();
+        mid.node.restore(snapshot);
+        assert_eq!(mid.caught_up(), [false, false]);
+        assert!(mid.node.unfired.is_empty());
+
+        mid.deliver(Body::UpdateRequest { update: update(1) });
+        assert_eq!(mid.caught_up(), [true, true]);
+        let config = NetworkConfig::parse(FORK).unwrap();
+        mid.node.install_book(RuleBook::for_node(mid.node.id, &config.rules));
+        assert_eq!(mid.caught_up(), [false, false]);
     }
 
     /// A receive cache read back from disk is made of other allocations
