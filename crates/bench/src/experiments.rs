@@ -431,40 +431,37 @@ fn e14() -> Table {
     t
 }
 
-/// E15 — incremental repeated updates: persistent sender caches vs
-/// re-shipping everything. "2nd evaluated" is what the second update's
-/// rule bodies produced before sent-side dedup: with the caches every link
-/// is caught up and nothing was inserted, so nothing is evaluated; without
-/// them every link fires whole again.
+/// E15 — repeated updates on one network: the sent caches outlive the
+/// update, so a repeat ships, and evaluates, only what changed since the
+/// last one. "evaluated" is what the update's rule bodies produced before
+/// the sent-side filter: the cold update fires every link whole, a repeat
+/// with nothing new fires nothing (every link is caught up), and one tuple
+/// inserted at the head of the chain costs one firing a hop.
 fn e15() -> Table {
     let mut t = Table::new(
-        "E15 — repeated updates: incremental vs full re-send (chain-8, 500 tuples/node)",
-        &[
-            "mode",
-            "1st msgs",
-            "2nd msgs",
-            "2nd data msgs",
-            "2nd bytes",
-            "2nd tuples",
-            "2nd evaluated",
-        ],
+        "E15 — repeated updates: what a warm update ships (chain-8, 500 tuples/node)",
+        &["update", "msgs", "data msgs", "bytes", "tuples", "evaluated"],
     );
-    for (name, incremental) in [("incremental", true), ("full re-send", false)] {
-        let s = scenario(Topology::Chain(8), 500);
-        let settings = NodeSettings { incremental_updates: incremental, ..Default::default() };
-        let mut net =
-            CoDbNetwork::build_with(s.build_config(), SimConfig::default(), settings, false)
-                .unwrap();
-        let first = net.run_update(s.sink());
-        let second = net.run_update(s.sink());
+    let s = scenario(Topology::Chain(8), 500);
+    let mut net = CoDbNetwork::build(s.build_config(), SimConfig::default()).unwrap();
+    for (name, insert) in [
+        ("cold", false),
+        ("repeat, nothing new", false),
+        ("repeat after one insert at the head", true),
+    ] {
+        if insert {
+            let relation = Scenario::relation_of(0);
+            let tuple = codb_relational::tup![-1, -1];
+            net.run_control(codb_core::NodeId(0), codb_core::Body::IngestLocal { relation, tuple });
+        }
+        let o = net.run_update(s.sink());
         t.row(vec![
             name.to_string(),
-            first.messages.to_string(),
-            second.messages.to_string(),
-            second.summary.data_messages.to_string(),
-            second.bytes.to_string(),
-            second.summary.tuples_added.to_string(),
-            second.summary.evaluated.to_string(),
+            o.messages.to_string(),
+            o.summary.data_messages.to_string(),
+            o.bytes.to_string(),
+            o.summary.tuples_added.to_string(),
+            o.summary.evaluated.to_string(),
         ]);
     }
     t
@@ -508,8 +505,8 @@ fn e16() -> Table {
 /// its `binary` twin isolates the encoding: same records, same
 /// generations, smaller files (how much faster they load is
 /// `store.open_ms_p50` in `benchmark/`). The rejoin half composes
-/// durability with incremental propagation (the E15 axis): a chain-4
-/// network with `incremental_updates: true` crashes a node mid-update
+/// durability with sent caches that outlive the update (E15): a chain-4
+/// network crashes a node mid-update
 /// (checkpointing it at a cadence matching the row, stores in the row's
 /// codec), restarts it from disk, has the *recovered node* initiate the
 /// reconvergence update, and reports the rejoin cost in messages — the

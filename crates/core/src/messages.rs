@@ -86,10 +86,10 @@ pub enum Body {
     // ---- crash rejoin ----
     /// A node restarted from its durable store announces its new
     /// incarnation to an acquaintance. The receiver invalidates every
-    /// per-link incremental sent-cache pointed at the sender (the crashed
-    /// incarnation may have lost data those caches assume it holds), so
-    /// the next update falls back to one full re-send on those links and
-    /// then resumes incremental deltas.
+    /// per-link sent cache pointed at the sender (the crashed incarnation
+    /// may have lost data those caches assume it holds) and re-sends those
+    /// links whole at once, as [`Body::RejoinRepair`]; later updates ship
+    /// deltas again.
     Rejoin {
         /// The sender's new incarnation epoch (explicit, so the handshake
         /// survives relaying/inspection independent of the envelope).

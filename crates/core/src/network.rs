@@ -422,7 +422,7 @@ impl CoDbNetwork {
     /// network. Start events run before this returns — pipe opening,
     /// advertisement, and the crash rejoin handshake ([`crate::rejoin`]):
     /// the node announces its new incarnation epoch and every neighbor
-    /// invalidates the incremental sent-caches pointed at it. A restarted
+    /// invalidates the sent caches pointed at it. A restarted
     /// node is a first-class peer again — it may initiate updates and
     /// queries (its persisted counters resume the id space, and
     /// `(epoch, seq)`-keyed ids cannot collide with the dead

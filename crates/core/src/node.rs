@@ -33,11 +33,6 @@ pub struct NodeSettings {
     pub max_hops: u64,
     /// Pipe parameters used when this node opens pipes to acquaintances.
     pub pipe: PipeConfig,
-    /// Keep sender-side per-link firing caches across updates, so a
-    /// repeated global update only ships data that is genuinely new
-    /// (receiver-side template dedup is always cross-update — correctness
-    /// requires it for GLAV rules). Ablation: experiment E15.
-    pub incremental_updates: bool,
 }
 
 impl Default for NodeSettings {
@@ -46,7 +41,6 @@ impl Default for NodeSettings {
             retransmit_after: SimTime::from_millis(250),
             max_hops: 100_000,
             pipe: PipeConfig::lan(),
-            incremental_updates: true,
         }
     }
 }
@@ -295,9 +289,9 @@ impl CoDbNode {
     /// announcement ([`crate::rejoin`]) is posted on the node's next
     /// start — or, when persistence is opened on an already-started
     /// network, on its next event of any kind. Neighbors invalidate their
-    /// incremental sent-caches toward this node only once that
-    /// announcement is processed, so an update racing the handshake may
-    /// need one follow-up update to fully reconverge.
+    /// sent caches toward this node only once that announcement is
+    /// processed, so an update racing the handshake may need one follow-up
+    /// update to fully reconverge.
     pub fn open_persistence(
         &mut self,
         dir: &std::path::Path,
@@ -439,22 +433,17 @@ impl CoDbNode {
             relation: relation.to_owned(),
             tuple: tuple.clone(),
         });
-        // (Without `incremental_updates` no link is ever caught up, and
-        // nothing would read the log.)
-        let unfired = self.settings.incremental_updates.then(|| tuple.clone());
-        let added = self.ldb.insert(relation, tuple)?;
+        let added = self.ldb.insert(relation, tuple.clone())?;
         if added {
             if let Some(record) = record {
                 self.log_wal(record);
             }
-            if let Some(tuple) = unfired {
-                by_name(&mut self.unfired, relation).push(tuple);
-                // Past half the LDB a whole fire costs no more than the
-                // log's: the bound is a rule, not a knob.
-                let logged: usize = self.unfired.values().map(Vec::len).sum();
-                if logged * 2 > self.ldb.tuple_count() {
-                    self.forget_caught_up();
-                }
+            by_name(&mut self.unfired, relation).push(tuple);
+            // Past half the LDB a whole fire costs no more than the log's:
+            // the bound is a rule, not a knob.
+            let logged: usize = self.unfired.values().map(Vec::len).sum();
+            if logged * 2 > self.ldb.tuple_count() {
+                self.forget_caught_up();
             }
         }
         Ok(added)
@@ -564,6 +553,21 @@ impl Peer<Envelope> for CoDbNode {
                 if id != self.id {
                     ctx.open_pipe(id.peer(), self.settings.pipe);
                 }
+            }
+        } else {
+            // A node restarted into a running network lost that pipe when
+            // it went down: it opens it again from its side, toward the
+            // super-peer it finds on the board. (A fresh build starts the
+            // super-peer last, so nothing is advertised yet and no pipe
+            // the super-peer opened is ever reopened here.)
+            let superpeers: Vec<PeerId> = ctx
+                .discover()
+                .iter()
+                .filter(|ad| ad.kind == codb_net::AdKind::Service && ad.name == "super-peer")
+                .map(|ad| ad.peer)
+                .collect();
+            for peer in superpeers {
+                ctx.open_pipe(peer, self.settings.pipe);
             }
         }
         self.open_acquaintance_pipes(ctx);

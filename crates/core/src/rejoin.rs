@@ -2,7 +2,7 @@
 //!
 //! A node restarted from its `codb-store` directory recovers its LDB, its
 //! receiver-side dedup caches and its protocol counters — but its
-//! *neighbors* still hold per-link incremental sent-caches built against
+//! *neighbors* still hold per-link sent caches built against
 //! the dead incarnation. Those caches assume the receiver never forgets;
 //! a crash is exactly a receiver forgetting (any data that was in flight,
 //! or applied but not yet durable under a relaxed
@@ -16,7 +16,7 @@
 //!    first act on start, posts [`Body::Rejoin`]`{ epoch }` to every
 //!    acquaintance.
 //! 2. Each neighbor, on a *strictly newer* epoch than it has processed
-//!    for that peer, drops every sent-cache entry for links **targeting**
+//!    for that peer, drops the sent cache of every link **targeting**
 //!    the rejoined node, answers [`Body::RejoinAck`] echoing the epoch,
 //!    and at once re-fires those links over its whole LDB as
 //!    [`Body::RejoinRepair`] — one full re-send, of which the rejoined
@@ -89,21 +89,20 @@ impl CoDbNode {
             // the full LDB right now. The caches toward it were just
             // cleared, so this is one full re-send (the rejoined node's
             // recovered receive caches suppress everything it still has),
-            // and it re-primes the incremental caches as a side effect.
+            // and it re-primes the sent caches as a side effect.
             self.send_rejoin_repair(ctx, from);
         }
     }
 
     /// Re-fires every incoming link targeting `peer` over the full LDB and
-    /// ships the non-empty remainders as [`Body::RejoinRepair`]. Where a
-    /// sent cache is kept the whole view has now been through it: the link
-    /// is caught up.
+    /// ships the non-empty remainders as [`Body::RejoinRepair`]. The whole
+    /// view has now been through the link's sent cache: it is caught up.
     fn send_rejoin_repair(&mut self, ctx: &mut Context<Envelope>, peer: NodeId) {
         let book = Arc::clone(&self.book);
         for &id in book.incoming().iter().filter(|id| book.link(**id).target == peer) {
             let firings = book.link(id).rule.fire(&self.ldb).expect("schema-validated rule");
             self.post_repair(ctx, id, firings);
-            self.sent_cache[id.index()].caught_up = self.settings.incremental_updates;
+            self.sent_cache[id.index()].caught_up = true;
         }
     }
 
@@ -133,33 +132,20 @@ impl CoDbNode {
         }
     }
 
-    /// Filters repair `firings` for incoming link `link` through the
-    /// incremental sent-cache (when one is kept) and posts the remainder to
-    /// the link's target.
+    /// Filters repair `firings` for incoming link `link` through the link's
+    /// sent cache, as update data is, and posts the remainder to the link's
+    /// target.
     fn post_repair(
         &mut self,
         ctx: &mut Context<Envelope>,
         link: LinkId,
         firings: Vec<codb_relational::RuleFiring>,
     ) {
-        let fresh: Vec<codb_relational::RuleFiring> = if self.settings.incremental_updates {
-            let cache = self.sent_cache_for(link, None);
-            firings.into_iter().filter(|f| cache.insert(f.clone())).collect()
-        } else {
-            // Without sender-side caches the receiver's template dedup is
-            // the only (and sufficient) suppression.
-            firings
-        };
-        if fresh.is_empty() {
-            return;
+        let fresh = self.filter_sent(link, firings);
+        if !fresh.is_empty() {
+            let (rule, target) = (self.book.link(link).name.clone(), self.book.link(link).target);
+            self.post(ctx, target, Body::RejoinRepair { rule, firings: fresh });
         }
-        let (rule, target) = (self.book.link(link).name.clone(), self.book.link(link).target);
-        self.tracer.emit_with(|| TraceEvent::RuleFire {
-            peer: self.id.0,
-            link: target.0,
-            firings: fresh.len() as u64,
-        });
-        self.post(ctx, target, Body::RejoinRepair { rule, firings: fresh });
     }
 
     /// Handles a `RejoinAck`: counts it only when it confirms *this*
@@ -176,12 +162,14 @@ impl CoDbNode {
         }
     }
 
-    /// Drops every sent-cache entry (incremental and per-update keyed)
-    /// for links whose target is `peer`, and with it the link's caught-up
-    /// mark. Returns how many entries went.
+    /// Drops the sent cache of every link whose target is `peer`, and with
+    /// it the link's caught-up mark. Returns how many of those caches held
+    /// any firing.
     pub(crate) fn invalidate_sent_caches_toward(&mut self, peer: NodeId) -> usize {
         let toward = self.book.incoming().iter().filter(|id| self.book.link(**id).target == peer);
-        toward.map(|id| std::mem::take(&mut self.sent_cache[id.index()]).len()).sum()
+        toward
+            .filter(|id| !std::mem::take(&mut self.sent_cache[id.index()]).sent.is_empty())
+            .count()
     }
 
     /// Acquaintances that acknowledged this incarnation's `Rejoin`.
@@ -206,7 +194,6 @@ mod tests {
 
     use super::*;
     use crate::config::NetworkConfig;
-    use crate::ids::UpdateId;
     use crate::node::NodeSettings;
     use codb_net::{Command, PeerId, SimTime};
     use std::collections::VecDeque;
@@ -248,14 +235,6 @@ mod tests {
         )])
     }
 
-    /// Populates the hub's sent caches: both key shapes toward spoke1,
-    /// the incremental shape toward spoke2.
-    fn seed_caches(node: &mut CoDbNode, spoke1_epoch_update: UpdateId) {
-        for (rule, key) in [("to1", None), ("to1", Some(spoke1_epoch_update)), ("to2", None)] {
-            node.sent_cached_mut(rule, key).insert(firing(7));
-        }
-    }
-
     type Commands = VecDeque<Command<Envelope>>;
 
     /// A context for one call into `node`, queueing onto `cmds`.
@@ -276,17 +255,16 @@ mod tests {
     #[test]
     fn rejoin_invalidates_only_links_toward_the_rejoined_peer() {
         let (mut node, spoke1, spoke2) = hub();
-        let u = UpdateId { origin: spoke1, epoch: 0, seq: 0 };
-        seed_caches(&mut node, u);
+        for rule in ["to1", "to2"] {
+            node.sent_cached_mut(rule).insert(firing(7));
+        }
         let mut cmds = Commands::new();
 
         node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 1);
-        // Both key shapes toward spoke1 were invalidated: the per-update
-        // key is gone, and the incremental key — re-primed by the repair
-        // push — no longer holds the stale firing. spoke2's cache stays.
-        assert!(node.sent_cached("to1", Some(u)).is_none());
-        assert!(!node.sent_cached("to1", None).unwrap().contains(&firing(7)));
-        assert!(node.sent_cached("to2", None).unwrap().contains(&firing(7)));
+        // The cache toward spoke1 was invalidated — re-primed by the repair
+        // push, it no longer holds the stale firing. spoke2's cache stays.
+        assert!(!node.sent_cached("to1").contains(&firing(7)));
+        assert!(node.sent_cached("to2").contains(&firing(7)));
         // The handshake is acked (echoing the announced epoch), and the
         // link's full data is re-pushed immediately as repair — the
         // rejoined node must not wait for the next organic update.
@@ -312,27 +290,17 @@ mod tests {
     }
 
     #[test]
-    fn a_repair_without_sent_caches_leaves_no_link_caught_up() {
-        let (mut node, spoke1, _) = hub();
-        node.settings.incremental_updates = false;
-        let mut cmds = Commands::new();
-        node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 1);
-        assert!(sends(&mut cmds).iter().any(|(_, b)| matches!(b, Body::RejoinRepair { .. })));
-        assert!(node.sent_cache.iter().all(crate::update::SentCache::is_empty));
-    }
-
-    #[test]
     fn duplicate_rejoin_is_acked_but_invalidates_nothing() {
         let (mut node, spoke1, _) = hub();
         let mut cmds = Commands::new();
         node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 1);
         // An update ran meanwhile and legitimately rebuilt the cache.
-        node.sent_cached_mut("to1", None).insert(firing(1));
+        node.sent_cached_mut("to1").insert(firing(1));
 
         // The duplicate (same epoch, e.g. a delayed copy) must not wipe
         // the rebuilt cache — but it is still acked, idempotently.
         node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 1);
-        assert!(node.sent_cached("to1", None).is_some());
+        assert!(node.sent_cached("to1").contains(&firing(1)));
         let acks: Vec<_> = sends(&mut cmds)
             .into_iter()
             .filter(|(_, b)| matches!(b, Body::RejoinAck { .. }))
@@ -345,14 +313,14 @@ mod tests {
         let (mut node, spoke1, _) = hub();
         let mut cmds = Commands::new();
         node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 3);
-        node.sent_cached_mut("to1", None).insert(firing(1));
+        node.sent_cached_mut("to1").insert(firing(1));
 
         // A straggler from incarnation 2 (delayed in the network while
         // incarnation 3 completed its handshake) is stale: no wipe, and
         // its ack echoes the stale epoch so the live incarnation ignores
         // it (see `stale_ack_from_old_epoch_is_ignored`).
         node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 2);
-        assert!(node.sent_cached("to1", None).is_some());
+        assert!(node.sent_cached("to1").contains(&firing(1)));
         assert_eq!(node.rejoin_epochs[&spoke1], 3, "the newest epoch stays on record");
         let last = sends(&mut cmds).pop().unwrap();
         assert!(matches!(last.1, Body::RejoinAck { epoch: 2 }));
@@ -379,11 +347,11 @@ mod tests {
         let (mut node, spoke1, _) = hub();
         let mut cmds = Commands::new();
         node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 1);
-        node.sent_cached_mut("to1", None).insert(firing(1));
+        node.sent_cached_mut("to1").insert(firing(1));
 
         node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 2);
         assert!(
-            !node.sent_cached("to1", None).unwrap().contains(&firing(1)),
+            !node.sent_cached("to1").contains(&firing(1)),
             "a genuinely newer incarnation invalidates again (the repair push \
              re-primes the cache with the link's real firings only)"
         );

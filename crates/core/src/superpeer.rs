@@ -24,7 +24,8 @@ use std::sync::Arc;
 
 impl CoDbNode {
     /// Harness control: broadcast this super-peer's configuration file to
-    /// every declared node.
+    /// every declared node (a node restarted since the super-peer's start
+    /// has opened its pipe again from its side, `on_start`).
     pub(crate) fn handle_broadcast_rules(&mut self, ctx: &mut Context<Envelope>) {
         let Some(config) = self.superpeer_config.clone() else {
             return; // not a super-peer
@@ -111,8 +112,8 @@ impl CoDbNode {
     /// vanished link's state goes, so late traffic for it finds no link and
     /// is dropped at the name lookup), and the sent caches start empty at
     /// the new size — no link of the new book is caught up. Both firing
-    /// caches are dropped whatever their keys: rule names may be reused
-    /// with different endpoints after a reconfiguration.
+    /// caches are dropped: rule names may be reused with different
+    /// endpoints after a reconfiguration.
     pub(crate) fn install_book(&mut self, book: RuleBook) -> Arc<RuleBook> {
         let old = std::mem::replace(&mut self.book, Arc::new(book));
         for st in self.updates.values_mut() {

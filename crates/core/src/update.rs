@@ -34,17 +34,16 @@
 //! ## What an update start fires
 //!
 //! The paper's start executes every incoming link over the whole LDB and
-//! deletes what was already sent. With the cross-update sent caches
-//! (`incremental_updates`) nearly all of that is deleted again, so each
-//! link also remembers one bit beside its cache, *caught up*
-//! (`SentCache`): every firing of the link over the LDB as it stood when
-//! the bit was set has been through the link's cross-update cache. The
-//! node logs what [`CoDbNode::insert_local`] adds after that
-//! (`CoDbNode::unfired`), and the start of the next update fires a
-//! caught-up link over that log alone — the same semi-naive
-//! `fire_deltas` that data arriving mid-update goes through — and every
-//! other link whole, as the paper does; then it sets the bits and clears
-//! the log.
+//! deletes what was already sent. The sent caches outlive the update, so
+//! nearly all of that is deleted again; each link therefore also
+//! remembers one bit beside its cache, *caught up* (`SentCache`): every
+//! firing of the link over the LDB as it stood when the bit was set has
+//! been through the link's cache. The node logs what
+//! [`CoDbNode::insert_local`] adds after that (`CoDbNode::unfired`), and
+//! the start of the next update fires a caught-up link over that log
+//! alone — the same semi-naive `fire_deltas` that data arriving
+//! mid-update goes through — and every other link whole, as the paper
+//! does; then it sets the bits and clears the log.
 //!
 //! Data that *arrives* needs no log: `propagate_deltas` and the
 //! rejoin repair cascade put it through every dependent link's cache the
@@ -92,25 +91,20 @@ pub struct LinkState {
 /// with them.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SentCache {
-    /// The firings already shipped: under key `None` in incremental mode,
-    /// `Some(update)` otherwise.
-    sets: BTreeMap<Option<UpdateId>, FiringSet>,
+    /// The firings already shipped on the link, by update data and rejoin
+    /// repair alike.
+    pub(crate) sent: FiringSet,
     /// Every firing of the link over the LDB as it stood when this was set
-    /// has been through `sets[&None]` (module docs, "What an update start
-    /// fires"). Never set without `incremental_updates`.
+    /// has been through `sent` (module docs, "What an update start
+    /// fires").
     pub(crate) caught_up: bool,
 }
 
 impl SentCache {
-    /// How many firing sets are kept.
-    pub(crate) fn len(&self) -> usize {
-        self.sets.len()
-    }
-
-    /// True iff nothing is remembered: no firing set, and not caught up.
+    /// True iff nothing is remembered: no firing, and not caught up.
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.sets.is_empty() && !self.caught_up
+        self.sent.is_empty() && !self.caught_up
     }
 }
 
@@ -360,8 +354,7 @@ impl CoDbNode {
         let book = Arc::clone(&self.book);
         let unfired = std::mem::take(&mut self.unfired);
         for &id in book.incoming() {
-            let cache = &mut self.sent_cache[id.index()];
-            let whole = !std::mem::replace(&mut cache.caught_up, self.settings.incremental_updates);
+            let whole = !std::mem::replace(&mut self.sent_cache[id.index()].caught_up, true);
             let firings = if whole {
                 book.link(id).rule.fire(&self.ldb).expect("schema-validated rule")
             } else {
@@ -538,17 +531,27 @@ impl CoDbNode {
         self.book.link(link).rule.fire_deltas(&self.ldb, deltas).expect("schema-validated rule")
     }
 
-    /// The sent cache `firings` on incoming link `link` are filtered
-    /// through: the link's one cross-update cache with
-    /// `incremental_updates`, so a re-run only ships genuinely new firings
-    /// (ablation E15), and `update`'s own otherwise.
-    pub(crate) fn sent_cache_for(
+    /// The one sender-side filter of incoming link `link`, for update data
+    /// and rejoin repair alike — the paper's "we delete from Ri those
+    /// tuples which have been already sent to the incoming link": keeps
+    /// the firings the link never shipped, in order, and remembers them.
+    pub(crate) fn filter_sent(
         &mut self,
         link: LinkId,
-        update: Option<UpdateId>,
-    ) -> &mut FiringSet {
-        let key = update.filter(|_| !self.settings.incremental_updates);
-        self.sent_cache[link.index()].sets.entry(key).or_default()
+        mut firings: Vec<RuleFiring>,
+    ) -> Vec<RuleFiring> {
+        let cache = &mut self.sent_cache[link.index()].sent;
+        cache.reserve(firings.len());
+        firings.retain(|f| cache.insert(f.clone()));
+        if !firings.is_empty() {
+            let target = self.book.link(link).target;
+            self.tracer.emit_with(|| TraceEvent::RuleFire {
+                peer: self.id.0,
+                link: target.0,
+                firings: firings.len() as u64,
+            });
+        }
+        firings
     }
 
     /// Filters `firings` against the sent cache for incoming link `link`
@@ -576,12 +579,7 @@ impl CoDbNode {
             self.report.update_mut(update, ctx.now()).evaluated += evaluated;
             return;
         }
-        // The paper's sent-side dedup ("we delete from Ri those tuples
-        // which have been already sent to the incoming link").
-        let cache = self.sent_cache_for(link, Some(update));
-        cache.reserve(firings.len());
-        let mut fresh = firings;
-        fresh.retain(|f| cache.insert(f.clone()));
+        let fresh = self.filter_sent(link, firings);
         let report = self.report.update_mut(update, ctx.now());
         report.evaluated += evaluated;
         if fresh.is_empty() {
@@ -592,11 +590,6 @@ impl CoDbNode {
         let (name, target) = (&book.link(link).name, book.link(link).target);
         by_name(&mut report.sent, name).record(fresh.len() as u64, bytes as u64);
         self.state_mut(update).link_mut(link).data_sent += 1;
-        self.tracer.emit_with(|| TraceEvent::RuleFire {
-            peer: self.id.0,
-            link: target.0,
-            firings: fresh.len() as u64,
-        });
         self.post(
             ctx,
             target,
@@ -795,26 +788,24 @@ pub(crate) mod tests {
     use codb_store::{Codec, ScratchDir, SyncPolicy};
 
     impl CoDbNode {
-        /// The sent cache of incoming link `rule` under `key`, if one was
-        /// ever made.
-        pub(crate) fn sent_cached(&self, rule: &str, key: Option<UpdateId>) -> Option<&FiringSet> {
-            self.sent_cache[self.book.incoming_named(rule)?.index()].sets.get(&key)
+        fn sent_cache_of(&self, rule: &str) -> &SentCache {
+            &self.sent_cache[self.book.incoming_named(rule).expect("an incoming link").index()]
+        }
+
+        /// The firings incoming link `rule` has shipped.
+        pub(crate) fn sent_cached(&self, rule: &str) -> &FiringSet {
+            &self.sent_cache_of(rule).sent
         }
 
         /// Whether incoming link `rule` is caught up.
         pub(crate) fn caught_up(&self, rule: &str) -> bool {
-            self.sent_cache[self.book.incoming_named(rule).expect("an incoming link").index()]
-                .caught_up
+            self.sent_cache_of(rule).caught_up
         }
 
-        /// The same, made on first touch.
-        pub(crate) fn sent_cached_mut(
-            &mut self,
-            rule: &str,
-            key: Option<UpdateId>,
-        ) -> &mut FiringSet {
+        /// The firings incoming link `rule` has shipped, to seed by hand.
+        pub(crate) fn sent_cached_mut(&mut self, rule: &str) -> &mut FiringSet {
             let link = self.book.incoming_named(rule).expect("an incoming link");
-            self.sent_cache[link.index()].sets.entry(key).or_default()
+            &mut self.sent_cache[link.index()].sent
         }
     }
 
@@ -868,7 +859,7 @@ pub(crate) mod tests {
             assert!(net.sim_mut().step(), "quiescent before any data arrived");
         }
         let received = &net.node(tgt).recv_cache["r"];
-        let sent = net.node(src).sent_cached("r", None).unwrap();
+        let sent = net.node(src).sent_cached("r");
         let held: Vec<RuleFiring> = net
             .node(src)
             .reliable

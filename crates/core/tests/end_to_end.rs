@@ -733,7 +733,7 @@ fn node_snapshot_restores_materialised_state() {
 }
 
 // ---------------------------------------------------------------------
-// Repeated updates: incremental caches and GLAV re-run semantics.
+// Repeated updates: sent caches across updates and GLAV re-run semantics.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -787,16 +787,18 @@ fn incremental_update_ships_only_new_tuples() {
 }
 
 #[test]
-fn non_incremental_mode_resends_but_stays_correct() {
+fn everything_resent_after_a_rules_file_adds_nothing() {
     let config = codb_core::NetworkConfig::parse(&chain_config(3, 10)).unwrap();
-    let settings = NodeSettings { incremental_updates: false, ..Default::default() };
-    let mut net = CoDbNetwork::build_with(config, SimConfig::default(), settings, false).unwrap();
+    let mut net = CoDbNetwork::build_with_superpeer(config.clone(), SimConfig::default()).unwrap();
     let last = net.node_id("node2").unwrap();
     let first = net.run_update(last);
+    // The same file again: every node drops its firing caches with the old
+    // book, so everything is re-sent…
+    net.broadcast_rules(config).unwrap();
     let second = net.run_update(last);
-    // Everything is re-sent…
     assert_eq!(second.summary.data_messages, first.summary.data_messages);
-    // …but receiver-side template dedup keeps the data exact.
+    assert_eq!(second.summary.firings, first.summary.firings);
+    // …but the receiving LDB keeps the data exact.
     assert_eq!(second.summary.tuples_added, 0);
     assert_eq!(net.node(last).ldb().get("r").unwrap().len(), 10);
 }

@@ -36,8 +36,8 @@
 //! from a duplicate-sending one, and a rejoined initiator's ids cannot
 //! collide with its dead incarnation's. The epoch also drives the crash
 //! rejoin handshake (`codb_core::rejoin`): the recovered node announces
-//! it to every acquaintance, which invalidates the incremental
-//! sent-caches pointed at the node.
+//! it to every acquaintance, which invalidates the sent caches pointed at
+//! the node.
 //!
 //! After the magic, both file kinds are a sequence of CRC-32 *frames* —
 //! layout, checksum and the torn-tail / corruption scanner all live in

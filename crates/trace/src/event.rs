@@ -146,7 +146,8 @@ pub enum TraceEvent {
         peer: u64,
         /// The rejoining node (peer id).
         from: u64,
-        /// Sent-cache entries invalidated toward the rejoiner.
+        /// Links toward the rejoiner whose sent cache held anything when
+        /// it was dropped.
         invalidated: u64,
     },
     /// A rejoining node collected one handshake acknowledgement.

@@ -1,9 +1,10 @@
 //! Fixed-seed fault-injection smoke run for CI.
 //!
 //! Executes a handful of seeded crash/restart/checkpoint/loss schedules
-//! (with `incremental_updates: true` — the crash-rejoin handshake's
-//! cache-invalidation path) and fails loudly if any recovered network
-//! does not reconverge to its never-crashed control.
+//! (every crash takes the rejoin handshake's path: neighbours drop the
+//! sent caches they keep toward the victim and repair it) and fails
+//! loudly if any recovered network does not reconverge to its
+//! never-crashed control.
 //!
 //! Every schedule runs **codec-differentially**: the identical plan is
 //! executed once with all-JSON stores and once with all-binary stores,

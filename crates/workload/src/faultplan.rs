@@ -503,11 +503,7 @@ impl FaultPlanReport {
 }
 
 fn settings(loss: f64) -> NodeSettings {
-    NodeSettings {
-        incremental_updates: true,
-        pipe: PipeConfig::lan().with_loss(loss),
-        ..NodeSettings::default()
-    }
+    NodeSettings { pipe: PipeConfig::lan().with_loss(loss), ..NodeSettings::default() }
 }
 
 /// Rejoin and barrier message counters, summed over node reports. A crash
@@ -1052,8 +1048,8 @@ mod tests {
 
     #[test]
     fn incremental_caches_resume_after_one_full_resend() {
-        // With incremental updates ON (the runner's only mode), the crash
-        // is repaired by exactly one fallback re-send toward the rejoined
+        // The sent caches outlive the update, so the crash is repaired by
+        // exactly one fallback re-send toward the rejoined
         // node, and the network still reconverges to the control state.
         let tmp = ScratchDir::new("crash-incremental");
         let s = Scenario { tuples_per_node: 20, ..Scenario::quick(Topology::Chain(4)) };

@@ -28,13 +28,14 @@ fn crashed_node_recovers_exactly_and_reconverges() {
     );
 }
 
-/// The crash-rejoin acceptance scenario (ISSUE 3): with incremental
-/// updates ON, the update *initiator* crashes mid-own-update, recovers,
-/// runs the rejoin handshake, and initiates the reconvergence update
-/// itself — its persisted counters resume the id space, its new epoch
-/// keys the id, and the network still reaches the control fixpoint.
+/// The crash-rejoin acceptance scenario (ISSUE 3): the update *initiator*
+/// crashes mid-own-update, recovers, runs the rejoin handshake (its
+/// neighbours drop the sent caches they keep toward it), and initiates the
+/// reconvergence update itself — its persisted counters resume the id
+/// space, its new epoch keys the id, and the network still reaches the
+/// control fixpoint.
 #[test]
-fn recovered_initiator_rejoins_first_class_with_incremental_updates() {
+fn recovered_initiator_rejoins_first_class() {
     let tmp = ScratchDir::new("durability-rejoin");
     let scenario = Scenario { tuples_per_node: 25, ..Scenario::quick(Topology::Chain(4)) };
     let victim = scenario.sink();

@@ -1,8 +1,9 @@
 //! What an update start fires.
 //!
-//! With the cross-update sent caches a link that is *caught up* fires, at
-//! the start of an update, only over what the node inserted since the last
-//! start; every other link fires over the whole LDB, as the paper has it.
+//! The sent caches outlive the update, so a link that is *caught up* fires,
+//! at the start of an update, only over what the node inserted since the
+//! last start; every other link fires over the whole LDB, as the paper has
+//! it.
 //! The first half pins the structure — how many firings an update
 //! *evaluates* to ship what it ships — on the simulator, on the worker
 //! pool across a rebuild from disk, and for a restarted sender. The second
@@ -55,22 +56,6 @@ fn an_update_evaluates_what_changed_not_what_is_stored() {
     let idle = net.run_update(s.sink());
     assert_eq!((idle.summary.evaluated, idle.summary.data_messages), (0, 0));
     assert_eq!(idle.summary.nodes, 6, "the update itself still ran everywhere");
-}
-
-/// `full re-send` is the ablation it was: no cache outlives its update, so
-/// no link is ever caught up and every update fires every link whole.
-#[test]
-fn without_incremental_updates_every_update_fires_whole() {
-    let s = copy_chain(4, 50);
-    let settings = NodeSettings { incremental_updates: false, ..NodeSettings::default() };
-    let mut net =
-        CoDbNetwork::build_with(s.build_config(), SimConfig::default(), settings, false).unwrap();
-    let first = net.run_update(s.sink());
-    ingest(&mut net, 0, tup![-1, -1]);
-    let second = net.run_update(s.sink());
-    assert_eq!(first.summary.evaluated, 50 * (1 + 2 + 3));
-    assert_eq!(second.summary.evaluated, first.summary.evaluated + 3);
-    assert_eq!(second.summary.tuples_added, 3);
 }
 
 /// The log of local inserts is bounded by a rule: past half the LDB it is
@@ -216,6 +201,39 @@ fn a_restarted_sender_fires_whole_once_then_deltas() {
     for (i, before) in ldbs.iter().enumerate() {
         let now = net.node(NodeId(i as u64)).ldb().tuple_count();
         assert_eq!(now, before.tuple_count() + 1, "node {i}: nothing lost, nothing doubled");
+    }
+}
+
+/// A node restarted from disk opens its pipe to the super-peer again, so a
+/// rules file broadcast after the restart reaches it: it takes the new book,
+/// and data on the link the file renamed gets through it.
+#[test]
+fn a_node_restarted_from_disk_hears_the_next_rules_file() {
+    let s = copy_chain(3, 5);
+    let tmp = ScratchDir::new("update-start-rules-after-restart");
+    let mut config = s.build_config();
+    let mut net = CoDbNetwork::build_with_superpeer(config.clone(), SimConfig::default()).unwrap();
+    net.open_persistence_all(tmp.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+    net.run_update(s.sink());
+
+    let mid = NodeId(1);
+    assert!(net.crash_node(mid));
+    let dir = CoDbNetwork::node_data_dir(tmp.path(), "node1");
+    net.restart_node_from_disk(mid, &dir, SyncPolicy::Always, Codec::Binary).unwrap();
+
+    let out_of_mid = config.rules.iter_mut().find(|r| r.source == mid).unwrap();
+    out_of_mid.rule.name = format!("{}x", out_of_mid.name());
+    let renamed = out_of_mid.name().to_owned();
+    config.version += 1;
+    net.broadcast_rules(config.clone()).unwrap();
+    assert!(net.node(mid).rule_book().incoming_named(&renamed).is_some(), "the old book stayed");
+
+    ingest(&mut net, 0, tup![-1, -1]);
+    config.nodes[0].data.push((Scenario::relation_of(0), tup![-1, -1]));
+    net.run_update(s.sink());
+    let oracle = chase_naive(&config).instances;
+    for id in config.node_ids() {
+        assert_eq!(net.node(id).ldb(), &oracle[&id], "node {id}");
     }
 }
 
@@ -394,11 +412,9 @@ impl Program {
 /// replay it.
 fn run_program(seed: u64) -> Result<(), String> {
     let mut g = Gen(seed);
-    // Three kinds of program. Existential heads go with crashes only: a
-    // rules file empties the receive caches, after which a template is
-    // instantiated again, on purpose. And a rules file goes with no crash:
-    // the super-peer opens its pipes once, so a restarted node would never
-    // see the file.
+    // Three kinds of program, all of which crash nodes. Existential heads
+    // go without rules files: a rules file empties the receive caches,
+    // after which a template is instantiated again, on purpose.
     let kind = g.below(3);
     let (existential, rules_files) = (kind == 0, kind == 2);
     let (topology, rule_style) = if existential {
@@ -433,7 +449,8 @@ fn run_program(seed: u64) -> Result<(), String> {
     };
     // One time in three the valve is low enough to trip.
     let max_hops = if g.below(3) == 0 { 1 + g.below(2) as u64 } else { 100_000 };
-    // Where nodes crash, half the programs also lose one message in twelve.
+    // Where no rules file goes out, half the programs also lose one message
+    // in twelve.
     let loss = if !rules_files && g.below(2) == 0 { 0.08 } else { 0.0 };
     let pipe = PipeConfig::lan().with_loss(loss);
     let settings = NodeSettings { max_hops, pipe, ..NodeSettings::default() };
@@ -452,8 +469,8 @@ fn run_program(seed: u64) -> Result<(), String> {
                 p.update(NodeId(g.below(p.nodes()) as u64))?;
             }
             6 => p.scoped(&mut g),
-            7..=9 if rules_files => p.rules_file(&mut g)?,
             7 => p.crash(&mut g)?,
+            8..=9 if rules_files => p.rules_file(&mut g)?,
             _ => p.insert(&mut g),
         }
     }
