@@ -342,7 +342,7 @@ fn e12() -> Table {
     for loss in [0.0f64, 0.05, 0.10, 0.20] {
         let s = scenario(Topology::Chain(6), 200);
         let pipe = PipeConfig::lan().with_loss(loss);
-        let sim = SimConfig { seed: 99, default_pipe: pipe, max_events: 10_000_000 };
+        let sim = SimConfig { seed: 99, max_events: 10_000_000 };
         let settings =
             NodeSettings { retransmit_after: SimTime::from_millis(20), pipe, ..Default::default() };
         let mut net = CoDbNetwork::build_with(s.build_config(), sim, settings, false).unwrap();
@@ -479,7 +479,7 @@ fn e16() -> Table {
         let s = scenario(Topology::Chain(8), tuples);
         let pipe = PipeConfig::lan().with_bandwidth(1_000_000);
         let settings = NodeSettings { pipe, ..Default::default() };
-        let sim = SimConfig { seed: 1, default_pipe: pipe, max_events: 0 };
+        let sim = SimConfig { seed: 1, max_events: 0 };
         let mut net = CoDbNetwork::build_with(s.build_config(), sim, settings, false).unwrap();
         let o = net.run_update(s.sink());
         let mb = o.summary.data_bytes as f64 / 1e6;
@@ -829,8 +829,9 @@ fn e19_row(
 
 /// E19 — simulator scalability: node-count sweep over chain, scale-free
 /// and geo-placed topologies, flooding gossip waves to quiescence. The
-/// subject is the simulator itself (calendar event queue + pipe arena),
-/// not the database protocol — the flood's message complexity is known
+/// subject is the simulator itself (one event heap + adjacency lists; the
+/// whole sweep takes 0.25 s of host time, PR 26), not the database
+/// protocol — the flood's message complexity is known
 /// in closed form (`waves × 2 × edges`), so the table pins the schedule
 /// the event loop must produce at each size; what that schedule costs
 /// per event is `net.us_per_event` in `benchmark/`. The `+ads` row

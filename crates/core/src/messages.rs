@@ -111,13 +111,18 @@ pub enum Body {
     /// Unlike [`Body::UpdateData`] this carries no update id and is not
     /// Dijkstra–Scholten counted — repair is a standalone push, dedup'd
     /// by the receiver's cross-update template caches, which also bound
-    /// the cascade of further `RejoinRepair` hops it may trigger.
+    /// the cascade of further `RejoinRepair` hops it may trigger on a
+    /// weakly acyclic rule set; on any other, `max_hops` cuts it, as it
+    /// cuts update data.
     RejoinRepair {
         /// The coordination rule (an outgoing link at the receiver).
         rule: RuleName,
         /// Re-fired rule firings (already filtered through the sender's
         /// freshly invalidated sent-cache for this link).
         firings: Vec<RuleFiring>,
+        /// Length of the repair cascade that produced this batch (1 for
+        /// the whole-view re-send itself).
+        hops: u64,
     },
 
     // ---- query-time answering (paper §1, §3) ----
@@ -378,7 +383,7 @@ mod tests {
         assert!(!Body::StatsRequest.is_ds_counted());
         assert!(!Body::Rejoin { epoch: 1 }.is_ds_counted());
         assert!(!Body::RejoinAck { epoch: 1 }.is_ds_counted());
-        assert!(!Body::RejoinRepair { rule: "r".into(), firings: vec![] }.is_ds_counted());
+        assert!(!Body::RejoinRepair { rule: "r".into(), firings: vec![], hops: 1 }.is_ds_counted());
     }
 
     #[test]
@@ -395,7 +400,8 @@ mod tests {
         // still-dead peer strands the handshake forever (window (b)).
         assert!(Body::Rejoin { epoch: 1 }.parks_behind_barrier());
         assert!(Body::RejoinAck { epoch: 1 }.parks_behind_barrier());
-        assert!(Body::RejoinRepair { rule: "r".into(), firings: vec![] }.parks_behind_barrier());
+        assert!(Body::RejoinRepair { rule: "r".into(), firings: vec![], hops: 1 }
+            .parks_behind_barrier());
         // Bookkeeping keeps the abandonment semantics.
         assert!(!Body::DsAck { update: upd(), credits: 1 }.parks_behind_barrier());
         assert!(!Body::UpdateComplete { update: upd() }.parks_behind_barrier());

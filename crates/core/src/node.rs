@@ -26,10 +26,10 @@ use std::sync::Arc;
 pub struct NodeSettings {
     /// ARQ retransmission interval.
     pub retransmit_after: SimTime,
-    /// Chase-depth safety valve: `UpdateData` whose propagation path would
-    /// exceed this many hops is not propagated further (guards against
-    /// non-weakly-acyclic rule sets whose chase diverges; see "Termination"
-    /// in [`crate::update`]).
+    /// Chase-depth safety valve: update data or rejoin repair whose
+    /// propagation path would exceed this many hops is not propagated
+    /// further (guards against non-weakly-acyclic rule sets whose chase
+    /// diverges; see "Termination" in [`crate::update`]).
     pub max_hops: u64,
     /// Pipe parameters used when this node opens pipes to acquaintances.
     pub pipe: PipeConfig,
@@ -696,7 +696,9 @@ impl CoDbNode {
             // ---- crash rejoin (crate::rejoin) ----
             Body::Rejoin { epoch } => self.handle_rejoin(ctx, from, epoch),
             Body::RejoinAck { epoch } => self.handle_rejoin_ack(from, epoch),
-            Body::RejoinRepair { rule, firings } => self.handle_rejoin_repair(ctx, rule, firings),
+            Body::RejoinRepair { rule, firings, hops } => {
+                self.handle_rejoin_repair(ctx, rule, firings, hops)
+            }
             // ---- query protocol (crate::query) ----
             Body::QueryRequest { req, rule, path } => {
                 self.handle_query_request(ctx, from, req, rule, path)

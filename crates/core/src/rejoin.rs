@@ -101,50 +101,57 @@ impl CoDbNode {
         let book = Arc::clone(&self.book);
         for &id in book.incoming().iter().filter(|id| book.link(**id).target == peer) {
             let firings = book.link(id).rule.fire(&self.ldb).expect("schema-validated rule");
-            self.post_repair(ctx, id, firings);
+            self.post_repair(ctx, id, firings, 1);
             self.sent_cache[id.index()].caught_up = true;
         }
     }
 
-    /// Handles a [`Body::RejoinRepair`] batch arriving on outgoing link
-    /// `rule`: the receive path of [`crate::update`]'s data flow minus the
-    /// per-update bookkeeping — cross-update template dedup, WAL logging,
-    /// apply, then a cascade of further repair toward links reading the
-    /// changed relations. The receiver-side caches bound the cascade: a
-    /// firing is applied (and forwarded) at most once per link, ever.
+    /// Handles a [`Body::RejoinRepair`] batch that came `hops` hops on
+    /// outgoing link `rule`: the arrival of [`crate::update`]'s data flow
+    /// minus the per-update bookkeeping — cross-update template dedup, WAL
+    /// logging, apply, the hop valve — then a cascade of further repair
+    /// toward links reading the changed relations. The receiver-side
+    /// caches bound the cascade where the rules are weakly acyclic (a
+    /// firing is applied, and forwarded, at most once per link, ever), and
+    /// `max_hops` bounds it where they are not.
     pub(crate) fn handle_rejoin_repair(
         &mut self,
         ctx: &mut Context<Envelope>,
         rule: RuleName,
         firings: Vec<codb_relational::RuleFiring>,
+        hops: u64,
     ) {
         let Some(link) = self.book.outgoing_named(&rule) else {
             return; // stale rule name after a reconfiguration
         };
-        let deltas = self.receive_link_data(link, firings);
+        let (deltas, propagate) = self.arrive(link, firings, hops);
+        if !propagate {
+            return;
+        }
         // Cascade: downstream nodes may also be missing data derived from
         // what was just repaired (the crashed node forwarded some of it,
         // but not necessarily all). Semi-naive delta evaluation, exactly
         // like update propagation, but carried by repair messages.
         for id in self.links_reading(&deltas) {
             let out = self.fire_link_deltas(id, &deltas);
-            self.post_repair(ctx, id, out);
+            self.post_repair(ctx, id, out, hops + 1);
         }
     }
 
     /// Filters repair `firings` for incoming link `link` through the link's
     /// sent cache, as update data is, and posts the remainder to the link's
-    /// target.
+    /// target as the cascade's `hops`-th hop.
     fn post_repair(
         &mut self,
         ctx: &mut Context<Envelope>,
         link: LinkId,
         firings: Vec<codb_relational::RuleFiring>,
+        hops: u64,
     ) {
         let fresh = self.filter_sent(link, firings);
         if !fresh.is_empty() {
             let (rule, target) = (self.book.link(link).name.clone(), self.book.link(link).target);
-            self.post(ctx, target, Body::RejoinRepair { rule, firings: fresh });
+            self.post(ctx, target, Body::RejoinRepair { rule, firings: fresh, hops });
         }
     }
 
@@ -272,7 +279,7 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert!(matches!(out[0], (p, Body::RejoinAck { epoch: 1 }) if p == spoke1.peer()));
         match &out[1] {
-            (p, Body::RejoinRepair { rule, firings }) => {
+            (p, Body::RejoinRepair { rule, firings, hops: 1 }) => {
                 assert_eq!(*p, spoke1.peer());
                 assert_eq!(rule, "to1");
                 assert_eq!(firings.len(), 2, "h(1) and h(2) both re-fired");
@@ -424,7 +431,12 @@ mod tests {
         let before = node.ldb().tuple_count();
 
         // h(5) arrives as repair on the hub's outgoing link `back`.
-        node.handle_rejoin_repair(&mut ctx(&node, &mut cmds), "back".to_owned(), vec![h_firing(5)]);
+        node.handle_rejoin_repair(
+            &mut ctx(&node, &mut cmds),
+            "back".to_owned(),
+            vec![h_firing(5)],
+            1,
+        );
         assert_eq!(node.ldb().tuple_count(), before + 1, "h(5) applied");
         // The change cascades: both links reading `h` re-fire their delta
         // toward their targets, as further repair.
@@ -432,7 +444,9 @@ mod tests {
         let repairs: Vec<_> = out
             .iter()
             .filter_map(|(to, b)| match b {
-                Body::RejoinRepair { rule, firings } => Some((*to, rule.clone(), firings.len())),
+                Body::RejoinRepair { rule, firings, .. } => {
+                    Some((*to, rule.clone(), firings.len()))
+                }
                 _ => None,
             })
             .collect();
@@ -444,7 +458,12 @@ mod tests {
         // A duplicate repair batch is fully suppressed by the receive
         // cache: nothing applied, nothing cascaded — the termination
         // argument for repair chains in cyclic topologies.
-        node.handle_rejoin_repair(&mut ctx(&node, &mut cmds), "back".to_owned(), vec![h_firing(5)]);
+        node.handle_rejoin_repair(
+            &mut ctx(&node, &mut cmds),
+            "back".to_owned(),
+            vec![h_firing(5)],
+            1,
+        );
         assert_eq!(node.ldb().tuple_count(), before + 1);
         assert!(sends(&mut cmds).is_empty());
 
@@ -453,7 +472,31 @@ mod tests {
             &mut ctx(&node, &mut cmds),
             "no-such-link".to_owned(),
             vec![h_firing(6)],
+            1,
         );
         assert_eq!(node.ldb().tuple_count(), before + 1);
+    }
+
+    /// A repair batch at the hop limit is applied and goes no further, and
+    /// the links reading what it brought are no longer caught up.
+    #[test]
+    fn repair_at_the_hop_limit_applies_and_cascades_nothing() {
+        let (mut node, spoke1, _) = hub();
+        node.settings.max_hops = 3;
+        let mut cmds = Commands::new();
+        node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 1);
+        assert!(node.caught_up("to1"));
+        sends(&mut cmds);
+
+        let before = node.ldb().tuple_count();
+        node.handle_rejoin_repair(
+            &mut ctx(&node, &mut cmds),
+            "back".to_owned(),
+            vec![h_firing(5)],
+            3,
+        );
+        assert_eq!(node.ldb().tuple_count(), before + 1, "h(5) applied");
+        assert!(sends(&mut cmds).is_empty(), "nothing cascades past the valve");
+        assert!(!node.caught_up("to1") && !node.caught_up("to2"));
     }
 }

@@ -587,7 +587,7 @@ mod tests {
             ("UpdateComplete", Body::UpdateComplete { update }),
             ("Rejoin", Body::Rejoin { epoch: 1 }),
             ("RejoinAck", Body::RejoinAck { epoch: 1 }),
-            ("RejoinRepair", Body::RejoinRepair { rule: rule(), firings: vec![] }),
+            ("RejoinRepair", Body::RejoinRepair { rule: rule(), firings: vec![], hops: 1 }),
             ("QueryRequest", Body::QueryRequest { req, rule: rule(), path: vec![] }),
             ("QueryAnswer", Body::QueryAnswer { req, firings: vec![], closed: true }),
             ("RulesFile", Body::RulesFile { config: Box::default() }),

@@ -48,10 +48,11 @@
 //! Data that *arrives* needs no log: `propagate_deltas` and the
 //! rejoin repair cascade put it through every dependent link's cache the
 //! moment it is applied. Where they do not, the link's bit is cleared
-//! instead: the hop-limit valve, a scoped update passing over a link
-//! nobody demanded, and firings dropped for a link already closed. What
-//! drops a cache drops its bit (they are one value), and an LDB replaced
-//! under the links ([`CoDbNode::restore`], recovery) clears every bit.
+//! instead: the hop-limit valve (`arrive`, which both pass), a scoped
+//! update passing over a link nobody demanded, and firings dropped for a
+//! link already closed. What drops a cache drops its bit (they are one
+//! value), and an LDB replaced under the links ([`CoDbNode::restore`],
+//! recovery) clears every bit.
 
 use crate::ids::{NodeId, RuleName, UpdateId};
 use crate::messages::{Body, Envelope};
@@ -397,7 +398,7 @@ impl CoDbNode {
             // Stale rule (configuration changed mid-update): data ignored.
             return;
         };
-        let deltas = self.receive_link_data(link, firings);
+        let (deltas, propagate) = self.arrive(link, firings, hops);
 
         // Count the data message and resolve a deferred close whose data
         // has now fully arrived (loss + retransmission can reorder data
@@ -411,17 +412,12 @@ impl CoDbNode {
             let added: u64 = deltas.values().map(|v| v.len() as u64).sum();
             let rep = self.report.update_mut(update, now);
             rep.tuples_added += added;
-            if hops >= self.settings.max_hops {
-                // Chase safety valve: the links reading these tuples have
-                // now not fired over all of the LDB.
-                rep.truncated = true;
-                for id in self.links_reading(&deltas) {
-                    self.sent_cache[id.index()].caught_up = false;
-                }
-            } else {
+            if propagate {
                 // Re-compute dependent incoming links by substituting
                 // R with T'.
                 self.propagate_deltas(ctx, update, &deltas, hops + 1);
+            } else {
+                rep.truncated = true;
             }
         }
 
@@ -430,15 +426,36 @@ impl CoDbNode {
         }
     }
 
-    /// The receive path of outgoing link `link`, shared by update data and
-    /// rejoin repair: check the batch, `T' = T \ R` at template level, WAL,
-    /// apply. Returns the per-relation deltas.
+    /// The arrival of a batch that came `hops` hops on outgoing link `link`,
+    /// update data and rejoin repair alike: [`Self::receive_link_data`],
+    /// then the chase safety valve. Returns the deltas and whether they may
+    /// propagate. At `max_hops` they stay applied and go no further, and
+    /// the links reading them have then not fired over all of the LDB.
+    pub(crate) fn arrive(
+        &mut self,
+        link: LinkId,
+        firings: Vec<RuleFiring>,
+        hops: u64,
+    ) -> (BTreeMap<String, Vec<Tuple>>, bool) {
+        let deltas = self.receive_link_data(link, firings);
+        if hops < self.settings.max_hops {
+            return (deltas, true);
+        }
+        for id in self.links_reading(&deltas) {
+            self.sent_cache[id.index()].caught_up = false;
+        }
+        (deltas, false)
+    }
+
+    /// The receive path of outgoing link `link`: check the batch,
+    /// `T' = T \ R` at template level, WAL, apply. Returns the
+    /// per-relation deltas.
     ///
     /// The wire is outside the program: a batch that is not an instance of
     /// the rule's head over this node's schema is dropped whole and counted
     /// as `data_rejected` — it must reach neither the caches nor the WAL,
     /// where every later recovery would replay it into the same error.
-    pub(crate) fn receive_link_data(
+    fn receive_link_data(
         &mut self,
         link: LinkId,
         firings: Vec<RuleFiring>,
@@ -951,7 +968,7 @@ pub(crate) mod tests {
                 let bogus = UpdateId { origin: src, epoch: 7, seq: 0 };
                 let firings = firings.clone();
                 let body = if as_repair {
-                    Body::RejoinRepair { rule: "r".to_owned(), firings }
+                    Body::RejoinRepair { rule: "r".to_owned(), firings, hops: 1 }
                 } else {
                     Body::UpdateData { update: bogus, rule: "r".to_owned(), firings, hops: 1 }
                 };

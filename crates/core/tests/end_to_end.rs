@@ -258,11 +258,7 @@ fn query_time_on_cycle_is_sound_subset() {
 #[test]
 fn update_survives_message_loss_with_retransmission() {
     let config = NetworkConfig::parse(&chain_config(4, 5)).unwrap();
-    let sim = SimConfig {
-        seed: 42,
-        default_pipe: PipeConfig::lan().with_loss(0.15),
-        max_events: 2_000_000,
-    };
+    let sim = SimConfig { seed: 42, max_events: 2_000_000 };
     let settings = NodeSettings {
         retransmit_after: SimTime::from_millis(20),
         pipe: PipeConfig::lan().with_loss(0.15),
@@ -709,7 +705,7 @@ fn partition_heals_and_next_update_converges() {
     assert_eq!(net.node(n3).ldb().get("r").unwrap().len(), 0, "cut blocks data");
 
     // Heal the partition and run a fresh update: full convergence.
-    net.sim_mut().open_pipe_default(n1.peer(), n2.peer());
+    net.sim_mut().open_pipe(n1.peer(), n2.peer(), PipeConfig::lan());
     net.run_update(n3);
     assert_eq!(net.node(n3).ldb().get("r").unwrap().len(), 6);
     assert_eq!(net.node(n0).ldb().get("r").unwrap().len(), 6);
@@ -886,46 +882,70 @@ fn streaming_queries_deliver_first_answers_before_completion() {
     assert!(rep.answers_received > 1, "got {}", rep.answers_received);
 }
 
+const MAX_HOPS: u64 = 8;
+
+/// `a` and `b` copying `r` to each other through rules with head `head`,
+/// under a `MAX_HOPS` valve.
+fn hop_pair(head: &str, sim: SimConfig) -> CoDbNetwork {
+    let src = format!(
+        "node a\nnode b\nschema a: r(int, int)\nschema b: r(int, int)\n\
+         data a: r(1, 2).\n\
+         rule ab @ a -> b: {head} <- r(X, Y).\n\
+         rule ba @ b -> a: {head} <- r(X, Y).\n"
+    );
+    let settings = NodeSettings { max_hops: MAX_HOPS, ..Default::default() };
+    CoDbNetwork::build_with(NetworkConfig::parse(&src).unwrap(), sim, settings, false).unwrap()
+}
+
+/// The `r` tuples `a` and `b` hold between them.
+fn pair_tuples(net: &CoDbNetwork) -> usize {
+    ["a", "b"].iter().map(|n| net.node(net.node_id(n).unwrap()).ldb().get("r").unwrap().len()).sum()
+}
+
 /// The chase-depth valve. `ab` and `ba` each push the second column
 /// forward and invent the next (`Z` existential), so the rules are not
 /// weakly acyclic: every pass around the cycle mints a template no node
 /// has seen and the chase has no fixpoint. `max_hops` must cut it.
 #[test]
 fn max_hops_truncates_a_chase_that_is_not_weakly_acyclic() {
-    const MAX_HOPS: u64 = 8;
-    let network = |head: &str| {
-        let src = format!(
-            "node a\nnode b\nschema a: r(int, int)\nschema b: r(int, int)\n\
-             data a: r(1, 2).\n\
-             rule ab @ a -> b: {head} <- r(X, Y).\n\
-             rule ba @ b -> a: {head} <- r(X, Y).\n"
-        );
-        let settings = NodeSettings { max_hops: MAX_HOPS, ..Default::default() };
-        let config = NetworkConfig::parse(&src).unwrap();
-        CoDbNetwork::build_with(config, SimConfig::default(), settings, false).unwrap()
-    };
-    let tuples = |net: &CoDbNetwork| -> usize {
-        ["a", "b"]
-            .iter()
-            .map(|n| net.node(net.node_id(n).unwrap()).ldb().get("r").unwrap().len())
-            .sum()
-    };
-
-    let mut runaway = network("r(Y, Z)");
+    let mut runaway = hop_pair("r(Y, Z)", SimConfig::default());
     let outcome = runaway.run_update(runaway.node_id("a").unwrap());
     assert!(runaway.sim().is_quiescent(), "a truncated update still terminates");
     assert!(outcome.summary.truncated, "the valve must report that it cut the chase");
     assert_eq!(outcome.summary.longest_path, MAX_HOPS);
     // The seed tuple, then one new tuple per hop until the cap.
-    assert_eq!(tuples(&runaway), 1 + MAX_HOPS as usize);
+    assert_eq!(pair_tuples(&runaway), 1 + MAX_HOPS as usize);
 
     // The same cycle keeping the first column: the invented column is
     // never carried into a head, so the rules are weakly acyclic and
     // template dedup ends the chase on its own.
-    let mut bounded = network("r(X, Z)");
+    let mut bounded = hop_pair("r(X, Z)", SimConfig::default());
     let outcome = bounded.run_update(bounded.node_id("a").unwrap());
     assert!(!outcome.summary.truncated);
     assert!(outcome.summary.longest_path < MAX_HOPS);
+}
+
+/// The valve cuts a rejoin repair's cascade as it cuts update data. After
+/// the truncated update `a` holds the frontier tuple the valve stopped, so
+/// its whole-view repair toward a restarted `b` carries a template `b` has
+/// never seen, and the cascade that starts is the same runaway chase.
+#[test]
+fn max_hops_truncates_a_rejoin_repair_cascade() {
+    let tmp = codb_store::ScratchDir::new("core-repair-valve");
+    let mut net = hop_pair("r(Y, Z)", SimConfig { max_events: 50_000, ..Default::default() });
+    net.open_persistence_all(tmp.path(), codb_store::SyncPolicy::Always, codb_store::Codec::Binary)
+        .unwrap();
+    let (a, b) = (net.node_id("a").unwrap(), net.node_id("b").unwrap());
+    assert!(net.run_update(a).summary.truncated);
+    assert_eq!(pair_tuples(&net), 1 + MAX_HOPS as usize);
+
+    net.crash_node(b);
+    let dir = CoDbNetwork::node_data_dir(tmp.path(), "b");
+    net.restart_node_from_disk(b, &dir, codb_store::SyncPolicy::Always, codb_store::Codec::Binary)
+        .unwrap();
+    assert!(net.sim().is_quiescent(), "the repair cascade ran into the event cap");
+    // The frontier template, then one new tuple per repair hop until the valve.
+    assert_eq!(pair_tuples(&net), 1 + 2 * MAX_HOPS as usize);
 }
 
 // ---------------------------------------------------------------------

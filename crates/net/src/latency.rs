@@ -3,7 +3,7 @@
 //! A [`LatencyModel`] assigns a one-way propagation latency to each
 //! *unordered* peer pair; [`crate::builder::SimBuilder`] bakes the
 //! assignment into each pipe's [`crate::PipeConfig`] at build time, so
-//! the simulator hot path never evaluates a model. All three models are
+//! the simulator hot path never evaluates a model. Both models are
 //! deterministic functions of their inputs: the same model over the
 //! same pair always yields the same latency, on every platform —
 //! [`LatencyModel::Geo`] avoids transcendental functions for exactly
@@ -149,16 +149,6 @@ fn unit_f64(v: u64) -> f64 {
 pub enum LatencyModel {
     /// Every link gets the same latency.
     Fixed(SimTime),
-    /// `base ± jitter`, drawn deterministically per unordered pair from
-    /// `seed` — both directions of a link share one latency.
-    Jittered {
-        /// Midpoint latency.
-        base: SimTime,
-        /// Maximum absolute deviation from `base`.
-        jitter: SimTime,
-        /// Seed for the per-pair hash.
-        seed: u64,
-    },
     /// Latency proportional to great-circle distance between each
     /// peer's placement: `floor + distance / speed`. Peer `PeerId(i)`
     /// uses `points[i % points.len()]`.
@@ -189,15 +179,6 @@ impl LatencyModel {
     pub fn link(&self, a: PeerId, b: PeerId) -> SimTime {
         match self {
             LatencyModel::Fixed(t) => *t,
-            LatencyModel::Jittered { base, jitter, seed } => {
-                let (lo, hi) = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
-                let mut state = seed ^ lo.rotate_left(17) ^ hi.wrapping_mul(0xA24B_AED4_963E_E407);
-                let draw = splitmix64(&mut state);
-                // Deviation in [-jitter, +jitter], clamped at zero.
-                let span = 2 * jitter.as_nanos() + 1;
-                let dev = (draw % span) as i64 - jitter.as_nanos() as i64;
-                SimTime((base.as_nanos() as i64 + dev).max(0) as u64)
-            }
             LatencyModel::Geo { points, speed_km_per_s, floor } => {
                 if points.is_empty() {
                     return *floor;
@@ -220,25 +201,6 @@ mod tests {
         let m = LatencyModel::Fixed(SimTime::from_millis(3));
         assert_eq!(m.link(PeerId(1), PeerId(9)), SimTime::from_millis(3));
         assert_eq!(m.link(PeerId(9), PeerId(1)), m.link(PeerId(1), PeerId(9)));
-    }
-
-    #[test]
-    fn jittered_stays_in_band_and_is_symmetric() {
-        let base = SimTime::from_millis(10);
-        let jitter = SimTime::from_millis(4);
-        let m = LatencyModel::Jittered { base, jitter, seed: 42 };
-        for i in 0..50u64 {
-            for j in (i + 1)..50 {
-                let l = m.link(PeerId(i), PeerId(j));
-                assert!(l >= SimTime::from_millis(6) && l <= SimTime::from_millis(14), "{l}");
-                assert_eq!(l, m.link(PeerId(j), PeerId(i)));
-            }
-        }
-        // Different pairs mostly differ (it is a hash, not a constant).
-        let a = m.link(PeerId(0), PeerId(1));
-        let b = m.link(PeerId(0), PeerId(2));
-        let c = m.link(PeerId(1), PeerId(2));
-        assert!(a != b || b != c);
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub use latency::{GeoPoint, LatencyModel};
 pub use parallel::{ParallelNet, RuntimeConfig};
 pub use peer::{Command, Context, Payload, Peer, PeerId};
 pub use pipe::PipeConfig;
-pub use queue::CalendarQueue;
 pub use sim::{SimConfig, SimNet};
 pub use stats::{NetStats, PipeStats};
 pub use time::SimTime;

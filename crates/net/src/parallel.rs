@@ -144,9 +144,16 @@ impl<M: Payload, P: Peer<M> + 'static> ParallelNet<M, P> {
         });
         let previous = self.shared.router.write().insert(id, Arc::clone(&meta));
         let retired = previous.and_then(|old| self.retire_on(old.shard, id));
-        self.ops[shard].push(ShardOp::Add { id, peer, meta });
+        self.push_add(shard, id, peer, meta);
         self.shared.schedulers[shard].kick();
         retired
+    }
+
+    /// Queues `peer`'s registration on `shard`, counted in flight until
+    /// its `on_start` has run: quiescence is never seen before a start.
+    fn push_add(&self, shard: usize, id: PeerId, peer: P, meta: Arc<NodeMeta<M>>) {
+        self.shared.gate.inc(1);
+        self.ops[shard].push(ShardOp::Add { id, peer, meta });
     }
 
     /// Batch registration: every peer's mailbox is routable *before* the
@@ -174,7 +181,7 @@ impl<M: Payload, P: Peer<M> + 'static> ParallelNet<M, P> {
             staged.push((shard, id, peer, meta));
         }
         for (shard, id, peer, meta) in staged {
-            self.ops[shard].push(ShardOp::Add { id, peer, meta });
+            self.push_add(shard, id, peer, meta);
         }
         for handle in &self.shared.schedulers {
             handle.kick();
@@ -385,6 +392,31 @@ mod tests {
         assert!(peers[&PeerId(0)].fired);
     }
 
+    /// A peer counts as in flight from `add_peer` until its `on_start` has
+    /// run: a start slower than the settle window, and the timer it sets,
+    /// still come before quiescence.
+    #[test]
+    fn quiescence_waits_for_a_slow_start() {
+        struct SlowStart {
+            fired: bool,
+        }
+        impl Peer<Token> for SlowStart {
+            fn on_start(&mut self, ctx: &mut Context<Token>) {
+                std::thread::sleep(Duration::from_millis(20));
+                ctx.set_timer(SimTime::from_millis(1), 1);
+            }
+            fn on_message(&mut self, _: &mut Context<Token>, _: PeerId, _: Token) {}
+            fn on_timer(&mut self, _: &mut Context<Token>, _: u64) {
+                self.fired = true;
+            }
+        }
+        let mut net: ParallelNet<Token, SlowStart> = ParallelNet::with_config(small(1, 8));
+        net.add_peer(PeerId(0), SlowStart { fired: false });
+        assert!(net.await_quiescence(Duration::from_millis(1), Duration::from_secs(5)));
+        let peers = net.shutdown();
+        assert!(peers[&PeerId(0)].fired, "quiescence was declared before the start ran");
+    }
+
     /// Satellite regression: a send racing (or following) a peer shutdown
     /// must decrement in-flight and count undeliverable, so quiescence
     /// still settles instead of hanging on a leaked counter.
@@ -570,11 +602,12 @@ mod tests {
         let burst = 10u32;
         let mut net: ParallelNet<Token, RingBurst> =
             ParallelNet::with_config(RuntimeConfig { workers: 2, mailbox_depth: 2 });
-        for i in 0..n {
-            net.add_peer(PeerId(i), RingBurst { next: PeerId((i + 1) % n), burst, seen: 0 });
-        }
+        // Pipes first: the `on_start` bursts must not race them.
         for i in 0..n {
             net.open_pipe(PeerId(i), PeerId((i + 1) % n));
+        }
+        for i in 0..n {
+            net.add_peer(PeerId(i), RingBurst { next: PeerId((i + 1) % n), burst, seen: 0 });
         }
         assert!(
             net.await_quiescence(Duration::from_millis(100), Duration::from_secs(30)),

@@ -12,14 +12,13 @@
 //!
 //! # Hot-path layout
 //!
-//! The simulator is built to sweep 10k-peer networks (see experiment
-//! E19), so the per-event path avoids global logarithmic structures and
-//! hashing:
+//! The simulator sweeps 10k-peer networks (experiment E19), so an event
+//! costs a heap pop and a `Vec` index, and a send one heap push and one
+//! hash probe, whatever the number of peers:
 //!
-//! * Events live in a [`CalendarQueue`]: fine-grained time buckets over a
-//!   sliding window, heap fallback for far-future timers. Pop cost
-//!   scales with the population of one ~262 µs bucket, not the whole
-//!   queue.
+//! * Events live in a [`HeapQueue`] on `(at, seq)`. A wave of LAN events
+//!   shares one instant, so no time-bucketed structure beats the heap on
+//!   the traffic this simulator serves (PERFORMANCE.md, PR 26).
 //! * Each [`PeerId`] is interned once into a dense `u32` slot index.
 //!   Events carry slot indices, so dispatch is a `Vec` index, not a map
 //!   probe. `index: HashMap<PeerId, u32>` is probed once per `Send`
@@ -47,7 +46,7 @@
 use crate::discovery::{Advertisement, Board};
 use crate::peer::{Command, Context, Payload, Peer, PeerId};
 use crate::pipe::{PipeConfig, PipeState};
-use crate::queue::CalendarQueue;
+use crate::queue::HeapQueue;
 use crate::stats::{NetStats, PipeStats};
 use crate::time::SimTime;
 use codb_trace::{TraceEvent, Tracer};
@@ -60,15 +59,13 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 pub struct SimConfig {
     /// Seed for the loss model RNG.
     pub seed: u64,
-    /// Pipe parameters used by [`SimNet::open_pipe_default`].
-    pub default_pipe: PipeConfig,
     /// Safety valve: abort after this many events (0 = unlimited).
     pub max_events: u64,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
-        SimConfig { seed: 0xC0DB, default_pipe: PipeConfig::lan(), max_events: 0 }
+        SimConfig { seed: 0xC0DB, max_events: 0 }
     }
 }
 
@@ -163,7 +160,7 @@ pub struct SimNet<M: Payload, P: Peer<M>> {
     /// after the callback, so it is empty between events and its
     /// capacity is reused.
     commands: VecDeque<Command<M>>,
-    queue: CalendarQueue<EventKind>,
+    queue: HeapQueue<EventKind>,
     in_flight: InFlight<M>,
     now: SimTime,
     seq: u64,
@@ -186,7 +183,7 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
             index: HashMap::new(),
             board: Board::new(),
             commands: VecDeque::new(),
-            queue: CalendarQueue::new(),
+            queue: HeapQueue::new(),
             in_flight: InFlight::new(),
             now: SimTime::ZERO,
             seq: 0,
@@ -367,11 +364,6 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
         self.open_directed(bi, ai, config);
     }
 
-    /// Opens a pipe with the configured default parameters.
-    pub fn open_pipe_default(&mut self, a: PeerId, b: PeerId) {
-        self.open_pipe(a, b, self.config.default_pipe);
-    }
-
     /// Closes the pipe between `a` and `b` (both directions). Messages
     /// already in flight are still delivered.
     pub fn close_pipe(&mut self, a: PeerId, b: PeerId) {
@@ -506,11 +498,10 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
         if self.config.max_events != 0 && self.events_processed >= self.config.max_events {
             return false;
         }
-        let popped = match deadline {
-            None => self.queue.pop(),
-            Some(d) => self.queue.pop_before(d),
-        };
-        let Some((at, _seq, kind)) = popped else { return false };
+        if deadline.is_some_and(|d| self.queue.peek_time().is_some_and(|at| at > d)) {
+            return false;
+        }
+        let Some((at, _seq, kind)) = self.queue.pop() else { return false };
         debug_assert!(at >= self.now, "time must be monotone");
         self.now = at;
         self.events_processed += 1;
@@ -769,7 +760,7 @@ mod tests {
         let old = net.remove_peer(PeerId(1)).unwrap();
         assert!(old.received.is_empty());
         net.add_peer(PeerId(1), Relay { next: PeerId(2), received: vec![], start_with: None });
-        net.open_pipe_default(PeerId(1), PeerId(2));
+        net.open_pipe(PeerId(1), PeerId(2), PipeConfig::lan());
         net.run_until_quiescent();
         let revived = net.peer(PeerId(1)).unwrap();
         assert_eq!(revived.received, vec![10], "new incarnation got the in-flight message");
@@ -818,7 +809,7 @@ mod tests {
             SimNet::new(SimConfig { max_events: 50, ..Default::default() });
         net.add_peer(PeerId(0), Forever { other: PeerId(1) });
         net.add_peer(PeerId(1), Forever { other: PeerId(0) });
-        net.open_pipe_default(PeerId(0), PeerId(1));
+        net.open_pipe(PeerId(0), PeerId(1), PipeConfig::lan());
         net.run_until_quiescent();
         assert_eq!(net.events_processed(), 50);
     }
@@ -933,7 +924,7 @@ mod more_tests {
         net.run_until_quiescent();
         // Join later; the simulated clock keeps running monotonically.
         net.add_peer(PeerId(1), Echo::default());
-        net.open_pipe_default(PeerId(0), PeerId(1));
+        net.open_pipe(PeerId(0), PeerId(1), PipeConfig::lan());
         net.inject(PeerId(9), PeerId(1), Msg(3));
         net.run_until_quiescent();
         assert_eq!(net.peer(PeerId(1)).unwrap().got, vec![3]);
@@ -966,7 +957,7 @@ mod more_tests {
         let mut net: SimNet<Msg, Echo> = SimNet::new(SimConfig::default());
         net.add_peer(PeerId(0), Echo { forward: Some(PeerId(1)), ..Default::default() });
         net.add_peer(PeerId(1), Echo::default());
-        net.open_pipe_default(PeerId(0), PeerId(1));
+        net.open_pipe(PeerId(0), PeerId(1), PipeConfig::lan());
         net.inject(PeerId(9), PeerId(0), Msg(5));
         net.run_until_quiescent();
         // inject (4 bytes) + forward (4 bytes).

@@ -34,13 +34,13 @@
 //!
 //! ## In-flight accounting
 //!
-//! The [`Gate`] counts every undelivered message, pending timer and parked
-//! command exactly once. New work produced by a callback is counted
-//! *before* the event that produced it is decremented, so the count never
-//! dips to zero while causally-connected work exists; sends that fail
-//! (closed mailbox, missing peer, no pipe) decrement at the failure site
-//! and count `undeliverable` — the accounting leak the thread-per-peer
-//! runtime had is structurally gone.
+//! The [`Gate`] counts every undelivered message, pending timer, parked
+//! command and peer whose `on_start` has not run, exactly once. New work
+//! produced by a callback is counted *before* the event that produced it
+//! is decremented, so the count never dips to zero while causally-connected
+//! work exists; sends that fail (closed mailbox, missing peer, no pipe)
+//! decrement at the failure site and count `undeliverable` — the
+//! accounting leak the thread-per-peer runtime had is structurally gone.
 
 use crate::discovery::Board;
 use crate::mailbox::{Mailbox, TryPush, Waiter};
@@ -62,8 +62,8 @@ fn relock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 // ---------------------------------------------------------------------------
 
 /// Counts in-flight work (mailbox messages + pending timers + parked
-/// commands) and lets harness threads wait for quiescence on a condvar
-/// instead of polling.
+/// commands + peers not yet started) and lets harness threads wait for
+/// quiescence on a condvar instead of polling.
 pub(crate) struct Gate {
     count: AtomicU64,
     /// Bumped whenever the count leaves zero; lets the settle window detect
@@ -274,7 +274,8 @@ impl ShardHandle {
 }
 
 /// Control-plane operations delivered to a shard's worker thread; node
-/// state only ever lives on its owning worker.
+/// state only ever lives on its owning worker. An `Add` holds one gate
+/// unit from its push until its `on_start` output is counted.
 pub(crate) enum ShardOp<M: Payload, P> {
     Add { id: PeerId, peer: P, meta: Arc<NodeMeta<M>> },
     Retire { id: PeerId, reply: std::sync::mpsc::SyncSender<Option<P>> },
@@ -401,6 +402,7 @@ pub(crate) fn run_worker<M: Payload, P: Peer<M>>(
     for op in ops.drain() {
         match op {
             ShardOp::Add { id, peer, .. } => {
+                shared.gate.dec(1); // never started
                 cells.insert(
                     id,
                     Cell { peer, meta: dead_meta(shard), pending: VecDeque::new(), stalled: false },
@@ -448,6 +450,7 @@ fn apply_op<M: Payload, P: Peer<M>>(
         ShardOp::Add { id, peer, meta } => {
             let mut cell = Cell { peer, meta, pending: VecDeque::new(), stalled: false };
             run_callback(shared, id, &mut cell, |peer, ctx| peer.on_start(ctx));
+            shared.gate.dec(1); // the start, after counting its output
             flush(shard, shared, timers, id, &mut cell);
             cells.insert(id, cell);
             // Mail may have arrived before the cell existed; service now —

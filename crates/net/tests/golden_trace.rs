@@ -2,11 +2,13 @@
 //!
 //! The fixture under `tests/fixtures/golden_trace.txt` was generated by
 //! the original `BinaryHeap`-based event queue and `HashMap`-keyed pipe
-//! table. The bucketed calendar queue and the pipe arena that replaced
-//! them must reproduce the exact same delivery schedule — every delivery
-//! `(time, from, to, bytes)` in the same order, the same loss-model RNG
-//! draws, the same final clock and counters. Any reordering, even among
-//! same-timestamp events, changes this file and fails the test.
+//! table. Every restructure since — a calendar queue (PR 6, gone again in
+//! PR 26, when the simulator went back to a heap on the same `(at, seq)`
+//! key), adjacency-list pipes, slot-stored payloads — must reproduce the
+//! exact same delivery schedule: every delivery `(time, from, to, bytes)`
+//! in the same order, the same loss-model RNG draws, the same final clock
+//! and counters. Any reordering, even among same-timestamp events,
+//! changes this file and fails the test.
 //!
 //! Regenerate (only when the *intended* schedule changes, never to paper
 //! over a queue bug) with:
@@ -31,8 +33,7 @@ impl Payload for Token {
 }
 
 /// Floods unseen tokens to its neighbours; re-emits a fresh token from a
-/// staggered timer, plus one far-future timer (exercises the overflow
-/// path of the bucketed queue).
+/// staggered timer, plus one far-future timer.
 struct Gossip {
     neighbours: Vec<PeerId>,
     seen: Vec<u32>,
@@ -93,9 +94,8 @@ fn build() -> SimNet<Token, Gossip> {
     // Built through SimBuilder: peers spawn in index order, pipes open in
     // edge order — the exact call sequence the fixture was generated
     // with, so the builder itself is on the golden path.
-    let mut builder =
-        SimBuilder::new(SimConfig { seed: 0x601D_72AC, max_events: 200_000, ..Default::default() })
-            .topology(&Edges { n: N as usize, edges: Vec::new() }, PipeConfig::lan());
+    let mut builder = SimBuilder::new(SimConfig { seed: 0x601D_72AC, max_events: 200_000 })
+        .topology(&Edges { n: N as usize, edges: Vec::new() }, PipeConfig::lan());
     for (k, &(a, b)) in edges.iter().enumerate() {
         // Cycle through pipe shapes so every model is on the golden path.
         let config = match k % 5 {

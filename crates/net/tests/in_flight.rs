@@ -2,9 +2,8 @@
 //! its message by slot, so a slot handed out twice, freed early or never
 //! freed would deliver the wrong message, or none, or leak. Every run
 //! here is replayed by a reference loop that keeps each message *inside*
-//! its event, in a [`HeapQueue`] — the executable specification
-//! `queue.rs` diffs the calendar queue against — and the two delivery
-//! logs must be equal, entry for entry.
+//! its event, in a [`HeapQueue`] of its own, and the two delivery logs
+//! must be equal, entry for entry.
 
 use codb_net::queue::HeapQueue;
 use codb_net::{Context, Payload, Peer, PeerId, PipeConfig, SimConfig, SimNet, SimTime};
@@ -143,7 +142,7 @@ struct Outcome {
 }
 
 fn config(seed: u64, max_events: u64) -> SimConfig {
-    SimConfig { seed, max_events, ..SimConfig::default() }
+    SimConfig { seed, max_events }
 }
 
 fn open(net: &mut SimNet<Token, Hopper>, a: u64, b: u64, loss: f64) {

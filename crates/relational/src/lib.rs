@@ -28,7 +28,6 @@
 
 #![warn(missing_docs)]
 
-pub mod algebra;
 pub mod binenc;
 pub mod cq;
 pub mod eval;
@@ -44,7 +43,6 @@ pub mod snapshot;
 pub mod tuple;
 pub mod value;
 
-pub use algebra::AlgebraError;
 pub use cq::{Atom, CmpOp, Comparison, ConjunctiveQuery, CqBody, Term, Var, VarPool};
 pub use eval::{answer_query, certain_answers, evaluate_body, evaluate_body_delta, EvalError};
 pub use glav::{apply_firings, FiringSet, GlavRule, Prehashed, PreparedRule, RuleFiring, TField};

@@ -47,7 +47,7 @@ pub use diff::TraceDiff;
 pub use event::TraceEvent;
 pub use inspect::{fmt_nanos, FsyncHistogram, PeerTraffic, PhaseSummary, Summary};
 pub use reader::{dump, read_trace, read_trace_file, render_event, TraceError, TraceFile};
-pub use sink::{FileRecorder, NoopSink, RingRecorder, TraceSink};
+pub use sink::{FileRecorder, RingRecorder, TraceSink};
 pub use tracer::{host_nanos, Tracer};
 
 /// Magic prefix of every trace file; the eighth byte is the format

@@ -1,6 +1,6 @@
-//! Where recorded events go: the [`TraceSink`] trait and its three
-//! implementations — discard ([`NoopSink`]), keep the last N in memory
-//! ([`RingRecorder`]), stream to disk ([`FileRecorder`]).
+//! Where recorded events go: the [`TraceSink`] trait and its two
+//! implementations — keep the last N in memory ([`RingRecorder`]), stream
+//! to disk ([`FileRecorder`]).
 
 use crate::event::{put_event, TraceEvent};
 use crate::TRACE_MAGIC;
@@ -21,8 +21,8 @@ pub const DEFAULT_BLOCK_BYTES: usize = 16 * 1024;
 /// A destination for recorded events.
 ///
 /// Implementations receive every event *with* its already-stamped
-/// timestamp; they decide retention (ring), encoding (file) or nothing
-/// (no-op). The [`crate::Tracer`] in front of a sink is what makes the
+/// timestamp; they decide retention (ring) or encoding (file). The
+/// [`crate::Tracer`] in front of a sink is what makes the
 /// disabled path free — a disabled tracer never calls its sink.
 pub trait TraceSink: Send {
     /// Records one event stamped at `at` (trace-clock nanoseconds).
@@ -33,14 +33,6 @@ pub trait TraceSink: Send {
     fn flush(&mut self) -> std::io::Result<()> {
         Ok(())
     }
-}
-
-/// The zero-cost default: discards everything.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    fn record(&mut self, _at: u64, _ev: &TraceEvent) {}
 }
 
 /// Bounded in-memory recorder: keeps the **last** `capacity` events.

@@ -648,11 +648,7 @@ fn run_fault_plan_impl(
         plan.rounds.iter().map(|round| control.run_update(round.initiator).messages).collect();
 
     // Experiment: seeded loss, every node durable.
-    let sim_config = SimConfig {
-        seed: plan.seed,
-        default_pipe: PipeConfig::lan().with_loss(plan.loss),
-        max_events: 0,
-    };
+    let sim_config = SimConfig { seed: plan.seed, max_events: 0 };
     let mut net = CoDbNetwork::build_with(config.clone(), sim_config, settings(plan.loss), false)
         .expect("scenario configs validate");
     if let Some(t) = tracer {

@@ -7,7 +7,7 @@
 //! *waves* to its neighbours with per-wave duplicate suppression, a
 //! gossip pattern whose message complexity (`waves × edges × 2`) and
 //! propagation depth are known in closed form, so a sweep cleanly
-//! isolates event-loop cost (calendar queue, pipe arena) from protocol
+//! isolates event-loop cost (event heap, adjacency lists) from protocol
 //! cost.
 //!
 //! Pipes are bidirectional, so floods travel the *undirected* closure of
@@ -237,20 +237,16 @@ mod tests {
         assert_eq!(ads.sim_time, plain.sim_time);
     }
 
-    /// The tentpole determinism guarantee at scale: identical seeds push
-    /// identical traces and statistics through the bucketed queue on a
-    /// 1k-node scale-free network.
+    /// Determinism at scale: identical seeds push identical traces and
+    /// statistics through the event heap on a 1k-node scale-free network
+    /// with a distinct latency on nearly every link.
     #[test]
     fn thousand_node_scale_free_is_deterministic() {
         let run = |seed: u64| {
             let t = Topology::ScaleFree { n: 1000, m: 3, seed: 17 };
             // Lossy pipes exercise the RNG draw sequence as well.
             let pipe = PipeConfig::lan().with_loss(0.01);
-            let latency = LatencyModel::Jittered {
-                base: SimTime::from_millis(5),
-                jitter: SimTime::from_millis(2),
-                seed: 23,
-            };
+            let latency = LatencyModel::geo_scattered(23, 1000);
             let (tracer, recorded) = Tracer::ring(usize::MAX);
             let report = run_flood(&t, pipe, Some(latency), 2, seed, false, &tracer);
             let trace = recorded.lock().unwrap().events();

@@ -28,7 +28,7 @@ fn main() {
 
     for loss in [0.0, 0.05, 0.10, 0.20, 0.30] {
         let pipe = PipeConfig::lan().with_loss(loss);
-        let sim = SimConfig { seed: 7, default_pipe: pipe, max_events: 10_000_000 };
+        let sim = SimConfig { seed: 7, max_events: 10_000_000 };
         let settings =
             NodeSettings { retransmit_after: SimTime::from_millis(25), pipe, ..Default::default() };
         let mut net =

@@ -125,7 +125,7 @@ proptest! {
         let lossy_pipe = PipeConfig::lan()
             .with_latency(SimTime::from_millis(latency_ms))
             .with_loss(0.10);
-        let sim = SimConfig { seed: loss_seed, default_pipe: lossy_pipe, max_events: 5_000_000 };
+        let sim = SimConfig { seed: loss_seed, max_events: 5_000_000 };
         let settings = NodeSettings {
             retransmit_after: SimTime::from_millis(40),
             pipe: lossy_pipe,
@@ -599,16 +599,12 @@ mod relational_props {
 }
 
 // ---------------------------------------------------------------------
-// Algebra ↔ CQ-evaluator cross-validation.
+// Snapshots.
 // ---------------------------------------------------------------------
 
-mod algebra_props {
+mod snapshot_props {
     use super::*;
-    use codb::relational::algebra;
-    use codb::relational::{
-        Atom, CmpOp, ConjunctiveQuery, CqBody, Relation, RelationSchema, Term, Tuple, Value,
-        ValueType, Var,
-    };
+    use codb::relational::{Relation, RelationSchema, Tuple, Value, ValueType};
 
     fn rel_from(pairs: &[(i64, i64)], name: &str) -> Relation {
         let mut r =
@@ -621,63 +617,6 @@ mod algebra_props {
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: crate::cases(64), ..ProptestConfig::default() })]
-
-        /// σ by comparison equals the CQ `ans(X,Y) :- r(X,Y), Y op c`.
-        #[test]
-        fn select_matches_cq(
-            pairs in proptest::collection::vec((0i64..10, 0i64..10), 0..20),
-            c in 0i64..10,
-        ) {
-            let r = rel_from(&pairs, "r");
-            let selected = algebra::select(&r, 1, CmpOp::Ge, &Value::Int(c)).unwrap();
-
-            let mut inst = Instance::new();
-            inst.insert_relation(r.clone());
-            let q = ConjunctiveQuery::new(
-                Atom::new("ans", vec![Term::Var(Var(0)), Term::Var(Var(1))]),
-                CqBody::new(
-                    vec![Atom::new("r", vec![Term::Var(Var(0)), Term::Var(Var(1))])],
-                    vec![codb::relational::Comparison::new(Var(1), CmpOp::Ge, Value::Int(c))],
-                ),
-                vec!["X".into(), "Y".into()],
-            ).unwrap();
-            let answers = codb::relational::answer_query(&q, &inst).unwrap();
-            prop_assert_eq!(selected.sorted(), answers);
-        }
-
-        /// ⋈ equals the CQ `ans(X,Y,Z) :- a(X,Y), b(Y,Z)`.
-        #[test]
-        fn join_matches_cq(
-            pa in proptest::collection::vec((0i64..6, 0i64..6), 0..15),
-            pb in proptest::collection::vec((0i64..6, 0i64..6), 0..15),
-        ) {
-            let a = rel_from(&pa, "a");
-            let b = rel_from(&pb, "b");
-            let joined = algebra::join(&a, &b, "j", &[(1, 0)]).unwrap();
-
-            let mut inst = Instance::new();
-            inst.insert_relation(a);
-            inst.insert_relation(b);
-            let q = codb::relational::parse_query(
-                "ans(X, Y, Z) :- a(X, Y), b(Y, Z)."
-            ).unwrap();
-            let answers = codb::relational::answer_query(&q, &inst).unwrap();
-            prop_assert_eq!(joined.sorted(), answers);
-        }
-
-        /// π onto column 0 equals the CQ `ans(X) :- r(X, Y)`.
-        #[test]
-        fn project_matches_cq(
-            pairs in proptest::collection::vec((0i64..10, 0i64..10), 0..20),
-        ) {
-            let r = rel_from(&pairs, "r");
-            let projected = algebra::project(&r, "p", &[0]).unwrap();
-            let mut inst = Instance::new();
-            inst.insert_relation(r);
-            let q = codb::relational::parse_query("ans(X) :- r(X, Y).").unwrap();
-            let answers = codb::relational::answer_query(&q, &inst).unwrap();
-            prop_assert_eq!(projected.sorted(), answers);
-        }
 
         /// Snapshot round-trip is lossless for arbitrary instances.
         #[test]

@@ -153,7 +153,7 @@ fn independent_runs_are_null_isomorphic() {
     };
     let run = |latency: u64| {
         let pipe = PipeConfig::lan().with_latency(SimTime::from_millis(latency));
-        let sim = SimConfig { seed: latency, default_pipe: pipe, max_events: 0 };
+        let sim = SimConfig { seed: latency, max_events: 0 };
         let settings = codb::core::NodeSettings { pipe, ..Default::default() };
         let mut net =
             CoDbNetwork::build_with(scenario.build_config(), sim, settings, false).unwrap();

@@ -454,7 +454,7 @@ fn run_program(seed: u64) -> Result<(), String> {
     let loss = if !rules_files && g.below(2) == 0 { 0.08 } else { 0.0 };
     let pipe = PipeConfig::lan().with_loss(loss);
     let settings = NodeSettings { max_hops, pipe, ..NodeSettings::default() };
-    let sim = SimConfig { seed, default_pipe: pipe, max_events: 0 };
+    let sim = SimConfig { seed, max_events: 0 };
     let config = scenario.build_config();
     let tmp = ScratchDir::new("update-start-program");
     let mut net = CoDbNetwork::build_with(config.clone(), sim, settings, true).unwrap();
