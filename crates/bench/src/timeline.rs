@@ -1,5 +1,5 @@
 //! ASCII timeline of a global update — when each node started, closed
-//! (paper's link-state rule) and saw the completion flood. The textual
+//! (paper's link-state rule) and saw the update complete. The textual
 //! stand-in for the demo's per-update report screens.
 
 use codb_core::{NetworkReport, UpdateId};
@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 /// node reports. `width` is the bar area in characters.
 ///
 /// Legend: `░` open (working), `▓` closed early (paper's rule), from the
-/// completion flood on the bar ends; `S` marks the start.
+/// update's completion on the bar ends; `S` marks the start.
 pub fn render_timeline(report: &NetworkReport, update: UpdateId, width: usize) -> String {
     let mut rows: Vec<(String, SimTime, Option<SimTime>, Option<SimTime>)> = Vec::new();
     let mut t_min = SimTime(u64::MAX);

@@ -24,7 +24,11 @@ pub enum Body {
     Ack,
 
     // ---- global update (paper §2–3) ----
-    /// Flooded request starting / propagating a global update.
+    /// The request starting / propagating a global update, flooded: a node
+    /// that processes it sends it on to every acquaintance but its sender —
+    /// alone only where the initial execution of its incoming links sent
+    /// no data, which otherwise carries it ([`Body::UpdateData`]'s
+    /// `request`).
     UpdateRequest {
         /// The update.
         update: UpdateId,
@@ -51,6 +55,13 @@ pub enum Body {
         /// Length of the update propagation path that produced this batch
         /// (the statistics module reports the longest such path).
         hops: u64,
+        /// The update request rides along: the first data the initial
+        /// execution sends a target (its sender aside) carries it, in place
+        /// of a [`Body::UpdateRequest`], and the receiver processes the
+        /// request before the firings. An explicit bit: data a node has not
+        /// seen the request for is not thereby a request (a restarted node
+        /// may receive a scoped update's parked data).
+        request: bool,
     },
     /// The source of `rule` tells the target that the incoming link is
     /// closed: no further `UpdateData` will arrive on it.
@@ -68,16 +79,21 @@ pub enum Body {
     /// Dijkstra–Scholten credit: the receiver's deficit for `update`
     /// decreases by `credits`. Unsequenced when it answers a message that
     /// did not engage its receiver (it then carries that message's ack and
-    /// counts only if the ack retires it); sequenced when a node disengages
-    /// and returns the credit of the message that engaged it.
+    /// counts only if the ack retires it). Sequenced when a node disengages
+    /// and returns the credit of the message that engaged it — which makes
+    /// the sender the receiver's child in the update's completion tree —
+    /// or, with no credit, when a node whose place in that tree was lost
+    /// asks the receiver to adopt it.
     DsAck {
         /// The update.
         update: UpdateId,
         /// Number of messages acknowledged.
         credits: u64,
     },
-    /// Flooded by the initiator once global quiescence is detected; forces
-    /// links still open (cyclic components) closed.
+    /// Sent down the completion tree once the initiator detects global
+    /// quiescence: by each node to the children it recorded (the peers
+    /// that engaged under it, or asked to be adopted) that are still
+    /// acquaintances. Forces links still open (cyclic components) closed.
     UpdateComplete {
         /// The update.
         update: UpdateId,
@@ -268,7 +284,7 @@ impl Body {
     /// [`crate::reliable::Reliable::max_attempts`]: the peer is presumed
     /// crashed and mid-handshake, so data and handshake traffic must wait
     /// for its new incarnation rather than be dropped. DS credit returns,
-    /// completion floods, query traffic and stats keep the old
+    /// completions, query traffic and stats keep the old
     /// abandonment semantics — they are either re-derivable or meaningless
     /// to a dead incarnation.
     pub fn parks_behind_barrier(&self) -> bool {
@@ -327,11 +343,14 @@ pub struct Envelope {
     /// credit) and for harness-injected control messages. Read by the
     /// receiver's window ([`crate::reliable::Reliable::receive`]).
     pub seq: Option<u64>,
-    /// Sender incarnation. A node restarted from its durable store rejoins
-    /// with a higher epoch (the JXTA stand-in: a restarted peer opens new
+    /// Sender incarnation, on everything a node sends (0 on harness
+    /// control). A node restarted from its durable store rejoins with a
+    /// higher epoch (the JXTA stand-in: a restarted peer opens new
     /// transport sessions); receivers start their per-sender window over
     /// when they see the epoch grow, so the fresh incarnation's restarted
-    /// sequence numbers are not mistaken for duplicates.
+    /// sequence numbers are not mistaken for duplicates, and write off the
+    /// engagement credits the dead incarnation held
+    /// ([`crate::reliable::Reliable::heard`]).
     pub epoch: u64,
     /// On a sequenced envelope, the lowest seq the sender may still
     /// retransmit toward this receiver: everything below it was answered,
@@ -374,8 +393,14 @@ mod tests {
     #[test]
     fn ds_counting_covers_work_messages() {
         assert!(Body::UpdateRequest { update: upd() }.is_ds_counted());
-        assert!(Body::UpdateData { update: upd(), rule: "r".into(), firings: vec![], hops: 1 }
-            .is_ds_counted());
+        assert!(Body::UpdateData {
+            update: upd(),
+            rule: "r".into(),
+            firings: vec![],
+            hops: 1,
+            request: false
+        }
+        .is_ds_counted());
         assert!(Body::LinkClosed { update: upd(), rule: "r".into(), data_msgs: 0 }.is_ds_counted());
         assert!(!Body::DsAck { update: upd(), credits: 1 }.is_ds_counted());
         assert!(!Body::UpdateComplete { update: upd() }.is_ds_counted());
@@ -391,8 +416,14 @@ mod tests {
         // Everything DS-counted is real work the rejoined peer must
         // eventually see.
         assert!(Body::UpdateRequest { update: upd() }.parks_behind_barrier());
-        assert!(Body::UpdateData { update: upd(), rule: "r".into(), firings: vec![], hops: 1 }
-            .parks_behind_barrier());
+        assert!(Body::UpdateData {
+            update: upd(),
+            rule: "r".into(),
+            firings: vec![],
+            hops: 1,
+            request: false
+        }
+        .parks_behind_barrier());
         assert!(Body::LinkClosed { update: upd(), rule: "r".into(), data_msgs: 0 }
             .parks_behind_barrier());
         assert!(Body::DemandLink { update: upd(), rule: "r".into() }.parks_behind_barrier());
@@ -419,13 +450,24 @@ mod tests {
 
     #[test]
     fn sizes_scale_with_firings() {
-        let small = Body::UpdateData { update: upd(), rule: "r".into(), firings: vec![], hops: 1 };
+        let small = Body::UpdateData {
+            update: upd(),
+            rule: "r".into(),
+            firings: vec![],
+            hops: 1,
+            request: false,
+        };
         let firing = codb_relational::RuleFiring::new([(
             "t",
             vec![codb_relational::TField::Const(codb_relational::Value::Int(1))],
         )]);
-        let big =
-            Body::UpdateData { update: upd(), rule: "r".into(), firings: vec![firing], hops: 1 };
+        let big = Body::UpdateData {
+            update: upd(),
+            rule: "r".into(),
+            firings: vec![firing],
+            hops: 1,
+            request: false,
+        };
         assert!(big.size_bytes() > small.size_bytes());
         assert!(Envelope::control(Body::StatsRequest).size_bytes() >= 16);
     }
@@ -446,7 +488,14 @@ mod tests {
     fn kinds_are_distinct_for_update_protocol() {
         let kinds = [
             Body::UpdateRequest { update: upd() }.kind(),
-            Body::UpdateData { update: upd(), rule: "r".into(), firings: vec![], hops: 0 }.kind(),
+            Body::UpdateData {
+                update: upd(),
+                rule: "r".into(),
+                firings: vec![],
+                hops: 0,
+                request: false,
+            }
+            .kind(),
             Body::LinkClosed { update: upd(), rule: "r".into(), data_msgs: 0 }.kind(),
             Body::DsAck { update: upd(), credits: 1 }.kind(),
             Body::UpdateComplete { update: upd() }.kind(),

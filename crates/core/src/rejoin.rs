@@ -91,6 +91,13 @@ impl CoDbNode {
             // recovered receive caches suppress everything it still has),
             // and it re-primes the sent caches as a side effect.
             self.send_rejoin_repair(ctx, from);
+            // The dead incarnation's lists of completion-tree children died
+            // with it, and this node may have been on one: it asks to be
+            // adopted in every update it has not seen complete. (The
+            // credits the dead incarnation held were written off when its
+            // successor was first heard, `Reliable::heard`; an update it
+            // started, its successor ends when asked.)
+            self.adopt_all(ctx);
         }
     }
 

@@ -40,15 +40,16 @@
 //! Rule firings and protocol steps are idempotent (firing-level dedup,
 //! credits counted once), so retransmission is safe.
 //!
-//! None of this is persisted: it is epoch-keyed instead. Every sequenced
-//! envelope carries the sender's incarnation epoch (`codb-store`'s
-//! `codb.epoch`, bumped per recovery); a receiver seeing a grown epoch
-//! starts that sender's window over, a receiver seeing a stale epoch drops
-//! the envelope, and acks echo the epoch so a dead incarnation's ack
-//! cannot retire a live one's seq. The protocol-level counters that *must*
-//! survive (update/query/fetch ids) are persisted separately as WAL
-//! `Counters` records and additionally `(epoch, seq)`-keyed — see
-//! [`crate::ids`] and [`crate::rejoin`].
+//! None of this is persisted: it is epoch-keyed instead. Every envelope
+//! carries the sender's incarnation epoch (`codb-store`'s `codb.epoch`,
+//! bumped per recovery); a receiver seeing a grown epoch starts that
+//! sender's window over and writes off the engagement credits the dead
+//! incarnation held ([`Reliable::heard`]), a receiver seeing a stale epoch
+//! on a sequenced envelope drops it, and acks echo the epoch so a dead
+//! incarnation's ack cannot retire a live one's seq. The protocol-level
+//! counters that *must* survive (update/query/fetch ids) are persisted
+//! separately as WAL `Counters` records and additionally `(epoch,
+//! seq)`-keyed — see [`crate::ids`] and [`crate::rejoin`].
 
 use crate::ids::{NodeId, UpdateId};
 use crate::messages::{Body, CarriedAck, Envelope};
@@ -227,13 +228,22 @@ struct Window {
 }
 
 impl Window {
+    /// Notes the sender's `epoch`. A grown one — the sender was restarted
+    /// from its store, its seqs start over — resets the window; returns
+    /// whether it did.
+    fn hear(&mut self, epoch: u64) -> bool {
+        if epoch <= self.epoch {
+            return false;
+        }
+        *self = Window { epoch, ..Window::default() };
+        true
+    }
+
     /// Classifies `(epoch, seq)`, first forgetting everything below the
     /// sender's `base`: the sender retransmits nothing below it, so a seq
     /// down there can only be a stray copy of a message that was answered.
     fn receive(&mut self, epoch: u64, seq: u64, base: u64) -> Receipt {
-        if epoch > self.epoch {
-            *self = Window { epoch, ..Window::default() };
-        }
+        self.hear(epoch);
         if epoch < self.epoch {
             return Receipt::Dropped;
         }
@@ -308,6 +318,13 @@ impl Link {
             }
             None => self.engaged.push((update, change)),
         }
+    }
+
+    /// Writes off every engagement credit the peer holds: it can return
+    /// none of them any more. One entry per credit.
+    fn write_off_engaged(&mut self) -> Vec<UpdateId> {
+        let engaged = self.engaged.drain(..).filter(|(_, held)| *held > 0);
+        engaged.flat_map(|(u, held)| (0..held).map(move |_| u)).collect()
     }
 }
 
@@ -416,7 +433,13 @@ impl Reliable {
                 link.window.credited(owed.ack.seq);
             }
         }
-        Envelope { ack: owed.map(|owed| owed.ack), ..Envelope::control(body) }
+        Envelope { epoch: self.epoch, ack: owed.map(|owed| owed.ack), ..Envelope::control(body) }
+    }
+
+    /// The bare ack that carries `owed` alone, stamped with this
+    /// incarnation.
+    pub fn bare_ack(&self, owed: Owed) -> Envelope {
+        Envelope { epoch: self.epoch, ack: Some(owed.ack), ..Envelope::control(Body::Ack) }
     }
 
     /// `peer` answered a DS message of `update` with a plain ack: the
@@ -562,10 +585,22 @@ impl Reliable {
             return Forgotten::default();
         };
         link.barred = false;
-        let engaged = link.engaged.drain(..).filter(|(_, held)| *held > 0);
-        Forgotten {
-            engaged: engaged.flat_map(|(u, held)| (0..held).map(move |_| u)).collect(),
-            dropped: link.out.drain(),
+        Forgotten { engaged: link.write_off_engaged(), dropped: link.out.drain() }
+    }
+
+    /// Notes the incarnation `from` stamped on an envelope. A grown epoch
+    /// means the peer restarted from its store and its previous incarnation
+    /// is dead: the window starts over, and the engagement credits the dead
+    /// incarnation held, which nothing can return now, are written off —
+    /// returned one entry per credit, as [`Reliable::forget_peer`] returns
+    /// them. Every envelope calls this before its ack can record an
+    /// engagement of the new incarnation, so none of those is written off.
+    pub fn heard(&mut self, from: NodeId, epoch: u64) -> Vec<UpdateId> {
+        let Some(link) = self.links.get_mut(&from) else { return Vec::new() };
+        if link.window.hear(epoch) {
+            link.write_off_engaged()
+        } else {
+            Vec::new()
         }
     }
 }
@@ -781,6 +816,29 @@ mod tests {
         r.peer_disengaged(NodeId(1), update(3));
         assert_eq!(r.forget_peer(NodeId(1)).engaged, [update(2)]);
         assert!(r.forget_peer(NodeId(1)).engaged.is_empty());
+    }
+
+    #[test]
+    fn a_new_incarnation_writes_off_what_the_dead_one_held() {
+        let mut r = layer();
+        let update = |seq| UpdateId { origin: NodeId(0), epoch: 0, seq };
+        r.wrap(NodeId(1), body());
+        r.peer_engaged(NodeId(1), update(0));
+        r.peer_engaged(NodeId(1), update(0));
+        r.peer_engaged(NodeId(1), update(1));
+        r.peer_disengaged(NodeId(1), update(1));
+        assert_eq!(r.receive(NodeId(1), 0, 0, 0), Receipt::First);
+        assert!(r.heard(NodeId(1), 0).is_empty(), "the same incarnation");
+        assert!(r.heard(NodeId(2), 1).is_empty(), "never spoken to");
+        // Restarted: its window starts over, and the two credits it held
+        // in update 0 will never come back.
+        assert_eq!(r.heard(NodeId(1), 1), [update(0), update(0)]);
+        assert_eq!(r.window_len(NodeId(1)), 0);
+        // What the new incarnation engages in is its own.
+        r.peer_engaged(NodeId(1), update(2));
+        assert!(r.heard(NodeId(1), 1).is_empty(), "heard already");
+        assert!(r.heard(NodeId(1), 0).is_empty(), "a straggler of the dead one");
+        assert_eq!(r.forget_peer(NodeId(1)).engaged, [update(2)]);
     }
 
     /// Drives `r` through enough rounds to exhaust `max_attempts`,

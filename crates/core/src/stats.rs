@@ -215,7 +215,7 @@ kinds! {
     LinkClosed => "link_closed",
     /// A Dijkstra–Scholten credit return.
     DsAck => "ds_ack",
-    /// The completion flood.
+    /// The completion, sent down the engagement tree.
     UpdateComplete => "update_complete",
     /// A restarted node's announcement.
     Rejoin => "rejoin",
@@ -384,8 +384,8 @@ impl NodeReport {
 pub struct UpdateSummary {
     /// Nodes that participated.
     pub nodes: u64,
-    /// Nodes that reached the closed state on their own (before the global
-    /// completion flood).
+    /// Nodes that reached the closed state on their own (before the
+    /// update's completion reached them).
     pub closed_early: u64,
     /// Earliest start across nodes.
     pub started_at: SimTime,
@@ -581,7 +581,10 @@ mod tests {
             ("Ack", Body::Ack),
             ("UpdateRequest", Body::UpdateRequest { update }),
             ("DemandLink", Body::DemandLink { update, rule: rule() }),
-            ("UpdateData", Body::UpdateData { update, rule: rule(), firings: vec![], hops: 0 }),
+            (
+                "UpdateData",
+                Body::UpdateData { update, rule: rule(), firings: vec![], hops: 0, request: false },
+            ),
             ("LinkClosed", Body::LinkClosed { update, rule: rule(), data_msgs: 0 }),
             ("DsAck", Body::DsAck { update, credits: 1 }),
             ("UpdateComplete", Body::UpdateComplete { update }),

@@ -89,6 +89,12 @@ impl CoDbNode {
     /// then disengages with nobody to tell. (What the peer still has in
     /// flight toward this node does arrive; `dispatch_ds` handles it
     /// without engaging under the sender.)
+    ///
+    /// The completion tree loses the edge too: the departed peer will not
+    /// pass this node the completion, nor this node pass it on, and a
+    /// disengagement that was in flight between them is gone with the
+    /// pipe. So for every update it has not seen complete, this node asks
+    /// each remaining acquaintance to adopt it.
     fn forget_acquaintance(&mut self, ctx: &mut Context<Envelope>, gone: NodeId) {
         for st in self.updates.values_mut().filter(|st| st.parent == Some(gone)) {
             st.parent = None;
@@ -98,9 +104,8 @@ impl CoDbNode {
             self.report.count_sent(Kind::Abandoned);
             self.surrender_credit(ctx, sent);
         }
-        for update in forgotten.engaged {
-            self.handle_ds_ack(ctx, update, 1);
-        }
+        self.write_off(ctx, forgotten.engaged);
+        self.adopt_all(ctx);
     }
 
     /// Replaces the rule book, and with it everything numbered by the old
@@ -287,6 +292,7 @@ mod tests {
             rule: rule.to_owned(),
             firings: vec![f],
             hops: 1,
+            request: false,
         };
         let sent = deliver(&mut node, a, data("keep", firing("tb", 7)));
         assert!(sent
@@ -299,7 +305,9 @@ mod tests {
         let st = node.update_state(update).unwrap();
         assert_eq!(st.link(id(&v1_book, "keep")).data_received, 1);
         assert_eq!(st.link(id(&v1_book, "old")).data_sent, 2, "the seed tuple, then the new one");
-        assert_eq!(st.deficit, 3, "the flooded request and two data messages, all to c");
+        // Two data messages to c, the first carrying the update request: it
+        // is one DS message where a request beside it would be a second.
+        assert_eq!(st.deficit, 2, "two data messages to c, the request riding the first");
 
         let v2 = NetworkConfig::parse(MID_V2).unwrap();
         deliver(&mut node, NodeId(9), Body::RulesFile { config: Box::new(v2.clone()) });
@@ -313,7 +321,7 @@ mod tests {
         }
         assert_eq!(
             (st.deficit, st.engaged, st.parent),
-            (3, true, Some(a)),
+            (2, true, Some(a)),
             "DS state is not per link"
         );
         assert!(node.sent_cache.iter().all(SentCache::is_empty) && node.recv_cache.is_empty());

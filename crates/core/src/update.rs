@@ -3,7 +3,9 @@
 //! A dedicated node starts a global update; the request floods the network
 //! with a unique [`UpdateId`]. Every node executes its *incoming links*
 //! (the rules other nodes use to import data from it) over its LDB and
-//! pushes the resulting firings to the rule targets. When data arrives on
+//! pushes the resulting firings to the rule targets; the request rides the
+//! first of that data to each target instead of travelling beside it
+//! ([`Body::UpdateData`]'s `request`). When data arrives on
 //! an *outgoing link* `o`, the new tuples `T' = T \ R` are materialised
 //! (fresh marked nulls for existential placeholders), and every incoming
 //! link *dependent on* `o` is re-computed **by substituting `R` with `T'`**
@@ -23,13 +25,38 @@
 //! 2. **Dijkstra–Scholten diffusing computation** as the global backstop
 //!    for cyclic components (the paper frames its propagation as an
 //!    "extension of diffusing computation [Lynch 1996]"). Every
-//!    `UpdateRequest` / `UpdateData` / `LinkClosed` message is a DS
-//!    message: the first one *engages* a node under its sender (no credit
-//!    returned yet); every other one is credited back (`DsAck`) right
-//!    after processing. A node returns its engagement credit once its own
+//!    `UpdateRequest` / `DemandLink` / `UpdateData` / `LinkClosed` message
+//!    is a DS message (data carrying the request is one): the first one
+//!    *engages* a node under its sender (no credit returned yet); every
+//!    other one is credited back (`DsAck`) right after processing. A node
+//!    returns its engagement credit, in a sequenced `DsAck`, once its own
 //!    deficit is zero. When the initiator's deficit reaches zero the whole
-//!    computation is quiescent: it floods `UpdateComplete`, which
-//!    force-closes the links cyclic dependencies kept open.
+//!    computation is quiescent, and `UpdateComplete` force-closes the links
+//!    cyclic dependencies kept open.
+//!
+//! The completion goes down the *engagement tree*, not to every
+//! acquaintance. A node records a peer as its child when the peer's
+//! disengagement `DsAck` arrives — the deficit waits for exactly that
+//! message, so by the time the initiator completes every node that ever
+//! engaged is recorded somewhere, and a node that engaged twice, under two
+//! parents, is recorded at both (the union; completion is idempotent).
+//! Each node passes the completion to its children that are still
+//! acquaintances: about one message per node the update reached, where the
+//! flood it replaces cost one per acquaintance pair.
+//!
+//! Where a fault tears the tree, a node asks to be *adopted*: a sequenced
+//! `DsAck` of no credit to every acquaintance, which records it as a child
+//! (a node that has already completed answers with the completion, and a
+//! node that had not seen the end asks in turn, once). A node asks when a
+//! rules file closes its pipe to an acquaintance (its parent, or the
+//! disengagement in flight to it, may be gone), when a neighbour restarts
+//! from its store (the dead incarnation's children went with it), when a
+//! credit comes back to a node that holds no state for the update (it
+//! restarted since), and when the update first reaches it from a peer
+//! that has left. A neighbour's restart also writes off the engagement
+//! credits its dead incarnation held (`Reliable::heard`). A node asked to
+//! adopt in an update it started in a dead incarnation ends it instead:
+//! nobody is left to detect its quiescence.
 //!
 //! ## What an update start fires
 //!
@@ -120,9 +147,15 @@ pub struct UpdateState {
     pub engaged: bool,
     /// DS parent (the sender of the engaging message).
     pub parent: Option<NodeId>,
+    /// Every peer that engaged under this node in this update, recorded
+    /// when its sequenced `DsAck` arrived, and every peer that asked to be
+    /// adopted: the union, each once. Completion goes down to them.
+    pub children: Vec<NodeId>,
+    /// This node has asked its acquaintances to adopt it.
+    pub adopted: bool,
     /// Unreturned DS credits for messages this node sent.
     pub deficit: u64,
-    /// Whether the flooded `UpdateRequest` has been processed here.
+    /// Whether the update request has been processed here.
     pub request_seen: bool,
     /// Query-dependent (scoped) mode: only demanded links participate.
     pub scoped: bool,
@@ -135,13 +168,16 @@ pub struct UpdateState {
 
 impl UpdateState {
     /// Fresh state for an update first seen now, at a node whose book
-    /// numbers `links` links.
-    pub fn new(update: UpdateId, links: usize) -> Self {
+    /// numbers `links` links and names `acquaintances` acquaintances (room
+    /// for as many children, so that recording one allocates nothing).
+    pub fn new(update: UpdateId, links: usize, acquaintances: usize) -> Self {
         UpdateState {
             update,
             initiator: false,
             engaged: false,
             parent: None,
+            children: Vec::with_capacity(acquaintances),
+            adopted: false,
             deficit: 0,
             request_seen: false,
             scoped: false,
@@ -157,6 +193,12 @@ impl UpdateState {
 
     fn link_mut(&mut self, link: LinkId) -> &mut LinkState {
         &mut self.links[link.index()]
+    }
+
+    /// True once the update is over here: complete, every credit back, and
+    /// disengaged (the initiator, the tree's root, stays engaged).
+    pub fn is_settled(&self) -> bool {
+        self.complete && self.deficit == 0 && (self.initiator || !self.engaged)
     }
 
     /// True iff the given outgoing link is still open.
@@ -183,8 +225,8 @@ impl UpdateState {
 impl CoDbNode {
     /// The state of `update`, made on first touch.
     pub(crate) fn update_entry(&mut self, update: UpdateId) -> &mut UpdateState {
-        let links = self.book.len();
-        self.updates.entry(update).or_insert_with(|| UpdateState::new(update, links))
+        let (links, acquaintances) = (self.book.len(), self.book.acquaintances().len());
+        self.updates.entry(update).or_insert_with(|| UpdateState::new(update, links, acquaintances))
     }
 
     fn state_mut(&mut self, update: UpdateId) -> &mut UpdateState {
@@ -284,7 +326,7 @@ impl CoDbNode {
         } else {
             link.rule.fire(&self.ldb).expect("schema-validated rule")
         };
-        self.send_link_data(ctx, update, id, firings, 1);
+        self.send_link_data(ctx, update, id, firings, 1, false);
         // Recursive demand for the body's inputs.
         let body_rels: BTreeSet<String> =
             link.rule.rule().body_relations().into_iter().map(str::to_owned).collect();
@@ -297,12 +339,14 @@ impl CoDbNode {
     /// kinds, and the choice of what answers the message.
     pub(crate) fn dispatch_ds(&mut self, ctx: &mut Context<Envelope>, from: NodeId, body: Body) {
         let update = body.update_id().expect("DS messages carry an update id");
+        let fresh = !self.updates.contains_key(&update);
+        let acquainted = self.book.acquaintances().contains(&from);
         let st = self.update_entry(update);
         // (A node engages under an acquaintance only: a message still in
         // flight from a peer that has since left the network is handled,
         // but that peer has written its credits off, and nothing could
         // tell it of a disengagement.)
-        let engaging = !st.engaged && !st.initiator && self.book.acquaintances().contains(&from);
+        let engaging = !st.engaged && !st.initiator && acquainted;
         // The engaging message is answered by a plain ack, which may ride
         // whatever its handling posts back; its credit is held until
         // disengagement. Any other is answered by its credit: the ack it is
@@ -319,7 +363,10 @@ impl CoDbNode {
         match body {
             Body::UpdateRequest { update } => self.process_update_request(ctx, Some(from), update),
             Body::DemandLink { update, rule } => self.process_demand_link(ctx, update, rule),
-            Body::UpdateData { update, rule, firings, hops } => {
+            Body::UpdateData { update, rule, firings, hops, request } => {
+                if request {
+                    self.process_update_request(ctx, Some(from), update);
+                }
                 self.process_update_data(ctx, update, &rule, firings, hops)
             }
             Body::LinkClosed { update, rule, data_msgs } => {
@@ -330,11 +377,15 @@ impl CoDbNode {
         if !engaging {
             self.post_credit_reply(ctx, from, update, reserved);
         }
+        if fresh && !acquainted {
+            // The update reached this node outside every tree.
+            self.seek_adoption(ctx, update);
+        }
         self.maybe_disengage(ctx, update);
     }
 
-    /// Handles the flooded update request (first receipt does the work;
-    /// duplicates are no-ops beyond DS crediting).
+    /// Handles the update request, alone or carried by update data (first
+    /// receipt does the work; duplicates are no-ops beyond DS crediting).
     fn process_update_request(
         &mut self,
         ctx: &mut Context<Envelope>,
@@ -351,9 +402,11 @@ impl CoDbNode {
 
         // Initial execution of every incoming link: over what the node
         // inserted since the last start where the link is caught up, over
-        // the whole LDB where it is not.
+        // the whole LDB where it is not. The first data message to each
+        // target but the sender carries the request.
         let book = Arc::clone(&self.book);
         let unfired = std::mem::take(&mut self.unfired);
+        let mut carried: Vec<NodeId> = Vec::new();
         for &id in book.incoming() {
             let whole = !std::mem::replace(&mut self.sent_cache[id.index()].caught_up, true);
             let firings = if whole {
@@ -361,13 +414,18 @@ impl CoDbNode {
             } else {
                 self.fire_link_deltas(id, &unfired)
             };
+            let target = book.link(id).target;
+            let request = Some(target) != from && !carried.contains(&target);
             // (Which takes the mark back if it drops the firings.)
-            self.send_link_data(ctx, update, id, firings, 1);
+            if self.send_link_data(ctx, update, id, firings, 1, request) && request {
+                carried.push(target);
+            }
         }
 
-        // Flood the request to all acquaintances except the sender.
+        // Flood the request, alone, to every acquaintance but the sender
+        // that no data carried it to.
         for &acq in book.acquaintances() {
-            if Some(acq) != from {
+            if Some(acq) != from && !carried.contains(&acq) {
                 self.post(ctx, acq, Body::UpdateRequest { update });
             }
         }
@@ -533,7 +591,7 @@ impl CoDbNode {
                 continue;
             }
             let firings = self.fire_link_deltas(id, deltas);
-            self.send_link_data(ctx, update, id, firings, hops);
+            self.send_link_data(ctx, update, id, firings, hops, false);
         }
     }
 
@@ -572,7 +630,8 @@ impl CoDbNode {
     }
 
     /// Filters `firings` against the sent cache for incoming link `link`
-    /// and posts the remainder (if any) to the link's target.
+    /// and posts the remainder (if any) to the link's target, carrying the
+    /// update request if `request`. Returns whether anything was posted.
     fn send_link_data(
         &mut self,
         ctx: &mut Context<Envelope>,
@@ -580,9 +639,10 @@ impl CoDbNode {
         link: LinkId,
         firings: Vec<RuleFiring>,
         hops: u64,
-    ) {
+        request: bool,
+    ) -> bool {
         if firings.is_empty() {
-            return;
+            return false;
         }
         let evaluated = firings.len() as u64;
         let st = self.state_mut(update);
@@ -594,13 +654,13 @@ impl CoDbNode {
             debug_assert!(st.complete, "data produced for closed incoming link {link:?}");
             self.sent_cache[link.index()].caught_up = false;
             self.report.update_mut(update, ctx.now()).evaluated += evaluated;
-            return;
+            return false;
         }
         let fresh = self.filter_sent(link, firings);
         let report = self.report.update_mut(update, ctx.now());
         report.evaluated += evaluated;
         if fresh.is_empty() {
-            return;
+            return false;
         }
         let bytes: usize = fresh.iter().map(RuleFiring::size_bytes).sum();
         let book = Arc::clone(&self.book);
@@ -610,8 +670,9 @@ impl CoDbNode {
         self.post(
             ctx,
             target,
-            Body::UpdateData { update, rule: name.clone(), firings: fresh, hops },
+            Body::UpdateData { update, rule: name.clone(), firings: fresh, hops, request },
         );
+        true
     }
 
     /// Handles the source-side close notification for outgoing link `rule`.
@@ -714,6 +775,14 @@ impl CoDbNode {
         self.maybe_disengage(ctx, update);
     }
 
+    /// Writes off engagement credits a peer can no longer return (it left
+    /// the network, or the incarnation that held them died): one per entry.
+    pub(crate) fn write_off(&mut self, ctx: &mut Context<Envelope>, engaged: Vec<UpdateId>) {
+        for update in engaged {
+            self.handle_ds_ack(ctx, update, 1);
+        }
+    }
+
     /// Gives up the credit of a DS message that will never be answered: it
     /// was abandoned, or its destination left the network.
     pub(crate) fn surrender_credit(&mut self, ctx: &mut Context<Envelope>, sent: &Body) {
@@ -731,36 +800,104 @@ impl CoDbNode {
             return;
         }
         if st.initiator {
-            if !st.complete {
-                self.on_global_quiescence(ctx, update);
-            }
+            // Global quiescence.
+            self.handle_update_complete(ctx, None, update);
         } else {
             st.engaged = false;
             // (No parent: it left the network while this node was engaged
             // under it, and wrote the credit off as it went.)
             let Some(parent) = st.parent.take() else { return };
-            self.tracer.emit_with(|| TraceEvent::DsAck {
-                peer: self.id.0,
-                to: parent.0,
-                credits: 1,
-            });
-            self.post(ctx, parent, Body::DsAck { update, credits: 1 });
+            self.post_ds_ack(ctx, parent, update, 1);
         }
     }
 
-    /// The initiator detected global quiescence: flood `UpdateComplete`.
-    fn on_global_quiescence(&mut self, ctx: &mut Context<Envelope>, update: UpdateId) {
-        self.finish_update(update, ctx.now());
-        for &acq in Arc::clone(&self.book).acquaintances() {
-            self.post(ctx, acq, Body::UpdateComplete { update });
-        }
+    /// Posts a sequenced `DsAck` to `to`: the engagement credit at
+    /// disengagement, or (no credit) a request to be adopted.
+    fn post_ds_ack(
+        &mut self,
+        ctx: &mut Context<Envelope>,
+        to: NodeId,
+        update: UpdateId,
+        credits: u64,
+    ) {
+        self.tracer.emit_with(|| TraceEvent::DsAck { peer: self.id.0, to: to.0, credits });
+        self.post(ctx, to, Body::DsAck { update, credits });
     }
 
-    /// Handles (and relays) the completion flood.
-    pub(crate) fn handle_update_complete(
+    /// Handles a sequenced `DsAck`: `from` disengaged from this node,
+    /// returning its engagement credit, or asks with no credit to be
+    /// adopted. Either way it is a child from here on and hears of the
+    /// completion from this node — at once, if the update is already over
+    /// here. An adoption request, and a credit returned to a node that
+    /// holds no state for the update (it restarted since it engaged
+    /// `from`), say that part of the tree is lost: this node asks to be
+    /// adopted in turn ([`Self::seek_adoption`]).
+    pub(crate) fn handle_disengagement(
         &mut self,
         ctx: &mut Context<Envelope>,
         from: NodeId,
+        update: UpdateId,
+        credits: u64,
+    ) {
+        let stray = !self.updates.contains_key(&update);
+        let st = self.update_entry(update);
+        let was_complete = st.complete;
+        if !st.children.contains(&from) {
+            st.children.push(from);
+        }
+        if credits > 0 {
+            self.reliable.peer_disengaged(from, update);
+            self.handle_ds_ack(ctx, update, credits);
+        }
+        if was_complete {
+            self.tell_complete(ctx, from, update);
+        } else if stray || credits == 0 {
+            self.seek_adoption(ctx, update);
+        }
+    }
+
+    /// Where this node's own place in the tree of `update` may be lost:
+    /// asks to be adopted, once — the request spreads through the nodes
+    /// that have not seen the end, and stops at those that have, which
+    /// answer it with the completion. An update this node started in a
+    /// dead incarnation has nobody left to detect its end: it is over.
+    fn seek_adoption(&mut self, ctx: &mut Context<Envelope>, update: UpdateId) {
+        if update.origin == self.id && update.epoch < self.epoch() {
+            self.handle_update_complete(ctx, None, update);
+            return;
+        }
+        let st = &self.updates[&update];
+        if !st.initiator && !st.complete && !st.adopted {
+            self.adopt(ctx, update);
+        }
+    }
+
+    /// Asks every acquaintance to adopt this node into its part of the
+    /// tree of `update`: a sequenced `DsAck` of no credit.
+    fn adopt(&mut self, ctx: &mut Context<Envelope>, update: UpdateId) {
+        self.state_mut(update).adopted = true;
+        for &acq in Arc::clone(&self.book).acquaintances() {
+            self.post_ds_ack(ctx, acq, update, 0);
+        }
+    }
+
+    /// [`Self::adopt`] for every update this node has not seen complete
+    /// (and did not start): for a node whose place in the trees may be
+    /// lost — a peer left, or died and came back without its children.
+    pub(crate) fn adopt_all(&mut self, ctx: &mut Context<Envelope>) {
+        let open = self.updates.values().filter(|st| !st.complete && !st.initiator);
+        for update in open.map(|st| st.update).collect::<Vec<_>>() {
+            self.adopt(ctx, update);
+        }
+    }
+
+    /// Completes `update` here (once) and sends the completion down the
+    /// tree: to every child that is still an acquaintance, but `from`,
+    /// which has it.
+    pub(crate) fn handle_update_complete(
+        &mut self,
+        ctx: &mut Context<Envelope>,
+        from: Option<NodeId>,
         update: UpdateId,
     ) {
         let now = ctx.now();
@@ -768,10 +905,18 @@ impl CoDbNode {
             return;
         }
         self.finish_update(update, now);
-        for &acq in Arc::clone(&self.book).acquaintances() {
-            if acq != from {
-                self.post(ctx, acq, Body::UpdateComplete { update });
-            }
+        let children = std::mem::take(&mut self.state_mut(update).children);
+        for &child in children.iter().filter(|&&child| Some(child) != from) {
+            self.tell_complete(ctx, child, update);
+        }
+        self.state_mut(update).children = children;
+    }
+
+    /// Posts `UpdateComplete` to `to`, if it is still an acquaintance (a
+    /// closed pipe would only retransmit it until it was abandoned).
+    fn tell_complete(&mut self, ctx: &mut Context<Envelope>, to: NodeId, update: UpdateId) {
+        if self.book.acquaintances().contains(&to) {
+            self.post(ctx, to, Body::UpdateComplete { update });
         }
     }
 
@@ -831,7 +976,7 @@ pub(crate) mod tests {
         let (net, _, tgt) = link("person(N, A)");
         let u = UpdateId { origin: NodeId(0), epoch: 0, seq: 0 };
         let book = net.node(tgt).rule_book();
-        let st = UpdateState::new(u, book.len());
+        let st = UpdateState::new(u, book.len(), book.acquaintances().len());
         assert!(!st.initiator);
         assert!(!st.engaged);
         assert_eq!(st.deficit, 0);
@@ -970,7 +1115,13 @@ pub(crate) mod tests {
                 let body = if as_repair {
                     Body::RejoinRepair { rule: "r".to_owned(), firings, hops: 1 }
                 } else {
-                    Body::UpdateData { update: bogus, rule: "r".to_owned(), firings, hops: 1 }
+                    Body::UpdateData {
+                        update: bogus,
+                        rule: "r".to_owned(),
+                        firings,
+                        hops: 1,
+                        request: false,
+                    }
                 };
                 net.sim_mut().inject(src.peer(), tgt.peer(), Envelope::control(body));
                 net.sim_mut().run_until_quiescent();
@@ -983,7 +1134,11 @@ pub(crate) mod tests {
                 assert_eq!(node.persist_error(), None, "{case}");
                 assert_eq!(node.report().messages_received["data_rejected"], 1, "{case}");
                 if !as_repair {
-                    assert_eq!(sent_count(node, "ds_ack"), credits + 1, "{case}");
+                    // The credit, and one adoption request: `src` holds no
+                    // state for an update it never started, so the credit
+                    // reaches it outside every tree, it asks `tgt` to adopt
+                    // it, and `tgt` — which has not seen the end — asks back.
+                    assert_eq!(sent_count(node, "ds_ack"), credits + 2, "{case}");
                     let st = node.update_state(bogus).unwrap();
                     assert!(!st.engaged && st.deficit == 0, "{case}: {st:?}");
                 }
@@ -1060,7 +1215,7 @@ pub(crate) mod tests {
 
         fn data(update: UpdateId, k: i64, hops: u64) -> Body {
             let firings = vec![RuleFiring::new([("m", vec![constant(k)])])];
-            Body::UpdateData { update, rule: "feed".to_owned(), firings, hops }
+            Body::UpdateData { update, rule: "feed".to_owned(), firings, hops, request: false }
         }
 
         fn caught_up(&self) -> [bool; 2] {

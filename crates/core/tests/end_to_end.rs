@@ -96,7 +96,7 @@ fn chain_update_propagates_transitively() {
 #[test]
 fn chain_closes_progressively_without_update_complete_data() {
     // In an acyclic chain every LinkClosed is derived from the paper's
-    // rule, before the global completion flood arrives.
+    // rule, before the update's completion arrives.
     let mut net = build(&chain_config(4, 3));
     let outcome = net.run_update(net.node_id("node0").unwrap());
     let report = net.network_report();
@@ -541,8 +541,9 @@ fn scoped_update_with_unknown_relation_is_a_noop() {
     let hub = net.node_id("hub").unwrap();
     let outcome = net.run_scoped_update(hub, vec!["nonexistent".to_owned()]);
     assert_eq!(outcome.summary.tuples_added, 0);
-    // Only the completion flood and its acks — no demands, no data.
-    assert!(outcome.messages <= 6, "got {}", outcome.messages);
+    // Nothing: no demands and no data, so nobody engaged to hear of the
+    // completion either.
+    assert_eq!(outcome.messages, 0);
 }
 
 #[test]

@@ -465,12 +465,15 @@ pub struct FaultPlanReport {
     pub nodes_oracle_isomorphic: usize,
     /// Nodes whose null-factory counter matches the control's.
     pub factories_equal: usize,
-    /// Node count (denominator for the four above).
+    /// Nodes where every update they hold a state for is over: complete,
+    /// every Dijkstra–Scholten credit back, disengaged unless initiator.
+    pub nodes_settled: usize,
+    /// Node count (denominator for the five above).
     pub nodes: usize,
-    /// True when every node reconverged: isomorphic to the oracle's
-    /// fixpoint, and equal to the control under the rule style's notion
-    /// of equality (strict without existentials, isomorphic + equal
-    /// factory counters with them).
+    /// True when every node reconverged and settled: isomorphic to the
+    /// oracle's fixpoint, equal to the control under the rule style's
+    /// notion of equality (strict without existentials, isomorphic + equal
+    /// factory counters with them), and no update left open anywhere.
     pub converged: bool,
     /// Records that were **acked durable** at crash moments (summed over
     /// every crash with [`FaultPlan::lose_unsynced_tail`] set) — the
@@ -758,6 +761,7 @@ fn run_fault_plan_impl(
     let mut nodes_isomorphic = 0;
     let mut nodes_oracle_isomorphic = 0;
     let mut factories_equal = 0;
+    let mut nodes_settled = 0;
     let mut final_states = Vec::with_capacity(config.nodes.len());
     for nc in &config.nodes {
         let ours = run.net.node(nc.id);
@@ -767,6 +771,7 @@ fn run_fault_plan_impl(
         nodes_isomorphic += usize::from(isomorphic(ours.ldb(), theirs.ldb()));
         nodes_oracle_isomorphic += usize::from(isomorphic(ours.ldb(), &oracle.instances[&nc.id]));
         factories_equal += usize::from(ours.nulls_invented() == theirs.nulls_invented());
+        nodes_settled += usize::from(ours.update_states().all(|st| st.is_settled()));
         final_states.push((nc.name.clone(), ours.snapshot()));
     }
     for restart in &mut run.restarts {
@@ -797,8 +802,11 @@ fn run_fault_plan_impl(
             nodes_isomorphic,
             nodes_oracle_isomorphic,
             factories_equal,
+            nodes_settled,
             nodes,
-            converged: matches_control && nodes_oracle_isomorphic == nodes,
+            converged: matches_control
+                && nodes_oracle_isomorphic == nodes
+                && nodes_settled == nodes,
             acked_records_checked: run.acked_records_checked,
             acked_records_preserved: run.acked_records_preserved,
         },

@@ -15,10 +15,11 @@
 //! credit it holds can never come back; both are written off at the close,
 //! or the update would wait for them forever.
 
+use codb::core::update::UpdateState;
 use codb::core::{Body, Envelope, UpdateId, HARNESS_PEER};
 use codb::prelude::*;
 use codb::trace::{TraceEvent, Tracer};
-use codb::workload::oracle::chase_naive;
+use codb::workload::oracle::{chase_naive, Chase as Oracle};
 
 /// `gone` and `keep` share the pipe a–b, so removing `gone` closes no
 /// pipe. What `gone` may or may not have carried before the swap (`ua`) is
@@ -86,31 +87,38 @@ fn after_every_event_of_an_update(
             let update = UpdateId { origin, epoch: 0, seq: 0 };
             net.sim_mut().inject(HARNESS_PEER, origin.peer(), Envelope::control(Body::StartUpdate));
             let ran = (0..head_start).take_while(|_| net.sim_mut().step()).count();
-            net.broadcast_rules(v2.clone()).unwrap();
             let case = format!("update from {origin}, file after {ran} events");
-
-            assert!(net.sim().is_quiescent(), "{case}");
-            for &id in &nodes {
-                let st =
-                    net.node(id).update_state(update).unwrap_or_else(|| panic!("{case}: {id}"));
-                assert!(st.complete, "{case}: {id} never saw the update complete: {st:?}");
-                // (The initiator stays engaged: it is the tree's root.)
-                let idle = st.deficit == 0 && (st.initiator || !st.engaged);
-                assert!(idle, "{case}: {id} is owed a credit: {st:?}");
-            }
+            file_lands(&mut net, v2, update, &case);
             witness(&net, &recorded.lock().unwrap().events(), update);
-
-            let outcome = net.run_update(origin);
-            assert_eq!(outcome.summary.nodes, nodes.len() as u64, "{case}");
-            for &id in &nodes {
-                assert_eq!(net.node(id).ldb(), &oracle.instances[&id], "{case}: node {id}");
-                let st = net.node(id).update_state(outcome.update).unwrap();
-                assert!(st.complete && st.deficit == 0, "{case}: {id} in the next update: {st:?}");
-            }
+            next_update_is_exact(&mut net, &oracle, origin, &case);
             if ran < head_start {
                 break; // the update had finished before the file was sent
             }
         }
+    }
+}
+
+/// Broadcasts `v2` now, wherever `update` is in its life: the network
+/// goes quiet with the update complete at every node and no credit owed.
+fn file_lands(net: &mut CoDbNetwork, v2: &NetworkConfig, update: UpdateId, case: &str) {
+    net.broadcast_rules(v2.clone()).unwrap();
+    assert!(net.sim().is_quiescent(), "{case}");
+    for id in v2.node_ids() {
+        let st = net.node(id).update_state(update).unwrap_or_else(|| panic!("{case}: {id}"));
+        assert!(st.complete, "{case}: {id} never saw the update complete: {st:?}");
+        // (The initiator stays engaged: it is the tree's root.)
+        assert!(st.is_settled(), "{case}: {id} is owed a credit: {st:?}");
+    }
+}
+
+/// The next update from `origin` reaches every node and the fixpoint.
+fn next_update_is_exact(net: &mut CoDbNetwork, oracle: &Oracle, origin: NodeId, case: &str) {
+    let outcome = net.run_update(origin);
+    assert_eq!(outcome.summary.nodes, oracle.instances.len() as u64, "{case}");
+    for (&id, instance) in &oracle.instances {
+        assert_eq!(net.node(id).ldb(), instance, "{case}: node {id}");
+        let st = net.node(id).update_state(outcome.update).unwrap();
+        assert!(st.is_settled(), "{case}: {id} in the next update: {st:?}");
     }
 }
 
@@ -162,24 +170,107 @@ const WITH_DIAGONAL: &str = r#"
     rule ac @ a -> c: uc(X) <- ua(X).
 "#;
 
-#[test]
-fn a_rules_file_that_removes_an_acquaintance_settles_its_credits_at_the_pipe_close() {
+/// [`WITH_DIAGONAL`], and the file that removes `ac`.
+fn diagonal_files() -> (NetworkConfig, NetworkConfig) {
     let v1 = NetworkConfig::parse(WITH_DIAGONAL).unwrap();
     let without = WITH_DIAGONAL.replace("rule ac @ a -> c: uc(X) <- ua(X).", "");
-    let v2 = NetworkConfig::parse(&format!("version 2\n{without}")).unwrap();
+    (v1, NetworkConfig::parse(&format!("version 2\n{without}")).unwrap())
+}
+
+/// Nobody waited for anybody: what could not be answered was let go of
+/// when the pipe closed, not retransmitted into it — and a node engaged
+/// under the peer that left disengaged without a `DsAck` that could only
+/// have been retransmitted, nor was told of the completion through the
+/// closed pipe. Returns whether any message was written off.
+fn nothing_retransmitted(net: &CoDbNetwork, v1: &NetworkConfig) -> bool {
     let (a, c) = (v1.node_ids()[0], v1.node_ids()[2]);
+    assert!(!net.sim().has_pipe(a.peer(), c.peer()));
+    let mut written_off = false;
+    for id in v1.node_ids() {
+        let sent = &net.node(id).report().messages_sent;
+        assert_eq!(sent.get("retransmit"), None, "{id}");
+        written_off |= sent.get("abandoned").is_some();
+    }
+    written_off
+}
+
+#[test]
+fn a_rules_file_that_removes_an_acquaintance_settles_its_credits_at_the_pipe_close() {
+    let (v1, v2) = diagonal_files();
     let mut messages_written_off = false;
     after_every_event_of_an_update(&v1, &v2, |net, _, _| {
-        assert!(!net.sim().has_pipe(a.peer(), c.peer()));
-        for id in v1.node_ids() {
-            // Nobody waited for anybody: what could not be answered was
-            // let go of when the pipe closed, not retransmitted into it —
-            // and a node engaged under the peer that left disengaged
-            // without a `DsAck` that could only have been retransmitted.
-            let sent = &net.node(id).report().messages_sent;
-            assert_eq!(sent.get("retransmit"), None, "{id}");
-            messages_written_off |= sent.get("abandoned").is_some();
-        }
+        messages_written_off |= nothing_retransmitted(net, &v1);
     });
     assert!(messages_written_off, "no interleaving closed the pipe under an unanswered message");
+}
+
+/// Starts an update at `origin` over [`WITH_DIAGONAL`] and steps it until
+/// `moment` holds of the states of `a` and `c`; then the file removing `ac`
+/// lands, and the update must still complete everywhere, without anything
+/// retransmitted into the closed pipe — one of the two has lost its place
+/// in the completion tree and must be adopted.
+fn diagonal_file_lands_when(
+    origin: NodeId,
+    moment: impl Fn(Option<&UpdateState>, Option<&UpdateState>) -> bool,
+) {
+    let (v1, v2) = diagonal_files();
+    let (a, c) = (v1.node_ids()[0], v1.node_ids()[2]);
+    let mut net = CoDbNetwork::build_with_superpeer(v1.clone(), SimConfig::default()).unwrap();
+    let update = UpdateId { origin, epoch: 0, seq: 0 };
+    net.sim_mut().inject(HARNESS_PEER, origin.peer(), Envelope::control(Body::StartUpdate));
+    while !moment(net.node(a).update_state(update), net.node(c).update_state(update)) {
+        assert!(net.sim_mut().step(), "the update ended before the moment came");
+    }
+    file_lands(&mut net, &v2, update, "the file");
+    nothing_retransmitted(&net, &v1);
+    next_update_is_exact(&mut net, &chase_naive(&v2), origin, "the next update");
+}
+
+/// Adoption, first interleaving: the update starts at `a`, and the file
+/// lands while `c` is engaged under `a`. `a` writes the engagement credit
+/// off; `c` disengages later with nobody to tell, so no parent records it.
+#[test]
+fn adoption_when_the_node_was_engaged_under_the_peer_that_left() {
+    let a = NodeId(0);
+    diagonal_file_lands_when(a, |_, c| c.is_some_and(|c| c.engaged && c.parent == Some(a)));
+}
+
+/// Adoption, second interleaving: the update starts at `d`, `a` engages
+/// under `c` and disengages, and its `DsAck` is in flight when the file
+/// lands. It makes `a` a child of `c` only, across the pipe the file
+/// closes: `c` can never pass it the completion.
+#[test]
+fn adoption_when_the_disengagement_was_in_flight_as_the_pipe_closed() {
+    let (a, c, d) = (NodeId(0), NodeId(2), NodeId(3));
+    let engaged_under_c = std::cell::Cell::new(false);
+    diagonal_file_lands_when(d, |a_state, c_state| {
+        let Some(st) = a_state else { return false };
+        engaged_under_c.set(engaged_under_c.get() || st.parent == Some(c));
+        let recorded = c_state.is_some_and(|c| c.children.contains(&a));
+        engaged_under_c.get() && !st.engaged && !recorded
+    });
+}
+
+/// Adoption, third case: `c` takes the file before the data `a` sent it
+/// with the update request arrives — in flight, it still arrives over the
+/// closed pipe. `c` engages under no one (nothing could tell `a` of a
+/// disengagement), so it is outside every tree unless it asks to be
+/// adopted.
+#[test]
+fn adoption_when_the_update_arrives_from_a_peer_that_already_left() {
+    let (v1, v2) = diagonal_files();
+    let (a, c) = (v1.node_ids()[0], v1.node_ids()[2]);
+    let mut net = CoDbNetwork::build_with_superpeer(v1.clone(), SimConfig::default()).unwrap();
+    let update = UpdateId { origin: a, epoch: 0, seq: 0 };
+    net.sim_mut().inject(HARNESS_PEER, a.peer(), Envelope::control(Body::StartUpdate));
+    let file = Body::RulesFile { config: Box::new(v2.clone()) };
+    net.sim_mut().inject(HARNESS_PEER, c.peer(), Envelope::control(file));
+    net.sim_mut().step();
+    net.sim_mut().step();
+    assert!(!net.sim().has_pipe(a.peer(), c.peer()), "c took the file first");
+    assert!(net.node(c).update_state(update).is_none(), "a's data is still in flight");
+    file_lands(&mut net, &v2, update, "the file");
+    let st = net.node(c).update_state(update).unwrap();
+    assert!(st.adopted && st.parent.is_none(), "{st:?}");
+    next_update_is_exact(&mut net, &chase_naive(&v2), a, "the next update");
 }

@@ -231,7 +231,7 @@ fn node_crash_mid_update_still_quiesces_for_others() {
     // so sends become undeliverable and DS never completes for the
     // initiator; the run still quiesces because timers only rearm while
     // messages are outstanding... this test pins the *current* documented
-    // behaviour: quiescence with possibly-incomplete completion flood).
+    // behaviour: quiescence with the update possibly incomplete).
     let scenario = Scenario {
         topology: Topology::Star { leaves: 3 },
         tuples_per_node: 10,

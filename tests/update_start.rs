@@ -11,7 +11,8 @@
 //! scoped updates, crashes with restarts and rules files, on small
 //! topologies with the chase valve sometimes set low enough to trip, must
 //! leave every LDB at the fixpoint of the centralised chase — which is
-//! what goes wrong the day a link is believed caught up and is not.
+//! what goes wrong the day a link is believed caught up and is not — and,
+//! after every step, every update over at every node that heard of it.
 
 use codb::core::{Body, Envelope, ParallelCoDbNet, HARNESS_PEER};
 use codb::net::RuntimeConfig;
@@ -300,6 +301,17 @@ impl Program {
         Ok(())
     }
 
+    /// Every update every node has heard of is over there: complete, with
+    /// every credit back and nobody engaged but the initiators.
+    fn settled(&self, when: &str) -> Result<(), String> {
+        for id in self.config.node_ids() {
+            if let Some(st) = self.net.node(id).update_states().find(|st| !st.is_settled()) {
+                return Err(self.fail(format!("{when}: node {id} is not done: {st:?}")));
+            }
+        }
+        Ok(())
+    }
+
     /// A global update from `origin`, checked when it reached every node
     /// and ran its course. Returns whether the valve cut it short.
     fn update(&mut self, origin: NodeId) -> Result<bool, String> {
@@ -473,8 +485,11 @@ fn run_program(seed: u64) -> Result<(), String> {
             8..=9 if rules_files => p.rules_file(&mut g)?,
             _ => p.insert(&mut g),
         }
+        let step = p.log.last().cloned().unwrap_or_default();
+        p.settled(&format!("after {step}"))?;
     }
-    p.converge()
+    p.converge()?;
+    p.settled("at the end")
 }
 
 /// Case count honouring `PROPTEST_CASES`, as `tests/invariants.rs` does.
