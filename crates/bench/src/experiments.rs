@@ -510,8 +510,9 @@ fn e16() -> Table {
 /// (checkpointing it at a cadence matching the row, stores in the row's
 /// codec), restarts it from disk, has the *recovered node* initiate the
 /// reconvergence update, and reports the rejoin cost in messages — the
-/// `Rejoin`/`RejoinAck` handshake plus the one-off full re-send overhead
-/// relative to a never-crashed control — next to the **barrier cost**:
+/// `Rejoin` announcements (their acks are plain transport acks) plus the
+/// one-off full re-send overhead relative to a never-crashed control —
+/// next to the **barrier cost**:
 /// the messages survivors parked behind the rejoin barrier and released
 /// at the handshake plus the `RejoinRepair` re-sends that close the
 /// forwarded-but-unsynced window.

@@ -101,29 +101,21 @@ pub enum Body {
 
     // ---- crash rejoin ----
     /// A node restarted from its durable store announces its new
-    /// incarnation to an acquaintance. The receiver invalidates every
+    /// incarnation to an acquaintance. What the receiver acts on is the
+    /// envelope's grown epoch, on whatever envelope of the new incarnation
+    /// it hears first ([`crate::reliable::Reliable::heard`]): it drops every
     /// per-link sent cache pointed at the sender (the crashed incarnation
     /// may have lost data those caches assume it holds) and re-sends those
-    /// links whole at once, as [`Body::RejoinRepair`]; later updates ship
-    /// deltas again.
-    Rejoin {
-        /// The sender's new incarnation epoch (explicit, so the handshake
-        /// survives relaying/inspection independent of the envelope).
-        epoch: u64,
-    },
-    /// Confirms a [`Body::Rejoin`]: the receiver has invalidated its
-    /// sent-caches toward the rejoined node for the given epoch. A stale
-    /// ack (from an earlier incarnation's handshake) carries the old epoch
-    /// and is ignored by the rejoined node.
-    RejoinAck {
-        /// The epoch being acknowledged.
-        epoch: u64,
-    },
-    /// Repair data pushed at barrier release: when a neighbor processes a
-    /// strictly newer [`Body::Rejoin`] it re-fires every link targeting
-    /// the rejoined node over its full LDB and ships the result
-    /// immediately, instead of waiting for the next organic update to
-    /// re-send what the crashed incarnation lost (ROADMAP window (a)).
+    /// links whole at once, as [`Body::RejoinRepair`]. The announcement
+    /// makes sure there is such an envelope; the receiver only acks it. It
+    /// parks behind the barrier toward a peer that is down, so a restart
+    /// is announced to a neighbour that comes back later.
+    Rejoin,
+    /// Repair data pushed on hearing a neighbour's new incarnation: the
+    /// receiver of that first envelope re-fires every link targeting the
+    /// restarted node over its full LDB and ships the result immediately,
+    /// instead of waiting for the next organic update to re-send what the
+    /// crashed incarnation lost (ROADMAP window (a)).
     /// Unlike [`Body::UpdateData`] this carries no update id and is not
     /// Dijkstra–Scholten counted — repair is a standalone push, dedup'd
     /// by the receiver's cross-update template caches, which also bound
@@ -233,7 +225,7 @@ impl Body {
             Body::LinkClosed { .. } => 40,
             Body::DsAck { .. } => 32,
             Body::UpdateComplete { .. } => 32,
-            Body::Rejoin { .. } | Body::RejoinAck { .. } => 24,
+            Body::Rejoin => 24,
             Body::RejoinRepair { firings, .. } => {
                 40 + firings.iter().map(RuleFiring::size_bytes).sum::<usize>()
             }
@@ -288,11 +280,7 @@ impl Body {
     /// abandonment semantics — they are either re-derivable or meaningless
     /// to a dead incarnation.
     pub fn parks_behind_barrier(&self) -> bool {
-        self.is_ds_counted()
-            || matches!(
-                self,
-                Body::Rejoin { .. } | Body::RejoinAck { .. } | Body::RejoinRepair { .. }
-            )
+        self.is_ds_counted() || matches!(self, Body::Rejoin | Body::RejoinRepair { .. })
     }
 
     /// The kind the per-kind statistics count this message under.
@@ -305,8 +293,7 @@ impl Body {
             Body::LinkClosed { .. } => Kind::LinkClosed,
             Body::DsAck { .. } => Kind::DsAck,
             Body::UpdateComplete { .. } => Kind::UpdateComplete,
-            Body::Rejoin { .. } => Kind::Rejoin,
-            Body::RejoinAck { .. } => Kind::RejoinAck,
+            Body::Rejoin => Kind::Rejoin,
             Body::RejoinRepair { .. } => Kind::RejoinRepair,
             Body::QueryRequest { .. } => Kind::QueryRequest,
             Body::QueryAnswer { .. } => Kind::QueryAnswer,
@@ -348,9 +335,10 @@ pub struct Envelope {
     /// higher epoch (the JXTA stand-in: a restarted peer opens new
     /// transport sessions); receivers start their per-sender window over
     /// when they see the epoch grow, so the fresh incarnation's restarted
-    /// sequence numbers are not mistaken for duplicates, and write off the
+    /// sequence numbers are not mistaken for duplicates, write off the
     /// engagement credits the dead incarnation held
-    /// ([`crate::reliable::Reliable::heard`]).
+    /// ([`crate::reliable::Reliable::heard`]), and start the rejoin repair
+    /// toward it ([`crate::rejoin`]).
     pub epoch: u64,
     /// On a sequenced envelope, the lowest seq the sender may still
     /// retransmit toward this receiver: everything below it was answered,
@@ -406,8 +394,7 @@ mod tests {
         assert!(!Body::UpdateComplete { update: upd() }.is_ds_counted());
         assert!(!Body::Ack.is_ds_counted());
         assert!(!Body::StatsRequest.is_ds_counted());
-        assert!(!Body::Rejoin { epoch: 1 }.is_ds_counted());
-        assert!(!Body::RejoinAck { epoch: 1 }.is_ds_counted());
+        assert!(!Body::Rejoin.is_ds_counted());
         assert!(!Body::RejoinRepair { rule: "r".into(), firings: vec![], hops: 1 }.is_ds_counted());
     }
 
@@ -429,8 +416,7 @@ mod tests {
         assert!(Body::DemandLink { update: upd(), rule: "r".into() }.parks_behind_barrier());
         // The handshake itself parks: abandoning a Rejoin toward a
         // still-dead peer strands the handshake forever (window (b)).
-        assert!(Body::Rejoin { epoch: 1 }.parks_behind_barrier());
-        assert!(Body::RejoinAck { epoch: 1 }.parks_behind_barrier());
+        assert!(Body::Rejoin.parks_behind_barrier());
         assert!(Body::RejoinRepair { rule: "r".into(), firings: vec![], hops: 1 }
             .parks_behind_barrier());
         // Bookkeeping keeps the abandonment semantics.

@@ -93,11 +93,6 @@ pub struct CoDbNode {
     /// Set when this node recovered from disk and has not yet announced
     /// its new incarnation; cleared once the `Rejoin` round is posted.
     pub(crate) pending_rejoin: bool,
-    /// Highest rejoin epoch processed per peer (duplicate/stale `Rejoin`
-    /// suppression).
-    pub(crate) rejoin_epochs: BTreeMap<NodeId, u64>,
-    /// Acquaintances that acked this incarnation's `Rejoin`.
-    pub(crate) rejoin_acks: std::collections::BTreeSet<NodeId>,
     // ---- statistics module ----
     pub(crate) report: NodeReport,
     // ---- super-peer role ----
@@ -137,7 +132,6 @@ impl CoDbNode {
         for (rel, tuple) in data {
             ldb.insert(&rel, tuple).expect("seed data validated by config");
         }
-        let retransmit_after = settings.retransmit_after;
         let book = RuleBook::for_node(id, rules);
         CoDbNode {
             id,
@@ -149,7 +143,7 @@ impl CoDbNode {
             book: Arc::new(book),
             settings,
             config_version: 0,
-            reliable: Reliable::new(retransmit_after),
+            reliable: Reliable::new(),
             retransmit_armed: false,
             updates: BTreeMap::new(),
             next_update_seq: 0,
@@ -162,8 +156,6 @@ impl CoDbNode {
             completed_queries: BTreeMap::new(),
             discovered: std::collections::BTreeSet::new(),
             pending_rejoin: false,
-            rejoin_epochs: BTreeMap::new(),
-            rejoin_acks: std::collections::BTreeSet::new(),
             report: NodeReport::new(id),
             superpeer_config: None,
             collected: NetworkReport::default(),
@@ -293,10 +285,10 @@ impl CoDbNode {
     /// A recovery marks the node rejoin-pending: the `Rejoin`
     /// announcement ([`crate::rejoin`]) is posted on the node's next
     /// start — or, when persistence is opened on an already-started
-    /// network, on its next event of any kind. Neighbors invalidate their
-    /// sent caches toward this node only once that announcement is
-    /// processed, so an update racing the handshake may need one follow-up
-    /// update to fully reconverge.
+    /// network, on its next event of any kind. A neighbour drops its sent
+    /// caches toward this node and re-sends them as repair on the first
+    /// envelope of the new epoch it hears, the announcement or anything
+    /// sent before it.
     pub fn open_persistence(
         &mut self,
         dir: &std::path::Path,
@@ -526,6 +518,21 @@ impl CoDbNode {
         ctx.send(to.peer(), reply);
     }
 
+    /// Settles a message that will never be answered: abandoned after its
+    /// last retransmission, or addressed to a peer that left. A DS message
+    /// surrenders its credit, so this node can still disengage
+    /// ("Termination" in [`crate::update`]); a fetch request closes as an
+    /// empty final instalment, so its query, or the request it serves,
+    /// finishes on what reachable peers sent.
+    pub(crate) fn give_up(&mut self, ctx: &mut Context<Envelope>, to: NodeId, body: Body) {
+        self.report.count_sent(Kind::Abandoned);
+        if let Body::QueryRequest { req, .. } = body {
+            self.handle_query_answer(ctx, to, req, vec![], true);
+        } else if let Some(update) = body.update_id().filter(|_| body.is_ds_counted()) {
+            self.handle_ds_ack(ctx, update, 1);
+        }
+    }
+
     pub(crate) fn arm_retransmit(&mut self, ctx: &mut Context<Envelope>) {
         // Parked (barrier-held) messages must not keep the timer alive:
         // they wait for the peer's next incarnation, not the clock.
@@ -590,7 +597,7 @@ impl Peer<Envelope> for CoDbNode {
         self.report.count_received(env.body.kind());
 
         // Any envelope from a barred peer proves it is reachable again
-        // (typically its new incarnation's Rejoin): release the parked
+        // (typically its new incarnation's `Rejoin`): release the parked
         // traffic before dispatching, so held data and handshake messages
         // flow the moment the peer is back.
         self.release_barrier(ctx, from);
@@ -628,13 +635,10 @@ impl Peer<Envelope> for CoDbNode {
                     held,
                 });
             }
-            for (_, body) in round.abandoned {
-                // Non-barrier traffic toward the presumed-dead peer is
-                // dropped for good. Any DS credit it carried cannot come
-                // back: surrender the deficit so this node can still
-                // disengage ("Termination" in crate::update).
-                self.report.count_sent(Kind::Abandoned);
-                self.surrender_credit(ctx, &body);
+            // Non-barrier traffic toward the presumed-dead peer is dropped
+            // for good.
+            for (to, body) in round.abandoned {
+                self.give_up(ctx, to, body);
             }
             self.arm_retransmit(ctx);
         }
@@ -646,14 +650,19 @@ impl CoDbNode {
     /// envelope acknowledges, runs it past the sender's window, and hands a
     /// first delivery to [`CoDbNode::dispatch`].
     fn receive(&mut self, ctx: &mut Context<Envelope>, from: NodeId, env: Envelope) {
-        // A peer's new incarnation: the credits its dead one held go.
-        let dead = self.reliable.heard(from, env.epoch);
-        self.write_off(ctx, dead);
+        // A peer's new incarnation, heard on whatever it sent first. This
+        // comes before anything below can return early.
+        if let Some(dead) = self.reliable.heard(from, env.epoch) {
+            self.handle_new_incarnation(ctx, from, dead);
+        }
         // An unsequenced `DsAck` that carries an ack is the reply returning
         // the credit of the message it acknowledges.
         let credit_reply = env.seq.is_none() && matches!(env.body, Body::DsAck { .. });
         if let Some(ack) = env.ack {
             let retired = self.reliable.on_ack(from, ack);
+            if matches!(retired, Some(Body::Rejoin)) {
+                self.trace_rejoin_acked(from);
+            }
             // What answers a message counts once: a second copy of a reply,
             // or one echoing a dead incarnation's epoch, retires nothing
             // and changes nothing.
@@ -688,7 +697,9 @@ impl CoDbNode {
     /// Hands a message that is due processing to its engine.
     fn dispatch(&mut self, ctx: &mut Context<Envelope>, from: NodeId, env: Envelope) {
         match env.body {
-            Body::Ack => {} // it was all header
+            // All header: an ack, or a new incarnation's announcement
+            // (its epoch was acted on when it was heard).
+            Body::Ack | Body::Rejoin => {}
             // ---- update protocol (crate::update) ----
             Body::UpdateRequest { .. }
             | Body::DemandLink { .. }
@@ -700,8 +711,6 @@ impl CoDbNode {
             Body::DsAck { update, credits } => self.handle_ds_ack(ctx, update, credits),
             Body::UpdateComplete { update } => self.handle_update_complete(ctx, Some(from), update),
             // ---- crash rejoin (crate::rejoin) ----
-            Body::Rejoin { epoch } => self.handle_rejoin(ctx, from, epoch),
-            Body::RejoinAck { epoch } => self.handle_rejoin_ack(from, epoch),
             Body::RejoinRepair { rule, firings, hops } => {
                 self.handle_rejoin_repair(ctx, rule, firings, hops)
             }

@@ -303,7 +303,7 @@ impl CoDbNode {
         let book = Arc::clone(&self.book);
         let link = book.outgoing_named(&rule).map(|id| book.link(id));
         let mut assemble = |overlay: &mut Instance| {
-            if link.is_some_and(|l| l.rule.rule().admits(overlay, &firings)) {
+            if firings.is_empty() || link.is_some_and(|l| l.rule.rule().admits(overlay, &firings)) {
                 codb_relational::apply_firings(overlay, &firings, &mut self.nulls)
                     .expect("the batch was admitted against the rule head and the schema")
             } else {

@@ -12,36 +12,40 @@
 //! The handshake closes the gap:
 //!
 //! 1. The recovered node opens with a new incarnation **epoch** (the
-//!    store's `codb.epoch` counter, bumped on every open) and, as its
-//!    first act on start, posts [`Body::Rejoin`]`{ epoch }` to every
-//!    acquaintance.
-//! 2. Each neighbor, on a *strictly newer* epoch than it has processed
-//!    for that peer, drops the sent cache of every link **targeting**
-//!    the rejoined node, answers [`Body::RejoinAck`] echoing the epoch,
-//!    and at once re-fires those links over its whole LDB as
-//!    [`Body::RejoinRepair`] — one full re-send, of which the rejoined
-//!    node's recovered receive caches suppress everything it still
-//!    holds. The re-send goes through the emptied caches, so it re-primes
-//!    them and leaves the links *caught up* ([`crate::update`], "What an
-//!    update start fires"): the next update ships, and evaluates, deltas
-//!    only.
-//! 3. The rejoined node counts acks for its *current* epoch only; a
-//!    stale ack from an earlier incarnation's handshake is ignored, just
-//!    like a stale `Rejoin` (epoch ≤ the highest processed) invalidates
-//!    nothing at the neighbor.
+//!    store's `codb.epoch` counter, bumped on every open), stamped on every
+//!    envelope it sends, and, as its first act on start, posts
+//!    [`Body::Rejoin`] to every acquaintance.
+//! 2. A neighbor acts on the first envelope of the new epoch it hears —
+//!    the `Rejoin` or anything the new incarnation sent before it:
+//!    [`crate::reliable::Reliable::heard`] is the one place a new
+//!    incarnation is detected. It writes off the engagement credits the
+//!    dead incarnation held, drops the sent cache of every link
+//!    **targeting** the rejoined node, and at once re-fires those links
+//!    over its whole LDB as [`Body::RejoinRepair`] — one full re-send, of
+//!    which the rejoined node's recovered receive caches suppress
+//!    everything it still holds. The re-send goes through the emptied
+//!    caches, so it re-primes them and leaves the links *caught up*
+//!    ([`crate::update`], "What an update start fires"): the next update
+//!    ships, and evaluates, deltas only. Then it asks to be adopted in
+//!    every update it has not seen complete (the dead incarnation's
+//!    completion-tree children died with it).
+//! 3. The `Rejoin` itself is a sequenced message like any other: its
+//!    transport ack retires it, echoing its epoch, so an ack from an
+//!    earlier incarnation's handshake retires nothing. Toward a neighbor
+//!    that is down it parks behind the barrier, and goes out when that
+//!    neighbor is heard again.
 //!
-//! Duplicate `Rejoin`s are acked idempotently without re-invalidating:
-//! clearing on equal epochs would let a delayed duplicate wipe a cache an
-//! intervening update had legitimately rebuilt (safe but wasteful); only
-//! a genuinely new incarnation invalidates.
+//! Only a grown epoch acts: a duplicate `Rejoin` is acked as any duplicate
+//! is, and an envelope of a dead incarnation is dropped. Clearing on equal
+//! epochs would let a delayed duplicate wipe a cache an intervening update
+//! had legitimately rebuilt (safe but wasteful).
 
-use crate::ids::{NodeId, RuleName};
+use crate::ids::{NodeId, RuleName, UpdateId};
 use crate::messages::{Body, Envelope};
 use crate::node::CoDbNode;
 use crate::rules::LinkId;
 use codb_net::Context;
 use codb_trace::TraceEvent;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 impl CoDbNode {
@@ -52,53 +56,49 @@ impl CoDbNode {
             return;
         }
         self.pending_rejoin = false;
-        // A fresh incarnation starts a fresh handshake: acks collected by
-        // a prior incarnation (a second restart in the same process) must
-        // not overstate this round's completion.
-        self.rejoin_acks.clear();
         let epoch = self.reliable.epoch();
         self.tracer.emit_with(|| TraceEvent::RejoinAnnounce { peer: self.id.0, epoch });
         for &acq in Arc::clone(&self.book).acquaintances() {
-            self.post(ctx, acq, Body::Rejoin { epoch });
+            self.post(ctx, acq, Body::Rejoin);
         }
     }
 
-    /// Handles a neighbor's `Rejoin`: invalidates sent-caches toward it
-    /// on a strictly newer epoch, and always acks (idempotently) echoing
-    /// the announced epoch.
-    pub(crate) fn handle_rejoin(&mut self, ctx: &mut Context<Envelope>, from: NodeId, epoch: u64) {
-        let known = self.rejoin_epochs.get(&from).copied();
-        let fresh_incarnation = known.is_none_or(|k| epoch > k);
-        let invalidated = if fresh_incarnation {
-            self.rejoin_epochs.insert(from, epoch);
-            self.invalidate_sent_caches_toward(from)
-        } else {
-            0 // duplicate/stale incarnation: ack without invalidating
-        };
+    /// Reacts to the first envelope of `from`'s new incarnation, whatever
+    /// it carries: writes off the engagement credits the dead incarnation
+    /// held (`dead`), drops the sent caches toward `from` and re-sends
+    /// those links whole as repair, and asks to be adopted in every update
+    /// this node has not seen complete.
+    pub(crate) fn handle_new_incarnation(
+        &mut self,
+        ctx: &mut Context<Envelope>,
+        from: NodeId,
+        dead: Vec<UpdateId>,
+    ) {
+        self.write_off(ctx, dead);
+        let invalidated = self.invalidate_sent_caches_toward(from);
         self.tracer.emit_with(|| TraceEvent::RejoinRecv {
             peer: self.id.0,
             from: from.0,
             invalidated: invalidated as u64,
         });
-        self.post(ctx, from, Body::RejoinAck { epoch });
-        if fresh_incarnation {
-            // Barrier-release repair (window (a)): the crashed incarnation
-            // may have lost applied-but-unsynced records this node's
-            // sent-caches assumed it held. Don't wait for the next organic
-            // update — re-fire every link targeting the rejoined node over
-            // the full LDB right now. The caches toward it were just
-            // cleared, so this is one full re-send (the rejoined node's
-            // recovered receive caches suppress everything it still has),
-            // and it re-primes the sent caches as a side effect.
-            self.send_rejoin_repair(ctx, from);
-            // The dead incarnation's lists of completion-tree children died
-            // with it, and this node may have been on one: it asks to be
-            // adopted in every update it has not seen complete. (The
-            // credits the dead incarnation held were written off when its
-            // successor was first heard, `Reliable::heard`; an update it
-            // started, its successor ends when asked.)
-            self.adopt_all(ctx);
-        }
+        // Barrier-release repair (window (a)): the crashed incarnation may
+        // have lost applied-but-unsynced records this node's sent caches
+        // assumed it held. Don't wait for the next organic update.
+        self.send_rejoin_repair(ctx, from);
+        // The dead incarnation's lists of completion-tree children died
+        // with it, and this node may have been on one. (An update the dead
+        // incarnation started, its successor ends when asked.)
+        self.adopt_all(ctx);
+    }
+
+    /// Traces the transport ack of this incarnation's `Rejoin` by `from`,
+    /// with how many of its `Rejoin`s are still unacked.
+    pub(crate) fn trace_rejoin_acked(&self, from: NodeId) {
+        self.tracer.emit_with(|| {
+            let pending = self.reliable.pending();
+            let pending = pending.iter().filter(|(_, env)| matches!(env.body, Body::Rejoin));
+            TraceEvent::RejoinAck { peer: self.id.0, from: from.0, pending: pending.count() as u64 }
+        });
     }
 
     /// Re-fires every incoming link targeting `peer` over the full LDB and
@@ -162,33 +162,14 @@ impl CoDbNode {
         }
     }
 
-    /// Handles a `RejoinAck`: counts it only when it confirms *this*
-    /// incarnation's handshake (an ack echoing a dead incarnation's epoch
-    /// is a straggler, not a confirmation).
-    pub(crate) fn handle_rejoin_ack(&mut self, from: NodeId, epoch: u64) {
-        if epoch == self.reliable.epoch() {
-            self.rejoin_acks.insert(from);
-        }
-        if self.tracer.is_enabled() {
-            let pending =
-                self.book.acquaintances().len().saturating_sub(self.rejoin_acks.len()) as u64;
-            self.tracer.emit(TraceEvent::RejoinAck { peer: self.id.0, from: from.0, pending });
-        }
-    }
-
     /// Drops the sent cache of every link whose target is `peer`, and with
     /// it the link's caught-up mark. Returns how many of those caches held
     /// any firing.
-    pub(crate) fn invalidate_sent_caches_toward(&mut self, peer: NodeId) -> usize {
+    fn invalidate_sent_caches_toward(&mut self, peer: NodeId) -> usize {
         let toward = self.book.incoming().iter().filter(|id| self.book.link(**id).target == peer);
         toward
             .filter(|id| !std::mem::take(&mut self.sent_cache[id.index()]).sent.is_empty())
             .count()
-    }
-
-    /// Acquaintances that acknowledged this incarnation's `Rejoin`.
-    pub fn rejoin_acks(&self) -> &BTreeSet<NodeId> {
-        &self.rejoin_acks
     }
 
     /// True while a store recovery still owes the acquaintances a
@@ -200,16 +181,20 @@ impl CoDbNode {
 
 #[cfg(test)]
 mod tests {
-    //! The rejoin-handshake unit matrix, driven against a single node
-    //! state machine with a hand-held [`Context`] (no simulator): stale
-    //! acks, duplicate `Rejoin`s, crash-during-rejoin (a second
-    //! incarnation overtaking an unfinished handshake), and a neighbor
-    //! that never saw the old epoch.
+    //! The rejoin-handshake unit matrix, driven through `on_message` with
+    //! epoch-stamped envelopes against a single node state machine and a
+    //! hand-held [`Context`] (no simulator): duplicate `Rejoin`s, a dead
+    //! incarnation's straggler, crash-during-rejoin (a second incarnation
+    //! overtaking), a neighbor that never saw the old epoch, a new
+    //! incarnation first heard on something other than its `Rejoin`, and
+    //! the repair's arrival side.
 
     use super::*;
     use crate::config::NetworkConfig;
+    use crate::messages::CarriedAck;
     use crate::node::NodeSettings;
-    use codb_net::{Command, PeerId, SimTime};
+    use codb_net::{Command, Peer, PeerId, SimTime};
+    use codb_trace::Tracer;
     use std::collections::VecDeque;
 
     /// hub feeds both spoke1 and spoke2; spoke1 also feeds hub (so the
@@ -249,21 +234,43 @@ mod tests {
         )])
     }
 
-    type Commands = VecDeque<Command<Envelope>>;
-
-    /// A context for one call into `node`, queueing onto `cmds`.
-    fn ctx<'a>(node: &CoDbNode, cmds: &'a mut Commands) -> Context<'a, Envelope> {
-        Context::new(node.id.peer(), SimTime::ZERO, &[], cmds)
+    /// Sequenced envelope `seq` of `from`'s incarnation `epoch`.
+    fn sequenced(epoch: u64, seq: u64, body: Body) -> Envelope {
+        Envelope { seq: Some(seq), epoch, base: 0, ack: None, body }
     }
 
-    /// Drains the sends queued in `cmds`, as `(destination, body)`.
-    fn sends(cmds: &mut Commands) -> Vec<(PeerId, Body)> {
-        cmds.drain(..)
+    /// Delivers `env` from `from` to `node` and returns what the callback
+    /// sent, as `(destination, envelope)`.
+    fn deliver(node: &mut CoDbNode, from: NodeId, env: Envelope) -> Vec<(PeerId, Envelope)> {
+        let mut cmds = VecDeque::new();
+        let mut ctx = Context::new(node.id.peer(), SimTime::ZERO, &[], &mut cmds);
+        node.on_message(&mut ctx, from.peer(), env);
+        sends(cmds)
+    }
+
+    fn sends(cmds: VecDeque<Command<Envelope>>) -> Vec<(PeerId, Envelope)> {
+        cmds.into_iter()
             .filter_map(|c| match c {
-                Command::Send { to, msg } => Some((to, msg.body)),
+                Command::Send { to, msg } => Some((to, msg)),
                 _ => None,
             })
             .collect()
+    }
+
+    /// The `RejoinRepair`s among `out`, as `(destination, rule, firings)`.
+    fn repairs(out: &[(PeerId, Envelope)]) -> Vec<(PeerId, String, usize)> {
+        let repairs = out.iter().filter_map(|(to, env)| match &env.body {
+            Body::RejoinRepair { rule, firings, .. } => Some((*to, rule.clone(), firings.len())),
+            _ => None,
+        });
+        repairs.collect()
+    }
+
+    /// Whether `out` is exactly one bare ack of `(seq, epoch)` to `to`.
+    fn only_acked(out: &[(PeerId, Envelope)], to: NodeId, seq: u64, epoch: u64) -> bool {
+        matches!(out, [(p, env)] if *p == to.peer()
+            && matches!(env.body, Body::Ack)
+            && env.ack == Some(CarriedAck { seq, epoch }))
     }
 
     #[test]
@@ -272,27 +279,17 @@ mod tests {
         for rule in ["to1", "to2"] {
             node.sent_cached_mut(rule).insert(firing(7));
         }
-        let mut cmds = Commands::new();
-
-        node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 1);
+        let out = deliver(&mut node, spoke1, sequenced(1, 0, Body::Rejoin));
         // The cache toward spoke1 was invalidated — re-primed by the repair
         // push, it no longer holds the stale firing. spoke2's cache stays.
         assert!(!node.sent_cached("to1").contains(&firing(7)));
         assert!(node.sent_cached("to2").contains(&firing(7)));
-        // The handshake is acked (echoing the announced epoch), and the
-        // link's full data is re-pushed immediately as repair — the
-        // rejoined node must not wait for the next organic update.
-        let out = sends(&mut cmds);
-        assert_eq!(out.len(), 2);
-        assert!(matches!(out[0], (p, Body::RejoinAck { epoch: 1 }) if p == spoke1.peer()));
-        match &out[1] {
-            (p, Body::RejoinRepair { rule, firings, hops: 1 }) => {
-                assert_eq!(*p, spoke1.peer());
-                assert_eq!(rule, "to1");
-                assert_eq!(firings.len(), 2, "h(1) and h(2) both re-fired");
-            }
-            other => panic!("expected RejoinRepair, got {other:?}"),
-        }
+        // The link's full data is re-pushed immediately as repair — the
+        // rejoined node must not wait for the next organic update — and
+        // the `Rejoin` is acked alone: the repair left before it was owed.
+        assert_eq!(repairs(&out), [(spoke1.peer(), "to1".to_owned(), 2)]);
+        assert_eq!(out[0].1.ack, None);
+        assert!(only_acked(&out[1..], spoke1, 0, 1), "{out:?}");
         // The whole view went through the emptied cache: `to1` is caught
         // up, and the next update start fires only what is inserted from
         // here on. Nothing told `to2` anything.
@@ -303,73 +300,74 @@ mod tests {
         assert_eq!(node.invalidate_sent_caches_toward(spoke2), 1);
     }
 
+    /// The first envelope of a new incarnation starts the repair whatever
+    /// it is — here a bare ack that retires nothing, which the receive path
+    /// is otherwise done with at once. Waiting for the `Rejoin` would leave
+    /// the stale cache serving traffic meanwhile.
+    #[test]
+    fn a_new_incarnation_first_heard_on_a_bare_ack_is_repaired_at_once() {
+        let (mut node, spoke1, _) = hub();
+        node.sent_cached_mut("to1").insert(firing(7));
+        let ack = CarriedAck { seq: 0, epoch: 0 };
+        let bare = Envelope { epoch: 1, ack: Some(ack), ..Envelope::control(Body::Ack) };
+        let out = deliver(&mut node, spoke1, bare);
+        assert!(!node.sent_cached("to1").contains(&firing(7)));
+        assert_eq!(repairs(&out), [(spoke1.peer(), "to1".to_owned(), 2)]);
+        // The `Rejoin` that follows finds the epoch heard: it is only acked.
+        let out = deliver(&mut node, spoke1, sequenced(1, 0, Body::Rejoin));
+        assert!(only_acked(&out, spoke1, 0, 1), "{out:?}");
+        assert!(node.caught_up("to1"));
+    }
+
     #[test]
     fn duplicate_rejoin_is_acked_but_invalidates_nothing() {
         let (mut node, spoke1, _) = hub();
-        let mut cmds = Commands::new();
-        node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 1);
+        deliver(&mut node, spoke1, sequenced(1, 0, Body::Rejoin));
         // An update ran meanwhile and legitimately rebuilt the cache.
         node.sent_cached_mut("to1").insert(firing(1));
 
         // The duplicate (same epoch, e.g. a delayed copy) must not wipe
-        // the rebuilt cache — but it is still acked, idempotently.
-        node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 1);
+        // the rebuilt cache — but it is still acked, as any duplicate is.
+        let out = deliver(&mut node, spoke1, sequenced(1, 0, Body::Rejoin));
         assert!(node.sent_cached("to1").contains(&firing(1)));
-        let acks: Vec<_> = sends(&mut cmds)
-            .into_iter()
-            .filter(|(_, b)| matches!(b, Body::RejoinAck { .. }))
-            .collect();
-        assert_eq!(acks.len(), 2, "every Rejoin gets an ack");
+        assert!(only_acked(&out, spoke1, 0, 1), "{out:?}");
     }
 
     #[test]
     fn stale_rejoin_from_dead_incarnation_invalidates_nothing() {
         let (mut node, spoke1, _) = hub();
-        let mut cmds = Commands::new();
-        node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 3);
+        deliver(&mut node, spoke1, sequenced(3, 0, Body::Rejoin));
         node.sent_cached_mut("to1").insert(firing(1));
 
         // A straggler from incarnation 2 (delayed in the network while
-        // incarnation 3 completed its handshake) is stale: no wipe, and
-        // its ack echoes the stale epoch so the live incarnation ignores
-        // it (see `stale_ack_from_old_epoch_is_ignored`).
-        node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 2);
+        // incarnation 3 completed its handshake) is stale: no wipe, and no
+        // answer — whoever would read the ack is gone.
+        let out = deliver(&mut node, spoke1, sequenced(2, 1, Body::Rejoin));
         assert!(node.sent_cached("to1").contains(&firing(1)));
-        assert_eq!(node.rejoin_epochs[&spoke1], 3, "the newest epoch stays on record");
-        let last = sends(&mut cmds).pop().unwrap();
-        assert!(matches!(last.1, Body::RejoinAck { epoch: 2 }));
-    }
-
-    #[test]
-    fn stale_ack_from_old_epoch_is_ignored() {
-        let (mut node, spoke1, spoke2) = hub();
-        // This node itself recovered: incarnation 2.
-        node.reliable.set_epoch(2);
-        node.handle_rejoin_ack(spoke1, 1); // ack of the dead handshake
-        assert!(node.rejoin_acks().is_empty(), "stale ack must not count");
-        node.handle_rejoin_ack(spoke1, 2);
-        node.handle_rejoin_ack(spoke2, 2);
-        assert_eq!(node.rejoin_acks().len(), 2);
+        assert!(out.is_empty(), "{out:?}");
+        // The newest epoch stays on record.
+        let out = deliver(&mut node, spoke1, sequenced(3, 1, Body::Rejoin));
+        assert!(node.sent_cached("to1").contains(&firing(1)));
+        assert!(only_acked(&out, spoke1, 1, 3), "{out:?}");
     }
 
     #[test]
     fn crash_during_rejoin_second_incarnation_overtakes() {
         // spoke1 rejoins as incarnation 1, crashes again before the
         // handshake settles, and comes back as incarnation 2: the newer
-        // Rejoin must invalidate again (the cache may have been rebuilt
-        // by traffic between the two announcements).
+        // epoch must invalidate again (the cache may have been rebuilt by
+        // traffic between the two announcements).
         let (mut node, spoke1, _) = hub();
-        let mut cmds = Commands::new();
-        node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 1);
+        deliver(&mut node, spoke1, sequenced(1, 0, Body::Rejoin));
         node.sent_cached_mut("to1").insert(firing(1));
 
-        node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 2);
+        let out = deliver(&mut node, spoke1, sequenced(2, 0, Body::Rejoin));
         assert!(
             !node.sent_cached("to1").contains(&firing(1)),
             "a genuinely newer incarnation invalidates again (the repair push \
              re-primes the cache with the link's real firings only)"
         );
-        assert_eq!(node.rejoin_epochs[&spoke1], 2);
+        assert_eq!(repairs(&out), [(spoke1.peer(), "to1".to_owned(), 2)]);
     }
 
     #[test]
@@ -378,48 +376,60 @@ mod tests {
         // the peer's previous life, or never exchanged data): nothing to
         // invalidate, but the epoch is recorded and the ack still flows.
         let (mut node, spoke1, _) = hub();
+        let (tracer, recorded) = Tracer::ring(64);
+        node.attach_tracer(&tracer);
         assert!(node.sent_cache.iter().all(crate::update::SentCache::is_empty));
-        let mut cmds = Commands::new();
-        node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 5);
-        assert_eq!(node.rejoin_epochs[&spoke1], 5);
-        let out = sends(&mut cmds);
-        assert!(matches!(out[0].1, Body::RejoinAck { epoch: 5 }));
+        let out = deliver(&mut node, spoke1, sequenced(5, 0, Body::Rejoin));
+        assert_eq!(out.last().unwrap().1.ack, Some(CarriedAck { seq: 0, epoch: 5 }));
+        let events = recorded.lock().unwrap().events();
+        let heard = events.iter().filter(|(_, ev)| matches!(ev, TraceEvent::RejoinRecv { .. }));
+        let heard: Vec<_> = heard.map(|(_, ev)| ev.clone()).collect();
+        let recv = TraceEvent::RejoinRecv { peer: node.id.0, from: spoke1.0, invalidated: 0 };
+        assert_eq!(heard, [recv]);
+        // Recorded: the next envelope of the same epoch is not a new one.
+        let out = deliver(&mut node, spoke1, sequenced(5, 1, Body::Rejoin));
+        assert!(only_acked(&out, spoke1, 1, 5), "{out:?}");
     }
 
     #[test]
     fn announce_posts_once_to_every_acquaintance() {
         let (mut node, spoke1, spoke2) = hub();
+        let (tracer, recorded) = Tracer::ring(64);
+        node.attach_tracer(&tracer);
         node.reliable.set_epoch(4);
         node.pending_rejoin = true;
-        let mut cmds = Commands::new();
-        node.announce_rejoin(&mut ctx(&node, &mut cmds));
-        let mut dests: Vec<PeerId> = sends(&mut cmds)
-            .into_iter()
-            .filter(|(_, b)| matches!(b, Body::Rejoin { epoch: 4 }))
-            .map(|(to, _)| to)
-            .collect();
-        dests.sort();
-        assert_eq!(dests, vec![spoke1.peer(), spoke2.peer()]);
+        let mut cmds = VecDeque::new();
+        let mut ctx = Context::new(node.id.peer(), SimTime::ZERO, &[], &mut cmds);
+        node.announce_rejoin(&mut ctx);
         // The announcement is one-shot.
-        node.announce_rejoin(&mut ctx(&node, &mut cmds));
-        assert!(sends(&mut cmds).is_empty());
+        node.announce_rejoin(&mut ctx);
         assert!(!node.rejoin_pending());
-    }
+        let out = sends(cmds);
+        let dests: Vec<PeerId> = out.iter().map(|(to, _)| *to).collect();
+        assert_eq!(dests, [spoke1.peer(), spoke2.peer()]);
+        assert!(out.iter().all(|(_, env)| matches!(env.body, Body::Rejoin) && env.epoch == 4));
 
-    #[test]
-    fn announce_clears_acks_from_a_prior_incarnation() {
-        // Second restart in the same process: the ack set built by the
-        // previous incarnation's handshake must not carry over, or the
-        // new round would overstate its completion.
-        let (mut node, spoke1, _) = hub();
-        node.reliable.set_epoch(4);
-        node.rejoin_acks.insert(spoke1);
-        node.pending_rejoin = true;
-        let mut cmds = Commands::new();
-        node.announce_rejoin(&mut ctx(&node, &mut cmds));
-        assert!(node.rejoin_acks().is_empty(), "stale acks cleared with the new round");
-        node.handle_rejoin_ack(spoke1, 4);
-        assert_eq!(node.rejoin_acks().len(), 1);
+        // The transport ack retires a `Rejoin`, as any sequenced message.
+        let ack = |to: PeerId| {
+            let seq = out.iter().find(|(p, _)| *p == to).unwrap().1.seq.unwrap();
+            Envelope {
+                epoch: 0,
+                ack: Some(CarriedAck { seq, epoch: 4 }),
+                ..Envelope::control(Body::Ack)
+            }
+        };
+        deliver(&mut node, spoke1, ack(spoke1.peer()));
+        deliver(&mut node, spoke2, ack(spoke2.peer()));
+        assert!(!node.reliable.has_outstanding());
+        let events = recorded.lock().unwrap().events();
+        let acked: Vec<_> = events
+            .iter()
+            .filter_map(|(_, ev)| match ev {
+                TraceEvent::RejoinAck { from, pending, .. } => Some((*from, *pending)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(acked, [(spoke1.0, 1), (spoke2.0, 0)]);
     }
 
     /// A repair firing writing `h(k)` — what a neighbor re-fires on the
@@ -431,57 +441,37 @@ mod tests {
         )])
     }
 
+    fn repair(rule: &str, firings: Vec<codb_relational::RuleFiring>, hops: u64) -> Body {
+        Body::RejoinRepair { rule: rule.to_owned(), firings, hops }
+    }
+
     #[test]
     fn repair_applies_dedups_and_cascades() {
         let (mut node, spoke1, spoke2) = hub();
-        let mut cmds = Commands::new();
         let before = node.ldb().tuple_count();
 
         // h(5) arrives as repair on the hub's outgoing link `back`.
-        node.handle_rejoin_repair(
-            &mut ctx(&node, &mut cmds),
-            "back".to_owned(),
-            vec![h_firing(5)],
-            1,
-        );
+        let out = deliver(&mut node, spoke1, sequenced(0, 0, repair("back", vec![h_firing(5)], 1)));
         assert_eq!(node.ldb().tuple_count(), before + 1, "h(5) applied");
         // The change cascades: both links reading `h` re-fire their delta
         // toward their targets, as further repair.
-        let out = sends(&mut cmds);
-        let repairs: Vec<_> = out
-            .iter()
-            .filter_map(|(to, b)| match b {
-                Body::RejoinRepair { rule, firings, .. } => {
-                    Some((*to, rule.clone(), firings.len()))
-                }
-                _ => None,
-            })
-            .collect();
         assert_eq!(
-            repairs,
-            vec![(spoke1.peer(), "to1".to_owned(), 1), (spoke2.peer(), "to2".to_owned(), 1),]
+            repairs(&out),
+            [(spoke1.peer(), "to1".to_owned(), 1), (spoke2.peer(), "to2".to_owned(), 1)]
         );
 
-        // A duplicate repair batch is fully suppressed by the receive
-        // cache: nothing applied, nothing cascaded — the termination
-        // argument for repair chains in cyclic topologies.
-        node.handle_rejoin_repair(
-            &mut ctx(&node, &mut cmds),
-            "back".to_owned(),
-            vec![h_firing(5)],
-            1,
-        );
+        // A second batch with the same firing is fully suppressed by the
+        // receive cache: nothing applied, nothing cascaded — the
+        // termination argument for repair chains in cyclic topologies.
+        let out = deliver(&mut node, spoke1, sequenced(0, 1, repair("back", vec![h_firing(5)], 1)));
         assert_eq!(node.ldb().tuple_count(), before + 1);
-        assert!(sends(&mut cmds).is_empty());
+        assert!(only_acked(&out, spoke1, 1, 0), "{out:?}");
 
         // A stale rule name (reconfiguration race) is ignored outright.
-        node.handle_rejoin_repair(
-            &mut ctx(&node, &mut cmds),
-            "no-such-link".to_owned(),
-            vec![h_firing(6)],
-            1,
-        );
+        let stale = repair("no-such-link", vec![h_firing(6)], 1);
+        let out = deliver(&mut node, spoke1, sequenced(0, 2, stale));
         assert_eq!(node.ldb().tuple_count(), before + 1);
+        assert!(only_acked(&out, spoke1, 2, 0), "{out:?}");
     }
 
     /// A repair batch at the hop limit is applied and goes no further, and
@@ -490,20 +480,13 @@ mod tests {
     fn repair_at_the_hop_limit_applies_and_cascades_nothing() {
         let (mut node, spoke1, _) = hub();
         node.settings.max_hops = 3;
-        let mut cmds = Commands::new();
-        node.handle_rejoin(&mut ctx(&node, &mut cmds), spoke1, 1);
+        deliver(&mut node, spoke1, sequenced(1, 0, Body::Rejoin));
         assert!(node.caught_up("to1"));
-        sends(&mut cmds);
 
         let before = node.ldb().tuple_count();
-        node.handle_rejoin_repair(
-            &mut ctx(&node, &mut cmds),
-            "back".to_owned(),
-            vec![h_firing(5)],
-            3,
-        );
+        let out = deliver(&mut node, spoke1, sequenced(1, 1, repair("back", vec![h_firing(5)], 3)));
         assert_eq!(node.ldb().tuple_count(), before + 1, "h(5) applied");
-        assert!(sends(&mut cmds).is_empty(), "nothing cascades past the valve");
+        assert!(only_acked(&out, spoke1, 1, 1), "nothing cascades past the valve: {out:?}");
         assert!(!node.caught_up("to1") && !node.caught_up("to2"));
     }
 }

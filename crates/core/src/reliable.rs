@@ -43,8 +43,9 @@
 //! None of this is persisted: it is epoch-keyed instead. Every envelope
 //! carries the sender's incarnation epoch (`codb-store`'s `codb.epoch`,
 //! bumped per recovery); a receiver seeing a grown epoch starts that
-//! sender's window over and writes off the engagement credits the dead
-//! incarnation held ([`Reliable::heard`]), a receiver seeing a stale epoch
+//! sender's window over, writes off the engagement credits the dead
+//! incarnation held and starts the rejoin repair ([`Reliable::heard`],
+//! [`crate::rejoin`]), a receiver seeing a stale epoch
 //! on a sequenced envelope drops it, and acks echo the epoch so a dead
 //! incarnation's ack cannot retire a live one's seq. The protocol-level
 //! counters that *must* survive (update/query/fetch ids) are persisted
@@ -53,7 +54,6 @@
 
 use crate::ids::{NodeId, UpdateId};
 use crate::messages::{Body, CarriedAck, Envelope};
-use codb_net::SimTime;
 use std::collections::{BTreeMap, VecDeque};
 
 /// An unacknowledged message.
@@ -348,8 +348,6 @@ pub struct Reliable {
     /// The ack owed for the sequenced envelope being handled, until an
     /// envelope toward its sender takes it along.
     owed: Option<Owed>,
-    /// Retransmission interval.
-    pub retransmit_after: SimTime,
     /// Give up on a message after this many retransmissions (the peer or
     /// pipe is presumed gone — a crashed JXTA peer). With loss `p` the
     /// residual failure probability is `p^max_attempts`.
@@ -357,15 +355,9 @@ pub struct Reliable {
 }
 
 impl Reliable {
-    /// Creates the layer with the given retransmission interval.
-    pub fn new(retransmit_after: SimTime) -> Self {
-        Reliable {
-            epoch: 0,
-            links: BTreeMap::new(),
-            owed: None,
-            retransmit_after,
-            max_attempts: 25,
-        }
+    /// Creates the layer of an incarnation that has sent nothing yet.
+    pub(crate) fn new() -> Self {
+        Reliable { epoch: 0, links: BTreeMap::new(), owed: None, max_attempts: 25 }
     }
 
     /// Sets this node's incarnation (call before any message is sent —
@@ -588,20 +580,22 @@ impl Reliable {
         Forgotten { engaged: link.write_off_engaged(), dropped: link.out.drain() }
     }
 
-    /// Notes the incarnation `from` stamped on an envelope. A grown epoch
-    /// means the peer restarted from its store and its previous incarnation
-    /// is dead: the window starts over, and the engagement credits the dead
-    /// incarnation held, which nothing can return now, are written off —
-    /// returned one entry per credit, as [`Reliable::forget_peer`] returns
-    /// them. Every envelope calls this before its ack can record an
+    /// Notes the incarnation `from` stamped on an envelope: the one place
+    /// a peer's restart is detected. A grown epoch means the peer restarted
+    /// from its store and its previous incarnation is dead: the window
+    /// starts over, and `Some` returns the engagement credits the dead
+    /// incarnation held, which nothing can return now — one entry per
+    /// credit, as [`Reliable::forget_peer`] returns them. (A peer first
+    /// heard at an epoch above 0 has restarted since this layer began;
+    /// epoch 0, every peer's first incarnation and the harness's, never
+    /// grew.) Every envelope calls this before its ack can record an
     /// engagement of the new incarnation, so none of those is written off.
-    pub fn heard(&mut self, from: NodeId, epoch: u64) -> Vec<UpdateId> {
-        let Some(link) = self.links.get_mut(&from) else { return Vec::new() };
-        if link.window.hear(epoch) {
-            link.write_off_engaged()
-        } else {
-            Vec::new()
+    pub fn heard(&mut self, from: NodeId, epoch: u64) -> Option<Vec<UpdateId>> {
+        if epoch == 0 {
+            return None;
         }
+        let link = self.links.entry(from).or_default();
+        link.window.hear(epoch).then(|| link.write_off_engaged())
     }
 }
 
@@ -621,8 +615,13 @@ mod tests {
         Body::StatsRequest
     }
 
+    /// A message that parks behind the barrier, beside the `Rejoin`.
+    fn repair() -> Body {
+        Body::RejoinRepair { rule: "r".into(), firings: vec![], hops: 1 }
+    }
+
     fn layer() -> Reliable {
-        Reliable::new(SimTime::from_millis(10))
+        Reliable::new()
     }
 
     /// The ack of `env`, as its receiver would echo it.
@@ -828,16 +827,17 @@ mod tests {
         r.peer_engaged(NodeId(1), update(1));
         r.peer_disengaged(NodeId(1), update(1));
         assert_eq!(r.receive(NodeId(1), 0, 0, 0), Receipt::First);
-        assert!(r.heard(NodeId(1), 0).is_empty(), "the same incarnation");
-        assert!(r.heard(NodeId(2), 1).is_empty(), "never spoken to");
+        assert_eq!(r.heard(NodeId(1), 0), None, "the same incarnation");
+        assert_eq!(r.heard(NodeId(2), 0), None, "never restarted");
+        assert_eq!(r.heard(NodeId(3), 1), Some(vec![]), "restarted before it was first heard");
         // Restarted: its window starts over, and the two credits it held
         // in update 0 will never come back.
-        assert_eq!(r.heard(NodeId(1), 1), [update(0), update(0)]);
+        assert_eq!(r.heard(NodeId(1), 1), Some(vec![update(0), update(0)]));
         assert_eq!(r.window_len(NodeId(1)), 0);
         // What the new incarnation engages in is its own.
         r.peer_engaged(NodeId(1), update(2));
-        assert!(r.heard(NodeId(1), 1).is_empty(), "heard already");
-        assert!(r.heard(NodeId(1), 0).is_empty(), "a straggler of the dead one");
+        assert_eq!(r.heard(NodeId(1), 1), None, "heard already");
+        assert_eq!(r.heard(NodeId(1), 0), None, "a straggler of the dead one");
         assert_eq!(r.forget_peer(NodeId(1)).engaged, [update(2)]);
     }
 
@@ -856,7 +856,7 @@ mod tests {
         // still-dead peer must never be abandoned — back-to-back restarts
         // would strand the handshake forever.
         let mut r = layer();
-        let e = r.wrap(NodeId(1), Body::Rejoin { epoch: 3 });
+        let e = r.wrap(NodeId(1), Body::Rejoin);
         let round = exhaust(&mut r);
         assert!(round.abandoned.is_empty(), "handshake traffic must not be abandoned");
         assert_eq!(round.barred, vec![(NodeId(1), 1)]);
@@ -892,9 +892,9 @@ mod tests {
     #[test]
     fn barring_parks_all_eligible_toward_that_peer_only() {
         let mut r = layer();
-        let a = r.wrap(NodeId(1), Body::Rejoin { epoch: 1 });
+        let a = r.wrap(NodeId(1), Body::Rejoin);
         r.wrap(NodeId(1), Body::StatsRequest); // ordinary: still abandons
-        let b = r.wrap(NodeId(1), Body::RejoinAck { epoch: 1 });
+        let b = r.wrap(NodeId(1), repair());
         r.wrap(NodeId(2), Body::StatsRequest); // other peer: untouched
         let round = exhaust(&mut r);
         assert_eq!(round.barred, vec![(NodeId(1), 2)]);
@@ -910,14 +910,14 @@ mod tests {
     #[test]
     fn late_traffic_toward_a_barred_peer_probes_then_joins_the_queue() {
         let mut r = layer();
-        let first = r.wrap(NodeId(1), Body::Rejoin { epoch: 1 });
+        let first = r.wrap(NodeId(1), Body::Rejoin);
         exhaust(&mut r);
         assert!(r.is_barred(NodeId(1)));
         // New traffic toward the barred peer is still sent — it doubles as
         // a liveness probe (a healed partition never sends a handshake, so
         // holding everything would deadlock) — and gets a full
         // retransmission budget of its own.
-        let late = r.wrap(NodeId(1), Body::RejoinAck { epoch: 1 });
+        let late = r.wrap(NodeId(1), repair());
         assert_eq!(r.parked_toward(NodeId(1)), 1);
         assert!(r.has_retransmittable());
         // If the peer really is still gone, the probe exhausts too and
@@ -942,7 +942,7 @@ mod tests {
     #[test]
     fn forget_peer_lifts_the_barrier() {
         let mut r = layer();
-        r.wrap(NodeId(1), Body::Rejoin { epoch: 1 });
+        r.wrap(NodeId(1), Body::Rejoin);
         exhaust(&mut r);
         assert!(r.is_barred(NodeId(1)));
         assert_eq!(r.forget_peer(NodeId(1)).dropped.len(), 1);
@@ -1080,11 +1080,8 @@ mod tests {
                 let peer = NodeId(rng.gen_range(0..3));
                 let (got, want) = match rng.gen_range(0..100) {
                     0..=44 => {
-                        let body = if rng.gen_bool(0.4) {
-                            Body::Rejoin { epoch: step }
-                        } else {
-                            Body::StatsRequest
-                        };
+                        let body =
+                            if rng.gen_bool(0.4) { Body::Rejoin } else { Body::StatsRequest };
                         let env = ring.wrap(peer, body.clone());
                         let seq = map.wrap(peer, body);
                         assert_eq!(env.base, map.base(peer), "{at}");

@@ -219,8 +219,6 @@ kinds! {
     UpdateComplete => "update_complete",
     /// A restarted node's announcement.
     Rejoin => "rejoin",
-    /// The confirmation of a `Rejoin`.
-    RejoinAck => "rejoin_ack",
     /// Repair data pushed at barrier release.
     RejoinRepair => "rejoin_repair",
     /// A query-time fetch request.
@@ -588,8 +586,7 @@ mod tests {
             ("LinkClosed", Body::LinkClosed { update, rule: rule(), data_msgs: 0 }),
             ("DsAck", Body::DsAck { update, credits: 1 }),
             ("UpdateComplete", Body::UpdateComplete { update }),
-            ("Rejoin", Body::Rejoin { epoch: 1 }),
-            ("RejoinAck", Body::RejoinAck { epoch: 1 }),
+            ("Rejoin", Body::Rejoin),
             ("RejoinRepair", Body::RejoinRepair { rule: rule(), firings: vec![], hops: 1 }),
             ("QueryRequest", Body::QueryRequest { req, rule: rule(), path: vec![] }),
             ("QueryAnswer", Body::QueryAnswer { req, firings: vec![], closed: true }),

@@ -16,7 +16,6 @@ use crate::ids::NodeId;
 use crate::messages::{Body, Envelope};
 use crate::node::CoDbNode;
 use crate::rules::RuleBook;
-use crate::stats::Kind;
 use crate::update::SentCache;
 use codb_net::Context;
 use std::collections::BTreeSet;
@@ -77,18 +76,18 @@ impl CoDbNode {
         }
     }
 
-    /// Settles the Dijkstra–Scholten accounts with a peer whose pipe just
-    /// closed for good. Nothing more can reach it, and no reply of its can
-    /// be sent any more, so every credit it might still return is written
-    /// off now:
-    /// that of each DS message it never answered (left alone those would
-    /// park behind the rejoin barrier forever, and hold their update open
-    /// with them) and the engagement credit it holds in each update it
-    /// joined under this node. Where this node is the one engaged under the
-    /// departed peer, it stays engaged until its own deficit is zero and
-    /// then disengages with nobody to tell. (What the peer still has in
-    /// flight toward this node does arrive; `dispatch_ds` handles it
-    /// without engaging under the sender.)
+    /// Settles the accounts with a peer whose pipe just closed for good.
+    /// Nothing more can reach it, and no reply of its can be sent any more,
+    /// so every message it never answered is given up (`give_up`: a fetch
+    /// request closes empty) and every credit it might still return is
+    /// written off now: that of each DS message it never answered (left
+    /// alone those would park behind the rejoin barrier forever, and hold
+    /// their update open with them) and the engagement credit it holds in
+    /// each update it joined under this node. Where this node is the one
+    /// engaged under the departed peer, it stays engaged until its own
+    /// deficit is zero and then disengages with nobody to tell. (What the
+    /// peer still has in flight toward this node does arrive; `dispatch_ds`
+    /// handles it without engaging under the sender.)
     ///
     /// The completion tree loses the edge too: the departed peer will not
     /// pass this node the completion, nor this node pass it on, and a
@@ -100,9 +99,8 @@ impl CoDbNode {
             st.parent = None;
         }
         let forgotten = self.reliable.forget_peer(gone);
-        for sent in &forgotten.dropped {
-            self.report.count_sent(Kind::Abandoned);
-            self.surrender_credit(ctx, sent);
+        for sent in forgotten.dropped {
+            self.give_up(ctx, gone, sent);
         }
         self.write_off(ctx, forgotten.engaged);
         self.adopt_all(ctx);

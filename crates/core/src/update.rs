@@ -783,16 +783,6 @@ impl CoDbNode {
         }
     }
 
-    /// Gives up the credit of a DS message that will never be answered: it
-    /// was abandoned, or its destination left the network.
-    pub(crate) fn surrender_credit(&mut self, ctx: &mut Context<Envelope>, sent: &Body) {
-        if sent.is_ds_counted() {
-            if let Some(update) = sent.update_id() {
-                self.handle_ds_ack(ctx, update, 1);
-            }
-        }
-    }
-
     /// DS disengagement / termination detection.
     fn maybe_disengage(&mut self, ctx: &mut Context<Envelope>, update: UpdateId) {
         let st = self.state_mut(update);

@@ -232,6 +232,64 @@ fn a_query_the_node_cannot_evaluate_carries_its_error() {
     }
 }
 
+/// A fetch toward a peer that never answers finishes on what the reachable
+/// peers sent. The request to the dead peer is given up after the last
+/// retransmission and closes as an empty final instalment: at a node
+/// serving a fetch (node1 below, once node0 is gone), and at the node the
+/// query runs on (node3, once node2 is gone).
+#[test]
+fn a_fetch_toward_a_dead_peer_finishes_with_what_the_live_ones_sent() {
+    let mut net = build(&chain_config(4, 3));
+    let id = |i: usize| net.node_id(&format!("node{i}")).unwrap();
+    let [node0, node1, node2, last] = [0, 1, 2, 3].map(id);
+    for (node, t) in [(node1, 100), (node2, 200)] {
+        net.sim_mut().peer_mut(node.peer()).unwrap().insert_local("r", tup![t]).unwrap();
+    }
+    // A request is given up on the round after its 25th retransmission:
+    // 26 × 250 ms after it was sent, a few hops after the query started.
+    let budget = SimTime::from_millis(26 * 250 + 50);
+    let query = "ans(X) :- r(X).";
+
+    net.crash_node(node0);
+    let q = net.run_query_text(last, query, true).unwrap();
+    assert_eq!(q.result.answers, vec![tup![100], tup![200]]);
+    assert!(q.duration <= budget, "{:?}", q.duration);
+
+    net.crash_node(node2);
+    let q = net.run_query_text(last, query, true).unwrap();
+    assert_eq!(q.result.answers, Vec::<Tuple>::new());
+    assert!(q.result.fetched && q.duration <= budget, "{:?}", q.duration);
+    assert_eq!(net.node(last).report().messages_sent["abandoned"], 1);
+    assert!(!net.node(last).report().messages_received.contains_key("data_rejected"));
+}
+
+/// The same for a request a rules file drops with its pipe: the query
+/// finishes when the file arrives, not a retransmission budget later, and
+/// the empty instalment that closes it is no rejected batch, although the
+/// link it was fetched on is gone with the file.
+#[test]
+fn a_fetch_toward_a_peer_a_rules_file_removed_finishes_with_the_file() {
+    let v1 = "node b\nnode c\nschema b: r(int)\nschema c: r(int)\n\
+              data b: r(1).\ndata c: r(7).\nrule bc @ b -> c: r(X) <- r(X).\n";
+    let v2 = "version 2\nnode b\nnode c\nschema b: r(int)\nschema c: r(int)\n";
+    let config = NetworkConfig::parse(v1).unwrap();
+    let mut net = CoDbNetwork::build_with_superpeer(config, SimConfig::default()).unwrap();
+    let (b, c) = (net.node_id("b").unwrap(), net.node_id("c").unwrap());
+    net.crash_node(b);
+    let query = codb_relational::parse_query("ans(X) :- r(X).").unwrap();
+    let start = codb_core::Body::StartQuery { query: Box::new(query), fetch: true };
+    net.sim_mut().inject(codb_core::HARNESS_PEER, c.peer(), codb_core::Envelope::control(start));
+    let t0 = net.sim().now();
+    net.broadcast_rules(NetworkConfig::parse(v2).unwrap()).unwrap();
+
+    let node = net.node(c);
+    let result = node.completed_queries.values().next().expect("the query finished");
+    assert_eq!(result.answers, vec![tup![7]]);
+    assert!(result.finished_at.saturating_sub(t0) < SimTime::from_millis(250));
+    assert_eq!(node.report().messages_sent["abandoned"], 1);
+    assert!(!node.report().messages_received.contains_key("data_rejected"));
+}
+
 #[test]
 fn query_time_on_cycle_is_sound_subset() {
     let src = r#"

@@ -140,7 +140,8 @@ pub enum TraceEvent {
         /// The announced epoch.
         epoch: u64,
     },
-    /// A node received a rejoin announcement.
+    /// A node heard a peer's new incarnation: the first envelope of a
+    /// grown epoch, whatever it carried.
     RejoinRecv {
         /// Receiving node (peer id).
         peer: u64,
@@ -150,13 +151,13 @@ pub enum TraceEvent {
         /// it was dropped.
         invalidated: u64,
     },
-    /// A rejoining node collected one handshake acknowledgement.
+    /// A transport ack retired one of a rejoining node's `Rejoin`s.
     RejoinAck {
         /// Rejoining node (peer id).
         peer: u64,
         /// The acquaintance that acknowledged (peer id).
         from: u64,
-        /// Acknowledgements still outstanding.
+        /// This incarnation's `Rejoin`s still unacked.
         pending: u64,
     },
     /// The storage engine appended one record to its WAL.

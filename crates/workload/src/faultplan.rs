@@ -442,7 +442,9 @@ pub struct FaultPlanReport {
     /// Per round: the update's id and its message count beside the
     /// control's.
     pub updates: Vec<RoundReport>,
-    /// `Rejoin` + `RejoinAck` messages across the whole run.
+    /// `Rejoin` announcements across the whole run: one per acquaintance
+    /// of each restarted node (retransmissions not counted). Their acks
+    /// are bare transport acks, counted with every other ack.
     pub rejoin_messages: u64,
     /// Messages parked behind the rejoin barrier across the whole run
     /// (survivor-side holds instead of abandonments).
@@ -487,7 +489,7 @@ pub struct FaultPlanReport {
 }
 
 impl FaultPlanReport {
-    /// The rejoin cost in messages: the handshakes themselves plus the
+    /// The rejoin cost in messages: the `Rejoin` announcements plus the
     /// re-send overhead of the final (reconvergence) round relative to the
     /// never-crashed control (the E17 "rejoin cost" column).
     pub fn rejoin_cost_messages(&self) -> u64 {
@@ -524,7 +526,7 @@ struct RejoinCounters {
 impl RejoinCounters {
     fn add(&mut self, report: &NodeReport) {
         let sent = |kind: &str| report.messages_sent.get(kind).copied().unwrap_or(0);
-        self.rejoin += sent("rejoin") + sent("rejoin_ack");
+        self.rejoin += sent("rejoin");
         self.barrier_parked += sent("barrier_parked");
         self.barrier_released += sent("barrier_released");
         self.repairs += sent("rejoin_repair");
@@ -888,6 +890,15 @@ mod tests {
         prop_oneof![Just(RuleStyle::CopyGav), Just(RuleStyle::ProjectGlav)]
     }
 
+    /// The `Rejoin`s `report`'s restarts posted: one per acquaintance of
+    /// each restarted node.
+    fn rejoins(scenario: &Scenario, report: &FaultPlanReport) -> u64 {
+        let rules = scenario.build_config().rules;
+        let acquaintances =
+            |node| codb_core::rules::RuleBook::for_node(node, &rules).acquaintances().len() as u64;
+        report.restarts.iter().map(|r| acquaintances(r.node)).sum()
+    }
+
     /// Fixed-seed determinism: the same seed yields the same schedule.
     #[test]
     fn plans_are_deterministic() {
@@ -932,7 +943,7 @@ mod tests {
         let plan = explicit_plan();
         let report = run_fault_plan(&plan, tmp.path()).unwrap();
         assert_eq!(report.crashes, 1, "{report:?}");
-        assert!(report.rejoin_messages >= 2, "{report:?}");
+        assert_eq!(report.rejoin_messages, 2, "node 1 of the chain has two neighbours: {report:?}");
         assert!(report.converged, "replay with seed {}: {report:?}", plan.seed);
     }
 
@@ -959,7 +970,7 @@ mod tests {
         assert_eq!(restart.node, NodeId(1), "{report:?}");
         assert!(restart.recovery.wal_records_replayed >= 1, "{report:?}");
         assert_eq!(restart.recovery.epoch, 1, "{report:?}");
-        assert!(report.rejoin_messages >= 2, "handshake ran: {report:?}");
+        assert_eq!(report.rejoin_messages, 2, "handshake ran: {report:?}");
         // The handshake pushed a repair toward the recovered victim (the
         // kill may land after in-flight traffic toward it was already
         // acked, so parked counts can legitimately be zero — the repair
@@ -1246,9 +1257,11 @@ mod tests {
                  rule_style: {rule_style:?}, ..Scenario::quick({topology:?}) }}, {seed}) → \
                  {report:?}"
             );
-            // Crash rounds must actually have exercised the handshake.
+            // One `Rejoin` per acquaintance of each restart, and crash
+            // rounds must actually have exercised the handshake.
+            prop_assert_eq!(report.rejoin_messages, rejoins(&scenario, &report), "{report:?}");
             if report.crashes > 0 {
-                prop_assert!(report.rejoin_messages >= 2, "{report:?}");
+                prop_assert!(report.rejoin_messages >= 1, "{report:?}");
             }
         }
 

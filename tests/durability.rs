@@ -42,7 +42,10 @@ fn recovered_initiator_rejoins_first_class() {
     let plan = FaultPlan::single_crash(scenario, victim, None, victim);
     let report = run_fault_plan(&plan, tmp.path()).unwrap();
     assert_eq!(report.crashed_in_flight, [true], "{report:?}");
-    assert!(report.rejoin_messages >= 2, "handshake must run: {report:?}");
+    assert_eq!(
+        report.rejoin_messages, 1,
+        "the chain end announces to its one neighbour: {report:?}"
+    );
     let recovered_update = report.updates[1].update.expect("the second round ran");
     assert_eq!(recovered_update.origin, victim, "{report:?}");
     assert_eq!(recovered_update.epoch, report.restarts[0].recovery.epoch, "{report:?}");
@@ -217,7 +220,9 @@ fn host_crash_under_shared_group_commit_loses_no_acked_record() {
     assert_eq!(report.crashes, 1, "the host crash landed: {report:?}");
     assert!(report.acked_records_preserved, "replay with seed {}: {report:?}", report.seed);
     assert!(report.converged, "replay with seed {}: {report:?}", report.seed);
-    assert!(report.rejoin_messages >= 2, "restarts ran the handshake: {report:?}");
+    // Every node restarted and announced itself to each neighbour: the
+    // two chain ends to one, the six between to two.
+    assert_eq!(report.rejoin_messages, 2 + 6 * 2, "restarts ran the handshake: {report:?}");
 }
 
 /// The shared scheduler is one object across the network: opening
