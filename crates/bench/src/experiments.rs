@@ -134,7 +134,9 @@ fn e4() -> Table {
 }
 
 /// E5 — query-time answering vs global update + local query (the paper's
-/// motivation for batch updates).
+/// motivation for batch updates). "refetch fires": the whole views the
+/// same fetch fires again on the unchanged network — none, since every
+/// serving link kept its view.
 fn e5() -> Table {
     let mut t = Table::new(
         "E5 — query-time vs materialised (chain, 200 tuples/node)",
@@ -147,6 +149,7 @@ fn e5() -> Table {
             "update msgs",
             "local sim",
             "amortise@",
+            "refetch fires",
         ],
     );
     for n in [2usize, 4, 8, 16] {
@@ -168,6 +171,10 @@ fn e5() -> Table {
             .and_then(|r| r.first_answer_at)
             .map(|t| t.to_string())
             .unwrap_or_else(|| "-".into());
+        let fired = codb_core::whole_fires();
+        let again = fetch_net.run_query(s.sink(), s.sink_query(), true);
+        assert_eq!(again.result.answers, q.result.answers);
+        let refetch_fires = codb_core::whole_fires() - fired;
         t.row(vec![
             n.to_string(),
             first,
@@ -177,6 +184,7 @@ fn e5() -> Table {
             o.messages.to_string(),
             local.duration.to_string(),
             amortise.to_string(),
+            refetch_fires.to_string(),
         ]);
     }
     t

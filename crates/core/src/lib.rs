@@ -70,3 +70,4 @@ pub use stats::{
     Kind, KindCounts, NetworkReport, NodeReport, QueryReport, RuleTraffic, UpdateReport,
     UpdateSummary,
 };
+pub use update::whole_fires;

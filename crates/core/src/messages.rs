@@ -153,8 +153,10 @@ pub enum Body {
         req: ReqId,
         /// New rule firings since the previous instalment.
         firings: Vec<RuleFiring>,
-        /// True on the final instalment for this request.
-        closed: bool,
+        /// On the final instalment, how many instalments the request drew,
+        /// this one included: the transport does not order them, so the
+        /// final one may arrive before one lost and sent again.
+        closed: Option<u64>,
     },
 
     // ---- super-peer administration (paper §4) ----
@@ -425,7 +427,7 @@ mod tests {
         assert!(!Body::Ack.parks_behind_barrier());
         assert!(!Body::StatsRequest.parks_behind_barrier());
         let req = crate::ids::ReqId { node: NodeId(1), epoch: 0, seq: 0 };
-        assert!(!Body::QueryAnswer { req, firings: vec![], closed: true }.parks_behind_barrier());
+        assert!(!Body::QueryAnswer { req, firings: vec![], closed: Some(1) }.parks_behind_barrier());
     }
 
     #[test]

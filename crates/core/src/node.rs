@@ -8,7 +8,7 @@
 //! by harness-injected control messages.
 
 use crate::config::NetworkConfig;
-use crate::ids::{NodeId, QueryId, ReqId, RuleName, UpdateId};
+use crate::ids::{NodeId, QueryId, ReqId, UpdateId};
 use crate::messages::{Body, Envelope};
 use crate::query::{QueryExec, QueryResult, Serving};
 use crate::reliable::{Answer, Owed, Receipt, Reliable};
@@ -78,9 +78,9 @@ pub struct CoDbNode {
     pub(crate) next_req_seq: u64,
     pub(crate) queries: BTreeMap<QueryId, QueryExec>,
     pub(crate) serving: BTreeMap<ReqId, Serving>,
-    /// Who each fetch request in flight was issued for, and the outgoing
-    /// link it fetches (its answers must be instances of that rule's head).
-    pub(crate) nested_parent: BTreeMap<ReqId, (crate::query::ParentRef, RuleName)>,
+    /// Each fetch request in flight: who it was issued for, the link it
+    /// fetches, and how many of its instalments have arrived.
+    pub(crate) nested_parent: BTreeMap<ReqId, crate::query::Nested>,
     /// Finished query results. A result waits here until the driver takes
     /// it: [`CoDbNetwork::run_query`](crate::CoDbNetwork::run_query)
     /// removes the one it ran; a harness that injects `StartQuery` itself
@@ -527,7 +527,8 @@ impl CoDbNode {
     pub(crate) fn give_up(&mut self, ctx: &mut Context<Envelope>, to: NodeId, body: Body) {
         self.report.count_sent(Kind::Abandoned);
         if let Body::QueryRequest { req, .. } = body {
-            self.handle_query_answer(ctx, to, req, vec![], true);
+            // A count every arrival meets: what came is all there is.
+            self.handle_query_answer(ctx, to, req, vec![], Some(0));
         } else if let Some(update) = body.update_id().filter(|_| body.is_ds_counted()) {
             self.handle_ds_ack(ctx, update, 1);
         }

@@ -73,16 +73,47 @@ pub(crate) struct Serving {
     pub pending: BTreeSet<ReqId>,
     /// The first instalment — every firing of the local data — sorted, as
     /// [`PreparedRule::fire`](codb_relational::PreparedRule::fire) returned
-    /// it: its own record of what was sent, searched rather than hashed.
+    /// it (or the link's kept view of it): its own record of what was
+    /// sent, searched rather than hashed.
     pub first: Vec<RuleFiring>,
     /// Firings streamed in later instalments (instalment diffing).
     pub later: FiringSet,
+    /// Instalments sent so far, the first included.
+    pub instalments: u64,
 }
 
 impl Serving {
     /// Records `firing` as streamed; `false` if it already was.
     fn stream(&mut self, firing: &RuleFiring) -> bool {
         self.first.binary_search(firing).is_err() && self.later.insert(firing.clone())
+    }
+}
+
+/// A fetch request this node issued and waits on.
+#[derive(Debug)]
+pub(crate) struct Nested {
+    /// Who it was issued for.
+    pub parent: ParentRef,
+    /// The outgoing link it fetches: its answers must be instances of that
+    /// rule's head.
+    pub rule: RuleName,
+    /// Instalments arrived so far.
+    arrived: u64,
+    /// How many instalments the request drew, once its final one told.
+    drawn: Option<u64>,
+}
+
+impl Nested {
+    fn new(parent: ParentRef, rule: RuleName) -> Self {
+        Nested { parent, rule, arrived: 0, drawn: None }
+    }
+
+    /// Counts an instalment in; true once every instalment the request
+    /// drew has arrived.
+    fn arrive(&mut self, closed: Option<u64>) -> bool {
+        self.arrived += 1;
+        self.drawn = self.drawn.or(closed);
+        self.drawn.is_some_and(|drawn| self.arrived >= drawn)
     }
 }
 
@@ -99,11 +130,14 @@ impl CoDbNode {
     /// Builds an overlay instance holding clones of `relations` (those that
     /// exist locally; missing ones are skipped — validation happens at rule
     /// level). A clone is a set of its own over the LDB's tuples, not a
-    /// copy of them.
+    /// copy of them, and carries the LDB relation's content stamp, handed
+    /// out here if need be: a link's whole fire over the overlay is kept
+    /// under the LDB's stamps, where the next request finds it.
     fn overlay_for(&self, relations: &BTreeSet<String>) -> Instance {
         let mut overlay = Instance::new();
         for name in relations {
             if let Some(rel) = self.ldb.get(name) {
+                rel.stamp();
                 overlay.insert_relation(rel.clone());
             }
         }
@@ -179,7 +213,7 @@ impl CoDbNode {
         for (rule, source) in links {
             let req = self.next_req();
             pending.insert(req);
-            self.nested_parent.insert(req, (ParentRef::Query(query_id), rule.clone()));
+            self.nested_parent.insert(req, Nested::new(ParentRef::Query(query_id), rule.clone()));
             if let Some(rep) = self.report.queries.get_mut(&query_id) {
                 rep.requests_sent += 1;
             }
@@ -227,13 +261,13 @@ impl CoDbNode {
         path: Vec<NodeId>,
     ) {
         let book = Arc::clone(&self.book);
-        let Some(link) = book.incoming_named(&rule).map(|id| book.link(id)) else {
+        let Some(id) = book.incoming_named(&rule) else {
             // Stale rule: answer empty so the requester can make progress.
-            self.post(ctx, from, Body::QueryAnswer { req, firings: vec![], closed: true });
+            self.post(ctx, from, Body::QueryAnswer { req, firings: vec![], closed: Some(1) });
             return;
         };
         let body_rels: BTreeSet<String> =
-            link.rule.rule().body_relations().into_iter().map(str::to_owned).collect();
+            book.link(id).rule.rule().body_relations().into_iter().map(str::to_owned).collect();
         let mut path = path;
         path.push(self.id);
         let links = self.fetchable_links(&body_rels, &path);
@@ -245,19 +279,21 @@ impl CoDbNode {
         // The paper: "when node gets a query request, it answers it using
         // local data immediately, and it forwards it through all outgoing
         // links" — stream the local instalment now, nested data later.
-        let initial =
-            link.rule.fire(overlay.as_ref().unwrap_or(&self.ldb)).expect("schema-validated rule");
+        // Over data that did not change since the last request, that is
+        // the view the link kept then.
+        let initial = self.fire_link_whole(id, overlay.as_ref(), true);
         let Some(overlay) = overlay else {
-            self.post(ctx, from, Body::QueryAnswer { req, firings: initial, closed: true });
+            self.post(ctx, from, Body::QueryAnswer { req, firings: initial, closed: Some(1) });
             return;
         };
-        self.post(ctx, from, Body::QueryAnswer { req, firings: initial.clone(), closed: false });
+        self.post(ctx, from, Body::QueryAnswer { req, firings: initial.clone(), closed: None });
 
         let mut pending = BTreeSet::new();
         for (nested_rule, source) in links {
             let nested = self.next_req();
             pending.insert(nested);
-            self.nested_parent.insert(nested, (ParentRef::Serving(req), nested_rule.clone()));
+            self.nested_parent
+                .insert(nested, Nested::new(ParentRef::Serving(req), nested_rule.clone()));
             self.post(
                 ctx,
                 source,
@@ -274,6 +310,7 @@ impl CoDbNode {
                 pending,
                 first: initial,
                 later: FiringSet::default(),
+                instalments: 1,
             },
         );
     }
@@ -286,15 +323,17 @@ impl CoDbNode {
         _from: NodeId,
         req: ReqId,
         firings: Vec<RuleFiring>,
-        closed: bool,
+        closed: Option<u64>,
     ) {
-        let entry = if closed {
-            self.nested_parent.remove(&req)
-        } else {
-            self.nested_parent.get(&req).cloned()
+        let Some(nested) = self.nested_parent.get_mut(&req) else {
+            return; // stale answer
         };
-        let Some((parent, rule)) = entry else {
-            return; // duplicate/stale answer
+        let closed = nested.arrive(closed);
+        let (parent, rule) = if closed {
+            let nested = self.nested_parent.remove(&req).expect("present");
+            (nested.parent, nested.rule)
+        } else {
+            (nested.parent, nested.rule.clone())
         };
         let bytes: usize = firings.iter().map(RuleFiring::size_bytes).sum();
         // As on the update path: an instalment that is not an instance of
@@ -353,16 +392,18 @@ impl CoDbNode {
                 };
                 fresh.retain(|f| s.stream(f));
                 let finished = s.pending.is_empty();
-                let requester = s.requester;
-                let original_req = s.req;
+                let sends = !fresh.is_empty() || finished;
+                s.instalments += u64::from(sends);
+                let (requester, original_req, drawn) = (s.requester, s.req, s.instalments);
                 if finished {
                     self.serving.remove(&sreq);
                 }
-                if !fresh.is_empty() || finished {
+                if sends {
+                    let closed = finished.then_some(drawn);
                     self.post(
                         ctx,
                         requester,
-                        Body::QueryAnswer { req: original_req, firings: fresh, closed: finished },
+                        Body::QueryAnswer { req: original_req, firings: fresh, closed },
                     );
                 }
             }
@@ -399,7 +440,7 @@ mod tests {
         }
         let req = *net.node(tgt).nested_parent.keys().next().unwrap();
         let bad = RuleFiring::new([("person", vec![TField::Const(Value::Int(1))])]);
-        let forged = Body::QueryAnswer { req, firings: vec![bad], closed: false };
+        let forged = Body::QueryAnswer { req, firings: vec![bad], closed: None };
         net.sim_mut().inject(src.peer(), tgt.peer(), Envelope::control(forged));
         net.sim_mut().run_until_quiescent();
 

@@ -589,7 +589,7 @@ mod tests {
             ("Rejoin", Body::Rejoin),
             ("RejoinRepair", Body::RejoinRepair { rule: rule(), firings: vec![], hops: 1 }),
             ("QueryRequest", Body::QueryRequest { req, rule: rule(), path: vec![] }),
-            ("QueryAnswer", Body::QueryAnswer { req, firings: vec![], closed: true }),
+            ("QueryAnswer", Body::QueryAnswer { req, firings: vec![], closed: Some(1) }),
             ("RulesFile", Body::RulesFile { config: Box::default() }),
             ("StatsRequest", Body::StatsRequest),
             ("StatsReport", Body::StatsReport { report: Box::default() }),

@@ -87,8 +87,9 @@ use crate::node::CoDbNode;
 use crate::rules::{LinkId, RuleBook};
 use crate::stats::{by_name, Kind};
 use codb_net::{Context, SimTime};
-use codb_relational::{FiringSet, RuleFiring, Tuple};
+use codb_relational::{FiringSet, Instance, Relation, RuleFiring, Tuple};
 use codb_trace::TraceEvent;
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -116,7 +117,7 @@ pub struct LinkState {
 
 /// What the sender side of one incoming link remembers from update to
 /// update. One value, so that whatever drops the firings drops the mark
-/// with them.
+/// and the kept view with them.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SentCache {
     /// The firings already shipped on the link, by update data and rejoin
@@ -126,14 +127,40 @@ pub(crate) struct SentCache {
     /// has been through `sent` (module docs, "What an update start
     /// fires").
     pub(crate) caught_up: bool,
+    /// The link's last whole fire for a fetch it served, kept under what
+    /// it read ([`CoDbNode::fire_link_whole`]).
+    pub(crate) view: Option<KeptView>,
 }
 
 impl SentCache {
-    /// True iff nothing is remembered: no firing, and not caught up.
+    /// True iff nothing is remembered: no firing, not caught up, no view.
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.sent.is_empty() && !self.caught_up
+        self.sent.is_empty() && !self.caught_up && self.view.is_none()
     }
+}
+
+/// Every firing of a link over the relations its body read, and the
+/// content stamp ([`codb_relational::Relation::stamp`]) each body atom's
+/// relation had, in body order: while a source shows the same stamps, it
+/// holds the same sets, and firing the link over it again gives exactly
+/// these firings.
+#[derive(Clone, Debug)]
+pub(crate) struct KeptView {
+    stamps: Vec<u64>,
+    firings: Vec<RuleFiring>,
+}
+
+thread_local! {
+    static WHOLE_FIRES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many whole views links have fired on this thread so far (a kept
+/// view found again is not fired). A count to take differences of, as
+/// [`codb_relational::index_builds`] is: a test that says "this fetch
+/// derived nothing again" reads it before and after.
+pub fn whole_fires() -> u64 {
+    WHOLE_FIRES.get()
 }
 
 /// Per-update state at one node.
@@ -320,16 +347,15 @@ impl CoDbNode {
         }
         // Initial shipment: all a caught-up link has not shipped is in the
         // log, which stays for the links this update does not reach.
-        let link = book.link(id);
         let firings = if self.sent_cache[id.index()].caught_up {
             self.fire_link_deltas(id, &self.unfired)
         } else {
-            link.rule.fire(&self.ldb).expect("schema-validated rule")
+            self.fire_link_whole(id, None, false)
         };
         self.send_link_data(ctx, update, id, firings, 1, false);
         // Recursive demand for the body's inputs.
         let body_rels: BTreeSet<String> =
-            link.rule.rule().body_relations().into_iter().map(str::to_owned).collect();
+            book.link(id).rule.rule().body_relations().into_iter().map(str::to_owned).collect();
         self.demand_relations(ctx, update, &body_rels);
         self.check_in_link_closes(ctx, update);
         self.check_node_closed(update, now);
@@ -410,7 +436,7 @@ impl CoDbNode {
         for &id in book.incoming() {
             let whole = !std::mem::replace(&mut self.sent_cache[id.index()].caught_up, true);
             let firings = if whole {
-                book.link(id).rule.fire(&self.ldb).expect("schema-validated rule")
+                self.fire_link_whole(id, None, false)
             } else {
                 self.fire_link_deltas(id, &unfired)
             };
@@ -593,6 +619,47 @@ impl CoDbNode {
             let firings = self.fire_link_deltas(id, deltas);
             self.send_link_data(ctx, update, id, firings, hops, false);
         }
+    }
+
+    /// Every firing of incoming link `link` over `overlay`, or over the LDB
+    /// — the node's one whole-view fire: a served fetch's first instalment,
+    /// an update start or a demand on a link that is not caught up, a
+    /// rejoin repair.
+    ///
+    /// A fire is a function of the rule and the sets its body reads, so a
+    /// link keeps its last whole fire for a fetch (`keep`) under the
+    /// content stamps of those sets, and any later call over sets with
+    /// the same stamps — an overlay's relations are stamped clones of the
+    /// LDB's — gets the kept firings back, the same allocations, without
+    /// firing. Only a fetch keeps: stamping the LDB would put every insert
+    /// of an update on the slower path, and an update start fires a link
+    /// whole about once.
+    pub(crate) fn fire_link_whole(
+        &mut self,
+        link: LinkId,
+        overlay: Option<&Instance>,
+        keep: bool,
+    ) -> Vec<RuleFiring> {
+        let source = overlay.unwrap_or(&self.ldb);
+        let rule = &self.book.link(link).rule;
+        let atoms = &rule.rule().body.atoms;
+        let fire = || rule.fire(source).expect("schema-validated rule");
+        let cache = &mut self.sent_cache[link.index()];
+        if let Some(kept) = &cache.view {
+            let now = atoms.iter().map(|a| source.get(&a.relation).and_then(Relation::stamped));
+            if kept.stamps.iter().map(|&stamp| Some(stamp)).eq(now) {
+                debug_assert!(kept.firings == fire(), "link {link:?} kept a stale view");
+                return kept.firings.clone();
+            }
+        }
+        WHOLE_FIRES.set(WHOLE_FIRES.get() + 1);
+        let firings = fire();
+        if keep {
+            // The fire read every body relation, so each is there.
+            let stamps = atoms.iter().filter_map(|a| source.get(&a.relation)).map(Relation::stamp);
+            cache.view = Some(KeptView { stamps: stamps.collect(), firings: firings.clone() });
+        }
+        firings
     }
 
     /// Semi-naive re-computation of incoming link `link`: the firings whose

@@ -332,6 +332,35 @@ fn update_survives_message_loss_with_retransmission() {
     assert_eq!(outcome.summary.nodes, 4);
 }
 
+/// A serving node streams its answer in instalments, and the transport
+/// does not order them: the closing one may arrive before an earlier one
+/// that was lost and sent again. It counts the instalments its request
+/// drew, so the requester waits for the rest: a fetch under loss answers
+/// what it answers without.
+#[test]
+fn a_fetch_under_loss_answers_what_it_answers_without() {
+    let cfg = join_chain_config(4, 6);
+    let sink = |net: &CoDbNetwork| net.node_id("node3").unwrap();
+    let mut clean = build(&cfg);
+    let want = clean.run_query_text(sink(&clean), "ans(X, Y) :- r(X, Y).", true).unwrap();
+    assert_eq!(want.result.answers.len(), 4 * 6);
+    let settings = NodeSettings {
+        retransmit_after: SimTime::from_millis(20),
+        pipe: PipeConfig::lan().with_loss(0.25),
+        ..Default::default()
+    };
+    let mut dropped = 0;
+    for seed in 0..40 {
+        let config = NetworkConfig::parse(&cfg).unwrap();
+        let sim = SimConfig { seed, max_events: 2_000_000 };
+        let mut net = CoDbNetwork::build_with(config, sim, settings.clone(), false).unwrap();
+        let got = net.run_query_text(sink(&net), "ans(X, Y) :- r(X, Y).", true).unwrap();
+        assert_eq!(got.result.answers, want.result.answers, "seed {seed}");
+        dropped += net.sim().stats().dropped;
+    }
+    assert!(dropped > 40, "the loss model fired {dropped} times");
+}
+
 #[test]
 fn comparison_predicates_filter_at_the_source() {
     let src = r#"
@@ -1190,7 +1219,7 @@ fn rejected_instalment_mid_stream_ships_nothing_and_the_stream_goes_on() {
     }
     let nested = ReqId { node: s, epoch: 0, seq: 0 };
     let bad = RuleFiring::new([("r", vec![TField::Const(Value::str("x"))])]);
-    let forged = Body::QueryAnswer { req: nested, firings: vec![bad], closed: false };
+    let forged = Body::QueryAnswer { req: nested, firings: vec![bad], closed: None };
     net.sim_mut().inject(l.peer(), s.peer(), Envelope::control(forged));
     net.sim_mut().run_until_quiescent();
 
@@ -1308,4 +1337,127 @@ fn a_result_leaves_the_node_with_the_driver_that_ran_the_query() {
     for name in ["node0", "node1", "node2"] {
         assert!(net.node(net.node_id(name).unwrap()).completed_queries.is_empty());
     }
+}
+
+// ---------------------------------------------------------------------
+// A served link keeps its last whole fire under the content stamps of the
+// relations it read. A repeated fetch over unchanged data fires nothing
+// again, and whatever changes the data or the rule makes the link fire
+// anew: an insert at the server, an update that grows it, a rules file
+// that gives the link's name another body, a restart from disk.
+// ---------------------------------------------------------------------
+
+const JOIN_FETCH: &str = "ans(X, Y) :- r(X, Y).";
+
+/// The fetch of `JOIN_FETCH` at `at`, and how many whole views the
+/// network fired for it.
+fn fetch_counting(net: &mut CoDbNetwork, at: &str) -> (codb_core::QueryOutcome, u64) {
+    let at = net.node_id(at).unwrap();
+    let before = codb_core::whole_fires();
+    let outcome = net.run_query_text(at, JOIN_FETCH, true).unwrap();
+    (outcome, codb_core::whole_fires() - before)
+}
+
+/// The answers of that fetch.
+fn fetched(net: &mut CoDbNetwork, at: &str) -> (Vec<Tuple>, u64) {
+    let (outcome, fired) = fetch_counting(net, at);
+    (outcome.result.answers, fired)
+}
+
+#[test]
+fn a_repeated_fetch_on_an_unchanged_network_fires_no_whole_view() {
+    let mut net = build(&join_chain_config(8, 30));
+    let (cold, fired) = fetch_counting(&mut net, "node7");
+    assert_eq!(cold.result.answers.len(), 8 * 30);
+    assert_eq!(fired, 7, "each of the seven links, once");
+    for _ in 0..3 {
+        let (warm, fired) = fetch_counting(&mut net, "node7");
+        assert_eq!(fired, 0, "every serving node found its view kept");
+        assert_eq!(warm.result.answers, cold.result.answers);
+        assert_eq!((warm.messages, warm.bytes), (cold.messages, cold.bytes));
+    }
+}
+
+#[test]
+fn a_fetch_after_an_insert_at_a_serving_node_sees_the_tuple() {
+    let mut net = build(&join_chain_config(3, 20));
+    let (mut answers, _) = fetched(&mut net, "node2");
+    // node0 serves from its LDB, node1 from an overlay over its LDB; a
+    // tuple inserted at either reaches node2 through one join or two.
+    for (at, tuple, reaches) in
+        [("node0", tup![7777, 3], tup![7777, 1]), ("node1", tup![8888, 3], tup![8888, 0])]
+    {
+        let id = net.node_id(at).unwrap();
+        net.run_control(id, codb_core::Body::IngestLocal { relation: "r".into(), tuple });
+        let (now, fired) = fetched(&mut net, "node2");
+        assert_eq!(fired, 1, "{at}'s link, and only it, fires again");
+        answers.push(reaches);
+        answers.sort();
+        assert_eq!(now, answers, "after the insert at {at}");
+    }
+}
+
+#[test]
+fn a_fetch_after_an_update_that_grew_a_server_answers_what_it_materialised() {
+    let mut net = build(&join_chain_config(3, 20));
+    let (before, _) = fetched(&mut net, "node2");
+    let sink = net.node_id("node2").unwrap();
+    net.run_update(sink);
+    let mid = net.node_id("node1").unwrap();
+    assert_eq!(net.node(mid).ldb().get("r").unwrap().len(), 40, "node1 grew");
+    let materialised = net.run_query_text(sink, JOIN_FETCH, false).unwrap().result.answers;
+    let (after, fired) = fetched(&mut net, "node2");
+    assert_eq!(after, materialised);
+    assert_eq!(after, before, "what the fetch derived is what the update stored");
+    assert_eq!(fired, 1, "node1's link fires over what it grew by; node0's did not change");
+}
+
+#[test]
+fn a_fetch_after_a_rules_file_gives_the_served_name_another_body_uses_that_body() {
+    let v1 = join_chain_config(3, 20);
+    let joined = "rule j1 @ node1 -> node2: r(X, Z) <- r(X, Y), s(Y, Z).";
+    assert!(v1.contains(joined));
+    // The same name, the same relations read, another head.
+    let v2 = format!(
+        "version 2\n{}",
+        v1.replace(joined, "rule j1 @ node1 -> node2: r(X, Y) <- r(X, Y), s(Y, Z).")
+    );
+    let mut net =
+        CoDbNetwork::build_with_superpeer(NetworkConfig::parse(&v1).unwrap(), SimConfig::default())
+            .unwrap();
+    let (before, _) = fetched(&mut net, "node2");
+    net.broadcast_rules(NetworkConfig::parse(&v2).unwrap()).unwrap();
+    let (after, fired) = fetched(&mut net, "node2");
+    let mut cold = build(&v2);
+    let (want, _) = fetched(&mut cold, "node2");
+    assert_eq!(after, want);
+    assert_ne!(after, before);
+    assert_eq!(fired, 2, "a book swap keeps no view");
+}
+
+#[test]
+fn a_fetch_after_a_server_restarted_from_disk_answers_as_before() {
+    let tmp = codb_store::ScratchDir::new("core-fetch-restart");
+    let mut net = build(&join_chain_config(3, 20));
+    net.open_persistence_all(tmp.path(), codb_store::SyncPolicy::Always, codb_store::Codec::Binary)
+        .unwrap();
+    let (before, _) = fetched(&mut net, "node2");
+    let mid = net.node_id("node1").unwrap();
+    assert!(net.crash_node(mid));
+    let dir = CoDbNetwork::node_data_dir(tmp.path(), "node1");
+    net.restart_node_from_disk(
+        mid,
+        &dir,
+        codb_store::SyncPolicy::Always,
+        codb_store::Codec::Binary,
+    )
+    .unwrap();
+    // node0's repair brought node1 what its link derives; the fetch
+    // derives the same again.
+    assert_eq!(net.node(mid).ldb().get("r").unwrap().len(), 40);
+    let (after, fired) = fetched(&mut net, "node2");
+    assert_eq!(after, before);
+    // node1 is a new incarnation, and node0 dropped what it kept toward
+    // the old one with the sent cache.
+    assert_eq!(fired, 2);
 }

@@ -7,7 +7,10 @@
 //!
 //! A relation also owns the hash indexes joins probe it through
 //! ([`Relation::matching`]): one per column, built the first time that
-//! column is probed and kept for every evaluation after it.
+//! column is probed and kept for every evaluation after it. And it hands
+//! out a content stamp ([`Relation::stamp`]): equal stamps mean equal
+//! tuple sets, so a result computed from a relation can be kept under its
+//! stamp and reused for as long as the stamp stays.
 
 use crate::schema::{RelationSchema, SchemaError};
 use crate::tuple::Tuple;
@@ -16,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{fence, AtomicBool, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// One column's index: a value → the tuples holding it in that column.
@@ -37,8 +40,16 @@ pub fn index_builds() -> u64 {
     INDEX_BUILDS.get()
 }
 
-/// A relation's per-column indexes, shared with its clones.
-struct Indexes {
+/// The next content stamp to hand out: process-wide, so that no two sets
+/// ever get the same one. Every access is `Relaxed`, here and on
+/// [`Derived::stamp`]: a stamp publishes no data — the set it names
+/// changes only under `&mut` — and a read-modify-write hands out each
+/// value once whatever the ordering.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+/// What a relation derives from its tuple set: the per-column indexes,
+/// shared with its clones, and the content stamp.
+struct Derived {
     /// One slot per column, filled by the first probe of that column.
     ///
     /// Clones share the slots, so that an index one of them builds serves
@@ -48,24 +59,29 @@ struct Indexes {
     /// empty slots of its own; a built index is never written through a
     /// shared handle.
     slots: Arc<[OnceLock<ColumnIndex>]>,
-    /// False only while the slots are as [`Indexes::new`] made them: no
-    /// clone on them, nothing built. Set by the two things that can end
-    /// that through this handle's `&self` — cloning it, building through
-    /// it — and read under `&mut`, where it is a plain load of a byte the
-    /// relation itself holds: the one thing an insert of the update path
-    /// pays for indexes existing. (The slots are a second allocation: the
-    /// count and two slot states loaded from it on every insert read +1–2%
-    /// on `update_bulk`.)
+    /// The set's content stamp ([`Relation::stamp`]), 0 until one is
+    /// handed out. A clone copies it; any change to the set puts it back
+    /// to 0.
+    stamp: AtomicU64,
+    /// False only while this is as [`Derived::new`] made it: no clone on
+    /// the slots, nothing built, no stamp. Set by the three things that can
+    /// end that through this handle's `&self` — cloning it, building
+    /// through it, stamping it — and read under `&mut`, where it is a plain
+    /// load of a byte the relation itself holds: the one thing an insert of
+    /// the update path pays for indexes and stamps existing. (The slots are
+    /// a second allocation: the count and two slot states loaded from it on
+    /// every insert read +1–2% on `update_bulk`.)
     touched: AtomicBool,
 }
 
-impl Indexes {
+impl Derived {
     fn new(arity: usize) -> Self {
         let slots = (0..arity).map(|_| OnceLock::new()).collect();
-        Indexes { slots, touched: AtomicBool::new(false) }
+        Derived { slots, stamp: AtomicU64::new(0), touched: AtomicBool::new(false) }
     }
 
-    /// True iff a clone shares the slots or an index is built.
+    /// True iff a clone shares the slots, an index is built or the set is
+    /// stamped: a change to the set must then see to them.
     fn in_use(&mut self) -> bool {
         if !*self.touched.get_mut() {
             return false;
@@ -76,37 +92,45 @@ impl Indexes {
         // the count pairs with that, so a count of 1 comes with slot
         // states no older than the drop.
         fence(Ordering::Acquire);
-        let in_use = shared || self.slots.iter().any(|slot| slot.get().is_some());
+        let in_use = shared
+            || *self.stamp.get_mut() != 0
+            || self.slots.iter().any(|slot| slot.get().is_some());
         *self.touched.get_mut() = in_use;
         in_use
     }
 }
 
-/// A handle on the same slots; both sides now count as touched.
-impl Clone for Indexes {
+/// A handle on the same slots, with the same stamp; both sides now count
+/// as touched.
+impl Clone for Derived {
     fn clone(&self) -> Self {
         // Relaxed: only this handle's owner reads the flag, under `&mut`.
         self.touched.store(true, Ordering::Relaxed);
-        Indexes { slots: Arc::clone(&self.slots), touched: AtomicBool::new(true) }
+        Derived {
+            slots: Arc::clone(&self.slots),
+            stamp: AtomicU64::new(self.stamp.load(Ordering::Relaxed)),
+            touched: AtomicBool::new(true),
+        }
     }
 }
 
 /// A relation instance: a schema plus a set of tuples.
 ///
 /// Equality, the serialized forms and `Debug` are those of the schema and
-/// the tuples; the indexes are derived data and appear in none of them.
+/// the tuples; the indexes and the stamp are derived data and appear in
+/// none of them.
 #[derive(Clone)]
 pub struct Relation {
     schema: RelationSchema,
     tuples: HashSet<Tuple>,
-    indexes: Indexes,
+    derived: Derived,
 }
 
 impl Relation {
     /// Empty relation with the given schema.
     pub fn new(schema: RelationSchema) -> Self {
-        let indexes = Indexes::new(schema.arity());
-        Relation { schema, tuples: HashSet::new(), indexes }
+        let derived = Derived::new(schema.arity());
+        Relation { schema, tuples: HashSet::new(), derived }
     }
 
     /// The relation's schema.
@@ -158,9 +182,9 @@ impl Relation {
     /// # Panics
     /// If the relation has no column `col`.
     pub fn matching(&self, col: usize, key: &Value) -> &[Tuple] {
-        let index = self.indexes.slots[col].get_or_init(|| {
+        let index = self.derived.slots[col].get_or_init(|| {
             INDEX_BUILDS.set(INDEX_BUILDS.get() + 1);
-            self.indexes.touched.store(true, Ordering::Relaxed);
+            self.derived.touched.store(true, Ordering::Relaxed);
             let mut index = ColumnIndex::new();
             self.tuples.iter().for_each(|t| index_tuple(&mut index, col, t));
             index
@@ -171,7 +195,7 @@ impl Relation {
     /// True iff column `col` has its index built (`false` for a column
     /// the relation does not have).
     pub fn is_indexed(&self, col: usize) -> bool {
-        self.indexes.slots.get(col).is_some_and(|slot| slot.get().is_some())
+        self.derived.slots.get(col).is_some_and(|slot| slot.get().is_some())
     }
 
     /// Validates and inserts one tuple. Returns `Ok(true)` when the tuple is
@@ -201,32 +225,35 @@ impl Relation {
     /// Inserts a tuple of this schema.
     #[inline]
     fn insert_valid(&mut self, t: Tuple) -> bool {
-        if self.indexes.in_use() {
-            self.insert_indexed(t)
+        if self.derived.in_use() {
+            self.insert_derived(t)
         } else {
             self.tuples.insert(t)
         }
     }
 
     /// [`Relation::insert_valid`] when the slots are shared or hold an
-    /// index. Out of line, so that the insert of a relation without either
-    /// stays the set's insert behind a byte test.
+    /// index, or the set is stamped. Out of line, so that the insert of a
+    /// relation with none of these stays the set's insert behind a byte
+    /// test.
     #[inline(never)]
-    fn insert_indexed(&mut self, t: Tuple) -> bool {
+    fn insert_derived(&mut self, t: Tuple) -> bool {
         if !self.tuples.insert(t.clone()) {
             return false;
         }
-        match Arc::get_mut(&mut self.indexes.slots) {
-            // The only handle: every built index learns the tuple.
+        match Arc::get_mut(&mut self.derived.slots) {
+            // The only handle: every built index learns the tuple, and the
+            // stamp named the set without it.
             Some(slots) => {
                 for (col, slot) in slots.iter_mut().enumerate() {
                     if let Some(index) = slot.get_mut() {
                         index_tuple(index, col, &t);
                     }
                 }
+                *self.derived.stamp.get_mut() = 0;
             }
             // A clone is on these slots too, and its set did not change.
-            None => self.indexes = Indexes::new(self.arity()),
+            None => self.derived = Derived::new(self.arity()),
         }
         true
     }
@@ -235,7 +262,7 @@ impl Relation {
     pub fn remove(&mut self, t: &Tuple) -> bool {
         let removed = self.tuples.remove(t);
         if removed {
-            self.drop_indexes();
+            self.drop_derived();
         }
         removed
     }
@@ -243,14 +270,47 @@ impl Relation {
     /// Drops all tuples.
     pub fn clear(&mut self) {
         self.tuples.clear();
-        self.drop_indexes();
+        self.drop_derived();
     }
 
     /// After a change no index was kept up with: what is built (here or by
-    /// a clone still on these slots) no longer describes this relation.
-    fn drop_indexes(&mut self) {
-        if self.indexes.in_use() {
-            self.indexes = Indexes::new(self.arity());
+    /// a clone still on these slots) no longer describes this relation,
+    /// and neither does its stamp.
+    fn drop_derived(&mut self) {
+        if self.derived.in_use() {
+            self.derived = Derived::new(self.arity());
+        }
+    }
+
+    /// The relation's content stamp: a number no other tuple set in this
+    /// process is given, handed out on the first call. Any change to the
+    /// set takes it back — the next call hands out a new one — and a
+    /// clone, which holds the same set, copies it: two relations with
+    /// equal stamps hold equal sets. A result computed from the relation
+    /// can therefore be kept under its stamp and reused while the stamp
+    /// stays. Stamping costs the relation's later inserts what a clone
+    /// does (out of line, behind the byte test).
+    pub fn stamp(&self) -> u64 {
+        if let Some(stamp) = self.stamped() {
+            return stamp;
+        }
+        let fresh = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
+        // Relaxed, as in `Clone for Derived`: the flag is read under `&mut`.
+        self.derived.touched.store(true, Ordering::Relaxed);
+        // A stamp handed out meanwhile through another `&self` stands.
+        match self.derived.stamp.compare_exchange(0, fresh, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => fresh,
+            Err(stamp) => stamp,
+        }
+    }
+
+    /// The stamp [`Relation::stamp`] handed out for the set as it is now,
+    /// if it has: a lookup by stamp that must not make the relation's
+    /// inserts pay for one.
+    pub fn stamped(&self) -> Option<u64> {
+        match self.derived.stamp.load(Ordering::Relaxed) {
+            0 => None,
+            stamp => Some(stamp),
         }
     }
 
@@ -469,14 +529,71 @@ mod tests {
         // whose clone came and went unprobed is that again at its next
         // write, back on the one-load path.
         let mut cold = pairs(4);
-        let slots = Arc::as_ptr(&cold.indexes.slots);
+        let slots = Arc::as_ptr(&cold.derived.slots);
         cold.remove(&tup![0, 0]);
         drop(cold.clone());
-        assert!(*cold.indexes.touched.get_mut());
+        assert!(*cold.derived.touched.get_mut());
         cold.insert(tup![9, 9]).unwrap();
-        assert!(!*cold.indexes.touched.get_mut());
+        assert!(!*cold.derived.touched.get_mut());
         cold.clear();
-        assert!(std::ptr::eq(slots, Arc::as_ptr(&cold.indexes.slots)));
+        assert!(std::ptr::eq(slots, Arc::as_ptr(&cold.derived.slots)));
+    }
+
+    #[test]
+    fn every_change_to_the_set_takes_its_stamp_back_and_nothing_else_does() {
+        let mut r = pairs(8);
+        assert_eq!(r.stamped(), None, "a new relation starts unstamped");
+        let first = r.stamp();
+        assert_eq!((r.stamp(), r.stamped()), (first, Some(first)), "handed out once");
+
+        // The same set: a duplicate insert, a remove of nothing.
+        assert!(!r.insert(tup![0, 0]).unwrap());
+        assert_eq!(r.insert_all(vec![tup![1, 1]]).unwrap(), []);
+        assert!(!r.remove(&tup![99, 99]));
+        assert_eq!(r.stamped(), Some(first));
+
+        // A clone holds the same set, so it has the same stamp; a change
+        // on either side is that side's.
+        let mut twin = r.clone();
+        assert_eq!(twin.stamped(), Some(first));
+        assert!(twin.insert(tup![100, 0]).unwrap());
+        assert_eq!((twin.stamped(), r.stamped()), (None, Some(first)));
+
+        // Every change, on every path an insert can take: shared slots,
+        // stamped alone, indexed alone; then a remove and a clear.
+        let mut handed = vec![first, twin.stamp()];
+        let mut restamp = |r: &Relation| {
+            assert_eq!(r.stamped(), None, "a change kept the stamp");
+            let stamp = r.stamp();
+            assert!(!handed.contains(&stamp), "stamp {stamp} handed out twice");
+            handed.push(stamp);
+        };
+        assert!(r.insert(tup![100, 1]).unwrap());
+        restamp(&r);
+        drop(twin);
+        assert!(r.insert(tup![101, 1]).unwrap());
+        restamp(&r);
+        r.matching(0, &Value::Int(0));
+        assert!(r.insert(tup![102, 1]).unwrap());
+        assert!(r.is_indexed(0), "kept up in place");
+        restamp(&r);
+        assert!(r.remove(&tup![102, 1]));
+        restamp(&r);
+        r.clear();
+        restamp(&r);
+
+        // A decoded relation is built afresh: equal to its source, and
+        // unstamped.
+        let source = pairs(5);
+        let json: Relation =
+            serde_json::from_str(&serde_json::to_string(&source).unwrap()).unwrap();
+        let mut bytes = Vec::new();
+        crate::binenc::put_relation(&mut bytes, &source);
+        let binary = crate::binenc::take_relation(&mut crate::binenc::Reader::new(&bytes)).unwrap();
+        source.stamp();
+        for read in [json, binary] {
+            assert_eq!((&read, read.stamped()), (&source, None));
+        }
     }
 
     #[test]

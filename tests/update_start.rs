@@ -12,9 +12,11 @@
 //! topologies with the chase valve sometimes set low enough to trip, must
 //! leave every LDB at the fixpoint of the centralised chase — which is
 //! what goes wrong the day a link is believed caught up and is not — and,
-//! after every step, every update over at every node that heard of it.
+//! after every step, every update over at every node that heard of it,
+//! and a fetch at every node answered twice alike, the second time from
+//! the views the serving links kept, each checked against a fresh fire.
 
-use codb::core::{Body, Envelope, ParallelCoDbNet, HARNESS_PEER};
+use codb::core::{whole_fires, Body, Envelope, ParallelCoDbNet, HARNESS_PEER};
 use codb::net::RuntimeConfig;
 use codb::prelude::*;
 use codb::relational::{isomorphic, tup};
@@ -312,6 +314,37 @@ impl Program {
         Ok(())
     }
 
+    /// A fetch at every node, then the same fetch again. Unless the first
+    /// moved data, the second finds every serving link's view kept and
+    /// fires no whole view (and, in a debug build, the helper fires each
+    /// kept view afresh to compare), and both answer the same. Every
+    /// certain answer is in the chase's fixpoint: query-time answering is
+    /// sound. (A fetch moves data where it is the first traffic a node
+    /// hears from a peer that restarted: the node repairs the links toward
+    /// it at once.)
+    fn fetch(&mut self, when: &str) -> Result<(), String> {
+        let oracle = chase_naive(&self.config).instances;
+        for id in self.config.node_ids() {
+            let relation = Scenario::relation_of(id.0 as usize);
+            let query = format!("ans(X, Y) :- {relation}(X, Y).");
+            let tuples = self.net.total_tuples();
+            let first = self.net.run_query_text(id, &query, true).unwrap().result.certain;
+            let moved = self.net.total_tuples() != tuples;
+            let before = whole_fires();
+            let again = self.net.run_query_text(id, &query, true).unwrap().result.certain;
+            let fired = whole_fires() - before;
+            let fixpoint = oracle[&id].get(&relation).unwrap();
+            let sound = first.iter().chain(&again).all(|t| fixpoint.contains(t));
+            if !sound || (!moved && (fired != 0 || again != first)) {
+                return Err(self.fail(format!(
+                    "{when}: a fetch at node {id} fired {fired} whole views again\n first: \
+                     {first:?}\n again: {again:?}\n fixpoint: {fixpoint:?}"
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// A global update from `origin`, checked when it reached every node
     /// and ran its course. Returns whether the valve cut it short.
     fn update(&mut self, origin: NodeId) -> Result<bool, String> {
@@ -487,9 +520,11 @@ fn run_program(seed: u64) -> Result<(), String> {
         }
         let step = p.log.last().cloned().unwrap_or_default();
         p.settled(&format!("after {step}"))?;
+        p.fetch(&format!("after {step}"))?;
     }
     p.converge()?;
-    p.settled("at the end")
+    p.settled("at the end")?;
+    p.fetch("at the end")
 }
 
 /// Case count honouring `PROPTEST_CASES`, as `tests/invariants.rs` does.
