@@ -134,9 +134,11 @@ fn e4() -> Table {
 }
 
 /// E5 — query-time answering vs global update + local query (the paper's
-/// motivation for batch updates). "refetch fires": the whole views the
-/// same fetch fires again on the unchanged network — none, since every
-/// serving link kept its view.
+/// motivation for batch updates). The "refetch" columns are the same fetch
+/// again on the unchanged network: the whole views it fires — none, since
+/// every serving link kept its view — its messages and bytes — one request
+/// down each link and one tag back up, since every serving link kept its
+/// answer — and the links the sink found unchanged (`QueryReport`).
 fn e5() -> Table {
     let mut t = Table::new(
         "E5 — query-time vs materialised (chain, 200 tuples/node)",
@@ -150,6 +152,9 @@ fn e5() -> Table {
             "local sim",
             "amortise@",
             "refetch fires",
+            "refetch msgs",
+            "refetch bytes",
+            "refetch unchanged",
         ],
     );
     for n in [2usize, 4, 8, 16] {
@@ -175,6 +180,7 @@ fn e5() -> Table {
         let again = fetch_net.run_query(s.sink(), s.sink_query(), true);
         assert_eq!(again.result.answers, q.result.answers);
         let refetch_fires = codb_core::whole_fires() - fired;
+        let unchanged = fetch_net.node(s.sink()).report().queries[&again.query].unchanged;
         t.row(vec![
             n.to_string(),
             first,
@@ -185,6 +191,9 @@ fn e5() -> Table {
             local.duration.to_string(),
             amortise.to_string(),
             refetch_fires.to_string(),
+            again.messages.to_string(),
+            again.bytes.to_string(),
+            unchanged.to_string(),
         ]);
     }
     t

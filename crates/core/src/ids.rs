@@ -13,6 +13,7 @@
 use codb_net::PeerId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::num::NonZeroU64;
 
 /// A coDB node identifier. Nodes sit 1:1 on network peers.
 #[derive(
@@ -93,6 +94,23 @@ impl fmt::Display for ReqId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "req[{}@{}#{}]", self.node, self.epoch, self.seq)
     }
+}
+
+/// The name a serving node gives one whole answer it sends on a link: its
+/// incarnation epoch and a per-node sequence number. A server never gives
+/// two answers one tag — the epoch grows with every restart, so a new
+/// incarnation cannot repeat a dead one's — and it gives an answer it kept
+/// the tag it had, so a requester that names the tag of the answer it
+/// holds learns, by getting the tag back, that nothing changed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub struct Tag {
+    /// Incarnation of the server when it minted the tag.
+    pub epoch: u64,
+    /// Per-node sequence number, from 1: with no zero, an `Option<Tag>`
+    /// takes no more room than a tag, and the two messages that carry one
+    /// are no larger than the largest other
+    /// [`Body`](crate::messages::Body) — every envelope is moved by value.
+    pub seq: NonZeroU64,
 }
 
 /// Coordination rules are addressed by their (configuration-unique) name.

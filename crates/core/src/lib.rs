@@ -59,7 +59,7 @@ pub mod superpeer;
 pub mod update;
 
 pub use config::{ConfigError, NetworkConfig, NodeConfig};
-pub use ids::{NodeId, QueryId, ReqId, RuleName, UpdateId};
+pub use ids::{NodeId, QueryId, ReqId, RuleName, Tag, UpdateId};
 pub use messages::{Body, CarriedAck, Envelope};
 pub use network::{CoDbNetwork, QueryOutcome, UpdateOutcome, HARNESS_PEER};
 pub use node::{CoDbNode, NodeSettings};

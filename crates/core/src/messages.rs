@@ -8,7 +8,7 @@
 //! is itself unsequenced: see [`crate::reliable`].
 
 use crate::config::NetworkConfig;
-use crate::ids::{NodeId, ReqId, RuleName, UpdateId};
+use crate::ids::{NodeId, ReqId, RuleName, Tag, UpdateId};
 use crate::stats::{Kind, NodeReport};
 use codb_net::Payload;
 use codb_relational::{ConjunctiveQuery, RuleFiring};
@@ -137,13 +137,20 @@ pub enum Body {
     /// Ask an acquaintance to execute `rule`'s body on behalf of a query.
     /// `path` is the label of node ids the request has passed through; a
     /// node does not extend the diffusion past nodes already in the label.
+    /// (A boxed slice, not a `Vec`: with the tag beside it, the message is
+    /// then no larger than [`Body::UpdateData`], and every envelope of
+    /// every kind is moved by value at that size.)
     QueryRequest {
         /// Fetch request id (unique per requester).
         req: ReqId,
         /// Rule to execute (an incoming link at the receiver).
         rule: RuleName,
         /// Diffusing-computation label.
-        path: Vec<NodeId>,
+        path: Box<[NodeId]>,
+        /// The tag of the whole answer the requester holds for this link,
+        /// if it holds one: a server whose answer still stands names it
+        /// back and ships no firing.
+        known: Option<Tag>,
     },
     /// A (streaming) answer to a [`Body::QueryRequest`]: the paper's node
     /// "answers it using local data immediately" and keeps streaming as
@@ -157,6 +164,14 @@ pub enum Body {
         /// this one included: the transport does not order them, so the
         /// final one may arrive before one lost and sent again.
         closed: Option<u64>,
+        /// On the final instalment, the tag of the whole answer — the union
+        /// of the request's instalments. The requester reads the answer as
+        /// *unchanged* only when it is one instalment, carries no firing and
+        /// names the tag the request named: it then stands for the answer
+        /// the requester holds under that tag. `None` on an answer nothing
+        /// was kept of — a stale rule's, one a rules file overtook — and
+        /// on the empty instalment that closes a request given up on.
+        tag: Option<Tag>,
     },
 
     // ---- super-peer administration (paper §4) ----
@@ -231,9 +246,9 @@ impl Body {
             Body::RejoinRepair { firings, .. } => {
                 40 + firings.iter().map(RuleFiring::size_bytes).sum::<usize>()
             }
-            Body::QueryRequest { path, .. } => 48 + path.len() * 8,
-            Body::QueryAnswer { firings, .. } => {
-                32 + firings.iter().map(RuleFiring::size_bytes).sum::<usize>()
+            Body::QueryRequest { path, known, .. } => 48 + path.len() * 8 + tag_bytes(known),
+            Body::QueryAnswer { firings, tag, .. } => {
+                32 + tag_bytes(tag) + firings.iter().map(RuleFiring::size_bytes).sum::<usize>()
             }
             Body::RulesFile { config } => config.approx_size_bytes(),
             Body::StatsRequest => 16,
@@ -311,6 +326,11 @@ impl Body {
             Body::IngestLocal { .. } => Kind::IngestLocal,
         }
     }
+}
+
+/// What a tag adds to a message: its epoch and seq, where there is one.
+fn tag_bytes(tag: &Option<Tag>) -> usize {
+    tag.map_or(0, |_| 16)
 }
 
 /// The ack of a sequenced envelope: its seq, and the epoch it was stamped
@@ -427,7 +447,8 @@ mod tests {
         assert!(!Body::Ack.parks_behind_barrier());
         assert!(!Body::StatsRequest.parks_behind_barrier());
         let req = crate::ids::ReqId { node: NodeId(1), epoch: 0, seq: 0 };
-        assert!(!Body::QueryAnswer { req, firings: vec![], closed: Some(1) }.parks_behind_barrier());
+        let answer = Body::QueryAnswer { req, firings: vec![], closed: Some(1), tag: None };
+        assert!(!answer.parks_behind_barrier());
     }
 
     #[test]
@@ -458,6 +479,29 @@ mod tests {
         };
         assert!(big.size_bytes() > small.size_bytes());
         assert!(Envelope::control(Body::StatsRequest).size_bytes() >= 16);
+    }
+
+    /// A message is moved by value through every queue: the fields that
+    /// carry tags make no message larger than the largest other.
+    #[test]
+    fn a_tag_makes_no_message_larger() {
+        assert_eq!(std::mem::size_of::<Option<Tag>>(), std::mem::size_of::<Tag>());
+        assert_eq!(std::mem::size_of::<Body>(), 88);
+    }
+
+    #[test]
+    fn a_tag_is_charged_where_it_rides() {
+        let req = crate::ids::ReqId { node: NodeId(1), epoch: 0, seq: 0 };
+        let tag = Some(Tag { epoch: 0, seq: std::num::NonZeroU64::new(3).unwrap() });
+        let ask = |known| Body::QueryRequest {
+            req,
+            rule: "r".into(),
+            path: Box::new([NodeId(0)]),
+            known,
+        };
+        assert_eq!(ask(tag).size_bytes(), ask(None).size_bytes() + 16);
+        let answer = |tag| Body::QueryAnswer { req, firings: vec![], closed: Some(1), tag };
+        assert_eq!(answer(tag).size_bytes(), answer(None).size_bytes() + 16);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! by harness-injected control messages.
 
 use crate::config::NetworkConfig;
-use crate::ids::{NodeId, QueryId, ReqId, UpdateId};
+use crate::ids::{NodeId, QueryId, ReqId, RuleName, UpdateId};
 use crate::messages::{Body, Envelope};
-use crate::query::{QueryExec, QueryResult, Serving};
+use crate::query::{QueryExec, QueryResult, Serving, Whole};
 use crate::reliable::{Answer, Owed, Receipt, Reliable};
 use crate::rules::{CoordinationRule, RuleBook};
 use crate::stats::{by_name, Kind, NetworkReport, NodeReport};
@@ -81,6 +81,12 @@ pub struct CoDbNode {
     /// Each fetch request in flight: who it was issued for, the link it
     /// fetches, and how many of its instalments have arrived.
     pub(crate) nested_parent: BTreeMap<ReqId, crate::query::Nested>,
+    /// The last whole answer fetched on each outgoing link, by name: what
+    /// the next request on the link names by its tag.
+    pub(crate) fetched: BTreeMap<RuleName, Whole>,
+    /// The next answer tag's seq ([`crate::ids::Tag`]); not persisted, as
+    /// the epoch tells incarnations apart.
+    pub(crate) next_tag_seq: std::num::NonZeroU64,
     /// Finished query results. A result waits here until the driver takes
     /// it: [`CoDbNetwork::run_query`](crate::CoDbNetwork::run_query)
     /// removes the one it ran; a harness that injects `StartQuery` itself
@@ -153,6 +159,8 @@ impl CoDbNode {
             queries: BTreeMap::new(),
             serving: BTreeMap::new(),
             nested_parent: BTreeMap::new(),
+            fetched: BTreeMap::new(),
+            next_tag_seq: std::num::NonZeroU64::MIN,
             completed_queries: BTreeMap::new(),
             discovered: std::collections::BTreeSet::new(),
             pending_rejoin: false,
@@ -527,8 +535,9 @@ impl CoDbNode {
     pub(crate) fn give_up(&mut self, ctx: &mut Context<Envelope>, to: NodeId, body: Body) {
         self.report.count_sent(Kind::Abandoned);
         if let Body::QueryRequest { req, .. } = body {
-            // A count every arrival meets: what came is all there is.
-            self.handle_query_answer(ctx, to, req, vec![], Some(0));
+            // A count every arrival meets: what came is all there is, and
+            // no tag, so it never reads as the answer the request named.
+            self.handle_query_answer(ctx, to, req, vec![], Some(0), None);
         } else if let Some(update) = body.update_id().filter(|_| body.is_ds_counted()) {
             self.handle_ds_ack(ctx, update, 1);
         }
@@ -716,11 +725,11 @@ impl CoDbNode {
                 self.handle_rejoin_repair(ctx, rule, firings, hops)
             }
             // ---- query protocol (crate::query) ----
-            Body::QueryRequest { req, rule, path } => {
-                self.handle_query_request(ctx, from, req, rule, path)
+            Body::QueryRequest { req, rule, path, known } => {
+                self.handle_query_request(ctx, from, req, rule, path, known)
             }
-            Body::QueryAnswer { req, firings, closed } => {
-                self.handle_query_answer(ctx, from, req, firings, closed)
+            Body::QueryAnswer { req, firings, closed, tag } => {
+                self.handle_query_answer(ctx, from, req, firings, closed, tag)
             }
             // ---- super-peer / admin (crate::superpeer) ----
             Body::RulesFile { config } => self.handle_rules_file(ctx, *config),

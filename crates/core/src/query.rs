@@ -22,14 +22,46 @@
 //! Query-time answering under cyclic rules is *sound but not complete*
 //! w.r.t. the global-update fixpoint (simple paths unroll each cycle at
 //! most once) — which is precisely the paper's case for batch updates.
+//!
+//! ## Where a whole answer lives
+//!
+//! A server ends every answer it can keep with a [`Tag`], its name for the
+//! *whole* answer (the union of the request's instalments), and keeps the
+//! answer per link ([`Served`], in the link's `SentCache`) with what it was
+//! computed from: the LDB's content stamps of the relations it read, and
+//! the tagged whole answer of each nested link it fetched. A requester
+//! keeps the last whole answer of each outgoing link (`CoDbNode::fetched`)
+//! and names its tag in the next request on the link; the request *pins*
+//! that answer, so an *unchanged* reply — one instalment, no firing, the
+//! named tag — stands for exactly it, whatever was fetched since.
+//!
+//! A request that finds the stamps and the chosen nested links of the
+//! answer kept, the server *defers*: it sends no first instalment, and asks
+//! upstream naming the tags the kept answer was computed from — not the
+//! tags it fetched last, which may be newer than what it kept. If every
+//! nested reply is unchanged the kept answer stands: its tag alone goes
+//! back, or its firings where the requester named another tag. Otherwise
+//! one instalment goes back, built as the stream would have built it — the
+//! link's kept view of the local part, then each nested answer assembled
+//! and fired semi-naively — under a new tag. Where the stamps moved the
+//! server streams as the paper has it, and a nested reply that is
+//! unchanged is assembled from the answer it pinned.
+//!
+//! The trade: over unchanged local data a server that fetches answers
+//! after its nested round trip, not at once. The query completes no later
+//! — completion always waits for the deepest answer — and a cold fetch, or
+//! any fetch after a change, streams as before.
 
-use crate::ids::{NodeId, QueryId, ReqId, RuleName};
+use crate::ids::{NodeId, QueryId, ReqId, RuleName, Tag};
 use crate::messages::{Body, Envelope};
 use crate::node::CoDbNode;
+use crate::rules::{LinkId, RuleBook};
 use crate::stats::Kind;
 use codb_net::{Context, SimTime};
-use codb_relational::{ConjunctiveQuery, EvalError, FiringSet, Instance, RuleFiring, Tuple};
-use std::collections::{BTreeMap, BTreeSet};
+use codb_relational::{
+    ConjunctiveQuery, EvalError, FiringSet, Instance, Relation, RuleFiring, Tuple,
+};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// A finished query, as handed to the user.
@@ -61,6 +93,35 @@ pub(crate) struct QueryExec {
     pub pending: BTreeSet<ReqId>,
 }
 
+/// One whole answer on a link — every firing of its instalments — under
+/// the tag its server gave it (none where nothing was kept of it).
+#[derive(Clone, Debug)]
+pub(crate) struct Whole {
+    pub tag: Option<Tag>,
+    pub firings: Arc<[RuleFiring]>,
+}
+
+/// A served link's last whole answer, and what it was computed from: the
+/// LDB's content stamps of the relations it read, in name order, and the
+/// whole answer of each nested link fetched, in the order they were
+/// chosen. While a request finds the same stamps and chooses the same
+/// links, and each of those answers its tag back, this is the answer.
+#[derive(Debug)]
+pub(crate) struct Served {
+    tag: Tag,
+    stamps: Vec<u64>,
+    nested: Vec<(RuleName, Whole)>,
+    firings: Arc<[RuleFiring]>,
+}
+
+impl Served {
+    /// Whether a request reading `stamps` and fetching `links` would
+    /// compute this answer from the same inputs, nested answers aside.
+    fn computed_from(&self, stamps: &[u64], links: &[(RuleName, NodeId)]) -> bool {
+        self.stamps == stamps && self.nested.iter().map(|n| &n.0).eq(links.iter().map(|l| &l.0))
+    }
+}
+
 /// State of one fetch request this node is serving for an acquaintance.
 #[derive(Debug)]
 pub(crate) struct Serving {
@@ -69,8 +130,15 @@ pub(crate) struct Serving {
     pub requester: NodeId,
     /// The incoming link being executed.
     pub rule: RuleName,
+    /// The book the request came under: the answer is kept only while it
+    /// is still the node's.
+    book: Arc<RuleBook>,
+    /// The relations the answer reads: the body's, and the heads of the
+    /// nested links.
+    reads: BTreeSet<String>,
+    /// Clones of `reads`, with the nested answers assembled into them (a
+    /// deferring server builds it only once some nested answer changed).
     pub overlay: Instance,
-    pub pending: BTreeSet<ReqId>,
     /// The first instalment — every firing of the local data — sorted, as
     /// [`PreparedRule::fire`](codb_relational::PreparedRule::fire) returned
     /// it (or the link's kept view of it): its own record of what was
@@ -78,14 +146,59 @@ pub(crate) struct Serving {
     pub first: Vec<RuleFiring>,
     /// Firings streamed in later instalments (instalment diffing).
     pub later: FiringSet,
+    /// The same, in the order streamed: with `first`, the whole answer.
+    streamed: Vec<RuleFiring>,
     /// Instalments sent so far, the first included.
     pub instalments: u64,
+    /// The tag the requester named.
+    known: Option<Tag>,
+    /// The LDB's stamps of `reads` as the overlay cloned them, in name
+    /// order.
+    stamps: Vec<u64>,
+    /// Each nested link fetched, in the order chosen, with its whole answer
+    /// once its request closed: the request is served when all are in.
+    nested: Vec<(RuleName, Option<Whole>)>,
+    /// Some nested answer did not come back unchanged.
+    changed: bool,
+    /// The answer kept for these stamps and links, while the server defers
+    /// on it.
+    deferred: Option<Arc<Served>>,
 }
 
 impl Serving {
     /// Records `firing` as streamed; `false` if it already was.
     fn stream(&mut self, firing: &RuleFiring) -> bool {
-        self.first.binary_search(firing).is_err() && self.later.insert(firing.clone())
+        let fresh = self.first.binary_search(firing).is_err() && self.later.insert(firing.clone());
+        if fresh {
+            self.streamed.push(firing.clone());
+        }
+        fresh
+    }
+
+    /// Assembles a nested answer into the overlay and returns what of the
+    /// served link's firings it newly derives, semi-naively: a firing not
+    /// yet sent must use a tuple it added, because what was sent is every
+    /// firing of the overlay as it was before. A rules file may have
+    /// retired the served link since the request came: nothing more to
+    /// fire.
+    fn increment(
+        &mut self,
+        book: &RuleBook,
+        firings: &[RuleFiring],
+        nulls: &mut codb_relational::NullFactory,
+    ) -> Vec<RuleFiring> {
+        let deltas = codb_relational::apply_firings(&mut self.overlay, firings, nulls)
+            .expect("the batch was admitted against the rule head and the schema");
+        let mut fresh = match book.incoming_named(&self.rule) {
+            Some(id) => book
+                .link(id)
+                .rule
+                .fire_deltas(&self.overlay, &deltas)
+                .expect("schema-validated rule"),
+            None => Vec::new(),
+        };
+        fresh.retain(|f| self.stream(f));
+        fresh
     }
 }
 
@@ -101,19 +214,51 @@ pub(crate) struct Nested {
     arrived: u64,
     /// How many instalments the request drew, once its final one told.
     drawn: Option<u64>,
+    /// The whole answer the request named: what an unchanged reply stands
+    /// for.
+    pinned: Option<Whole>,
+    /// The admitted firings that came, in arrival order.
+    came: Vec<RuleFiring>,
+    /// An instalment was rejected: what came is not the answer the server
+    /// tagged.
+    rejected: bool,
 }
 
 impl Nested {
-    fn new(parent: ParentRef, rule: RuleName) -> Self {
-        Nested { parent, rule, arrived: 0, drawn: None }
+    fn new(parent: ParentRef, rule: RuleName, pinned: Option<Whole>) -> Self {
+        Nested { parent, rule, arrived: 0, drawn: None, pinned, came: Vec::new(), rejected: false }
     }
 
-    /// Counts an instalment in; true once every instalment the request
-    /// drew has arrived.
-    fn arrive(&mut self, closed: Option<u64>) -> bool {
+    /// The tag the request names.
+    fn known(&self) -> Option<Tag> {
+        self.pinned.as_ref().and_then(|pinned| pinned.tag)
+    }
+
+    /// Counts an instalment in. Returns whether every instalment the
+    /// request drew has arrived, and whether the answer is *unchanged* —
+    /// decided here and nowhere else: a single instalment, no firing, and
+    /// the tag the request named.
+    fn arrive(
+        &mut self,
+        firings: &[RuleFiring],
+        closed: Option<u64>,
+        tag: Option<Tag>,
+    ) -> (bool, bool) {
+        let single = self.arrived == 0 && closed == Some(1) && firings.is_empty();
+        let unchanged = single && tag.is_some() && tag == self.known();
         self.arrived += 1;
         self.drawn = self.drawn.or(closed);
-        self.drawn.is_some_and(|drawn| self.arrived >= drawn)
+        (self.drawn.is_some_and(|drawn| self.arrived >= drawn), unchanged)
+    }
+
+    /// The whole answer of the closed request: the one it pinned, if that
+    /// came back unchanged, else what came under the tag it closed with.
+    fn close(self, tag: Option<Tag>, unchanged: bool) -> (RuleName, Whole) {
+        let whole = match self.pinned {
+            Some(pinned) if unchanged => pinned,
+            _ => Whole { tag: tag.filter(|_| !self.rejected), firings: self.came.into() },
+        };
+        (self.rule, whole)
     }
 }
 
@@ -142,6 +287,12 @@ impl CoDbNode {
             }
         }
         overlay
+    }
+
+    /// The LDB's content stamps of `relations`, in name order, handed out
+    /// where need be: what [`CoDbNode::overlay_for`] stamps its clones with.
+    fn stamps_of(&self, relations: &BTreeSet<String>) -> Vec<u64> {
+        relations.iter().filter_map(|name| self.ldb.get(name)).map(Relation::stamp).collect()
     }
 
     /// Outgoing links whose head writes any of `relations`, excluding links
@@ -183,6 +334,81 @@ impl CoDbNode {
         req
     }
 
+    /// Mints the tag of a new whole answer: `(epoch, seq)`, so no two
+    /// answers this node ever sends, in any incarnation, share one.
+    fn mint_tag(&mut self) -> Tag {
+        let tag = Tag { epoch: self.epoch(), seq: self.next_tag_seq };
+        self.next_tag_seq = self.next_tag_seq.checked_add(1).expect("2^64 answers in one life");
+        tag
+    }
+
+    /// Asks `source` for the answer of outgoing link `rule` on behalf of
+    /// `parent`, naming the tag of `pinned`, which the request holds on to.
+    fn ask(
+        &mut self,
+        ctx: &mut Context<Envelope>,
+        parent: ParentRef,
+        rule: RuleName,
+        source: NodeId,
+        path: Box<[NodeId]>,
+        pinned: Option<Whole>,
+    ) -> ReqId {
+        let req = self.next_req();
+        let nested = Nested::new(parent, rule.clone(), pinned);
+        let known = nested.known();
+        self.nested_parent.insert(req, nested);
+        self.post(ctx, source, Body::QueryRequest { req, rule, path, known });
+        req
+    }
+
+    /// Keeps `firings` as incoming link `link`'s answer to a fetch that read
+    /// `stamps` and fetched `nested`, under a tag minted for it; returns the
+    /// tag.
+    fn keep_answer(
+        &mut self,
+        link: LinkId,
+        stamps: Vec<u64>,
+        nested: Vec<(RuleName, Whole)>,
+        firings: Arc<[RuleFiring]>,
+    ) -> Tag {
+        let tag = self.mint_tag();
+        let served = Served { tag, stamps, nested, firings };
+        self.sent_cache[link.index()].served = Some(Arc::new(served));
+        tag
+    }
+
+    /// Keeps the whole answer `s` sent, if the book it was served under is
+    /// still the node's; returns its tag, or none where nothing was kept.
+    fn keep_served(&mut self, s: &Serving) -> Option<Tag> {
+        let link = s.book.incoming_named(&s.rule).filter(|_| Arc::ptr_eq(&s.book, &self.book))?;
+        let nested = s.nested.iter().map(|(rule, whole)| {
+            (rule.clone(), whole.clone().expect("every nested request closed"))
+        });
+        let firings = s.first.iter().chain(&s.streamed).cloned().collect();
+        Some(self.keep_answer(link, s.stamps.clone(), nested.collect(), firings))
+    }
+
+    /// Answers request `req` of `to` with the answer `served` kept: its tag
+    /// alone where the requester named it, else its firings under its tag.
+    fn answer_kept(
+        &mut self,
+        ctx: &mut Context<Envelope>,
+        to: NodeId,
+        req: ReqId,
+        known: Option<Tag>,
+        served: &Served,
+    ) {
+        let firings = if known == Some(served.tag) { Vec::new() } else { served.firings.to_vec() };
+        let tag = Some(served.tag);
+        self.post(ctx, to, Body::QueryAnswer { req, firings, closed: Some(1), tag });
+    }
+
+    /// The tag of the last whole answer this node fetched on outgoing link
+    /// `rule`: what its next request on the link names.
+    pub fn fetched_tag(&self, rule: &str) -> Option<Tag> {
+        self.fetched.get(rule).and_then(|whole| whole.tag)
+    }
+
     /// User entry point: run `query` at this node; `fetch` chooses between
     /// query-time network answering and a purely local answer.
     pub(crate) fn start_query(
@@ -211,13 +437,12 @@ impl CoDbNode {
 
         let mut pending = BTreeSet::new();
         for (rule, source) in links {
-            let req = self.next_req();
-            pending.insert(req);
-            self.nested_parent.insert(req, Nested::new(ParentRef::Query(query_id), rule.clone()));
+            let pinned = self.fetched.get(&rule).cloned();
+            let path = Box::new([self.id]);
+            pending.insert(self.ask(ctx, ParentRef::Query(query_id), rule, source, path, pinned));
             if let Some(rep) = self.report.queries.get_mut(&query_id) {
                 rep.requests_sent += 1;
             }
-            self.post(ctx, source, Body::QueryRequest { req, rule, path: vec![self.id] });
         }
         let exec = QueryExec { query, overlay, pending };
         if exec.pending.is_empty() {
@@ -251,54 +476,75 @@ impl CoDbNode {
     }
 
     /// Serves a fetch request from an acquaintance: recursively assemble
-    /// this node's query-time view, then execute the rule body over it.
+    /// this node's query-time view, then execute the rule body over it —
+    /// or, over the inputs of the answer the link kept, stand by that
+    /// answer (module docs, "Where a whole answer lives").
     pub(crate) fn handle_query_request(
         &mut self,
         ctx: &mut Context<Envelope>,
         from: NodeId,
         req: ReqId,
         rule: RuleName,
-        path: Vec<NodeId>,
+        path: Box<[NodeId]>,
+        known: Option<Tag>,
     ) {
         let book = Arc::clone(&self.book);
         let Some(id) = book.incoming_named(&rule) else {
             // Stale rule: answer empty so the requester can make progress.
-            self.post(ctx, from, Body::QueryAnswer { req, firings: vec![], closed: Some(1) });
+            let answer = Body::QueryAnswer { req, firings: vec![], closed: Some(1), tag: None };
+            self.post(ctx, from, answer);
             return;
         };
         let body_rels: BTreeSet<String> =
             book.link(id).rule.rule().body_relations().into_iter().map(str::to_owned).collect();
-        let mut path = path;
+        let mut path = path.into_vec();
         path.push(self.id);
         let links = self.fetchable_links(&body_rels, &path);
-        // A leaf serves from the LDB itself; the overlay exists for nested
-        // answers to be assembled into.
-        let overlay = (!links.is_empty())
-            .then(|| self.overlay_for(&self.overlay_relations(body_rels, &links)));
+        let rels = self.overlay_relations(body_rels, &links);
+        let stamps = self.stamps_of(&rels);
+        let kept = self.sent_cache[id.index()].served.clone();
+        let kept = kept.filter(|served| served.computed_from(&stamps, &links));
 
+        if links.is_empty() {
+            // A leaf serves from the LDB itself, all at once.
+            if let Some(served) = kept {
+                self.answer_kept(ctx, from, req, known, &served);
+                return;
+            }
+            let firings = self.fire_link_whole(id, None, true);
+            let tag = Some(self.keep_answer(id, stamps, Vec::new(), firings.clone().into()));
+            self.post(ctx, from, Body::QueryAnswer { req, firings, closed: Some(1), tag });
+            return;
+        }
         // The paper: "when node gets a query request, it answers it using
         // local data immediately, and it forwards it through all outgoing
         // links" — stream the local instalment now, nested data later.
         // Over data that did not change since the last request, that is
-        // the view the link kept then.
-        let initial = self.fire_link_whole(id, overlay.as_ref(), true);
-        let Some(overlay) = overlay else {
-            self.post(ctx, from, Body::QueryAnswer { req, firings: initial, closed: Some(1) });
-            return;
+        // the view the link kept then; and where the nested links are
+        // those of the answer kept, too, the server defers on that answer.
+        // The overlay exists for nested answers to be assembled into.
+        let (overlay, first, instalments) = if kept.is_some() {
+            (Instance::new(), Vec::new(), 0)
+        } else {
+            let overlay = self.overlay_for(&rels);
+            let initial = self.fire_link_whole(id, Some(&overlay), true);
+            let answer =
+                Body::QueryAnswer { req, firings: initial.clone(), closed: None, tag: None };
+            self.post(ctx, from, answer);
+            (overlay, initial, 1)
         };
-        self.post(ctx, from, Body::QueryAnswer { req, firings: initial.clone(), closed: None });
 
-        let mut pending = BTreeSet::new();
-        for (nested_rule, source) in links {
-            let nested = self.next_req();
-            pending.insert(nested);
-            self.nested_parent
-                .insert(nested, Nested::new(ParentRef::Serving(req), nested_rule.clone()));
-            self.post(
-                ctx,
-                source,
-                Body::QueryRequest { req: nested, rule: nested_rule, path: path.clone() },
-            );
+        let mut nested = Vec::with_capacity(links.len());
+        for (i, (nested_rule, source)) in links.into_iter().enumerate() {
+            // A deferring server names what its kept answer was computed
+            // from: the answer fetched last may be newer than that.
+            let pinned = match &kept {
+                Some(served) => Some(served.nested[i].1.clone()),
+                None => self.fetched.get(&nested_rule).cloned(),
+            };
+            let parent = ParentRef::Serving(req);
+            self.ask(ctx, parent, nested_rule.clone(), source, path.as_slice().into(), pinned);
+            nested.push((nested_rule, None));
         }
         self.serving.insert(
             req,
@@ -306,11 +552,18 @@ impl CoDbNode {
                 req,
                 requester: from,
                 rule,
+                book,
+                reads: rels,
                 overlay,
-                pending,
-                first: initial,
+                first,
                 later: FiringSet::default(),
-                instalments: 1,
+                streamed: Vec::new(),
+                instalments,
+                known,
+                stamps,
+                nested,
+                changed: false,
+                deferred: kept,
             },
         );
     }
@@ -324,42 +577,65 @@ impl CoDbNode {
         req: ReqId,
         firings: Vec<RuleFiring>,
         closed: Option<u64>,
+        tag: Option<Tag>,
     ) {
         let Some(nested) = self.nested_parent.get_mut(&req) else {
             return; // stale answer
         };
-        let closed = nested.arrive(closed);
-        let (parent, rule) = if closed {
-            let nested = self.nested_parent.remove(&req).expect("present");
-            (nested.parent, nested.rule)
-        } else {
-            (nested.parent, nested.rule.clone())
-        };
+        let (closed, unchanged) = nested.arrive(&firings, closed, tag);
         let bytes: usize = firings.iter().map(RuleFiring::size_bytes).sum();
-        // As on the update path: an instalment that is not an instance of
-        // the fetched rule's head is dropped whole, and only counted; an
-        // admitted one returns the tuples it added, per relation.
+        // An unchanged answer stands for the whole answer the request named.
+        let pinned = nested.pinned.clone().filter(|_| unchanged);
+        let content: &[RuleFiring] = pinned.as_ref().map_or(&firings, |pinned| &pinned.firings);
+        let parent = nested.parent;
         let book = Arc::clone(&self.book);
-        let link = book.outgoing_named(&rule).map(|id| book.link(id));
-        let mut assemble = |overlay: &mut Instance| {
-            if firings.is_empty() || link.is_some_and(|l| l.rule.rule().admits(overlay, &firings)) {
-                codb_relational::apply_firings(overlay, &firings, &mut self.nulls)
-                    .expect("the batch was admitted against the rule head and the schema")
-            } else {
-                self.report.count_received(Kind::DataRejected);
-                BTreeMap::new()
-            }
+        let link = book.outgoing_named(&nested.rule).map(|id| book.link(id));
+        // As on the update path: an instalment that is not an instance of
+        // the fetched rule's head is dropped whole, and only counted. (What
+        // an unchanged answer stands for was admitted when it came, under
+        // the same rule: a rules file that changes it drops the answer.)
+        let overlay = match parent {
+            ParentRef::Query(query_id) => self.queries.get(&query_id).map(|exec| &exec.overlay),
+            // (A deferring server has no overlay yet: the LDB declares the
+            // same relations.)
+            ParentRef::Serving(sreq) => self.serving.get(&sreq).map(|s| match s.deferred {
+                Some(_) => &self.ldb,
+                None => &s.overlay,
+            }),
         };
+        let admitted = content.is_empty()
+            || unchanged
+            || overlay.is_some_and(|o| link.is_some_and(|l| l.rule.rule().admits(o, content)));
+        if overlay.is_some() && !admitted {
+            self.report.count_received(Kind::DataRejected);
+        }
+        let nested = self.nested_parent.get_mut(&req).expect("present");
+        if admitted && !unchanged {
+            nested.came.extend_from_slice(content);
+        }
+        nested.rejected |= !admitted;
+        let whole = closed.then(|| {
+            let (rule, whole) =
+                self.nested_parent.remove(&req).expect("present").close(tag, unchanged);
+            if whole.tag.is_some() {
+                self.fetched.insert(rule.clone(), whole.clone());
+            }
+            (rule, whole)
+        });
+        let content = if admitted { content } else { &[] };
+
         match parent {
             ParentRef::Query(query_id) => {
                 let Some(exec) = self.queries.get_mut(&query_id) else { return };
-                assemble(&mut exec.overlay);
+                codb_relational::apply_firings(&mut exec.overlay, content, &mut self.nulls)
+                    .expect("the batch was admitted against the rule head and the schema");
                 if closed {
                     exec.pending.remove(&req);
                 }
                 if let Some(rep) = self.report.queries.get_mut(&query_id) {
                     rep.answers_received += 1;
                     rep.bytes_received += bytes as u64;
+                    rep.unchanged += u64::from(unchanged);
                     if rep.first_answer_at.is_none() {
                         rep.first_answer_at = Some(ctx.now());
                     }
@@ -372,42 +648,69 @@ impl CoDbNode {
             }
             ParentRef::Serving(sreq) => {
                 let Some(s) = self.serving.get_mut(&sreq) else { return };
-                let deltas = assemble(&mut s.overlay);
-                if closed {
-                    s.pending.remove(&req);
+                if let Some((rule, whole)) = whole {
+                    s.changed |= !unchanged;
+                    if let Some(slot) = s.nested.iter_mut().find(|(name, _)| *name == rule) {
+                        slot.1 = Some(whole);
+                    }
                 }
-                // Stream the increment, semi-naively: a firing not yet sent
-                // must use a tuple this instalment added, because what was
-                // sent is every firing of the overlay as it was before.
-                // A rules file may have retired the served link since the
-                // request came: nothing more to fire, the request still
-                // closes.
-                let mut fresh = match book.incoming_named(&s.rule) {
-                    Some(id) => book
-                        .link(id)
-                        .rule
-                        .fire_deltas(&s.overlay, &deltas)
-                        .expect("schema-validated rule"),
-                    None => Vec::new(),
-                };
-                fresh.retain(|f| s.stream(f));
-                let finished = s.pending.is_empty();
+                let finished = s.nested.iter().all(|(_, whole)| whole.is_some());
+                if s.deferred.is_some() {
+                    // Nothing is assembled before every nested answer is in.
+                    if finished {
+                        let s = self.serving.remove(&sreq).expect("present");
+                        self.answer_deferred(ctx, s);
+                    }
+                    return;
+                }
+                let fresh = s.increment(&book, content, &mut self.nulls);
                 let sends = !fresh.is_empty() || finished;
                 s.instalments += u64::from(sends);
                 let (requester, original_req, drawn) = (s.requester, s.req, s.instalments);
-                if finished {
-                    self.serving.remove(&sreq);
-                }
+                let tag = if finished {
+                    let s = self.serving.remove(&sreq).expect("present");
+                    self.keep_served(&s)
+                } else {
+                    None
+                };
                 if sends {
                     let closed = finished.then_some(drawn);
                     self.post(
                         ctx,
                         requester,
-                        Body::QueryAnswer { req: original_req, firings: fresh, closed },
+                        Body::QueryAnswer { req: original_req, firings: fresh, closed, tag },
                     );
                 }
             }
         }
+    }
+
+    /// Answers a request the server deferred, once every nested answer is
+    /// in: by the answer it deferred on, if all came back unchanged; else
+    /// in one instalment, built as the stream would have built it — over
+    /// the LDB as it now stands, the link's kept view of the local part,
+    /// then each nested answer in the order fetched, assembled and fired
+    /// semi-naively — and kept under a new tag.
+    fn answer_deferred(&mut self, ctx: &mut Context<Envelope>, mut s: Serving) {
+        let served = s.deferred.take().expect("a deferred request");
+        if !s.changed {
+            self.answer_kept(ctx, s.requester, s.req, s.known, &served);
+            return;
+        }
+        s.overlay = self.overlay_for(&s.reads);
+        s.stamps = self.stamps_of(&s.reads);
+        let book = Arc::clone(&self.book);
+        if let Some(id) = book.incoming_named(&s.rule) {
+            s.first = self.fire_link_whole(id, Some(&s.overlay), true);
+        }
+        for i in 0..s.nested.len() {
+            let whole = s.nested[i].1.clone().expect("every nested request closed");
+            s.increment(&book, &whole.firings, &mut self.nulls);
+        }
+        let tag = self.keep_served(&s);
+        let firings = s.first.into_iter().chain(s.streamed).collect();
+        let answer = Body::QueryAnswer { req: s.req, firings, closed: Some(1), tag };
+        self.post(ctx, s.requester, answer);
     }
 }
 
@@ -440,7 +743,7 @@ mod tests {
         }
         let req = *net.node(tgt).nested_parent.keys().next().unwrap();
         let bad = RuleFiring::new([("person", vec![TField::Const(Value::Int(1))])]);
-        let forged = Body::QueryAnswer { req, firings: vec![bad], closed: None };
+        let forged = Body::QueryAnswer { req, firings: vec![bad], closed: None, tag: None };
         net.sim_mut().inject(src.peer(), tgt.peer(), Envelope::control(forged));
         net.sim_mut().run_until_quiescent();
 

@@ -149,6 +149,10 @@ pub struct QueryReport {
     pub answers_received: u64,
     /// Firing payload bytes received.
     pub bytes_received: u64,
+    /// Links whose answer came back *unchanged*: the tag of the answer this
+    /// node held for the link, and no firing (`crate::query`, "Where a
+    /// whole answer lives").
+    pub unchanged: u64,
     /// Number of answer tuples.
     pub answers: u64,
 }
@@ -164,6 +168,7 @@ impl QueryReport {
             requests_sent: 0,
             answers_received: 0,
             bytes_received: 0,
+            unchanged: 0,
             answers: 0,
         }
     }
@@ -588,8 +593,11 @@ mod tests {
             ("UpdateComplete", Body::UpdateComplete { update }),
             ("Rejoin", Body::Rejoin),
             ("RejoinRepair", Body::RejoinRepair { rule: rule(), firings: vec![], hops: 1 }),
-            ("QueryRequest", Body::QueryRequest { req, rule: rule(), path: vec![] }),
-            ("QueryAnswer", Body::QueryAnswer { req, firings: vec![], closed: Some(1) }),
+            (
+                "QueryRequest",
+                Body::QueryRequest { req, rule: rule(), path: Box::new([]), known: None },
+            ),
+            ("QueryAnswer", Body::QueryAnswer { req, firings: vec![], closed: Some(1), tag: None }),
             ("RulesFile", Body::RulesFile { config: Box::default() }),
             ("StatsRequest", Body::StatsRequest),
             ("StatsReport", Body::StatsReport { report: Box::default() }),

@@ -114,9 +114,14 @@ impl CoDbNode {
     /// update in flight follows its links to their new ids by name (a
     /// vanished link's state goes, so late traffic for it finds no link and
     /// is dropped at the name lookup), and the sent caches start empty at
-    /// the new size — no link of the new book is caught up. Both firing
-    /// caches are dropped: rule names may be reused with different
-    /// endpoints after a reconfiguration.
+    /// the new size — no link of the new book is caught up, and no served
+    /// link keeps a view or an answer. Both firing caches are dropped: rule
+    /// names may be reused with different endpoints after a
+    /// reconfiguration. A fetched answer stays only on a link the new book
+    /// names with the same source and rule: a tag is its server's name for
+    /// the answer, another server may have minted the same one, and an
+    /// unchanged answer is assembled without being checked against the
+    /// rule's head again.
     pub(crate) fn install_book(&mut self, book: RuleBook) -> Arc<RuleBook> {
         let old = std::mem::replace(&mut self.book, Arc::new(book));
         for st in self.updates.values_mut() {
@@ -124,6 +129,14 @@ impl CoDbNode {
         }
         self.sent_cache = vec![SentCache::default(); self.book.len()];
         self.recv_cache.clear();
+        let kept = |name: &str| match (self.book.outgoing_named(name), old.outgoing_named(name)) {
+            (Some(now), Some(then)) => {
+                let (now, then) = (self.book.link(now), old.link(then));
+                now.source == then.source && now.rule.rule() == then.rule.rule()
+            }
+            _ => false,
+        };
+        self.fetched.retain(|name, _| kept(name));
         old
     }
 

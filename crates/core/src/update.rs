@@ -84,6 +84,7 @@
 use crate::ids::{NodeId, RuleName, UpdateId};
 use crate::messages::{Body, Envelope};
 use crate::node::CoDbNode;
+use crate::query::Served;
 use crate::rules::{LinkId, RuleBook};
 use crate::stats::{by_name, Kind};
 use codb_net::{Context, SimTime};
@@ -116,8 +117,8 @@ pub struct LinkState {
 }
 
 /// What the sender side of one incoming link remembers from update to
-/// update. One value, so that whatever drops the firings drops the mark
-/// and the kept view with them.
+/// update, and from fetch to fetch. One value, so that whatever drops the
+/// firings drops the mark, the kept view and the kept answer with them.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SentCache {
     /// The firings already shipped on the link, by update data and rejoin
@@ -130,13 +131,17 @@ pub(crate) struct SentCache {
     /// The link's last whole fire for a fetch it served, kept under what
     /// it read ([`CoDbNode::fire_link_whole`]).
     pub(crate) view: Option<KeptView>,
+    /// The link's last whole answer to a fetch, under its tag, and what it
+    /// was computed from (`crate::query`, "Where a whole answer lives").
+    pub(crate) served: Option<Arc<Served>>,
 }
 
 impl SentCache {
-    /// True iff nothing is remembered: no firing, not caught up, no view.
+    /// True iff nothing is remembered: no firing, not caught up, no view,
+    /// no answer.
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.sent.is_empty() && !self.caught_up && self.view.is_none()
+        self.sent.is_empty() && !self.caught_up && self.view.is_none() && self.served.is_none()
     }
 }
 

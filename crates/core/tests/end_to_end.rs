@@ -1043,7 +1043,9 @@ fn max_hops_truncates_a_rejoin_repair_cascade() {
 // serving went semi-naive: same instalments, same payload. (Message and
 // byte totals were re-read once since, when acks began to ride: a first
 // answer carries the ack of its request, so each served request costs one
-// envelope fewer, and every sequenced envelope tells its window base.)
+// envelope fewer, and every sequenced envelope tells its window base; and
+// again when answers began to carry tags: every final answer names its
+// whole answer in 16 bytes, on a cold fetch as on any other.)
 // ---------------------------------------------------------------------
 
 /// `(messages, bytes, query_answer messages sent by each of names)`.
@@ -1101,7 +1103,7 @@ fn diamond_serving_joins_two_nested_links_into_one_body() {
         fetched_and_materialised(&cfg, "q", "ans(X, Z) :- t(X, Z).", &["s", "l", "r", "base"]);
     assert_eq!(fetched, local);
     assert_eq!(fetched.len(), 16);
-    assert_eq!(traffic, (25, 2732, vec![4, 2, 2, 2]));
+    assert_eq!(traffic, (25, 2812, vec![4, 2, 2, 2]), "five final answers, each +16 tag bytes");
 }
 
 #[test]
@@ -1128,7 +1130,7 @@ fn self_join_body_fed_by_two_links() {
         fetched_and_materialised(cfg, "q", "ans(X, Z) :- p(X, Z).", &["s", "l", "r"]);
     assert_eq!(fetched, local);
     assert_eq!(fetched, vec![tup![1, 3], tup![1, 6], tup![2, 4], tup![3, 5], tup![9, 2]]);
-    assert_eq!(traffic, (13, 985, vec![3, 1, 1]));
+    assert_eq!(traffic, (13, 1033, vec![3, 1, 1]), "three final answers, each +16 tag bytes");
 }
 
 #[test]
@@ -1158,7 +1160,7 @@ fn ring_fetch_is_cut_at_simple_paths() {
     let q = net.run_query_text(a, "ans(X) :- r(X).", true).unwrap();
     assert_eq!(q.result.answers, vec![tup![1], tup![2], tup![3], tup![4], tup![5]]);
     let (_, _, answers_sent) = answer_traffic(&net, &["b", "c", "d"]);
-    assert_eq!((q.messages, q.bytes, answers_sent), (13, 883, vec![1, 2, 2]));
+    assert_eq!((q.messages, q.bytes, answers_sent), (13, 931, vec![1, 2, 2]), "+3 tags of 16");
 }
 
 #[test]
@@ -1187,7 +1189,7 @@ fn existential_nested_link_streams_templates_once() {
     assert_eq!(names(&fetched), names(&local));
     assert_eq!(fetched.len(), 4);
     assert_eq!(fetched.iter().filter(|t| t.has_null()).count(), 3);
-    assert_eq!(traffic, (8, 695, vec![2, 1]));
+    assert_eq!(traffic, (8, 727, vec![2, 1]), "two final answers, each +16 tag bytes");
 }
 
 #[test]
@@ -1219,14 +1221,14 @@ fn rejected_instalment_mid_stream_ships_nothing_and_the_stream_goes_on() {
     }
     let nested = ReqId { node: s, epoch: 0, seq: 0 };
     let bad = RuleFiring::new([("r", vec![TField::Const(Value::str("x"))])]);
-    let forged = Body::QueryAnswer { req: nested, firings: vec![bad], closed: None };
+    let forged = Body::QueryAnswer { req: nested, firings: vec![bad], closed: None, tag: None };
     net.sim_mut().inject(l.peer(), s.peer(), Envelope::control(forged));
     net.sim_mut().run_until_quiescent();
 
     assert_eq!(net.node(s).report().messages_received["data_rejected"], 1);
     let result = net.node(q).completed_queries.values().next().expect("the query finished");
     assert_eq!(result.answers, vec![tup![1], tup![2], tup![3]]);
-    assert_eq!(answer_traffic(&net, &["s", "l"]), (10, 607, vec![2, 1]));
+    assert_eq!(answer_traffic(&net, &["s", "l"]), (10, 639, vec![2, 1]), "+2 tags of 16");
 }
 
 // ---------------------------------------------------------------------
@@ -1364,18 +1366,175 @@ fn fetched(net: &mut CoDbNetwork, at: &str) -> (Vec<Tuple>, u64) {
     (outcome.result.answers, fired)
 }
 
+/// How many links the fetch `outcome` ran at `at` found unchanged.
+fn unchanged(net: &CoDbNetwork, at: &str, outcome: &codb_core::QueryOutcome) -> u64 {
+    net.node(net.node_id(at).unwrap()).report().queries[&outcome.query].unchanged
+}
+
+/// `query_answer`s `at` has sent so far.
+fn answers_sent(net: &CoDbNetwork, at: &str) -> u64 {
+    answer_traffic(net, &[at]).2[0]
+}
+
 #[test]
 fn a_repeated_fetch_on_an_unchanged_network_fires_no_whole_view() {
     let mut net = build(&join_chain_config(8, 30));
     let (cold, fired) = fetch_counting(&mut net, "node7");
     assert_eq!(cold.result.answers.len(), 8 * 30);
     assert_eq!(fired, 7, "each of the seven links, once");
+    assert_eq!((cold.messages, cold.bytes), (63, 19_408));
+    assert_eq!(unchanged(&net, "node7", &cold), 0);
     for _ in 0..3 {
         let (warm, fired) = fetch_counting(&mut net, "node7");
         assert_eq!(fired, 0, "every serving node found its view kept");
         assert_eq!(warm.result.answers, cold.result.answers);
-        assert_eq!((warm.messages, warm.bytes), (cold.messages, cold.bytes));
+        // Seven requests down, seven tags back up, and their acks: no
+        // firing crosses a link.
+        assert_eq!((warm.messages, warm.bytes), (27, 1_808));
+        assert_eq!(unchanged(&net, "node7", &warm), 1, "node6's answer stood");
     }
+}
+
+/// After an insert at node0 of a chain of three, node1's own data did not
+/// change: it defers — no first instalment, one answer once node0's is in —
+/// and builds that answer from its kept view and node0's new answer, so
+/// node0's link is the one that fires.
+#[test]
+fn after_an_insert_upstream_a_deferring_server_fires_nothing_itself() {
+    let mut net = build(&join_chain_config(3, 20));
+    let (mut answers, _) = fetched(&mut net, "node2");
+    let node0 = net.node_id("node0").unwrap();
+    net.run_control(
+        node0,
+        codb_core::Body::IngestLocal { relation: "r".into(), tuple: tup![7777, 3] },
+    );
+    let sent = answers_sent(&net, "node1");
+    let (outcome, fired) = fetch_counting(&mut net, "node2");
+    assert_eq!(fired, 1, "node0's link, and only it");
+    assert_eq!(
+        answers_sent(&net, "node1") - sent,
+        1,
+        "node1 deferred: one answer, no first instalment"
+    );
+    assert_eq!(unchanged(&net, "node2", &outcome), 0);
+    answers.push(tup![7777, 1]);
+    answers.sort();
+    assert_eq!(outcome.result.answers, answers);
+}
+
+/// The diamond q <- s <- {l, r} <- base, with s queried itself between two
+/// fetches at q, after an insert at base. s's own query fetches l and r
+/// afresh, so what s fetched last is newer than what its kept answer to q
+/// was computed from. Deferring on that answer, s must name the tags it
+/// was computed from: naming the newer ones, it would hear "unchanged"
+/// and hand q the answer from before the insert.
+#[test]
+fn a_deferring_server_names_the_tags_its_kept_answer_was_computed_from() {
+    let base = "node q\nnode s\nnode l\nnode r\nnode base\n\
+         schema q: t(int, int)\nschema s: a(int, int)\nschema s: b(int, int)\n\
+         schema l: e(int, int)\nschema r: e(int, int)\nschema base: e(int, int)\n\
+         rule bl @ base -> l: e(X, Y) <- e(X, Y).\n\
+         rule br @ base -> r: e(X, Y) <- e(X, Y).\n\
+         rule ls @ l -> s: a(X, Y) <- e(X, Y).\n\
+         rule rs @ r -> s: b(X, Y) <- e(X, Y).\n\
+         rule sq @ s -> q: t(X, Z) <- a(X, Y), b(Y, Z).\n\
+         data base: e(1, 2). e(2, 3). e(5, 6).\n";
+    let query = "ans(X, Z) :- t(X, Z).";
+    let mut net = build(base);
+    let [q, s, base_node] = ["q", "s", "base"].map(|n| net.node_id(n).unwrap());
+    let before = net.run_query_text(q, query, true).unwrap().result.answers;
+    assert_eq!(before, vec![tup![1, 3]]);
+    net.run_control(
+        base_node,
+        codb_core::Body::IngestLocal { relation: "e".into(), tuple: tup![6, 7] },
+    );
+    // Over both links s fetches for q.
+    let at_s = net.run_query_text(s, "ans(X, Z) :- a(X, Y), b(Y, Z).", true).unwrap();
+    assert_eq!(at_s.result.answers, vec![tup![1, 3], tup![5, 7]], "s fetched the insert itself");
+    let after = net.run_query_text(q, query, true).unwrap().result.answers;
+    let mut cold = build(&format!("{base}data base: e(6, 7).\n"));
+    let want = cold.run_query_text(q, query, true).unwrap().result.answers;
+    assert_eq!(want, vec![tup![1, 3], tup![5, 7]]);
+    assert_eq!(after, want, "q got s's answer from before the insert");
+}
+
+/// A warm fetch after the peer upstream of a serving node died, and stays
+/// dead: the request to it is given up and closes untagged, so the serving
+/// node's kept answer cannot stand — the answer is what the live peers hold.
+#[test]
+fn a_warm_fetch_after_the_upstream_peer_died_answers_what_the_live_peers_hold() {
+    let mut net = build(&chain_config(3, 3));
+    let [node0, node1, last] = [0, 1, 2].map(|i| net.node_id(&format!("node{i}")).unwrap());
+    net.sim_mut().peer_mut(node1.peer()).unwrap().insert_local("r", tup![100]).unwrap();
+    let query = "ans(X) :- r(X).";
+    for _ in 0..2 {
+        let warm = net.run_query_text(last, query, true).unwrap().result.answers;
+        assert_eq!(warm, vec![tup![0], tup![1], tup![2], tup![100]]);
+    }
+    net.crash_node(node0);
+    let q = net.run_query_text(last, query, true).unwrap();
+    assert_eq!(q.result.answers, vec![tup![100]]);
+    assert_eq!(net.node(last).report().queries[&q.query].unchanged, 0);
+    let again = net.run_query_text(last, query, true).unwrap().result.answers;
+    assert_eq!(again, vec![tup![100]], "nor the kept answer on the next fetch");
+}
+
+/// A server restarted from disk is a new incarnation: every tag it mints
+/// differs from every tag its dead incarnation handed out, so nothing the
+/// requester holds from before reads as unchanged.
+#[test]
+fn a_server_restarted_from_disk_never_mints_a_tag_its_dead_incarnation_minted() {
+    use codb_store::{Codec, ScratchDir, SyncPolicy};
+    let tmp = ScratchDir::new("core-fetch-tags");
+    let mut net = build(&join_chain_config(3, 20));
+    net.open_persistence_all(tmp.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+    let [mid, sink] = ["node1", "node2"].map(|n| net.node_id(n).unwrap());
+    let mut seen = std::collections::BTreeSet::new();
+    // The dead incarnation hands out a few tags: each insert at node1
+    // makes it answer anew.
+    for k in 0..3 {
+        net.run_control(
+            mid,
+            codb_core::Body::IngestLocal { relation: "r".into(), tuple: tup![9000 + k, 0] },
+        );
+        fetched(&mut net, "node2");
+        assert!(seen.insert(net.node(sink).fetched_tag("j1").expect("a tagged answer")));
+    }
+    let (before, _) = fetched(&mut net, "node2");
+    assert!(net.crash_node(mid));
+    let dir = CoDbNetwork::node_data_dir(tmp.path(), "node1");
+    net.restart_node_from_disk(mid, &dir, SyncPolicy::Always, Codec::Binary).unwrap();
+    for _ in 0..3 {
+        let (outcome, _) = fetch_counting(&mut net, "node2");
+        assert_eq!(outcome.result.answers, before);
+        let tag = net.node(sink).fetched_tag("j1").expect("a tagged answer");
+        assert!(seen.iter().all(|old| old.epoch < tag.epoch), "{tag:?} after {seen:?}");
+    }
+}
+
+/// A rules file leaves the requester no fetched answer on a link the new
+/// book does not name; one it names with the same source stays.
+#[test]
+fn a_rules_file_leaves_no_fetched_answer_for_a_link_it_removed() {
+    let v1 = join_chain_config(3, 20);
+    let renamed = "rule j1x @ node1 -> node2: r(X, Z) <- r(X, Y), s(Y, Z).";
+    let v2 = format!(
+        "version 2\n{}",
+        v1.replace("rule j1 @ node1 -> node2: r(X, Z) <- r(X, Y), s(Y, Z).", renamed)
+    );
+    let mut net =
+        CoDbNetwork::build_with_superpeer(NetworkConfig::parse(&v1).unwrap(), SimConfig::default())
+            .unwrap();
+    let [mid, sink] = ["node1", "node2"].map(|n| net.node_id(n).unwrap());
+    fetched(&mut net, "node2");
+    assert!(net.node(sink).fetched_tag("j1").is_some());
+    assert!(net.node(mid).fetched_tag("j0").is_some());
+    net.broadcast_rules(NetworkConfig::parse(&v2).unwrap()).unwrap();
+    assert_eq!(net.node(sink).fetched_tag("j1"), None, "the file removed j1");
+    assert!(net.node(mid).fetched_tag("j0").is_some(), "j0 is the same link");
+    let (after, _) = fetched(&mut net, "node2");
+    assert_eq!(after.len(), 60);
+    assert!(net.node(sink).fetched_tag("j1x").is_some());
 }
 
 #[test]

@@ -269,6 +269,19 @@ macro_rules! int_impls {
 
 int_impls!(i8, i16, i32, i64, u8, u16, u32, u64, usize, isize);
 
+impl Serialize for std::num::NonZeroU64 {
+    fn to_value(&self) -> Value {
+        self.get().to_value()
+    }
+}
+
+impl Deserialize for std::num::NonZeroU64 {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        std::num::NonZeroU64::new(u64::from_value(v)?)
+            .ok_or_else(|| Error::custom("integer 0 where a nonzero u64 is expected"))
+    }
+}
+
 macro_rules! float_impls {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
@@ -338,6 +351,12 @@ impl<T: Serialize + ?Sized> Serialize for Box<T> {
 impl<T: Deserialize> Deserialize for Box<T> {
     fn from_value(v: &Value) -> Result<Self, Error> {
         T::from_value(v).map(Box::new)
+    }
+}
+
+impl<T: Deserialize> Deserialize for Box<[T]> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        Vec::<T>::from_value(v).map(Vec::into_boxed_slice)
     }
 }
 
