@@ -138,7 +138,10 @@ fn e4() -> Table {
 /// again on the unchanged network: the whole views it fires — none, since
 /// every serving link kept its view — its messages and bytes — one request
 /// down each link and one tag back up, since every serving link kept its
-/// answer — and the links the sink found unchanged (`QueryReport`).
+/// answer — and the links the sink found unchanged (`QueryReport`). The
+/// "after insert" columns are one more fetch, after a tuple is inserted at
+/// the chain's far end: every server between it and the sink kept its own
+/// data, and still answers its local part at once.
 fn e5() -> Table {
     let mut t = Table::new(
         "E5 — query-time vs materialised (chain, 200 tuples/node)",
@@ -155,6 +158,10 @@ fn e5() -> Table {
             "refetch msgs",
             "refetch bytes",
             "refetch unchanged",
+            "after insert first ans",
+            "after insert sim",
+            "after insert msgs",
+            "after insert fires",
         ],
     );
     for n in [2usize, 4, 8, 16] {
@@ -168,19 +175,24 @@ fn e5() -> Table {
         assert_eq!(q.result.answers.len(), local.result.answers.len());
 
         let amortise = o.summary.total_time.as_nanos().div_ceil(q.duration.as_nanos().max(1));
-        let first = fetch_net
-            .node(s.sink())
-            .report()
-            .queries
-            .get(&q.query)
-            .and_then(|r| r.first_answer_at)
-            .map(|t| t.to_string())
-            .unwrap_or_else(|| "-".into());
+        let first_answer = |net: &CoDbNetwork, query| {
+            let report = &net.node(s.sink()).report().queries[&query];
+            let first = report.first_answer_at.map(|t| t.saturating_sub(report.started_at));
+            first.map_or_else(|| "-".into(), |t| t.to_string())
+        };
+        let first = first_answer(&fetch_net, q.query);
         let fired = codb_core::whole_fires();
         let again = fetch_net.run_query(s.sink(), s.sink_query(), true);
         assert_eq!(again.result.answers, q.result.answers);
         let refetch_fires = codb_core::whole_fires() - fired;
         let unchanged = fetch_net.node(s.sink()).report().queries[&again.query].unchanged;
+        let (relation, tuple) = (Scenario::relation_of(0), codb_relational::tup![-1, -1]);
+        fetch_net
+            .run_control(codb_core::NodeId(0), codb_core::Body::IngestLocal { relation, tuple });
+        let fired = codb_core::whole_fires();
+        let after = fetch_net.run_query(s.sink(), s.sink_query(), true);
+        assert_eq!(after.result.answers.len(), q.result.answers.len() + 1);
+        let after_fires = codb_core::whole_fires() - fired;
         t.row(vec![
             n.to_string(),
             first,
@@ -194,6 +206,10 @@ fn e5() -> Table {
             again.messages.to_string(),
             again.bytes.to_string(),
             unchanged.to_string(),
+            first_answer(&fetch_net, after.query),
+            after.duration.to_string(),
+            after.messages.to_string(),
+            after_fires.to_string(),
         ]);
     }
     t

@@ -165,12 +165,15 @@ pub enum Body {
         /// final one may arrive before one lost and sent again.
         closed: Option<u64>,
         /// On the final instalment, the tag of the whole answer — the union
-        /// of the request's instalments. The requester reads the answer as
-        /// *unchanged* only when it is one instalment, carries no firing and
-        /// names the tag the request named: it then stands for the answer
-        /// the requester holds under that tag. `None` on an answer nothing
-        /// was kept of — a stale rule's, one a rules file overtook — and
-        /// on the empty instalment that closes a request given up on.
+        /// of the request's instalments — and on the opening instalment of
+        /// several, which carries the local part, the tag it went under; a
+        /// mid-stream instalment carries none. An instalment with no firing
+        /// and the tag the request named is *unchanged*: it stands for its
+        /// part of the answer the requester holds under that tag (the
+        /// local part, the rest, or, alone, both). `None` on the final
+        /// instalment of an answer nothing was kept of — a stale rule's,
+        /// one a rules file overtook — and on the empty instalment that
+        /// closes a request given up on.
         tag: Option<Tag>,
     },
 

@@ -84,9 +84,6 @@ pub struct CoDbNode {
     /// The last whole answer fetched on each outgoing link, by name: what
     /// the next request on the link names by its tag.
     pub(crate) fetched: BTreeMap<RuleName, Whole>,
-    /// The next answer tag's seq ([`crate::ids::Tag`]); not persisted, as
-    /// the epoch tells incarnations apart.
-    pub(crate) next_tag_seq: std::num::NonZeroU64,
     /// Finished query results. A result waits here until the driver takes
     /// it: [`CoDbNetwork::run_query`](crate::CoDbNetwork::run_query)
     /// removes the one it ran; a harness that injects `StartQuery` itself
@@ -160,7 +157,6 @@ impl CoDbNode {
             serving: BTreeMap::new(),
             nested_parent: BTreeMap::new(),
             fetched: BTreeMap::new(),
-            next_tag_seq: std::num::NonZeroU64::MIN,
             completed_queries: BTreeMap::new(),
             discovered: std::collections::BTreeSet::new(),
             pending_rejoin: false,

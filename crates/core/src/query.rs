@@ -25,42 +25,47 @@
 //!
 //! ## Where a whole answer lives
 //!
-//! A server ends every answer it can keep with a [`Tag`], its name for the
-//! *whole* answer (the union of the request's instalments), and keeps the
-//! answer per link ([`Served`], in the link's `SentCache`) with what it was
-//! computed from: the LDB's content stamps of the relations it read, and
-//! the tagged whole answer of each nested link it fetched. A requester
-//! keeps the last whole answer of each outgoing link (`CoDbNode::fetched`)
-//! and names its tag in the next request on the link; the request *pins*
-//! that answer, so an *unchanged* reply — one instalment, no firing, the
-//! named tag — stands for exactly it, whatever was fetched since.
+//! An answer has two parts: the *local* part, the served link fired whole
+//! over the server's LDB — the instalment the paper sends at once — and the
+//! *rest*, what the nested answers add, in the later instalments. A server
+//! names each answer with a [`Tag`] and keeps it per link: the local part
+//! is the view the link keeps under the LDB's stamps of what it read
+//! (`KeptView`), and the answer served over that view sits beside it
+//! (`Answered`: the tag, the rest, and the tagged whole answer of each
+//! nested link it was computed from). Whatever drops or replaces the view
+//! drops the answer. A requester keeps the last whole answer of each
+//! outgoing link, both parts (`Whole`, `CoDbNode::fetched`), names its
+//! tag in the next request on the link, and the request *pins* it.
 //!
-//! A request that finds the stamps and the chosen nested links of the
-//! answer kept, the server *defers*: it sends no first instalment, and asks
-//! upstream naming the tags the kept answer was computed from — not the
-//! tags it fetched last, which may be newer than what it kept. If every
-//! nested reply is unchanged the kept answer stands: its tag alone goes
-//! back, or its firings where the requester named another tag. Otherwise
-//! one instalment goes back, built as the stream would have built it — the
-//! link's kept view of the local part, then each nested answer assembled
-//! and fired semi-naively — under a new tag. Where the stamps moved the
-//! server streams as the paper has it, and a nested reply that is
-//! unchanged is assembled from the answer it pinned.
+//! Every answer but a leaf's opens with its local instalment, at once,
+//! carrying the tag; a leaf's one instalment is its local part and the
+//! whole. Where the link's view still stands with an answer kept over it
+//! through the same nested links, the server *stands by* that answer: the
+//! local instalment is the tag alone, if the request named it, and the
+//! nested requests name the tags the kept answer was computed from — not
+//! the tags this node fetched last, which may be newer than what it kept.
+//! If every nested answer comes back whole and unchanged, the final
+//! instalment is the tag alone too; otherwise it is the rest built anew —
+//! each nested answer assembled over the LDB and fired semi-naively — under
+//! a new tag. Where the view moved, the server streams as the paper has it,
+//! under a new tag, and a nested instalment that comes back unchanged is
+//! assembled from the answer it pinned.
 //!
-//! The trade: over unchanged local data a server that fetches answers
-//! after its nested round trip, not at once. The query completes no later
-//! — completion always waits for the deepest answer — and a cold fetch, or
-//! any fetch after a change, streams as before.
+//! An instalment with no firing and the tag the request named is
+//! *unchanged* (`Nested::arrive`, the one place): it stands for its part of
+//! the pinned answer — the local part for an opening instalment, the rest
+//! for a final one, both for a single one (`Part`). So a fetch over
+//! unchanged data ships tags and no firing, and its first answer leaves
+//! each server as early as on a cold fetch.
 
 use crate::ids::{NodeId, QueryId, ReqId, RuleName, Tag};
 use crate::messages::{Body, Envelope};
 use crate::node::CoDbNode;
 use crate::rules::{LinkId, RuleBook};
 use crate::stats::Kind;
+use crate::update::WholeView;
 use codb_net::{Context, SimTime};
-use codb_relational::{
-    ConjunctiveQuery, EvalError, FiringSet, Instance, Relation, RuleFiring, Tuple,
-};
+use codb_relational::{ConjunctiveQuery, EvalError, FiringSet, Instance, RuleFiring, Tuple};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -93,32 +98,66 @@ pub(crate) struct QueryExec {
     pub pending: BTreeSet<ReqId>,
 }
 
-/// One whole answer on a link — every firing of its instalments — under
-/// the tag its server gave it (none where nothing was kept of it).
+/// One whole answer on a link — every firing of its instalments, the local
+/// part first — under the tag its server gave it (none where nothing was
+/// kept of it).
 #[derive(Clone, Debug)]
 pub(crate) struct Whole {
     pub tag: Option<Tag>,
     pub firings: Arc<[RuleFiring]>,
+    /// How many of `firings` are the local part.
+    local: usize,
 }
 
-/// A served link's last whole answer, and what it was computed from: the
-/// LDB's content stamps of the relations it read, in name order, and the
-/// whole answer of each nested link fetched, in the order they were
-/// chosen. While a request finds the same stamps and chooses the same
-/// links, and each of those answers its tag back, this is the answer.
+impl Whole {
+    /// The firings of `part`.
+    fn part(&self, part: Part) -> &[RuleFiring] {
+        match part {
+            Part::Whole => &self.firings,
+            Part::Local => &self.firings[..self.local],
+            Part::Rest => &self.firings[self.local..],
+        }
+    }
+}
+
+/// Which part of an answer an instalment carries, told by its `closed` and
+/// `tag` alone, since the transport does not order instalments.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Part {
+    /// A single instalment (`closed: Some(1)`): the whole answer.
+    Whole,
+    /// The opening instalment of several: not final, and tagged.
+    Local,
+    /// Any later one: some of the rest, the final one included.
+    Rest,
+}
+
+impl Part {
+    fn of(closed: Option<u64>, tag: Option<Tag>) -> Part {
+        match (closed, tag) {
+            (Some(1), _) => Part::Whole,
+            (None, Some(_)) => Part::Local,
+            _ => Part::Rest,
+        }
+    }
+}
+
+/// The last answer a served link gave over the view it keeps (the local
+/// part): its tag, the rest, and the whole answer of each nested link it
+/// was computed from, in the order chosen. While a request chooses the
+/// same links and each answers its tag back, this is the answer.
 #[derive(Debug)]
-pub(crate) struct Served {
+pub(crate) struct Answered {
     tag: Tag,
-    stamps: Vec<u64>,
     nested: Vec<(RuleName, Whole)>,
-    firings: Arc<[RuleFiring]>,
+    rest: Arc<[RuleFiring]>,
 }
 
-impl Served {
-    /// Whether a request reading `stamps` and fetching `links` would
-    /// compute this answer from the same inputs, nested answers aside.
-    fn computed_from(&self, stamps: &[u64], links: &[(RuleName, NodeId)]) -> bool {
-        self.stamps == stamps && self.nested.iter().map(|n| &n.0).eq(links.iter().map(|l| &l.0))
+impl Answered {
+    /// Whether a request fetching `links` would compute this answer from
+    /// the same links, nested answers aside.
+    fn fetched_over(&self, links: &[(RuleName, NodeId)]) -> bool {
+        self.nested.iter().map(|n| &n.0).eq(links.iter().map(|l| &l.0))
     }
 }
 
@@ -137,32 +176,32 @@ pub(crate) struct Serving {
     /// nested links.
     reads: BTreeSet<String>,
     /// Clones of `reads`, with the nested answers assembled into them (a
-    /// deferring server builds it only once some nested answer changed).
+    /// server standing by its kept answer builds it only once some nested
+    /// answer changed).
     pub overlay: Instance,
-    /// The first instalment — every firing of the local data — sorted, as
+    /// The local part — every firing of the local data, sorted, as
     /// [`PreparedRule::fire`](codb_relational::PreparedRule::fire) returned
-    /// it (or the link's kept view of it): its own record of what was
-    /// sent, searched rather than hashed.
-    pub first: Vec<RuleFiring>,
+    /// it — shared with the link's kept view: the stream's own record of
+    /// what it sent first, searched rather than hashed.
+    pub first: Arc<[RuleFiring]>,
     /// Firings streamed in later instalments (instalment diffing).
     pub later: FiringSet,
-    /// The same, in the order streamed: with `first`, the whole answer.
+    /// The same, in the order streamed: the rest.
     streamed: Vec<RuleFiring>,
     /// Instalments sent so far, the first included.
     pub instalments: u64,
     /// The tag the requester named.
     known: Option<Tag>,
-    /// The LDB's stamps of `reads` as the overlay cloned them, in name
-    /// order.
-    stamps: Vec<u64>,
+    /// The tag the local instalment went under.
+    tag: Tag,
     /// Each nested link fetched, in the order chosen, with its whole answer
     /// once its request closed: the request is served when all are in.
     nested: Vec<(RuleName, Option<Whole>)>,
-    /// Some nested answer did not come back unchanged.
+    /// Some nested answer did not come back whole and unchanged.
     changed: bool,
-    /// The answer kept for these stamps and links, while the server defers
-    /// on it.
-    deferred: Option<Arc<Served>>,
+    /// The answer kept over the view and these links, while the server
+    /// stands by it.
+    standing: Option<Arc<Answered>>,
 }
 
 impl Serving {
@@ -212,13 +251,16 @@ pub(crate) struct Nested {
     pub rule: RuleName,
     /// Instalments arrived so far.
     arrived: u64,
-    /// How many instalments the request drew, once its final one told.
-    drawn: Option<u64>,
-    /// The whole answer the request named: what an unchanged reply stands
-    /// for.
+    /// How many instalments the request drew, and the tag of the whole
+    /// answer, once its final instalment told.
+    drawn: Option<(u64, Option<Tag>)>,
+    /// The whole answer the request named: what an unchanged instalment
+    /// stands for part of.
     pinned: Option<Whole>,
-    /// The admitted firings that came, in arrival order.
-    came: Vec<RuleFiring>,
+    /// The admitted firings of the local part and of the rest, in arrival
+    /// order; `None` for a part that came back unchanged.
+    local: Option<Vec<RuleFiring>>,
+    rest: Option<Vec<RuleFiring>>,
     /// An instalment was rejected: what came is not the answer the server
     /// tagged.
     rejected: bool,
@@ -226,7 +268,16 @@ pub(crate) struct Nested {
 
 impl Nested {
     fn new(parent: ParentRef, rule: RuleName, pinned: Option<Whole>) -> Self {
-        Nested { parent, rule, arrived: 0, drawn: None, pinned, came: Vec::new(), rejected: false }
+        Nested {
+            parent,
+            rule,
+            arrived: 0,
+            drawn: None,
+            pinned,
+            local: Some(Vec::new()),
+            rest: Some(Vec::new()),
+            rejected: false,
+        }
     }
 
     /// The tag the request names.
@@ -235,30 +286,64 @@ impl Nested {
     }
 
     /// Counts an instalment in. Returns whether every instalment the
-    /// request drew has arrived, and whether the answer is *unchanged* —
-    /// decided here and nowhere else: a single instalment, no firing, and
-    /// the tag the request named.
+    /// request drew has arrived, the part of the answer the instalment
+    /// carries, and whether it is *unchanged* — decided here and nowhere
+    /// else: no firing, and the tag the request named. It then stands for
+    /// that part of the pinned answer.
     fn arrive(
         &mut self,
         firings: &[RuleFiring],
         closed: Option<u64>,
         tag: Option<Tag>,
-    ) -> (bool, bool) {
-        let single = self.arrived == 0 && closed == Some(1) && firings.is_empty();
-        let unchanged = single && tag.is_some() && tag == self.known();
+    ) -> (bool, Part, bool) {
+        let unchanged = firings.is_empty() && tag.is_some() && tag == self.known();
         self.arrived += 1;
-        self.drawn = self.drawn.or(closed);
-        (self.drawn.is_some_and(|drawn| self.arrived >= drawn), unchanged)
+        if let Some(drawn) = closed {
+            self.drawn.get_or_insert((drawn, tag));
+        }
+        let done = self.drawn.is_some_and(|(drawn, _)| self.arrived >= drawn);
+        (done, Part::of(closed, tag), unchanged)
     }
 
-    /// The whole answer of the closed request: the one it pinned, if that
-    /// came back unchanged, else what came under the tag it closed with.
-    fn close(self, tag: Option<Tag>, unchanged: bool) -> (RuleName, Whole) {
-        let whole = match self.pinned {
-            Some(pinned) if unchanged => pinned,
-            _ => Whole { tag: tag.filter(|_| !self.rejected), firings: self.came.into() },
+    /// Records what an instalment brought of `part`: `content`, or, where
+    /// it came back unchanged, that the pinned answer's part stands.
+    fn take(&mut self, part: Part, unchanged: bool, content: &[RuleFiring]) {
+        let slot = match part {
+            Part::Whole | Part::Local => &mut self.local,
+            Part::Rest => &mut self.rest,
         };
-        (self.rule, whole)
+        if !unchanged {
+            if let Some(came) = slot {
+                came.extend_from_slice(content);
+            }
+            return;
+        }
+        *slot = None;
+        if part == Part::Whole {
+            self.rest = None;
+        }
+    }
+
+    /// The whole answer of the closed request, and whether it came back
+    /// whole and unchanged: each part as it came, or as the pinned answer
+    /// has it where it stood.
+    fn close(self) -> (RuleName, Whole, bool) {
+        let tag = self.drawn.and_then(|(_, tag)| tag).filter(|_| !self.rejected);
+        let pinned = self.pinned;
+        let part = |came: Option<Vec<RuleFiring>>, part| {
+            came.unwrap_or_else(|| pinned.as_ref().expect("a part stood").part(part).to_vec())
+        };
+        let whole = match (self.local, self.rest) {
+            (None, None) => Whole { tag, ..pinned.clone().expect("the answer stood") },
+            (local, rest) => {
+                let mut firings = part(local, Part::Local);
+                let local = firings.len();
+                firings.extend(part(rest, Part::Rest));
+                Whole { tag, firings: firings.into(), local }
+            }
+        };
+        let unchanged = tag.is_some() && pinned.is_some_and(|pinned| pinned.tag == tag);
+        (self.rule, whole, unchanged)
     }
 }
 
@@ -275,24 +360,15 @@ impl CoDbNode {
     /// Builds an overlay instance holding clones of `relations` (those that
     /// exist locally; missing ones are skipped — validation happens at rule
     /// level). A clone is a set of its own over the LDB's tuples, not a
-    /// copy of them, and carries the LDB relation's content stamp, handed
-    /// out here if need be: a link's whole fire over the overlay is kept
-    /// under the LDB's stamps, where the next request finds it.
+    /// copy of them.
     fn overlay_for(&self, relations: &BTreeSet<String>) -> Instance {
         let mut overlay = Instance::new();
         for name in relations {
             if let Some(rel) = self.ldb.get(name) {
-                rel.stamp();
                 overlay.insert_relation(rel.clone());
             }
         }
         overlay
-    }
-
-    /// The LDB's content stamps of `relations`, in name order, handed out
-    /// where need be: what [`CoDbNode::overlay_for`] stamps its clones with.
-    fn stamps_of(&self, relations: &BTreeSet<String>) -> Vec<u64> {
-        relations.iter().filter_map(|name| self.ldb.get(name)).map(Relation::stamp).collect()
     }
 
     /// Outgoing links whose head writes any of `relations`, excluding links
@@ -334,12 +410,12 @@ impl CoDbNode {
         req
     }
 
-    /// Mints the tag of a new whole answer: `(epoch, seq)`, so no two
-    /// answers this node ever sends, in any incarnation, share one.
+    /// Mints the tag of a new answer from the request counter: `(epoch,
+    /// seq)`, so no two answers this node ever sends, in any incarnation,
+    /// share one. (A request's seq counts from 0, a tag's from 1.)
     fn mint_tag(&mut self) -> Tag {
-        let tag = Tag { epoch: self.epoch(), seq: self.next_tag_seq };
-        self.next_tag_seq = self.next_tag_seq.checked_add(1).expect("2^64 answers in one life");
-        tag
+        let ReqId { epoch, seq, .. } = self.next_req();
+        Tag { epoch, seq: std::num::NonZeroU64::MIN.saturating_add(seq) }
     }
 
     /// Asks `source` for the answer of outgoing link `rule` on behalf of
@@ -361,46 +437,41 @@ impl CoDbNode {
         req
     }
 
-    /// Keeps `firings` as incoming link `link`'s answer to a fetch that read
-    /// `stamps` and fetched `nested`, under a tag minted for it; returns the
-    /// tag.
+    /// Incoming link `link`'s view, kept for the next fetch.
+    fn kept_view(&mut self, link: LinkId) -> Arc<[RuleFiring]> {
+        match self.fire_link_whole(link, true) {
+            WholeView::Kept(firings) => firings,
+            WholeView::Fired(firings) => firings.into(),
+        }
+    }
+
+    /// Keeps `answer` beside incoming link `link`'s view, if the view is
+    /// still `first`, the one the answer's local part was; returns the
+    /// answer's tag, or none where nothing was kept.
     fn keep_answer(
         &mut self,
         link: LinkId,
-        stamps: Vec<u64>,
-        nested: Vec<(RuleName, Whole)>,
-        firings: Arc<[RuleFiring]>,
-    ) -> Tag {
-        let tag = self.mint_tag();
-        let served = Served { tag, stamps, nested, firings };
-        self.sent_cache[link.index()].served = Some(Arc::new(served));
-        tag
+        first: &Arc<[RuleFiring]>,
+        answer: Answered,
+    ) -> Option<Tag> {
+        let view = self.sent_cache[link.index()].view.as_mut();
+        let view = view.filter(|view| Arc::ptr_eq(&view.firings, first))?;
+        let tag = answer.tag;
+        view.answer = Some(Arc::new(answer));
+        Some(tag)
     }
 
-    /// Keeps the whole answer `s` sent, if the book it was served under is
-    /// still the node's; returns its tag, or none where nothing was kept.
-    fn keep_served(&mut self, s: &Serving) -> Option<Tag> {
+    /// Keeps the answer `s` finished with under `tag`, if the book it was
+    /// served under is still the node's; returns the tag, or none where
+    /// nothing was kept.
+    fn keep_served(&mut self, s: Serving, tag: Tag) -> Option<Tag> {
         let link = s.book.incoming_named(&s.rule).filter(|_| Arc::ptr_eq(&s.book, &self.book))?;
-        let nested = s.nested.iter().map(|(rule, whole)| {
-            (rule.clone(), whole.clone().expect("every nested request closed"))
-        });
-        let firings = s.first.iter().chain(&s.streamed).cloned().collect();
-        Some(self.keep_answer(link, s.stamps.clone(), nested.collect(), firings))
-    }
-
-    /// Answers request `req` of `to` with the answer `served` kept: its tag
-    /// alone where the requester named it, else its firings under its tag.
-    fn answer_kept(
-        &mut self,
-        ctx: &mut Context<Envelope>,
-        to: NodeId,
-        req: ReqId,
-        known: Option<Tag>,
-        served: &Served,
-    ) {
-        let firings = if known == Some(served.tag) { Vec::new() } else { served.firings.to_vec() };
-        let tag = Some(served.tag);
-        self.post(ctx, to, Body::QueryAnswer { req, firings, closed: Some(1), tag });
+        let nested = s
+            .nested
+            .into_iter()
+            .map(|(rule, whole)| (rule, whole.expect("every nested request closed")));
+        let answer = Answered { tag, nested: nested.collect(), rest: s.streamed.into() };
+        self.keep_answer(link, &s.first, answer)
     }
 
     /// The tag of the last whole answer this node fetched on outgoing link
@@ -475,10 +546,11 @@ impl CoDbNode {
         );
     }
 
-    /// Serves a fetch request from an acquaintance: recursively assemble
-    /// this node's query-time view, then execute the rule body over it —
-    /// or, over the inputs of the answer the link kept, stand by that
-    /// answer (module docs, "Where a whole answer lives").
+    /// Serves a fetch request from an acquaintance: answer the local part
+    /// at once, then recursively assemble this node's query-time view and
+    /// execute the rule body over it — or, over the inputs of the answer
+    /// the link kept, stand by that answer (module docs, "Where a whole
+    /// answer lives").
     pub(crate) fn handle_query_request(
         &mut self,
         ctx: &mut Context<Envelope>,
@@ -500,46 +572,47 @@ impl CoDbNode {
         let mut path = path.into_vec();
         path.push(self.id);
         let links = self.fetchable_links(&body_rels, &path);
-        let rels = self.overlay_relations(body_rels, &links);
-        let stamps = self.stamps_of(&rels);
-        let kept = self.sent_cache[id.index()].served.clone();
-        let kept = kept.filter(|served| served.computed_from(&stamps, &links));
-
-        if links.is_empty() {
-            // A leaf serves from the LDB itself, all at once.
-            if let Some(served) = kept {
-                self.answer_kept(ctx, from, req, known, &served);
-                return;
-            }
-            let firings = self.fire_link_whole(id, None, true);
-            let tag = Some(self.keep_answer(id, stamps, Vec::new(), firings.clone().into()));
-            self.post(ctx, from, Body::QueryAnswer { req, firings, closed: Some(1), tag });
-            return;
-        }
         // The paper: "when node gets a query request, it answers it using
         // local data immediately, and it forwards it through all outgoing
-        // links" — stream the local instalment now, nested data later.
-        // Over data that did not change since the last request, that is
-        // the view the link kept then; and where the nested links are
-        // those of the answer kept, too, the server defers on that answer.
-        // The overlay exists for nested answers to be assembled into.
-        let (overlay, first, instalments) = if kept.is_some() {
-            (Instance::new(), Vec::new(), 0)
-        } else {
-            let overlay = self.overlay_for(&rels);
-            let initial = self.fire_link_whole(id, Some(&overlay), true);
-            let answer =
-                Body::QueryAnswer { req, firings: initial.clone(), closed: None, tag: None };
-            self.post(ctx, from, answer);
-            (overlay, initial, 1)
+        // links". Over data that did not change since the last request,
+        // the local part is the view the link kept then, and where the
+        // answer kept over it fetched the same links, the server stands
+        // by that answer.
+        let first = self.kept_view(id);
+        let kept = self.sent_cache[id.index()].view.as_ref().and_then(|view| view.answer.clone());
+        let standing = kept.filter(|answer| answer.fetched_over(&links));
+        let tag = match &standing {
+            Some(answer) => answer.tag,
+            None => self.mint_tag(),
         };
+        let firings = if known == Some(tag) { Vec::new() } else { first.to_vec() };
 
+        if links.is_empty() {
+            // A leaf's local part is the whole answer, in one instalment.
+            if standing.is_none() {
+                let answer = Answered { tag, nested: Vec::new(), rest: Arc::new([]) };
+                self.keep_answer(id, &first, answer);
+            }
+            self.post(
+                ctx,
+                from,
+                Body::QueryAnswer { req, firings, closed: Some(1), tag: Some(tag) },
+            );
+            return;
+        }
+        self.post(ctx, from, Body::QueryAnswer { req, firings, closed: None, tag: Some(tag) });
+
+        let rels = self.overlay_relations(body_rels, &links);
+        let overlay = match standing {
+            Some(_) => Instance::new(),
+            None => self.overlay_for(&rels),
+        };
         let mut nested = Vec::with_capacity(links.len());
         for (i, (nested_rule, source)) in links.into_iter().enumerate() {
-            // A deferring server names what its kept answer was computed
-            // from: the answer fetched last may be newer than that.
-            let pinned = match &kept {
-                Some(served) => Some(served.nested[i].1.clone()),
+            // Standing by its kept answer, the server names what that
+            // answer was computed from: what it fetched last may be newer.
+            let pinned = match &standing {
+                Some(answer) => Some(answer.nested[i].1.clone()),
                 None => self.fetched.get(&nested_rule).cloned(),
             };
             let parent = ParentRef::Serving(req);
@@ -558,12 +631,12 @@ impl CoDbNode {
                 first,
                 later: FiringSet::default(),
                 streamed: Vec::new(),
-                instalments,
+                instalments: 1,
                 known,
-                stamps,
+                tag,
                 nested,
                 changed: false,
-                deferred: kept,
+                standing,
             },
         );
     }
@@ -582,23 +655,24 @@ impl CoDbNode {
         let Some(nested) = self.nested_parent.get_mut(&req) else {
             return; // stale answer
         };
-        let (closed, unchanged) = nested.arrive(&firings, closed, tag);
+        let (done, part, unchanged) = nested.arrive(&firings, closed, tag);
         let bytes: usize = firings.iter().map(RuleFiring::size_bytes).sum();
-        // An unchanged answer stands for the whole answer the request named.
+        // An unchanged instalment stands for its part of the answer pinned.
         let pinned = nested.pinned.clone().filter(|_| unchanged);
-        let content: &[RuleFiring] = pinned.as_ref().map_or(&firings, |pinned| &pinned.firings);
+        let content = pinned.as_ref().map_or(&firings[..], |pinned| pinned.part(part));
         let parent = nested.parent;
         let book = Arc::clone(&self.book);
         let link = book.outgoing_named(&nested.rule).map(|id| book.link(id));
         // As on the update path: an instalment that is not an instance of
         // the fetched rule's head is dropped whole, and only counted. (What
-        // an unchanged answer stands for was admitted when it came, under
-        // the same rule: a rules file that changes it drops the answer.)
+        // an unchanged instalment stands for was admitted when it came,
+        // under the same rule: a rules file that changes it drops the
+        // answer.)
         let overlay = match parent {
             ParentRef::Query(query_id) => self.queries.get(&query_id).map(|exec| &exec.overlay),
-            // (A deferring server has no overlay yet: the LDB declares the
-            // same relations.)
-            ParentRef::Serving(sreq) => self.serving.get(&sreq).map(|s| match s.deferred {
+            // (A server standing by its kept answer has no overlay yet: the
+            // LDB declares the same relations.)
+            ParentRef::Serving(sreq) => self.serving.get(&sreq).map(|s| match s.standing {
                 Some(_) => &self.ldb,
                 None => &s.overlay,
             }),
@@ -609,33 +683,31 @@ impl CoDbNode {
         if overlay.is_some() && !admitted {
             self.report.count_received(Kind::DataRejected);
         }
+        let content = if admitted { content } else { &[] };
         let nested = self.nested_parent.get_mut(&req).expect("present");
-        if admitted && !unchanged {
-            nested.came.extend_from_slice(content);
-        }
+        nested.take(part, unchanged, content);
         nested.rejected |= !admitted;
-        let whole = closed.then(|| {
-            let (rule, whole) =
-                self.nested_parent.remove(&req).expect("present").close(tag, unchanged);
+        let whole = done.then(|| {
+            let (rule, whole, unchanged) =
+                self.nested_parent.remove(&req).expect("present").close();
             if whole.tag.is_some() {
                 self.fetched.insert(rule.clone(), whole.clone());
             }
-            (rule, whole)
+            (rule, whole, unchanged)
         });
-        let content = if admitted { content } else { &[] };
 
         match parent {
             ParentRef::Query(query_id) => {
                 let Some(exec) = self.queries.get_mut(&query_id) else { return };
                 codb_relational::apply_firings(&mut exec.overlay, content, &mut self.nulls)
                     .expect("the batch was admitted against the rule head and the schema");
-                if closed {
+                if done {
                     exec.pending.remove(&req);
                 }
                 if let Some(rep) = self.report.queries.get_mut(&query_id) {
                     rep.answers_received += 1;
                     rep.bytes_received += bytes as u64;
-                    rep.unchanged += u64::from(unchanged);
+                    rep.unchanged += u64::from(whole.is_some_and(|(_, _, unchanged)| unchanged));
                     if rep.first_answer_at.is_none() {
                         rep.first_answer_at = Some(ctx.now());
                     }
@@ -648,18 +720,18 @@ impl CoDbNode {
             }
             ParentRef::Serving(sreq) => {
                 let Some(s) = self.serving.get_mut(&sreq) else { return };
-                if let Some((rule, whole)) = whole {
+                if let Some((rule, whole, unchanged)) = whole {
                     s.changed |= !unchanged;
                     if let Some(slot) = s.nested.iter_mut().find(|(name, _)| *name == rule) {
                         slot.1 = Some(whole);
                     }
                 }
                 let finished = s.nested.iter().all(|(_, whole)| whole.is_some());
-                if s.deferred.is_some() {
+                if s.standing.is_some() {
                     // Nothing is assembled before every nested answer is in.
                     if finished {
                         let s = self.serving.remove(&sreq).expect("present");
-                        self.answer_deferred(ctx, s);
+                        self.answer_standing(ctx, s);
                     }
                     return;
                 }
@@ -669,7 +741,8 @@ impl CoDbNode {
                 let (requester, original_req, drawn) = (s.requester, s.req, s.instalments);
                 let tag = if finished {
                     let s = self.serving.remove(&sreq).expect("present");
-                    self.keep_served(&s)
+                    let tag = s.tag;
+                    self.keep_served(s, tag)
                 } else {
                     None
                 };
@@ -685,32 +758,30 @@ impl CoDbNode {
         }
     }
 
-    /// Answers a request the server deferred, once every nested answer is
-    /// in: by the answer it deferred on, if all came back unchanged; else
-    /// in one instalment, built as the stream would have built it — over
-    /// the LDB as it now stands, the link's kept view of the local part,
-    /// then each nested answer in the order fetched, assembled and fired
-    /// semi-naively — and kept under a new tag.
-    fn answer_deferred(&mut self, ctx: &mut Context<Envelope>, mut s: Serving) {
-        let served = s.deferred.take().expect("a deferred request");
-        if !s.changed {
-            self.answer_kept(ctx, s.requester, s.req, s.known, &served);
-            return;
-        }
-        s.overlay = self.overlay_for(&s.reads);
-        s.stamps = self.stamps_of(&s.reads);
-        let book = Arc::clone(&self.book);
-        if let Some(id) = book.incoming_named(&s.rule) {
-            s.first = self.fire_link_whole(id, Some(&s.overlay), true);
-        }
-        for i in 0..s.nested.len() {
-            let whole = s.nested[i].1.clone().expect("every nested request closed");
-            s.increment(&book, &whole.firings, &mut self.nulls);
-        }
-        let tag = self.keep_served(&s);
-        let firings = s.first.into_iter().chain(s.streamed).collect();
-        let answer = Body::QueryAnswer { req: s.req, firings, closed: Some(1), tag };
-        self.post(ctx, s.requester, answer);
+    /// Answers the rest of a request the server stood by its kept answer
+    /// on, once every nested answer is in: by the kept rest, if every one
+    /// came back whole and unchanged; else by the rest built as the stream
+    /// would have built it — over the LDB as it now stands, each nested
+    /// answer in the order fetched, assembled and fired semi-naively —
+    /// kept under a new tag.
+    fn answer_standing(&mut self, ctx: &mut Context<Envelope>, mut s: Serving) {
+        let kept = s.standing.take().expect("a request stood by its kept answer");
+        let (req, requester) = (s.req, s.requester);
+        let (firings, tag) = if s.changed {
+            s.overlay = self.overlay_for(&s.reads);
+            let book = Arc::clone(&self.book);
+            for i in 0..s.nested.len() {
+                let whole = s.nested[i].1.clone().expect("every nested request closed");
+                s.increment(&book, &whole.firings, &mut self.nulls);
+            }
+            let (tag, rest) = (self.mint_tag(), s.streamed.clone());
+            (rest, self.keep_served(s, tag))
+        } else if s.known == Some(kept.tag) {
+            (Vec::new(), Some(kept.tag))
+        } else {
+            (kept.rest.to_vec(), Some(kept.tag))
+        };
+        self.post(ctx, requester, Body::QueryAnswer { req, firings, closed: Some(2), tag });
     }
 }
 

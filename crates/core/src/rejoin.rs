@@ -107,7 +107,7 @@ impl CoDbNode {
     fn send_rejoin_repair(&mut self, ctx: &mut Context<Envelope>, peer: NodeId) {
         let book = Arc::clone(&self.book);
         for &id in book.incoming().iter().filter(|id| book.link(**id).target == peer) {
-            let firings = self.fire_link_whole(id, None, false);
+            let firings = self.fire_link_whole(id, false).into_vec();
             self.post_repair(ctx, id, firings, 1);
             self.sent_cache[id.index()].caught_up = true;
         }

@@ -149,9 +149,9 @@ pub struct QueryReport {
     pub answers_received: u64,
     /// Firing payload bytes received.
     pub bytes_received: u64,
-    /// Links whose answer came back *unchanged*: the tag of the answer this
-    /// node held for the link, and no firing (`crate::query`, "Where a
-    /// whole answer lives").
+    /// Links whose whole answer came back *unchanged*: each instalment
+    /// carried the tag of the answer this node held for the link, and no
+    /// firing (`crate::query`, "Where a whole answer lives").
     pub unchanged: u64,
     /// Number of answer tuples.
     pub answers: u64,

@@ -115,7 +115,8 @@ impl CoDbNode {
     /// vanished link's state goes, so late traffic for it finds no link and
     /// is dropped at the name lookup), and the sent caches start empty at
     /// the new size — no link of the new book is caught up, and no served
-    /// link keeps a view or an answer. Both firing caches are dropped: rule
+    /// link keeps a view, nor the answer beside it. Both firing caches are
+    /// dropped: rule
     /// names may be reused with different endpoints after a
     /// reconfiguration. A fetched answer stays only on a link the new book
     /// names with the same source and rule: a tag is its server's name for

@@ -84,11 +84,11 @@
 use crate::ids::{NodeId, RuleName, UpdateId};
 use crate::messages::{Body, Envelope};
 use crate::node::CoDbNode;
-use crate::query::Served;
+use crate::query::Answered;
 use crate::rules::{LinkId, RuleBook};
 use crate::stats::{by_name, Kind};
 use codb_net::{Context, SimTime};
-use codb_relational::{FiringSet, Instance, Relation, RuleFiring, Tuple};
+use codb_relational::{FiringSet, Relation, RuleFiring, Tuple};
 use codb_trace::TraceEvent;
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -118,7 +118,7 @@ pub struct LinkState {
 
 /// What the sender side of one incoming link remembers from update to
 /// update, and from fetch to fetch. One value, so that whatever drops the
-/// firings drops the mark, the kept view and the kept answer with them.
+/// firings drops the mark and what a fetch kept with them.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SentCache {
     /// The firings already shipped on the link, by update data and rejoin
@@ -129,19 +129,16 @@ pub(crate) struct SentCache {
     /// fires").
     pub(crate) caught_up: bool,
     /// The link's last whole fire for a fetch it served, kept under what
-    /// it read ([`CoDbNode::fire_link_whole`]).
+    /// it read ([`CoDbNode::fire_link_whole`]), with the answer served
+    /// over it.
     pub(crate) view: Option<KeptView>,
-    /// The link's last whole answer to a fetch, under its tag, and what it
-    /// was computed from (`crate::query`, "Where a whole answer lives").
-    pub(crate) served: Option<Arc<Served>>,
 }
 
 impl SentCache {
-    /// True iff nothing is remembered: no firing, not caught up, no view,
-    /// no answer.
+    /// True iff nothing is remembered: no firing, not caught up, no view.
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.sent.is_empty() && !self.caught_up && self.view.is_none() && self.served.is_none()
+        self.sent.is_empty() && !self.caught_up && self.view.is_none()
     }
 }
 
@@ -149,11 +146,32 @@ impl SentCache {
 /// content stamp ([`codb_relational::Relation::stamp`]) each body atom's
 /// relation had, in body order: while a source shows the same stamps, it
 /// holds the same sets, and firing the link over it again gives exactly
-/// these firings.
+/// these firings. A served fetch's local part is this view, so the answer
+/// the fetch was served lives here too, and goes with the view.
 #[derive(Clone, Debug)]
 pub(crate) struct KeptView {
     stamps: Vec<u64>,
-    firings: Vec<RuleFiring>,
+    pub(crate) firings: Arc<[RuleFiring]>,
+    /// The last whole answer served over this view (`crate::query`, "Where
+    /// a whole answer lives").
+    pub(crate) answer: Option<Arc<Answered>>,
+}
+
+/// A link's whole view, as [`CoDbNode::fire_link_whole`] hands it out: the
+/// one the link keeps, shared, or a fire nobody keeps.
+pub(crate) enum WholeView {
+    Kept(Arc<[RuleFiring]>),
+    Fired(Vec<RuleFiring>),
+}
+
+impl WholeView {
+    /// The firings, to send.
+    pub(crate) fn into_vec(self) -> Vec<RuleFiring> {
+        match self {
+            WholeView::Kept(firings) => firings.to_vec(),
+            WholeView::Fired(firings) => firings,
+        }
+    }
 }
 
 thread_local! {
@@ -355,7 +373,7 @@ impl CoDbNode {
         let firings = if self.sent_cache[id.index()].caught_up {
             self.fire_link_deltas(id, &self.unfired)
         } else {
-            self.fire_link_whole(id, None, false)
+            self.fire_link_whole(id, false).into_vec()
         };
         self.send_link_data(ctx, update, id, firings, 1, false);
         // Recursive demand for the body's inputs.
@@ -441,7 +459,7 @@ impl CoDbNode {
         for &id in book.incoming() {
             let whole = !std::mem::replace(&mut self.sent_cache[id.index()].caught_up, true);
             let firings = if whole {
-                self.fire_link_whole(id, None, false)
+                self.fire_link_whole(id, false).into_vec()
             } else {
                 self.fire_link_deltas(id, &unfired)
             };
@@ -626,26 +644,19 @@ impl CoDbNode {
         }
     }
 
-    /// Every firing of incoming link `link` over `overlay`, or over the LDB
-    /// — the node's one whole-view fire: a served fetch's first instalment,
-    /// an update start or a demand on a link that is not caught up, a
-    /// rejoin repair.
+    /// Every firing of incoming link `link` over the LDB — the node's one
+    /// whole-view fire: a served fetch's local part, an update start or a
+    /// demand on a link that is not caught up, a rejoin repair.
     ///
     /// A fire is a function of the rule and the sets its body reads, so a
     /// link keeps its last whole fire for a fetch (`keep`) under the
     /// content stamps of those sets, and any later call over sets with
-    /// the same stamps — an overlay's relations are stamped clones of the
-    /// LDB's — gets the kept firings back, the same allocations, without
-    /// firing. Only a fetch keeps: stamping the LDB would put every insert
-    /// of an update on the slower path, and an update start fires a link
-    /// whole about once.
-    pub(crate) fn fire_link_whole(
-        &mut self,
-        link: LinkId,
-        overlay: Option<&Instance>,
-        keep: bool,
-    ) -> Vec<RuleFiring> {
-        let source = overlay.unwrap_or(&self.ldb);
+    /// the same stamps gets the kept firings back, the same allocation,
+    /// without firing. Only a fetch keeps: stamping the LDB would put every
+    /// insert of an update on the slower path, and an update start fires a
+    /// link whole about once.
+    pub(crate) fn fire_link_whole(&mut self, link: LinkId, keep: bool) -> WholeView {
+        let source = &self.ldb;
         let rule = &self.book.link(link).rule;
         let atoms = &rule.rule().body.atoms;
         let fire = || rule.fire(source).expect("schema-validated rule");
@@ -653,18 +664,22 @@ impl CoDbNode {
         if let Some(kept) = &cache.view {
             let now = atoms.iter().map(|a| source.get(&a.relation).and_then(Relation::stamped));
             if kept.stamps.iter().map(|&stamp| Some(stamp)).eq(now) {
-                debug_assert!(kept.firings == fire(), "link {link:?} kept a stale view");
-                return kept.firings.clone();
+                debug_assert!(*kept.firings == *fire(), "link {link:?} kept a stale view");
+                return WholeView::Kept(Arc::clone(&kept.firings));
             }
         }
         WHOLE_FIRES.set(WHOLE_FIRES.get() + 1);
         let firings = fire();
-        if keep {
-            // The fire read every body relation, so each is there.
-            let stamps = atoms.iter().filter_map(|a| source.get(&a.relation)).map(Relation::stamp);
-            cache.view = Some(KeptView { stamps: stamps.collect(), firings: firings.clone() });
+        if !keep {
+            return WholeView::Fired(firings);
         }
-        firings
+        // The fire read every body relation, so each is there.
+        let stamps = atoms.iter().filter_map(|a| source.get(&a.relation)).map(Relation::stamp);
+        let firings: Arc<[RuleFiring]> = firings.into();
+        let view =
+            KeptView { stamps: stamps.collect(), firings: Arc::clone(&firings), answer: None };
+        cache.view = Some(view);
+        WholeView::Kept(firings)
     }
 
     /// Semi-naive re-computation of incoming link `link`: the firings whose

@@ -1044,8 +1044,9 @@ fn max_hops_truncates_a_rejoin_repair_cascade() {
 // byte totals were re-read once since, when acks began to ride: a first
 // answer carries the ack of its request, so each served request costs one
 // envelope fewer, and every sequenced envelope tells its window base; and
-// again when answers began to carry tags: every final answer names its
-// whole answer in 16 bytes, on a cold fetch as on any other.)
+// again when answers began to carry tags: every final answer and every
+// opening one names its whole answer in 16 bytes, on a cold fetch as on
+// any other — only a mid-stream instalment carries none.)
 // ---------------------------------------------------------------------
 
 /// `(messages, bytes, query_answer messages sent by each of names)`.
@@ -1103,7 +1104,11 @@ fn diamond_serving_joins_two_nested_links_into_one_body() {
         fetched_and_materialised(&cfg, "q", "ans(X, Z) :- t(X, Z).", &["s", "l", "r", "base"]);
     assert_eq!(fetched, local);
     assert_eq!(fetched.len(), 16);
-    assert_eq!(traffic, (25, 2812, vec![4, 2, 2, 2]), "five final answers, each +16 tag bytes");
+    assert_eq!(
+        traffic,
+        (25, 2860, vec![4, 2, 2, 2]),
+        "eight tags of 16: five final, three opening"
+    );
 }
 
 #[test]
@@ -1130,7 +1135,7 @@ fn self_join_body_fed_by_two_links() {
         fetched_and_materialised(cfg, "q", "ans(X, Z) :- p(X, Z).", &["s", "l", "r"]);
     assert_eq!(fetched, local);
     assert_eq!(fetched, vec![tup![1, 3], tup![1, 6], tup![2, 4], tup![3, 5], tup![9, 2]]);
-    assert_eq!(traffic, (13, 1033, vec![3, 1, 1]), "three final answers, each +16 tag bytes");
+    assert_eq!(traffic, (13, 1049, vec![3, 1, 1]), "four tags of 16: three final, one opening");
 }
 
 #[test]
@@ -1160,7 +1165,7 @@ fn ring_fetch_is_cut_at_simple_paths() {
     let q = net.run_query_text(a, "ans(X) :- r(X).", true).unwrap();
     assert_eq!(q.result.answers, vec![tup![1], tup![2], tup![3], tup![4], tup![5]]);
     let (_, _, answers_sent) = answer_traffic(&net, &["b", "c", "d"]);
-    assert_eq!((q.messages, q.bytes, answers_sent), (13, 931, vec![1, 2, 2]), "+3 tags of 16");
+    assert_eq!((q.messages, q.bytes, answers_sent), (13, 963, vec![1, 2, 2]), "+5 tags of 16");
 }
 
 #[test]
@@ -1189,7 +1194,7 @@ fn existential_nested_link_streams_templates_once() {
     assert_eq!(names(&fetched), names(&local));
     assert_eq!(fetched.len(), 4);
     assert_eq!(fetched.iter().filter(|t| t.has_null()).count(), 3);
-    assert_eq!(traffic, (8, 727, vec![2, 1]), "two final answers, each +16 tag bytes");
+    assert_eq!(traffic, (8, 743, vec![2, 1]), "three tags of 16: two final, one opening");
 }
 
 #[test]
@@ -1219,7 +1224,8 @@ fn rejected_instalment_mid_stream_ships_nothing_and_the_stream_goes_on() {
     while !net.node(s).report().messages_sent.contains_key("query_request") {
         assert!(net.sim_mut().step(), "quiescent before s asked l");
     }
-    let nested = ReqId { node: s, epoch: 0, seq: 0 };
+    // s's second id: the first named its answer's tag (`Tag`).
+    let nested = ReqId { node: s, epoch: 0, seq: 1 };
     let bad = RuleFiring::new([("r", vec![TField::Const(Value::str("x"))])]);
     let forged = Body::QueryAnswer { req: nested, firings: vec![bad], closed: None, tag: None };
     net.sim_mut().inject(l.peer(), s.peer(), Envelope::control(forged));
@@ -1228,7 +1234,7 @@ fn rejected_instalment_mid_stream_ships_nothing_and_the_stream_goes_on() {
     assert_eq!(net.node(s).report().messages_received["data_rejected"], 1);
     let result = net.node(q).completed_queries.values().next().expect("the query finished");
     assert_eq!(result.answers, vec![tup![1], tup![2], tup![3]]);
-    assert_eq!(answer_traffic(&net, &["s", "l"]), (10, 639, vec![2, 1]), "+2 tags of 16");
+    assert_eq!(answer_traffic(&net, &["s", "l"]), (10, 655, vec![2, 1]), "+3 tags of 16");
 }
 
 // ---------------------------------------------------------------------
@@ -1376,33 +1382,46 @@ fn answers_sent(net: &CoDbNetwork, at: &str) -> u64 {
     answer_traffic(net, &[at]).2[0]
 }
 
+/// How long after it was posed the fetch `outcome` ran at `at` heard its
+/// first answer.
+fn first_answer_after(net: &CoDbNetwork, at: &str, outcome: &codb_core::QueryOutcome) -> SimTime {
+    let report = &net.node(net.node_id(at).unwrap()).report().queries[&outcome.query];
+    report.first_answer_at.expect("an answer came").saturating_sub(report.started_at)
+}
+
 #[test]
 fn a_repeated_fetch_on_an_unchanged_network_fires_no_whole_view() {
     let mut net = build(&join_chain_config(8, 30));
     let (cold, fired) = fetch_counting(&mut net, "node7");
     assert_eq!(cold.result.answers.len(), 8 * 30);
     assert_eq!(fired, 7, "each of the seven links, once");
-    assert_eq!((cold.messages, cold.bytes), (63, 19_408));
+    assert_eq!((cold.messages, cold.bytes), (63, 19_504));
     assert_eq!(unchanged(&net, "node7", &cold), 0);
     for _ in 0..3 {
         let (warm, fired) = fetch_counting(&mut net, "node7");
         assert_eq!(fired, 0, "every serving node found its view kept");
         assert_eq!(warm.result.answers, cold.result.answers);
-        // Seven requests down, seven tags back up, and their acks: no
-        // firing crosses a link.
-        assert_eq!((warm.messages, warm.bytes), (27, 1_808));
+        // Seven requests down; from each of the six non-leaf servers a tag
+        // at once and a tag once its nested answer stood, from the leaf one
+        // tag; and their acks: no firing crosses a link.
+        assert_eq!((warm.messages, warm.bytes), (33, 2_336));
+        assert_eq!(
+            first_answer_after(&net, "node7", &warm),
+            first_answer_after(&net, "node7", &cold)
+        );
         assert_eq!(unchanged(&net, "node7", &warm), 1, "node6's answer stood");
     }
 }
 
 /// After an insert at node0 of a chain of three, node1's own data did not
-/// change: it defers — no first instalment, one answer once node0's is in —
-/// and builds that answer from its kept view and node0's new answer, so
-/// node0's link is the one that fires.
+/// change: it answers its local part at once by its tag alone, as early as
+/// on the cold fetch, and then the rest, built from its kept view and
+/// node0's new answer — so node0's link is the one that fires.
 #[test]
-fn after_an_insert_upstream_a_deferring_server_fires_nothing_itself() {
+fn after_an_insert_upstream_a_server_answers_its_local_part_at_once_and_fires_nothing() {
     let mut net = build(&join_chain_config(3, 20));
-    let (mut answers, _) = fetched(&mut net, "node2");
+    let (cold, _) = fetch_counting(&mut net, "node2");
+    let mut answers = cold.result.answers.clone();
     let node0 = net.node_id("node0").unwrap();
     net.run_control(
         node0,
@@ -1411,10 +1430,10 @@ fn after_an_insert_upstream_a_deferring_server_fires_nothing_itself() {
     let sent = answers_sent(&net, "node1");
     let (outcome, fired) = fetch_counting(&mut net, "node2");
     assert_eq!(fired, 1, "node0's link, and only it");
+    assert_eq!(answers_sent(&net, "node1") - sent, 2, "node1: its tag at once, then the rest");
     assert_eq!(
-        answers_sent(&net, "node1") - sent,
-        1,
-        "node1 deferred: one answer, no first instalment"
+        first_answer_after(&net, "node2", &outcome),
+        first_answer_after(&net, "node2", &cold)
     );
     assert_eq!(unchanged(&net, "node2", &outcome), 0);
     answers.push(tup![7777, 1]);
@@ -1425,11 +1444,11 @@ fn after_an_insert_upstream_a_deferring_server_fires_nothing_itself() {
 /// The diamond q <- s <- {l, r} <- base, with s queried itself between two
 /// fetches at q, after an insert at base. s's own query fetches l and r
 /// afresh, so what s fetched last is newer than what its kept answer to q
-/// was computed from. Deferring on that answer, s must name the tags it
+/// was computed from. Standing by that answer, s must name the tags it
 /// was computed from: naming the newer ones, it would hear "unchanged"
 /// and hand q the answer from before the insert.
 #[test]
-fn a_deferring_server_names_the_tags_its_kept_answer_was_computed_from() {
+fn a_server_standing_by_its_kept_answer_names_the_tags_it_was_computed_from() {
     let base = "node q\nnode s\nnode l\nnode r\nnode base\n\
          schema q: t(int, int)\nschema s: a(int, int)\nschema s: b(int, int)\n\
          schema l: e(int, int)\nschema r: e(int, int)\nschema base: e(int, int)\n\

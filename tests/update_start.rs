@@ -568,10 +568,10 @@ proptest! {
 /// firings dropped on a closed link, no harness run reaches; it and the
 /// rejoin invalidation are pinned by hand in `codb-core`'s own tests.) The
 /// first also fails, against the network that kept nothing, where a
-/// deferring server names the tags it fetched last instead of those its
-/// kept answer was computed from: after an insert at node 0, node 1's own
-/// query refreshes what it fetched, and node 2's fetch through node 1 gets
-/// node 1's answer from before the insert.
+/// server standing by its kept answer names the tags it fetched last
+/// instead of those that answer was computed from: after an insert at
+/// node 0, node 1's own query refreshes what it fetched, and node 2's
+/// fetch through node 1 gets node 1's answer from before the insert.
 #[test]
 fn the_programs_that_caught_each_deleted_clear_still_pass() {
     for seed in [
