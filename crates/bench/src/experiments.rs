@@ -141,7 +141,9 @@ fn e4() -> Table {
 /// answer — and the links the sink found unchanged (`QueryReport`). The
 /// "after insert" columns are one more fetch, after a tuple is inserted at
 /// the chain's far end: every server between it and the sink kept its own
-/// data, and still answers its local part at once.
+/// data, and still answers its local part at once, and the far end
+/// refreshes its kept view from its relation's log — it fires no whole
+/// view either.
 fn e5() -> Table {
     let mut t = Table::new(
         "E5 — query-time vs materialised (chain, 200 tuples/node)",

@@ -13,7 +13,7 @@ use crate::messages::{Body, Envelope};
 use crate::query::{QueryExec, QueryResult, Serving, Whole};
 use crate::reliable::{Answer, Owed, Receipt, Reliable};
 use crate::rules::{CoordinationRule, RuleBook};
-use crate::stats::{by_name, Kind, NetworkReport, NodeReport};
+use crate::stats::{Kind, NetworkReport, NodeReport};
 use crate::update::{SentCache, UpdateState};
 use codb_net::{Context, Peer, PeerId, PipeConfig, SimTime};
 use codb_relational::{ConjunctiveQuery, DatabaseSchema, Instance, NullFactory, Tuple};
@@ -68,8 +68,8 @@ pub struct CoDbNode {
     pub(crate) updates: BTreeMap<UpdateId, UpdateState>,
     pub(crate) next_update_seq: u64,
     /// What the sender side remembers per link of `book` (indexed by
-    /// [`crate::rules::LinkId`]): the firings already shipped, and whether
-    /// the link is caught up.
+    /// [`crate::rules::LinkId`]): the firings already shipped, and how far
+    /// into the LDB's relations they cover.
     pub(crate) sent_cache: Vec<SentCache>,
     /// Receiver-side per-link template caches (always cross-update).
     pub(crate) recv_cache: codb_store::RecvCaches,
@@ -112,12 +112,6 @@ pub struct CoDbNode {
     /// Flight-recorder handle (disabled by default): update applies, rule
     /// firings, DS credit movements and rejoin steps emit typed events.
     pub(crate) tracer: Tracer,
-    // ---- update engine, between updates ----
-    /// The tuples [`CoDbNode::insert_local`] added since the last update
-    /// start, per relation: all a caught-up link has left to fire
-    /// ([`crate::update`], "What an update start fires"). Never more than
-    /// half the LDB.
-    pub(crate) unfired: BTreeMap<String, Vec<Tuple>>,
 }
 
 impl CoDbNode {
@@ -166,7 +160,6 @@ impl CoDbNode {
             persist: None,
             persist_error: None,
             tracer: Tracer::disabled(),
-            unfired: BTreeMap::new(),
         }
     }
 
@@ -254,22 +247,12 @@ impl CoDbNode {
 
     /// Restores a snapshot, replacing the LDB and null-factory state.
     /// Does **not** touch an attached store; use [`CoDbNode::open_persistence`]
-    /// for disk-backed recovery.
+    /// for disk-backed recovery. The restored relations are of new
+    /// lineages, so no link's mark answers for them: the next update start
+    /// fires every link whole ([`crate::update`], "What changed since").
     pub fn restore(&mut self, snapshot: codb_relational::Snapshot) {
         self.ldb = snapshot.instance;
         self.nulls = snapshot.nulls;
-        self.forget_caught_up();
-    }
-
-    /// No link is caught up any more, and the log of local inserts that
-    /// only a caught-up link reads is dropped: the next update start fires
-    /// every link whole. For an LDB that was replaced under the links, and
-    /// for a log that outgrew its bound.
-    pub(crate) fn forget_caught_up(&mut self) {
-        for cache in &mut self.sent_cache {
-            cache.caught_up = false;
-        }
-        self.unfired.clear();
     }
 
     /// Opens durable persistence rooted at `dir`: recovers existing state
@@ -321,7 +304,6 @@ impl CoDbNode {
             self.ldb = recovered.instance;
             self.nulls = recovered.nulls;
             self.recv_cache = recovered.recv_cache;
-            self.forget_caught_up();
             // Resume (not restart) the protocol id space: the persisted
             // counters pick up where the dead incarnation stopped, so a
             // recovered node can initiate updates and queries again.
@@ -424,7 +406,8 @@ impl CoDbNode {
     }
 
     /// Local write (the demo UI's data entry): inserts one tuple into the
-    /// LDB. The data propagates on the next global update.
+    /// LDB. The data propagates on the next global update, which finds it
+    /// in the relation's log.
     pub fn insert_local(
         &mut self,
         relation: &str,
@@ -434,17 +417,10 @@ impl CoDbNode {
             relation: relation.to_owned(),
             tuple: tuple.clone(),
         });
-        let added = self.ldb.insert(relation, tuple.clone())?;
+        let added = self.ldb.insert(relation, tuple)?;
         if added {
             if let Some(record) = record {
                 self.log_wal(record);
-            }
-            by_name(&mut self.unfired, relation).push(tuple);
-            // Past half the LDB a whole fire costs no more than the log's:
-            // the bound is a rule, not a knob.
-            let logged: usize = self.unfired.values().map(Vec::len).sum();
-            if logged * 2 > self.ldb.tuple_count() {
-                self.forget_caught_up();
             }
         }
         Ok(added)

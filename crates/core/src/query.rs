@@ -29,7 +29,7 @@
 //! over the server's LDB — the instalment the paper sends at once — and the
 //! *rest*, what the nested answers add, in the later instalments. A server
 //! names each answer with a [`Tag`] and keeps it per link: the local part
-//! is the view the link keeps under the LDB's stamps of what it read
+//! is the view the link keeps under the versions of the relations it read
 //! (`KeptView`), and the answer served over that view sits beside it
 //! (`Answered`: the tag, the rest, and the tagged whole answer of each
 //! nested link it was computed from). Whatever drops or replaces the view

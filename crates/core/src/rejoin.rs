@@ -24,8 +24,8 @@
 //!    over its whole LDB as [`Body::RejoinRepair`] — one full re-send, of
 //!    which the rejoined node's recovered receive caches suppress
 //!    everything it still holds. The re-send goes through the emptied
-//!    caches, so it re-primes them and leaves the links *caught up*
-//!    ([`crate::update`], "What an update start fires"): the next update
+//!    caches, so it re-primes them and leaves each link's mark covering
+//!    the LDB ([`crate::update`], "What changed since"): the next update
 //!    ships, and evaluates, deltas only. Then it asks to be adopted in
 //!    every update it has not seen complete (the dead incarnation's
 //!    completion-tree children died with it).
@@ -101,15 +101,15 @@ impl CoDbNode {
         });
     }
 
-    /// Re-fires every incoming link targeting `peer` over the full LDB and
-    /// ships the non-empty remainders as [`Body::RejoinRepair`]. The whole
-    /// view has now been through the link's sent cache: it is caught up.
+    /// Re-fires every incoming link targeting `peer` over the full LDB —
+    /// the link's cache was dropped, and its mark with it — and ships the
+    /// non-empty remainders as [`Body::RejoinRepair`]. The whole view has
+    /// now been through the link's sent cache: its mark covers the LDB.
     fn send_rejoin_repair(&mut self, ctx: &mut Context<Envelope>, peer: NodeId) {
         let book = Arc::clone(&self.book);
         for &id in book.incoming().iter().filter(|id| book.link(**id).target == peer) {
-            let firings = self.fire_link_whole(id, false).into_vec();
+            let firings = self.fire_link_unsent(id);
             self.post_repair(ctx, id, firings, 1);
-            self.sent_cache[id.index()].caught_up = true;
         }
     }
 
@@ -140,7 +140,7 @@ impl CoDbNode {
         // but not necessarily all). Semi-naive delta evaluation, exactly
         // like update propagation, but carried by repair messages.
         for id in self.links_reading(&deltas) {
-            let out = self.fire_link_deltas(id, &deltas);
+            let out = self.fire_arrival(id, &deltas);
             self.post_repair(ctx, id, out, hops + 1);
         }
     }
@@ -163,7 +163,7 @@ impl CoDbNode {
     }
 
     /// Drops the sent cache of every link whose target is `peer`, and with
-    /// it the link's caught-up mark. Returns how many of those caches held
+    /// it the link's mark. Returns how many of those caches held
     /// any firing.
     fn invalidate_sent_caches_toward(&mut self, peer: NodeId) -> usize {
         let toward = self.book.incoming().iter().filter(|id| self.book.link(**id).target == peer);
@@ -475,7 +475,7 @@ mod tests {
     }
 
     /// A repair batch at the hop limit is applied and goes no further, and
-    /// the links reading what it brought are no longer caught up.
+    /// the marks of the links reading what it brought stay behind it.
     #[test]
     fn repair_at_the_hop_limit_applies_and_cascades_nothing() {
         let (mut node, spoke1, _) = hub();

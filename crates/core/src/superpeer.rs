@@ -114,7 +114,7 @@ impl CoDbNode {
     /// update in flight follows its links to their new ids by name (a
     /// vanished link's state goes, so late traffic for it finds no link and
     /// is dropped at the name lookup), and the sent caches start empty at
-    /// the new size — no link of the new book is caught up, and no served
+    /// the new size — no link of the new book has a mark, and no served
     /// link keeps a view, nor the answer beside it. Both firing caches are
     /// dropped: rule
     /// names may be reused with different endpoints after a

@@ -58,28 +58,21 @@
 //! adopt in an update it started in a dead incarnation ends it instead:
 //! nobody is left to detect its quiescence.
 //!
-//! ## What an update start fires
+//! ## What changed since
 //!
-//! The paper's start executes every incoming link over the whole LDB and
-//! deletes what was already sent. The sent caches outlive the update, so
-//! nearly all of that is deleted again; each link therefore also
-//! remembers one bit beside its cache, *caught up* (`SentCache`): every
-//! firing of the link over the LDB as it stood when the bit was set has
-//! been through the link's cache. The node logs what
-//! [`CoDbNode::insert_local`] adds after that (`CoDbNode::unfired`), and
-//! the start of the next update fires a caught-up link over that log
-//! alone — the same semi-naive `fire_deltas` that data arriving
-//! mid-update goes through — and every other link whole, as the paper
-//! does; then it sets the bits and clears the log.
-//!
-//! Data that *arrives* needs no log: `propagate_deltas` and the
-//! rejoin repair cascade put it through every dependent link's cache the
-//! moment it is applied. Where they do not, the link's bit is cleared
-//! instead: the hop-limit valve (`arrive`, which both pass), a scoped
-//! update passing over a link nobody demanded, and firings dropped for a
-//! link already closed. What drops a cache drops its bit (they are one
-//! value), and an LDB replaced under the links ([`CoDbNode::restore`],
-//! recovery) clears every bit.
+//! The paper's start fires every incoming link over the whole LDB and
+//! deletes what was already sent, which the sent caches, outliving the
+//! update, make nearly all of it. A relation is its insertion log instead
+//! ([`codb_relational::Relation::since`]), and each link's `SentCache`
+//! keeps a *mark*: the version of each body atom's relation it covers. A
+//! start, a demand and a rejoin repair fire what the relations gained
+//! since the mark, or the link whole where one does not answer for it (no
+//! mark yet; an LDB replaced by [`CoDbNode::restore`] or recovery), then
+//! mark the LDB (`CoDbNode::fire_link_unsent`). An arrival that propagates
+//! moves the marks past it (`CoDbNode::fire_arrival`); at the hop-limit
+//! valve or on a link a scoped update did not demand the mark stays
+//! behind, and the next start fires the tuples from the log. Firings
+//! dropped on a closed link take the mark back.
 
 use crate::ids::{NodeId, RuleName, UpdateId};
 use crate::messages::{Body, Envelope};
@@ -88,7 +81,7 @@ use crate::query::Answered;
 use crate::rules::{LinkId, RuleBook};
 use crate::stats::{by_name, Kind};
 use codb_net::{Context, SimTime};
-use codb_relational::{FiringSet, Relation, RuleFiring, Tuple};
+use codb_relational::{Atom, FiringSet, Instance, Relation, RuleFiring, Tuple, Version};
 use codb_trace::TraceEvent;
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -124,33 +117,32 @@ pub(crate) struct SentCache {
     /// The firings already shipped on the link, by update data and rejoin
     /// repair alike.
     pub(crate) sent: FiringSet,
-    /// Every firing of the link over the LDB as it stood when this was set
-    /// has been through `sent` (module docs, "What an update start
-    /// fires").
-    pub(crate) caught_up: bool,
+    /// The version of each body atom's relation, in body order, that
+    /// `sent` covers (module docs, "What changed since"); none, nothing is.
+    pub(crate) mark: Option<Box<[Version]>>,
     /// The link's last whole fire for a fetch it served, kept under what
     /// it read ([`CoDbNode::fire_link_whole`]), with the answer served
-    /// over it.
-    pub(crate) view: Option<KeptView>,
+    /// over it. (Boxed: a cache that serves no fetch pays a pointer.)
+    pub(crate) view: Option<Box<KeptView>>,
 }
 
 impl SentCache {
-    /// True iff nothing is remembered: no firing, not caught up, no view.
+    /// True iff nothing is remembered: no firing, no mark, no view.
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.sent.is_empty() && !self.caught_up && self.view.is_none()
+        self.sent.is_empty() && self.mark.is_none() && self.view.is_none()
     }
 }
 
 /// Every firing of a link over the relations its body read, and the
-/// content stamp ([`codb_relational::Relation::stamp`]) each body atom's
-/// relation had, in body order: while a source shows the same stamps, it
-/// holds the same sets, and firing the link over it again gives exactly
-/// these firings. A served fetch's local part is this view, so the answer
-/// the fetch was served lives here too, and goes with the view.
+/// version each body atom's relation had, in body order: while the
+/// relations answer for those versions, the view is these firings and
+/// what the relations gained since fires ([`CoDbNode::fire_link_whole`]).
+/// A served fetch's local part is this view, so the answer the fetch was
+/// served lives here too, and goes with the view.
 #[derive(Clone, Debug)]
 pub(crate) struct KeptView {
-    stamps: Vec<u64>,
+    versions: Box<[Version]>,
     pub(crate) firings: Arc<[RuleFiring]>,
     /// The last whole answer served over this view (`crate::query`, "Where
     /// a whole answer lives").
@@ -368,13 +360,8 @@ impl CoDbNode {
         if std::mem::replace(&mut st.link_mut(id).active_in, true) {
             return; // already serving this link
         }
-        // Initial shipment: all a caught-up link has not shipped is in the
-        // log, which stays for the links this update does not reach.
-        let firings = if self.sent_cache[id.index()].caught_up {
-            self.fire_link_deltas(id, &self.unfired)
-        } else {
-            self.fire_link_whole(id, false).into_vec()
-        };
+        // Initial shipment: all the link's mark does not cover.
+        let firings = self.fire_link_unsent(id);
         self.send_link_data(ctx, update, id, firings, 1, false);
         // Recursive demand for the body's inputs.
         let body_rels: BTreeSet<String> =
@@ -449,20 +436,13 @@ impl CoDbNode {
         }
         st.request_seen = true;
 
-        // Initial execution of every incoming link: over what the node
-        // inserted since the last start where the link is caught up, over
-        // the whole LDB where it is not. The first data message to each
-        // target but the sender carries the request.
+        // Initial execution of every incoming link: over what its relations
+        // gained since its mark, or over the whole LDB. The first data
+        // message to each target but the sender carries the request.
         let book = Arc::clone(&self.book);
-        let unfired = std::mem::take(&mut self.unfired);
         let mut carried: Vec<NodeId> = Vec::new();
         for &id in book.incoming() {
-            let whole = !std::mem::replace(&mut self.sent_cache[id.index()].caught_up, true);
-            let firings = if whole {
-                self.fire_link_whole(id, false).into_vec()
-            } else {
-                self.fire_link_deltas(id, &unfired)
-            };
+            let firings = self.fire_link_unsent(id);
             let target = book.link(id).target;
             let request = Some(target) != from && !carried.contains(&target);
             // (Which takes the mark back if it drops the firings.)
@@ -533,45 +513,28 @@ impl CoDbNode {
         }
     }
 
-    /// The arrival of a batch that came `hops` hops on outgoing link `link`,
-    /// update data and rejoin repair alike: [`Self::receive_link_data`],
-    /// then the chase safety valve. Returns the deltas and whether they may
-    /// propagate. At `max_hops` they stay applied and go no further, and
-    /// the links reading them have then not fired over all of the LDB.
+    /// The arrival of a batch that came `hops` hops on outgoing link
+    /// `link`, update data and rejoin repair alike: check the batch,
+    /// `T' = T \ R` at template level, WAL, apply, then the chase safety
+    /// valve. Returns the per-relation deltas and whether they may
+    /// propagate. At `max_hops` they stay applied and go no further; the
+    /// marks of the links reading them stay behind them.
+    ///
+    /// The wire is outside the program: a batch that is not an instance of
+    /// the rule's head over this node's schema is dropped whole and counted
+    /// as `data_rejected` — it must reach neither the caches nor the WAL,
+    /// where every later recovery would replay it into the same error.
     pub(crate) fn arrive(
         &mut self,
         link: LinkId,
         firings: Vec<RuleFiring>,
         hops: u64,
     ) -> (BTreeMap<String, Vec<Tuple>>, bool) {
-        let deltas = self.receive_link_data(link, firings);
-        if hops < self.settings.max_hops {
-            return (deltas, true);
-        }
-        for id in self.links_reading(&deltas) {
-            self.sent_cache[id.index()].caught_up = false;
-        }
-        (deltas, false)
-    }
-
-    /// The receive path of outgoing link `link`: check the batch,
-    /// `T' = T \ R` at template level, WAL, apply. Returns the
-    /// per-relation deltas.
-    ///
-    /// The wire is outside the program: a batch that is not an instance of
-    /// the rule's head over this node's schema is dropped whole and counted
-    /// as `data_rejected` — it must reach neither the caches nor the WAL,
-    /// where every later recovery would replay it into the same error.
-    fn receive_link_data(
-        &mut self,
-        link: LinkId,
-        firings: Vec<RuleFiring>,
-    ) -> BTreeMap<String, Vec<Tuple>> {
         let book = Arc::clone(&self.book);
         let link = book.link(link);
         if !link.rule.rule().admits(&self.ldb, &firings) {
             self.report.count_received(Kind::DataRejected);
-            return BTreeMap::new();
+            return (BTreeMap::new(), false);
         }
         // Template-level dedup against everything already received on this
         // link — across updates, not just within one: re-running an update
@@ -582,7 +545,7 @@ impl CoDbNode {
         let mut fresh = firings;
         fresh.retain(|f| cache.insert(f.clone()));
         if fresh.is_empty() {
-            return BTreeMap::new();
+            return (BTreeMap::new(), false);
         }
         // Durability: WAL the applied batch before mutating the LDB.
         // Replay from the snapshot re-runs exactly these applies in
@@ -599,7 +562,7 @@ impl CoDbNode {
             let tuples = deltas.values().map(|v| v.len() as u64).sum();
             self.tracer.emit(TraceEvent::UpdateApply { peer: self.id.0, rule: r, tuples });
         }
-        deltas
+        (deltas, hops < self.settings.max_hops)
     }
 
     /// Marks outgoing link `link` closed and runs the close cascade.
@@ -635,35 +598,43 @@ impl CoDbNode {
         for id in self.links_reading(deltas) {
             let st = &self.updates[&update];
             if st.scoped && !st.link(id).active_in {
-                // Nobody demanded the link: it misses these tuples.
-                self.sent_cache[id.index()].caught_up = false;
+                // Nobody demanded the link: its mark stays behind these.
                 continue;
             }
-            let firings = self.fire_link_deltas(id, deltas);
+            let firings = self.fire_arrival(id, deltas);
             self.send_link_data(ctx, update, id, firings, hops, false);
         }
     }
 
     /// Every firing of incoming link `link` over the LDB — the node's one
-    /// whole-view fire: a served fetch's local part, an update start or a
-    /// demand on a link that is not caught up, a rejoin repair.
+    /// whole-view fire: a served fetch's local part, and an update start, a
+    /// demand or a rejoin repair on a link whose mark does not answer.
     ///
-    /// A fire is a function of the rule and the sets its body reads, so a
-    /// link keeps its last whole fire for a fetch (`keep`) under the
-    /// content stamps of those sets, and any later call over sets with
-    /// the same stamps gets the kept firings back, the same allocation,
-    /// without firing. Only a fetch keeps: stamping the LDB would put every
-    /// insert of an update on the slower path, and an update start fires a
-    /// link whole about once.
+    /// A link keeps its last whole fire for a fetch (`keep`) under the
+    /// versions of the relations its body read. While they answer for
+    /// them, a later call fires nothing whole: it gets the kept firings
+    /// back, the same allocation, or — over relations that grew — refreshes
+    /// them with what the growth fires semi-naively and drops the answer
+    /// served over the old view. Only a fetch keeps: an update start fires
+    /// a link whole about once.
     pub(crate) fn fire_link_whole(&mut self, link: LinkId, keep: bool) -> WholeView {
         let source = &self.ldb;
         let rule = &self.book.link(link).rule;
         let atoms = &rule.rule().body.atoms;
         let fire = || rule.fire(source).expect("schema-validated rule");
         let cache = &mut self.sent_cache[link.index()];
-        if let Some(kept) = &cache.view {
-            let now = atoms.iter().map(|a| source.get(&a.relation).and_then(Relation::stamped));
-            if kept.stamps.iter().map(|&stamp| Some(stamp)).eq(now) {
+        if let Some(kept) = cache.view.as_deref_mut() {
+            if let Some(grown) = changed_since(source, atoms, &kept.versions) {
+                if !grown.is_empty() {
+                    let fresh = rule.fire_deltas(source, &grown).expect("schema-validated rule");
+                    // Two sorted runs: a stable sort merges them.
+                    let mut firings = [&kept.firings[..], &fresh[..]].concat();
+                    firings.sort();
+                    firings.dedup();
+                    kept.firings = firings.into();
+                    kept.versions = versions_of(source, atoms).expect("each answered");
+                    kept.answer = None;
+                }
                 debug_assert!(*kept.firings == *fire(), "link {link:?} kept a stale view");
                 return WholeView::Kept(Arc::clone(&kept.firings));
             }
@@ -673,24 +644,50 @@ impl CoDbNode {
         if !keep {
             return WholeView::Fired(firings);
         }
-        // The fire read every body relation, so each is there.
-        let stamps = atoms.iter().filter_map(|a| source.get(&a.relation)).map(Relation::stamp);
+        let versions = versions_of(source, atoms).expect("the fire read every body relation");
         let firings: Arc<[RuleFiring]> = firings.into();
-        let view =
-            KeptView { stamps: stamps.collect(), firings: Arc::clone(&firings), answer: None };
-        cache.view = Some(view);
+        let view = KeptView { versions, firings: Arc::clone(&firings), answer: None };
+        cache.view = Some(Box::new(view));
         WholeView::Kept(firings)
     }
 
-    /// Semi-naive re-computation of incoming link `link`: the firings whose
-    /// derivation uses a tuple of `deltas` in a relation the link's body
-    /// reads.
-    pub(crate) fn fire_link_deltas(
-        &self,
+    /// Every firing of incoming link `link` its mark does not cover — over
+    /// what its relations gained since the mark, or whole where one does
+    /// not answer for it — after which the mark covers the LDB.
+    pub(crate) fn fire_link_unsent(&mut self, link: LinkId) -> Vec<RuleFiring> {
+        let book = Arc::clone(&self.book);
+        let rule = &book.link(link).rule;
+        let atoms = &rule.rule().body.atoms;
+        let mark = self.sent_cache[link.index()].mark.as_deref();
+        let firings = match mark.and_then(|mark| changed_since(&self.ldb, atoms, mark)) {
+            Some(grown) => rule.fire_deltas(&self.ldb, &grown).expect("schema-validated rule"),
+            None => self.fire_link_whole(link, false).into_vec(),
+        };
+        self.sent_cache[link.index()].mark = versions_of(&self.ldb, atoms);
+        firings
+    }
+
+    /// Incoming link `link` fired over `deltas`, what an arrival just
+    /// appended to the LDB; the one place a mark advances on arrival: a
+    /// body atom's version that stood right before its delta moves past it.
+    pub(crate) fn fire_arrival(
+        &mut self,
         link: LinkId,
         deltas: &BTreeMap<String, Vec<Tuple>>,
     ) -> Vec<RuleFiring> {
-        self.book.link(link).rule.fire_deltas(&self.ldb, deltas).expect("schema-validated rule")
+        let rule = &self.book.link(link).rule;
+        let firings = rule.fire_deltas(&self.ldb, deltas).expect("schema-validated rule");
+        let atoms = &rule.rule().body.atoms;
+        if let Some(mark) = self.sent_cache[link.index()].mark.as_deref_mut() {
+            for (atom, version) in atoms.iter().zip(mark) {
+                let Some(relation) = self.ldb.get(&atom.relation) else { continue };
+                let added = deltas.get(&atom.relation).map_or(0, Vec::len);
+                if relation.since(*version).is_some_and(|suffix| suffix.len() == added) {
+                    *version = relation.version();
+                }
+            }
+        }
+        firings
     }
 
     /// The one sender-side filter of incoming link `link`, for update data
@@ -737,9 +734,9 @@ impl CoDbNode {
             // Only reachable once the update has completed (all in-flight
             // messages are processed before DS quiescence, so new data for
             // a link closed by the paper's rule cannot exist). The firings
-            // never reach the cache: the link is behind from here on.
+            // never reach the cache, so its mark covers nothing from here on.
             debug_assert!(st.complete, "data produced for closed incoming link {link:?}");
-            self.sent_cache[link.index()].caught_up = false;
+            self.sent_cache[link.index()].mark = None;
             self.report.update_mut(update, ctx.now()).evaluated += evaluated;
             return false;
         }
@@ -1017,6 +1014,29 @@ impl CoDbNode {
     }
 }
 
+/// The version of each body atom's relation in `source`, in body order;
+/// none where `source` lacks one.
+fn versions_of(source: &Instance, atoms: &[Atom]) -> Option<Box<[Version]>> {
+    atoms.iter().map(|atom| source.get(&atom.relation).map(Relation::version)).collect()
+}
+
+/// What the relations `atoms` read gained in `source` since `versions`,
+/// per relation; none unless every one answers for its version.
+fn changed_since(
+    source: &Instance,
+    atoms: &[Atom],
+    versions: &[Version],
+) -> Option<BTreeMap<String, Vec<Tuple>>> {
+    let mut grown = BTreeMap::new();
+    for (atom, &version) in atoms.iter().zip(versions) {
+        let suffix = source.get(&atom.relation)?.since(version)?;
+        if !suffix.is_empty() {
+            grown.insert(atom.relation.clone(), suffix.to_vec());
+        }
+    }
+    Some(grown)
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -1036,9 +1056,12 @@ pub(crate) mod tests {
             &self.sent_cache_of(rule).sent
         }
 
-        /// Whether incoming link `rule` is caught up.
+        /// Whether incoming link `rule`'s mark covers the LDB as it stands.
         pub(crate) fn caught_up(&self, rule: &str) -> bool {
-            self.sent_cache_of(rule).caught_up
+            let link = self.book.incoming_named(rule).expect("an incoming link");
+            let now = versions_of(&self.ldb, &self.book.link(link).rule.rule().body.atoms);
+            let mark = &self.sent_cache[link.index()].mark;
+            mark.is_some() && *mark == now
         }
 
         /// The firings incoming link `rule` has shipped, to seed by hand.
@@ -1316,9 +1339,14 @@ pub(crate) mod tests {
         vec![("to_a".to_owned(), values.to_vec()), ("to_b".to_owned(), values.to_vec())]
     }
 
-    /// A start fire leaves the links caught up: the next start fires the
-    /// log of local inserts and nothing else, and arrivals in between went
-    /// through the caches as they came.
+    /// The firings `mid` evaluated in `update`.
+    fn evaluated(mid: &Mid, update: UpdateId) -> u64 {
+        mid.node.report().updates[&update].evaluated
+    }
+
+    /// A start fire leaves the links caught up, and an arrival moves their
+    /// marks past what it brought: the next start fires the local insert
+    /// from the log and nothing else.
     #[test]
     fn a_caught_up_link_fires_the_log_and_an_arrival_needs_none() {
         let mut mid = Mid::new(Default::default());
@@ -1326,29 +1354,33 @@ pub(crate) mod tests {
         assert_eq!(mid.deliver(Body::UpdateRequest { update: update(0) }), both(&[1, 2]));
         assert_eq!(mid.caught_up(), [true, true]);
         assert_eq!(mid.deliver(Mid::data(update(0), 3, 1)), both(&[3]));
+        assert_eq!(mid.caught_up(), [true, true]);
         mid.deliver(Body::UpdateComplete { update: update(0) });
 
         mid.node.insert_local("m", tup![4]).unwrap();
-        assert_eq!(mid.node.unfired["m"], [tup![4]]);
+        assert_eq!(mid.caught_up(), [false, false]);
+        let whole = whole_fires();
         assert_eq!(mid.deliver(Body::UpdateRequest { update: update(1) }), both(&[4]));
-        assert!(mid.node.unfired.is_empty());
-        assert_eq!(mid.node.report().updates[&update(1)].evaluated, 2);
+        assert_eq!((whole_fires() - whole, evaluated(&mid, update(1))), (0, 2));
         assert_eq!(mid.deliver(Body::UpdateRequest { update: update(2) }), []);
-        assert_eq!(mid.node.report().updates[&update(2)].evaluated, 0);
+        assert_eq!(evaluated(&mid, update(2)), 0);
     }
 
-    /// The three places where applied data does *not* reach a dependent
-    /// link's cache each take the link's mark back, so the next start
-    /// fires it whole and ships what was held.
+    /// Where applied data does not go through a dependent link's cache —
+    /// at the valve, and on a link a scoped update did not demand — the
+    /// link's mark stays behind it, and the next start fires it from the
+    /// log: no whole fire, and it ships what was held.
     #[test]
-    fn data_that_bypasses_a_link_leaves_it_behind_until_a_whole_fire() {
+    fn data_that_bypasses_a_link_is_fired_from_the_log_at_the_next_start() {
         // The valve: data at the hop limit is applied and goes no further.
         let mut mid = Mid::new(crate::NodeSettings { max_hops: 2, ..Default::default() });
         mid.deliver(Body::UpdateRequest { update: update(0) });
         assert_eq!(mid.deliver(Mid::data(update(0), 3, 2)), []);
         assert_eq!(mid.caught_up(), [false, false]);
         assert!(mid.node.report().updates[&update(0)].truncated);
+        let whole = whole_fires();
         assert_eq!(mid.deliver(Body::UpdateRequest { update: update(1) }), both(&[3]));
+        assert_eq!((whole_fires() - whole, evaluated(&mid, update(1))), (0, 2));
         assert_eq!(mid.caught_up(), [true, true]);
 
         // A scoped update that demanded `to_a` only: `to_b` misses what it
@@ -1357,44 +1389,56 @@ pub(crate) mod tests {
         mid.deliver(Body::UpdateRequest { update: update(0) });
         mid.deliver(Body::UpdateComplete { update: update(0) });
         let demand = Body::DemandLink { update: update(1), rule: "to_a".to_owned() };
-        assert_eq!(mid.deliver(demand), [], "caught up and nothing logged: nothing to ship");
+        assert_eq!(mid.deliver(demand), [], "caught up and nothing new: nothing to ship");
         assert_eq!(mid.deliver(Mid::data(update(1), 3, 1)), [("to_a".to_owned(), vec![3])]);
         assert_eq!(mid.caught_up(), [true, false]);
         mid.deliver(Body::UpdateComplete { update: update(1) });
+        let whole = whole_fires();
         let next = mid.deliver(Body::UpdateRequest { update: update(2) });
         assert_eq!(next, [("to_b".to_owned(), vec![3])]);
+        assert_eq!((whole_fires() - whole, evaluated(&mid, update(2))), (0, 1));
+    }
 
-        // Data for an update that has completed here: applied, and dropped
-        // for the closed links before it reaches their caches. (No harness
-        // run reaches this: Dijkstra–Scholten completes an update after
-        // its last data message. A peer presumed dead that was not can.)
+    /// Data for an update that has completed here is applied, and dropped
+    /// for the closed links before it reaches their caches — the one place
+    /// a mark is taken back, so the next start fires those links whole.
+    /// (No harness run reaches this: Dijkstra–Scholten completes an update
+    /// after its last data message. A peer presumed dead that was not can.)
+    #[test]
+    fn firings_dropped_on_a_closed_link_take_its_mark_back() {
         let mut mid = Mid::new(Default::default());
         mid.deliver(Body::UpdateRequest { update: update(0) });
         mid.deliver(Body::UpdateComplete { update: update(0) });
         assert_eq!(mid.deliver(Mid::data(update(0), 3, 1)), []);
         assert!(mid.node.ldb().get("m").unwrap().contains(&tup![3]));
-        assert_eq!(mid.caught_up(), [false, false]);
+        assert!(["to_a", "to_b"].iter().all(|rule| mid.node.sent_cache_of(rule).mark.is_none()));
+        let whole = whole_fires();
         assert_eq!(mid.deliver(Body::UpdateRequest { update: update(1) }), both(&[3]));
+        assert_eq!((whole_fires() - whole, evaluated(&mid, update(1))), (2, 6));
     }
 
-    /// A demand reads the log for a caught-up link and leaves it for the
-    /// links the scoped update does not reach.
+    /// A demand fires its link from the log and moves that link's mark;
+    /// the links the scoped update does not reach fire the same tuples at
+    /// the next global start, and nothing fires whole.
     #[test]
     fn a_demand_reads_the_log_and_does_not_clear_it() {
         let mut mid = Mid::new(Default::default());
         mid.deliver(Body::UpdateRequest { update: update(0) });
         mid.deliver(Body::UpdateComplete { update: update(0) });
         mid.node.insert_local("m", tup![4]).unwrap();
+        let whole = whole_fires();
         let demand = Body::DemandLink { update: update(1), rule: "to_a".to_owned() };
         assert_eq!(mid.deliver(demand), [("to_a".to_owned(), vec![4])]);
-        assert_eq!(mid.node.unfired["m"], [tup![4]]);
+        assert_eq!(mid.caught_up(), [true, false]);
         mid.deliver(Body::UpdateComplete { update: update(1) });
         let next = mid.deliver(Body::UpdateRequest { update: update(2) });
         assert_eq!(next, [("to_b".to_owned(), vec![4])], "to_a's went through its cache");
+        assert_eq!((whole_fires() - whole, evaluated(&mid, update(2))), (0, 1));
     }
 
     /// Whatever replaces the LDB under the links, or the links themselves,
-    /// takes every mark and the log with it.
+    /// leaves no mark answering: the relations restored are of new
+    /// lineages, and a new book starts with empty caches.
     #[test]
     fn a_replaced_ldb_or_book_leaves_no_link_caught_up() {
         let mut mid = Mid::new(Default::default());
@@ -1403,13 +1447,22 @@ pub(crate) mod tests {
         let snapshot = mid.node.snapshot();
         mid.node.restore(snapshot);
         assert_eq!(mid.caught_up(), [false, false]);
-        assert!(mid.node.unfired.is_empty());
 
-        mid.deliver(Body::UpdateRequest { update: update(1) });
+        let whole = whole_fires();
+        assert_eq!(mid.deliver(Body::UpdateRequest { update: update(1) }), both(&[4]));
+        assert_eq!(whole_fires() - whole, 2, "restored: both links fire whole");
         assert_eq!(mid.caught_up(), [true, true]);
         let config = NetworkConfig::parse(FORK).unwrap();
         mid.node.install_book(RuleBook::for_node(mid.node.id, &config.rules));
         assert_eq!(mid.caught_up(), [false, false]);
+    }
+
+    /// A link's cache is one value per link of the book, scanned and
+    /// indexed on every update: the mark and the kept view must not grow
+    /// it past what it was when the mark was a bit.
+    #[test]
+    fn a_sent_cache_stays_within_88_bytes() {
+        assert!(std::mem::size_of::<SentCache>() <= 88, "{}", std::mem::size_of::<SentCache>());
     }
 
     /// A receive cache read back from disk is made of other allocations

@@ -1348,11 +1348,12 @@ fn a_result_leaves_the_node_with_the_driver_that_ran_the_query() {
 }
 
 // ---------------------------------------------------------------------
-// A served link keeps its last whole fire under the content stamps of the
+// A served link keeps its last whole fire under the versions of the
 // relations it read. A repeated fetch over unchanged data fires nothing
-// again, and whatever changes the data or the rule makes the link fire
-// anew: an insert at the server, an update that grows it, a rules file
-// that gives the link's name another body, a restart from disk.
+// again; over data that grew — an insert at the server, an update that
+// grows it — the view is refreshed from the relations' logs and nothing
+// fires whole; a rules file that gives the link's name another body, or a
+// restart from disk, makes the link fire anew.
 // ---------------------------------------------------------------------
 
 const JOIN_FETCH: &str = "ans(X, Y) :- r(X, Y).";
@@ -1416,7 +1417,7 @@ fn a_repeated_fetch_on_an_unchanged_network_fires_no_whole_view() {
 /// After an insert at node0 of a chain of three, node1's own data did not
 /// change: it answers its local part at once by its tag alone, as early as
 /// on the cold fetch, and then the rest, built from its kept view and
-/// node0's new answer — so node0's link is the one that fires.
+/// node0's new answer — so node0's link is the one whose view changes.
 #[test]
 fn after_an_insert_upstream_a_server_answers_its_local_part_at_once_and_fires_nothing() {
     let mut net = build(&join_chain_config(3, 20));
@@ -1429,7 +1430,7 @@ fn after_an_insert_upstream_a_server_answers_its_local_part_at_once_and_fires_no
     );
     let sent = answers_sent(&net, "node1");
     let (outcome, fired) = fetch_counting(&mut net, "node2");
-    assert_eq!(fired, 1, "node0's link, and only it");
+    assert_eq!(fired, 0, "node0's view is refreshed from its log, not fired whole");
     assert_eq!(answers_sent(&net, "node1") - sent, 2, "node1: its tag at once, then the rest");
     assert_eq!(
         first_answer_after(&net, "node2", &outcome),
@@ -1568,7 +1569,7 @@ fn a_fetch_after_an_insert_at_a_serving_node_sees_the_tuple() {
         let id = net.node_id(at).unwrap();
         net.run_control(id, codb_core::Body::IngestLocal { relation: "r".into(), tuple });
         let (now, fired) = fetched(&mut net, "node2");
-        assert_eq!(fired, 1, "{at}'s link, and only it, fires again");
+        assert_eq!(fired, 0, "{at}'s view is refreshed from its log, not fired whole");
         answers.push(reaches);
         answers.sort();
         assert_eq!(now, answers, "after the insert at {at}");
@@ -1587,7 +1588,7 @@ fn a_fetch_after_an_update_that_grew_a_server_answers_what_it_materialised() {
     let (after, fired) = fetched(&mut net, "node2");
     assert_eq!(after, materialised);
     assert_eq!(after, before, "what the fetch derived is what the update stored");
-    assert_eq!(fired, 1, "node1's link fires over what it grew by; node0's did not change");
+    assert_eq!(fired, 0, "node1's view is refreshed with what it grew by; node0's stood");
 }
 
 #[test]

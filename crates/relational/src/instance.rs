@@ -69,19 +69,6 @@ impl Instance {
             .insert(t)
     }
 
-    /// Batch insert; returns the delta (tuples actually new). This is the
-    /// node-level `T' = T \ R` step of the coDB global update algorithm.
-    pub fn insert_all(
-        &mut self,
-        relation: &str,
-        batch: impl IntoIterator<Item = Tuple>,
-    ) -> Result<Vec<Tuple>, SchemaError> {
-        self.relations
-            .get_mut(relation)
-            .ok_or_else(|| SchemaError::UnknownRelation { relation: relation.to_owned() })?
-            .insert_all(batch)
-    }
-
     /// Iterates over relations in name order.
     pub fn relations(&self) -> impl Iterator<Item = &Relation> {
         self.relations.values()
@@ -147,15 +134,17 @@ mod tests {
     fn unknown_relation_is_an_error() {
         let mut i = inst();
         assert!(i.insert("t", tup![1]).is_err());
-        assert!(i.insert_all("t", vec![tup![1]]).is_err());
     }
 
     #[test]
     fn batch_insert_returns_delta() {
         let mut i = inst();
         i.insert("r", tup![1]).unwrap();
-        let d = i.insert_all("r", vec![tup![1], tup![2]]).unwrap();
-        assert_eq!(d, vec![tup![2]]);
+        let before = i.get("r").unwrap().version();
+        for t in [tup![1], tup![2]] {
+            i.insert("r", t).unwrap();
+        }
+        assert_eq!(i.get("r").unwrap().since(before).unwrap(), [tup![2]]);
     }
 
     #[test]

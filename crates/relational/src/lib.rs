@@ -6,8 +6,9 @@
 //!
 //! * typed [`Value`]s including **marked nulls** ([`value::NullId`]) with
 //!   labelled-null join semantics;
-//! * [`Relation`]s/[`Instance`]s with duplicate-suppressing batch insertion
-//!   returning deltas (`T' = T \ R`);
+//! * [`Relation`]s/[`Instance`]s with duplicate-suppressing insertion in
+//!   order, so that every delta (`T' = T \ R`) is a suffix a [`Version`]
+//!   names;
 //! * [`cq::ConjunctiveQuery`] evaluation with comparison predicates
 //!   ([`eval`]), including **semi-naive delta evaluation**;
 //! * **GLAV coordination rules** ([`glav::GlavRule`]) whose execution
@@ -49,7 +50,7 @@ pub use glav::{apply_firings, FiringSet, GlavRule, Prehashed, PreparedRule, Rule
 pub use instance::Instance;
 pub use iso::{homomorphic, isomorphic};
 pub use parser::{parse_facts, parse_query, parse_rule, ParseError};
-pub use relation::{index_builds, Relation};
+pub use relation::{index_builds, Relation, Version};
 pub use schema::{Column, DatabaseSchema, RelationSchema, SchemaError};
 pub use snapshot::{Snapshot, SnapshotError};
 pub use tuple::Tuple;

@@ -1,24 +1,25 @@
-//! Set-semantics relations with duplicate-suppressing insertion.
+//! Set-semantics relations that keep the order their tuples came in.
 //!
 //! coDB's update algorithm is built on exactly this primitive: when a set of
 //! tuples `T` arrives for relation `R`, the node computes `T' = T \ R`,
 //! inserts `T'`, and uses `T'` (the *delta*) to re-evaluate dependent rules.
-//! [`Relation::insert_all`] performs that step and returns the delta.
+//! A relation only grows, in insertion order, so every delta is a suffix
+//! of it: [`Relation::since`] hands back what was inserted after a
+//! [`Version`] — the one record of "what changed since".
 //!
 //! A relation also owns the hash indexes joins probe it through
 //! ([`Relation::matching`]): one per column, built the first time that
-//! column is probed and kept for every evaluation after it. And it hands
-//! out a content stamp ([`Relation::stamp`]): equal stamps mean equal
-//! tuple sets, so a result computed from a relation can be kept under its
-//! stamp and reused for as long as the stamp stays.
+//! column is probed and kept for every evaluation after it.
 
 use crate::schema::{RelationSchema, SchemaError};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::BuildHasher;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -40,48 +41,106 @@ pub fn index_builds() -> u64 {
     INDEX_BUILDS.get()
 }
 
-/// The next content stamp to hand out: process-wide, so that no two sets
-/// ever get the same one. Every access is `Relaxed`, here and on
-/// [`Derived::stamp`]: a stamp publishes no data — the set it names
-/// changes only under `&mut` — and a read-modify-write hands out each
-/// value once whatever the ordering.
-static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+/// The next lineage to hand out, process-wide and never taken back
+/// (`Relaxed`: a lineage publishes no data).
+static NEXT_LINEAGE: AtomicU64 = AtomicU64::new(1);
 
-/// What a relation derives from its tuple set: the per-column indexes,
-/// shared with its clones, and the content stamp.
+/// A lineage no relation has had: for a relation made, cloned or decoded.
+fn mint_lineage() -> u64 {
+    NEXT_LINEAGE.fetch_add(1, Ordering::Relaxed)
+}
+
+/// A relation as it stood at one point: its lineage and its length then.
+/// While the relation keeps the lineage, its first `len` tuples are the
+/// ones it held then, in the same order ([`Relation::since`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Version {
+    lineage: u64,
+    len: usize,
+}
+
+/// Where each tuple sits in the relation's vector: an open-addressing table,
+/// at most 7/8 full, whose slot is 0 (empty) or `hash << 32 | (position +
+/// 1)`, `hash` being 32 bits of the tuple's hash under the relation's own
+/// `RandomState` (its tuples come off the wire).
+#[derive(Clone, Default)]
+struct Positions {
+    slots: Vec<u64>,
+    hasher: RandomState,
+}
+
+impl Positions {
+    /// The slot filing a tuple equal to `t`, or else the empty slot `t`
+    /// would be filed in; and `t`'s hash bits.
+    fn slot_of(&self, t: &Tuple, tuples: &[Tuple]) -> (usize, u32) {
+        let hash = (self.hasher.hash_one(t) >> 32) as u32;
+        let filed = |slot| (slot >> 32) as u32 == hash && tuples[(slot as u32 - 1) as usize] == *t;
+        (probe(&self.slots, hash, filed), hash)
+    }
+
+    /// Files `t` at position `tuples.len()`, unless a tuple equal to it is
+    /// filed already; returns whether it was filed.
+    fn file(&mut self, t: &Tuple, tuples: &[Tuple]) -> bool {
+        if (tuples.len() + 1) * 8 > self.slots.len() * 7 {
+            // Doubled, each slot re-filed by its bits: no tuple is rehashed.
+            let mut slots = vec![0; (self.slots.len() * 2).max(4)];
+            for &slot in self.slots.iter().filter(|&&slot| slot != 0) {
+                let at = probe(&slots, (slot >> 32) as u32, |_| false);
+                slots[at] = slot;
+            }
+            self.slots = slots;
+        }
+        let (at, hash) = self.slot_of(t, tuples);
+        if self.slots[at] != 0 {
+            return false;
+        }
+        let position = u32::try_from(tuples.len() + 1).expect("fewer than 2^32 - 1 tuples");
+        self.slots[at] = u64::from(hash) << 32 | u64::from(position);
+        true
+    }
+}
+
+/// The first slot along `hash`'s probe sequence that is empty or `filed`.
+/// Triangular steps visit every slot of a power-of-two table, and one is
+/// always empty.
+fn probe(slots: &[u64], hash: u32, filed: impl Fn(u64) -> bool) -> usize {
+    let mask = slots.len() - 1;
+    let (mut at, mut step) = (hash as usize & mask, 0);
+    while slots[at] != 0 && !filed(slots[at]) {
+        step += 1;
+        at = (at + step) & mask;
+    }
+    at
+}
+
+/// What a relation derives from its tuples: the per-column indexes, shared
+/// with its clones.
 struct Derived {
     /// One slot per column, filled by the first probe of that column.
     ///
     /// Clones share the slots, so that an index one of them builds serves
-    /// them all: *every handle on these slots holds the same tuple set*. A
-    /// handle whose set is about to change therefore either is the only
-    /// one — then it updates the built indexes in place — or leaves for
-    /// empty slots of its own; a built index is never written through a
-    /// shared handle.
+    /// them all: *every handle on these slots holds the same tuples*. A
+    /// handle whose tuples are about to change therefore either is the
+    /// only one — then it updates the built indexes in place — or leaves
+    /// for empty slots of its own; a built index is never written through
+    /// a shared handle.
     slots: Arc<[OnceLock<ColumnIndex>]>,
-    /// The set's content stamp ([`Relation::stamp`]), 0 until one is
-    /// handed out. A clone copies it; any change to the set puts it back
-    /// to 0.
-    stamp: AtomicU64,
     /// False only while this is as [`Derived::new`] made it: no clone on
-    /// the slots, nothing built, no stamp. Set by the three things that can
-    /// end that through this handle's `&self` — cloning it, building
-    /// through it, stamping it — and read under `&mut`, where it is a plain
-    /// load of a byte the relation itself holds: the one thing an insert of
-    /// the update path pays for indexes and stamps existing. (The slots are
-    /// a second allocation: the count and two slot states loaded from it on
-    /// every insert read +1–2% on `update_bulk`.)
+    /// the slots, nothing built. Set through `&self` by a clone or a
+    /// build, read under `&mut`: a load of a byte the relation holds, the
+    /// one thing an update-path insert pays for indexes existing (reading
+    /// the slots, a second allocation, instead read +1–2% on `update_bulk`).
     touched: AtomicBool,
 }
 
 impl Derived {
     fn new(arity: usize) -> Self {
         let slots = (0..arity).map(|_| OnceLock::new()).collect();
-        Derived { slots, stamp: AtomicU64::new(0), touched: AtomicBool::new(false) }
+        Derived { slots, touched: AtomicBool::new(false) }
     }
 
-    /// True iff a clone shares the slots, an index is built or the set is
-    /// stamped: a change to the set must then see to them.
+    /// True iff a clone shares the slots or an index is built: a change to
+    /// the tuples must then see to them.
     fn in_use(&mut self) -> bool {
         if !*self.touched.get_mut() {
             return false;
@@ -92,37 +151,33 @@ impl Derived {
         // the count pairs with that, so a count of 1 comes with slot
         // states no older than the drop.
         fence(Ordering::Acquire);
-        let in_use = shared
-            || *self.stamp.get_mut() != 0
-            || self.slots.iter().any(|slot| slot.get().is_some());
+        let in_use = shared || self.slots.iter().any(|slot| slot.get().is_some());
         *self.touched.get_mut() = in_use;
         in_use
     }
 }
 
-/// A handle on the same slots, with the same stamp; both sides now count
-/// as touched.
+/// A handle on the same slots; both sides now count as touched.
 impl Clone for Derived {
     fn clone(&self) -> Self {
         // Relaxed: only this handle's owner reads the flag, under `&mut`.
         self.touched.store(true, Ordering::Relaxed);
-        Derived {
-            slots: Arc::clone(&self.slots),
-            stamp: AtomicU64::new(self.stamp.load(Ordering::Relaxed)),
-            touched: AtomicBool::new(true),
-        }
+        Derived { slots: Arc::clone(&self.slots), touched: AtomicBool::new(true) }
     }
 }
 
-/// A relation instance: a schema plus a set of tuples.
+/// A relation instance: a schema plus a set of tuples, kept in the order
+/// they were inserted.
 ///
-/// Equality, the serialized forms and `Debug` are those of the schema and
-/// the tuples; the indexes and the stamp are derived data and appear in
-/// none of them.
-#[derive(Clone)]
+/// Equality is that of the schema and the *set* of tuples; `Debug` and
+/// the JSON form list the tuples in insertion order. The positions, the
+/// indexes and the lineage are derived data and appear in none of them.
 pub struct Relation {
     schema: RelationSchema,
-    tuples: HashSet<Tuple>,
+    /// Every tuple, once, in insertion order.
+    tuples: Vec<Tuple>,
+    positions: Positions,
+    lineage: u64,
     derived: Derived,
 }
 
@@ -130,7 +185,8 @@ impl Relation {
     /// Empty relation with the given schema.
     pub fn new(schema: RelationSchema) -> Self {
         let derived = Derived::new(schema.arity());
-        Relation { schema, tuples: HashSet::new(), derived }
+        let positions = Positions::default();
+        Relation { schema, tuples: Vec::new(), positions, lineage: mint_lineage(), derived }
     }
 
     /// The relation's schema.
@@ -160,19 +216,32 @@ impl Relation {
 
     /// Membership test.
     pub fn contains(&self, t: &Tuple) -> bool {
-        self.tuples.contains(t)
+        let slots = &self.positions.slots;
+        !slots.is_empty() && slots[self.positions.slot_of(t, &self.tuples).0] != 0
     }
 
-    /// Iterates over the tuples (arbitrary order).
+    /// Iterates over the tuples in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
         self.tuples.iter()
     }
 
     /// Tuples sorted lexicographically — for deterministic output.
     pub fn sorted(&self) -> Vec<Tuple> {
-        let mut v: Vec<Tuple> = self.tuples.iter().cloned().collect();
+        let mut v = self.tuples.clone();
         v.sort();
         v
+    }
+
+    /// The relation as it stands now, for [`Relation::since`].
+    pub fn version(&self) -> Version {
+        Version { lineage: self.lineage, len: self.tuples.len() }
+    }
+
+    /// The tuples inserted after `version`, in insertion order — `None`
+    /// unless `version` is of this relation's lineage, which it was made,
+    /// cloned or decoded under and keeps while it grows.
+    pub fn since(&self, version: Version) -> Option<&[Tuple]> {
+        self.tuples.get(version.len..).filter(|_| version.lineage == self.lineage)
     }
 
     /// The tuples whose column `col` holds `key` (arbitrary order), through
@@ -205,118 +274,56 @@ impl Relation {
         Ok(self.insert_valid(t))
     }
 
-    /// Inserts a batch and returns the *delta*: the sub-batch that was not
-    /// already present (in insertion order, deduplicated). This is the
-    /// `T' = T \ R` step of the coDB update algorithm.
-    pub fn insert_all(
-        &mut self,
-        batch: impl IntoIterator<Item = Tuple>,
-    ) -> Result<Vec<Tuple>, SchemaError> {
-        let mut delta = Vec::new();
-        for t in batch {
-            self.schema.validate(&t)?;
-            if self.insert_valid(t.clone()) {
-                delta.push(t);
-            }
-        }
-        Ok(delta)
-    }
-
     /// Inserts a tuple of this schema.
     #[inline]
     fn insert_valid(&mut self, t: Tuple) -> bool {
-        if self.derived.in_use() {
-            self.insert_derived(t)
-        } else {
-            self.tuples.insert(t)
-        }
-    }
-
-    /// [`Relation::insert_valid`] when the slots are shared or hold an
-    /// index, or the set is stamped. Out of line, so that the insert of a
-    /// relation with none of these stays the set's insert behind a byte
-    /// test.
-    #[inline(never)]
-    fn insert_derived(&mut self, t: Tuple) -> bool {
-        if !self.tuples.insert(t.clone()) {
+        if !self.positions.file(&t, &self.tuples) {
             return false;
         }
-        match Arc::get_mut(&mut self.derived.slots) {
-            // The only handle: every built index learns the tuple, and the
-            // stamp named the set without it.
-            Some(slots) => {
-                for (col, slot) in slots.iter_mut().enumerate() {
-                    if let Some(index) = slot.get_mut() {
-                        index_tuple(index, col, &t);
-                    }
-                }
-                *self.derived.stamp.get_mut() = 0;
-            }
-            // A clone is on these slots too, and its set did not change.
-            None => self.derived = Derived::new(self.arity()),
+        if self.derived.in_use() {
+            self.derive_inserted(&t);
         }
+        self.tuples.push(t);
         true
     }
 
-    /// Removes a tuple; returns whether it was present.
-    pub fn remove(&mut self, t: &Tuple) -> bool {
-        let removed = self.tuples.remove(t);
-        if removed {
-            self.drop_derived();
-        }
-        removed
-    }
-
-    /// Drops all tuples.
-    pub fn clear(&mut self) {
-        self.tuples.clear();
-        self.drop_derived();
-    }
-
-    /// After a change no index was kept up with: what is built (here or by
-    /// a clone still on these slots) no longer describes this relation,
-    /// and neither does its stamp.
-    fn drop_derived(&mut self) {
-        if self.derived.in_use() {
-            self.derived = Derived::new(self.arity());
-        }
-    }
-
-    /// The relation's content stamp: a number no other tuple set in this
-    /// process is given, handed out on the first call. Any change to the
-    /// set takes it back — the next call hands out a new one — and a
-    /// clone, which holds the same set, copies it: two relations with
-    /// equal stamps hold equal sets. A result computed from the relation
-    /// can therefore be kept under its stamp and reused while the stamp
-    /// stays. Stamping costs the relation's later inserts what a clone
-    /// does (out of line, behind the byte test).
-    pub fn stamp(&self) -> u64 {
-        if let Some(stamp) = self.stamped() {
-            return stamp;
-        }
-        let fresh = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
-        // Relaxed, as in `Clone for Derived`: the flag is read under `&mut`.
-        self.derived.touched.store(true, Ordering::Relaxed);
-        // A stamp handed out meanwhile through another `&self` stands.
-        match self.derived.stamp.compare_exchange(0, fresh, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => fresh,
-            Err(stamp) => stamp,
-        }
-    }
-
-    /// The stamp [`Relation::stamp`] handed out for the set as it is now,
-    /// if it has: a lookup by stamp that must not make the relation's
-    /// inserts pay for one.
-    pub fn stamped(&self) -> Option<u64> {
-        match self.derived.stamp.load(Ordering::Relaxed) {
-            0 => None,
-            stamp => Some(stamp),
+    /// What a new tuple does to indexes that exist or slots that are
+    /// shared. Out of line, so that the insert of a relation with neither
+    /// stays the table's insert behind a byte test.
+    #[inline(never)]
+    fn derive_inserted(&mut self, t: &Tuple) {
+        match Arc::get_mut(&mut self.derived.slots) {
+            // The only handle: every built index learns the tuple.
+            Some(slots) => {
+                for (col, slot) in slots.iter_mut().enumerate() {
+                    if let Some(index) = slot.get_mut() {
+                        index_tuple(index, col, t);
+                    }
+                }
+            }
+            // A clone is on these slots too, and its tuples did not change.
+            None => self.derived = Derived::new(self.schema.arity()),
         }
     }
 
     /// Approximate byte volume of the whole relation (statistics module).
     pub fn size_bytes(&self) -> usize {
         self.tuples.iter().map(Tuple::size_bytes).sum()
+    }
+}
+
+/// The same tuples in the same order and a handle on the same index slots,
+/// under a lineage of its own: a version of one side says nothing of the
+/// other.
+impl Clone for Relation {
+    fn clone(&self) -> Self {
+        Relation {
+            schema: self.schema.clone(),
+            tuples: self.tuples.clone(),
+            positions: self.positions.clone(),
+            lineage: mint_lineage(),
+            derived: self.derived.clone(),
+        }
     }
 }
 
@@ -346,14 +353,19 @@ impl Deserialize for Relation {
         let fields =
             v.as_object().ok_or_else(|| serde::Error::custom("expected object for Relation"))?;
         let mut relation = Relation::new(serde::__from_field(fields, "schema")?);
-        relation.tuples = serde::__from_field(fields, "tuples")?;
+        let tuples: Vec<Tuple> = serde::__from_field(fields, "tuples")?;
+        for t in tuples {
+            relation.insert_valid(t);
+        }
         Ok(relation)
     }
 }
 
 impl PartialEq for Relation {
     fn eq(&self, other: &Self) -> bool {
-        self.schema == other.schema && self.tuples == other.tuples
+        self.schema == other.schema
+            && self.len() == other.len()
+            && self.tuples.iter().all(|t| other.contains(t))
     }
 }
 
@@ -365,6 +377,7 @@ mod tests {
     use crate::schema::RelationSchema;
     use crate::tup;
     use crate::value::ValueType;
+    use std::collections::HashSet;
 
     fn rel() -> Relation {
         Relation::new(RelationSchema::with_types("r", &[ValueType::Int, ValueType::Str]))
@@ -379,12 +392,15 @@ mod tests {
     }
 
     #[test]
-    fn insert_all_returns_delta_only() {
+    fn a_batch_s_delta_is_what_since_returns() {
         let mut r = rel();
         r.insert(tup![1, "a"]).unwrap();
-        let delta =
-            r.insert_all(vec![tup![1, "a"], tup![2, "b"], tup![2, "b"], tup![3, "c"]]).unwrap();
-        assert_eq!(delta, vec![tup![2, "b"], tup![3, "c"]]);
+        let before = r.version();
+        for t in [tup![1, "a"], tup![2, "b"], tup![2, "b"], tup![3, "c"]] {
+            r.insert(t).unwrap();
+        }
+        assert_eq!(r.since(before).unwrap(), [tup![2, "b"], tup![3, "c"]]);
+        assert_eq!(r.since(r.version()).unwrap(), []);
         assert_eq!(r.len(), 3);
     }
 
@@ -397,22 +413,12 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_clear() {
-        let mut r = rel();
-        r.insert(tup![1, "a"]).unwrap();
-        assert!(r.remove(&tup![1, "a"]));
-        assert!(!r.remove(&tup![1, "a"]));
-        r.insert(tup![2, "b"]).unwrap();
-        r.clear();
-        assert!(r.is_empty());
-    }
-
-    #[test]
     fn sorted_is_deterministic() {
         let mut r = rel();
         r.insert(tup![2, "b"]).unwrap();
         r.insert(tup![1, "a"]).unwrap();
         assert_eq!(r.sorted(), vec![tup![1, "a"], tup![2, "b"]]);
+        assert_eq!(r.iter().cloned().collect::<Vec<_>>(), [tup![2, "b"], tup![1, "a"]]);
     }
 
     #[test]
@@ -431,6 +437,40 @@ mod tests {
         assert_eq!(a, b);
         b.insert(tup![2, "b"]).unwrap();
         assert_ne!(a, b);
+        // The same set, inserted in another order.
+        a.insert(tup![3, "c"]).unwrap();
+        a.insert(tup![2, "b"]).unwrap();
+        b.insert(tup![3, "c"]).unwrap();
+        assert_eq!(a, b);
+    }
+
+    /// The position table through seven doublings, every tuple inserted
+    /// three times and probed before and after, against a `HashSet`.
+    #[test]
+    fn the_position_table_grows_without_losing_or_doubling_a_tuple() {
+        let mut r = Relation::new(RelationSchema::with_types("p", &[ValueType::Int; 2]));
+        let mut model = HashSet::new();
+        let mut sizes = vec![r.positions.slots.len()];
+        for k in 0..250i64 {
+            let t = tup![k, k % 7];
+            assert!(!r.contains(&t), "{t} before");
+            assert_eq!(r.insert(t.clone()).unwrap(), model.insert(t.clone()), "{t}");
+            assert!(!r.insert(t.clone()).unwrap(), "{t} twice");
+            // A tuple filed before the last doubling, again.
+            assert!(!r.insert(tup![k / 2, k / 2 % 7]).unwrap());
+            assert!(r.contains(&t));
+            assert!(!r.contains(&tup![-1 - k, 0]));
+            assert_eq!(r.len(), model.len());
+            if sizes.last() != Some(&r.positions.slots.len()) {
+                sizes.push(r.positions.slots.len());
+            }
+            assert!(r.len() * 8 <= r.positions.slots.len() * 7, "a table past 7/8");
+        }
+        assert_eq!(sizes, [0, 4, 8, 16, 32, 64, 128, 256, 512]);
+        assert!(model.iter().all(|t| r.contains(t)));
+        assert_eq!(r.iter().collect::<HashSet<_>>(), model.iter().collect());
+        let filed = r.positions.slots.iter().filter(|&&slot| slot != 0);
+        assert_eq!(filed.count(), r.len(), "one slot per tuple");
     }
 
     /// What `matching` answers, sorted, beside the same selection scanned.
@@ -477,7 +517,8 @@ mod tests {
         // Alone: every built index learns the tuple, nothing is rebuilt.
         assert!(original.insert(tup![100, 3]).unwrap());
         assert!(!original.insert(tup![100, 3]).unwrap());
-        assert_eq!(original.insert_all(vec![tup![101, 3], tup![0, 0]]).unwrap(), [tup![101, 3]]);
+        assert!(original.insert(tup![101, 3]).unwrap());
+        assert!(!original.insert(tup![0, 0]).unwrap());
         assert_eq!(original.matching(0, &Value::Int(100)), [tup![100, 3]]);
         let (found, scanned) = probe(&original, 1, 3);
         assert_eq!(found, scanned);
@@ -511,88 +552,70 @@ mod tests {
 
     #[test]
     fn remove_and_clear_drop_the_indexes_of_the_side_that_changed() {
+        // Relations only grow, so the one change a side can make is an
+        // insert: a write of nothing keeps the index, a new tuple on a
+        // shared side drops that side's and leaves its twin's.
         let mut r = pairs(40);
         let twin = r.clone();
         r.matching(1, &Value::Int(0));
-        assert!(!r.remove(&tup![99, 99]));
-        assert!(r.is_indexed(1), "nothing was removed");
-        assert!(r.remove(&tup![3, 3]));
+        assert!(!r.insert(tup![0, 0]).unwrap());
+        assert!(r.is_indexed(1), "nothing was inserted");
+        assert!(r.insert(tup![99, 3]).unwrap());
         assert!(!r.is_indexed(1) && twin.is_indexed(1));
         let (found, scanned) = probe(&r, 1, 3);
         assert_eq!(found, scanned);
-        assert_eq!((found.len(), probe(&twin, 1, 3).0.len()), (9, 10));
+        assert_eq!((found.len(), probe(&twin, 1, 3).0.len()), (11, 10));
 
-        r.clear();
-        assert!(!r.is_indexed(1));
-        assert!(r.matching(1, &Value::Int(3)).is_empty());
-        // An unshared, unindexed relation has nothing to drop — and one
-        // whose clone came and went unprobed is that again at its next
-        // write, back on the one-load path.
+        // A relation whose clone came and went unprobed is back on the
+        // one-load path at its next write, on the slots it had.
         let mut cold = pairs(4);
         let slots = Arc::as_ptr(&cold.derived.slots);
-        cold.remove(&tup![0, 0]);
         drop(cold.clone());
         assert!(*cold.derived.touched.get_mut());
         cold.insert(tup![9, 9]).unwrap();
         assert!(!*cold.derived.touched.get_mut());
-        cold.clear();
         assert!(std::ptr::eq(slots, Arc::as_ptr(&cold.derived.slots)));
     }
 
+    /// A version answers for its own lineage only: inserts keep the
+    /// lineage, a clone and a decode each mint one, and no two relations
+    /// ever show the same version.
     #[test]
-    fn every_change_to_the_set_takes_its_stamp_back_and_nothing_else_does() {
+    fn every_clone_and_decode_mints_a_lineage_and_since_answers_within_one() {
         let mut r = pairs(8);
-        assert_eq!(r.stamped(), None, "a new relation starts unstamped");
-        let first = r.stamp();
-        assert_eq!((r.stamp(), r.stamped()), (first, Some(first)), "handed out once");
+        let first = r.version();
+        assert_eq!(r.since(first).unwrap(), []);
 
-        // The same set: a duplicate insert, a remove of nothing.
+        // A duplicate is no change; a new tuple is the suffix.
         assert!(!r.insert(tup![0, 0]).unwrap());
-        assert_eq!(r.insert_all(vec![tup![1, 1]]).unwrap(), []);
-        assert!(!r.remove(&tup![99, 99]));
-        assert_eq!(r.stamped(), Some(first));
-
-        // A clone holds the same set, so it has the same stamp; a change
-        // on either side is that side's.
-        let mut twin = r.clone();
-        assert_eq!(twin.stamped(), Some(first));
-        assert!(twin.insert(tup![100, 0]).unwrap());
-        assert_eq!((twin.stamped(), r.stamped()), (None, Some(first)));
-
-        // Every change, on every path an insert can take: shared slots,
-        // stamped alone, indexed alone; then a remove and a clear.
-        let mut handed = vec![first, twin.stamp()];
-        let mut restamp = |r: &Relation| {
-            assert_eq!(r.stamped(), None, "a change kept the stamp");
-            let stamp = r.stamp();
-            assert!(!handed.contains(&stamp), "stamp {stamp} handed out twice");
-            handed.push(stamp);
-        };
-        assert!(r.insert(tup![100, 1]).unwrap());
-        restamp(&r);
-        drop(twin);
-        assert!(r.insert(tup![101, 1]).unwrap());
-        restamp(&r);
+        assert_eq!(r.version(), first);
         r.matching(0, &Value::Int(0));
-        assert!(r.insert(tup![102, 1]).unwrap());
-        assert!(r.is_indexed(0), "kept up in place");
-        restamp(&r);
-        assert!(r.remove(&tup![102, 1]));
-        restamp(&r);
-        r.clear();
-        restamp(&r);
+        assert!(r.insert(tup![100, 0]).unwrap());
+        assert_eq!(r.since(first).unwrap(), [tup![100, 0]]);
 
-        // A decoded relation is built afresh: equal to its source, and
-        // unstamped.
+        // A clone holds the same tuples under a lineage of its own: no
+        // version of one side says anything of the other.
+        let mut twin = r.clone();
+        assert_eq!(twin, r);
+        assert_ne!(twin.version(), r.version());
+        assert_eq!((twin.since(first), r.since(twin.version())), (None, None));
+        assert!(twin.insert(tup![101, 1]).unwrap());
+        assert!(r.insert(tup![102, 1]).unwrap());
+        assert_eq!(r.since(first).unwrap(), [tup![100, 0], tup![102, 1]]);
+        assert_eq!(twin.since(twin.version()).unwrap(), []);
+
+        // A decoded relation is built afresh: equal to its source, and of
+        // a lineage of its own.
         let source = pairs(5);
         let json: Relation =
             serde_json::from_str(&serde_json::to_string(&source).unwrap()).unwrap();
         let mut bytes = Vec::new();
         crate::binenc::put_relation(&mut bytes, &source);
         let binary = crate::binenc::take_relation(&mut crate::binenc::Reader::new(&bytes)).unwrap();
-        source.stamp();
         for read in [json, binary] {
-            assert_eq!((&read, read.stamped()), (&source, None));
+            assert_eq!(read, source);
+            assert_eq!(read.since(source.version()), None);
+            assert_eq!(source.since(read.version()), None);
         }
     }
 
@@ -611,6 +634,7 @@ mod tests {
 
         let read: Relation = serde_json::from_str(&json).unwrap();
         assert_eq!(read, warm);
+        assert_eq!(serde_json::to_string(&read).unwrap(), json, "insertion order kept");
         assert!(!read.is_indexed(0) && !read.is_indexed(1));
         assert_eq!(probe(&read, 1, 1).0, probe(&warm, 1, 1).0);
         assert!(Relation::from_value(&serde::Value::Null).is_err());

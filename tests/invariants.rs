@@ -305,14 +305,14 @@ mod relational_props {
         /// The production evaluator agrees with the naive reference
         /// evaluator on random instances and bodies — over cold relations
         /// (`edits` empty, `warm` false) and over relations whose indexes
-        /// are warm, shared with a clone, and then edited on either side.
+        /// are warm, shared with a clone, and then grown on either side.
         #[test]
         fn evaluator_matches_reference(
             inst in arb_instance(12),
             body in arb_body(),
             warm in any::<bool>(),
             edits in proptest::collection::vec(
-                (any::<bool>(), any::<bool>(), any::<bool>(), 0i64..8, 0i64..8),
+                (any::<bool>(), any::<bool>(), 0i64..8, 0i64..8),
                 0..6,
             ),
         ) {
@@ -325,15 +325,10 @@ mod relational_props {
                 }
             }
             let mut twin = inst.clone();
-            for (on_twin, into_e, remove, a, b) in edits {
+            for (on_twin, into_e, a, b) in edits {
                 let side = if on_twin { &mut twin } else { &mut inst };
-                let rel = side.get_mut(if into_e { "e" } else { "f" }).unwrap();
                 let tuple = Tuple::new(vec![Value::Int(a), Value::Int(b)]);
-                if remove {
-                    rel.remove(&tuple);
-                } else {
-                    rel.insert(tuple).unwrap();
-                }
+                side.insert(if into_e { "e" } else { "f" }, tuple).unwrap();
             }
             for side in [&inst, &twin] {
                 let mut a = evaluate_body(&body, side).unwrap();
@@ -346,9 +341,10 @@ mod relational_props {
 
         /// An index is what building it now would give: after every step
         /// of a random program over a relation and a clone of it — insert,
-        /// remove, clear, clone again, probe, drop the clone, on either
-        /// side — each built index of each side holds, per key, exactly
-        /// the tuples a scan of that side selects.
+        /// replace the side with a relation built afresh from its tuples,
+        /// clone again, probe, drop the clone, on either side — each built
+        /// index of each side holds, per key, exactly the tuples a scan of
+        /// that side selects.
         #[test]
         fn an_index_is_what_a_rebuild_would_be(
             program in proptest::collection::vec((0u8..7, any::<bool>(), 0i64..5, 0i64..5), 1..40),
@@ -374,8 +370,13 @@ mod relational_props {
                 };
                 match op {
                     0 | 1 => { side.insert(tuple).unwrap(); }
-                    2 => { side.remove(&tuple); }
-                    3 if a == 0 => side.clear(),
+                    2 => {
+                        let mut afresh = codb::relational::Relation::new(side.schema().clone());
+                        for t in side.iter() {
+                            afresh.insert(t.clone()).unwrap();
+                        }
+                        *side = afresh;
+                    }
                     3 | 4 => check(side, b as usize % 2)?,
                     5 => clone = Some(side.clone()),
                     _ => clone = None,
@@ -400,14 +401,14 @@ mod relational_props {
             body in arb_body(),
             delta in proptest::collection::vec((0i64..8, 0i64..8), 1..5),
         ) {
-            // Full evaluation over I ∪ Δ (Δ inserted into relation e).
+            // Full evaluation over I ∪ Δ (Δ inserted into relation e); what
+            // was new is what `e` gained since.
             let mut with_delta = inst.clone();
-            let delta_tuples: Vec<Tuple> = delta
-                .iter()
-                .map(|(a, b)| Tuple::new(vec![Value::Int(*a), Value::Int(*b)]))
-                .collect();
-            let new: Vec<Tuple> =
-                with_delta.insert_all("e", delta_tuples.clone()).unwrap();
+            let before = with_delta.get("e").unwrap().version();
+            for (a, b) in delta {
+                with_delta.insert("e", Tuple::new(vec![Value::Int(a), Value::Int(b)])).unwrap();
+            }
+            let new = with_delta.get("e").unwrap().since(before).unwrap().to_vec();
 
             let mut full: Vec<_> = evaluate_body(&body, &with_delta).unwrap();
             full.sort(); full.dedup();
@@ -420,6 +421,114 @@ mod relational_props {
             combined.sort(); combined.dedup();
 
             prop_assert_eq!(full, combined);
+        }
+
+        /// A relation is its insertion log. A random program of inserts,
+        /// clones, probes and dropped clones over an instance and a clone
+        /// of it; after every step, for every version either side showed
+        /// earlier, `since` on that side returns exactly the tuples it
+        /// inserted after it, in order (and the other side answers `None`),
+        /// no clone ever shows its source's version, and the body evaluated
+        /// then, with the delta evaluation over what `since` returns, is
+        /// the body evaluated now.
+        #[test]
+        fn since_is_what_a_side_inserted_after_each_version_it_showed(
+            inst in arb_instance(6),
+            body in arb_body(),
+            program in proptest::collection::vec(
+                (0u8..6, any::<bool>(), any::<bool>(), 0i64..8, 0i64..8),
+                1..24,
+            ),
+        ) {
+            /// One side: its instance, what it inserted since it was made,
+            /// per relation, and each point it showed — its versions, how
+            /// much of its log it had, and the body's answers then.
+            type Answers = Vec<codb::relational::eval::Bindings>;
+            type Point = (BTreeMap<String, codb::relational::Version>, BTreeMap<String, usize>, Answers);
+            struct Side {
+                inst: Instance,
+                log: BTreeMap<String, Vec<Tuple>>,
+                shown: Vec<Point>,
+            }
+            fn answers(body: &CqBody, inst: &Instance) -> Answers {
+                let mut all = evaluate_body(body, inst).unwrap();
+                all.sort();
+                all.dedup();
+                all
+            }
+            fn fresh_side(inst: Instance) -> Side {
+                Side { inst, log: BTreeMap::new(), shown: Vec::new() }
+            }
+            fn show(side: &mut Side, body: &CqBody) {
+                let versions = side.inst.relations().map(|r| (r.name().to_owned(), r.version()));
+                let lens = side.inst.relations().map(|r| {
+                    (r.name().to_owned(), side.log.get(r.name()).map_or(0, Vec::len))
+                });
+                let point = (versions.collect(), lens.collect(), answers(body, &side.inst));
+                side.shown.push(point);
+            }
+            fn check(side: &Side, other: Option<&Side>, body: &CqBody) -> Result<(), TestCaseError> {
+                for (versions, lens, then) in &side.shown {
+                    let mut combined = then.clone();
+                    for (name, version) in versions {
+                        let since = side.inst.get(name).unwrap().since(*version).unwrap();
+                        let log = side.log.get(name).map_or(&[][..], Vec::as_slice);
+                        prop_assert_eq!(since, &log[lens[name]..]);
+                        combined.extend(
+                            codb::relational::evaluate_body_delta(body, &side.inst, name, since)
+                                .unwrap(),
+                        );
+                        if let Some(other) = other {
+                            prop_assert_eq!(other.inst.get(name).unwrap().since(*version), None);
+                        }
+                    }
+                    combined.sort();
+                    combined.dedup();
+                    prop_assert_eq!(combined, answers(body, &side.inst));
+                }
+                if let Some(other) = other {
+                    for rel in side.inst.relations() {
+                        prop_assert_ne!(rel.version(), other.inst.get(rel.name()).unwrap().version());
+                    }
+                }
+                Ok(())
+            }
+
+            let mut original = fresh_side(inst);
+            show(&mut original, &body);
+            let mut clone: Option<Side> = None;
+            for (op, on_clone, into_e, a, b) in program {
+                let side = match &mut clone {
+                    Some(clone) if on_clone => clone,
+                    _ => &mut original,
+                };
+                let rel = if into_e { "e" } else { "f" };
+                match op {
+                    0 | 1 => {
+                        let tuple = Tuple::new(vec![Value::Int(a), Value::Int(b)]);
+                        if side.inst.insert(rel, tuple.clone()).unwrap() {
+                            side.log.entry(rel.to_owned()).or_default().push(tuple);
+                        }
+                    }
+                    2 => show(side, &body),
+                    3 => {
+                        side.inst.get(rel).unwrap().matching(a as usize % 2, &Value::Int(b));
+                    }
+                    4 => {
+                        let mut twin = fresh_side(side.inst.clone());
+                        show(&mut twin, &body);
+                        for r in side.inst.relations() {
+                            prop_assert_ne!(r.version(), twin.inst.get(r.name()).unwrap().version());
+                        }
+                        clone = Some(twin);
+                    }
+                    _ => clone = None,
+                }
+                check(&original, clone.as_ref(), &body)?;
+                if let Some(clone) = &clone {
+                    check(clone, Some(&original), &body)?;
+                }
+            }
         }
 
         /// What query-time serving relies on: over a view that only grows,
@@ -466,9 +575,9 @@ mod relational_props {
                 for (into_e, a, b) in batch {
                     let rel = if into_e { "e" } else { "f" };
                     let tuple = Tuple::new(vec![Value::Int(a), Value::Int(b)]);
-                    deltas.entry(rel.to_owned()).or_default().extend(
-                        overlay.insert_all(rel, vec![tuple]).unwrap()
-                    );
+                    if overlay.insert(rel, tuple.clone()).unwrap() {
+                        deltas.entry(rel.to_owned()).or_default().push(tuple);
+                    }
                 }
                 let view = rule.fire(&overlay).unwrap();
                 let unsent = |firings: &[RuleFiring]| -> Vec<RuleFiring> {

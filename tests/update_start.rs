@@ -1,9 +1,9 @@
 //! What an update start fires.
 //!
-//! The sent caches outlive the update, so a link that is *caught up* fires,
-//! at the start of an update, only over what the node inserted since the
-//! last start; every other link fires over the whole LDB, as the paper has
-//! it.
+//! The sent caches outlive the update, so a link whose *mark* answers —
+//! the versions of its relations its cache covers — fires, at the start of
+//! an update, only over what those relations gained since; every other
+//! link fires over the whole LDB, as the paper has it.
 //! The first half pins the structure — how many firings an update
 //! *evaluates* to ship what it ships — on the simulator, on the worker
 //! pool across a rebuild from disk, and for a restarted sender. The second
@@ -11,7 +11,8 @@
 //! scoped updates, crashes with restarts and rules files, on small
 //! topologies with the chase valve sometimes set low enough to trip, must
 //! leave every LDB at the fixpoint of the centralised chase — which is
-//! what goes wrong the day a link is believed caught up and is not — and,
+//! what goes wrong the day a link's mark covers what its cache does not
+//! hold — and,
 //! after every step, every update over at every node that heard of it,
 //! and a fetch at every node answered twice alike, the second time from
 //! the views and answers the serving links kept, each view checked against
@@ -62,20 +63,22 @@ fn an_update_evaluates_what_changed_not_what_is_stored() {
     assert_eq!(idle.summary.nodes, 6, "the update itself still ran everywhere");
 }
 
-/// The log of local inserts is bounded by a rule: past half the LDB it is
-/// dropped and the next start fires whole — and still ships only what is
-/// new.
+/// The log is the relation itself, so it has no bound to outgrow: a node
+/// that more than doubled its data since the last start still fires only
+/// what is new, and nothing whole.
 #[test]
-fn a_log_past_half_the_ldb_falls_back_to_the_whole_fire() {
+fn a_log_longer_than_the_data_before_it_is_still_fired_as_a_delta() {
     let s = copy_chain(3, 10);
     let mut net = CoDbNetwork::build(s.build_config(), SimConfig::default()).unwrap();
     net.run_update(s.sink());
     for k in 0..11 {
         ingest(&mut net, 0, tup![-1 - k, 0]);
     }
+    let before = whole_fires();
     let o = net.run_update(s.sink());
-    // Node 0 fired its 21 tuples whole; node 1, caught up, the 11 new.
-    assert_eq!(o.summary.evaluated, 21 + 11);
+    assert_eq!(whole_fires() - before, 0);
+    // Node 0 fired its 11 new tuples; node 1 the 11 that reached it.
+    assert_eq!(o.summary.evaluated, 11 + 11);
     assert_eq!(o.summary.tuples_added, 22);
     assert_eq!(net.node(s.sink()).ldb().get("r2").unwrap().len(), 30 + 11);
 }
@@ -563,10 +566,11 @@ proptest! {
 
 /// The programs that caught a deleted mark-clear when this file was
 /// written, kept whatever the random draw above becomes: the first two
-/// fail without the clear at the hop-limit valve, the other three without
-/// the one for a link a scoped update passes over. (The third clear, for
-/// firings dropped on a closed link, no harness run reaches; it and the
-/// rejoin invalidation are pinned by hand in `codb-core`'s own tests.) The
+/// fail if the hop-limit valve moves the marks past what it stopped, the
+/// other three if a link a scoped update passes over moves its mark. (The
+/// one mark taken back, for firings dropped on a closed link, no harness
+/// run reaches; it and the rejoin invalidation are pinned by hand in
+/// `codb-core`'s own tests.) The
 /// first also fails, against the network that kept nothing, where a
 /// server standing by its kept answer names the tags it fetched last
 /// instead of those that answer was computed from: after an insert at
