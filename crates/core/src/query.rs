@@ -13,8 +13,8 @@
 //! *query-time view* (LDB + fetched data, assembled in a per-request
 //! overlay — nothing is materialised permanently). It streams: the firings
 //! of its local data go back at once, and each nested instalment that
-//! arrives is answered *semi-naively* — `GlavRule::fire_deltas` over the
-//! tuples that instalment added to the overlay, minus what was already
+//! arrives is answered *semi-naively* — `PreparedRule::fire_since` over
+//! the tuples that instalment added to the overlay, minus what was already
 //! sent — the same "substitute R by T'" the global update runs. `N`
 //! assembles the answers into its own overlay and evaluates the user query
 //! there.
@@ -226,14 +226,16 @@ impl Serving {
         firings: &[RuleFiring],
         nulls: &mut codb_relational::NullFactory,
     ) -> Vec<RuleFiring> {
-        let deltas = codb_relational::apply_firings(&mut self.overlay, firings, nulls)
+        let grown = codb_relational::apply_firings(&mut self.overlay, firings, nulls)
             .expect("the batch was admitted against the rule head and the schema");
+        let since = grown.iter().map(|(rel, version)| (&**rel, *version));
         let mut fresh = match book.incoming_named(&self.rule) {
             Some(id) => book
                 .link(id)
                 .rule
-                .fire_deltas(&self.overlay, &deltas)
-                .expect("schema-validated rule"),
+                .fire_since(&self.overlay, since)
+                .expect("schema-validated rule")
+                .expect("the overlay's own versions answer"),
             None => Vec::new(),
         };
         fresh.retain(|f| self.stream(f));
@@ -656,7 +658,6 @@ impl CoDbNode {
             return; // stale answer
         };
         let (done, part, unchanged) = nested.arrive(&firings, closed, tag);
-        let bytes: usize = firings.iter().map(RuleFiring::size_bytes).sum();
         // An unchanged instalment stands for its part of the answer pinned.
         let pinned = nested.pinned.clone().filter(|_| unchanged);
         let content = pinned.as_ref().map_or(&firings[..], |pinned| pinned.part(part));
@@ -706,7 +707,8 @@ impl CoDbNode {
                 }
                 if let Some(rep) = self.report.queries.get_mut(&query_id) {
                     rep.answers_received += 1;
-                    rep.bytes_received += bytes as u64;
+                    rep.bytes_received +=
+                        firings.iter().map(|f| f.size_bytes() as u64).sum::<u64>();
                     rep.unchanged += u64::from(whole.is_some_and(|(_, _, unchanged)| unchanged));
                     if rep.first_answer_at.is_none() {
                         rep.first_answer_at = Some(ctx.now());

@@ -131,7 +131,7 @@ impl CoDbNode {
         let Some(link) = self.book.outgoing_named(&rule) else {
             return; // stale rule name after a reconfiguration
         };
-        let (deltas, propagate) = self.arrive(link, firings, hops);
+        let (grown, propagate) = self.arrive(link, firings, hops);
         if !propagate {
             return;
         }
@@ -139,8 +139,8 @@ impl CoDbNode {
         // what was just repaired (the crashed node forwarded some of it,
         // but not necessarily all). Semi-naive delta evaluation, exactly
         // like update propagation, but carried by repair messages.
-        for id in self.links_reading(&deltas) {
-            let out = self.fire_arrival(id, &deltas);
+        for id in self.links_reading(&grown) {
+            let out = self.fire_arrival(id, &grown);
             self.post_repair(ctx, id, out, hops + 1);
         }
     }

@@ -81,10 +81,10 @@ use crate::query::Answered;
 use crate::rules::{LinkId, RuleBook};
 use crate::stats::{by_name, Kind};
 use codb_net::{Context, SimTime};
-use codb_relational::{Atom, FiringSet, Instance, Relation, RuleFiring, Tuple, Version};
+use codb_relational::{Atom, FiringSet, Instance, Relation, RuleFiring, Version};
 use codb_trace::TraceEvent;
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// What one update knows about one link of the node's rule book.
@@ -485,7 +485,7 @@ impl CoDbNode {
             // Stale rule (configuration changed mid-update): data ignored.
             return;
         };
-        let (deltas, propagate) = self.arrive(link, firings, hops);
+        let (grown, propagate) = self.arrive(link, firings, hops);
 
         // Count the data message and resolve a deferred close whose data
         // has now fully arrived (loss + retransmission can reorder data
@@ -495,14 +495,14 @@ impl CoDbNode {
         let deferred_close_ready =
             st.pending_close.is_some_and(|expected| st.data_received >= expected);
 
-        if !deltas.is_empty() {
-            let added: u64 = deltas.values().map(|v| v.len() as u64).sum();
+        if !grown.is_empty() {
+            let added = gained(&self.ldb, &grown);
             let rep = self.report.update_mut(update, now);
             rep.tuples_added += added;
             if propagate {
                 // Re-compute dependent incoming links by substituting
                 // R with T'.
-                self.propagate_deltas(ctx, update, &deltas, hops + 1);
+                self.propagate_deltas(ctx, update, &grown, hops + 1);
             } else {
                 rep.truncated = true;
             }
@@ -516,9 +516,9 @@ impl CoDbNode {
     /// The arrival of a batch that came `hops` hops on outgoing link
     /// `link`, update data and rejoin repair alike: check the batch,
     /// `T' = T \ R` at template level, WAL, apply, then the chase safety
-    /// valve. Returns the per-relation deltas and whether they may
-    /// propagate. At `max_hops` they stay applied and go no further; the
-    /// marks of the links reading them stay behind them.
+    /// valve. Returns the relations that grew with their versions before
+    /// ([`codb_relational::apply_firings`]), and whether the growth may
+    /// propagate: at `max_hops` it may not, and the marks stay behind it.
     ///
     /// The wire is outside the program: a batch that is not an instance of
     /// the rule's head over this node's schema is dropped whole and counted
@@ -529,12 +529,12 @@ impl CoDbNode {
         link: LinkId,
         firings: Vec<RuleFiring>,
         hops: u64,
-    ) -> (BTreeMap<String, Vec<Tuple>>, bool) {
+    ) -> (Vec<(Arc<str>, Version)>, bool) {
         let book = Arc::clone(&self.book);
         let link = book.link(link);
         if !link.rule.rule().admits(&self.ldb, &firings) {
             self.report.count_received(Kind::DataRejected);
-            return (BTreeMap::new(), false);
+            return (Vec::new(), false);
         }
         // Template-level dedup against everything already received on this
         // link — across updates, not just within one: re-running an update
@@ -545,7 +545,7 @@ impl CoDbNode {
         let mut fresh = firings;
         fresh.retain(|f| cache.insert(f.clone()));
         if fresh.is_empty() {
-            return (BTreeMap::new(), false);
+            return (Vec::new(), false);
         }
         // Durability: WAL the applied batch before mutating the LDB.
         // Replay from the snapshot re-runs exactly these applies in
@@ -555,14 +555,14 @@ impl CoDbNode {
                 codb_store::WalRecord::Applied { rule: link.name.clone(), firings: fresh.clone() };
             self.log_wal(record);
         }
-        let deltas = codb_relational::apply_firings(&mut self.ldb, &fresh, &mut self.nulls)
+        let grown = codb_relational::apply_firings(&mut self.ldb, &fresh, &mut self.nulls)
             .expect("the batch was admitted against the rule head and the schema");
         if self.tracer.is_enabled() {
             let r = self.tracer.intern(&link.name);
-            let tuples = deltas.values().map(|v| v.len() as u64).sum();
+            let tuples = gained(&self.ldb, &grown);
             self.tracer.emit(TraceEvent::UpdateApply { peer: self.id.0, rule: r, tuples });
         }
-        (deltas, hops < self.settings.max_hops)
+        (grown, hops < self.settings.max_hops)
     }
 
     /// Marks outgoing link `link` closed and runs the close cascade.
@@ -575,33 +575,33 @@ impl CoDbNode {
         self.check_node_closed(update, now);
     }
 
-    /// The incoming links that read any of the changed relations, in id
+    /// The incoming links that read any of the relations that grew, in id
     /// (and so name) order, each once.
-    pub(crate) fn links_reading(&self, deltas: &BTreeMap<String, Vec<Tuple>>) -> Vec<LinkId> {
+    pub(crate) fn links_reading(&self, grown: &[(Arc<str>, Version)]) -> Vec<LinkId> {
         let mut dependents: Vec<LinkId> =
-            deltas.keys().flat_map(|rel| self.book.incoming_reading(rel)).copied().collect();
+            grown.iter().flat_map(|(rel, _)| self.book.incoming_reading(rel)).copied().collect();
         dependents.sort_unstable();
         dependents.dedup();
         dependents
     }
 
     /// Semi-naive re-computation of the incoming links that read any of the
-    /// changed relations, and transmission of the (sent-cache-filtered)
+    /// relations that grew, and transmission of the (sent-cache-filtered)
     /// results.
     pub(crate) fn propagate_deltas(
         &mut self,
         ctx: &mut Context<Envelope>,
         update: UpdateId,
-        deltas: &BTreeMap<String, Vec<Tuple>>,
+        grown: &[(Arc<str>, Version)],
         hops: u64,
     ) {
-        for id in self.links_reading(deltas) {
+        for id in self.links_reading(grown) {
             let st = &self.updates[&update];
             if st.scoped && !st.link(id).active_in {
                 // Nobody demanded the link: its mark stays behind these.
                 continue;
             }
-            let firings = self.fire_arrival(id, deltas);
+            let firings = self.fire_arrival(id, grown);
             self.send_link_data(ctx, update, id, firings, hops, false);
         }
     }
@@ -624,9 +624,10 @@ impl CoDbNode {
         let fire = || rule.fire(source).expect("schema-validated rule");
         let cache = &mut self.sent_cache[link.index()];
         if let Some(kept) = cache.view.as_deref_mut() {
-            if let Some(grown) = changed_since(source, atoms, &kept.versions) {
-                if !grown.is_empty() {
-                    let fresh = rule.fire_deltas(source, &grown).expect("schema-validated rule");
+            let since = rule.fire_since(source, read_since(atoms, &kept.versions));
+            if let Some(fresh) = since.expect("schema-validated rule") {
+                let grew = |(rel, version)| source.get(rel).map(Relation::version) != Some(version);
+                if read_since(atoms, &kept.versions).any(grew) {
                     // Two sorted runs: a stable sort merges them.
                     let mut firings = [&kept.firings[..], &fresh[..]].concat();
                     firings.sort();
@@ -659,31 +660,33 @@ impl CoDbNode {
         let rule = &book.link(link).rule;
         let atoms = &rule.rule().body.atoms;
         let mark = self.sent_cache[link.index()].mark.as_deref();
-        let firings = match mark.and_then(|mark| changed_since(&self.ldb, atoms, mark)) {
-            Some(grown) => rule.fire_deltas(&self.ldb, &grown).expect("schema-validated rule"),
+        let since = mark.and_then(|mark| {
+            rule.fire_since(&self.ldb, read_since(atoms, mark)).expect("schema-validated rule")
+        });
+        let firings = match since {
+            Some(firings) => firings,
             None => self.fire_link_whole(link, false).into_vec(),
         };
         self.sent_cache[link.index()].mark = versions_of(&self.ldb, atoms);
         firings
     }
 
-    /// Incoming link `link` fired over `deltas`, what an arrival just
-    /// appended to the LDB; the one place a mark advances on arrival: a
-    /// body atom's version that stood right before its delta moves past it.
+    /// Incoming link `link` fired since the versions `grown`, an arrival's;
+    /// the one place a mark advances on arrival: a body atom's version
+    /// equal to its relation's right before moves to the relation's now.
     pub(crate) fn fire_arrival(
         &mut self,
         link: LinkId,
-        deltas: &BTreeMap<String, Vec<Tuple>>,
+        grown: &[(Arc<str>, Version)],
     ) -> Vec<RuleFiring> {
         let rule = &self.book.link(link).rule;
-        let firings = rule.fire_deltas(&self.ldb, deltas).expect("schema-validated rule");
+        let since = rule.fire_since(&self.ldb, grown.iter().map(|(rel, v)| (&**rel, *v)));
+        let firings = since.expect("schema-validated rule").expect("an arrival's versions answer");
         let atoms = &rule.rule().body.atoms;
         if let Some(mark) = self.sent_cache[link.index()].mark.as_deref_mut() {
             for (atom, version) in atoms.iter().zip(mark) {
-                let Some(relation) = self.ldb.get(&atom.relation) else { continue };
-                let added = deltas.get(&atom.relation).map_or(0, Vec::len);
-                if relation.since(*version).is_some_and(|suffix| suffix.len() == added) {
-                    *version = relation.version();
+                if grown.iter().any(|(rel, before)| **rel == *atom.relation && before == version) {
+                    *version = self.ldb.get(&atom.relation).expect("it grew").version();
                 }
             }
         }
@@ -1020,21 +1023,19 @@ fn versions_of(source: &Instance, atoms: &[Atom]) -> Option<Box<[Version]>> {
     atoms.iter().map(|atom| source.get(&atom.relation).map(Relation::version)).collect()
 }
 
-/// What the relations `atoms` read gained in `source` since `versions`,
-/// per relation; none unless every one answers for its version.
-fn changed_since(
-    source: &Instance,
-    atoms: &[Atom],
-    versions: &[Version],
-) -> Option<BTreeMap<String, Vec<Tuple>>> {
-    let mut grown = BTreeMap::new();
-    for (atom, &version) in atoms.iter().zip(versions) {
-        let suffix = source.get(&atom.relation)?.since(version)?;
-        if !suffix.is_empty() {
-            grown.insert(atom.relation.clone(), suffix.to_vec());
-        }
-    }
-    Some(grown)
+/// Each body atom's relation with its version in `versions`, in body
+/// order, for [`codb_relational::PreparedRule::fire_since`].
+fn read_since<'a>(
+    atoms: &'a [Atom],
+    versions: &'a [Version],
+) -> impl Iterator<Item = (&'a str, Version)> + Clone {
+    atoms.iter().map(|atom| atom.relation.as_str()).zip(versions.iter().copied())
+}
+
+/// How many tuples the relations in `grown` gained in `source` since the
+/// versions it names.
+fn gained(source: &Instance, grown: &[(Arc<str>, Version)]) -> u64 {
+    grown.iter().filter_map(|(rel, v)| source.get(rel)?.since(*v)).map(|s| s.len() as u64).sum()
 }
 
 #[cfg(test)]

@@ -148,8 +148,8 @@ impl Chain {
 /// re-fired with the one new tuple, and a message of one firing goes out.
 ///
 /// * receive — 1: `admits`' vector of the head atoms' schemas;
-/// * apply — 4: the tuple (the one allocation the relation and the delta
-///   share), and the delta map's entry: its key, its vector, its node;
+/// * apply — 2: the tuple (the relation holds it; the delta is the
+///   relation's suffix), and the list of the relations that grew;
 /// * re-fire — 7: the list of dependent links; the evaluator's binding
 ///   vector and its trail; the answer list, the answer's atom vector and
 ///   its field vector; the firing;
@@ -157,7 +157,7 @@ impl Chain {
 ///   rule name and firing vector (the firings themselves are shared);
 /// * the statistics module — 4, once per update and link: the update
 ///   report's `received["ab"]` and `sent["bc"]`, a key and a map node each.
-const DATA_HOP_BUDGET: u64 = 19;
+const DATA_HOP_BUDGET: u64 = 17;
 
 #[test]
 fn the_message_shapes_of_a_wide_update_stay_within_their_allocation_budget() {

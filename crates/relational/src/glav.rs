@@ -21,10 +21,16 @@
 //! can still generate unboundedly many templates — the classical
 //! non-terminating chase — which callers guard with a round cap:
 //! `NodeSettings::max_hops` in `codb-core`.)
+//!
+//! **A delta is a suffix of the log**: [`apply_firings`] reports the
+//! version each relation that grew had before the batch, and
+//! [`PreparedRule::fire_since`] — the paper's "substitute R by T'" — reads
+//! each suffix since such a version straight from the relation.
 
 use crate::cq::{Atom, CqBody, CqError, Term, Var};
 use crate::eval::{for_each_answer, for_each_delta_answer, Bindings, EvalError};
 use crate::instance::Instance;
+use crate::relation::Version;
 use crate::tuple::Tuple;
 use crate::value::{NullFactory, NullId, Value};
 use serde::{Deserialize, Serialize};
@@ -119,33 +125,6 @@ impl GlavRule {
     ) -> Result<Vec<RuleFiring>, EvalError> {
         self.firings_of(&self.head_names(), |out| {
             for_each_delta_answer(&self.body, source, delta_relation, delta, out)
-        })
-    }
-
-    /// The paper's "substitute R by T'" for a whole batch of changes: the
-    /// firings whose derivation uses a tuple of `deltas` in some occurrence
-    /// of a changed relation the body reads (relations it does not read
-    /// contribute nothing), as one sorted, deduplicated sequence — the
-    /// subsequence of [`GlavRule::fire`]'s that touches the deltas, given
-    /// `source` already holds them.
-    pub fn fire_deltas(
-        &self,
-        source: &Instance,
-        deltas: &BTreeMap<String, Vec<Tuple>>,
-    ) -> Result<Vec<RuleFiring>, EvalError> {
-        self.fire_deltas_as(&self.head_names(), source, deltas)
-    }
-
-    fn fire_deltas_as(
-        &self,
-        names: &[Arc<str>],
-        source: &Instance,
-        deltas: &BTreeMap<String, Vec<Tuple>>,
-    ) -> Result<Vec<RuleFiring>, EvalError> {
-        self.firings_of(names, |out| {
-            deltas.iter().try_for_each(|(rel, delta)| {
-                for_each_delta_answer(&self.body, source, rel, delta, out)
-            })
         })
     }
 
@@ -253,13 +232,31 @@ impl PreparedRule {
         self.rule.fire_as(&self.head_names, source)
     }
 
-    /// [`GlavRule::fire_deltas`].
-    pub fn fire_deltas(
+    /// The firings whose derivation uses a tuple some relation of `source`
+    /// gained since its version in `versions` (a relation named twice is
+    /// fired once), as one sorted, deduplicated sequence: the subsequence
+    /// of [`PreparedRule::fire`]'s that touches the suffixes. `None` where
+    /// `source` lacks a named relation or a version is not of its lineage
+    /// ([`Relation::since`](crate::Relation::since)).
+    pub fn fire_since<'a>(
         &self,
         source: &Instance,
-        deltas: &BTreeMap<String, Vec<Tuple>>,
-    ) -> Result<Vec<RuleFiring>, EvalError> {
-        self.rule.fire_deltas_as(&self.head_names, source, deltas)
+        versions: impl Iterator<Item = (&'a str, Version)> + Clone,
+    ) -> Result<Option<Vec<RuleFiring>>, EvalError> {
+        let suffix = |(rel, version): (&str, Version)| source.get(rel)?.since(version);
+        if !versions.clone().all(|pair| suffix(pair).is_some()) {
+            return Ok(None);
+        }
+        let fired = self.rule.firings_of(&self.head_names, |out| {
+            versions.clone().enumerate().try_for_each(|(i, pair)| {
+                let delta = suffix(pair).expect("every version answers");
+                if delta.is_empty() || versions.clone().take(i).any(|(seen, _)| seen == pair.0) {
+                    return Ok(());
+                }
+                for_each_delta_answer(&self.rule.body, source, pair.0, delta, out)
+            })
+        })?;
+        Ok(Some(fired))
     }
 }
 
@@ -481,8 +478,10 @@ impl Deserialize for RuleFiring {
 
 /// Applies a batch of firings to `target`: instantiates each firing — one
 /// fresh null from `nulls` per distinct placeholder, shared across the
-/// firing's head atoms — inserts the resulting tuples, and returns the
-/// per-relation deltas (tuples that were actually new).
+/// firing's head atoms — inserts the resulting tuples, and returns each
+/// relation that gained one, in the order of its first new tuple, with
+/// its version before the batch: what the batch added is the relation's
+/// [`Relation::since`](crate::Relation::since) that version.
 ///
 /// The caller is responsible for firing-level dedup (per-link caches); this
 /// function still suppresses ground duplicates via set semantics. On an
@@ -492,8 +491,8 @@ pub fn apply_firings(
     target: &mut Instance,
     firings: &[RuleFiring],
     nulls: &mut NullFactory,
-) -> Result<BTreeMap<String, Vec<Tuple>>, crate::schema::SchemaError> {
-    let mut deltas: BTreeMap<String, Vec<Tuple>> = BTreeMap::new();
+) -> Result<Vec<(Arc<str>, Version)>, crate::schema::SchemaError> {
+    let mut grown: Vec<(Arc<str>, Version)> = Vec::new();
     // Placeholder → null of the firing in hand; a head has a few at most.
     let mut invented: Vec<(u32, NullId)> = Vec::new();
     for firing in firings {
@@ -518,18 +517,13 @@ pub fn apply_firings(
             let relation = target.get_mut(rel).ok_or_else(|| {
                 crate::schema::SchemaError::UnknownRelation { relation: rel.to_string() }
             })?;
-            // The relation and the delta hold the same allocation.
-            if relation.insert(Tuple::clone(&tuple))? {
-                match deltas.get_mut(&**rel) {
-                    Some(delta) => delta.push(tuple),
-                    None => {
-                        deltas.insert(rel.to_string(), vec![tuple]);
-                    }
-                }
+            let before = relation.version();
+            if relation.insert(tuple)? && !grown.iter().any(|(seen, _)| seen == rel) {
+                grown.push((Arc::clone(rel), before));
             }
         }
     }
-    Ok(deltas)
+    Ok(grown)
 }
 
 #[cfg(test)]
@@ -618,14 +612,22 @@ mod tests {
         target.add_relation(RelationSchema::with_types("dept", &[ValueType::Str]));
         let firings = glav_rule().fire(&src()).unwrap();
         let mut nulls = NullFactory::new(1);
-        let deltas = apply_firings(&mut target, &firings, &mut nulls).unwrap();
+        let grown = apply_firings(&mut target, &firings, &mut nulls).unwrap();
         assert_eq!(nulls.invented(), 2, "one null per firing, not per head atom");
+        let deltas = gained(&target, &grown);
         for (person, dept) in deltas["person"].iter().zip(&deltas["dept"]) {
             assert!(person[1].is_null());
             assert_eq!(person[1], dept[0], "placeholder shared within a firing");
         }
         // The second firing invented a different null.
         assert_ne!(deltas["dept"][0], deltas["dept"][1]);
+    }
+
+    /// What `grown`, as `apply_firings` reported it, names in `target`:
+    /// each relation's suffix since its version before the batch.
+    fn gained(target: &Instance, grown: &[(Arc<str>, Version)]) -> BTreeMap<String, Vec<Tuple>> {
+        let suffix = |rel: &str, v| target.get(rel).unwrap().since(v).unwrap().to_vec();
+        grown.iter().map(|(rel, v)| (rel.to_string(), suffix(rel, *v))).collect()
     }
 
     #[test]
@@ -757,16 +759,18 @@ mod tests {
     fn fire_deltas_is_one_sorted_sequence_over_every_changed_relation() {
         // path(X, Z) <- e(X, Y), f(Y, Z): a batch that changes both body
         // relations, plus one relation the body does not read.
-        let rule = GlavRule::new(
-            "j",
-            vec![Atom::new("path", vec![v(0), v(2)])],
-            CqBody::new(
-                vec![Atom::new("e", vec![v(0), v(1)]), Atom::new("f", vec![v(1), v(2)])],
-                vec![],
-            ),
-            vec!["X".into(), "Y".into(), "Z".into()],
-        )
-        .unwrap();
+        let rule = PreparedRule::new(
+            GlavRule::new(
+                "j",
+                vec![Atom::new("path", vec![v(0), v(2)])],
+                CqBody::new(
+                    vec![Atom::new("e", vec![v(0), v(1)]), Atom::new("f", vec![v(1), v(2)])],
+                    vec![],
+                ),
+                vec!["X".into(), "Y".into(), "Z".into()],
+            )
+            .unwrap(),
+        );
         let mut inst = Instance::new();
         for name in ["e", "f", "g"] {
             inst.add_relation(RelationSchema::with_types(name, &[ValueType::Int, ValueType::Int]));
@@ -774,22 +778,61 @@ mod tests {
         inst.insert("e", tup![1, 2]).unwrap();
         inst.insert("f", tup![2, 9]).unwrap();
         let before = rule.fire(&inst).unwrap();
-        let deltas = BTreeMap::from([
-            ("e".to_owned(), vec![tup![5, 6], tup![0, 2]]),
-            ("f".to_owned(), vec![tup![6, 7], tup![2, 3]]),
-            ("g".to_owned(), vec![tup![1, 1]]),
-        ]);
-        for (rel, tuples) in &deltas {
-            for t in tuples {
-                inst.insert(rel, t.clone()).unwrap();
-            }
+        let then: Vec<(&str, Version)> =
+            ["e", "f", "g"].map(|rel| (rel, inst.get(rel).unwrap().version())).to_vec();
+        let batch = [
+            ("e", tup![5, 6]),
+            ("e", tup![0, 2]),
+            ("f", tup![6, 7]),
+            ("f", tup![2, 3]),
+            ("g", tup![1, 1]),
+        ];
+        for (rel, t) in batch {
+            inst.insert(rel, t).unwrap();
         }
         // (5, 7) joins a new e with a new f: derived under both, kept once.
         let fresh: Vec<RuleFiring> =
             rule.fire(&inst).unwrap().into_iter().filter(|f| !before.contains(f)).collect();
-        assert_eq!(rule.fire_deltas(&inst, &deltas).unwrap(), fresh);
+        let since = |inst: &Instance, versions: &[(&str, Version)]| {
+            rule.fire_since(inst, versions.iter().copied()).unwrap()
+        };
+        assert_eq!(since(&inst, &then), Some(fresh.clone()));
         assert_eq!(fresh.len(), 4, "(0, 3), (0, 9), (1, 3), (5, 7)");
-        assert!(rule.fire_deltas(&inst, &BTreeMap::new()).unwrap().is_empty());
+        assert_eq!(since(&inst, &[]), Some(Vec::new()));
+        let now = then.iter().map(|&(rel, _)| (rel, inst.get(rel).unwrap().version()));
+        assert_eq!(since(&inst, &now.collect::<Vec<_>>()), Some(Vec::new()));
+        // A clone is a lineage of its own; a relation it lacks answers for
+        // nothing.
+        assert_eq!(since(&inst.clone(), &then), None);
+        let mut missing = then.clone();
+        missing[2].0 = "h";
+        assert_eq!(since(&inst, &missing), None);
+
+        // reach(X, Z) <- e(X, Y), e(Y, Z): two atoms over one relation,
+        // named twice, fired once.
+        let self_join = PreparedRule::new(
+            GlavRule::new(
+                "s",
+                vec![Atom::new("path", vec![v(0), v(2)])],
+                CqBody::new(
+                    vec![Atom::new("e", vec![v(0), v(1)]), Atom::new("e", vec![v(1), v(2)])],
+                    vec![],
+                ),
+                vec!["X".into(), "Y".into(), "Z".into()],
+            )
+            .unwrap(),
+        );
+        let before = self_join.fire(&inst).unwrap();
+        let e = inst.get("e").unwrap().version();
+        for t in [tup![2, 5], tup![6, 0], tup![3, 3]] {
+            inst.insert("e", t).unwrap();
+        }
+        let fresh: Vec<RuleFiring> =
+            self_join.fire(&inst).unwrap().into_iter().filter(|f| !before.contains(f)).collect();
+        assert_eq!(fresh.len(), 6, "(0, 5), (1, 5), (2, 6), (3, 3), (5, 0), (6, 2)");
+        let once = self_join.fire_since(&inst, [("e", e)].into_iter()).unwrap();
+        let twice = self_join.fire_since(&inst, [("e", e), ("e", e)].into_iter()).unwrap();
+        assert_eq!((once, twice), (Some(fresh.clone()), Some(fresh)));
     }
 
     #[test]
@@ -800,7 +843,7 @@ mod tests {
         let firings = gav_rule().fire(&src()).unwrap();
         let mut nulls = NullFactory::new(2);
         let d1 = apply_firings(&mut target, &firings, &mut nulls).unwrap();
-        assert_eq!(d1["person"].len(), 1);
+        assert_eq!(gained(&target, &d1)["person"].len(), 1);
         // Re-applying the same ground firing adds nothing.
         let d2 = apply_firings(&mut target, &firings, &mut nulls).unwrap();
         assert!(d2.is_empty());
@@ -812,15 +855,20 @@ mod tests {
         target
             .add_relation(RelationSchema::with_types("person", &[ValueType::Str, ValueType::Str]));
         target.add_relation(RelationSchema::with_types("dept", &[ValueType::Str]));
+        target.insert("person", tup!["zed", "x"]).unwrap();
         let firings = glav_rule().fire(&src()).unwrap();
-        let deltas = apply_firings(&mut target, &firings, &mut NullFactory::new(1)).unwrap();
-        assert_eq!(deltas.values().map(Vec::len).sum::<usize>(), 4);
-        for (rel, delta) in &deltas {
-            for t in delta {
-                let held = target.get(rel).unwrap().iter().find(|held| *held == t).unwrap();
-                assert!(held.ptr_eq(t), "{rel}{t} was built twice");
-            }
+        let grown = apply_firings(&mut target, &firings, &mut NullFactory::new(1)).unwrap();
+        // In the order of each relation's first new tuple, the log before
+        // the batch excluded: the delta is the relation's own tuples.
+        let names: Vec<&str> = grown.iter().map(|(rel, _)| &**rel).collect();
+        assert_eq!(names, ["person", "dept"]);
+        let deltas = gained(&target, &grown);
+        assert_eq!(deltas["person"].len() + deltas["dept"].len(), 4);
+        for (person, dept) in deltas["person"].iter().zip(&deltas["dept"]) {
+            assert!(person[0] == Value::str("alice") || person[0] == Value::str("bob"));
+            assert_eq!(person[1], dept[0]);
         }
+        assert_eq!(target.tuple_count(), 5);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub struct Chase {
     pub rounds: u64,
 }
 
-/// New tuples per relation, as [`apply_firings`] reports them.
+/// New tuples per relation: the suffixes [`apply_firings`] names.
 type Deltas = BTreeMap<String, Vec<Tuple>>;
 
 /// Chase state between rule applications.
@@ -80,7 +80,10 @@ impl State {
         let fresh: Vec<RuleFiring> =
             produced.into_iter().filter(|f| fired.insert(f.clone())).collect();
         let target = self.instances.get_mut(&rule.target).expect("rule targets a configured node");
-        apply_firings(target, &fresh, &mut self.nulls).expect("rule heads match target schemas")
+        let grown = apply_firings(target, &fresh, &mut self.nulls)
+            .expect("rule heads match target schemas");
+        let suffix = |rel: &str, v| target.get(rel).and_then(|r| r.since(v)).expect("it grew");
+        grown.iter().map(|(rel, v)| (rel.to_string(), suffix(rel, *v).to_vec())).collect()
     }
 
     fn finish(self, rounds: u64) -> Chase {

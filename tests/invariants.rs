@@ -6,7 +6,9 @@
 use codb::core::NodeId;
 use codb::prelude::*;
 use codb::relational::eval::evaluate_body_reference;
-use codb::relational::{apply_firings, evaluate_body, GlavRule, Instance, NullFactory, RuleFiring};
+use codb::relational::{
+    apply_firings, evaluate_body, GlavRule, Instance, NullFactory, PreparedRule, RuleFiring,
+};
 use codb::workload::oracle::chase_naive;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -555,7 +557,7 @@ mod relational_props {
                 .map(|((t1, t2), rel)| Atom::new(rel, vec![t1, t2]))
                 .collect();
             let names = ["A", "B", "C", "D", "E", "F"].map(String::from).to_vec();
-            let rule = GlavRule::new("r", head, body, names).unwrap();
+            let rule = PreparedRule::new(GlavRule::new("r", head, body, names).unwrap());
 
             // As a serving node has it: the overlay is a clone of an LDB
             // whose indexes earlier requests left warm, and the LDB must
@@ -571,19 +573,17 @@ mod relational_props {
             let mut overlay = inst;
             let mut sent: HashSet<RuleFiring> = rule.fire(&overlay).unwrap().into_iter().collect();
             for batch in batches {
-                let mut deltas: BTreeMap<String, Vec<Tuple>> = BTreeMap::new();
+                let then = ["e", "f"].map(|rel| (rel, overlay.get(rel).unwrap().version()));
                 for (into_e, a, b) in batch {
                     let rel = if into_e { "e" } else { "f" };
-                    let tuple = Tuple::new(vec![Value::Int(a), Value::Int(b)]);
-                    if overlay.insert(rel, tuple.clone()).unwrap() {
-                        deltas.entry(rel.to_owned()).or_default().push(tuple);
-                    }
+                    overlay.insert(rel, Tuple::new(vec![Value::Int(a), Value::Int(b)])).unwrap();
                 }
                 let view = rule.fire(&overlay).unwrap();
                 let unsent = |firings: &[RuleFiring]| -> Vec<RuleFiring> {
                     firings.iter().filter(|f| !sent.contains(*f)).cloned().collect()
                 };
-                let instalment = unsent(&rule.fire_deltas(&overlay, &deltas).unwrap());
+                let fresh = rule.fire_since(&overlay, then.into_iter()).unwrap().unwrap();
+                let instalment = unsent(&fresh);
                 prop_assert_eq!(&instalment, &unsent(&view));
                 sent.extend(instalment);
                 let mut so_far: Vec<RuleFiring> = sent.iter().cloned().collect();
@@ -668,9 +668,14 @@ mod relational_props {
             let (mut reference, mut reference_nulls) = (target.clone(), NullFactory::new(origin));
             let mut nulls = NullFactory::new(origin);
             for batch in &batches {
-                let deltas = apply_firings(&mut target, batch, &mut nulls).unwrap();
+                let grown = apply_firings(&mut target, batch, &mut nulls).unwrap();
                 let expected = apply_reference(&mut reference, batch, &mut reference_nulls);
-                prop_assert_eq!(deltas, expected);
+                let suffixes: BTreeMap<String, Vec<Tuple>> = grown
+                    .iter()
+                    .map(|(rel, v)| (rel.to_string(), target.get(rel).unwrap().since(*v).unwrap().to_vec()))
+                    .collect();
+                prop_assert_eq!(grown.len(), suffixes.len(), "a relation is named once");
+                prop_assert_eq!(suffixes, expected);
                 prop_assert_eq!(nulls.invented(), reference_nulls.invented());
                 prop_assert_eq!(&target, &reference);
             }
