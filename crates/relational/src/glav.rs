@@ -31,14 +31,13 @@ use crate::cq::{Atom, CqBody, CqError, Term, Var};
 use crate::eval::{for_each_answer, for_each_delta_answer, Bindings, EvalError};
 use crate::instance::Instance;
 use crate::relation::Version;
-use crate::tuple::Tuple;
+use crate::tuple::{Feed, Tuple};
 use crate::value::{NullFactory, NullId, Value};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
-use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 /// A GLAV coordination rule, node-agnostic (the `codb-core` crate pairs it
@@ -138,7 +137,7 @@ impl GlavRule {
         names: &[Arc<str>],
         answers: impl FnOnce(&mut dyn FnMut(&Bindings)) -> Result<(), EvalError>,
     ) -> Result<Vec<RuleFiring>, EvalError> {
-        let mut instances: Vec<Vec<(Arc<str>, Vec<TField>)>> = Vec::new();
+        let mut instances: Vec<Head> = Vec::new();
         answers(&mut |b| {
             let instance = self.head.iter().zip(names).map(|(atom, name)| {
                 let fields = atom
@@ -154,11 +153,11 @@ impl GlavRule {
                     .collect();
                 (Arc::clone(name), fields)
             });
-            instances.push(instance.collect());
+            instances.push(Head::new(instance));
         })?;
-        instances.sort_unstable();
-        instances.dedup();
-        Ok(instances.into_iter().map(RuleFiring::from_atoms).collect())
+        instances.sort_unstable_by(|a, b| a.as_slice().cmp(b.as_slice()));
+        instances.dedup_by(|a, b| a.as_slice() == b.as_slice());
+        Ok(instances.into_iter().map(RuleFiring::from_head).collect())
     }
 
     /// True iff every firing of `firings` is an instance of this rule's
@@ -324,29 +323,85 @@ pub enum TField {
 /// A firing is an immutable shared handle: built once where the rule
 /// fires, and from there to the last cache that remembers it every clone
 /// is a reference-count bump. Equality and order are structural — those of
-/// the atom list — and the hash is computed on first use, once per
-/// allocation.
+/// the atom list — and the hash and the size are taken together on first
+/// use, once per allocation.
 #[derive(Clone)]
 pub struct RuleFiring(Arc<FiringData>);
 
 struct FiringData {
-    atoms: Vec<(Arc<str>, Vec<TField>)>,
-    hash: OnceLock<u64>,
+    head: Head,
+    /// The content hash and [`RuleFiring::size_bytes`], from one walk.
+    summary: OnceLock<(u64, usize)>,
+}
+
+/// One head atom: its relation and its fields.
+type HeadAtom = (Arc<str>, Vec<TField>);
+
+/// A firing's atoms; a one-atom head — most rules' — in the firing's own
+/// allocation. Compared as its slice, so that the order of firings is the
+/// atom lists' whatever the variant.
+enum Head {
+    One([HeadAtom; 1]),
+    Many(Vec<HeadAtom>),
+}
+
+impl Head {
+    fn new(mut atoms: impl Iterator<Item = HeadAtom>) -> Self {
+        match (atoms.next(), atoms.next()) {
+            (Some(atom), None) => Head::One([atom]),
+            (first, second) => Head::Many(first.into_iter().chain(second).chain(atoms).collect()),
+        }
+    }
+
+    fn as_slice(&self) -> &[HeadAtom] {
+        match self {
+            Head::One(atom) => atom,
+            Head::Many(atoms) => atoms,
+        }
+    }
+}
+
+/// Feeds a firing's fields to `feed`, its atoms apart by the separator —
+/// the relation names are left out: a [`FiringSet`] holds one rule's
+/// firings and [`GlavRule::admits`] checks the names — and returns the
+/// firing's size: over its atoms, the name's length, 2 and each field's
+/// size, a placeholder's being 4.
+fn summarise<H: Hasher>(atoms: &[HeadAtom], feed: &mut Feed<H>) -> usize {
+    let mut size = 0;
+    for (i, (rel, fields)) in atoms.iter().enumerate() {
+        if i > 0 {
+            feed.separator();
+        }
+        size += rel.len() + 2;
+        for field in fields {
+            size += match field {
+                TField::Const(v) => {
+                    feed.value(v);
+                    v.size_bytes()
+                }
+                TField::Fresh(id) => {
+                    feed.fresh(*id);
+                    4
+                }
+            };
+        }
+    }
+    size
 }
 
 impl RuleFiring {
     /// A firing of `(relation, fields)` per head atom, in rule head order.
     pub fn new<S: Into<Arc<str>>>(atoms: impl IntoIterator<Item = (S, Vec<TField>)>) -> Self {
-        Self::from_atoms(atoms.into_iter().map(|(rel, fields)| (rel.into(), fields)).collect())
+        Self::from_head(Head::new(atoms.into_iter().map(|(rel, fields)| (rel.into(), fields))))
     }
 
-    fn from_atoms(atoms: Vec<(Arc<str>, Vec<TField>)>) -> Self {
-        RuleFiring(Arc::new(FiringData { atoms, hash: OnceLock::new() }))
+    fn from_head(head: Head) -> Self {
+        RuleFiring(Arc::new(FiringData { head, summary: OnceLock::new() }))
     }
 
     /// `(relation, fields)` per head atom, in rule head order.
     pub fn atoms(&self) -> &[(Arc<str>, Vec<TField>)] {
-        &self.0.atoms
+        self.0.head.as_slice()
     }
 
     /// True iff both handles are the same allocation (equal firings built
@@ -360,36 +415,36 @@ impl RuleFiring {
         self.atoms().iter().all(|(_, fs)| fs.iter().all(|f| matches!(f, TField::Const(_))))
     }
 
-    /// Approximate wire size in bytes (statistics accounting).
+    /// Approximate wire size in bytes (statistics accounting): over the
+    /// atoms, the relation name's length, 2 and each field's size, a
+    /// placeholder's being 4.
     pub fn size_bytes(&self) -> usize {
-        self.atoms()
-            .iter()
-            .map(|(rel, fs)| {
-                rel.len()
-                    + 2
-                    + fs.iter()
-                        .map(|f| match f {
-                            TField::Const(v) => v.size_bytes(),
-                            TField::Fresh(_) => 4,
-                        })
-                        .sum::<usize>()
-            })
-            .sum()
+        self.summary().1
     }
 
-    /// The hash of the atom list under the process-wide keyed SipHash:
-    /// equal firings agree, however and wherever in this process they were
-    /// built. Lazy because most firings are never hashed — a chase that
-    /// keeps them in ordered sets pays nothing for it.
+    /// The hash of the fields under the process-keyed SipHash
+    /// ([`Tuple::content_hash`]'s): equal firings agree, however and
+    /// wherever in this process they were built, and a ground one-atom
+    /// firing hashes as the tuple it makes.
     fn content_hash(&self) -> u64 {
-        static KEYS: OnceLock<RandomState> = OnceLock::new();
-        *self.0.hash.get_or_init(|| KEYS.get_or_init(RandomState::new).hash_one(&self.0.atoms))
+        self.summary().0
+    }
+
+    /// The content hash and the size, taken in one walk the first time
+    /// either is asked for. Lazy because most firings are never hashed — a
+    /// chase that keeps them in ordered sets pays nothing for it.
+    fn summary(&self) -> (u64, usize) {
+        *self.0.summary.get_or_init(|| {
+            let mut feed = Feed::new();
+            let size = summarise(self.atoms(), &mut feed);
+            (feed.end().finish(), size)
+        })
     }
 }
 
 impl PartialEq for RuleFiring {
     fn eq(&self, other: &Self) -> bool {
-        self.ptr_eq(other) || self.0.atoms == other.0.atoms
+        self.ptr_eq(other) || self.atoms() == other.atoms()
     }
 }
 
@@ -406,7 +461,7 @@ impl Ord for RuleFiring {
         if self.ptr_eq(other) {
             Ordering::Equal
         } else {
-            self.0.atoms.cmp(&other.0.atoms)
+            self.atoms().cmp(other.atoms())
         }
     }
 }
@@ -426,7 +481,7 @@ pub type FiringSet = HashSet<RuleFiring, BuildHasherDefault<Prehashed>>;
 /// The [`Hasher`] of a [`FiringSet`]: hands back the one `u64` its key
 /// writes. Sound only for keys whose `Hash` writes a hash that is itself
 /// safe to bucket by — [`RuleFiring`]'s is the process-keyed SipHash of its
-/// atoms, so firings chosen on the wire still cannot aim at a bucket.
+/// fields, so firings chosen on the wire still cannot aim at a bucket.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Prehashed(u64);
 
@@ -451,7 +506,7 @@ impl Hasher for Prehashed {
 
 impl fmt::Debug for RuleFiring {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RuleFiring").field("atoms", &self.0.atoms).finish()
+        f.debug_struct("RuleFiring").field("atoms", &self.atoms()).finish()
     }
 }
 
@@ -518,7 +573,14 @@ pub fn apply_firings(
                 crate::schema::SchemaError::UnknownRelation { relation: rel.to_string() }
             })?;
             let before = relation.version();
-            if relation.insert(tuple)? && !grown.iter().any(|(seen, _)| seen == rel) {
+            // A ground one-atom firing hashes as the tuple it makes: the
+            // receive cache's hash files it.
+            let hash = if firing.atoms().len() == 1 && invented.is_empty() {
+                firing.content_hash()
+            } else {
+                tuple.content_hash()
+            };
+            if relation.insert_hashed(tuple, hash)? && !grown.iter().any(|(seen, _)| seen == rel) {
                 grown.push((Arc::clone(rel), before));
             }
         }
@@ -534,6 +596,7 @@ mod tests {
     use crate::schema::RelationSchema;
     use crate::tup;
     use crate::value::ValueType;
+    use std::hash::BuildHasher;
 
     fn v(i: u32) -> Term {
         Term::Var(Var(i))
@@ -946,7 +1009,116 @@ mod tests {
 
     #[test]
     fn firing_size_accounts_fields() {
-        let firings = glav_rule().fire(&src()).unwrap();
-        assert!(firings[0].size_bytes() > 0);
+        // person("alice", D), dept(D): a constant and a placeholder.
+        let sized = glav_rule().fire(&src()).unwrap().remove(0);
+        assert_eq!(
+            sized.atoms(),
+            [
+                (Arc::from("person"), vec![TField::Const(Value::str("alice")), TField::Fresh(2)]),
+                (Arc::from("dept"), vec![TField::Fresh(2)]),
+            ]
+        );
+        // Σ over atoms of (len(rel) + 2 + Σ field sizes), `Fresh` 4.
+        let formula = ("person".len() + 2 + ("alice".len() + 4) + 4) + ("dept".len() + 2 + 4);
+        assert_eq!(sized.size_bytes(), formula);
+        assert_eq!(formula, 31);
+        // An equal firing hashed first sizes the same.
+        let hashed = glav_rule().fire(&src()).unwrap().remove(0);
+        BuildHasherDefault::<Prehashed>::default().hash_one(&hashed);
+        assert_eq!(hashed.size_bytes(), formula);
+        assert_eq!(sized.size_bytes(), formula);
+    }
+
+    #[test]
+    fn a_ground_one_atom_firing_hashes_as_the_tuple_it_files() {
+        use crate::binenc::{put_firing, take_firing, Reader};
+        let sets = BuildHasherDefault::<Prehashed>::default();
+        let values = [
+            Value::Int(-3),
+            Value::str(""),
+            Value::str("naïve ☃"),
+            Value::Bool(true),
+            Value::Null(NullId::new(4, 2)),
+        ];
+        let firing = RuleFiring::new([("r", values.iter().cloned().map(TField::Const).collect())]);
+        let tuple: Tuple = values.iter().cloned().collect();
+        assert_eq!(sets.hash_one(&firing), tuple.content_hash());
+
+        // Decoded, as recovery meets it: another allocation, the same hash.
+        let mut bytes = Vec::new();
+        put_firing(&mut bytes, &firing);
+        let decoded = take_firing(&mut Reader::new(&bytes)).unwrap();
+        assert!(!decoded.ptr_eq(&firing));
+        assert_eq!(sets.hash_one(&decoded), tuple.content_hash());
+
+        // Filed under that hash, and found by a tuple built afresh.
+        let mut target = Instance::new();
+        let types =
+            [ValueType::Int, ValueType::Str, ValueType::Str, ValueType::Bool, ValueType::Int];
+        target.add_relation(RelationSchema::with_types("r", &types));
+        apply_firings(&mut target, &[decoded], &mut NullFactory::new(1)).unwrap();
+        assert!(target.get("r").unwrap().contains(&tuple));
+
+        // A template is not the firing its placeholder instantiates to.
+        let template =
+            RuleFiring::new([("r", vec![TField::Const(Value::Int(1)), TField::Fresh(0)])]);
+        let null = TField::Const(Value::Null(NullId::new(0, 0)));
+        let instance = RuleFiring::new([("r", vec![TField::Const(Value::Int(1)), null])]);
+        assert_ne!(sets.hash_one(&template), sets.hash_one(&instance));
+    }
+
+    #[test]
+    fn the_field_encoding_is_prefix_free() {
+        use crate::tuple::fed;
+        let tuple = |t: &Tuple| fed(|feed| t.values().for_each(|v| feed.value(v)));
+        assert_ne!(tuple(&tup!["ab", ""]), tuple(&tup!["a", "b"]));
+        // The same bits under every tag, and no field's bytes a prefix of
+        // another's.
+        let fields = [
+            TField::Const(Value::Int(1)),
+            TField::Const(Value::Bool(true)),
+            TField::Const(Value::Null(NullId::new(1, 0))),
+            TField::Const(Value::Null(NullId::new(0, 1))),
+            TField::Fresh(1),
+            TField::Const(Value::str("")),
+            TField::Const(Value::str("\u{1}")),
+        ];
+        let atoms = |atoms: &[HeadAtom]| {
+            fed(|feed| {
+                summarise(atoms, feed);
+            })
+        };
+        let one = |field: &TField| atoms(&[("r".into(), vec![field.clone()])]);
+        let streams: Vec<Vec<u8>> = fields.iter().map(one).collect();
+        for (i, a) in streams.iter().enumerate() {
+            for (j, b) in streams.iter().enumerate() {
+                assert!(
+                    i == j || !b.starts_with(a),
+                    "{:?} is a prefix of {:?}",
+                    fields[i],
+                    fields[j]
+                );
+            }
+        }
+        // One atom against two, over the same fields; the names are not fed.
+        let int = |i| TField::Const(Value::Int(i));
+        let whole = atoms(&[("r".into(), vec![int(1), int(2)])]);
+        let split = atoms(&[("r".into(), vec![int(1)]), ("r".into(), vec![int(2)])]);
+        assert_ne!(whole, split);
+        assert_eq!(whole, atoms(&[("s".into(), vec![int(1), int(2)])]));
+        // Past the 64-byte buffer, bytes stream through unchanged.
+        let long = Value::str("x".repeat(200));
+        let stream = fed(|feed| (0..3).for_each(|_| feed.value(&long)));
+        assert_eq!(stream.len(), 3 * (1 + 8 + 200));
+        assert_eq!(stream[..209], stream[209..418]);
+    }
+
+    #[test]
+    fn a_one_atom_head_is_held_inline_and_compares_as_its_slice() {
+        let one = RuleFiring::new([("r", vec![TField::Fresh(0)])]);
+        let two = RuleFiring::new([("r", vec![TField::Fresh(0)]), ("s", vec![])]);
+        assert!(matches!(one.0.head, Head::One(_)) && matches!(two.0.head, Head::Many(_)));
+        assert!(one < two && one != two);
+        assert_eq!(format!("{one:?}"), r#"RuleFiring { atoms: [("r", [Fresh(0)])] }"#);
     }
 }

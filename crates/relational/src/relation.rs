@@ -16,10 +16,8 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
-use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::hash::BuildHasher;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -61,26 +59,31 @@ pub struct Version {
 
 /// Where each tuple sits in the relation's vector: an open-addressing table,
 /// at most 7/8 full, whose slot is 0 (empty) or `hash << 32 | (position +
-/// 1)`, `hash` being 32 bits of the tuple's hash under the relation's own
-/// `RandomState` (its tuples come off the wire).
+/// 1)`, `hash` being the top 32 bits of the tuple's
+/// [`Tuple::content_hash`] — keyed per process, as its tuples come off the
+/// wire.
 #[derive(Clone, Default)]
 struct Positions {
     slots: Vec<u64>,
-    hasher: RandomState,
+}
+
+/// The bits of `content_hash` a slot files.
+fn bits(content_hash: u64) -> u32 {
+    (content_hash >> 32) as u32
 }
 
 impl Positions {
-    /// The slot filing a tuple equal to `t`, or else the empty slot `t`
-    /// would be filed in; and `t`'s hash bits.
-    fn slot_of(&self, t: &Tuple, tuples: &[Tuple]) -> (usize, u32) {
-        let hash = (self.hasher.hash_one(t) >> 32) as u32;
+    /// The slot filing a tuple equal to `t`, whose hash bits are `hash`,
+    /// or else the empty slot `t` would be filed in.
+    fn slot_of(&self, t: &Tuple, hash: u32, tuples: &[Tuple]) -> usize {
         let filed = |slot| (slot >> 32) as u32 == hash && tuples[(slot as u32 - 1) as usize] == *t;
-        (probe(&self.slots, hash, filed), hash)
+        probe(&self.slots, hash, filed)
     }
 
-    /// Files `t` at position `tuples.len()`, unless a tuple equal to it is
-    /// filed already; returns whether it was filed.
-    fn file(&mut self, t: &Tuple, tuples: &[Tuple]) -> bool {
+    /// Files `t`, whose hash bits are `hash`, at position `tuples.len()`,
+    /// unless a tuple equal to it is filed already; returns whether it was
+    /// filed.
+    fn file(&mut self, t: &Tuple, hash: u32, tuples: &[Tuple]) -> bool {
         if (tuples.len() + 1) * 8 > self.slots.len() * 7 {
             // Doubled, each slot re-filed by its bits: no tuple is rehashed.
             let mut slots = vec![0; (self.slots.len() * 2).max(4)];
@@ -90,7 +93,7 @@ impl Positions {
             }
             self.slots = slots;
         }
-        let (at, hash) = self.slot_of(t, tuples);
+        let at = self.slot_of(t, hash, tuples);
         if self.slots[at] != 0 {
             return false;
         }
@@ -217,7 +220,8 @@ impl Relation {
     /// Membership test.
     pub fn contains(&self, t: &Tuple) -> bool {
         let slots = &self.positions.slots;
-        !slots.is_empty() && slots[self.positions.slot_of(t, &self.tuples).0] != 0
+        !slots.is_empty()
+            && slots[self.positions.slot_of(t, bits(t.content_hash()), &self.tuples)] != 0
     }
 
     /// Iterates over the tuples in insertion order.
@@ -270,21 +274,23 @@ impl Relation {
     /// Validates and inserts one tuple. Returns `Ok(true)` when the tuple is
     /// new, `Ok(false)` when it was already present.
     pub fn insert(&mut self, t: Tuple) -> Result<bool, SchemaError> {
-        self.schema.validate(&t)?;
-        Ok(self.insert_valid(t))
+        let hash = t.content_hash();
+        self.insert_hashed(t, hash)
     }
 
-    /// Inserts a tuple of this schema.
-    #[inline]
-    fn insert_valid(&mut self, t: Tuple) -> bool {
-        if !self.positions.file(&t, &self.tuples) {
-            return false;
+    /// [`Relation::insert`] of a tuple whose [`Tuple::content_hash`] the
+    /// caller has in hand: a ground one-atom firing's own.
+    pub(crate) fn insert_hashed(&mut self, t: Tuple, hash: u64) -> Result<bool, SchemaError> {
+        debug_assert!(hash == t.content_hash(), "{t} filed under another tuple's hash");
+        self.schema.validate(&t)?;
+        if !self.positions.file(&t, bits(hash), &self.tuples) {
+            return Ok(false);
         }
         if self.derived.in_use() {
             self.derive_inserted(&t);
         }
         self.tuples.push(t);
-        true
+        Ok(true)
     }
 
     /// What a new tuple does to indexes that exist or slots that are
@@ -355,7 +361,7 @@ impl Deserialize for Relation {
         let mut relation = Relation::new(serde::__from_field(fields, "schema")?);
         let tuples: Vec<Tuple> = serde::__from_field(fields, "tuples")?;
         for t in tuples {
-            relation.insert_valid(t);
+            relation.insert(t).map_err(|e| serde::Error::custom(e.to_string()))?;
         }
         Ok(relation)
     }
@@ -402,6 +408,19 @@ mod tests {
         assert_eq!(r.since(before).unwrap(), [tup![2, "b"], tup![3, "c"]]);
         assert_eq!(r.since(r.version()).unwrap(), []);
         assert_eq!(r.len(), 3);
+    }
+
+    #[test]
+    fn a_tuple_filed_under_its_hash_is_found_when_built_again() {
+        let mut r = rel();
+        let filed = tup![7, "naïve"];
+        assert!(r.insert_hashed(filed.clone(), filed.content_hash()).unwrap());
+        let again: Tuple = [Value::Int(7), Value::str("naïve")].into_iter().collect();
+        assert!(!again.ptr_eq(&filed));
+        assert!(r.contains(&again));
+        assert!(!r.insert(again).unwrap());
+        assert!(!r.contains(&tup![7, "naive"]));
+        assert!(r.insert_hashed(tup!["bad", 1], tup!["bad", 1].content_hash()).is_err());
     }
 
     #[test]

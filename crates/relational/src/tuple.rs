@@ -2,9 +2,11 @@
 
 use crate::value::{NullId, Value};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 use std::ops::Index;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A database tuple. Immutable once constructed; cheap to hash and compare,
 /// which matters because coDB's duplicate suppression (`T' = T \ R`) hashes
@@ -12,7 +14,8 @@ use std::sync::Arc;
 ///
 /// A tuple is a shared handle on one allocation: the relation that holds
 /// it, the delta that reports it and every clone of either are
-/// reference-count bumps. Equality, order and hash are those of the fields.
+/// reference-count bumps. Equality, order and the std `Hash` are those of
+/// the fields; a relation files a tuple by its [`Tuple::content_hash`].
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tuple(Arc<[Value]>);
 
@@ -67,6 +70,128 @@ impl Tuple {
     /// Borrow the underlying slice.
     pub fn as_slice(&self) -> &[Value] {
         &self.0
+    }
+
+    /// The process-keyed SipHash of the fields' compact encoding: equal
+    /// tuples agree, however and wherever in this process they were built,
+    /// and a ground one-atom firing of the same fields hashes to the same
+    /// `u64`.
+    pub fn content_hash(&self) -> u64 {
+        let mut feed = Feed::new();
+        self.0.iter().for_each(|v| feed.value(v));
+        feed.end().finish()
+    }
+}
+
+/// The process's one SipHash key: every content hash in the crate — a
+/// tuple's and a firing's — is taken under it, so keys chosen on the wire
+/// cannot aim at a slot or a bucket.
+pub(crate) fn keys() -> &'static RandomState {
+    static KEYS: OnceLock<RandomState> = OnceLock::new();
+    KEYS.get_or_init(RandomState::new)
+}
+
+/// A 64-byte buffer in front of a hasher, filled with the compact encoding
+/// of fields and handed on in one `write` per 64 bytes; a longer write
+/// streams straight through. SipHash reads its input as one byte stream,
+/// so the buffer changes the calls, never the hash.
+///
+/// The encoding is one tag byte, then the payload: `Int` 0 and 8 LE bytes,
+/// `Str` 1, the length as a `u64` and the bytes, `Bool` 2 and one byte,
+/// `Null` 3, origin and seq; a firing's placeholder 4 and its `u32`, and 5
+/// between a firing's atoms. Each field's bytes are prefix-free, so equal
+/// fields give equal streams and unequal ones unequal streams.
+pub(crate) struct Feed<H = DefaultHasher> {
+    buf: [u8; 64],
+    len: usize,
+    hasher: H,
+}
+
+impl Feed {
+    /// A feed into a hasher under [`keys`].
+    pub(crate) fn new() -> Self {
+        Feed::over(keys().build_hasher())
+    }
+}
+
+impl<H: Hasher> Feed<H> {
+    /// A feed into `hasher`.
+    pub(crate) fn over(hasher: H) -> Self {
+        Feed { buf: [0; 64], len: 0, hasher }
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        if self.len + bytes.len() > self.buf.len() {
+            self.hasher.write(&self.buf[..self.len]);
+            self.len = 0;
+            if bytes.len() > self.buf.len() {
+                self.hasher.write(bytes);
+                return;
+            }
+        }
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    /// One ground field.
+    pub(crate) fn value(&mut self, v: &Value) {
+        match v {
+            Value::Int(i) => {
+                self.put(&[0]);
+                self.put(&i.to_le_bytes());
+            }
+            Value::Str(s) => {
+                self.put(&[1]);
+                self.put(&(s.len() as u64).to_le_bytes());
+                self.put(s.as_bytes());
+            }
+            Value::Bool(b) => self.put(&[2, u8::from(*b)]),
+            Value::Null(n) => {
+                self.put(&[3]);
+                self.put(&n.origin.to_le_bytes());
+                self.put(&n.seq.to_le_bytes());
+            }
+        }
+    }
+
+    /// A firing's existential placeholder.
+    pub(crate) fn fresh(&mut self, id: u32) {
+        self.put(&[4]);
+        self.put(&id.to_le_bytes());
+    }
+
+    /// The end of one of a firing's atoms and the start of the next.
+    pub(crate) fn separator(&mut self) {
+        self.put(&[5]);
+    }
+
+    /// The hasher, every byte fed.
+    pub(crate) fn end(mut self) -> H {
+        self.hasher.write(&self.buf[..self.len]);
+        self.hasher
+    }
+}
+
+/// The byte stream a feed hands its hasher, for tests of the encoding.
+#[cfg(test)]
+pub(crate) fn fed(fill: impl FnOnce(&mut Feed<Bytes>)) -> Vec<u8> {
+    let mut feed = Feed::over(Bytes(Vec::new()));
+    fill(&mut feed);
+    feed.end().0
+}
+
+/// A "hasher" that keeps what it is written.
+#[cfg(test)]
+pub(crate) struct Bytes(Vec<u8>);
+
+#[cfg(test)]
+impl Hasher for Bytes {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        unreachable!("a byte recorder has no hash")
     }
 }
 

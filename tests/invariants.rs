@@ -235,7 +235,8 @@ proptest! {
 mod relational_props {
     use super::*;
     use codb::relational::{
-        Atom, CmpOp, Comparison, CqBody, RelationSchema, TField, Term, Tuple, Value, ValueType, Var,
+        Atom, CmpOp, Comparison, CqBody, NullId, RelationSchema, TField, Term, Tuple, Value,
+        ValueType, Var,
     };
 
     fn arb_instance(max_tuples: usize) -> impl Strategy<Value = Instance> {
@@ -678,6 +679,61 @@ mod relational_props {
                 prop_assert_eq!(suffixes, expected);
                 prop_assert_eq!(nulls.invented(), reference_nulls.invented());
                 prop_assert_eq!(&target, &reference);
+            }
+        }
+
+        /// Every tuple `apply_firings` files — a ground one-atom firing's
+        /// under the firing's own hash, any other under the tuple's — is
+        /// found again by an equal tuple built afresh, over ints, strings
+        /// (empty and multi-byte), nulls given and nulls invented.
+        #[test]
+        fn every_tuple_apply_firings_files_is_found_when_built_again(
+            batches in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::collection::vec((any::<bool>(), arb_field(), 0usize..6), 1..3),
+                    0..12,
+                ),
+                1..4,
+            ),
+        ) {
+            let text = |k: usize| match k {
+                0..=3 => TField::Const(Value::str(["", "a", "ab", "ü☃"][k])),
+                4 => TField::Const(Value::Null(NullId::new(9, 1))),
+                _ => TField::Fresh(1),
+            };
+            let mut target = Instance::new();
+            for rel in ["g", "h"] {
+                target.add_relation(RelationSchema::with_types(rel, &[ValueType::Int, ValueType::Str]));
+            }
+            let mut nulls = NullFactory::new(3);
+            for batch in batches {
+                let firings: Vec<RuleFiring> = batch
+                    .into_iter()
+                    .map(|atoms| {
+                        RuleFiring::new(atoms.into_iter().map(|(into_h, a, b)| {
+                            (if into_h { "h" } else { "g" }, vec![a, text(b)])
+                        }))
+                    })
+                    .collect();
+                apply_firings(&mut target, &firings, &mut nulls).unwrap();
+                for rel in target.relations() {
+                    for t in rel.iter() {
+                        let again: Tuple = t.values().cloned().collect();
+                        prop_assert!(!again.ptr_eq(t));
+                        prop_assert!(rel.contains(&again), "{} lost {}", rel.name(), t);
+                    }
+                }
+                for firing in firings.iter().filter(|f| f.is_ground() && f.atoms().len() == 1) {
+                    let (rel, fields) = &firing.atoms()[0];
+                    let again: Tuple = fields
+                        .iter()
+                        .map(|f| match f {
+                            TField::Const(v) => v.clone(),
+                            TField::Fresh(_) => unreachable!("a ground firing"),
+                        })
+                        .collect();
+                    prop_assert!(target.get(rel).unwrap().contains(&again), "{:?}", firing);
+                }
             }
         }
 
