@@ -710,11 +710,10 @@ fn e18_run(
     let records: u64 = ids.iter().map(|&id| net.node(id).store().unwrap().wal_records()).sum();
     let acked: u64 =
         ids.iter().map(|&id| net.node(id).store().unwrap().durable_wal_records()).sum();
-    // Fsyncs on the WAL append path: per-store writers count their own;
-    // shared group-commit drains are counted once, by the scheduler.
-    let writer_fsyncs: u64 = ids.iter().map(|&id| net.node(id).store().unwrap().wal_fsyncs()).sum();
-    let sched_fsyncs = net.fsync_scheduler().map_or(0, |s| s.stats().fsyncs);
-    (records, writer_fsyncs + sched_fsyncs, acked)
+    // Fsyncs on the WAL append path: each store's WAL counts its own,
+    // whether its private scheduler or a shared drain did them.
+    let fsyncs: u64 = ids.iter().map(|&id| net.node(id).store().unwrap().wal_fsyncs()).sum();
+    (records, fsyncs, acked)
 }
 
 /// How E18 distributes its inserts across the host's stores.

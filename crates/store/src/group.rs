@@ -1,24 +1,34 @@
-//! The shared group-commit fsync scheduler: one host-wide batching point
-//! for the WALs of many co-located stores.
+//! The fsync scheduler: the one place a WAL becomes durable.
 //!
-//! Under [`SyncPolicy::EveryN`] every WAL writer keeps a *private*
-//! unsynced-record counter, so a single host running many `codb` nodes
-//! pays one independent fsync stream per store — the opposite of the
-//! amortisation a many-node single-host deployment wants. A
-//! [`FsyncScheduler`] replaces those private counters with one host-wide
-//! policy ([`SyncPolicy::GroupCommit`]): writers *register* with the
-//! scheduler, report every append, and the scheduler **drains** — one
-//! fsync pass over all dirty files — when either threshold trips:
+//! Every WAL writer registers with a [`FsyncScheduler`] and reports each
+//! append to it; the scheduler alone decides when to fsync, performs the
+//! fsync, advances the file's durable watermark, counts the fsync and
+//! traces it. A [`SyncPolicy`] is a pair of thresholds on a scheduler
+//! ([`FsyncScheduler::for_store`]; ∞ is `u64::MAX`):
 //!
-//! * `max_records` — host-wide cap on appended-but-unsynced records
-//!   across every registered store; the append that reaches it forces a
-//!   drain. This is the durability ack window: a record is acked durable
-//!   only once a drain (or explicit flush) covers it, and at most
-//!   `max_records` appended-but-unacked records exist host-wide at any
-//!   moment.
-//! * `max_batch` — cap on distinct dirty stores coalesced into one
-//!   drain; reaching it also forces a drain, bounding the length of a
-//!   drain pass (and the staleness of the earliest dirty store).
+//! | policy | scheduler | `max_records` | `max_batch` |
+//! | --- | --- | --- | --- |
+//! | `Always` | private | 1 | ∞ |
+//! | `EveryN(n)` | private | `n` (0 acts as 1) | ∞ |
+//! | `Never` | private | ∞ | ∞ |
+//! | `GroupCommit { max_batch, max_records }` | shared, else private | `max_records` | `max_batch` |
+//!
+//! A private scheduler serves one store: its live WAL, plus the fresh
+//! one a checkpoint rotation registers beside it. A shared scheduler
+//! ([`SyncPolicy::GroupCommit`]) is one host-wide batching point for the
+//! WALs of many co-located stores, so a single host running many `codb`
+//! nodes pays one coalesced fsync stream instead of one per store. Either
+//! way the scheduler **drains** — one fsync pass over all dirty files —
+//! when either threshold trips:
+//!
+//! * `max_records` — cap on appended-but-unsynced records across every
+//!   registered file; the append that reaches it forces a drain. This is
+//!   the durability ack window: a record is acked durable only once a
+//!   drain (or explicit flush) covers it, and at most `max_records`
+//!   appended-but-unacked records exist on the scheduler at any moment.
+//! * `max_batch` — cap on distinct dirty files coalesced into one drain;
+//!   reaching it also forces a drain, bounding the length of a drain pass
+//!   (and the staleness of the earliest dirty store).
 //!
 //! A drain fsyncs each dirty file **once**, no matter how many pending
 //! records it holds — that coalescing is where the fsync amortisation
@@ -32,30 +42,31 @@
 //! pending tail is abandoned, which is safe precisely because it was
 //! never acked.
 //!
-//! **Durability ack semantics** are the same as one store under
-//! [`SyncPolicy::Always`]: a record is never *acked* (reported durable
-//! via [`crate::Store::durable_wal_records`]) before the fsync covering
-//! it completes. Group commit only *defers and batches* the ack; it
-//! never lies. A crash loses at most the pending (never-acked) tail of
-//! each store, and recovery still finds a clean frame prefix — the torn
-//! tail guarantee is untouched because the scheduler changes *when*
-//! fsync runs, not *what* is written.
+//! **Durability ack semantics** are the same under every policy: a
+//! record is never *acked* (reported durable via
+//! [`crate::Store::durable_wal_records`]) before the fsync covering it
+//! completes. The thresholds only *defer and batch* the ack; they never
+//! lie. A crash loses at most the pending (never-acked) tail of each
+//! store, and recovery still finds a clean frame prefix — the torn tail
+//! guarantee is untouched because the scheduler changes *when* fsync
+//! runs, not *what* is written.
 //!
-//! Degenerate configurations collapse to per-record durability (tested):
-//! `max_records == 0` drains on every append, and `max_batch <= 1`
-//! drains as soon as any store is dirty — both behave exactly like
-//! [`SyncPolicy::Always`].
+//! Degenerate group-commit configurations collapse to per-record
+//! durability (tested): `max_records == 0` drains on every append, and
+//! `max_batch <= 1` drains as soon as any store is dirty — both behave
+//! exactly like [`SyncPolicy::Always`].
 //!
 //! The full written contract lives in `docs/DURABILITY.md` (rendered as
 //! [`crate::durability`]).
 
 use crate::store::StoreError;
-use crate::wal::SyncPolicy;
+use crate::wal::{store_name, SyncPolicy};
 use codb_trace::{TraceEvent, Tracer};
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
 
 /// One registered WAL file's slot in the scheduler.
 #[derive(Debug)]
@@ -64,25 +75,72 @@ struct Slot {
     /// underlying file, so the scheduler can drain without borrowing the
     /// writer.
     file: File,
-    /// The file's path, for error context.
+    /// The file's path, for error context and the store's trace name.
     path: PathBuf,
+    /// The owning store's [`store_name`] interned in the scheduler's
+    /// tracer — the id that store's `WalAppend`s carry — or 0 until the
+    /// first traced fsync interns it.
+    store: u32,
     /// Appended records not yet covered by a fsync.
     pending: u64,
     /// Byte length the writer has reported (magic + complete frames).
     len: u64,
     /// Records the writer has reported.
     frames: u64,
-    /// Byte length covered by the last fsync — what survives a crash.
-    durable_len: u64,
-    /// Records covered by the last fsync — the *acked* record count.
-    durable_frames: u64,
+    /// What the last fsync covered, and how many there were.
+    durable: Durable,
     /// Latched fsync failure. A failed slot leaves the drain rotation
     /// (its broken fd is never retried, its pending records leave the
     /// totals so it cannot wedge the thresholds) and the error is
-    /// surfaced to **its own writer's** next append/flush — the owner
-    /// latches it and detaches, exactly like a direct write failure.
-    /// Other stores on the scheduler stay healthy.
+    /// surfaced to **its own writer's** every later append/flush — the
+    /// owner latches it and detaches, exactly like a direct write
+    /// failure. Other stores on the scheduler stay healthy.
     failed: Option<String>,
+}
+
+/// What fsync covers of one WAL file — the prefix guaranteed to survive a
+/// host crash — and the fsyncs that made it so.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Durable {
+    /// Byte length covered by the last fsync.
+    pub(crate) len: u64,
+    /// Records covered by the last fsync — the *acked* record count.
+    pub(crate) frames: u64,
+    /// Fsyncs of this file since it registered, by a drain or a flush.
+    pub(crate) fsyncs: u64,
+}
+
+impl Slot {
+    /// The latched failure, as this slot's writer sees it.
+    fn health(&self) -> Result<(), StoreError> {
+        match &self.failed {
+            Some(detail) => Err(StoreError::Io { file: self.path.clone(), detail: detail.clone() }),
+            None => Ok(()),
+        }
+    }
+
+    /// The one WAL fsync: `fdatasync` the file, then advance the
+    /// watermark to what the writer has reported, count the fsync and
+    /// trace it — or latch the failure. Returns whether it succeeded.
+    fn sync(&mut self, tracer: &Tracer, stats: &mut FsyncSchedulerStats) -> bool {
+        if tracer.is_enabled() && self.store == 0 {
+            self.store = tracer.intern(&store_name(&self.path));
+        }
+        let started = tracer.is_enabled().then(Instant::now);
+        if let Err(e) = self.file.sync_data() {
+            self.failed = Some(e.to_string());
+            stats.failed_stores += 1;
+            return false;
+        }
+        self.durable =
+            Durable { len: self.len, frames: self.frames, fsyncs: self.durable.fsyncs + 1 };
+        stats.fsyncs += 1;
+        if let Some(t0) = started {
+            let nanos = t0.elapsed().as_nanos() as u64;
+            tracer.emit(TraceEvent::Fsync { store: self.store, nanos });
+        }
+        true
+    }
 }
 
 #[derive(Debug)]
@@ -102,8 +160,8 @@ struct Inner {
     /// drain skips those by re-checking `pending`.
     dirty_ids: Vec<u64>,
     stats: FsyncSchedulerStats,
-    /// Flight recorder: drains emit `Fsync`/`GroupDrain` events through
-    /// it (disabled by default — one branch per drain).
+    /// Flight recorder: fsyncs emit `Fsync`, drains `GroupDrain`
+    /// (disabled by default — one branch per fsync and per drain).
     tracer: Tracer,
 }
 
@@ -120,8 +178,8 @@ pub struct FsyncSchedulerStats {
     pub fsyncs: u64,
     /// Appends reported by registered writers.
     pub appends: u64,
-    /// Records whose durability ack was covered by a *shared* drain pass
-    /// (the coalescing the scheduler exists for).
+    /// Records whose durability ack was covered by a drain pass (the
+    /// coalescing the scheduler exists for).
     pub drained_records: u64,
     /// Writers currently registered.
     pub registered: u64,
@@ -130,14 +188,16 @@ pub struct FsyncSchedulerStats {
     /// is safe because those records were never reported durable.
     pub abandoned_pending: u64,
     /// Stores whose fsync failed: each left the drain rotation with its
-    /// error latched, to be surfaced to its own writer's next
+    /// error latched, to be surfaced to its own writer's every later
     /// append/flush.
     pub failed_stores: u64,
 }
 
-/// A cloneable handle to one shared group-commit scheduler. All clones
-/// address the same batching state; a network hands one handle to every
-/// node's store (see `CoDbNetwork::open_persistence_all` in `codb-core`).
+/// A cloneable handle to one scheduler. All clones address the same
+/// batching state: a network hands one shared handle to every node's
+/// store (see `CoDbNetwork::open_persistence_all` in `codb-core`), while
+/// a per-store policy's private scheduler is reached only through its
+/// store.
 #[derive(Clone)]
 pub struct FsyncScheduler {
     inner: Arc<Mutex<Inner>>,
@@ -176,36 +236,41 @@ impl FsyncScheduler {
         }
     }
 
-    /// Attaches a flight-recorder handle: every drain emits per-file
-    /// `Fsync` (with measured duration) and a `GroupDrain` summary.
+    /// Attaches a flight-recorder handle: every fsync emits `Fsync` (with
+    /// measured duration, naming its store) and every drain a
+    /// `GroupDrain` summary.
     pub fn attach_tracer(&self, tracer: Tracer) {
-        self.lock().tracer = tracer;
+        let mut inner = self.lock();
+        // Interned ids belong to the tracer that minted them.
+        for slot in inner.slots.values_mut() {
+            slot.store = 0;
+        }
+        inner.tracer = tracer;
     }
 
-    /// A scheduler configured from `policy` — `Some` only for
-    /// [`SyncPolicy::GroupCommit`]. A writer created under a group-commit
-    /// policy with no shared handle builds its own private scheduler this
-    /// way (correct, but batching only within that one store).
+    /// The scheduler a store under `policy` writes through — the one
+    /// mapping from policy to thresholds (see the module docs' table):
+    /// [`SyncPolicy::GroupCommit`] joins `shared`, or a private
+    /// scheduler when none is passed; every other policy gets a private
+    /// scheduler whatever was passed.
+    pub fn for_store(policy: SyncPolicy, shared: Option<&FsyncScheduler>) -> FsyncScheduler {
+        let (max_batch, max_records) = match policy {
+            SyncPolicy::Always => (u64::MAX, 1),
+            SyncPolicy::EveryN(n) => (u64::MAX, n),
+            SyncPolicy::Never => (u64::MAX, u64::MAX),
+            SyncPolicy::GroupCommit { max_batch, max_records } => match shared {
+                Some(sched) => return sched.clone(),
+                None => (max_batch, max_records),
+            },
+        };
+        FsyncScheduler::new(max_batch, max_records)
+    }
+
+    /// A scheduler for stores to share under `policy` — `Some` only for
+    /// [`SyncPolicy::GroupCommit`] (the per-store policies never share):
+    /// [`FsyncScheduler::for_store`] with nothing to join yet.
     pub fn for_policy(policy: SyncPolicy) -> Option<Self> {
-        match policy {
-            SyncPolicy::GroupCommit { max_batch, max_records } => {
-                Some(FsyncScheduler::new(max_batch, max_records))
-            }
-            _ => None,
-        }
-    }
-
-    /// The scheduler a writer/store under `policy` belongs to — the one
-    /// membership rule, used by both [`crate::Store`] and the WAL writer
-    /// so the handle a store reports and the one its writer batches
-    /// through can never diverge: group-commit policies join `shared`
-    /// (or a private scheduler when none is passed); per-store policies
-    /// get `None` even when a handle was passed.
-    pub fn membership(policy: SyncPolicy, shared: Option<&FsyncScheduler>) -> Option<Self> {
-        if !matches!(policy, SyncPolicy::GroupCommit { .. }) {
-            return None;
-        }
-        shared.cloned().or_else(|| Self::for_policy(policy))
+        matches!(policy, SyncPolicy::GroupCommit { .. }).then(|| Self::for_store(policy, None))
     }
 
     /// The dirty-store coalescing cap.
@@ -213,7 +278,7 @@ impl FsyncScheduler {
         self.lock().max_batch
     }
 
-    /// The host-wide pending-record cap (the durability ack window).
+    /// The pending-record cap (the durability ack window).
     pub fn max_records(&self) -> u64 {
         self.lock().max_records
     }
@@ -234,24 +299,25 @@ impl FsyncScheduler {
         self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Registers a WAL file. `durable_len`/`durable_frames` describe the
-    /// prefix already on stable storage (the magic for a fresh file, the
+    /// Registers a WAL file. `durable_len`/`frames` describe the prefix
+    /// already on stable storage (the magic for a fresh file, the
     /// recovered valid prefix for a reopened one). Returns the writer id
     /// used by every later call.
     pub(crate) fn register(&self, file: File, path: &Path, durable_len: u64, frames: u64) -> u64 {
         let mut inner = self.lock();
         let id = inner.next_id;
         inner.next_id += 1;
+        let durable = Durable { len: durable_len, frames, fsyncs: 0 };
         inner.slots.insert(
             id,
             Slot {
                 file,
                 path: path.to_owned(),
+                store: 0,
                 pending: 0,
                 len: durable_len,
                 frames,
-                durable_len,
-                durable_frames: frames,
+                durable,
                 failed: None,
             },
         );
@@ -279,17 +345,12 @@ impl FsyncScheduler {
     pub(crate) fn note_append(&self, id: u64, len: u64, frames: u64) -> Result<(), StoreError> {
         let mut inner = self.lock();
         inner.stats.appends += 1;
-        let was_clean = {
-            let slot = inner.slots.get_mut(&id).expect("writer registered with this scheduler");
-            if let Some(detail) = &slot.failed {
-                return Err(StoreError::Io { file: slot.path.clone(), detail: detail.clone() });
-            }
-            let was_clean = slot.pending == 0;
-            slot.pending += 1;
-            slot.len = len;
-            slot.frames = frames;
-            was_clean
-        };
+        let slot = inner.slots.get_mut(&id).expect("writer registered with this scheduler");
+        slot.health()?;
+        let was_clean = slot.pending == 0;
+        slot.pending += 1;
+        slot.len = len;
+        slot.frames = frames;
         if was_clean {
             inner.dirty_stores += 1;
             inner.dirty_ids.push(id);
@@ -301,10 +362,7 @@ impl FsyncScheduler {
             drain(&mut inner);
             // The drain latches failures per slot; only this writer's own
             // failure is this caller's error.
-            let slot = inner.slots.get(&id).expect("still registered");
-            if let Some(detail) = &slot.failed {
-                return Err(StoreError::Io { file: slot.path.clone(), detail: detail.clone() });
-            }
+            return inner.slots[&id].health();
         }
         Ok(())
     }
@@ -313,57 +371,20 @@ impl FsyncScheduler {
     /// [`crate::Store::sync`], checkpoint, close). Other writers' pending
     /// records stay pending.
     pub(crate) fn flush_writer(&self, id: u64) -> Result<(), StoreError> {
-        let mut inner = self.lock();
-        // Cloned out so the flight-recorder handle does not alias the
-        // mutable `slot` borrow (the guard deref can't split fields).
-        let tracer = inner.tracer.clone();
-        let (pending, outcome) = {
-            let slot = inner.slots.get_mut(&id).expect("writer registered with this scheduler");
-            if let Some(detail) = &slot.failed {
-                return Err(StoreError::Io { file: slot.path.clone(), detail: detail.clone() });
-            }
-            let pending = slot.pending;
+        let mut guard = self.lock();
+        let Inner { slots, pending_total, dirty_stores, stats, tracer, .. } = &mut *guard;
+        let slot = slots.get_mut(&id).expect("writer registered with this scheduler");
+        slot.health()?;
+        if slot.pending > 0 {
+            *pending_total -= slot.pending;
+            *dirty_stores -= 1;
             slot.pending = 0;
-            if slot.durable_len == slot.len {
-                // Nothing new on disk; the watermark is already current.
-                (pending, Ok(false))
-            } else {
-                let started = tracer.is_enabled().then(std::time::Instant::now);
-                match slot.file.sync_data() {
-                    Ok(()) => {
-                        slot.durable_len = slot.len;
-                        slot.durable_frames = slot.frames;
-                        if let Some(t0) = started {
-                            let store = tracer.intern(&slot.path.display().to_string());
-                            let nanos = t0.elapsed().as_nanos() as u64;
-                            tracer.emit(TraceEvent::Fsync { store, nanos });
-                        }
-                        (pending, Ok(true))
-                    }
-                    Err(e) => {
-                        let detail = e.to_string();
-                        slot.failed = Some(detail.clone());
-                        (pending, Err(StoreError::Io { file: slot.path.clone(), detail }))
-                    }
-                }
-            }
-        };
-        if pending > 0 {
-            inner.pending_total -= pending;
-            inner.dirty_stores -= 1;
         }
-        match outcome {
-            Ok(synced) => {
-                if synced {
-                    inner.stats.fsyncs += 1;
-                }
-                Ok(())
-            }
-            Err(e) => {
-                inner.stats.failed_stores += 1;
-                Err(e)
-            }
+        // Skipped when nothing new is on disk: the watermark is current.
+        if slot.durable.len != slot.len {
+            slot.sync(tracer, stats);
         }
+        slot.health()
     }
 
     /// Drains every dirty writer now — the harness / shutdown hook.
@@ -376,66 +397,44 @@ impl FsyncScheduler {
         }
     }
 
-    /// The durable watermark of writer `id`: `(bytes, records)` covered
-    /// by fsync — exactly what survives a host crash.
-    pub(crate) fn durable_of(&self, id: u64) -> (u64, u64) {
-        let inner = self.lock();
-        let slot = inner.slots.get(&id).expect("writer registered with this scheduler");
-        (slot.durable_len, slot.durable_frames)
+    /// Writer `id`'s durable watermark and fsync count.
+    pub(crate) fn durable_of(&self, id: u64) -> Durable {
+        self.lock().slots.get(&id).expect("writer registered with this scheduler").durable
     }
 }
 
-/// One drain pass: fsync each dirty healthy file once, advance its
-/// durable watermark, clear its pending count. An fsync failure is
-/// latched on **that slot** (it leaves the drain rotation and its owner
-/// sees the error at its next append/flush — never a bystander whose
-/// append merely tripped the threshold) and the pass continues over the
-/// remaining stores, so one bad disk cannot poison the whole scheduler.
+/// One drain pass: [`Slot::sync`] each dirty healthy file once and clear
+/// its pending count. An fsync failure is latched on **that slot** (it
+/// leaves the drain rotation and its owner sees the error at its next
+/// append/flush — never a bystander whose append merely tripped the
+/// threshold) and the pass continues over the remaining stores, so one
+/// bad disk cannot poison the whole scheduler.
 fn drain(inner: &mut Inner) {
-    inner.stats.drains += 1;
-    let mut acked = 0u64;
-    let mut removed = 0u64;
-    let mut fsyncs = 0u64;
-    let mut failed = 0u64;
-    let mut visited = 0u64;
+    let Inner { slots, pending_total, dirty_stores, dirty_ids, stats, tracer, .. } = inner;
+    stats.drains += 1;
+    let (mut visited, mut acked, mut fsyncs) = (0u64, 0u64, 0u64);
     // Only the stores that went dirty since the last drain, not every
     // registered slot — stale entries (flushed/deregistered since) fall
     // through the pending re-check.
-    for id in std::mem::take(&mut inner.dirty_ids) {
-        let Some(slot) = inner.slots.get_mut(&id) else { continue };
+    for id in dirty_ids.drain(..) {
+        let Some(slot) = slots.get_mut(&id) else { continue };
         if slot.pending == 0 || slot.failed.is_some() {
             continue;
         }
         visited += 1;
-        removed += slot.pending;
-        let started = inner.tracer.is_enabled().then(std::time::Instant::now);
-        match slot.file.sync_data() {
-            Ok(()) => {
-                fsyncs += 1;
-                acked += slot.pending;
-                slot.durable_len = slot.len;
-                slot.durable_frames = slot.frames;
-                if let Some(t0) = started {
-                    let store = inner.tracer.intern(&slot.path.display().to_string());
-                    let nanos = t0.elapsed().as_nanos() as u64;
-                    inner.tracer.emit(TraceEvent::Fsync { store, nanos });
-                }
-            }
-            Err(e) => {
-                // These pending records can never be acked; they leave
-                // the totals so the dead slot cannot wedge the window.
-                slot.failed = Some(e.to_string());
-                failed += 1;
-            }
+        // A failed slot's pending records can never be acked; they leave
+        // the totals all the same, so the dead slot cannot wedge the
+        // window.
+        *pending_total -= slot.pending;
+        if slot.sync(tracer, stats) {
+            fsyncs += 1;
+            acked += slot.pending;
         }
         slot.pending = 0;
     }
-    inner.pending_total -= removed;
-    inner.dirty_stores -= visited;
-    inner.stats.fsyncs += fsyncs;
-    inner.stats.drained_records += acked;
-    inner.stats.failed_stores += failed;
-    inner.tracer.emit_with(|| TraceEvent::GroupDrain { stores: visited, records: acked, fsyncs });
+    *dirty_stores -= visited;
+    stats.drained_records += acked;
+    tracer.emit_with(|| TraceEvent::GroupDrain { stores: visited, records: acked, fsyncs });
 }
 
 #[cfg(test)]
@@ -449,13 +448,8 @@ mod tests {
         WalRecord::LocalInsert { relation: "r".into(), tuple: Tuple::new(vec![Value::Int(k)]) }
     }
 
-    fn writer(
-        dir: &ScratchDir,
-        name: &str,
-        policy: SyncPolicy,
-        sched: &FsyncScheduler,
-    ) -> WalWriter {
-        WalWriter::create_with(&dir.path().join(name), policy, Codec::Binary, Some(sched)).unwrap()
+    fn writer(dir: &ScratchDir, name: &str, sched: &FsyncScheduler) -> WalWriter {
+        WalWriter::create(&dir.path().join(name), Codec::Binary, sched).unwrap()
     }
 
     #[test]
@@ -463,8 +457,8 @@ mod tests {
         let dir = ScratchDir::new("group-coalesce");
         let policy = SyncPolicy::GroupCommit { max_batch: 64, max_records: 6 };
         let sched = FsyncScheduler::for_policy(policy).unwrap();
-        let mut a = writer(&dir, "a.wal", policy, &sched);
-        let mut b = writer(&dir, "b.wal", policy, &sched);
+        let mut a = writer(&dir, "a.wal", &sched);
+        let mut b = writer(&dir, "b.wal", &sched);
         // Five appends across two files: below the threshold, nothing is
         // acked durable yet.
         for k in 0..3 {
@@ -494,8 +488,8 @@ mod tests {
         let dir = ScratchDir::new("group-batch");
         let policy = SyncPolicy::GroupCommit { max_batch: 2, max_records: 1_000 };
         let sched = FsyncScheduler::for_policy(policy).unwrap();
-        let mut a = writer(&dir, "a.wal", policy, &sched);
-        let mut b = writer(&dir, "b.wal", policy, &sched);
+        let mut a = writer(&dir, "a.wal", &sched);
+        let mut b = writer(&dir, "b.wal", &sched);
         a.append(&record(0)).unwrap();
         assert_eq!(sched.stats().drains, 0, "one dirty store, below max_batch");
         b.append(&record(0)).unwrap();
@@ -516,7 +510,7 @@ mod tests {
         ] {
             let sched = FsyncScheduler::for_policy(policy).unwrap();
             let name = format!("{policy}.wal").replace([':', ','], "-");
-            let mut w = writer(&dir, &name, policy, &sched);
+            let mut w = writer(&dir, &name, &sched);
             for k in 0..4 {
                 w.append(&record(k)).unwrap();
                 assert_eq!(w.durable_frames(), (k + 1) as u64, "{policy}: acked per append");
@@ -531,8 +525,8 @@ mod tests {
         let dir = ScratchDir::new("group-dereg");
         let policy = SyncPolicy::GroupCommit { max_batch: 64, max_records: 4 };
         let sched = FsyncScheduler::for_policy(policy).unwrap();
-        let mut a = writer(&dir, "a.wal", policy, &sched);
-        let mut b = writer(&dir, "b.wal", policy, &sched);
+        let mut a = writer(&dir, "a.wal", &sched);
+        let mut b = writer(&dir, "b.wal", &sched);
         a.append(&record(0)).unwrap();
         b.append(&record(0)).unwrap();
         b.append(&record(1)).unwrap();
@@ -558,8 +552,8 @@ mod tests {
         let dir = ScratchDir::new("group-flush");
         let policy = SyncPolicy::GroupCommit { max_batch: 64, max_records: 1_000 };
         let sched = FsyncScheduler::for_policy(policy).unwrap();
-        let mut a = writer(&dir, "a.wal", policy, &sched);
-        let mut b = writer(&dir, "b.wal", policy, &sched);
+        let mut a = writer(&dir, "a.wal", &sched);
+        let mut b = writer(&dir, "b.wal", &sched);
         a.append(&record(0)).unwrap();
         b.append(&record(0)).unwrap();
         a.sync().unwrap();
@@ -580,7 +574,9 @@ mod tests {
         let dir = ScratchDir::new("group-private");
         let policy = SyncPolicy::GroupCommit { max_batch: 64, max_records: 2 };
         let path = dir.path().join("solo.wal");
-        let mut w = WalWriter::create(&path, policy, Codec::Binary).unwrap();
+        let mut w =
+            WalWriter::create(&path, Codec::Binary, &FsyncScheduler::for_store(policy, None))
+                .unwrap();
         w.append(&record(0)).unwrap();
         assert_eq!(w.durable_frames(), 0, "below the window, unacked");
         w.append(&record(1)).unwrap();

@@ -7,9 +7,10 @@
 //! an append-only, checksummed **write-ahead log** of applied update
 //! deltas plus periodic **snapshot** files, with log rotation/compaction
 //! after each snapshot, a recovery path that tolerates a torn final
-//! frame, and a shared **group-commit fsync scheduler**
-//! ([`FsyncScheduler`], [`SyncPolicy::GroupCommit`]) that coalesces the
-//! fsyncs of many co-located stores.
+//! frame, and an **fsync scheduler** ([`FsyncScheduler`]) through which
+//! every WAL becomes durable: each [`SyncPolicy`] is a pair of its
+//! thresholds, and under [`SyncPolicy::GroupCommit`] one shared scheduler
+//! coalesces the fsyncs of many co-located stores.
 //!
 //! **The normative durability contract lives in [`durability`]**
 //! (rendered from `docs/DURABILITY.md`): what each [`SyncPolicy`]

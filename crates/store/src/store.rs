@@ -5,7 +5,9 @@
 
 use crate::codec::{self, Codec, MAGIC_LEN};
 use crate::group::FsyncScheduler;
-use crate::wal::{read_wal, ProtocolCounters, RecvCaches, SyncPolicy, WalRecord, WalWriter};
+use crate::wal::{
+    read_wal, store_name, ProtocolCounters, RecvCaches, SyncPolicy, WalRecord, WalWriter,
+};
 use codb_relational::frame::{encode_frame, FrameScanner, FrameStep};
 use codb_relational::{apply_firings, Instance, NullFactory, Snapshot, SnapshotError};
 use codb_trace::{TraceEvent, Tracer};
@@ -193,22 +195,18 @@ impl RecoveredState {
 pub struct Store {
     dir: PathBuf,
     generation: u64,
-    policy: SyncPolicy,
     /// Target codec: what checkpoints write. The live WAL may still be in
     /// another codec (its own format byte wins) until the next rotation.
     codec: Codec,
+    /// The live WAL. Rotation registers the fresh WAL with this
+    /// writer's scheduler, so a store keeps one scheduler for life.
     writer: WalWriter,
-    /// Group-commit scheduler this store's WAL writers join (shared
-    /// across stores when the caller passed one, private otherwise).
-    /// `Some` iff the policy is [`SyncPolicy::GroupCommit`]; rotation
-    /// re-registers the fresh WAL with the same scheduler.
-    sched: Option<FsyncScheduler>,
     /// Flight-recorder handle (disabled by default). Rotation re-attaches
     /// it to the fresh WAL writer so `WalAppend`/`Fsync` events keep
     /// flowing across checkpoints.
     tracer: Tracer,
-    /// Interned id of this store's directory name in the tracer's string
-    /// table (0 while disabled).
+    /// Interned id of this store's name ([`store_name`]: its directory)
+    /// in the tracer's string table (0 while disabled).
     trace_id: u32,
 }
 
@@ -318,7 +316,7 @@ impl Store {
     /// both in `codec`. Refuses to clobber an existing store.
     ///
     /// Equivalent to [`Store::create_with`] without a shared scheduler
-    /// (a [`SyncPolicy::GroupCommit`] policy then batches privately).
+    /// (every policy then batches through a private one).
     pub fn create(
         dir: &Path,
         snapshot: &Snapshot,
@@ -333,8 +331,9 @@ impl Store {
     /// [`Store::create`] with an optional shared group-commit scheduler:
     /// under [`SyncPolicy::GroupCommit`] this store's WAL joins `group`
     /// (or a private scheduler built from the policy when `None`), so
-    /// fsyncs coalesce with every other store registered there. Ignored
-    /// for the per-store policies.
+    /// fsyncs coalesce with every other store registered there. The
+    /// per-store policies ignore it and get a private scheduler
+    /// ([`FsyncScheduler::for_store`]).
     pub fn create_with(
         dir: &Path,
         snapshot: &Snapshot,
@@ -348,8 +347,8 @@ impl Store {
         if Store::exists(dir) {
             return Err(StoreError::AlreadyExists { dir: dir.to_owned() });
         }
-        let sched = FsyncScheduler::membership(policy, group);
-        let mut writer = WalWriter::create_with(&wal_path(dir, 0), policy, codec, sched.as_ref())?;
+        let sched = FsyncScheduler::for_store(policy, group);
+        let mut writer = WalWriter::create(&wal_path(dir, 0), codec, &sched)?;
         writer.append(&WalRecord::Caches { recv: recv.clone() })?;
         writer.append(&WalRecord::Counters { counters: *counters })?;
         writer.sync()?;
@@ -361,10 +360,8 @@ impl Store {
         Ok(Store {
             dir: dir.to_owned(),
             generation: 0,
-            policy,
             codec,
             writer,
-            sched,
             tracer: Tracer::disabled(),
             trace_id: 0,
         })
@@ -397,7 +394,7 @@ impl Store {
         codec: Codec,
         group: Option<&FsyncScheduler>,
     ) -> Result<(Store, RecoveredState), StoreError> {
-        let sched = FsyncScheduler::membership(policy, group);
+        let sched = FsyncScheduler::for_store(policy, group);
         let snaps = list_generations(dir, ".snap")?;
         if snaps.is_empty() {
             return Err(StoreError::NoState { dir: dir.to_owned() });
@@ -424,13 +421,12 @@ impl Store {
         let wal = wal_path(dir, generation);
         let (writer, records, torn_tail) = if wal.is_file() {
             let contents = read_wal(&wal)?;
-            let writer = WalWriter::open_append_with(
+            let writer = WalWriter::open_append(
                 &wal,
-                policy,
                 contents.codec,
                 contents.valid_len,
                 contents.records.len() as u64,
-                sched.as_ref(),
+                &sched,
             )?;
             (writer, contents.records, contents.torn_tail)
         } else {
@@ -441,7 +437,7 @@ impl Store {
             // fresh file carries its own format byte) so the every-WAL-
             // starts-with-Caches invariant holds and the loss is visible
             // in the replayed records rather than silently assumed.
-            let mut w = WalWriter::create_with(&wal, policy, codec, sched.as_ref())?;
+            let mut w = WalWriter::create(&wal, codec, &sched)?;
             let caches = WalRecord::Caches { recv: RecvCaches::new() };
             w.append(&caches)?;
             w.sync()?;
@@ -477,10 +473,8 @@ impl Store {
         let store = Store {
             dir: dir.to_owned(),
             generation,
-            policy,
             codec,
             writer,
-            sched,
             tracer: Tracer::disabled(),
             trace_id: 0,
         };
@@ -512,16 +506,14 @@ impl Store {
     /// checkpoint rotations of this store emit trace events from here on.
     /// The store is identified in the trace by its directory name.
     pub fn attach_tracer(&mut self, tracer: &Tracer) {
-        let name = self.dir.display().to_string();
-        self.trace_id = tracer.intern(&name);
-        self.writer.attach_tracer(tracer.clone(), &name);
-        if let Some(sched) = &self.sched {
-            sched.attach_tracer(tracer.clone());
-        }
+        self.trace_id = tracer.intern(&store_name(self.writer.path()));
+        self.writer.scheduler().attach_tracer(tracer.clone());
+        self.writer.attach_tracer(tracer.clone());
         self.tracer = tracer.clone();
     }
 
-    /// Appends one record to the WAL (durability per the sync policy).
+    /// Appends one record to the WAL (durable once the scheduler's next
+    /// fsync of it completes).
     pub fn append(&mut self, record: &WalRecord) -> Result<(), StoreError> {
         self.writer.append(record)
     }
@@ -551,14 +543,10 @@ impl Store {
         // checkpoint, (2) the snapshot rename as the commit point, (3) the
         // old generation's deletion. A crash between any two steps leaves
         // at least one complete generation.
-        let mut writer = WalWriter::create_with(
-            &wal_path(&self.dir, next),
-            self.policy,
-            self.codec,
-            self.sched.as_ref(),
-        )?;
+        let mut writer =
+            WalWriter::create(&wal_path(&self.dir, next), self.codec, self.writer.scheduler())?;
         if self.tracer.is_enabled() {
-            writer.attach_tracer(self.tracer.clone(), &self.dir.display().to_string());
+            writer.attach_tracer(self.tracer.clone());
         }
         writer.append(&WalRecord::Caches { recv: recv.clone() })?;
         writer.append(&WalRecord::Counters { counters: *counters })?;
@@ -639,11 +627,6 @@ impl Store {
         self.writer.path()
     }
 
-    /// The sync policy this store runs under.
-    pub fn policy(&self) -> SyncPolicy {
-        self.policy
-    }
-
     /// Records of the live WAL covered by fsync — the *acked durable*
     /// count. Every policy obeys the same ack rule (a record is durable
     /// only once an fsync covering it completed); they differ in how far
@@ -659,18 +642,18 @@ impl Store {
         self.writer.durable_len()
     }
 
-    /// Data fsyncs the live WAL's writer itself performed (group-commit
-    /// drains are counted by the scheduler; see
-    /// [`FsyncScheduler::stats`]). Per-generation: rotation starts a
-    /// fresh writer.
+    /// Data fsyncs of the live WAL, whether a drain or a flush did them.
+    /// Per-generation: rotation starts a fresh file. Until a WAL rotates
+    /// away, the counts of the stores on a shared scheduler sum to its
+    /// [`FsyncScheduler::stats`]' `fsyncs`.
     pub fn wal_fsyncs(&self) -> u64 {
         self.writer.fsyncs()
     }
 
-    /// The group-commit scheduler this store participates in, if its
-    /// policy is [`SyncPolicy::GroupCommit`].
-    pub fn scheduler(&self) -> Option<&FsyncScheduler> {
-        self.sched.as_ref()
+    /// The scheduler this store's WAL is fsynced by: the shared one it
+    /// joined under [`SyncPolicy::GroupCommit`], else its private one.
+    pub fn scheduler(&self) -> &FsyncScheduler {
+        self.writer.scheduler()
     }
 }
 
@@ -886,7 +869,7 @@ mod tests {
         };
         let mut a = mk(&dir_a);
         let mut b = mk(&dir_b);
-        assert!(a.scheduler().is_some());
+        assert_eq!(a.scheduler().stats().registered, 2, "both stores joined the shared scheduler");
 
         // Rotate `a`: the fresh WAL joins the same scheduler.
         a.checkpoint(&snap, &RecvCaches::new(), &ProtocolCounters::default()).unwrap();
@@ -926,6 +909,71 @@ mod tests {
         assert!(!rec_a.instance.get("r").unwrap().contains(&tup![102, 102]), "unacked tail lost");
         let (_, rec_b) = Store::open(dir_b.path(), policy, Codec::Binary).unwrap();
         assert!(rec_b.instance.get("r").unwrap().contains(&tup![201, 201]));
+    }
+
+    #[test]
+    fn every_fsync_names_the_store_its_appends_name() {
+        // A trace joins a store's fsyncs to its appends by the store's
+        // interned name: under a per-store policy, and under a shared
+        // group commit across a checkpoint rotation, every `Fsync` names a
+        // store some `WalAppend` names, and no WAL file name is interned.
+        let (inst, nulls) = seed();
+        let snap = Snapshot::capture(&inst, &nulls);
+        let insert = |k: i64| WalRecord::LocalInsert { relation: "r".into(), tuple: tup![k, k] };
+        let group = SyncPolicy::GroupCommit { max_batch: 64, max_records: 3 };
+        let shared = FsyncScheduler::for_policy(group).unwrap();
+        for (policy, shared) in [(SyncPolicy::Always, None), (group, Some(&shared))] {
+            let (tracer, ring) = Tracer::ring(usize::MAX);
+            let dirs = [ScratchDir::new("store-trace-a"), ScratchDir::new("store-trace-b")];
+            let mut stores: Vec<Store> = dirs
+                .iter()
+                .map(|dir| {
+                    let mut store = Store::create_with(
+                        dir.path(),
+                        &snap,
+                        &RecvCaches::new(),
+                        &ProtocolCounters::default(),
+                        policy,
+                        Codec::Binary,
+                        shared,
+                    )
+                    .unwrap();
+                    store.attach_tracer(&tracer);
+                    store
+                })
+                .collect();
+            for k in 0..4 {
+                for store in &mut stores {
+                    store.append(&insert(k)).unwrap();
+                }
+            }
+            stores[0].checkpoint(&snap, &RecvCaches::new(), &ProtocolCounters::default()).unwrap();
+            for store in &mut stores {
+                store.append(&insert(9)).unwrap();
+                store.sync().unwrap();
+            }
+            drop(stores);
+
+            let mut names = std::collections::BTreeMap::new();
+            let (mut appended, mut fsynced) = (Vec::new(), Vec::new());
+            for (_, event) in ring.lock().unwrap().events() {
+                match event {
+                    TraceEvent::Intern { id, text } => {
+                        names.insert(id, text);
+                    }
+                    TraceEvent::WalAppend { store, .. } => appended.push(store),
+                    TraceEvent::Fsync { store, .. } => fsynced.push(store),
+                    _ => {}
+                }
+            }
+            let appended: Vec<&String> = appended.iter().map(|id| &names[id]).collect();
+            assert!(!fsynced.is_empty(), "{policy}");
+            for id in fsynced {
+                let name = names.get(&id);
+                assert!(name.is_some_and(|n| appended.contains(&n)), "{policy}: fsync of {name:?}");
+            }
+            assert!(names.values().all(|text| !text.ends_with(".wal")), "{policy}: {names:?}");
+        }
     }
 
     #[test]
@@ -1041,7 +1089,12 @@ mod tests {
         // normal API can't produce one).
         std::fs::create_dir_all(dir.path()).unwrap();
         write_snapshot_file(&snap_path(dir.path(), 0), &snap, Codec::Binary).unwrap();
-        WalWriter::create(&wal_path(dir.path(), 0), SyncPolicy::Always, Codec::Binary).unwrap();
+        WalWriter::create(
+            &wal_path(dir.path(), 0),
+            Codec::Binary,
+            &FsyncScheduler::for_store(SyncPolicy::Always, None),
+        )
+        .unwrap();
         match Store::open(dir.path(), SyncPolicy::Always, Codec::Binary) {
             Err(StoreError::Snapshot(SnapshotError::VersionMismatch { found, .. })) => {
                 assert_eq!(found, 999);
@@ -1100,7 +1153,12 @@ mod tests {
         bytes.extend_from_slice(&crate::SNAP_MAGIC);
         bytes.extend_from_slice(&[9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 1, 2, 3]);
         std::fs::write(&bad_snap, bytes).unwrap();
-        WalWriter::create(&wal_path(dir.path(), 1), SyncPolicy::Always, Codec::Binary).unwrap();
+        WalWriter::create(
+            &wal_path(dir.path(), 1),
+            Codec::Binary,
+            &FsyncScheduler::for_store(SyncPolicy::Always, None),
+        )
+        .unwrap();
 
         let (store, rec) = Store::open(dir.path(), SyncPolicy::Always, Codec::Binary).unwrap();
         assert_eq!(rec.generation, 0, "fell back to the older valid generation");
@@ -1130,7 +1188,12 @@ mod tests {
         drop(store);
         // Simulate a crash between WAL creation and the snapshot rename:
         // an orphan next-generation WAL plus a snapshot .tmp file.
-        WalWriter::create(&wal_path(dir.path(), 1), SyncPolicy::Always, Codec::Binary).unwrap();
+        WalWriter::create(
+            &wal_path(dir.path(), 1),
+            Codec::Binary,
+            &FsyncScheduler::for_store(SyncPolicy::Always, None),
+        )
+        .unwrap();
         std::fs::write(dir.path().join("codb-0000000001.tmp"), b"half-written").unwrap();
 
         let (store, rec) = Store::open(dir.path(), SyncPolicy::Always, Codec::Binary).unwrap();

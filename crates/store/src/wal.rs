@@ -102,7 +102,9 @@ pub enum WalRecord {
     },
 }
 
-/// When the appender calls `fdatasync`.
+/// When a WAL is fsynced: each policy is a pair of thresholds on the
+/// [`FsyncScheduler`] the store's WAL registers with (the table in
+/// [`crate::group`]; [`FsyncScheduler::for_store`] maps one to the other).
 ///
 /// Every policy shares one *ack* rule, written down in
 /// `docs/DURABILITY.md` (rendered as [`crate::durability`]): a record
@@ -195,28 +197,27 @@ impl FromStr for SyncPolicy {
     }
 }
 
-/// Appender over one WAL file.
+/// The name a trace gives the store a WAL file belongs to: the file's
+/// directory. `WalAppend`, `Fsync` and `Checkpoint` events all carry it.
+pub(crate) fn store_name(wal: &Path) -> String {
+    wal.parent().unwrap_or(Path::new("")).display().to_string()
+}
+
+/// Appender over one WAL file: encodes, writes and reports each append
+/// to its [`FsyncScheduler`], which alone decides when the file is
+/// fsynced and keeps its durable watermark.
 #[derive(Debug)]
 pub struct WalWriter {
     file: File,
     path: PathBuf,
-    policy: SyncPolicy,
     codec: Codec,
-    unsynced: u64,
     frames: u64,
     /// Bytes written to the file (magic + complete frames).
     len: u64,
-    /// Bytes covered by the last fsync *this writer* performed (group
-    /// writers track their watermark in the scheduler instead).
-    synced_len: u64,
-    /// Records covered by the last fsync this writer performed.
-    synced_frames: u64,
-    /// `fdatasync`/`sync_all` calls this writer itself issued (group
-    /// drains are counted by the scheduler, not here).
-    fsyncs: u64,
-    /// Group-commit membership: the shared scheduler and this writer's id
-    /// in it. Present iff the policy is [`SyncPolicy::GroupCommit`].
-    group: Option<(FsyncScheduler, u64)>,
+    /// The scheduler that makes this file durable, and the file's slot
+    /// in it.
+    sched: FsyncScheduler,
+    slot: u64,
     /// Flight recorder (disabled by default) and this store's interned
     /// name in it.
     tracer: Tracer,
@@ -224,129 +225,74 @@ pub struct WalWriter {
 }
 
 impl WalWriter {
-    /// Creates a fresh WAL at `path` (truncating any previous file) and
-    /// writes the magic header carrying `codec`'s format byte.
-    ///
-    /// Equivalent to [`WalWriter::create_with`] without a shared
-    /// scheduler (a group-commit policy then batches privately).
-    pub fn create(path: &Path, policy: SyncPolicy, codec: Codec) -> Result<Self, StoreError> {
-        Self::create_with(path, policy, codec, None)
-    }
-
-    /// [`WalWriter::create`], joining `group` when the policy is
-    /// [`SyncPolicy::GroupCommit`] (ignored otherwise). With a group
-    /// policy and no handle, a private scheduler is built from the
-    /// policy's own thresholds.
-    pub fn create_with(
-        path: &Path,
-        policy: SyncPolicy,
-        codec: Codec,
-        group: Option<&FsyncScheduler>,
-    ) -> Result<Self, StoreError> {
+    /// Creates a fresh WAL at `path` (truncating any previous file),
+    /// writes the magic header carrying `codec`'s format byte and
+    /// registers the file with `sched` (see [`FsyncScheduler::for_store`]).
+    pub fn create(path: &Path, codec: Codec, sched: &FsyncScheduler) -> Result<Self, StoreError> {
         let mut file = File::create(path).map_err(|e| StoreError::io(path, e))?;
         file.write_all(&codec.wal_magic()).map_err(|e| StoreError::io(path, e))?;
         file.sync_all().map_err(|e| StoreError::io(path, e))?;
-        let len = MAGIC_LEN as u64;
-        let group = Self::join_group(&file, path, policy, group, len, 0)?;
-        Ok(WalWriter {
-            file,
-            path: path.to_owned(),
-            policy,
-            codec,
-            unsynced: 0,
-            frames: 0,
-            len,
-            synced_len: len,
-            synced_frames: 0,
-            fsyncs: 0,
-            group,
-            tracer: Tracer::disabled(),
-            trace_id: 0,
-        })
+        Self::register(file, path, codec, MAGIC_LEN as u64, 0, sched)
     }
 
     /// Reopens an existing WAL for appending, truncating a torn tail:
     /// `codec` is the file's detected codec, `valid_len` the byte length
     /// of the valid prefix and `frames` the number of valid records in it
-    /// (all as reported by [`read_wal`]).
+    /// (all as reported by [`read_wal`]). The valid prefix is registered
+    /// with `sched` as already durable.
     pub fn open_append(
         path: &Path,
-        policy: SyncPolicy,
         codec: Codec,
         valid_len: u64,
         frames: u64,
+        sched: &FsyncScheduler,
     ) -> Result<Self, StoreError> {
-        Self::open_append_with(path, policy, codec, valid_len, frames, None)
-    }
-
-    /// [`WalWriter::open_append`] with optional group-commit membership
-    /// (see [`WalWriter::create_with`]). The recovered valid prefix is
-    /// registered as already durable.
-    pub fn open_append_with(
-        path: &Path,
-        policy: SyncPolicy,
-        codec: Codec,
-        valid_len: u64,
-        frames: u64,
-        group: Option<&FsyncScheduler>,
-    ) -> Result<Self, StoreError> {
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .open(path)
             .map_err(|e| StoreError::io(path, e))?;
         file.set_len(valid_len).map_err(|e| StoreError::io(path, e))?;
-        let group = Self::join_group(&file, path, policy, group, valid_len, frames)?;
-        let mut w = WalWriter {
+        use std::io::Seek as _;
+        file.seek(std::io::SeekFrom::End(0)).map_err(|e| StoreError::io(path, e))?;
+        Self::register(file, path, codec, valid_len, frames, sched)
+    }
+
+    /// Hands `sched` a clone of the file handle whose first `len` bytes
+    /// (`frames` records) are on stable storage.
+    fn register(
+        file: File,
+        path: &Path,
+        codec: Codec,
+        len: u64,
+        frames: u64,
+        sched: &FsyncScheduler,
+    ) -> Result<Self, StoreError> {
+        let clone = file.try_clone().map_err(|e| StoreError::io(path, e))?;
+        let slot = sched.register(clone, path, len, frames);
+        Ok(WalWriter {
             file,
             path: path.to_owned(),
-            policy,
             codec,
-            unsynced: 0,
             frames,
-            len: valid_len,
-            synced_len: valid_len,
-            synced_frames: frames,
-            fsyncs: 0,
-            group,
+            len,
+            sched: sched.clone(),
+            slot,
             tracer: Tracer::disabled(),
             trace_id: 0,
-        };
-        use std::io::Seek as _;
-        w.file.seek(std::io::SeekFrom::End(0)).map_err(|e| StoreError::io(path, e))?;
-        Ok(w)
+        })
     }
 
-    /// Registers with the scheduler [`FsyncScheduler::membership`]
-    /// resolves for this policy (the single membership rule shared with
-    /// [`crate::Store`]), if any.
-    fn join_group(
-        file: &File,
-        path: &Path,
-        policy: SyncPolicy,
-        group: Option<&FsyncScheduler>,
-        durable_len: u64,
-        durable_frames: u64,
-    ) -> Result<Option<(FsyncScheduler, u64)>, StoreError> {
-        let Some(sched) = FsyncScheduler::membership(policy, group) else {
-            return Ok(None);
-        };
-        let clone = file.try_clone().map_err(|e| StoreError::io(path, e))?;
-        let id = sched.register(clone, path, durable_len, durable_frames);
-        Ok(Some((sched, id)))
-    }
-
-    /// Attaches a flight-recorder handle under `name` (the store's
-    /// directory): appends emit `WalAppend`, direct syncs emit `Fsync`
-    /// with their measured duration. Group-commit drains are emitted by
-    /// the scheduler instead.
-    pub fn attach_tracer(&mut self, tracer: Tracer, name: &str) {
-        self.trace_id = tracer.intern(name);
+    /// Attaches a flight-recorder handle: appends emit `WalAppend`
+    /// naming the store by its directory, as the scheduler's fsyncs of
+    /// this file do.
+    pub fn attach_tracer(&mut self, tracer: Tracer) {
+        self.trace_id = tracer.intern(&store_name(&self.path));
         self.tracer = tracer;
     }
 
-    /// Appends one record (encoded in the file's codec), syncing
-    /// according to the policy.
+    /// Appends one record (encoded in the file's codec) and reports it to
+    /// the scheduler, which fsyncs when a threshold trips.
     pub fn append(&mut self, record: &WalRecord) -> Result<(), StoreError> {
         let payload = codec::encode_record(record, self.codec)?;
         let mut buf = Vec::with_capacity(payload.len() + 8);
@@ -354,45 +300,15 @@ impl WalWriter {
         self.file.write_all(&buf).map_err(|e| StoreError::io(&self.path, e))?;
         self.frames += 1;
         self.len += buf.len() as u64;
-        self.unsynced += 1;
         self.tracer
             .emit_with(|| TraceEvent::WalAppend { store: self.trace_id, bytes: buf.len() as u64 });
-        let due = match self.policy {
-            SyncPolicy::Always => true,
-            SyncPolicy::EveryN(n) => self.unsynced >= n.max(1),
-            SyncPolicy::Never => false,
-            SyncPolicy::GroupCommit { .. } => {
-                let (sched, id) = self.group.as_ref().expect("group policy implies membership");
-                sched.note_append(*id, self.len, self.frames)?;
-                self.unsynced = 0; // the scheduler owns the pending count
-                false
-            }
-        };
-        if due {
-            self.sync()?;
-        }
-        Ok(())
+        self.sched.note_append(self.slot, self.len, self.frames)
     }
 
-    /// Forces buffered records to stable storage (through the scheduler
-    /// for group-commit writers, so their watermark and the scheduler's
-    /// agree).
+    /// Forces buffered records to stable storage now, whatever the
+    /// scheduler's thresholds.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        if let Some((sched, id)) = &self.group {
-            sched.flush_writer(*id)?;
-        } else if self.synced_len != self.len {
-            let started = self.tracer.is_enabled().then(std::time::Instant::now);
-            self.file.sync_data().map_err(|e| StoreError::io(&self.path, e))?;
-            self.fsyncs += 1;
-            self.synced_len = self.len;
-            self.synced_frames = self.frames;
-            if let Some(t0) = started {
-                let nanos = t0.elapsed().as_nanos() as u64;
-                self.tracer.emit(TraceEvent::Fsync { store: self.trace_id, nanos });
-            }
-        }
-        self.unsynced = 0;
-        Ok(())
+        self.sched.flush_writer(self.slot)
     }
 
     /// Records appended to this file (including a recovered valid prefix).
@@ -411,30 +327,28 @@ impl WalWriter {
     }
 
     /// Bytes covered by fsync — the prefix guaranteed to survive a host
-    /// crash. For group-commit writers the watermark lives in the
-    /// scheduler (a drain triggered by *another* store's append advances
-    /// it too).
+    /// crash. The watermark lives in the scheduler (on a shared one, a
+    /// drain triggered by *another* store's append advances it too).
     pub fn durable_len(&self) -> u64 {
-        match &self.group {
-            Some((sched, id)) => sched.durable_of(*id).0,
-            None => self.synced_len,
-        }
+        self.sched.durable_of(self.slot).len
     }
 
     /// Records covered by fsync — the *acked durable* record count (see
     /// [`SyncPolicy`] for the ack rule).
     pub fn durable_frames(&self) -> u64 {
-        match &self.group {
-            Some((sched, id)) => sched.durable_of(*id).1,
-            None => self.synced_frames,
-        }
+        self.sched.durable_of(self.slot).frames
     }
 
-    /// Data fsyncs this writer itself performed after creation (the
-    /// header sync at file creation is excluded, and group-commit drains
-    /// are counted by the scheduler instead) — the E18 measurement hook.
+    /// Data fsyncs of this file since it was created or reopened, whether
+    /// a drain or a flush did them (the header sync at file creation is
+    /// excluded) — the E18 measurement hook.
     pub fn fsyncs(&self) -> u64 {
-        self.fsyncs
+        self.sched.durable_of(self.slot).fsyncs
+    }
+
+    /// The scheduler this file is registered with.
+    pub fn scheduler(&self) -> &FsyncScheduler {
+        &self.sched
     }
 
     /// The codec this file was created with (every append uses it).
@@ -449,13 +363,11 @@ impl WalWriter {
 }
 
 impl Drop for WalWriter {
-    /// Deregisters from the group-commit scheduler. Pending (never-acked)
-    /// records are abandoned — exactly the crash semantics the scheduler
-    /// documents for a store dropped mid-batch.
+    /// Deregisters from the scheduler. Pending (never-acked) records are
+    /// abandoned — exactly the crash semantics the scheduler documents
+    /// for a store dropped mid-batch.
     fn drop(&mut self) {
-        if let Some((sched, id)) = self.group.take() {
-            sched.deregister(id);
-        }
+        self.sched.deregister(self.slot);
     }
 }
 
@@ -533,6 +445,11 @@ mod tests {
     use codb_relational::glav::TField;
     use codb_relational::Value;
 
+    /// A private scheduler for a writer under `policy`.
+    fn sched(policy: SyncPolicy) -> FsyncScheduler {
+        FsyncScheduler::for_store(policy, None)
+    }
+
     fn firing(k: i64) -> RuleFiring {
         RuleFiring::new([("r", vec![TField::Const(Value::Int(k)), TField::Fresh(0)])])
     }
@@ -542,7 +459,7 @@ mod tests {
         for codec in [Codec::Json, Codec::Binary] {
             let dir = ScratchDir::new("wal-roundtrip");
             let path = dir.path().join("codb-0000000000.wal");
-            let mut w = WalWriter::create(&path, SyncPolicy::Always, codec).unwrap();
+            let mut w = WalWriter::create(&path, codec, &sched(SyncPolicy::Always)).unwrap();
             let records = vec![
                 WalRecord::Caches { recv: RecvCaches::new() },
                 WalRecord::Applied { rule: "e0".into(), firings: vec![firing(1), firing(2)] },
@@ -567,7 +484,7 @@ mod tests {
     fn torn_tail_is_tolerated_and_truncated_on_reopen() {
         let dir = ScratchDir::new("wal-torn");
         let path = dir.path().join("codb-0000000000.wal");
-        let mut w = WalWriter::create(&path, SyncPolicy::Always, Codec::Binary).unwrap();
+        let mut w = WalWriter::create(&path, Codec::Binary, &sched(SyncPolicy::Always)).unwrap();
         w.append(&WalRecord::Caches { recv: RecvCaches::new() }).unwrap();
         w.append(&WalRecord::Applied { rule: "e".into(), firings: vec![firing(1)] }).unwrap();
         drop(w);
@@ -580,10 +497,10 @@ mod tests {
         // Reopen for append: the torn bytes are gone, the log grows cleanly.
         let mut w = WalWriter::open_append(
             &path,
-            SyncPolicy::Always,
             contents.codec,
             contents.valid_len,
             1,
+            &sched(SyncPolicy::Always),
         )
         .unwrap();
         w.append(&WalRecord::LocalInsert {
@@ -600,7 +517,7 @@ mod tests {
     fn bit_flip_mid_log_is_a_typed_error() {
         let dir = ScratchDir::new("wal-flip");
         let path = dir.path().join("codb-0000000000.wal");
-        let mut w = WalWriter::create(&path, SyncPolicy::Always, Codec::Binary).unwrap();
+        let mut w = WalWriter::create(&path, Codec::Binary, &sched(SyncPolicy::Always)).unwrap();
         w.append(&WalRecord::Applied { rule: "e".into(), firings: vec![firing(7)] }).unwrap();
         drop(w);
         let mut bytes = std::fs::read(&path).unwrap();
@@ -633,17 +550,17 @@ mod tests {
         // appending) as JSON: the file's own format byte wins.
         let dir = ScratchDir::new("wal-mixcheck");
         let path = dir.path().join("codb-0000000000.wal");
-        let mut w = WalWriter::create(&path, SyncPolicy::Always, Codec::Json).unwrap();
+        let mut w = WalWriter::create(&path, Codec::Json, &sched(SyncPolicy::Always)).unwrap();
         w.append(&WalRecord::Applied { rule: "e".into(), firings: vec![firing(1)] }).unwrap();
         drop(w);
         let contents = read_wal(&path).unwrap();
         assert_eq!(contents.codec, Codec::Json);
         let mut w = WalWriter::open_append(
             &path,
-            SyncPolicy::Always,
             contents.codec,
             contents.valid_len,
             contents.records.len() as u64,
+            &sched(SyncPolicy::Always),
         )
         .unwrap();
         w.append(&WalRecord::Applied { rule: "e".into(), firings: vec![firing(2)] }).unwrap();
@@ -673,28 +590,69 @@ mod tests {
 
     #[test]
     fn durable_watermark_tracks_the_policy() {
-        // EveryN(2): records are acked durable only at sync points; the
-        // watermark exposes exactly the prefix a host crash preserves.
+        // Every policy is a window of `w` records on a private scheduler
+        // (`None`: no window). After each append the acked prefix is the
+        // last multiple of `w`, and the watermark exposes exactly the
+        // prefix a host crash preserves. The two degenerate group-commit
+        // configs behave like `Always`: `max_records = 0` drains every
+        // append, and under `max_batch = 1` the appending store alone is
+        // enough to drain.
+        let group = |max_batch, max_records| SyncPolicy::GroupCommit { max_batch, max_records };
         let dir = ScratchDir::new("wal-watermark");
-        let path = dir.path().join("codb-0000000000.wal");
-        let mut w = WalWriter::create(&path, SyncPolicy::EveryN(2), Codec::Binary).unwrap();
-        w.append(&WalRecord::Caches { recv: RecvCaches::new() }).unwrap();
-        assert_eq!(w.durable_frames(), 0, "below N, unacked");
-        w.append(&WalRecord::Applied { rule: "e".into(), firings: vec![firing(1)] }).unwrap();
-        assert_eq!(w.durable_frames(), 2, "sync point reached");
-        assert_eq!(w.durable_len(), w.len());
-        w.append(&WalRecord::Applied { rule: "e".into(), firings: vec![firing(2)] }).unwrap();
-        assert_eq!(w.durable_frames(), 2, "tail pending again");
-        assert!(w.durable_len() < w.len());
-        // Truncating to the durable watermark (the host-crash model the
-        // faultplan harness applies for real) yields a valid clean prefix
-        // holding exactly the acked records.
-        let durable = w.durable_len();
-        drop(w);
-        let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..durable as usize]).unwrap();
-        let contents = read_wal(&path).unwrap();
-        assert_eq!(contents.records.len(), 2, "every acked record survives");
-        assert!(!contents.torn_tail, "the watermark sits on a frame boundary");
+        for (policy, window) in [
+            (SyncPolicy::Always, Some(1)),
+            (SyncPolicy::EveryN(0), Some(1)),
+            (SyncPolicy::EveryN(1), Some(1)),
+            (SyncPolicy::EveryN(3), Some(3)),
+            (SyncPolicy::Never, None),
+            (group(64, 3), Some(3)),
+            (group(64, 0), Some(1)),
+            (group(1, 1_000), Some(1)),
+        ] {
+            let acked = |k: u64| window.map_or(0, |w| k / w * w);
+            let name = format!("{policy}.wal").replace([':', ','], "-");
+            let path = dir.path().join(name);
+            let sched = sched(policy);
+            let mut w = WalWriter::create(&path, Codec::Binary, &sched).unwrap();
+            // `lens[k]`: the file's length after `k` records.
+            let mut lens = vec![w.len()];
+            for k in 1..=7 {
+                w.append(&WalRecord::Applied { rule: "e".into(), firings: vec![firing(k)] })
+                    .unwrap();
+                lens.push(w.len());
+                let k = k as u64;
+                assert_eq!(w.durable_frames(), acked(k), "{policy}: after {k}");
+                assert_eq!(w.durable_len(), lens[acked(k) as usize], "{policy}: after {k}");
+                assert_eq!(w.fsyncs(), window.map_or(0, |w| k / w), "{policy}: after {k}");
+            }
+            // `sync` acks everything, issuing one fsync iff a tail was
+            // pending; a second `sync` has nothing to do.
+            let fsyncs = w.fsyncs() + u64::from(acked(7) < 7);
+            w.sync().unwrap();
+            assert_eq!((w.durable_frames(), w.durable_len()), (7, w.len()), "{policy}");
+            assert_eq!(w.fsyncs(), fsyncs, "{policy}");
+            w.sync().unwrap();
+            assert_eq!(w.fsyncs(), fsyncs, "{policy}: nothing new, no fsync");
+            // Two more appends; whatever the window leaves pending is
+            // never acked, and dropping the writer (a crash) abandons it.
+            for k in 8..=9 {
+                w.append(&WalRecord::Applied { rule: "e".into(), firings: vec![firing(k)] })
+                    .unwrap();
+            }
+            let durable = w.durable_len();
+            let acked_frames = w.durable_frames();
+            let pending = 9 - acked_frames;
+            assert_eq!(pending, window.map_or(2, |w| 2 % w), "{policy}");
+            drop(w);
+            assert_eq!(sched.stats().abandoned_pending, pending, "{policy}");
+            // Truncating to the durable watermark (the host-crash model
+            // the faultplan harness applies for real) yields a valid clean
+            // prefix holding exactly the acked records.
+            let full = std::fs::read(&path).unwrap();
+            std::fs::write(&path, &full[..durable as usize]).unwrap();
+            let contents = read_wal(&path).unwrap();
+            assert_eq!(contents.records.len() as u64, acked_frames, "{policy}");
+            assert!(!contents.torn_tail, "{policy}: the watermark sits on a frame boundary");
+        }
     }
 }

@@ -10,7 +10,8 @@ use codb_relational::{
 };
 use codb_store::wal::{read_wal, WalWriter};
 use codb_store::{
-    Codec, ProtocolCounters, RecvCaches, ScratchDir, Store, StoreError, SyncPolicy, WalRecord,
+    Codec, FsyncScheduler, ProtocolCounters, RecvCaches, ScratchDir, Store, StoreError, SyncPolicy,
+    WalRecord,
 };
 use proptest::prelude::*;
 
@@ -148,7 +149,7 @@ proptest! {
     ) {
         let dir = ScratchDir::new("prop-wal-rt");
         let path = dir.path().join("codb-0000000000.wal");
-        let mut w = WalWriter::create(&path, SyncPolicy::Never, codec).unwrap();
+        let mut w = WalWriter::create(&path, codec, &FsyncScheduler::for_store(SyncPolicy::Never, None)).unwrap();
         for r in &records {
             w.append(r).unwrap();
         }
@@ -268,7 +269,7 @@ proptest! {
     ) {
         let dir = ScratchDir::new("prop-wal-cut");
         let path = dir.path().join("codb-0000000000.wal");
-        let mut w = WalWriter::create(&path, SyncPolicy::Never, codec).unwrap();
+        let mut w = WalWriter::create(&path, codec, &FsyncScheduler::for_store(SyncPolicy::Never, None)).unwrap();
         for r in &records {
             w.append(r).unwrap();
         }
@@ -310,7 +311,7 @@ proptest! {
     ) {
         let dir = ScratchDir::new("prop-wal-flip");
         let path = dir.path().join("codb-0000000000.wal");
-        let mut w = WalWriter::create(&path, SyncPolicy::Never, codec).unwrap();
+        let mut w = WalWriter::create(&path, codec, &FsyncScheduler::for_store(SyncPolicy::Never, None)).unwrap();
         for r in &records {
             w.append(r).unwrap();
         }
@@ -366,7 +367,7 @@ proptest! {
         let mut per_codec = Vec::new();
         for codec in [Codec::Json, Codec::Binary] {
             let path = dir.path().join(format!("{codec}.wal"));
-            let mut w = WalWriter::create(&path, SyncPolicy::Never, codec).unwrap();
+            let mut w = WalWriter::create(&path, codec, &FsyncScheduler::for_store(SyncPolicy::Never, None)).unwrap();
             for r in &records {
                 w.append(r).unwrap();
             }

@@ -169,12 +169,15 @@ pub enum TraceEvent {
     },
     /// The storage engine synced its WAL to disk.
     Fsync {
-        /// Interned store name.
+        /// Interned store name (its directory), the id its `WalAppend`s
+        /// carry.
         store: u32,
         /// Host nanoseconds the sync took.
         nanos: u64,
     },
-    /// The shared group-commit scheduler drained a batch.
+    /// An fsync scheduler drained a batch: a shared group-commit one, or
+    /// a store's private one (under `Always` and `EveryN` every
+    /// threshold-triggered fsync is a drain of that one store).
     GroupDrain {
         /// Dirty stores visited.
         stores: u64,
