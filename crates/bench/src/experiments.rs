@@ -555,7 +555,8 @@ fn e17() -> Table {
     use codb_relational::glav::TField;
     use codb_relational::{RelationSchema, Snapshot, Value, ValueType};
     use codb_store::{
-        Codec, ProtocolCounters, RecvCaches, ScratchDir, Store, SyncPolicy, WalRecord,
+        apply_arrived, Codec, ProtocolCounters, RecvCaches, ScratchDir, Store, SyncPolicy,
+        WalRecord,
     };
     use codb_workload::{run_fault_plan, FaultPlan};
 
@@ -594,7 +595,7 @@ fn e17() -> Table {
             )
             .unwrap();
             for b in 0..BATCHES {
-                let firings: Vec<RuleFiring> = (0..PER_BATCH)
+                let mut firings: Vec<RuleFiring> = (0..PER_BATCH)
                     .map(|k| {
                         RuleFiring::new([(
                             "r",
@@ -605,13 +606,8 @@ fn e17() -> Table {
                         )])
                     })
                     .collect();
-                let cache = recv.entry("e".to_owned()).or_default();
-                let fresh: Vec<RuleFiring> =
-                    firings.into_iter().filter(|f| cache.insert(f.clone())).collect();
-                store
-                    .append(&WalRecord::Applied { rule: "e".to_owned(), firings: fresh.clone() })
-                    .unwrap();
-                codb_relational::apply_firings(&mut inst, &fresh, &mut nulls).unwrap();
+                apply_arrived(&mut inst, &mut nulls, &mut recv, "e", &mut firings).unwrap();
+                store.append(&WalRecord::Applied { rule: "e".to_owned(), firings }).unwrap();
                 if interval > 0 && (b + 1) % interval == 0 {
                     store
                         .checkpoint(

@@ -22,8 +22,8 @@
 //!    dead incarnation held, drops the sent cache of every link
 //!    **targeting** the rejoined node, and at once re-fires those links
 //!    over its whole LDB as [`Body::RejoinRepair`] — one full re-send, of
-//!    which the rejoined node's recovered receive caches suppress
-//!    everything it still holds. The re-send goes through the emptied
+//!    which the rejoined node drops what it still holds before its WAL
+//!    ([`codb_store::apply_arrived`]). The re-send goes through the emptied
 //!    caches, so it re-primes them and leaves each link's mark covering
 //!    the LDB ([`crate::update`], "What changed since"): the next update
 //!    ships, and evaluates, deltas only. Then it asks to be adopted in
@@ -44,6 +44,7 @@ use crate::ids::{NodeId, RuleName, UpdateId};
 use crate::messages::{Body, Envelope};
 use crate::node::CoDbNode;
 use crate::rules::LinkId;
+use crate::update::SentCache;
 use codb_net::Context;
 use codb_trace::TraceEvent;
 use std::sync::Arc;
@@ -115,10 +116,10 @@ impl CoDbNode {
 
     /// Handles a [`Body::RejoinRepair`] batch that came `hops` hops on
     /// outgoing link `rule`: the arrival of [`crate::update`]'s data flow
-    /// minus the per-update bookkeeping — cross-update template dedup, WAL
-    /// logging, apply, the hop valve — then a cascade of further repair
+    /// minus the per-update bookkeeping — cross-update dedup and apply, WAL
+    /// logging, the hop valve — then a cascade of further repair
     /// toward links reading the changed relations. The receiver-side
-    /// caches bound the cascade where the rules are weakly acyclic (a
+    /// dedup bounds the cascade where the rules are weakly acyclic (a
     /// firing is applied, and forwarded, at most once per link, ever), and
     /// `max_hops` bounds it where they are not.
     pub(crate) fn handle_rejoin_repair(
@@ -163,13 +164,12 @@ impl CoDbNode {
     }
 
     /// Drops the sent cache of every link whose target is `peer`, and with
-    /// it the link's mark. Returns how many of those caches held
-    /// any firing.
+    /// it the link's mark. Returns how many of those caches held a mark or
+    /// a firing (a projection-free link's record is its mark alone).
     fn invalidate_sent_caches_toward(&mut self, peer: NodeId) -> usize {
         let toward = self.book.incoming().iter().filter(|id| self.book.link(**id).target == peer);
-        toward
-            .filter(|id| !std::mem::take(&mut self.sent_cache[id.index()]).sent.is_empty())
-            .count()
+        let held = |cache: SentCache| cache.mark.is_some() || !cache.sent.is_empty();
+        toward.filter(|id| held(std::mem::take(&mut self.sent_cache[id.index()]))).count()
     }
 
     /// True while a store recovery still owes the acquaintances a
@@ -460,9 +460,9 @@ mod tests {
             [(spoke1.peer(), "to1".to_owned(), 1), (spoke2.peer(), "to2".to_owned(), 1)]
         );
 
-        // A second batch with the same firing is fully suppressed by the
-        // receive cache: nothing applied, nothing cascaded — the
-        // termination argument for repair chains in cyclic topologies.
+        // A second batch with the same ground firing is fully suppressed by
+        // the relation that holds it: nothing applied, nothing cascaded —
+        // the termination argument for repair chains in cyclic topologies.
         let out = deliver(&mut node, spoke1, sequenced(0, 1, repair("back", vec![h_firing(5)], 1)));
         assert_eq!(node.ldb().tuple_count(), before + 1);
         assert!(only_acked(&out, spoke1, 1, 0), "{out:?}");

@@ -7,10 +7,11 @@
 //! first of that data to each target instead of travelling beside it
 //! ([`Body::UpdateData`]'s `request`). When data arrives on
 //! an *outgoing link* `o`, the new tuples `T' = T \ R` are materialised
-//! (fresh marked nulls for existential placeholders), and every incoming
-//! link *dependent on* `o` is re-computed **by substituting `R` with `T'`**
-//! (semi-naive delta evaluation); results already sent on a link are
-//! removed before sending (the per-link *sent cache*).
+//! (fresh marked nulls for existential placeholders; a ground firing is
+//! new iff the LDB lacks its tuple), and every incoming link *dependent on*
+//! `o` is re-computed **by substituting `R` with `T'`** (semi-naive delta
+//! evaluation); results already sent on a link are removed before sending
+//! (the per-link *sent cache*, or a projection-free link's mark).
 //!
 //! ## Termination
 //!
@@ -72,13 +73,15 @@
 //! moves the marks past it (`CoDbNode::fire_arrival`); at the hop-limit
 //! valve or on a link a scoped update did not demand the mark stays
 //! behind, and the next start fires the tuples from the log. Firings
-//! dropped on a closed link take the mark back.
+//! dropped on a closed link take the mark back. A projection-free link
+//! (every body variable in its head) ships each firing once while its mark
+//! stands, so the mark is its whole record: it keeps no sent firing.
 
 use crate::ids::{NodeId, RuleName, UpdateId};
 use crate::messages::{Body, Envelope};
 use crate::node::CoDbNode;
 use crate::query::Answered;
-use crate::rules::{LinkId, RuleBook};
+use crate::rules::{Link, LinkId, RuleBook};
 use crate::stats::{by_name, Kind};
 use codb_net::{Context, SimTime};
 use codb_relational::{Atom, FiringSet, Instance, Relation, RuleFiring, Version};
@@ -115,7 +118,7 @@ pub struct LinkState {
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SentCache {
     /// The firings already shipped on the link, by update data and rejoin
-    /// repair alike.
+    /// repair alike (none on a projection-free link).
     pub(crate) sent: FiringSet,
     /// The version of each body atom's relation, in body order, that
     /// `sent` covers (module docs, "What changed since"); none, nothing is.
@@ -514,11 +517,12 @@ impl CoDbNode {
     }
 
     /// The arrival of a batch that came `hops` hops on outgoing link
-    /// `link`, update data and rejoin repair alike: check the batch,
-    /// `T' = T \ R` at template level, WAL, apply, then the chase safety
-    /// valve. Returns the relations that grew with their versions before
-    /// ([`codb_relational::apply_firings`]), and whether the growth may
-    /// propagate: at `max_hops` it may not, and the marks stay behind it.
+    /// `link`, update data and rejoin repair alike: check the batch, apply
+    /// what is new ([`codb_store::apply_arrived`]: `T' = T \ R`), WAL it,
+    /// then the chase safety valve. Returns the relations that grew with
+    /// their versions before ([`codb_relational::apply_firings`]), and
+    /// whether the growth may propagate: at `max_hops` it may not, and the
+    /// marks stay behind it.
     ///
     /// The wire is outside the program: a batch that is not an instance of
     /// the rule's head over this node's schema is dropped whole and counted
@@ -527,7 +531,7 @@ impl CoDbNode {
     pub(crate) fn arrive(
         &mut self,
         link: LinkId,
-        firings: Vec<RuleFiring>,
+        mut firings: Vec<RuleFiring>,
         hops: u64,
     ) -> (Vec<(Arc<str>, Version)>, bool) {
         let book = Arc::clone(&self.book);
@@ -536,27 +540,18 @@ impl CoDbNode {
             self.report.count_received(Kind::DataRejected);
             return (Vec::new(), false);
         }
-        // Template-level dedup against everything already received on this
-        // link — across updates, not just within one: re-running an update
-        // must not re-instantiate existential templates with fresh nulls
-        // (that would silently duplicate GLAV data on every run).
-        let cache = by_name(&mut self.recv_cache, &link.name);
-        cache.reserve(firings.len());
-        let mut fresh = firings;
-        fresh.retain(|f| cache.insert(f.clone()));
-        if fresh.is_empty() {
-            return (Vec::new(), false);
-        }
-        // Durability: WAL the applied batch before mutating the LDB.
-        // Replay from the snapshot re-runs exactly these applies in
-        // order, reproducing instance, null factory and dedup caches.
-        if self.persist.is_some() {
-            let record =
-                codb_store::WalRecord::Applied { rule: link.name.clone(), firings: fresh.clone() };
-            self.log_wal(record);
-        }
-        let grown = codb_relational::apply_firings(&mut self.ldb, &fresh, &mut self.nulls)
+        let (ldb, nulls, recv) = (&mut self.ldb, &mut self.nulls, &mut self.recv_cache);
+        let grown = codb_store::apply_arrived(ldb, nulls, recv, &link.name, &mut firings)
             .expect("the batch was admitted against the rule head and the schema");
+        if firings.is_empty() {
+            return (grown, false);
+        }
+        // Durability: WAL what was new, before anything is sent or acked.
+        // Replay from the snapshot re-runs exactly these arrivals in order,
+        // reproducing instance, null factory and receive caches.
+        if self.persist.is_some() {
+            self.log_wal(codb_store::WalRecord::Applied { rule: link.name.clone(), firings });
+        }
         if self.tracer.is_enabled() {
             let r = self.tracer.intern(&link.name);
             let tuples = gained(&self.ldb, &grown);
@@ -696,17 +691,21 @@ impl CoDbNode {
     /// The one sender-side filter of incoming link `link`, for update data
     /// and rejoin repair alike — the paper's "we delete from Ri those
     /// tuples which have been already sent to the incoming link": keeps
-    /// the firings the link never shipped, in order, and remembers them.
+    /// the firings the link never shipped, in order, and remembers them —
+    /// but a projection-free link's come from past its mark, which is its
+    /// record (module docs, "What changed since"): they pass as they are.
     pub(crate) fn filter_sent(
         &mut self,
         link: LinkId,
         mut firings: Vec<RuleFiring>,
     ) -> Vec<RuleFiring> {
-        let cache = &mut self.sent_cache[link.index()].sent;
-        cache.reserve(firings.len());
-        firings.retain(|f| cache.insert(f.clone()));
+        let Link { rule, target, .. } = self.book.link(link);
+        if !rule.projection_free() {
+            let cache = &mut self.sent_cache[link.index()].sent;
+            cache.reserve(firings.len());
+            firings.retain(|f| cache.insert(f.clone()));
+        }
         if !firings.is_empty() {
-            let target = self.book.link(link).target;
             self.tracer.emit_with(|| TraceEvent::RuleFire {
                 peer: self.id.0,
                 link: target.0,
@@ -1044,7 +1043,7 @@ pub(crate) mod tests {
     use crate::config::NetworkConfig;
     use crate::network::CoDbNetwork;
     use codb_net::SimConfig;
-    use codb_relational::{tup, TField, Value};
+    use codb_relational::{tup, TField, Tuple, Value};
     use codb_store::{Codec, ScratchDir, SyncPolicy};
 
     impl CoDbNode {
@@ -1112,9 +1111,11 @@ pub(crate) mod tests {
     /// the handle in the sender's sent cache, the one held for
     /// retransmission until the ack, and the one in the receiver's cache
     /// are one allocation — which a copy anywhere on the way cannot be.
+    /// (On an existential link that projects `A`: both caches keep its
+    /// firings.)
     #[test]
     fn a_firing_is_shared_from_sent_cache_to_recv_cache_not_copied() {
-        let (mut net, src, tgt) = link("person(N, A)");
+        let (mut net, src, tgt) = link("person(N, D)");
         net.sim_mut().inject(crate::HARNESS_PEER, tgt.peer(), Envelope::control(Body::StartUpdate));
         // Up to the event that applies the data at `tgt`; the transport
         // ack for it is still on its way back to `src`.
@@ -1402,9 +1403,11 @@ pub(crate) mod tests {
 
     /// Data for an update that has completed here is applied, and dropped
     /// for the closed links before it reaches their caches — the one place
-    /// a mark is taken back, so the next start fires those links whole.
-    /// (No harness run reaches this: Dijkstra–Scholten completes an update
-    /// after its last data message. A peer presumed dead that was not can.)
+    /// a mark is taken back, so the next start fires those links whole. A
+    /// projection-free link's mark is all it keeps: it ships its whole view
+    /// again, and the receiver's relation drops what it holds. (No harness
+    /// run reaches this: Dijkstra–Scholten completes an update after its
+    /// last data message. A peer presumed dead that was not can.)
     #[test]
     fn firings_dropped_on_a_closed_link_take_its_mark_back() {
         let mut mid = Mid::new(Default::default());
@@ -1414,7 +1417,7 @@ pub(crate) mod tests {
         assert!(mid.node.ldb().get("m").unwrap().contains(&tup![3]));
         assert!(["to_a", "to_b"].iter().all(|rule| mid.node.sent_cache_of(rule).mark.is_none()));
         let whole = whole_fires();
-        assert_eq!(mid.deliver(Body::UpdateRequest { update: update(1) }), both(&[3]));
+        assert_eq!(mid.deliver(Body::UpdateRequest { update: update(1) }), both(&[1, 2, 3]));
         assert_eq!((whole_fires() - whole, evaluated(&mid, update(1))), (2, 6));
     }
 
@@ -1439,7 +1442,9 @@ pub(crate) mod tests {
 
     /// Whatever replaces the LDB under the links, or the links themselves,
     /// leaves no mark answering: the relations restored are of new
-    /// lineages, and a new book starts with empty caches.
+    /// lineages, and a new book starts with empty caches. A projection-free
+    /// link whose mark does not answer ships its whole view again. (No
+    /// harness run restores a node that has shipped anything.)
     #[test]
     fn a_replaced_ldb_or_book_leaves_no_link_caught_up() {
         let mut mid = Mid::new(Default::default());
@@ -1450,7 +1455,7 @@ pub(crate) mod tests {
         assert_eq!(mid.caught_up(), [false, false]);
 
         let whole = whole_fires();
-        assert_eq!(mid.deliver(Body::UpdateRequest { update: update(1) }), both(&[4]));
+        assert_eq!(mid.deliver(Body::UpdateRequest { update: update(1) }), both(&[1, 2, 4]));
         assert_eq!(whole_fires() - whole, 2, "restored: both links fire whole");
         assert_eq!(mid.caught_up(), [true, true]);
         let config = NetworkConfig::parse(FORK).unwrap();
@@ -1464,6 +1469,89 @@ pub(crate) mod tests {
     #[test]
     fn a_sent_cache_stays_within_88_bytes() {
         assert!(std::mem::size_of::<SentCache>() <= 88, "{}", std::mem::size_of::<SentCache>());
+    }
+
+    /// `a -> b -> c`, copy rules, the data at `a` and one tuple of it at
+    /// `b` too.
+    const GROUND_CHAIN: &str = r#"
+        node a
+        node b
+        node c
+        schema a: ta(int)
+        schema b: tb(int)
+        schema c: tc(int)
+        data a: ta(1). ta(2). ta(3).
+        data b: tb(2).
+        rule ab @ a -> b: tb(X) <- ta(X).
+        rule bc @ b -> c: tc(X) <- tb(X).
+    "#;
+
+    /// Whether `ldb` lacks a tuple of the ground firing `firing`.
+    fn lacks(ldb: &Instance, firing: &RuleFiring) -> bool {
+        firing.atoms().iter().any(|(rel, fields)| {
+            let values = fields.iter().map(|field| match field {
+                TField::Const(v) => v.clone(),
+                TField::Fresh(_) => panic!("a placeholder in {firing:?}"),
+            });
+            !ldb.get(rel).unwrap().contains(&Tuple::new(values.collect::<Vec<_>>()))
+        })
+    }
+
+    /// A traced rejoin on a ground chain: `a` re-sends its whole link to
+    /// the restarted `b`, whose relation holds all of it. The repair is
+    /// dropped in the LDB, before the WAL: `b` applies and logs nothing,
+    /// no receive cache holds a ground firing, and every `Applied` record
+    /// of every WAL, replayed in order from the first snapshot, names only
+    /// firings its LDB lacked — `tb(2)`, which `b` held from the start,
+    /// never among them.
+    #[test]
+    fn a_ground_repair_is_dropped_in_the_ldb_before_the_wal() {
+        let tmp = ScratchDir::new("core-ground-rejoin");
+        let config = NetworkConfig::parse(GROUND_CHAIN).unwrap();
+        let mut net = CoDbNetwork::build(config, SimConfig::default()).unwrap();
+        let (tracer, recorded) = codb_trace::Tracer::ring(1 << 12);
+        net.attach_tracer(&tracer);
+        net.open_persistence_all(tmp.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+        let [a, b, c] = ["a", "b", "c"].map(|name| net.node_id(name).unwrap());
+        let snapshots = [a, b, c].map(|id| net.node(id).ldb().clone());
+        net.run_update(c);
+
+        net.crash_node(b);
+        let dir = CoDbNetwork::node_data_dir(tmp.path(), "b");
+        net.restart_node_from_disk(b, &dir, SyncPolicy::Always, Codec::Binary).unwrap();
+        assert_eq!(net.node(b).report().messages_received.get("rejoin_repair"), Some(&1));
+        let events = recorded.lock().unwrap().events();
+        let heard =
+            |ev: &TraceEvent| matches!(ev, TraceEvent::RejoinRecv { from, .. } if *from == b.0);
+        let rejoin = events.iter().position(|(_, ev)| heard(ev)).expect("a heard b rejoin");
+        let applied =
+            |ev: &TraceEvent| matches!(ev, TraceEvent::UpdateApply { peer, .. } if *peer == b.0);
+        assert!(!events[rejoin..].iter().any(|(_, ev)| applied(ev)), "b applied repair");
+
+        let tuple = tup![4];
+        net.run_control(a, Body::IngestLocal { relation: "ta".to_owned(), tuple });
+        net.run_update(c);
+        assert_eq!(recorded.lock().unwrap().evicted(), 0);
+        for (id, mut ldb) in [a, b, c].into_iter().zip(snapshots) {
+            let node = net.node(id);
+            assert!(node.recv_cache.values().flatten().all(|f| !f.is_ground()), "{id}");
+            let wal = codb_store::wal::read_wal(node.store().unwrap().wal_path()).unwrap();
+            let mut nulls = codb_relational::NullFactory::new(0);
+            for record in wal.records {
+                match record {
+                    codb_store::WalRecord::Applied { firings, .. } => {
+                        assert!(firings.iter().all(|f| lacks(&ldb, f)), "{id}: {firings:?}");
+                        codb_relational::apply_firings(&mut ldb, &firings, &mut nulls).unwrap();
+                    }
+                    codb_store::WalRecord::LocalInsert { relation, tuple } => {
+                        ldb.insert(&relation, tuple).unwrap();
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!(&ldb, node.ldb(), "{id}: the WAL replays to the LDB");
+        }
+        assert_eq!(net.node(c).ldb().get("tc").unwrap().len(), 4);
     }
 
     /// A receive cache read back from disk is made of other allocations

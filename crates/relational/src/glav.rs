@@ -88,6 +88,14 @@ impl GlavRule {
         !self.existential_vars().is_empty()
     }
 
+    /// True iff every body variable occurs in the head: the rule projects
+    /// no body variable away, so a firing names the one body answer it
+    /// came from. (Not "full": a full tgd is one with no existentials.)
+    pub fn is_projection_free(&self) -> bool {
+        let head: BTreeSet<Var> = self.head.iter().flat_map(Atom::vars).collect();
+        self.body.atom_vars().is_subset(&head)
+    }
+
     /// Relations written by the rule (at the target).
     pub fn head_relations(&self) -> BTreeSet<&str> {
         self.head.iter().map(|a| a.relation.as_str()).collect()
@@ -201,24 +209,34 @@ impl GlavRule {
 
 /// A [`GlavRule`] a node fires again and again — once per update, then
 /// once per delta that reaches it — with what every firing of it shares
-/// made once: the head's relation names. The pairing is the type's whole
-/// job: names made for one rule must not label another's firings.
+/// made once: the head's relation names and the rule's shape. The pairing
+/// is the type's whole job: names made for one rule must not label
+/// another's firings.
 #[derive(Clone, Debug)]
 pub struct PreparedRule {
     rule: GlavRule,
     head_names: Vec<Arc<str>>,
+    projection_free: bool,
 }
 
 impl PreparedRule {
     /// Prepares `rule`.
     pub fn new(rule: GlavRule) -> Self {
         let head_names = rule.head_names();
-        PreparedRule { rule, head_names }
+        let projection_free = rule.is_projection_free();
+        PreparedRule { rule, head_names, projection_free }
     }
 
     /// The rule.
     pub fn rule(&self) -> &GlavRule {
         &self.rule
+    }
+
+    /// [`GlavRule::is_projection_free`], taken once: where it holds, two
+    /// body answers never make one firing, so [`PreparedRule::fire_since`]
+    /// over successive suffixes yields each firing once.
+    pub fn projection_free(&self) -> bool {
+        self.projection_free
     }
 
     /// The head's relation names, in head order.
@@ -548,44 +566,84 @@ pub fn apply_firings(
     nulls: &mut NullFactory,
 ) -> Result<Vec<(Arc<str>, Version)>, crate::schema::SchemaError> {
     let mut grown: Vec<(Arc<str>, Version)> = Vec::new();
-    // Placeholder → null of the firing in hand; a head has a few at most.
     let mut invented: Vec<(u32, NullId)> = Vec::new();
     for firing in firings {
-        invented.clear();
-        for (rel, fields) in firing.atoms() {
-            let tuple: Tuple = fields
-                .iter()
-                .map(|f| match f {
-                    TField::Const(v) => v.clone(),
-                    TField::Fresh(id) => {
-                        Value::Null(match invented.iter().find(|(seen, _)| seen == id) {
-                            Some(&(_, null)) => null,
-                            None => {
-                                let null = nulls.fresh();
-                                invented.push((*id, null));
-                                null
-                            }
-                        })
-                    }
-                })
-                .collect();
-            let relation = target.get_mut(rel).ok_or_else(|| {
-                crate::schema::SchemaError::UnknownRelation { relation: rel.to_string() }
-            })?;
-            let before = relation.version();
-            // A ground one-atom firing hashes as the tuple it makes: the
-            // receive cache's hash files it.
-            let hash = if firing.atoms().len() == 1 && invented.is_empty() {
-                firing.content_hash()
-            } else {
-                tuple.content_hash()
-            };
-            if relation.insert_hashed(tuple, hash)? && !grown.iter().any(|(seen, _)| seen == rel) {
+        file_firing(target, firing, nulls, &mut invented, &mut grown)?;
+    }
+    Ok(grown)
+}
+
+/// [`apply_firings`], keeping in `firings`, in order, only those that
+/// filed a tuple: a ground firing whose every tuple `target` held already
+/// is dropped, in the probe that files it, so the test builds no tuple of
+/// its own. (A firing with a placeholder always files one: its null is
+/// fresh.) On an error `firings` is left holding what was filed before.
+pub fn apply_new_firings(
+    target: &mut Instance,
+    firings: &mut Vec<RuleFiring>,
+    nulls: &mut NullFactory,
+) -> Result<Vec<(Arc<str>, Version)>, crate::schema::SchemaError> {
+    let mut grown: Vec<(Arc<str>, Version)> = Vec::new();
+    let mut invented: Vec<(u32, NullId)> = Vec::new();
+    let mut failed = None;
+    firings.retain(|firing| {
+        failed.is_none()
+            && file_firing(target, firing, nulls, &mut invented, &mut grown).unwrap_or_else(|e| {
+                failed = Some(e);
+                false
+            })
+    });
+    failed.map_or(Ok(grown), Err)
+}
+
+/// Files the tuples of one firing in `target` — `invented` is scratch for
+/// the firing's placeholders, `grown` [`apply_firings`]' report — and says
+/// whether any was new.
+fn file_firing(
+    target: &mut Instance,
+    firing: &RuleFiring,
+    nulls: &mut NullFactory,
+    invented: &mut Vec<(u32, NullId)>,
+    grown: &mut Vec<(Arc<str>, Version)>,
+) -> Result<bool, crate::schema::SchemaError> {
+    invented.clear();
+    let mut filed = false;
+    for (rel, fields) in firing.atoms() {
+        let tuple: Tuple = fields
+            .iter()
+            .map(|f| match f {
+                TField::Const(v) => v.clone(),
+                TField::Fresh(id) => {
+                    Value::Null(match invented.iter().find(|(seen, _)| seen == id) {
+                        Some(&(_, null)) => null,
+                        None => {
+                            let null = nulls.fresh();
+                            invented.push((*id, null));
+                            null
+                        }
+                    })
+                }
+            })
+            .collect();
+        let relation = target.get_mut(rel).ok_or_else(|| {
+            crate::schema::SchemaError::UnknownRelation { relation: rel.to_string() }
+        })?;
+        let before = relation.version();
+        // A ground one-atom firing hashes as the tuple it makes: the hash
+        // it carries files it.
+        let hash = if firing.atoms().len() == 1 && invented.is_empty() {
+            firing.content_hash()
+        } else {
+            tuple.content_hash()
+        };
+        if relation.insert_hashed(tuple, hash)? {
+            filed = true;
+            if !grown.iter().any(|(seen, _)| seen == rel) {
                 grown.push((Arc::clone(rel), before));
             }
         }
     }
-    Ok(grown)
+    Ok(filed)
 }
 
 #[cfg(test)]
@@ -641,6 +699,25 @@ mod tests {
         assert!(!gav_rule().has_existentials());
         assert_eq!(glav_rule().existential_vars(), [Var(2)].into_iter().collect());
         assert!(glav_rule().has_existentials());
+    }
+
+    /// Projection-free is about the body's variables, not the head's: an
+    /// existential head can keep every body variable, and a GAV head can
+    /// drop one.
+    #[test]
+    fn a_projection_free_rule_keeps_every_body_variable_in_its_head() {
+        assert!(gav_rule().is_projection_free());
+        assert!(!glav_rule().is_projection_free(), "A is projected away");
+        let keeps_all = GlavRule::new(
+            "r3",
+            vec![Atom::new("person", vec![v(0), v(1)]), Atom::new("dept", vec![v(2)])],
+            CqBody::new(vec![Atom::new("emp", vec![v(0), v(1)])], vec![]),
+            vec!["N".into(), "A".into(), "D".into()],
+        )
+        .unwrap();
+        assert!(keeps_all.has_existentials() && keeps_all.is_projection_free());
+        let prepared = [gav_rule(), glav_rule(), keeps_all].map(PreparedRule::new);
+        assert_eq!(prepared.map(|rule| rule.projection_free()), [true, false, true]);
     }
 
     #[test]
@@ -910,6 +987,31 @@ mod tests {
         // Re-applying the same ground firing adds nothing.
         let d2 = apply_firings(&mut target, &firings, &mut nulls).unwrap();
         assert!(d2.is_empty());
+    }
+
+    /// What filed nothing is dropped in the probe that files: a ground
+    /// firing `target` held, or a repeat within the batch. A firing with a
+    /// placeholder always files, under a fresh null.
+    #[test]
+    fn apply_new_firings_keeps_the_firings_that_filed_a_tuple() {
+        let mut target = Instance::new();
+        target
+            .add_relation(RelationSchema::with_types("person", &[ValueType::Str, ValueType::Int]));
+        target.insert("person", tup!["bob", 17]).unwrap();
+        let person = |fields| RuleFiring::new([("person", fields)]);
+        let (alice, bob) = (
+            person(vec![TField::Const(Value::str("alice")), TField::Const(Value::Int(30))]),
+            person(vec![TField::Const(Value::str("bob")), TField::Const(Value::Int(17))]),
+        );
+        let carol = person(vec![TField::Const(Value::str("carol")), TField::Fresh(1)]);
+        let mut nulls = NullFactory::new(2);
+        let mut batch = vec![bob.clone(), alice.clone(), carol.clone(), alice.clone()];
+        let grown = apply_new_firings(&mut target, &mut batch, &mut nulls).unwrap();
+        assert_eq!(batch, [alice.clone(), carol.clone()]);
+        assert_eq!(gained(&target, &grown)["person"].len(), 2);
+        let mut again = vec![alice, bob, carol.clone()];
+        apply_new_firings(&mut target, &mut again, &mut nulls).unwrap();
+        assert_eq!((again, nulls.invented()), (vec![carol], 2));
     }
 
     #[test]

@@ -64,7 +64,8 @@
 //! 1. a [`WalRecord::Caches`] checkpoint of the node's receiver-side
 //!    dedup caches, so a recovered node never re-instantiates existential
 //!    templates it has already materialised (which would silently
-//!    duplicate GLAV data under fresh nulls); and
+//!    duplicate GLAV data under fresh nulls) — firings with a placeholder
+//!    only: [`apply_arrived`] decides a ground firing by the instance; and
 //! 2. a [`WalRecord::Counters`] checkpoint of the protocol counters
 //!    ([`ProtocolCounters`]: next update / query / fetch sequence
 //!    numbers). The node re-appends a `Counters` record every time it
@@ -108,7 +109,7 @@ pub use codb_relational::frame::{self, crc32};
 pub use codec::{Codec, SNAP_MAGIC, WAL_MAGIC};
 pub use group::{FsyncScheduler, FsyncSchedulerStats};
 pub use scratch::ScratchDir;
-pub use wal::{ProtocolCounters, RecvCaches, SyncPolicy, WalRecord};
+pub use wal::{apply_arrived, ProtocolCounters, RecvCaches, SyncPolicy, WalRecord};
 
 /// The normative durability contract, rendered from `docs/DURABILITY.md`
 /// — the single written source of truth for what each [`SyncPolicy`]

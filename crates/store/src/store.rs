@@ -6,10 +6,11 @@
 use crate::codec::{self, Codec, MAGIC_LEN};
 use crate::group::FsyncScheduler;
 use crate::wal::{
-    read_wal, store_name, ProtocolCounters, RecvCaches, SyncPolicy, WalRecord, WalWriter,
+    apply_arrived, read_wal, store_name, ProtocolCounters, RecvCaches, SyncPolicy, WalRecord,
+    WalWriter,
 };
 use codb_relational::frame::{encode_frame, FrameScanner, FrameStep};
-use codb_relational::{apply_firings, Instance, NullFactory, Snapshot, SnapshotError};
+use codb_relational::{Instance, NullFactory, Snapshot, SnapshotError};
 use codb_trace::{TraceEvent, Tracer};
 use std::fmt;
 use std::io::Write as _;
@@ -454,11 +455,8 @@ impl Store {
             match record {
                 WalRecord::Caches { recv } => recv_cache = recv,
                 WalRecord::Counters { counters: c } => counters = c,
-                WalRecord::Applied { rule, firings } => {
-                    let cache = recv_cache.entry(rule).or_default();
-                    let fresh: Vec<_> =
-                        firings.into_iter().filter(|f| cache.insert(f.clone())).collect();
-                    apply_firings(&mut instance, &fresh, &mut nulls)
+                WalRecord::Applied { rule, mut firings } => {
+                    apply_arrived(&mut instance, &mut nulls, &mut recv_cache, &rule, &mut firings)
                         .map_err(|e| StoreError::Replay { detail: e.to_string() })?;
                 }
                 WalRecord::LocalInsert { relation, tuple } => {
@@ -681,17 +679,12 @@ mod tests {
         nulls: &mut NullFactory,
         recv: &mut RecvCaches,
         rule: &str,
-        firings: Vec<RuleFiring>,
+        mut firings: Vec<RuleFiring>,
     ) {
-        let cache = recv.entry(rule.to_owned()).or_default();
-        let fresh: Vec<_> = firings.into_iter().filter(|f| cache.insert(f.clone())).collect();
-        if fresh.is_empty() {
-            return;
+        apply_arrived(inst, nulls, recv, rule, &mut firings).unwrap();
+        if !firings.is_empty() {
+            store.append(&WalRecord::Applied { rule: rule.to_owned(), firings }).unwrap();
         }
-        store
-            .append(&WalRecord::Applied { rule: rule.to_owned(), firings: fresh.clone() })
-            .unwrap();
-        apply_firings(inst, &fresh, nulls).unwrap();
     }
 
     #[test]
@@ -725,6 +718,36 @@ mod tests {
         assert_eq!(rec.wal_records_replayed, 8); // caches + counters + 5 applies + 1 local
         assert!(!rec.torn_tail);
         assert_eq!(reopened.generation(), 0);
+    }
+
+    /// Replay decides a firing as the live arrival does: a ground one by
+    /// the instance — applied where new, and never cached — and one with
+    /// a placeholder by its link's receive cache.
+    #[test]
+    fn replaying_a_ground_applied_record_adds_no_cache_entry() {
+        let dir = ScratchDir::new("store-ground");
+        let (inst, nulls) = seed();
+        let mut store = Store::create(
+            dir.path(),
+            &Snapshot::capture(&inst, &nulls),
+            &RecvCaches::new(),
+            &ProtocolCounters::default(),
+            SyncPolicy::Always,
+            Codec::Binary,
+        )
+        .unwrap();
+        let ground = |k: i64| RuleFiring::new([("r", vec![TField::Const(Value::Int(k)); 2])]);
+        let applied = |rule: &str, firings| WalRecord::Applied { rule: rule.into(), firings };
+        store.append(&applied("g", vec![ground(2), ground(1)])).unwrap();
+        store.append(&applied("e0", vec![ground(3), firing(1)])).unwrap();
+        drop(store);
+
+        let (_, rec) = Store::open(dir.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+        let r = rec.instance.get("r").unwrap();
+        assert!([tup![2, 2], tup![1, 1], tup![3, 3]].iter().all(|t| r.contains(t)));
+        assert_eq!(r.len(), 5, "the seed's tuple, three ground ones and one with a null");
+        let cached = [firing(1)].into_iter().collect();
+        assert_eq!(rec.recv_cache, RecvCaches::from([("e0".to_owned(), cached)]));
     }
 
     #[test]

@@ -16,7 +16,9 @@ use crate::codec::{self, Codec, MAGIC_LEN};
 use crate::group::FsyncScheduler;
 use crate::store::StoreError;
 use codb_relational::frame::{encode_frame, FrameScanner, FrameStep};
-use codb_relational::{FiringSet, RuleFiring, Tuple};
+use codb_relational::{
+    apply_new_firings, FiringSet, Instance, NullFactory, RuleFiring, SchemaError, Tuple, Version,
+};
 use codb_trace::{TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -25,12 +27,47 @@ use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// Receiver-side per-link dedup caches, exactly as the node keeps them
-/// (`rule name → firing templates already materialised`). The sets are
-/// unordered in memory; both codecs write them sorted, so equal caches
-/// are equal bytes.
+/// (`rule name → firing templates already materialised`): firings with a
+/// placeholder only, since [`apply_arrived`] decides a ground firing by
+/// the LDB. The sets are unordered in memory; both codecs write them
+/// sorted, so equal caches are equal bytes.
 pub type RecvCaches = BTreeMap<String, FiringSet>;
+
+/// The arrival of a batch of firings on link `rule` at a node whose LDB
+/// is `instance`, whose null factory is `nulls` and whose receive caches
+/// are `recv`, live and in replay alike: applies the firings that are new
+/// and keeps only those in `firings`, in order — the paper's `T' = T \ R`.
+/// Each firing is decided alone, so replay needs no rule:
+///
+/// * one with a placeholder is new iff the link's receive cache did not
+///   hold it, and the cache holds it from then on: the same template
+///   arriving again must not be instantiated again under fresh nulls;
+/// * a ground one is new iff `instance` lacked one of its tuples, which
+///   the probe that files them tells ([`apply_new_firings`]): the relation
+///   is its record, and it never enters `recv`.
+///
+/// Returns the relations that grew with their versions before
+/// ([`codb_relational::apply_firings`]).
+pub fn apply_arrived(
+    instance: &mut Instance,
+    nulls: &mut NullFactory,
+    recv: &mut RecvCaches,
+    rule: &str,
+    firings: &mut Vec<RuleFiring>,
+) -> Result<Vec<(Arc<str>, Version)>, SchemaError> {
+    if !firings.iter().all(RuleFiring::is_ground) {
+        if !recv.contains_key(rule) {
+            recv.insert(rule.to_owned(), FiringSet::default());
+        }
+        let cache = recv.get_mut(rule).expect("present or just inserted");
+        cache.reserve(firings.len());
+        firings.retain(|f| f.is_ground() || cache.insert(f.clone()));
+    }
+    apply_new_firings(instance, firings, nulls)
+}
 
 /// The JSON shape of [`RecvCaches`] — `[[rule, [firing, …]], …]`, as the
 /// derive writes a map of sets — with each set in sorted order. Written
@@ -86,7 +123,8 @@ pub enum WalRecord {
         counters: ProtocolCounters,
     },
     /// A batch of rule firings applied from network data on outgoing link
-    /// `rule` (already filtered against the receive cache at apply time).
+    /// `rule`: the ones [`apply_arrived`] found new, logged after the apply
+    /// and before the node sends or acks anything.
     Applied {
         /// The link the data arrived on.
         rule: String,

@@ -16,7 +16,10 @@
 //! after every step, every update over at every node that heard of it,
 //! and a fetch at every node answered twice alike, the second time from
 //! the views and answers the serving links kept, each view checked against
-//! a fresh fire and each answer against a network that kept nothing.
+//! a fresh fire and each answer against a network that kept nothing. A
+//! last property runs inserts and updates over projection-free rules,
+//! whose links keep only their marks: each ships every firing of its view
+//! exactly once.
 
 use codb::core::{whole_fires, Body, Envelope, ParallelCoDbNet, HARNESS_PEER};
 use codb::net::RuntimeConfig;
@@ -548,6 +551,59 @@ fn run_program(seed: u64) -> Result<(), String> {
     p.fetch("at the end")
 }
 
+/// Runs a program of local inserts and global updates from random nodes
+/// over projection-free rules — no loss, crash, valve or scoped update —
+/// to the fixpoint. `Err` where a link shipped other than each firing of
+/// its whole view exactly once: such a link keeps no sent set, only its
+/// mark, so what it shipped over every update must count the distinct
+/// firings of its whole view at the end.
+fn run_projection_free_program(seed: u64) -> Result<(), String> {
+    let mut g = Gen(seed);
+    let topology = match g.below(6) {
+        0 => Topology::Ring(3 + g.below(2)),
+        1 => Topology::Chain(3 + g.below(3)),
+        2 => Topology::Star { leaves: 2 + g.below(3) },
+        3 => Topology::Tree { height: 1 + g.below(2) },
+        4 => Topology::Grid { w: 2 + g.below(2), h: 2 },
+        _ => Topology::RandomDag { n: 4 + g.below(3), p_percent: 50, seed: g.next() },
+    };
+    let rule_style = g.pick(&[RuleStyle::CopyGav, RuleStyle::FilterGav { threshold: 1 }]);
+    let scenario = Scenario {
+        topology,
+        tuples_per_node: 1 + g.below(4),
+        rule_style,
+        dist: DataDist::Uniform { domain: 12 },
+        seed: g.next(),
+    };
+    let config = scenario.build_config();
+    assert!(config.rules.iter().all(|rule| rule.rule.is_projection_free()));
+    let sim = SimConfig { seed, max_events: 0 };
+    let net = CoDbNetwork::build_with(config.clone(), sim, NodeSettings::default(), true).unwrap();
+    let tmp = ScratchDir::new("update-start-projection-free");
+    let log = vec![format!("{topology} {rule_style:?}, no loss")];
+    let mut p = Program { net, config, shelved: None, tmp, seed, log };
+    for _ in 0..4 + g.below(9) {
+        if g.below(2) == 0 {
+            p.insert(&mut g);
+        } else {
+            p.update(NodeId(g.below(p.nodes()) as u64))?;
+        }
+    }
+    p.converge()?;
+    for rule in &p.config.rules {
+        let source = p.net.node(rule.source);
+        let updates = source.report().updates.values();
+        let shipped: u64 = updates.filter_map(|u| u.sent.get(rule.name())).map(|t| t.firings).sum();
+        let view = rule.rule.fire(source.ldb()).unwrap().len() as u64;
+        if shipped != view {
+            let what =
+                format!("link {} shipped {shipped} firings of a view of {view}", rule.name());
+            return Err(p.fail(what));
+        }
+    }
+    Ok(())
+}
+
 /// Case count honouring `PROPTEST_CASES`, as `tests/invariants.rs` does.
 fn cases(default: u32) -> u32 {
     std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -561,6 +617,13 @@ proptest! {
     #[test]
     fn every_update_reaches_the_fixpoint_whatever_came_before(seed in any::<u64>()) {
         run_program(seed).map_err(TestCaseError::fail)?;
+    }
+
+    /// A projection-free link's mark is its whole record: over repeated
+    /// updates it ships each distinct firing of its view exactly once.
+    #[test]
+    fn a_projection_free_link_ships_each_firing_of_its_view_once(seed in any::<u64>()) {
+        run_projection_free_program(seed).map_err(TestCaseError::fail)?;
     }
 }
 
