@@ -199,8 +199,8 @@ impl ParallelCoDbNet {
         self.net.delivered()
     }
 
-    /// Messages that could not be delivered (no pipe / unknown or retired
-    /// peer). A healthy steady-state network reports zero.
+    /// Messages that could not be delivered (no pipe, or a peer the pool
+    /// never registered). A healthy steady-state network reports zero.
     pub fn undeliverable(&self) -> u64 {
         self.net.undeliverable()
     }

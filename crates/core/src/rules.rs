@@ -218,38 +218,7 @@ pub fn link_graph_is_cyclic(rules: &[CoordinationRule]) -> bool {
             }
         }
     }
-    // Colour-marking DFS over rule indexes.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mark {
-        White,
-        Grey,
-        Black,
-    }
-    let mut marks = vec![Mark::White; n];
-    for start in 0..n {
-        if marks[start] != Mark::White {
-            continue;
-        }
-        let mut stack = vec![(start, 0usize)];
-        marks[start] = Mark::Grey;
-        while let Some((node, idx)) = stack.pop() {
-            if idx < adj[node].len() {
-                stack.push((node, idx + 1));
-                let child = adj[node][idx];
-                match marks[child] {
-                    Mark::Grey => return true,
-                    Mark::White => {
-                        marks[child] = Mark::Grey;
-                        stack.push((child, 0));
-                    }
-                    Mark::Black => {}
-                }
-            } else {
-                marks[node] = Mark::Black;
-            }
-        }
-    }
-    false
+    has_cycle(&adj)
 }
 
 /// Node-level dependency graph over an entire rule set — used by workload
@@ -261,41 +230,50 @@ pub fn link_graph_is_cyclic(rules: &[CoordinationRule]) -> bool {
 /// recursive. Coarser than [`link_graph_is_cyclic`] (node-level cycles may
 /// not be data cycles).
 pub fn rule_graph_is_cyclic(rules: &[CoordinationRule]) -> bool {
-    let mut adj: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
+    let mut index: BTreeMap<NodeId, usize> = BTreeMap::new();
     for r in rules {
-        adj.entry(r.target).or_default().insert(r.source);
-        adj.entry(r.source).or_default();
+        for node in [r.target, r.source] {
+            let next = index.len();
+            index.entry(node).or_insert(next);
+        }
     }
-    // Iterative DFS cycle detection.
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); index.len()];
+    for r in rules {
+        adj[index[&r.target]].push(index[&r.source]);
+    }
+    has_cycle(&adj)
+}
+
+/// Whether the directed graph with adjacency lists `adj` over vertices
+/// `0..adj.len()` has a cycle: an iterative white/grey/black DFS.
+fn has_cycle(adj: &[Vec<usize>]) -> bool {
     #[derive(Clone, Copy, PartialEq)]
     enum Mark {
         White,
         Grey,
         Black,
     }
-    let mut marks: BTreeMap<NodeId, Mark> = adj.keys().map(|n| (*n, Mark::White)).collect();
-    for &start in adj.keys() {
-        if marks[&start] != Mark::White {
+    let mut marks = vec![Mark::White; adj.len()];
+    for start in 0..adj.len() {
+        if marks[start] != Mark::White {
             continue;
         }
-        // (node, next-child-index)
+        // (vertex, next-child-index)
         let mut stack = vec![(start, 0usize)];
-        marks.insert(start, Mark::Grey);
+        marks[start] = Mark::Grey;
         while let Some((node, idx)) = stack.pop() {
-            let children: Vec<NodeId> = adj[&node].iter().copied().collect();
-            if idx < children.len() {
+            if let Some(&child) = adj[node].get(idx) {
                 stack.push((node, idx + 1));
-                let child = children[idx];
-                match marks[&child] {
+                match marks[child] {
                     Mark::Grey => return true,
                     Mark::White => {
-                        marks.insert(child, Mark::Grey);
+                        marks[child] = Mark::Grey;
                         stack.push((child, 0));
                     }
                     Mark::Black => {}
                 }
             } else {
-                marks.insert(node, Mark::Black);
+                marks[node] = Mark::Black;
             }
         }
     }

@@ -31,8 +31,8 @@ pub(crate) enum TryPush<M> {
     /// Mailbox at capacity; the waiter was registered and the message is
     /// handed back so the sender can stall on it.
     Full(M),
-    /// Mailbox closed (node retired); the message is handed back so the
-    /// sender can count it undeliverable.
+    /// Mailbox closed (its shard stopped); the message is handed back so
+    /// the sender can count it undeliverable.
     Closed(M),
 }
 

@@ -1,10 +1,12 @@
 //! Threaded runtime: the same [`Peer`] state machines as the simulator, run
 //! on a sharded worker pool.
 //!
-//! N worker threads ([`RuntimeConfig::workers`]) multiplex M nodes: each
-//! node is pinned to one shard (round-robin at [`ParallelNet::add_peer`])
-//! and owns a **bounded** mailbox ([`RuntimeConfig::mailbox_depth`]). A full
-//! mailbox applies backpressure instead of dropping or growing without
+//! N worker threads ([`RuntimeConfig::workers`]) multiplex M nodes. The pool
+//! starts with every node it runs: [`ParallelNet::add_peers`] pins each
+//! node to a shard (round-robin in the order given), sets the router once
+//! and spawns the workers, and no node joins or leaves after that. Each
+//! node owns a **bounded** mailbox ([`RuntimeConfig::mailbox_depth`]). A
+//! full mailbox applies backpressure instead of dropping or growing without
 //! bound: harness [`ParallelNet::inject`] blocks until a slot frees, and a
 //! peer whose `Send` hits a full destination stalls — its commands stay
 //! parked, its drain slows to one message per visit, and it resumes when
@@ -15,17 +17,17 @@
 //!
 //! This runtime answers "does the protocol tolerate true asynchrony, and
 //! how fast can one host push it?" — it deliberately omits the
-//! latency/bandwidth/loss model of [`crate::sim::SimNet`]. Peer code runs
+//! latency/bandwidth/loss model of [`crate::sim::SimNet`], and the churn
+//! the simulator models (crash, restart, rules files). Peer code runs
 //! unmodified under both.
 
-use crate::discovery::Advertisement;
 use crate::mailbox::Mailbox;
 use crate::peer::{Payload, Peer, PeerId};
-use crate::worker::{run_worker, Gate, NodeMeta, OpsQueue, ShardHandle, ShardOp, Shared};
+use crate::worker::{run_worker, Gate, NodeMeta, ShardHandle, Shared};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -44,17 +46,16 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// The threaded runtime. Peers are added up front, work is injected, and
-/// [`ParallelNet::shutdown`] stops the workers and returns the final peer
-/// states for inspection. Shutdown does **not** drain outstanding mail —
-/// call [`ParallelNet::await_quiescence`] first for a graceful stop, or
-/// skip it to model a host crash.
+/// The threaded runtime. Pipes may be opened first, then every peer is
+/// registered in one [`ParallelNet::add_peers`] call, work is injected,
+/// and [`ParallelNet::shutdown`] stops the workers and returns the final
+/// peer states for inspection. Shutdown does **not** drain outstanding
+/// mail — call [`ParallelNet::await_quiescence`] first for a graceful
+/// stop, or skip it to model a host crash.
 pub struct ParallelNet<M: Payload, P: Peer<M> + 'static> {
     shared: Arc<Shared<M>>,
-    ops: Vec<Arc<OpsQueue<M, P>>>,
     workers: Vec<JoinHandle<Vec<(PeerId, P)>>>,
     mailbox_depth: usize,
-    next_shard: usize,
 }
 
 impl<M: Payload, P: Peer<M> + 'static> Default for ParallelNet<M, P> {
@@ -69,7 +70,8 @@ impl<M: Payload, P: Peer<M> + 'static> ParallelNet<M, P> {
         Self::with_config(RuntimeConfig::default())
     }
 
-    /// Creates a runtime with explicit worker count and mailbox depth.
+    /// Creates a runtime with explicit worker count and mailbox depth. The
+    /// workers spawn in [`ParallelNet::add_peers`].
     pub fn with_config(config: RuntimeConfig) -> Self {
         let workers = if config.workers == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
@@ -77,42 +79,22 @@ impl<M: Payload, P: Peer<M> + 'static> ParallelNet<M, P> {
             config.workers
         }
         .max(1);
-        let schedulers: Vec<Arc<ShardHandle>> =
-            (0..workers).map(|_| Arc::new(ShardHandle::new())).collect();
         let shared = Arc::new(Shared {
-            router: RwLock::new(HashMap::new()),
+            router: OnceLock::new(),
             pipes: RwLock::new(HashSet::new()),
             board: RwLock::new(crate::discovery::Board::new()),
             gate: Gate::new(),
             delivered: AtomicU64::new(0),
             undeliverable: AtomicU64::new(0),
             epoch: Instant::now(),
-            schedulers,
+            schedulers: (0..workers).map(|_| ShardHandle::new()).collect(),
         });
-        let ops: Vec<Arc<OpsQueue<M, P>>> =
-            (0..workers).map(|_| Arc::new(OpsQueue::new())).collect();
-        let handles = (0..workers)
-            .map(|shard| {
-                let shared = Arc::clone(&shared);
-                let ops = Arc::clone(&ops[shard]);
-                std::thread::Builder::new()
-                    .name(format!("codb-shard-{shard}"))
-                    .spawn(move || run_worker(shard, shared, ops))
-                    .expect("spawn shard worker")
-            })
-            .collect();
-        ParallelNet {
-            shared,
-            ops,
-            workers: handles,
-            mailbox_depth: config.mailbox_depth.max(1),
-            next_shard: 0,
-        }
+        ParallelNet { shared, workers: Vec::new(), mailbox_depth: config.mailbox_depth.max(1) }
     }
 
     /// Number of shard workers.
     pub fn worker_count(&self) -> usize {
-        self.workers.len()
+        self.shared.schedulers.len()
     }
 
     /// Opens a bidirectional pipe.
@@ -122,104 +104,60 @@ impl<M: Payload, P: Peer<M> + 'static> ParallelNet<M, P> {
         pipes.insert((b, a));
     }
 
-    /// Closes a pipe (both directions).
-    pub fn close_pipe(&self, a: PeerId, b: PeerId) {
-        let mut pipes = self.shared.pipes.write();
-        pipes.remove(&(a, b));
-        pipes.remove(&(b, a));
-    }
-
-    /// Registers `peer` on the next shard (round-robin); `on_start` runs on
-    /// the owning worker. If `id` was already registered, the previous peer
-    /// is retired first — its queued mail is settled as undeliverable, its
-    /// timers cancel — and its final state is returned, so a duplicate
-    /// registration can never orphan a live peer.
-    pub fn add_peer(&mut self, id: PeerId, peer: P) -> Option<P> {
-        let shard = self.next_shard;
-        self.next_shard = (self.next_shard + 1) % self.workers.len();
-        let meta = Arc::new(NodeMeta {
-            mailbox: Mailbox::new(self.mailbox_depth),
-            shard,
-            scheduled: AtomicBool::new(false),
-        });
-        let previous = self.shared.router.write().insert(id, Arc::clone(&meta));
-        let retired = previous.and_then(|old| self.retire_on(old.shard, id));
-        self.push_add(shard, id, peer, meta);
-        self.shared.schedulers[shard].kick();
-        retired
-    }
-
-    /// Queues `peer`'s registration on `shard`, counted in flight until
-    /// its `on_start` has run: quiescence is never seen before a start.
-    fn push_add(&self, shard: usize, id: PeerId, peer: P, meta: Arc<NodeMeta<M>>) {
-        self.shared.gate.inc(1);
-        self.ops[shard].push(ShardOp::Add { id, peer, meta });
-    }
-
-    /// Batch registration: every peer's mailbox is routable *before* the
-    /// first `on_start` runs, so start-time traffic between the new peers
-    /// (e.g. recovery handshakes) cannot race registration order and go
-    /// undeliverable. Duplicate ids are retired as in
-    /// [`ParallelNet::add_peer`]; their final states are returned.
-    pub fn add_peers(&mut self, peers: impl IntoIterator<Item = (PeerId, P)>) -> Vec<(PeerId, P)> {
-        let mut staged = Vec::new();
-        let mut retired = Vec::new();
-        for (id, peer) in peers {
-            let shard = self.next_shard;
-            self.next_shard = (self.next_shard + 1) % self.workers.len();
-            let meta = Arc::new(NodeMeta {
+    /// Registers every peer the pool will run and starts the pool: each
+    /// peer gets a mailbox on the next shard (round-robin), the router is
+    /// set once — every mailbox is routable before the first `on_start`
+    /// runs, so start-time traffic between the peers (e.g. recovery
+    /// handshakes) cannot race registration — and each worker starts its
+    /// peers in the order given, serving a peer's mail right after its
+    /// start. A peer counts in flight until its `on_start` output is
+    /// counted: quiescence is never seen before a start.
+    ///
+    /// # Panics
+    ///
+    /// On a second call, and when two peers share an id.
+    pub fn add_peers(&mut self, peers: impl IntoIterator<Item = (PeerId, P)>) {
+        let shards = self.shared.schedulers.len();
+        let mut router = HashMap::new();
+        let mut owned: Vec<Vec<(PeerId, P)>> = (0..shards).map(|_| Vec::new()).collect();
+        for (i, (id, peer)) in peers.into_iter().enumerate() {
+            let shard = i % shards;
+            let meta = NodeMeta {
                 mailbox: Mailbox::new(self.mailbox_depth),
                 shard,
                 scheduled: AtomicBool::new(false),
-            });
-            let previous = self.shared.router.write().insert(id, Arc::clone(&meta));
-            if let Some(old) = previous {
-                if let Some(p) = self.retire_on(old.shard, id) {
-                    retired.push((id, p));
-                }
-            }
-            staged.push((shard, id, peer, meta));
+            };
+            assert!(router.insert(id, meta).is_none(), "peer {id:?} registered twice");
+            owned[shard].push((id, peer));
         }
-        for (shard, id, peer, meta) in staged {
-            self.push_add(shard, id, peer, meta);
-        }
-        for handle in &self.shared.schedulers {
-            handle.kick();
-        }
-        retired
-    }
-
-    /// Unregisters `id` and returns its final state: pipes close, queued
-    /// mail settles as undeliverable, pending timers cancel. Subsequent
-    /// sends to `id` are counted undeliverable without leaking in-flight
-    /// accounting.
-    pub fn remove_peer(&mut self, id: PeerId) -> Option<P> {
-        let meta = self.shared.router.write().remove(&id)?;
-        self.shared.pipes.write().retain(|(a, b)| *a != id && *b != id);
-        self.retire_on(meta.shard, id)
-    }
-
-    /// Synchronously retires `id` on its owning shard.
-    fn retire_on(&self, shard: usize, id: PeerId) -> Option<P> {
-        let (tx, rx) = std::sync::mpsc::sync_channel(1);
-        self.ops[shard].push(ShardOp::Retire { id, reply: tx });
-        self.shared.schedulers[shard].kick();
-        rx.recv().ok().flatten()
+        let starts = router.len() as u64;
+        assert!(self.shared.router.set(router).is_ok(), "the pool's peers are registered once");
+        self.shared.gate.inc(starts);
+        self.workers = owned
+            .into_iter()
+            .enumerate()
+            .map(|(shard, peers)| {
+                let shared = Arc::clone(&self.shared);
+                std::thread::Builder::new()
+                    .name(format!("codb-shard-{shard}"))
+                    .spawn(move || run_worker(shard, shared, peers))
+                    .expect("spawn shard worker")
+            })
+            .collect();
     }
 
     /// Injects a message from the harness; counts toward in-flight work.
     /// Blocks while the destination mailbox is full (backpressure). A send
-    /// that loses a race with peer shutdown is decremented again and
-    /// counted undeliverable — in-flight accounting never leaks.
+    /// that loses a race with shutdown is decremented again and counted
+    /// undeliverable — in-flight accounting never leaks.
     pub fn inject(&self, from: PeerId, to: PeerId, msg: M) {
-        let meta = self.shared.router.read().get(&to).cloned();
-        let Some(meta) = meta else {
+        let Some(meta) = self.shared.meta(to) else {
             self.shared.undeliverable.fetch_add(1, Ordering::SeqCst);
             return;
         };
         self.shared.gate.inc(1);
         match meta.mailbox.push_blocking(from, msg) {
-            Ok(()) => self.shared.schedule(&meta, to),
+            Ok(()) => self.shared.schedule(meta, to),
             Err(_) => {
                 // Destination shut down while we were queued: undo the
                 // in-flight charge so quiescence still settles.
@@ -242,33 +180,25 @@ impl<M: Payload, P: Peer<M> + 'static> ParallelNet<M, P> {
         self.shared.delivered.load(Ordering::SeqCst)
     }
 
-    /// Sends that could not be delivered: no pipe, unknown or retired
-    /// destination, or mail abandoned by an abrupt shutdown.
+    /// Sends that could not be delivered: no pipe, a destination the pool
+    /// never registered, or mail abandoned by an abrupt shutdown.
     pub fn undeliverable(&self) -> u64 {
         self.shared.undeliverable.load(Ordering::SeqCst)
     }
 
-    /// Highest mailbox depth observed on any currently-registered node —
-    /// never exceeds the configured `mailbox_depth` except transiently via
-    /// self-sends, which bypass the bound to avoid self-deadlock.
+    /// Highest mailbox depth observed on any node — never exceeds the
+    /// configured `mailbox_depth` except transiently via self-sends, which
+    /// bypass the bound to avoid self-deadlock.
     pub fn max_mailbox_depth(&self) -> usize {
-        self.shared.router.read().values().map(|m| m.mailbox.peak()).max().unwrap_or(0)
-    }
-
-    /// Publishes an advertisement from the harness.
-    pub fn advertise(&self, ad: Advertisement) {
-        self.shared.board.write().publish(ad);
+        let router = self.shared.router.get();
+        router.into_iter().flat_map(|r| r.values()).map(|m| m.mailbox.peak()).max().unwrap_or(0)
     }
 
     /// Stops every worker and returns the final peer states. Outstanding
     /// mail is *not* drained (await quiescence first for a graceful stop);
     /// it is settled as undeliverable so blocked injectors unblock.
     pub fn shutdown(mut self) -> BTreeMap<PeerId, P> {
-        let mut out = BTreeMap::new();
-        for (id, peer) in self.stop_and_join() {
-            out.insert(id, peer);
-        }
-        out
+        self.stop_and_join().into_iter().collect()
     }
 
     fn stop_and_join(&mut self) -> Vec<(PeerId, P)> {
@@ -281,7 +211,6 @@ impl<M: Payload, P: Peer<M> + 'static> ParallelNet<M, P> {
                 out.extend(cells);
             }
         }
-        self.shared.router.write().clear();
         out
     }
 }
@@ -330,9 +259,7 @@ mod tests {
     fn token_ring_under_threads() {
         let mut net: ParallelNet<Token, Counter> = ParallelNet::new();
         let n = 4u64;
-        for i in 0..n {
-            net.add_peer(PeerId(i), Counter { next: PeerId((i + 1) % n), seen: 0 });
-        }
+        net.add_peers((0..n).map(|i| (PeerId(i), Counter { next: PeerId((i + 1) % n), seen: 0 })));
         for i in 0..n {
             net.open_pipe(PeerId(i), PeerId((i + 1) % n));
         }
@@ -347,7 +274,7 @@ mod tests {
     fn board_is_lent_to_callbacks_not_copied() {
         use crate::sim::tests_support::{assert_board_is_lent_not_copied, BoardWatcher, Msg};
         let mut net: ParallelNet<Msg, BoardWatcher> = ParallelNet::with_config(small(2, 8));
-        net.add_peer(PeerId(0), BoardWatcher::default());
+        net.add_peers([(PeerId(0), BoardWatcher::default())]);
         // Three messages queued at once: a later one may be drained in the
         // same scheduling visit as the one that advertised, and must still
         // see the advertisement.
@@ -363,7 +290,7 @@ mod tests {
     #[test]
     fn send_without_pipe_counted() {
         let mut net: ParallelNet<Token, Counter> = ParallelNet::new();
-        net.add_peer(PeerId(0), Counter { next: PeerId(1), seen: 0 });
+        net.add_peers([(PeerId(0), Counter { next: PeerId(1), seen: 0 })]);
         // No pipe 0->1 and no peer 1.
         net.inject(PeerId(9), PeerId(0), Token(1));
         assert!(net.await_quiescence(Duration::from_millis(50), Duration::from_secs(5)));
@@ -386,13 +313,13 @@ mod tests {
             }
         }
         let mut net: ParallelNet<Token, Timed> = ParallelNet::new();
-        net.add_peer(PeerId(0), Timed { fired: false });
+        net.add_peers([(PeerId(0), Timed { fired: false })]);
         assert!(net.await_quiescence(Duration::from_millis(50), Duration::from_secs(5)));
         let peers = net.shutdown();
         assert!(peers[&PeerId(0)].fired);
     }
 
-    /// A peer counts as in flight from `add_peer` until its `on_start` has
+    /// A peer counts as in flight from `add_peers` until its `on_start` has
     /// run: a start slower than the settle window, and the timer it sets,
     /// still come before quiescence.
     #[test]
@@ -411,27 +338,23 @@ mod tests {
             }
         }
         let mut net: ParallelNet<Token, SlowStart> = ParallelNet::with_config(small(1, 8));
-        net.add_peer(PeerId(0), SlowStart { fired: false });
+        net.add_peers([(PeerId(0), SlowStart { fired: false })]);
         assert!(net.await_quiescence(Duration::from_millis(1), Duration::from_secs(5)));
         let peers = net.shutdown();
         assert!(peers[&PeerId(0)].fired, "quiescence was declared before the start ran");
     }
 
-    /// Satellite regression: a send racing (or following) a peer shutdown
-    /// must decrement in-flight and count undeliverable, so quiescence
-    /// still settles instead of hanging on a leaked counter.
+    /// A send to an id the pool never registered — a harness inject, or a
+    /// peer's send over an open pipe — counts undeliverable and releases
+    /// its in-flight charge, so quiescence still settles.
     #[test]
-    fn send_to_removed_peer_settles() {
+    fn send_to_unknown_peer_settles() {
         let mut net: ParallelNet<Token, Counter> = ParallelNet::with_config(small(2, 8));
-        net.add_peer(PeerId(0), Counter { next: PeerId(1), seen: 0 });
-        net.add_peer(PeerId(1), Counter { next: PeerId(0), seen: 0 });
         net.open_pipe(PeerId(0), PeerId(1));
-        let removed = net.remove_peer(PeerId(1));
-        assert!(removed.is_some());
-        // Harness inject to the removed peer: unknown destination.
+        net.add_peers([(PeerId(0), Counter { next: PeerId(1), seen: 0 })]);
+        // Harness inject to the unknown peer.
         net.inject(PeerId(9), PeerId(1), Token(0));
-        // Peer-originated send to the removed peer: 0 forwards to 1.
-        net.open_pipe(PeerId(0), PeerId(1)); // re-open; removal closed it
+        // Peer-originated send to the unknown peer: 0 forwards to 1.
         net.inject(PeerId(9), PeerId(0), Token(1));
         assert!(
             net.await_quiescence(Duration::from_millis(50), Duration::from_secs(5)),
@@ -443,25 +366,55 @@ mod tests {
         assert_eq!(peers[&PeerId(0)].seen, 1);
     }
 
-    /// Satellite regression: duplicate `add_peer` retires the first peer
-    /// (returning its state) instead of silently orphaning it.
+    /// A worker starts its peers one by one and serves each peer's mail
+    /// right after its start, before the next start: a recovery's rejoin
+    /// traffic does not pile up behind the rest of the shard's starts.
     #[test]
-    fn duplicate_add_peer_retires_old() {
-        let mut net: ParallelNet<Token, Counter> = ParallelNet::with_config(small(2, 8));
-        // Fresh registration: nothing to retire.
-        assert!(net.add_peer(PeerId(0), Counter { next: PeerId(0), seen: 0 }).is_none());
-        assert!(net.add_peer(PeerId(7), Counter { next: PeerId(0), seen: 0 }).is_none());
-        net.inject(PeerId(9), PeerId(0), Token(0));
+    fn a_shard_serves_each_peer_right_after_its_start() {
+        use std::sync::Mutex;
+        struct Logged {
+            me: u64,
+            log: Arc<Mutex<Vec<String>>>,
+        }
+        impl Peer<Token> for Logged {
+            fn on_start(&mut self, ctx: &mut Context<Token>) {
+                self.log.lock().unwrap().push(format!("start {}", self.me));
+                ctx.send(PeerId((self.me + 1) % 3), Token(0));
+            }
+            fn on_message(&mut self, _: &mut Context<Token>, _: PeerId, _: Token) {
+                self.log.lock().unwrap().push(format!("recv {}", self.me));
+            }
+        }
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut net: ParallelNet<Token, Logged> = ParallelNet::with_config(small(1, 8));
+        for i in 0..3 {
+            net.open_pipe(PeerId(i), PeerId((i + 1) % 3));
+        }
+        net.add_peers((0..3).map(|me| (PeerId(me), Logged { me, log: Arc::clone(&log) })));
         assert!(net.await_quiescence(Duration::from_millis(20), Duration::from_secs(5)));
-        // Duplicate registration: the old peer (seen=1) comes back.
-        let old = net.add_peer(PeerId(0), Counter { next: PeerId(0), seen: 100 });
-        assert_eq!(old.expect("old peer joined and returned").seen, 1);
-        // Traffic now reaches the replacement, and quiescence still works.
-        net.inject(PeerId(9), PeerId(0), Token(0));
-        assert!(net.await_quiescence(Duration::from_millis(20), Duration::from_secs(5)));
-        let peers = net.shutdown();
-        assert_eq!(peers.len(), 2);
-        assert_eq!(peers[&PeerId(0)].seen, 101);
+        net.shutdown();
+        assert_eq!(
+            *log.lock().unwrap(),
+            ["start 0", "start 1", "recv 1", "start 2", "recv 2", "recv 0"]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "registered once")]
+    fn a_second_add_peers_panics() {
+        let mut net: ParallelNet<Token, Counter> = ParallelNet::with_config(small(1, 8));
+        net.add_peers([(PeerId(0), Counter { next: PeerId(0), seen: 0 })]);
+        net.add_peers([(PeerId(1), Counter { next: PeerId(0), seen: 0 })]);
+    }
+
+    #[test]
+    #[should_panic(expected = "registered twice")]
+    fn a_duplicate_id_panics() {
+        let mut net: ParallelNet<Token, Counter> = ParallelNet::with_config(small(1, 8));
+        net.add_peers([
+            (PeerId(0), Counter { next: PeerId(0), seen: 0 }),
+            (PeerId(0), Counter { next: PeerId(0), seen: 0 }),
+        ]);
     }
 
     /// Satellite regression (existing behavior): the settle window is kept
@@ -477,7 +430,7 @@ mod tests {
             fn on_message(&mut self, _: &mut Context<Token>, _: PeerId, _: Token) {}
         }
         let mut net: ParallelNet<Token, LateTimer> = ParallelNet::with_config(small(1, 8));
-        net.add_peer(PeerId(0), LateTimer);
+        net.add_peers([(PeerId(0), LateTimer)]);
         // Deadline shorter than the pending timer: must report busy.
         assert!(!net.await_quiescence(Duration::from_millis(5), Duration::from_millis(10)));
         let start = Instant::now();
@@ -503,7 +456,7 @@ mod tests {
             }
         }
         let mut net: ParallelNet<Token, Slow> = ParallelNet::with_config(small(1, 2));
-        net.add_peer(PeerId(0), Slow { seen: 0 });
+        net.add_peers([(PeerId(0), Slow { seen: 0 })]);
         let start = Instant::now();
         for _ in 0..8 {
             net.inject(PeerId(9), PeerId(0), Token(0));
@@ -558,8 +511,10 @@ mod tests {
         }
         for workers in [1, 2] {
             let mut net: ParallelNet<Token, Node> = ParallelNet::with_config(small(workers, 4));
-            net.add_peer(PeerId(0), Node::Burst(Burst { target: PeerId(1) }));
-            net.add_peer(PeerId(1), Node::Sink(Sink { seen: 0 }));
+            net.add_peers([
+                (PeerId(0), Node::Burst(Burst { target: PeerId(1) })),
+                (PeerId(1), Node::Sink(Sink { seen: 0 })),
+            ]);
             net.open_pipe(PeerId(0), PeerId(1));
             net.inject(PeerId(9), PeerId(0), Token(100));
             assert!(
@@ -606,13 +561,14 @@ mod tests {
         for i in 0..n {
             net.open_pipe(PeerId(i), PeerId((i + 1) % n));
         }
-        for i in 0..n {
-            net.add_peer(PeerId(i), RingBurst { next: PeerId((i + 1) % n), burst, seen: 0 });
-        }
+        net.add_peers(
+            (0..n).map(|i| (PeerId(i), RingBurst { next: PeerId((i + 1) % n), burst, seen: 0 })),
+        );
         assert!(
             net.await_quiescence(Duration::from_millis(100), Duration::from_secs(30)),
             "cyclic backpressure must not wedge"
         );
+        assert_eq!(net.undeliverable(), 0, "every ring member was routable before any start");
         let peers = net.shutdown();
         let total: u32 = peers.values().map(|p| p.seen).sum();
         // Each of the n*burst tokens is delivered 21 times (TTL 20 + 1).
@@ -635,7 +591,7 @@ mod tests {
             }
         }
         let mut net: ParallelNet<Token, Echo> = ParallelNet::with_config(small(1, 1));
-        net.add_peer(PeerId(0), Echo { seen: 0 });
+        net.add_peers([(PeerId(0), Echo { seen: 0 })]);
         net.open_pipe(PeerId(0), PeerId(0));
         net.inject(PeerId(9), PeerId(0), Token(5));
         assert!(net.await_quiescence(Duration::from_millis(30), Duration::from_secs(5)));

@@ -71,11 +71,6 @@ impl<T> HeapQueue<T> {
         self.heap.peek().map(|e| e.at)
     }
 
-    /// Keeps only the events whose payload satisfies `keep`.
-    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
-        self.heap.retain(|e| keep(&e.item));
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -116,7 +111,7 @@ mod tests {
         q.push(SimTime(20), 2, "b");
         assert_eq!(q.peek_time(), Some(SimTime(10)));
         assert_eq!(q.len(), 3, "peek removes nothing");
-        q.retain(|item| *item != "a");
+        assert_eq!(q.pop(), Some((SimTime(10), 1, "a")));
         assert_eq!(q.peek_time(), Some(SimTime(20)));
         assert_eq!(q.pop(), Some((SimTime(20), 2, "b")));
         assert_eq!(q.pop(), Some((SimTime(30), 0, "c")));

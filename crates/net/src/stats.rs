@@ -45,54 +45,3 @@ pub struct NetStats {
     /// Per directed pipe counters.
     pub per_pipe: BTreeMap<(PeerId, PeerId), PipeStats>,
 }
-
-impl NetStats {
-    /// Records a send attempt over `(from, to)`.
-    pub fn record_sent(&mut self, from: PeerId, to: PeerId, bytes: usize) {
-        self.sent += 1;
-        self.bytes_sent += bytes as u64;
-        let p = self.per_pipe.entry((from, to)).or_default();
-        p.sent += 1;
-        p.bytes_sent += bytes as u64;
-    }
-
-    /// Records a delivery over `(from, to)`.
-    pub fn record_delivered(&mut self, from: PeerId, to: PeerId) {
-        self.delivered += 1;
-        self.per_pipe.entry((from, to)).or_default().delivered += 1;
-    }
-
-    /// Records a loss-model drop over `(from, to)`.
-    pub fn record_dropped(&mut self, from: PeerId, to: PeerId) {
-        self.dropped += 1;
-        self.per_pipe.entry((from, to)).or_default().dropped += 1;
-    }
-
-    /// Records a send with no open pipe.
-    pub fn record_undeliverable(&mut self) {
-        self.undeliverable += 1;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counters_accumulate() {
-        let mut s = NetStats::default();
-        s.record_sent(PeerId(1), PeerId(2), 100);
-        s.record_sent(PeerId(1), PeerId(2), 50);
-        s.record_delivered(PeerId(1), PeerId(2));
-        s.record_dropped(PeerId(1), PeerId(2));
-        s.record_undeliverable();
-        assert_eq!(s.sent, 2);
-        assert_eq!(s.bytes_sent, 150);
-        assert_eq!(s.delivered, 1);
-        assert_eq!(s.dropped, 1);
-        assert_eq!(s.undeliverable, 1);
-        let p = s.per_pipe[&(PeerId(1), PeerId(2))];
-        assert_eq!(p.sent, 2);
-        assert_eq!(p.bytes_sent, 150);
-    }
-}

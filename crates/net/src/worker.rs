@@ -1,10 +1,14 @@
 //! Shard workers: the execution engine behind [`crate::parallel::ParallelNet`].
 //!
 //! N worker threads multiplex M nodes. Each worker owns one *shard*: the
-//! peer state machines assigned to it, a run queue of node ids with pending
-//! work, and a timer heap for those nodes' timers. Cross-shard interaction
-//! goes through shared state only: the router (node id → mailbox), the pipe
-//! table, the discovery board and the quiescence [`Gate`].
+//! peer state machines handed to it when it spawns, a run queue of node ids
+//! with pending work, and a timer heap for those nodes' timers. A worker
+//! starts its peers one by one, serving each peer's mail right after its
+//! start, then runs its loop: fire due timers, service ready nodes. No node
+//! joins or leaves a running shard. Cross-shard interaction goes through
+//! shared state only: the router (node id → mailbox, set once before any
+//! worker spawns and read without a lock), the pipe table, the discovery
+//! board and the quiescence [`Gate`].
 //!
 //! ## Scheduling
 //!
@@ -50,7 +54,7 @@ use crate::time::SimTime;
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 fn relock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -196,13 +200,6 @@ impl ShardTimers {
     pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
-
-    /// Drops every timer owned by `peer`; returns how many were removed.
-    pub(crate) fn cancel_peer(&mut self, peer: PeerId) -> u64 {
-        let before = self.heap.len();
-        self.heap.retain(|&(owner, _)| owner != peer);
-        (before - self.heap.len()) as u64
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -219,8 +216,6 @@ pub(crate) struct NodeMeta<M> {
 
 struct ReadyState {
     queue: VecDeque<PeerId>,
-    /// Set when ops were pushed, so a sleeping worker re-checks its queue.
-    kick: bool,
     stopping: bool,
 }
 
@@ -234,18 +229,13 @@ pub(crate) struct ShardHandle {
 impl ShardHandle {
     pub(crate) fn new() -> Self {
         ShardHandle {
-            state: Mutex::new(ReadyState { queue: VecDeque::new(), kick: false, stopping: false }),
+            state: Mutex::new(ReadyState { queue: VecDeque::new(), stopping: false }),
             wake: Condvar::new(),
         }
     }
 
     pub(crate) fn enqueue(&self, id: PeerId) {
         relock(&self.state).queue.push_back(id);
-        self.wake.notify_all();
-    }
-
-    pub(crate) fn kick(&self) {
-        relock(&self.state).kick = true;
         self.wake.notify_all();
     }
 
@@ -259,62 +249,39 @@ impl ShardHandle {
     }
 
     fn take_ready(&self) -> Vec<PeerId> {
-        let mut state = relock(&self.state);
-        state.kick = false;
-        state.queue.drain(..).collect()
+        relock(&self.state).queue.drain(..).collect()
     }
 
     fn wait(&self, timeout: Duration) {
         let state = relock(&self.state);
-        if !state.queue.is_empty() || state.kick || state.stopping {
+        if !state.queue.is_empty() || state.stopping {
             return;
         }
         drop(self.wake.wait_timeout(state, timeout).unwrap_or_else(PoisonError::into_inner));
     }
 }
 
-/// Control-plane operations delivered to a shard's worker thread; node
-/// state only ever lives on its owning worker. An `Add` holds one gate
-/// unit from its push until its `on_start` output is counted.
-pub(crate) enum ShardOp<M: Payload, P> {
-    Add { id: PeerId, peer: P, meta: Arc<NodeMeta<M>> },
-    Retire { id: PeerId, reply: std::sync::mpsc::SyncSender<Option<P>> },
-}
-
-/// Bounded-in-practice op queue (harness-driven: adds and retires only).
-pub(crate) struct OpsQueue<M: Payload, P> {
-    ops: Mutex<VecDeque<ShardOp<M, P>>>,
-}
-
-impl<M: Payload, P> OpsQueue<M, P> {
-    pub(crate) fn new() -> Self {
-        OpsQueue { ops: Mutex::new(VecDeque::new()) }
-    }
-
-    pub(crate) fn push(&self, op: ShardOp<M, P>) {
-        relock(&self.ops).push_back(op);
-    }
-
-    fn drain(&self) -> Vec<ShardOp<M, P>> {
-        relock(&self.ops).drain(..).collect()
-    }
-}
-
 /// State shared by all shards and the harness handle.
 pub(crate) struct Shared<M: Payload> {
-    pub(crate) router: RwLock<HashMap<PeerId, Arc<NodeMeta<M>>>>,
+    /// Set once, by `ParallelNet::add_peers`, before any worker spawns.
+    pub(crate) router: OnceLock<HashMap<PeerId, NodeMeta<M>>>,
     pub(crate) pipes: RwLock<HashSet<(PeerId, PeerId)>>,
     pub(crate) board: RwLock<Board>,
     pub(crate) gate: Gate,
     pub(crate) delivered: AtomicU64,
     pub(crate) undeliverable: AtomicU64,
     pub(crate) epoch: Instant,
-    pub(crate) schedulers: Vec<Arc<ShardHandle>>,
+    pub(crate) schedulers: Vec<ShardHandle>,
 }
 
 impl<M: Payload> Shared<M> {
     pub(crate) fn now(&self) -> SimTime {
         SimTime(self.epoch.elapsed().as_nanos() as u64)
+    }
+
+    /// The routing entry of `id`, if the pool registered it.
+    pub(crate) fn meta(&self, id: PeerId) -> Option<&NodeMeta<M>> {
+        self.router.get()?.get(&id)
     }
 
     /// Marks a node runnable and enqueues it on its shard (once).
@@ -326,12 +293,8 @@ impl<M: Payload> Shared<M> {
 
     /// Reschedules nodes that were stalled on a mailbox that freed a slot.
     pub(crate) fn wake_waiters(&self, waiters: Vec<Waiter>) {
-        if waiters.is_empty() {
-            return;
-        }
-        let router = self.router.read();
         for (_, id) in waiters {
-            if let Some(meta) = router.get(&id) {
+            if let Some(meta) = self.meta(id) {
                 self.schedule(meta, id);
             }
         }
@@ -344,9 +307,9 @@ impl<M: Payload> Shared<M> {
 
 /// A node's worker-local state: the peer machine, its routing entry, and
 /// commands parked behind a stalled send.
-struct Cell<M: Payload, P> {
+struct Cell<'r, M: Payload, P> {
     peer: P,
-    meta: Arc<NodeMeta<M>>,
+    meta: &'r NodeMeta<M>,
     pending: VecDeque<Command<M>>,
     stalled: bool,
 }
@@ -356,25 +319,34 @@ const STALL_DEFER: SimTime = SimTime(1_000_000); // 1 ms
 /// Idle sleep cap when no timer bounds the wait.
 const IDLE_WAIT: Duration = Duration::from_millis(100);
 
-/// Body of one worker thread. Returns the final states of the nodes still
-/// owned by this shard at shutdown.
+/// Body of one worker thread: starts `peers`, each followed at once by a
+/// visit that serves the mail already waiting for it, then loops until
+/// stopped. Returns the final states of the shard's peers.
 pub(crate) fn run_worker<M: Payload, P: Peer<M>>(
     shard: usize,
     shared: Arc<Shared<M>>,
-    ops: Arc<OpsQueue<M, P>>,
+    peers: Vec<(PeerId, P)>,
 ) -> Vec<(PeerId, P)> {
-    let handle = Arc::clone(&shared.schedulers[shard]);
-    let mut cells: HashMap<PeerId, Cell<M, P>> = HashMap::new();
+    let shared: &Shared<M> = &shared;
+    let handle = &shared.schedulers[shard];
+    let router = shared.router.get().expect("the router is set before a worker spawns");
+    let mut cells: HashMap<PeerId, Cell<M, P>> = HashMap::with_capacity(peers.len());
     let mut timers = ShardTimers::new();
 
-    loop {
-        for op in ops.drain() {
-            apply_op(shard, &shared, &mut cells, &mut timers, op);
-        }
-        if handle.stopping() {
-            break;
-        }
-        fire_due_timers(shard, &shared, &mut cells, &mut timers);
+    for (id, peer) in peers {
+        let mut cell = Cell { peer, meta: &router[&id], pending: VecDeque::new(), stalled: false };
+        run_callback(shared, id, &mut cell, |peer, ctx| peer.on_start(ctx));
+        shared.gate.dec(1); // the start, after counting its output
+        flush(shard, shared, &mut timers, id, &mut cell);
+        cells.insert(id, cell);
+        // Serve what the shard's earlier starts (or any peer) already sent
+        // it before starting the next: mail does not pile up behind the
+        // rest of the shard's starts.
+        service(shard, shared, &mut cells, &mut timers, id);
+    }
+
+    while !handle.stopping() {
+        fire_due_timers(shard, shared, &mut cells, &mut timers);
         let batch = handle.take_ready();
         if batch.is_empty() {
             let timeout = timers
@@ -391,32 +363,15 @@ pub(crate) fn run_worker<M: Payload, P: Peer<M>>(
             // Fairness rule: timers that came due never wait behind another
             // node's drain quantum.
             if timers.has_due(shared.now()) {
-                fire_due_timers(shard, &shared, &mut cells, &mut timers);
+                fire_due_timers(shard, shared, &mut cells, &mut timers);
             }
-            service(shard, &shared, &mut cells, &mut timers, id);
-        }
-    }
-
-    // Drain any control ops that raced the stop flag so late retires get
-    // answered and late adds are not lost from the shutdown result.
-    for op in ops.drain() {
-        match op {
-            ShardOp::Add { id, peer, .. } => {
-                shared.gate.dec(1); // never started
-                cells.insert(
-                    id,
-                    Cell { peer, meta: dead_meta(shard), pending: VecDeque::new(), stalled: false },
-                );
-            }
-            ShardOp::Retire { id, reply } => {
-                let _ = reply.send(retire(&shared, &mut cells, &mut timers, id));
-            }
+            service(shard, shared, &mut cells, &mut timers, id);
         }
     }
 
     // Close mailboxes so harness threads blocked in `inject` unblock, and
     // settle the gate for any mail left undrained (abrupt shutdown).
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(cells.len());
     for (id, cell) in cells {
         let (drained, waiters) = cell.meta.mailbox.close();
         shared.gate.dec(drained.len() as u64);
@@ -431,64 +386,6 @@ pub(crate) fn run_worker<M: Payload, P: Peer<M>>(
     }
     shared.gate.dec(timers.len() as u64);
     out
-}
-
-/// Placeholder meta for a cell created after the stop flag (its mailbox was
-/// never routable; shutdown only needs the peer state back).
-fn dead_meta<M>(shard: usize) -> Arc<NodeMeta<M>> {
-    Arc::new(NodeMeta { mailbox: Mailbox::new(1), shard, scheduled: AtomicBool::new(false) })
-}
-
-fn apply_op<M: Payload, P: Peer<M>>(
-    shard: usize,
-    shared: &Arc<Shared<M>>,
-    cells: &mut HashMap<PeerId, Cell<M, P>>,
-    timers: &mut ShardTimers,
-    op: ShardOp<M, P>,
-) {
-    match op {
-        ShardOp::Add { id, peer, meta } => {
-            let mut cell = Cell { peer, meta, pending: VecDeque::new(), stalled: false };
-            run_callback(shared, id, &mut cell, |peer, ctx| peer.on_start(ctx));
-            shared.gate.dec(1); // the start, after counting its output
-            flush(shard, shared, timers, id, &mut cell);
-            cells.insert(id, cell);
-            // Mail may have arrived before the cell existed; service now —
-            // the ready-queue entry for it (if any) was consumed by a visit
-            // that found no cell and left the scheduled flag set.
-            service(shard, shared, cells, timers, id);
-        }
-        ShardOp::Retire { id, reply } => {
-            let _ = reply.send(retire(shared, cells, timers, id));
-        }
-    }
-}
-
-/// Removes a node from this shard, settling every in-flight unit it owned:
-/// queued mail and parked commands become `undeliverable`, timers cancel.
-fn retire<M: Payload, P>(
-    shared: &Arc<Shared<M>>,
-    cells: &mut HashMap<PeerId, Cell<M, P>>,
-    timers: &mut ShardTimers,
-    id: PeerId,
-) -> Option<P> {
-    let cell = cells.remove(&id)?;
-    shared.gate.dec(timers.cancel_peer(id));
-    for cmd in &cell.pending {
-        match cmd {
-            Command::Send { .. } => {
-                shared.gate.dec(1);
-                shared.undeliverable.fetch_add(1, Ordering::SeqCst);
-            }
-            Command::SetTimer { .. } => shared.gate.dec(1),
-            _ => {}
-        }
-    }
-    let (drained, waiters) = cell.meta.mailbox.close();
-    shared.gate.dec(drained.len() as u64);
-    shared.undeliverable.fetch_add(drained.len() as u64, Ordering::SeqCst);
-    shared.wake_waiters(waiters);
-    Some(cell.peer)
 }
 
 /// Runs one callback of the node in `cell`. The context borrows the
@@ -516,18 +413,13 @@ fn run_callback<M: Payload, P>(
 
 fn fire_due_timers<M: Payload, P: Peer<M>>(
     shard: usize,
-    shared: &Arc<Shared<M>>,
+    shared: &Shared<M>,
     cells: &mut HashMap<PeerId, Cell<M, P>>,
     timers: &mut ShardTimers,
 ) {
     let now = shared.now();
     for (id, timer) in timers.pop_due(now) {
-        let Some(cell) = cells.get_mut(&id) else {
-            // Owner retired between insert and fire (cancel races are
-            // handled at retire; this is belt-and-braces).
-            shared.gate.dec(1);
-            continue;
-        };
+        let cell = cells.get_mut(&id).expect("a timer's owner runs on its shard");
         if cell.stalled {
             // A stalled node cannot run callbacks ahead of its parked
             // commands; re-check shortly. The gate unit stays held.
@@ -547,14 +439,12 @@ const QUANTUM: usize = 32;
 /// [`QUANTUM`] messages, then reschedule if mail remains.
 fn service<M: Payload, P: Peer<M>>(
     shard: usize,
-    shared: &Arc<Shared<M>>,
+    shared: &Shared<M>,
     cells: &mut HashMap<PeerId, Cell<M, P>>,
     timers: &mut ShardTimers,
     id: PeerId,
 ) {
-    let Some(cell) = cells.get_mut(&id) else {
-        return;
-    };
+    let cell = cells.get_mut(&id).expect("a shard runs every node it schedules");
     cell.meta.scheduled.store(false, Ordering::SeqCst);
     // Still stalled? Progress rule: drain exactly ONE message anyway (its
     // commands park behind the stalled send, order preserved). The pop is
@@ -573,7 +463,7 @@ fn service<M: Payload, P: Peer<M>>(
     // Quantum exhausted with mail (possibly) remaining: go around again so
     // shard-mates get their turn first.
     if cell.meta.mailbox.len() > 0 {
-        shared.schedule(&cell.meta, id);
+        shared.schedule(cell.meta, id);
     }
 }
 
@@ -581,7 +471,7 @@ fn service<M: Payload, P: Peer<M>>(
 /// callback emitted. `false` when the mailbox was empty or the node stalls.
 fn deliver_next<M: Payload, P: Peer<M>>(
     shard: usize,
-    shared: &Arc<Shared<M>>,
+    shared: &Shared<M>,
     timers: &mut ShardTimers,
     id: PeerId,
     cell: &mut Cell<M, P>,
@@ -602,7 +492,7 @@ fn deliver_next<M: Payload, P: Peer<M>>(
 /// the node is registered as a waiter on the destination).
 fn flush<M: Payload, P>(
     shard: usize,
-    shared: &Arc<Shared<M>>,
+    shared: &Shared<M>,
     timers: &mut ShardTimers,
     id: PeerId,
     cell: &mut Cell<M, P>,
@@ -610,19 +500,14 @@ fn flush<M: Payload, P>(
     while let Some(cmd) = cell.pending.pop_front() {
         match cmd {
             Command::Send { to, msg } => {
-                if !shared.pipes.read().contains(&(id, to)) {
-                    shared.gate.dec(1);
-                    shared.undeliverable.fetch_add(1, Ordering::SeqCst);
-                    continue;
-                }
-                let meta = shared.router.read().get(&to).cloned();
-                let Some(meta) = meta else {
+                let piped = shared.pipes.read().contains(&(id, to));
+                let Some(meta) = shared.meta(to).filter(|_| piped) else {
                     shared.gate.dec(1);
                     shared.undeliverable.fetch_add(1, Ordering::SeqCst);
                     continue;
                 };
                 match meta.mailbox.try_push(id, msg, (shard, id), to == id) {
-                    TryPush::Ok => shared.schedule(&meta, to),
+                    TryPush::Ok => shared.schedule(meta, to),
                     TryPush::Full(msg) => {
                         cell.pending.push_front(Command::Send { to, msg });
                         cell.stalled = true;
@@ -713,16 +598,6 @@ mod tests {
         timers.insert(SimTime(5_700_000), PeerId(1), 1); // 5.7ms
         assert!(timers.pop_due(SimTime(5_200_000)).is_empty(), "must not fire 0.5ms early");
         assert_eq!(timers.pop_due(SimTime(5_800_000)), vec![(PeerId(1), 1)]);
-    }
-
-    #[test]
-    fn timers_cancel_peer_removes_near_and_far() {
-        let mut timers = ShardTimers::new();
-        timers.insert(SimTime::from_millis(1), PeerId(1), 1);
-        timers.insert(SimTime::from_millis(2), PeerId(2), 2);
-        timers.insert(SimTime::from_secs(5), PeerId(1), 3);
-        assert_eq!(timers.cancel_peer(PeerId(1)), 2);
-        assert_eq!(timers.pop_due(SimTime::from_secs(10)), vec![(PeerId(2), 2)]);
     }
 
     #[test]

@@ -77,7 +77,7 @@ fn threaded_timer_fires_mid_flood() {
         ParallelNet::with_config(RuntimeConfig { workers: 1, mailbox_depth: 4096 });
     let mut victim = Victim::new();
     victim.work = Duration::from_micros(50);
-    net.add_peer(PeerId(0), victim);
+    net.add_peers([(PeerId(0), victim)]);
     for _ in 0..FLOOD {
         net.inject(PeerId(9), PeerId(0), Ping(0));
     }
