@@ -854,7 +854,7 @@ fn e19_row(
         report.events.to_string(),
         report.sim_time.to_string(),
     ]);
-    t.pipe_totals(label, &report.stats, 8);
+    t.pipe_totals(label, &report.pipes, 8);
     report
 }
 

@@ -57,21 +57,21 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Attaches per-pipe totals from `stats`, labelled with `row` (the
-    /// row's first cell), keeping only the `top` pipes by bytes sent so a
-    /// 10k-node sweep doesn't serialise half a million pipe entries.
-    pub fn pipe_totals(&mut self, row: &str, stats: &codb_net::NetStats, top: usize) {
-        let mut pipes: Vec<PipeTotals> = stats
-            .per_pipe
+    /// Attaches a flood's per-pipe counts (in `(from, to)` order),
+    /// labelled with `row` (the row's first cell), keeping only the `top`
+    /// pipes by bytes sent so a 10k-node sweep doesn't serialise half a
+    /// million pipe entries.
+    pub fn pipe_totals(&mut self, row: &str, flood: &[codb_workload::FloodPipe], top: usize) {
+        let mut pipes: Vec<PipeTotals> = flood
             .iter()
-            .map(|(&(from, to), p)| PipeTotals {
+            .map(|p| PipeTotals {
                 row: row.to_owned(),
-                from: from.0,
-                to: to.0,
+                from: p.from.0,
+                to: p.to.0,
                 sent: p.sent,
                 delivered: p.delivered,
-                dropped: p.dropped,
-                bytes: p.bytes_sent,
+                dropped: p.sent - p.delivered,
+                bytes: p.bytes,
             })
             .collect();
         pipes.sort_by(|a, b| b.bytes.cmp(&a.bytes).then(a.from.cmp(&b.from)));

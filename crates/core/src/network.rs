@@ -185,9 +185,9 @@ impl CoDbNetwork {
     fn run_update_with(&mut self, origin: NodeId, start: Body) -> UpdateOutcome {
         let node = self.node(origin);
         let update = UpdateId { origin, epoch: node.epoch(), seq: node.update_state_seq() };
-        let (m0, b0) = self.sim.sent_totals();
+        let before = self.sim.stats();
         self.run_control(origin, start);
-        let (m1, b1) = self.sim.sent_totals();
+        let after = self.sim.stats();
         // What `network_report().summarise(update)` answers, summed over
         // the nodes' reports where they lie.
         let reports = self.sim.peers().map(|(_, node)| node.report());
@@ -200,8 +200,8 @@ impl CoDbNetwork {
             // work is done don't inflate the measurement.
             duration: summary.total_time,
             // Exclude the injected control message itself.
-            messages: m1 - m0 - 1,
-            bytes: b1 - b0,
+            messages: after.sent - before.sent - 1,
+            bytes: after.bytes_sent - before.bytes_sent,
             summary,
         }
     }
@@ -216,10 +216,10 @@ impl CoDbNetwork {
     ) -> QueryOutcome {
         let n = self.node(node);
         let query_id = QueryId { origin: node, epoch: n.epoch(), seq: n.query_seq() };
-        let (m0, b0) = self.sim.sent_totals();
+        let before = self.sim.stats();
         let t0 = self.sim.now();
         self.run_control(node, Body::StartQuery { query: Box::new(query), fetch });
-        let (m1, b1) = self.sim.sent_totals();
+        let after = self.sim.stats();
         let result = self
             .sim
             .peer_mut(node.peer())
@@ -234,8 +234,8 @@ impl CoDbNetwork {
             duration: result.finished_at.saturating_sub(t0),
             result,
             // Exclude the injected control message itself.
-            messages: m1 - m0 - 1,
-            bytes: b1 - b0,
+            messages: after.sent - before.sent - 1,
+            bytes: after.bytes_sent - before.bytes_sent,
         }
     }
 

@@ -184,7 +184,8 @@ pub(crate) struct Serving {
     /// it — shared with the link's kept view: the stream's own record of
     /// what it sent first, searched rather than hashed.
     pub first: Arc<[RuleFiring]>,
-    /// Firings streamed in later instalments (instalment diffing).
+    /// Firings streamed in later instalments (instalment diffing), on a
+    /// projecting link; a projection-free one never repeats a firing.
     pub later: FiringSet,
     /// The same, in the order streamed: the rest.
     streamed: Vec<RuleFiring>,
@@ -217,9 +218,11 @@ impl Serving {
     /// Assembles a nested answer into the overlay and returns what of the
     /// served link's firings it newly derives, semi-naively: a firing not
     /// yet sent must use a tuple it added, because what was sent is every
-    /// firing of the overlay as it was before. A rules file may have
-    /// retired the served link since the request came: nothing more to
-    /// fire.
+    /// firing of the overlay as it was before. On a projection-free link
+    /// each body answer is its own firing, and `fire_since` yields it once,
+    /// at the instalment that adds its last new tuple: nothing it yields
+    /// was sent, so it skips the record. A rules file may have retired the
+    /// served link since the request came: nothing more to fire.
     fn increment(
         &mut self,
         book: &RuleBook,
@@ -228,17 +231,18 @@ impl Serving {
     ) -> Vec<RuleFiring> {
         let grown = codb_relational::apply_firings(&mut self.overlay, firings, nulls)
             .expect("the batch was admitted against the rule head and the schema");
+        let Some(id) = book.incoming_named(&self.rule) else { return Vec::new() };
+        let rule = &book.link(id).rule;
         let since = grown.iter().map(|(rel, version)| (&**rel, *version));
-        let mut fresh = match book.incoming_named(&self.rule) {
-            Some(id) => book
-                .link(id)
-                .rule
-                .fire_since(&self.overlay, since)
-                .expect("schema-validated rule")
-                .expect("the overlay's own versions answer"),
-            None => Vec::new(),
-        };
-        fresh.retain(|f| self.stream(f));
+        let mut fresh = rule
+            .fire_since(&self.overlay, since)
+            .expect("schema-validated rule")
+            .expect("the overlay's own versions answer");
+        if rule.projection_free() {
+            self.streamed.extend_from_slice(&fresh);
+        } else {
+            fresh.retain(|f| self.stream(f));
+        }
         fresh
     }
 }
@@ -824,5 +828,53 @@ mod tests {
         assert_eq!(node.report().messages_received["data_rejected"], 1);
         let result = node.completed_queries.values().next().expect("the query finished");
         assert_eq!(result.answers, vec![tup!["ada"], tup!["bob"]]);
+    }
+
+    /// A request served over a projection-free link streams what each
+    /// nested instalment newly derives with no record of what it sent:
+    /// the requester's whole answer holds each firing once, and the fetch
+    /// answers what a global update materialises — cold, and again from
+    /// the answer the server kept.
+    #[test]
+    fn a_projection_free_link_streams_each_firing_once() {
+        let text = "
+            node ra
+            node sa
+            node b
+            node c
+            schema ra: r(int)
+            schema sa: s(int)
+            schema b: r(int)
+            schema b: s(int)
+            schema c: t(int, int)
+            data ra: r(1). r(2).
+            data sa: s(10). s(20).
+            data b: r(3). s(30).
+            rule rb @ ra -> b: r(X) <- r(X).
+            rule sb @ sa -> b: s(Y) <- s(Y).
+            rule bc @ b -> c: t(X, Y) <- r(X), s(Y).
+        ";
+        let config = crate::NetworkConfig::parse(text).unwrap();
+        assert!(config.rules.iter().all(|rule| rule.rule.is_projection_free()));
+        let sim = codb_net::SimConfig::default();
+        let build = || crate::CoDbNetwork::build(config.clone(), sim.clone()).unwrap();
+        let (mut net, mut updated) = (build(), build());
+        let c = net.node_id("c").unwrap();
+        let query = "ans(X, Y) :- t(X, Y).";
+        for round in 0..2 {
+            let outcome = net.run_query_text(c, query, true).unwrap();
+            let report = &net.node(c).report().queries[&outcome.query];
+            if round == 0 {
+                assert_eq!(report.answers_received, 3, "b's local part, then one per source");
+            }
+            let mut shipped = net.node(c).fetched["bc"].firings.to_vec();
+            let total = shipped.len();
+            shipped.sort();
+            shipped.dedup();
+            assert_eq!((shipped.len(), total), (9, 9), "each firing of the view once");
+            updated.run_update(c);
+            let fixpoint = updated.node(c).ldb().get("t").unwrap().sorted();
+            assert_eq!(outcome.result.answers, fixpoint);
+        }
     }
 }

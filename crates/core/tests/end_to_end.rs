@@ -1,6 +1,6 @@
 //! End-to-end tests of the coDB protocols on the deterministic simulator.
 
-use codb_core::{CoDbNetwork, NetworkConfig, NodeSettings};
+use codb_core::{CoDbNetwork, Kind, KindCounts, NetworkConfig, NodeSettings};
 use codb_net::{PipeConfig, SimConfig, SimTime};
 use codb_relational::{tup, Tuple};
 
@@ -941,9 +941,59 @@ fn update_report_duration_fields_are_consistent() {
         assert!(d <= outcome.summary.total_time);
         assert!(r.started_at >= outcome.summary.started_at);
     }
-    // Messages-by-kind account at least the data traffic.
-    let kinds: u64 = report.nodes.values().flat_map(|n| n.messages_sent.values()).sum();
-    assert!(kinds >= outcome.summary.data_messages);
+    assert_kinds_match_the_ledger(&net);
+}
+
+/// The kinds a node counts that are not an envelope it handed to a pipe
+/// (`abandoned`, `barrier_parked`) or that recount one it received
+/// (`data_rejected`, `ingest_rejected`).
+const NOT_ENVELOPES: [Kind; 4] =
+    [Kind::Abandoned, Kind::BarrierParked, Kind::DataRejected, Kind::IngestRejected];
+
+/// The kinds only the harness sends: each was injected, no node counts it sent.
+const INJECTED: [Kind; 7] = [
+    Kind::StartUpdate,
+    Kind::StartScopedUpdate,
+    Kind::StartQuery,
+    Kind::CollectStats,
+    Kind::BroadcastRules,
+    Kind::TriggerDiscovery,
+    Kind::IngestLocal,
+];
+
+/// The nodes' statistics modules against the simulator's ledger: the
+/// envelopes the nodes count sent, plus the harness's injections, are
+/// the network's `sent`, and the envelopes they count received are its
+/// `delivered`. A send path no kind counts breaks the first.
+fn assert_kinds_match_the_ledger(net: &CoDbNetwork) {
+    let envelopes = |counts: &KindCounts| -> u64 {
+        Kind::ALL.iter().filter(|k| !NOT_ENVELOPES.contains(k)).map(|&k| counts.of(k)).sum()
+    };
+    let (mut sent, mut received) = (0, 0);
+    for (_, node) in net.sim().peers() {
+        let r = node.report();
+        sent += envelopes(&r.messages_sent);
+        sent += INJECTED.iter().map(|&k| r.messages_received.of(k)).sum::<u64>();
+        received += envelopes(&r.messages_received);
+    }
+    let ledger = net.sim().stats();
+    assert_eq!(sent, ledger.sent, "kinds sent + injections vs the ledger's sent: {ledger:?}");
+    assert_eq!(received, ledger.delivered, "kinds received vs the ledger's delivered: {ledger:?}");
+}
+
+#[test]
+fn kind_counts_match_the_ledger_under_loss() {
+    let sim = SimConfig { seed: 11, ..Default::default() };
+    let settings = NodeSettings { pipe: PipeConfig::lan().with_loss(0.08), ..Default::default() };
+    let config = NetworkConfig::parse(&chain_config(6, 20)).unwrap();
+    let mut net = CoDbNetwork::build_with(config, sim, settings, false).unwrap();
+    let first = net.node_id("node0").unwrap();
+    let last = net.node_id("node5").unwrap();
+    net.run_update(first);
+    net.run_query_text(last, "ans(X) :- r(X).", true).unwrap();
+    let ledger = net.sim().stats();
+    assert!(ledger.dropped > 0, "8% loss drops something: {ledger:?}");
+    assert_kinds_match_the_ledger(&net);
 }
 
 #[test]

@@ -39,7 +39,7 @@ pub use parallel::{ParallelNet, RuntimeConfig};
 pub use peer::{Command, Context, Payload, Peer, PeerId};
 pub use pipe::PipeConfig;
 pub use sim::{SimConfig, SimNet};
-pub use stats::{NetStats, PipeStats};
+pub use stats::NetStats;
 pub use time::SimTime;
 
 // Re-exported so harnesses attaching a flight recorder to a [`SimNet`]

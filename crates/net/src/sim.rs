@@ -26,8 +26,12 @@
 //!   control paths (`add_peer`, `open_pipe`, `inject`).
 //! * Pipes are adjacency lists: slot `i` holds a `dst`-sorted
 //!   `Vec<Edge>` of its outgoing half-pipes, each embedding its
-//!   [`PipeConfig`], [`PipeState`] and [`PipeStats`]. A send is a binary
-//!   search over the peer's own (typically tiny) neighbour list.
+//!   [`PipeConfig`] and [`PipeState`]. A send is a binary search over the
+//!   peer's own (typically tiny) neighbour list; a delivery touches no
+//!   adjacency list.
+//! * Traffic is counted once, network-wide, in one [`NetStats`]: no pipe
+//!   carries counters, so closing a pipe or removing a peer folds nothing
+//!   and [`SimNet::stats`] is a copy.
 //! * A callback's [`Context`] borrows the advertisement board and the
 //!   simulator's one command queue; dispatching an event copies neither
 //!   and allocates nothing, whatever the number of peers or
@@ -47,12 +51,12 @@ use crate::discovery::{Advertisement, Board};
 use crate::peer::{Command, Context, Payload, Peer, PeerId};
 use crate::pipe::{PipeConfig, PipeState};
 use crate::queue::HeapQueue;
-use crate::stats::{NetStats, PipeStats};
+use crate::stats::NetStats;
 use crate::time::SimTime;
 use codb_trace::{TraceEvent, Tracer};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Simulator configuration.
 #[derive(Clone, Debug)]
@@ -119,13 +123,12 @@ impl<M> InFlight<M> {
     }
 }
 
-/// An outgoing half-pipe: configuration, bandwidth state and counters,
-/// stored inline in the source slot's adjacency list.
+/// An outgoing half-pipe: configuration and bandwidth state, stored
+/// inline in the source slot's adjacency list.
 struct Edge {
     dst: u32,
     config: PipeConfig,
     state: PipeState,
-    stats: PipeStats,
 }
 
 /// One interned peer. `peer: None` is a tombstone — the id stays bound
@@ -136,17 +139,6 @@ struct Slot<P> {
     peer: Option<P>,
     /// Outgoing half-pipes, sorted by `dst` for binary search.
     adj: Vec<Edge>,
-}
-
-/// Whole-network counters kept hot; per-pipe detail lives in the edges
-/// and is assembled on demand by [`SimNet::stats`].
-#[derive(Default)]
-struct Totals {
-    sent: u64,
-    delivered: u64,
-    dropped: u64,
-    undeliverable: u64,
-    bytes_sent: u64,
 }
 
 /// The deterministic discrete-event network. Generic over the payload type
@@ -165,11 +157,7 @@ pub struct SimNet<M: Payload, P: Peer<M>> {
     now: SimTime,
     seq: u64,
     rng: SmallRng,
-    totals: Totals,
-    /// Per-pipe counters with no live edge to live in: harness
-    /// injections (which need no pipe) and the folded history of closed
-    /// pipes / removed peers.
-    folded: BTreeMap<(PeerId, PeerId), PipeStats>,
+    stats: NetStats,
     config: SimConfig,
     events_processed: u64,
     tracer: Tracer,
@@ -188,8 +176,7 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
             now: SimTime::ZERO,
             seq: 0,
             rng: SmallRng::seed_from_u64(config.seed),
-            totals: Totals::default(),
-            folded: BTreeMap::new(),
+            stats: NetStats::default(),
             config,
             events_processed: 0,
             tracer: Tracer::disabled(),
@@ -214,37 +201,9 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
         self.now
     }
 
-    /// Network statistics (ground truth). Totals are maintained
-    /// continuously; the per-pipe table is assembled from the live edges
-    /// plus the folded history of closed pipes, so this is a cold-path
-    /// accessor — call it between runs, not per event.
+    /// Network statistics so far (the whole-network ledger).
     pub fn stats(&self) -> NetStats {
-        let mut per_pipe = self.folded.clone();
-        for slot in &self.slots {
-            for e in &slot.adj {
-                if e.stats != PipeStats::default() {
-                    per_pipe
-                        .entry((slot.id, self.slots[e.dst as usize].id))
-                        .or_default()
-                        .merge(&e.stats);
-                }
-            }
-        }
-        NetStats {
-            sent: self.totals.sent,
-            delivered: self.totals.delivered,
-            dropped: self.totals.dropped,
-            undeliverable: self.totals.undeliverable,
-            bytes_sent: self.totals.bytes_sent,
-            per_pipe,
-        }
-    }
-
-    /// `(sent, bytes_sent)` so far, as [`SimNet::stats`] reports them,
-    /// without assembling the per-pipe table: what a harness reads before
-    /// and after every operation.
-    pub fn sent_totals(&self) -> (u64, u64) {
-        (self.totals.sent, self.totals.bytes_sent)
+        self.stats
     }
 
     /// Number of events processed so far.
@@ -323,17 +282,9 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
         let idx = *self.index.get(&id)?;
         let adj = std::mem::take(&mut self.slots[idx as usize].adj);
         for e in adj {
-            if e.stats != PipeStats::default() {
-                let dst_id = self.slots[e.dst as usize].id;
-                self.folded.entry((id, dst_id)).or_default().merge(&e.stats);
-            }
-            let neighbour = &mut self.slots[e.dst as usize];
-            if let Ok(pos) = neighbour.adj.binary_search_by_key(&idx, |x| x.dst) {
-                let rev = neighbour.adj.remove(pos);
-                let neighbour_id = neighbour.id;
-                if rev.stats != PipeStats::default() {
-                    self.folded.entry((neighbour_id, id)).or_default().merge(&rev.stats);
-                }
+            let neighbour = &mut self.slots[e.dst as usize].adj;
+            if let Ok(pos) = neighbour.binary_search_by_key(&idx, |x| x.dst) {
+                neighbour.remove(pos);
             }
         }
         self.board.retract_peer(id);
@@ -341,7 +292,7 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
     }
 
     /// Opens (or reconfigures) one direction of a pipe. Reconfiguring
-    /// resets the bandwidth state but keeps accumulated counters.
+    /// resets the bandwidth state.
     fn open_directed(&mut self, from: u32, to: u32, config: PipeConfig) {
         let adj = &mut self.slots[from as usize].adj;
         match adj.binary_search_by_key(&to, |e| e.dst) {
@@ -349,10 +300,7 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
                 adj[pos].config = config;
                 adj[pos].state = PipeState::default();
             }
-            Err(pos) => adj.insert(
-                pos,
-                Edge { dst: to, config, state: PipeState::default(), stats: PipeStats::default() },
-            ),
+            Err(pos) => adj.insert(pos, Edge { dst: to, config, state: PipeState::default() }),
         }
     }
 
@@ -369,14 +317,9 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
     pub fn close_pipe(&mut self, a: PeerId, b: PeerId) {
         let (Some(&ai), Some(&bi)) = (self.index.get(&a), self.index.get(&b)) else { return };
         for (src, dst) in [(ai, bi), (bi, ai)] {
-            let slot = &mut self.slots[src as usize];
-            if let Ok(pos) = slot.adj.binary_search_by_key(&dst, |e| e.dst) {
-                let edge = slot.adj.remove(pos);
-                let src_id = slot.id;
-                if edge.stats != PipeStats::default() {
-                    let dst_id = self.slots[dst as usize].id;
-                    self.folded.entry((src_id, dst_id)).or_default().merge(&edge.stats);
-                }
+            let adj = &mut self.slots[src as usize].adj;
+            if let Ok(pos) = adj.binary_search_by_key(&dst, |e| e.dst) {
+                adj.remove(pos);
             }
         }
     }
@@ -397,11 +340,8 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
         let fi = self.intern(from);
         let ti = self.intern(to);
         let bytes = msg.size_bytes();
-        self.totals.sent += 1;
-        self.totals.bytes_sent += bytes as u64;
-        let p = self.folded.entry((from, to)).or_default();
-        p.sent += 1;
-        p.bytes_sent += bytes as u64;
+        self.stats.sent += 1;
+        self.stats.bytes_sent += bytes as u64;
         if self.tracer.is_enabled() {
             self.tracer.set_clock(self.now.as_nanos());
             self.tracer.emit(TraceEvent::NetSend { from: from.0, to: to.0, bytes: bytes as u64 });
@@ -446,15 +386,13 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
                             .map(|pos| (ti, pos))
                     });
                     let Some((ti, pos)) = target else {
-                        self.totals.undeliverable += 1;
+                        self.stats.undeliverable += 1;
                         continue;
                     };
-                    self.totals.sent += 1;
-                    self.totals.bytes_sent += bytes as u64;
+                    self.stats.sent += 1;
+                    self.stats.bytes_sent += bytes as u64;
                     let now = self.now;
                     let edge = &mut self.slots[origin as usize].adj[pos];
-                    edge.stats.sent += 1;
-                    edge.stats.bytes_sent += bytes as u64;
                     let loss = edge.config.loss;
                     let start = now.max(edge.state.busy_until);
                     let done = start + edge.config.transmission_time(bytes);
@@ -468,8 +406,7 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
                         });
                     }
                     if loss > 0.0 && self.rng.gen::<f64>() < loss {
-                        self.totals.dropped += 1;
-                        self.slots[origin as usize].adj[pos].stats.dropped += 1;
+                        self.stats.dropped += 1;
                         if self.tracer.is_enabled() {
                             self.tracer.emit(TraceEvent::NetDrop {
                                 from: origin_id.0,
@@ -516,19 +453,11 @@ impl<M: Payload, P: Peer<M>> SimNet<M, P> {
                 let msg = self.in_flight.take(msg);
                 if self.slots[to as usize].peer.is_some() {
                     let from_id = self.slots[from as usize].id;
-                    let to_id = self.slots[to as usize].id;
-                    self.totals.delivered += 1;
-                    // The pipe may have closed while the message was in
-                    // flight; its delivery then counts against the
-                    // folded history, keeping per-pipe totals exact.
-                    match self.slots[from as usize].adj.binary_search_by_key(&to, |e| e.dst) {
-                        Ok(pos) => self.slots[from as usize].adj[pos].stats.delivered += 1,
-                        Err(_) => self.folded.entry((from_id, to_id)).or_default().delivered += 1,
-                    }
+                    self.stats.delivered += 1;
                     if self.tracer.is_enabled() {
                         self.tracer.emit(TraceEvent::NetDeliver {
                             from: from_id.0,
-                            to: to_id.0,
+                            to: self.slots[to as usize].id.0,
                             bytes: msg.size_bytes() as u64,
                         });
                     }
@@ -892,23 +821,27 @@ mod tests {
     }
 
     #[test]
-    fn per_pipe_stats_survive_close_and_removal() {
+    fn stats_survive_close_and_removal() {
         let mut net = ring(3, 5);
         net.run_until_quiescent();
         let before = net.stats();
-        let key = (PeerId(0), PeerId(1));
-        let pipe_before = before.per_pipe[&key];
-        assert!(pipe_before.sent > 0);
-        // Closing the pipe folds its counters; totals must not change.
+        assert!(before.sent > 0);
+        // Closing a pipe or removing a peer forgets no traffic.
         net.close_pipe(PeerId(0), PeerId(1));
-        let after_close = net.stats();
-        assert_eq!(after_close.per_pipe[&key], pipe_before);
-        // Removing the peer folds the remaining edges; still unchanged.
+        assert_eq!(net.stats(), before);
         net.remove_peer(PeerId(1));
-        let after_remove = net.stats();
-        assert_eq!(after_remove.per_pipe[&key], pipe_before);
-        assert_eq!(after_remove.sent, before.sent);
-        assert_eq!(after_remove.delivered, before.delivered);
+        assert_eq!(net.stats(), before);
+    }
+
+    #[test]
+    fn a_delivery_over_a_closed_pipe_is_counted() {
+        let mut net = ring(3, 0);
+        net.step(); // start of peer 0 → send to 1 in flight
+        net.close_pipe(PeerId(0), PeerId(1));
+        net.run_until_quiescent();
+        assert_eq!(net.peer(PeerId(1)).unwrap().received, vec![0]);
+        let stats = net.stats();
+        assert_eq!((stats.sent, stats.delivered), (1, 1));
     }
 }
 
@@ -962,8 +895,6 @@ mod more_tests {
         net.run_until_quiescent();
         // inject (4 bytes) + forward (4 bytes).
         assert_eq!(net.stats().bytes_sent, 8);
-        let pipe = net.stats().per_pipe[&(PeerId(0), PeerId(1))];
-        assert_eq!(pipe.bytes_sent, 4);
     }
 }
 

@@ -1,36 +1,17 @@
-//! Network-level statistics: ground truth the coDB statistics module is
-//! validated against.
+//! Network-level statistics: the simulator's one ledger, kept for the
+//! whole network and nowhere per pipe. The coDB statistics module is
+//! checked against it: `assert_kinds_match_the_ledger`
+//! (`crates/core/tests/end_to_end.rs`, run by
+//! `update_report_duration_fields_are_consistent` and, under 8% loss,
+//! `kind_counts_match_the_ledger_under_loss`; `Program::ledger` in
+//! `tests/update_start.rs` after every projection-free program) equates
+//! the envelopes the nodes count sent, plus the harness's injections,
+//! with `sent`, and those they count received with `delivered`.
 
-use crate::peer::PeerId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-
-/// Counters for one directed pipe.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PipeStats {
-    /// Messages handed to the pipe.
-    pub sent: u64,
-    /// Messages delivered to the destination peer.
-    pub delivered: u64,
-    /// Messages dropped by the loss model.
-    pub dropped: u64,
-    /// Payload bytes handed to the pipe.
-    pub bytes_sent: u64,
-}
-
-impl PipeStats {
-    /// Adds `other`'s counters into `self` — used when folding a closed
-    /// pipe's counters into the surviving per-pipe table.
-    pub fn merge(&mut self, other: &PipeStats) {
-        self.sent += other.sent;
-        self.delivered += other.delivered;
-        self.dropped += other.dropped;
-        self.bytes_sent += other.bytes_sent;
-    }
-}
 
 /// Whole-network counters.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NetStats {
     /// Total messages handed to pipes.
     pub sent: u64,
@@ -42,6 +23,4 @@ pub struct NetStats {
     pub undeliverable: u64,
     /// Total payload bytes handed to pipes.
     pub bytes_sent: u64,
-    /// Per directed pipe counters.
-    pub per_pipe: BTreeMap<(PeerId, PeerId), PipeStats>,
 }

@@ -16,18 +16,23 @@
 //! after every step, every update over at every node that heard of it,
 //! and a fetch at every node answered twice alike, the second time from
 //! the views and answers the serving links kept, each view checked against
-//! a fresh fire and each answer against a network that kept nothing. A
+//! a fresh fire and each answer against a network that kept nothing (and,
+//! on an acyclic program, against the fixpoint's certain answers). A
 //! last property runs inserts and updates over projection-free rules,
 //! whose links keep only their marks: each ships every firing of its view
 //! exactly once.
 
-use codb::core::{whole_fires, Body, Envelope, ParallelCoDbNet, HARNESS_PEER};
+use codb::core::{
+    rule_graph_is_cyclic, whole_fires, Body, Envelope, Kind, KindCounts, ParallelCoDbNet,
+    HARNESS_PEER,
+};
 use codb::net::RuntimeConfig;
 use codb::prelude::*;
 use codb::relational::{isomorphic, tup};
 use codb::store::ScratchDir;
 use codb::workload::oracle::chase_naive;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 fn copy_chain(nodes: usize, tuples_per_node: usize) -> Scenario {
@@ -331,9 +336,12 @@ impl Program {
     /// network a stale answer is still sound. (A fetch moves data where it
     /// is the first traffic a node hears from a peer that restarted: the
     /// node repairs the links toward it at once. The first is then held
-    /// to nothing but soundness.)
+    /// to nothing but soundness.) Where the node-level rule graph is
+    /// acyclic, a fetch is also complete: it answers, as a set, the
+    /// null-free tuples of the fixpoint's relation at the origin.
     fn fetch(&mut self, when: &str) -> Result<(), String> {
         let oracle = chase_naive(&self.config).instances;
+        let acyclic = !rule_graph_is_cyclic(&self.config.rules);
         for id in self.config.node_ids() {
             let relation = Scenario::relation_of(id.0 as usize);
             let query = format!("ans(X, Y) :- {relation}(X, Y).");
@@ -347,10 +355,14 @@ impl Program {
             let fired = whole_fires() - before;
             let fixpoint = oracle[&id].get(&relation).unwrap();
             let sound = first.iter().chain(&again).all(|t| fixpoint.contains(t));
-            if !sound || again != cold || (!moved && (fired != 0 || first != cold)) {
+            let certain: BTreeSet<&Tuple> = fixpoint.iter().filter(|t| !t.has_null()).collect();
+            let complete = |answers: &[Tuple]| answers.iter().collect::<BTreeSet<_>>() == certain;
+            let incomplete = acyclic && (!complete(&again) || (!moved && !complete(&first)));
+            if !sound || incomplete || again != cold || (!moved && (fired != 0 || first != cold)) {
                 return Err(self.fail(format!(
-                    "{when}: a fetch at node {id} fired {fired} whole views again\n first: \
-                     {first:?}\n again: {again:?}\n  cold: {cold:?}\n fixpoint: {fixpoint:?}"
+                    "{when}: a fetch at node {id} fired {fired} whole views again (acyclic: \
+                     {acyclic})\n first: {first:?}\n again: {again:?}\n  cold: {cold:?}\n \
+                     fixpoint: {fixpoint:?}"
                 )));
             }
         }
@@ -413,6 +425,41 @@ impl Program {
             Body::IngestLocal { relation: relation.clone(), tuple: tuple.clone() },
         );
         self.config.nodes[node].data.push((relation, tuple));
+    }
+
+    /// The nodes' statistics modules against the simulator's ledger, as
+    /// `assert_kinds_match_the_ledger` (`crates/core/tests/end_to_end.rs`)
+    /// checks them: the envelopes counted sent plus the harness's
+    /// injections are the network's `sent`, those counted received its
+    /// `delivered`.
+    fn ledger(&self) -> Result<(), String> {
+        let not_envelopes =
+            [Kind::Abandoned, Kind::BarrierParked, Kind::DataRejected, Kind::IngestRejected];
+        let injected = [
+            Kind::StartUpdate,
+            Kind::StartScopedUpdate,
+            Kind::StartQuery,
+            Kind::CollectStats,
+            Kind::BroadcastRules,
+            Kind::TriggerDiscovery,
+            Kind::IngestLocal,
+        ];
+        let envelopes = |counts: &KindCounts| -> u64 {
+            Kind::ALL.iter().filter(|k| !not_envelopes.contains(k)).map(|&k| counts.of(k)).sum()
+        };
+        let (mut sent, mut received) = (0, 0);
+        for (_, node) in self.net.sim().peers() {
+            let r = node.report();
+            sent += envelopes(&r.messages_sent);
+            sent += injected.iter().map(|&k| r.messages_received.of(k)).sum::<u64>();
+            received += envelopes(&r.messages_received);
+        }
+        let ledger = self.net.sim().stats();
+        if (sent, received) != (ledger.sent, ledger.delivered) {
+            let what = format!("kinds count {sent} sent, {received} received; ledger {ledger:?}");
+            return Err(self.fail(what));
+        }
+        Ok(())
     }
 
     fn scoped(&mut self, g: &mut Gen) {
@@ -601,7 +648,7 @@ fn run_projection_free_program(seed: u64) -> Result<(), String> {
             return Err(p.fail(what));
         }
     }
-    Ok(())
+    p.ledger()
 }
 
 /// Case count honouring `PROPTEST_CASES`, as `tests/invariants.rs` does.
