@@ -138,8 +138,10 @@ fn e4() -> Table {
 /// again on the unchanged network: the whole views it fires — none, since
 /// every serving link kept its view — its messages and bytes — one request
 /// down each link and one tag back up, since every serving link kept its
-/// answer — and the links the sink found unchanged (`QueryReport`). The
-/// "after insert" columns are one more fetch, after a tuple is inserted at
+/// answer — the links the sink found unchanged, and whether its answer was
+/// the one the sink kept: every link came back unchanged over the same
+/// query, rules and local data, so nothing was assembled (`QueryReport`).
+/// The "after insert" columns are one more fetch, after a tuple is inserted at
 /// the chain's far end: every server between it and the sink kept its own
 /// data, and still answers its local part at once, and the far end
 /// refreshes its kept view from its relation's log — it fires no whole
@@ -160,6 +162,7 @@ fn e5() -> Table {
             "refetch msgs",
             "refetch bytes",
             "refetch unchanged",
+            "refetch kept",
             "after insert first ans",
             "after insert sim",
             "after insert msgs",
@@ -187,7 +190,8 @@ fn e5() -> Table {
         let again = fetch_net.run_query(s.sink(), s.sink_query(), true);
         assert_eq!(again.result.answers, q.result.answers);
         let refetch_fires = codb_core::whole_fires() - fired;
-        let unchanged = fetch_net.node(s.sink()).report().queries[&again.query].unchanged;
+        let refetch = &fetch_net.node(s.sink()).report().queries[&again.query];
+        let (unchanged, kept) = (refetch.unchanged, u8::from(refetch.kept));
         let (relation, tuple) = (Scenario::relation_of(0), codb_relational::tup![-1, -1]);
         fetch_net
             .run_control(codb_core::NodeId(0), codb_core::Body::IngestLocal { relation, tuple });
@@ -208,6 +212,7 @@ fn e5() -> Table {
             again.messages.to_string(),
             again.bytes.to_string(),
             unchanged.to_string(),
+            kept.to_string(),
             first_answer(&fetch_net, after.query),
             after.duration.to_string(),
             after.messages.to_string(),
@@ -854,7 +859,6 @@ fn e19_row(
         report.events.to_string(),
         report.sim_time.to_string(),
     ]);
-    t.pipe_totals(label, &report.pipes, 8);
     report
 }
 

@@ -15,5 +15,5 @@ pub mod table;
 pub mod timeline;
 
 pub use experiments::{all, by_id, EXPERIMENTS};
-pub use table::{PipeTotals, Table};
+pub use table::Table;
 pub use timeline::render_timeline;

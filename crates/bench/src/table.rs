@@ -5,27 +5,6 @@
 use serde::Serialize;
 use std::fmt::Write as _;
 
-/// Per-pipe traffic totals attached to a table row — machine-readable
-/// side data for `exp --json` (E19 records its heaviest pipes this way).
-/// The human-rendered table is unaffected.
-#[derive(Clone, Debug, Serialize)]
-pub struct PipeTotals {
-    /// First cell of the row these totals belong to (the topology label).
-    pub row: String,
-    /// Sending peer id.
-    pub from: u64,
-    /// Receiving peer id.
-    pub to: u64,
-    /// Messages handed to the pipe.
-    pub sent: u64,
-    /// Messages delivered.
-    pub delivered: u64,
-    /// Messages dropped by the loss model.
-    pub dropped: u64,
-    /// Payload bytes handed to the pipe.
-    pub bytes: u64,
-}
-
 /// A rendered experiment result: a title, column headers and rows.
 #[derive(Clone, Debug, Serialize)]
 pub struct Table {
@@ -35,9 +14,6 @@ pub struct Table {
     pub headers: Vec<String>,
     /// Rows (stringified cells).
     pub rows: Vec<Vec<String>>,
-    /// Per-pipe traffic totals (empty for experiments that don't record
-    /// them); serialised into `--json` output, not rendered.
-    pub pipes: Vec<PipeTotals>,
 }
 
 impl Table {
@@ -47,7 +23,6 @@ impl Table {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
-            pipes: Vec::new(),
         }
     }
 
@@ -55,28 +30,6 @@ impl Table {
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "row arity");
         self.rows.push(cells);
-    }
-
-    /// Attaches a flood's per-pipe counts (in `(from, to)` order),
-    /// labelled with `row` (the row's first cell), keeping only the `top`
-    /// pipes by bytes sent so a 10k-node sweep doesn't serialise half a
-    /// million pipe entries.
-    pub fn pipe_totals(&mut self, row: &str, flood: &[codb_workload::FloodPipe], top: usize) {
-        let mut pipes: Vec<PipeTotals> = flood
-            .iter()
-            .map(|p| PipeTotals {
-                row: row.to_owned(),
-                from: p.from.0,
-                to: p.to.0,
-                sent: p.sent,
-                delivered: p.delivered,
-                dropped: p.sent - p.delivered,
-                bytes: p.bytes,
-            })
-            .collect();
-        pipes.sort_by(|a, b| b.bytes.cmp(&a.bytes).then(a.from.cmp(&b.from)));
-        pipes.truncate(top);
-        self.pipes.extend(pipes);
     }
 
     /// Renders the table with aligned columns.

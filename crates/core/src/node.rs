@@ -10,7 +10,7 @@
 use crate::config::NetworkConfig;
 use crate::ids::{NodeId, QueryId, ReqId, RuleName, UpdateId};
 use crate::messages::{Body, Envelope};
-use crate::query::{QueryExec, QueryResult, Serving, Whole};
+use crate::query::{KeptFetch, QueryExec, QueryResult, Serving, Whole};
 use crate::reliable::{Answer, Owed, Receipt, Reliable};
 use crate::rules::{CoordinationRule, RuleBook};
 use crate::stats::{Kind, NetworkReport, NodeReport};
@@ -84,6 +84,10 @@ pub struct CoDbNode {
     /// The last whole answer fetched on each outgoing link, by name: what
     /// the next request on the link names by its tag.
     pub(crate) fetched: BTreeMap<RuleName, Whole>,
+    /// The last answer a fetch here assembled, with what it was computed
+    /// from: a fetch over the same key stands by it (`crate::query`,
+    /// "Where a fetch's answer lives at its origin").
+    pub(crate) kept_fetch: Option<Arc<KeptFetch>>,
     /// Finished query results. A result waits here until the driver takes
     /// it: [`CoDbNetwork::run_query`](crate::CoDbNetwork::run_query)
     /// removes the one it ran; a harness that injects `StartQuery` itself
@@ -151,6 +155,7 @@ impl CoDbNode {
             serving: BTreeMap::new(),
             nested_parent: BTreeMap::new(),
             fetched: BTreeMap::new(),
+            kept_fetch: None,
             completed_queries: BTreeMap::new(),
             discovered: std::collections::BTreeSet::new(),
             pending_rejoin: false,

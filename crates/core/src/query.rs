@@ -11,13 +11,14 @@
 //! of such a link recursively fetches whatever its own rule body needs
 //! (path-labelled, so cycles cut off) and evaluates the rule body over its
 //! *query-time view* (LDB + fetched data, assembled in a per-request
-//! overlay — nothing is materialised permanently). It streams: the firings
-//! of its local data go back at once, and each nested instalment that
-//! arrives is answered *semi-naively* — `PreparedRule::fire_since` over
-//! the tuples that instalment added to the overlay, minus what was already
-//! sent — the same "substitute R by T'" the global update runs. `N`
-//! assembles the answers into its own overlay and evaluates the user query
-//! there.
+//! overlay — no fetched tuple ever enters an LDB; what a node keeps of a
+//! fetch is answers, below). It streams: the firings of its local data go
+//! back at once, and each nested instalment that arrives is answered
+//! *semi-naively* — `PreparedRule::fire_since` over the tuples that
+//! instalment added to the overlay, minus what was already sent — the same
+//! "substitute R by T'" the global update runs. `N` assembles the whole
+//! answers into an overlay of its own once all are in and evaluates the
+//! user query there.
 //!
 //! Query-time answering under cyclic rules is *sound but not complete*
 //! w.r.t. the global-update fixpoint (simple paths unroll each cycle at
@@ -57,6 +58,25 @@
 //! for a final one, both for a single one (`Part`). So a fetch over
 //! unchanged data ships tags and no firing, and its first answer leaves
 //! each server as early as on a cold fetch.
+//!
+//! ## Where a fetch's answer lives at its origin
+//!
+//! The origin of a fetch does what a server standing by its answer does.
+//! It admits each instalment as it comes — against the LDB, which declares
+//! the relations an overlay would — and keeps each link's whole answer;
+//! nothing is assembled before every whole is in (`QueryExec`). Then,
+//! once, it clones the LDB's relations the query reads, applies each whole
+//! in link order and answers the query over them (`answer_fetch`, the one
+//! place). A node keeps the last such answer in one slot (`KeptFetch`):
+//! the query, the book it ran under, the version of each relation it read,
+//! the whole answer of each link it was computed from, and the answer.
+//! A fetch of an equal query under the same book over the same versions
+//! *stands by* it: its requests name the kept wholes' tags, and if every
+//! link comes back unchanged, the kept answer is the answer — nothing is
+//! applied or evaluated. Otherwise the fetch assembles, and keeps its
+//! answer where every whole came back tagged. A rules file, a restore and
+//! an ingest each change the key, so nothing clears the slot. A local
+//! query keeps nothing.
 
 use crate::ids::{NodeId, QueryId, ReqId, RuleName, Tag};
 use crate::messages::{Body, Envelope};
@@ -65,7 +85,9 @@ use crate::rules::{LinkId, RuleBook};
 use crate::stats::Kind;
 use crate::update::WholeView;
 use codb_net::{Context, SimTime};
-use codb_relational::{ConjunctiveQuery, EvalError, FiringSet, Instance, RuleFiring, Tuple};
+use codb_relational::{
+    ConjunctiveQuery, EvalError, FiringSet, Instance, Relation, RuleFiring, Tuple, Version,
+};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -88,14 +110,73 @@ pub struct QueryResult {
     pub error: Option<EvalError>,
 }
 
-/// State of one user query at its origin node.
+/// State of one fetch at its origin node: nothing is assembled before
+/// every whole answer is in.
 #[derive(Debug)]
 pub(crate) struct QueryExec {
-    pub query: ConjunctiveQuery,
-    /// Clones of the relations the query reads + the head relations of the
-    /// links fetched; never touches the LDB.
-    pub overlay: Instance,
-    pub pending: BTreeSet<ReqId>,
+    query: ConjunctiveQuery,
+    /// The book the fetch chose its links under: the answer is kept only
+    /// while it is still the node's.
+    book: Arc<RuleBook>,
+    /// The relations the answer reads: the query's, and the heads of the
+    /// links fetched.
+    reads: BTreeSet<String>,
+    nested: Gathered,
+    /// The answer kept over the same key, while the fetch stands by it.
+    standing: Option<Arc<KeptFetch>>,
+}
+
+/// The last answer a fetch at this node assembled, and what it was
+/// computed from (module docs, "Where a fetch's answer lives at its
+/// origin").
+#[derive(Debug)]
+pub(crate) struct KeptFetch {
+    query: ConjunctiveQuery,
+    book: Arc<RuleBook>,
+    /// The version of each relation the answer read, in `reads` order;
+    /// none where the LDB has no such relation.
+    versions: Box<[Option<Version>]>,
+    /// Each link's whole answer, in the order fetched.
+    wholes: Vec<(RuleName, Whole)>,
+    answers: Vec<Tuple>,
+}
+
+/// The whole answers one answer is computed from: each link fetched, in
+/// the order chosen, with its whole answer once its request closed.
+#[derive(Debug)]
+struct Gathered {
+    wholes: Vec<(RuleName, Option<Whole>)>,
+    /// Some whole answer did not come back unchanged.
+    changed: bool,
+}
+
+impl Gathered {
+    fn new(links: &[(RuleName, NodeId)]) -> Self {
+        let wholes = links.iter().map(|(rule, _)| (rule.clone(), None)).collect();
+        Gathered { wholes, changed: false }
+    }
+
+    /// Files what a request closed with, if it did (`Nested::close`);
+    /// returns whether every whole answer is in.
+    fn file(&mut self, closed: Option<(RuleName, Whole, bool)>) -> bool {
+        if let Some((rule, whole, unchanged)) = closed {
+            self.changed |= !unchanged;
+            if let Some(slot) = self.wholes.iter_mut().find(|(name, _)| *name == rule) {
+                slot.1 = Some(whole);
+            }
+        }
+        self.wholes.iter().all(|(_, whole)| whole.is_some())
+    }
+
+    /// The whole answer of the `i`th link fetched.
+    fn whole(&self, i: usize) -> &Whole {
+        self.wholes[i].1.as_ref().expect("every nested request closed")
+    }
+
+    fn into_wholes(self) -> Vec<(RuleName, Whole)> {
+        let wholes = self.wholes.into_iter();
+        wholes.map(|(rule, whole)| (rule, whole.expect("every nested request closed"))).collect()
+    }
 }
 
 /// One whole answer on a link — every firing of its instalments, the local
@@ -195,11 +276,9 @@ pub(crate) struct Serving {
     known: Option<Tag>,
     /// The tag the local instalment went under.
     tag: Tag,
-    /// Each nested link fetched, in the order chosen, with its whole answer
-    /// once its request closed: the request is served when all are in.
-    nested: Vec<(RuleName, Option<Whole>)>,
-    /// Some nested answer did not come back whole and unchanged.
-    changed: bool,
+    /// The nested links' whole answers: the request is served when all
+    /// are in.
+    nested: Gathered,
     /// The answer kept over the view and these links, while the server
     /// stands by it.
     standing: Option<Arc<Answered>>,
@@ -472,12 +551,13 @@ impl CoDbNode {
     /// nothing was kept.
     fn keep_served(&mut self, s: Serving, tag: Tag) -> Option<Tag> {
         let link = s.book.incoming_named(&s.rule).filter(|_| Arc::ptr_eq(&s.book, &self.book))?;
-        let nested = s
-            .nested
-            .into_iter()
-            .map(|(rule, whole)| (rule, whole.expect("every nested request closed")));
-        let answer = Answered { tag, nested: nested.collect(), rest: s.streamed.into() };
+        let answer = Answered { tag, nested: s.nested.into_wholes(), rest: s.streamed.into() };
         self.keep_answer(link, &s.first, answer)
+    }
+
+    /// The version of each relation of `reads` in the LDB, in order.
+    fn ldb_versions(&self, reads: &BTreeSet<String>) -> Box<[Option<Version>]> {
+        reads.iter().map(|name| self.ldb.get(name).map(Relation::version)).collect()
     }
 
     /// The tag of the last whole answer this node fetched on outgoing link
@@ -509,25 +589,65 @@ impl CoDbNode {
         let body_rels: BTreeSet<String> =
             query.body.relations().into_iter().map(str::to_owned).collect();
         let links = self.fetchable_links(&body_rels, &[self.id]);
-        let overlay_rels = self.overlay_relations(body_rels, &links);
-        let overlay = self.overlay_for(&overlay_rels);
-
-        let mut pending = BTreeSet::new();
-        for (rule, source) in links {
-            let pinned = self.fetched.get(&rule).cloned();
+        let reads = self.overlay_relations(body_rels, &links);
+        let book = Arc::clone(&self.book);
+        // Over the key of the kept answer, the fetch stands by it: its
+        // requests name the tags that answer was computed from, as a
+        // standing server's do.
+        let standing = self.kept_fetch.clone().filter(|kept| {
+            kept.query == query
+                && Arc::ptr_eq(&kept.book, &book)
+                && kept.versions == self.ldb_versions(&reads)
+        });
+        let nested = Gathered::new(&links);
+        for (i, (rule, source)) in links.into_iter().enumerate() {
+            let pinned = match &standing {
+                Some(kept) => Some(kept.wholes[i].1.clone()),
+                None => self.fetched.get(&rule).cloned(),
+            };
             let path = Box::new([self.id]);
-            pending.insert(self.ask(ctx, ParentRef::Query(query_id), rule, source, path, pinned));
+            self.ask(ctx, ParentRef::Query(query_id), rule, source, path, pinned);
             if let Some(rep) = self.report.queries.get_mut(&query_id) {
                 rep.requests_sent += 1;
             }
         }
-        let exec = QueryExec { query, overlay, pending };
-        if exec.pending.is_empty() {
-            let answers = codb_relational::answer_query(&exec.query, &exec.overlay);
-            self.finish_query_with(query_id, answers, now, true);
+        let exec = QueryExec { query, book, reads, nested, standing };
+        if exec.nested.wholes.is_empty() {
+            self.answer_fetch(query_id, exec, now);
         } else {
             self.queries.insert(query_id, exec);
         }
+    }
+
+    /// Answers a fetch once every whole answer is in: by the kept answer,
+    /// where the fetch stood by it, every link came back unchanged and the
+    /// relations it read still stand; else over an overlay assembled now —
+    /// the LDB's relations the query reads, each whole answer applied in
+    /// link order — kept where every whole came back tagged under the book
+    /// the fetch ran under.
+    fn answer_fetch(&mut self, query_id: QueryId, exec: QueryExec, now: SimTime) {
+        let QueryExec { query, book, reads, nested, standing } = exec;
+        let versions = self.ldb_versions(&reads);
+        if let Some(kept) = standing.filter(|kept| !nested.changed && kept.versions == versions) {
+            if let Some(rep) = self.report.queries.get_mut(&query_id) {
+                rep.kept = true;
+            }
+            self.finish_query_with(query_id, Ok(kept.answers.clone()), now, true);
+            return;
+        }
+        let wholes = nested.into_wholes();
+        let mut overlay = self.overlay_for(&reads);
+        for (_, whole) in &wholes {
+            codb_relational::apply_firings(&mut overlay, &whole.firings, &mut self.nulls)
+                .expect("each instalment was admitted against the rule head and the schema");
+        }
+        let answers = codb_relational::answer_query(&query, &overlay);
+        let keep = Arc::ptr_eq(&book, &self.book) && wholes.iter().all(|(_, w)| w.tag.is_some());
+        if let Some(answers) = answers.as_ref().ok().filter(|_| keep) {
+            let kept = KeptFetch { query, book, versions, wholes, answers: answers.clone() };
+            self.kept_fetch = Some(Arc::new(kept));
+        }
+        self.finish_query_with(query_id, answers, now, true);
     }
 
     fn finish_query_with(
@@ -613,7 +733,7 @@ impl CoDbNode {
             Some(_) => Instance::new(),
             None => self.overlay_for(&rels),
         };
-        let mut nested = Vec::with_capacity(links.len());
+        let nested = Gathered::new(&links);
         for (i, (nested_rule, source)) in links.into_iter().enumerate() {
             // Standing by its kept answer, the server names what that
             // answer was computed from: what it fetched last may be newer.
@@ -622,8 +742,7 @@ impl CoDbNode {
                 None => self.fetched.get(&nested_rule).cloned(),
             };
             let parent = ParentRef::Serving(req);
-            self.ask(ctx, parent, nested_rule.clone(), source, path.as_slice().into(), pinned);
-            nested.push((nested_rule, None));
+            self.ask(ctx, parent, nested_rule, source, path.as_slice().into(), pinned);
         }
         self.serving.insert(
             req,
@@ -641,7 +760,6 @@ impl CoDbNode {
                 known,
                 tag,
                 nested,
-                changed: false,
                 standing,
             },
         );
@@ -672,11 +790,10 @@ impl CoDbNode {
         // the fetched rule's head is dropped whole, and only counted. (What
         // an unchanged instalment stands for was admitted when it came,
         // under the same rule: a rules file that changes it drops the
-        // answer.)
+        // answer.) An origin, and a server standing by its kept answer,
+        // has no overlay yet: the LDB declares the same relations.
         let overlay = match parent {
-            ParentRef::Query(query_id) => self.queries.get(&query_id).map(|exec| &exec.overlay),
-            // (A server standing by its kept answer has no overlay yet: the
-            // LDB declares the same relations.)
+            ParentRef::Query(query_id) => self.queries.contains_key(&query_id).then_some(&self.ldb),
             ParentRef::Serving(sreq) => self.serving.get(&sreq).map(|s| match s.standing {
                 Some(_) => &self.ldb,
                 None => &s.overlay,
@@ -704,35 +821,25 @@ impl CoDbNode {
         match parent {
             ParentRef::Query(query_id) => {
                 let Some(exec) = self.queries.get_mut(&query_id) else { return };
-                codb_relational::apply_firings(&mut exec.overlay, content, &mut self.nulls)
-                    .expect("the batch was admitted against the rule head and the schema");
-                if done {
-                    exec.pending.remove(&req);
-                }
+                let stood = whole.as_ref().is_some_and(|(_, _, unchanged)| *unchanged);
+                let finished = exec.nested.file(whole);
                 if let Some(rep) = self.report.queries.get_mut(&query_id) {
                     rep.answers_received += 1;
                     rep.bytes_received +=
                         firings.iter().map(|f| f.size_bytes() as u64).sum::<u64>();
-                    rep.unchanged += u64::from(whole.is_some_and(|(_, _, unchanged)| unchanged));
+                    rep.unchanged += u64::from(stood);
                     if rep.first_answer_at.is_none() {
                         rep.first_answer_at = Some(ctx.now());
                     }
                 }
-                if self.queries[&query_id].pending.is_empty() {
+                if finished {
                     let exec = self.queries.remove(&query_id).expect("present");
-                    let answers = codb_relational::answer_query(&exec.query, &exec.overlay);
-                    self.finish_query_with(query_id, answers, ctx.now(), true);
+                    self.answer_fetch(query_id, exec, ctx.now());
                 }
             }
             ParentRef::Serving(sreq) => {
                 let Some(s) = self.serving.get_mut(&sreq) else { return };
-                if let Some((rule, whole, unchanged)) = whole {
-                    s.changed |= !unchanged;
-                    if let Some(slot) = s.nested.iter_mut().find(|(name, _)| *name == rule) {
-                        slot.1 = Some(whole);
-                    }
-                }
-                let finished = s.nested.iter().all(|(_, whole)| whole.is_some());
+                let finished = s.nested.file(whole);
                 if s.standing.is_some() {
                     // Nothing is assembled before every nested answer is in.
                     if finished {
@@ -773,12 +880,12 @@ impl CoDbNode {
     fn answer_standing(&mut self, ctx: &mut Context<Envelope>, mut s: Serving) {
         let kept = s.standing.take().expect("a request stood by its kept answer");
         let (req, requester) = (s.req, s.requester);
-        let (firings, tag) = if s.changed {
+        let (firings, tag) = if s.nested.changed {
             s.overlay = self.overlay_for(&s.reads);
             let book = Arc::clone(&self.book);
-            for i in 0..s.nested.len() {
-                let whole = s.nested[i].1.clone().expect("every nested request closed");
-                s.increment(&book, &whole.firings, &mut self.nulls);
+            for i in 0..s.nested.wholes.len() {
+                let firings = Arc::clone(&s.nested.whole(i).firings);
+                s.increment(&book, &firings, &mut self.nulls);
             }
             let (tag, rest) = (self.mint_tag(), s.streamed.clone());
             (rest, self.keep_served(s, tag))
@@ -876,5 +983,135 @@ mod tests {
             let fixpoint = updated.node(c).ldb().get("t").unwrap().sorted();
             assert_eq!(outcome.result.answers, fixpoint);
         }
+    }
+
+    /// A copy chain `a → b → c` under a super-peer: a fetch at `c` reads
+    /// `t`, which `b`'s `s` feeds, which `a`'s `r` feeds.
+    const CHAIN: &str = "
+        node a
+        node b
+        node c
+        schema a: r(int, int)
+        schema b: s(int, int)
+        schema c: t(int, int)
+        data a: r(1, 2). r(2, 3).
+        data b: s(3, 4).
+        data c: t(5, 6).
+        rule ab @ a -> b: s(X, Y) <- r(X, Y).
+        rule bc @ b -> c: t(X, Y) <- s(X, Y).
+    ";
+    const FETCH: &str = "ans(X, Y) :- t(X, Y).";
+
+    fn chain() -> crate::CoDbNetwork {
+        let config = crate::NetworkConfig::parse(CHAIN).unwrap();
+        crate::CoDbNetwork::build_with_superpeer(config, codb_net::SimConfig::default()).unwrap()
+    }
+
+    /// Fetches `query` at `c`: the answers, and whether they were the kept
+    /// ones.
+    fn fetch(net: &mut crate::CoDbNetwork, query: &str) -> (Vec<Tuple>, bool) {
+        let c = net.node_id("c").unwrap();
+        let outcome = net.run_query_text(c, query, true).unwrap();
+        let kept = net.node(c).report().queries[&outcome.query].kept;
+        (outcome.result.answers, kept)
+    }
+
+    fn answers(pairs: &[(i64, i64)]) -> Vec<Tuple> {
+        pairs.iter().map(|&(x, y)| tup![x, y]).collect()
+    }
+
+    /// A fetch over the key of the answer the origin kept — the same query
+    /// and book, its relations where they stood — with every link back
+    /// unchanged is that answer: nothing is assembled or evaluated.
+    #[test]
+    fn a_second_identical_fetch_is_the_kept_answer() {
+        let mut net = chain();
+        let first = fetch(&mut net, FETCH);
+        assert_eq!(first, (answers(&[(1, 2), (2, 3), (3, 4), (5, 6)]), false));
+        let c = net.node_id("c").unwrap();
+        let kept = Arc::clone(net.node(c).kept_fetch.as_ref().expect("every whole was tagged"));
+        assert_eq!(fetch(&mut net, FETCH), (first.0.clone(), true));
+        let still = net.node(c).kept_fetch.as_ref().unwrap();
+        assert!(Arc::ptr_eq(&kept, still), "standing by the answer keeps it");
+        assert_eq!(fetch(&mut net, FETCH), (first.0, true));
+    }
+
+    fn ingest(net: &mut crate::CoDbNetwork, at: &str, relation: &str, tuple: Tuple) {
+        let (at, relation) = (net.node_id(at).unwrap(), relation.to_owned());
+        net.run_control(at, Body::IngestLocal { relation, tuple });
+    }
+
+    /// Whatever changes the key, or a link's whole answer, assembles the
+    /// answer anew, and it is the right one; the fetch after it stands by
+    /// what that one kept — except after another query, which took the one
+    /// slot.
+    #[test]
+    fn a_fetch_over_a_changed_key_or_link_is_assembled_anew() {
+        type Change = fn(&mut crate::CoDbNetwork) -> (&'static str, Vec<Tuple>);
+        let base = answers(&[(1, 2), (2, 3), (3, 4), (5, 6)]);
+        let changes: [(&str, Change); 5] = [
+            ("an ingest at the origin", |net| {
+                ingest(net, "c", "t", tup![7, 8]);
+                (FETCH, answers(&[(1, 2), (2, 3), (3, 4), (5, 6), (7, 8)]))
+            }),
+            ("an ingest upstream", |net| {
+                ingest(net, "a", "r", tup![9, 9]);
+                (FETCH, answers(&[(1, 2), (2, 3), (3, 4), (5, 6), (9, 9)]))
+            }),
+            ("a different query over the same links", |_| {
+                ("ans(Y, X) :- t(X, Y).", answers(&[(2, 1), (3, 2), (4, 3), (6, 5)]))
+            }),
+            ("a rules file", |net| {
+                let config = crate::NetworkConfig::parse(&format!("version 2\n{CHAIN}")).unwrap();
+                net.broadcast_rules(config).unwrap();
+                (FETCH, answers(&[(1, 2), (2, 3), (3, 4), (5, 6)]))
+            }),
+            ("a restore", |net| {
+                let c = net.node_id("c").unwrap();
+                let snapshot = net.node(c).snapshot();
+                net.sim_mut().peer_mut(c.peer()).unwrap().restore(snapshot);
+                (FETCH, answers(&[(1, 2), (2, 3), (3, 4), (5, 6)]))
+            }),
+        ];
+        for (what, change) in changes {
+            let mut net = chain();
+            assert_eq!(fetch(&mut net, FETCH), (base.clone(), false), "{what}: cold");
+            assert_eq!(fetch(&mut net, FETCH), (base.clone(), true), "{what}: warm");
+            let (query, want) = change(&mut net);
+            assert_eq!(fetch(&mut net, query), (want.clone(), false), "{what}");
+            let again = fetch(&mut net, FETCH);
+            if query == FETCH {
+                assert_eq!(again, (want, true), "{what}: the fetch after it");
+            } else {
+                assert_eq!(again, (base.clone(), false), "{what}: the fetch after it");
+            }
+        }
+    }
+
+    /// A rejected instalment leaves its link's whole answer untagged: the
+    /// fetch is assembled, from what was admitted, and keeps nothing, so
+    /// the answer kept before it still stands.
+    #[test]
+    fn a_fetch_with_a_rejected_instalment_keeps_nothing() {
+        let mut net = chain();
+        let base = fetch(&mut net, FETCH).0;
+        let (b, c) = (net.node_id("b").unwrap(), net.node_id("c").unwrap());
+        let start = Body::StartQuery { query: Box::new(parse_query(FETCH).unwrap()), fetch: true };
+        net.sim_mut().inject(crate::HARNESS_PEER, c.peer(), Envelope::control(start));
+        while net.node(c).nested_parent.is_empty() {
+            assert!(net.sim_mut().step(), "quiescent before the fetch went out");
+        }
+        let req = *net.node(c).nested_parent.keys().next().unwrap();
+        let bad = RuleFiring::new([("t", vec![TField::Const(Value::Int(1))])]);
+        let forged = Body::QueryAnswer { req, firings: vec![bad], closed: None, tag: None };
+        net.sim_mut().inject(b.peer(), c.peer(), Envelope::control(forged));
+        net.sim_mut().run_until_quiescent();
+
+        let node = net.node(c);
+        assert_eq!(node.report().messages_received["data_rejected"], 1);
+        let (id, result) = node.completed_queries.last_key_value().expect("the fetch finished");
+        assert_eq!(result.answers, base);
+        assert!(!node.report().queries[id].kept);
+        assert_eq!(fetch(&mut net, FETCH), (base, true), "the answer kept before it");
     }
 }

@@ -153,6 +153,10 @@ pub struct QueryReport {
     /// carried the tag of the answer this node held for the link, and no
     /// firing (`crate::query`, "Where a whole answer lives").
     pub unchanged: u64,
+    /// The answer was the one the node kept: every link came back
+    /// unchanged over the same query, book and local data
+    /// (`crate::query`, "Where a fetch's answer lives at its origin").
+    pub kept: bool,
     /// Number of answer tuples.
     pub answers: u64,
 }
@@ -169,6 +173,7 @@ impl QueryReport {
             answers_received: 0,
             bytes_received: 0,
             unchanged: 0,
+            kept: false,
             answers: 0,
         }
     }
@@ -678,7 +683,8 @@ mod tests {
     }
 
     /// The report's JSON, byte for byte what the name-keyed counters
-    /// wrote: kinds in name order, only those counted.
+    /// wrote: kinds in name order, only those counted; a query's report
+    /// says whether its answer was the one the node kept.
     #[test]
     fn a_node_report_serialises_to_the_json_it_always_did() {
         let mut n = NodeReport::new(NodeId(7));
@@ -691,13 +697,20 @@ mod tests {
         n.ldb_tuples = 3;
         let r = n.update_mut(upd(), SimTime::from_millis(2));
         r.received.entry("r1".into()).or_default().record(2, 100);
+        let query = QueryId { origin: NodeId(7), epoch: 0, seq: 4 };
+        let q = n.queries.entry(query).or_insert(QueryReport::new(query, SimTime::from_millis(3)));
+        (q.requests_sent, q.answers_received, q.unchanged, q.kept) = (1, 2, 1, true);
         let json = serde_json::to_string(&n).unwrap();
         assert_eq!(
             json,
             concat!(
                 r#"{"ldb_tuples":3,"messages_received":[["data_rejected",1],["ds_ack",1]],"#,
                 r#""messages_sent":[["ack",1],["retransmit",1],["update_data",2]],"node":7,"#,
-                r#""queries":[],"updates":[[{"epoch":0,"origin":0,"seq":0},{"closed_at":null,"#,
+                r#""queries":[[{"epoch":0,"origin":7,"seq":4},{"answers":0,"answers_received":2,"#,
+                r#""bytes_received":0,"finished_at":null,"first_answer_at":null,"kept":true,"#,
+                r#""query":{"epoch":0,"origin":7,"seq":4},"requests_sent":1,"#,
+                r#""started_at":3000000,"unchanged":1}]],"#,
+                r#""updates":[[{"epoch":0,"origin":0,"seq":0},{"closed_at":null,"#,
                 r#""completed_at":null,"evaluated":0,"longest_path":0,"received":[["r1","#,
                 r#"{"bytes":100,"#,
                 r#""firings":2,"messages":1}]],"requests_received":0,"sent":[],"#,
@@ -708,6 +721,7 @@ mod tests {
         let back: NodeReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.messages_sent, n.messages_sent);
         assert_eq!(back.messages_received, n.messages_received);
+        assert!(back.queries[&query].kept);
         let unknown = json.replace("retransmit", "retransmat");
         assert!(serde_json::from_str::<NodeReport>(&unknown).is_err());
     }

@@ -33,5 +33,5 @@ pub use parallel::{
     ParallelIngestReport,
 };
 pub use scenario::{RuleStyle, Scenario};
-pub use simscale::{run_flood, FloodMsg, FloodPeer, FloodPipe, FloodReport};
+pub use simscale::{run_flood, FloodMsg, FloodPeer, FloodReport};
 pub use topology::Topology;

@@ -36,17 +36,10 @@ impl Payload for FloodMsg {
     }
 }
 
-/// A peer that relays every wave it has not seen to all neighbours, and
-/// counts its own traffic: what it sends to each neighbour and what it
-/// receives from each.
+/// A peer that relays every wave it has not seen to all neighbours.
 pub struct FloodPeer {
     /// Undirected neighbour list, sorted.
     neighbours: Vec<PeerId>,
-    /// Waves relayed (or originated): each sent one message to every
-    /// neighbour.
-    relayed: u64,
-    /// Messages received from each neighbour, parallel to `neighbours`.
-    received: Vec<u64>,
     /// Sparse per-origin bitmask of waves already relayed (waves are
     /// ≤ 64), sorted by origin. Sparse matters: a dense `vec![0; n]`
     /// per peer is `O(n²)` memory across the network — ~800 MB at 10k
@@ -71,7 +64,6 @@ impl FloodPeer {
 
     /// Sends wave `wave` of `origin` to every neighbour.
     fn relay(&mut self, ctx: &mut Context<FloodMsg>, origin: u32, wave: u32) {
-        self.relayed += 1;
         for &n in &self.neighbours {
             ctx.send(n, FloodMsg { origin, wave });
         }
@@ -105,28 +97,11 @@ impl Peer<FloodMsg> for FloodPeer {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Context<FloodMsg>, from: PeerId, msg: FloodMsg) {
-        let pos = self.neighbours.binary_search(&from).expect("waves arrive over neighbour pipes");
-        self.received[pos] += 1;
+    fn on_message(&mut self, ctx: &mut Context<FloodMsg>, _from: PeerId, msg: FloodMsg) {
         if self.mark(msg.origin, msg.wave) {
             self.relay(ctx, msg.origin, msg.wave);
         }
     }
-}
-
-/// One directed pipe of a flood, as its two ends counted it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
-pub struct FloodPipe {
-    /// Sending peer.
-    pub from: PeerId,
-    /// Receiving peer.
-    pub to: PeerId,
-    /// Messages the sender handed to the pipe.
-    pub sent: u64,
-    /// Messages the receiver took from it; the rest were dropped.
-    pub delivered: u64,
-    /// Payload bytes the sender handed to it.
-    pub bytes: u64,
 }
 
 /// What one flood run measured.
@@ -149,8 +124,6 @@ pub struct FloodReport {
     pub sim_time: SimTime,
     /// Nodes the flood reached (== `nodes` on any connected topology).
     pub reached: usize,
-    /// Every directed pipe that carried a wave, in `(from, to)` order.
-    pub pipes: Vec<FloodPipe>,
 }
 
 /// Builds the topology's network via [`SimBuilder`], floods `waves`
@@ -190,9 +163,7 @@ pub fn run_flood(
         builder = builder.latency(model);
     }
     let mut net = builder.spawn(|id| FloodPeer {
-        received: vec![0; adj[id.0 as usize].len()],
         neighbours: std::mem::take(&mut adj[id.0 as usize]),
-        relayed: 0,
         seen: Vec::new(),
         originate: if id.0 == 0 { waves } else { 0 },
         advertise,
@@ -201,17 +172,6 @@ pub fn run_flood(
     let sim_time = net.run_until_quiescent();
 
     let reached = net.peers().filter(|(_, p)| (0..waves).all(|w| p.has_seen(0, w))).count();
-    let bytes = FloodMsg { origin: 0, wave: 0 }.size_bytes() as u64;
-    let mut pipes = Vec::new();
-    for (from, peer) in net.peers().filter(|(_, p)| p.relayed != 0) {
-        let sent = peer.relayed;
-        for &to in &peer.neighbours {
-            let receiver = net.peer(to).expect("a neighbour is a peer");
-            let pos = receiver.neighbours.binary_search(&from).expect("pipes are symmetric");
-            let delivered = receiver.received[pos];
-            pipes.push(FloodPipe { from, to, sent, delivered, bytes: sent * bytes });
-        }
-    }
     let stats = net.stats();
     FloodReport {
         nodes: n,
@@ -222,7 +182,6 @@ pub fn run_flood(
         delivered: stats.delivered,
         sim_time,
         reached,
-        pipes,
     }
 }
 
@@ -258,9 +217,9 @@ mod tests {
         }
     }
 
-    /// E19's pipe rows in closed form: on a connected topology every
-    /// directed pipe carries each wave once, both ends count it, and the
-    /// pipes add up to the network's count.
+    /// E19's schedule in closed form: on a connected topology every
+    /// directed pipe — two per neighbour pair — carries each wave once,
+    /// and every message is delivered.
     #[test]
     fn every_flood_pipe_carries_each_wave_once() {
         let waves = 2u64;
@@ -271,27 +230,16 @@ mod tests {
         ] {
             let report = flood(&t, None, waves as u32, 6);
             assert_eq!(report.reached, report.nodes, "{t} is connected");
-            for p in &report.pipes {
-                let want = FloodPipe { sent: waves, delivered: waves, bytes: 16 * waves, ..*p };
-                assert_eq!(*p, want, "{t}: pipe {:?} → {:?}", p.from, p.to);
-            }
-            let mut directed: Vec<(PeerId, PeerId)> = t
+            let mut directed: Vec<(usize, usize)> = t
                 .edges()
                 .into_iter()
                 .filter(|&(a, b)| a != b)
                 .flat_map(|(a, b)| [(a, b), (b, a)])
-                .map(|(a, b)| (PeerId(a as u64), PeerId(b as u64)))
                 .collect();
             directed.sort_unstable();
             directed.dedup();
-            let listed: Vec<(PeerId, PeerId)> =
-                report.pipes.iter().map(|p| (p.from, p.to)).collect();
-            assert_eq!(
-                listed, directed,
-                "{t}: two entries per neighbour pair, in (from, to) order"
-            );
-            assert_eq!(report.pipes.iter().map(|p| p.sent).sum::<u64>(), report.messages);
-            assert_eq!(report.delivered, report.messages);
+            assert_eq!(report.messages, waves * directed.len() as u64, "{t}");
+            assert_eq!(report.delivered, report.messages, "{t}");
         }
     }
 
@@ -329,17 +277,17 @@ mod tests {
             let report = run_flood(&t, pipe, Some(latency), 2, seed, false, &tracer);
             let trace = recorded.lock().unwrap().events();
             let dropped = report.messages - report.delivered;
-            (report.sim_time, report.events, dropped, report.pipes, trace)
+            (report.sim_time, report.events, dropped, trace)
         };
         let a = run(42);
         let b = run(42);
         assert_eq!(a.0, b.0);
         assert_eq!(a.1, b.1);
-        assert_eq!((a.2, &a.3), (b.2, &b.3), "identical drops and per-pipe counts");
-        assert_eq!(a.4, b.4, "identical traces, every event");
+        assert_eq!(a.2, b.2, "identical drops");
+        assert_eq!(a.3, b.3, "identical traces, every event");
         // A different simulator seed changes the loss draws.
         let c = run(43);
         assert_ne!(a.2, 0, "1% loss on thousands of messages drops something");
-        assert_ne!(a.4, c.4, "seed changes the schedule");
+        assert_ne!(a.3, c.3, "seed changes the schedule");
     }
 }

@@ -116,6 +116,27 @@ fn stats_emits_json() {
     assert!(v.get("nodes").is_some());
 }
 
+/// The same fetch twice: the second's report says its answer was the one
+/// the origin kept.
+#[test]
+fn stats_show_a_refetch_answered_by_the_kept_answer() {
+    let config = write_config();
+    let fetch = "ans(N) :- person(N, A).";
+    let args = [config.as_str(), "query", "portal", fetch, "query", "portal", fetch, "stats"];
+    let out = demo().args(args).output().unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let v: serde_json::Value =
+        serde_json::from_str(stdout[stdout.find('{').unwrap()..].trim()).expect("stats JSON");
+    // Maps serialise as arrays of [key, value] pairs.
+    let pairs = |v: &serde_json::Value, key: &str| v.get(key).unwrap().as_array().unwrap().clone();
+    let nodes = pairs(&v, "nodes");
+    let queries = nodes.iter().flat_map(|node| pairs(&node.as_array().unwrap()[1], "queries"));
+    let kept: Vec<bool> =
+        queries.map(|q| q.as_array().unwrap()[1].get("kept").unwrap().as_bool().unwrap()).collect();
+    assert_eq!(kept, [false, true]);
+}
+
 #[test]
 fn bad_inputs_fail_cleanly() {
     // Missing file.

@@ -23,7 +23,7 @@
 //! exactly once.
 
 use codb::core::{
-    rule_graph_is_cyclic, whole_fires, Body, Envelope, Kind, KindCounts, ParallelCoDbNet,
+    rule_graph_is_cyclic, whole_fires, Body, Envelope, Kind, KindCounts, ParallelCoDbNet, Tag,
     HARNESS_PEER,
 };
 use codb::net::RuntimeConfig;
@@ -329,7 +329,9 @@ impl Program {
     /// A fetch at every node, then the same fetch again. Unless the first
     /// moved data, the second finds every serving link's answer (or view)
     /// kept and fires no whole view (a debug build fires each kept view
-    /// it hands out afresh to compare), and both answer the same. Every
+    /// it hands out afresh to compare), and both answer the same; where,
+    /// besides, every link the origin fetched answered the first under a
+    /// tag, the second is the answer the origin kept. Every
     /// certain answer is in the chase's fixpoint: query-time answering is
     /// sound. And each answers what a network that kept nothing answers —
     /// the one check a stale kept answer cannot pass, since on a monotone
@@ -350,23 +352,43 @@ impl Program {
             let first = self.net.run_query_text(id, &query, true).unwrap().result.certain;
             let moved = self.net.total_tuples() != tuples;
             let cold = if moved { self.cold_fetch(id, &query) } else { cold };
+            let tagged = self.fetched_links(id, &relation).all(|tag| tag.is_some());
             let before = whole_fires();
-            let again = self.net.run_query_text(id, &query, true).unwrap().result.certain;
+            let outcome = self.net.run_query_text(id, &query, true).unwrap();
             let fired = whole_fires() - before;
+            let kept = self.net.node(id).report().queries[&outcome.query].kept;
+            let again = outcome.result.certain;
             let fixpoint = oracle[&id].get(&relation).unwrap();
             let sound = first.iter().chain(&again).all(|t| fixpoint.contains(t));
             let certain: BTreeSet<&Tuple> = fixpoint.iter().filter(|t| !t.has_null()).collect();
             let complete = |answers: &[Tuple]| answers.iter().collect::<BTreeSet<_>>() == certain;
             let incomplete = acyclic && (!complete(&again) || (!moved && !complete(&first)));
-            if !sound || incomplete || again != cold || (!moved && (fired != 0 || first != cold)) {
+            let stale = !moved && (fired != 0 || first != cold || (tagged && !kept));
+            if !sound || incomplete || again != cold || stale {
                 return Err(self.fail(format!(
                     "{when}: a fetch at node {id} fired {fired} whole views again (acyclic: \
-                     {acyclic})\n first: {first:?}\n again: {again:?}\n  cold: {cold:?}\n \
-                     fixpoint: {fixpoint:?}"
+                     {acyclic}, kept: {kept}, tagged: {tagged})\n first: {first:?}\n again: \
+                     {again:?}\n  cold: {cold:?}\n fixpoint: {fixpoint:?}"
                 )));
             }
         }
         Ok(())
+    }
+
+    /// The tag of the last whole answer node `id` fetched on each link a
+    /// query of `relation` there fetches.
+    fn fetched_links<'a>(
+        &'a self,
+        id: NodeId,
+        relation: &'a str,
+    ) -> impl Iterator<Item = Option<Tag>> + 'a {
+        let node = self.net.node(id);
+        let book = node.rule_book();
+        let links = book.outgoing().iter().map(|&link| book.link(link));
+        let fetched = links.filter(move |l| {
+            l.source != id && l.rule.head_names().iter().any(|h| **h == *relation)
+        });
+        fetched.map(move |l| node.fetched_tag(&l.name))
     }
 
     /// The certain answers of `query` fetched at `id` on a network that kept
