@@ -10,15 +10,13 @@
 //! outgoing link whose head feeds a relation the query reads. The source
 //! of such a link recursively fetches whatever its own rule body needs
 //! (path-labelled, so cycles cut off) and evaluates the rule body over its
-//! *query-time view* (LDB + fetched data, assembled in a per-request
-//! overlay — no fetched tuple ever enters an LDB; what a node keeps of a
-//! fetch is answers, below). It streams: the firings of its local data go
-//! back at once, and each nested instalment that arrives is answered
-//! *semi-naively* — `PreparedRule::fire_since` over the tuples that
-//! instalment added to the overlay, minus what was already sent — the same
-//! "substitute R by T'" the global update runs. `N` assembles the whole
-//! answers into an overlay of its own once all are in and evaluates the
-//! user query there.
+//! *query-time view*: the LDB with the fetched data assembled into clones
+//! of the relations it reads — no fetched tuple ever enters an LDB; what a
+//! node keeps of a fetch is answers, below. Every node that fetches
+//! assembles once, when every whole answer it asked for is in: a server
+//! fires its link *semi-naively* over what each nested answer adds
+//! (`PreparedRule::fire_since`, the same "substitute R by T'" the global
+//! update runs), and `N` evaluates the user query.
 //!
 //! Query-time answering under cyclic rules is *sound but not complete*
 //! w.r.t. the global-update fixpoint (simple paths unroll each cycle at
@@ -28,55 +26,54 @@
 //!
 //! An answer has two parts: the *local* part, the served link fired whole
 //! over the server's LDB — the instalment the paper sends at once — and the
-//! *rest*, what the nested answers add, in the later instalments. A server
-//! names each answer with a [`Tag`] and keeps it per link: the local part
-//! is the view the link keeps under the versions of the relations it read
-//! (`KeptView`), and the answer served over that view sits beside it
-//! (`Answered`: the tag, the rest, and the tagged whole answer of each
-//! nested link it was computed from). Whatever drops or replaces the view
-//! drops the answer. A requester keeps the last whole answer of each
-//! outgoing link, both parts (`Whole`, `CoDbNode::fetched`), names its
-//! tag in the next request on the link, and the request *pins* it.
+//! *rest*, what the nested answers add, in one final instalment once every
+//! nested answer is in. A server names each answer with a [`Tag`] and
+//! keeps it per link: the local part is the view the link keeps under the
+//! versions of the relations it read (`KeptView`), and the answer served
+//! over that view sits beside it (`Answered`: the tag, the rest, and the
+//! tag of each nested whole answer it was computed from). Whatever drops or
+//! replaces the view drops the answer. A requester keeps the last whole
+//! answer of each outgoing link, both parts (`Whole`,
+//! `CoDbNode::fetched`), names its tag in every request on the link, and
+//! the request *pins* it.
 //!
-//! Every answer but a leaf's opens with its local instalment, at once,
-//! carrying the tag; a leaf's one instalment is its local part and the
-//! whole. Where the link's view still stands with an answer kept over it
-//! through the same nested links, the server *stands by* that answer: the
-//! local instalment is the tag alone, if the request named it, and the
-//! nested requests name the tags the kept answer was computed from — not
-//! the tags this node fetched last, which may be newer than what it kept.
-//! If every nested answer comes back whole and unchanged, the final
-//! instalment is the tag alone too; otherwise it is the rest built anew —
-//! each nested answer assembled over the LDB and fired semi-naively — under
-//! a new tag. Where the view moved, the server streams as the paper has it,
-//! under a new tag, and a nested instalment that comes back unchanged is
-//! assembled from the answer it pinned.
+//! Every answer but a leaf's is two instalments: the local one at once,
+//! carrying the tag, and the rest; a leaf's one instalment is its local
+//! part and the whole. Where the link's view still stands with an answer
+//! kept over it through the same nested links, the server *stands by* that
+//! answer: the local instalment is the tag alone, if the request named it.
+//! A tag names one sequence of firings, so the kept answer stands iff every
+//! nested whole answer comes back under the tag the answer recorded for it
+//! (`Gathered::stands_for`); the final instalment is then the tag alone
+//! too, or the kept rest where the request named another tag. Otherwise
+//! the rest is built anew (`CoDbNode::build_rest`) — under a new tag, or,
+//! where the view moved, under the one the local instalment carried.
 //!
 //! An instalment with no firing and the tag the request named is
 //! *unchanged* (`Nested::arrive`, the one place): it stands for its part of
 //! the pinned answer — the local part for an opening instalment, the rest
 //! for a final one, both for a single one (`Part`). So a fetch over
 //! unchanged data ships tags and no firing, and its first answer leaves
-//! each server as early as on a cold fetch.
+//! each server as early as on a cold fetch. Every node admits an
+//! instalment as it comes, against the LDB, which declares the relations
+//! an assembly reads.
 //!
 //! ## Where a fetch's answer lives at its origin
 //!
-//! The origin of a fetch does what a server standing by its answer does.
-//! It admits each instalment as it comes — against the LDB, which declares
-//! the relations an overlay would — and keeps each link's whole answer;
-//! nothing is assembled before every whole is in (`QueryExec`). Then,
-//! once, it clones the LDB's relations the query reads, applies each whole
-//! in link order and answers the query over them (`answer_fetch`, the one
-//! place). A node keeps the last such answer in one slot (`KeptFetch`):
-//! the query, the book it ran under, the version of each relation it read,
-//! the whole answer of each link it was computed from, and the answer.
-//! A fetch of an equal query under the same book over the same versions
-//! *stands by* it: its requests name the kept wholes' tags, and if every
-//! link comes back unchanged, the kept answer is the answer — nothing is
-//! applied or evaluated. Otherwise the fetch assembles, and keeps its
-//! answer where every whole came back tagged. A rules file, a restore and
-//! an ingest each change the key, so nothing clears the slot. A local
-//! query keeps nothing.
+//! The origin of a fetch does what a server does: it keeps each link's
+//! whole answer, and nothing is assembled before every whole is in
+//! (`QueryExec`). Then, once, it clones the LDB's relations the query
+//! reads, applies each whole in link order and answers the query over them
+//! (`answer_fetch`, the one place). A node keeps the last such answer in
+//! one slot (`KeptFetch`): the query, the book it ran under, the version
+//! of each relation it read, the tag of each link's whole answer it was
+//! computed from, and the answer. A fetch of an equal query under the same
+//! book over the same versions *stands by* it: if every link's whole comes
+//! back under the tag the kept answer recorded, that answer is the answer
+//! — nothing is applied or evaluated. Otherwise the fetch assembles, and
+//! keeps its answer where every whole came back tagged. A rules file, a
+//! restore and an ingest each change the key, so nothing clears the slot.
+//! A local query keeps nothing.
 
 use crate::ids::{NodeId, QueryId, ReqId, RuleName, Tag};
 use crate::messages::{Body, Envelope};
@@ -86,7 +83,7 @@ use crate::stats::Kind;
 use crate::update::WholeView;
 use codb_net::{Context, SimTime};
 use codb_relational::{
-    ConjunctiveQuery, EvalError, FiringSet, Instance, Relation, RuleFiring, Tuple, Version,
+    ConjunctiveQuery, EvalError, Instance, Relation, RuleFiring, Tuple, Version,
 };
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -98,8 +95,6 @@ pub struct QueryResult {
     pub query: QueryId,
     /// All answers (may contain marked nulls from existential rules).
     pub answers: Vec<Tuple>,
-    /// Answers with no marked nulls (certain answers).
-    pub certain: Vec<Tuple>,
     /// When the answer was assembled.
     pub finished_at: SimTime,
     /// Whether the network was consulted.
@@ -108,6 +103,13 @@ pub struct QueryResult {
     /// relation the node does not declare, an atom of the wrong arity);
     /// `answers` is then empty.
     pub error: Option<EvalError>,
+}
+
+impl QueryResult {
+    /// The answers with no marked null (the certain answers).
+    pub fn certain(&self) -> Vec<Tuple> {
+        self.answers.iter().filter(|t| !t.has_null()).cloned().collect()
+    }
 }
 
 /// State of one fetch at its origin node: nothing is assembled before
@@ -126,6 +128,10 @@ pub(crate) struct QueryExec {
     standing: Option<Arc<KeptFetch>>,
 }
 
+/// The tag of each whole answer an answer was computed from, by link, in
+/// the order fetched (none where the whole was untagged).
+type Inputs = Vec<(RuleName, Option<Tag>)>;
+
 /// The last answer a fetch at this node assembled, and what it was
 /// computed from (module docs, "Where a fetch's answer lives at its
 /// origin").
@@ -136,46 +142,54 @@ pub(crate) struct KeptFetch {
     /// The version of each relation the answer read, in `reads` order;
     /// none where the LDB has no such relation.
     versions: Box<[Option<Version>]>,
-    /// Each link's whole answer, in the order fetched.
-    wholes: Vec<(RuleName, Whole)>,
+    /// The tag of each link's whole answer it was computed from.
+    wholes: Inputs,
     answers: Vec<Tuple>,
 }
 
 /// The whole answers one answer is computed from: each link fetched, in
 /// the order chosen, with its whole answer once its request closed.
 #[derive(Debug)]
-struct Gathered {
-    wholes: Vec<(RuleName, Option<Whole>)>,
-    /// Some whole answer did not come back unchanged.
-    changed: bool,
-}
+struct Gathered(Vec<(RuleName, Option<Whole>)>);
 
 impl Gathered {
     fn new(links: &[(RuleName, NodeId)]) -> Self {
-        let wholes = links.iter().map(|(rule, _)| (rule.clone(), None)).collect();
-        Gathered { wholes, changed: false }
+        Gathered(links.iter().map(|(rule, _)| (rule.clone(), None)).collect())
     }
 
     /// Files what a request closed with, if it did (`Nested::close`);
     /// returns whether every whole answer is in.
-    fn file(&mut self, closed: Option<(RuleName, Whole, bool)>) -> bool {
-        if let Some((rule, whole, unchanged)) = closed {
-            self.changed |= !unchanged;
-            if let Some(slot) = self.wholes.iter_mut().find(|(name, _)| *name == rule) {
+    fn file(&mut self, closed: Option<(RuleName, Whole)>) -> bool {
+        if let Some((rule, whole)) = closed {
+            if let Some(slot) = self.0.iter_mut().find(|(name, _)| *name == rule) {
                 slot.1 = Some(whole);
             }
         }
-        self.wholes.iter().all(|(_, whole)| whole.is_some())
+        self.0.iter().all(|(_, whole)| whole.is_some())
     }
 
-    /// The whole answer of the `i`th link fetched.
-    fn whole(&self, i: usize) -> &Whole {
-        self.wholes[i].1.as_ref().expect("every nested request closed")
+    /// Every whole answer, in link order.
+    fn wholes(&self) -> impl Iterator<Item = &Whole> {
+        self.0.iter().map(|(_, whole)| whole.as_ref().expect("every nested request closed"))
     }
 
-    fn into_wholes(self) -> Vec<(RuleName, Whole)> {
-        let wholes = self.wholes.into_iter();
-        wholes.map(|(rule, whole)| (rule, whole.expect("every nested request closed"))).collect()
+    /// The tag of each whole answer, by link: what an answer computed
+    /// from them records.
+    fn tags(&self) -> Inputs {
+        self.0
+            .iter()
+            .map(|(rule, whole)| (rule.clone(), whole.as_ref().and_then(|w| w.tag)))
+            .collect()
+    }
+
+    /// Whether an answer computed from `inputs` is the answer over these
+    /// wholes: every one is in under the tag recorded for its link. A tag
+    /// names one sequence of firings, so the same tags are the same inputs.
+    fn stands_for(&self, inputs: &Inputs) -> bool {
+        self.0.len() == inputs.len()
+            && self.0.iter().zip(inputs).all(|((rule, whole), (name, tag))| {
+                rule == name && tag.is_some() && whole.as_ref().and_then(|w| w.tag) == *tag
+            })
     }
 }
 
@@ -207,9 +221,10 @@ impl Whole {
 pub(crate) enum Part {
     /// A single instalment (`closed: Some(1)`): the whole answer.
     Whole,
-    /// The opening instalment of several: not final, and tagged.
+    /// The opening instalment of two: not final, and tagged.
     Local,
-    /// Any later one: some of the rest, the final one included.
+    /// The final one of two (or an empty close, where a request was given
+    /// up): the rest.
     Rest,
 }
 
@@ -224,13 +239,13 @@ impl Part {
 }
 
 /// The last answer a served link gave over the view it keeps (the local
-/// part): its tag, the rest, and the whole answer of each nested link it
-/// was computed from, in the order chosen. While a request chooses the
-/// same links and each answers its tag back, this is the answer.
+/// part): its tag, the rest, and the tag of each nested whole answer it was
+/// computed from. While a request chooses the same links and each answers
+/// its recorded tag back, this is the answer.
 #[derive(Debug)]
 pub(crate) struct Answered {
     tag: Tag,
-    nested: Vec<(RuleName, Whole)>,
+    nested: Inputs,
     rest: Arc<[RuleFiring]>,
 }
 
@@ -242,36 +257,25 @@ impl Answered {
     }
 }
 
-/// State of one fetch request this node is serving for an acquaintance.
+/// State of one fetch request this node is serving for an acquaintance,
+/// between its local instalment and its rest.
 #[derive(Debug)]
 pub(crate) struct Serving {
     /// The requester's request id (globally unique).
-    pub req: ReqId,
-    pub requester: NodeId,
+    req: ReqId,
+    requester: NodeId,
     /// The incoming link being executed.
-    pub rule: RuleName,
+    rule: RuleName,
     /// The book the request came under: the answer is kept only while it
     /// is still the node's.
     book: Arc<RuleBook>,
     /// The relations the answer reads: the body's, and the heads of the
     /// nested links.
     reads: BTreeSet<String>,
-    /// Clones of `reads`, with the nested answers assembled into them (a
-    /// server standing by its kept answer builds it only once some nested
-    /// answer changed).
-    pub overlay: Instance,
     /// The local part — every firing of the local data, sorted, as
     /// [`PreparedRule::fire`](codb_relational::PreparedRule::fire) returned
-    /// it — shared with the link's kept view: the stream's own record of
-    /// what it sent first, searched rather than hashed.
-    pub first: Arc<[RuleFiring]>,
-    /// Firings streamed in later instalments (instalment diffing), on a
-    /// projecting link; a projection-free one never repeats a firing.
-    pub later: FiringSet,
-    /// The same, in the order streamed: the rest.
-    streamed: Vec<RuleFiring>,
-    /// Instalments sent so far, the first included.
-    pub instalments: u64,
+    /// it — shared with the link's kept view.
+    first: Arc<[RuleFiring]>,
     /// The tag the requester named.
     known: Option<Tag>,
     /// The tag the local instalment went under.
@@ -282,48 +286,6 @@ pub(crate) struct Serving {
     /// The answer kept over the view and these links, while the server
     /// stands by it.
     standing: Option<Arc<Answered>>,
-}
-
-impl Serving {
-    /// Records `firing` as streamed; `false` if it already was.
-    fn stream(&mut self, firing: &RuleFiring) -> bool {
-        let fresh = self.first.binary_search(firing).is_err() && self.later.insert(firing.clone());
-        if fresh {
-            self.streamed.push(firing.clone());
-        }
-        fresh
-    }
-
-    /// Assembles a nested answer into the overlay and returns what of the
-    /// served link's firings it newly derives, semi-naively: a firing not
-    /// yet sent must use a tuple it added, because what was sent is every
-    /// firing of the overlay as it was before. On a projection-free link
-    /// each body answer is its own firing, and `fire_since` yields it once,
-    /// at the instalment that adds its last new tuple: nothing it yields
-    /// was sent, so it skips the record. A rules file may have retired the
-    /// served link since the request came: nothing more to fire.
-    fn increment(
-        &mut self,
-        book: &RuleBook,
-        firings: &[RuleFiring],
-        nulls: &mut codb_relational::NullFactory,
-    ) -> Vec<RuleFiring> {
-        let grown = codb_relational::apply_firings(&mut self.overlay, firings, nulls)
-            .expect("the batch was admitted against the rule head and the schema");
-        let Some(id) = book.incoming_named(&self.rule) else { return Vec::new() };
-        let rule = &book.link(id).rule;
-        let since = grown.iter().map(|(rel, version)| (&**rel, *version));
-        let mut fresh = rule
-            .fire_since(&self.overlay, since)
-            .expect("schema-validated rule")
-            .expect("the overlay's own versions answer");
-        if rule.projection_free() {
-            self.streamed.extend_from_slice(&fresh);
-        } else {
-            fresh.retain(|f| self.stream(f));
-        }
-        fresh
-    }
 }
 
 /// A fetch request this node issued and waits on.
@@ -504,22 +466,20 @@ impl CoDbNode {
     }
 
     /// Asks `source` for the answer of outgoing link `rule` on behalf of
-    /// `parent`, naming the tag of `pinned`, which the request holds on to.
+    /// `parent`, naming the tag of the last whole answer fetched on the
+    /// link, which the request pins.
     fn ask(
         &mut self,
         ctx: &mut Context<Envelope>,
         parent: ParentRef,
-        rule: RuleName,
-        source: NodeId,
+        (rule, source): (RuleName, NodeId),
         path: Box<[NodeId]>,
-        pinned: Option<Whole>,
-    ) -> ReqId {
+    ) {
         let req = self.next_req();
-        let nested = Nested::new(parent, rule.clone(), pinned);
+        let nested = Nested::new(parent, rule.clone(), self.fetched.get(&rule).cloned());
         let known = nested.known();
         self.nested_parent.insert(req, nested);
         self.post(ctx, source, Body::QueryRequest { req, rule, path, known });
-        req
     }
 
     /// Incoming link `link`'s view, kept for the next fetch.
@@ -544,15 +504,6 @@ impl CoDbNode {
         let tag = answer.tag;
         view.answer = Some(Arc::new(answer));
         Some(tag)
-    }
-
-    /// Keeps the answer `s` finished with under `tag`, if the book it was
-    /// served under is still the node's; returns the tag, or none where
-    /// nothing was kept.
-    fn keep_served(&mut self, s: Serving, tag: Tag) -> Option<Tag> {
-        let link = s.book.incoming_named(&s.rule).filter(|_| Arc::ptr_eq(&s.book, &self.book))?;
-        let answer = Answered { tag, nested: s.nested.into_wholes(), rest: s.streamed.into() };
-        self.keep_answer(link, &s.first, answer)
     }
 
     /// The version of each relation of `reads` in the LDB, in order.
@@ -591,28 +542,21 @@ impl CoDbNode {
         let links = self.fetchable_links(&body_rels, &[self.id]);
         let reads = self.overlay_relations(body_rels, &links);
         let book = Arc::clone(&self.book);
-        // Over the key of the kept answer, the fetch stands by it: its
-        // requests name the tags that answer was computed from, as a
-        // standing server's do.
+        // Over the key of the kept answer, the fetch stands by it.
         let standing = self.kept_fetch.clone().filter(|kept| {
             kept.query == query
                 && Arc::ptr_eq(&kept.book, &book)
                 && kept.versions == self.ldb_versions(&reads)
         });
         let nested = Gathered::new(&links);
-        for (i, (rule, source)) in links.into_iter().enumerate() {
-            let pinned = match &standing {
-                Some(kept) => Some(kept.wholes[i].1.clone()),
-                None => self.fetched.get(&rule).cloned(),
-            };
-            let path = Box::new([self.id]);
-            self.ask(ctx, ParentRef::Query(query_id), rule, source, path, pinned);
+        for link in links {
+            self.ask(ctx, ParentRef::Query(query_id), link, Box::new([self.id]));
             if let Some(rep) = self.report.queries.get_mut(&query_id) {
                 rep.requests_sent += 1;
             }
         }
         let exec = QueryExec { query, book, reads, nested, standing };
-        if exec.nested.wholes.is_empty() {
+        if exec.nested.0.is_empty() {
             self.answer_fetch(query_id, exec, now);
         } else {
             self.queries.insert(query_id, exec);
@@ -620,29 +564,31 @@ impl CoDbNode {
     }
 
     /// Answers a fetch once every whole answer is in: by the kept answer,
-    /// where the fetch stood by it, every link came back unchanged and the
-    /// relations it read still stand; else over an overlay assembled now —
-    /// the LDB's relations the query reads, each whole answer applied in
-    /// link order — kept where every whole came back tagged under the book
-    /// the fetch ran under.
+    /// where the fetch stood by it, every link came back under the tag it
+    /// recorded and the relations it read still stand; else over an overlay
+    /// assembled now — the LDB's relations the query reads, each whole
+    /// answer applied in link order — kept where every whole came back
+    /// tagged under the book the fetch ran under.
     fn answer_fetch(&mut self, query_id: QueryId, exec: QueryExec, now: SimTime) {
         let QueryExec { query, book, reads, nested, standing } = exec;
         let versions = self.ldb_versions(&reads);
-        if let Some(kept) = standing.filter(|kept| !nested.changed && kept.versions == versions) {
+        let stands =
+            |kept: &Arc<KeptFetch>| nested.stands_for(&kept.wholes) && kept.versions == versions;
+        if let Some(kept) = standing.filter(stands) {
             if let Some(rep) = self.report.queries.get_mut(&query_id) {
                 rep.kept = true;
             }
             self.finish_query_with(query_id, Ok(kept.answers.clone()), now, true);
             return;
         }
-        let wholes = nested.into_wholes();
         let mut overlay = self.overlay_for(&reads);
-        for (_, whole) in &wholes {
+        for whole in nested.wholes() {
             codb_relational::apply_firings(&mut overlay, &whole.firings, &mut self.nulls)
                 .expect("each instalment was admitted against the rule head and the schema");
         }
         let answers = codb_relational::answer_query(&query, &overlay);
-        let keep = Arc::ptr_eq(&book, &self.book) && wholes.iter().all(|(_, w)| w.tag.is_some());
+        let wholes = nested.tags();
+        let keep = Arc::ptr_eq(&book, &self.book) && wholes.iter().all(|(_, tag)| tag.is_some());
         if let Some(answers) = answers.as_ref().ok().filter(|_| keep) {
             let kept = KeptFetch { query, book, versions, wholes, answers: answers.clone() };
             self.kept_fetch = Some(Arc::new(kept));
@@ -665,18 +611,15 @@ impl CoDbNode {
             rep.finished_at = Some(now);
             rep.answers = answers.len() as u64;
         }
-        let certain = answers.iter().filter(|t| !t.has_null()).cloned().collect();
         self.completed_queries.insert(
             query_id,
-            QueryResult { query: query_id, answers, certain, finished_at: now, fetched, error },
+            QueryResult { query: query_id, answers, finished_at: now, fetched, error },
         );
     }
 
     /// Serves a fetch request from an acquaintance: answer the local part
-    /// at once, then recursively assemble this node's query-time view and
-    /// execute the rule body over it — or, over the inputs of the answer
-    /// the link kept, stand by that answer (module docs, "Where a whole
-    /// answer lives").
+    /// at once, then fetch the nested links the rule body reads; the rest
+    /// follows once every nested whole answer is in (`answer_rest`).
     pub(crate) fn handle_query_request(
         &mut self,
         ctx: &mut Context<Envelope>,
@@ -728,41 +671,24 @@ impl CoDbNode {
         }
         self.post(ctx, from, Body::QueryAnswer { req, firings, closed: None, tag: Some(tag) });
 
-        let rels = self.overlay_relations(body_rels, &links);
-        let overlay = match standing {
-            Some(_) => Instance::new(),
-            None => self.overlay_for(&rels),
-        };
+        let reads = self.overlay_relations(body_rels, &links);
         let nested = Gathered::new(&links);
-        for (i, (nested_rule, source)) in links.into_iter().enumerate() {
-            // Standing by its kept answer, the server names what that
-            // answer was computed from: what it fetched last may be newer.
-            let pinned = match &standing {
-                Some(answer) => Some(answer.nested[i].1.clone()),
-                None => self.fetched.get(&nested_rule).cloned(),
-            };
-            let parent = ParentRef::Serving(req);
-            self.ask(ctx, parent, nested_rule, source, path.as_slice().into(), pinned);
+        for link in links {
+            self.ask(ctx, ParentRef::Serving(req), link, path.as_slice().into());
         }
-        self.serving.insert(
+        let serving = Serving {
             req,
-            Serving {
-                req,
-                requester: from,
-                rule,
-                book,
-                reads: rels,
-                overlay,
-                first,
-                later: FiringSet::default(),
-                streamed: Vec::new(),
-                instalments: 1,
-                known,
-                tag,
-                nested,
-                standing,
-            },
-        );
+            requester: from,
+            rule,
+            book,
+            reads,
+            first,
+            known,
+            tag,
+            nested,
+            standing,
+        };
+        self.serving.insert(req, serving);
     }
 
     /// Routes an answer instalment to the query or serving context that
@@ -790,38 +716,36 @@ impl CoDbNode {
         // the fetched rule's head is dropped whole, and only counted. (What
         // an unchanged instalment stands for was admitted when it came,
         // under the same rule: a rules file that changes it drops the
-        // answer.) An origin, and a server standing by its kept answer,
-        // has no overlay yet: the LDB declares the same relations.
-        let overlay = match parent {
-            ParentRef::Query(query_id) => self.queries.contains_key(&query_id).then_some(&self.ldb),
-            ParentRef::Serving(sreq) => self.serving.get(&sreq).map(|s| match s.standing {
-                Some(_) => &self.ldb,
-                None => &s.overlay,
-            }),
+        // answer.) Nothing is assembled yet: the LDB declares the relations
+        // an assembly would.
+        let waiting = match parent {
+            ParentRef::Query(query_id) => self.queries.contains_key(&query_id),
+            ParentRef::Serving(sreq) => self.serving.contains_key(&sreq),
         };
         let admitted = content.is_empty()
             || unchanged
-            || overlay.is_some_and(|o| link.is_some_and(|l| l.rule.rule().admits(o, content)));
-        if overlay.is_some() && !admitted {
+            || waiting && link.is_some_and(|l| l.rule.rule().admits(&self.ldb, content));
+        if waiting && !admitted {
             self.report.count_received(Kind::DataRejected);
         }
         let content = if admitted { content } else { &[] };
         let nested = self.nested_parent.get_mut(&req).expect("present");
         nested.take(part, unchanged, content);
         nested.rejected |= !admitted;
-        let whole = done.then(|| {
+        let (whole, stood) = if done {
             let (rule, whole, unchanged) =
                 self.nested_parent.remove(&req).expect("present").close();
             if whole.tag.is_some() {
                 self.fetched.insert(rule.clone(), whole.clone());
             }
-            (rule, whole, unchanged)
-        });
+            (Some((rule, whole)), unchanged)
+        } else {
+            (None, false)
+        };
 
         match parent {
             ParentRef::Query(query_id) => {
                 let Some(exec) = self.queries.get_mut(&query_id) else { return };
-                let stood = whole.as_ref().is_some_and(|(_, _, unchanged)| *unchanged);
                 let finished = exec.nested.file(whole);
                 if let Some(rep) = self.report.queries.get_mut(&query_id) {
                     rep.answers_received += 1;
@@ -839,62 +763,73 @@ impl CoDbNode {
             }
             ParentRef::Serving(sreq) => {
                 let Some(s) = self.serving.get_mut(&sreq) else { return };
-                let finished = s.nested.file(whole);
-                if s.standing.is_some() {
-                    // Nothing is assembled before every nested answer is in.
-                    if finished {
-                        let s = self.serving.remove(&sreq).expect("present");
-                        self.answer_standing(ctx, s);
-                    }
-                    return;
-                }
-                let fresh = s.increment(&book, content, &mut self.nulls);
-                let sends = !fresh.is_empty() || finished;
-                s.instalments += u64::from(sends);
-                let (requester, original_req, drawn) = (s.requester, s.req, s.instalments);
-                let tag = if finished {
+                if s.nested.file(whole) {
                     let s = self.serving.remove(&sreq).expect("present");
-                    let tag = s.tag;
-                    self.keep_served(s, tag)
-                } else {
-                    None
-                };
-                if sends {
-                    let closed = finished.then_some(drawn);
-                    self.post(
-                        ctx,
-                        requester,
-                        Body::QueryAnswer { req: original_req, firings: fresh, closed, tag },
-                    );
+                    self.answer_rest(ctx, s);
                 }
             }
         }
     }
 
-    /// Answers the rest of a request the server stood by its kept answer
-    /// on, once every nested answer is in: by the kept rest, if every one
-    /// came back whole and unchanged; else by the rest built as the stream
-    /// would have built it — over the LDB as it now stands, each nested
-    /// answer in the order fetched, assembled and fired semi-naively —
-    /// kept under a new tag.
-    fn answer_standing(&mut self, ctx: &mut Context<Envelope>, mut s: Serving) {
-        let kept = s.standing.take().expect("a request stood by its kept answer");
+    /// Answers the rest of request `s`, once every nested whole answer is
+    /// in, in one final instalment: by the answer the server stood by, if
+    /// it stands — the tag alone where the request named it; else by the
+    /// rest built anew, kept under the tag the local instalment carried,
+    /// or a new one where the server had stood by its kept answer.
+    fn answer_rest(&mut self, ctx: &mut Context<Envelope>, s: Serving) {
         let (req, requester) = (s.req, s.requester);
-        let (firings, tag) = if s.nested.changed {
-            s.overlay = self.overlay_for(&s.reads);
-            let book = Arc::clone(&self.book);
-            for i in 0..s.nested.wholes.len() {
-                let firings = Arc::clone(&s.nested.whole(i).firings);
-                s.increment(&book, &firings, &mut self.nulls);
+        let stands = s.standing.as_ref().filter(|kept| s.nested.stands_for(&kept.nested));
+        let (firings, tag) = match stands {
+            Some(kept) if s.known == Some(kept.tag) => (Vec::new(), Some(kept.tag)),
+            Some(kept) => (kept.rest.to_vec(), Some(kept.tag)),
+            None => {
+                let tag = if s.standing.is_some() { self.mint_tag() } else { s.tag };
+                let rest = self.build_rest(&s);
+                let tag = self.keep_served(s, tag, rest.as_slice().into());
+                (rest, tag)
             }
-            let (tag, rest) = (self.mint_tag(), s.streamed.clone());
-            (rest, self.keep_served(s, tag))
-        } else if s.known == Some(kept.tag) {
-            (Vec::new(), Some(kept.tag))
-        } else {
-            (kept.rest.to_vec(), Some(kept.tag))
         };
         self.post(ctx, requester, Body::QueryAnswer { req, firings, closed: Some(2), tag });
+    }
+
+    /// The rest of request `s`: what the nested whole answers add to the
+    /// served link's answer. Over clones of the relations the answer reads,
+    /// each whole is applied in link order and the link fired semi-naively:
+    /// a firing not found before must use a tuple that whole added. On a
+    /// projection-free link each body answer is its own firing, which
+    /// `fire_since` yields once, at the whole that adds its last new tuple,
+    /// and never one of the local part; on a projecting link a firing found
+    /// twice, or held by the local part, is dropped. A rules file may have
+    /// retired the served link since the request came: nothing to fire.
+    fn build_rest(&mut self, s: &Serving) -> Vec<RuleFiring> {
+        let book = Arc::clone(&self.book);
+        let Some(id) = book.incoming_named(&s.rule) else { return Vec::new() };
+        let rule = &book.link(id).rule;
+        let mut overlay = self.overlay_for(&s.reads);
+        let mut rest = Vec::new();
+        for whole in s.nested.wholes() {
+            let grown =
+                codb_relational::apply_firings(&mut overlay, &whole.firings, &mut self.nulls)
+                    .expect("each instalment was admitted against the rule head and the schema");
+            let since = grown.iter().map(|(rel, version)| (&**rel, *version));
+            let fresh = rule.fire_since(&overlay, since).expect("schema-validated rule");
+            rest.extend(fresh.expect("the overlay's own versions answer"));
+        }
+        if !rule.projection_free() {
+            rest.sort();
+            rest.dedup();
+            rest.retain(|f| s.first.binary_search(f).is_err());
+        }
+        rest
+    }
+
+    /// Keeps `rest` as the answer `s` finished with under `tag`, if the book
+    /// it was served under is still the node's; returns the tag, or none
+    /// where nothing was kept.
+    fn keep_served(&mut self, s: Serving, tag: Tag, rest: Arc<[RuleFiring]>) -> Option<Tag> {
+        let link = s.book.incoming_named(&s.rule).filter(|_| Arc::ptr_eq(&s.book, &self.book))?;
+        let answer = Answered { tag, nested: s.nested.tags(), rest };
+        self.keep_answer(link, &s.first, answer)
     }
 }
 
@@ -937,13 +872,13 @@ mod tests {
         assert_eq!(result.answers, vec![tup!["ada"], tup!["bob"]]);
     }
 
-    /// A request served over a projection-free link streams what each
-    /// nested instalment newly derives with no record of what it sent:
-    /// the requester's whole answer holds each firing once, and the fetch
-    /// answers what a global update materialises — cold, and again from
-    /// the answer the server kept.
+    /// A request served over a projection-free link builds its rest from
+    /// what each nested whole newly derives with no record of what it
+    /// found: the requester's whole answer holds each firing once, and the
+    /// fetch answers what a global update materialises — cold, and again
+    /// from the answer the server kept.
     #[test]
-    fn a_projection_free_link_streams_each_firing_once() {
+    fn a_projection_free_link_answers_each_firing_once() {
         let text = "
             node ra
             node sa
@@ -972,7 +907,9 @@ mod tests {
             let outcome = net.run_query_text(c, query, true).unwrap();
             let report = &net.node(c).report().queries[&outcome.query];
             if round == 0 {
-                assert_eq!(report.answers_received, 3, "b's local part, then one per source");
+                // Two, where b streamed three (one per source) before its
+                // rest waited for both sources' whole answers.
+                assert_eq!(report.answers_received, 2, "b's local part, then its rest");
             }
             let mut shipped = net.node(c).fetched["bc"].firings.to_vec();
             let total = shipped.len();

@@ -1096,7 +1096,10 @@ fn max_hops_truncates_a_rejoin_repair_cascade() {
 // envelope fewer, and every sequenced envelope tells its window base; and
 // again when answers began to carry tags: every final answer and every
 // opening one names its whole answer in 16 bytes, on a cold fetch as on
-// any other — only a mid-stream instalment carries none.)
+// any other; and again when a server stopped streaming its rest and sent
+// it in one final instalment once every nested whole answer was in: a
+// non-leaf server sends two instalments, both tagged, and no mid-stream
+// one.)
 // ---------------------------------------------------------------------
 
 /// `(messages, bytes, query_answer messages sent by each of names)`.
@@ -1154,9 +1157,11 @@ fn diamond_serving_joins_two_nested_links_into_one_body() {
         fetched_and_materialised(&cfg, "q", "ans(X, Z) :- t(X, Z).", &["s", "l", "r", "base"]);
     assert_eq!(fetched, local);
     assert_eq!(fetched.len(), 16);
+    // s sent 4 instalments while it streamed: its local part, one per
+    // nested instalment that derived something new, and its final one.
     assert_eq!(
         traffic,
-        (25, 2860, vec![4, 2, 2, 2]),
+        (21, 2684, vec![2, 2, 2, 2]),
         "eight tags of 16: five final, three opening"
     );
 }
@@ -1185,7 +1190,9 @@ fn self_join_body_fed_by_two_links() {
         fetched_and_materialised(cfg, "q", "ans(X, Z) :- p(X, Z).", &["s", "l", "r"]);
     assert_eq!(fetched, local);
     assert_eq!(fetched, vec![tup![1, 3], tup![1, 6], tup![2, 4], tup![3, 5], tup![9, 2]]);
-    assert_eq!(traffic, (13, 1049, vec![3, 1, 1]), "four tags of 16: three final, one opening");
+    // s sent 3 while it streamed: a mid-stream instalment for the first
+    // nested answer in, beside its local part and its final one.
+    assert_eq!(traffic, (11, 961, vec![2, 1, 1]), "four tags of 16: three final, one opening");
 }
 
 #[test]
@@ -1446,7 +1453,11 @@ fn a_repeated_fetch_on_an_unchanged_network_fires_no_whole_view() {
     let (cold, fired) = fetch_counting(&mut net, "node7");
     assert_eq!(cold.result.answers.len(), 8 * 30);
     assert_eq!(fired, 7, "each of the seven links, once");
-    assert_eq!((cold.messages, cold.bytes), (63, 19_504));
+    // 63 and 19 504 while servers streamed: a server sent what each nested
+    // instalment added on as an instalment of its own, so every upstream
+    // node's local part took an envelope of its own on every hop. Now each
+    // non-leaf server sends two, as on the warm fetch below.
+    assert_eq!((cold.messages, cold.bytes), (33, 18_184));
     assert_eq!(unchanged(&net, "node7", &cold), 0);
     for _ in 0..3 {
         let (warm, fired) = fetch_counting(&mut net, "node7");
@@ -1461,6 +1472,33 @@ fn a_repeated_fetch_on_an_unchanged_network_fires_no_whole_view() {
             first_answer_after(&net, "node7", &cold)
         );
         assert_eq!(unchanged(&net, "node7", &warm), 1, "node6's answer stood");
+    }
+}
+
+/// On Chain(n) a cold fetch sends exactly the envelopes a warm one does:
+/// every non-leaf server answers in two instalments — its local part at
+/// once, its rest once its nested whole answer is in — and the leaf in
+/// one, however much the answers weigh.
+#[test]
+fn a_cold_fetch_sends_the_envelopes_a_warm_one_sends() {
+    for n in [2, 4, 8, 16] {
+        let mut net = build(&join_chain_config(n, 5));
+        let (origin, servers) = (format!("node{}", n - 1), 0..n - 1);
+        let sent = |net: &CoDbNetwork| -> Vec<u64> {
+            servers.clone().map(|i| answers_sent(net, &format!("node{i}"))).collect()
+        };
+        let (cold, _) = fetch_counting(&mut net, &origin);
+        let cold_sent = sent(&net);
+        let mut want = vec![2; n - 1];
+        want[0] = 1;
+        assert_eq!(cold_sent, want, "Chain({n}): node0 is the leaf");
+        let (warm, fired) = fetch_counting(&mut net, &origin);
+        assert_eq!(fired, 0, "Chain({n})");
+        assert_eq!(warm.result.answers, cold.result.answers, "Chain({n})");
+        let warm_sent: Vec<u64> = sent(&net).iter().zip(&cold_sent).map(|(a, b)| a - b).collect();
+        assert_eq!(warm_sent, want, "Chain({n})");
+        assert_eq!(cold.messages, warm.messages, "Chain({n})");
+        assert_eq!(cold.messages, 5 * n as u64 - 7, "Chain({n})");
     }
 }
 
@@ -1495,11 +1533,13 @@ fn after_an_insert_upstream_a_server_answers_its_local_part_at_once_and_fires_no
 /// The diamond q <- s <- {l, r} <- base, with s queried itself between two
 /// fetches at q, after an insert at base. s's own query fetches l and r
 /// afresh, so what s fetched last is newer than what its kept answer to q
-/// was computed from. Standing by that answer, s must name the tags it
-/// was computed from: naming the newer ones, it would hear "unchanged"
-/// and hand q the answer from before the insert.
+/// was computed from. q's next request finds s standing by that answer:
+/// s names the newer tags and hears "unchanged" about them, and the kept
+/// answer stands only where every nested whole carries the tag it
+/// recorded — so s sees the tags differ and rebuilds. Standing on
+/// "unchanged" alone, it would hand q the answer from before the insert.
 #[test]
-fn a_server_standing_by_its_kept_answer_names_the_tags_it_was_computed_from() {
+fn a_server_whose_own_query_fetched_newer_nested_answers_rebuilds_its_kept_one() {
     let base = "node q\nnode s\nnode l\nnode r\nnode base\n\
          schema q: t(int, int)\nschema s: a(int, int)\nschema s: b(int, int)\n\
          schema l: e(int, int)\nschema r: e(int, int)\nschema base: e(int, int)\n\

@@ -87,7 +87,7 @@ fn main() {
     println!(
         "person query: {} possible answers, {} certain",
         q.result.answers.len(),
-        q.result.certain.len()
+        q.result.certain().len()
     );
 
     // The super-peer aggregates the statistics the demo would display.

@@ -349,7 +349,7 @@ impl Program {
             let query = format!("ans(X, Y) :- {relation}(X, Y).");
             let tuples = self.net.total_tuples();
             let cold = self.cold_fetch(id, &query);
-            let first = self.net.run_query_text(id, &query, true).unwrap().result.certain;
+            let first = self.net.run_query_text(id, &query, true).unwrap().result.certain();
             let moved = self.net.total_tuples() != tuples;
             let cold = if moved { self.cold_fetch(id, &query) } else { cold };
             let tagged = self.fetched_links(id, &relation).all(|tag| tag.is_some());
@@ -357,7 +357,7 @@ impl Program {
             let outcome = self.net.run_query_text(id, &query, true).unwrap();
             let fired = whole_fires() - before;
             let kept = self.net.node(id).report().queries[&outcome.query].kept;
-            let again = outcome.result.certain;
+            let again = outcome.result.certain();
             let fixpoint = oracle[&id].get(&relation).unwrap();
             let sound = first.iter().chain(&again).all(|t| fixpoint.contains(t));
             let certain: BTreeSet<&Tuple> = fixpoint.iter().filter(|t| !t.has_null()).collect();
@@ -400,7 +400,7 @@ impl Program {
             let snapshot = self.net.node(node).snapshot();
             cold.sim_mut().peer_mut(node.peer()).unwrap().restore(snapshot);
         }
-        cold.run_query_text(id, query, true).unwrap().result.certain
+        cold.run_query_text(id, query, true).unwrap().result.certain()
     }
 
     /// A global update from `origin`, checked when it reached every node
@@ -702,12 +702,13 @@ proptest! {
 /// other three if a link a scoped update passes over moves its mark. (The
 /// one mark taken back, for firings dropped on a closed link, no harness
 /// run reaches; it and the rejoin invalidation are pinned by hand in
-/// `codb-core`'s own tests.) The
-/// first also fails, against the network that kept nothing, where a
-/// server standing by its kept answer names the tags it fetched last
-/// instead of those that answer was computed from: after an insert at
-/// node 0, node 1's own query refreshes what it fetched, and node 2's
-/// fetch through node 1 gets node 1's answer from before the insert.
+/// `codb-core`'s own tests.) The first also fails, against the network
+/// that kept nothing, where a server stands by its kept answer because
+/// every nested whole came back unchanged, without comparing their tags
+/// to the ones that answer recorded: after an insert at node 0, node 1's
+/// own query refreshes what it fetched, node 1's next request names the
+/// newer tag and hears "unchanged", and node 2's fetch through node 1
+/// gets node 1's answer from before the insert.
 #[test]
 fn the_programs_that_caught_each_deleted_clear_still_pass() {
     for seed in [
