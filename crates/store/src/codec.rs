@@ -163,33 +163,40 @@ pub fn encode_record(record: &WalRecord, codec: Codec) -> Result<Vec<u8>, StoreE
         }
         Codec::Binary => {
             let mut out = Vec::new();
-            match record {
-                WalRecord::Caches { recv } => {
-                    out.push(TAG_CACHES);
-                    binenc::put_len(&mut out, recv.len());
-                    for (rule, firings) in recv {
-                        binenc::put_str(&mut out, rule);
-                        put_firings(&mut out, sorted(firings).into_iter());
-                    }
-                }
-                WalRecord::Counters { counters } => {
-                    out.push(TAG_COUNTERS);
-                    binenc::put_u64(&mut out, counters.update_seq);
-                    binenc::put_u64(&mut out, counters.query_seq);
-                    binenc::put_u64(&mut out, counters.req_seq);
-                }
-                WalRecord::Applied { rule, firings } => {
-                    out.push(TAG_APPLIED);
-                    binenc::put_str(&mut out, rule);
-                    put_firings(&mut out, firings.iter());
-                }
-                WalRecord::LocalInsert { relation, tuple } => {
-                    out.push(TAG_LOCAL_INSERT);
-                    binenc::put_str(&mut out, relation);
-                    binenc::put_tuple(&mut out, tuple);
-                }
-            }
+            put_record(&mut out, record);
             Ok(out)
+        }
+    }
+}
+
+/// Appends `record`'s binary encoding to `out` — the payload
+/// [`encode_record`] returns under [`Codec::Binary`], written where the
+/// caller wants it (the WAL appender encodes behind a frame header).
+pub(crate) fn put_record(out: &mut Vec<u8>, record: &WalRecord) {
+    match record {
+        WalRecord::Caches { recv } => {
+            out.push(TAG_CACHES);
+            binenc::put_len(out, recv.len());
+            for (rule, firings) in recv {
+                binenc::put_str(out, rule);
+                put_firings(out, sorted(firings).into_iter());
+            }
+        }
+        WalRecord::Counters { counters } => {
+            out.push(TAG_COUNTERS);
+            binenc::put_u64(out, counters.update_seq);
+            binenc::put_u64(out, counters.query_seq);
+            binenc::put_u64(out, counters.req_seq);
+        }
+        WalRecord::Applied { rule, firings } => {
+            out.push(TAG_APPLIED);
+            binenc::put_str(out, rule);
+            put_firings(out, firings.iter());
+        }
+        WalRecord::LocalInsert { relation, tuple } => {
+            out.push(TAG_LOCAL_INSERT);
+            binenc::put_str(out, relation);
+            binenc::put_tuple(out, tuple);
         }
     }
 }

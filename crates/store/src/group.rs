@@ -1,9 +1,10 @@
-//! The fsync scheduler: the one place a WAL becomes durable.
+//! The fsync scheduler: the one place a WAL is written and made durable.
 //!
-//! Every WAL writer registers with a [`FsyncScheduler`] and reports each
-//! append to it; the scheduler alone decides when to fsync, performs the
-//! fsync, advances the file's durable watermark, counts the fsync and
-//! traces it. A [`SyncPolicy`] is a pair of thresholds on a scheduler
+//! Every WAL writer registers its file with a [`FsyncScheduler`] and
+//! hands it each appended frame; the scheduler alone buffers the frames,
+//! writes them, decides when to fsync, performs the fsync, advances the
+//! file's durable watermark, counts the fsync and traces it. A
+//! [`SyncPolicy`] is a pair of thresholds on a scheduler
 //! ([`FsyncScheduler::for_store`]; ∞ is `u64::MAX`):
 //!
 //! | policy | scheduler | `max_records` | `max_batch` |
@@ -32,15 +33,27 @@
 //!
 //! A drain fsyncs each dirty file **once**, no matter how many pending
 //! records it holds — that coalescing is where the fsync amortisation
-//! comes from (experiment E18 measures it). The scheduler is
-//! demand-driven: there is no background timer thread (the stores live
-//! inside a deterministic simulator), so a lone pending record stays
-//! unacked until more traffic trips a threshold or a caller flushes
-//! explicitly ([`FsyncScheduler::flush_all`], [`crate::Store::sync`],
-//! checkpoint). Dropping a store does **not** flush — drop models a
-//! crash (the fault harnesses kill nodes by dropping them), so the
-//! pending tail is abandoned, which is safe precisely because it was
-//! never acked.
+//! comes from (experiment E18 measures it).
+//!
+//! A frame reaches the OS in one `write` per file with everything
+//! buffered beside it, at one site (`Slot::write_out`) and at one of
+//! three moments: right before the fsync of a drain or flush (so a
+//! record is never acked before its bytes were written), once a file's
+//! buffer passes `SPILL_BYTES`, 64 KiB (written, not fsynced: it bounds
+//! the memory of a `Never` store, which never drains), or when its
+//! writer deregisters (written, not fsynced: a store dropped in a crash
+//! harness leaves the file it always left). A process kill, which runs
+//! no drop, loses the buffered frames, and only never-acked frames are
+//! ever buffered.
+//!
+//! The scheduler is demand-driven: there is no background timer thread
+//! (the stores live inside a deterministic simulator), so a lone pending
+//! record stays unacked until more traffic trips a threshold or a caller
+//! flushes explicitly ([`FsyncScheduler::flush_all`],
+//! [`crate::Store::sync`], checkpoint). Dropping a store does **not**
+//! flush — drop models a crash (the fault harnesses kill nodes by
+//! dropping them), so the pending tail is written but never fsynced and
+//! abandoned, which is safe precisely because it was never acked.
 //!
 //! **Durability ack semantics** are the same under every policy: a
 //! record is never *acked* (reported durable via
@@ -64,17 +77,23 @@ use crate::wal::{store_name, SyncPolicy};
 use codb_trace::{TraceEvent, Tracer};
 use std::collections::BTreeMap;
 use std::fs::File;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
+/// Buffered frames past which a file is written without waiting for a
+/// drain: the memory a file's unwritten tail may take.
+const SPILL_BYTES: usize = 64 * 1024;
+
 /// One registered WAL file's slot in the scheduler.
 #[derive(Debug)]
 struct Slot {
-    /// A clone of the writer's file handle — fsyncing it syncs the same
-    /// underlying file, so the scheduler can drain without borrowing the
-    /// writer.
+    /// The WAL file, positioned at its end: the scheduler alone writes
+    /// and fsyncs it, so it can drain without borrowing the writer.
     file: File,
+    /// Frames appended since the last write, in append order.
+    buf: Vec<u8>,
     /// The file's path, for error context and the store's trace name.
     path: PathBuf,
     /// The owning store's [`store_name`] interned in the scheduler's
@@ -83,18 +102,19 @@ struct Slot {
     store: u32,
     /// Appended records not yet covered by a fsync.
     pending: u64,
-    /// Byte length the writer has reported (magic + complete frames).
+    /// Byte length appended (magic + complete frames), written or in
+    /// `buf`.
     len: u64,
-    /// Records the writer has reported.
+    /// Records appended.
     frames: u64,
     /// What the last fsync covered, and how many there were.
     durable: Durable,
-    /// Latched fsync failure. A failed slot leaves the drain rotation
-    /// (its broken fd is never retried, its pending records leave the
-    /// totals so it cannot wedge the thresholds) and the error is
-    /// surfaced to **its own writer's** every later append/flush — the
-    /// owner latches it and detaches, exactly like a direct write
-    /// failure. Other stores on the scheduler stay healthy.
+    /// Latched write or fsync failure. A failed slot leaves the drain
+    /// rotation (its broken fd is never retried, its pending records
+    /// leave the totals so it cannot wedge the thresholds) and the error
+    /// is surfaced to **its own writer's** every later append/flush —
+    /// the owner latches it and detaches. Other stores on the scheduler
+    /// stay healthy.
     failed: Option<String>,
 }
 
@@ -119,17 +139,44 @@ impl Slot {
         }
     }
 
-    /// The one WAL fsync: `fdatasync` the file, then advance the
-    /// watermark to what the writer has reported, count the fsync and
-    /// trace it — or latch the failure. Returns whether it succeeded.
+    /// The one place WAL frames reach the OS: the buffered frames in one
+    /// `write_all`, counted — or the failure latched. Returns whether it
+    /// succeeded (trivially, with nothing buffered).
+    fn write_out(&mut self, stats: &mut FsyncSchedulerStats) -> bool {
+        if self.buf.is_empty() {
+            return true;
+        }
+        stats.writes += 1;
+        let written = self.file.write_all(&self.buf);
+        self.buf.clear();
+        match written {
+            Ok(()) => true,
+            Err(e) => {
+                self.fail(e, stats);
+                false
+            }
+        }
+    }
+
+    fn fail(&mut self, e: std::io::Error, stats: &mut FsyncSchedulerStats) {
+        self.failed = Some(e.to_string());
+        stats.failed_stores += 1;
+    }
+
+    /// The one WAL fsync: write the buffered frames, `fdatasync` the
+    /// file, then advance the watermark to everything appended, count
+    /// the fsync and trace it — or latch the failure. Returns whether it
+    /// succeeded.
     fn sync(&mut self, tracer: &Tracer, stats: &mut FsyncSchedulerStats) -> bool {
+        if !self.write_out(stats) {
+            return false;
+        }
         if tracer.is_enabled() && self.store == 0 {
             self.store = tracer.intern(&store_name(&self.path));
         }
         let started = tracer.is_enabled().then(Instant::now);
         if let Err(e) = self.file.sync_data() {
-            self.failed = Some(e.to_string());
-            stats.failed_stores += 1;
+            self.fail(e, stats);
             return false;
         }
         self.durable =
@@ -176,6 +223,10 @@ pub struct FsyncSchedulerStats {
     /// `fdatasync` calls issued (one per dirty file per drain, plus one
     /// per single-writer flush).
     pub fsyncs: u64,
+    /// `write` calls made: one before each fsync that had frames to
+    /// write, plus one per spill and per writer dropped with frames
+    /// still buffered — not one per append.
+    pub writes: u64,
     /// Appends reported by registered writers.
     pub appends: u64,
     /// Records whose durability ack was covered by a drain pass (the
@@ -187,9 +238,9 @@ pub struct FsyncSchedulerStats {
     /// a store dropped mid-batch; its unsynced tail was abandoned, which
     /// is safe because those records were never reported durable.
     pub abandoned_pending: u64,
-    /// Stores whose fsync failed: each left the drain rotation with its
-    /// error latched, to be surfaced to its own writer's every later
-    /// append/flush.
+    /// Stores whose write or fsync failed: each left the drain rotation
+    /// with its error latched, to be surfaced to its own writer's every
+    /// later append/flush.
     pub failed_stores: u64,
 }
 
@@ -312,6 +363,7 @@ impl FsyncScheduler {
             id,
             Slot {
                 file,
+                buf: Vec::new(),
                 path: path.to_owned(),
                 store: 0,
                 pending: 0,
@@ -324,47 +376,61 @@ impl FsyncScheduler {
         id
     }
 
-    /// Removes a writer. Pending (never-acked) records are abandoned —
-    /// the mid-batch deregistration case: the drained totals shrink and
-    /// the next drain simply no longer visits the file.
+    /// Removes a writer, writing its buffered frames without an fsync.
+    /// Pending (never-acked) records are abandoned — the mid-batch
+    /// deregistration case: the drained totals shrink and the next drain
+    /// simply no longer visits the file.
     pub(crate) fn deregister(&self, id: u64) {
-        let mut inner = self.lock();
-        if let Some(slot) = inner.slots.remove(&id) {
-            if slot.pending > 0 && slot.failed.is_none() {
-                inner.stats.abandoned_pending += slot.pending;
-                inner.pending_total -= slot.pending;
-                inner.dirty_stores -= 1;
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        if let Some(mut slot) = inner.slots.remove(&id) {
+            if slot.failed.is_none() {
+                if slot.pending > 0 {
+                    inner.stats.abandoned_pending += slot.pending;
+                    inner.pending_total -= slot.pending;
+                    inner.dirty_stores -= 1;
+                }
+                slot.write_out(&mut inner.stats);
             }
         }
     }
 
-    /// Reports one append by writer `id` (`len`/`frames` are the file's
-    /// new totals) and drains if a threshold trips. Returns the latched
-    /// error if this writer's own fsync failed (now or in an earlier
-    /// drain) — the owner latches it and detaches, like any write error.
-    pub(crate) fn note_append(&self, id: u64, len: u64, frames: u64) -> Result<(), StoreError> {
-        let mut inner = self.lock();
+    /// Buffers one frame appended by writer `id`, drains if a threshold
+    /// trips and otherwise writes the file's buffer once it passes
+    /// [`SPILL_BYTES`]. Returns the latched error if this writer's own
+    /// write or fsync failed (now or in an earlier drain) — the owner
+    /// latches it and detaches.
+    pub(crate) fn note_append(&self, id: u64, frame: &[u8]) -> Result<(), StoreError> {
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         inner.stats.appends += 1;
         let slot = inner.slots.get_mut(&id).expect("writer registered with this scheduler");
         slot.health()?;
-        let was_clean = slot.pending == 0;
-        slot.pending += 1;
-        slot.len = len;
-        slot.frames = frames;
-        if was_clean {
+        slot.buf.extend_from_slice(frame);
+        slot.len += frame.len() as u64;
+        slot.frames += 1;
+        if slot.pending == 0 {
             inner.dirty_stores += 1;
             inner.dirty_ids.push(id);
         }
+        slot.pending += 1;
         inner.pending_total += 1;
         if inner.pending_total >= inner.max_records.max(1)
             || inner.dirty_stores >= inner.max_batch.max(1)
         {
-            drain(&mut inner);
+            drain(inner);
             // The drain latches failures per slot; only this writer's own
             // failure is this caller's error.
             return inner.slots[&id].health();
         }
-        Ok(())
+        if slot.buf.len() >= SPILL_BYTES && !slot.write_out(&mut inner.stats) {
+            // Like a failed drain: the dead slot's pending records leave
+            // the totals.
+            inner.pending_total -= slot.pending;
+            inner.dirty_stores -= 1;
+            slot.pending = 0;
+        }
+        slot.health()
     }
 
     /// Fsyncs writer `id`'s file now, regardless of thresholds (explicit
@@ -404,11 +470,11 @@ impl FsyncScheduler {
 }
 
 /// One drain pass: [`Slot::sync`] each dirty healthy file once and clear
-/// its pending count. An fsync failure is latched on **that slot** (it
-/// leaves the drain rotation and its owner sees the error at its next
-/// append/flush — never a bystander whose append merely tripped the
-/// threshold) and the pass continues over the remaining stores, so one
-/// bad disk cannot poison the whole scheduler.
+/// its pending count. A write or fsync failure is latched on **that
+/// slot** (it leaves the drain rotation and its owner sees the error at
+/// its next append/flush — never a bystander whose append merely tripped
+/// the threshold) and the pass continues over the remaining stores, so
+/// one bad disk cannot poison the whole scheduler.
 fn drain(inner: &mut Inner) {
     let Inner { slots, pending_total, dirty_stores, dirty_ids, stats, tracer, .. } = inner;
     stats.drains += 1;
@@ -565,6 +631,56 @@ mod tests {
         let fsyncs = sched.stats().fsyncs;
         sched.flush_all();
         assert_eq!(sched.stats().fsyncs, fsyncs, "nothing dirty, nothing synced");
+    }
+
+    fn file_len(w: &WalWriter) -> u64 {
+        std::fs::metadata(w.path()).unwrap().len()
+    }
+
+    #[test]
+    fn a_drain_tripped_by_one_writer_writes_anothers_buffered_frames() {
+        let dir = ScratchDir::new("group-shared-write");
+        let policy = SyncPolicy::GroupCommit { max_batch: 64, max_records: 4 };
+        let sched = FsyncScheduler::for_policy(policy).unwrap();
+        let mut a = writer(&dir, "a.wal", &sched);
+        let mut b = writer(&dir, "b.wal", &sched);
+        let header = file_len(&b);
+        let records: Vec<WalRecord> = (0..2).map(record).collect();
+        for r in &records {
+            b.append(r).unwrap();
+        }
+        assert_eq!(file_len(&b), header, "B's frames wait in the scheduler");
+        a.append(&record(10)).unwrap();
+        // A's second append trips the window: the drain writes and fsyncs
+        // B's frames too.
+        a.append(&record(11)).unwrap();
+        assert_eq!(b.durable_frames(), 2);
+        assert_eq!(file_len(&b), b.durable_len());
+        assert_eq!(b.durable_len(), b.len());
+        assert_eq!(crate::wal::read_wal(b.path()).unwrap().records, records);
+        let stats = sched.stats();
+        assert_eq!((stats.writes, stats.fsyncs), (2, 2), "one write per file per drain");
+    }
+
+    #[test]
+    fn never_spills_buffered_frames_before_any_fsync() {
+        let dir = ScratchDir::new("group-spill");
+        let sched = FsyncScheduler::for_store(SyncPolicy::Never, None);
+        let mut w = writer(&dir, "never.wal", &sched);
+        let header = file_len(&w);
+        let big = WalRecord::LocalInsert {
+            relation: "r".into(),
+            tuple: Tuple::new(vec![Value::str("x".repeat(SPILL_BYTES / 4))]),
+        };
+        for _ in 0..3 {
+            w.append(&big).unwrap();
+        }
+        assert_eq!(file_len(&w), header, "below the spill size, nothing written");
+        w.append(&big).unwrap();
+        assert_eq!(file_len(&w), w.len(), "the fourth frame passes the spill size");
+        let stats = sched.stats();
+        assert_eq!((stats.writes, stats.fsyncs), (1, 0), "written, not fsynced");
+        assert_eq!(w.durable_frames(), 0, "a spill acks nothing");
     }
 
     #[test]

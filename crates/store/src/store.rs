@@ -224,10 +224,18 @@ fn parse_generation(name: &str, suffix: &str) -> Option<u64> {
     name.strip_prefix("codb-")?.strip_suffix(suffix)?.parse().ok()
 }
 
+/// Writes the epoch counter by temp file + atomic rename, the temp file
+/// fsynced before the rename (else a power cut could leave the committed
+/// name on an empty file) and the directory after it — the one directory
+/// sync of an open, which covers the generation sweep before it too.
 fn write_epoch(dir: &Path, epoch: u64) -> Result<(), StoreError> {
     let path = dir.join(EPOCH_FILE);
     let tmp = dir.join("codb.epoch.tmp");
-    std::fs::write(&tmp, epoch.to_string()).map_err(|e| StoreError::io(&tmp, e))?;
+    {
+        let mut file = std::fs::File::create(&tmp).map_err(|e| StoreError::io(&tmp, e))?;
+        file.write_all(epoch.to_string().as_bytes()).map_err(|e| StoreError::io(&tmp, e))?;
+        file.sync_all().map_err(|e| StoreError::io(&tmp, e))?;
+    }
     std::fs::rename(&tmp, &path).map_err(|e| StoreError::io(&path, e))?;
     sync_dir(dir)?;
     Ok(())
@@ -568,7 +576,8 @@ impl Store {
     /// are deleted, while files from *newer* generations — a snapshot that
     /// failed validation and was passed over — are quarantined under a
     /// `.corrupt` suffix instead of destroyed, so the evidence survives
-    /// for diagnosis.
+    /// for diagnosis. It syncs no directory: the epoch write right after
+    /// it in [`Store::open_with`] does, covering the sweep too.
     fn remove_other_generations(&self) -> Result<(), StoreError> {
         let entries = std::fs::read_dir(&self.dir).map_err(|e| StoreError::io(&self.dir, e))?;
         for entry in entries {
@@ -589,7 +598,6 @@ impl Store {
                 );
             }
         }
-        let _ = sync_dir(&self.dir);
         Ok(())
     }
 
@@ -748,6 +756,42 @@ mod tests {
         assert_eq!(r.len(), 5, "the seed's tuple, three ground ones and one with a null");
         let cached = [firing(1)].into_iter().collect();
         assert_eq!(rec.recv_cache, RecvCaches::from([("e0".to_owned(), cached)]));
+    }
+
+    /// A process kill runs no `Drop`, so whatever the scheduler still
+    /// buffers never reaches the file: a store lost by `mem::forget`
+    /// reopens to exactly the prefix it had acked, with no torn tail.
+    #[test]
+    fn a_killed_store_reopens_to_exactly_its_durable_prefix() {
+        for policy in [
+            SyncPolicy::EveryN(4),
+            SyncPolicy::Never,
+            SyncPolicy::GroupCommit { max_batch: 64, max_records: 3 },
+        ] {
+            let dir = ScratchDir::new("store-kill");
+            let (inst, nulls) = seed();
+            let mut store = Store::create(
+                dir.path(),
+                &Snapshot::capture(&inst, &nulls),
+                &RecvCaches::new(),
+                &ProtocolCounters::default(),
+                policy,
+                Codec::Binary,
+            )
+            .unwrap();
+            for k in 0..7 {
+                store
+                    .append(&WalRecord::LocalInsert { relation: "r".into(), tuple: tup![k, k] })
+                    .unwrap();
+            }
+            let acked = store.durable_wal_records();
+            assert!(acked < store.wal_records(), "{policy}: a never-acked tail exists");
+            std::mem::forget(store);
+
+            let (_, rec) = Store::open(dir.path(), policy, Codec::Binary).unwrap();
+            assert_eq!(rec.wal_records_replayed, acked, "{policy}");
+            assert!(!rec.torn_tail, "{policy}");
+        }
     }
 
     #[test]

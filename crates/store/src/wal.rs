@@ -11,11 +11,19 @@
 //! WAL's magic: the reader auto-detects it, and the appender continues in
 //! the codec the file was created with — one file never mixes encodings
 //! (stores switch codecs at checkpoint rotation, never mid-file).
+//!
+//! The appender does no I/O of its own: it encodes each record in place
+//! behind a frame header and hands the frame to the file's
+//! [`FsyncScheduler`], which buffers it and writes the file's buffered
+//! frames in one `write` — right before the fsync of a drain or flush,
+//! once they pass a fixed spill size, or when the writer is dropped. A
+//! process kill therefore loses at most the never-acked tail, as a power
+//! cut does (`docs/DURABILITY.md`, rendered as [`crate::durability`]).
 
 use crate::codec::{self, Codec, MAGIC_LEN};
 use crate::group::FsyncScheduler;
 use crate::store::StoreError;
-use codb_relational::frame::{encode_frame, FrameScanner, FrameStep};
+use codb_relational::frame::{crc32, frame_header, FrameScanner, FrameStep, FRAME_HEADER};
 use codb_relational::{
     apply_new_firings, FiringSet, Instance, NullFactory, RuleFiring, SchemaError, Tuple, Version,
 };
@@ -162,8 +170,9 @@ pub enum SyncPolicy {
     /// Only at checkpoint or explicit [`crate::Store::sync`] — fastest;
     /// a crash may lose the tail since the last checkpoint (it will
     /// still be *consistent*: torn frames are truncated, never
-    /// half-applied). Dropping the store does **not** flush — drop
-    /// models a crash; sync or checkpoint before a clean shutdown.
+    /// half-applied). Frames reach the file every 64 KiB and when the
+    /// store is dropped, but are never fsynced there — drop models a
+    /// crash; sync or checkpoint before a clean shutdown.
     Never,
     /// Shared group commit via a host-wide [`FsyncScheduler`] (see
     /// [`crate::group`]): appends across *all* participating stores are
@@ -241,17 +250,21 @@ pub(crate) fn store_name(wal: &Path) -> String {
     wal.parent().unwrap_or(Path::new("")).display().to_string()
 }
 
-/// Appender over one WAL file: encodes, writes and reports each append
-/// to its [`FsyncScheduler`], which alone decides when the file is
-/// fsynced and keeps its durable watermark.
+/// Appender over one WAL file: encodes each record into a frame and
+/// hands it to its [`FsyncScheduler`], which owns the file from there —
+/// it buffers, writes and fsyncs the frames and keeps the durable
+/// watermark (the module docs say when a frame reaches the OS).
 #[derive(Debug)]
 pub struct WalWriter {
-    file: File,
     path: PathBuf,
     codec: Codec,
     frames: u64,
-    /// Bytes written to the file (magic + complete frames).
+    /// Bytes appended to the file (magic + complete frames), written or
+    /// still buffered in the scheduler.
     len: u64,
+    /// The frame being appended, reused: a header's room, then the
+    /// payload, then the header filled in.
+    frame: Vec<u8>,
     /// The scheduler that makes this file durable, and the file's slot
     /// in it.
     sched: FsyncScheduler,
@@ -296,8 +309,9 @@ impl WalWriter {
         Self::register(file, path, codec, valid_len, frames, sched)
     }
 
-    /// Hands `sched` a clone of the file handle whose first `len` bytes
-    /// (`frames` records) are on stable storage.
+    /// Hands `sched` the file, whose first `len` bytes (`frames`
+    /// records) are on stable storage: every later byte of it is written
+    /// there.
     fn register(
         file: File,
         path: &Path,
@@ -306,14 +320,13 @@ impl WalWriter {
         frames: u64,
         sched: &FsyncScheduler,
     ) -> Result<Self, StoreError> {
-        let clone = file.try_clone().map_err(|e| StoreError::io(path, e))?;
-        let slot = sched.register(clone, path, len, frames);
+        let slot = sched.register(file, path, len, frames);
         Ok(WalWriter {
-            file,
             path: path.to_owned(),
             codec,
             frames,
             len,
+            frame: Vec::new(),
             sched: sched.clone(),
             slot,
             tracer: Tracer::disabled(),
@@ -329,18 +342,25 @@ impl WalWriter {
         self.tracer = tracer;
     }
 
-    /// Appends one record (encoded in the file's codec) and reports it to
-    /// the scheduler, which fsyncs when a threshold trips.
+    /// Appends one record (encoded in the file's codec) as a frame to the
+    /// scheduler's buffer for this file; the scheduler writes and fsyncs
+    /// it when a threshold trips.
     pub fn append(&mut self, record: &WalRecord) -> Result<(), StoreError> {
-        let payload = codec::encode_record(record, self.codec)?;
-        let mut buf = Vec::with_capacity(payload.len() + 8);
-        encode_frame(&payload, &mut buf);
-        self.file.write_all(&buf).map_err(|e| StoreError::io(&self.path, e))?;
+        let frame = &mut self.frame;
+        frame.clear();
+        frame.resize(FRAME_HEADER, 0);
+        match self.codec {
+            Codec::Binary => codec::put_record(frame, record),
+            Codec::Json => frame.extend_from_slice(&codec::encode_record(record, Codec::Json)?),
+        }
+        let payload = &frame[FRAME_HEADER..];
+        let header = frame_header(payload.len() as u32, crc32(payload));
+        frame[..FRAME_HEADER].copy_from_slice(&header);
+        let bytes = frame.len() as u64;
         self.frames += 1;
-        self.len += buf.len() as u64;
-        self.tracer
-            .emit_with(|| TraceEvent::WalAppend { store: self.trace_id, bytes: buf.len() as u64 });
-        self.sched.note_append(self.slot, self.len, self.frames)
+        self.len += bytes;
+        self.tracer.emit_with(|| TraceEvent::WalAppend { store: self.trace_id, bytes });
+        self.sched.note_append(self.slot, &self.frame)
     }
 
     /// Forces buffered records to stable storage now, whatever the
@@ -354,7 +374,8 @@ impl WalWriter {
         self.frames
     }
 
-    /// Bytes written to this file (magic + complete frames).
+    /// Bytes appended to this file (magic + complete frames), written or
+    /// still buffered.
     pub fn len(&self) -> u64 {
         self.len
     }
@@ -401,9 +422,10 @@ impl WalWriter {
 }
 
 impl Drop for WalWriter {
-    /// Deregisters from the scheduler. Pending (never-acked) records are
-    /// abandoned — exactly the crash semantics the scheduler documents
-    /// for a store dropped mid-batch.
+    /// Deregisters from the scheduler, which writes the buffered frames
+    /// out without an fsync. Pending (never-acked) records are abandoned
+    /// — exactly the crash semantics the scheduler documents for a store
+    /// dropped mid-batch.
     fn drop(&mut self) {
         self.sched.deregister(self.slot);
     }

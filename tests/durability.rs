@@ -261,6 +261,53 @@ fn open_persistence_all_shares_one_scheduler() {
     assert!(err.to_string().contains("group:8,64"), "{err}");
 }
 
+/// A WAL reaches the OS once per file per drain, not once per append: a
+/// round shaped like the `durable_ingest` benchmark's (Chain(12) on the
+/// worker pool, `group:96,12`, 100 inserts at every node, an update from
+/// the sink, then a flush) makes exactly one `write` before each fsync,
+/// and dropping the flushed nodes writes nothing more.
+#[test]
+fn a_durable_round_writes_each_file_once_per_fsync() {
+    use codb::core::ParallelCoDbNet;
+    use codb::net::RuntimeConfig;
+    use std::time::Duration;
+
+    let tmp = ScratchDir::new("durability-writes");
+    let scenario = Scenario { tuples_per_node: 5, ..Scenario::quick(Topology::Chain(12)) };
+    let (net, _) = ParallelCoDbNet::build_persistent(
+        scenario.build_config(),
+        RuntimeConfig { workers: 2, ..RuntimeConfig::default() },
+        NodeSettings { retransmit_after: SimTime::from_millis(20), ..NodeSettings::default() },
+        tmp.path(),
+        SyncPolicy::GroupCommit { max_batch: 12, max_records: 96 },
+        Codec::Binary,
+    )
+    .unwrap();
+    let sched = net.fsync_scheduler().expect("group commit shares one scheduler").clone();
+    let before = sched.stats();
+    for node in 0..12 {
+        for k in 0..100 {
+            let tuple = Tuple::new(vec![Value::Int((1 << 50) + node * 100 + k), Value::Int(k)]);
+            let relation = Scenario::relation_of(node as usize);
+            net.control(NodeId(node as u64), Body::IngestLocal { relation, tuple });
+        }
+    }
+    net.control(scenario.sink(), Body::StartUpdate);
+    assert!(net.await_quiescence(Duration::from_millis(5), Duration::from_secs(60)));
+    sched.flush_all();
+    let after = sched.stats();
+    let (appends, writes, fsyncs) = (
+        after.appends - before.appends,
+        after.writes - before.writes,
+        after.fsyncs - before.fsyncs,
+    );
+    assert!(appends >= 1_200, "every insert was logged: {after:?}");
+    assert_eq!(writes, fsyncs, "one write before each fsync: {after:?}");
+    assert!(writes * 10 < appends, "writes follow the drains, not the appends: {after:?}");
+    drop(net.shutdown());
+    assert_eq!(sched.stats().writes, after.writes, "a flushed store leaves nothing to write");
+}
+
 /// A node that was never persisted cannot be restarted from an empty
 /// directory — the error is typed, not a silent empty rejoin.
 #[test]
