@@ -1043,7 +1043,7 @@ pub(crate) mod tests {
     use crate::config::NetworkConfig;
     use crate::network::CoDbNetwork;
     use codb_net::SimConfig;
-    use codb_relational::{tup, TField, Tuple, Value};
+    use codb_relational::{tup, FieldRef, Fields, TField, Value};
     use codb_store::{Codec, ScratchDir, SyncPolicy};
 
     impl CoDbNode {
@@ -1327,8 +1327,8 @@ pub(crate) mod tests {
 
     /// The one constant of a one-column firing.
     fn value_of(f: &RuleFiring) -> i64 {
-        match f.atoms().first().map(|(_, fields)| &fields[0]) {
-            Some(TField::Const(Value::Int(k))) => *k,
+        match f.atoms().first().and_then(|(_, fields)| fields.iter().next()) {
+            Some(FieldRef::Const(Value::Int(k))) => *k,
             other => panic!("not a one-int firing: {other:?}"),
         }
     }
@@ -1488,12 +1488,9 @@ pub(crate) mod tests {
 
     /// Whether `ldb` lacks a tuple of the ground firing `firing`.
     fn lacks(ldb: &Instance, firing: &RuleFiring) -> bool {
-        firing.atoms().iter().any(|(rel, fields)| {
-            let values = fields.iter().map(|field| match field {
-                TField::Const(v) => v.clone(),
-                TField::Fresh(_) => panic!("a placeholder in {firing:?}"),
-            });
-            !ldb.get(rel).unwrap().contains(&Tuple::new(values.collect::<Vec<_>>()))
+        firing.atoms().iter().any(|(rel, fields)| match fields {
+            Fields::Ground(tuple) => !ldb.get(rel).unwrap().contains(tuple),
+            Fields::Template(_) => panic!("a placeholder in {firing:?}"),
         })
     }
 

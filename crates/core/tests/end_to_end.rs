@@ -93,6 +93,24 @@ fn chain_update_propagates_transitively() {
     assert_eq!(outcome.summary.tuples_added, 40);
 }
 
+/// A copy rule's head is the tuple its body matched, and a ground atom is
+/// the tuple it files: after an update of Chain(3) every hop holds the
+/// origin's allocations, not copies of them.
+#[test]
+fn a_copy_chain_carries_the_origins_tuples_to_the_sink() {
+    let mut net = build(&chain_config(3, 10));
+    net.run_update(net.node_id("node2").unwrap());
+    let r = |name: &str| net.node(net.node_id(name).unwrap()).ldb().get("r").unwrap();
+    let origin = r("node0");
+    for hop in ["node1", "node2"] {
+        assert_eq!(r(hop).len(), 10, "{hop}");
+        for t in r(hop).iter() {
+            let at_origin = origin.iter().find(|o| *o == t).expect("a tuple of the origin");
+            assert!(t.ptr_eq(at_origin), "{hop} holds a copy of {t}");
+        }
+    }
+}
+
 #[test]
 fn chain_closes_progressively_without_update_complete_data() {
     // In an acyclic chain every LinkClosed is derived from the paper's

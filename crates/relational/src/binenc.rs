@@ -34,7 +34,7 @@ use crate::relation::Relation;
 use crate::schema::{Column, RelationSchema};
 use crate::tuple::Tuple;
 use crate::value::{NullFactory, NullId, Value, ValueType};
-use crate::{RuleFiring, TField};
+use crate::{FieldRef, RuleFiring, TField};
 use std::fmt;
 
 /// A failed binary decode: where and why.
@@ -420,14 +420,19 @@ const TAG_TF_FRESH: u8 = 1;
 
 /// Encodes one [`TField`].
 pub fn put_tfield(out: &mut Vec<u8>, f: &TField) {
+    put_field(out, f.into());
+}
+
+/// Encodes one field of a firing's atom, as the [`TField`] it says.
+fn put_field(out: &mut Vec<u8>, f: FieldRef<'_>) {
     match f {
-        TField::Const(v) => {
+        FieldRef::Const(v) => {
             out.push(TAG_TF_CONST);
             put_value(out, v);
         }
-        TField::Fresh(id) => {
+        FieldRef::Fresh(id) => {
             out.push(TAG_TF_FRESH);
-            put_u32(out, *id);
+            put_u32(out, id);
         }
     }
 }
@@ -448,13 +453,14 @@ pub fn put_firing(out: &mut Vec<u8>, f: &RuleFiring) {
     for (rel, fields) in f.atoms() {
         put_str(out, rel);
         put_len(out, fields.len());
-        for field in fields {
-            put_tfield(out, field);
+        for field in fields.iter() {
+            put_field(out, field);
         }
     }
 }
 
-/// Decodes one [`RuleFiring`].
+/// Decodes one [`RuleFiring`]; an atom with no placeholder comes back
+/// holding its tuple ([`RuleFiring::new`]).
 pub fn take_firing(r: &mut Reader<'_>) -> DecodeResult<RuleFiring> {
     let n = r.len(2)?;
     let mut atoms = Vec::with_capacity(n);

@@ -245,11 +245,11 @@ fn join(
     body: &CqBody,
     bindings: &mut Bindings,
     trail: &mut Vec<Var>,
-    out: &mut dyn FnMut(&Bindings),
+    out: &mut dyn FnMut(&Bindings, Option<&Tuple>),
 ) {
     let Some((step, rest)) = steps.split_first() else {
         if comparisons_hold(body, bindings) {
-            out(bindings);
+            out(bindings, None);
         }
         return;
     };
@@ -279,11 +279,12 @@ fn join(
 
 /// Calls `out` with every satisfying assignment of `body` over `inst`, as
 /// the join reaches it — the borrowed assignment is only valid inside the
-/// call.
+/// call — and, where the body is one atom, the tuple that atom matched (a
+/// join hands `None`).
 pub(crate) fn for_each_answer(
     body: &CqBody,
     inst: &Instance,
-    out: &mut dyn FnMut(&Bindings),
+    out: &mut dyn FnMut(&Bindings, Option<&Tuple>),
 ) -> Result<(), EvalError> {
     check_atoms(body, inst)?;
     stream_answers(body, inst, None, out);
@@ -304,7 +305,7 @@ pub(crate) fn for_each_delta_answer(
     inst: &Instance,
     delta_relation: &str,
     delta: &[Tuple],
-    out: &mut dyn FnMut(&Bindings),
+    out: &mut dyn FnMut(&Bindings, Option<&Tuple>),
 ) -> Result<(), EvalError> {
     check_atoms(body, inst)?;
     for (i, atom) in body.atoms.iter().enumerate() {
@@ -321,7 +322,7 @@ pub(crate) fn for_each_delta_answer(
 /// slots for unused variable indexes remain `None`.
 pub fn evaluate_body(body: &CqBody, inst: &Instance) -> Result<Vec<Bindings>, EvalError> {
     let mut all = Vec::new();
-    for_each_answer(body, inst, &mut |b| all.push(b.clone()))?;
+    for_each_answer(body, inst, &mut |b, _| all.push(b.clone()))?;
     Ok(all)
 }
 
@@ -334,7 +335,7 @@ pub fn evaluate_body_delta(
     delta: &[Tuple],
 ) -> Result<Vec<Bindings>, EvalError> {
     let mut all = Vec::new();
-    for_each_delta_answer(body, inst, delta_relation, delta, &mut |b| all.push(b.clone()))?;
+    for_each_delta_answer(body, inst, delta_relation, delta, &mut |b, _| all.push(b.clone()))?;
     Ok(all)
 }
 
@@ -342,18 +343,20 @@ pub fn evaluate_body_delta(
 /// `delta.0` reading `delta.1` in place of its relation. A body of several
 /// atoms is a planned join; a body of one has nothing to order and nothing
 /// to index, so its source is scanned as it lies — which is every copy,
-/// filter and projection rule, once per delta they are fired with.
+/// filter and projection rule, once per delta they are fired with — and
+/// `out` is handed the tuple each answer matched, which a head that repeats
+/// the atom shares instead of building its own.
 fn stream_answers(
     body: &CqBody,
     inst: &Instance,
     delta: Option<(usize, &[Tuple])>,
-    out: &mut dyn FnMut(&Bindings),
+    out: &mut dyn FnMut(&Bindings, Option<&Tuple>),
 ) {
     let mut bindings: Bindings = vec![None; var_slots(body)];
     match body.atoms.as_slice() {
         // An empty body is trivially satisfied by the empty assignment
         // (only meaningful for constant heads).
-        [] => out(&bindings),
+        [] => out(&bindings, None),
         [atom] => {
             let source = match delta {
                 Some((_, batch)) => Source::Batch(batch),
@@ -364,7 +367,7 @@ fn stream_answers(
                 if match_atom(atom, t, &mut bindings, &mut trail)
                     && comparisons_hold(body, &bindings)
                 {
-                    out(&bindings);
+                    out(&bindings, Some(t));
                 }
                 undo(&mut bindings, &mut trail, 0);
             });
@@ -449,7 +452,7 @@ pub fn answer_query(
     inst: &Instance,
 ) -> Result<Vec<Tuple>, EvalError> {
     let mut answers = Vec::new();
-    for_each_answer(&query.body, inst, &mut |b| {
+    for_each_answer(&query.body, inst, &mut |b, _| {
         answers.push(project_atom(&query.head, b, &mut |v| {
             unreachable!("safe query head var {v:?} unbound")
         }));

@@ -112,14 +112,42 @@ impl GlavRule {
         self.head.iter().map(|atom| Arc::from(atom.relation.as_str())).collect()
     }
 
+    /// How each head atom gets its fields, in head order: decided by the
+    /// rule alone, so that every firing of the rule holds the same shape
+    /// at each head position.
+    fn head_shapes(&self) -> Vec<Shape> {
+        let bound = self.body.atom_vars();
+        let copied = match self.body.atoms.as_slice() {
+            [only] => Some(&only.terms),
+            _ => None,
+        };
+        self.head
+            .iter()
+            .map(|atom| {
+                if copied == Some(&atom.terms) {
+                    Shape::Copy
+                } else if atom.vars().is_subset(&bound) {
+                    Shape::Ground
+                } else {
+                    Shape::Template
+                }
+            })
+            .collect()
+    }
+
     /// Executes the rule body against `source` and returns one firing per
     /// (deduplicated) body answer.
     pub fn fire(&self, source: &Instance) -> Result<Vec<RuleFiring>, EvalError> {
-        self.fire_as(&self.head_names(), source)
+        self.fire_as(&self.head_names(), &self.head_shapes(), source)
     }
 
-    fn fire_as(&self, names: &[Arc<str>], source: &Instance) -> Result<Vec<RuleFiring>, EvalError> {
-        self.firings_of(names, |out| for_each_answer(&self.body, source, out))
+    fn fire_as(
+        &self,
+        names: &[Arc<str>],
+        shapes: &[Shape],
+        source: &Instance,
+    ) -> Result<Vec<RuleFiring>, EvalError> {
+        self.firings_of(names, shapes, |out| for_each_answer(&self.body, source, out))
     }
 
     /// Semi-naive variant: only firings whose derivation uses a tuple of
@@ -130,35 +158,50 @@ impl GlavRule {
         delta_relation: &str,
         delta: &[Tuple],
     ) -> Result<Vec<RuleFiring>, EvalError> {
-        self.firings_of(&self.head_names(), |out| {
+        self.firings_of(&self.head_names(), &self.head_shapes(), |out| {
             for_each_delta_answer(&self.body, source, delta_relation, delta, out)
         })
     }
 
     /// One firing per distinct head instance among the body answers
     /// `answers` streams, sorted, its atoms named by `names` (this rule's
-    /// [`GlavRule::head_names`]). A head variable the body leaves unbound
-    /// is existential: the evaluator binds exactly the variables of the
-    /// body's atoms.
+    /// [`GlavRule::head_names`]) and built as `shapes` (its
+    /// [`GlavRule::head_shapes`]) says. A head variable the body leaves
+    /// unbound is existential: the evaluator binds exactly the variables of
+    /// the body's atoms.
     fn firings_of(
         &self,
         names: &[Arc<str>],
-        answers: impl FnOnce(&mut dyn FnMut(&Bindings)) -> Result<(), EvalError>,
+        shapes: &[Shape],
+        answers: impl FnOnce(&mut dyn FnMut(&Bindings, Option<&Tuple>)) -> Result<(), EvalError>,
     ) -> Result<Vec<RuleFiring>, EvalError> {
         let mut instances: Vec<Head> = Vec::new();
-        answers(&mut |b| {
-            let instance = self.head.iter().zip(names).map(|(atom, name)| {
-                let fields = atom
-                    .terms
-                    .iter()
-                    .map(|t| match t {
-                        Term::Const(c) => TField::Const(c.clone()),
-                        Term::Var(v) => match b.get(v.0 as usize) {
-                            Some(Some(bound)) => TField::Const(bound.clone()),
-                            _ => TField::Fresh(v.0),
-                        },
-                    })
-                    .collect();
+        answers(&mut |b, matched| {
+            let instance = self.head.iter().zip(names).zip(shapes).map(|((atom, name), shape)| {
+                let fields = match (shape, matched) {
+                    (Shape::Copy, Some(tuple)) => Fields::Ground(tuple.clone()),
+                    (Shape::Copy | Shape::Ground, _) => Fields::Ground(
+                        atom.terms
+                            .iter()
+                            .map(|t| match t {
+                                Term::Const(c) => c.clone(),
+                                Term::Var(v) => b[v.0 as usize].clone().expect("a body variable"),
+                            })
+                            .collect(),
+                    ),
+                    (Shape::Template, _) => Fields::Template(
+                        atom.terms
+                            .iter()
+                            .map(|t| match t {
+                                Term::Const(c) => TField::Const(c.clone()),
+                                Term::Var(v) => match b.get(v.0 as usize) {
+                                    Some(Some(bound)) => TField::Const(bound.clone()),
+                                    _ => TField::Fresh(v.0),
+                                },
+                            })
+                            .collect(),
+                    ),
+                };
                 (Arc::clone(name), fields)
             });
             instances.push(Head::new(instance));
@@ -193,11 +236,11 @@ impl GlavRule {
                             && fields.len() == atom.terms.len()
                             && fields.iter().zip(&atom.terms).zip(&schema.columns).all(
                                 |((field, term), column)| match field {
-                                    TField::Const(v) => {
+                                    FieldRef::Const(v) => {
                                         v.value_type().is_none_or(|ty| ty == column.ty)
                                     }
-                                    TField::Fresh(id) => {
-                                        *term == Term::Var(Var(*id)) && existential(Var(*id))
+                                    FieldRef::Fresh(id) => {
+                                        *term == Term::Var(Var(id)) && existential(Var(id))
                                     }
                                 },
                             )
@@ -207,15 +250,31 @@ impl GlavRule {
     }
 }
 
+/// How a head atom gets its fields from a body answer, taken from the
+/// rule once ([`GlavRule::head_shapes`]), never from an answer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Shape {
+    /// The body's one atom, term for term: the atom is the tuple that
+    /// atom matched, shared.
+    Copy,
+    /// No existential variable: the fields are collected into the tuple
+    /// the atom files.
+    Ground,
+    /// An existential variable: a template, whose placeholders the target
+    /// fills with fresh nulls.
+    Template,
+}
+
 /// A [`GlavRule`] a node fires again and again — once per update, then
 /// once per delta that reaches it — with what every firing of it shares
-/// made once: the head's relation names and the rule's shape. The pairing
-/// is the type's whole job: names made for one rule must not label
-/// another's firings.
+/// made once: the head's relation names, the shape of each head atom and
+/// the rule's shape. The pairing is the type's whole job: names made for
+/// one rule must not label another's firings.
 #[derive(Clone, Debug)]
 pub struct PreparedRule {
     rule: GlavRule,
     head_names: Vec<Arc<str>>,
+    head_shapes: Vec<Shape>,
     projection_free: bool,
 }
 
@@ -223,8 +282,9 @@ impl PreparedRule {
     /// Prepares `rule`.
     pub fn new(rule: GlavRule) -> Self {
         let head_names = rule.head_names();
+        let head_shapes = rule.head_shapes();
         let projection_free = rule.is_projection_free();
-        PreparedRule { rule, head_names, projection_free }
+        PreparedRule { rule, head_names, head_shapes, projection_free }
     }
 
     /// The rule.
@@ -246,7 +306,7 @@ impl PreparedRule {
 
     /// [`GlavRule::fire`].
     pub fn fire(&self, source: &Instance) -> Result<Vec<RuleFiring>, EvalError> {
-        self.rule.fire_as(&self.head_names, source)
+        self.rule.fire_as(&self.head_names, &self.head_shapes, source)
     }
 
     /// The firings whose derivation uses a tuple some relation of `source`
@@ -264,7 +324,7 @@ impl PreparedRule {
         if !versions.clone().all(|pair| suffix(pair).is_some()) {
             return Ok(None);
         }
-        let fired = self.rule.firings_of(&self.head_names, |out| {
+        let fired = self.rule.firings_of(&self.head_names, &self.head_shapes, |out| {
             versions.clone().enumerate().try_for_each(|(i, pair)| {
                 let delta = suffix(pair).expect("every version answers");
                 if delta.is_empty() || versions.clone().take(i).any(|(seen, _)| seen == pair.0) {
@@ -334,6 +394,133 @@ pub enum TField {
     Fresh(u32),
 }
 
+/// One field of a head atom, borrowed from the firing: what a [`TField`]
+/// says, whichever way the atom holds its fields. Ordered as `TField`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum FieldRef<'a> {
+    /// A ground value.
+    Const(&'a Value),
+    /// An existential placeholder.
+    Fresh(u32),
+}
+
+impl<'a> From<&'a TField> for FieldRef<'a> {
+    fn from(field: &'a TField) -> Self {
+        match field {
+            TField::Const(v) => FieldRef::Const(v),
+            TField::Fresh(id) => FieldRef::Fresh(*id),
+        }
+    }
+}
+
+impl From<FieldRef<'_>> for TField {
+    fn from(field: FieldRef<'_>) -> Self {
+        match field {
+            FieldRef::Const(v) => TField::Const(v.clone()),
+            FieldRef::Fresh(id) => TField::Fresh(id),
+        }
+    }
+}
+
+/// A head atom's fields as a firing holds them. An atom with no
+/// placeholder *is* the tuple it files — the relation that files it, and
+/// the next hop's firing where a copy rule repeats it, share the one
+/// allocation —; an atom with one is a template, filled in at the target.
+/// Ground iff no placeholder: [`RuleFiring::new`] turns an all-`Const`
+/// vector into `Ground`, and a rule's firings hold one shape at each head
+/// position.
+///
+/// Equality and order are those of the field sequence — a `Vec<TField>`'s
+/// —, whichever the variants.
+#[derive(Clone)]
+pub enum Fields {
+    /// No placeholder: the tuple the atom files.
+    Ground(Tuple),
+    /// At least one placeholder.
+    Template(Vec<TField>),
+}
+
+impl Fields {
+    /// Number of fields.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Fields::Ground(tuple) => tuple.arity(),
+            Fields::Template(fields) => fields.len(),
+        }
+    }
+
+    /// The fields, in order.
+    pub fn iter(&self) -> impl Iterator<Item = FieldRef<'_>> + Clone {
+        let (ground, template): (&[Value], &[TField]) = match self {
+            Fields::Ground(tuple) => (tuple.as_slice(), &[]),
+            Fields::Template(fields) => (&[], fields),
+        };
+        ground.iter().map(FieldRef::Const).chain(template.iter().map(FieldRef::from))
+    }
+}
+
+impl From<Vec<TField>> for Fields {
+    fn from(fields: Vec<TField>) -> Self {
+        if fields.iter().any(|f| matches!(f, TField::Fresh(_))) {
+            return Fields::Template(fields);
+        }
+        Fields::Ground(
+            fields
+                .into_iter()
+                .map(|f| match f {
+                    TField::Const(v) => v,
+                    TField::Fresh(_) => unreachable!("no placeholder"),
+                })
+                .collect(),
+        )
+    }
+}
+
+impl PartialEq for Fields {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Fields::Ground(a), Fields::Ground(b)) => a == b,
+            (Fields::Template(a), Fields::Template(b)) => a == b,
+            _ => self.iter().eq(other.iter()),
+        }
+    }
+}
+
+impl Eq for Fields {}
+
+impl PartialOrd for Fields {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Two atoms of one shape compare as what they hold — the firing sort and
+/// the chase oracle's ordered sets run this —; only a mixed pair walks the
+/// fields.
+impl Ord for Fields {
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (self, other) {
+            (Fields::Ground(a), Fields::Ground(b)) => a.as_slice().cmp(b.as_slice()),
+            (Fields::Template(a), Fields::Template(b)) => a.cmp(b),
+            _ => self.iter().cmp(other.iter()),
+        }
+    }
+}
+
+/// As the `Vec<TField>` of the same fields prints.
+impl fmt::Debug for Fields {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// As the `Vec<TField>` of the same fields serialises.
+impl Serialize for Fields {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Array(self.iter().map(|f| TField::from(f).to_value()).collect())
+    }
+}
+
 /// The wire unit of coDB data migration: one rule firing — every head atom
 /// of the rule, projected through one body answer, with existential
 /// placeholders unresolved.
@@ -353,7 +540,7 @@ struct FiringData {
 }
 
 /// One head atom: its relation and its fields.
-type HeadAtom = (Arc<str>, Vec<TField>);
+type HeadAtom = (Arc<str>, Fields);
 
 /// A firing's atoms; a one-atom head — most rules' — in the firing's own
 /// allocation. Compared as its slice, so that the order of firings is the
@@ -391,14 +578,14 @@ fn summarise<H: Hasher>(atoms: &[HeadAtom], feed: &mut Feed<H>) -> usize {
             feed.separator();
         }
         size += rel.len() + 2;
-        for field in fields {
+        for field in fields.iter() {
             size += match field {
-                TField::Const(v) => {
+                FieldRef::Const(v) => {
                     feed.value(v);
                     v.size_bytes()
                 }
-                TField::Fresh(id) => {
-                    feed.fresh(*id);
+                FieldRef::Fresh(id) => {
+                    feed.fresh(id);
                     4
                 }
             };
@@ -408,9 +595,12 @@ fn summarise<H: Hasher>(atoms: &[HeadAtom], feed: &mut Feed<H>) -> usize {
 }
 
 impl RuleFiring {
-    /// A firing of `(relation, fields)` per head atom, in rule head order.
+    /// A firing of `(relation, fields)` per head atom, in rule head order;
+    /// an atom with no placeholder is held as its tuple.
     pub fn new<S: Into<Arc<str>>>(atoms: impl IntoIterator<Item = (S, Vec<TField>)>) -> Self {
-        Self::from_head(Head::new(atoms.into_iter().map(|(rel, fields)| (rel.into(), fields))))
+        Self::from_head(Head::new(
+            atoms.into_iter().map(|(rel, fields)| (rel.into(), Fields::from(fields))),
+        ))
     }
 
     fn from_head(head: Head) -> Self {
@@ -418,7 +608,7 @@ impl RuleFiring {
     }
 
     /// `(relation, fields)` per head atom, in rule head order.
-    pub fn atoms(&self) -> &[(Arc<str>, Vec<TField>)] {
+    pub fn atoms(&self) -> &[(Arc<str>, Fields)] {
         self.0.head.as_slice()
     }
 
@@ -430,7 +620,7 @@ impl RuleFiring {
 
     /// True iff the firing carries no existential placeholder.
     pub fn is_ground(&self) -> bool {
-        self.atoms().iter().all(|(_, fs)| fs.iter().all(|f| matches!(f, TField::Const(_))))
+        self.atoms().iter().all(|(_, fields)| matches!(fields, Fields::Ground(_)))
     }
 
     /// Approximate wire size in bytes (statistics accounting): over the
@@ -576,8 +766,9 @@ pub fn apply_firings(
 /// [`apply_firings`], keeping in `firings`, in order, only those that
 /// filed a tuple: a ground firing whose every tuple `target` held already
 /// is dropped, in the probe that files it, so the test builds no tuple of
-/// its own. (A firing with a placeholder always files one: its null is
-/// fresh.) On an error `firings` is left holding what was filed before.
+/// its own — the probe is the firing's own tuple, by handle. (A firing
+/// with a placeholder always files one: its null is fresh.) On an error
+/// `firings` is left holding what was filed before.
 pub fn apply_new_firings(
     target: &mut Instance,
     firings: &mut Vec<RuleFiring>,
@@ -598,7 +789,8 @@ pub fn apply_new_firings(
 
 /// Files the tuples of one firing in `target` — `invented` is scratch for
 /// the firing's placeholders, `grown` [`apply_firings`]' report — and says
-/// whether any was new.
+/// whether any was new. A ground atom files the tuple it holds, by handle;
+/// only a template's tuple is built here, its nulls being fresh.
 fn file_firing(
     target: &mut Instance,
     firing: &RuleFiring,
@@ -609,27 +801,30 @@ fn file_firing(
     invented.clear();
     let mut filed = false;
     for (rel, fields) in firing.atoms() {
-        let tuple: Tuple = fields
-            .iter()
-            .map(|f| match f {
-                TField::Const(v) => v.clone(),
-                TField::Fresh(id) => {
-                    Value::Null(match invented.iter().find(|(seen, _)| seen == id) {
-                        Some(&(_, null)) => null,
-                        None => {
-                            let null = nulls.fresh();
-                            invented.push((*id, null));
-                            null
-                        }
-                    })
-                }
-            })
-            .collect();
+        let tuple = match fields {
+            Fields::Ground(tuple) => tuple.clone(),
+            Fields::Template(fields) => fields
+                .iter()
+                .map(|f| match f {
+                    TField::Const(v) => v.clone(),
+                    TField::Fresh(id) => {
+                        Value::Null(match invented.iter().find(|(seen, _)| seen == id) {
+                            Some(&(_, null)) => null,
+                            None => {
+                                let null = nulls.fresh();
+                                invented.push((*id, null));
+                                null
+                            }
+                        })
+                    }
+                })
+                .collect(),
+        };
         let relation = target.get_mut(rel).ok_or_else(|| {
             crate::schema::SchemaError::UnknownRelation { relation: rel.to_string() }
         })?;
         let before = relation.version();
-        // A ground one-atom firing hashes as the tuple it makes: the hash
+        // A ground one-atom firing hashes as the tuple it holds: the hash
         // it carries files it.
         let hash = if firing.atoms().len() == 1 && invented.is_empty() {
             firing.content_hash()
@@ -658,6 +853,16 @@ mod tests {
 
     fn v(i: u32) -> Term {
         Term::Var(Var(i))
+    }
+
+    /// An atom's fields spelled as the `Vec<TField>` they say.
+    fn tfields(fields: &Fields) -> Vec<TField> {
+        fields.iter().map(TField::from).collect()
+    }
+
+    /// A firing spelled as the plain `(relation, Vec<TField>)` list it says.
+    fn spelled(firing: &RuleFiring) -> Vec<(String, Vec<TField>)> {
+        firing.atoms().iter().map(|(rel, fields)| (rel.to_string(), tfields(fields))).collect()
     }
 
     fn src() -> Instance {
@@ -726,7 +931,7 @@ mod tests {
         assert_eq!(firings.len(), 1); // bob filtered by comparison
         assert!(firings[0].is_ground());
         assert_eq!(
-            firings[0].atoms()[0].1,
+            tfields(&firings[0].atoms()[0].1),
             vec![TField::Const(Value::str("alice")), TField::Const(Value::Int(30))]
         );
     }
@@ -739,8 +944,8 @@ mod tests {
             assert!(!f.is_ground());
             let (_, person_fields) = &f.atoms()[0];
             let (_, dept_fields) = &f.atoms()[1];
-            assert_eq!(person_fields[1], TField::Fresh(2));
-            assert_eq!(dept_fields[0], TField::Fresh(2));
+            assert_eq!(tfields(person_fields)[1], TField::Fresh(2));
+            assert_eq!(tfields(dept_fields)[0], TField::Fresh(2));
         }
     }
 
@@ -836,12 +1041,8 @@ mod tests {
         )
         .unwrap();
         for rule in [gav_rule(), glav_rule(), projection] {
-            let fired: Vec<Vec<(String, Vec<TField>)>> = rule
-                .fire(&inst)
-                .unwrap()
-                .iter()
-                .map(|f| f.atoms().iter().map(|(r, fs)| (r.to_string(), fs.clone())).collect())
-                .collect();
+            let fired: Vec<Vec<(String, Vec<TField>)>> =
+                rule.fire(&inst).unwrap().iter().map(spelled).collect();
             assert_eq!(fired, fire_reference(&rule, &inst), "{rule}");
         }
         assert_eq!(glav_rule().fire(&inst).unwrap().len(), 42, "alice, bob and n0..n39");
@@ -892,7 +1093,7 @@ mod tests {
         i.insert("emp", delta[0].clone()).unwrap();
         let firings = gav_rule().fire_delta(&i, "emp", &delta).unwrap();
         assert_eq!(firings.len(), 1);
-        assert_eq!(firings[0].atoms()[0].1[0], TField::Const(Value::str("carol")));
+        assert_eq!(tfields(&firings[0].atoms()[0].1)[0], TField::Const(Value::str("carol")));
     }
 
     #[test]
@@ -1114,10 +1315,10 @@ mod tests {
         // person("alice", D), dept(D): a constant and a placeholder.
         let sized = glav_rule().fire(&src()).unwrap().remove(0);
         assert_eq!(
-            sized.atoms(),
+            spelled(&sized),
             [
-                (Arc::from("person"), vec![TField::Const(Value::str("alice")), TField::Fresh(2)]),
-                (Arc::from("dept"), vec![TField::Fresh(2)]),
+                ("person".to_owned(), vec![TField::Const(Value::str("alice")), TField::Fresh(2)]),
+                ("dept".to_owned(), vec![TField::Fresh(2)]),
             ]
         );
         // Σ over atoms of (len(rel) + 2 + Σ field sizes), `Fresh` 4.
@@ -1185,12 +1386,14 @@ mod tests {
             TField::Const(Value::str("")),
             TField::Const(Value::str("\u{1}")),
         ];
-        let atoms = |atoms: &[HeadAtom]| {
+        let atoms = |atoms: &[(&str, Vec<TField>)]| {
+            let atoms: Vec<HeadAtom> =
+                atoms.iter().map(|(rel, fields)| ((*rel).into(), fields.clone().into())).collect();
             fed(|feed| {
-                summarise(atoms, feed);
+                summarise(&atoms, feed);
             })
         };
-        let one = |field: &TField| atoms(&[("r".into(), vec![field.clone()])]);
+        let one = |field: &TField| atoms(&[("r", vec![field.clone()])]);
         let streams: Vec<Vec<u8>> = fields.iter().map(one).collect();
         for (i, a) in streams.iter().enumerate() {
             for (j, b) in streams.iter().enumerate() {
@@ -1204,15 +1407,242 @@ mod tests {
         }
         // One atom against two, over the same fields; the names are not fed.
         let int = |i| TField::Const(Value::Int(i));
-        let whole = atoms(&[("r".into(), vec![int(1), int(2)])]);
-        let split = atoms(&[("r".into(), vec![int(1)]), ("r".into(), vec![int(2)])]);
+        let whole = atoms(&[("r", vec![int(1), int(2)])]);
+        let split = atoms(&[("r", vec![int(1)]), ("r", vec![int(2)])]);
         assert_ne!(whole, split);
-        assert_eq!(whole, atoms(&[("s".into(), vec![int(1), int(2)])]));
+        assert_eq!(whole, atoms(&[("s", vec![int(1), int(2)])]));
         // Past the 64-byte buffer, bytes stream through unchanged.
         let long = Value::str("x".repeat(200));
         let stream = fed(|feed| (0..3).for_each(|_| feed.value(&long)));
         assert_eq!(stream.len(), 3 * (1 + 8 + 200));
         assert_eq!(stream[..209], stream[209..418]);
+    }
+
+    /// The one tuple `rel` of `inst` holds equal to `t`.
+    fn held<'a>(inst: &'a Instance, rel: &str, t: &Tuple) -> &'a Tuple {
+        inst.get(rel).unwrap().iter().find(|held| *held == t).expect("held")
+    }
+
+    /// `(name, arity)` relations of ints.
+    fn ints(relations: &[(&str, usize)]) -> Instance {
+        let mut inst = Instance::new();
+        for &(name, arity) in relations {
+            inst.add_relation(RelationSchema::with_types(name, &vec![ValueType::Int; arity]));
+        }
+        inst
+    }
+
+    /// A head that repeats its one body atom is the tuple the atom matched,
+    /// and the relation it fills shares it too: a copy hop builds no tuple.
+    #[test]
+    fn a_copy_head_shares_the_tuple_its_body_matched() {
+        let copy = GlavRule::new(
+            "c",
+            vec![Atom::new("t", vec![v(0), v(1)])],
+            CqBody::new(vec![Atom::new("s", vec![v(0), v(1)])], vec![]),
+            vec!["X".into(), "Y".into()],
+        )
+        .unwrap();
+        let mut source = ints(&[("s", 2)]);
+        source.insert("s", tup![1, 2]).unwrap();
+        let mut target = ints(&[("t", 2)]);
+        let fired = PreparedRule::new(copy).fire(&source).unwrap();
+        let Fields::Ground(tuple) = &fired[0].atoms()[0].1 else { panic!("{fired:?}") };
+        assert!(tuple.ptr_eq(held(&source, "s", &tup![1, 2])));
+        apply_firings(&mut target, &fired, &mut NullFactory::new(1)).unwrap();
+        assert!(held(&target, "t", &tup![1, 2]).ptr_eq(tuple));
+    }
+
+    /// A head that repeats the body's variables in another order is not a
+    /// copy: it files its own tuple, the fields where the head puts them.
+    #[test]
+    fn a_swapped_head_files_its_own_tuple() {
+        let swap = GlavRule::new(
+            "w",
+            vec![Atom::new("t", vec![v(1), v(0)])],
+            CqBody::new(vec![Atom::new("s", vec![v(0), v(1)])], vec![]),
+            vec!["X".into(), "Y".into()],
+        )
+        .unwrap();
+        let mut source = ints(&[("s", 2)]);
+        source.insert("s", tup![1, 2]).unwrap();
+        let mut target = ints(&[("t", 2)]);
+        let fired = PreparedRule::new(swap).fire(&source).unwrap();
+        apply_firings(&mut target, &fired, &mut NullFactory::new(1)).unwrap();
+        assert_eq!(target.get("t").unwrap().sorted(), [tup![2, 1]]);
+        let filed = held(&target, "t", &tup![2, 1]);
+        assert!(!filed.ptr_eq(held(&source, "s", &tup![1, 2])));
+    }
+
+    /// A join's head is built once, as the tuple the relation then holds.
+    #[test]
+    fn a_join_heads_firing_and_the_relation_hold_one_allocation() {
+        let join = GlavRule::new(
+            "j",
+            vec![Atom::new("path", vec![v(0), v(2)])],
+            CqBody::new(
+                vec![Atom::new("e", vec![v(0), v(1)]), Atom::new("f", vec![v(1), v(2)])],
+                vec![],
+            ),
+            vec!["X".into(), "Y".into(), "Z".into()],
+        )
+        .unwrap();
+        let mut source = ints(&[("e", 2), ("f", 2)]);
+        source.insert("e", tup![1, 2]).unwrap();
+        source.insert("f", tup![2, 3]).unwrap();
+        let mut target = ints(&[("path", 2)]);
+        let fired = PreparedRule::new(join).fire(&source).unwrap();
+        let Fields::Ground(tuple) = &fired[0].atoms()[0].1 else { panic!("{fired:?}") };
+        assert_eq!(*tuple, tup![1, 3]);
+        apply_firings(&mut target, &fired, &mut NullFactory::new(1)).unwrap();
+        assert!(held(&target, "path", tuple).ptr_eq(tuple));
+    }
+
+    /// A template files a tuple of its own per atom, with one fresh null
+    /// per placeholder of the firing, shared where an id repeats.
+    #[test]
+    fn a_template_files_one_fresh_null_per_placeholder() {
+        let int = |i| TField::Const(Value::Int(i));
+        let firing = RuleFiring::new([
+            ("r", vec![TField::Fresh(0), int(7), TField::Fresh(1), TField::Fresh(0)]),
+            ("s", vec![TField::Fresh(1)]),
+            ("g", vec![int(7)]),
+        ]);
+        let shapes: Vec<bool> =
+            firing.atoms().iter().map(|(_, f)| matches!(f, Fields::Ground(_))).collect();
+        assert_eq!(shapes, [false, false, true]);
+        let mut target = ints(&[("r", 4), ("s", 1), ("g", 1)]);
+        let mut nulls = NullFactory::new(5);
+        apply_firings(&mut target, &[firing.clone(), firing], &mut nulls).unwrap();
+        assert_eq!(nulls.invented(), 4, "two placeholders a firing");
+        let r = target.get("r").unwrap();
+        let s: Vec<&Tuple> = target.get("s").unwrap().iter().collect();
+        for (k, t) in r.iter().enumerate() {
+            assert!(t[0].is_null() && t[2].is_null() && t[0] != t[2]);
+            assert_eq!((&t[0], &t[1], &t[2]), (&t[3], &Value::Int(7), &s[k][0]));
+        }
+        assert_ne!(r.iter().next().unwrap()[0], r.iter().nth(1).unwrap()[0]);
+        assert_eq!(target.get("g").unwrap().len(), 1);
+    }
+
+    /// A firing spelled as `Vec<TField>`s, generated: one to three atoms
+    /// over two names, up to three fields from a small domain of every
+    /// value type and two placeholders, so that equal prefixes, equal
+    /// firings and a ground atom beside a template at one position recur.
+    fn arb_spelling(x: &mut u64) -> Vec<(String, Vec<TField>)> {
+        let mut next = |n: u64| {
+            *x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (*x >> 33) % n
+        };
+        let field = |k: u64| match k {
+            0 | 1 => TField::Const(Value::Int(k as i64)),
+            2 => TField::Const(Value::str("")),
+            3 => TField::Const(Value::str("ü☃")),
+            4 => TField::Const(Value::Bool(true)),
+            5 => TField::Const(Value::Null(NullId::new(9, 1))),
+            _ => TField::Fresh(k as u32 % 2),
+        };
+        let atoms = 1 + next(3);
+        (0..atoms)
+            .map(|_| {
+                let rel = if next(4) == 0 { "s" } else { "r" };
+                let arity = next(4);
+                // One field in four a placeholder.
+                let fields =
+                    (0..arity).map(|_| field(if next(4) == 0 { 6 + next(2) } else { next(6) }));
+                (rel.to_owned(), fields.collect())
+            })
+            .collect()
+    }
+
+    /// Whether a firing holds a ground atom as its tuple or as a template
+    /// cannot be told from outside: against what the test computes itself
+    /// from the `Vec<TField>` spelling — the order, equality, content hash,
+    /// size, binary encoding, JSON and `Debug` of the plain atom list — and
+    /// a decoded firing holds an atom as its tuple iff it has no
+    /// placeholder.
+    #[test]
+    fn a_firing_is_its_tfield_spelling_whatever_it_holds() {
+        use crate::binenc::{put_firing, put_len, put_str, put_tfield, take_firing, Reader};
+        let sets = BuildHasherDefault::<Prehashed>::default();
+        let mut x = 42;
+        let spellings: Vec<Vec<(String, Vec<TField>)>> =
+            (0..300).map(|_| arb_spelling(&mut x)).collect();
+        let firings: Vec<RuleFiring> = spellings.iter().cloned().map(RuleFiring::new).collect();
+        let (mut grounds, mut templates) = (0, 0);
+        for (spelling, firing) in spellings.iter().zip(&firings) {
+            let mut feed = Feed::new();
+            let mut size = 0;
+            let mut bytes = Vec::new();
+            put_len(&mut bytes, spelling.len());
+            for (i, (rel, fields)) in spelling.iter().enumerate() {
+                if i > 0 {
+                    feed.separator();
+                }
+                size += rel.len() + 2;
+                put_str(&mut bytes, rel);
+                put_len(&mut bytes, fields.len());
+                for field in fields {
+                    put_tfield(&mut bytes, field);
+                    size += match field {
+                        TField::Const(v) => {
+                            feed.value(v);
+                            v.size_bytes()
+                        }
+                        TField::Fresh(id) => {
+                            feed.fresh(*id);
+                            4
+                        }
+                    };
+                }
+            }
+            assert_eq!(sets.hash_one(firing), feed.end().finish(), "{spelling:?}");
+            assert_eq!(firing.size_bytes(), size, "{spelling:?}");
+            let mut encoded = Vec::new();
+            put_firing(&mut encoded, firing);
+            assert_eq!(encoded, bytes, "{spelling:?}");
+            let json =
+                serde::Value::Object(BTreeMap::from([("atoms".to_owned(), spelling.to_value())]));
+            assert_eq!(firing.to_value(), json, "{spelling:?}");
+            assert_eq!(RuleFiring::from_value(&json).unwrap(), *firing);
+            let plain: Vec<(&str, &Vec<TField>)> =
+                spelling.iter().map(|(rel, fields)| (rel.as_str(), fields)).collect();
+            assert_eq!(format!("{firing:?}"), format!("RuleFiring {{ atoms: {plain:?} }}"));
+            let decoded = take_firing(&mut Reader::new(&encoded)).unwrap();
+            assert!(decoded == *firing && !decoded.ptr_eq(firing), "{spelling:?}");
+            for ((_, fields), (_, spelled)) in decoded.atoms().iter().zip(spelling) {
+                let ground = spelled.iter().all(|f| matches!(f, TField::Const(_)));
+                assert_eq!(matches!(fields, Fields::Ground(_)), ground, "{spelling:?}");
+                (grounds, templates) =
+                    if ground { (grounds + 1, templates) } else { (grounds, templates + 1) };
+            }
+            assert_eq!(
+                decoded.is_ground(),
+                spelling.iter().all(|(_, f)| f.iter().all(|f| matches!(f, TField::Const(_))))
+            );
+        }
+        assert!(grounds > 100 && templates > 100, "{grounds} ground atoms, {templates} templates");
+        let mut mixed = 0;
+        for (a, sa) in firings.iter().zip(&spellings) {
+            for (b, sb) in firings.iter().zip(&spellings) {
+                assert_eq!(a.cmp(b), sa.cmp(sb), "{sa:?} against {sb:?}");
+                assert_eq!(a == b, sa == sb, "{sa:?} against {sb:?}");
+                let shapes = |f: &RuleFiring| {
+                    f.atoms()
+                        .iter()
+                        .map(|(_, f)| matches!(f, Fields::Ground(_)))
+                        .collect::<Vec<_>>()
+                };
+                mixed += usize::from(shapes(a) != shapes(b) && sa[0].1.len() == sb[0].1.len());
+            }
+        }
+        assert!(mixed > 1000, "{mixed} pairs of firings of mixed shape");
+        assert!(
+            firings.iter().zip(&spellings).any(|(a, sa)| {
+                firings.iter().zip(&spellings).any(|(b, sb)| !a.ptr_eq(b) && sa == sb)
+            }),
+            "equal firings of separate allocations"
+        );
     }
 
     #[test]

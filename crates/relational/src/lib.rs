@@ -47,8 +47,8 @@ pub mod value;
 pub use cq::{Atom, CmpOp, Comparison, ConjunctiveQuery, CqBody, Term, Var, VarPool};
 pub use eval::{answer_query, certain_answers, evaluate_body, evaluate_body_delta, EvalError};
 pub use glav::{
-    apply_firings, apply_new_firings, FiringSet, GlavRule, Prehashed, PreparedRule, RuleFiring,
-    TField,
+    apply_firings, apply_new_firings, FieldRef, Fields, FiringSet, GlavRule, Prehashed,
+    PreparedRule, RuleFiring, TField,
 };
 pub use instance::Instance;
 pub use iso::{homomorphic, isomorphic};

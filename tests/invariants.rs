@@ -235,8 +235,8 @@ proptest! {
 mod relational_props {
     use super::*;
     use codb::relational::{
-        Atom, CmpOp, Comparison, CqBody, NullId, RelationSchema, TField, Term, Tuple, Value,
-        ValueType, Var,
+        Atom, CmpOp, Comparison, CqBody, FieldRef, NullId, RelationSchema, TField, Term, Tuple,
+        Value, ValueType, Var,
     };
 
     fn arb_instance(max_tuples: usize) -> impl Strategy<Value = Instance> {
@@ -626,11 +626,11 @@ mod relational_props {
                     let mut invented = BTreeMap::new();
                     for (rel, fields) in firing.atoms() {
                         let mut values = Vec::new();
-                        for field in fields {
+                        for field in fields.iter() {
                             values.push(match field {
-                                TField::Const(v) => v.clone(),
-                                TField::Fresh(id) => Value::Null(
-                                    *invented.entry(*id).or_insert_with(|| nulls.fresh()),
+                                FieldRef::Const(v) => v.clone(),
+                                FieldRef::Fresh(id) => Value::Null(
+                                    *invented.entry(id).or_insert_with(|| nulls.fresh()),
                                 ),
                             });
                         }
@@ -728,8 +728,8 @@ mod relational_props {
                     let again: Tuple = fields
                         .iter()
                         .map(|f| match f {
-                            TField::Const(v) => v.clone(),
-                            TField::Fresh(_) => unreachable!("a ground firing"),
+                            FieldRef::Const(v) => v.clone(),
+                            FieldRef::Fresh(_) => unreachable!("a ground firing"),
                         })
                         .collect();
                     prop_assert!(target.get(rel).unwrap().contains(&again), "{:?}", firing);
