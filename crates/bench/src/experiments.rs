@@ -829,84 +829,6 @@ fn e18() -> Table {
     t
 }
 
-/// One E19 row: floods two waves over `topology` (every peer publishing
-/// an advertisement first, with `advertise`) and reports the schedule.
-fn e19_row(
-    t: &mut Table,
-    label: &str,
-    topology: &Topology,
-    latency: Option<codb_net::LatencyModel>,
-    advertise: bool,
-) -> codb_workload::FloodReport {
-    let report = codb_workload::run_flood(
-        topology,
-        PipeConfig::lan(),
-        latency,
-        2,
-        0xE19,
-        advertise,
-        &codb_net::Tracer::disabled(),
-    );
-    assert_eq!(
-        report.reached, report.nodes,
-        "E19 acceptance: the flood must reach every node of {label}"
-    );
-    t.row(vec![
-        label.to_string(),
-        report.nodes.to_string(),
-        report.edges.to_string(),
-        report.messages.to_string(),
-        report.events.to_string(),
-        report.sim_time.to_string(),
-    ]);
-    report
-}
-
-/// E19 — simulator scalability: node-count sweep over chain, scale-free
-/// and geo-placed topologies, flooding gossip waves to quiescence. The
-/// subject is the simulator itself (one event heap + adjacency lists; the
-/// whole sweep takes 0.25 s of host time, PR 26), not the database
-/// protocol — the flood's message complexity is known
-/// in closed form (`waves × 2 × edges`), so the table pins the schedule
-/// the event loop must produce at each size; what that schedule costs
-/// per event is `net.us_per_event` in `benchmark/`. The `+ads` row
-/// repeats a flood with every peer advertised, as every coDB node is:
-/// the flood never reads the board, so its schedule must not move. The
-/// geo rows derive per-link latency from great-circle distance between
-/// seeded lat/long placements; that reshapes the *time* axis
-/// (intercontinental hops dominate) while leaving the message complexity
-/// untouched.
-fn e19() -> Table {
-    let mut t = Table::new(
-        "E19 — simulator scalability: flood waves to quiescence (LAN pipes; geo rows use \
-         great-circle latency)",
-        &["topology", "nodes", "edges", "messages", "events", "sim total"],
-    );
-    for n in [100usize, 1_000, 10_000] {
-        e19_row(&mut t, &format!("chain-{n}"), &Topology::Chain(n), None, false);
-    }
-    for n in [100usize, 1_000, 10_000] {
-        let topo = Topology::ScaleFree { n, m: 3, seed: 0x5CA1E };
-        let plain = e19_row(&mut t, &topo.to_string(), &topo, None, false);
-        if n == 1_000 {
-            let ads = e19_row(&mut t, &format!("{topo}+ads"), &topo, None, true);
-            assert_eq!(
-                (ads.messages, ads.events, ads.sim_time),
-                (plain.messages, plain.events, plain.sim_time),
-                "E19 acceptance: advertising must not change the flood's schedule"
-            );
-        }
-    }
-    let rg = Topology::RingGradient { n: 4_096, chords: 6 };
-    e19_row(&mut t, &rg.to_string(), &rg, None, false);
-    for n in [1_000usize, 10_000] {
-        let topo = Topology::ScaleFree { n, m: 3, seed: 0x5CA1E };
-        let geo = codb_net::LatencyModel::geo_scattered(0x6E0, n);
-        e19_row(&mut t, &format!("{topo}+geo"), &topo, Some(geo), false);
-    }
-    t
-}
-
 /// Total bytes of `.snap` and `.wal` files in a store directory.
 fn dir_footprint(dir: &std::path::Path) -> (u64, u64) {
     let (mut snap, mut wal) = (0u64, 0u64);
@@ -928,7 +850,9 @@ pub type Experiment = (&'static str, fn() -> Table);
 
 /// Every experiment by id, in the order `exp all` prints them. Ids are
 /// stable: E11 and E20 are retired (their host-time columns are
-/// `benchmark/` metrics now), not renumbered.
+/// `benchmark/` metrics now), and so is E19 (it timed the simulator on a
+/// flood protocol that is not coDB; `net.us_per_event` times the loop on
+/// every workload), not renumbered.
 pub const EXPERIMENTS: &[Experiment] = &[
     ("e1", e1),
     ("e2", e2),
@@ -947,7 +871,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("e16", e16),
     ("e17", e17),
     ("e18", e18),
-    ("e19", e19),
 ];
 
 /// All experiments, in registry order.
@@ -986,7 +909,7 @@ mod tests {
             .collect();
         assert_eq!(ran, registered, "`exp all` runs exactly the registry, in order");
         assert_eq!(readme_ids(), registered, "README's Experiments table is the registry");
-        for retired in ["e11", "e20", "e19-quick", "e20-quick", "e21"] {
+        for retired in ["e11", "e19", "e20", "e19-quick", "e20-quick", "e21"] {
             assert!(by_id(retired).is_none(), "{retired} is not an experiment");
         }
     }

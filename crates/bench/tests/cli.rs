@@ -17,10 +17,11 @@ fn rejected(args: &[&str]) -> String {
 #[test]
 fn unknown_and_retired_ids_list_the_registry() {
     let ids: Vec<&str> = codb_bench::EXPERIMENTS.iter().map(|(id, _)| *id).collect();
-    let cases: [&[&str]; 7] = [
+    let cases: [&[&str]; 8] = [
         &["all", "bogus"],
         &["e4", "bogus"],
         &["e11"],
+        &["e19"],
         &["e20"],
         &["e19-quick"],
         &["e20-quick"],

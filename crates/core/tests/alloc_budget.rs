@@ -7,7 +7,8 @@
 //! every delivery is one `on_message` call the count is taken around — and
 //! the three message shapes that make up a wide update are held to what
 //! they are known to need, and a data hop's every firing more to its own
-//! share.
+//! share. Decoding a WAL firing, which replay and recovery do per record,
+//! is held to what its atoms need.
 
 use codb_core::{Body, CoDbNode, Envelope, Kind, NetworkConfig, NodeId, NodeSettings};
 use codb_net::{Command, Context, Peer, SimTime};
@@ -260,4 +261,37 @@ fn each_firing_more_on_a_hop_costs_its_firing_only() {
         "a hop of one firing allocated {one}, of a hundred {hundred}"
     );
     assert_eq!(chain.nodes[2].ldb().tuple_count(), 121);
+}
+
+/// What decoding a WAL firing may request for each ground atom: the
+/// relation's name as read, its shared copy, and the tuple. The values
+/// are read into one scratch the firing's atoms share and drained into
+/// the tuple, so no field vector is built and copied from.
+const DECODE_PER_GROUND_ATOM: u64 = 3;
+
+/// What decoding a firing may request once: the scratch and the firing
+/// (a head of more than one atom adds its atom list).
+const DECODE_PER_FIRING: u64 = 2;
+
+#[test]
+fn decoding_a_ground_firing_builds_each_tuple_once() {
+    use codb_relational::binenc::{put_firing, take_firing, Reader};
+    use codb_relational::{RuleFiring, TField, Value};
+    for k in 1..=4u64 {
+        let atoms = (0..k as i64).map(|i| {
+            (format!("t{i}"), vec![TField::Const(Value::Int(i)), TField::Const(Value::Int(7))])
+        });
+        let firing = RuleFiring::new(atoms);
+        let mut bytes = Vec::new();
+        put_firing(&mut bytes, &firing);
+        let before = requests();
+        let decoded = take_firing(&mut Reader::new(&bytes)).unwrap();
+        let allocations = requests() - before;
+        assert_eq!(decoded, firing);
+        assert!(decoded.is_ground());
+        assert!(
+            allocations <= k * DECODE_PER_GROUND_ATOM + DECODE_PER_FIRING + u64::from(k > 1),
+            "decoding a firing of {k} ground atoms allocated {allocations}"
+        );
+    }
 }

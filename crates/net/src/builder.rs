@@ -1,114 +1,37 @@
-//! Declarative network construction: [`SimBuilder`].
+//! Network construction: [`SimBuilder`].
 //!
-//! Before this module every experiment, test and the core harness
-//! hand-rolled the same loop: `add_peer` for each id, `open_pipe` for
-//! each edge, with per-call-site copies of the edge materialization.
-//! The builder replaces that with one pipeline:
+//! A harness registers its peers' ids and hands the builder one factory;
+//! the builder spawns a peer per id, in registration order:
 //!
 //! ```ignore
-//! let net = SimBuilder::new(config)
-//!     .topology(&topology, PipeConfig::lan())   // any EdgeSource
-//!     .latency(LatencyModel::geo_scattered(7, n))
+//! let mut net = SimBuilder::new(config)
+//!     .peers(ids)
 //!     .spawn(|id| MyPeer::new(id));
+//! net.open_pipe(a, b, PipeConfig::lan()); // where the harness wires pipes
 //! ```
 //!
-//! Construction order is deterministic: peers spawn in registration
-//! order, pipes open in registration order, so two builds from the same
-//! inputs schedule identical event sequences. The latency model (if
-//! any) is evaluated once per pipe here — the simulator hot path only
-//! ever sees the resulting [`PipeConfig`].
+//! coDB nodes open their own pipes as they start, so a coDB network needs
+//! no more than this. Construction order is deterministic: two builds from
+//! the same ids schedule identical event sequences.
 
-use crate::latency::LatencyModel;
 use crate::peer::{Payload, Peer, PeerId};
-use crate::pipe::PipeConfig;
 use crate::sim::{SimConfig, SimNet};
 
-/// Anything that can describe a network as nodes + directed edges.
-///
-/// Implemented by `codb_workload::Topology` (the canonical generators)
-/// and by the in-crate [`Edges`] adapter for ad-hoc shapes. Node
-/// indices are `0..node_count()`; the builder maps index `i` to
-/// `PeerId(i)`.
-pub trait EdgeSource {
-    /// Number of nodes in the shape.
-    fn node_count(&self) -> usize;
-    /// Directed edges `(source, target)` over `0..node_count()`.
-    fn edge_list(&self) -> Vec<(usize, usize)>;
-}
-
-/// A literal edge list with an explicit node count — the [`EdgeSource`]
-/// for shapes that don't warrant a topology enum variant.
-#[derive(Clone, Debug)]
-pub struct Edges {
-    /// Number of nodes (`0..n` are valid endpoints).
-    pub n: usize,
-    /// Directed edges.
-    pub edges: Vec<(usize, usize)>,
-}
-
-impl Edges {
-    /// A chain `0 → 1 → … → n-1`.
-    pub fn chain(n: usize) -> Self {
-        Edges { n, edges: (0..n.saturating_sub(1)).map(|i| (i, i + 1)).collect() }
-    }
-
-    /// A directed ring `0 → 1 → … → n-1 → 0`.
-    pub fn ring(n: usize) -> Self {
-        let edges = if n < 2 { Vec::new() } else { (0..n).map(|i| (i, (i + 1) % n)).collect() };
-        Edges { n, edges }
-    }
-}
-
-impl EdgeSource for Edges {
-    fn node_count(&self) -> usize {
-        self.n
-    }
-    fn edge_list(&self) -> Vec<(usize, usize)> {
-        self.edges.clone()
-    }
-}
-
-/// Builder for a fully-wired [`SimNet`]; see the module docs.
+/// Builder for a [`SimNet`] of registered peers; see the module docs.
 #[derive(Clone, Debug)]
 pub struct SimBuilder {
     config: SimConfig,
-    latency: Option<LatencyModel>,
     peers: Vec<PeerId>,
-    pipes: Vec<(PeerId, PeerId, PipeConfig)>,
 }
 
 impl SimBuilder {
     /// Starts a build with the given simulator configuration.
     pub fn new(config: SimConfig) -> Self {
-        SimBuilder { config, latency: None, peers: Vec::new(), pipes: Vec::new() }
+        SimBuilder { config, peers: Vec::new() }
     }
 
-    /// Registers every node and edge of `shape`, each edge as a pipe
-    /// with `pipe` as its base configuration. May be called repeatedly
-    /// (ids already registered are not duplicated).
-    pub fn topology<T: EdgeSource + ?Sized>(mut self, shape: &T, pipe: PipeConfig) -> Self {
-        for i in 0..shape.node_count() {
-            let id = PeerId(i as u64);
-            if !self.peers.contains(&id) {
-                self.peers.push(id);
-            }
-        }
-        for (a, b) in shape.edge_list() {
-            self.pipes.push((PeerId(a as u64), PeerId(b as u64), pipe));
-        }
-        self
-    }
-
-    /// Sets the latency model. Each pipe's latency is overridden by
-    /// `model.link(a, b)` at [`spawn`](Self::spawn) time; bandwidth and
-    /// loss of the base configuration are preserved.
-    pub fn latency(mut self, model: LatencyModel) -> Self {
-        self.latency = Some(model);
-        self
-    }
-
-    /// Registers additional peers (for harness-only or off-topology
-    /// ids).
+    /// Registers peers, in order; an id already registered is not
+    /// registered again.
     pub fn peers(mut self, ids: impl IntoIterator<Item = PeerId>) -> Self {
         for id in ids {
             if !self.peers.contains(&id) {
@@ -118,16 +41,10 @@ impl SimBuilder {
         self
     }
 
-    /// Registers a single explicit pipe.
-    pub fn pipe(mut self, a: PeerId, b: PeerId, config: PipeConfig) -> Self {
-        self.pipes.push((a, b, config));
-        self
-    }
-
     /// Materializes the network: spawns each registered peer via
-    /// `make_peer` (in registration order), opens every pipe (latency
-    /// model applied), and returns the ready [`SimNet`] — started peers
-    /// have their `on_start` events queued, nothing has run yet.
+    /// `make_peer` (in registration order) and returns the [`SimNet`] —
+    /// started peers have their `on_start` events queued, nothing has run
+    /// yet.
     pub fn spawn<M, P, F>(self, mut make_peer: F) -> SimNet<M, P>
     where
         M: Payload,
@@ -139,12 +56,6 @@ impl SimBuilder {
             let peer = make_peer(id);
             net.add_peer(id, peer);
         }
-        for (a, b, mut config) in self.pipes {
-            if let Some(model) = &self.latency {
-                config.latency = model.link(a, b);
-            }
-            net.open_pipe(a, b, config);
-        }
         net
     }
 }
@@ -152,19 +63,26 @@ impl SimBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipe::PipeConfig;
     use crate::sim::tests_support::{Echo, Msg};
-    use crate::time::SimTime;
 
     /// Echo peers forwarding along the chain `0 → 1 → … → last`.
     fn forwarder(last: u64) -> impl FnMut(PeerId) -> Echo {
         move |id| Echo { forward: (id.0 < last).then(|| PeerId(id.0 + 1)), ..Default::default() }
     }
 
+    /// Opens the directed ring `0 → 1 → … → n-1 → 0`.
+    fn open_ring<M: Payload, P: Peer<M>>(net: &mut SimNet<M, P>, n: u64) {
+        for i in 0..n {
+            net.open_pipe(PeerId(i), PeerId((i + 1) % n), PipeConfig::lan());
+        }
+    }
+
     #[test]
     fn builder_wires_a_ring() {
-        let mut net: SimNet<Msg, Echo> = SimBuilder::new(SimConfig::default())
-            .topology(&Edges::ring(4), PipeConfig::lan())
-            .spawn(forwarder(3));
+        let mut net: SimNet<Msg, Echo> =
+            SimBuilder::new(SimConfig::default()).peers((0..4).map(PeerId)).spawn(forwarder(3));
+        open_ring(&mut net, 4);
         for i in 0..4u64 {
             assert!(net.has_pipe(PeerId(i), PeerId((i + 1) % 4)));
             assert!(net.has_pipe(PeerId((i + 1) % 4), PeerId(i)), "pipes are bidirectional");
@@ -179,20 +97,16 @@ mod tests {
     fn builder_matches_hand_rolled_construction() {
         let build = |use_builder: bool| {
             let mut net: SimNet<Msg, Echo> = if use_builder {
-                SimBuilder::new(SimConfig::default())
-                    .topology(&Edges::ring(5), PipeConfig::lan())
-                    .spawn(forwarder(4))
+                SimBuilder::new(SimConfig::default()).peers((0..5).map(PeerId)).spawn(forwarder(4))
             } else {
                 let mut net = SimNet::new(SimConfig::default());
                 let mut make = forwarder(4);
                 for i in 0..5 {
                     net.add_peer(PeerId(i), make(PeerId(i)));
                 }
-                for i in 0..5 {
-                    net.open_pipe(PeerId(i), PeerId((i + 1) % 5), PipeConfig::lan());
-                }
                 net
             };
+            open_ring(&mut net, 5);
             let (tracer, recorded) = codb_trace::Tracer::ring(usize::MAX);
             net.attach_tracer(tracer);
             net.inject(PeerId(99), PeerId(0), Msg(1));
@@ -204,32 +118,25 @@ mod tests {
     }
 
     #[test]
-    fn latency_model_overrides_pipe_latency() {
-        let slow = LatencyModel::Fixed(SimTime::from_millis(250));
-        let mut net: SimNet<Msg, Echo> = SimBuilder::new(SimConfig::default())
-            .topology(&Edges::chain(2), PipeConfig::lan())
-            .latency(slow)
-            .spawn(forwarder(1));
-        net.inject(PeerId(99), PeerId(0), Msg(1));
-        let end = net.run_until_quiescent();
-        assert!(end >= SimTime::from_millis(250), "model latency applied: {end}");
-    }
-
-    #[test]
     fn extra_peers_and_explicit_pipes() {
+        let mut spawned = Vec::new();
         let mut net: SimNet<Msg, Echo> = SimBuilder::new(SimConfig::default())
-            .topology(&Edges::chain(2), PipeConfig::lan())
-            .peers([PeerId(7)])
-            .pipe(PeerId(1), PeerId(7), PipeConfig::wan())
-            .spawn(|id| Echo {
-                forward: match id.0 {
-                    0 => Some(PeerId(1)),
-                    1 => Some(PeerId(7)),
-                    _ => None,
-                },
-                ..Default::default()
+            .peers([PeerId(0), PeerId(1)])
+            .peers([PeerId(1), PeerId(7)])
+            .spawn(|id| {
+                spawned.push(id);
+                Echo {
+                    forward: match id.0 {
+                        0 => Some(PeerId(1)),
+                        1 => Some(PeerId(7)),
+                        _ => None,
+                    },
+                    ..Default::default()
+                }
             });
-        assert!(net.has_pipe(PeerId(1), PeerId(7)));
+        assert_eq!(spawned, [PeerId(0), PeerId(1), PeerId(7)], "each id once, in order");
+        net.open_pipe(PeerId(0), PeerId(1), PipeConfig::lan());
+        net.open_pipe(PeerId(1), PeerId(7), PipeConfig::wan());
         net.inject(PeerId(99), PeerId(0), Msg(2));
         net.run_until_quiescent();
         assert_eq!(net.stats().delivered, 3, "message crosses the explicit pipe too");

@@ -21,7 +21,6 @@
 
 pub mod builder;
 pub mod discovery;
-pub mod latency;
 mod mailbox;
 pub mod parallel;
 pub mod peer;
@@ -32,9 +31,8 @@ pub mod stats;
 pub mod time;
 mod worker;
 
-pub use builder::{EdgeSource, Edges, SimBuilder};
+pub use builder::SimBuilder;
 pub use discovery::{AdKind, Advertisement, Board};
-pub use latency::{GeoPoint, LatencyModel};
 pub use parallel::{ParallelNet, RuntimeConfig};
 pub use peer::{Command, Context, Payload, Peer, PeerId};
 pub use pipe::PipeConfig;

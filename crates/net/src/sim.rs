@@ -12,9 +12,11 @@
 //!
 //! # Hot-path layout
 //!
-//! The simulator sweeps 10k-peer networks (experiment E19), so an event
-//! costs a heap pop and a `Vec` index, and a send one heap push and one
-//! hash probe, whatever the number of peers:
+//! A wide update is mostly event loop — on the benchmark's `update_wide`,
+//! a 120-node scale-free network with two tuples a node, a cold update
+//! sends ~4.6k messages — and `net.us_per_event` times that loop on every
+//! workload. So an event costs a heap pop and a `Vec` index, and a send
+//! one heap push and one hash probe, whatever the number of peers:
 //!
 //! * Events live in a [`HeapQueue`] on `(at, seq)`. A wave of LAN events
 //!   shares one instant, so no time-bucketed structure beats the heap on
@@ -540,13 +542,17 @@ mod tests {
     }
 
     fn ring(n: u64, hops: u32) -> SimNet<Ping, Relay> {
-        crate::builder::SimBuilder::new(SimConfig::default())
-            .topology(&crate::builder::Edges::ring(n as usize), PipeConfig::lan())
+        let mut net = crate::builder::SimBuilder::new(SimConfig::default())
+            .peers((0..n).map(PeerId))
             .spawn(|id| Relay {
                 next: PeerId((id.0 + 1) % n),
                 received: vec![],
                 start_with: (id.0 == 0).then_some(hops),
-            })
+            });
+        for i in 0..n {
+            net.open_pipe(PeerId(i), PeerId((i + 1) % n), PipeConfig::lan());
+        }
+        net
     }
 
     /// What the slot store is for: the queue sifts `(at, seq)` plus this,
@@ -644,19 +650,29 @@ mod tests {
 
     #[test]
     fn loss_drops_deterministically() {
-        let mut net: SimNet<Ping, Relay> = SimNet::new(SimConfig { seed: 1, ..Default::default() });
-        net.add_peer(PeerId(0), Relay { next: PeerId(1), received: vec![], start_with: None });
-        net.add_peer(PeerId(1), Relay { next: PeerId(0), received: vec![], start_with: None });
-        net.open_pipe(PeerId(0), PeerId(1), PipeConfig::lan().with_loss(0.5));
-        // Fire 100 one-hop messages from outside.
-        for _ in 0..100 {
-            net.inject(PeerId(1), PeerId(0), Ping(1, 10));
-        }
-        net.run_until_quiescent();
-        let stats = net.stats();
+        let run = |seed: u64| {
+            let mut net: SimNet<Ping, Relay> =
+                SimNet::new(SimConfig { seed, ..Default::default() });
+            net.add_peer(PeerId(0), Relay { next: PeerId(1), received: vec![], start_with: None });
+            net.add_peer(PeerId(1), Relay { next: PeerId(0), received: vec![], start_with: None });
+            net.open_pipe(PeerId(0), PeerId(1), PipeConfig::lan().with_loss(0.5));
+            let (tracer, recorded) = Tracer::ring(usize::MAX);
+            net.attach_tracer(tracer);
+            // Fire 100 one-hop messages from outside.
+            for _ in 0..100 {
+                net.inject(PeerId(1), PeerId(0), Ping(1, 10));
+            }
+            net.run_until_quiescent();
+            let events = recorded.lock().unwrap().events();
+            (net.stats(), events)
+        };
+        let (stats, events) = run(1);
         assert!(stats.dropped > 20 && stats.dropped < 80, "loss ~50%, got {}", stats.dropped);
         // Deliveries + drops account for every peer-sent message.
         assert_eq!(stats.sent, stats.delivered + stats.dropped);
+        assert_eq!(run(1), (stats, events.clone()), "one seed, one schedule, every event");
+        // Another seed draws other losses.
+        assert_ne!(run(2).1, events, "the seed drives the loss draws");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! ```
 
 use codb_net::{
-    Context, Edges, Payload, Peer, PeerId, PipeConfig, SimBuilder, SimConfig, SimNet, SimTime,
+    Context, Payload, Peer, PeerId, PipeConfig, SimBuilder, SimConfig, SimNet, SimTime,
 };
 use codb_trace::{TraceEvent, Tracer};
 
@@ -91,11 +91,16 @@ fn build() -> SimNet<Token, Gossip> {
         adj[b as usize].push(PeerId(a));
     }
 
-    // Built through SimBuilder: peers spawn in index order, pipes open in
-    // edge order — the exact call sequence the fixture was generated
-    // with, so the builder itself is on the golden path.
-    let mut builder = SimBuilder::new(SimConfig { seed: 0x601D_72AC, max_events: 200_000 })
-        .topology(&Edges { n: N as usize, edges: Vec::new() }, PipeConfig::lan());
+    // Built through SimBuilder, then wired: peers spawn in index order,
+    // pipes open in edge order — the exact call sequence the fixture was
+    // generated with, so the builder itself is on the golden path.
+    let mut net = SimBuilder::new(SimConfig { seed: 0x601D_72AC, max_events: 200_000 })
+        .peers((0..N).map(PeerId))
+        .spawn(|id| Gossip {
+            neighbours: adj[id.0 as usize].clone(),
+            seen: Vec::new(),
+            emit_base: id.0 as u32 * 100,
+        });
     for (k, &(a, b)) in edges.iter().enumerate() {
         // Cycle through pipe shapes so every model is on the golden path.
         let config = match k % 5 {
@@ -105,13 +110,9 @@ fn build() -> SimNet<Token, Gossip> {
             3 => PipeConfig::wan(),
             _ => PipeConfig::lan().with_bandwidth(250_000),
         };
-        builder = builder.pipe(PeerId(a), PeerId(b), config);
+        net.open_pipe(PeerId(a), PeerId(b), config);
     }
-    builder.spawn(|id| Gossip {
-        neighbours: adj[id.0 as usize].clone(),
-        seen: Vec::new(),
-        emit_base: id.0 as u32 * 100,
-    })
+    net
 }
 
 fn render_trace() -> String {

@@ -34,7 +34,7 @@ use crate::relation::Relation;
 use crate::schema::{Column, RelationSchema};
 use crate::tuple::Tuple;
 use crate::value::{NullFactory, NullId, Value, ValueType};
-use crate::{FieldRef, RuleFiring, TField};
+use crate::{FieldRef, Fields, RuleFiring, TField};
 use std::fmt;
 
 /// A failed binary decode: where and why.
@@ -460,20 +460,35 @@ pub fn put_firing(out: &mut Vec<u8>, f: &RuleFiring) {
 }
 
 /// Decodes one [`RuleFiring`]; an atom with no placeholder comes back
-/// holding its tuple ([`RuleFiring::new`]).
+/// holding its tuple, as [`RuleFiring::new`] would build it.
 pub fn take_firing(r: &mut Reader<'_>) -> DecodeResult<RuleFiring> {
     let n = r.len(2)?;
-    let mut atoms = Vec::with_capacity(n);
-    for _ in 0..n {
-        let rel = r.str()?;
-        let nf = r.len(1)?;
-        let mut fields = Vec::with_capacity(nf);
-        for _ in 0..nf {
-            fields.push(take_tfield(r)?);
+    // One scratch for the firing's atoms: a ground atom's values are read
+    // into it and drained into its tuple, one allocation an atom.
+    let mut values = Vec::new();
+    RuleFiring::try_from_atoms(n, || Ok((r.str()?.into(), take_fields(r, &mut values)?)))
+}
+
+/// Decodes one atom's fields: into `values` and out as the tuple while
+/// each is a constant, into a template from the first placeholder on.
+fn take_fields(r: &mut Reader<'_>, values: &mut Vec<Value>) -> DecodeResult<Fields> {
+    let nf = r.len(1)?;
+    values.reserve(nf);
+    for i in 0..nf {
+        match take_tfield(r)? {
+            TField::Const(v) => values.push(v),
+            TField::Fresh(id) => {
+                let mut fields = Vec::with_capacity(nf);
+                fields.extend(values.drain(..).map(TField::Const));
+                fields.push(TField::Fresh(id));
+                for _ in i + 1..nf {
+                    fields.push(take_tfield(r)?);
+                }
+                return Ok(Fields::Template(fields));
+            }
         }
-        atoms.push((rel, fields));
     }
-    Ok(RuleFiring::new(atoms))
+    Ok(Fields::Ground(values.drain(..).collect()))
 }
 
 #[cfg(test)]
@@ -559,6 +574,28 @@ mod tests {
         for cut in 0..out.len() {
             assert!(take_tuple(&mut Reader::new(&out[..cut])).is_err(), "cut at {cut}");
         }
+        // A firing whose template's first field is a constant: the decoder
+        // has read it as a ground atom's when the placeholder turns up.
+        let f = RuleFiring::new([
+            ("r", vec![TField::Const(Value::Int(1)), TField::Const(Value::str("ab"))]),
+            (
+                "s",
+                vec![TField::Const(Value::Int(2)), TField::Fresh(0), TField::Const(Value::Int(3))],
+            ),
+            ("t", vec![TField::Const(Value::Bool(true))]),
+        ]);
+        let mut out = Vec::new();
+        put_firing(&mut out, &f);
+        assert_eq!(take_firing(&mut Reader::new(&out)).unwrap(), f);
+        for cut in 0..out.len() {
+            assert!(take_firing(&mut Reader::new(&out[..cut])).is_err(), "firing cut at {cut}");
+        }
+        // A flipped bit decodes to some firing or is an error, never a panic.
+        for bit in 0..out.len() * 8 {
+            let mut flipped = out.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = take_firing(&mut Reader::new(&flipped));
+        }
     }
 
     #[test]
@@ -576,6 +613,15 @@ mod tests {
         assert!(take_tfield(&mut Reader::new(&[9])).is_err());
         let mut r = Reader::new(&[TAG_BOOL, 2]);
         assert!(take_value(&mut r).is_err(), "boolean byte 2 rejected");
+        // In a firing, after a constant the decoder has set aside.
+        let mut out = Vec::new();
+        put_len(&mut out, 1);
+        put_str(&mut out, "r");
+        put_len(&mut out, 2);
+        put_tfield(&mut out, &TField::Const(Value::Int(1)));
+        out.push(9);
+        let err = take_firing(&mut Reader::new(&out)).unwrap_err();
+        assert!(err.detail.contains("unknown template-field tag 9"), "{err}");
     }
 
     #[test]

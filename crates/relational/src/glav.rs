@@ -427,8 +427,9 @@ impl From<FieldRef<'_>> for TField {
 /// the next hop's firing where a copy rule repeats it, share the one
 /// allocation —; an atom with one is a template, filled in at the target.
 /// Ground iff no placeholder: [`RuleFiring::new`] turns an all-`Const`
-/// vector into `Ground`, and a rule's firings hold one shape at each head
-/// position.
+/// vector into `Ground`, [`binenc::take_firing`](crate::binenc::take_firing)
+/// decodes one straight into its tuple, and a rule's firings hold one
+/// shape at each head position.
 ///
 /// Equality and order are those of the field sequence — a `Vec<TField>`'s
 /// —, whichever the variants.
@@ -540,7 +541,7 @@ struct FiringData {
 }
 
 /// One head atom: its relation and its fields.
-type HeadAtom = (Arc<str>, Fields);
+pub(crate) type HeadAtom = (Arc<str>, Fields);
 
 /// A firing's atoms; a one-atom head — most rules' — in the firing's own
 /// allocation. Compared as its slice, so that the order of firings is the
@@ -605,6 +606,25 @@ impl RuleFiring {
 
     fn from_head(head: Head) -> Self {
         RuleFiring(Arc::new(FiringData { head, summary: OnceLock::new() }))
+    }
+
+    /// A firing of the `n` atoms `atom` yields in turn, in head order, or
+    /// `atom`'s first error — the decoder's constructor: a one-atom head
+    /// takes no list, a longer one the list of exactly `n` it fills.
+    pub(crate) fn try_from_atoms<E>(
+        n: usize,
+        mut atom: impl FnMut() -> Result<HeadAtom, E>,
+    ) -> Result<Self, E> {
+        let head = if n == 1 {
+            Head::One([atom()?])
+        } else {
+            let mut atoms = Vec::with_capacity(n);
+            for _ in 0..n {
+                atoms.push(atom()?);
+            }
+            Head::Many(atoms)
+        };
+        Ok(Self::from_head(head))
     }
 
     /// `(relation, fields)` per head atom, in rule head order.

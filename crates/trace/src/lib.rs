@@ -1,9 +1,9 @@
 //! coDB flight recorder: a low-overhead binary trace of what a run
 //! actually did.
 //!
-//! A million-message simulator run used to be a black box — a failing
-//! seeded faultplan or a slow E19 sweep could only be diagnosed by
-//! re-running under ad-hoc prints. This crate is the instrument: every
+//! A simulator run of thousands of messages used to be a black box — a
+//! failing seeded faultplan or a slow wide update could only be diagnosed
+//! by re-running under ad-hoc prints. This crate is the instrument: every
 //! layer of the stack emits typed [`TraceEvent`]s through one shared
 //! [`Tracer`] handle into a pluggable [`TraceSink`], and the read side
 //! turns the recorded stream back into a postmortem — a human-readable

@@ -20,7 +20,6 @@ pub mod oracle;
 pub mod parallel;
 mod powercut;
 pub mod scenario;
-pub mod simscale;
 pub mod topology;
 
 pub use data_gen::{generate, generate_distinct, DataDist};
@@ -33,5 +32,4 @@ pub use parallel::{
     ParallelIngestReport,
 };
 pub use scenario::{RuleStyle, Scenario};
-pub use simscale::{run_flood, FloodMsg, FloodPeer, FloodReport};
 pub use topology::Topology;

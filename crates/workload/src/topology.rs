@@ -68,16 +68,6 @@ pub enum Topology {
         /// RNG seed.
         seed: u64,
     },
-    /// A ring with exponentially-spaced chords: node `i` additionally
-    /// feeds `(i + 2^k) mod n` for `k = 1..=chords`. A deterministic
-    /// small-world: diameter `O(n / 2^chords)` with uniform degree —
-    /// the gradient between `Ring` and dense overlays.
-    RingGradient {
-        /// Node count.
-        n: usize,
-        /// Number of chord scales (`2, 4, 8, …, 2^chords`).
-        chords: u32,
-    },
 }
 
 impl Topology {
@@ -88,8 +78,7 @@ impl Topology {
             Topology::Star { leaves } => leaves + 1,
             Topology::Tree { height } => (1 << (height + 1)) - 1,
             Topology::Grid { w, h } => w * h,
-            Topology::RandomDag { n, .. } => n,
-            Topology::ScaleFree { n, .. } | Topology::RingGradient { n, .. } => n,
+            Topology::RandomDag { n, .. } | Topology::ScaleFree { n, .. } => n,
         }
     }
 
@@ -189,22 +178,6 @@ impl Topology {
                 }
                 edges
             }
-            Topology::RingGradient { n, chords } => {
-                if n < 2 {
-                    return Vec::new();
-                }
-                let mut edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
-                for k in 1..=chords {
-                    let step = 1usize << k;
-                    if step >= n {
-                        break;
-                    }
-                    for i in 0..n {
-                        edges.push((i, (i + step) % n));
-                    }
-                }
-                edges
-            }
         }
     }
 
@@ -218,7 +191,7 @@ impl Topology {
             Topology::Grid { w, h } => w * h - 1,
             Topology::RandomDag { n, .. } => n.saturating_sub(1),
             Topology::Clique(_) => 0,
-            Topology::ScaleFree { .. } | Topology::RingGradient { .. } => 0,
+            Topology::ScaleFree { .. } => 0,
         }
     }
 
@@ -226,7 +199,6 @@ impl Topology {
     pub fn is_cyclic(&self) -> bool {
         matches!(self, Topology::Ring(n) if *n >= 2)
             || matches!(self, Topology::Clique(n) if *n >= 2)
-            || matches!(self, Topology::RingGradient { n, .. } if *n >= 2)
     }
 
     /// The directed diameter towards the sink (longest shortest path), a
@@ -240,8 +212,8 @@ impl Topology {
             Topology::Grid { w, h } => (w - 1) + (h - 1),
             Topology::RandomDag { n, .. } => n.saturating_sub(1), // backbone
             Topology::Clique(n) => usize::from(n > 1),
-            // No closed form for the generated families: measure by BFS.
-            Topology::ScaleFree { .. } | Topology::RingGradient { .. } => self.bfs_depth_to_sink(),
+            // No closed form for a generated graph: measure by BFS.
+            Topology::ScaleFree { .. } => self.bfs_depth_to_sink(),
         }
     }
 
@@ -274,18 +246,6 @@ impl Topology {
     }
 }
 
-/// Topologies drive [`codb_net::SimBuilder`] directly: the builder maps
-/// node index `i` to `PeerId(i)` and opens one (bidirectional) pipe per
-/// directed data-flow edge.
-impl codb_net::EdgeSource for Topology {
-    fn node_count(&self) -> usize {
-        Topology::node_count(self)
-    }
-    fn edge_list(&self) -> Vec<(usize, usize)> {
-        Topology::edges(self)
-    }
-}
-
 impl fmt::Display for Topology {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
@@ -297,7 +257,6 @@ impl fmt::Display for Topology {
             Topology::RandomDag { n, p_percent, .. } => write!(f, "random-{n}-p{p_percent}"),
             Topology::Clique(n) => write!(f, "clique-{n}"),
             Topology::ScaleFree { n, m, .. } => write!(f, "scalefree-{n}-m{m}"),
-            Topology::RingGradient { n, chords } => write!(f, "ringgrad-{n}-c{chords}"),
         }
     }
 }
@@ -380,7 +339,6 @@ mod tests {
         assert_eq!(Topology::Chain(8).to_string(), "chain-8");
         assert_eq!(Topology::Grid { w: 3, h: 2 }.to_string(), "grid-3x2");
         assert_eq!(Topology::ScaleFree { n: 100, m: 3, seed: 1 }.to_string(), "scalefree-100-m3");
-        assert_eq!(Topology::RingGradient { n: 64, chords: 4 }.to_string(), "ringgrad-64-c4");
     }
 
     #[test]
@@ -410,31 +368,5 @@ mod tests {
         assert!((1..=20).contains(&d), "scale-free diameter is small: {d}");
         // Different seeds give different graphs.
         assert_ne!(Topology::ScaleFree { n: 200, m: 3, seed: 8 }.edges(), edges);
-    }
-
-    #[test]
-    fn ring_gradient_shape() {
-        let t = Topology::RingGradient { n: 64, chords: 4 };
-        let edges = t.edges();
-        // Ring + chords at steps 2, 4, 8, 16: 5 × 64 edges.
-        assert_eq!(edges.len(), 5 * 64);
-        assert!(edges.contains(&(0, 1)) && edges.contains(&(63, 0)));
-        assert!(edges.contains(&(0, 16)) && edges.contains(&(60, 12)));
-        assert!(t.is_cyclic());
-        // Chords shrink the diameter well below the ring's n-1.
-        let d = t.depth_to_sink();
-        assert!(d < 16, "small-world diameter: {d}");
-        // Chord steps ≥ n are skipped rather than wrapped into duplicates.
-        let tiny = Topology::RingGradient { n: 4, chords: 5 };
-        assert_eq!(tiny.edges().len(), 2 * 4);
-        assert_eq!(Topology::RingGradient { n: 1, chords: 3 }.edges(), vec![]);
-    }
-
-    #[test]
-    fn edge_source_matches_inherent_edges() {
-        use codb_net::EdgeSource;
-        let t = Topology::ScaleFree { n: 50, m: 2, seed: 3 };
-        assert_eq!(EdgeSource::node_count(&t), t.node_count());
-        assert_eq!(t.edge_list(), t.edges());
     }
 }

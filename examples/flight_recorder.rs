@@ -1,42 +1,42 @@
-//! Flight recorder at simulator scale: record a fixed-seed 1000-node
-//! E19-style flood run to a `.trc` file, then read it back and print the
-//! postmortem summary — the programmatic equivalent of
+//! Flight recorder on a coDB global update: record a fixed-seed update
+//! over a 120-node scale-free network to a `.trc` file, then read it
+//! back and print the postmortem summary — the programmatic equivalent of
 //! `codb-demo trace inspect`.
 //!
 //! Run with: `cargo run --release --example flight_recorder`
 
 use codb::prelude::*;
-use codb::trace::read_trace_file;
-use codb::workload::run_flood;
 
 fn main() {
     let path = std::env::temp_dir().join("codb-flight-recorder-example.trc");
 
-    // A file-backed tracer: the simulator stamps every send/deliver with
-    // sim time, and the `flood` phase bracket adds the run's host time.
+    // Two tuples a node, copy rules along every edge: the shape whose cost
+    // is the event loop and the protocol rather than rule evaluation.
+    let scenario = Scenario {
+        tuples_per_node: 2,
+        ..Scenario::quick(Topology::ScaleFree { n: 120, m: 2, seed: 7 })
+    };
+    let mut net = CoDbNetwork::build(scenario.build_config(), SimConfig::default())
+        .expect("generated configs build");
+
+    // A file-backed tracer on the whole stack: the simulator stamps every
+    // send/deliver with sim time, the nodes add their protocol events, and
+    // the `update` phase bracket adds the run's host time.
     let (tracer, recorder) = Tracer::to_file(&path).expect("create trace file");
-    let report = tracer.phase("flood", || {
-        run_flood(
-            &Topology::ScaleFree { n: 1000, m: 2, seed: 7 },
-            PipeConfig::lan(),
-            None,
-            4,
-            0xE19,
-            false,
-            &tracer,
-        )
-    });
+    net.attach_tracer(&tracer);
+    let outcome = tracer.phase("update", || net.run_update(scenario.sink()));
     drop(tracer);
+    drop(net);
     {
         use codb::trace::TraceSink as _;
         let mut rec = recorder.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         rec.flush().expect("flush trace");
         println!(
-            "recorded {} events over a {}-node / {}-edge flood ({} sim messages)\n",
+            "recorded {} events over a {}-node update ({} messages, {} tuples added)\n",
             rec.recorded(),
-            report.nodes,
-            report.edges,
-            report.messages
+            scenario.topology.node_count(),
+            outcome.messages,
+            outcome.summary.tuples_added,
         );
     }
 
