@@ -272,9 +272,11 @@ pub(crate) struct Serving {
     /// The relations the answer reads: the body's, and the heads of the
     /// nested links.
     reads: BTreeSet<String>,
-    /// The local part — every firing of the local data, sorted, as
+    /// The local part — every firing of the local data, as
     /// [`PreparedRule::fire`](codb_relational::PreparedRule::fire) returned
-    /// it — shared with the link's kept view.
+    /// it: in scan order where the link's rule fires so (one body atom,
+    /// projection-free), else sorted, as a projecting link's rest, which
+    /// searches it, needs — shared with the link's kept view.
     first: Arc<[RuleFiring]>,
     /// The tag the requester named.
     known: Option<Tag>,

@@ -623,10 +623,14 @@ impl CoDbNode {
             if let Some(fresh) = since.expect("schema-validated rule") {
                 let grew = |(rel, version)| source.get(rel).map(Relation::version) != Some(version);
                 if read_since(atoms, &kept.versions).any(grew) {
-                    // Two sorted runs: a stable sort merges them.
+                    // In scan order the view now is the kept one, then the
+                    // fresh; else two sorted runs, which a stable sort
+                    // merges.
                     let mut firings = [&kept.firings[..], &fresh[..]].concat();
-                    firings.sort();
-                    firings.dedup();
+                    if !rule.fires_in_scan_order() {
+                        firings.sort();
+                        firings.dedup();
+                    }
                     kept.firings = firings.into();
                     kept.versions = versions_of(source, atoms).expect("each answered");
                     kept.answer = None;

@@ -264,10 +264,11 @@ fn each_firing_more_on_a_hop_costs_its_firing_only() {
 }
 
 /// What decoding a WAL firing may request for each ground atom: the
-/// relation's name as read, its shared copy, and the tuple. The values
-/// are read into one scratch the firing's atoms share and drained into
-/// the tuple, so no field vector is built and copied from.
-const DECODE_PER_GROUND_ATOM: u64 = 3;
+/// relation's name, built straight into its shared copy where it is not the
+/// atom before's, and the tuple. The values are read into one scratch the
+/// firing's atoms share and drained into the tuple, so no field vector is
+/// built and copied from.
+const DECODE_PER_GROUND_ATOM: u64 = 2;
 
 /// What decoding a firing may request once: the scratch and the firing
 /// (a head of more than one atom adds its atom list).
@@ -294,4 +295,34 @@ fn decoding_a_ground_firing_builds_each_tuple_once() {
             "decoding a firing of {k} ground atoms allocated {allocations}"
         );
     }
+}
+
+/// A record of firings of one relation, as a WAL's `Applied` record holds
+/// them: its reader builds the name and the scratch once, then each firing
+/// is its tuple and itself.
+#[test]
+fn a_record_of_one_relation_decodes_its_name_once() {
+    use codb_relational::binenc::{put_firing, FiringReader, Reader};
+    use codb_relational::{RuleFiring, TField, Value};
+    const N: u64 = 50;
+    let written: Vec<RuleFiring> = (0..N as i64)
+        .map(|k| RuleFiring::new([("ta", vec![TField::Const(Value::Int(k)); 2])]))
+        .collect();
+    let mut bytes = Vec::new();
+    written.iter().for_each(|f| put_firing(&mut bytes, f));
+    let (mut r, mut reader) = (Reader::new(&bytes), FiringReader::default());
+    let mut read = Vec::with_capacity(N as usize);
+    let before = requests();
+    for _ in 0..N {
+        read.push(reader.take(&mut r).unwrap());
+    }
+    let allocations = requests() - before;
+    assert_eq!(read, written);
+    let name = &read[0].atoms()[0].0;
+    assert!(read.iter().all(|f| std::sync::Arc::ptr_eq(&f.atoms()[0].0, name)), "one name");
+    let once = DECODE_PER_GROUND_ATOM + DECODE_PER_FIRING;
+    assert!(
+        allocations <= once + (N - 1) * (DECODE_PER_GROUND_ATOM - 1 + DECODE_PER_FIRING - 1),
+        "decoding {N} firings of one relation allocated {allocations}"
+    );
 }

@@ -41,6 +41,9 @@ struct State<M> {
     /// Nodes stalled on this mailbox being full, to wake on pop.
     waiters: Vec<Waiter>,
     closed: bool,
+    /// Harness threads blocked in [`Mailbox::push_blocking`]: a pop wakes
+    /// producers only while one is.
+    blocked: usize,
     /// Depth high-water mark.
     peak: usize,
 }
@@ -59,6 +62,7 @@ impl<M> Mailbox<M> {
                 queue: VecDeque::new(),
                 waiters: Vec::new(),
                 closed: false,
+                blocked: 0,
                 peak: 0,
             }),
             not_full: Condvar::new(),
@@ -87,7 +91,9 @@ impl<M> Mailbox<M> {
                 Self::enqueue(&mut state, from, msg);
                 return Ok(());
             }
+            state.blocked += 1;
             state = self.not_full.wait(state).unwrap_or_else(PoisonError::into_inner);
+            state.blocked -= 1;
         }
     }
 
@@ -116,7 +122,9 @@ impl<M> Mailbox<M> {
     }
 
     /// Pops the oldest message. Also returns the nodes to reschedule now
-    /// that a slot is free (empty for most pops).
+    /// that a slot is free (empty for most pops), and wakes the blocked
+    /// producers if there are any — most pops find none, and make no
+    /// syscall.
     pub(crate) fn pop(&self) -> (Option<(PeerId, M)>, Vec<Waiter>) {
         let mut state = self.lock();
         let item = state.queue.pop_front();
@@ -125,7 +133,9 @@ impl<M> Mailbox<M> {
             if !state.waiters.is_empty() {
                 waiters = std::mem::take(&mut state.waiters);
             }
-            self.not_full.notify_all();
+            if state.blocked > 0 {
+                self.not_full.notify_all();
+            }
         }
         (item, waiters)
     }
@@ -193,18 +203,38 @@ mod tests {
         assert!(mb.push_blocking(PeerId(5), 9).is_err());
     }
 
+    /// A full mailbox with one producer blocked on it: returns once the
+    /// producer counts as blocked.
+    fn blocked_producer(mb: &Arc<Mailbox<u32>>) -> std::thread::JoinHandle<Result<(), u32>> {
+        mb.push_blocking(PeerId(0), 1).unwrap();
+        let mb2 = Arc::clone(mb);
+        let producer = std::thread::spawn(move || mb2.push_blocking(PeerId(0), 2));
+        while mb.lock().blocked == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        producer
+    }
+
     #[test]
     fn push_blocking_waits_for_space() {
         let mb: Arc<Mailbox<u32>> = Arc::new(Mailbox::new(1));
-        mb.push_blocking(PeerId(0), 1).unwrap();
-        let mb2 = Arc::clone(&mb);
-        let producer = std::thread::spawn(move || mb2.push_blocking(PeerId(0), 2));
-        std::thread::sleep(Duration::from_millis(20));
+        let producer = blocked_producer(&mb);
         assert_eq!(mb.len(), 1, "producer must be blocked while full");
         let (item, _) = mb.pop();
         assert_eq!(item, Some((PeerId(0), 1)));
         producer.join().unwrap().unwrap();
+        assert_eq!(mb.lock().blocked, 0);
         assert_eq!(mb.pop().0, Some((PeerId(0), 2)));
         assert_eq!(mb.peak(), 1);
+    }
+
+    #[test]
+    fn close_releases_a_blocked_producer_with_its_message() {
+        let mb: Arc<Mailbox<u32>> = Arc::new(Mailbox::new(1));
+        let producer = blocked_producer(&mb);
+        let (drained, _) = mb.close();
+        assert_eq!(drained, vec![(PeerId(0), 1)]);
+        assert_eq!(producer.join().unwrap(), Err(2));
+        assert_eq!(mb.lock().blocked, 0);
     }
 }

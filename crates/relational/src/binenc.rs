@@ -36,6 +36,7 @@ use crate::tuple::Tuple;
 use crate::value::{NullFactory, NullId, Value, ValueType};
 use crate::{FieldRef, Fields, RuleFiring, TField};
 use std::fmt;
+use std::sync::Arc;
 
 /// A failed binary decode: where and why.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -206,12 +207,17 @@ impl<'a> Reader<'a> {
 
     /// A length-prefixed UTF-8 string.
     pub fn str(&mut self) -> DecodeResult<String> {
+        let (at, bytes) = self.str_bytes()?;
+        utf8(at, bytes).map(str::to_owned)
+    }
+
+    /// A length-prefixed string's bytes, not yet checked, and their offset.
+    fn str_bytes(&mut self) -> DecodeResult<(usize, &'a [u8])> {
         let n = self.len(1)?;
         let at = self.pos;
-        let bytes = &self.buf[self.pos..self.pos + n];
+        let bytes = &self.buf[at..at + n];
         self.pos += n;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| BinDecodeError { offset: at, detail: format!("invalid UTF-8: {e}") })
+        Ok((at, bytes))
     }
 
     /// Asserts every input byte was consumed (trailing garbage is a
@@ -459,14 +465,47 @@ pub fn put_firing(out: &mut Vec<u8>, f: &RuleFiring) {
     }
 }
 
+/// `bytes`, read at `at`, as UTF-8.
+fn utf8(at: usize, bytes: &[u8]) -> DecodeResult<&str> {
+    std::str::from_utf8(bytes)
+        .map_err(|e| BinDecodeError { offset: at, detail: format!("invalid UTF-8: {e}") })
+}
+
 /// Decodes one [`RuleFiring`]; an atom with no placeholder comes back
 /// holding its tuple, as [`RuleFiring::new`] would build it.
 pub fn take_firing(r: &mut Reader<'_>) -> DecodeResult<RuleFiring> {
-    let n = r.len(2)?;
-    // One scratch for the firing's atoms: a ground atom's values are read
-    // into it and drained into its tuple, one allocation an atom.
-    let mut values = Vec::new();
-    RuleFiring::try_from_atoms(n, || Ok((r.str()?.into(), take_fields(r, &mut values)?)))
+    FiringReader::default().take(r)
+}
+
+/// Decodes the firings of one record, one after another, sharing what
+/// they can: one scratch for their fields — a ground atom's values are
+/// read into it and drained into its tuple, one allocation an atom — and
+/// the relation name, built once per run of atoms that name the same
+/// relation, so a record of firings of one relation reads its name once.
+#[derive(Default)]
+pub struct FiringReader {
+    name: Option<Arc<str>>,
+    values: Vec<Value>,
+}
+
+impl FiringReader {
+    /// Decodes the next firing ([`take_firing`]).
+    pub fn take(&mut self, r: &mut Reader<'_>) -> DecodeResult<RuleFiring> {
+        let n = r.len(2)?;
+        RuleFiring::try_from_atoms(n, || Ok((self.name(r)?, take_fields(r, &mut self.values)?)))
+    }
+
+    /// The next atom's relation name: the previous atom's, shared, where
+    /// the bytes are the same.
+    fn name(&mut self, r: &mut Reader<'_>) -> DecodeResult<Arc<str>> {
+        let (at, bytes) = r.str_bytes()?;
+        if let Some(name) = self.name.as_ref().filter(|name| name.as_bytes() == bytes) {
+            return Ok(Arc::clone(name));
+        }
+        let name: Arc<str> = Arc::from(utf8(at, bytes)?);
+        self.name = Some(Arc::clone(&name));
+        Ok(name)
+    }
 }
 
 /// Decodes one atom's fields: into `values` and out as the tuple while
@@ -565,6 +604,40 @@ mod tests {
         let mut out = Vec::new();
         put_firing(&mut out, &f);
         assert_eq!(take_firing(&mut Reader::new(&out)).unwrap(), f);
+    }
+
+    /// A record's firings share each run of one name: the reader builds
+    /// a name where it differs from the atom before, and checks it as
+    /// UTF-8 then, as `Reader::str` does.
+    #[test]
+    fn a_firing_reader_shares_a_run_of_one_name_and_checks_each_new_one() {
+        let firing =
+            |rel: &str, k: i64| RuleFiring::new([(rel, vec![TField::Const(Value::Int(k))])]);
+        let written = [firing("r", 1), firing("r", 2), firing("s", 3), firing("r", 4)];
+        let mut out = Vec::new();
+        written.iter().for_each(|f| put_firing(&mut out, f));
+        let (mut r, mut reader) = (Reader::new(&out), FiringReader::default());
+        let read: Vec<RuleFiring> = written.iter().map(|_| reader.take(&mut r).unwrap()).collect();
+        r.expect_end().unwrap();
+        assert_eq!(read, written);
+        let name = |i: usize| &read[i].atoms()[0].0;
+        assert!(Arc::ptr_eq(name(0), name(1)), "one run, one name");
+        assert!(!Arc::ptr_eq(name(1), name(3)), "a run that came back is built anew");
+
+        // Invalid UTF-8 where a name is new stays a typed error.
+        let mut bad = Vec::new();
+        put_firing(&mut bad, &firing("r", 1));
+        let mut tail = Vec::new();
+        put_firing(&mut tail, &firing("\u{e9}", 1));
+        let at = bad.len() + 2;
+        assert_eq!(tail[2..4], [0xC3, 0xA9]);
+        tail[2] = 0xFF;
+        bad.extend(tail);
+        let (mut r, mut reader) = (Reader::new(&bad), FiringReader::default());
+        reader.take(&mut r).unwrap();
+        let err = reader.take(&mut r).unwrap_err();
+        assert_eq!(err.offset, at);
+        assert!(err.detail.contains("invalid UTF-8"), "{err}");
     }
 
     #[test]

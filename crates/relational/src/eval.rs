@@ -189,21 +189,33 @@ fn plan_order(body: &CqBody, inst: &Instance, pinned_first: Option<usize>) -> Ve
     order
 }
 
-/// Candidate tuple source for one atom: either the full relation or an
-/// explicit delta batch.
-enum Source<'a> {
+/// Candidate tuple source for one atom: the full relation, a suffix of its
+/// log, or a batch the caller holds.
+#[derive(Clone, Copy)]
+pub(crate) enum Source<'a> {
     Relation(&'a crate::relation::Relation),
+    /// A relation's tuples since a version, each with its filed hash.
+    Suffix(&'a [(Tuple, u64)]),
     Batch(&'a [Tuple]),
 }
 
 impl<'a> Source<'a> {
-    fn for_each(&self, visit: impl FnMut(&'a Tuple)) {
-        match self {
-            Source::Relation(r) => r.iter().for_each(visit),
-            Source::Batch(b) => b.iter().for_each(visit),
-        }
+    /// Visits each candidate with the hash its relation filed it under —
+    /// none for a caller's batch.
+    fn for_each(self, mut visit: impl FnMut(&'a Tuple, Option<u64>)) {
+        let filed = match self {
+            Source::Relation(r) => r.filed(),
+            Source::Suffix(log) => log,
+            Source::Batch(b) => return b.iter().for_each(|t| visit(t, None)),
+        };
+        filed.iter().for_each(|(t, hash)| visit(t, Some(*hash)));
     }
 }
+
+/// What an answer of a one-atom body hands on beside its bindings: the
+/// tuple the atom matched, with the hash its relation filed it under where
+/// it was read from one. A join hands `None`.
+pub(crate) type Matched<'a> = Option<(&'a Tuple, Option<u64>)>;
 
 /// One scheduled atom.
 struct Step<'a> {
@@ -217,14 +229,14 @@ fn build_steps<'a>(
     body: &'a CqBody,
     inst: &'a Instance,
     order: &[usize],
-    delta: Option<(usize, &'a [Tuple])>,
+    delta: Option<(usize, Source<'a>)>,
 ) -> Vec<Step<'a>> {
     let mut bound: BTreeSet<Var> = BTreeSet::new();
     let mut steps = Vec::with_capacity(order.len());
     for &i in order {
         let atom = &body.atoms[i];
         let source = match delta {
-            Some((di, batch)) if di == i => Source::Batch(batch),
+            Some((di, batch)) if di == i => batch,
             _ => Source::Relation(inst.get(&atom.relation).expect("checked")),
         };
         // First argument position whose term is statically bound here.
@@ -245,7 +257,7 @@ fn join(
     body: &CqBody,
     bindings: &mut Bindings,
     trail: &mut Vec<Var>,
-    out: &mut dyn FnMut(&Bindings, Option<&Tuple>),
+    out: &mut dyn FnMut(&Bindings, Matched<'_>),
 ) {
     let Some((step, rest)) = steps.split_first() else {
         if comparisons_hold(body, bindings) {
@@ -265,7 +277,7 @@ fn join(
         }
         _ => None,
     };
-    let visit = |t: &Tuple| {
+    let mut visit = |t: &Tuple| {
         if match_atom(atom, t, bindings, trail) && comparisons_hold(body, bindings) {
             join(rest, body, bindings, trail, out);
         }
@@ -273,18 +285,18 @@ fn join(
     };
     match bucket {
         Some(candidates) => candidates.iter().for_each(visit),
-        None => step.source.for_each(visit),
+        None => step.source.for_each(|t, _| visit(t)),
     }
 }
 
 /// Calls `out` with every satisfying assignment of `body` over `inst`, as
 /// the join reaches it — the borrowed assignment is only valid inside the
-/// call — and, where the body is one atom, the tuple that atom matched (a
-/// join hands `None`).
+/// call — and, where the body is one atom, the tuple that atom matched with
+/// its filed hash ([`Matched`]).
 pub(crate) fn for_each_answer(
     body: &CqBody,
     inst: &Instance,
-    out: &mut dyn FnMut(&Bindings, Option<&Tuple>),
+    out: &mut dyn FnMut(&Bindings, Matched<'_>),
 ) -> Result<(), EvalError> {
     check_atoms(body, inst)?;
     stream_answers(body, inst, None, out);
@@ -293,7 +305,8 @@ pub(crate) fn for_each_answer(
 
 /// Semi-naive evaluation: calls `out` with the assignments of derivations
 /// that use a tuple of `delta` in at least one occurrence of
-/// `delta_relation`.
+/// `delta_relation`, the tuples of `delta` (a batch or a suffix of that
+/// relation's log).
 ///
 /// Implements the paper's "incoming links, which are dependent on O, are
 /// computed by substituting R by T'": each occurrence of the relation is
@@ -304,8 +317,8 @@ pub(crate) fn for_each_delta_answer(
     body: &CqBody,
     inst: &Instance,
     delta_relation: &str,
-    delta: &[Tuple],
-    out: &mut dyn FnMut(&Bindings, Option<&Tuple>),
+    delta: Source<'_>,
+    out: &mut dyn FnMut(&Bindings, Matched<'_>),
 ) -> Result<(), EvalError> {
     check_atoms(body, inst)?;
     for (i, atom) in body.atoms.iter().enumerate() {
@@ -335,6 +348,7 @@ pub fn evaluate_body_delta(
     delta: &[Tuple],
 ) -> Result<Vec<Bindings>, EvalError> {
     let mut all = Vec::new();
+    let delta = Source::Batch(delta);
     for_each_delta_answer(body, inst, delta_relation, delta, &mut |b, _| all.push(b.clone()))?;
     Ok(all)
 }
@@ -345,12 +359,14 @@ pub fn evaluate_body_delta(
 /// to index, so its source is scanned as it lies — which is every copy,
 /// filter and projection rule, once per delta they are fired with — and
 /// `out` is handed the tuple each answer matched, which a head that repeats
-/// the atom shares instead of building its own.
+/// the atom shares instead of building its own, with the hash the relation
+/// filed it under, which that head's firing then carries instead of taking
+/// its own.
 fn stream_answers(
     body: &CqBody,
     inst: &Instance,
-    delta: Option<(usize, &[Tuple])>,
-    out: &mut dyn FnMut(&Bindings, Option<&Tuple>),
+    delta: Option<(usize, Source<'_>)>,
+    out: &mut dyn FnMut(&Bindings, Matched<'_>),
 ) {
     let mut bindings: Bindings = vec![None; var_slots(body)];
     match body.atoms.as_slice() {
@@ -359,15 +375,15 @@ fn stream_answers(
         [] => out(&bindings, None),
         [atom] => {
             let source = match delta {
-                Some((_, batch)) => Source::Batch(batch),
+                Some((_, batch)) => batch,
                 None => Source::Relation(inst.get(&atom.relation).expect("checked")),
             };
             let mut trail = Vec::new();
-            source.for_each(|t| {
+            source.for_each(|t, hash| {
                 if match_atom(atom, t, &mut bindings, &mut trail)
                     && comparisons_hold(body, &bindings)
                 {
-                    out(&bindings, Some(t));
+                    out(&bindings, Some((t, hash)));
                 }
                 undo(&mut bindings, &mut trail, 0);
             });

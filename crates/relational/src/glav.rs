@@ -26,9 +26,15 @@
 //! version each relation that grew had before the batch, and
 //! [`PreparedRule::fire_since`] — the paper's "substitute R by T'" — reads
 //! each suffix since such a version straight from the relation.
+//!
+//! **A copy hop neither hashes nor sorts.** A rule whose body is one atom
+//! and which is projection-free fires in the order of that atom's log:
+//! its answers are distinct tuples, so its firings are distinct already.
+//! A head that copies the atom is the tuple it matched and carries the
+//! hash its relation filed it under, which files it at the target.
 
 use crate::cq::{Atom, CqBody, CqError, Term, Var};
-use crate::eval::{for_each_answer, for_each_delta_answer, Bindings, EvalError};
+use crate::eval::{for_each_answer, for_each_delta_answer, Bindings, EvalError, Matched, Source};
 use crate::instance::Instance;
 use crate::relation::Version;
 use crate::tuple::{Feed, Tuple};
@@ -135,51 +141,72 @@ impl GlavRule {
             .collect()
     }
 
+    /// True iff the body is one atom and the rule projection-free: each
+    /// body answer is then a tuple of that atom's relation, and no two make
+    /// one firing, so the firings come out distinct in the order the
+    /// relation's log lies in.
+    fn fires_in_scan_order(&self) -> bool {
+        self.body.atoms.len() == 1 && self.is_projection_free()
+    }
+
     /// Executes the rule body against `source` and returns one firing per
-    /// (deduplicated) body answer.
+    /// (deduplicated) body answer: in the body relation's insertion order
+    /// where the rule [fires in scan order](PreparedRule::fires_in_scan_order),
+    /// sorted otherwise.
     pub fn fire(&self, source: &Instance) -> Result<Vec<RuleFiring>, EvalError> {
-        self.fire_as(&self.head_names(), &self.head_shapes(), source)
+        let in_scan_order = self.fires_in_scan_order();
+        self.fire_as(&self.head_names(), &self.head_shapes(), in_scan_order, source)
     }
 
     fn fire_as(
         &self,
         names: &[Arc<str>],
         shapes: &[Shape],
+        in_scan_order: bool,
         source: &Instance,
     ) -> Result<Vec<RuleFiring>, EvalError> {
-        self.firings_of(names, shapes, |out| for_each_answer(&self.body, source, out))
+        self.firings_of(names, shapes, in_scan_order, |out| {
+            for_each_answer(&self.body, source, out)
+        })
     }
 
     /// Semi-naive variant: only firings whose derivation uses a tuple of
-    /// `delta` in relation `delta_relation`.
+    /// `delta` in relation `delta_relation`, sorted (a batch may repeat a
+    /// tuple).
     pub fn fire_delta(
         &self,
         source: &Instance,
         delta_relation: &str,
         delta: &[Tuple],
     ) -> Result<Vec<RuleFiring>, EvalError> {
-        self.firings_of(&self.head_names(), &self.head_shapes(), |out| {
-            for_each_delta_answer(&self.body, source, delta_relation, delta, out)
+        self.firings_of(&self.head_names(), &self.head_shapes(), false, |out| {
+            for_each_delta_answer(&self.body, source, delta_relation, Source::Batch(delta), out)
         })
     }
 
     /// One firing per distinct head instance among the body answers
-    /// `answers` streams, sorted, its atoms named by `names` (this rule's
+    /// `answers` streams, its atoms named by `names` (this rule's
     /// [`GlavRule::head_names`]) and built as `shapes` (its
-    /// [`GlavRule::head_shapes`]) says. A head variable the body leaves
+    /// [`GlavRule::head_shapes`]) says: in the order streamed where
+    /// `in_scan_order` (the answers are distinct tuples of one log, of a
+    /// rule that [fires in scan order](PreparedRule::fires_in_scan_order)),
+    /// sorted and deduplicated otherwise. A head variable the body leaves
     /// unbound is existential: the evaluator binds exactly the variables of
-    /// the body's atoms.
+    /// the body's atoms. A one-atom copy head is the matched tuple, and its
+    /// firing carries the hash the tuple was filed under.
     fn firings_of(
         &self,
         names: &[Arc<str>],
         shapes: &[Shape],
-        answers: impl FnOnce(&mut dyn FnMut(&Bindings, Option<&Tuple>)) -> Result<(), EvalError>,
+        in_scan_order: bool,
+        answers: impl FnOnce(&mut dyn FnMut(&Bindings, Matched<'_>)) -> Result<(), EvalError>,
     ) -> Result<Vec<RuleFiring>, EvalError> {
+        let mut firings: Vec<RuleFiring> = Vec::new();
         let mut instances: Vec<Head> = Vec::new();
         answers(&mut |b, matched| {
             let instance = self.head.iter().zip(names).zip(shapes).map(|((atom, name), shape)| {
                 let fields = match (shape, matched) {
-                    (Shape::Copy, Some(tuple)) => Fields::Ground(tuple.clone()),
+                    (Shape::Copy, Some((tuple, _))) => Fields::Ground(tuple.clone()),
                     (Shape::Copy | Shape::Ground, _) => Fields::Ground(
                         atom.terms
                             .iter()
@@ -204,11 +231,27 @@ impl GlavRule {
                 };
                 (Arc::clone(name), fields)
             });
-            instances.push(Head::new(instance));
+            let head = Head::new(instance);
+            if !in_scan_order {
+                return instances.push(head);
+            }
+            // A copy of the filed tuple: its hash, and its size as the
+            // firing's summary walk would take it, from a walk that hashes
+            // nothing.
+            let summary = match (shapes, matched) {
+                ([Shape::Copy], Some((tuple, Some(hash)))) => {
+                    Some((hash, names[0].len() + tuple.size_bytes()))
+                }
+                _ => None,
+            };
+            firings.push(RuleFiring::from_head(head, summary));
         })?;
-        instances.sort_unstable_by(|a, b| a.as_slice().cmp(b.as_slice()));
-        instances.dedup_by(|a, b| a.as_slice() == b.as_slice());
-        Ok(instances.into_iter().map(RuleFiring::from_head).collect())
+        if !in_scan_order {
+            instances.sort_unstable_by(|a, b| a.as_slice().cmp(b.as_slice()));
+            instances.dedup_by(|a, b| a.as_slice() == b.as_slice());
+            firings.extend(instances.into_iter().map(|head| RuleFiring::from_head(head, None)));
+        }
+        Ok(firings)
     }
 
     /// True iff every firing of `firings` is an instance of this rule's
@@ -276,6 +319,7 @@ pub struct PreparedRule {
     head_names: Vec<Arc<str>>,
     head_shapes: Vec<Shape>,
     projection_free: bool,
+    in_scan_order: bool,
 }
 
 impl PreparedRule {
@@ -284,7 +328,8 @@ impl PreparedRule {
         let head_names = rule.head_names();
         let head_shapes = rule.head_shapes();
         let projection_free = rule.is_projection_free();
-        PreparedRule { rule, head_names, head_shapes, projection_free }
+        let in_scan_order = rule.fires_in_scan_order();
+        PreparedRule { rule, head_names, head_shapes, projection_free, in_scan_order }
     }
 
     /// The rule.
@@ -304,33 +349,44 @@ impl PreparedRule {
         &self.head_names
     }
 
+    /// True iff the body is one atom and the rule projection-free, taken
+    /// once: [`PreparedRule::fire`] then yields each firing once in the
+    /// order of the body relation's log and sorts nothing, and
+    /// [`PreparedRule::fire_since`] yields the in-order subsequence, so
+    /// the firings of a view and of what its relation gained since are the
+    /// view's firings now, concatenated.
+    pub fn fires_in_scan_order(&self) -> bool {
+        self.in_scan_order
+    }
+
     /// [`GlavRule::fire`].
     pub fn fire(&self, source: &Instance) -> Result<Vec<RuleFiring>, EvalError> {
-        self.rule.fire_as(&self.head_names, &self.head_shapes, source)
+        self.rule.fire_as(&self.head_names, &self.head_shapes, self.in_scan_order, source)
     }
 
     /// The firings whose derivation uses a tuple some relation of `source`
     /// gained since its version in `versions` (a relation named twice is
-    /// fired once), as one sorted, deduplicated sequence: the subsequence
-    /// of [`PreparedRule::fire`]'s that touches the suffixes. `None` where
-    /// `source` lacks a named relation or a version is not of its lineage
-    /// ([`Relation::since`](crate::Relation::since)).
+    /// fired once), each once, as the subsequence of
+    /// [`PreparedRule::fire`]'s that touches the suffixes — in its order
+    /// too. `None` where `source` lacks a named relation or a version is
+    /// not of its lineage ([`Relation::since`](crate::Relation::since)).
     pub fn fire_since<'a>(
         &self,
         source: &Instance,
         versions: impl Iterator<Item = (&'a str, Version)> + Clone,
     ) -> Result<Option<Vec<RuleFiring>>, EvalError> {
-        let suffix = |(rel, version): (&str, Version)| source.get(rel)?.since(version);
+        let suffix = |(rel, version): (&str, Version)| source.get(rel)?.filed_since(version);
         if !versions.clone().all(|pair| suffix(pair).is_some()) {
             return Ok(None);
         }
-        let fired = self.rule.firings_of(&self.head_names, &self.head_shapes, |out| {
+        let (names, shapes) = (&self.head_names, &self.head_shapes);
+        let fired = self.rule.firings_of(names, shapes, self.in_scan_order, |out| {
             versions.clone().enumerate().try_for_each(|(i, pair)| {
                 let delta = suffix(pair).expect("every version answers");
                 if delta.is_empty() || versions.clone().take(i).any(|(seen, _)| seen == pair.0) {
                     return Ok(());
                 }
-                for_each_delta_answer(&self.rule.body, source, pair.0, delta, out)
+                for_each_delta_answer(&self.rule.body, source, pair.0, Source::Suffix(delta), out)
             })
         })?;
         Ok(Some(fired))
@@ -536,7 +592,9 @@ pub struct RuleFiring(Arc<FiringData>);
 
 struct FiringData {
     head: Head,
-    /// The content hash and [`RuleFiring::size_bytes`], from one walk.
+    /// The content hash and [`RuleFiring::size_bytes`], from one walk —
+    /// or, for a copy of a filed tuple, the hash its relation filed it
+    /// under and a walk that hashes nothing, filled in when it is built.
     summary: OnceLock<(u64, usize)>,
 }
 
@@ -599,13 +657,15 @@ impl RuleFiring {
     /// A firing of `(relation, fields)` per head atom, in rule head order;
     /// an atom with no placeholder is held as its tuple.
     pub fn new<S: Into<Arc<str>>>(atoms: impl IntoIterator<Item = (S, Vec<TField>)>) -> Self {
-        Self::from_head(Head::new(
-            atoms.into_iter().map(|(rel, fields)| (rel.into(), Fields::from(fields))),
-        ))
+        let atoms = atoms.into_iter().map(|(rel, fields)| (rel.into(), Fields::from(fields)));
+        Self::from_head(Head::new(atoms), None)
     }
 
-    fn from_head(head: Head) -> Self {
-        RuleFiring(Arc::new(FiringData { head, summary: OnceLock::new() }))
+    /// A firing of `head`, its summary taken already where the caller has
+    /// it in hand — a copy of a filed tuple — and on first use otherwise.
+    fn from_head(head: Head, summary: Option<(u64, usize)>) -> Self {
+        let summary = summary.map_or_else(OnceLock::new, OnceLock::from);
+        RuleFiring(Arc::new(FiringData { head, summary }))
     }
 
     /// A firing of the `n` atoms `atom` yields in turn, in head order, or
@@ -624,7 +684,7 @@ impl RuleFiring {
             }
             Head::Many(atoms)
         };
-        Ok(Self::from_head(head))
+        Ok(Self::from_head(head, None))
     }
 
     /// `(relation, fields)` per head atom, in rule head order.
@@ -659,8 +719,9 @@ impl RuleFiring {
     }
 
     /// The content hash and the size, taken in one walk the first time
-    /// either is asked for. Lazy because most firings are never hashed — a
-    /// chase that keeps them in ordered sets pays nothing for it.
+    /// either is asked for, unless the firing was built with them. Lazy
+    /// because most firings are never hashed — a chase that keeps them in
+    /// ordered sets pays nothing for it.
     fn summary(&self) -> (u64, usize) {
         *self.0.summary.get_or_init(|| {
             let mut feed = Feed::new();
@@ -845,11 +906,11 @@ fn file_firing(
         })?;
         let before = relation.version();
         // A ground one-atom firing hashes as the tuple it holds: the hash
-        // it carries files it.
-        let hash = if firing.atoms().len() == 1 && invented.is_empty() {
-            firing.content_hash()
-        } else {
-            tuple.content_hash()
+        // it carries — the one its source relation filed the tuple under,
+        // where a copy rule fired it — files it.
+        let hash = match fields {
+            Fields::Ground(_) if firing.atoms().len() == 1 => firing.content_hash(),
+            _ => tuple.content_hash(),
         };
         if relation.insert_hashed(tuple, hash)? {
             filed = true;
@@ -868,6 +929,7 @@ mod tests {
     use crate::eval::evaluate_body;
     use crate::schema::RelationSchema;
     use crate::tup;
+    use crate::tuple::content_hashes;
     use crate::value::ValueType;
     use std::hash::BuildHasher;
 
@@ -991,7 +1053,7 @@ mod tests {
     /// What `grown`, as `apply_firings` reported it, names in `target`:
     /// each relation's suffix since its version before the batch.
     fn gained(target: &Instance, grown: &[(Arc<str>, Version)]) -> BTreeMap<String, Vec<Tuple>> {
-        let suffix = |rel: &str, v| target.get(rel).unwrap().since(v).unwrap().to_vec();
+        let suffix = |rel: &str, v| target.get(rel).unwrap().since(v).unwrap().cloned().collect();
         grown.iter().map(|(rel, v)| (rel.to_string(), suffix(rel, *v))).collect()
     }
 
@@ -1040,30 +1102,90 @@ mod tests {
         set.into_iter().collect()
     }
 
+    /// `fire_reference`'s firings in the order `fire` yields them for a
+    /// rule that fires in scan order: the body relation's log, each tuple
+    /// fired alone.
+    fn scan_reference(rule: &GlavRule, source: &Instance) -> Vec<Vec<(String, Vec<TField>)>> {
+        let name = &rule.body.atoms[0].relation;
+        let relation = source.get(name).unwrap();
+        let mut fired = Vec::new();
+        for t in relation.iter() {
+            let mut alone = Instance::new();
+            alone.add_relation(relation.schema().clone());
+            alone.insert(name, t.clone()).unwrap();
+            fired.extend(fire_reference(rule, &alone));
+        }
+        fired
+    }
+
+    /// Each firing once: a projecting or many-atom rule's sorted, as ever; a
+    /// one-atom projection-free rule's — a copy, a swap, a template that
+    /// keeps every body variable — in the order of the body relation's log.
+    /// And `fire_since` any version is `fire`'s subsequence that touches
+    /// the suffix, in `fire`'s order: all of `fire`'s firings the version
+    /// lacked, and on a scan-order rule nothing else.
     #[test]
-    fn fire_returns_the_sorted_deduplicated_sequence_it_always_did() {
+    fn fire_returns_each_firing_once_sorted_or_in_the_order_of_the_log() {
         // 300 scrambled rows over 40 names, so a projection collapses many.
         let mut inst = src();
+        let mut versions = Vec::new();
         let mut x = 7u64;
-        for _ in 0..300 {
+        for i in 0..300 {
+            if i % 37 == 0 {
+                versions.push((inst.get("emp").unwrap().version(), inst.clone()));
+            }
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let name = format!("n{}", (x >> 33) % 40);
             inst.insert("emp", tup![name, ((x >> 13) % 90) as i64]).unwrap();
         }
-        let projection = GlavRule::new(
-            "p",
-            vec![
-                Atom::new("names", vec![v(0)]),
-                Atom::new("tag", vec![Term::Const(Value::Int(1))]),
-            ],
-            CqBody::new(vec![Atom::new("emp", vec![v(0), v(1)])], vec![]),
-            vec!["N".into(), "A".into()],
+        let head = |atoms: Vec<Atom>| {
+            let body = CqBody::new(vec![Atom::new("emp", vec![v(0), v(1)])], vec![]);
+            GlavRule::new("h", atoms, body, vec!["N".into(), "A".into(), "D".into()]).unwrap()
+        };
+        let projection = head(vec![
+            Atom::new("names", vec![v(0)]),
+            Atom::new("tag", vec![Term::Const(Value::Int(1))]),
+        ]);
+        let swap = head(vec![Atom::new("swapped", vec![v(1), v(0)])]);
+        let keeps_all =
+            head(vec![Atom::new("person", vec![v(0), v(1)]), Atom::new("dept", vec![v(2)])]);
+        let older = GlavRule::new(
+            "j",
+            vec![Atom::new("older", vec![v(0), v(1), v(2)])],
+            CqBody::new(
+                vec![Atom::new("emp", vec![v(0), v(1)]), Atom::new("emp", vec![v(0), v(2)])],
+                vec![Comparison::new(Var(1), CmpOp::Lt, Var(2))],
+            ),
+            vec!["N".into(), "A".into(), "B".into()],
         )
         .unwrap();
-        for rule in [gav_rule(), glav_rule(), projection] {
+        let rules = [gav_rule(), glav_rule(), projection, swap, keeps_all, older];
+        let in_scan_order = [true, false, false, true, true, false];
+        for (rule, in_scan_order) in rules.into_iter().zip(in_scan_order) {
+            let prepared = PreparedRule::new(rule.clone());
+            assert_eq!(prepared.fires_in_scan_order(), in_scan_order, "{rule}");
             let fired: Vec<Vec<(String, Vec<TField>)>> =
                 rule.fire(&inst).unwrap().iter().map(spelled).collect();
-            assert_eq!(fired, fire_reference(&rule, &inst), "{rule}");
+            let expected = match in_scan_order {
+                true => scan_reference(&rule, &inst),
+                false => fire_reference(&rule, &inst),
+            };
+            assert_eq!(fired, expected, "{rule}");
+            let now = prepared.fire(&inst).unwrap();
+            assert_eq!(now.iter().map(spelled).collect::<Vec<_>>(), fired, "{rule}");
+
+            for (version, then) in &versions {
+                let (version, then) = (*version, prepared.fire(then).unwrap());
+                let since = prepared.fire_since(&inst, [("emp", version)].into_iter());
+                let since = since.unwrap().unwrap();
+                let mut rest = now.iter();
+                assert!(since.iter().all(|f| rest.any(|g| g == f)), "{rule}: in fire's order");
+                let lacked: Vec<&RuleFiring> = now.iter().filter(|f| !then.contains(f)).collect();
+                assert!(lacked.iter().all(|f| since.contains(f)), "{rule}");
+                if in_scan_order {
+                    assert_eq!(since.iter().collect::<Vec<_>>(), lacked, "{rule}");
+                }
+            }
         }
         assert_eq!(glav_rule().fire(&inst).unwrap().len(), 42, "alice, bob and n0..n39");
     }
@@ -1471,6 +1593,67 @@ mod tests {
         assert!(tuple.ptr_eq(held(&source, "s", &tup![1, 2])));
         apply_firings(&mut target, &fired, &mut NullFactory::new(1)).unwrap();
         assert!(held(&target, "t", &tup![1, 2]).ptr_eq(tuple));
+    }
+
+    /// A copy hop hashes nothing: each firing carries the hash its source
+    /// relation filed the tuple under and a size from a walk that hashes
+    /// nothing, the target files the tuple under that hash — or drops the
+    /// firing whose tuple it held — and keeps it, and the next hop's fire
+    /// hands it on again, over the whole relation and over a suffix alike.
+    #[test]
+    fn a_copy_hop_takes_no_content_hash() {
+        let copy = |from: &str, to: &str| {
+            let body = CqBody::new(vec![Atom::new(from, vec![v(0), v(1)])], vec![]);
+            let head = vec![Atom::new(to, vec![v(0), v(1)])];
+            PreparedRule::new(GlavRule::new("c", head, body, vec!["X".into(), "Y".into()]).unwrap())
+        };
+        let mut a = ints(&[("s", 2)]);
+        for k in 0..50 {
+            a.insert("s", tup![k, k % 3]).unwrap();
+        }
+        let (mut b, mut c) = (ints(&[("t", 2)]), ints(&[("u", 2)]));
+        let (ab, bc) = (copy("s", "t"), copy("t", "u"));
+        let mut nulls = NullFactory::new(1);
+
+        let before = content_hashes();
+        // Whole, as an update start or a rejoin repair fires a link.
+        let mut fired = ab.fire(&a).unwrap();
+        let bytes: usize = fired.iter().map(RuleFiring::size_bytes).sum();
+        let grown = apply_new_firings(&mut b, &mut fired, &mut nulls).unwrap();
+        // Over a suffix, as an arrival fires the next link.
+        let since = grown.iter().map(|(rel, version)| (&**rel, *version));
+        let mut next = bc.fire_since(&b, since).unwrap().unwrap();
+        apply_new_firings(&mut c, &mut next, &mut nulls).unwrap();
+        // A repair's re-send, every firing dropped by the probe that files.
+        let mut again = ab.fire(&a).unwrap();
+        apply_new_firings(&mut b, &mut again, &mut nulls).unwrap();
+        assert_eq!(content_hashes(), before, "a copy hop hashed");
+        assert_eq!((fired.len(), next.len(), again.len()), (50, 50, 0));
+
+        // What the firings carry is what a firing built afresh takes.
+        let afresh: Vec<RuleFiring> = fired.iter().map(|f| RuleFiring::new(spelled(f))).collect();
+        assert_eq!(bytes, afresh.iter().map(RuleFiring::size_bytes).sum::<usize>());
+        assert!(fired.iter().zip(&afresh).all(|(f, g)| f.content_hash() == g.content_hash()));
+        assert_eq!(content_hashes(), before + 50, "one hash a firing built afresh");
+        for (inst, rel) in [(&b, "t"), (&c, "u")] {
+            let filed = inst.get(rel).unwrap().filed();
+            assert_eq!(filed.len(), 50);
+            assert!(filed.iter().all(|(t, hash)| *hash == t.content_hash()), "{rel}");
+        }
+
+        // A projecting link's firing is no copy: it takes its hash on use.
+        let project = GlavRule::new(
+            "p",
+            vec![Atom::new("t", vec![v(0), Term::Const(Value::Int(0))])],
+            CqBody::new(vec![Atom::new("s", vec![v(0), v(1)])], vec![]),
+            vec!["X".into(), "Y".into()],
+        )
+        .unwrap();
+        let projected = PreparedRule::new(project).fire(&a).unwrap();
+        let before = content_hashes();
+        let hashes: Vec<u64> = projected.iter().map(RuleFiring::content_hash).collect();
+        assert_eq!(hashes.len(), 50);
+        assert_eq!(content_hashes(), before + 50);
     }
 
     /// A head that repeats the body's variables in another order is not a

@@ -144,7 +144,7 @@ mod tests {
         for t in [tup![1], tup![2]] {
             i.insert("r", t).unwrap();
         }
-        assert_eq!(i.get("r").unwrap().since(before).unwrap(), [tup![2]]);
+        assert!(i.get("r").unwrap().since(before).unwrap().eq(&[tup![2]]));
     }
 
     #[test]

@@ -56,5 +56,5 @@ pub use parser::{parse_facts, parse_query, parse_rule, ParseError};
 pub use relation::{index_builds, Relation, Version};
 pub use schema::{Column, DatabaseSchema, RelationSchema, SchemaError};
 pub use snapshot::{Snapshot, SnapshotError};
-pub use tuple::Tuple;
+pub use tuple::{content_hashes, Tuple};
 pub use value::{NullFactory, NullId, Value, ValueType};

@@ -10,6 +10,11 @@
 //! A relation also owns the hash indexes joins probe it through
 //! ([`Relation::matching`]): one per column, built the first time that
 //! column is probed and kept for every evaluation after it.
+//!
+//! Each tuple is kept beside the [`Tuple::content_hash`] it was filed
+//! under ([`Relation::filed`]): a copy rule that fires it hands that hash
+//! on with it, so the tuple crosses every hop of a copy chain without
+//! being hashed again.
 
 use crate::schema::{RelationSchema, SchemaError};
 use crate::tuple::Tuple;
@@ -57,7 +62,7 @@ pub struct Version {
     len: usize,
 }
 
-/// Where each tuple sits in the relation's vector: an open-addressing table,
+/// Where each tuple sits in the relation's log: an open-addressing table,
 /// at most 7/8 full, whose slot is 0 (empty) or `hash << 32 | (position +
 /// 1)`, `hash` being the top 32 bits of the tuple's
 /// [`Tuple::content_hash`] — keyed per process, as its tuples come off the
@@ -75,16 +80,16 @@ fn bits(content_hash: u64) -> u32 {
 impl Positions {
     /// The slot filing a tuple equal to `t`, whose hash bits are `hash`,
     /// or else the empty slot `t` would be filed in.
-    fn slot_of(&self, t: &Tuple, hash: u32, tuples: &[Tuple]) -> usize {
-        let filed = |slot| (slot >> 32) as u32 == hash && tuples[(slot as u32 - 1) as usize] == *t;
+    fn slot_of(&self, t: &Tuple, hash: u32, log: &[(Tuple, u64)]) -> usize {
+        let filed = |slot| (slot >> 32) as u32 == hash && log[(slot as u32 - 1) as usize].0 == *t;
         probe(&self.slots, hash, filed)
     }
 
-    /// Files `t`, whose hash bits are `hash`, at position `tuples.len()`,
+    /// Files `t`, whose hash bits are `hash`, at position `log.len()`,
     /// unless a tuple equal to it is filed already; returns whether it was
     /// filed.
-    fn file(&mut self, t: &Tuple, hash: u32, tuples: &[Tuple]) -> bool {
-        if (tuples.len() + 1) * 8 > self.slots.len() * 7 {
+    fn file(&mut self, t: &Tuple, hash: u32, log: &[(Tuple, u64)]) -> bool {
+        if (log.len() + 1) * 8 > self.slots.len() * 7 {
             // Doubled, each slot re-filed by its bits: no tuple is rehashed.
             let mut slots = vec![0; (self.slots.len() * 2).max(4)];
             for &slot in self.slots.iter().filter(|&&slot| slot != 0) {
@@ -93,11 +98,11 @@ impl Positions {
             }
             self.slots = slots;
         }
-        let at = self.slot_of(t, hash, tuples);
+        let at = self.slot_of(t, hash, log);
         if self.slots[at] != 0 {
             return false;
         }
-        let position = u32::try_from(tuples.len() + 1).expect("fewer than 2^32 - 1 tuples");
+        let position = u32::try_from(log.len() + 1).expect("fewer than 2^32 - 1 tuples");
         self.slots[at] = u64::from(hash) << 32 | u64::from(position);
         true
     }
@@ -177,8 +182,9 @@ impl Clone for Derived {
 /// indexes and the lineage are derived data and appear in none of them.
 pub struct Relation {
     schema: RelationSchema,
-    /// Every tuple, once, in insertion order.
-    tuples: Vec<Tuple>,
+    /// Every tuple, once, in insertion order, with the full
+    /// [`Tuple::content_hash`] it was filed under.
+    log: Vec<(Tuple, u64)>,
     positions: Positions,
     lineage: u64,
     derived: Derived,
@@ -189,7 +195,7 @@ impl Relation {
     pub fn new(schema: RelationSchema) -> Self {
         let derived = Derived::new(schema.arity());
         let positions = Positions::default();
-        Relation { schema, tuples: Vec::new(), positions, lineage: mint_lineage(), derived }
+        Relation { schema, log: Vec::new(), positions, lineage: mint_lineage(), derived }
     }
 
     /// The relation's schema.
@@ -209,43 +215,54 @@ impl Relation {
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.log.len()
     }
 
     /// True iff the relation holds no tuples.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.log.is_empty()
     }
 
     /// Membership test.
     pub fn contains(&self, t: &Tuple) -> bool {
         let slots = &self.positions.slots;
         !slots.is_empty()
-            && slots[self.positions.slot_of(t, bits(t.content_hash()), &self.tuples)] != 0
+            && slots[self.positions.slot_of(t, bits(t.content_hash()), &self.log)] != 0
     }
 
     /// Iterates over the tuples in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.tuples.iter()
+        self.log.iter().map(|(t, _)| t)
+    }
+
+    /// Every tuple in insertion order, each with the
+    /// [`Tuple::content_hash`] it was filed under.
+    pub fn filed(&self) -> &[(Tuple, u64)] {
+        &self.log
     }
 
     /// Tuples sorted lexicographically — for deterministic output.
     pub fn sorted(&self) -> Vec<Tuple> {
-        let mut v = self.tuples.clone();
+        let mut v: Vec<Tuple> = self.iter().cloned().collect();
         v.sort();
         v
     }
 
     /// The relation as it stands now, for [`Relation::since`].
     pub fn version(&self) -> Version {
-        Version { lineage: self.lineage, len: self.tuples.len() }
+        Version { lineage: self.lineage, len: self.log.len() }
     }
 
     /// The tuples inserted after `version`, in insertion order — `None`
     /// unless `version` is of this relation's lineage, which it was made,
     /// cloned or decoded under and keeps while it grows.
-    pub fn since(&self, version: Version) -> Option<&[Tuple]> {
-        self.tuples.get(version.len..).filter(|_| version.lineage == self.lineage)
+    pub fn since(&self, version: Version) -> Option<impl ExactSizeIterator<Item = &Tuple>> {
+        Some(self.filed_since(version)?.iter().map(|(t, _)| t))
+    }
+
+    /// [`Relation::since`], each tuple with the hash it was filed under.
+    pub(crate) fn filed_since(&self, version: Version) -> Option<&[(Tuple, u64)]> {
+        self.log.get(version.len..).filter(|_| version.lineage == self.lineage)
     }
 
     /// The tuples whose column `col` holds `key` (arbitrary order), through
@@ -259,7 +276,7 @@ impl Relation {
             INDEX_BUILDS.set(INDEX_BUILDS.get() + 1);
             self.derived.touched.store(true, Ordering::Relaxed);
             let mut index = ColumnIndex::new();
-            self.tuples.iter().for_each(|t| index_tuple(&mut index, col, t));
+            self.iter().for_each(|t| index_tuple(&mut index, col, t));
             index
         });
         index.get(key).map_or(&[], Vec::as_slice)
@@ -279,17 +296,18 @@ impl Relation {
     }
 
     /// [`Relation::insert`] of a tuple whose [`Tuple::content_hash`] the
-    /// caller has in hand: a ground one-atom firing's own.
+    /// caller has in hand: a ground one-atom firing's own. The relation
+    /// keeps `hash` beside the tuple ([`Relation::filed`]).
     pub(crate) fn insert_hashed(&mut self, t: Tuple, hash: u64) -> Result<bool, SchemaError> {
-        debug_assert!(hash == t.content_hash(), "{t} filed under another tuple's hash");
+        debug_assert!(hash == t.uncounted_hash(), "{t} filed under another tuple's hash");
         self.schema.validate(&t)?;
-        if !self.positions.file(&t, bits(hash), &self.tuples) {
+        if !self.positions.file(&t, bits(hash), &self.log) {
             return Ok(false);
         }
         if self.derived.in_use() {
             self.derive_inserted(&t);
         }
-        self.tuples.push(t);
+        self.log.push((t, hash));
         Ok(true)
     }
 
@@ -314,18 +332,18 @@ impl Relation {
 
     /// Approximate byte volume of the whole relation (statistics module).
     pub fn size_bytes(&self) -> usize {
-        self.tuples.iter().map(Tuple::size_bytes).sum()
+        self.iter().map(Tuple::size_bytes).sum()
     }
 }
 
-/// The same tuples in the same order and a handle on the same index slots,
-/// under a lineage of its own: a version of one side says nothing of the
+/// The same tuples in the same order, filed under the same hashes, and a
+/// handle on the same index slots, under a lineage of its own: a version of one side says nothing of the
 /// other.
 impl Clone for Relation {
     fn clone(&self) -> Self {
         Relation {
             schema: self.schema.clone(),
-            tuples: self.tuples.clone(),
+            log: self.log.clone(),
             positions: self.positions.clone(),
             lineage: mint_lineage(),
             derived: self.derived.clone(),
@@ -337,19 +355,20 @@ impl fmt::Debug for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Relation")
             .field("schema", &self.schema)
-            .field("tuples", &self.tuples)
+            .field("tuples", &self.iter().collect::<Vec<_>>())
             .finish()
     }
 }
 
 /// `{"schema": …, "tuples": […]}`, as the derive wrote it before the
-/// relation had anything else. Written against the vendored serde shim's
-/// value-tree API.
+/// relation had anything else — the hashes are left out, and re-derived by
+/// the inserts that read it back. Written against the vendored serde
+/// shim's value-tree API.
 impl Serialize for Relation {
     fn to_value(&self) -> serde::Value {
         serde::Value::Object(BTreeMap::from([
             ("schema".to_owned(), self.schema.to_value()),
-            ("tuples".to_owned(), self.tuples.to_value()),
+            ("tuples".to_owned(), serde::Value::Array(self.iter().map(Tuple::to_value).collect())),
         ]))
     }
 }
@@ -371,7 +390,7 @@ impl PartialEq for Relation {
     fn eq(&self, other: &Self) -> bool {
         self.schema == other.schema
             && self.len() == other.len()
-            && self.tuples.iter().all(|t| other.contains(t))
+            && self.iter().all(|t| other.contains(t))
     }
 }
 
@@ -384,6 +403,11 @@ mod tests {
     use crate::tup;
     use crate::value::ValueType;
     use std::collections::HashSet;
+
+    /// [`Relation::since`], collected.
+    fn since(r: &Relation, version: Version) -> Option<Vec<Tuple>> {
+        r.since(version).map(|suffix| suffix.cloned().collect())
+    }
 
     fn rel() -> Relation {
         Relation::new(RelationSchema::with_types("r", &[ValueType::Int, ValueType::Str]))
@@ -405,8 +429,8 @@ mod tests {
         for t in [tup![1, "a"], tup![2, "b"], tup![2, "b"], tup![3, "c"]] {
             r.insert(t).unwrap();
         }
-        assert_eq!(r.since(before).unwrap(), [tup![2, "b"], tup![3, "c"]]);
-        assert_eq!(r.since(r.version()).unwrap(), []);
+        assert_eq!(since(&r, before).unwrap(), [tup![2, "b"], tup![3, "c"]]);
+        assert_eq!(since(&r, r.version()).unwrap(), []);
         assert_eq!(r.len(), 3);
     }
 
@@ -603,25 +627,25 @@ mod tests {
     fn every_clone_and_decode_mints_a_lineage_and_since_answers_within_one() {
         let mut r = pairs(8);
         let first = r.version();
-        assert_eq!(r.since(first).unwrap(), []);
+        assert_eq!(since(&r, first).unwrap(), []);
 
         // A duplicate is no change; a new tuple is the suffix.
         assert!(!r.insert(tup![0, 0]).unwrap());
         assert_eq!(r.version(), first);
         r.matching(0, &Value::Int(0));
         assert!(r.insert(tup![100, 0]).unwrap());
-        assert_eq!(r.since(first).unwrap(), [tup![100, 0]]);
+        assert_eq!(since(&r, first).unwrap(), [tup![100, 0]]);
 
         // A clone holds the same tuples under a lineage of its own: no
         // version of one side says anything of the other.
         let mut twin = r.clone();
         assert_eq!(twin, r);
         assert_ne!(twin.version(), r.version());
-        assert_eq!((twin.since(first), r.since(twin.version())), (None, None));
+        assert_eq!((since(&twin, first), since(&r, twin.version())), (None, None));
         assert!(twin.insert(tup![101, 1]).unwrap());
         assert!(r.insert(tup![102, 1]).unwrap());
-        assert_eq!(r.since(first).unwrap(), [tup![100, 0], tup![102, 1]]);
-        assert_eq!(twin.since(twin.version()).unwrap(), []);
+        assert_eq!(since(&r, first).unwrap(), [tup![100, 0], tup![102, 1]]);
+        assert_eq!(since(&twin, twin.version()).unwrap(), []);
 
         // A decoded relation is built afresh: equal to its source, and of
         // a lineage of its own.
@@ -633,8 +657,8 @@ mod tests {
         let binary = crate::binenc::take_relation(&mut crate::binenc::Reader::new(&bytes)).unwrap();
         for read in [json, binary] {
             assert_eq!(read, source);
-            assert_eq!(read.since(source.version()), None);
-            assert_eq!(source.since(read.version()), None);
+            assert_eq!(since(&read, source.version()), None);
+            assert_eq!(since(&source, read.version()), None);
         }
     }
 

@@ -2,6 +2,7 @@
 
 use crate::value::{NullId, Value};
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::fmt;
 use std::hash::{BuildHasher, Hasher};
@@ -77,10 +78,32 @@ impl Tuple {
     /// and a ground one-atom firing of the same fields hashes to the same
     /// `u64`.
     pub fn content_hash(&self) -> u64 {
-        let mut feed = Feed::new();
+        self.hash_into(Feed::new())
+    }
+
+    /// [`Tuple::content_hash`], left out of [`content_hashes`]: what a
+    /// debug build checks a filed hash against, so that both builds count
+    /// alike.
+    pub(crate) fn uncounted_hash(&self) -> u64 {
+        self.hash_into(Feed::over(keys().build_hasher()))
+    }
+
+    fn hash_into(&self, mut feed: Feed) -> u64 {
         self.0.iter().for_each(|v| feed.value(v));
         feed.end().finish()
     }
+}
+
+thread_local! {
+    static CONTENT_HASHES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many content hashes — a tuple's [`Tuple::content_hash`] or a
+/// firing's — this thread has taken so far. A count to take differences
+/// of, as [`index_builds`](crate::index_builds): a test that says "this
+/// hop hashed nothing" reads it before and after.
+pub fn content_hashes() -> u64 {
+    CONTENT_HASHES.get()
 }
 
 /// The process's one SipHash key: every content hash in the crate — a
@@ -108,8 +131,10 @@ pub(crate) struct Feed<H = DefaultHasher> {
 }
 
 impl Feed {
-    /// A feed into a hasher under [`keys`].
+    /// A feed into a hasher under [`keys`]: one content hash begun, and
+    /// counted ([`content_hashes`]).
     pub(crate) fn new() -> Self {
+        CONTENT_HASHES.set(CONTENT_HASHES.get() + 1);
         Feed::over(keys().build_hasher())
     }
 }

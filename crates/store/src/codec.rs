@@ -292,8 +292,9 @@ fn take_firings(r: &mut Reader<'_>) -> Result<Vec<RuleFiring>, BinDecodeError> {
     // reject the encoder's own valid output.
     let n = r.len(1)?;
     let mut firings = Vec::with_capacity(n);
+    let mut reader = binenc::FiringReader::default();
     for _ in 0..n {
-        firings.push(binenc::take_firing(r)?);
+        firings.push(reader.take(r)?);
     }
     Ok(firings)
 }

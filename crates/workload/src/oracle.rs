@@ -83,7 +83,7 @@ impl State {
         let grown = apply_firings(target, &fresh, &mut self.nulls)
             .expect("rule heads match target schemas");
         let suffix = |rel: &str, v| target.get(rel).and_then(|r| r.since(v)).expect("it grew");
-        grown.iter().map(|(rel, v)| (rel.to_string(), suffix(rel, *v).to_vec())).collect()
+        grown.iter().map(|(rel, v)| (rel.to_string(), suffix(rel, *v).cloned().collect())).collect()
     }
 
     fn finish(self, rounds: u64) -> Chase {

@@ -91,6 +91,27 @@ fn a_log_longer_than_the_data_before_it_is_still_fired_as_a_delta() {
     assert_eq!(net.node(s.sink()).ldb().get("r2").unwrap().len(), 30 + 11);
 }
 
+/// A copy chain hashes a tuple once, where the tuple is stored first: a
+/// cold update down Chain(16) ships every tuple to the sink, each hop
+/// filing and re-firing it under the hash its source relation filed it
+/// under, and a warm one ships a new tuple the same way.
+#[test]
+fn a_copy_chain_update_takes_no_content_hash_after_the_build() {
+    use codb::relational::content_hashes;
+    let s = copy_chain(16, 150);
+    let mut net = CoDbNetwork::build(s.build_config(), SimConfig::default()).unwrap();
+    let before = content_hashes();
+    let cold = net.run_update(s.sink());
+    assert_eq!(content_hashes(), before, "a cold update hashed");
+    assert_eq!(cold.summary.tuples_added, 150 * (1..16).sum::<u64>());
+
+    ingest(&mut net, 0, tup![-1, -1]);
+    let before = content_hashes();
+    let warm = net.run_update(s.sink());
+    assert_eq!(content_hashes(), before, "a warm update hashed");
+    assert_eq!(warm.summary.tuples_added, 15);
+}
+
 fn pool_settings() -> NodeSettings {
     NodeSettings { retransmit_after: SimTime::from_millis(20), ..NodeSettings::default() }
 }
