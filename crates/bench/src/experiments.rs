@@ -40,7 +40,7 @@ fn scenario(topology: Topology, tuples: usize) -> Scenario {
 fn e1() -> Table {
     let mut t = Table::new(
         "E1 — update time vs network size (chain, 200 tuples/node)",
-        &["n", "sim total", "data msgs", "data bytes", "tuples added"],
+        &["n", "sim total", "data msgs", "paper data msgs", "data bytes", "tuples added"],
     );
     for n in [2usize, 4, 8, 16, 32, 48] {
         let s = scenario(Topology::Chain(n), 200);
@@ -49,6 +49,9 @@ fn e1() -> Table {
             n.to_string(),
             o.summary.total_time.to_string(),
             o.summary.data_messages.to_string(),
+            // The paper forwards every wave at once: node k's wave crosses
+            // the n − 1 − k links below it.
+            (n * (n - 1) / 2).to_string(),
             o.summary.data_bytes.to_string(),
             o.summary.tuples_added.to_string(),
         ]);

@@ -65,7 +65,9 @@ pub use network::{CoDbNetwork, QueryOutcome, UpdateOutcome, HARNESS_PEER};
 pub use node::{CoDbNode, NodeSettings};
 pub use parnet::{ParNetError, ParallelCoDbNet};
 pub use query::QueryResult;
-pub use rules::{link_graph_is_cyclic, rule_graph_is_cyclic, CoordinationRule, RuleBook};
+pub use rules::{
+    link_graph_is_cyclic, rule_graph_is_cyclic, AcyclicLinks, CoordinationRule, RuleBook,
+};
 pub use stats::{
     Kind, KindCounts, NetworkReport, NodeReport, QueryReport, RuleTraffic, UpdateReport,
     UpdateSummary,

@@ -62,9 +62,18 @@ pub enum Body {
         /// seen the request for is not thereby a request (a restarted node
         /// may receive a scoped update's parked data).
         request: bool,
+        /// The link closes with this data: nonzero, the `data_msgs` of the
+        /// [`Body::LinkClosed`] it stands for — how many `UpdateData` the
+        /// source sent on the link, this one included. A *held* link ships
+        /// everything it derives in one such message (`crate::update`,
+        /// "Termination"); zero, the link stays open. (A `u32`, in the
+        /// padding beside `request`: the body stays 88 bytes.)
+        closes: u32,
     },
     /// The source of `rule` tells the target that the incoming link is
-    /// closed: no further `UpdateData` will arrive on it.
+    /// closed: no further `UpdateData` will arrive on it. Sent alone where
+    /// no data is left to carry the close ([`Body::UpdateData`]'s
+    /// `closes`).
     LinkClosed {
         /// The update.
         update: UpdateId,
@@ -411,7 +420,8 @@ mod tests {
             rule: "r".into(),
             firings: vec![],
             hops: 1,
-            request: false
+            request: false,
+            closes: 0,
         }
         .is_ds_counted());
         assert!(Body::LinkClosed { update: upd(), rule: "r".into(), data_msgs: 0 }.is_ds_counted());
@@ -433,7 +443,8 @@ mod tests {
             rule: "r".into(),
             firings: vec![],
             hops: 1,
-            request: false
+            request: false,
+            closes: 0,
         }
         .parks_behind_barrier());
         assert!(Body::LinkClosed { update: upd(), rule: "r".into(), data_msgs: 0 }
@@ -468,6 +479,7 @@ mod tests {
             firings: vec![],
             hops: 1,
             request: false,
+            closes: 0,
         };
         let firing = codb_relational::RuleFiring::new([(
             "t",
@@ -479,6 +491,7 @@ mod tests {
             firings: vec![firing],
             hops: 1,
             request: false,
+            closes: 0,
         };
         assert!(big.size_bytes() > small.size_bytes());
         assert!(Envelope::control(Body::StatsRequest).size_bytes() >= 16);
@@ -529,6 +542,7 @@ mod tests {
                 firings: vec![],
                 hops: 0,
                 request: false,
+                closes: 0,
             }
             .kind(),
             Body::LinkClosed { update: upd(), rule: "r".into(), data_msgs: 0 }.kind(),

@@ -7,6 +7,7 @@ use crate::ids::{NodeId, QueryId, UpdateId};
 use crate::messages::{Body, Envelope};
 use crate::node::{CoDbNode, NodeSettings};
 use crate::query::QueryResult;
+use crate::rules::AcyclicLinks;
 use crate::stats::{NetworkReport, UpdateSummary};
 use codb_net::{PeerId, SimBuilder, SimConfig, SimNet, SimTime};
 use codb_relational::{parse_query, ConjunctiveQuery};
@@ -86,10 +87,14 @@ impl CoDbNetwork {
         // acquaintance) from `on_start`, so the builder only needs the
         // peer population; pipes still follow `Topology::edges()` via the
         // rules the scenario generator derived from it.
+        let acyclic = AcyclicLinks::of(&config.rules);
         let mut nodes: std::collections::HashMap<PeerId, CoDbNode> = config
             .nodes
             .iter()
-            .map(|nc| (nc.id.peer(), CoDbNode::from_config(nc, &config.rules, settings.clone())))
+            .map(|nc| {
+                let node = CoDbNode::from_config(nc, &config.rules, &acyclic, settings.clone());
+                (nc.id.peer(), node)
+            })
             .collect();
         let superpeer = with_superpeer.then(|| {
             let id = NodeId(config.nodes.iter().map(|n| n.id.0 + 1).max().unwrap_or(0));
@@ -484,7 +489,9 @@ impl CoDbNetwork {
             // refuse rather than silently rejoin with an empty database.
             return Err(codb_store::StoreError::NoState { dir: dir.to_owned() });
         }
-        let mut node = CoDbNode::from_config(nc, &self.config.rules, self.settings.clone());
+        let rules = &self.config.rules;
+        let mut node =
+            CoDbNode::from_config(nc, rules, &AcyclicLinks::of(rules), self.settings.clone());
         // The new incarnation keeps recording into the same trace (rejoin
         // steps are exactly what a postmortem wants to see).
         if self.sim.tracer().is_enabled() {

@@ -12,7 +12,7 @@ use crate::ids::{NodeId, QueryId, ReqId, RuleName, UpdateId};
 use crate::messages::{Body, Envelope};
 use crate::query::{KeptFetch, QueryExec, QueryResult, Serving, Whole};
 use crate::reliable::{Answer, Owed, Receipt, Reliable};
-use crate::rules::{CoordinationRule, RuleBook};
+use crate::rules::{AcyclicLinks, CoordinationRule, RuleBook};
 use crate::stats::{Kind, NetworkReport, NodeReport};
 use crate::update::{SentCache, UpdateState};
 use codb_net::{Context, Peer, PeerId, PipeConfig, SimTime};
@@ -129,11 +129,22 @@ impl CoDbNode {
         rules: &[CoordinationRule],
         settings: NodeSettings,
     ) -> Self {
+        Self::with_book(id, name, schema, data, RuleBook::for_node(id, rules), settings)
+    }
+
+    /// [`CoDbNode::new`] over a book its caller built.
+    fn with_book(
+        id: NodeId,
+        name: impl Into<String>,
+        schema: DatabaseSchema,
+        data: Vec<(String, Tuple)>,
+        book: RuleBook,
+        settings: NodeSettings,
+    ) -> Self {
         let mut ldb = Instance::with_schema(&schema);
         for (rel, tuple) in data {
             ldb.insert(&rel, tuple).expect("seed data validated by config");
         }
-        let book = RuleBook::for_node(id, rules);
         CoDbNode {
             id,
             name: name.into(),
@@ -169,14 +180,17 @@ impl CoDbNode {
     }
 
     /// The node `nc` declares: its id, name, schema and seed data, with the
-    /// rules of `rules` it participates in. (A restart from disk builds the
-    /// node the same way; recovery then replaces the seeded LDB.)
+    /// rules of `rules` it participates in, whose link graph `acyclic`
+    /// peeled. (A restart from disk builds the node the same way; recovery
+    /// then replaces the seeded LDB.)
     pub(crate) fn from_config(
         nc: &crate::config::NodeConfig,
         rules: &[CoordinationRule],
+        acyclic: &AcyclicLinks,
         settings: NodeSettings,
     ) -> Self {
-        Self::new(nc.id, &nc.name, nc.schema.clone(), nc.data.clone(), rules, settings)
+        let book = RuleBook::for_node_in(nc.id, rules, acyclic);
+        Self::with_book(nc.id, &nc.name, nc.schema.clone(), nc.data.clone(), book, settings)
     }
 
     /// Attaches a flight-recorder handle to this node (and to its store,
@@ -809,8 +823,9 @@ mod tests {
                 .nodes
                 .iter()
                 .map(|nc| {
+                    let acyclic = AcyclicLinks::of(&config.rules);
                     let mut node =
-                        CoDbNode::from_config(nc, &config.rules, NodeSettings::default());
+                        CoDbNode::from_config(nc, &config.rules, &acyclic, NodeSettings::default());
                     // An incarnation with a past, so that a stale epoch
                     // exists; and a wire this bad is no reason to presume
                     // anyone dead.

@@ -27,6 +27,7 @@ use crate::ids::NodeId;
 use crate::messages::{Body, Envelope};
 use crate::network::{CoDbNetwork, HARNESS_PEER};
 use crate::node::{CoDbNode, NodeSettings};
+use crate::rules::AcyclicLinks;
 use codb_net::{ParallelNet, RuntimeConfig};
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -144,8 +145,9 @@ impl ParallelCoDbNet {
     ) -> Result<Self, ParNetError> {
         config.validate()?;
         let mut nodes = Vec::with_capacity(config.nodes.len());
+        let acyclic = AcyclicLinks::of(&config.rules);
         for nc in &config.nodes {
-            let mut node = CoDbNode::from_config(nc, &config.rules, settings.clone());
+            let mut node = CoDbNode::from_config(nc, &config.rules, &acyclic, settings.clone());
             prepare(&mut node)?;
             nodes.push((nc.id.peer(), node));
         }

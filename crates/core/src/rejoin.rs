@@ -67,8 +67,8 @@ impl CoDbNode {
     /// Reacts to the first envelope of `from`'s new incarnation, whatever
     /// it carries: writes off the engagement credits the dead incarnation
     /// held (`dead`), drops the sent caches toward `from` and re-sends
-    /// those links whole as repair, and asks to be adopted in every update
-    /// this node has not seen complete.
+    /// those links whole as repair, asks to be adopted in every update
+    /// this node has not seen complete, and releases their held links.
     pub(crate) fn handle_new_incarnation(
         &mut self,
         ctx: &mut Context<Envelope>,
@@ -88,8 +88,13 @@ impl CoDbNode {
         self.send_rejoin_repair(ctx, from);
         // The dead incarnation's lists of completion-tree children died
         // with it, and this node may have been on one. (An update the dead
-        // incarnation started, its successor ends when asked.)
+        // incarnation started, its successor ends when asked.) Nor will it
+        // close the links it fed: nothing here holds on for them, and the
+        // new incarnation, asked to adopt this node in every update still
+        // open here, holds on for no close its predecessor was sent.
         self.adopt_all(ctx);
+        self.release_at(ctx, from);
+        self.release_all(ctx);
     }
 
     /// Traces the transport ack of this incarnation's `Rejoin` by `from`,

@@ -529,6 +529,17 @@ impl Reliable {
         released.collect()
     }
 
+    /// The updates of the Dijkstra–Scholten messages toward `to` that it
+    /// has not acknowledged, each once, in order.
+    pub(crate) fn unanswered_updates(&self, to: NodeId) -> Vec<UpdateId> {
+        let out = self.links.get(&to).into_iter().flat_map(|link| link.out.iter());
+        let ds = out.filter(|(_, o)| o.body.is_ds_counted());
+        let mut updates: Vec<UpdateId> = ds.filter_map(|(_, o)| o.body.update_id()).collect();
+        updates.sort_unstable();
+        updates.dedup();
+        updates
+    }
+
     /// All messages currently awaiting acknowledgement, re-wrapped under
     /// their original seqs (inspection; does not bump attempts).
     pub fn pending(&self) -> Vec<(NodeId, Envelope)> {

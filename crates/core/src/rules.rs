@@ -12,7 +12,7 @@
 use crate::ids::{NodeId, RuleName};
 use codb_relational::{GlavRule, PreparedRule};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// A GLAV rule plus the pair of nodes it bridges: the body is evaluated at
 /// `source`, the head is materialised at `target`.
@@ -59,6 +59,10 @@ pub struct Link {
     pub source: NodeId,
     /// Node that imports the head tuples.
     pub target: NodeId,
+    /// No cycle of the link graph reaches the rule ([`AcyclicLinks`]): at
+    /// its source it is *held* — an update fires it once, at its close
+    /// ([`crate::update`], "Termination").
+    pub held: bool,
 }
 
 /// The rule book of one node: the rules it participates in, numbered, plus
@@ -88,18 +92,26 @@ pub struct RuleBook {
 impl RuleBook {
     /// Builds the book for `node` from the full rule list.
     pub fn for_node(node: NodeId, rules: &[CoordinationRule]) -> Self {
-        let mine: BTreeMap<&str, &CoordinationRule> = rules
+        Self::for_node_in(node, rules, &AcyclicLinks::of(rules))
+    }
+
+    /// [`RuleBook::for_node`] with the rule list's link graph peeled
+    /// already: a network builds every node's book from one walk.
+    pub fn for_node_in(node: NodeId, rules: &[CoordinationRule], acyclic: &AcyclicLinks) -> Self {
+        let mine: BTreeMap<&str, (usize, &CoordinationRule)> = rules
             .iter()
-            .filter(|r| r.target == node || r.source == node)
-            .map(|r| (r.name(), r))
+            .enumerate()
+            .filter(|(_, r)| r.target == node || r.source == node)
+            .map(|(i, r)| (r.name(), (i, r)))
             .collect();
         let links: Vec<Link> = mine
             .into_values()
-            .map(|r| Link {
+            .map(|(i, r)| Link {
                 name: r.name().to_owned(),
                 rule: PreparedRule::new(r.rule.clone()),
                 source: r.source,
                 target: r.target,
+                held: acyclic.contains(i),
             })
             .collect();
         let ids_where = |end: fn(&Link) -> NodeId| -> Vec<LinkId> {
@@ -200,25 +212,58 @@ impl RuleBook {
     }
 }
 
-/// Link-level dependency graph cyclicity: the *exact* recursion test.
+/// The rules of a list that no cycle of its *link graph* reaches, found by
+/// one walk: a Kahn peel, which removes a rule once every rule feeding it
+/// is removed. What a cycle feeds, or what lies on one, is never removed.
 ///
 /// There is an edge from rule `r` to rule `r2` iff data imported by `r`
-/// (at `r.target`) can feed `r2`'s body — i.e. `r2.source == r.target`
-/// and `r`'s head writes a relation `r2`'s body reads. A cycle here means
-/// the update fixpoint is genuinely recursive (the paper's "fix-point
-/// computation may be needed among the nodes").
-pub fn link_graph_is_cyclic(rules: &[CoordinationRule]) -> bool {
-    let n = rules.len();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, r) in rules.iter().enumerate() {
-        let heads = r.rule.head_relations();
-        for (j, r2) in rules.iter().enumerate() {
-            if r2.source == r.target && r2.rule.body_relations().iter().any(|b| heads.contains(b)) {
-                adj[i].push(j);
+/// (at `r.target`) can feed `r2`'s body — `r2.source == r.target` and
+/// `r`'s head writes a relation `r2`'s body reads: at `r.target`, `r` is
+/// an outgoing link relevant for the incoming link `r2`. A peeled rule
+/// closes by the paper's rule before its update ends, wherever no fault
+/// cuts the update off from an upstream close.
+#[derive(Clone, Debug)]
+pub struct AcyclicLinks {
+    /// By position in the rule list: peeled.
+    peeled: Vec<bool>,
+}
+
+impl AcyclicLinks {
+    /// Peels the link graph of `rules`, in time linear in its edges.
+    pub fn of(rules: &[CoordinationRule]) -> Self {
+        let mut readers: HashMap<(NodeId, &str), Vec<usize>> = HashMap::new();
+        for (i, r) in rules.iter().enumerate() {
+            for rel in r.rule.body_relations() {
+                readers.entry((r.source, rel)).or_default().push(i);
             }
         }
+        let fed: Vec<Vec<usize>> = rules
+            .iter()
+            .map(|r| {
+                let heads = r.rule.head_relations().into_iter();
+                heads.filter_map(|h| readers.get(&(r.target, h))).flatten().copied().collect()
+            })
+            .collect();
+        AcyclicLinks { peeled: peel(&fed) }
     }
-    has_cycle(&adj)
+
+    /// Whether the rule at position `rule` of the list was peeled.
+    pub fn contains(&self, rule: usize) -> bool {
+        self.peeled[rule]
+    }
+
+    /// Whether the peel left no rule: the link graph has no cycle.
+    pub fn is_whole(&self) -> bool {
+        self.peeled.iter().all(|&p| p)
+    }
+}
+
+/// Link-level dependency graph cyclicity: the *exact* recursion test — the
+/// [`AcyclicLinks`] peel leaves a rule. A cycle here means the update
+/// fixpoint is genuinely recursive (the paper's "fix-point computation may
+/// be needed among the nodes").
+pub fn link_graph_is_cyclic(rules: &[CoordinationRule]) -> bool {
+    !AcyclicLinks::of(rules).is_whole()
 }
 
 /// Node-level dependency graph over an entire rule set — used by workload
@@ -241,43 +286,29 @@ pub fn rule_graph_is_cyclic(rules: &[CoordinationRule]) -> bool {
     for r in rules {
         adj[index[&r.target]].push(index[&r.source]);
     }
-    has_cycle(&adj)
+    !peel(&adj).into_iter().all(|p| p)
 }
 
-/// Whether the directed graph with adjacency lists `adj` over vertices
-/// `0..adj.len()` has a cycle: an iterative white/grey/black DFS.
-fn has_cycle(adj: &[Vec<usize>]) -> bool {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mark {
-        White,
-        Grey,
-        Black,
+/// Kahn's peel of the directed graph with adjacency lists `adj` over
+/// vertices `0..adj.len()`: by vertex, whether it was removed — no cycle
+/// reaches it. A graph has a cycle iff the peel leaves a vertex.
+fn peel(adj: &[Vec<usize>]) -> Vec<bool> {
+    let mut feeding = vec![0usize; adj.len()];
+    for &j in adj.iter().flatten() {
+        feeding[j] += 1;
     }
-    let mut marks = vec![Mark::White; adj.len()];
-    for start in 0..adj.len() {
-        if marks[start] != Mark::White {
-            continue;
-        }
-        // (vertex, next-child-index)
-        let mut stack = vec![(start, 0usize)];
-        marks[start] = Mark::Grey;
-        while let Some((node, idx)) = stack.pop() {
-            if let Some(&child) = adj[node].get(idx) {
-                stack.push((node, idx + 1));
-                match marks[child] {
-                    Mark::Grey => return true,
-                    Mark::White => {
-                        marks[child] = Mark::Grey;
-                        stack.push((child, 0));
-                    }
-                    Mark::Black => {}
-                }
-            } else {
-                marks[node] = Mark::Black;
+    let mut ready: Vec<usize> = (0..adj.len()).filter(|&i| feeding[i] == 0).collect();
+    let mut peeled = vec![false; adj.len()];
+    while let Some(i) = ready.pop() {
+        peeled[i] = true;
+        for &j in &adj[i] {
+            feeding[j] -= 1;
+            if feeding[j] == 0 {
+                ready.push(j);
             }
         }
     }
-    false
+    peeled
 }
 
 /// The paper's definitions of the roles and the dependency tables,
@@ -332,6 +363,28 @@ pub(crate) fn assert_tables_match_definitions(
         .filter(|n| *n != node)
         .collect();
     assert_eq!(book.acquaintances(), &acquaintances, "acquaintances of {node}");
+
+    // Held: no cycle of the link graph reaches the rule — by the edge
+    // definition, over every pair of rules, and reachability by closure.
+    let n = rules.len();
+    let feeds = |i: usize, j: usize| {
+        let (r, r2) = (&rules[i], &rules[j]);
+        let heads = r.rule.head_relations();
+        r2.source == r.target && r2.rule.body_relations().iter().any(|b| heads.contains(b))
+    };
+    let mut reach: Vec<Vec<bool>> = (0..n).map(|i| (0..n).map(|j| feeds(i, j)).collect()).collect();
+    for k in 0..n {
+        for i in 0..n {
+            for j in 0..n {
+                reach[i][j] |= reach[i][k] && reach[k][j];
+            }
+        }
+    }
+    for (_, link) in book.links() {
+        let i = rules.iter().rposition(|r| r.name() == link.name).unwrap();
+        let cyclic = (0..n).any(|j| reach[j][j] && (j == i || reach[j][i]));
+        assert_eq!(link.held, !cyclic, "{} held at {node}", link.name);
+    }
 
     let rule_of = |id: LinkId| book.link(id).rule.rule();
     for (id, link) in book.links() {
@@ -469,6 +522,36 @@ mod tests {
         // Chain is acyclic at both levels.
         let chain = vec![rule("a", 1, 2, "t(X) <- s(X)"), rule("b", 2, 3, "u(X) <- t(X)")];
         assert!(!link_graph_is_cyclic(&chain));
+    }
+
+    /// A link is held iff no cycle reaches it: on a cycle, or below one,
+    /// it is not; beside or above one, it is.
+    #[test]
+    fn a_link_is_held_iff_no_cycle_reaches_it() {
+        let rules = vec![
+            rule("in", 1, 2, "t(X) <- s(X)"),
+            rule("ab", 2, 3, "u(X) <- t(X)"),
+            rule("ba", 3, 2, "t(X) <- u(X)"),
+            rule("below", 3, 4, "w(X) <- u(X)"),
+            rule("beside", 2, 5, "v(X) <- k(X)"),
+        ];
+        let held: Vec<(String, bool)> = (1..=5)
+            .flat_map(|node| {
+                let book = RuleBook::for_node(NodeId(node), &rules);
+                let incoming: Vec<LinkId> = book.incoming().to_vec();
+                incoming.into_iter().map(move |id| {
+                    let link = book.link(id);
+                    (link.name.clone(), link.held)
+                })
+            })
+            .collect();
+        let expected =
+            [("in", true), ("ab", false), ("beside", true), ("ba", false), ("below", false)];
+        assert_eq!(held, expected.map(|(name, held)| (name.to_owned(), held)));
+        let acyclic = AcyclicLinks::of(&rules);
+        assert!(!acyclic.is_whole());
+        assert!((0..rules.len())
+            .all(|i| acyclic.contains(i) == ["in", "beside"].contains(&rules[i].name())));
     }
 
     #[test]

@@ -591,7 +591,14 @@ mod tests {
             ("DemandLink", Body::DemandLink { update, rule: rule() }),
             (
                 "UpdateData",
-                Body::UpdateData { update, rule: rule(), firings: vec![], hops: 0, request: false },
+                Body::UpdateData {
+                    update,
+                    rule: rule(),
+                    firings: vec![],
+                    hops: 0,
+                    request: false,
+                    closes: 0,
+                },
             ),
             ("LinkClosed", Body::LinkClosed { update, rule: rule(), data_msgs: 0 }),
             ("DsAck", Body::DsAck { update, credits: 1 }),

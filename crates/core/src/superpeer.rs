@@ -51,6 +51,9 @@ impl CoDbNode {
 
         let old = self.install_book(RuleBook::for_node(self.id, &config.rules));
         let new = Arc::clone(&self.book);
+        // An update in flight ran on the old links: what its upstream
+        // closes under the new ones is nothing to hold on for.
+        self.release_all(ctx);
         let (old_acquaintances, new_acquaintances) = (old.acquaintances(), new.acquaintances());
 
         // "If a coordination rules file is received when a peer has already
@@ -93,7 +96,8 @@ impl CoDbNode {
     /// pass this node the completion, nor this node pass it on, and a
     /// disengagement that was in flight between them is gone with the
     /// pipe. So for every update it has not seen complete, this node asks
-    /// each remaining acquaintance to adopt it.
+    /// each remaining acquaintance to adopt it, and holds nothing on for a
+    /// close the departed peer will not send (`release`).
     fn forget_acquaintance(&mut self, ctx: &mut Context<Envelope>, gone: NodeId) {
         for st in self.updates.values_mut().filter(|st| st.parent == Some(gone)) {
             st.parent = None;
@@ -104,6 +108,7 @@ impl CoDbNode {
         }
         self.write_off(ctx, forgotten.engaged);
         self.adopt_all(ctx);
+        self.release_all(ctx);
     }
 
     /// Replaces the rule book, and with it everything numbered by the old
@@ -268,9 +273,11 @@ mod tests {
     "#;
 
     /// An update is in flight at `b` when the file arrives: every link's
-    /// state follows its *name* to the new numbering, late traffic for the
-    /// vanished rule is dropped with its DS credit returned, and the update
-    /// closes and completes over the new book.
+    /// state follows its *name* to the new numbering, what the held links
+    /// hold goes out at once (the upstream close they wait for ran on the
+    /// old links), late traffic for the vanished rule is dropped with its
+    /// DS credit returned, and the update closes and completes over the new
+    /// book.
     #[test]
     fn a_rules_file_mid_update_renumbers_the_update_and_drops_stale_traffic() {
         use crate::ids::UpdateId;
@@ -279,7 +286,8 @@ mod tests {
 
         let v1 = NetworkConfig::parse(MID_V1).unwrap();
         let (a, b, c) = (v1.nodes[0].id, &v1.nodes[1], v1.nodes[2].id);
-        let mut node = CoDbNode::from_config(b, &v1.rules, NodeSettings::default());
+        let acyclic = crate::rules::AcyclicLinks::of(&v1.rules);
+        let mut node = CoDbNode::from_config(b, &v1.rules, &acyclic, NodeSettings::default());
         let update = UpdateId { origin: a, epoch: 0, seq: 0 };
         let firing =
             |rel: &str, k: i64| RuleFiring::new([(rel, vec![TField::Const(Value::Int(k))])]);
@@ -296,47 +304,62 @@ mod tests {
             sent.collect()
         };
 
-        // Under v1: the request engages b under a, then one data message
-        // arrives on `keep` and is forwarded on `old`.
-        deliver(&mut node, a, Body::UpdateRequest { update });
+        // Under v1: the request engages b under a and goes on to c alone:
+        // `old` is held until `keep` closes. Then one data message arrives
+        // on `keep`, and `old` holds it too.
+        let sent = deliver(&mut node, a, Body::UpdateRequest { update });
+        assert!(matches!(sent[..], [(to, Body::UpdateRequest { .. })] if to == c), "{sent:?}");
         let data = |rule: &str, f| Body::UpdateData {
             update,
             rule: rule.to_owned(),
             firings: vec![f],
             hops: 1,
             request: false,
+            closes: 0,
         };
         let sent = deliver(&mut node, a, data("keep", firing("tb", 7)));
-        assert!(sent
-            .iter()
-            .any(|(to, body)| *to == c
-                && matches!(body, Body::UpdateData { rule, .. } if rule == "old")));
+        assert!(!sent.iter().any(|(_, body)| matches!(body, Body::UpdateData { .. })), "{sent:?}");
         let v1_book = node.rule_book().clone();
         let id = |book: &RuleBook, name: &str| book.link_named(name).unwrap();
         assert_eq!(id(&v1_book, "keep").index(), 1);
         let st = node.update_state(update).unwrap();
         assert_eq!(st.link(id(&v1_book, "keep")).data_received, 1);
-        assert_eq!(st.link(id(&v1_book, "old")).data_sent, 2, "the seed tuple, then the new one");
-        // Two data messages to c, the first carrying the update request: it
-        // is one DS message where a request beside it would be a second.
-        assert_eq!(st.deficit, 2, "two data messages to c, the request riding the first");
+        assert_eq!(st.link(id(&v1_book, "old")).data_sent, 0, "held");
+        assert_eq!(st.deficit, 1, "the request to c");
 
+        // The file releases the update: its new links fire whole (their
+        // caches are new), and ship without a close.
         let v2 = NetworkConfig::parse(MID_V2).unwrap();
-        deliver(&mut node, NodeId(9), Body::RulesFile { config: Box::new(v2.clone()) });
+        let whole = crate::whole_fires();
+        let sent = deliver(&mut node, NodeId(9), Body::RulesFile { config: Box::new(v2.clone()) });
+        let shipped: Vec<(&str, usize, u32)> = sent
+            .iter()
+            .filter_map(|(to, body)| match body {
+                Body::UpdateData { rule, firings, closes, .. } if *to == c => {
+                    Some((rule.as_str(), firings.len(), *closes))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(shipped, [("new", 2), ("third", 1)].map(|(rule, n)| (rule, n, 0)));
+        assert_eq!(crate::whole_fires() - whole, 2);
         let book = node.rule_book().clone();
         assert_tables_match_definitions(&book, node.id, &v2.rules);
         assert_eq!(id(&book, "keep").index(), 0, "the file renumbered the surviving link");
         let st = node.update_state(update).unwrap();
         assert_eq!(st.link(id(&book, "keep")).data_received, 1, "state followed the name");
         for fresh in ["new", "third"] {
-            assert_eq!(st.link(id(&book, fresh)), &crate::update::LinkState::default(), "{fresh}");
+            let shipped = crate::update::LinkState { data_sent: 1, ..Default::default() };
+            assert_eq!(st.link(id(&book, fresh)), &shipped, "{fresh}");
         }
+        assert!(st.released);
         assert_eq!(
             (st.deficit, st.engaged, st.parent),
-            (2, true, Some(a)),
+            (3, true, Some(a)),
             "DS state is not per link"
         );
-        assert!(node.sent_cache.iter().all(SentCache::is_empty) && node.recv_cache.is_empty());
+        let keep = &node.sent_cache[id(&book, "keep").index()];
+        assert!(keep.is_empty() && node.recv_cache.is_empty(), "the caches started empty");
         assert_eq!(node.sent_cache.len(), book.len());
 
         // Late traffic for the vanished rule: dropped at the name lookup,
@@ -376,7 +399,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(closed, [("new", 0), ("third", 0)]);
+        assert_eq!(closed, [("new", 1), ("third", 1)]);
         deliver(&mut node, a, Body::UpdateComplete { update });
         let st = node.update_state(update).unwrap();
         assert!(st.complete && !st.is_out_open(id(&book, "keep")));

@@ -13,12 +13,30 @@
 //! evaluation); results already sent on a link are removed before sending
 //! (the per-link *sent cache*, or a projection-free link's mark).
 //!
+//! That is the paper's eager flood, and links on or below a cycle of the
+//! link graph run it. A link no cycle reaches is *held* instead
+//! ([`crate::rules::AcyclicLinks`]): it fires nothing at the start, at a
+//! demand or on an arrival — what arrives is materialised and waits in the
+//! log behind the link's mark — and fires once, since its mark, when the
+//! paper's close rule closes it; its firings carry the close (one
+//! `UpdateData` with `closes` set). So a link of an acyclic network ships
+//! one data message per update where the flood ships one per upstream
+//! wave: n − 1 on Chain(n), not n(n − 1)/2. Its data reports 1 + the
+//! longest arrival it held as its `hops`: the batch rode that far.
+//!
+//! Holding would idle a bandwidth-limited pipe while the upstream closes,
+//! so the node's pipe ([`crate::NodeSettings::pipe`]) sets a *valve*: once
+//! the tuples past a held link's mark come to bandwidth × latency bytes,
+//! they go at once and the link stays open. An unlimited pipe never opens
+//! it.
+//!
 //! ## Termination
 //!
 //! Two cooperating mechanisms:
 //!
 //! 1. **The paper's open/closed link states.** An incoming link closes —
-//!    and the source notifies the target with `LinkClosed` — once every
+//!    and the source notifies the target with `LinkClosed`, or in the data
+//!    a held link ships as it closes — once every
 //!    outgoing link *relevant for* it is closed (immediately, for links
 //!    with no relevant outgoing links). A node is *closed* when all its
 //!    outgoing links are closed. In acyclic dependency graphs this closes
@@ -34,6 +52,25 @@
 //!    deficit is zero. When the initiator's deficit reaches zero the whole
 //!    computation is quiescent, and `UpdateComplete` force-closes the links
 //!    cyclic dependencies kept open.
+//!
+//! A held link needs the first mechanism's close to ship at all, so a node
+//! stays engaged while one of its held links is open: disengaged, it would
+//! be engaged again by the data that closes its upstream, and the chain of
+//! credits behind the last close would only grow. Where a fault may have
+//! cut an update off from an upstream close — a rules file, a neighbour's
+//! new incarnation, a peer that leaves, an adoption request — the node
+//! *releases* the update: each open held link ships what it holds, without
+//! a close, and from then on the update runs eagerly there
+//! (`CoDbNode::release`). A node that has not seen the request holds
+//! nothing: data that outran it (parked toward a restarted node) is
+//! forwarded at once, and a release there ships every link, as the start
+//! the node will not see again would have. A restarted node may also hold
+//! for a close its dead incarnation was sent, so whoever hears the new
+//! incarnation tells it of every update it could be holding in: an
+//! adoption request for each open one (the initiator too), and the
+//! completion of each finished one a message still unacknowledged toward
+//! it belongs to (`CoDbNode::release_at`); a node that completes while
+//! engaged disengages then.
 //!
 //! The completion goes down the *engagement tree*, not to every
 //! acquaintance. A node records a peer as its child when the peer's
@@ -72,8 +109,10 @@
 //! mark the LDB (`CoDbNode::fire_link_unsent`). An arrival that propagates
 //! moves the marks past it (`CoDbNode::fire_arrival`); at the hop-limit
 //! valve or on a link a scoped update did not demand the mark stays
-//! behind, and the next start fires the tuples from the log. Firings
-//! dropped on a closed link take the mark back. A projection-free link
+//! behind, and the next start fires the tuples from the log. Behind a
+//! held link the mark stays too, until the link closes (or the valve
+//! opens) and fires since it. Firings dropped on a closed link take the
+//! mark back. A projection-free link
 //! (every body variable in its head) ships each firing once while its mark
 //! stands, so the mark is its whole record: it keeps no sent firing.
 
@@ -84,7 +123,7 @@ use crate::query::Answered;
 use crate::rules::{Link, LinkId, RuleBook};
 use crate::stats::{by_name, Kind};
 use codb_net::{Context, SimTime};
-use codb_relational::{Atom, FiringSet, Instance, Relation, RuleFiring, Version};
+use codb_relational::{Atom, FiringSet, Instance, Relation, RuleFiring, Tuple, Version};
 use codb_trace::TraceEvent;
 use std::cell::Cell;
 use std::collections::BTreeSet;
@@ -110,6 +149,10 @@ pub struct LinkState {
     /// A close notification whose data has not fully arrived yet: the
     /// data message count it expects.
     pub pending_close: Option<u64>,
+    /// A held incoming link: the hops its data reports, 1 + the longest
+    /// arrival in this update that grew a relation its body reads (0: none
+    /// yet, and it reports 1, as a start does).
+    pub held_hops: u64,
 }
 
 /// What the sender side of one incoming link remembers from update to
@@ -206,6 +249,9 @@ pub struct UpdateState {
     pub scoped: bool,
     /// Set once `UpdateComplete` has been processed (or initiated).
     pub complete: bool,
+    /// Held links forward eagerly here from now on: a fault may have cut
+    /// the update off from an upstream close (`CoDbNode::release`).
+    pub released: bool,
     /// Per-link state, indexed by [`LinkId`] — the ids of the node's
     /// *current* book: [`UpdateState::renumber`] follows every swap.
     links: Vec<LinkState>,
@@ -227,6 +273,7 @@ impl UpdateState {
             request_seen: false,
             scoped: false,
             complete: false,
+            released: false,
             links: vec![LinkState::default(); links],
         }
     }
@@ -249,6 +296,13 @@ impl UpdateState {
     /// True iff the given outgoing link is still open.
     pub fn is_out_open(&self, link: LinkId) -> bool {
         !self.link(link).out_closed
+    }
+
+    /// True iff the given incoming link takes part in the update (a
+    /// scoped one: it was demanded) and has not closed.
+    fn is_in_open(&self, link: LinkId) -> bool {
+        let state = self.link(link);
+        !state.in_closed && (!self.scoped || state.active_in)
     }
 
     /// Follows a rules file: the state of every link is carried to the id
@@ -364,8 +418,7 @@ impl CoDbNode {
             return; // already serving this link
         }
         // Initial shipment: all the link's mark does not cover.
-        let firings = self.fire_link_unsent(id);
-        self.send_link_data(ctx, update, id, firings, 1, false);
+        self.fire_first(ctx, update, id, false);
         // Recursive demand for the body's inputs.
         let body_rels: BTreeSet<String> =
             book.link(id).rule.rule().body_relations().into_iter().map(str::to_owned).collect();
@@ -402,11 +455,11 @@ impl CoDbNode {
         match body {
             Body::UpdateRequest { update } => self.process_update_request(ctx, Some(from), update),
             Body::DemandLink { update, rule } => self.process_demand_link(ctx, update, rule),
-            Body::UpdateData { update, rule, firings, hops, request } => {
+            Body::UpdateData { update, rule, firings, hops, request, closes } => {
                 if request {
                     self.process_update_request(ctx, Some(from), update);
                 }
-                self.process_update_data(ctx, update, &rule, firings, hops)
+                self.process_update_data(ctx, update, &rule, firings, hops, closes)
             }
             Body::LinkClosed { update, rule, data_msgs } => {
                 self.process_link_closed(ctx, update, &rule, data_msgs)
@@ -440,16 +493,15 @@ impl CoDbNode {
         st.request_seen = true;
 
         // Initial execution of every incoming link: over what its relations
-        // gained since its mark, or over the whole LDB. The first data
-        // message to each target but the sender carries the request.
+        // gained since its mark, or over the whole LDB — a held link's only
+        // where it closes at once. The first data message to each target
+        // but the sender carries the request.
         let book = Arc::clone(&self.book);
         let mut carried: Vec<NodeId> = Vec::new();
         for &id in book.incoming() {
-            let firings = self.fire_link_unsent(id);
             let target = book.link(id).target;
             let request = Some(target) != from && !carried.contains(&target);
-            // (Which takes the mark back if it drops the firings.)
-            if self.send_link_data(ctx, update, id, firings, 1, request) && request {
+            if self.fire_first(ctx, update, id, request) && request {
                 carried.push(target);
             }
         }
@@ -474,6 +526,7 @@ impl CoDbNode {
         rule: &str,
         firings: Vec<RuleFiring>,
         hops: u64,
+        closes: u32,
     ) {
         let now = ctx.now();
         let bytes: usize = firings.iter().map(RuleFiring::size_bytes).sum();
@@ -492,9 +545,12 @@ impl CoDbNode {
 
         // Count the data message and resolve a deferred close whose data
         // has now fully arrived (loss + retransmission can reorder data
-        // past the close notification).
+        // past the close notification, or past the data that carries it).
         let st = self.state_mut(update).link_mut(link);
         st.data_received += 1;
+        if closes > 0 {
+            st.pending_close = Some(u64::from(closes));
+        }
         let deferred_close_ready =
             st.pending_close.is_some_and(|expected| st.data_received >= expected);
 
@@ -582,7 +638,8 @@ impl CoDbNode {
 
     /// Semi-naive re-computation of the incoming links that read any of the
     /// relations that grew, and transmission of the (sent-cache-filtered)
-    /// results.
+    /// results. A held link fires nothing here: its mark stays behind the
+    /// arrival until it closes, or until the valve opens.
     pub(crate) fn propagate_deltas(
         &mut self,
         ctx: &mut Context<Envelope>,
@@ -596,8 +653,136 @@ impl CoDbNode {
                 // Nobody demanded the link: its mark stays behind these.
                 continue;
             }
+            if self.holds(st, id) {
+                let held = self.state_mut(update).link_mut(id);
+                held.held_hops = held.held_hops.max(hops);
+                self.valve(ctx, update, id, false);
+                continue;
+            }
             let firings = self.fire_arrival(id, grown);
-            self.send_link_data(ctx, update, id, firings, hops, false);
+            let header = Header { hops, request: false, close: false };
+            self.send_link_data(ctx, update, id, firings, header);
+        }
+    }
+
+    /// Whether incoming link `link` is held in `update`: no cycle of the
+    /// link graph reaches it ([`crate::rules::Link::held`]), the request
+    /// was seen here (data that outran it — parked, to a restarted node —
+    /// has no close to wait for), and no fault released the update here.
+    fn holds(&self, st: &UpdateState, link: LinkId) -> bool {
+        self.book.link(link).held && st.request_seen && !st.released
+    }
+
+    /// The first execution of incoming link `link` in `update`, at the
+    /// request or a demand: what its mark does not cover — but a held link
+    /// fires only where it closes at once (nothing it depends on is open),
+    /// or through the valve. Returns whether data was posted.
+    fn fire_first(
+        &mut self,
+        ctx: &mut Context<Envelope>,
+        update: UpdateId,
+        link: LinkId,
+        request: bool,
+    ) -> bool {
+        let st = &self.updates[&update];
+        if !self.holds(st, link) {
+            let firings = self.fire_link_unsent(link);
+            // (Which takes the mark back if it drops the firings.)
+            let header = Header { hops: 1, request, close: false };
+            self.send_link_data(ctx, update, link, firings, header)
+        } else if self.closes_now(st, link) {
+            self.close_in_link(ctx, update, link, request)
+        } else {
+            self.valve(ctx, update, link, request)
+        }
+    }
+
+    /// The bandwidth valve of held link `link`: on a pipe of limited
+    /// bandwidth ([`crate::NodeSettings::pipe`]), once the tuples past the
+    /// link's mark fill what the pipe carries in one latency, holding them
+    /// on would leave the pipe idle — they go now, and the link stays open.
+    /// On a pipe of unlimited bandwidth it never opens. Returns whether
+    /// data was posted.
+    fn valve(
+        &mut self,
+        ctx: &mut Context<Envelope>,
+        update: UpdateId,
+        link: LinkId,
+        request: bool,
+    ) -> bool {
+        let open = !self.updates[&update].link(link).in_closed && self.fills_the_pipe(link);
+        open && self.ship_held(ctx, update, link, request, false)
+    }
+
+    /// Whether the tuples past incoming link `link`'s mark (all of them,
+    /// where it has none) come to bandwidth × latency bytes of the node's
+    /// pipe; counted up to that, no further.
+    fn fills_the_pipe(&self, link: LinkId) -> bool {
+        let pipe = self.settings.pipe;
+        let Some(rate) = pipe.bandwidth_bytes_per_sec else {
+            return false;
+        };
+        let limit = u128::from(rate) * u128::from(pipe.latency.0) / 1_000_000_000;
+        let mark = self.sent_cache[link.index()].mark.as_deref();
+        let mut bytes = 0u128;
+        let mut fill = |tuple: &Tuple| {
+            bytes += tuple.size_bytes() as u128;
+            bytes >= limit
+        };
+        let atoms = &self.book.link(link).rule.rule().body.atoms;
+        atoms.iter().enumerate().any(|(at, atom)| {
+            let Some(relation) = self.ldb.get(&atom.relation) else {
+                return false;
+            };
+            match mark.and_then(|mark| relation.since(mark[at])) {
+                Some(mut past) => past.any(&mut fill),
+                None => relation.iter().any(&mut fill),
+            }
+        })
+    }
+
+    /// Ships what held link `link` holds: fired since its mark, reporting
+    /// the hops of the longest arrival it holds, carrying the close if
+    /// `close`. Returns whether data was posted.
+    fn ship_held(
+        &mut self,
+        ctx: &mut Context<Envelope>,
+        update: UpdateId,
+        link: LinkId,
+        request: bool,
+        close: bool,
+    ) -> bool {
+        let hops = self.updates[&update].link(link).held_hops.max(1);
+        let firings = self.fire_link_unsent(link);
+        self.send_link_data(ctx, update, link, firings, Header { hops, request, close })
+    }
+
+    /// Stops holding in `update`, where a fault may have cut it off from an
+    /// upstream close (a rules file, a neighbour's new incarnation, a peer
+    /// that left, an adoption request): every open held link ships what it
+    /// holds, without a close, and from here on the update runs eagerly at
+    /// this node. A node that has not seen the request — a restarted one,
+    /// told of the update its dead incarnation held data in — ships every
+    /// link, as the start it will not see again would have.
+    pub(crate) fn release(&mut self, ctx: &mut Context<Envelope>, update: UpdateId) {
+        let st = self.update_entry(update);
+        if std::mem::replace(&mut st.released, true) || st.complete {
+            return;
+        }
+        let unseen = !st.request_seen;
+        for &id in Arc::clone(&self.book).incoming() {
+            if unseen || self.open_held(&self.updates[&update], id) {
+                self.ship_held(ctx, update, id, false, false);
+            }
+        }
+        self.maybe_disengage(ctx, update);
+    }
+
+    /// [`Self::release`] for every update this node has not seen complete.
+    pub(crate) fn release_all(&mut self, ctx: &mut Context<Envelope>) {
+        let open = self.updates.values().filter(|st| !st.complete);
+        for update in open.map(|st| st.update).collect::<Vec<_>>() {
+            self.release(ctx, update);
         }
     }
 
@@ -666,7 +851,17 @@ impl CoDbNode {
             Some(firings) => firings,
             None => self.fire_link_whole(link, false).into_vec(),
         };
-        self.sent_cache[link.index()].mark = versions_of(&self.ldb, atoms);
+        // (In place where the link has a mark: a held link re-marks at
+        // every close.)
+        let ldb = &self.ldb;
+        let cache = &mut self.sent_cache[link.index()];
+        let in_place = cache.mark.as_deref_mut().is_some_and(|mark| {
+            let now = |atom: &Atom| ldb.get(&atom.relation).map(Relation::version);
+            atoms.iter().zip(mark).all(|(atom, slot)| now(atom).map(|v| *slot = v).is_some())
+        });
+        if !in_place {
+            cache.mark = versions_of(ldb, atoms);
+        }
         firings
     }
 
@@ -720,17 +915,17 @@ impl CoDbNode {
     }
 
     /// Filters `firings` against the sent cache for incoming link `link`
-    /// and posts the remainder (if any) to the link's target, carrying the
-    /// update request if `request`. Returns whether anything was posted.
+    /// and posts the remainder (if any) to the link's target, with what
+    /// `header` says rides along. Returns whether anything was posted.
     fn send_link_data(
         &mut self,
         ctx: &mut Context<Envelope>,
         update: UpdateId,
         link: LinkId,
         firings: Vec<RuleFiring>,
-        hops: u64,
-        request: bool,
+        header: Header,
     ) -> bool {
+        let Header { hops, request, close } = header;
         if firings.is_empty() {
             return false;
         }
@@ -756,11 +951,18 @@ impl CoDbNode {
         let book = Arc::clone(&self.book);
         let (name, target) = (&book.link(link).name, book.link(link).target);
         by_name(&mut report.sent, name).record(fresh.len() as u64, bytes as u64);
-        self.state_mut(update).link_mut(link).data_sent += 1;
+        let st = self.state_mut(update).link_mut(link);
+        st.data_sent += 1;
+        let closes = if close {
+            u32::try_from(st.data_sent).expect("fewer than 2^32 data messages on one link")
+        } else {
+            0
+        };
+        let rule = name.clone();
         self.post(
             ctx,
             target,
-            Body::UpdateData { update, rule: name.clone(), firings: fresh, hops, request },
+            Body::UpdateData { update, rule, firings: fresh, hops, request, closes },
         );
         true
     }
@@ -791,31 +993,46 @@ impl CoDbNode {
     /// are in the state closed". Requires the request to have been seen
     /// (otherwise the link set is not yet initialised).
     fn check_in_link_closes(&mut self, ctx: &mut Context<Envelope>, update: UpdateId) {
-        let book = Arc::clone(&self.book);
-        let st = self.state_mut(update);
+        let st = &self.updates[&update];
         if !st.request_seen || st.complete {
             return;
         }
-        // Usually none: the list then costs nothing.
-        let closing: Vec<LinkId> = book
-            .incoming()
-            .iter()
-            .copied()
-            .filter(|&id| {
-                let link = st.link(id);
-                (!st.scoped || link.active_in)
-                    && !link.in_closed
-                    && book.relevant_outgoing(id).iter().all(|o| st.link(*o).out_closed)
-            })
-            .collect();
-        for id in closing {
-            let st = self.state_mut(update).link_mut(id);
-            st.in_closed = true;
-            let data_msgs = st.data_sent;
-            let link = book.link(id);
-            let closed = Body::LinkClosed { update, rule: link.name.clone(), data_msgs };
-            self.post(ctx, link.target, closed);
+        for &id in Arc::clone(&self.book).incoming() {
+            if self.closes_now(&self.updates[&update], id) {
+                self.close_in_link(ctx, update, id, false);
+            }
         }
+    }
+
+    /// Whether incoming link `link` closes by the paper's rule now: it
+    /// takes part in the update, is open, and every outgoing link relevant
+    /// for it is closed.
+    fn closes_now(&self, st: &UpdateState, link: LinkId) -> bool {
+        st.is_in_open(link)
+            && self.book.relevant_outgoing(link).iter().all(|o| st.link(*o).out_closed)
+    }
+
+    /// Closes incoming link `link`. A held link fires once, since its mark,
+    /// and its firings carry the close ([`Body::UpdateData`]'s `closes`);
+    /// where nothing is left to send, the close goes alone, as
+    /// `LinkClosed`. Returns whether data carried it.
+    fn close_in_link(
+        &mut self,
+        ctx: &mut Context<Envelope>,
+        update: UpdateId,
+        link: LinkId,
+        request: bool,
+    ) -> bool {
+        let held = self.holds(&self.updates[&update], link);
+        let carried = held && self.ship_held(ctx, update, link, request, true);
+        let st = self.state_mut(update).link_mut(link);
+        st.in_closed = true;
+        if !carried {
+            let data_msgs = st.data_sent;
+            let (rule, target) = (self.book.link(link).name.clone(), self.book.link(link).target);
+            self.post(ctx, target, Body::LinkClosed { update, rule, data_msgs });
+        }
+        carried
     }
 
     /// "When all outgoing links of a node are in the state closed, then the
@@ -873,22 +1090,40 @@ impl CoDbNode {
         }
     }
 
-    /// DS disengagement / termination detection.
+    /// DS disengagement / termination detection. A node stays engaged while
+    /// a held link of it is open: disengaged, it would be engaged again by
+    /// the data that closes its upstream, and hang a chain of credits on
+    /// the last close (module docs, "Termination").
     fn maybe_disengage(&mut self, ctx: &mut Context<Envelope>, update: UpdateId) {
-        let st = self.state_mut(update);
+        let st = &self.updates[&update];
         if !st.engaged || st.deficit != 0 {
             return;
         }
         if st.initiator {
             // Global quiescence.
             self.handle_update_complete(ctx, None, update);
-        } else {
+        } else if !self.holds_open(st) {
+            let st = self.state_mut(update);
             st.engaged = false;
             // (No parent: it left the network while this node was engaged
             // under it, and wrote the credit off as it went.)
             let Some(parent) = st.parent.take() else { return };
             self.post_ds_ack(ctx, parent, update, 1);
         }
+    }
+
+    /// Whether a held link of this node is still open in the update of
+    /// `st`: one its close will ship.
+    fn holds_open(&self, st: &UpdateState) -> bool {
+        st.request_seen
+            && !st.complete
+            && !st.released
+            && self.book.incoming().iter().any(|&id| self.open_held(st, id))
+    }
+
+    /// Whether `link` is a held link open in the update of `st`.
+    fn open_held(&self, st: &UpdateState, link: LinkId) -> bool {
+        self.book.link(link).held && st.is_in_open(link)
     }
 
     /// Posts a sequenced `DsAck` to `to`: the engagement credit at
@@ -932,6 +1167,8 @@ impl CoDbNode {
         if was_complete {
             self.tell_complete(ctx, from, update);
         } else if stray || credits == 0 {
+            // A lost part of the tree may owe this node a close.
+            self.release(ctx, update);
             self.seek_adoption(ctx, update);
         }
     }
@@ -959,6 +1196,7 @@ impl CoDbNode {
         for &acq in Arc::clone(&self.book).acquaintances() {
             self.post_ds_ack(ctx, acq, update, 0);
         }
+        self.release(ctx, update);
     }
 
     /// [`Self::adopt`] for every update this node has not seen complete
@@ -968,6 +1206,27 @@ impl CoDbNode {
         let open = self.updates.values().filter(|st| !st.complete && !st.initiator);
         for update in open.map(|st| st.update).collect::<Vec<_>>() {
             self.adopt(ctx, update);
+        }
+    }
+
+    /// Tells `peer`, heard in a new incarnation, of every update it may
+    /// hold links in for a close its dead incarnation was sent: it is asked
+    /// to adopt this node in each update this node started and has not
+    /// seen complete — which [`Self::adopt_all`] leaves out, the root being
+    /// nobody's child — and the request releases the update there; and it
+    /// is told the completion of each update that is over here but that a
+    /// message still unacknowledged toward it belongs to (the dead
+    /// incarnation answered its credit, not its ack, and the new one will
+    /// get it again).
+    pub(crate) fn release_at(&mut self, ctx: &mut Context<Envelope>, peer: NodeId) {
+        let open = self.updates.values().filter(|st| !st.complete && st.initiator);
+        for update in open.map(|st| st.update).collect::<Vec<_>>() {
+            self.post_ds_ack(ctx, peer, update, 0);
+        }
+        for update in self.reliable.unanswered_updates(peer) {
+            if self.updates.get(&update).is_some_and(|st| st.complete) {
+                self.tell_complete(ctx, peer, update);
+            }
         }
     }
 
@@ -990,6 +1249,11 @@ impl CoDbNode {
             self.tell_complete(ctx, child, update);
         }
         self.state_mut(update).children = children;
+        if from.is_some() {
+            // (Engaged only where it held a link for a close that went to
+            // a dead incarnation: `CoDbNode::release_at`.)
+            self.maybe_disengage(ctx, update);
+        }
     }
 
     /// Posts `UpdateComplete` to `to`, if it is still an acquaintance (a
@@ -1018,6 +1282,18 @@ impl CoDbNode {
         rep.completed_at = Some(now);
         self.report.ldb_tuples = self.ldb.tuple_count() as u64;
     }
+}
+
+/// What a link's data message carries beside its firings
+/// ([`Body::UpdateData`]).
+#[derive(Clone, Copy)]
+struct Header {
+    /// The propagation path's length.
+    hops: u64,
+    /// The update request rides along.
+    request: bool,
+    /// The link's close rides along.
+    close: bool,
 }
 
 /// The version of each body atom's relation in `source`, in body order;
@@ -1227,6 +1503,7 @@ pub(crate) mod tests {
                         firings,
                         hops: 1,
                         request: false,
+                        closes: 0,
                     }
                 };
                 net.sim_mut().inject(src.peer(), tgt.peer(), Envelope::control(body));
@@ -1268,7 +1545,8 @@ pub(crate) mod tests {
     }
 
     /// `mid` of `up -> mid`, `mid -> a`, `mid -> b`: one link it imports
-    /// on, two it exports on, both reading what the first writes.
+    /// on, two it exports on, both reading what the first writes. No cycle
+    /// reaches them: `mid` holds `to_a` and `to_b` until `feed` closes.
     const FORK: &str = r#"
         node up
         node mid
@@ -1284,6 +1562,15 @@ pub(crate) mod tests {
         rule to_b @ mid -> b: tb(X) <- m(X).
     "#;
 
+    /// What puts `up` on a cycle with `w`, and so `feed`, `to_a` and `to_b`
+    /// below it: `mid` forwards every arrival at once.
+    const CYCLE_AT_UP: &str = r#"
+        node w
+        schema w: tw(int)
+        rule uw @ up -> w: tw(X) <- u(X).
+        rule wu @ w -> up: u(X) <- tw(X).
+    "#;
+
     /// `mid` alone, its wire in hand: what it sends, by rule, as the
     /// `m`-values of the firings.
     struct Mid {
@@ -1293,9 +1580,20 @@ pub(crate) mod tests {
     }
 
     impl Mid {
-        fn new(settings: crate::NodeSettings) -> Mid {
-            let config = NetworkConfig::parse(FORK).unwrap();
-            let node = CoDbNode::from_config(&config.nodes[1], &config.rules, settings);
+        /// `mid` of [`FORK`], which holds its links.
+        fn held(settings: crate::NodeSettings) -> Mid {
+            Mid::of(FORK, settings)
+        }
+
+        /// `mid` of [`FORK`] below [`CYCLE_AT_UP`], which holds nothing.
+        fn eager(settings: crate::NodeSettings) -> Mid {
+            Mid::of(&format!("{FORK}{CYCLE_AT_UP}"), settings)
+        }
+
+        fn of(text: &str, settings: crate::NodeSettings) -> Mid {
+            let config = NetworkConfig::parse(text).unwrap();
+            let acyclic = crate::rules::AcyclicLinks::of(&config.rules);
+            let node = CoDbNode::from_config(&config.nodes[1], &config.rules, &acyclic, settings);
             Mid { node, up: config.nodes[0].id, commands: Default::default() }
         }
 
@@ -1319,13 +1617,28 @@ pub(crate) mod tests {
             sent.collect()
         }
 
-        fn data(update: UpdateId, k: i64, hops: u64) -> Body {
+        /// `up`'s data `m(k)`, as the `sent`-th data message on `feed`; it
+        /// closes the link if `closes`.
+        fn data(update: UpdateId, k: i64, hops: u64, closes: u32) -> Body {
             let firings = vec![RuleFiring::new([("m", vec![constant(k)])])];
-            Body::UpdateData { update, rule: "feed".to_owned(), firings, hops, request: false }
+            let rule = "feed".to_owned();
+            Body::UpdateData { update, rule, firings, hops, request: false, closes }
+        }
+
+        /// `up` closes `feed` after `data_msgs` data messages.
+        fn closed(update: UpdateId, data_msgs: u64) -> Body {
+            Body::LinkClosed { update, rule: "feed".to_owned(), data_msgs }
         }
 
         fn caught_up(&self) -> [bool; 2] {
             ["to_a", "to_b"].map(|rule| self.node.caught_up(rule))
+        }
+
+        /// Whether `to_a` and `to_b` are closed in `update`.
+        fn in_closed(&self, update: UpdateId) -> [bool; 2] {
+            let st = self.node.update_state(update).unwrap();
+            let book = self.node.rule_book();
+            ["to_a", "to_b"].map(|rule| st.link(book.incoming_named(rule).unwrap()).in_closed)
         }
     }
 
@@ -1352,14 +1665,16 @@ pub(crate) mod tests {
 
     /// A start fire leaves the links caught up, and an arrival moves their
     /// marks past what it brought: the next start fires the local insert
-    /// from the log and nothing else.
+    /// from the log and nothing else. A held link fires once, when `feed`
+    /// closes — its start and the arrival before the close fire nothing —
+    /// and that fire leaves it caught up as a start's does.
     #[test]
     fn a_caught_up_link_fires_the_log_and_an_arrival_needs_none() {
-        let mut mid = Mid::new(Default::default());
+        let mut mid = Mid::eager(Default::default());
         assert_eq!(mid.caught_up(), [false, false]);
         assert_eq!(mid.deliver(Body::UpdateRequest { update: update(0) }), both(&[1, 2]));
         assert_eq!(mid.caught_up(), [true, true]);
-        assert_eq!(mid.deliver(Mid::data(update(0), 3, 1)), both(&[3]));
+        assert_eq!(mid.deliver(Mid::data(update(0), 3, 1, 0)), both(&[3]));
         assert_eq!(mid.caught_up(), [true, true]);
         mid.deliver(Body::UpdateComplete { update: update(0) });
 
@@ -1370,6 +1685,26 @@ pub(crate) mod tests {
         assert_eq!((whole_fires() - whole, evaluated(&mid, update(1))), (0, 2));
         assert_eq!(mid.deliver(Body::UpdateRequest { update: update(2) }), []);
         assert_eq!(evaluated(&mid, update(2)), 0);
+
+        let mut mid = Mid::held(Default::default());
+        assert_eq!(mid.deliver(Body::UpdateRequest { update: update(0) }), []);
+        assert_eq!(mid.deliver(Mid::data(update(0), 3, 1, 0)), []);
+        assert_eq!(mid.caught_up(), [false, false]);
+        assert_eq!(mid.in_closed(update(0)), [false, false]);
+        assert!(mid.node.update_state(update(0)).unwrap().engaged, "holding: stays engaged");
+        assert_eq!(mid.deliver(Mid::data(update(0), 5, 1, 2)), both(&[1, 2, 3, 5]));
+        assert_eq!(mid.in_closed(update(0)), [true, true], "the data carried the close");
+        assert_eq!(mid.caught_up(), [true, true]);
+        mid.deliver(Body::UpdateComplete { update: update(0) });
+
+        mid.node.insert_local("m", tup![4]).unwrap();
+        let whole = whole_fires();
+        assert_eq!(mid.deliver(Body::UpdateRequest { update: update(1) }), []);
+        assert_eq!(mid.deliver(Mid::closed(update(1), 0)), both(&[4]));
+        assert_eq!((whole_fires() - whole, evaluated(&mid, update(1))), (0, 2));
+        assert_eq!(mid.deliver(Body::UpdateRequest { update: update(2) }), []);
+        assert_eq!(mid.deliver(Mid::closed(update(2), 0)), []);
+        assert_eq!((evaluated(&mid, update(2)), mid.in_closed(update(2))), (0, [true, true]));
     }
 
     /// Where applied data does not go through a dependent link's cache —
@@ -1379,9 +1714,9 @@ pub(crate) mod tests {
     #[test]
     fn data_that_bypasses_a_link_is_fired_from_the_log_at_the_next_start() {
         // The valve: data at the hop limit is applied and goes no further.
-        let mut mid = Mid::new(crate::NodeSettings { max_hops: 2, ..Default::default() });
+        let mut mid = Mid::eager(crate::NodeSettings { max_hops: 2, ..Default::default() });
         mid.deliver(Body::UpdateRequest { update: update(0) });
-        assert_eq!(mid.deliver(Mid::data(update(0), 3, 2)), []);
+        assert_eq!(mid.deliver(Mid::data(update(0), 3, 2, 0)), []);
         assert_eq!(mid.caught_up(), [false, false]);
         assert!(mid.node.report().updates[&update(0)].truncated);
         let whole = whole_fires();
@@ -1391,17 +1726,33 @@ pub(crate) mod tests {
 
         // A scoped update that demanded `to_a` only: `to_b` misses what it
         // brings in.
-        let mut mid = Mid::new(Default::default());
+        let mut mid = Mid::eager(Default::default());
         mid.deliver(Body::UpdateRequest { update: update(0) });
         mid.deliver(Body::UpdateComplete { update: update(0) });
         let demand = Body::DemandLink { update: update(1), rule: "to_a".to_owned() };
         assert_eq!(mid.deliver(demand), [], "caught up and nothing new: nothing to ship");
-        assert_eq!(mid.deliver(Mid::data(update(1), 3, 1)), [("to_a".to_owned(), vec![3])]);
+        assert_eq!(mid.deliver(Mid::data(update(1), 3, 1, 0)), [("to_a".to_owned(), vec![3])]);
         assert_eq!(mid.caught_up(), [true, false]);
         mid.deliver(Body::UpdateComplete { update: update(1) });
         let whole = whole_fires();
         let next = mid.deliver(Body::UpdateRequest { update: update(2) });
         assert_eq!(next, [("to_b".to_owned(), vec![3])]);
+        assert_eq!((whole_fires() - whole, evaluated(&mid, update(2))), (0, 1));
+
+        // Held, the demanded link ships at its close and the other keeps
+        // its mark behind both.
+        let mut mid = Mid::held(Default::default());
+        mid.deliver(Body::UpdateRequest { update: update(0) });
+        mid.deliver(Mid::closed(update(0), 0));
+        mid.deliver(Body::UpdateComplete { update: update(0) });
+        let demand = Body::DemandLink { update: update(1), rule: "to_a".to_owned() };
+        assert_eq!(mid.deliver(demand), []);
+        assert_eq!(mid.deliver(Mid::data(update(1), 3, 1, 1)), [("to_a".to_owned(), vec![3])]);
+        assert_eq!(mid.caught_up(), [true, false]);
+        mid.deliver(Body::UpdateComplete { update: update(1) });
+        let whole = whole_fires();
+        mid.deliver(Body::UpdateRequest { update: update(2) });
+        assert_eq!(mid.deliver(Mid::closed(update(2), 0)), [("to_b".to_owned(), vec![3])]);
         assert_eq!((whole_fires() - whole, evaluated(&mid, update(2))), (0, 1));
     }
 
@@ -1411,26 +1762,41 @@ pub(crate) mod tests {
     /// projection-free link's mark is all it keeps: it ships its whole view
     /// again, and the receiver's relation drops what it holds. (No harness
     /// run reaches this: Dijkstra–Scholten completes an update after its
-    /// last data message. A peer presumed dead that was not can.)
+    /// last data message. A peer presumed dead that was not can.) A held
+    /// link fires nothing on an arrival: its mark stays behind the late
+    /// data, and the next update ships it from the log.
     #[test]
     fn firings_dropped_on_a_closed_link_take_its_mark_back() {
-        let mut mid = Mid::new(Default::default());
+        let mut mid = Mid::eager(Default::default());
         mid.deliver(Body::UpdateRequest { update: update(0) });
         mid.deliver(Body::UpdateComplete { update: update(0) });
-        assert_eq!(mid.deliver(Mid::data(update(0), 3, 1)), []);
+        assert_eq!(mid.deliver(Mid::data(update(0), 3, 1, 0)), []);
         assert!(mid.node.ldb().get("m").unwrap().contains(&tup![3]));
         assert!(["to_a", "to_b"].iter().all(|rule| mid.node.sent_cache_of(rule).mark.is_none()));
         let whole = whole_fires();
         assert_eq!(mid.deliver(Body::UpdateRequest { update: update(1) }), both(&[1, 2, 3]));
         assert_eq!((whole_fires() - whole, evaluated(&mid, update(1))), (2, 6));
+
+        let mut mid = Mid::held(Default::default());
+        mid.deliver(Body::UpdateRequest { update: update(0) });
+        mid.deliver(Mid::closed(update(0), 0));
+        mid.deliver(Body::UpdateComplete { update: update(0) });
+        assert_eq!(mid.deliver(Mid::data(update(0), 3, 1, 0)), []);
+        assert!(mid.node.ldb().get("m").unwrap().contains(&tup![3]));
+        assert!(["to_a", "to_b"].iter().all(|rule| mid.node.sent_cache_of(rule).mark.is_some()));
+        let whole = whole_fires();
+        mid.deliver(Body::UpdateRequest { update: update(1) });
+        assert_eq!(mid.deliver(Mid::closed(update(1), 0)), both(&[3]));
+        assert_eq!((whole_fires() - whole, evaluated(&mid, update(1))), (0, 2));
     }
 
     /// A demand fires its link from the log and moves that link's mark;
     /// the links the scoped update does not reach fire the same tuples at
-    /// the next global start, and nothing fires whole.
+    /// the next global start, and nothing fires whole. (Held, each fires
+    /// when `feed` closes.)
     #[test]
     fn a_demand_reads_the_log_and_does_not_clear_it() {
-        let mut mid = Mid::new(Default::default());
+        let mut mid = Mid::eager(Default::default());
         mid.deliver(Body::UpdateRequest { update: update(0) });
         mid.deliver(Body::UpdateComplete { update: update(0) });
         mid.node.insert_local("m", tup![4]).unwrap();
@@ -1442,6 +1808,22 @@ pub(crate) mod tests {
         let next = mid.deliver(Body::UpdateRequest { update: update(2) });
         assert_eq!(next, [("to_b".to_owned(), vec![4])], "to_a's went through its cache");
         assert_eq!((whole_fires() - whole, evaluated(&mid, update(2))), (0, 1));
+
+        let mut mid = Mid::held(Default::default());
+        mid.deliver(Body::UpdateRequest { update: update(0) });
+        assert_eq!(mid.deliver(Mid::closed(update(0), 0)), both(&[1, 2]));
+        mid.deliver(Body::UpdateComplete { update: update(0) });
+        mid.node.insert_local("m", tup![4]).unwrap();
+        let whole = whole_fires();
+        let demand = Body::DemandLink { update: update(1), rule: "to_a".to_owned() };
+        assert_eq!(mid.deliver(demand), [], "held until feed closes");
+        assert_eq!(mid.deliver(Mid::closed(update(1), 0)), [("to_a".to_owned(), vec![4])]);
+        assert_eq!(mid.caught_up(), [true, false]);
+        mid.deliver(Body::UpdateComplete { update: update(1) });
+        mid.deliver(Body::UpdateRequest { update: update(2) });
+        let next = mid.deliver(Mid::closed(update(2), 0));
+        assert_eq!(next, [("to_b".to_owned(), vec![4])], "to_a's went through its cache");
+        assert_eq!((whole_fires() - whole, evaluated(&mid, update(2))), (0, 1));
     }
 
     /// Whatever replaces the LDB under the links, or the links themselves,
@@ -1451,20 +1833,51 @@ pub(crate) mod tests {
     /// harness run restores a node that has shipped anything.)
     #[test]
     fn a_replaced_ldb_or_book_leaves_no_link_caught_up() {
-        let mut mid = Mid::new(Default::default());
+        let mut mid = Mid::held(Default::default());
         mid.deliver(Body::UpdateRequest { update: update(0) });
+        assert_eq!(mid.deliver(Mid::closed(update(0), 0)), both(&[1, 2]));
         mid.node.insert_local("m", tup![4]).unwrap();
         let snapshot = mid.node.snapshot();
         mid.node.restore(snapshot);
         assert_eq!(mid.caught_up(), [false, false]);
 
         let whole = whole_fires();
-        assert_eq!(mid.deliver(Body::UpdateRequest { update: update(1) }), both(&[1, 2, 4]));
+        mid.deliver(Body::UpdateRequest { update: update(1) });
+        assert_eq!(mid.deliver(Mid::closed(update(1), 0)), both(&[1, 2, 4]));
         assert_eq!(whole_fires() - whole, 2, "restored: both links fire whole");
         assert_eq!(mid.caught_up(), [true, true]);
         let config = NetworkConfig::parse(FORK).unwrap();
         mid.node.install_book(RuleBook::for_node(mid.node.id, &config.rules));
         assert_eq!(mid.caught_up(), [false, false]);
+    }
+
+    /// The valve reads the node's pipe: on 1 MB/s with 1 ms latency a held
+    /// link forwards once 1 000 bytes are past its mark, and stays open; on
+    /// a LAN pipe it holds everything until its close.
+    #[test]
+    fn a_held_link_forwards_early_on_a_narrow_pipe_and_not_on_a_lan() {
+        let narrow = codb_net::PipeConfig::lan().with_bandwidth(1_000_000);
+        for (pipe, early) in [(narrow, true), (codb_net::PipeConfig::lan(), false)] {
+            let mut mid = Mid::held(crate::NodeSettings { pipe, ..Default::default() });
+            mid.deliver(Body::UpdateRequest { update: update(0) });
+            mid.deliver(Mid::closed(update(0), 0));
+            mid.deliver(Body::UpdateComplete { update: update(0) });
+            assert_eq!(mid.deliver(Body::UpdateRequest { update: update(1) }), []);
+            let mut sent = Vec::new();
+            for k in 10..200 {
+                sent.extend(mid.deliver(Mid::data(update(1), k, 1, 0)));
+            }
+            assert_eq!(mid.in_closed(update(1)), [false, false]);
+            assert_eq!(!sent.is_empty(), early, "{pipe:?}: {sent:?}");
+            let rest = mid.deliver(Mid::closed(update(1), 190));
+            let shipped = |rule: &str| -> Vec<i64> {
+                let all = sent.iter().chain(&rest).filter(|(r, _)| r == rule);
+                all.flat_map(|(_, values)| values.iter().copied()).collect()
+            };
+            assert_eq!(shipped("to_a"), (10..200).collect::<Vec<_>>(), "{pipe:?}");
+            assert_eq!(shipped("to_b"), (10..200).collect::<Vec<_>>(), "{pipe:?}");
+            assert_eq!(mid.in_closed(update(1)), [true, true]);
+        }
     }
 
     /// A link's cache is one value per link of the book, scanned and

@@ -160,8 +160,11 @@ impl Chain {
 }
 
 /// What one `UpdateData` hop at `b` may request: a message of one firing
-/// comes in on `ab`, is checked, deduplicated and applied, `bc` is
-/// re-fired with the one new tuple, and a message of one firing goes out.
+/// comes in on `ab`, carrying `ab`'s close, is checked, deduplicated and
+/// applied; `bc`, held until then, closes behind it and is fired since its
+/// mark with the one new tuple (the mark re-written in place, and no list
+/// of closing links built), and a message of one firing goes out, carrying
+/// `bc`'s close.
 ///
 /// * receive — 1: `admits`' vector of the head atoms' schemas;
 /// * apply — 1: the list of the relations that grew (the firing's ground
@@ -211,7 +214,11 @@ fn the_message_shapes_of_a_wide_update_stay_within_their_allocation_budget() {
             }
         }
     }
-    assert!(acks >= 12 && ds_acks >= 18, "{acks} acks, {ds_acks} DsAcks");
+    // Per update, `bc` and `ab` are held until their closes, so one data
+    // message crosses each pipe, carrying the close: two credit replies (b
+    // for a's data, c for b's) and two disengagements (a under b, b under
+    // c) are every DsAck there is.
+    assert!(acks >= 12 && ds_acks == 12, "{acks} acks, {ds_acks} DsAcks");
     assert_eq!(hops.len(), 3, "one one-firing hop at b per update");
     assert!(
         hops.iter().all(|hop| *hop <= DATA_HOP_BUDGET),

@@ -1173,24 +1173,31 @@ mod tests {
     }
 
     /// Window (a) of the rejoin barrier, fixed-seed: under group commit
-    /// the victim crashes holding records it already applied and
-    /// forwarded downstream but never fsynced — the chopped WAL tail
-    /// destroys them, while survivors still hold them. The plan has **no
-    /// follow-up round**: round 1 is the only update, so the only way
-    /// the restarted victim can match the control is the `RejoinRepair`
-    /// push at barrier release. Before the barrier, this schedule left
-    /// the victim short (survivor traffic toward it was abandoned and
-    /// nothing re-sent until the next organic update — which never
-    /// comes here).
+    /// the victim crashes with survivor traffic toward it unacked and what
+    /// it applied unsynced — the chopped WAL tail destroys that, while
+    /// survivors still hold it. The plan has **no follow-up round**: round
+    /// 1 is the only update, so the only way the restarted victim can
+    /// match the control is what the barrier release delivers: the parked
+    /// traffic and the `RejoinRepair` push. Before the barrier, this
+    /// schedule left the victim short (survivor traffic toward it was
+    /// abandoned and nothing re-sent until the next organic update — which
+    /// never comes here).
     #[test]
     fn forwarded_but_unsynced_records_repaired_at_barrier_release() {
         let tmp = ScratchDir::new("faultplan-window-a");
         let s = Scenario { tuples_per_node: 12, ..Scenario::quick(Topology::Chain(4)) };
         let rounds = vec![Round {
             initiator: s.sink(),
-            // Event 10 delivers node 0's data to the victim, which applies
-            // and forwards it; node 0's `LinkClosed` is right behind, unacked.
-            faults: vec![Fault { at_event: 10, node: NodeId(1), kind: FaultKind::Crash }],
+            // The links are held, so node 0's data is one message that
+            // carries its close: once the victim has applied and forwarded
+            // it, nothing of node 0's toward it is unacked (events 7 on park
+            // nothing). Event 6 is the last crash with node 0's closing
+            // data in flight: the request reached node 0 at event 5, and
+            // the data parks behind the barrier toward the dead victim,
+            // which held its own data unsent; the handshake releases the
+            // data beside node 0's repair, and the victim, told of the
+            // update by its neighbours' adoption requests, ships its own.
+            faults: vec![Fault { at_event: 6, node: NodeId(1), kind: FaultKind::Crash }],
         }];
         let plan = FaultPlan {
             sync: SyncPolicy::GroupCommit { max_batch: 4, max_records: 32 },

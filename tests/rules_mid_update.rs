@@ -67,7 +67,10 @@ const V2: &str = r#"
 /// Starts an update at every node in turn and lets `v2` land after every
 /// event of its life. Whatever the interleaving: the network goes quiet,
 /// the update is complete at every node with no credit owed, and the next
-/// update over `v2` reaches the centralised chase's fixpoint. `witness`
+/// update over `v2` reaches the centralised chase's fixpoint. (A file
+/// that lands after 0 events finds `b`'s links held for a close `a` will
+/// send under the old book: unless the file releases them, the initiator
+/// never completes.) `witness`
 /// sees each run just after the file was applied: the network, the events
 /// recorded, the update.
 fn after_every_event_of_an_update(

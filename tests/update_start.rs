@@ -729,7 +729,14 @@ proptest! {
 /// to the ones that answer recorded: after an insert at node 0, node 1's
 /// own query refreshes what it fetched, node 1's next request names the
 /// newer tag and hears "unchanged", and node 2's fetch through node 1
-/// gets node 1's answer from before the insert.
+/// gets node 1's answer from before the insert. The third also hangs an
+/// update (node 2 dies after 7 events, and its neighbours hold links for
+/// closes its new incarnation will not send) unless hearing that
+/// incarnation, or the adoption requests that follow it, releases them.
+/// The last three hang a restarted node that holds for a close its dead
+/// incarnation was sent: one in an update its upstream started (which
+/// `adopt_all` does not reach), two in an update already over, whose
+/// request comes again because only its ack was lost.
 #[test]
 fn the_programs_that_caught_each_deleted_clear_still_pass() {
     for seed in [
@@ -738,6 +745,9 @@ fn the_programs_that_caught_each_deleted_clear_still_pass() {
         0x88b8_94e1_401e_d25b,
         0x5d3e_47ec_ad6e_f3d4,
         0xb1f6_240d_0f58_8371,
+        0x1367_1a14_1437_aab9,
+        0xeb19_8798_202f_0f68,
+        0xfa8a_4da7_7ec4_afd1,
     ] {
         run_program(seed).unwrap_or_else(|e| panic!("{e}"));
     }
