@@ -537,27 +537,23 @@ fn e16() -> Table {
 }
 
 /// E17 — durable-store recovery: WAL replay cost vs checkpoint (snapshot)
-/// interval **per on-disk codec**, plus the **rejoin cost** of bringing
-/// the recovered node back as a first-class peer. The first half is
-/// synthetic: a node applies 1000 firing batches through a
-/// [`codb_store::Store`] in the row's codec; the table reports the
-/// on-disk footprint (snapshot + WAL bytes of the surviving generation)
-/// and the records recovery replays — whatever the last checkpoint did
-/// not compact — and recovery must reproduce the live state exactly
-/// (asserted — an end-to-end format check). Comparing a `json` row with
-/// its `binary` twin isolates the encoding: same records, same
-/// generations, smaller files (how much faster they load is
-/// `store.open_ms_p50` in `benchmark/`). The rejoin half composes
-/// durability with sent caches that outlive the update (E15): a chain-4
-/// network crashes a node mid-update
-/// (checkpointing it at a cadence matching the row, stores in the row's
-/// codec), restarts it from disk, has the *recovered node* initiate the
-/// reconvergence update, and reports the rejoin cost in messages — the
-/// `Rejoin` announcements (their acks are plain transport acks) plus the
-/// one-off full re-send overhead relative to a never-crashed control —
-/// next to the **barrier cost**:
-/// the messages survivors parked behind the rejoin barrier and released
-/// at the handshake plus the `RejoinRepair` re-sends that close the
+/// interval, plus the **rejoin cost** of bringing the recovered node back
+/// as a first-class peer. The first half is synthetic: a node applies
+/// 1000 firing batches through a [`codb_store::Store`]; the table reports
+/// the on-disk footprint (snapshot + WAL bytes of the surviving
+/// generation) and the records recovery replays — whatever the last
+/// checkpoint did not compact — and recovery must reproduce the live
+/// state exactly (asserted — an end-to-end format check; how fast it
+/// loads is `store.open_ms_p50` in `benchmark/`). The rejoin half
+/// composes durability with sent caches that outlive the update (E15): a
+/// chain-4 network crashes a node mid-update (checkpointing it at a
+/// cadence matching the row), restarts it from disk, has the *recovered
+/// node* initiate the reconvergence update, and reports the rejoin cost
+/// in messages — the `Rejoin` announcements (their acks are plain
+/// transport acks) plus the one-off full re-send overhead relative to a
+/// never-crashed control — next to the **barrier cost**: the messages
+/// survivors parked behind the rejoin barrier and released at the
+/// handshake plus the `RejoinRepair` re-sends that close the
 /// forwarded-but-unsynced window.
 fn e17() -> Table {
     use codb_relational::glav::TField;
@@ -569,10 +565,9 @@ fn e17() -> Table {
     use codb_workload::{run_fault_plan, FaultPlan};
 
     let mut t = Table::new(
-        "E17 — recovery: encoding × WAL replay vs checkpoint interval (1000 batches, 4 firings \
-         each) + rejoin cost (chain-4, recovered node initiates)",
+        "E17 — recovery: WAL replay vs checkpoint interval (1000 batches, 4 firings each) + \
+         rejoin cost (chain-4, recovered node initiates)",
         &[
-            "codec",
             "checkpoint every (batches)",
             "generations",
             "wal records",
@@ -586,90 +581,82 @@ fn e17() -> Table {
     );
     const BATCHES: u64 = 1000;
     const PER_BATCH: i64 = 4;
-    for codec in [Codec::Json, Codec::Binary] {
-        for interval in [0u64, 250, 50, 10] {
-            let dir = ScratchDir::new("e17");
-            let mut inst = Instance::new();
-            inst.add_relation(RelationSchema::with_types("r", &[ValueType::Int, ValueType::Int]));
-            let mut nulls = NullFactory::new(7);
-            let mut recv = RecvCaches::new();
-            let mut store = Store::create(
-                dir.path(),
-                &Snapshot::capture(&inst, &nulls),
-                &recv,
-                &ProtocolCounters::default(),
-                SyncPolicy::Never,
-                codec,
-            )
-            .unwrap();
-            for b in 0..BATCHES {
-                let mut firings: Vec<RuleFiring> = (0..PER_BATCH)
-                    .map(|k| {
-                        RuleFiring::new([(
-                            "r",
-                            vec![
-                                TField::Const(Value::Int(b as i64 * PER_BATCH + k)),
-                                TField::Fresh(0),
-                            ],
-                        )])
-                    })
-                    .collect();
-                apply_arrived(&mut inst, &mut nulls, &mut recv, "e", &mut firings).unwrap();
-                store.append(&WalRecord::Applied { rule: "e".to_owned(), firings }).unwrap();
-                if interval > 0 && (b + 1) % interval == 0 {
-                    store
-                        .checkpoint(
-                            &Snapshot::capture(&inst, &nulls),
-                            &recv,
-                            &ProtocolCounters::default(),
-                        )
-                        .unwrap();
-                }
+    for interval in [0u64, 250, 50, 10] {
+        let dir = ScratchDir::new("e17");
+        let mut inst = Instance::new();
+        inst.add_relation(RelationSchema::with_types("r", &[ValueType::Int, ValueType::Int]));
+        let mut nulls = NullFactory::new(7);
+        let mut recv = RecvCaches::new();
+        let mut store = Store::create(
+            dir.path(),
+            &Snapshot::capture(&inst, &nulls),
+            &recv,
+            &ProtocolCounters::default(),
+            SyncPolicy::Never,
+            Codec::Binary,
+        )
+        .unwrap();
+        for b in 0..BATCHES {
+            let mut firings: Vec<RuleFiring> = (0..PER_BATCH)
+                .map(|k| {
+                    RuleFiring::new([(
+                        "r",
+                        vec![TField::Const(Value::Int(b as i64 * PER_BATCH + k)), TField::Fresh(0)],
+                    )])
+                })
+                .collect();
+            apply_arrived(&mut inst, &mut nulls, &mut recv, "e", &mut firings).unwrap();
+            store.append(&WalRecord::Applied { rule: "e".to_owned(), firings }).unwrap();
+            if interval > 0 && (b + 1) % interval == 0 {
+                store
+                    .checkpoint(
+                        &Snapshot::capture(&inst, &nulls),
+                        &recv,
+                        &ProtocolCounters::default(),
+                    )
+                    .unwrap();
             }
-            store.sync().unwrap();
-            let generations = store.generation() + 1;
-            let wal_records = store.wal_records();
-            drop(store);
-            // On-disk footprint of the surviving generation — the codec's
-            // size lever, straight from the filesystem.
-            let (snap_bytes, wal_bytes) = dir_footprint(dir.path());
-
-            let (_reopened, rec) = Store::open(dir.path(), SyncPolicy::Never, codec).unwrap();
-            assert_eq!(rec.instance, inst, "recovery must reproduce the live state");
-            assert_eq!(rec.nulls.invented(), nulls.invented());
-            assert_eq!(rec.snapshot_codec, codec, "the store is end-to-end in the row's codec");
-
-            // Rejoin cost at an analogous checkpoint cadence. The units
-            // differ deliberately and each gets its own column: the
-            // synthetic half checkpoints per *applied batch*, the crash
-            // half per *simulator event* of the doomed update (scaled down
-            // so every non-`never` row checkpoints at least once before
-            // the kill).
-            let victim_ckpt = (interval > 0).then_some((interval / 10).max(2));
-            let crash_dir = ScratchDir::new("e17-rejoin");
-            let s = codb_workload::Scenario {
-                tuples_per_node: 20,
-                ..codb_workload::Scenario::quick(codb_workload::Topology::Chain(4))
-            };
-            let victim = codb_core::NodeId(1);
-            let plan =
-                FaultPlan { codec, ..FaultPlan::single_crash(s, victim, victim_ckpt, victim) };
-            let report = run_fault_plan(&plan, crash_dir.path()).unwrap();
-            assert!(report.converged, "E17 rejoin run must reconverge: {report:?}");
-
-            t.row(vec![
-                codec.to_string(),
-                if interval == 0 { "never".to_owned() } else { interval.to_string() },
-                generations.to_string(),
-                wal_records.to_string(),
-                snap_bytes.to_string(),
-                wal_bytes.to_string(),
-                rec.instance.tuple_count().to_string(),
-                victim_ckpt.map_or("never".to_owned(), |e| e.to_string()),
-                report.rejoin_cost_messages().to_string(),
-                report.barrier_cost_messages().to_string(),
-            ]);
         }
+        store.sync().unwrap();
+        let generations = store.generation() + 1;
+        let wal_records = store.wal_records();
+        drop(store);
+        // On-disk footprint of the surviving generation, straight from the
+        // filesystem.
+        let (snap_bytes, wal_bytes) = dir_footprint(dir.path());
+
+        let (_reopened, rec) = Store::open(dir.path(), SyncPolicy::Never, Codec::Binary).unwrap();
+        assert_eq!(rec.instance, inst, "recovery must reproduce the live state");
+        assert_eq!(rec.nulls.invented(), nulls.invented());
+
+        // Rejoin cost at an analogous checkpoint cadence. The units
+        // differ deliberately and each gets its own column: the
+        // synthetic half checkpoints per *applied batch*, the crash
+        // half per *simulator event* of the doomed update (scaled down
+        // so every non-`never` row checkpoints at least once before
+        // the kill).
+        let victim_ckpt = (interval > 0).then_some((interval / 10).max(2));
+        let crash_dir = ScratchDir::new("e17-rejoin");
+        let s = codb_workload::Scenario {
+            tuples_per_node: 20,
+            ..codb_workload::Scenario::quick(codb_workload::Topology::Chain(4))
+        };
+        let victim = codb_core::NodeId(1);
+        let plan = FaultPlan::single_crash(s, victim, victim_ckpt, victim);
+        let report = run_fault_plan(&plan, crash_dir.path()).unwrap();
+        assert!(report.converged, "E17 rejoin run must reconverge: {report:?}");
+
+        t.row(vec![
+            if interval == 0 { "never".to_owned() } else { interval.to_string() },
+            generations.to_string(),
+            wal_records.to_string(),
+            snap_bytes.to_string(),
+            wal_bytes.to_string(),
+            rec.instance.tuple_count().to_string(),
+            victim_ckpt.map_or("never".to_owned(), |e| e.to_string()),
+            report.rejoin_cost_messages().to_string(),
+            report.barrier_cost_messages().to_string(),
+        ]);
     }
     t
 }
@@ -685,13 +672,13 @@ fn e18_run(
     total: u64,
 ) -> (u64, u64, u64) {
     use codb_core::NodeId;
-    use codb_store::{Codec, ScratchDir};
+    use codb_store::ScratchDir;
     use codb_workload::Topology;
 
     let dir = ScratchDir::new("e18");
     let s = Scenario { tuples_per_node: 1, ..Scenario::quick(Topology::Chain(nodes)) };
     let mut net = CoDbNetwork::build(s.build_config(), SimConfig::default()).unwrap();
-    net.open_persistence_all(dir.path(), policy, Codec::Binary).unwrap();
+    net.open_persistence_all(dir.path(), policy).unwrap();
 
     for k in 0..total {
         // The write target: round-robin spreads every consecutive record

@@ -316,13 +316,12 @@ impl CoDbNetwork {
         id: NodeId,
         dir: &std::path::Path,
         policy: codb_store::SyncPolicy,
-        codec: codb_store::Codec,
     ) -> Result<Option<codb_store::RecoveryStats>, codb_store::StoreError> {
         let sched = self.scheduler_for(policy)?;
         self.sim.peer_mut(id.peer()).expect("node exists").open_persistence_with(
             dir,
             policy,
-            codec,
+            codb_store::Codec::Binary,
             sched.as_ref(),
         )
     }
@@ -386,15 +385,12 @@ impl CoDbNetwork {
         &mut self,
         root: &std::path::Path,
         policy: codb_store::SyncPolicy,
-        codec: codb_store::Codec,
     ) -> Result<Vec<String>, codb_store::StoreError> {
         let nodes: Vec<(NodeId, String)> =
             self.config.nodes.iter().map(|n| (n.id, n.name.clone())).collect();
         let mut recovered = Vec::new();
         for (id, name) in nodes {
-            if self
-                .open_node_persistence(id, &Self::node_data_dir(root, &name), policy, codec)?
-                .is_some()
+            if self.open_node_persistence(id, &Self::node_data_dir(root, &name), policy)?.is_some()
             {
                 recovered.push(name);
             }
@@ -446,9 +442,8 @@ impl CoDbNetwork {
         id: NodeId,
         dir: &std::path::Path,
         policy: codb_store::SyncPolicy,
-        codec: codb_store::Codec,
     ) -> Result<codb_store::RecoveryStats, codb_store::StoreError> {
-        let stats = self.restart_node_from_disk_live(id, dir, policy, codec)?;
+        let stats = self.restart_node_from_disk_live(id, dir, policy)?;
         self.sim.run_until_quiescent();
         Ok(stats)
     }
@@ -470,7 +465,6 @@ impl CoDbNetwork {
         id: NodeId,
         dir: &std::path::Path,
         policy: codb_store::SyncPolicy,
-        codec: codb_store::Codec,
     ) -> Result<codb_store::RecoveryStats, codb_store::StoreError> {
         let nc = self
             .config
@@ -502,7 +496,7 @@ impl CoDbNetwork {
         // coalesce with its peers' again.
         let sched = self.scheduler_for(policy)?;
         let stats = node
-            .open_persistence_with(dir, policy, codec, sched.as_ref())?
+            .open_persistence_with(dir, policy, codb_store::Codec::Binary, sched.as_ref())?
             .expect("Store::exists checked above, so open_persistence recovers");
         self.sim.add_peer(id.peer(), node);
         Ok(stats)

@@ -283,10 +283,9 @@ impl CoDbNode {
     /// `Some(stats)` when state was recovered from disk, `None` when a
     /// fresh store was initialised.
     ///
-    /// `codec` picks the on-disk payload encoding for *new* files; an
-    /// existing store recovers whatever encodings its files carry (each
-    /// file's format byte wins) and converts to `codec` at the next
-    /// checkpoint rotation.
+    /// The store writes binary; an existing store recovers whatever
+    /// encodings its files carry (each file's format byte wins), and a
+    /// legacy JSON one is converted to binary as it opens.
     ///
     /// A recovery marks the node rejoin-pending: the `Rejoin`
     /// announcement ([`crate::rejoin`]) is posted on the node's next
@@ -299,9 +298,8 @@ impl CoDbNode {
         &mut self,
         dir: &std::path::Path,
         policy: codb_store::SyncPolicy,
-        codec: codb_store::Codec,
     ) -> Result<Option<codb_store::RecoveryStats>, codb_store::StoreError> {
-        self.open_persistence_with(dir, policy, codec, None)
+        self.open_persistence_with(dir, policy, codb_store::Codec::Binary, None)
     }
 
     /// [`CoDbNode::open_persistence`] with an optional shared group-commit
@@ -310,6 +308,11 @@ impl CoDbNode {
     /// store registered there (the many-node single-host amortisation;
     /// `CoDbNetwork::open_persistence_all` shares one scheduler across
     /// all nodes this way). Ignored for per-store policies.
+    ///
+    /// `codec` must be [`codb_store::Codec::Binary`]
+    /// ([`codb_store::Codec::writable`]); the argument stays only while
+    /// `benchmark/` passes it, and goes when the benchmark next changes
+    /// (ROADMAP item 6).
     pub fn open_persistence_with(
         &mut self,
         dir: &std::path::Path,
@@ -317,8 +320,9 @@ impl CoDbNode {
         codec: codb_store::Codec,
         group: Option<&codb_store::FsyncScheduler>,
     ) -> Result<Option<codb_store::RecoveryStats>, codb_store::StoreError> {
+        codec.writable()?;
         if codb_store::Store::exists(dir) {
-            let (store, recovered) = codb_store::Store::open_with(dir, policy, codec, group)?;
+            let (store, recovered) = codb_store::Store::open_with(dir, policy, group)?;
             let stats = recovered.stats();
             self.ldb = recovered.instance;
             self.nulls = recovered.nulls;
@@ -344,7 +348,6 @@ impl CoDbNode {
                 &self.recv_cache,
                 &self.counters(),
                 policy,
-                codec,
                 group,
             )?;
             self.adopt_store(store);

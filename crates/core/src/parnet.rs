@@ -113,6 +113,11 @@ impl ParallelCoDbNet {
     /// [`codb_store::SyncPolicy::GroupCommit`] all stores share one
     /// [`codb_store::FsyncScheduler`], reachable via
     /// [`ParallelCoDbNet::fsync_scheduler`].
+    ///
+    /// `codec` must be [`codb_store::Codec::Binary`]
+    /// ([`codb_store::Codec::writable`]); the argument stays only while
+    /// `benchmark/` passes it, and goes when the benchmark next changes
+    /// (ROADMAP item 6).
     pub fn build_persistent(
         config: NetworkConfig,
         rt: RuntimeConfig,

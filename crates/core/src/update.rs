@@ -1324,7 +1324,7 @@ pub(crate) mod tests {
     use crate::network::CoDbNetwork;
     use codb_net::SimConfig;
     use codb_relational::{tup, FieldRef, Fields, TField, Value};
-    use codb_store::{Codec, ScratchDir, SyncPolicy};
+    use codb_store::{ScratchDir, SyncPolicy};
 
     impl CoDbNode {
         fn sent_cache_of(&self, rule: &str) -> &SentCache {
@@ -1485,7 +1485,7 @@ pub(crate) mod tests {
             for as_repair in [false, true] {
                 let tmp = ScratchDir::new("core-misfit");
                 let (mut net, src, tgt) = link("person(N, A)");
-                net.open_persistence_all(tmp.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+                net.open_persistence_all(tmp.path(), SyncPolicy::Always).unwrap();
                 net.run_update(tgt);
                 let before = net.node(tgt);
                 let (ldb, recv) = (before.ldb().clone(), before.recv_cache.clone());
@@ -1537,7 +1537,7 @@ pub(crate) mod tests {
                 assert!(ldb.get("person").unwrap().contains(&tup!["cy", 50]), "{case}");
                 net.crash_node(tgt);
                 let dir = CoDbNetwork::node_data_dir(tmp.path(), "tgt");
-                net.restart_node_from_disk(tgt, &dir, SyncPolicy::Always, Codec::Binary)
+                net.restart_node_from_disk(tgt, &dir, SyncPolicy::Always)
                     .unwrap_or_else(|e| panic!("{case}: {e}"));
                 assert_eq!(net.node(tgt).ldb(), &ldb, "{case}");
             }
@@ -1925,14 +1925,14 @@ pub(crate) mod tests {
         let mut net = CoDbNetwork::build(config, SimConfig::default()).unwrap();
         let (tracer, recorded) = codb_trace::Tracer::ring(1 << 12);
         net.attach_tracer(&tracer);
-        net.open_persistence_all(tmp.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+        net.open_persistence_all(tmp.path(), SyncPolicy::Always).unwrap();
         let [a, b, c] = ["a", "b", "c"].map(|name| net.node_id(name).unwrap());
         let snapshots = [a, b, c].map(|id| net.node(id).ldb().clone());
         net.run_update(c);
 
         net.crash_node(b);
         let dir = CoDbNetwork::node_data_dir(tmp.path(), "b");
-        net.restart_node_from_disk(b, &dir, SyncPolicy::Always, Codec::Binary).unwrap();
+        net.restart_node_from_disk(b, &dir, SyncPolicy::Always).unwrap();
         assert_eq!(net.node(b).report().messages_received.get("rejoin_repair"), Some(&1));
         let events = recorded.lock().unwrap().events();
         let heard =
@@ -1974,22 +1974,20 @@ pub(crate) mod tests {
     /// would be instantiated a second time with fresh nulls.
     #[test]
     fn a_recovered_receive_cache_suppresses_refired_templates() {
-        for codec in [Codec::Binary, Codec::Json] {
-            let tmp = ScratchDir::new("core-glav-restart");
-            let (mut net, _, tgt) = link("person(N, D)");
-            net.open_persistence_all(tmp.path(), SyncPolicy::Always, codec).unwrap();
-            net.run_update(tgt);
-            let ldb = net.node(tgt).ldb().clone();
-            assert_eq!(net.node(tgt).nulls_invented(), 2);
+        let tmp = ScratchDir::new("core-glav-restart");
+        let (mut net, _, tgt) = link("person(N, D)");
+        net.open_persistence_all(tmp.path(), SyncPolicy::Always).unwrap();
+        net.run_update(tgt);
+        let ldb = net.node(tgt).ldb().clone();
+        assert_eq!(net.node(tgt).nulls_invented(), 2);
 
-            net.crash_node(tgt);
-            let dir = CoDbNetwork::node_data_dir(tmp.path(), "tgt");
-            net.restart_node_from_disk(tgt, &dir, SyncPolicy::Always, codec).unwrap();
-            let repaired = net.node(tgt).report().messages_received.get("rejoin_repair");
-            assert_eq!(repaired, Some(&1), "src re-fired the whole link");
-            net.run_update(tgt);
-            assert_eq!(net.node(tgt).nulls_invented(), 2, "{codec}: a null was minted twice");
-            assert_eq!(net.node(tgt).ldb(), &ldb, "{codec}");
-        }
+        net.crash_node(tgt);
+        let dir = CoDbNetwork::node_data_dir(tmp.path(), "tgt");
+        net.restart_node_from_disk(tgt, &dir, SyncPolicy::Always).unwrap();
+        let repaired = net.node(tgt).report().messages_received.get("rejoin_repair");
+        assert_eq!(repaired, Some(&1), "src re-fired the whole link");
+        net.run_update(tgt);
+        assert_eq!(net.node(tgt).nulls_invented(), 2, "a null was minted twice");
+        assert_eq!(net.node(tgt).ldb(), &ldb);
     }
 }

@@ -822,13 +822,13 @@ fn node_snapshot_restores_materialised_state() {
     let mut net = build(TWO_NODES);
     let portal = net.node_id("portal").unwrap();
     net.run_update(portal);
-    let bytes = net.node(portal).snapshot().to_bytes().unwrap();
+    let bytes = net.node(portal).snapshot().to_binary_bytes();
 
     // Fresh network: portal empty; restore the snapshot.
     let mut net2 = build(TWO_NODES);
     let portal2 = net2.node_id("portal").unwrap();
     assert!(net2.node(portal2).ldb().get("person").unwrap().is_empty());
-    let snap = codb_relational::Snapshot::from_bytes(&bytes).unwrap();
+    let snap = codb_relational::Snapshot::from_binary_bytes(&bytes).unwrap();
     net2.sim_mut().peer_mut(portal2.peer()).unwrap().restore(snap);
     let q = net2.run_query_text(portal2, "ans(N) :- person(N, A).", false).unwrap();
     assert_eq!(q.result.answers.len(), 2);
@@ -1089,16 +1089,14 @@ fn max_hops_truncates_a_chase_that_is_not_weakly_acyclic() {
 fn max_hops_truncates_a_rejoin_repair_cascade() {
     let tmp = codb_store::ScratchDir::new("core-repair-valve");
     let mut net = hop_pair("r(Y, Z)", SimConfig { max_events: 50_000, ..Default::default() });
-    net.open_persistence_all(tmp.path(), codb_store::SyncPolicy::Always, codb_store::Codec::Binary)
-        .unwrap();
+    net.open_persistence_all(tmp.path(), codb_store::SyncPolicy::Always).unwrap();
     let (a, b) = (net.node_id("a").unwrap(), net.node_id("b").unwrap());
     assert!(net.run_update(a).summary.truncated);
     assert_eq!(pair_tuples(&net), 1 + MAX_HOPS as usize);
 
     net.crash_node(b);
     let dir = CoDbNetwork::node_data_dir(tmp.path(), "b");
-    net.restart_node_from_disk(b, &dir, codb_store::SyncPolicy::Always, codb_store::Codec::Binary)
-        .unwrap();
+    net.restart_node_from_disk(b, &dir, codb_store::SyncPolicy::Always).unwrap();
     assert!(net.sim().is_quiescent(), "the repair cascade ran into the event cap");
     // The frontier template, then one new tuple per repair hop until the valve.
     assert_eq!(pair_tuples(&net), 1 + 2 * MAX_HOPS as usize);
@@ -1612,10 +1610,10 @@ fn a_warm_fetch_after_the_upstream_peer_died_answers_what_the_live_peers_hold() 
 /// requester holds from before reads as unchanged.
 #[test]
 fn a_server_restarted_from_disk_never_mints_a_tag_its_dead_incarnation_minted() {
-    use codb_store::{Codec, ScratchDir, SyncPolicy};
+    use codb_store::{ScratchDir, SyncPolicy};
     let tmp = ScratchDir::new("core-fetch-tags");
     let mut net = build(&join_chain_config(3, 20));
-    net.open_persistence_all(tmp.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+    net.open_persistence_all(tmp.path(), SyncPolicy::Always).unwrap();
     let [mid, sink] = ["node1", "node2"].map(|n| net.node_id(n).unwrap());
     let mut seen = std::collections::BTreeSet::new();
     // The dead incarnation hands out a few tags: each insert at node1
@@ -1631,7 +1629,7 @@ fn a_server_restarted_from_disk_never_mints_a_tag_its_dead_incarnation_minted() 
     let (before, _) = fetched(&mut net, "node2");
     assert!(net.crash_node(mid));
     let dir = CoDbNetwork::node_data_dir(tmp.path(), "node1");
-    net.restart_node_from_disk(mid, &dir, SyncPolicy::Always, Codec::Binary).unwrap();
+    net.restart_node_from_disk(mid, &dir, SyncPolicy::Always).unwrap();
     for _ in 0..3 {
         let (outcome, _) = fetch_counting(&mut net, "node2");
         assert_eq!(outcome.result.answers, before);
@@ -1726,19 +1724,12 @@ fn a_fetch_after_a_rules_file_gives_the_served_name_another_body_uses_that_body(
 fn a_fetch_after_a_server_restarted_from_disk_answers_as_before() {
     let tmp = codb_store::ScratchDir::new("core-fetch-restart");
     let mut net = build(&join_chain_config(3, 20));
-    net.open_persistence_all(tmp.path(), codb_store::SyncPolicy::Always, codb_store::Codec::Binary)
-        .unwrap();
+    net.open_persistence_all(tmp.path(), codb_store::SyncPolicy::Always).unwrap();
     let (before, _) = fetched(&mut net, "node2");
     let mid = net.node_id("node1").unwrap();
     assert!(net.crash_node(mid));
     let dir = CoDbNetwork::node_data_dir(tmp.path(), "node1");
-    net.restart_node_from_disk(
-        mid,
-        &dir,
-        codb_store::SyncPolicy::Always,
-        codb_store::Codec::Binary,
-    )
-    .unwrap();
+    net.restart_node_from_disk(mid, &dir, codb_store::SyncPolicy::Always).unwrap();
     // node0's repair brought node1 what its link derives; the fetch
     // derives the same again.
     assert_eq!(net.node(mid).ldb().get("r").unwrap().len(), 40);

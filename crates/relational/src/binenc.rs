@@ -24,10 +24,9 @@
 //! store frames add CRC-32 protection; this layer's own checks are what
 //! turn a *decoded-but-meaningless* payload into a loud error.
 //!
-//! Encoding is deterministic: relations serialise their tuples in sorted
-//! order (the in-memory `HashSet` order never leaks to disk), so equal
-//! states encode to equal bytes — the property the codec-differential
-//! fault-injection harness in `codb-workload` pins.
+//! Encoding is deterministic: a relation serialises its tuples in log
+//! order, the order it filed them in ([`Relation::filed`]), so the same
+//! log encodes to the same bytes and decodes to the same log.
 
 use crate::instance::Instance;
 use crate::relation::Relation;
@@ -341,20 +340,20 @@ pub fn take_schema(r: &mut Reader<'_>) -> DecodeResult<RelationSchema> {
     Ok(RelationSchema::new(name, columns))
 }
 
-/// Encodes one [`Relation`]: schema, then the tuples in **sorted** order
-/// (deterministic bytes for equal relations).
+/// Encodes one [`Relation`]: schema, then the tuples in log order.
 pub fn put_relation(out: &mut Vec<u8>, rel: &Relation) {
     put_schema(out, rel.schema());
     put_len(out, rel.len());
-    for t in rel.sorted() {
-        put_tuple(out, &t);
+    for t in rel.iter() {
+        put_tuple(out, t);
     }
 }
 
 /// Decodes one [`Relation`], re-validating every tuple against the
-/// decoded schema (an ill-typed tuple is corruption, not data). The
-/// encoding is canonical — sorted, duplicate-free — so a duplicate tuple
-/// is rejected rather than silently collapsed into the set.
+/// decoded schema (an ill-typed tuple is corruption, not data), into a
+/// log in the order they were written. A log holds each tuple once, so a
+/// duplicate tuple is rejected rather than silently collapsed. Any order
+/// is a valid log: the sorted relations of older stores read as they are.
 pub fn take_relation(r: &mut Reader<'_>) -> DecodeResult<Relation> {
     let schema = take_schema(r)?;
     let n = r.len(1)?;
@@ -580,19 +579,20 @@ mod tests {
         inst.add_relation(RelationSchema::with_types("r", &[ValueType::Int, ValueType::Str]));
         inst.insert("r", tup![2, "b"]).unwrap();
         inst.insert("r", tup![1, "a"]).unwrap();
+        inst.insert("r", tup![3, "c"]).unwrap();
         let mut a = Vec::new();
         put_instance(&mut a, &inst);
-        // A clone inserted in the opposite order encodes identically:
-        // tuples are written sorted, not in HashSet order.
-        let mut inst2 = Instance::new();
-        inst2.add_relation(RelationSchema::with_types("r", &[ValueType::Int, ValueType::Str]));
-        inst2.insert("r", tup![1, "a"]).unwrap();
-        inst2.insert("r", tup![2, "b"]).unwrap();
-        let mut b = Vec::new();
-        put_instance(&mut b, &inst2);
-        assert_eq!(a, b);
+        // The log comes back in its order, filed under the same hashes.
         let decoded = take_instance(&mut Reader::new(&a)).unwrap();
         assert_eq!(decoded, inst);
+        assert_eq!(decoded.get("r").unwrap().filed(), inst.get("r").unwrap().filed());
+        // The same log encodes to the same bytes, from the original or
+        // from what it decoded to.
+        let mut b = Vec::new();
+        put_instance(&mut b, &inst.clone());
+        let mut c = Vec::new();
+        put_instance(&mut c, &decoded);
+        assert_eq!((&a, &a), (&b, &c));
     }
 
     #[test]

@@ -8,14 +8,16 @@
 
 use crate::instance::Instance;
 use crate::value::NullFactory;
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 use std::fmt;
 
 /// Snapshot format version; bump on layout changes.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
-/// A persisted database state.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// A persisted database state. Stores write it in the binary form
+/// ([`Snapshot::to_binary_bytes`]); the JSON form of older stores is only
+/// read ([`Snapshot::from_bytes`]).
+#[derive(Clone, Debug, Deserialize)]
 pub struct Snapshot {
     /// Format version (checked on load).
     pub version: u32,
@@ -30,9 +32,6 @@ pub struct Snapshot {
 pub enum SnapshotError {
     /// The payload does not decode as a snapshot (JSON or binary).
     Corrupt(String),
-    /// The snapshot failed to *encode* — a bug surfaced to the caller
-    /// instead of panicking inside the storage layer.
-    Encode(String),
     /// The snapshot was written by an incompatible version.
     VersionMismatch {
         /// Version found in the payload.
@@ -46,7 +45,6 @@ impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SnapshotError::Corrupt(e) => write!(f, "corrupt snapshot: {e}"),
-            SnapshotError::Encode(e) => write!(f, "snapshot failed to encode: {e}"),
             SnapshotError::VersionMismatch { found, expected } => {
                 write!(f, "snapshot version {found}, expected {expected}")
             }
@@ -62,13 +60,8 @@ impl Snapshot {
         Snapshot { version: SNAPSHOT_VERSION, instance: instance.clone(), nulls: nulls.clone() }
     }
 
-    /// Serialises to JSON bytes. An encoder failure is reported, not
-    /// panicked through the serde shim.
-    pub fn to_bytes(&self) -> Result<Vec<u8>, SnapshotError> {
-        serde_json::to_vec(self).map_err(|e| SnapshotError::Encode(e.to_string()))
-    }
-
-    /// Restores from JSON bytes, checking the format version.
+    /// Restores from the JSON bytes of a legacy store, checking the format
+    /// version.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let snap: Snapshot =
             serde_json::from_slice(bytes).map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
@@ -82,8 +75,8 @@ impl Snapshot {
     }
 
     /// Serialises to the compact binary format (`crate::binenc`):
-    /// varint version, null factory, instance — deterministic bytes for
-    /// equal states (relations encode their tuples sorted).
+    /// varint version, null factory, instance — each relation as its log,
+    /// so the same state encodes to the same bytes.
     pub fn to_binary_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         crate::binenc::put_u32(&mut out, self.version);
@@ -136,11 +129,23 @@ mod tests {
         (inst, nulls)
     }
 
+    /// The JSON a legacy store holds for `snap`, as its writer laid it
+    /// out: one object, keys in order.
+    fn legacy_json(snap: &Snapshot) -> Vec<u8> {
+        let [instance, nulls] =
+            [serde_json::to_string(&snap.instance), serde_json::to_string(&snap.nulls)]
+                .map(Result::unwrap);
+        format!(r#"{{"instance":{instance},"nulls":{nulls},"version":{}}}"#, snap.version)
+            .into_bytes()
+    }
+
     #[test]
     fn round_trip_preserves_everything() {
+        // Legacy JSON in, binary out and back: every step keeps the state.
         let (inst, nulls) = sample();
         let snap = Snapshot::capture(&inst, &nulls);
-        let restored = Snapshot::from_bytes(&snap.to_bytes().unwrap()).unwrap();
+        let from_json = Snapshot::from_bytes(&legacy_json(&snap)).unwrap();
+        let restored = Snapshot::from_binary_bytes(&from_json.to_binary_bytes()).unwrap();
         assert_eq!(restored.instance, inst);
         assert_eq!(restored.nulls.invented(), nulls.invented());
     }
@@ -152,7 +157,7 @@ mod tests {
         let bytes = snap.to_binary_bytes();
         // The binary form is what buys the recovery speedup: it must be
         // materially smaller than the JSON it replaces.
-        assert!(bytes.len() < snap.to_bytes().unwrap().len());
+        assert!(bytes.len() < legacy_json(&snap).len());
         let restored = Snapshot::from_binary_bytes(&bytes).unwrap();
         assert_eq!(restored.instance, inst);
         assert_eq!(restored.nulls.invented(), nulls.invented());
@@ -188,8 +193,8 @@ mod tests {
     #[test]
     fn restored_factory_keeps_labels_fresh() {
         let (inst, nulls) = sample();
-        let bytes = Snapshot::capture(&inst, &nulls).to_bytes().unwrap();
-        let mut restored = Snapshot::from_bytes(&bytes).unwrap();
+        let bytes = Snapshot::capture(&inst, &nulls).to_binary_bytes();
+        let mut restored = Snapshot::from_binary_bytes(&bytes).unwrap();
         let next = restored.nulls.fresh();
         // Must not collide with the label already in the data.
         let existing: Vec<_> = restored
@@ -212,9 +217,8 @@ mod tests {
         let (inst, nulls) = sample();
         let mut snap = Snapshot::capture(&inst, &nulls);
         snap.version = 99;
-        let bytes = serde_json::to_vec(&snap).unwrap();
         assert!(matches!(
-            Snapshot::from_bytes(&bytes),
+            Snapshot::from_bytes(&legacy_json(&snap)),
             Err(SnapshotError::VersionMismatch { found: 99, .. })
         ));
     }

@@ -2,26 +2,20 @@
 //! bytes inside the CRC-32 frames, and how a reader tells which encoding
 //! a file on disk uses.
 //!
-//! Two encodings exist, selected per *file* by a **format byte** — the
+//! Two encodings exist, named per *file* by a **format byte** — the
 //! eighth byte of the magic (`CODBWAL1` / `CODBSNP1` for JSON,
 //! `CODBWAL2` / `CODBSNP2` for binary):
 //!
-//! * [`Codec::Json`] — the seed format: serde-shim JSON payloads. Every
-//!   store written before the binary codec existed carries format byte
-//!   `'1'`, so legacy directories keep recovering forever with no
-//!   offline migration.
 //! * [`Codec::Binary`] — the compact varint/tag encoding of
-//!   `codb_relational::binenc`: values, tuples, relations, receive
-//!   caches and protocol counters as tagged varints and length-prefixed
-//!   strings. Snapshots shrink by roughly an order of magnitude and
-//!   recovery stops paying JSON parse cost — the E17 lever.
+//!   `codb_relational::binenc`: values, tuples, relations (each as its
+//!   log), receive caches and protocol counters as tagged varints and
+//!   length-prefixed strings. It is the one format a store writes.
+//! * [`Codec::Json`] — the seed format: serde-shim JSON payloads. It is
+//!   only read: a store written before the binary codec existed carries
+//!   format byte `'1'`, and [`crate::Store::open`] recovers it and
+//!   rewrites it as a binary generation before it returns.
 //!
-//! Readers **auto-detect** from the format byte; writers append in the
-//! codec the file was created with (a file never mixes encodings).
-//! Upgrades happen **on rotation**: a store opened with a binary target
-//! codec keeps appending to its existing JSON WAL, and the next
-//! checkpoint writes the new generation — snapshot and fresh WAL — in
-//! binary, after which the old JSON files are compacted away.
+//! Readers **auto-detect** from the format byte.
 //!
 //! ## Binary record layout
 //!
@@ -43,7 +37,6 @@ use crate::wal::{ProtocolCounters, RecvCaches, WalRecord};
 use codb_relational::binenc::{self, BinDecodeError, Reader};
 use codb_relational::{FiringSet, RuleFiring, Snapshot, SnapshotError};
 use std::fmt;
-use std::str::FromStr;
 
 /// Length of the magic header of every store file (prefix + format byte).
 pub const MAGIC_LEN: usize = 8;
@@ -51,21 +44,14 @@ pub const MAGIC_LEN: usize = 8;
 const WAL_PREFIX: &[u8; 7] = b"CODBWAL";
 const SNAP_PREFIX: &[u8; 7] = b"CODBSNP";
 
-/// Magic prefix of **JSON-format** WAL files (binary WALs end in `'2'`).
-/// Kept as a named constant because it is the seed on-disk format every
-/// store written before the binary codec carries.
-pub const WAL_MAGIC: [u8; MAGIC_LEN] = Codec::Json.wal_magic();
-/// Magic prefix of **JSON-format** snapshot files (see [`WAL_MAGIC`]).
-pub const SNAP_MAGIC: [u8; MAGIC_LEN] = Codec::Json.snap_magic();
-
 /// The payload encoding of one store file, named by its format byte.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Codec {
-    /// Serde-shim JSON payloads — the seed format (format byte `'1'`).
+    /// Serde-shim JSON payloads — the seed format (format byte `'1'`),
+    /// read only.
     Json,
-    /// Compact varint/tag payloads (format byte `'2'`). The default for
-    /// new stores; existing JSON stores upgrade at their next rotation.
-    #[default]
+    /// Compact varint/tag payloads (format byte `'2'`) — what every store
+    /// writes.
     Binary,
 }
 
@@ -106,6 +92,16 @@ impl Codec {
     pub fn detect_snap(header: &[u8]) -> Option<Codec> {
         detect(SNAP_PREFIX, header)
     }
+
+    /// `Ok` for [`Codec::Binary`], the one format a store writes; a
+    /// [`StoreError::ReadOnlyCodec`] for [`Codec::Json`], which is only
+    /// read.
+    pub fn writable(self) -> Result<(), StoreError> {
+        match self {
+            Codec::Binary => Ok(()),
+            Codec::Json => Err(StoreError::ReadOnlyCodec(self)),
+        }
+    }
 }
 
 impl fmt::Display for Codec {
@@ -113,18 +109,6 @@ impl fmt::Display for Codec {
         match self {
             Codec::Json => write!(f, "json"),
             Codec::Binary => write!(f, "binary"),
-        }
-    }
-}
-
-impl FromStr for Codec {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "json" => Ok(Codec::Json),
-            "binary" | "bin" => Ok(Codec::Binary),
-            other => Err(format!("unknown codec {other:?} (expected json or binary)")),
         }
     }
 }
@@ -154,24 +138,16 @@ const TAG_COUNTERS: u8 = 1;
 const TAG_APPLIED: u8 = 2;
 const TAG_LOCAL_INSERT: u8 = 3;
 
-/// Encodes one WAL record in `codec`. JSON encoder failures (a bug) are
-/// surfaced as [`StoreError::Encode`]; the binary encoder is total.
-pub fn encode_record(record: &WalRecord, codec: Codec) -> Result<Vec<u8>, StoreError> {
-    match codec {
-        Codec::Json => {
-            serde_json::to_vec(record).map_err(|e| StoreError::Encode { detail: e.to_string() })
-        }
-        Codec::Binary => {
-            let mut out = Vec::new();
-            put_record(&mut out, record);
-            Ok(out)
-        }
-    }
+/// Encodes one WAL record (binary).
+pub fn encode_record(record: &WalRecord) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_record(&mut out, record);
+    out
 }
 
 /// Appends `record`'s binary encoding to `out` — the payload
-/// [`encode_record`] returns under [`Codec::Binary`], written where the
-/// caller wants it (the WAL appender encodes behind a frame header).
+/// [`encode_record`] returns, written where the caller wants it (the WAL
+/// appender encodes behind a frame header).
 pub(crate) fn put_record(out: &mut Vec<u8>, record: &WalRecord) {
     match record {
         WalRecord::Caches { recv } => {
@@ -201,9 +177,9 @@ pub(crate) fn put_record(out: &mut Vec<u8>, record: &WalRecord) {
     }
 }
 
-/// Decodes one WAL record payload in `codec`. The error is the *reason*
-/// string; the caller owns file/offset context for the typed
-/// [`StoreError::CorruptFrame`].
+/// Decodes one WAL record payload in `codec` (JSON for the records of a
+/// legacy WAL). The error is the *reason* string; the caller owns
+/// file/offset context for the typed [`StoreError::CorruptFrame`].
 pub fn decode_record(payload: &[u8], codec: Codec) -> Result<WalRecord, String> {
     match codec {
         Codec::Json => {
@@ -271,9 +247,9 @@ fn decode_record_binary(payload: &[u8]) -> Result<WalRecord, BinDecodeError> {
     Ok(record)
 }
 
-/// A cache's firings in their structural order: what either codec writes,
+/// A cache's firings in their structural order, as a record writes them,
 /// so the bytes never depend on the process's hash keys.
-pub(crate) fn sorted(firings: &FiringSet) -> Vec<&RuleFiring> {
+fn sorted(firings: &FiringSet) -> Vec<&RuleFiring> {
     let mut firings: Vec<&RuleFiring> = firings.iter().collect();
     firings.sort_unstable();
     firings
@@ -301,16 +277,9 @@ fn take_firings(r: &mut Reader<'_>) -> Result<Vec<RuleFiring>, BinDecodeError> {
 
 // ---- snapshots ----
 
-/// Encodes one snapshot payload in `codec`.
-pub fn encode_snapshot(snapshot: &Snapshot, codec: Codec) -> Result<Vec<u8>, StoreError> {
-    match codec {
-        Codec::Json => Ok(snapshot.to_bytes()?),
-        Codec::Binary => Ok(snapshot.to_binary_bytes()),
-    }
-}
-
 /// Decodes one snapshot payload in `codec` (corruption and version
-/// mismatches are typed [`SnapshotError`]s).
+/// mismatches are typed [`SnapshotError`]s). The payload stores write is
+/// [`Snapshot::to_binary_bytes`].
 pub fn decode_snapshot(payload: &[u8], codec: Codec) -> Result<Snapshot, SnapshotError> {
     match codec {
         Codec::Json => Snapshot::from_bytes(payload),
@@ -342,13 +311,20 @@ mod tests {
         ]
     }
 
+    /// [`records`] as a legacy JSON WAL holds them, byte for byte.
+    const LEGACY_JSON: [&str; 4] = [
+        r#"{"Caches":{"recv":[["e0",[{"atoms":[["r",[{"Const":{"Int":-7}},{"Fresh":0}]]]}]]]}}"#,
+        r#"{"Counters":{"counters":{"query_seq":1,"req_seq":18446744073709551615,"update_seq":3}}}"#,
+        r#"{"Applied":{"firings":[{"atoms":[["r",[{"Const":{"Int":-7}},{"Fresh":0}]]]},{"atoms":[["r",[{"Const":{"Int":-7}},{"Fresh":0}]]]}],"rule":"e1"}}"#,
+        r#"{"LocalInsert":{"relation":"r","tuple":[{"Int":9},{"Str":"x"},{"Bool":true}]}}"#,
+    ];
+
     #[test]
     fn records_round_trip_in_both_codecs() {
-        for codec in [Codec::Json, Codec::Binary] {
-            for record in records() {
-                let bytes = encode_record(&record, codec).unwrap();
-                assert_eq!(decode_record(&bytes, codec).unwrap(), record, "{codec}");
-            }
+        for (record, json) in records().into_iter().zip(LEGACY_JSON) {
+            let bytes = encode_record(&record);
+            assert_eq!(decode_record(&bytes, Codec::Binary).unwrap(), record);
+            assert_eq!(decode_record(json.as_bytes(), Codec::Json).unwrap(), record, "{json}");
         }
     }
 
@@ -361,20 +337,17 @@ mod tests {
         assert!(!ascending.iter().eq(descending.iter()), "the sets iterate alike");
         let in_order: Vec<RuleFiring> = (0..200).map(firing).collect();
         assert!(sorted(&ascending).into_iter().eq(&in_order));
-        for codec in [Codec::Json, Codec::Binary] {
-            let [a, b] = [&ascending, &descending].map(|set| {
-                let recv = RecvCaches::from([("e0".to_owned(), set.clone())]);
-                encode_record(&WalRecord::Caches { recv }, codec).unwrap()
-            });
-            assert_eq!(a, b, "{codec}");
-        }
+        let [a, b] = [&ascending, &descending].map(|set| {
+            let recv = RecvCaches::from([("e0".to_owned(), set.clone())]);
+            encode_record(&WalRecord::Caches { recv })
+        });
+        assert_eq!(a, b);
     }
 
     #[test]
     fn binary_records_are_smaller_than_json() {
-        for record in records() {
-            let json = encode_record(&record, Codec::Json).unwrap();
-            let binary = encode_record(&record, Codec::Binary).unwrap();
+        for (record, json) in records().iter().zip(LEGACY_JSON) {
+            let binary = encode_record(record);
             assert!(binary.len() < json.len(), "{record:?}: {} vs {}", binary.len(), json.len());
         }
     }
@@ -385,11 +358,13 @@ mod tests {
         inst.add_relation(RelationSchema::with_types("r", &[ValueType::Int, ValueType::Str]));
         inst.insert("r", Tuple::new(vec![Value::Int(1), Value::str("a")])).unwrap();
         let snap = Snapshot::capture(&inst, &NullFactory::new(5));
-        for codec in [Codec::Json, Codec::Binary] {
-            let bytes = encode_snapshot(&snap, codec).unwrap();
-            let restored = decode_snapshot(&bytes, codec).unwrap();
-            assert_eq!(restored.instance, snap.instance, "{codec}");
-        }
+        let restored = decode_snapshot(&snap.to_binary_bytes(), Codec::Binary).unwrap();
+        assert_eq!(restored.instance, snap.instance);
+        // The same state as a legacy JSON snapshot holds it.
+        let json = r#"{"instance":{"relations":[["r",{"schema":{"columns":[{"name":"c0","ty":"Int"},{"name":"c1","ty":"Str"}],"name":"r"},"tuples":[[{"Int":1},{"Str":"a"}]]}]]},"nulls":{"next":0,"origin":5},"version":1}"#;
+        let restored = decode_snapshot(json.as_bytes(), Codec::Json).unwrap();
+        assert_eq!(restored.instance, snap.instance);
+        assert_eq!(restored.nulls.origin(), 5);
     }
 
     #[test]
@@ -403,15 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn codec_parses_from_cli_strings() {
-        assert_eq!("json".parse::<Codec>().unwrap(), Codec::Json);
-        assert_eq!("binary".parse::<Codec>().unwrap(), Codec::Binary);
-        assert!("yaml".parse::<Codec>().is_err());
-        assert_eq!(Codec::default(), Codec::Binary);
-        assert_eq!(Codec::Binary.to_string(), "binary");
-    }
-
-    #[test]
     fn empty_firings_round_trip() {
         // A RuleFiring with no atoms encodes to one byte; the decoder's
         // length sanity bound must admit it (regression: a 2-byte bound
@@ -419,10 +385,10 @@ mod tests {
         // as corrupt).
         let record =
             WalRecord::Applied { rule: "r".into(), firings: vec![RuleFiring::new::<&str>([]); 3] };
-        for codec in [Codec::Json, Codec::Binary] {
-            let bytes = encode_record(&record, codec).unwrap();
-            assert_eq!(decode_record(&bytes, codec).unwrap(), record, "{codec}");
-        }
+        let bytes = encode_record(&record);
+        assert_eq!(decode_record(&bytes, Codec::Binary).unwrap(), record);
+        let json = r#"{"Applied":{"firings":[{"atoms":[]},{"atoms":[]},{"atoms":[]}],"rule":"r"}}"#;
+        assert_eq!(decode_record(json.as_bytes(), Codec::Json).unwrap(), record);
     }
 
     #[test]
@@ -456,7 +422,7 @@ mod tests {
             assert!(decode_record(payload, Codec::Binary).is_err(), "{payload:?}");
         }
         // Trailing garbage after a valid record is corruption too.
-        let mut bytes = encode_record(&records()[1], Codec::Binary).unwrap();
+        let mut bytes = encode_record(&records()[1]);
         bytes.push(0);
         assert!(decode_record(&bytes, Codec::Binary).is_err());
     }

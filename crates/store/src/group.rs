@@ -507,7 +507,7 @@ fn drain(inner: &mut Inner) {
 mod tests {
     use super::*;
     use crate::wal::{SyncPolicy, WalRecord, WalWriter};
-    use crate::{Codec, ScratchDir};
+    use crate::ScratchDir;
     use codb_relational::{Tuple, Value};
 
     fn record(k: i64) -> WalRecord {
@@ -515,7 +515,7 @@ mod tests {
     }
 
     fn writer(dir: &ScratchDir, name: &str, sched: &FsyncScheduler) -> WalWriter {
-        WalWriter::create(&dir.path().join(name), Codec::Binary, sched).unwrap()
+        WalWriter::create(&dir.path().join(name), sched).unwrap()
     }
 
     #[test]
@@ -690,9 +690,7 @@ mod tests {
         let dir = ScratchDir::new("group-private");
         let policy = SyncPolicy::GroupCommit { max_batch: 64, max_records: 2 };
         let path = dir.path().join("solo.wal");
-        let mut w =
-            WalWriter::create(&path, Codec::Binary, &FsyncScheduler::for_store(policy, None))
-                .unwrap();
+        let mut w = WalWriter::create(&path, &FsyncScheduler::for_store(policy, None)).unwrap();
         w.append(&record(0)).unwrap();
         assert_eq!(w.durable_frames(), 0, "below the window, unacked");
         w.append(&record(1)).unwrap();

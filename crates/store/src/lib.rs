@@ -15,7 +15,8 @@
 //! **The normative durability contract lives in [`durability`]**
 //! (rendered from `docs/DURABILITY.md`): what each [`SyncPolicy`]
 //! guarantees, the ack rule, loss windows, torn-tail vs corrupt-frame
-//! handling, epoch semantics and codec upgrade-on-rotation. The notes
+//! handling, epoch semantics and the conversion of legacy JSON stores at
+//! open. The notes
 //! below describe mechanisms; the contract page wins on any
 //! disagreement.
 //!
@@ -45,19 +46,19 @@
 //! [`frame`] (`codb_relational::frame`, shared with the flight recorder).
 //!
 //! Every file starts with an 8-byte magic whose **eighth byte is the
-//! format byte** selecting the payload [`Codec`] (see [`codec`]):
-//! `CODBSNP1`/`CODBWAL1` for JSON payloads (the seed format),
-//! `CODBSNP2`/`CODBWAL2` for the compact binary varint/tag encoding.
-//! Readers auto-detect the codec per file, so a store written by any
-//! past format keeps recovering; writers append in the codec the file
-//! was created with, and a store converts to its *target* codec at
-//! checkpoint rotation (**upgrade-on-rotation** — a legacy JSON store
-//! becomes binary in place at its first checkpoint, no offline
-//! migration step).
+//! format byte** naming the payload [`Codec`] (see [`codec`]):
+//! `CODBSNP2`/`CODBWAL2` for the compact binary varint/tag encoding, the
+//! one format a store writes; `CODBSNP1`/`CODBWAL1` for the JSON payloads
+//! of the seed format, which are only read. Readers auto-detect the codec
+//! per file, so a store written by any past format keeps recovering, and
+//! [`Store::open`] rotates a legacy JSON store to a binary generation
+//! right after replay — no offline migration step, and no JSON file is
+//! appended to.
 //!
 //! A `.snap` file is the magic followed by exactly one frame whose
 //! payload is a [`codb_relational::Snapshot`] (version-checked via
-//! `SNAPSHOT_VERSION` in either codec). A `.wal` file is the magic
+//! `SNAPSHOT_VERSION` in either codec), each relation written as its
+//! log, in the order it filed its tuples. A `.wal` file is the magic
 //! followed by any number of frames, each one [`WalRecord`]. Every WAL
 //! opens with two checkpoint records:
 //!
@@ -106,7 +107,7 @@ pub mod wal;
 
 pub use crate::store::{RecoveredState, RecoveryStats, Store, StoreError};
 pub use codb_relational::frame::{self, crc32};
-pub use codec::{Codec, SNAP_MAGIC, WAL_MAGIC};
+pub use codec::Codec;
 pub use group::{FsyncScheduler, FsyncSchedulerStats};
 pub use scratch::ScratchDir;
 pub use wal::{apply_arrived, ProtocolCounters, RecvCaches, SyncPolicy, WalRecord};
@@ -114,7 +115,7 @@ pub use wal::{apply_arrived, ProtocolCounters, RecvCaches, SyncPolicy, WalRecord
 /// The normative durability contract, rendered from `docs/DURABILITY.md`
 /// — the single written source of truth for what each [`SyncPolicy`]
 /// guarantees, the on-disk layout, torn-tail vs corrupt-frame handling,
-/// epoch/rejoin semantics and codec upgrade-on-rotation. Including the
+/// epoch/rejoin semantics and legacy conversion at open. Including the
 /// file here makes `cargo doc -D warnings` resolve its intra-doc links,
 /// so the contract and the code cannot silently drift.
 #[doc = include_str!("../../../docs/DURABILITY.md")]

@@ -41,11 +41,8 @@ pub enum StoreError {
         /// What went wrong.
         reason: String,
     },
-    /// A record failed to serialise (a bug, surfaced rather than hidden).
-    Encode {
-        /// Serialiser message.
-        detail: String,
-    },
+    /// A store was asked to write a format it only reads (JSON).
+    ReadOnlyCodec(Codec),
     /// The snapshot payload was rejected (corrupt or wrong version).
     Snapshot(SnapshotError),
     /// Replaying a WAL record against the snapshot failed (schema drift
@@ -99,7 +96,9 @@ impl fmt::Display for StoreError {
             StoreError::CorruptFrame { file, offset, reason } => {
                 write!(f, "{} corrupt at byte {offset}: {reason}", file.display())
             }
-            StoreError::Encode { detail } => write!(f, "record encoding failed: {detail}"),
+            StoreError::ReadOnlyCodec(codec) => {
+                write!(f, "the {codec} store format is read only: stores write binary")
+            }
             StoreError::Snapshot(e) => write!(f, "snapshot rejected: {e}"),
             StoreError::Replay { detail } => write!(f, "WAL replay failed: {detail}"),
             StoreError::NoState { dir } => {
@@ -174,8 +173,8 @@ pub struct RecoveredState {
     /// Codec the recovered snapshot file was written in (auto-detected
     /// from its format byte).
     pub snapshot_codec: Codec,
-    /// Codec of the recovered WAL file — appends continue in it until
-    /// the next checkpoint rotates to the store's target codec.
+    /// Codec of the recovered WAL file. Where either codec is JSON, the
+    /// open has rotated the store to a binary generation after replay.
     pub wal_codec: Codec,
 }
 
@@ -196,9 +195,6 @@ impl RecoveredState {
 pub struct Store {
     dir: PathBuf,
     generation: u64,
-    /// Target codec: what checkpoints write. The live WAL may still be in
-    /// another codec (its own format byte wins) until the next rotation.
-    codec: Codec,
     /// The live WAL. Rotation registers the fresh WAL with this
     /// writer's scheduler, so a store keeps one scheduler for life.
     writer: WalWriter,
@@ -275,15 +271,15 @@ fn sync_dir(dir: &Path) -> Result<(), StoreError> {
     d.sync_all().map_err(|e| StoreError::io(dir, e))
 }
 
-fn write_snapshot_file(path: &Path, snapshot: &Snapshot, codec: Codec) -> Result<(), StoreError> {
+fn write_snapshot_file(path: &Path, snapshot: &Snapshot) -> Result<(), StoreError> {
     // Temp file + atomic rename: a crash mid-write never produces a
     // half-snapshot under the committed name.
     let tmp = path.with_extension("tmp");
     {
         let mut file = std::fs::File::create(&tmp).map_err(|e| StoreError::io(&tmp, e))?;
         let mut buf = Vec::new();
-        buf.extend_from_slice(&codec.snap_magic());
-        encode_frame(&codec::encode_snapshot(snapshot, codec)?, &mut buf);
+        buf.extend_from_slice(&Codec::Binary.snap_magic());
+        encode_frame(&snapshot.to_binary_bytes(), &mut buf);
         file.write_all(&buf).map_err(|e| StoreError::io(&tmp, e))?;
         file.sync_all().map_err(|e| StoreError::io(&tmp, e))?;
     }
@@ -313,6 +309,46 @@ fn read_snapshot_file(path: &Path) -> Result<(Snapshot, Codec), StoreError> {
     }
 }
 
+/// Creates the WAL at `path` headed by checkpoints of `recv` and
+/// `counters`, synced, its appends traced to `tracer`.
+fn start_wal(
+    path: &Path,
+    recv: &RecvCaches,
+    counters: &ProtocolCounters,
+    sched: &FsyncScheduler,
+    tracer: &Tracer,
+) -> Result<WalWriter, StoreError> {
+    let mut writer = WalWriter::create(path, sched)?;
+    if tracer.is_enabled() {
+        writer.attach_tracer(tracer.clone());
+    }
+    writer.append(&WalRecord::Caches { recv: recv.clone() })?;
+    writer.append(&WalRecord::Counters { counters: *counters })?;
+    writer.sync()?;
+    Ok(writer)
+}
+
+/// Writes generation `next` of the store at `dir` whole and returns its
+/// WAL's writer — the one rotation of [`Store::checkpoint`] and of a
+/// legacy store's open. Order matters for crash safety: (1) the fresh WAL
+/// with its checkpoints, (2) the snapshot rename as the commit point; the
+/// caller then removes the previous generation. A crash between any two
+/// steps leaves at least one complete generation.
+fn rotate(
+    dir: &Path,
+    next: u64,
+    snapshot: &Snapshot,
+    recv: &RecvCaches,
+    counters: &ProtocolCounters,
+    sched: &FsyncScheduler,
+    tracer: &Tracer,
+) -> Result<WalWriter, StoreError> {
+    let writer = start_wal(&wal_path(dir, next), recv, counters, sched, tracer)?;
+    sync_dir(dir)?;
+    write_snapshot_file(&snap_path(dir, next), snapshot)?;
+    Ok(writer)
+}
+
 impl Store {
     /// True iff `dir` holds at least one snapshot generation.
     pub fn exists(dir: &Path) -> bool {
@@ -321,11 +357,14 @@ impl Store {
 
     /// Initialises a fresh store at `dir` (created if missing) from the
     /// given state: writes the generation-0 snapshot and an empty WAL
-    /// headed by a cache checkpoint plus a protocol-counter checkpoint,
-    /// both in `codec`. Refuses to clobber an existing store.
+    /// headed by a cache checkpoint plus a protocol-counter checkpoint.
+    /// Refuses to clobber an existing store.
     ///
     /// Equivalent to [`Store::create_with`] without a shared scheduler
-    /// (every policy then batches through a private one).
+    /// (every policy then batches through a private one). `codec` must be
+    /// [`Codec::Binary`] ([`Codec::writable`]); the argument stays only
+    /// while `benchmark/` passes it, and goes when the benchmark next
+    /// changes (ROADMAP item 6).
     pub fn create(
         dir: &Path,
         snapshot: &Snapshot,
@@ -334,7 +373,8 @@ impl Store {
         policy: SyncPolicy,
         codec: Codec,
     ) -> Result<Store, StoreError> {
-        Self::create_with(dir, snapshot, recv, counters, policy, codec, None)
+        codec.writable()?;
+        Self::create_with(dir, snapshot, recv, counters, policy, None)
     }
 
     /// [`Store::create`] with an optional shared group-commit scheduler:
@@ -349,7 +389,6 @@ impl Store {
         recv: &RecvCaches,
         counters: &ProtocolCounters,
         policy: SyncPolicy,
-        codec: Codec,
         group: Option<&FsyncScheduler>,
     ) -> Result<Store, StoreError> {
         std::fs::create_dir_all(dir).map_err(|e| StoreError::io(dir, e))?;
@@ -357,19 +396,15 @@ impl Store {
             return Err(StoreError::AlreadyExists { dir: dir.to_owned() });
         }
         let sched = FsyncScheduler::for_store(policy, group);
-        let mut writer = WalWriter::create(&wal_path(dir, 0), codec, &sched)?;
-        writer.append(&WalRecord::Caches { recv: recv.clone() })?;
-        writer.append(&WalRecord::Counters { counters: *counters })?;
-        writer.sync()?;
+        let writer = start_wal(&wal_path(dir, 0), recv, counters, &sched, &Tracer::disabled())?;
         // Epoch before the snapshot: the snapshot rename is the commit
         // point of creation (`exists` keys on it), so a committed store
         // always has its incarnation counter.
         write_epoch(dir, 0)?;
-        write_snapshot_file(&snap_path(dir, 0), snapshot, codec)?;
+        write_snapshot_file(&snap_path(dir, 0), snapshot)?;
         Ok(Store {
             dir: dir.to_owned(),
             generation: 0,
-            codec,
             writer,
             tracer: Tracer::disabled(),
             trace_id: 0,
@@ -382,16 +417,22 @@ impl Store {
     /// for appending plus the reconstructed state.
     ///
     /// Each file's payload encoding is auto-detected from its format
-    /// byte, so a store written under either codec always recovers.
-    /// `codec` is the *target*: appends continue in the live WAL's own
-    /// codec, and the next [`Store::checkpoint`] rotates the whole store
-    /// to the target — upgrade-on-rotation, no offline migration.
+    /// byte, so a store written under either codec recovers. A legacy
+    /// store — a JSON snapshot or a JSON WAL — is rotated after replay to
+    /// a binary generation through the checkpoint path, so every append
+    /// after an open is binary and a crash mid-way reopens one of the two
+    /// generations whole.
+    ///
+    /// `codec` must be [`Codec::Binary`] ([`Codec::writable`]); the
+    /// argument stays only while `benchmark/` passes it, and goes when the
+    /// benchmark next changes (ROADMAP item 6).
     pub fn open(
         dir: &Path,
         policy: SyncPolicy,
         codec: Codec,
     ) -> Result<(Store, RecoveredState), StoreError> {
-        Self::open_with(dir, policy, codec, None)
+        codec.writable()?;
+        Self::open_with(dir, policy, None)
     }
 
     /// [`Store::open`] with an optional shared group-commit scheduler
@@ -400,7 +441,6 @@ impl Store {
     pub fn open_with(
         dir: &Path,
         policy: SyncPolicy,
-        codec: Codec,
         group: Option<&FsyncScheduler>,
     ) -> Result<(Store, RecoveredState), StoreError> {
         let sched = FsyncScheduler::for_store(policy, group);
@@ -426,33 +466,19 @@ impl Store {
         };
 
         // Replay the WAL tail of the chosen generation, in whatever codec
-        // its format byte declares.
+        // its format byte declares. A vanished WAL means a crash
+        // mid-checkpoint (or a fallback to a generation whose WAL was
+        // already compacted away): its receive caches are gone, and the
+        // explicit empty cache checkpoint replayed in its place makes the
+        // loss visible rather than silently assumed.
         let wal = wal_path(dir, generation);
-        let (writer, records, torn_tail) = if wal.is_file() {
-            let contents = read_wal(&wal)?;
-            let writer = WalWriter::open_append(
-                &wal,
-                contents.codec,
-                contents.valid_len,
-                contents.records.len() as u64,
-                &sched,
-            )?;
-            (writer, contents.records, contents.torn_tail)
+        let (records, torn_tail, wal_codec, valid_len) = if wal.is_file() {
+            let c = read_wal(&wal)?;
+            (c.records, c.torn_tail, c.codec, Some(c.valid_len))
         } else {
-            // A vanished WAL means a crash mid-checkpoint (or a fallback to
-            // a generation whose WAL was already compacted away). The
-            // receive caches of that WAL are gone; recreate the file with
-            // an explicit empty cache checkpoint (in the target codec — a
-            // fresh file carries its own format byte) so the every-WAL-
-            // starts-with-Caches invariant holds and the loss is visible
-            // in the replayed records rather than silently assumed.
-            let mut w = WalWriter::create(&wal, codec, &sched)?;
-            let caches = WalRecord::Caches { recv: RecvCaches::new() };
-            w.append(&caches)?;
-            w.sync()?;
-            sync_dir(dir)?;
-            (w, vec![caches], false)
+            (vec![WalRecord::Caches { recv: RecvCaches::new() }], false, Codec::Binary, None)
         };
+        let frames = records.len() as u64;
 
         let mut instance = snapshot.instance;
         let mut nulls = snapshot.nulls;
@@ -475,15 +501,23 @@ impl Store {
             }
         }
 
-        let wal_codec = writer.codec();
-        let store = Store {
-            dir: dir.to_owned(),
-            generation,
-            codec,
-            writer,
-            tracer: Tracer::disabled(),
-            trace_id: 0,
+        // The live generation: a legacy store's next one, written whole in
+        // binary (the checkpoint path, so the snapshot rename commits it);
+        // else this one's WAL, reopened for appending or recreated.
+        let tracer = Tracer::disabled();
+        let (live, writer) = if snapshot_codec == Codec::Json || wal_codec == Codec::Json {
+            let (next, snapshot) = (generation + 1, Snapshot::capture(&instance, &nulls));
+            (next, rotate(dir, next, &snapshot, &recv_cache, &counters, &sched, &tracer)?)
+        } else if let Some(valid_len) = valid_len {
+            (generation, WalWriter::open_append(&wal, valid_len, frames, &sched)?)
+        } else {
+            let mut w = WalWriter::create(&wal, &sched)?;
+            w.append(&WalRecord::Caches { recv: RecvCaches::new() })?;
+            w.sync()?;
+            sync_dir(dir)?;
+            (generation, w)
         };
+        let store = Store { dir: dir.to_owned(), generation: live, writer, tracer, trace_id: 0 };
         store.remove_other_generations()?;
         // Each open is a new incarnation: bump the persisted epoch so the
         // recovered node's envelopes outrank its previous life's. A
@@ -534,10 +568,6 @@ impl Store {
     /// `counters`, and compacts (deletes) the previous generation. On
     /// return, recovery cost is O(new snapshot) regardless of history
     /// length.
-    ///
-    /// The new generation is written in the store's **target codec** —
-    /// this is where a store recovered from legacy JSON files converts to
-    /// binary in place (and where every old-codec file leaves the disk).
     pub fn checkpoint(
         &mut self,
         snapshot: &Snapshot,
@@ -545,22 +575,9 @@ impl Store {
         counters: &ProtocolCounters,
     ) -> Result<(), StoreError> {
         let next = self.generation + 1;
-        // Order matters for crash safety: (1) the fresh WAL with its cache
-        // checkpoint, (2) the snapshot rename as the commit point, (3) the
-        // old generation's deletion. A crash between any two steps leaves
-        // at least one complete generation.
-        let mut writer =
-            WalWriter::create(&wal_path(&self.dir, next), self.codec, self.writer.scheduler())?;
-        if self.tracer.is_enabled() {
-            writer.attach_tracer(self.tracer.clone());
-        }
-        writer.append(&WalRecord::Caches { recv: recv.clone() })?;
-        writer.append(&WalRecord::Counters { counters: *counters })?;
-        writer.sync()?;
-        sync_dir(&self.dir)?;
-        write_snapshot_file(&snap_path(&self.dir, next), snapshot, self.codec)?;
+        let sched = self.writer.scheduler();
+        self.writer = rotate(&self.dir, next, snapshot, recv, counters, sched, &self.tracer)?;
         let old = self.generation;
-        self.writer = writer;
         self.generation = next;
         self.tracer.emit_with(|| TraceEvent::Checkpoint { store: self.trace_id, generation: next });
         let _ = std::fs::remove_file(snap_path(&self.dir, old));
@@ -609,17 +626,6 @@ impl Store {
     /// Current snapshot generation.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// The target codec: what the next checkpoint writes.
-    pub fn codec(&self) -> Codec {
-        self.codec
-    }
-
-    /// The live WAL's codec (may differ from [`Store::codec`] until the
-    /// next rotation when the store was recovered from old-format files).
-    pub fn wal_codec(&self) -> Codec {
-        self.writer.codec()
     }
 
     /// Records in the current WAL (cache checkpoint included).
@@ -864,50 +870,134 @@ mod tests {
         assert_eq!(rec.wal_records_replayed, 2);
     }
 
+    /// A copy of the committed legacy JSON store (`tests/fixtures`).
+    fn legacy_store(name: &str) -> ScratchDir {
+        let dir = ScratchDir::new(name);
+        let fixture =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/golden-json");
+        for entry in std::fs::read_dir(fixture).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), dir.path().join(entry.file_name())).unwrap();
+        }
+        dir
+    }
+
+    /// Every store file under `dir`, with the codec its magic names.
+    fn codecs_on_disk(dir: &Path) -> Vec<(String, Option<Codec>)> {
+        let mut files: Vec<(String, Option<Codec>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "snap" || ext == "wal"))
+            .map(|path| {
+                let header = std::fs::read(&path).unwrap();
+                let codec = match path.extension().and_then(|e| e.to_str()) {
+                    Some("snap") => Codec::detect_snap(&header),
+                    _ => Codec::detect_wal(&header),
+                };
+                (path.file_name().unwrap().to_string_lossy().into_owned(), codec)
+            })
+            .collect();
+        files.sort_by(|a, b| a.0.cmp(&b.0));
+        files
+    }
+
     #[test]
     fn json_store_upgrades_to_binary_on_rotation() {
-        // The migration story: a legacy JSON store keeps recovering (and
-        // appending, in JSON) under a binary-target open; its first
-        // checkpoint rewrites the whole store to binary in place.
-        let dir = ScratchDir::new("store-upgrade");
-        let (mut inst, mut nulls) = seed();
-        let mut recv = RecvCaches::new();
-        let mut store = Store::create(
-            dir.path(),
-            &Snapshot::capture(&inst, &nulls),
-            &recv,
-            &ProtocolCounters::default(),
-            SyncPolicy::Always,
-            Codec::Json,
-        )
-        .unwrap();
-        apply_live(&mut store, &mut inst, &mut nulls, &mut recv, "e0", vec![firing(1)]);
-        drop(store);
-
+        // The migration story: a legacy JSON store recovers, and its open
+        // rotates it to a binary generation before the first append.
+        let dir = legacy_store("store-upgrade");
         let (mut store, rec) = Store::open(dir.path(), SyncPolicy::Always, Codec::Binary).unwrap();
-        assert_eq!(rec.snapshot_codec, Codec::Json);
-        assert_eq!(rec.wal_codec, Codec::Json);
-        assert_eq!(rec.instance, inst, "legacy JSON store recovers unchanged");
-        assert_eq!(store.codec(), Codec::Binary);
-        assert_eq!(store.wal_codec(), Codec::Json, "live WAL stays JSON until rotation");
-        // Appends land in the old WAL (as JSON) and still replay.
-        apply_live(&mut store, &mut inst, &mut nulls, &mut recv, "e0", vec![firing(2)]);
-        store
-            .checkpoint(&Snapshot::capture(&inst, &nulls), &recv, &ProtocolCounters::default())
-            .unwrap();
-        assert_eq!(store.wal_codec(), Codec::Binary, "rotation switched the WAL codec");
+        assert_eq!(
+            (rec.snapshot_codec, rec.wal_codec),
+            (Codec::Json, Codec::Json),
+            "what was read"
+        );
+        assert_eq!((rec.generation, store.generation()), (0, 1));
+        let binary = Some(Codec::Binary);
+        let gen1 = |ext: &str| (format!("codb-0000000001.{ext}"), binary);
+        assert_eq!(codecs_on_disk(dir.path()), [gen1("snap"), gen1("wal")]);
+        let (mut inst, mut nulls, mut recv) = (rec.instance, rec.nulls, rec.recv_cache);
+        let erin =
+            RuleFiring::new([("emp", vec![TField::Const(Value::str("erin")), TField::Fresh(0)])]);
+        apply_live(&mut store, &mut inst, &mut nulls, &mut recv, "e0", vec![erin]);
         drop(store);
 
-        // On disk: the surviving generation is fully binary.
-        let snap = std::fs::read(snap_path(dir.path(), 1)).unwrap();
-        let wal = std::fs::read(wal_path(dir.path(), 1)).unwrap();
-        assert_eq!(Codec::detect_snap(&snap), Some(Codec::Binary));
-        assert_eq!(Codec::detect_wal(&wal), Some(Codec::Binary));
         let (_s, rec) = Store::open(dir.path(), SyncPolicy::Always, Codec::Binary).unwrap();
-        assert_eq!(rec.snapshot_codec, Codec::Binary);
+        assert_eq!((rec.snapshot_codec, rec.wal_codec), (Codec::Binary, Codec::Binary));
+        assert_eq!(rec.generation, 1);
+        assert_eq!(rec.wal_records_replayed, 3, "caches + counters + the binary append");
         assert_eq!(rec.instance, inst, "state survives the codec conversion");
         assert_eq!(rec.nulls.invented(), nulls.invented());
         assert_eq!(rec.recv_cache, recv);
+        assert_eq!(rec.epoch, 2);
+    }
+
+    /// The conversion is a checkpoint's rotation: a crash before its
+    /// snapshot rename reopens the JSON generation (and converts again),
+    /// one after it reopens the binary generation.
+    #[test]
+    fn a_crash_mid_conversion_reopens_one_generation_whole() {
+        let clean = legacy_store("store-convert-clean");
+        let (_s, want) = Store::open(clean.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+
+        // Before the commit point: an orphan binary WAL of generation 1
+        // and a half-written snapshot.
+        let before = legacy_store("store-convert-before");
+        let sched = FsyncScheduler::for_store(SyncPolicy::Always, None);
+        drop(WalWriter::create(&wal_path(before.path(), 1), &sched).unwrap());
+        std::fs::write(before.path().join("codb-0000000001.tmp"), b"half-written").unwrap();
+        let (store, rec) = Store::open(before.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+        assert_eq!((rec.generation, rec.snapshot_codec), (0, Codec::Json));
+        assert_eq!(store.generation(), 1);
+        assert_eq!(
+            (rec.instance, rec.recv_cache),
+            (want.instance.clone(), want.recv_cache.clone())
+        );
+        drop(store);
+
+        // After it: the JSON generation was not deleted yet.
+        let after = legacy_store("store-convert-after");
+        let (store, _) = Store::open(after.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+        drop(store);
+        for entry in std::fs::read_dir(legacy_store("store-convert-json").path()).unwrap() {
+            let entry = entry.unwrap();
+            if entry.file_name() != EPOCH_FILE {
+                std::fs::copy(entry.path(), after.path().join(entry.file_name())).unwrap();
+            }
+        }
+        for dir in [before.path(), after.path()] {
+            let (_s, rec) = Store::open(dir, SyncPolicy::Always, Codec::Binary).unwrap();
+            assert_eq!((rec.generation, rec.snapshot_codec), (1, Codec::Binary));
+            assert_eq!(
+                (rec.instance, rec.recv_cache),
+                (want.instance.clone(), want.recv_cache.clone())
+            );
+            assert_eq!(rec.counters, want.counters);
+            let on_disk = codecs_on_disk(dir);
+            assert!(
+                on_disk
+                    .iter()
+                    .all(|(name, codec)| name.contains("0001") && *codec == Some(Codec::Binary)),
+                "{on_disk:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_store_refuses_to_write_json() {
+        let dir = ScratchDir::new("store-json-refused");
+        let (inst, nulls) = seed();
+        let snap = Snapshot::capture(&inst, &nulls);
+        let (recv, counters) = (RecvCaches::new(), ProtocolCounters::default());
+        let json = Codec::Json;
+        assert!(matches!(
+            Store::create(dir.path(), &snap, &recv, &counters, SyncPolicy::Always, json),
+            Err(StoreError::ReadOnlyCodec(Codec::Json))
+        ));
+        assert!(!Store::exists(dir.path()), "nothing written");
+        drop(Store::create(dir.path(), &snap, &recv, &counters, SyncPolicy::Always, Codec::Binary));
+        let err = Store::open(dir.path(), SyncPolicy::Always, json).unwrap_err();
+        assert_eq!(err.to_string(), "the json store format is read only: stores write binary");
     }
 
     #[test]
@@ -929,7 +1019,6 @@ mod tests {
                 &RecvCaches::new(),
                 &ProtocolCounters::default(),
                 policy,
-                Codec::Binary,
                 Some(&sched),
             )
             .unwrap()
@@ -1001,7 +1090,6 @@ mod tests {
                         &RecvCaches::new(),
                         &ProtocolCounters::default(),
                         policy,
-                        Codec::Binary,
                         shared,
                     )
                     .unwrap();
@@ -1155,10 +1243,9 @@ mod tests {
         // Write the bad snapshot through the file layer directly (the
         // normal API can't produce one).
         std::fs::create_dir_all(dir.path()).unwrap();
-        write_snapshot_file(&snap_path(dir.path(), 0), &snap, Codec::Binary).unwrap();
+        write_snapshot_file(&snap_path(dir.path(), 0), &snap).unwrap();
         WalWriter::create(
             &wal_path(dir.path(), 0),
-            Codec::Binary,
             &FsyncScheduler::for_store(SyncPolicy::Always, None),
         )
         .unwrap();
@@ -1217,12 +1304,11 @@ mod tests {
         // frame) plus its WAL, as bit rot after a checkpoint would leave.
         let bad_snap = snap_path(dir.path(), 1);
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(&crate::SNAP_MAGIC);
+        bytes.extend_from_slice(&Codec::Binary.snap_magic());
         bytes.extend_from_slice(&[9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 1, 2, 3]);
         std::fs::write(&bad_snap, bytes).unwrap();
         WalWriter::create(
             &wal_path(dir.path(), 1),
-            Codec::Binary,
             &FsyncScheduler::for_store(SyncPolicy::Always, None),
         )
         .unwrap();
@@ -1257,7 +1343,6 @@ mod tests {
         // an orphan next-generation WAL plus a snapshot .tmp file.
         WalWriter::create(
             &wal_path(dir.path(), 1),
-            Codec::Binary,
             &FsyncScheduler::for_store(SyncPolicy::Always, None),
         )
         .unwrap();

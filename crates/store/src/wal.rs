@@ -7,10 +7,10 @@
 //! null factory byte-for-byte (fresh nulls are invented deterministically
 //! from the factory counter, which the snapshot captures).
 //!
-//! Record payloads are encoded by the per-file [`Codec`] stamped in the
-//! WAL's magic: the reader auto-detects it, and the appender continues in
-//! the codec the file was created with — one file never mixes encodings
-//! (stores switch codecs at checkpoint rotation, never mid-file).
+//! The appender writes binary records ([`Codec::Binary`]) only; the
+//! reader decodes whichever [`Codec`] the WAL's magic names, so the JSON
+//! WAL of a legacy store replays too (and [`crate::Store::open`] then
+//! rotates the store to binary: no JSON file is ever appended to).
 //!
 //! The appender does no I/O of its own: it encodes each record in place
 //! behind a frame header and hands the frame to the file's
@@ -28,7 +28,7 @@ use codb_relational::{
     apply_new_firings, FiringSet, Instance, NullFactory, RuleFiring, SchemaError, Tuple, Version,
 };
 use codb_trace::{TraceEvent, Tracer};
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -40,7 +40,7 @@ use std::sync::Arc;
 /// Receiver-side per-link dedup caches, exactly as the node keeps them
 /// (`rule name → firing templates already materialised`): firings with a
 /// placeholder only, since [`apply_arrived`] decides a ground firing by
-/// the LDB. The sets are unordered in memory; both codecs write them
+/// the LDB. The sets are unordered in memory; a record writes them
 /// sorted, so equal caches are equal bytes.
 pub type RecvCaches = BTreeMap<String, FiringSet>;
 
@@ -77,30 +77,12 @@ pub fn apply_arrived(
     apply_new_firings(instance, firings, nulls)
 }
 
-/// The JSON shape of [`RecvCaches`] — `[[rule, [firing, …]], …]`, as the
-/// derive writes a map of sets — with each set in sorted order. Written
-/// against the vendored serde shim's value-tree API.
-mod sorted_caches {
-    use super::{codec, RecvCaches};
-    use serde::{Deserialize, Error, Serialize, Value};
-
-    pub fn to_value(recv: &RecvCaches) -> Value {
-        let pair =
-            |(rule, set)| Value::Array(vec![String::to_value(rule), codec::sorted(set).to_value()]);
-        Value::Array(recv.iter().map(pair).collect())
-    }
-
-    pub fn from_value(v: &Value) -> Result<RecvCaches, Error> {
-        RecvCaches::from_value(v)
-    }
-}
-
 /// Durable protocol counters: the per-node sequence numbers that make
 /// update/query/fetch identifiers unique. Persisted so a recovered node
 /// *resumes* its id space instead of restarting it at zero (which would
 /// make a rejoined initiator mint colliding ids). Each value is the *next*
 /// sequence number to hand out.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Deserialize)]
 pub struct ProtocolCounters {
     /// Next global-update sequence number (`UpdateId` minting).
     pub update_seq: u64,
@@ -110,15 +92,14 @@ pub struct ProtocolCounters {
     pub req_seq: u64,
 }
 
-/// One WAL record.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// One WAL record. `Deserialize` reads the records of a legacy JSON WAL.
+#[derive(Clone, Debug, PartialEq, Deserialize)]
 pub enum WalRecord {
     /// Checkpoint of the receiver-side dedup caches — the first record of
     /// every rotated WAL, so cache state survives compaction of the log
     /// that built it.
     Caches {
         /// The caches at rotation time.
-        #[serde(with = "sorted_caches")]
         recv: RecvCaches,
     },
     /// Checkpoint of the protocol counters — written right after
@@ -257,7 +238,6 @@ pub(crate) fn store_name(wal: &Path) -> String {
 #[derive(Debug)]
 pub struct WalWriter {
     path: PathBuf,
-    codec: Codec,
     frames: u64,
     /// Bytes appended to the file (magic + complete frames), written or
     /// still buffered in the scheduler.
@@ -277,23 +257,22 @@ pub struct WalWriter {
 
 impl WalWriter {
     /// Creates a fresh WAL at `path` (truncating any previous file),
-    /// writes the magic header carrying `codec`'s format byte and
-    /// registers the file with `sched` (see [`FsyncScheduler::for_store`]).
-    pub fn create(path: &Path, codec: Codec, sched: &FsyncScheduler) -> Result<Self, StoreError> {
+    /// writes the binary magic header and registers the file with `sched`
+    /// (see [`FsyncScheduler::for_store`]).
+    pub fn create(path: &Path, sched: &FsyncScheduler) -> Result<Self, StoreError> {
         let mut file = File::create(path).map_err(|e| StoreError::io(path, e))?;
-        file.write_all(&codec.wal_magic()).map_err(|e| StoreError::io(path, e))?;
+        file.write_all(&Codec::Binary.wal_magic()).map_err(|e| StoreError::io(path, e))?;
         file.sync_all().map_err(|e| StoreError::io(path, e))?;
-        Self::register(file, path, codec, MAGIC_LEN as u64, 0, sched)
+        Self::register(file, path, MAGIC_LEN as u64, 0, sched)
     }
 
-    /// Reopens an existing WAL for appending, truncating a torn tail:
-    /// `codec` is the file's detected codec, `valid_len` the byte length
-    /// of the valid prefix and `frames` the number of valid records in it
-    /// (all as reported by [`read_wal`]). The valid prefix is registered
-    /// with `sched` as already durable.
+    /// Reopens an existing binary WAL for appending, truncating a torn
+    /// tail: `valid_len` is the byte length of the valid prefix and
+    /// `frames` the number of valid records in it (both as reported by
+    /// [`read_wal`]). The valid prefix is registered with `sched` as
+    /// already durable.
     pub fn open_append(
         path: &Path,
-        codec: Codec,
         valid_len: u64,
         frames: u64,
         sched: &FsyncScheduler,
@@ -306,7 +285,7 @@ impl WalWriter {
         file.set_len(valid_len).map_err(|e| StoreError::io(path, e))?;
         use std::io::Seek as _;
         file.seek(std::io::SeekFrom::End(0)).map_err(|e| StoreError::io(path, e))?;
-        Self::register(file, path, codec, valid_len, frames, sched)
+        Self::register(file, path, valid_len, frames, sched)
     }
 
     /// Hands `sched` the file, whose first `len` bytes (`frames`
@@ -315,7 +294,6 @@ impl WalWriter {
     fn register(
         file: File,
         path: &Path,
-        codec: Codec,
         len: u64,
         frames: u64,
         sched: &FsyncScheduler,
@@ -323,7 +301,6 @@ impl WalWriter {
         let slot = sched.register(file, path, len, frames);
         Ok(WalWriter {
             path: path.to_owned(),
-            codec,
             frames,
             len,
             frame: Vec::new(),
@@ -342,17 +319,14 @@ impl WalWriter {
         self.tracer = tracer;
     }
 
-    /// Appends one record (encoded in the file's codec) as a frame to the
-    /// scheduler's buffer for this file; the scheduler writes and fsyncs
-    /// it when a threshold trips.
+    /// Appends one record as a binary frame to the scheduler's buffer for
+    /// this file; the scheduler writes and fsyncs it when a threshold
+    /// trips.
     pub fn append(&mut self, record: &WalRecord) -> Result<(), StoreError> {
         let frame = &mut self.frame;
         frame.clear();
         frame.resize(FRAME_HEADER, 0);
-        match self.codec {
-            Codec::Binary => codec::put_record(frame, record),
-            Codec::Json => frame.extend_from_slice(&codec::encode_record(record, Codec::Json)?),
-        }
+        codec::put_record(frame, record);
         let payload = &frame[FRAME_HEADER..];
         let header = frame_header(payload.len() as u32, crc32(payload));
         frame[..FRAME_HEADER].copy_from_slice(&header);
@@ -408,11 +382,6 @@ impl WalWriter {
     /// The scheduler this file is registered with.
     pub fn scheduler(&self) -> &FsyncScheduler {
         &self.sched
-    }
-
-    /// The codec this file was created with (every append uses it).
-    pub fn codec(&self) -> Codec {
-        self.codec
     }
 
     /// The file path.
@@ -514,37 +483,43 @@ mod tests {
         RuleFiring::new([("r", vec![TField::Const(Value::Int(k)), TField::Fresh(0)])])
     }
 
+    /// The WAL of the committed legacy JSON store.
+    const GOLDEN_JSON_WAL: &[u8] =
+        include_bytes!("../../../tests/fixtures/golden-json/codb-0000000000.wal");
+
     #[test]
     fn append_and_read_round_trip_in_both_codecs() {
-        for codec in [Codec::Json, Codec::Binary] {
-            let dir = ScratchDir::new("wal-roundtrip");
-            let path = dir.path().join("codb-0000000000.wal");
-            let mut w = WalWriter::create(&path, codec, &sched(SyncPolicy::Always)).unwrap();
-            let records = vec![
-                WalRecord::Caches { recv: RecvCaches::new() },
-                WalRecord::Applied { rule: "e0".into(), firings: vec![firing(1), firing(2)] },
-                WalRecord::LocalInsert {
-                    relation: "r".into(),
-                    tuple: Tuple::new(vec![Value::Int(9), Value::str("x")]),
-                },
-            ];
-            for r in &records {
-                w.append(r).unwrap();
-            }
-            let contents = read_wal(&path).unwrap();
-            assert_eq!(contents.records, records, "{codec}");
-            assert_eq!(contents.codec, codec, "auto-detected from the format byte");
-            assert!(!contents.torn_tail);
-            assert_eq!(w.frames(), 3);
-            assert_eq!(w.codec(), codec);
+        let dir = ScratchDir::new("wal-roundtrip");
+        let path = dir.path().join("codb-0000000000.wal");
+        let mut w = WalWriter::create(&path, &sched(SyncPolicy::Always)).unwrap();
+        let records = vec![
+            WalRecord::Caches { recv: RecvCaches::new() },
+            WalRecord::Applied { rule: "e0".into(), firings: vec![firing(1), firing(2)] },
+            WalRecord::LocalInsert {
+                relation: "r".into(),
+                tuple: Tuple::new(vec![Value::Int(9), Value::str("x")]),
+            },
+        ];
+        for r in &records {
+            w.append(r).unwrap();
         }
+        let contents = read_wal(&path).unwrap();
+        assert_eq!(contents.records, records);
+        assert_eq!(contents.codec, Codec::Binary, "auto-detected from the format byte");
+        assert!(!contents.torn_tail);
+        assert_eq!(w.frames(), 3);
+        drop(w);
+        // A legacy JSON WAL reads through the same call.
+        std::fs::write(&path, GOLDEN_JSON_WAL).unwrap();
+        let contents = read_wal(&path).unwrap();
+        assert_eq!((contents.codec, contents.records.len()), (Codec::Json, 5));
     }
 
     #[test]
     fn torn_tail_is_tolerated_and_truncated_on_reopen() {
         let dir = ScratchDir::new("wal-torn");
         let path = dir.path().join("codb-0000000000.wal");
-        let mut w = WalWriter::create(&path, Codec::Binary, &sched(SyncPolicy::Always)).unwrap();
+        let mut w = WalWriter::create(&path, &sched(SyncPolicy::Always)).unwrap();
         w.append(&WalRecord::Caches { recv: RecvCaches::new() }).unwrap();
         w.append(&WalRecord::Applied { rule: "e".into(), firings: vec![firing(1)] }).unwrap();
         drop(w);
@@ -555,14 +530,9 @@ mod tests {
         assert_eq!(contents.records.len(), 1, "only the first record survives");
         assert!(contents.torn_tail);
         // Reopen for append: the torn bytes are gone, the log grows cleanly.
-        let mut w = WalWriter::open_append(
-            &path,
-            contents.codec,
-            contents.valid_len,
-            1,
-            &sched(SyncPolicy::Always),
-        )
-        .unwrap();
+        let mut w =
+            WalWriter::open_append(&path, contents.valid_len, 1, &sched(SyncPolicy::Always))
+                .unwrap();
         w.append(&WalRecord::LocalInsert {
             relation: "r".into(),
             tuple: Tuple::new(vec![Value::Int(1)]),
@@ -577,7 +547,7 @@ mod tests {
     fn bit_flip_mid_log_is_a_typed_error() {
         let dir = ScratchDir::new("wal-flip");
         let path = dir.path().join("codb-0000000000.wal");
-        let mut w = WalWriter::create(&path, Codec::Binary, &sched(SyncPolicy::Always)).unwrap();
+        let mut w = WalWriter::create(&path, &sched(SyncPolicy::Always)).unwrap();
         w.append(&WalRecord::Applied { rule: "e".into(), firings: vec![firing(7)] }).unwrap();
         drop(w);
         let mut bytes = std::fs::read(&path).unwrap();
@@ -606,27 +576,24 @@ mod tests {
 
     #[test]
     fn payload_codec_follows_the_format_byte_not_the_caller() {
-        // A JSON WAL opened in a binary-target store keeps decoding (and
-        // appending) as JSON: the file's own format byte wins.
+        // `read_wal` takes no codec: the file's format byte picks the
+        // decoder. JSON frames under a binary format byte pass their
+        // checksums and still fail to decode — a typed error, never a
+        // misread.
         let dir = ScratchDir::new("wal-mixcheck");
         let path = dir.path().join("codb-0000000000.wal");
-        let mut w = WalWriter::create(&path, Codec::Json, &sched(SyncPolicy::Always)).unwrap();
-        w.append(&WalRecord::Applied { rule: "e".into(), firings: vec![firing(1)] }).unwrap();
-        drop(w);
-        let contents = read_wal(&path).unwrap();
-        assert_eq!(contents.codec, Codec::Json);
-        let mut w = WalWriter::open_append(
-            &path,
-            contents.codec,
-            contents.valid_len,
-            contents.records.len() as u64,
-            &sched(SyncPolicy::Always),
-        )
-        .unwrap();
-        w.append(&WalRecord::Applied { rule: "e".into(), firings: vec![firing(2)] }).unwrap();
-        drop(w);
-        let contents = read_wal(&path).unwrap();
-        assert_eq!(contents.records.len(), 2, "appended record decodes as JSON");
+        std::fs::write(&path, GOLDEN_JSON_WAL).unwrap();
+        assert_eq!(read_wal(&path).unwrap().codec, Codec::Json);
+        let mut relabelled = GOLDEN_JSON_WAL.to_vec();
+        relabelled[..MAGIC_LEN].copy_from_slice(&Codec::Binary.wal_magic());
+        std::fs::write(&path, &relabelled).unwrap();
+        match read_wal(&path) {
+            Err(StoreError::CorruptFrame { offset, reason, .. }) => {
+                assert_eq!(offset, MAGIC_LEN as u64, "the first frame");
+                assert!(reason.contains("undecodable record"), "{reason}");
+            }
+            other => panic!("expected CorruptFrame, got {other:?}"),
+        }
     }
 
     #[test]
@@ -673,7 +640,7 @@ mod tests {
             let name = format!("{policy}.wal").replace([':', ','], "-");
             let path = dir.path().join(name);
             let sched = sched(policy);
-            let mut w = WalWriter::create(&path, Codec::Binary, &sched).unwrap();
+            let mut w = WalWriter::create(&path, &sched).unwrap();
             // `lens[k]`: the file's length after `k` records.
             let mut lens = vec![w.len()];
             for k in 1..=7 {

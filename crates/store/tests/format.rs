@@ -1,7 +1,9 @@
 //! Property tests for the on-disk format: WAL frame encode/decode and
 //! snapshot save/load round-trips, plus adversarial corruption — a flipped
 //! bit must surface as a checksum error, a truncated tail must recover
-//! cleanly, and nothing may be silently mis-read.
+//! cleanly, and nothing may be silently mis-read. Stores write binary
+//! only; the legacy JSON reader is driven by the committed
+//! `tests/fixtures/golden-json` store's bytes.
 
 use codb_relational::glav::TField;
 use codb_relational::{
@@ -14,6 +16,7 @@ use codb_store::{
     WalRecord,
 };
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
 
 fn cases(default: u32) -> u32 {
     std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -59,10 +62,6 @@ fn arb_counters() -> impl Strategy<Value = ProtocolCounters> {
     (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(update_seq, query_seq, req_seq)| {
         ProtocolCounters { update_seq, query_seq, req_seq }
     })
-}
-
-fn arb_codec() -> impl Strategy<Value = Codec> {
-    prop_oneof![Just(Codec::Json), Just(Codec::Binary)]
 }
 
 fn arb_record() -> impl Strategy<Value = WalRecord> {
@@ -120,6 +119,29 @@ fn arb_instance() -> impl Strategy<Value = Instance> {
     })
 }
 
+/// A file of a committed golden store (`golden-json` or `golden-binary`).
+fn fixture(store: &str, file: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures").join(store).join(file)
+}
+
+/// A fresh binary WAL at `path` holding `records`.
+fn write_wal(path: &Path, records: &[WalRecord]) {
+    let mut w =
+        WalWriter::create(path, &FsyncScheduler::for_store(SyncPolicy::Never, None)).unwrap();
+    for r in records {
+        w.append(r).unwrap();
+    }
+    w.sync().unwrap();
+}
+
+/// The JSON a legacy store holds for `snap`, as its writer laid it out:
+/// one object, keys in order.
+fn legacy_json(snap: &Snapshot) -> Vec<u8> {
+    let instance = serde_json::to_string(&snap.instance).unwrap();
+    let nulls = serde_json::to_string(&snap.nulls).unwrap();
+    format!(r#"{{"instance":{instance},"nulls":{nulls},"version":{}}}"#, snap.version).into_bytes()
+}
+
 /// A small instance over a two-column schema with `rows` random rows.
 fn instance_with(rows: &[(i64, i64)], with_null: bool) -> (Instance, NullFactory) {
     let mut inst = Instance::new();
@@ -143,27 +165,19 @@ proptest! {
 
     /// Frame encode/decode: any record sequence survives the WAL.
     #[test]
-    fn wal_records_round_trip(
-        records in proptest::collection::vec(arb_record(), 0..12),
-        codec in arb_codec(),
-    ) {
+    fn wal_records_round_trip(records in proptest::collection::vec(arb_record(), 0..12)) {
         let dir = ScratchDir::new("prop-wal-rt");
         let path = dir.path().join("codb-0000000000.wal");
-        let mut w = WalWriter::create(&path, codec, &FsyncScheduler::for_store(SyncPolicy::Never, None)).unwrap();
-        for r in &records {
-            w.append(r).unwrap();
-        }
-        w.sync().unwrap();
-        drop(w);
+        write_wal(&path, &records);
         let contents = read_wal(&path).unwrap();
         prop_assert_eq!(contents.records, records);
-        prop_assert_eq!(contents.codec, codec);
+        prop_assert_eq!(contents.codec, Codec::Binary);
         prop_assert!(!contents.torn_tail);
     }
 
     /// A firing handle is its atom list: handles order and compare as the
-    /// plain lists do, and a twin built separately or read back through
-    /// either codec — another allocation, its hash not yet computed — is
+    /// plain lists do, and a twin built separately or read back from
+    /// binary or legacy JSON — another allocation, its hash not yet computed — is
     /// `==`, compares `Equal` and hashes alike, so a cache recovered from
     /// disk suppresses a freshly fired duplicate.
     #[test]
@@ -196,7 +210,6 @@ proptest! {
         rows in proptest::collection::vec((any::<i64>(), any::<i64>()), 0..20),
         with_null in any::<bool>(),
         recv in arb_caches(),
-        codec in arb_codec(),
     ) {
         let dir = ScratchDir::new("prop-snap-rt");
         let (inst, nulls) = instance_with(&rows, with_null);
@@ -206,11 +219,11 @@ proptest! {
             &recv,
             &ProtocolCounters::default(),
             SyncPolicy::Never,
-            codec,
+            Codec::Binary,
         )
         .unwrap();
         drop(store);
-        let (_s, rec) = Store::open(dir.path(), SyncPolicy::Never, codec).unwrap();
+        let (_s, rec) = Store::open(dir.path(), SyncPolicy::Never, Codec::Binary).unwrap();
         prop_assert_eq!(rec.instance, inst);
         prop_assert_eq!(rec.nulls.invented(), nulls.invented());
         prop_assert_eq!(rec.recv_cache, recv);
@@ -226,7 +239,6 @@ proptest! {
         seed in arb_counters(),
         bumps in proptest::collection::vec(arb_counters(), 0..8),
         checkpoint_at in 0usize..9,
-        codec in arb_codec(),
     ) {
         let dir = ScratchDir::new("prop-counters");
         let (inst, nulls) = instance_with(&[(1, 2)], false);
@@ -237,7 +249,7 @@ proptest! {
             &RecvCaches::new(),
             &seed,
             SyncPolicy::Never,
-            codec,
+            Codec::Binary,
         )
         .unwrap();
         let mut live = seed;
@@ -251,12 +263,55 @@ proptest! {
         }
         store.sync().unwrap();
         drop(store);
-        let (_s, rec) = Store::open(dir.path(), SyncPolicy::Never, codec).unwrap();
+        let (_s, rec) = Store::open(dir.path(), SyncPolicy::Never, Codec::Binary).unwrap();
         prop_assert_eq!(rec.counters, live, "recovery resumes from the last counter record");
         // A second open (after the incarnation bump) still agrees.
-        let (_s2, rec2) = Store::open(dir.path(), SyncPolicy::Never, codec).unwrap();
+        let (_s2, rec2) = Store::open(dir.path(), SyncPolicy::Never, Codec::Binary).unwrap();
         prop_assert_eq!(rec2.counters, live);
         prop_assert!(rec2.epoch > rec.epoch, "every open is a new incarnation");
+    }
+
+    /// Log order survives a clean shutdown: every relation reopens with
+    /// the identical `filed()` sequence, whether its tuples come back from
+    /// the checkpointed snapshot or from the WAL tail replayed on top.
+    #[test]
+    fn log_order_survives_a_reopen(
+        rows in proptest::collection::vec((any::<bool>(), -20i64..20, -20i64..20), 0..40),
+        checkpoint_at in 0usize..41,
+    ) {
+        let dir = ScratchDir::new("prop-log-order");
+        let (mut inst, mut nulls) = instance_with(&[], false);
+        let (mut recv, counters) = (RecvCaches::new(), ProtocolCounters::default());
+        let snap = Snapshot::capture(&inst, &nulls);
+        let mut store =
+            Store::create(dir.path(), &snap, &recv, &counters, SyncPolicy::Never, Codec::Binary)
+                .unwrap();
+        for (i, (local, a, b)) in rows.into_iter().enumerate() {
+            if i == checkpoint_at {
+                store.checkpoint(&Snapshot::capture(&inst, &nulls), &recv, &counters).unwrap();
+            }
+            if local {
+                let tuple = Tuple::new(vec![Value::Int(a), Value::Int(b)]);
+                if inst.insert("r", tuple.clone()).unwrap() {
+                    store.append(&WalRecord::LocalInsert { relation: "r".into(), tuple }).unwrap();
+                }
+            } else {
+                // An arriving firing, with a placeholder for every even `a`.
+                let b = if a % 2 == 0 { TField::Fresh(0) } else { TField::Const(Value::Int(b)) };
+                let mut firings = vec![RuleFiring::new([("r", vec![TField::Const(Value::Int(a)), b])])];
+                codb_store::apply_arrived(&mut inst, &mut nulls, &mut recv, "e", &mut firings)
+                    .unwrap();
+                if !firings.is_empty() {
+                    store.append(&WalRecord::Applied { rule: "e".into(), firings }).unwrap();
+                }
+            }
+        }
+        store.sync().unwrap();
+        drop(store);
+        let (_s, rec) = Store::open(dir.path(), SyncPolicy::Never, Codec::Binary).unwrap();
+        for rel in inst.relations() {
+            prop_assert_eq!(rec.instance.get(rel.name()).unwrap().filed(), rel.filed());
+        }
     }
 
     /// Truncating the WAL at any point recovers cleanly: the surviving
@@ -265,16 +320,10 @@ proptest! {
     fn any_truncation_recovers_a_prefix(
         records in proptest::collection::vec(arb_record(), 1..8),
         cut_fraction in 0.0f64..1.0,
-        codec in arb_codec(),
     ) {
         let dir = ScratchDir::new("prop-wal-cut");
         let path = dir.path().join("codb-0000000000.wal");
-        let mut w = WalWriter::create(&path, codec, &FsyncScheduler::for_store(SyncPolicy::Never, None)).unwrap();
-        for r in &records {
-            w.append(r).unwrap();
-        }
-        w.sync().unwrap();
-        drop(w);
+        write_wal(&path, &records);
         let bytes = std::fs::read(&path).unwrap();
         // Keep at least the magic; cut anywhere after it.
         let keep = 8 + ((bytes.len() - 8) as f64 * cut_fraction) as usize;
@@ -307,16 +356,10 @@ proptest! {
         records in proptest::collection::vec(arb_record(), 1..6),
         pos_fraction in 0.0f64..1.0,
         bit in 0u8..8,
-        codec in arb_codec(),
     ) {
         let dir = ScratchDir::new("prop-wal-flip");
         let path = dir.path().join("codb-0000000000.wal");
-        let mut w = WalWriter::create(&path, codec, &FsyncScheduler::for_store(SyncPolicy::Never, None)).unwrap();
-        for r in &records {
-            w.append(r).unwrap();
-        }
-        w.sync().unwrap();
-        drop(w);
+        write_wal(&path, &records);
         let mut bytes = std::fs::read(&path).unwrap();
         // Cover the whole file including the final byte (the fraction is
         // drawn from [0, 1), so scale by len and clamp).
@@ -336,9 +379,10 @@ proptest! {
         }
     }
 
-    /// Any instance's snapshot round-trips through both codecs purely in
-    /// memory: decode(encode(x)) == x, and the binary form is strictly
-    /// smaller than the JSON it replaces.
+    /// Any instance's snapshot round-trips through the binary codec purely
+    /// in memory — decode(encode(x)) == x, the log in its order — and its
+    /// legacy JSON form reads back to the same state, larger than the
+    /// binary form that replaces it.
     #[test]
     fn arbitrary_snapshots_round_trip_in_both_codecs(
         inst in arb_instance(),
@@ -346,79 +390,111 @@ proptest! {
         invented in 0u64..1000,
     ) {
         let snap = Snapshot::capture(&inst, &NullFactory::from_parts(origin, invented));
-        let json = snap.to_bytes().unwrap();
+        let json = legacy_json(&snap);
         let binary = snap.to_binary_bytes();
         let from_json = Snapshot::from_bytes(&json).unwrap();
         let from_binary = Snapshot::from_binary_bytes(&binary).unwrap();
         prop_assert_eq!(&from_json.instance, &inst);
         prop_assert_eq!(&from_binary.instance, &inst);
+        for rel in inst.relations() {
+            prop_assert_eq!(from_binary.instance.get(rel.name()).unwrap().filed(), rel.filed());
+        }
         prop_assert_eq!(from_binary.nulls.origin(), origin);
         prop_assert_eq!(from_binary.nulls.invented(), invented);
+        prop_assert_eq!(from_json.nulls.invented(), invented);
         prop_assert!(binary.len() < json.len(), "binary {} vs json {}", binary.len(), json.len());
     }
 
-    /// Codec-differential at the record layer: the same record sequence
-    /// written under each codec reads back as the identical records.
-    #[test]
-    fn record_streams_agree_across_codecs(
-        records in proptest::collection::vec(arb_record(), 0..8),
-    ) {
-        let dir = ScratchDir::new("prop-wal-diff");
-        let mut per_codec = Vec::new();
-        for codec in [Codec::Json, Codec::Binary] {
-            let path = dir.path().join(format!("{codec}.wal"));
-            let mut w = WalWriter::create(&path, codec, &FsyncScheduler::for_store(SyncPolicy::Never, None)).unwrap();
-            for r in &records {
-                w.append(r).unwrap();
-            }
-            w.sync().unwrap();
-            drop(w);
-            per_codec.push(read_wal(&path).unwrap().records);
-        }
-        prop_assert_eq!(&per_codec[0], &records);
-        prop_assert_eq!(&per_codec[1], &records);
-    }
-
-    /// The binary decoders survive arbitrary bytes: junk is a typed
-    /// error, never a panic (the CRC frames catch flips before decode in
-    /// practice; this pins the decoder's own robustness without them).
+    /// The decoders — binary and legacy JSON — survive arbitrary bytes:
+    /// junk is a typed error, never a panic (the CRC frames catch flips
+    /// before decode in practice; this pins the decoders' own robustness
+    /// without them).
     #[test]
     fn arbitrary_bytes_never_panic_the_binary_decoder(
         bytes in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
-        let _ = codb_store::codec::decode_record(&bytes, Codec::Binary);
-        let _ = Snapshot::from_binary_bytes(&bytes);
+        for codec in [Codec::Binary, Codec::Json] {
+            let _ = codb_store::codec::decode_record(&bytes, codec);
+            let _ = codb_store::codec::decode_snapshot(&bytes, codec);
+        }
+    }
+}
+
+/// Codec-differential at the record layer: the committed JSON store's WAL
+/// and its binary twin's read back as the identical records.
+#[test]
+fn record_streams_agree_across_codecs() {
+    let [json, binary] = ["golden-json", "golden-binary"]
+        .map(|store| read_wal(&fixture(store, "codb-0000000000.wal")).unwrap());
+    assert_eq!((json.codec, binary.codec), (Codec::Json, Codec::Binary));
+    assert_eq!(json.records.len(), 5, "caches + counters + 3 tail records");
+    assert_eq!(json.records, binary.records);
+}
+
+/// Every cut of the legacy JSON WAL reads as a prefix of its records —
+/// torn exactly when the cut falls inside a frame — and every single-bit
+/// flip of it is a typed error.
+#[test]
+fn every_cut_and_bit_flip_of_the_legacy_json_wal_is_a_prefix_or_a_typed_error() {
+    let original = std::fs::read(fixture("golden-json", "codb-0000000000.wal")).unwrap();
+    let dir = ScratchDir::new("legacy-wal-cut");
+    let path = dir.path().join("codb-0000000000.wal");
+    let records = read_wal(&fixture("golden-json", "codb-0000000000.wal")).unwrap().records;
+    assert_eq!(records.len(), 5);
+    for keep in 8..=original.len() {
+        std::fs::write(&path, &original[..keep]).unwrap();
+        let contents = read_wal(&path).unwrap_or_else(|e| panic!("cut at {keep}: {e}"));
+        assert_eq!(contents.codec, Codec::Json);
+        assert_eq!(&records[..contents.records.len()], &contents.records[..], "cut at {keep}");
+        assert_eq!(contents.torn_tail, (contents.valid_len as usize) < keep, "cut at {keep}");
+    }
+    for pos in 0..original.len() {
+        for bit in 0..8 {
+            let mut bytes = original.clone();
+            bytes[pos] ^= 1 << bit;
+            std::fs::write(&path, &bytes).unwrap();
+            match read_wal(&path) {
+                Err(StoreError::CorruptFrame { .. }) | Err(StoreError::BadMagic { .. }) => {}
+                other => panic!("flip at byte {pos} bit {bit} not caught: {other:?}"),
+            }
+        }
     }
 }
 
 /// Bit-flips inside the snapshot file are caught by its frame checksum —
-/// under either codec.
+/// in a fresh binary store, and (every bit) in the legacy JSON fixture's.
 #[test]
 fn snapshot_bit_flip_is_checksum_error() {
-    for codec in [Codec::Json, Codec::Binary] {
-        let dir = ScratchDir::new("snap-flip");
-        let (inst, nulls) = instance_with(&[(1, 2), (3, 4)], true);
-        let store = Store::create(
-            dir.path(),
-            &Snapshot::capture(&inst, &nulls),
-            &RecvCaches::new(),
-            &ProtocolCounters::default(),
-            SyncPolicy::Never,
-            codec,
-        )
-        .unwrap();
-        drop(store);
+    let fresh = ScratchDir::new("snap-flip");
+    let (inst, nulls) = instance_with(&[(1, 2), (3, 4)], true);
+    let store = Store::create(
+        fresh.path(),
+        &Snapshot::capture(&inst, &nulls),
+        &RecvCaches::new(),
+        &ProtocolCounters::default(),
+        SyncPolicy::Never,
+        Codec::Binary,
+    )
+    .unwrap();
+    drop(store);
+    let legacy = ScratchDir::new("snap-flip-legacy");
+    for file in ["codb-0000000000.snap", "codb-0000000000.wal", "codb.epoch"] {
+        std::fs::copy(fixture("golden-json", file), legacy.path().join(file)).unwrap();
+    }
+    for (dir, bits) in [(&fresh, [0x04].as_slice()), (&legacy, &[1, 2, 4, 8, 16, 32, 64, 128])] {
         let snap = dir.path().join("codb-0000000000.snap");
         let original = std::fs::read(&snap).unwrap();
         // Flip every byte position in turn (a cheap exhaustive sweep: the
         // file is small) and require a loud failure each time.
         for pos in 0..original.len() {
-            let mut bytes = original.clone();
-            bytes[pos] ^= 0x04;
-            std::fs::write(&snap, &bytes).unwrap();
-            match Store::open(dir.path(), SyncPolicy::Never, codec) {
-                Err(StoreError::CorruptFrame { .. }) | Err(StoreError::BadMagic { .. }) => {}
-                other => panic!("{codec}: flip at byte {pos} not caught: {other:?}"),
+            for bit in bits {
+                let mut bytes = original.clone();
+                bytes[pos] ^= bit;
+                std::fs::write(&snap, &bytes).unwrap();
+                match Store::open(dir.path(), SyncPolicy::Never, Codec::Binary) {
+                    Err(StoreError::CorruptFrame { .. }) | Err(StoreError::BadMagic { .. }) => {}
+                    other => panic!("flip at byte {pos} ({bit:#x}) not caught: {other:?}"),
+                }
             }
         }
     }

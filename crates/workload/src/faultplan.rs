@@ -39,11 +39,6 @@
 //!
 //! This is the only crash/restart runner: the single mid-update crash of
 //! the durability acceptance tests and E17 is [`FaultPlan::single_crash`].
-//! Determinism buys a second harness for free:
-//! [`run_fault_plan_differential`] executes one plan twice — all stores
-//! JSON, then all stores binary — and demands byte-for-byte identical
-//! reconverged states, isolating the on-disk codec as the only moving
-//! part.
 
 use crate::oracle::chase_seminaive;
 use crate::powercut::AckedWatermark;
@@ -53,7 +48,7 @@ use codb_core::{
 };
 use codb_net::{PipeConfig, SimConfig};
 use codb_relational::isomorphic;
-use codb_store::{Codec, RecoveryStats, StoreError, SyncPolicy};
+use codb_store::{RecoveryStats, StoreError, SyncPolicy};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -120,10 +115,6 @@ pub struct FaultPlan {
     pub loss: f64,
     /// WAL durability policy for every node's store.
     pub sync: SyncPolicy,
-    /// On-disk payload codec for every node's store. Schedules are codec-
-    /// independent, so [`run_fault_plan_differential`] can execute the
-    /// same plan under both codecs and demand identical outcomes.
-    pub codec: Codec,
     /// Simulate the page-cache loss of a real power cut: when a node (or
     /// the whole host) crashes, its live WAL is truncated to a seeded
     /// point at or past the **durable watermark** (the fsync-covered
@@ -140,7 +131,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// `rounds` under the defaults every schedule starts from — lossless
-    /// pipes, an fsync per record, binary stores, crashes that leave every
+    /// pipes, an fsync per record, crashes that leave every
     /// written WAL byte on disk — so each constructor names only what it
     /// changes.
     fn over(scenario: Scenario, seed: u64, rounds: Vec<Round>) -> FaultPlan {
@@ -149,7 +140,6 @@ impl FaultPlan {
             seed,
             loss: 0.0,
             sync: SyncPolicy::Always,
-            codec: Codec::Binary,
             lose_unsynced_tail: false,
             rounds,
         }
@@ -582,11 +572,11 @@ impl Runner<'_> {
         let config = self.net.config();
         let name = &config.nodes.iter().find(|n| n.id == victim).expect("configured").name;
         let dir = CoDbNetwork::node_data_dir(self.data_root, name);
-        let (sync, codec) = (self.plan.sync, self.plan.codec);
+        let sync = self.plan.sync;
         let recovery = if live {
-            self.net.restart_node_from_disk_live(victim, &dir, sync, codec)?
+            self.net.restart_node_from_disk_live(victim, &dir, sync)?
         } else {
-            self.net.restart_node_from_disk(victim, &dir, sync, codec)?
+            self.net.restart_node_from_disk(victim, &dir, sync)?
         };
         if let Some(w) = watermark {
             self.acked_records_checked += w.durable_frames;
@@ -620,7 +610,7 @@ impl Runner<'_> {
 /// persisting every node under `data_root/<node-name>`. The directory must
 /// be fresh.
 pub fn run_fault_plan(plan: &FaultPlan, data_root: &Path) -> Result<FaultPlanReport, StoreError> {
-    run_fault_plan_impl(plan, data_root, None).map(|(report, _)| report)
+    run_fault_plan_impl(plan, data_root, None)
 }
 
 /// [`run_fault_plan`] with a flight recorder attached to the experiment
@@ -632,16 +622,15 @@ pub fn run_fault_plan_traced(
     data_root: &Path,
     tracer: &codb_trace::Tracer,
 ) -> Result<FaultPlanReport, StoreError> {
-    run_fault_plan_impl(plan, data_root, Some(tracer)).map(|(report, _)| report)
+    run_fault_plan_impl(plan, data_root, Some(tracer))
 }
 
-/// The runner, also returning every experiment node's final state (name →
-/// snapshot of LDB + null factory) for the codec-differential harness.
+/// The runner behind both.
 fn run_fault_plan_impl(
     plan: &FaultPlan,
     data_root: &Path,
     tracer: Option<&codb_trace::Tracer>,
-) -> Result<(FaultPlanReport, Vec<(String, codb_relational::Snapshot)>), StoreError> {
+) -> Result<FaultPlanReport, StoreError> {
     let config = plan.scenario.build_config();
 
     // Control: same rounds, no faults, lossless pipes. It is the
@@ -659,7 +648,7 @@ fn run_fault_plan_impl(
     if let Some(t) = tracer {
         net.attach_tracer(t);
     }
-    net.open_persistence_all(data_root, plan.sync, plan.codec)?;
+    net.open_persistence_all(data_root, plan.sync)?;
     let mut run = Runner {
         plan,
         data_root,
@@ -764,7 +753,6 @@ fn run_fault_plan_impl(
     let mut nodes_oracle_isomorphic = 0;
     let mut factories_equal = 0;
     let mut nodes_settled = 0;
-    let mut final_states = Vec::with_capacity(config.nodes.len());
     for nc in &config.nodes {
         let ours = run.net.node(nc.id);
         let theirs = control.node(nc.id);
@@ -774,7 +762,6 @@ fn run_fault_plan_impl(
         nodes_oracle_isomorphic += usize::from(isomorphic(ours.ldb(), &oracle.instances[&nc.id]));
         factories_equal += usize::from(ours.nulls_invented() == theirs.nulls_invented());
         nodes_settled += usize::from(ours.update_states().all(|st| st.is_settled()));
-        final_states.push((nc.name.clone(), ours.snapshot()));
     }
     for restart in &mut run.restarts {
         restart.tuples_final = run.net.node(restart.node).ldb().tuple_count();
@@ -786,85 +773,29 @@ fn run_fault_plan_impl(
         nodes_isomorphic == nodes && factories_equal == nodes
     };
 
-    Ok((
-        FaultPlanReport {
-            seed: plan.seed,
-            rounds: plan.rounds.len(),
-            crashes: crashed_in_flight.len(),
-            crashed_in_flight,
-            restarts: run.restarts,
-            live_restarts,
-            checkpoints,
-            updates,
-            rejoin_messages: run.counters.rejoin,
-            barrier_parked: run.counters.barrier_parked,
-            barrier_released: run.counters.barrier_released,
-            repair_messages: run.counters.repairs,
-            nodes_equal,
-            nodes_isomorphic,
-            nodes_oracle_isomorphic,
-            factories_equal,
-            nodes_settled,
-            nodes,
-            converged: matches_control
-                && nodes_oracle_isomorphic == nodes
-                && nodes_settled == nodes,
-            acked_records_checked: run.acked_records_checked,
-            acked_records_preserved: run.acked_records_preserved,
-        },
-        final_states,
-    ))
-}
-
-/// What [`run_fault_plan_differential`] observed: the same seeded
-/// schedule executed once per codec, plus the cross-codec verdict.
-#[derive(Clone, Debug)]
-pub struct CodecDifferentialReport {
-    /// The run whose stores were JSON end to end.
-    pub json: FaultPlanReport,
-    /// The run whose stores were binary end to end.
-    pub binary: FaultPlanReport,
-    /// True when every node's reconverged state is **byte-for-byte**
-    /// identical between the two runs (states are compared by their
-    /// deterministic binary encoding, so this is exact equality of
-    /// instance, schemas and null-factory counters — not isomorphism).
-    pub states_identical: bool,
-}
-
-impl CodecDifferentialReport {
-    /// The acceptance bar: both runs reconverged to their controls *and*
-    /// to each other, byte for byte.
-    pub fn agreed(&self) -> bool {
-        self.json.converged && self.binary.converged && self.states_identical
-    }
-}
-
-/// Codec-differential fault injection: executes the identical seeded
-/// schedule twice — once with every store in [`Codec::Json`], once in
-/// [`Codec::Binary`] (under `data_root/json` and `data_root/binary`) —
-/// and compares the reconverged states byte for byte.
-///
-/// The simulator, the loss draws and the schedule are all pure functions
-/// of the plan seed, so the *only* degree of freedom between the two runs
-/// is the on-disk encoding: any divergence is a codec bug (a decode that
-/// silently altered data, a counter that did not round-trip, a cache
-/// entry that vanished), which is exactly what this harness exists to
-/// catch.
-pub fn run_fault_plan_differential(
-    plan: &FaultPlan,
-    data_root: &Path,
-) -> Result<CodecDifferentialReport, StoreError> {
-    let json_plan = FaultPlan { codec: Codec::Json, ..plan.clone() };
-    let binary_plan = FaultPlan { codec: Codec::Binary, ..plan.clone() };
-    let (json, json_states) = run_fault_plan_impl(&json_plan, &data_root.join("json"), None)?;
-    let (binary, binary_states) =
-        run_fault_plan_impl(&binary_plan, &data_root.join("binary"), None)?;
-    let states_identical = json_states.len() == binary_states.len()
-        && json_states
-            .iter()
-            .zip(&binary_states)
-            .all(|((ja, js), (ba, bs))| ja == ba && js.to_binary_bytes() == bs.to_binary_bytes());
-    Ok(CodecDifferentialReport { json, binary, states_identical })
+    Ok(FaultPlanReport {
+        seed: plan.seed,
+        rounds: plan.rounds.len(),
+        crashes: crashed_in_flight.len(),
+        crashed_in_flight,
+        restarts: run.restarts,
+        live_restarts,
+        checkpoints,
+        updates,
+        rejoin_messages: run.counters.rejoin,
+        barrier_parked: run.counters.barrier_parked,
+        barrier_released: run.counters.barrier_released,
+        repair_messages: run.counters.repairs,
+        nodes_equal,
+        nodes_isomorphic,
+        nodes_oracle_isomorphic,
+        factories_equal,
+        nodes_settled,
+        nodes,
+        converged: matches_control && nodes_oracle_isomorphic == nodes && nodes_settled == nodes,
+        acked_records_checked: run.acked_records_checked,
+        acked_records_preserved: run.acked_records_preserved,
+    })
 }
 
 #[cfg(test)]
@@ -1090,37 +1021,6 @@ mod tests {
         assert!(report.checkpoints >= 1, "{report:?}");
         assert!(report.restarts[0].recovery.generation >= 1, "{report:?}");
         assert_recovered_exactly(&report);
-    }
-
-    /// The codec-differential satellite: one seeded schedule with a
-    /// guaranteed crash, run under JSON stores and binary stores, must
-    /// reconverge to byte-for-byte identical states.
-    #[test]
-    fn differential_runs_agree_byte_for_byte() {
-        let tmp = ScratchDir::new("faultplan-diff");
-        let plan = explicit_plan(); // its codec is overridden per run by the harness
-        let report = run_fault_plan_differential(&plan, tmp.path()).unwrap();
-        assert_eq!(report.json.crashes, 1, "{report:?}");
-        assert_eq!(report.binary.crashes, 1, "{report:?}");
-        assert!(report.states_identical, "{report:?}");
-        assert!(report.agreed(), "{report:?}");
-    }
-
-    /// GLAV rules make the differential bar *harder*, not softer: null
-    /// labels depend on apply order, but the two runs share every apply
-    /// order (same seed, same schedule), so even invented nulls must
-    /// match exactly across codecs.
-    #[test]
-    fn differential_agrees_even_with_invented_nulls() {
-        let tmp = ScratchDir::new("faultplan-diff-glav");
-        let s = Scenario {
-            tuples_per_node: 8,
-            rule_style: RuleStyle::ProjectGlav,
-            ..Scenario::quick(Topology::Chain(3))
-        };
-        let plan = FaultPlan::generate(s, 3);
-        let report = run_fault_plan_differential(&plan, tmp.path()).unwrap();
-        assert!(report.agreed(), "replay with seed {}: {report:?}", plan.seed);
     }
 
     /// The many-node single-host tentpole scenario, fixed-seed: eight

@@ -24,8 +24,8 @@ pub mod topology;
 
 pub use data_gen::{generate, generate_distinct, DataDist};
 pub use faultplan::{
-    run_fault_plan, run_fault_plan_differential, run_fault_plan_traced, CodecDifferentialReport,
-    Fault, FaultKind, FaultPlan, FaultPlanReport, RestartReport, Round, RoundReport,
+    run_fault_plan, run_fault_plan_traced, Fault, FaultKind, FaultPlan, FaultPlanReport,
+    RestartReport, Round, RoundReport,
 };
 pub use parallel::{
     run_parallel_host_crash, run_parallel_ingest, ParallelCrashReport, ParallelIngestPlan,

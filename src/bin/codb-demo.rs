@@ -4,8 +4,7 @@
 //! (with `--data-dir`) persist node state across invocations.
 //!
 //! ```text
-//! codb-demo [--data-dir DIR] [--codec json|binary] [--sync POLICY] [--trace FILE]
-//!           CONFIG_FILE COMMAND...
+//! codb-demo [--data-dir DIR] [--sync POLICY] [--trace FILE] CONFIG_FILE COMMAND...
 //! codb-demo trace dump FILE
 //! codb-demo trace inspect FILE
 //! codb-demo trace diff A B
@@ -13,10 +12,8 @@
 //! Options:
 //!   --data-dir DIR                durable stores under DIR/<node>; nodes
 //!                                 with saved state recover it on startup
-//!   --codec json|binary           on-disk payload encoding for new store
-//!                                 files (default binary); existing stores
-//!                                 recover either format and convert to the
-//!                                 chosen codec at their next save
+//!                                 (a legacy JSON store converts to binary
+//!                                 as it opens)
 //!   --sync POLICY                 WAL fsync policy (default always):
 //!                                 always | never | everyN:N |
 //!                                 group[:RECORDS[,BATCH]] — group shares
@@ -58,7 +55,7 @@ use codb::trace::TraceSink as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: codb-demo [--data-dir DIR] [--codec json|binary] \
+const USAGE: &str = "usage: codb-demo [--data-dir DIR] \
     [--sync always|never|everyN:N|group[:RECORDS[,BATCH]]] [--trace FILE] CONFIG_FILE COMMAND...\n\
     \x20      codb-demo trace dump FILE | trace inspect FILE | trace diff A B\n\
     commands: update NODE | scoped-update NODE REL[,REL] | query NODE 'Q' |\n\
@@ -111,7 +108,6 @@ fn main() -> ExitCode {
 
     // Options first (any order, before the config file).
     let mut data_dir: Option<PathBuf> = None;
-    let mut codec = Codec::default();
     let mut sync = SyncPolicy::Always;
     let mut trace_path: Option<PathBuf> = None;
     while let Some(first) = args.first() {
@@ -122,16 +118,6 @@ fn main() -> ExitCode {
                     return fail(&format!("--data-dir needs a DIR argument\n{USAGE}"));
                 }
                 data_dir = Some(PathBuf::from(args.remove(0)));
-            }
-            "--codec" => {
-                args.remove(0);
-                if args.is_empty() {
-                    return fail(&format!("--codec needs json or binary\n{USAGE}"));
-                }
-                codec = match args.remove(0).parse() {
-                    Ok(c) => c,
-                    Err(e) => return fail(&format!("{e}\n{USAGE}")),
-                };
             }
             "--sync" => {
                 args.remove(0);
@@ -185,7 +171,7 @@ fn main() -> ExitCode {
         if let Err(e) = std::fs::create_dir_all(dir) {
             return fail(&format!("cannot create data dir {}: {e}", dir.display()));
         }
-        match net.open_persistence_all(dir, sync, codec) {
+        match net.open_persistence_all(dir, sync) {
             Ok(recovered) => {
                 for name in recovered {
                     eprintln!("codb-demo: recovered {name} from {}", dir.display());
@@ -296,7 +282,7 @@ fn main() -> ExitCode {
                 let Some(id) = node_arg(&net, name) else { return ExitCode::FAILURE };
                 net.crash_node(id);
                 let node_dir = CoDbNetwork::node_data_dir(dir, name);
-                match net.restart_node_from_disk(id, &node_dir, sync, codec) {
+                match net.restart_node_from_disk(id, &node_dir, sync) {
                     Ok(stats) => println!(
                         "recovered {name} from {}: {} tuples (generation {}, {} WAL records{})",
                         node_dir.display(),

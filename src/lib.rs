@@ -89,8 +89,7 @@ pub mod prelude {
         read_trace_file, FileRecorder, RingRecorder, Summary, TraceEvent, TraceFile, Tracer,
     };
     pub use codb_workload::{
-        run_fault_plan, run_fault_plan_differential, CodecDifferentialReport, DataDist, FaultPlan,
-        FaultPlanReport, RuleStyle, Scenario, Topology,
+        run_fault_plan, DataDist, FaultPlan, FaultPlanReport, RuleStyle, Scenario, Topology,
     };
 }
 

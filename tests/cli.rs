@@ -267,62 +267,39 @@ fn snap_magics(store_dir: &std::path::Path) -> Vec<[u8; 8]> {
     magics
 }
 
+/// The committed legacy JSON store (`tests/fixtures/golden-json`) opens
+/// through the CLI as a node's store: it recovers, and the open leaves
+/// it binary. There is no flag to write JSON.
 #[test]
-fn codec_flag_picks_the_on_disk_format_and_interops() {
-    let config = write_config();
-    let data = TempDir::new("codb-demo-codec");
-    // Life 1: write a JSON store (the legacy format, via the flag).
-    let out = demo()
-        .args([
-            "--data-dir",
-            data.as_str(),
-            "--codec",
-            "json",
-            config.as_str(),
-            "update",
-            "portal",
-            "save",
-            "portal",
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let store_dir = std::path::Path::new(data.as_str()).join("portal");
-    assert_eq!(snap_magics(&store_dir), vec![*b"CODBSNP1"], "json format byte on disk");
+fn a_legacy_json_store_opens_through_the_cli_and_stays_binary() {
+    let mut f = tempfileish::NamedTemp::new("codb-demo-legacy");
+    writeln!(f.file, "node hr\nschema hr: emp(str, int)\nschema hr: flags(bool, int)").unwrap();
+    let config = f.into_path();
+    let data = TempDir::new("codb-demo-legacy");
+    let store_dir = std::path::Path::new(data.as_str()).join("hr");
+    std::fs::create_dir_all(&store_dir).unwrap();
+    let fixture =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden-json");
+    for entry in std::fs::read_dir(fixture).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), store_dir.join(entry.file_name())).unwrap();
+    }
+    assert_eq!(snap_magics(&store_dir), vec![*b"CODBSNP1"], "the fixture is JSON");
 
-    // Life 2: reopen under the binary codec — the JSON store recovers
-    // unchanged, and `save` (a checkpoint) converts it in place.
-    let out = demo()
-        .args([
-            "--data-dir",
-            data.as_str(),
-            "--codec",
-            "binary",
-            config.as_str(),
-            "save",
-            "portal",
-            "show",
-            "portal",
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"alice\""), "JSON store recovered under binary target:\n{stdout}");
-    assert_eq!(snap_magics(&store_dir), vec![*b"CODBSNP2"], "save rotated the store to binary");
+    for life in 0..2 {
+        let out = demo()
+            .args(["--data-dir", data.as_str(), config.as_str(), "show", "hr"])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("\"alice\"") && stdout.contains("false"), "life {life}:\n{stdout}");
+        assert_eq!(snap_magics(&store_dir), vec![*b"CODBSNP2"], "life {life}: binary on disk");
+    }
 
-    // Life 3: the binary store recovers under the default codec.
-    let out = demo()
-        .args(["--data-dir", data.as_str(), config.as_str(), "show", "portal"])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("\"alice\""));
-
-    // A bogus codec fails cleanly with usage.
-    let out = demo().args(["--codec", "yaml", config.as_str(), "stats"]).output().unwrap();
+    let out = demo().args(["--codec", "json", config.as_str(), "stats"]).output().unwrap();
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown codec"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option \"--codec\""));
 }
 
 /// The usage text and the flags the binary actually accepts must stay in
@@ -349,7 +326,7 @@ fn usage_text_stays_in_sync_with_accepted_flags() {
     advertised.dedup();
     assert_eq!(
         advertised,
-        vec!["--codec", "--data-dir", "--sync", "--trace"],
+        vec!["--data-dir", "--sync", "--trace"],
         "the usage text advertises exactly the known flags:\n{usage}"
     );
     for flag in &advertised {

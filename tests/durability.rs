@@ -89,7 +89,7 @@ fn live_open_recovery_still_triggers_rejoin_invalidation() {
     // Life 1: persist the *seed* state only (no update), tear down.
     {
         let mut net = CoDbNetwork::build(config.clone(), SimConfig::default()).unwrap();
-        net.open_persistence_all(tmp.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+        net.open_persistence_all(tmp.path(), SyncPolicy::Always).unwrap();
     }
 
     // Life 2: run an update first — hr's incremental sent-cache toward
@@ -99,8 +99,7 @@ fn live_open_recovery_still_triggers_rejoin_invalidation() {
     let portal = net.node_id("portal").unwrap();
     net.run_update(portal);
     assert_eq!(net.node(portal).ldb().tuple_count(), 1, "alice materialised");
-    let recovered =
-        net.open_persistence_all(tmp.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+    let recovered = net.open_persistence_all(tmp.path(), SyncPolicy::Always).unwrap();
     assert_eq!(recovered.len(), 2, "{recovered:?}");
     assert_eq!(net.node(portal).ldb().tuple_count(), 0, "rolled back to seed state");
     assert!(net.node(portal).rejoin_pending(), "handshake owed");
@@ -151,7 +150,7 @@ fn state_survives_network_teardown_and_rebuild() {
     // First life: materialise, checkpoint, tear down.
     let (portal_tuples, portal_id) = {
         let mut net = CoDbNetwork::build(config.clone(), SimConfig::default()).unwrap();
-        net.open_persistence_all(tmp.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+        net.open_persistence_all(tmp.path(), SyncPolicy::Always).unwrap();
         let portal = net.node_id("portal").unwrap();
         net.run_update(portal);
         assert!(net.checkpoint_node(portal).unwrap());
@@ -163,8 +162,7 @@ fn state_survives_network_teardown_and_rebuild() {
     // store brings the materialised tuple back.
     let mut net = CoDbNetwork::build(config, SimConfig::default()).unwrap();
     assert_eq!(net.node(portal_id).ldb().tuple_count(), 0);
-    let recovered =
-        net.open_persistence_all(tmp.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+    let recovered = net.open_persistence_all(tmp.path(), SyncPolicy::Always).unwrap();
     assert!(recovered.contains(&"portal".to_owned()), "{recovered:?}");
     assert_eq!(net.node(portal_id).ldb().tuple_count(), 1);
     let q = net.run_query_text(portal_id, "ans(N) :- person(N, A).", false).unwrap();
@@ -184,7 +182,7 @@ fn local_insert_survives_via_wal_replay_alone() {
     let config = NetworkConfig::parse(config_text).unwrap();
     let solo = {
         let mut net = CoDbNetwork::build(config.clone(), SimConfig::default()).unwrap();
-        net.open_persistence_all(tmp.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+        net.open_persistence_all(tmp.path(), SyncPolicy::Always).unwrap();
         let solo = net.node_id("solo").unwrap();
         // No checkpoint after this insert: only the WAL has it.
         net.sim_mut()
@@ -195,7 +193,7 @@ fn local_insert_survives_via_wal_replay_alone() {
         solo
     };
     let mut net = CoDbNetwork::build(config, SimConfig::default()).unwrap();
-    net.open_persistence_all(tmp.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+    net.open_persistence_all(tmp.path(), SyncPolicy::Always).unwrap();
     assert_eq!(net.node(solo).ldb().tuple_count(), 2, "seed + WAL-replayed insert");
 }
 
@@ -237,7 +235,6 @@ fn open_persistence_all_shares_one_scheduler() {
     net.open_persistence_all(
         tmp.path(),
         SyncPolicy::GroupCommit { max_batch: 64, max_records: 16 },
-        Codec::Binary,
     )
     .unwrap();
     let sched = net.fsync_scheduler().expect("group-commit open built the shared scheduler");
@@ -254,7 +251,6 @@ fn open_persistence_all_shares_one_scheduler() {
             NodeId(0),
             &tmp.path().join("n0-again"),
             SyncPolicy::GroupCommit { max_batch: 64, max_records: 8 },
-            Codec::Binary,
         )
         .unwrap_err();
     assert!(matches!(err, StoreError::SchedulerMismatch { .. }), "{err}");
@@ -317,12 +313,7 @@ fn restart_from_empty_dir_is_refused() {
     let mut net = CoDbNetwork::build(scenario.build_config(), SimConfig::default()).unwrap();
     net.crash_node(NodeId(0));
     let err = net
-        .restart_node_from_disk(
-            NodeId(0),
-            &tmp.path().join("node0"),
-            SyncPolicy::Always,
-            Codec::Binary,
-        )
+        .restart_node_from_disk(NodeId(0), &tmp.path().join("node0"), SyncPolicy::Always)
         .unwrap_err();
     assert!(matches!(err, StoreError::NoState { .. }), "{err}");
 }
@@ -336,11 +327,11 @@ fn restarting_a_live_node_is_refused_before_its_store_is_opened() {
     let tmp = ScratchDir::new("durability-live-restart");
     let scenario = Scenario { tuples_per_node: 5, ..Scenario::quick(Topology::Chain(2)) };
     let mut net = CoDbNetwork::build(scenario.build_config(), SimConfig::default()).unwrap();
-    net.open_persistence_all(tmp.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+    net.open_persistence_all(tmp.path(), SyncPolicy::Always).unwrap();
     let dir = CoDbNetwork::node_data_dir(tmp.path(), "node0");
 
     let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        net.restart_node_from_disk_live(NodeId(0), &dir, SyncPolicy::Always, Codec::Binary)
+        net.restart_node_from_disk_live(NodeId(0), &dir, SyncPolicy::Always)
     }));
     assert!(refused.is_err(), "a live node must not be restarted over");
     assert_eq!(net.node(NodeId(0)).epoch(), 0, "the live incarnation is untouched");
@@ -349,7 +340,6 @@ fn restarting_a_live_node_is_refused_before_its_store_is_opened() {
     // Once it has crashed the restart goes through — as incarnation 1,
     // so the refused call never opened the store.
     assert!(net.crash_node(NodeId(0)));
-    let stats =
-        net.restart_node_from_disk(NodeId(0), &dir, SyncPolicy::Always, Codec::Binary).unwrap();
+    let stats = net.restart_node_from_disk(NodeId(0), &dir, SyncPolicy::Always).unwrap();
     assert_eq!(stats.epoch, 1, "{stats:?}");
 }

@@ -1,12 +1,13 @@
 //! Golden-file tests: committed store directories in **both** on-disk
 //! formats, pinned against byte drift.
 //!
-//! `tests/fixtures/golden-json/` is a store exactly as the seed/PR-3 JSON
-//! format wrote it (format byte `'1'`); `tests/fixtures/golden-binary/`
-//! is the same logical store in the binary codec (format byte `'2'`).
-//! Both were produced by [`build_golden`] (re-runnable via the `#[ignore]`d
-//! regeneration test below) and hold a snapshot, a WAL tail with applied /
-//! local-insert / counter records, and the `codb.epoch` file.
+//! `tests/fixtures/golden-json/` is a store exactly as the seed JSON
+//! format wrote it (format byte `'1'`); it is frozen, since no store
+//! writes JSON any more. `tests/fixtures/golden-binary/` is the same
+//! logical store in the binary codec (format byte `'2'`), produced by
+//! [`build_golden`] (re-runnable via the `#[ignore]`d regeneration test
+//! below). Each holds a snapshot, a WAL tail with applied / local-insert /
+//! counter records, and the `codb.epoch` file.
 //!
 //! The tests assert that both fixtures recover to the **identical**
 //! instance / null factory / receive caches / protocol counters / epoch —
@@ -14,8 +15,7 @@
 //! encoder+decoder pair that silently agrees on *different* semantics
 //! still fails here, and an old disk written by either format keeps
 //! recovering forever. A second test pins the upgrade story: opening the
-//! JSON fixture with a binary target converts it to binary at the first
-//! checkpoint, in place, losslessly.
+//! JSON fixture converts it to binary as it opens, in place, losslessly.
 
 use codb::prelude::*;
 use codb::relational::glav::TField;
@@ -73,7 +73,7 @@ fn base_state() -> (Instance, NullFactory, RecvCaches, ProtocolCounters) {
 /// Builds one golden store directory: generation-0 snapshot of
 /// [`base_state`] plus a WAL tail of one applied firing, one local insert
 /// and one counter bump. Epoch stays 0 (no reopen).
-fn build_golden(dir: &Path, codec: Codec) {
+fn build_golden(dir: &Path) {
     let (inst, nulls, recv, counters) = base_state();
     let mut store = Store::create(
         dir,
@@ -81,7 +81,7 @@ fn build_golden(dir: &Path, codec: Codec) {
         &recv,
         &counters,
         SyncPolicy::Always,
-        codec,
+        Codec::Binary,
     )
     .unwrap();
     store
@@ -110,19 +110,35 @@ fn expected_final() -> (Instance, NullFactory, RecvCaches, ProtocolCounters) {
     (inst, nulls, recv, ProtocolCounters { update_seq: 4, ..counters })
 }
 
-/// Regenerates the committed fixtures. Run explicitly after an
-/// *intentional* format change (and say so in the PR):
+/// Regenerates the committed binary fixture (the JSON one is frozen: no
+/// store writes JSON). Run explicitly after an *intentional* format
+/// change, and say so in the change's notes:
 /// `cargo test --test golden -- --ignored regenerate`
 #[test]
-#[ignore = "rewrites the committed golden fixtures"]
+#[ignore = "rewrites the committed golden fixture"]
 fn regenerate_golden_fixtures() {
-    for (name, codec) in [("golden-json", Codec::Json), ("golden-binary", Codec::Binary)] {
-        let dir = fixture_dir(name);
-        if dir.exists() {
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
-        build_golden(&dir, codec);
-        println!("rewrote {}", dir.display());
+    let dir = fixture_dir("golden-binary");
+    if dir.exists() {
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    build_golden(&dir);
+    println!("rewrote {}", dir.display());
+}
+
+/// The writer still writes the committed binary fixture byte for byte:
+/// its relations' logs happen to be in sorted order, which is what older
+/// writers put on disk.
+#[test]
+fn golden_binary_fixture_is_what_the_writer_writes() {
+    let scratch = ScratchDir::new("golden-build");
+    build_golden(scratch.path());
+    for file in ["codb-0000000000.snap", "codb-0000000000.wal", "codb.epoch"] {
+        let built = std::fs::read(scratch.path().join(file)).unwrap();
+        assert_eq!(
+            built,
+            std::fs::read(fixture_dir("golden-binary").join(file)).unwrap(),
+            "{file}"
+        );
     }
 }
 
@@ -163,27 +179,23 @@ fn golden_stores_recover_identical_pinned_state() {
     assert_eq!(a.recv_cache, b.recv_cache);
 }
 
-/// The acceptance criterion's upgrade half: a store written by the
-/// seed/PR-3 JSON format recovers unchanged under a binary-target open,
-/// and one checkpoint converts it to binary **in place** — after which it
-/// still recovers the same state (now through the binary decoder).
+/// The upgrade half: a store written by the seed JSON format recovers
+/// unchanged, and its open converts it to binary **in place** — after
+/// which it still recovers the same state (now through the binary
+/// decoder).
 #[test]
 fn legacy_json_fixture_converts_to_binary_at_checkpoint() {
     let scratch = ScratchDir::new("golden-upgrade");
     let copy = scratch.path().join("store");
     copy_store(&fixture_dir("golden-json"), &copy);
 
-    let (mut store, rec) = Store::open(&copy, SyncPolicy::Always, Codec::Binary).unwrap();
-    assert_eq!(rec.snapshot_codec, Codec::Json);
-    assert_eq!(store.wal_codec(), Codec::Json, "appends continue in the legacy format");
+    let (store, rec) = Store::open(&copy, SyncPolicy::Always, Codec::Binary).unwrap();
+    assert_eq!((rec.snapshot_codec, rec.wal_codec), (Codec::Json, Codec::Json), "what was read");
     let (want_inst, want_nulls, want_recv, want_counters) = expected_final();
     assert_eq!(rec.instance, want_inst, "legacy store recovers unchanged");
-
-    // The checkpoint is the conversion point.
-    store
-        .checkpoint(&Snapshot::capture(&rec.instance, &rec.nulls), &rec.recv_cache, &rec.counters)
-        .unwrap();
-    assert_eq!(store.wal_codec(), Codec::Binary);
+    // The open's rotation is the conversion point: every store file on
+    // disk is binary before anything is appended.
+    assert_eq!(store.generation(), 1);
     drop(store);
     for entry in std::fs::read_dir(&copy).unwrap() {
         let path = entry.unwrap().path();
@@ -191,13 +203,13 @@ fn legacy_json_fixture_converts_to_binary_at_checkpoint() {
         match path.extension().and_then(|e| e.to_str()) {
             Some("snap") => assert_eq!(Codec::detect_snap(&header), Some(Codec::Binary)),
             Some("wal") => assert_eq!(Codec::detect_wal(&header), Some(Codec::Binary)),
-            _ => {} // codb.epoch
+            _ => assert_eq!(path.file_name().unwrap(), "codb.epoch"),
         }
     }
 
     // Same state, now decoded from binary files.
     let (_store, rec2) = Store::open(&copy, SyncPolicy::Always, Codec::Binary).unwrap();
-    assert_eq!(rec2.snapshot_codec, Codec::Binary);
+    assert_eq!((rec2.snapshot_codec, rec2.wal_codec), (Codec::Binary, Codec::Binary));
     assert_eq!(rec2.instance, want_inst);
     assert_eq!(rec2.nulls.invented(), want_nulls.invented());
     assert_eq!(rec2.recv_cache, want_recv);

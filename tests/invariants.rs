@@ -812,7 +812,8 @@ mod snapshot_props {
                 ])).unwrap();
             }
             let snap = codb::relational::Snapshot::capture(&inst, &nulls);
-            let restored = codb::relational::Snapshot::from_bytes(&snap.to_bytes().unwrap()).unwrap();
+            let restored = codb::relational::Snapshot::from_binary_bytes(&snap.to_binary_bytes()).unwrap();
+            prop_assert_eq!(restored.instance.get("r").unwrap().filed(), inst.get("r").unwrap().filed());
             prop_assert_eq!(restored.instance, inst);
             prop_assert_eq!(restored.nulls.invented(), invented);
         }
@@ -820,14 +821,16 @@ mod snapshot_props {
         /// A relation files each tuple under the tuple's content hash and
         /// keeps that hash, however it came to hold the tuple: an insert; a
         /// copy rule's firing, filed under the hash it carried; a firing
-        /// with a fresh null; a clone; a snapshot decoded from either codec;
-        /// a WAL record of firings, decoded from either codec and replayed.
+        /// with a fresh null; a clone; a snapshot decoded from its binary
+        /// bytes or from the legacy JSON form; a WAL record of firings,
+        /// decoded and replayed.
         #[test]
         fn every_filed_hash_is_the_content_hash_of_its_tuple(
             steps in proptest::collection::vec((0u8..6, 0i64..6, 0i64..6), 1..40),
         ) {
             use codb::relational::{apply_new_firings, Atom, CqBody, Term, Var};
-            use codb::store::codec::{decode_record, decode_snapshot, encode_record, encode_snapshot};
+            use codb::relational::Snapshot;
+            use codb::store::codec::{decode_record, encode_record};
             use codb::store::{apply_arrived, Codec, RecvCaches, WalRecord};
             let [x, y, z] = [0, 1, 2].map(|v| Term::Var(Var(v)));
             let rule = |name: &str, head: Vec<Term>| {
@@ -842,7 +845,6 @@ mod snapshot_props {
             let mut nulls = NullFactory::new(3);
             let mut recv = RecvCaches::default();
             for (step, a, b) in steps {
-                let codec = if a % 2 == 0 { Codec::Json } else { Codec::Binary };
                 match step {
                     0 => {
                         inst.insert("r", Tuple::new(vec![Value::Int(a), Value::Int(b)])).unwrap();
@@ -857,9 +859,14 @@ mod snapshot_props {
                     }
                     3 => inst = inst.clone(),
                     4 => {
-                        let snap = codb::relational::Snapshot::capture(&inst, &nulls);
-                        let bytes = encode_snapshot(&snap, codec).unwrap();
-                        let read = decode_snapshot(&bytes, codec).unwrap();
+                        let snap = Snapshot::capture(&inst, &nulls);
+                        let read = if a % 2 == 0 {
+                            let [i, n] = [serde_json::to_string(&snap.instance), serde_json::to_string(&snap.nulls)].map(Result::unwrap);
+                            let json = format!(r#"{{"instance":{i},"nulls":{n},"version":{}}}"#, snap.version);
+                            Snapshot::from_bytes(json.as_bytes()).unwrap()
+                        } else {
+                            Snapshot::from_binary_bytes(&snap.to_binary_bytes()).unwrap()
+                        };
                         prop_assert_eq!(&read.instance, &inst);
                         (inst, nulls) = (read.instance, read.nulls);
                     }
@@ -868,8 +875,8 @@ mod snapshot_props {
                         let tuple = [Value::Int(b), Value::Int(a)].map(TField::Const).to_vec();
                         firings.push(RuleFiring::new([("s", tuple)]));
                         let record = WalRecord::Applied { rule: "c".into(), firings };
-                        let bytes = encode_record(&record, codec).unwrap();
-                        let Ok(WalRecord::Applied { rule, mut firings }) = decode_record(&bytes, codec)
+                        let bytes = encode_record(&record);
+                        let Ok(WalRecord::Applied { rule, mut firings }) = decode_record(&bytes, Codec::Binary)
                         else { panic!("an Applied record decodes as one") };
                         apply_arrived(&mut inst, &mut nulls, &mut recv, &rule, &mut firings).unwrap();
                     }

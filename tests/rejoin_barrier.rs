@@ -24,7 +24,7 @@
 //! ```
 
 use codb::prelude::*;
-use codb::store::{Codec, ScratchDir, SyncPolicy};
+use codb::store::{ScratchDir, SyncPolicy};
 use codb::trace::{read_trace, TraceEvent, Tracer};
 use codb::workload::{
     run_fault_plan_traced, Fault, FaultKind, FaultPlan, Round, Scenario, Topology,
@@ -52,7 +52,6 @@ fn window_a_plan() -> FaultPlan {
         loss: 0.0,
         sync: SyncPolicy::GroupCommit { max_batch: 4, max_records: 32 },
         lose_unsynced_tail: true,
-        codec: Codec::Binary,
         rounds: vec![Round {
             initiator: s.sink(),
             faults: vec![Fault { at_event: 10, node: NodeId(VICTIM), kind: FaultKind::Crash }],

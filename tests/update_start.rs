@@ -213,14 +213,14 @@ fn a_restarted_sender_fires_whole_once_then_deltas() {
     let s = copy_chain(3, 20);
     let tmp = ScratchDir::new("update-start-sender");
     let mut net = CoDbNetwork::build(s.build_config(), SimConfig::default()).unwrap();
-    net.open_persistence_all(tmp.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+    net.open_persistence_all(tmp.path(), SyncPolicy::Always).unwrap();
     net.run_update(s.sink());
     let ldbs: Vec<Instance> = (0..3).map(|i| net.node(NodeId(i)).ldb().clone()).collect();
 
     let mid = NodeId(1);
     assert!(net.crash_node(mid));
     let dir = CoDbNetwork::node_data_dir(tmp.path(), "node1");
-    net.restart_node_from_disk(mid, &dir, SyncPolicy::Always, Codec::Binary).unwrap();
+    net.restart_node_from_disk(mid, &dir, SyncPolicy::Always).unwrap();
 
     let evaluated_at = |net: &CoDbNetwork, o: &UpdateOutcome, node: u64| {
         net.node(NodeId(node)).report().updates[&o.update].evaluated
@@ -249,13 +249,13 @@ fn a_node_restarted_from_disk_hears_the_next_rules_file() {
     let tmp = ScratchDir::new("update-start-rules-after-restart");
     let mut config = s.build_config();
     let mut net = CoDbNetwork::build_with_superpeer(config.clone(), SimConfig::default()).unwrap();
-    net.open_persistence_all(tmp.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+    net.open_persistence_all(tmp.path(), SyncPolicy::Always).unwrap();
     net.run_update(s.sink());
 
     let mid = NodeId(1);
     assert!(net.crash_node(mid));
     let dir = CoDbNetwork::node_data_dir(tmp.path(), "node1");
-    net.restart_node_from_disk(mid, &dir, SyncPolicy::Always, Codec::Binary).unwrap();
+    net.restart_node_from_disk(mid, &dir, SyncPolicy::Always).unwrap();
 
     let out_of_mid = config.rules.iter_mut().find(|r| r.source == mid).unwrap();
     out_of_mid.rule.name = format!("{}x", out_of_mid.name());
@@ -526,7 +526,7 @@ impl Program {
         self.net.sim_mut().run_until_quiescent();
         let dir = CoDbNetwork::node_data_dir(self.tmp.path(), &self.config.nodes[victim].name);
         self.net
-            .restart_node_from_disk(NodeId(victim as u64), &dir, SyncPolicy::Always, Codec::Binary)
+            .restart_node_from_disk(NodeId(victim as u64), &dir, SyncPolicy::Always)
             .map_err(|e| self.fail(format!("restart of node {victim}: {e}")))?;
         Ok(())
     }
@@ -617,7 +617,7 @@ fn run_program(seed: u64) -> Result<(), String> {
     let config = scenario.build_config();
     let tmp = ScratchDir::new("update-start-program");
     let mut net = CoDbNetwork::build_with(config.clone(), sim, settings, true).unwrap();
-    net.open_persistence_all(tmp.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+    net.open_persistence_all(tmp.path(), SyncPolicy::Always).unwrap();
     let log = vec![format!("{topology} {rule_style:?}, max_hops {max_hops}, loss {loss}")];
     let mut p = Program { net, config, shelved: None, tmp, seed, log };
 
