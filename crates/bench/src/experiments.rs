@@ -553,8 +553,11 @@ fn e16() -> Table {
 /// transport acks) plus the one-off full re-send overhead relative to a
 /// never-crashed control — next to the **barrier cost**: the messages
 /// survivors parked behind the rejoin barrier and released at the
-/// handshake plus the `RejoinRepair` re-sends that close the
-/// forwarded-but-unsynced window.
+/// handshake plus the `RejoinRepair` batches that close the
+/// forwarded-but-unsynced window — and the **re-sent firings** those
+/// batches carried: what survivors fired past the marks the victim
+/// reported. Under `SyncPolicy::Always` every batch the victim applied
+/// was durable, so they read 0.
 fn e17() -> Table {
     use codb_relational::glav::TField;
     use codb_relational::{RelationSchema, Snapshot, Value, ValueType};
@@ -577,6 +580,7 @@ fn e17() -> Table {
             "victim ckpt (events)",
             "rejoin cost (msgs)",
             "barrier cost (msgs)",
+            "re-sent firings",
         ],
     );
     const BATCHES: u64 = 1000;
@@ -606,7 +610,7 @@ fn e17() -> Table {
                 })
                 .collect();
             apply_arrived(&mut inst, &mut nulls, &mut recv, "e", &mut firings).unwrap();
-            store.append(&WalRecord::Applied { rule: "e".to_owned(), firings }).unwrap();
+            store.append(&WalRecord::Applied { rule: "e".into(), firings, mark: None }).unwrap();
             if interval > 0 && (b + 1) % interval == 0 {
                 store
                     .checkpoint(
@@ -656,6 +660,7 @@ fn e17() -> Table {
             victim_ckpt.map_or("never".to_owned(), |e| e.to_string()),
             report.rejoin_cost_messages().to_string(),
             report.barrier_cost_messages().to_string(),
+            report.repair_firings.to_string(),
         ]);
     }
     t

@@ -114,7 +114,9 @@ pub struct Tag {
 }
 
 /// Coordination rules are addressed by their (configuration-unique) name.
-pub type RuleName = String;
+/// Shared, not owned: a message and its retransmission copy hold the name
+/// the node's rule book holds, and cloning it allocates nothing.
+pub type RuleName = std::sync::Arc<str>;
 
 #[cfg(test)]
 mod tests {

@@ -12,7 +12,9 @@ use crate::ids::{NodeId, ReqId, RuleName, Tag, UpdateId};
 use crate::stats::{Kind, NodeReport};
 use codb_net::Payload;
 use codb_relational::{ConjunctiveQuery, RuleFiring};
+use codb_store::{LinkMark, Span};
 use serde::{Deserialize, Serialize};
+use std::num::NonZeroU64;
 
 /// Message body.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -69,6 +71,10 @@ pub enum Body {
         /// "Termination"); zero, the link stays open. (A `u32`, in the
         /// padding beside `request`: the body stays 88 bytes.)
         closes: u32,
+        /// The part of the link's log this batch covers ([`Mark`]): the
+        /// target keeps how far its batches reach, to report back when it
+        /// restarts ([`Body::Rejoin`]).
+        mark: Option<Mark>,
     },
     /// The source of `rule` tells the target that the incoming link is
     /// closed: no further `UpdateData` will arrive on it. Sent alone where
@@ -110,36 +116,45 @@ pub enum Body {
 
     // ---- crash rejoin ----
     /// A node restarted from its durable store announces its new
-    /// incarnation to an acquaintance. What the receiver acts on is the
-    /// envelope's grown epoch, on whatever envelope of the new incarnation
-    /// it hears first ([`crate::reliable::Reliable::heard`]): it drops every
+    /// incarnation to an acquaintance, with the last durable mark of each
+    /// link the acquaintance feeds it. On the first envelope of the new
+    /// incarnation it hears — this one or anything sent before it
+    /// ([`crate::reliable::Reliable::heard`]) — the receiver drops every
     /// per-link sent cache pointed at the sender (the crashed incarnation
-    /// may have lost data those caches assume it holds) and re-sends those
-    /// links whole at once, as [`Body::RejoinRepair`]. The announcement
-    /// makes sure there is such an envelope; the receiver only acks it. It
+    /// may have lost data those caches assume it holds). On this one it
+    /// repairs those links ([`crate::rejoin`]): from the reported mark,
+    /// where it can trust it, else whole, as [`Body::RejoinRepair`]. It
     /// parks behind the barrier toward a peer that is down, so a restart
     /// is announced to a neighbour that comes back later.
-    Rejoin,
-    /// Repair data pushed on hearing a neighbour's new incarnation: the
-    /// receiver of that first envelope re-fires every link targeting the
-    /// restarted node over its full LDB and ships the result immediately,
-    /// instead of waiting for the next organic update to re-send what the
-    /// crashed incarnation lost (ROADMAP window (a)).
-    /// Unlike [`Body::UpdateData`] this carries no update id and is not
-    /// Dijkstra–Scholten counted — repair is a standalone push, dedup'd
-    /// by the receiver's cross-update template caches, which also bound
-    /// the cascade of further `RejoinRepair` hops it may trigger on a
-    /// weakly acyclic rule set; on any other, `max_hops` cuts it, as it
+    Rejoin {
+        /// Each link the receiver feeds the sender that the sender's store
+        /// kept a mark of, by rule name.
+        marks: Vec<(RuleName, LinkMark)>,
+    },
+    /// Repair data a `Rejoin` draws: what the receiver of the `Rejoin`
+    /// fires, on every link targeting the restarted node, past the mark
+    /// that node reported (or over its whole LDB, where no trusted mark
+    /// answers), shipped at once instead of waiting for the next organic
+    /// update to re-send what the crashed incarnation lost (ROADMAP window
+    /// (a)). After a clean shutdown nothing is past the mark and no repair
+    /// is sent. Unlike [`Body::UpdateData`] this carries no update id and
+    /// is not Dijkstra–Scholten counted — repair is a standalone push,
+    /// dedup'd by the receiver's cross-update template caches, which also
+    /// bound the cascade of further `RejoinRepair` hops it may trigger on
+    /// a weakly acyclic rule set; on any other, `max_hops` cuts it, as it
     /// cuts update data.
     RejoinRepair {
         /// The coordination rule (an outgoing link at the receiver).
         rule: RuleName,
         /// Re-fired rule firings (already filtered through the sender's
-        /// freshly invalidated sent-cache for this link).
+        /// sent-cache for this link).
         firings: Vec<RuleFiring>,
         /// Length of the repair cascade that produced this batch (1 for
-        /// the whole-view re-send itself).
+        /// the re-send itself).
         hops: u64,
+        /// The part of the link's log this batch covers, as on
+        /// [`Body::UpdateData`].
+        mark: Option<Mark>,
     },
 
     // ---- query-time answering (paper §1, §3) ----
@@ -254,7 +269,9 @@ impl Body {
             Body::LinkClosed { .. } => 40,
             Body::DsAck { .. } => 32,
             Body::UpdateComplete { .. } => 32,
-            Body::Rejoin => 24,
+            Body::Rejoin { marks } => {
+                24 + marks.iter().map(|(rule, _)| rule.len() + 16).sum::<usize>()
+            }
             Body::RejoinRepair { firings, .. } => {
                 40 + firings.iter().map(RuleFiring::size_bytes).sum::<usize>()
             }
@@ -309,7 +326,7 @@ impl Body {
     /// abandonment semantics — they are either re-derivable or meaningless
     /// to a dead incarnation.
     pub fn parks_behind_barrier(&self) -> bool {
-        self.is_ds_counted() || matches!(self, Body::Rejoin | Body::RejoinRepair { .. })
+        self.is_ds_counted() || matches!(self, Body::Rejoin { .. } | Body::RejoinRepair { .. })
     }
 
     /// The kind the per-kind statistics count this message under.
@@ -322,7 +339,7 @@ impl Body {
             Body::LinkClosed { .. } => Kind::LinkClosed,
             Body::DsAck { .. } => Kind::DsAck,
             Body::UpdateComplete { .. } => Kind::UpdateComplete,
-            Body::Rejoin => Kind::Rejoin,
+            Body::Rejoin { .. } => Kind::Rejoin,
             Body::RejoinRepair { .. } => Kind::RejoinRepair,
             Body::QueryRequest { .. } => Kind::QueryRequest,
             Body::QueryAnswer { .. } => Kind::QueryAnswer,
@@ -337,6 +354,65 @@ impl Body {
             Body::TriggerDiscovery => Kind::TriggerDiscovery,
             Body::IngestLocal { .. } => Kind::IngestLocal,
         }
+    }
+}
+
+/// The part of a link's log a batch covers: positions `from..to` of the
+/// log of the link body's relation. `to` is the source's mark after the
+/// batch, how far it has fired the link; `from` is where the batch
+/// starts, and everything before it the source counts on the target
+/// holding already — the earlier batches on the link, or (`anchored`) the
+/// mark the target reported in its [`Body::Rejoin`], which the source
+/// trusted. Update data and rejoin repair carry it; the target keeps a
+/// mark per link with the sender's epoch ([`codb_store::LinkMark`]),
+/// moved only by a batch that joins on to it ([`codb_store::Span::extend`]:
+/// one that overtook an earlier batch moves nothing), and reports it back
+/// when it restarts, so the source repairs from there and not from
+/// scratch. A body of several atoms has one position per atom, which
+/// would not ride without an allocation: its data carries none.
+/// (One `u64`: `to + 1` in the low 32 bits, `from` in the next 31, the
+/// flag on top. No mark costs no room, and [`Body`] stays 88 bytes; a log
+/// past 2^31 − 1 positions ships no mark, and its link is repaired
+/// whole.)
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Mark(NonZeroU64);
+
+impl Mark {
+    /// The positions a mark can name: below 2^31.
+    const LIMIT: u64 = 1 << 31;
+    /// Where the flag sits.
+    const ANCHORED: u64 = 1 << 63;
+
+    /// The mark of a batch covering `from..to` (none where `to` is before
+    /// `from` or past 2^31 − 1); `anchored`: `from` is the mark the
+    /// target reported.
+    pub fn span(from: u64, to: u64, anchored: bool) -> Option<Mark> {
+        if from > to || to >= Self::LIMIT {
+            return None;
+        }
+        let flag = if anchored { Self::ANCHORED } else { 0 };
+        NonZeroU64::new(flag | from << 32 | (to + 1)).map(Mark)
+    }
+
+    /// Where the batch starts.
+    pub fn from(self) -> u64 {
+        (self.0.get() & !Self::ANCHORED) >> 32
+    }
+
+    /// Where the batch ends: the source's mark after it.
+    pub fn to(self) -> u64 {
+        (self.0.get() & 0xffff_ffff) - 1
+    }
+
+    /// Whether `from` is the mark the target reported.
+    pub fn anchored(self) -> bool {
+        self.0.get() & Self::ANCHORED != 0
+    }
+
+    /// The batch's span as its target keeps marks: with `epoch`, the
+    /// incarnation of the sender that stamped the envelope it rode.
+    pub fn of_epoch(self, epoch: u64) -> Span {
+        Span { epoch, from: self.from(), to: self.to(), anchored: self.anchored() }
     }
 }
 
@@ -422,6 +498,7 @@ mod tests {
             hops: 1,
             request: false,
             closes: 0,
+            mark: None,
         }
         .is_ds_counted());
         assert!(Body::LinkClosed { update: upd(), rule: "r".into(), data_msgs: 0 }.is_ds_counted());
@@ -429,8 +506,9 @@ mod tests {
         assert!(!Body::UpdateComplete { update: upd() }.is_ds_counted());
         assert!(!Body::Ack.is_ds_counted());
         assert!(!Body::StatsRequest.is_ds_counted());
-        assert!(!Body::Rejoin.is_ds_counted());
-        assert!(!Body::RejoinRepair { rule: "r".into(), firings: vec![], hops: 1 }.is_ds_counted());
+        assert!(!Body::Rejoin { marks: vec![] }.is_ds_counted());
+        assert!(!Body::RejoinRepair { rule: "r".into(), firings: vec![], hops: 1, mark: None }
+            .is_ds_counted());
     }
 
     #[test]
@@ -445,6 +523,7 @@ mod tests {
             hops: 1,
             request: false,
             closes: 0,
+            mark: None,
         }
         .parks_behind_barrier());
         assert!(Body::LinkClosed { update: upd(), rule: "r".into(), data_msgs: 0 }
@@ -452,8 +531,8 @@ mod tests {
         assert!(Body::DemandLink { update: upd(), rule: "r".into() }.parks_behind_barrier());
         // The handshake itself parks: abandoning a Rejoin toward a
         // still-dead peer strands the handshake forever (window (b)).
-        assert!(Body::Rejoin.parks_behind_barrier());
-        assert!(Body::RejoinRepair { rule: "r".into(), firings: vec![], hops: 1 }
+        assert!(Body::Rejoin { marks: vec![] }.parks_behind_barrier());
+        assert!(Body::RejoinRepair { rule: "r".into(), firings: vec![], hops: 1, mark: None }
             .parks_behind_barrier());
         // Bookkeeping keeps the abandonment semantics.
         assert!(!Body::DsAck { update: upd(), credits: 1 }.parks_behind_barrier());
@@ -480,6 +559,7 @@ mod tests {
             hops: 1,
             request: false,
             closes: 0,
+            mark: None,
         };
         let firing = codb_relational::RuleFiring::new([(
             "t",
@@ -492,6 +572,7 @@ mod tests {
             hops: 1,
             request: false,
             closes: 0,
+            mark: None,
         };
         assert!(big.size_bytes() > small.size_bytes());
         assert!(Envelope::control(Body::StatsRequest).size_bytes() >= 16);
@@ -503,6 +584,21 @@ mod tests {
     fn a_tag_makes_no_message_larger() {
         assert_eq!(std::mem::size_of::<Option<Tag>>(), std::mem::size_of::<Tag>());
         assert_eq!(std::mem::size_of::<Body>(), 88);
+    }
+
+    /// A mark rides in a niche: an absent one takes no room of its own.
+    #[test]
+    fn a_mark_is_a_span_and_costs_no_room_when_absent() {
+        assert_eq!(std::mem::size_of::<Option<Mark>>(), 8);
+        let last = Mark::LIMIT - 1;
+        for (from, to) in [(0, 0), (0, 1), (4, 41), (last, last), (0, last)] {
+            for anchored in [false, true] {
+                let mark = Mark::span(from, to, anchored).unwrap();
+                assert_eq!((mark.from(), mark.to(), mark.anchored()), (from, to, anchored));
+            }
+        }
+        assert_eq!(Mark::span(0, Mark::LIMIT, false), None);
+        assert_eq!(Mark::span(5, 4, false), None);
     }
 
     #[test]
@@ -543,6 +639,7 @@ mod tests {
                 hops: 0,
                 request: false,
                 closes: 0,
+                mark: None,
             }
             .kind(),
             Body::LinkClosed { update: upd(), rule: "r".into(), data_msgs: 0 }.kind(),

@@ -422,8 +422,9 @@ impl CoDbNetwork {
     /// recovery replaces the configured seed data), and re-added to the
     /// network. Start events run before this returns — pipe opening,
     /// advertisement, and the crash rejoin handshake ([`crate::rejoin`]):
-    /// the node announces its new incarnation epoch and every neighbor
-    /// invalidates the sent caches pointed at it. A restarted
+    /// the node announces its new incarnation epoch with the durable mark
+    /// of each link into it, and every neighbor invalidates the sent
+    /// caches pointed at it and repairs them past those marks. A restarted
     /// node is a first-class peer again — it may initiate updates and
     /// queries (its persisted counters resume the id space, and
     /// `(epoch, seq)`-keyed ids cannot collide with the dead

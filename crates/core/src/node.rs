@@ -11,10 +11,11 @@ use crate::config::NetworkConfig;
 use crate::ids::{NodeId, QueryId, ReqId, RuleName, UpdateId};
 use crate::messages::{Body, Envelope};
 use crate::query::{KeptFetch, QueryExec, QueryResult, Serving, Whole};
+use crate::rejoin::Continuity;
 use crate::reliable::{Answer, Owed, Receipt, Reliable};
 use crate::rules::{AcyclicLinks, CoordinationRule, RuleBook};
 use crate::stats::{Kind, NetworkReport, NodeReport};
-use crate::update::{SentCache, UpdateState};
+use crate::update::{Batch, SentCache, UpdateState};
 use codb_net::{Context, Peer, PeerId, PipeConfig, SimTime};
 use codb_relational::{ConjunctiveQuery, DatabaseSchema, Instance, NullFactory, Tuple};
 use codb_trace::Tracer;
@@ -100,6 +101,10 @@ pub struct CoDbNode {
     /// Set when this node recovered from disk and has not yet announced
     /// its new incarnation; cleared once the `Rejoin` round is posted.
     pub(crate) pending_rejoin: bool,
+    /// How far this node's relation logs continue those of its earlier
+    /// incarnations: what a position a peer reports back is checked
+    /// against before a repair starts from it.
+    pub(crate) continuity: Continuity,
     // ---- statistics module ----
     pub(crate) report: NodeReport,
     // ---- super-peer role ----
@@ -170,6 +175,7 @@ impl CoDbNode {
             completed_queries: BTreeMap::new(),
             discovered: std::collections::BTreeSet::new(),
             pending_rejoin: false,
+            continuity: Continuity::default(),
             report: NodeReport::new(id),
             superpeer_config: None,
             collected: NetworkReport::default(),
@@ -265,13 +271,16 @@ impl CoDbNode {
     }
 
     /// Restores a snapshot, replacing the LDB and null-factory state.
-    /// Does **not** touch an attached store; use [`CoDbNode::open_persistence`]
-    /// for disk-backed recovery. The restored relations are of new
-    /// lineages, so no link's mark answers for them: the next update start
-    /// fires every link whole ([`crate::update`], "What changed since").
+    /// Does **not** write an attached store; use
+    /// [`CoDbNode::open_persistence`] for disk-backed recovery. The
+    /// restored relations are of new lineages, so no link's mark answers
+    /// for them: the next update start fires every link whole
+    /// ([`crate::update`], "What changed since"), and no mark a peer
+    /// reports from before the restore is trusted ([`crate::rejoin`]).
     pub fn restore(&mut self, snapshot: codb_relational::Snapshot) {
         self.ldb = snapshot.instance;
         self.nulls = snapshot.nulls;
+        self.break_continuity();
     }
 
     /// Opens durable persistence rooted at `dir`: recovers existing state
@@ -291,9 +300,10 @@ impl CoDbNode {
     /// announcement ([`crate::rejoin`]) is posted on the node's next
     /// start — or, when persistence is opened on an already-started
     /// network, on its next event of any kind. A neighbour drops its sent
-    /// caches toward this node and re-sends them as repair on the first
-    /// envelope of the new epoch it hears, the announcement or anything
-    /// sent before it.
+    /// caches toward this node on the first envelope of the new epoch it
+    /// hears, the announcement or anything sent before it, and repairs
+    /// those links on the announcement, from the marks it reports
+    /// ([`crate::rejoin`]).
     pub fn open_persistence(
         &mut self,
         dir: &std::path::Path,
@@ -327,6 +337,7 @@ impl CoDbNode {
             self.ldb = recovered.instance;
             self.nulls = recovered.nulls;
             self.recv_cache = recovered.recv_cache;
+            self.continuity = Continuity::recovered(&self.ldb);
             // Resume (not restart) the protocol id space: the persisted
             // counters pick up where the dead incarnation stopped, so a
             // recovered node can initiate updates and queries again.
@@ -657,14 +668,14 @@ impl CoDbNode {
         // A peer's new incarnation, heard on whatever it sent first. This
         // comes before anything below can return early.
         if let Some(dead) = self.reliable.heard(from, env.epoch) {
-            self.handle_new_incarnation(ctx, from, dead);
+            self.handle_new_incarnation(ctx, from, dead, &env.body);
         }
         // An unsequenced `DsAck` that carries an ack is the reply returning
         // the credit of the message it acknowledges.
         let credit_reply = env.seq.is_none() && matches!(env.body, Body::DsAck { .. });
         if let Some(ack) = env.ack {
             let retired = self.reliable.on_ack(from, ack);
-            if matches!(retired, Some(Body::Rejoin)) {
+            if matches!(retired, Some(Body::Rejoin { .. })) {
                 self.trace_rejoin_acked(from);
             }
             // What answers a message counts once: a second copy of a reply,
@@ -701,22 +712,24 @@ impl CoDbNode {
     /// Hands a message that is due processing to its engine.
     fn dispatch(&mut self, ctx: &mut Context<Envelope>, from: NodeId, env: Envelope) {
         match env.body {
-            // All header: an ack, or a new incarnation's announcement
-            // (its epoch was acted on when it was heard).
-            Body::Ack | Body::Rejoin => {}
+            // All header.
+            Body::Ack => {}
             // ---- update protocol (crate::update) ----
             Body::UpdateRequest { .. }
             | Body::DemandLink { .. }
             | Body::UpdateData { .. }
-            | Body::LinkClosed { .. } => self.dispatch_ds(ctx, from, env.body),
+            | Body::LinkClosed { .. } => self.dispatch_ds(ctx, from, env.epoch, env.body),
             Body::DsAck { update, credits } if env.seq.is_some() => {
                 self.handle_disengagement(ctx, from, update, credits)
             }
             Body::DsAck { update, credits } => self.handle_ds_ack(ctx, update, credits),
             Body::UpdateComplete { update } => self.handle_update_complete(ctx, Some(from), update),
             // ---- crash rejoin (crate::rejoin) ----
-            Body::RejoinRepair { rule, firings, hops } => {
-                self.handle_rejoin_repair(ctx, rule, firings, hops)
+            // (The new incarnation's epoch was acted on when it was heard.)
+            Body::Rejoin { marks } => self.handle_rejoin(ctx, from, marks),
+            Body::RejoinRepair { rule, firings, hops, mark } => {
+                let mark = mark.map(|mark| mark.of_epoch(env.epoch));
+                self.handle_rejoin_repair(ctx, rule, Batch { firings, hops, mark })
             }
             // ---- query protocol (crate::query) ----
             Body::QueryRequest { req, rule, path, known } => {

@@ -628,7 +628,7 @@ mod tests {
 
     /// A message that parks behind the barrier, beside the `Rejoin`.
     fn repair() -> Body {
-        Body::RejoinRepair { rule: "r".into(), firings: vec![], hops: 1 }
+        Body::RejoinRepair { rule: "r".into(), firings: vec![], hops: 1, mark: None }
     }
 
     fn layer() -> Reliable {
@@ -867,7 +867,7 @@ mod tests {
         // still-dead peer must never be abandoned — back-to-back restarts
         // would strand the handshake forever.
         let mut r = layer();
-        let e = r.wrap(NodeId(1), Body::Rejoin);
+        let e = r.wrap(NodeId(1), Body::Rejoin { marks: vec![] });
         let round = exhaust(&mut r);
         assert!(round.abandoned.is_empty(), "handshake traffic must not be abandoned");
         assert_eq!(round.barred, vec![(NodeId(1), 1)]);
@@ -903,7 +903,7 @@ mod tests {
     #[test]
     fn barring_parks_all_eligible_toward_that_peer_only() {
         let mut r = layer();
-        let a = r.wrap(NodeId(1), Body::Rejoin);
+        let a = r.wrap(NodeId(1), Body::Rejoin { marks: vec![] });
         r.wrap(NodeId(1), Body::StatsRequest); // ordinary: still abandons
         let b = r.wrap(NodeId(1), repair());
         r.wrap(NodeId(2), Body::StatsRequest); // other peer: untouched
@@ -921,7 +921,7 @@ mod tests {
     #[test]
     fn late_traffic_toward_a_barred_peer_probes_then_joins_the_queue() {
         let mut r = layer();
-        let first = r.wrap(NodeId(1), Body::Rejoin);
+        let first = r.wrap(NodeId(1), Body::Rejoin { marks: vec![] });
         exhaust(&mut r);
         assert!(r.is_barred(NodeId(1)));
         // New traffic toward the barred peer is still sent — it doubles as
@@ -953,7 +953,7 @@ mod tests {
     #[test]
     fn forget_peer_lifts_the_barrier() {
         let mut r = layer();
-        r.wrap(NodeId(1), Body::Rejoin);
+        r.wrap(NodeId(1), Body::Rejoin { marks: vec![] });
         exhaust(&mut r);
         assert!(r.is_barred(NodeId(1)));
         assert_eq!(r.forget_peer(NodeId(1)).dropped.len(), 1);
@@ -1091,8 +1091,11 @@ mod tests {
                 let peer = NodeId(rng.gen_range(0..3));
                 let (got, want) = match rng.gen_range(0..100) {
                     0..=44 => {
-                        let body =
-                            if rng.gen_bool(0.4) { Body::Rejoin } else { Body::StatsRequest };
+                        let body = if rng.gen_bool(0.4) {
+                            Body::Rejoin { marks: vec![] }
+                        } else {
+                            Body::StatsRequest
+                        };
                         let env = ring.wrap(peer, body.clone());
                         let seq = map.wrap(peer, body);
                         assert_eq!(env.base, map.base(peer), "{at}");

@@ -107,7 +107,7 @@ impl RuleBook {
         let links: Vec<Link> = mine
             .into_values()
             .map(|(i, r)| Link {
-                name: r.name().to_owned(),
+                name: r.name().into(),
                 rule: PreparedRule::new(r.rule.clone()),
                 source: r.source,
                 target: r.target,
@@ -169,7 +169,7 @@ impl RuleBook {
 
     /// The link `name` names, whichever end of it this node is.
     pub fn link_named(&self, name: &str) -> Option<LinkId> {
-        let at = self.links.binary_search_by(|l| l.name.as_str().cmp(name)).ok()?;
+        let at = self.links.binary_search_by(|l| (*l.name).cmp(name)).ok()?;
         Some(LinkId(at as u32))
     }
 
@@ -322,9 +322,8 @@ pub(crate) fn assert_tables_match_definitions(
     node: NodeId,
     rules: &[CoordinationRule],
 ) {
-    let names = |ids: &[LinkId]| -> Vec<&str> {
-        ids.iter().map(|id| book.link(*id).name.as_str()).collect()
-    };
+    let names =
+        |ids: &[LinkId]| -> Vec<&str> { ids.iter().map(|id| &*book.link(*id).name).collect() };
     let named = |keep: &dyn Fn(&CoordinationRule) -> bool| -> Vec<&str> {
         let set: BTreeSet<&str> = rules.iter().filter(|r| keep(r)).map(|r| r.name()).collect();
         set.into_iter().collect()
@@ -339,7 +338,7 @@ pub(crate) fn assert_tables_match_definitions(
     assert_eq!(book.len(), all.len());
     assert_eq!(book.is_empty(), all.is_empty());
     for ((id, link), name) in book.links().zip(&all) {
-        assert_eq!((link.name.as_str(), id.index()), (*name, all.binary_search(name).unwrap()));
+        assert_eq!((&*link.name, id.index()), (*name, all.binary_search(name).unwrap()));
         let rule = rules.iter().rfind(|r| r.name() == *name).unwrap();
         assert_eq!(
             (link.rule.rule(), link.source, link.target),
@@ -381,7 +380,7 @@ pub(crate) fn assert_tables_match_definitions(
         }
     }
     for (_, link) in book.links() {
-        let i = rules.iter().rposition(|r| r.name() == link.name).unwrap();
+        let i = rules.iter().rposition(|r| r.name() == &*link.name).unwrap();
         let cyclic = (0..n).any(|j| reach[j][j] && (j == i || reach[j][i]));
         assert_eq!(link.held, !cyclic, "{} held at {node}", link.name);
     }
@@ -394,7 +393,7 @@ pub(crate) fn assert_tables_match_definitions(
             .iter()
             .filter(|_| link.source == node)
             .filter(|o| rule_of(**o).head_relations().iter().any(|h| reads.contains(h)))
-            .map(|o| book.link(*o).name.as_str())
+            .map(|o| &*book.link(*o).name)
             .collect();
         assert_eq!(
             names(book.relevant_outgoing(id)),
@@ -414,7 +413,7 @@ pub(crate) fn assert_tables_match_definitions(
             .incoming()
             .iter()
             .filter(|i| rule_of(**i).body_relations().contains(rel))
-            .map(|i| book.link(*i).name.as_str())
+            .map(|i| &*book.link(*i).name)
             .collect();
         assert_eq!(names(book.incoming_reading(rel)), readers, "readers of {rel} at {node}");
     }
@@ -432,7 +431,7 @@ mod tests {
     }
 
     fn names(book: &RuleBook, ids: &[LinkId]) -> Vec<String> {
-        ids.iter().map(|id| book.link(*id).name.clone()).collect()
+        ids.iter().map(|id| book.link(*id).name.to_string()).collect()
     }
 
     #[test]
@@ -541,7 +540,7 @@ mod tests {
                 let incoming: Vec<LinkId> = book.incoming().to_vec();
                 incoming.into_iter().map(move |id| {
                     let link = book.link(id);
-                    (link.name.clone(), link.held)
+                    (link.name.to_string(), link.held)
                 })
             })
             .collect();

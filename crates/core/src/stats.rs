@@ -8,7 +8,7 @@
 //! at any given time, statistical information from all nodes … aggregates
 //! them and creates a final statistical report."
 
-use crate::ids::{NodeId, QueryId, RuleName, UpdateId};
+use crate::ids::{NodeId, QueryId, UpdateId};
 use codb_net::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -89,9 +89,9 @@ pub struct UpdateReport {
     /// When the node saw the global `UpdateComplete`, if any.
     pub completed_at: Option<SimTime>,
     /// Data received per outgoing link.
-    pub received: BTreeMap<RuleName, RuleTraffic>,
+    pub received: BTreeMap<String, RuleTraffic>,
     /// Data sent per incoming link.
-    pub sent: BTreeMap<RuleName, RuleTraffic>,
+    pub sent: BTreeMap<String, RuleTraffic>,
     /// Firings this node's rule bodies produced for the update, before the
     /// sent-side dedup threw away those already shipped: what the update
     /// *evaluated* to send what `sent` counts.
@@ -362,6 +362,11 @@ pub struct NodeReport {
     pub messages_received: KindCounts,
     /// Total LDB tuples at report time.
     pub ldb_tuples: u64,
+    /// Firings this node re-sent as rejoin repair ([`Body::RejoinRepair`]
+    /// batches, cascade hops included).
+    ///
+    /// [`Body::RejoinRepair`]: crate::Body::RejoinRepair
+    pub repair_firings: u64,
 }
 
 impl NodeReport {
@@ -416,7 +421,7 @@ pub struct UpdateSummary {
     /// Longest update propagation path anywhere.
     pub longest_path: u64,
     /// Per-rule traffic, aggregated over receivers.
-    pub per_rule: BTreeMap<RuleName, RuleTraffic>,
+    pub per_rule: BTreeMap<String, RuleTraffic>,
     /// True if any node hit the chase safety valve.
     pub truncated: bool,
 }
@@ -584,7 +589,7 @@ mod tests {
         let update = upd();
         let req = crate::ids::ReqId { node: NodeId(1), epoch: 0, seq: 0 };
         let query = codb_relational::parse_query("ans(X) :- r(X).").unwrap();
-        let rule = || "r".to_owned();
+        let rule = || crate::RuleName::from("r");
         vec![
             ("Ack", Body::Ack),
             ("UpdateRequest", Body::UpdateRequest { update }),
@@ -598,13 +603,17 @@ mod tests {
                     hops: 0,
                     request: false,
                     closes: 0,
+                    mark: None,
                 },
             ),
             ("LinkClosed", Body::LinkClosed { update, rule: rule(), data_msgs: 0 }),
             ("DsAck", Body::DsAck { update, credits: 1 }),
             ("UpdateComplete", Body::UpdateComplete { update }),
-            ("Rejoin", Body::Rejoin),
-            ("RejoinRepair", Body::RejoinRepair { rule: rule(), firings: vec![], hops: 1 }),
+            ("Rejoin", Body::Rejoin { marks: vec![] }),
+            (
+                "RejoinRepair",
+                Body::RejoinRepair { rule: rule(), firings: vec![], hops: 1, mark: None },
+            ),
             (
                 "QueryRequest",
                 Body::QueryRequest { req, rule: rule(), path: Box::new([]), known: None },
@@ -621,7 +630,7 @@ mod tests {
             ("TriggerDiscovery", Body::TriggerDiscovery),
             (
                 "IngestLocal",
-                Body::IngestLocal { relation: rule(), tuple: codb_relational::tup![1] },
+                Body::IngestLocal { relation: rule().to_string(), tuple: codb_relational::tup![1] },
             ),
         ]
     }
@@ -691,7 +700,8 @@ mod tests {
 
     /// The report's JSON, byte for byte what the name-keyed counters
     /// wrote: kinds in name order, only those counted; a query's report
-    /// says whether its answer was the one the node kept.
+    /// says whether its answer was the one the node kept; the firings
+    /// re-sent as rejoin repair are counted beside them.
     #[test]
     fn a_node_report_serialises_to_the_json_it_always_did() {
         let mut n = NodeReport::new(NodeId(7));
@@ -716,7 +726,7 @@ mod tests {
                 r#""queries":[[{"epoch":0,"origin":7,"seq":4},{"answers":0,"answers_received":2,"#,
                 r#""bytes_received":0,"finished_at":null,"first_answer_at":null,"kept":true,"#,
                 r#""query":{"epoch":0,"origin":7,"seq":4},"requests_sent":1,"#,
-                r#""started_at":3000000,"unchanged":1}]],"#,
+                r#""started_at":3000000,"unchanged":1}]],"repair_firings":0,"#,
                 r#""updates":[[{"epoch":0,"origin":0,"seq":0},{"closed_at":null,"#,
                 r#""completed_at":null,"evaluated":0,"longest_path":0,"received":[["r1","#,
                 r#"{"bytes":100,"#,

@@ -135,6 +135,7 @@ impl CoDbNode {
         }
         self.sent_cache = vec![SentCache::default(); self.book.len()];
         self.recv_cache.clear();
+        self.break_continuity();
         let kept = |name: &str| match (self.book.outgoing_named(name), old.outgoing_named(name)) {
             (Some(now), Some(then)) => {
                 let (now, then) = (self.book.link(now), old.link(then));
@@ -217,7 +218,7 @@ mod tests {
         );
         let relevant = |book: &RuleBook, incoming: &str| -> Vec<String> {
             let ids = book.relevant_outgoing(book.incoming_named(incoming).unwrap());
-            ids.iter().map(|id| book.link(*id).name.clone()).collect()
+            ids.iter().map(|id| book.link(*id).name.to_string()).collect()
         };
         assert_tables_match_definitions(node.rule_book(), node.id, &v1.rules);
         assert_eq!(node.rule_book().acquaintances(), &[spoke1, spoke2].into());
@@ -311,11 +312,12 @@ mod tests {
         assert!(matches!(sent[..], [(to, Body::UpdateRequest { .. })] if to == c), "{sent:?}");
         let data = |rule: &str, f| Body::UpdateData {
             update,
-            rule: rule.to_owned(),
+            rule: rule.into(),
             firings: vec![f],
             hops: 1,
             request: false,
             closes: 0,
+            mark: None,
         };
         let sent = deliver(&mut node, a, data("keep", firing("tb", 7)));
         assert!(!sent.iter().any(|(_, body)| matches!(body, Body::UpdateData { .. })), "{sent:?}");
@@ -336,7 +338,7 @@ mod tests {
             .iter()
             .filter_map(|(to, body)| match body {
                 Body::UpdateData { rule, firings, closes, .. } if *to == c => {
-                    Some((rule.as_str(), firings.len(), *closes))
+                    Some((&rule[..], firings.len(), *closes))
                 }
                 _ => None,
             })
@@ -367,7 +369,7 @@ mod tests {
         let ldb = node.ldb().clone();
         for late in [
             data("gone", firing("ub", 9)),
-            Body::LinkClosed { update, rule: "gone".to_owned(), data_msgs: 1 },
+            Body::LinkClosed { update, rule: "gone".into(), data_msgs: 1 },
             data("old", firing("tc", 9)),
         ] {
             let sent = deliver(&mut node, a, late);
@@ -385,16 +387,13 @@ mod tests {
 
         // `keep` closes: `new` depends on it and closes behind it; `third`
         // depends on nothing b imports and closes with it.
-        let sent = deliver(
-            &mut node,
-            a,
-            Body::LinkClosed { update, rule: "keep".to_owned(), data_msgs: 1 },
-        );
+        let sent =
+            deliver(&mut node, a, Body::LinkClosed { update, rule: "keep".into(), data_msgs: 1 });
         let closed: Vec<(&str, u64)> = sent
             .iter()
             .filter_map(|(to, body)| match body {
                 Body::LinkClosed { rule, data_msgs, .. } if *to == c => {
-                    Some((rule.as_str(), *data_msgs))
+                    Some((&rule[..], *data_msgs))
                 }
                 _ => None,
             })

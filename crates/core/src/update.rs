@@ -117,13 +117,14 @@
 //! stands, so the mark is its whole record: it keeps no sent firing.
 
 use crate::ids::{NodeId, RuleName, UpdateId};
-use crate::messages::{Body, Envelope};
+use crate::messages::{Body, Envelope, Mark};
 use crate::node::CoDbNode;
 use crate::query::Answered;
 use crate::rules::{Link, LinkId, RuleBook};
 use crate::stats::{by_name, Kind};
 use codb_net::{Context, SimTime};
 use codb_relational::{Atom, FiringSet, Instance, Relation, RuleFiring, Tuple, Version};
+use codb_store::Span;
 use codb_trace::TraceEvent;
 use std::cell::Cell;
 use std::collections::BTreeSet;
@@ -166,6 +167,9 @@ pub(crate) struct SentCache {
     /// The version of each body atom's relation, in body order, that
     /// `sent` covers (module docs, "What changed since"); none, nothing is.
     pub(crate) mark: Option<Box<[Version]>>,
+    /// Where the link's next batch starts: how far the batches shipped
+    /// since `sent` was last emptied reach ([`crate::messages::Mark`]).
+    pub(crate) shipped: Shipped,
     /// The link's last whole fire for a fetch it served, kept under what
     /// it read ([`CoDbNode::fire_link_whole`]), with the answer served
     /// over it. (Boxed: a cache that serves no fetch pays a pointer.)
@@ -178,6 +182,26 @@ impl SentCache {
     pub(crate) fn is_empty(&self) -> bool {
         self.sent.is_empty() && self.mark.is_none() && self.view.is_none()
     }
+}
+
+/// How far the batches a link shipped reach, in the log of its body's one
+/// relation: where its next batch starts, and what its target must hold
+/// before that batch for the batch's mark to hold. Reset with the sent
+/// set, whose firings those batches shipped.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) enum Shipped {
+    /// Nothing since the sent set was emptied: the next batch starts at
+    /// the start of the log.
+    #[default]
+    Nothing,
+    /// Nothing since the link took the mark its target reported at this
+    /// position: the next batch starts there, anchored on it.
+    Reported(u64),
+    /// Batches up to this position.
+    Upto(u64),
+    /// A batch that carried no mark: the target can tell nothing of the
+    /// link's batches until the sent set is emptied.
+    Untold,
 }
 
 /// Every firing of a link over the relations its body read, and the
@@ -428,8 +452,15 @@ impl CoDbNode {
     }
 
     /// DS wrapper: engagement bookkeeping around the DS-counted message
-    /// kinds, and the choice of what answers the message.
-    pub(crate) fn dispatch_ds(&mut self, ctx: &mut Context<Envelope>, from: NodeId, body: Body) {
+    /// kinds, and the choice of what answers the message. `epoch` is the
+    /// sender's incarnation, which a mark the message carries is of.
+    pub(crate) fn dispatch_ds(
+        &mut self,
+        ctx: &mut Context<Envelope>,
+        from: NodeId,
+        epoch: u64,
+        body: Body,
+    ) {
         let update = body.update_id().expect("DS messages carry an update id");
         let fresh = !self.updates.contains_key(&update);
         let acquainted = self.book.acquaintances().contains(&from);
@@ -455,11 +486,12 @@ impl CoDbNode {
         match body {
             Body::UpdateRequest { update } => self.process_update_request(ctx, Some(from), update),
             Body::DemandLink { update, rule } => self.process_demand_link(ctx, update, rule),
-            Body::UpdateData { update, rule, firings, hops, request, closes } => {
+            Body::UpdateData { update, rule, firings, hops, request, closes, mark } => {
                 if request {
                     self.process_update_request(ctx, Some(from), update);
                 }
-                self.process_update_data(ctx, update, &rule, firings, hops, closes)
+                let batch = Batch { firings, hops, mark: mark.map(|mark| mark.of_epoch(epoch)) };
+                self.process_update_data(ctx, update, &rule, batch, closes)
             }
             Body::LinkClosed { update, rule, data_msgs } => {
                 self.process_link_closed(ctx, update, &rule, data_msgs)
@@ -524,15 +556,15 @@ impl CoDbNode {
         ctx: &mut Context<Envelope>,
         update: UpdateId,
         rule: &str,
-        firings: Vec<RuleFiring>,
-        hops: u64,
+        batch: Batch,
         closes: u32,
     ) {
         let now = ctx.now();
-        let bytes: usize = firings.iter().map(RuleFiring::size_bytes).sum();
+        let hops = batch.hops;
+        let bytes: usize = batch.firings.iter().map(RuleFiring::size_bytes).sum();
         {
             let rep = self.report.update_mut(update, now);
-            by_name(&mut rep.received, rule).record(firings.len() as u64, bytes as u64);
+            by_name(&mut rep.received, rule).record(batch.firings.len() as u64, bytes as u64);
             rep.longest_path = rep.longest_path.max(hops);
         }
         // The one place a data message's rule name is looked up: from here
@@ -541,7 +573,7 @@ impl CoDbNode {
             // Stale rule (configuration changed mid-update): data ignored.
             return;
         };
-        let (grown, propagate) = self.arrive(link, firings, hops);
+        let (grown, propagate) = self.arrive(link, batch);
 
         // Count the data message and resolve a deferred close whose data
         // has now fully arrived (loss + retransmission can reorder data
@@ -572,13 +604,16 @@ impl CoDbNode {
         }
     }
 
-    /// The arrival of a batch that came `hops` hops on outgoing link
-    /// `link`, update data and rejoin repair alike: check the batch, apply
-    /// what is new ([`codb_store::apply_arrived`]: `T' = T \ R`), WAL it,
-    /// then the chase safety valve. Returns the relations that grew with
-    /// their versions before ([`codb_relational::apply_firings`]), and
-    /// whether the growth may propagate: at `max_hops` it may not, and the
-    /// marks stay behind it.
+    /// The arrival of a batch on outgoing link `link`, update data and
+    /// rejoin repair alike: check the batch, apply what is new
+    /// ([`codb_store::apply_arrived`]: `T' = T \ R`), move the link's
+    /// kept mark where the batch joins on to it
+    /// ([`codb_store::Store::advance_mark`]), WAL what was new with the
+    /// mark it moved to (a batch that added nothing moves the mark without
+    /// a record), then the chase safety valve. Returns the relations that
+    /// grew with their versions before ([`codb_relational::apply_firings`]),
+    /// and whether the growth may propagate: at `max_hops` it may not, and
+    /// the marks stay behind it.
     ///
     /// The wire is outside the program: a batch that is not an instance of
     /// the rule's head over this node's schema is dropped whole and counted
@@ -587,9 +622,9 @@ impl CoDbNode {
     pub(crate) fn arrive(
         &mut self,
         link: LinkId,
-        mut firings: Vec<RuleFiring>,
-        hops: u64,
+        batch: Batch,
     ) -> (Vec<(Arc<str>, Version)>, bool) {
+        let Batch { mut firings, hops, mark } = batch;
         let book = Arc::clone(&self.book);
         let link = book.link(link);
         if !link.rule.rule().admits(&self.ldb, &firings) {
@@ -599,14 +634,19 @@ impl CoDbNode {
         let (ldb, nulls, recv) = (&mut self.ldb, &mut self.nulls, &mut self.recv_cache);
         let grown = codb_store::apply_arrived(ldb, nulls, recv, &link.name, &mut firings)
             .expect("the batch was admitted against the rule head and the schema");
+        let moved = match (&mut self.persist, mark) {
+            (Some(store), Some(span)) => store.advance_mark(&link.name, span),
+            _ => None,
+        };
         if firings.is_empty() {
             return (grown, false);
         }
         // Durability: WAL what was new, before anything is sent or acked.
         // Replay from the snapshot re-runs exactly these arrivals in order,
-        // reproducing instance, null factory and receive caches.
+        // reproducing instance, null factory, receive caches and marks.
         if self.persist.is_some() {
-            self.log_wal(codb_store::WalRecord::Applied { rule: link.name.clone(), firings });
+            let rule = link.name.to_string();
+            self.log_wal(codb_store::WalRecord::Applied { rule, firings, mark: moved });
         }
         if self.tracer.is_enabled() {
             let r = self.tracer.intern(&link.name);
@@ -958,13 +998,33 @@ impl CoDbNode {
         } else {
             0
         };
-        let rule = name.clone();
-        self.post(
-            ctx,
-            target,
-            Body::UpdateData { update, rule, firings: fresh, hops, request, closes },
-        );
+        let (rule, mark) = (name.clone(), self.ship_mark(link));
+        let body = Body::UpdateData { update, rule, firings: fresh, hops, request, closes, mark };
+        self.post(ctx, target, body);
         true
+    }
+
+    /// The mark of the batch incoming link `link` is shipping
+    /// ([`crate::messages::Mark`]): from where its batches so far reach to
+    /// its mark's position, where its body has one atom and it has a mark
+    /// — after which its batches reach that far.
+    pub(crate) fn ship_mark(&mut self, link: LinkId) -> Option<Mark> {
+        let cache = &mut self.sent_cache[link.index()];
+        let to = match cache.mark.as_deref() {
+            Some([version]) => Some(version.position()),
+            _ => None,
+        };
+        let mark = match (cache.shipped, to) {
+            (Shipped::Nothing, Some(to)) => Mark::span(0, to, false),
+            (Shipped::Reported(from), Some(to)) => Mark::span(from, to, true),
+            (Shipped::Upto(from), Some(to)) => Mark::span(from, to, false),
+            _ => None,
+        };
+        cache.shipped = match mark {
+            Some(mark) => Shipped::Upto(mark.to()),
+            None => Shipped::Untold,
+        };
+        mark
     }
 
     /// Handles the source-side close notification for outgoing link `rule`.
@@ -1296,6 +1356,18 @@ struct Header {
     close: bool,
 }
 
+/// A batch of firings as it arrives on an outgoing link, update data and
+/// rejoin repair alike ([`CoDbNode::arrive`]).
+pub(crate) struct Batch {
+    /// The firings.
+    pub(crate) firings: Vec<RuleFiring>,
+    /// How many hops the batch came.
+    pub(crate) hops: u64,
+    /// The part of the link's log the batch covers, with its sender's
+    /// epoch.
+    pub(crate) mark: Option<Span>,
+}
+
 /// The version of each body atom's relation in `source`, in body order;
 /// none where `source` lacks one.
 fn versions_of(source: &Instance, atoms: &[Atom]) -> Option<Box<[Version]>> {
@@ -1495,15 +1567,16 @@ pub(crate) mod tests {
                 let bogus = UpdateId { origin: src, epoch: 7, seq: 0 };
                 let firings = firings.clone();
                 let body = if as_repair {
-                    Body::RejoinRepair { rule: "r".to_owned(), firings, hops: 1 }
+                    Body::RejoinRepair { rule: "r".into(), firings, hops: 1, mark: None }
                 } else {
                     Body::UpdateData {
                         update: bogus,
-                        rule: "r".to_owned(),
+                        rule: "r".into(),
                         firings,
                         hops: 1,
                         request: false,
                         closes: 0,
+                        mark: None,
                     }
                 };
                 net.sim_mut().inject(src.peer(), tgt.peer(), Envelope::control(body));
@@ -1611,7 +1684,7 @@ pub(crate) mod tests {
                 codb_net::Command::Send {
                     msg: Envelope { body: Body::UpdateData { rule, firings, .. }, .. },
                     ..
-                } => Some((rule, firings.iter().map(value_of).collect())),
+                } => Some((rule.to_string(), firings.iter().map(value_of).collect())),
                 _ => None,
             });
             sent.collect()
@@ -1621,13 +1694,13 @@ pub(crate) mod tests {
         /// closes the link if `closes`.
         fn data(update: UpdateId, k: i64, hops: u64, closes: u32) -> Body {
             let firings = vec![RuleFiring::new([("m", vec![constant(k)])])];
-            let rule = "feed".to_owned();
-            Body::UpdateData { update, rule, firings, hops, request: false, closes }
+            let rule = "feed".into();
+            Body::UpdateData { update, rule, firings, hops, request: false, closes, mark: None }
         }
 
         /// `up` closes `feed` after `data_msgs` data messages.
         fn closed(update: UpdateId, data_msgs: u64) -> Body {
-            Body::LinkClosed { update, rule: "feed".to_owned(), data_msgs }
+            Body::LinkClosed { update, rule: "feed".into(), data_msgs }
         }
 
         fn caught_up(&self) -> [bool; 2] {
@@ -1729,7 +1802,7 @@ pub(crate) mod tests {
         let mut mid = Mid::eager(Default::default());
         mid.deliver(Body::UpdateRequest { update: update(0) });
         mid.deliver(Body::UpdateComplete { update: update(0) });
-        let demand = Body::DemandLink { update: update(1), rule: "to_a".to_owned() };
+        let demand = Body::DemandLink { update: update(1), rule: "to_a".into() };
         assert_eq!(mid.deliver(demand), [], "caught up and nothing new: nothing to ship");
         assert_eq!(mid.deliver(Mid::data(update(1), 3, 1, 0)), [("to_a".to_owned(), vec![3])]);
         assert_eq!(mid.caught_up(), [true, false]);
@@ -1745,7 +1818,7 @@ pub(crate) mod tests {
         mid.deliver(Body::UpdateRequest { update: update(0) });
         mid.deliver(Mid::closed(update(0), 0));
         mid.deliver(Body::UpdateComplete { update: update(0) });
-        let demand = Body::DemandLink { update: update(1), rule: "to_a".to_owned() };
+        let demand = Body::DemandLink { update: update(1), rule: "to_a".into() };
         assert_eq!(mid.deliver(demand), []);
         assert_eq!(mid.deliver(Mid::data(update(1), 3, 1, 1)), [("to_a".to_owned(), vec![3])]);
         assert_eq!(mid.caught_up(), [true, false]);
@@ -1801,7 +1874,7 @@ pub(crate) mod tests {
         mid.deliver(Body::UpdateComplete { update: update(0) });
         mid.node.insert_local("m", tup![4]).unwrap();
         let whole = whole_fires();
-        let demand = Body::DemandLink { update: update(1), rule: "to_a".to_owned() };
+        let demand = Body::DemandLink { update: update(1), rule: "to_a".into() };
         assert_eq!(mid.deliver(demand), [("to_a".to_owned(), vec![4])]);
         assert_eq!(mid.caught_up(), [true, false]);
         mid.deliver(Body::UpdateComplete { update: update(1) });
@@ -1815,7 +1888,7 @@ pub(crate) mod tests {
         mid.deliver(Body::UpdateComplete { update: update(0) });
         mid.node.insert_local("m", tup![4]).unwrap();
         let whole = whole_fires();
-        let demand = Body::DemandLink { update: update(1), rule: "to_a".to_owned() };
+        let demand = Body::DemandLink { update: update(1), rule: "to_a".into() };
         assert_eq!(mid.deliver(demand), [], "held until feed closes");
         assert_eq!(mid.deliver(Mid::closed(update(1), 0)), [("to_a".to_owned(), vec![4])]);
         assert_eq!(mid.caught_up(), [true, false]);
@@ -1911,8 +1984,9 @@ pub(crate) mod tests {
         })
     }
 
-    /// A traced rejoin on a ground chain: `a` re-sends its whole link to
-    /// the restarted `b`, whose relation holds all of it. The repair is
+    /// A traced rejoin on a ground chain: `a`, which restored its LDB since
+    /// it fed `b` and so trusts no mark `b` reports, re-sends its whole
+    /// link to the restarted `b`, whose relation holds all of it. The repair is
     /// dropped in the LDB, before the WAL: `b` applies and logs nothing,
     /// no receive cache holds a ground firing, and every `Applied` record
     /// of every WAL, replayed in order from the first snapshot, names only
@@ -1929,6 +2003,7 @@ pub(crate) mod tests {
         let [a, b, c] = ["a", "b", "c"].map(|name| net.node_id(name).unwrap());
         let snapshots = [a, b, c].map(|id| net.node(id).ldb().clone());
         net.run_update(c);
+        restore_in_place(&mut net, a);
 
         net.crash_node(b);
         let dir = CoDbNetwork::node_data_dir(tmp.path(), "b");
@@ -1968,18 +2043,28 @@ pub(crate) mod tests {
         assert_eq!(net.node(c).ldb().get("tc").unwrap().len(), 4);
     }
 
+    /// `node` restores the snapshot of its own LDB: the same tuples, in
+    /// relations of new lineages — no mark a peer holds is trusted after.
+    fn restore_in_place(net: &mut CoDbNetwork, node: NodeId) {
+        let snapshot = net.node(node).snapshot();
+        net.sim_mut().peer_mut(node.peer()).unwrap().restore(snapshot);
+    }
+
     /// A receive cache read back from disk is made of other allocations
     /// than the firings `src` fires again for the rejoin repair and the
     /// next update; it must suppress them all the same, or every template
-    /// would be instantiated a second time with fresh nulls.
+    /// would be instantiated a second time with fresh nulls. (`src`
+    /// restores its LDB first, so it trusts no mark `tgt` reports and
+    /// re-fires the whole link.)
     #[test]
     fn a_recovered_receive_cache_suppresses_refired_templates() {
         let tmp = ScratchDir::new("core-glav-restart");
-        let (mut net, _, tgt) = link("person(N, D)");
+        let (mut net, src, tgt) = link("person(N, D)");
         net.open_persistence_all(tmp.path(), SyncPolicy::Always).unwrap();
         net.run_update(tgt);
         let ldb = net.node(tgt).ldb().clone();
         assert_eq!(net.node(tgt).nulls_invented(), 2);
+        restore_in_place(&mut net, src);
 
         net.crash_node(tgt);
         let dir = CoDbNetwork::node_data_dir(tmp.path(), "tgt");

@@ -62,6 +62,14 @@ pub struct Version {
     len: usize,
 }
 
+impl Version {
+    /// The log position the version stands at: how many tuples the
+    /// relation held then ([`Relation::version_at`] turns it back).
+    pub fn position(self) -> u64 {
+        self.len as u64
+    }
+}
+
 /// Where each tuple sits in the relation's log: an open-addressing table,
 /// at most 7/8 full, whose slot is 0 (empty) or `hash << 32 | (position +
 /// 1)`, `hash` being the top 32 bits of the tuple's
@@ -251,6 +259,15 @@ impl Relation {
     /// The relation as it stands now, for [`Relation::since`].
     pub fn version(&self) -> Version {
         Version { lineage: self.lineage, len: self.log.len() }
+    }
+
+    /// The relation as it stood when its log held `position` tuples: its
+    /// version then — `None` past the log's end. A position is what
+    /// outlives the process (a peer reports it back); the version is what
+    /// [`Relation::since`] reads.
+    pub fn version_at(&self, position: u64) -> Option<Version> {
+        let len = usize::try_from(position).ok().filter(|len| *len <= self.log.len())?;
+        Some(Version { lineage: self.lineage, len })
     }
 
     /// The tuples inserted after `version`, in insertion order — `None`

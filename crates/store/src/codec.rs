@@ -27,13 +27,19 @@
 //! 0x01 Counters     update_seq, query_seq, req_seq   (varints)
 //! 0x02 Applied      rule: str, n, n × firing
 //! 0x03 LocalInsert  relation: str, tuple
+//! 0x04 Caches       as 0x00, then k, k × (rule: str, epoch, position)
+//! 0x05 Applied      rule: str, epoch, position, n, n × firing
 //! ```
+//!
+//! A record carrying link marks takes the second tag of its kind; one
+//! without takes the first, so an unmarked record keeps the bytes it
+//! had before the marked tags existed, and stores written then decode.
 //!
 //! with `firing` and `tuple` as defined in `codb_relational::binenc`. A
 //! binary snapshot payload is varint version + null factory + instance.
 
 use crate::store::StoreError;
-use crate::wal::{ProtocolCounters, RecvCaches, WalRecord};
+use crate::wal::{LinkMark, LinkMarks, ProtocolCounters, RecvCaches, WalRecord};
 use codb_relational::binenc::{self, BinDecodeError, Reader};
 use codb_relational::{FiringSet, RuleFiring, Snapshot, SnapshotError};
 use std::fmt;
@@ -137,6 +143,8 @@ const TAG_CACHES: u8 = 0;
 const TAG_COUNTERS: u8 = 1;
 const TAG_APPLIED: u8 = 2;
 const TAG_LOCAL_INSERT: u8 = 3;
+const TAG_CACHES_MARKED: u8 = 4;
+const TAG_APPLIED_MARKED: u8 = 5;
 
 /// Encodes one WAL record (binary).
 pub fn encode_record(record: &WalRecord) -> Vec<u8> {
@@ -150,12 +158,19 @@ pub fn encode_record(record: &WalRecord) -> Vec<u8> {
 /// appender encodes behind a frame header).
 pub(crate) fn put_record(out: &mut Vec<u8>, record: &WalRecord) {
     match record {
-        WalRecord::Caches { recv } => {
-            out.push(TAG_CACHES);
+        WalRecord::Caches { recv, marks } => {
+            out.push(if marks.is_empty() { TAG_CACHES } else { TAG_CACHES_MARKED });
             binenc::put_len(out, recv.len());
             for (rule, firings) in recv {
                 binenc::put_str(out, rule);
                 put_firings(out, sorted(firings).into_iter());
+            }
+            if !marks.is_empty() {
+                binenc::put_len(out, marks.len());
+                for (rule, mark) in marks {
+                    binenc::put_str(out, rule);
+                    put_mark(out, mark);
+                }
             }
         }
         WalRecord::Counters { counters } => {
@@ -164,9 +179,12 @@ pub(crate) fn put_record(out: &mut Vec<u8>, record: &WalRecord) {
             binenc::put_u64(out, counters.query_seq);
             binenc::put_u64(out, counters.req_seq);
         }
-        WalRecord::Applied { rule, firings } => {
-            out.push(TAG_APPLIED);
+        WalRecord::Applied { rule, firings, mark } => {
+            out.push(if mark.is_some() { TAG_APPLIED_MARKED } else { TAG_APPLIED });
             binenc::put_str(out, rule);
+            if let Some(mark) = mark {
+                put_mark(out, mark);
+            }
             put_firings(out, firings.iter());
         }
         WalRecord::LocalInsert { relation, tuple } => {
@@ -195,7 +213,7 @@ fn decode_record_binary(payload: &[u8]) -> Result<WalRecord, BinDecodeError> {
     let mut r = Reader::new(payload);
     let at = r.offset();
     let record = match r.byte()? {
-        TAG_CACHES => {
+        tag @ (TAG_CACHES | TAG_CACHES_MARKED) => {
             let n = r.len(2)?;
             let mut recv = RecvCaches::new();
             for _ in 0..n {
@@ -222,7 +240,29 @@ fn decode_record_binary(payload: &[u8]) -> Result<WalRecord, BinDecodeError> {
                     });
                 }
             }
-            WalRecord::Caches { recv }
+            let mut marks = LinkMarks::new();
+            if tag == TAG_CACHES_MARKED {
+                let n = r.len(3)?;
+                for _ in 0..n {
+                    let entry_at = r.offset();
+                    let rule = r.str()?;
+                    if marks.insert(rule.clone(), take_mark(&mut r)?).is_some() {
+                        return Err(BinDecodeError {
+                            offset: entry_at,
+                            detail: format!(
+                                "duplicate mark rule {rule:?} (non-canonical encoding)"
+                            ),
+                        });
+                    }
+                }
+                if marks.is_empty() {
+                    return Err(BinDecodeError {
+                        offset: at,
+                        detail: "marked cache record with no mark (non-canonical encoding)".into(),
+                    });
+                }
+            }
+            WalRecord::Caches { recv, marks }
         }
         TAG_COUNTERS => WalRecord::Counters {
             counters: ProtocolCounters {
@@ -231,10 +271,11 @@ fn decode_record_binary(payload: &[u8]) -> Result<WalRecord, BinDecodeError> {
                 req_seq: r.u64()?,
             },
         },
-        TAG_APPLIED => {
+        tag @ (TAG_APPLIED | TAG_APPLIED_MARKED) => {
             let rule = r.str()?;
+            let mark = if tag == TAG_APPLIED_MARKED { Some(take_mark(&mut r)?) } else { None };
             let firings = take_firings(&mut r)?;
-            WalRecord::Applied { rule, firings }
+            WalRecord::Applied { rule, firings, mark }
         }
         TAG_LOCAL_INSERT => {
             let relation = r.str()?;
@@ -253,6 +294,15 @@ fn sorted(firings: &FiringSet) -> Vec<&RuleFiring> {
     let mut firings: Vec<&RuleFiring> = firings.iter().collect();
     firings.sort_unstable();
     firings
+}
+
+fn put_mark(out: &mut Vec<u8>, mark: &LinkMark) {
+    binenc::put_u64(out, mark.epoch);
+    binenc::put_u64(out, mark.position);
+}
+
+fn take_mark(r: &mut Reader<'_>) -> Result<LinkMark, BinDecodeError> {
+    Ok(LinkMark { epoch: r.u64()?, position: r.u64()? })
 }
 
 fn put_firings<'a>(out: &mut Vec<u8>, firings: impl ExactSizeIterator<Item = &'a RuleFiring>) {
@@ -299,11 +349,15 @@ mod tests {
         let mut recv = RecvCaches::new();
         recv.insert("e0".into(), [firing.clone()].into_iter().collect());
         vec![
-            WalRecord::Caches { recv },
+            WalRecord::Caches { recv, marks: Default::default() },
             WalRecord::Counters {
                 counters: ProtocolCounters { update_seq: 3, query_seq: 1, req_seq: u64::MAX },
             },
-            WalRecord::Applied { rule: "e1".into(), firings: vec![firing.clone(), firing] },
+            WalRecord::Applied {
+                rule: "e1".into(),
+                firings: vec![firing.clone(), firing],
+                mark: None,
+            },
             WalRecord::LocalInsert {
                 relation: "r".into(),
                 tuple: Tuple::new(vec![Value::Int(9), Value::str("x"), Value::Bool(true)]),
@@ -328,6 +382,37 @@ mod tests {
         }
     }
 
+    /// A record with marks takes its own tag and round-trips; one
+    /// without keeps its bytes; a marked cache record
+    /// naming no mark is not canonical.
+    #[test]
+    fn marked_records_round_trip_and_unmarked_ones_keep_their_bytes() {
+        let mark = LinkMark { epoch: 3, position: 300 };
+        let mut records = records();
+        let unmarked: Vec<Vec<u8>> = records.iter().map(encode_record).collect();
+        for record in &mut records {
+            match record {
+                WalRecord::Caches { marks, .. } => {
+                    marks.insert("e0".into(), mark);
+                }
+                WalRecord::Applied { mark: m, .. } => *m = Some(mark),
+                _ => {}
+            }
+        }
+        for (record, before) in records.iter().zip(&unmarked) {
+            let bytes = encode_record(record);
+            assert_eq!(decode_record(&bytes, Codec::Binary).unwrap(), *record);
+            let marked = matches!(record, WalRecord::Caches { .. } | WalRecord::Applied { .. });
+            assert_eq!(bytes[0] != before[0], marked, "{record:?}");
+        }
+        assert_eq!(unmarked[0][0], TAG_CACHES);
+        assert_eq!(unmarked[2][0], TAG_APPLIED);
+        let mut empty = unmarked[0].clone();
+        empty[0] = TAG_CACHES_MARKED;
+        empty.push(0);
+        assert!(decode_record(&empty, Codec::Binary).is_err());
+    }
+
     #[test]
     fn equal_caches_are_equal_bytes_whatever_the_hash_order() {
         let firing = |k: i64| RuleFiring::new([("r", vec![TField::Const(Value::Int(k))])]);
@@ -339,7 +424,7 @@ mod tests {
         assert!(sorted(&ascending).into_iter().eq(&in_order));
         let [a, b] = [&ascending, &descending].map(|set| {
             let recv = RecvCaches::from([("e0".to_owned(), set.clone())]);
-            encode_record(&WalRecord::Caches { recv })
+            encode_record(&WalRecord::Caches { recv, marks: Default::default() })
         });
         assert_eq!(a, b);
     }
@@ -383,8 +468,11 @@ mod tests {
         // length sanity bound must admit it (regression: a 2-byte bound
         // rejected the encoder's own output and made the WAL frame read
         // as corrupt).
-        let record =
-            WalRecord::Applied { rule: "r".into(), firings: vec![RuleFiring::new::<&str>([]); 3] };
+        let record = WalRecord::Applied {
+            rule: "r".into(),
+            firings: vec![RuleFiring::new::<&str>([]); 3],
+            mark: None,
+        };
         let bytes = encode_record(&record);
         assert_eq!(decode_record(&bytes, Codec::Binary).unwrap(), record);
         let json = r#"{"Applied":{"firings":[{"atoms":[]},{"atoms":[]},{"atoms":[]}],"rule":"r"}}"#;

@@ -110,7 +110,9 @@ pub use codb_relational::frame::{self, crc32};
 pub use codec::Codec;
 pub use group::{FsyncScheduler, FsyncSchedulerStats};
 pub use scratch::ScratchDir;
-pub use wal::{apply_arrived, ProtocolCounters, RecvCaches, SyncPolicy, WalRecord};
+pub use wal::{
+    apply_arrived, LinkMark, LinkMarks, ProtocolCounters, RecvCaches, Span, SyncPolicy, WalRecord,
+};
 
 /// The normative durability contract, rendered from `docs/DURABILITY.md`
 /// — the single written source of truth for what each [`SyncPolicy`]

@@ -6,8 +6,8 @@
 use crate::codec::{self, Codec, MAGIC_LEN};
 use crate::group::FsyncScheduler;
 use crate::wal::{
-    apply_arrived, read_wal, store_name, ProtocolCounters, RecvCaches, SyncPolicy, WalRecord,
-    WalWriter,
+    apply_arrived, read_wal, store_name, LinkMark, LinkMarks, ProtocolCounters, RecvCaches, Span,
+    SyncPolicy, WalRecord, WalWriter,
 };
 use codb_relational::frame::{encode_frame, FrameScanner, FrameStep};
 use codb_relational::{Instance, NullFactory, Snapshot, SnapshotError};
@@ -205,6 +205,11 @@ pub struct Store {
     /// Interned id of this store's name ([`store_name`]: its directory)
     /// in the tracer's string table (0 while disabled).
     trace_id: u32,
+    /// The mark of each link into the node, as recovered and as moved
+    /// since: what the next rotation's head carries.
+    marks: LinkMarks,
+    /// This incarnation's epoch (see [`RecoveredState::epoch`]).
+    epoch: u64,
 }
 
 fn snap_path(dir: &Path, generation: u64) -> PathBuf {
@@ -309,11 +314,12 @@ fn read_snapshot_file(path: &Path) -> Result<(Snapshot, Codec), StoreError> {
     }
 }
 
-/// Creates the WAL at `path` headed by checkpoints of `recv` and
-/// `counters`, synced, its appends traced to `tracer`.
+/// Creates the WAL at `path` headed by checkpoints of `recv` with
+/// `marks`, and of `counters`, synced, its appends traced to `tracer`.
 fn start_wal(
     path: &Path,
     recv: &RecvCaches,
+    marks: &LinkMarks,
     counters: &ProtocolCounters,
     sched: &FsyncScheduler,
     tracer: &Tracer,
@@ -322,7 +328,7 @@ fn start_wal(
     if tracer.is_enabled() {
         writer.attach_tracer(tracer.clone());
     }
-    writer.append(&WalRecord::Caches { recv: recv.clone() })?;
+    writer.append(&WalRecord::Caches { recv: recv.clone(), marks: marks.clone() })?;
     writer.append(&WalRecord::Counters { counters: *counters })?;
     writer.sync()?;
     Ok(writer)
@@ -334,16 +340,18 @@ fn start_wal(
 /// with its checkpoints, (2) the snapshot rename as the commit point; the
 /// caller then removes the previous generation. A crash between any two
 /// steps leaves at least one complete generation.
+#[allow(clippy::too_many_arguments)]
 fn rotate(
     dir: &Path,
     next: u64,
     snapshot: &Snapshot,
     recv: &RecvCaches,
+    marks: &LinkMarks,
     counters: &ProtocolCounters,
     sched: &FsyncScheduler,
     tracer: &Tracer,
 ) -> Result<WalWriter, StoreError> {
-    let writer = start_wal(&wal_path(dir, next), recv, counters, sched, tracer)?;
+    let writer = start_wal(&wal_path(dir, next), recv, marks, counters, sched, tracer)?;
     sync_dir(dir)?;
     write_snapshot_file(&snap_path(dir, next), snapshot)?;
     Ok(writer)
@@ -396,7 +404,9 @@ impl Store {
             return Err(StoreError::AlreadyExists { dir: dir.to_owned() });
         }
         let sched = FsyncScheduler::for_store(policy, group);
-        let writer = start_wal(&wal_path(dir, 0), recv, counters, &sched, &Tracer::disabled())?;
+        let marks = LinkMarks::new();
+        let writer =
+            start_wal(&wal_path(dir, 0), recv, &marks, counters, &sched, &Tracer::disabled())?;
         // Epoch before the snapshot: the snapshot rename is the commit
         // point of creation (`exists` keys on it), so a committed store
         // always has its incarnation counter.
@@ -408,6 +418,8 @@ impl Store {
             writer,
             tracer: Tracer::disabled(),
             trace_id: 0,
+            marks,
+            epoch: 0,
         })
     }
 
@@ -476,22 +488,27 @@ impl Store {
             let c = read_wal(&wal)?;
             (c.records, c.torn_tail, c.codec, Some(c.valid_len))
         } else {
-            (vec![WalRecord::Caches { recv: RecvCaches::new() }], false, Codec::Binary, None)
+            let empty = WalRecord::Caches { recv: RecvCaches::new(), marks: LinkMarks::new() };
+            (vec![empty], false, Codec::Binary, None)
         };
         let frames = records.len() as u64;
 
         let mut instance = snapshot.instance;
         let mut nulls = snapshot.nulls;
         let mut recv_cache = RecvCaches::new();
+        let mut marks = LinkMarks::new();
         let mut counters = ProtocolCounters::default();
         let replayed = records.len() as u64;
         for record in records {
             match record {
-                WalRecord::Caches { recv } => recv_cache = recv,
+                WalRecord::Caches { recv, marks: m } => (recv_cache, marks) = (recv, m),
                 WalRecord::Counters { counters: c } => counters = c,
-                WalRecord::Applied { rule, mut firings } => {
+                WalRecord::Applied { rule, mut firings, mark } => {
                     apply_arrived(&mut instance, &mut nulls, &mut recv_cache, &rule, &mut firings)
                         .map_err(|e| StoreError::Replay { detail: e.to_string() })?;
+                    if let Some(mark) = mark {
+                        marks.insert(rule, mark);
+                    }
                 }
                 WalRecord::LocalInsert { relation, tuple } => {
                     instance
@@ -507,23 +524,31 @@ impl Store {
         let tracer = Tracer::disabled();
         let (live, writer) = if snapshot_codec == Codec::Json || wal_codec == Codec::Json {
             let (next, snapshot) = (generation + 1, Snapshot::capture(&instance, &nulls));
-            (next, rotate(dir, next, &snapshot, &recv_cache, &counters, &sched, &tracer)?)
+            (next, rotate(dir, next, &snapshot, &recv_cache, &marks, &counters, &sched, &tracer)?)
         } else if let Some(valid_len) = valid_len {
             (generation, WalWriter::open_append(&wal, valid_len, frames, &sched)?)
         } else {
             let mut w = WalWriter::create(&wal, &sched)?;
-            w.append(&WalRecord::Caches { recv: RecvCaches::new() })?;
+            w.append(&WalRecord::Caches { recv: RecvCaches::new(), marks: LinkMarks::new() })?;
             w.sync()?;
             sync_dir(dir)?;
             (generation, w)
         };
-        let store = Store { dir: dir.to_owned(), generation: live, writer, tracer, trace_id: 0 };
-        store.remove_other_generations()?;
         // Each open is a new incarnation: bump the persisted epoch so the
         // recovered node's envelopes outrank its previous life's. A
         // missing/unreadable counter is a loud error — restarting at a
         // stale epoch would leave the node mute at its peers.
         let epoch = read_epoch(dir)? + 1;
+        let store = Store {
+            dir: dir.to_owned(),
+            generation: live,
+            writer,
+            tracer,
+            trace_id: 0,
+            marks,
+            epoch,
+        };
+        store.remove_other_generations()?;
         write_epoch(dir, epoch)?;
         Ok((
             store,
@@ -558,14 +583,50 @@ impl Store {
         self.writer.append(record)
     }
 
+    /// Moves link `rule`'s mark by a batch covering `span`, where the
+    /// batch joins on to it ([`Span::extend`]), and returns the mark it
+    /// moved to: what the batch's [`WalRecord::Applied`] carries. A batch
+    /// that added nothing appends no record: the next record of the link,
+    /// or the next rotation's head, carries the move; until then a
+    /// recovery finds the link's last logged mark.
+    pub fn advance_mark(&mut self, rule: &str, span: Span) -> Option<LinkMark> {
+        let moved = span.extend(self.marks.get(rule).copied())?;
+        self.marks.insert(rule.to_owned(), moved);
+        Some(moved)
+    }
+
+    /// The mark of each link into the node. Right after [`Store::open`],
+    /// the ones recovery found: the last each link's logged batches or
+    /// the head carried.
+    pub fn marks(&self) -> &LinkMarks {
+        &self.marks
+    }
+
+    /// Counts one incarnation more than this open made: the next open is
+    /// two past this one. A node does this when its logs lose their
+    /// continuity — a rules file, a restore — so that no peer's mark made
+    /// against the logs so far reads, after its restart, as one from the
+    /// incarnation just before (`docs/DURABILITY.md`, "Link marks").
+    pub fn skip_incarnation(&self) -> Result<(), StoreError> {
+        write_epoch(&self.dir, self.epoch + 1)
+    }
+
+    /// Forgets every mark: the node's instance no longer holds what they
+    /// say it was sent (a rules file or a restore replaced what it read
+    /// them against). The next rotation's head carries none.
+    pub fn forget_marks(&mut self) {
+        self.marks.clear();
+    }
+
     /// Forces buffered WAL records to stable storage.
     pub fn sync(&mut self) -> Result<(), StoreError> {
         self.writer.sync()
     }
 
     /// Checkpoint: writes the next-generation snapshot of `snapshot`,
-    /// rotates to a fresh WAL headed by checkpoints of `recv` and
-    /// `counters`, and compacts (deletes) the previous generation. On
+    /// rotates to a fresh WAL headed by checkpoints of `recv` with the
+    /// store's link marks, and of `counters`, and compacts (deletes) the
+    /// previous generation. On
     /// return, recovery cost is O(new snapshot) regardless of history
     /// length.
     pub fn checkpoint(
@@ -576,7 +637,8 @@ impl Store {
     ) -> Result<(), StoreError> {
         let next = self.generation + 1;
         let sched = self.writer.scheduler();
-        self.writer = rotate(&self.dir, next, snapshot, recv, counters, sched, &self.tracer)?;
+        let (marks, tracer) = (&self.marks, &self.tracer);
+        self.writer = rotate(&self.dir, next, snapshot, recv, marks, counters, sched, tracer)?;
         let old = self.generation;
         self.generation = next;
         self.tracer.emit_with(|| TraceEvent::Checkpoint { store: self.trace_id, generation: next });
@@ -589,13 +651,16 @@ impl Store {
     }
 
     /// Sweeps files from generations other than the current one: *older*
-    /// generations (and stray `.tmp` files from interrupted checkpoints)
-    /// are deleted, while files from *newer* generations — a snapshot that
-    /// failed validation and was passed over — are quarantined under a
+    /// generations, stray `.tmp` files and the WAL of a newer generation
+    /// whose snapshot never committed (a checkpoint interrupted between
+    /// its two writes) are crash debris and deleted, while a newer
+    /// generation whose snapshot *is* there — it failed validation and
+    /// was passed over — is quarantined, snapshot and WAL, under a
     /// `.corrupt` suffix instead of destroyed, so the evidence survives
     /// for diagnosis. It syncs no directory: the epoch write right after
     /// it in [`Store::open_with`] does, covering the sweep too.
     fn remove_other_generations(&self) -> Result<(), StoreError> {
+        let snaps = list_generations(&self.dir, ".snap")?;
         let entries = std::fs::read_dir(&self.dir).map_err(|e| StoreError::io(&self.dir, e))?;
         for entry in entries {
             let entry = entry.map_err(|e| StoreError::io(&self.dir, e))?;
@@ -603,7 +668,8 @@ impl Store {
             let Some(name) = name.to_str() else { continue };
             let generation =
                 parse_generation(name, ".snap").or_else(|| parse_generation(name, ".wal"));
-            if name.ends_with(".tmp") || generation.is_some_and(|g| g < self.generation) {
+            let debris = |g: u64| g < self.generation || g > self.generation && !snaps.contains(&g);
+            if name.ends_with(".tmp") || generation.is_some_and(debris) {
                 let _ = std::fs::remove_file(entry.path());
             } else if generation.is_some_and(|g| g > self.generation) {
                 let _ = std::fs::rename(
@@ -697,7 +763,9 @@ mod tests {
     ) {
         apply_arrived(inst, nulls, recv, rule, &mut firings).unwrap();
         if !firings.is_empty() {
-            store.append(&WalRecord::Applied { rule: rule.to_owned(), firings }).unwrap();
+            store
+                .append(&WalRecord::Applied { rule: rule.to_owned(), firings, mark: None })
+                .unwrap();
         }
     }
 
@@ -751,7 +819,8 @@ mod tests {
         )
         .unwrap();
         let ground = |k: i64| RuleFiring::new([("r", vec![TField::Const(Value::Int(k)); 2])]);
-        let applied = |rule: &str, firings| WalRecord::Applied { rule: rule.into(), firings };
+        let applied =
+            |rule: &str, firings| WalRecord::Applied { rule: rule.into(), firings, mark: None };
         store.append(&applied("g", vec![ground(2), ground(1)])).unwrap();
         store.append(&applied("e0", vec![ground(3), firing(1)])).unwrap();
         drop(store);
@@ -1323,6 +1392,80 @@ mod tests {
         drop(store);
     }
 
+    /// A link's mark survives what the store survives: replayed from the
+    /// `Applied` records (a batch that overtook the one before it moves no
+    /// mark, so no record's mark covers a batch logged after it), carried
+    /// by the rotated WAL's head, and after a kill only as far as the
+    /// durable records reach.
+    #[test]
+    fn link_marks_survive_replay_and_rotation() {
+        let dir = ScratchDir::new("store-marks");
+        let (mut inst, mut nulls) = seed();
+        let mut recv = RecvCaches::new();
+        let mut store = Store::create(
+            dir.path(),
+            &Snapshot::capture(&inst, &nulls),
+            &recv,
+            &ProtocolCounters::default(),
+            SyncPolicy::Always,
+            Codec::Binary,
+        )
+        .unwrap();
+        let at = |epoch, position| LinkMark { epoch, position };
+        let span = |from, to| Span { epoch: 0, from, to, anchored: false };
+        // The second batch arrives before the first: it moves nothing; the
+        // first, arriving late, moves the mark to its own end only, and the
+        // third, which joins on to the second, moves nothing either.
+        for (k, covers) in [(5, span(6, 9)), (6, span(0, 6)), (7, span(9, 12))] {
+            let mut firings = vec![firing(k)];
+            apply_arrived(&mut inst, &mut nulls, &mut recv, "e0", &mut firings).unwrap();
+            let mark = store.advance_mark("e0", covers);
+            store.append(&WalRecord::Applied { rule: "e0".into(), firings, mark }).unwrap();
+        }
+        assert_eq!(store.marks(), &LinkMarks::from([("e0".into(), at(0, 6))]));
+        // A batch that added nothing moves its mark without a record.
+        let moved = store.advance_mark("e1", Span { epoch: 3, ..span(0, 2) });
+        assert_eq!(moved, Some(at(3, 2)));
+        let live = LinkMarks::from([("e0".into(), at(0, 6)), ("e1".into(), at(3, 2))]);
+        assert_eq!(store.marks(), &live);
+        drop(store);
+
+        let (mut store, _) = Store::open(dir.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+        let logged = LinkMarks::from([("e0".into(), at(0, 6))]);
+        assert_eq!(store.marks(), &logged, "a mark no record carried is gone");
+        store.advance_mark("e1", Span { epoch: 3, ..span(0, 2) });
+        store.checkpoint(&Snapshot::capture(&inst, &nulls), &recv, &Default::default()).unwrap();
+        drop(store);
+        let (store, rec) = Store::open(dir.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+        assert_eq!(rec.wal_records_replayed, 2, "the head alone");
+        assert_eq!(store.marks(), &live, "the head carries every mark");
+    }
+
+    /// A restore or a rules file counts one incarnation more: the next
+    /// open is two past the one that made the marks.
+    #[test]
+    fn a_skipped_incarnation_is_not_the_one_before_the_next() {
+        let dir = ScratchDir::new("store-skip");
+        let (inst, nulls) = seed();
+        let store = Store::create(
+            dir.path(),
+            &Snapshot::capture(&inst, &nulls),
+            &RecvCaches::new(),
+            &ProtocolCounters::default(),
+            SyncPolicy::Always,
+            Codec::Binary,
+        )
+        .unwrap();
+        store.skip_incarnation().unwrap();
+        store.skip_incarnation().unwrap();
+        drop(store);
+        let (store, rec) = Store::open(dir.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+        assert_eq!(rec.epoch, 2);
+        drop(store);
+        let (_, rec) = Store::open(dir.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+        assert_eq!(rec.epoch, 3, "an open that skipped nothing counts one");
+    }
+
     #[test]
     fn interrupted_checkpoint_leaves_previous_generation_usable() {
         let dir = ScratchDir::new("store-interrupted");
@@ -1351,9 +1494,23 @@ mod tests {
         let (store, rec) = Store::open(dir.path(), SyncPolicy::Always, Codec::Binary).unwrap();
         assert_eq!(rec.generation, 0, "commit point not reached → previous generation");
         assert_eq!(rec.instance, inst);
-        // Orphans are swept.
+        // Orphans are crash debris: deleted, not quarantined.
         assert!(!wal_path(dir.path(), 1).exists());
+        assert!(!dir.path().join("codb-0000000001.wal.corrupt").exists());
         assert!(!dir.path().join("codb-0000000001.tmp").exists());
+        // Checkpoints after it leave the live generation's files alone.
+        let mut store = store;
+        for _ in 0..3 {
+            store
+                .checkpoint(&Snapshot::capture(&inst, &nulls), &recv, &Default::default())
+                .unwrap();
+        }
+        let mut files: Vec<String> = std::fs::read_dir(dir.path())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["codb-0000000003.snap", "codb-0000000003.wal", "codb.epoch"]);
         drop(store);
     }
 }

@@ -28,7 +28,7 @@ use codb_relational::{
     apply_new_firings, FiringSet, Instance, NullFactory, RuleFiring, SchemaError, Tuple, Version,
 };
 use codb_trace::{TraceEvent, Tracer};
-use serde::Deserialize;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -92,15 +92,89 @@ pub struct ProtocolCounters {
     pub req_seq: u64,
 }
 
+/// How far a peer's batches on one link into this node reach without a
+/// gap ([`Span::extend`]): the incarnation epoch the peer stamped on them,
+/// and the length of the link body's relation log their firings cover.
+/// Kept so that a restarted node can tell the peer where to repair from
+/// (`docs/DURABILITY.md`, "Link marks").
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct LinkMark {
+    /// The peer's incarnation when it fired that far.
+    pub epoch: u64,
+    /// The log position its firings covered.
+    pub position: u64,
+}
+
+/// The latest [`LinkMark`] of each link into this node, by rule name.
+pub type LinkMarks = BTreeMap<String, LinkMark>;
+
+/// What one batch on a link covers, as its sender's data says: the
+/// sender's incarnation, and the positions `from..to` of the link body's
+/// relation log its firings cover — everything before `from` it counts
+/// on the target holding already (earlier batches, or a mark the target
+/// reported). `anchored`: `from` is a mark the target reported, which the
+/// sender trusted as one of its current log.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Span {
+    /// The sender's incarnation.
+    pub epoch: u64,
+    /// Where the batch starts.
+    pub from: u64,
+    /// Where the batch ends: the sender's mark after it.
+    pub to: u64,
+    /// `from` is a mark the target reported.
+    pub anchored: bool,
+}
+
+impl Span {
+    /// The mark a link kept at `kept` keeps once a batch covering this
+    /// span is applied, where the batch moves it: only a batch that
+    /// starts within what the kept mark covers joins on to it, so a kept
+    /// mark never covers a position whose batch is missing, however
+    /// batches are reordered, and, logged with the batch that moved it, is
+    /// durable only after every batch it covers. Of the sender's
+    /// incarnation the mark was kept in, a batch starting at or before
+    /// it; of a later one, a batch from the start of the log, or one
+    /// anchored on a mark it starts within (the sender checked that its
+    /// log still holds those positions); of an earlier one, none.
+    pub fn extend(self, kept: Option<LinkMark>) -> Option<LinkMark> {
+        let joins = match kept {
+            None => self.from == 0,
+            Some(k) if k.epoch == self.epoch => self.from <= k.position && k.position < self.to,
+            Some(k) if k.epoch < self.epoch => {
+                self.from == 0 || (self.anchored && self.from <= k.position)
+            }
+            Some(_) => false,
+        };
+        joins.then_some(LinkMark { epoch: self.epoch, position: self.to })
+    }
+}
+
+/// A legacy record names no marks: an absent field reads as none.
+mod no_marks {
+    use super::LinkMarks;
+    use serde::{Deserialize, Error, Value};
+
+    pub fn from_value(v: &Value) -> Result<LinkMarks, Error> {
+        match v {
+            Value::Null => Ok(LinkMarks::new()),
+            v => LinkMarks::from_value(v),
+        }
+    }
+}
+
 /// One WAL record. `Deserialize` reads the records of a legacy JSON WAL.
 #[derive(Clone, Debug, PartialEq, Deserialize)]
 pub enum WalRecord {
-    /// Checkpoint of the receiver-side dedup caches — the first record of
-    /// every rotated WAL, so cache state survives compaction of the log
-    /// that built it.
+    /// Checkpoint of the receiver-side state — the first record of every
+    /// rotated WAL, so it survives compaction of the log that built it:
+    /// the dedup caches and each link's mark.
     Caches {
         /// The caches at rotation time.
         recv: RecvCaches,
+        /// The marks at rotation time.
+        #[serde(with = "no_marks")]
+        marks: LinkMarks,
     },
     /// Checkpoint of the protocol counters — written right after
     /// [`WalRecord::Caches`] at create/checkpoint time and re-appended by
@@ -119,6 +193,9 @@ pub enum WalRecord {
         rule: String,
         /// The firings, in apply order.
         firings: Vec<RuleFiring>,
+        /// The link's kept mark, where the batch moved it
+        /// ([`Span::extend`]).
+        mark: Option<LinkMark>,
     },
     /// A local write (the demo UI's data-entry path).
     LocalInsert {
@@ -483,6 +560,31 @@ mod tests {
         RuleFiring::new([("r", vec![TField::Const(Value::Int(k)), TField::Fresh(0)])])
     }
 
+    /// A batch joins on to a kept mark only where it starts within what
+    /// the mark covers; across incarnations only from the log's start, or
+    /// anchored on the mark it starts within; never from an incarnation
+    /// before the mark's.
+    #[test]
+    fn a_span_moves_a_mark_only_where_it_joins_on() {
+        let at = |epoch, position| Some(LinkMark { epoch, position });
+        let span = |epoch, from, to, anchored| Span { epoch, from, to, anchored };
+        // Nothing kept: only a batch from the start.
+        assert_eq!(span(1, 0, 4, false).extend(None), at(1, 4));
+        assert_eq!(span(1, 4, 6, true).extend(None), None);
+        // The same incarnation: within, and past the mark.
+        assert_eq!(span(1, 4, 6, false).extend(at(1, 4)), at(1, 6));
+        assert_eq!(span(1, 2, 6, false).extend(at(1, 4)), at(1, 6));
+        assert_eq!(span(1, 6, 9, false).extend(at(1, 4)), None, "a batch overtook one");
+        assert_eq!(span(1, 0, 3, false).extend(at(1, 4)), None, "behind the mark");
+        // A later incarnation: from the start, or anchored within.
+        assert_eq!(span(2, 0, 3, false).extend(at(1, 4)), at(2, 3));
+        assert_eq!(span(2, 4, 6, true).extend(at(1, 4)), at(2, 6));
+        assert_eq!(span(2, 4, 6, false).extend(at(1, 4)), None, "not on this node's mark");
+        assert_eq!(span(2, 5, 6, true).extend(at(1, 4)), None);
+        // An earlier incarnation: never.
+        assert_eq!(span(1, 0, 9, false).extend(at(2, 4)), None);
+    }
+
     /// The WAL of the committed legacy JSON store.
     const GOLDEN_JSON_WAL: &[u8] =
         include_bytes!("../../../tests/fixtures/golden-json/codb-0000000000.wal");
@@ -493,8 +595,12 @@ mod tests {
         let path = dir.path().join("codb-0000000000.wal");
         let mut w = WalWriter::create(&path, &sched(SyncPolicy::Always)).unwrap();
         let records = vec![
-            WalRecord::Caches { recv: RecvCaches::new() },
-            WalRecord::Applied { rule: "e0".into(), firings: vec![firing(1), firing(2)] },
+            WalRecord::Caches { recv: RecvCaches::new(), marks: Default::default() },
+            WalRecord::Applied {
+                rule: "e0".into(),
+                firings: vec![firing(1), firing(2)],
+                mark: None,
+            },
             WalRecord::LocalInsert {
                 relation: "r".into(),
                 tuple: Tuple::new(vec![Value::Int(9), Value::str("x")]),
@@ -520,8 +626,10 @@ mod tests {
         let dir = ScratchDir::new("wal-torn");
         let path = dir.path().join("codb-0000000000.wal");
         let mut w = WalWriter::create(&path, &sched(SyncPolicy::Always)).unwrap();
-        w.append(&WalRecord::Caches { recv: RecvCaches::new() }).unwrap();
-        w.append(&WalRecord::Applied { rule: "e".into(), firings: vec![firing(1)] }).unwrap();
+        w.append(&WalRecord::Caches { recv: RecvCaches::new(), marks: Default::default() })
+            .unwrap();
+        w.append(&WalRecord::Applied { rule: "e".into(), firings: vec![firing(1)], mark: None })
+            .unwrap();
         drop(w);
         // Simulate a crash mid-append: chop bytes off the end.
         let full = std::fs::read(&path).unwrap();
@@ -548,7 +656,8 @@ mod tests {
         let dir = ScratchDir::new("wal-flip");
         let path = dir.path().join("codb-0000000000.wal");
         let mut w = WalWriter::create(&path, &sched(SyncPolicy::Always)).unwrap();
-        w.append(&WalRecord::Applied { rule: "e".into(), firings: vec![firing(7)] }).unwrap();
+        w.append(&WalRecord::Applied { rule: "e".into(), firings: vec![firing(7)], mark: None })
+            .unwrap();
         drop(w);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() - 3;
@@ -644,8 +753,12 @@ mod tests {
             // `lens[k]`: the file's length after `k` records.
             let mut lens = vec![w.len()];
             for k in 1..=7 {
-                w.append(&WalRecord::Applied { rule: "e".into(), firings: vec![firing(k)] })
-                    .unwrap();
+                w.append(&WalRecord::Applied {
+                    rule: "e".into(),
+                    firings: vec![firing(k)],
+                    mark: None,
+                })
+                .unwrap();
                 lens.push(w.len());
                 let k = k as u64;
                 assert_eq!(w.durable_frames(), acked(k), "{policy}: after {k}");
@@ -663,8 +776,12 @@ mod tests {
             // Two more appends; whatever the window leaves pending is
             // never acked, and dropping the writer (a crash) abandons it.
             for k in 8..=9 {
-                w.append(&WalRecord::Applied { rule: "e".into(), firings: vec![firing(k)] })
-                    .unwrap();
+                w.append(&WalRecord::Applied {
+                    rule: "e".into(),
+                    firings: vec![firing(k)],
+                    mark: None,
+                })
+                .unwrap();
             }
             let durable = w.durable_len();
             let acked_frames = w.durable_frames();

@@ -12,8 +12,8 @@ use codb_relational::{
 };
 use codb_store::wal::{read_wal, WalWriter};
 use codb_store::{
-    Codec, FsyncScheduler, ProtocolCounters, RecvCaches, ScratchDir, Store, StoreError, SyncPolicy,
-    WalRecord,
+    Codec, FsyncScheduler, LinkMark, ProtocolCounters, RecvCaches, ScratchDir, Store, StoreError,
+    SyncPolicy, WalRecord,
 };
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -64,12 +64,19 @@ fn arb_counters() -> impl Strategy<Value = ProtocolCounters> {
     })
 }
 
+fn arb_mark() -> impl Strategy<Value = LinkMark> {
+    (any::<u64>(), any::<u64>()).prop_map(|(epoch, position)| LinkMark { epoch, position })
+}
+
 fn arb_record() -> impl Strategy<Value = WalRecord> {
     prop_oneof![
-        arb_caches().prop_map(|recv| WalRecord::Caches { recv }),
+        (arb_caches(), proptest::collection::btree_map(arb_name(), arb_mark(), 0..3))
+            .prop_map(|(recv, marks)| WalRecord::Caches { recv, marks }),
         arb_counters().prop_map(|counters| WalRecord::Counters { counters }),
-        (arb_name(), proptest::collection::vec(arb_firing(), 1..4))
-            .prop_map(|(rule, firings)| WalRecord::Applied { rule, firings }),
+        (arb_name(), proptest::collection::vec(arb_firing(), 1..4), any::<bool>(), arb_mark())
+            .prop_map(|(rule, firings, marked, mark)| {
+                WalRecord::Applied { rule, firings, mark: marked.then_some(mark) }
+            }),
         (arb_name(), proptest::collection::vec(arb_value(), 1..4)).prop_map(
             |(relation, values)| WalRecord::LocalInsert { relation, tuple: Tuple::new(values) }
         ),
@@ -302,7 +309,7 @@ proptest! {
                 codb_store::apply_arrived(&mut inst, &mut nulls, &mut recv, "e", &mut firings)
                     .unwrap();
                 if !firings.is_empty() {
-                    store.append(&WalRecord::Applied { rule: "e".into(), firings }).unwrap();
+                    store.append(&WalRecord::Applied { rule: "e".into(), firings, mark: None }).unwrap();
                 }
             }
         }

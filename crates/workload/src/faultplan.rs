@@ -16,8 +16,9 @@
 //!   by default, or **mid-round** via a scheduled [`FaultKind::Restart`]
 //!   — which triggers the crash-rejoin handshake (`codb_core::rejoin`):
 //!   survivors release the update traffic they parked behind the rejoin
-//!   barrier while the node was down, push a `RejoinRepair` re-send of
-//!   every link toward it, and, when the generator picks the freshly
+//!   barrier while the node was down, push a `RejoinRepair` of what
+//!   every link toward it fired past the mark it reported, and, when the
+//!   generator picks the freshly
 //!   rejoined node as the next initiator, the rejoin-as-initiator path
 //!   runs too. The [`FaultPlan::overlapping_rejoin`] and
 //!   [`FaultPlan::rolling_restart`] constructors build schedules where
@@ -446,6 +447,10 @@ pub struct FaultPlanReport {
     /// node's lost records at barrier release rather than at the next
     /// organic update.
     pub repair_messages: u64,
+    /// Firings those batches carried: what the survivors fired past the
+    /// marks the rejoined nodes reported (whole links where no mark was
+    /// trusted), cascade hops included. A clean restart re-sends none.
+    pub repair_firings: u64,
     /// Nodes whose final LDB equals the control's strictly.
     pub nodes_equal: usize,
     /// Nodes whose final LDB is isomorphic to the control's (equality up
@@ -511,6 +516,7 @@ struct RejoinCounters {
     barrier_parked: u64,
     barrier_released: u64,
     repairs: u64,
+    repair_firings: u64,
 }
 
 impl RejoinCounters {
@@ -520,6 +526,7 @@ impl RejoinCounters {
         self.barrier_parked += sent("barrier_parked");
         self.barrier_released += sent("barrier_released");
         self.repairs += sent("rejoin_repair");
+        self.repair_firings += report.repair_firings;
     }
 }
 
@@ -786,6 +793,7 @@ fn run_fault_plan_impl(
         barrier_parked: run.counters.barrier_parked,
         barrier_released: run.counters.barrier_released,
         repair_messages: run.counters.repairs,
+        repair_firings: run.counters.repair_firings,
         nodes_equal,
         nodes_isomorphic,
         nodes_oracle_isomorphic,
@@ -902,12 +910,12 @@ mod tests {
         assert!(restart.recovery.wal_records_replayed >= 1, "{report:?}");
         assert_eq!(restart.recovery.epoch, 1, "{report:?}");
         assert_eq!(report.rejoin_messages, 2, "handshake ran: {report:?}");
-        // The handshake pushed a repair toward the recovered victim (the
-        // kill may land after in-flight traffic toward it was already
-        // acked, so parked counts can legitimately be zero — the repair
-        // push always runs).
-        assert!(report.repair_messages > 0, "{report:?}");
-        assert!(report.barrier_cost_messages() > 0, "{report:?}");
+        // The handshake repairs past the marks the victim reported, which
+        // are those of its last durable batches: under `SyncPolicy::Always`
+        // every batch it applied is durable, and what was on its way to it
+        // is retransmitted, so nothing lies past them and no repair is
+        // pushed.
+        assert_eq!((report.repair_messages, report.repair_firings), (0, 0), "{report:?}");
     }
 
     #[test]
@@ -966,6 +974,9 @@ mod tests {
         let report = run_fault_plan(&plan, tmp.path()).unwrap();
         assert_eq!(report.crashed_in_flight, [false], "{report:?}");
         assert_recovered_exactly(&report);
+        // Nothing was lost, and every mark the victim reports is trusted:
+        // the rejoin re-sends no firing.
+        assert_eq!(report.repair_firings, 0, "{report:?}");
     }
 
     #[test]

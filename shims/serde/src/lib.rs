@@ -360,6 +360,18 @@ impl<T: Deserialize> Deserialize for Box<[T]> {
     }
 }
 
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl Deserialize for std::sync::Arc<str> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        v.as_str().map(std::sync::Arc::from).ok_or_else(|| Error::expected("string", v))
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
         match self {

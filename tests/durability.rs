@@ -5,6 +5,7 @@
 
 use codb::core::NodeId;
 use codb::prelude::*;
+use codb::relational::tup;
 use codb::store::ScratchDir;
 
 /// The headline acceptance scenario: kill a chain node mid-flood, recover
@@ -342,4 +343,259 @@ fn restarting_a_live_node_is_refused_before_its_store_is_opened() {
     assert!(net.crash_node(NodeId(0)));
     let stats = net.restart_node_from_disk(NodeId(0), &dir, SyncPolicy::Always).unwrap();
     assert_eq!(stats.epoch, 1, "{stats:?}");
+}
+
+/// A chain that copies `ta` at `a` into `tb` at `b` and on into `tc` at
+/// `c`.
+const COPY_CHAIN: &str = r#"
+    node a
+    node b
+    node c
+    schema a: ta(int)
+    schema b: tb(int)
+    schema c: tc(int)
+    data a: ta(1). ta(2). ta(3).
+    rule ab @ a -> b: tb(X) <- ta(X).
+    rule bc @ b -> c: tc(X) <- tb(X).
+"#;
+
+/// Firings every node re-sent as rejoin repair.
+fn repair_firings(net: &CoDbNetwork) -> u64 {
+    let config = net.config().clone();
+    config.nodes.iter().map(|nc| net.node(nc.id).report().repair_firings).sum()
+}
+
+/// Every node shut down cleanly and rebuilt from its store: each reports
+/// the durable mark of every link into it, each mark is trusted, and the
+/// handshake re-sends nothing; the next update evaluates only its delta.
+/// Twice over: the batches after the first restart carry marks anchored
+/// on the reported ones, so the marks kept then are of the incarnations
+/// the second restart follows, and trusted again.
+#[test]
+fn a_clean_restart_of_every_node_re_sends_nothing() {
+    let tmp = ScratchDir::new("durability-clean-marks");
+    let config = NetworkConfig::parse(COPY_CHAIN).unwrap();
+    {
+        let mut net = CoDbNetwork::build(config.clone(), SimConfig::default()).unwrap();
+        net.open_persistence_all(tmp.path(), SyncPolicy::Always).unwrap();
+        let c = net.node_id("c").unwrap();
+        net.run_update(c);
+        assert_eq!(net.node(c).ldb().tuple_count(), 3);
+    }
+    for (restart, k) in [(1, 4), (2, 5)] {
+        let mut net = CoDbNetwork::build(config.clone(), SimConfig::default()).unwrap();
+        let recovered = net.open_persistence_all(tmp.path(), SyncPolicy::Always).unwrap();
+        assert_eq!(recovered.len(), 3, "{recovered:?}");
+        let [a, b, c] = ["a", "b", "c"].map(|name| net.node_id(name).unwrap());
+        // Persistence opened on a live network: each node announces itself
+        // on its next event.
+        for id in [a, b, c] {
+            net.run_control(id, Body::TriggerDiscovery);
+        }
+        assert!([a, b, c].iter().all(|id| !net.node(*id).rejoin_pending()), "handshakes ran");
+        assert_eq!(repair_firings(&net), 0, "restart {restart} re-sent firings");
+        let sent = |id: NodeId| net.node(id).report().messages_sent.get("rejoin_repair").copied();
+        assert!([a, b, c].iter().all(|id| sent(*id).is_none()));
+        net.run_control(a, Body::IngestLocal { relation: "ta".to_owned(), tuple: tup![k] });
+        let outcome = net.run_update(c);
+        // `ta(k)` crossed two links, one firing each: the whole log of a
+        // link re-fired from scratch would read twice the tuples.
+        assert_eq!(outcome.summary.evaluated, 2, "restart {restart}: {:?}", outcome.summary);
+        assert_eq!(net.node(c).ldb().tuple_count(), 3 + restart);
+    }
+}
+
+/// A kill that loses `b`'s records past its durable watermark: `b`
+/// reports the mark of its last durable batch on `ab`, and `a` repairs
+/// exactly what lies past it — the two tuples the lost records held, not
+/// `a`'s whole relation — after which the network reconverges to the
+/// oracle's fixpoint.
+#[test]
+fn a_kill_re_sends_only_the_tail_that_was_not_durable() {
+    use codb::workload::oracle::chase_naive;
+
+    let tmp = ScratchDir::new("durability-kill-marks");
+    let mut config = NetworkConfig::parse(COPY_CHAIN).unwrap();
+    let mut net = CoDbNetwork::build(config.clone(), SimConfig::default()).unwrap();
+    net.open_persistence_all(tmp.path(), SyncPolicy::Never).unwrap();
+    let [a, b, c] = ["a", "b", "c"].map(|name| net.node_id(name).unwrap());
+    net.run_update(c);
+    // Everything so far durable, the marks in the rotated WAL's head.
+    assert!(net.checkpoint_node(b).unwrap());
+    for k in [10, 11] {
+        net.run_control(a, Body::IngestLocal { relation: "ta".to_owned(), tuple: tup![k] });
+        config.nodes[0].data.push(("ta".to_owned(), tup![k]));
+    }
+    net.run_update(c);
+    let store = net.node(b).store().unwrap();
+    let (wal, durable) = (store.wal_path().to_owned(), store.durable_wal_len());
+    net.crash_node(b);
+    let file = std::fs::OpenOptions::new().write(true).open(&wal).unwrap();
+    file.set_len(durable).unwrap();
+    drop(file);
+    let dir = CoDbNetwork::node_data_dir(tmp.path(), "b");
+    let stats = net.restart_node_from_disk(b, &dir, SyncPolicy::Never).unwrap();
+    // The head's two checkpoints, and nothing of the round after it.
+    assert_eq!(stats.wal_records_replayed, 2, "the unsynced round was lost: {stats:?}");
+    assert_eq!(net.node(a).report().repair_firings, 2, "a re-sent the lost tail only");
+    assert_eq!(net.node(b).ldb().tuple_count(), 5, "the repair brought it back");
+    net.run_update(c);
+    let oracle = chase_naive(&config).instances;
+    for id in [a, b, c] {
+        assert_eq!(net.node(id).ldb(), &oracle[&id], "node {id}");
+    }
+}
+
+/// The crash-prefix property the marks rest on: after a kill, and after a
+/// power cut that leaves a WAL only its durable prefix, every relation a
+/// node recovers files its tuples in the order it did before, as a prefix
+/// of that order (the whole of it after a clean stop).
+#[test]
+fn a_recovered_relation_is_a_prefix_of_the_log_before_the_crash() {
+    use codb::relational::{Instance, Tuple};
+
+    let filed = |ldb: &Instance| -> Vec<(String, Vec<Tuple>)> {
+        let logs = ldb.relations().map(|r| (r.name().to_owned(), r.iter().cloned().collect()));
+        logs.collect()
+    };
+    let is_prefix = |after: &[(String, Vec<Tuple>)], before: &[(String, Vec<Tuple>)]| {
+        after.len() == before.len()
+            && after.iter().zip(before).all(|((n, a), (m, b))| n == m && b.starts_with(a))
+    };
+    for power_cut in [false, true] {
+        let tmp = ScratchDir::new("durability-prefix");
+        let scenario = Scenario { tuples_per_node: 20, ..Scenario::quick(Topology::Chain(4)) };
+        let config = scenario.build_config();
+        let mut net = CoDbNetwork::build(config.clone(), SimConfig::default()).unwrap();
+        let policy = SyncPolicy::EveryN(7);
+        net.open_persistence_all(tmp.path(), policy).unwrap();
+        net.run_update(scenario.sink());
+        let victim = NodeId(1);
+        net.checkpoint_node(victim).unwrap();
+        for k in 0..9 {
+            let relation = Scenario::relation_of(1);
+            let tuple = tup![(1 << 45) + k, k];
+            net.run_control(victim, Body::IngestLocal { relation, tuple });
+        }
+        net.run_update(scenario.sink());
+        let before = filed(net.node(victim).ldb());
+        let store = net.node(victim).store().unwrap();
+        let (wal, durable) = (store.wal_path().to_owned(), store.durable_wal_len());
+        net.crash_node(victim);
+        if power_cut {
+            let file = std::fs::OpenOptions::new().write(true).open(&wal).unwrap();
+            file.set_len(durable).unwrap();
+        }
+        let name = &config.nodes[1].name;
+        let dir = CoDbNetwork::node_data_dir(tmp.path(), name);
+        net.restart_node_from_disk(victim, &dir, policy).unwrap();
+        let after = filed(net.node(victim).ldb());
+        assert!(is_prefix(&after, &before), "power cut {power_cut}: {after:?} vs {before:?}");
+        let lost = |logs: &[(String, Vec<Tuple>)]| logs.iter().map(|(_, l)| l.len()).sum::<usize>();
+        if power_cut {
+            assert!(lost(&after) < lost(&before), "the cut lost the unsynced tail");
+        } else {
+            assert_eq!(after, before, "a kill keeps every written record");
+        }
+    }
+}
+
+/// Two batches on one link arrive out of order — the first lost and sent
+/// again after the second — and a power cut keeps the second's record but
+/// not the first's. The second batch started past the mark its target
+/// kept, so it moved none: the target reports the mark before both, the
+/// source repairs from there, and the target reconverges to the oracle.
+/// (Had the second batch's end been kept, the source would trust it and
+/// the first batch's tuple would be lost for good.)
+#[test]
+fn a_batch_that_overtook_a_lost_one_moves_no_durable_mark() {
+    use codb::core::{Envelope, HARNESS_PEER};
+    use codb::net::{Command, Context, Peer, PeerId};
+    use codb::workload::oracle::chase_naive;
+    use std::collections::VecDeque;
+
+    /// Delivers `env` from `from` to `node`; returns what it sent.
+    fn deliver(node: &mut CoDbNode, from: PeerId, env: Envelope) -> Vec<(PeerId, Envelope)> {
+        let mut cmds = VecDeque::new();
+        let mut ctx = Context::new(node.id.peer(), SimTime::ZERO, &[], &mut cmds);
+        node.on_message(&mut ctx, from, env);
+        sends(cmds)
+    }
+    fn sends(cmds: VecDeque<Command<Envelope>>) -> Vec<(PeerId, Envelope)> {
+        let sends = cmds.into_iter().filter_map(|c| match c {
+            Command::Send { to, msg } => Some((to, msg)),
+            _ => None,
+        });
+        sends.collect()
+    }
+    let tmp = ScratchDir::new("durability-overtaken-batch");
+    let mut config = NetworkConfig::parse(
+        "node a\nnode b\nschema a: ta(int)\nschema b: tb(int)\ndata a: ta(1). ta(2).\n\
+         rule ab @ a -> b: tb(X) <- ta(X).",
+    )
+    .unwrap();
+    let build = |nc: &NodeConfig| {
+        let (schema, data) = (nc.schema.clone(), nc.data.clone());
+        CoDbNode::new(nc.id, &nc.name, schema, data, &config.rules, NodeSettings::default())
+    };
+    let (mut src, mut tgt) = (build(&config.nodes[0]), build(&config.nodes[1]));
+    let policy = SyncPolicy::EveryN(2);
+    tgt.open_persistence(tmp.path(), policy).unwrap();
+
+    // Three updates at `a`, each shipping one batch on `ab`: the log so
+    // far (positions 0..2), then 2..3 and 3..4.
+    let mut batches = Vec::new();
+    for k in [None, Some(3), Some(4)] {
+        if let Some(k) = k {
+            let ingest = Body::IngestLocal { relation: "ta".to_owned(), tuple: tup![k] };
+            deliver(&mut src, HARNESS_PEER, Envelope::control(ingest));
+            config.nodes[0].data.push(("ta".to_owned(), tup![k]));
+        }
+        let out = deliver(&mut src, HARNESS_PEER, Envelope::control(Body::StartUpdate));
+        let data = out.into_iter().filter(|(_, env)| matches!(env.body, Body::UpdateData { .. }));
+        batches.extend(data.map(|(_, env)| env));
+    }
+    let spans: Vec<_> = batches
+        .iter()
+        .map(|env| match env.body {
+            Body::UpdateData { mark, .. } => mark.map(|m| (m.from(), m.to())),
+            _ => unreachable!(),
+        })
+        .collect();
+    assert_eq!(spans, [Some((0, 2)), Some((2, 3)), Some((3, 4))]);
+
+    // The second batch is lost and sent again after the third: the third's
+    // record is the second since the head, so the fsync covers it, and
+    // the second's record is left unsynced.
+    let (a, [first, second, third]) = (src.id.peer(), <[Envelope; 3]>::try_from(batches).unwrap());
+    for env in [first, third, second] {
+        deliver(&mut tgt, a, env);
+    }
+    assert_eq!(tgt.ldb().tuple_count(), 4);
+    let store = tgt.store().unwrap();
+    let (wal, durable) = (store.wal_path().to_owned(), store.durable_wal_len());
+    drop(tgt);
+    let file = std::fs::OpenOptions::new().write(true).open(&wal).unwrap();
+    assert!(file.metadata().unwrap().len() > durable, "the last record was not durable");
+    file.set_len(durable).unwrap();
+    drop(file);
+
+    // The power cut kept `tb(4)` but not `tb(3)`; the mark kept is the
+    // first batch's end.
+    let mut tgt = build(&config.nodes[1]);
+    tgt.open_persistence(tmp.path(), policy).unwrap();
+    assert_eq!(tgt.ldb().tuple_count(), 3);
+    let marks: Vec<_> = tgt.store().unwrap().marks().values().map(|m| m.position).collect();
+    assert_eq!(marks, [2], "the overtaking batch moved no mark");
+    let mut cmds = VecDeque::new();
+    tgt.on_start(&mut Context::new(tgt.id.peer(), SimTime::ZERO, &[], &mut cmds));
+    let b = tgt.id.peer();
+    for (_, rejoin) in sends(cmds).into_iter().filter(|(to, _)| *to == a) {
+        for (_, repair) in deliver(&mut src, b, rejoin).into_iter().filter(|(to, _)| *to == b) {
+            deliver(&mut tgt, a, repair);
+        }
+    }
+    assert_eq!(src.report().repair_firings, 2, "repaired past the first batch");
+    let oracle = chase_naive(&config).instances;
+    assert_eq!(tgt.ldb(), &oracle[&tgt.id]);
 }

@@ -85,7 +85,11 @@ fn build_golden(dir: &Path) {
     )
     .unwrap();
     store
-        .append(&WalRecord::Applied { rule: "r_in".into(), firings: vec![firing_tail()] })
+        .append(&WalRecord::Applied {
+            rule: "r_in".into(),
+            firings: vec![firing_tail()],
+            mark: None,
+        })
         .unwrap();
     store
         .append(&WalRecord::LocalInsert { relation: "flags".into(), tuple: tup![false, 2] })

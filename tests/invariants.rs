@@ -874,9 +874,9 @@ mod snapshot_props {
                         let mut firings = copy.fire(&inst).unwrap();
                         let tuple = [Value::Int(b), Value::Int(a)].map(TField::Const).to_vec();
                         firings.push(RuleFiring::new([("s", tuple)]));
-                        let record = WalRecord::Applied { rule: "c".into(), firings };
+                        let record = WalRecord::Applied { rule: "c".into(), firings, mark: None };
                         let bytes = encode_record(&record);
-                        let Ok(WalRecord::Applied { rule, mut firings }) = decode_record(&bytes, Codec::Binary)
+                        let Ok(WalRecord::Applied { rule, mut firings, .. }) = decode_record(&bytes, Codec::Binary)
                         else { panic!("an Applied record decodes as one") };
                         apply_arrived(&mut inst, &mut nulls, &mut recv, &rule, &mut firings).unwrap();
                     }

@@ -140,9 +140,11 @@ fn pool_round(
 }
 
 /// The worker pool, persistent: two rounds, shutdown, a rebuild from disk
-/// (every node rejoins, every neighbour repairs), one more round. The
-/// repair's whole-view fire leaves the links caught up, so the round after
-/// a recovery evaluates its delta like any other.
+/// (every node rejoins, reporting the durable mark of each link into it),
+/// one more round. Every neighbour trusts the marks it made in the
+/// incarnation before: the handshake re-sends nothing and leaves the links
+/// marked where they stood, so the round after a recovery evaluates its
+/// delta like any other.
 #[test]
 fn a_round_after_a_rebuild_from_disk_evaluates_its_delta() {
     const PER_NODE: i64 = 4;
@@ -189,10 +191,13 @@ fn a_round_after_a_rebuild_from_disk_evaluates_its_delta() {
     for (id, node) in net.shutdown() {
         assert_eq!(node.persist_error(), None);
         assert_eq!(node.ldb(), &oracle[&id], "node {id}");
+        assert_eq!(node.report().repair_firings, 0, "node {id} re-sent firings");
+        assert_eq!(node.report().messages_sent.get("rejoin_repair"), None, "node {id}");
         let report = latest(&node);
         let delta = PER_NODE as u64 + report.tuples_added;
-        assert!(
-            report.evaluated <= link_out(&s, id) * delta,
+        assert_eq!(
+            report.evaluated,
+            link_out(&s, id) * delta,
             "node {id} evaluated {} for a delta of {delta}",
             report.evaluated
         );
