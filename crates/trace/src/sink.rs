@@ -4,9 +4,8 @@
 
 use crate::event::{put_event, TraceEvent};
 use crate::TRACE_MAGIC;
-use codb_relational::binenc::put_i64;
-use codb_relational::binenc::put_u64;
-use codb_relational::frame::{encode_frame, frame_header, Crc32};
+use codb_relational::binenc::{put_i64, put_u64};
+use codb_relational::frame::{frame_header, Crc32};
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -31,6 +30,50 @@ pub trait TraceSink: Send {
     /// Flushes any buffered state (a file recorder seals and writes its
     /// open block). The default is a no-op.
     fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The one block encoder both recorders write through: the absolute
+/// first timestamp, then each event as a ZigZag timestamp delta plus the
+/// event, sealed into one [`codb_relational::frame`].
+#[derive(Debug, Default)]
+struct Block {
+    payload: Vec<u8>,
+    /// Running checksum of `payload`, folded in as events are appended
+    /// (the fresh bytes are still in cache) so sealing never re-reads the
+    /// buffer.
+    crc: Crc32,
+    prev_at: u64,
+}
+
+impl Block {
+    fn push(&mut self, at: u64, ev: &TraceEvent) {
+        let start = self.payload.len();
+        if start == 0 {
+            put_u64(&mut self.payload, at);
+            self.prev_at = at;
+        }
+        // Wrapping delta: the reader reconstructs with wrapping_add, so
+        // any timestamp jump (even > i64::MAX) survives.
+        put_i64(&mut self.payload, at.wrapping_sub(self.prev_at) as i64);
+        self.prev_at = at;
+        put_event(&mut self.payload, ev);
+        self.crc.update(&self.payload[start..]);
+    }
+
+    /// Writes the block as one frame and empties it; an empty block
+    /// writes nothing.
+    fn seal(&mut self, out: &mut impl Write) -> std::io::Result<()> {
+        if self.payload.is_empty() {
+            return Ok(());
+        }
+        // Frame written directly from the running state — the payload is
+        // only read once more, sequentially, by the write below.
+        out.write_all(&frame_header(self.payload.len() as u32, self.crc.finish()))?;
+        out.write_all(&self.payload)?;
+        self.payload.clear();
+        self.crc.reset();
         Ok(())
     }
 }
@@ -73,25 +116,13 @@ impl RingRecorder {
     /// Serialises the retained window as a complete trace (magic +
     /// blocks), as [`crate::read_trace`] expects.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let mut block = Block::default();
+        for (at, ev) in self.interns.iter().chain(&self.events) {
+            block.push(*at, ev);
+        }
         let mut out = TRACE_MAGIC.to_vec();
-        let mut payload = Vec::new();
-        let mut prev = 0u64;
-        let mut first = true;
-        for (at, ev) in self.interns.iter().chain(self.events.iter()) {
-            if first {
-                put_u64(&mut payload, *at);
-                prev = *at;
-                first = false;
-            }
-            // Wrapping delta: the reader reconstructs with wrapping_add,
-            // so any timestamp jump (even > i64::MAX) survives.
-            put_i64(&mut payload, at.wrapping_sub(prev) as i64);
-            prev = *at;
-            put_event(&mut payload, ev);
-        }
-        if !payload.is_empty() {
-            encode_frame(&payload, &mut out);
-        }
+        // Writing into a Vec cannot fail.
+        let _ = block.seal(&mut out);
         out
     }
 }
@@ -123,13 +154,8 @@ impl TraceSink for RingRecorder {
 #[derive(Debug)]
 pub struct FileRecorder {
     out: BufWriter<File>,
-    block: Vec<u8>,
-    /// Running checksum of `block`, folded in as events are appended (the
-    /// fresh bytes are still in cache) so sealing never re-reads the
-    /// buffer.
-    crc: Crc32,
+    block: Block,
     block_bytes: usize,
-    prev_at: u64,
     recorded: u64,
 }
 
@@ -150,10 +176,8 @@ impl FileRecorder {
             // Headroom past the seal threshold: the event that crosses it
             // finishes encoding before the seal, so the buffer never
             // reallocates mid-record.
-            block: Vec::with_capacity(block_bytes + 256),
-            crc: Crc32::new(),
+            block: Block { payload: Vec::with_capacity(block_bytes + 256), ..Block::default() },
             block_bytes,
-            prev_at: 0,
             recorded: 0,
         })
     }
@@ -162,43 +186,21 @@ impl FileRecorder {
     pub fn recorded(&self) -> u64 {
         self.recorded
     }
-
-    fn seal_block(&mut self) -> std::io::Result<()> {
-        if self.block.is_empty() {
-            return Ok(());
-        }
-        // Frame written directly from the running state — the payload is
-        // only read once more, sequentially, by the write below.
-        self.out.write_all(&frame_header(self.block.len() as u32, self.crc.finish()))?;
-        self.out.write_all(&self.block)?;
-        self.block.clear();
-        self.crc.reset();
-        Ok(())
-    }
 }
 
 impl TraceSink for FileRecorder {
     fn record(&mut self, at: u64, ev: &TraceEvent) {
-        let start = self.block.len();
-        if self.block.is_empty() {
-            put_u64(&mut self.block, at);
-            self.prev_at = at;
-        }
-        // Wrapping delta — mirrors the reader's wrapping_add reconstruction.
-        put_i64(&mut self.block, at.wrapping_sub(self.prev_at) as i64);
-        self.prev_at = at;
-        put_event(&mut self.block, ev);
-        self.crc.update(&self.block[start..]);
+        self.block.push(at, ev);
         self.recorded += 1;
-        if self.block.len() >= self.block_bytes {
+        if self.block.payload.len() >= self.block_bytes {
             // A failed seal is latched silently here (the hot path cannot
             // return errors); the final explicit flush surfaces it.
-            let _ = self.seal_block();
+            let _ = self.block.seal(&mut self.out);
         }
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        self.seal_block()?;
+        self.block.seal(&mut self.out)?;
         self.out.flush()
     }
 }

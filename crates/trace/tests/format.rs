@@ -41,7 +41,7 @@ impl Drop for TempDir {
 /// Every variant, driven by a tag draw so coverage does not depend on a
 /// wide `prop_oneof` (the shim's tuple strategies are the reliable path).
 fn arb_event() -> impl Strategy<Value = TraceEvent> {
-    (0u8..18, any::<u64>(), any::<u64>(), any::<u64>(), 0u32..40).prop_map(|(tag, a, b, c, s)| {
+    (0u8..20, any::<u64>(), any::<u64>(), any::<u64>(), 0u32..40).prop_map(|(tag, a, b, c, s)| {
         match tag {
             0 => TraceEvent::Intern { id: s + 1, text: format!("sym{s}") },
             1 => TraceEvent::PhaseBegin { name: s, host_nanos: a },
@@ -60,7 +60,9 @@ fn arb_event() -> impl Strategy<Value = TraceEvent> {
             14 => TraceEvent::WalAppend { store: s, bytes: c },
             15 => TraceEvent::Fsync { store: s, nanos: c },
             16 => TraceEvent::GroupDrain { stores: a, records: b, fsyncs: c },
-            _ => TraceEvent::Checkpoint { store: s, generation: b },
+            17 => TraceEvent::Checkpoint { store: s, generation: b },
+            18 => TraceEvent::BarrierHold { peer: a, toward: b, held: c },
+            _ => TraceEvent::BarrierRelease { peer: a, toward: b, released: c },
         }
     })
 }
@@ -197,4 +199,95 @@ proptest! {
     ) {
         let _ = read_trace(&bytes);
     }
+}
+
+/// The committed fixtures under the workspace's `tests/fixtures`.
+fn fixture(name: &str) -> Vec<u8> {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures").join(name);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// Every frame of a committed capture re-encodes to its own bytes: its
+/// events, recorded into a fresh [`FileRecorder`] whose block holds the
+/// whole frame, come back as the same header and payload.
+#[test]
+fn committed_frames_re_encode_byte_for_byte() {
+    use codb_relational::frame::{FrameScanner, FrameStep};
+    for name in ["golden.trc", "rejoin_barrier.trc"] {
+        let bytes = fixture(name);
+        let (magic, body) = bytes.split_at(codb_trace::TRACE_MAGIC.len());
+        assert_eq!(magic, codb_trace::TRACE_MAGIC, "{name}");
+        let dir = TempDir::new("trace-reencode");
+        let mut scanner = FrameScanner::new(body);
+        let mut frames = 0;
+        loop {
+            let start = scanner.offset();
+            let payload = match scanner.next_frame() {
+                FrameStep::Frame(payload) => payload,
+                FrameStep::End => break,
+                other => panic!("{name}: frame at byte {start} does not scan: {other:?}"),
+            };
+            let framed = [magic, &body[start..scanner.offset()]].concat();
+            let events = read_trace(&framed).unwrap().events;
+            let path = dir.path().join("frame.trc");
+            let mut rec = FileRecorder::with_block_bytes(&path, payload.len() + 1).unwrap();
+            for (at, ev) in &events {
+                rec.record(*at, ev);
+            }
+            rec.flush().unwrap();
+            drop(rec);
+            assert_eq!(std::fs::read(&path).unwrap(), framed, "{name}: frame {frames} re-encodes");
+            frames += 1;
+        }
+        assert!(frames > 0, "{name} holds a frame");
+    }
+}
+
+/// One event of each kind, at fixed timestamps (one step backward, so a
+/// negative delta is on the pinned path).
+fn one_of_each_stamped() -> Vec<(u64, TraceEvent)> {
+    vec![
+        (100, TraceEvent::Intern { id: 1, text: "flood".to_owned() }),
+        (100, TraceEvent::PhaseBegin { name: 1, host_nanos: 12 }),
+        (250, TraceEvent::PhaseEnd { name: 1, host_nanos: 999 }),
+        (250, TraceEvent::NetSend { from: 0, to: 1, bytes: 64 }),
+        (300, TraceEvent::NetDeliver { from: 0, to: 1, bytes: 64 }),
+        (299, TraceEvent::NetDrop { from: 1, to: 0, bytes: 48 }),
+        (1_000_000, TraceEvent::NetTimer { peer: 3, timer: 1 }),
+        (1_000_001, TraceEvent::UpdateApply { peer: 2, rule: 1, tuples: 17 }),
+        (1_000_002, TraceEvent::RuleFire { peer: 2, link: 3, firings: 5 }),
+        (1_000_003, TraceEvent::DsAck { peer: 3, to: 2, credits: 4 }),
+        (1_000_004, TraceEvent::DsCredit { peer: 2, credits: 4, deficit: 0 }),
+        (2_000_000, TraceEvent::RejoinAnnounce { peer: 5, epoch: 2 }),
+        (2_000_000, TraceEvent::RejoinRecv { peer: 4, from: 5, invalidated: 3 }),
+        (2_000_100, TraceEvent::RejoinAck { peer: 5, from: 4, pending: 1 }),
+        (3_000_000, TraceEvent::WalAppend { store: 1, bytes: 130 }),
+        (3_000_000, TraceEvent::Fsync { store: 1, nanos: 48_000 }),
+        (3_000_000, TraceEvent::GroupDrain { stores: 4, records: 256, fsyncs: 4 }),
+        (3_500_000, TraceEvent::Checkpoint { store: 1, generation: 2 }),
+        (4_000_000, TraceEvent::BarrierHold { peer: 4, toward: 5, held: 3 }),
+        (u64::MAX, TraceEvent::BarrierRelease { peer: 4, toward: 5, released: 3 }),
+    ]
+}
+
+/// The ring's byte form of one event of each kind, pinned: every tag,
+/// every field's primitive, the delta scheme and the frame.
+#[test]
+fn ring_bytes_of_one_of_each_are_pinned() {
+    let mut ring = RingRecorder::new(32);
+    for (at, ev) in one_of_each_stamped() {
+        ring.record(at, &ev);
+    }
+    let hex: String = ring.to_bytes().iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(
+        hex,
+        concat!(
+            "434f4442545243317600000089ffffff640008c96400000105666c6f6f640001",
+            "010cac020201e707000300014064040001400105010030aa847a060301020702",
+            "011102080203050209030204020a020400f8887a0b0502000c040503c8010d05",
+            "0401b8877a0e018201000f0180f702001004800204c0843d110102c0843d1204",
+            "050381a4e80313040503",
+        )
+    );
 }

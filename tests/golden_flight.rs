@@ -138,28 +138,7 @@ fn golden_trace_fixture_decodes_to_pinned_meaning() {
 
     let kinds: std::collections::BTreeSet<&str> =
         trace.events.iter().map(|(_, ev)| ev.kind()).collect();
-    for kind in [
-        "Intern",
-        "PhaseBegin",
-        "PhaseEnd",
-        "NetSend",
-        "NetDeliver",
-        "NetDrop",
-        "NetTimer",
-        "UpdateApply",
-        "RuleFire",
-        "DsAck",
-        "DsCredit",
-        "RejoinAnnounce",
-        "RejoinRecv",
-        "RejoinAck",
-        "BarrierHold",
-        "BarrierRelease",
-        "WalAppend",
-        "Fsync",
-        "GroupDrain",
-        "Checkpoint",
-    ] {
+    for kind in TraceEvent::KINDS {
         assert!(kinds.contains(kind), "fixture must cover event kind {kind}");
     }
 
@@ -171,6 +150,28 @@ fn golden_trace_fixture_decodes_to_pinned_meaning() {
     );
     let rendered = summary.render();
     assert!(rendered.contains("golden-phase"), "summary names the phase:\n{rendered}");
+}
+
+/// `codb-demo trace dump` of the committed fixture is the committed text
+/// (`tests/fixtures/golden.dump.txt`), line for line: every event kind's
+/// rendering is pinned, not just a few needles. Regenerate the text with
+/// `codb-demo trace dump tests/fixtures/golden.trc > tests/fixtures/golden.dump.txt`
+/// after an intentional change to the fixture or to `render_event`.
+#[test]
+fn golden_trace_dump_is_the_committed_text() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_codb-demo"))
+        .args(["trace", "dump"])
+        .arg(fixture_path())
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let got = String::from_utf8(out.stdout).unwrap();
+    let want = std::fs::read_to_string(fixture_path().with_file_name("golden.dump.txt")).unwrap();
+    if let Some((n, (g, w))) = got.lines().zip(want.lines()).enumerate().find(|(_, (g, w))| g != w)
+    {
+        panic!("dump line {} differs:\n  committed: {w}\n  now:       {g}", n + 1);
+    }
+    assert_eq!(got, want);
 }
 
 /// Rewrites the committed fixture. Run explicitly after an *intentional*

@@ -1,16 +1,16 @@
 //! Committed rejoin-barrier postmortem: a `.trc` flight recording of the
-//! forwarded-but-unsynced window-(a) schedule, pinned **semantically**.
+//! window-(a) schedule, pinned **semantically**.
 //!
 //! `tests/fixtures/rejoin_barrier.trc` is a real capture of
 //! [`build_capture`]: a chain-4 network under `GroupCommit` loses node 1
-//! mid-update *after* it forwarded records downstream but *before* its
-//! group-commit batch drained (`lose_unsynced_tail` chops the WAL back
-//! to the durable watermark). Survivor traffic toward the victim
-//! exhausts retransmission and parks behind the rejoin barrier; the
-//! restart's announcement releases it and pushes a `RejoinRepair`
-//! re-send that restores the rolled-back records **at the handshake** —
-//! the schedule has no follow-up update round, so convergence can come
-//! from nowhere else.
+//! mid-update while node 0's data toward it is in flight, and the
+//! restart keeps only what the group commit made durable
+//! (`lose_unsynced_tail` chops the WAL back to the durable watermark).
+//! The survivor traffic toward the victim exhausts retransmission and
+//! parks behind the rejoin barrier; the restart's announcement releases
+//! it, and node 0 pushes a `RejoinRepair` that lands node 0's records at
+//! the victim **at the handshake** — the schedule has no follow-up update
+//! round, so convergence can come from nowhere else.
 //!
 //! Unlike `golden.trc` this fixture cannot be byte-pinned — `Fsync`
 //! durations are measured wall-clock — so the test decodes the committed
@@ -41,9 +41,12 @@ fn fixture_path() -> PathBuf {
 }
 
 /// The pinned window-(a) schedule (mirrors the fixed-seed regression in
-/// `codb-workload`): one round, sink-initiated, node 1 killed at event
-/// 10 — right after it applied and forwarded node 0's data, with node 0's
-/// `LinkClosed` toward it still unacked, so the barrier genuinely engages.
+/// `codb-workload`): one round, sink-initiated, node 1 killed at event 6.
+/// The request has reached node 0 (event 5), and node 0's data toward the
+/// victim — one message that also closes the held link — is in flight;
+/// a kill after its delivery (event 7 on) parks nothing. So the data
+/// exhausts its retransmissions, parks behind the barrier, and the
+/// victim's announcement releases it beside node 0's repair.
 fn window_a_plan() -> FaultPlan {
     let s = Scenario { tuples_per_node: 12, ..Scenario::quick(Topology::Chain(4)) };
     FaultPlan {
@@ -54,7 +57,7 @@ fn window_a_plan() -> FaultPlan {
         lose_unsynced_tail: true,
         rounds: vec![Round {
             initiator: s.sink(),
-            faults: vec![Fault { at_event: 10, node: NodeId(VICTIM), kind: FaultKind::Crash }],
+            faults: vec![Fault { at_event: 6, node: NodeId(VICTIM), kind: FaultKind::Crash }],
         }],
     }
 }
@@ -108,7 +111,17 @@ fn committed_capture_holds_releases_and_repairs_in_order() {
         announce < release,
         "release is triggered by hearing the peer again, never spontaneously"
     );
-    assert!(repair_applied, "the rolled-back records land at the victim after the barrier lifts");
+    assert!(repair_applied, "node 0's records land at the victim after the barrier lifts");
+}
+
+/// The schedule still tells the story today: a fresh capture parks,
+/// releases, repairs and converges (`build_capture`'s checks), so a
+/// protocol change that moves the kill point fails here, not only when
+/// the fixture is next regenerated.
+#[test]
+fn a_fresh_capture_still_parks_and_repairs() {
+    let scratch = ScratchDir::new("rejoin-barrier-fresh");
+    build_capture(&scratch.path().join("fresh.trc"));
 }
 
 /// Rewrites the committed capture. Run explicitly after an *intentional*
