@@ -210,8 +210,10 @@ impl<'a> Reader<'a> {
         utf8(at, bytes).map(str::to_owned)
     }
 
-    /// A length-prefixed string's bytes, not yet checked, and their offset.
-    fn str_bytes(&mut self) -> DecodeResult<(usize, &'a [u8])> {
+    /// A length-prefixed string's bytes, not yet checked as UTF-8, and
+    /// their offset: a caller that compares them with a name it holds
+    /// builds no string.
+    pub fn str_bytes(&mut self) -> DecodeResult<(usize, &'a [u8])> {
         let n = self.len(1)?;
         let at = self.pos;
         let bytes = &self.buf[at..at + n];
@@ -354,10 +356,13 @@ pub fn put_relation(out: &mut Vec<u8>, rel: &Relation) {
 /// log in the order they were written. A log holds each tuple once, so a
 /// duplicate tuple is rejected rather than silently collapsed. Any order
 /// is a valid log: the sorted relations of older stores read as they are.
+/// The count is known, so the relation is reserved for it up front, at
+/// the room inserting one by one would end with.
 pub fn take_relation(r: &mut Reader<'_>) -> DecodeResult<Relation> {
     let schema = take_schema(r)?;
     let n = r.len(1)?;
     let mut rel = Relation::new(schema);
+    rel.reserve(n);
     for _ in 0..n {
         let at = r.offset();
         let t = take_tuple(r)?;

@@ -97,14 +97,8 @@ impl Positions {
     /// unless a tuple equal to it is filed already; returns whether it was
     /// filed.
     fn file(&mut self, t: &Tuple, hash: u32, log: &[(Tuple, u64)]) -> bool {
-        if (log.len() + 1) * 8 > self.slots.len() * 7 {
-            // Doubled, each slot re-filed by its bits: no tuple is rehashed.
-            let mut slots = vec![0; (self.slots.len() * 2).max(4)];
-            for &slot in self.slots.iter().filter(|&&slot| slot != 0) {
-                let at = probe(&slots, (slot >> 32) as u32, |_| false);
-                slots[at] = slot;
-            }
-            self.slots = slots;
+        if !Self::holds(self.slots.len(), log.len() + 1) {
+            self.resize((self.slots.len() * 2).max(4));
         }
         let at = self.slot_of(t, hash, log);
         if self.slots[at] != 0 {
@@ -113,6 +107,25 @@ impl Positions {
         let position = u32::try_from(log.len() + 1).expect("fewer than 2^32 - 1 tuples");
         self.slots[at] = u64::from(hash) << 32 | u64::from(position);
         true
+    }
+}
+
+impl Positions {
+    /// True iff a table of `slots` slots may file `tuples` tuples: it
+    /// stays at most 7/8 full.
+    fn holds(slots: usize, tuples: usize) -> bool {
+        tuples * 8 <= slots * 7
+    }
+
+    /// The table at `len` slots, each filed slot re-filed by its bits: no
+    /// tuple is rehashed.
+    fn resize(&mut self, len: usize) {
+        let mut slots = vec![0; len];
+        for &slot in self.slots.iter().filter(|&&slot| slot != 0) {
+            let at = probe(&slots, (slot >> 32) as u32, |_| false);
+            slots[at] = slot;
+        }
+        self.slots = slots;
     }
 }
 
@@ -347,6 +360,26 @@ impl Relation {
         }
     }
 
+    /// Room for `additional` more tuples, as much as inserting them one by
+    /// one would end with and no more: the log at the capacity its
+    /// doubling would reach, the table at the size its growth would — so a
+    /// decoder that knows its count files them without a re-file or a
+    /// copy of the log.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        if additional == 0 {
+            return;
+        }
+        let len = self.log.len() + additional;
+        self.log.reserve_exact(len.next_power_of_two().max(4) - self.log.len());
+        let mut slots = self.positions.slots.len().max(4);
+        while !Positions::holds(slots, len) {
+            slots *= 2;
+        }
+        if slots > self.positions.slots.len() {
+            self.positions.resize(slots);
+        }
+    }
+
     /// Approximate byte volume of the whole relation (statistics module).
     pub fn size_bytes(&self) -> usize {
         self.iter().map(Tuple::size_bytes).sum()
@@ -436,6 +469,26 @@ mod tests {
         assert!(r.insert(tup![1, "a"]).unwrap());
         assert!(!r.insert(tup![1, "a"]).unwrap());
         assert_eq!(r.len(), 1);
+    }
+
+    /// A relation reserved for `n` tuples ends where inserting them grows
+    /// it to, log and table alike, and inserting them then re-files
+    /// nothing.
+    #[test]
+    fn a_reserved_relation_ends_where_growth_would() {
+        for n in [1, 3, 4, 5, 7, 8, 9, 100, 1000] {
+            let tuples = (0..n).map(|k| tup![k, "x"]);
+            let mut grown = rel();
+            tuples.clone().for_each(|t| assert!(grown.insert(t).unwrap()));
+            let mut reserved = rel();
+            reserved.reserve(n as usize);
+            let room = |r: &Relation| (r.log.capacity(), r.positions.slots.len());
+            let before = room(&reserved);
+            assert_eq!(before, room(&grown), "{n} tuples");
+            tuples.for_each(|t| assert!(reserved.insert(t).unwrap()));
+            assert_eq!(room(&reserved), before, "{n} tuples: no growth after the reservation");
+            assert_eq!(reserved.filed(), grown.filed());
+        }
     }
 
     #[test]

@@ -41,7 +41,8 @@
 use crate::store::StoreError;
 use crate::wal::{LinkMark, LinkMarks, ProtocolCounters, RecvCaches, WalRecord};
 use codb_relational::binenc::{self, BinDecodeError, Reader};
-use codb_relational::{FiringSet, RuleFiring, Snapshot, SnapshotError};
+use codb_relational::glav::TField;
+use codb_relational::{FiringSet, RuleFiring, Snapshot, SnapshotError, Tuple};
 use std::fmt;
 
 /// Length of the magic header of every store file (prefix + format byte).
@@ -203,14 +204,45 @@ pub fn decode_record(payload: &[u8], codec: Codec) -> Result<WalRecord, String> 
         Codec::Json => {
             serde_json::from_slice(payload).map_err(|e| format!("undecodable record: {e}"))
         }
-        Codec::Binary => {
-            decode_record_binary(payload).map_err(|e| format!("undecodable record: {e}"))
-        }
+        Codec::Binary => decode_record_binary(payload).map_err(undecodable),
     }
+}
+
+/// The reason a binary record that failed to decode is corrupt.
+pub(crate) fn undecodable(e: BinDecodeError) -> String {
+    format!("undecodable record: {e}")
 }
 
 fn decode_record_binary(payload: &[u8]) -> Result<WalRecord, BinDecodeError> {
     let mut r = Reader::new(payload);
+    let record = match take_head(&mut r)? {
+        Head::Applied { rule, mark } => {
+            WalRecord::Applied { rule, firings: take_firings(&mut r)?, mark }
+        }
+        Head::Whole(record) => record,
+    };
+    r.expect_end()?;
+    Ok(record)
+}
+
+/// A binary record read up to where replay acts on it: an `Applied`
+/// record's link and mark, its firings still to read, or any other record
+/// whole. [`decode_record`] and replay both read a record through it.
+pub(crate) enum Head {
+    /// An `Applied` record, read up to its firings.
+    Applied {
+        /// The link the data arrived on.
+        rule: String,
+        /// The link's mark, where the batch moved it.
+        mark: Option<LinkMark>,
+    },
+    /// Any other record.
+    Whole(WalRecord),
+}
+
+/// Reads a binary record's tag and payload up to [`Head`]'s end; the
+/// caller checks that nothing trails the record.
+pub(crate) fn take_head(r: &mut Reader<'_>) -> Result<Head, BinDecodeError> {
     let at = r.offset();
     let record = match r.byte()? {
         tag @ (TAG_CACHES | TAG_CACHES_MARKED) => {
@@ -219,7 +251,7 @@ fn decode_record_binary(payload: &[u8]) -> Result<WalRecord, BinDecodeError> {
             for _ in 0..n {
                 let entry_at = r.offset();
                 let rule = r.str()?;
-                let firings = take_firings(&mut r)?;
+                let firings = take_firings(r)?;
                 // The encoding is canonical (each map key once, each set
                 // element once): silently collapsing duplicates would
                 // mask an encoder bug as a smaller cache.
@@ -246,7 +278,7 @@ fn decode_record_binary(payload: &[u8]) -> Result<WalRecord, BinDecodeError> {
                 for _ in 0..n {
                     let entry_at = r.offset();
                     let rule = r.str()?;
-                    if marks.insert(rule.clone(), take_mark(&mut r)?).is_some() {
+                    if marks.insert(rule.clone(), take_mark(r)?).is_some() {
                         return Err(BinDecodeError {
                             offset: entry_at,
                             detail: format!(
@@ -273,19 +305,54 @@ fn decode_record_binary(payload: &[u8]) -> Result<WalRecord, BinDecodeError> {
         },
         tag @ (TAG_APPLIED | TAG_APPLIED_MARKED) => {
             let rule = r.str()?;
-            let mark = if tag == TAG_APPLIED_MARKED { Some(take_mark(&mut r)?) } else { None };
-            let firings = take_firings(&mut r)?;
-            WalRecord::Applied { rule, firings, mark }
+            let mark = if tag == TAG_APPLIED_MARKED { Some(take_mark(r)?) } else { None };
+            return Ok(Head::Applied { rule, mark });
         }
         TAG_LOCAL_INSERT => {
             let relation = r.str()?;
-            let tuple = binenc::take_tuple(&mut r)?;
+            let tuple = binenc::take_tuple(r)?;
             WalRecord::LocalInsert { relation, tuple }
         }
         t => return Err(BinDecodeError { offset: at, detail: format!("unknown record tag {t}") }),
     };
-    r.expect_end()?;
-    Ok(record)
+    Ok(Head::Whole(record))
+}
+
+/// Reads the firings of an `Applied` record ([`Head::Applied`]) where
+/// each is one ground atom of one relation: that relation's name, and in
+/// `tuples` (emptied first) the atoms' tuples, in the record's order.
+/// `None` where the record holds no firing or one of another shape: it
+/// then decodes whole ([`decode_record`]). A field is read as a firing's
+/// is ([`binenc::take_tfield`]); a name after the first is compared with
+/// it, bytes to bytes, and never built.
+pub(crate) fn take_ground_batch(
+    r: &mut Reader<'_>,
+    tuples: &mut Vec<Tuple>,
+) -> Result<Option<String>, BinDecodeError> {
+    tuples.clear();
+    let n = firing_count(r)?;
+    let mut relation: Option<String> = None;
+    let mut values = Vec::new();
+    for _ in 0..n {
+        if r.len(2)? != 1 {
+            return Ok(None);
+        }
+        match &relation {
+            Some(relation) if relation.as_bytes() != r.str_bytes()?.1 => return Ok(None),
+            Some(_) => {}
+            None => relation = Some(r.str()?),
+        }
+        let fields = r.len(1)?;
+        values.reserve(fields);
+        for _ in 0..fields {
+            match binenc::take_tfield(r)? {
+                TField::Const(v) => values.push(v),
+                TField::Fresh(_) => return Ok(None),
+            }
+        }
+        tuples.push(values.drain(..).collect());
+    }
+    Ok(relation)
 }
 
 /// A cache's firings in their structural order, as a record writes them,
@@ -312,11 +379,15 @@ fn put_firings<'a>(out: &mut Vec<u8>, firings: impl ExactSizeIterator<Item = &'a
     }
 }
 
+/// A record's firing count. A firing with no atoms encodes to a single
+/// count byte, so the length sanity bound is 1 byte per element — a
+/// 2-byte bound would reject the encoder's own valid output.
+fn firing_count(r: &mut Reader<'_>) -> Result<usize, BinDecodeError> {
+    r.len(1)
+}
+
 fn take_firings(r: &mut Reader<'_>) -> Result<Vec<RuleFiring>, BinDecodeError> {
-    // A firing with no atoms encodes to a single count byte, so the
-    // length sanity bound is 1 byte per element — a 2-byte bound would
-    // reject the encoder's own valid output.
-    let n = r.len(1)?;
+    let n = firing_count(r)?;
     let mut firings = Vec::with_capacity(n);
     let mut reader = binenc::FiringReader::default();
     for _ in 0..n {
@@ -411,6 +482,48 @@ mod tests {
         empty[0] = TAG_CACHES_MARKED;
         empty.push(0);
         assert!(decode_record(&empty, Codec::Binary).is_err());
+    }
+
+    /// An `Applied` record's firings read as a ground batch — its
+    /// relation and tuples, in order, duplicates kept — only where each is
+    /// one ground atom of one relation; the head reads the same either way.
+    #[test]
+    fn only_firings_of_one_ground_relation_read_as_a_batch() {
+        let ground =
+            |rel: &str, k: i64| RuleFiring::new([(rel, vec![TField::Const(Value::Int(k))])]);
+        let template =
+            RuleFiring::new([("r", vec![TField::Const(Value::Int(5)), TField::Fresh(0)])]);
+        let two = RuleFiring::new([
+            ("r", vec![TField::Const(Value::Int(6))]),
+            ("r", vec![TField::Const(Value::Int(7))]),
+        ]);
+        let mark = Some(LinkMark { epoch: 1, position: 2 });
+        let read = |firings: Vec<RuleFiring>| {
+            let bytes = encode_record(&WalRecord::Applied { rule: "g".into(), firings, mark });
+            let mut r = Reader::new(&bytes);
+            match take_head(&mut r).unwrap() {
+                Head::Applied { rule, mark: m } => assert_eq!((rule.as_str(), m), ("g", mark)),
+                Head::Whole(record) => panic!("{record:?}"),
+            }
+            let mut tuples = vec![Tuple::new(vec![Value::Int(0)])];
+            let relation = take_ground_batch(&mut r, &mut tuples).unwrap();
+            relation.map(|relation| {
+                r.expect_end().unwrap();
+                (relation, tuples)
+            })
+        };
+        let t = |k: i64| Tuple::new(vec![Value::Int(k)]);
+        let batch = vec![ground("r", 1), ground("r", 2), ground("r", 1)];
+        assert_eq!(read(batch), Some(("r".to_owned(), vec![t(1), t(2), t(1)])));
+        assert_eq!(read(vec![]), None);
+        assert_eq!(read(vec![ground("r", 1), ground("s", 2)]), None);
+        assert_eq!(read(vec![ground("r", 1), template]), None);
+        assert_eq!(read(vec![ground("r", 1), two]), None);
+        // Any other record comes back whole.
+        let bytes = encode_record(&records()[1]);
+        assert!(
+            matches!(take_head(&mut Reader::new(&bytes)), Ok(Head::Whole(r)) if r == records()[1])
+        );
     }
 
     #[test]

@@ -41,6 +41,17 @@
 //! it to every acquaintance, which invalidates the sent caches pointed at
 //! the node.
 //!
+//! The file is two fixed 12-byte slots, each an epoch (`u64` LE) and the
+//! CRC-32 of its eight bytes (`u32` LE); the newest valid slot is the
+//! epoch. An open writes its epoch in place over the *other* slot and
+//! syncs the file's data — one `fdatasync`, no temp file, rename or
+//! directory sync. A crash mid-write tears only that slot, which then
+//! fails its checksum, and the file reads as the epoch before, under
+//! which nothing was sent (the open had not returned); no valid slot is
+//! a loud [`StoreError::Epoch`]. A store's creation, and the first write
+//! over a legacy text file (the decimal epoch, which is read), write the
+//! file whole by temp file + rename instead.
+//!
 //! After the magic, both file kinds are a sequence of CRC-32 *frames* —
 //! layout, checksum and the torn-tail / corruption scanner all live in
 //! [`frame`] (`codb_relational::frame`, shared with the flight recorder).
@@ -81,7 +92,12 @@
 //! `g+1` via a temp file + atomic rename, starts a fresh
 //! `codb-<g+1>.wal`, and only then deletes the generation-`g` files. A
 //! crash at any point leaves at least one complete generation on disk;
-//! recovery loads the **latest valid** snapshot and replays its WAL tail.
+//! recovery loads the **latest valid** snapshot and replays its WAL tail,
+//! frame by frame: an `Applied` record whose firings are each one ground
+//! atom of one relation is filed straight from its bytes, tuple by tuple,
+//! and every other record decodes and replays through [`apply_arrived`].
+//! An open sweeps other generations' files away and syncs the directory
+//! only when it deleted or renamed one.
 //!
 //! ## Failure semantics
 //!

@@ -3,17 +3,18 @@
 //!
 //! See the crate docs for the on-disk format and the compaction rules.
 
-use crate::codec::{self, Codec, MAGIC_LEN};
+use crate::codec::{self, Codec, Head, MAGIC_LEN};
 use crate::group::FsyncScheduler;
 use crate::wal::{
-    apply_arrived, read_wal, store_name, LinkMark, LinkMarks, ProtocolCounters, RecvCaches, Span,
-    SyncPolicy, WalRecord, WalWriter,
+    apply_arrived, scan_wal, store_name, FrameFault, LinkMark, LinkMarks, ProtocolCounters,
+    RecvCaches, Span, SyncPolicy, WalRecord, WalWriter,
 };
-use codb_relational::frame::{encode_frame, FrameScanner, FrameStep};
-use codb_relational::{Instance, NullFactory, Snapshot, SnapshotError};
+use codb_relational::binenc::Reader;
+use codb_relational::frame::{crc32, encode_frame, FrameScanner, FrameStep};
+use codb_relational::{Instance, NullFactory, SchemaError, Snapshot, SnapshotError, Tuple};
 use codb_trace::{TraceEvent, Tracer};
 use std::fmt;
-use std::io::Write as _;
+use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Storage-engine errors.
@@ -132,6 +133,10 @@ impl From<SnapshotError> for StoreError {
 /// Name of the incarnation-counter file (see [`RecoveredState::epoch`]).
 const EPOCH_FILE: &str = "codb.epoch";
 
+/// Bytes of each of the epoch file's two slots: an epoch (`u64` LE), then
+/// the CRC-32 of those eight bytes (`u32` LE).
+const EPOCH_SLOT: usize = 12;
+
 /// Copyable summary of a recovery — what reports and callers that hand the
 /// full [`RecoveredState`] to a node still want to know afterwards.
 #[derive(Clone, Copy, Debug)]
@@ -210,6 +215,9 @@ pub struct Store {
     marks: LinkMarks,
     /// This incarnation's epoch (see [`RecoveredState::epoch`]).
     epoch: u64,
+    /// The slot of `codb.epoch` written last: the next write goes to the
+    /// other one.
+    epoch_slot: usize,
 }
 
 fn snap_path(dir: &Path, generation: u64) -> PathBuf {
@@ -225,32 +233,75 @@ fn parse_generation(name: &str, suffix: &str) -> Option<u64> {
     name.strip_prefix("codb-")?.strip_suffix(suffix)?.parse().ok()
 }
 
-/// Writes the epoch counter by temp file + atomic rename, the temp file
-/// fsynced before the rename (else a power cut could leave the committed
-/// name on an empty file) and the directory after it — the one directory
-/// sync of an open, which covers the generation sweep before it too.
-fn write_epoch(dir: &Path, epoch: u64) -> Result<(), StoreError> {
+/// One slot of the epoch file, holding `epoch`.
+fn epoch_slot(epoch: u64) -> [u8; EPOCH_SLOT] {
+    let bytes = epoch.to_le_bytes();
+    let mut slot = [0; EPOCH_SLOT];
+    slot[..8].copy_from_slice(&bytes);
+    slot[8..].copy_from_slice(&crc32(&bytes).to_le_bytes());
+    slot
+}
+
+/// Writes `epoch` as the store's incarnation and returns the slot that
+/// now holds it. Over a slot file — `newest` is the slot holding the epoch
+/// being replaced — it overwrites the *other* slot in place and syncs the
+/// file's data (one `fdatasync`): no temp file, rename or directory sync.
+/// The slot holding the newest epoch is never written, so a write a crash
+/// tears fails its checksum and the file reads as the epoch before, under
+/// which nothing was sent (the open had not returned). Where there is no
+/// slot file yet (`newest` is `None`: a store being created, or a legacy
+/// text file), the file is written whole, `epoch` in both slots, as a
+/// snapshot is: to a temp file fsynced before it is renamed over the name,
+/// then the directory.
+fn write_epoch(dir: &Path, epoch: u64, newest: Option<usize>) -> Result<usize, StoreError> {
     let path = dir.join(EPOCH_FILE);
+    if let Some(newest) = newest {
+        let slot = 1 - newest;
+        let mut file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .map_err(|e| StoreError::io(&path, e))?;
+        let io = |e| StoreError::io(&path, e);
+        file.seek(SeekFrom::Start((slot * EPOCH_SLOT) as u64)).map_err(io)?;
+        file.write_all(&epoch_slot(epoch)).map_err(io)?;
+        file.sync_data().map_err(io)?;
+        return Ok(slot);
+    }
     let tmp = dir.join("codb.epoch.tmp");
     {
         let mut file = std::fs::File::create(&tmp).map_err(|e| StoreError::io(&tmp, e))?;
-        file.write_all(epoch.to_string().as_bytes()).map_err(|e| StoreError::io(&tmp, e))?;
+        file.write_all(&[epoch_slot(epoch); 2].concat()).map_err(|e| StoreError::io(&tmp, e))?;
         file.sync_all().map_err(|e| StoreError::io(&tmp, e))?;
     }
     std::fs::rename(&tmp, &path).map_err(|e| StoreError::io(&path, e))?;
     sync_dir(dir)?;
-    Ok(())
+    Ok(0)
 }
 
-fn read_epoch(dir: &Path) -> Result<u64, StoreError> {
-    let text = std::fs::read_to_string(dir.join(EPOCH_FILE)).map_err(|e| StoreError::Epoch {
-        dir: dir.to_owned(),
-        detail: format!("unreadable: {e}"),
-    })?;
-    text.trim().parse().map_err(|e| StoreError::Epoch {
-        dir: dir.to_owned(),
-        detail: format!("unparseable {text:?}: {e}"),
-    })
+/// Reads the incarnation counter: the newest epoch whose slot's checksum
+/// holds, and that slot; from a legacy text file, its number and no slot.
+/// A file with no valid slot, or legacy text that is no number, is a loud
+/// [`StoreError::Epoch`].
+fn read_epoch(dir: &Path) -> Result<(u64, Option<usize>), StoreError> {
+    let fail = |detail| StoreError::Epoch { dir: dir.to_owned(), detail };
+    let bytes =
+        std::fs::read(dir.join(EPOCH_FILE)).map_err(|e| fail(format!("unreadable: {e}")))?;
+    if bytes.len() != 2 * EPOCH_SLOT {
+        let text = String::from_utf8_lossy(&bytes);
+        let epoch = text.trim().parse().map_err(|e| fail(format!("unparseable {text:?}: {e}")))?;
+        return Ok((epoch, None));
+    }
+    let valid = |slot: usize| {
+        let (epoch, crc) = bytes[slot * EPOCH_SLOT..][..EPOCH_SLOT].split_at(8);
+        let ok = crc32(epoch).to_le_bytes() == crc;
+        ok.then(|| (u64::from_le_bytes(epoch.try_into().expect("eight bytes")), slot))
+    };
+    match (valid(0), valid(1)) {
+        (Some(a), Some(b)) => Ok(if b.0 > a.0 { b } else { a }),
+        (Some(at), None) | (None, Some(at)) => Ok(at),
+        (None, None) => Err(fail("both slots fail their checksums".into())),
+    }
+    .map(|(epoch, slot)| (epoch, Some(slot)))
 }
 
 fn list_generations(dir: &Path, suffix: &str) -> Result<Vec<u64>, StoreError> {
@@ -357,6 +408,102 @@ fn rotate(
     Ok(writer)
 }
 
+/// What a store's replay rebuilds on top of its snapshot, one WAL record
+/// at a time.
+struct Replay {
+    instance: Instance,
+    nulls: NullFactory,
+    recv: RecvCaches,
+    marks: LinkMarks,
+    counters: ProtocolCounters,
+    /// A ground batch's tuples, as read from its record: scratch, reused.
+    tuples: Vec<Tuple>,
+}
+
+impl Replay {
+    fn new(instance: Instance, nulls: NullFactory) -> Self {
+        Replay {
+            instance,
+            nulls,
+            recv: RecvCaches::new(),
+            marks: LinkMarks::new(),
+            counters: ProtocolCounters::default(),
+            tuples: Vec::new(),
+        }
+    }
+
+    /// Replays one frame's payload, written in `codec`. A binary `Applied`
+    /// record whose firings are each one ground atom of one relation is
+    /// filed straight from its bytes, tuple by tuple, with no firing built:
+    /// a tuple the relation holds already is skipped, as [`apply_arrived`]
+    /// skips its firing — a ground firing never enters a receive cache, so
+    /// the relation is all it changes. Every other record decodes whole and
+    /// replays through [`Replay::record`].
+    fn frame(&mut self, payload: &[u8], codec: Codec) -> Result<(), FrameFault> {
+        if codec == Codec::Binary {
+            let mut r = Reader::new(payload);
+            match codec::take_head(&mut r)? {
+                Head::Applied { rule, mark } => {
+                    if let Some(relation) = codec::take_ground_batch(&mut r, &mut self.tuples)? {
+                        r.expect_end()?;
+                        self.file(&relation).map_err(replay_error)?;
+                        self.mark(rule, mark);
+                        return Ok(());
+                    }
+                }
+                Head::Whole(record) => {
+                    r.expect_end()?;
+                    return Ok(self.record(record)?);
+                }
+            }
+        }
+        Ok(self.record(codec::decode_record(payload, codec).map_err(FrameFault::Corrupt)?)?)
+    }
+
+    /// Files the ground batch [`codec::take_ground_batch`] read into
+    /// `relation`.
+    fn file(&mut self, relation: &str) -> Result<(), SchemaError> {
+        let target = self
+            .instance
+            .get_mut(relation)
+            .ok_or_else(|| SchemaError::UnknownRelation { relation: relation.to_owned() })?;
+        for tuple in self.tuples.drain(..) {
+            target.insert(tuple)?;
+        }
+        Ok(())
+    }
+
+    /// Replays one decoded record.
+    fn record(&mut self, record: WalRecord) -> Result<(), StoreError> {
+        match record {
+            WalRecord::Caches { recv, marks } => (self.recv, self.marks) = (recv, marks),
+            WalRecord::Counters { counters } => self.counters = counters,
+            WalRecord::Applied { rule, mut firings, mark } => {
+                let (instance, nulls, recv) = (&mut self.instance, &mut self.nulls, &mut self.recv);
+                apply_arrived(instance, nulls, recv, &rule, &mut firings).map_err(replay_error)?;
+                self.mark(rule, mark);
+            }
+            WalRecord::LocalInsert { relation, tuple } => {
+                self.instance.insert(&relation, tuple).map_err(replay_error)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Keeps the mark an `Applied` record of link `rule` carries.
+    fn mark(&mut self, rule: String, mark: Option<LinkMark>) {
+        if let Some(mark) = mark {
+            self.marks.insert(rule, mark);
+        }
+    }
+}
+
+/// A record that decoded and failed to apply: schema drift between the
+/// store and the configuration it is opened under.
+fn replay_error(e: SchemaError) -> StoreError {
+    StoreError::Replay { detail: e.to_string() }
+}
+
 impl Store {
     /// True iff `dir` holds at least one snapshot generation.
     pub fn exists(dir: &Path) -> bool {
@@ -410,7 +557,7 @@ impl Store {
         // Epoch before the snapshot: the snapshot rename is the commit
         // point of creation (`exists` keys on it), so a committed store
         // always has its incarnation counter.
-        write_epoch(dir, 0)?;
+        let epoch_slot = write_epoch(dir, 0, None)?;
         write_snapshot_file(&snap_path(dir, 0), snapshot)?;
         Ok(Store {
             dir: dir.to_owned(),
@@ -420,6 +567,7 @@ impl Store {
             trace_id: 0,
             marks,
             epoch: 0,
+            epoch_slot,
         })
     }
 
@@ -477,46 +625,23 @@ impl Store {
             return Err(first_error.expect("at least one candidate failed"));
         };
 
-        // Replay the WAL tail of the chosen generation, in whatever codec
-        // its format byte declares. A vanished WAL means a crash
-        // mid-checkpoint (or a fallback to a generation whose WAL was
+        // Replay the WAL tail of the chosen generation, frame by frame, in
+        // whatever codec its format byte declares. A vanished WAL means a
+        // crash mid-checkpoint (or a fallback to a generation whose WAL was
         // already compacted away): its receive caches are gone, and the
         // explicit empty cache checkpoint replayed in its place makes the
         // loss visible rather than silently assumed.
         let wal = wal_path(dir, generation);
-        let (records, torn_tail, wal_codec, valid_len) = if wal.is_file() {
-            let c = read_wal(&wal)?;
-            (c.records, c.torn_tail, c.codec, Some(c.valid_len))
+        let mut replay = Replay::new(snapshot.instance, snapshot.nulls);
+        let scan = if wal.is_file() {
+            Some(scan_wal(&wal, |payload, codec| replay.frame(payload, codec))?)
         } else {
-            let empty = WalRecord::Caches { recv: RecvCaches::new(), marks: LinkMarks::new() };
-            (vec![empty], false, Codec::Binary, None)
+            replay
+                .record(WalRecord::Caches { recv: RecvCaches::new(), marks: LinkMarks::new() })?;
+            None
         };
-        let frames = records.len() as u64;
-
-        let mut instance = snapshot.instance;
-        let mut nulls = snapshot.nulls;
-        let mut recv_cache = RecvCaches::new();
-        let mut marks = LinkMarks::new();
-        let mut counters = ProtocolCounters::default();
-        let replayed = records.len() as u64;
-        for record in records {
-            match record {
-                WalRecord::Caches { recv, marks: m } => (recv_cache, marks) = (recv, m),
-                WalRecord::Counters { counters: c } => counters = c,
-                WalRecord::Applied { rule, mut firings, mark } => {
-                    apply_arrived(&mut instance, &mut nulls, &mut recv_cache, &rule, &mut firings)
-                        .map_err(|e| StoreError::Replay { detail: e.to_string() })?;
-                    if let Some(mark) = mark {
-                        marks.insert(rule, mark);
-                    }
-                }
-                WalRecord::LocalInsert { relation, tuple } => {
-                    instance
-                        .insert(&relation, tuple)
-                        .map_err(|e| StoreError::Replay { detail: e.to_string() })?;
-                }
-            }
-        }
+        let wal_codec = scan.map_or(Codec::Binary, |scan| scan.codec);
+        let Replay { instance, nulls, recv: recv_cache, marks, counters, .. } = replay;
 
         // The live generation: a legacy store's next one, written whole in
         // binary (the checkpoint path, so the snapshot rename commits it);
@@ -525,8 +650,8 @@ impl Store {
         let (live, writer) = if snapshot_codec == Codec::Json || wal_codec == Codec::Json {
             let (next, snapshot) = (generation + 1, Snapshot::capture(&instance, &nulls));
             (next, rotate(dir, next, &snapshot, &recv_cache, &marks, &counters, &sched, &tracer)?)
-        } else if let Some(valid_len) = valid_len {
-            (generation, WalWriter::open_append(&wal, valid_len, frames, &sched)?)
+        } else if let Some(scan) = scan {
+            (generation, WalWriter::open_append(&wal, scan.valid_len, scan.frames, &sched)?)
         } else {
             let mut w = WalWriter::create(&wal, &sched)?;
             w.append(&WalRecord::Caches { recv: RecvCaches::new(), marks: LinkMarks::new() })?;
@@ -538,8 +663,9 @@ impl Store {
         // recovered node's envelopes outrank its previous life's. A
         // missing/unreadable counter is a loud error — restarting at a
         // stale epoch would leave the node mute at its peers.
-        let epoch = read_epoch(dir)? + 1;
-        let store = Store {
+        let (last, newest) = read_epoch(dir)?;
+        let epoch = last + 1;
+        let mut store = Store {
             dir: dir.to_owned(),
             generation: live,
             writer,
@@ -547,9 +673,10 @@ impl Store {
             trace_id: 0,
             marks,
             epoch,
+            epoch_slot: 0,
         };
         store.remove_other_generations()?;
-        write_epoch(dir, epoch)?;
+        store.epoch_slot = write_epoch(dir, epoch, newest)?;
         Ok((
             store,
             RecoveredState {
@@ -559,8 +686,8 @@ impl Store {
                 recv_cache,
                 counters,
                 generation,
-                wal_records_replayed: replayed,
-                torn_tail,
+                wal_records_replayed: scan.map_or(1, |scan| scan.frames),
+                torn_tail: scan.is_some_and(|scan| scan.torn_tail),
                 snapshot_codec,
                 wal_codec,
             },
@@ -607,8 +734,9 @@ impl Store {
     /// continuity — a rules file, a restore — so that no peer's mark made
     /// against the logs so far reads, after its restart, as one from the
     /// incarnation just before (`docs/DURABILITY.md`, "Link marks").
-    pub fn skip_incarnation(&self) -> Result<(), StoreError> {
-        write_epoch(&self.dir, self.epoch + 1)
+    pub fn skip_incarnation(&mut self) -> Result<(), StoreError> {
+        self.epoch_slot = write_epoch(&self.dir, self.epoch + 1, Some(self.epoch_slot))?;
+        Ok(())
     }
 
     /// Forgets every mark: the node's instance no longer holds what they
@@ -657,9 +785,11 @@ impl Store {
     /// generation whose snapshot *is* there — it failed validation and
     /// was passed over — is quarantined, snapshot and WAL, under a
     /// `.corrupt` suffix instead of destroyed, so the evidence survives
-    /// for diagnosis. It syncs no directory: the epoch write right after
-    /// it in [`Store::open_with`] does, covering the sweep too.
+    /// for diagnosis. Where it deleted or renamed a file it syncs the
+    /// directory, so the sweep is durable before the node acts on it; a
+    /// sweep that found nothing syncs nothing.
     fn remove_other_generations(&self) -> Result<(), StoreError> {
+        let mut swept = false;
         let snaps = list_generations(&self.dir, ".snap")?;
         let entries = std::fs::read_dir(&self.dir).map_err(|e| StoreError::io(&self.dir, e))?;
         for entry in entries {
@@ -670,16 +800,17 @@ impl Store {
                 parse_generation(name, ".snap").or_else(|| parse_generation(name, ".wal"));
             let debris = |g: u64| g < self.generation || g > self.generation && !snaps.contains(&g);
             if name.ends_with(".tmp") || generation.is_some_and(debris) {
-                let _ = std::fs::remove_file(entry.path());
+                swept |= std::fs::remove_file(entry.path()).is_ok();
             } else if generation.is_some_and(|g| g > self.generation) {
-                let _ = std::fs::rename(
-                    entry.path(),
-                    entry.path().with_extension(format!(
-                        "{}.corrupt",
-                        entry.path().extension().and_then(|e| e.to_str()).unwrap_or("bad")
-                    )),
-                );
+                let quarantined = entry.path().with_extension(format!(
+                    "{}.corrupt",
+                    entry.path().extension().and_then(|e| e.to_str()).unwrap_or("bad")
+                ));
+                swept |= std::fs::rename(entry.path(), quarantined).is_ok();
             }
+        }
+        if swept {
+            sync_dir(&self.dir)?;
         }
         Ok(())
     }
@@ -1353,6 +1484,166 @@ mod tests {
             Store::open(dir.path(), SyncPolicy::Always, Codec::Binary),
             Err(StoreError::Epoch { .. })
         ));
+        // A slot file whose two slots both fail their checksums.
+        let mut garbled = [epoch_slot(4), epoch_slot(5)].concat();
+        garbled[9] ^= 1;
+        garbled[EPOCH_SLOT + 3] ^= 0x10;
+        std::fs::write(dir.path().join("codb.epoch"), garbled).unwrap();
+        match Store::open(dir.path(), SyncPolicy::Always, Codec::Binary) {
+            Err(StoreError::Epoch { detail, .. }) => {
+                assert!(detail.contains("both slots"), "{detail}")
+            }
+            other => panic!("expected an epoch error, got {other:?}"),
+        }
+    }
+
+    /// The epoch file as its two slots' epochs, `None` where a slot fails
+    /// its checksum.
+    fn epoch_slots(dir: &Path) -> [Option<u64>; 2] {
+        let bytes = std::fs::read(dir.join(EPOCH_FILE)).unwrap();
+        assert_eq!(bytes.len(), 2 * EPOCH_SLOT, "slot form");
+        [0, 1].map(|slot| {
+            let (epoch, crc) = bytes[slot * EPOCH_SLOT..][..EPOCH_SLOT].split_at(8);
+            let epoch = u64::from_le_bytes(epoch.try_into().unwrap());
+            (crc32(&epoch.to_le_bytes()).to_le_bytes() == crc).then_some(epoch)
+        })
+    }
+
+    /// An open writes its epoch over the older slot; a newer slot torn
+    /// by a crash reads as the older slot's epoch, and the next open bumps
+    /// past that, into the torn slot.
+    #[test]
+    fn a_torn_newer_epoch_slot_opens_at_the_older_one() {
+        let dir = ScratchDir::new("store-epoch-torn");
+        let (inst, nulls) = seed();
+        let snap = Snapshot::capture(&inst, &nulls);
+        let (recv, counters) = (RecvCaches::new(), ProtocolCounters::default());
+        drop(Store::create(dir.path(), &snap, &recv, &counters, SyncPolicy::Always, Codec::Binary));
+        assert_eq!(epoch_slots(dir.path()), [Some(0), Some(0)], "created whole");
+        let reopen = || Store::open(dir.path(), SyncPolicy::Always, Codec::Binary).unwrap().1.epoch;
+        assert_eq!(reopen(), 1);
+        assert_eq!(epoch_slots(dir.path()), [Some(0), Some(1)]);
+        assert_eq!(reopen(), 2);
+        assert_eq!(epoch_slots(dir.path()), [Some(2), Some(1)], "over the older slot");
+
+        let path = dir.path().join(EPOCH_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8] ^= 0x01;
+        std::fs::write(&path, bytes).unwrap();
+        assert_eq!(epoch_slots(dir.path()), [None, Some(1)]);
+        assert_eq!(reopen(), 2, "the torn slot's epoch is counted again");
+        assert_eq!(epoch_slots(dir.path()), [Some(2), Some(1)], "into the torn slot");
+        assert_eq!(reopen(), 3);
+    }
+
+    /// A legacy text `codb.epoch` opens at its number plus one and is
+    /// rewritten whole in slot form; from then on the slots count on.
+    #[test]
+    fn a_legacy_text_epoch_opens_one_past_and_is_rewritten_in_slots() {
+        let dir = legacy_store("store-epoch-legacy");
+        let legacy = std::fs::read_to_string(dir.path().join(EPOCH_FILE)).unwrap();
+        let was: u64 = legacy.trim().parse().unwrap();
+        let (store, rec) = Store::open(dir.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+        assert_eq!(rec.epoch, was + 1);
+        assert_eq!(epoch_slots(dir.path()), [Some(was + 1); 2]);
+        assert!(!dir.path().join("codb.epoch.tmp").exists());
+        drop(store);
+        let (_, rec) = Store::open(dir.path(), SyncPolicy::Always, Codec::Binary).unwrap();
+        assert_eq!(rec.epoch, was + 2);
+        assert_eq!(epoch_slots(dir.path()), [Some(was + 1), Some(was + 2)]);
+    }
+
+    /// Replay files a ground batch of one relation straight from its
+    /// bytes and every other record through `apply_arrived`, and ends
+    /// where replaying the WAL's decoded records one by one through
+    /// `apply_arrived` does: the same instance, each relation's log in
+    /// the same order under the same hashes, the same null factory,
+    /// receive caches, marks and counters.
+    #[test]
+    fn replay_files_ground_batches_as_decoded_records_replay() {
+        let dir = ScratchDir::new("store-replay-eq");
+        let (mut inst, nulls) = seed();
+        inst.add_relation(RelationSchema::with_types("s", &[ValueType::Int]));
+        inst.insert("s", tup![0]).unwrap();
+        let snap = Snapshot::capture(&inst, &nulls);
+        let (recv, counters) = (RecvCaches::new(), ProtocolCounters::default());
+        let mut store =
+            Store::create(dir.path(), &snap, &recv, &counters, SyncPolicy::Never, Codec::Binary)
+                .unwrap();
+        let r = |k: i64| RuleFiring::new([("r", vec![TField::Const(Value::Int(k)); 2])]);
+        let s = |k: i64| RuleFiring::new([("s", vec![TField::Const(Value::Int(k))])]);
+        let both = |k: i64| {
+            RuleFiring::new([
+                ("r", vec![TField::Const(Value::Int(k)); 2]),
+                ("s", vec![TField::Const(Value::Int(k))]),
+            ])
+        };
+        let mark = |position| Some(LinkMark { epoch: 0, position });
+        let applied = |rule: &str, firings: Vec<RuleFiring>, mark| WalRecord::Applied {
+            rule: rule.into(),
+            firings,
+            mark,
+        };
+        let records = [
+            // Ground batches of one relation, one holding a tuple the
+            // snapshot has and one tuple twice.
+            applied("g", vec![r(3), r(1), r(2)], mark(3)),
+            applied("g", vec![r(2), r(4), r(4), r(5)], None),
+            applied("h", vec![s(1), s(0)], mark(2)),
+            // Templates, and ground firings before and after one.
+            applied("e0", vec![firing(1), firing(2)], mark(2)),
+            applied("e0", vec![r(6), firing(1), r(7), firing(3)], mark(4)),
+            // Ground, but of two relations, or of two atoms.
+            applied("g", vec![r(8), s(8)], mark(5)),
+            applied("g", vec![both(9), r(9)], None),
+            applied("g", vec![], mark(6)),
+            WalRecord::LocalInsert { relation: "s".into(), tuple: tup![10] },
+            WalRecord::Counters { counters: ProtocolCounters { update_seq: 2, ..counters } },
+            applied("g", vec![r(11), r(10), r(12)], mark(9)),
+        ];
+        for record in &records {
+            store.append(record).unwrap();
+        }
+        store.sync().unwrap();
+        let wal = store.wal_path().to_owned();
+        drop(store);
+
+        // The oracle: each decoded record replayed through apply_arrived.
+        let (mut inst, mut nulls) = (snap.instance.clone(), snap.nulls.clone());
+        let (mut recv, mut marks, mut counters) =
+            (RecvCaches::new(), LinkMarks::new(), ProtocolCounters::default());
+        let decoded = crate::wal::read_wal(&wal).unwrap().records;
+        assert_eq!(&decoded[2..], &records[..], "caches + counters, then what was appended");
+        for record in decoded {
+            match record {
+                WalRecord::Caches { recv: c, marks: m } => (recv, marks) = (c, m),
+                WalRecord::Counters { counters: c } => counters = c,
+                WalRecord::Applied { rule, mut firings, mark } => {
+                    apply_arrived(&mut inst, &mut nulls, &mut recv, &rule, &mut firings).unwrap();
+                    if let Some(mark) = mark {
+                        marks.insert(rule, mark);
+                    }
+                }
+                WalRecord::LocalInsert { relation, tuple } => {
+                    inst.insert(&relation, tuple).unwrap();
+                }
+            }
+        }
+
+        let (store, rec) = Store::open(dir.path(), SyncPolicy::Never, Codec::Binary).unwrap();
+        assert_eq!(rec.wal_records_replayed, 2 + records.len() as u64);
+        assert_eq!(rec.instance, inst);
+        for relation in inst.relations() {
+            let replayed = rec.instance.get(relation.name()).unwrap();
+            assert_eq!(replayed.filed(), relation.filed(), "{}: the log's order", relation.name());
+        }
+        let factory = |nulls: &NullFactory| (nulls.origin(), nulls.invented());
+        assert_eq!(factory(&rec.nulls), factory(&nulls));
+        assert!(nulls.invented() > 0, "templates were instantiated");
+        assert_eq!(rec.recv_cache, recv);
+        assert_eq!(store.marks(), &marks);
+        assert_eq!(rec.counters, counters);
+        assert_eq!(marks.get("g"), Some(&LinkMark { epoch: 0, position: 9 }));
     }
 
     #[test]
@@ -1447,7 +1738,7 @@ mod tests {
     fn a_skipped_incarnation_is_not_the_one_before_the_next() {
         let dir = ScratchDir::new("store-skip");
         let (inst, nulls) = seed();
-        let store = Store::create(
+        let mut store = Store::create(
             dir.path(),
             &Snapshot::capture(&inst, &nulls),
             &RecvCaches::new(),

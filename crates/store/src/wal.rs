@@ -23,6 +23,7 @@
 use crate::codec::{self, Codec, MAGIC_LEN};
 use crate::group::FsyncScheduler;
 use crate::store::StoreError;
+use codb_relational::binenc::BinDecodeError;
 use codb_relational::frame::{crc32, frame_header, FrameScanner, FrameStep, FRAME_HEADER};
 use codb_relational::{
     apply_new_firings, FiringSet, Instance, NullFactory, RuleFiring, SchemaError, Tuple, Version,
@@ -302,10 +303,14 @@ impl FromStr for SyncPolicy {
     }
 }
 
-/// The name a trace gives the store a WAL file belongs to: the file's
-/// directory. `WalAppend`, `Fsync` and `Checkpoint` events all carry it.
+/// The name a trace gives the store a WAL file belongs to: the last
+/// component of the file's directory — a node's store is `<root>/<node>`,
+/// so it is the node's name, and two runs of one schedule under different
+/// roots name their stores alike. `WalAppend`, `Fsync` and `Checkpoint`
+/// events all carry it.
 pub(crate) fn store_name(wal: &Path) -> String {
-    wal.parent().unwrap_or(Path::new("")).display().to_string()
+    let dir = wal.parent().and_then(Path::file_name).unwrap_or_default();
+    dir.to_string_lossy().into_owned()
 }
 
 /// Appender over one WAL file: encodes each record into a frame and
@@ -495,52 +500,93 @@ pub struct WalContents {
 /// checksum mismatch or undecodable payload on a complete frame is a
 /// typed error.
 pub fn read_wal(path: &Path) -> Result<WalContents, StoreError> {
+    let mut records = Vec::new();
+    let scan = scan_wal(path, |payload, codec| {
+        records.push(codec::decode_record(payload, codec).map_err(FrameFault::Corrupt)?);
+        Ok(())
+    })?;
+    Ok(WalContents {
+        records,
+        codec: scan.codec,
+        valid_len: scan.valid_len,
+        torn_tail: scan.torn_tail,
+    })
+}
+
+/// Why a frame's payload stopped a scan of its WAL ([`scan_wal`]).
+#[derive(Debug)]
+pub(crate) enum FrameFault {
+    /// It does not decode, for this reason: corruption at the frame.
+    Corrupt(String),
+    /// It decoded, and acting on it failed.
+    Failed(StoreError),
+}
+
+impl From<StoreError> for FrameFault {
+    fn from(e: StoreError) -> Self {
+        FrameFault::Failed(e)
+    }
+}
+
+impl From<BinDecodeError> for FrameFault {
+    fn from(e: BinDecodeError) -> Self {
+        FrameFault::Corrupt(codec::undecodable(e))
+    }
+}
+
+/// Where a scan of a WAL's frames ended ([`scan_wal`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct WalScan {
+    /// The codec detected from the file's format byte.
+    pub(crate) codec: Codec,
+    /// Byte length of the valid prefix (magic + complete frames).
+    pub(crate) valid_len: u64,
+    /// Complete frames in that prefix.
+    pub(crate) frames: u64,
+    /// True when a torn final frame follows it.
+    pub(crate) torn_tail: bool,
+}
+
+/// Reads the WAL at `path` and hands `each` the payload of every complete
+/// frame, one at a time in append order, with the codec the file's format
+/// byte names — [`read_wal`] and a store's replay both read a WAL this
+/// way. A torn final frame ends the scan cleanly; a checksum mismatch, or
+/// a payload `each` finds undecodable, is a [`StoreError::CorruptFrame`]
+/// at the frame's offset.
+pub(crate) fn scan_wal(
+    path: &Path,
+    mut each: impl FnMut(&[u8], Codec) -> Result<(), FrameFault>,
+) -> Result<WalScan, StoreError> {
     let bytes = std::fs::read(path).map_err(|e| StoreError::io(path, e))?;
     let Some(codec) = Codec::detect_wal(&bytes) else {
         return Err(StoreError::BadMagic { file: path.to_owned() });
     };
-    let body = &bytes[MAGIC_LEN..];
-    let mut scanner = FrameScanner::new(body);
-    let mut records = Vec::new();
+    let corrupt = |offset: usize, reason| StoreError::CorruptFrame {
+        file: path.to_owned(),
+        offset: (MAGIC_LEN + offset) as u64,
+        reason,
+    };
+    let mut scanner = FrameScanner::new(&bytes[MAGIC_LEN..]);
+    let mut frames = 0;
     loop {
         // The scanner's offset moves past a frame once it validates, so
         // remember where this frame started for error reporting.
         let frame_at = scanner.offset();
-        match scanner.next_frame() {
+        let torn_tail = match scanner.next_frame() {
             FrameStep::Frame(payload) => {
-                let record = codec::decode_record(payload, codec).map_err(|reason| {
-                    StoreError::CorruptFrame {
-                        file: path.to_owned(),
-                        offset: (MAGIC_LEN + frame_at) as u64,
-                        reason,
-                    }
-                })?;
-                records.push(record);
+                match each(payload, codec) {
+                    Ok(()) => frames += 1,
+                    Err(FrameFault::Corrupt(reason)) => return Err(corrupt(frame_at, reason)),
+                    Err(FrameFault::Failed(e)) => return Err(e),
+                }
+                continue;
             }
-            FrameStep::End => {
-                return Ok(WalContents {
-                    records,
-                    codec,
-                    valid_len: (MAGIC_LEN + scanner.offset()) as u64,
-                    torn_tail: false,
-                });
-            }
-            FrameStep::TornTail => {
-                return Ok(WalContents {
-                    records,
-                    codec,
-                    valid_len: (MAGIC_LEN + scanner.offset()) as u64,
-                    torn_tail: true,
-                });
-            }
-            FrameStep::Corrupt { offset, reason } => {
-                return Err(StoreError::CorruptFrame {
-                    file: path.to_owned(),
-                    offset: (MAGIC_LEN + offset) as u64,
-                    reason,
-                });
-            }
-        }
+            FrameStep::End => false,
+            FrameStep::TornTail => true,
+            FrameStep::Corrupt { offset, reason } => return Err(corrupt(offset, reason)),
+        };
+        let valid_len = (MAGIC_LEN + scanner.offset()) as u64;
+        return Ok(WalScan { codec, valid_len, frames, torn_tail });
     }
 }
 
@@ -583,6 +629,15 @@ mod tests {
         assert_eq!(span(2, 5, 6, true).extend(at(1, 4)), None);
         // An earlier incarnation: never.
         assert_eq!(span(1, 0, 9, false).extend(at(2, 4)), None);
+    }
+
+    /// A trace names a store by its node's directory, not by the root
+    /// the run put it under, so two runs of one schedule name it alike.
+    #[test]
+    fn a_store_is_named_by_its_directory_whatever_its_root() {
+        let [a, b] = ["/tmp/run-1-8071/node0", "scratch/run-2/node0"]
+            .map(|dir| store_name(&Path::new(dir).join("codb-0000000000.wal")));
+        assert_eq!((a.as_str(), b.as_str()), ("node0", "node0"));
     }
 
     /// The WAL of the committed legacy JSON store.
