@@ -23,12 +23,12 @@
 use crate::ids::NodeId;
 use crate::rules::CoordinationRule;
 use codb_relational::{parse_facts, parse_rule, DatabaseSchema, RelationSchema, Tuple, ValueType};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Declaration of one node.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct NodeConfig {
     /// Node identifier.
     pub id: NodeId,
@@ -42,7 +42,7 @@ pub struct NodeConfig {
 }
 
 /// A full network configuration.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct NetworkConfig {
     /// Node declarations.
     pub nodes: Vec<NodeConfig>,

@@ -80,7 +80,7 @@ impl fmt::Display for QueryId {
 
 /// Identifier of one query-time fetch request (a node asking an
 /// acquaintance to execute one coordination rule on behalf of a query).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct ReqId {
     /// The requesting node.
     pub node: NodeId,
@@ -102,7 +102,7 @@ impl fmt::Display for ReqId {
 /// incarnation cannot repeat a dead one's — and it gives an answer it kept
 /// the tag it had, so a requester that names the tag of the answer it
 /// holds learns, by getting the tag back, that nothing changed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Tag {
     /// Incarnation of the server when it minted the tag.
     pub epoch: u64,

@@ -13,11 +13,11 @@ use crate::stats::{Kind, NodeReport};
 use codb_net::Payload;
 use codb_relational::{ConjunctiveQuery, RuleFiring};
 use codb_store::{LinkMark, Span};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::num::NonZeroU64;
 
 /// Message body.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub enum Body {
     // ---- transport ----
     /// Nothing: the envelope exists for the [`Envelope::ack`] in its header,
@@ -374,7 +374,7 @@ impl Body {
 /// flag on top. No mark costs no room, and [`Body`] stays 88 bytes; a log
 /// past 2^31 − 1 positions ships no mark, and its link is repaired
 /// whole.)
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct Mark(NonZeroU64);
 
 impl Mark {
@@ -424,7 +424,7 @@ fn tag_bytes(tag: &Option<Tag>) -> usize {
 /// The ack of a sequenced envelope: its seq, and the epoch it was stamped
 /// with — echoed so the sender can tell which incarnation's seq is being
 /// retired (sequence numbers restart at recovery).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct CarriedAck {
     /// Acknowledged transport sequence number.
     pub seq: u64,
@@ -433,7 +433,7 @@ pub struct CarriedAck {
 }
 
 /// A protocol message: transport header + body.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Envelope {
     /// Transport sequence number, counted per destination; `None` for what
     /// answers a message (a bare [`Body::Ack`], the reply returning a DS

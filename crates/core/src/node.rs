@@ -292,9 +292,8 @@ impl CoDbNode {
     /// `Some(stats)` when state was recovered from disk, `None` when a
     /// fresh store was initialised.
     ///
-    /// The store writes binary; an existing store recovers whatever
-    /// encodings its files carry (each file's format byte wins), and a
-    /// legacy JSON one is converted to binary as it opens.
+    /// A store in the JSON format of older releases is refused
+    /// ([`codb_store::StoreError::LegacyFormat`]) and left as it was.
     ///
     /// A recovery marks the node rejoin-pending: the `Rejoin`
     /// announcement ([`crate::rejoin`]) is posted on the node's next
@@ -319,8 +318,7 @@ impl CoDbNode {
     /// `CoDbNetwork::open_persistence_all` shares one scheduler across
     /// all nodes this way). Ignored for per-store policies.
     ///
-    /// `codec` must be [`codb_store::Codec::Binary`]
-    /// ([`codb_store::Codec::writable`]); the argument stays only while
+    /// `codec` is the one there is; the argument stays only while
     /// `benchmark/` passes it, and goes when the benchmark next changes
     /// (ROADMAP item 6).
     pub fn open_persistence_with(
@@ -330,7 +328,7 @@ impl CoDbNode {
         codec: codb_store::Codec,
         group: Option<&codb_store::FsyncScheduler>,
     ) -> Result<Option<codb_store::RecoveryStats>, codb_store::StoreError> {
-        codec.writable()?;
+        let codb_store::Codec::Binary = codec;
         if codb_store::Store::exists(dir) {
             let (store, recovered) = codb_store::Store::open_with(dir, policy, group)?;
             let stats = recovered.stats();

@@ -114,8 +114,7 @@ impl ParallelCoDbNet {
     /// [`codb_store::FsyncScheduler`], reachable via
     /// [`ParallelCoDbNet::fsync_scheduler`].
     ///
-    /// `codec` must be [`codb_store::Codec::Binary`]
-    /// ([`codb_store::Codec::writable`]); the argument stays only while
+    /// `codec` is the one there is; the argument stays only while
     /// `benchmark/` passes it, and goes when the benchmark next changes
     /// (ROADMAP item 6).
     pub fn build_persistent(

@@ -11,12 +11,12 @@
 
 use crate::ids::{NodeId, RuleName};
 use codb_relational::{GlavRule, PreparedRule};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// A GLAV rule plus the pair of nodes it bridges: the body is evaluated at
 /// `source`, the head is materialised at `target`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct CoordinationRule {
     /// The schema-level rule.
     pub rule: GlavRule,

@@ -393,7 +393,7 @@ impl NodeReport {
 
 /// Network-wide aggregation of one update — the super-peer's "final
 /// statistical report" rows.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct UpdateSummary {
     /// Nodes that participated.
     pub nodes: u64,
@@ -427,7 +427,7 @@ pub struct UpdateSummary {
 }
 
 /// The super-peer's aggregated view over all collected node reports.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct NetworkReport {
     /// Raw node reports, by node.
     #[serde(with = "pairs")]

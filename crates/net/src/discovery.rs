@@ -12,11 +12,11 @@
 //! pays for one copy.
 
 use crate::peer::PeerId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// What kind of resource an advertisement describes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum AdKind {
     /// A peer announcing its presence.
     Peer,
@@ -26,7 +26,7 @@ pub enum AdKind {
 
 /// One advertisement. Ordered by `(peer, kind, name)` — the board's
 /// (and therefore every snapshot's) order.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub struct Advertisement {
     /// Publishing peer.
     pub peer: PeerId,

@@ -10,15 +10,13 @@
 use crate::discovery::Advertisement;
 use crate::pipe::PipeConfig;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::VecDeque;
 use std::fmt;
 
 /// Network-wide peer identifier (JXTA gives peers IP-independent IDs; we
 /// use dense integers).
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct PeerId(pub u64);
 
 impl fmt::Display for PeerId {

@@ -7,10 +7,10 @@
 //! wide-area overlay.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Transmission parameters of one pipe (applied per direction).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct PipeConfig {
     /// Propagation delay added to every message.
     pub latency: SimTime,

@@ -8,10 +8,10 @@
 //! the envelopes the nodes count sent, plus the harness's injections,
 //! with `sent`, and those they count received with `delivered`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Whole-network counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct NetStats {
     /// Total messages handed to pipes.
     pub sent: u64,

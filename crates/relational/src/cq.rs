@@ -8,12 +8,12 @@
 //! node's schema. This module defines the shared AST.
 
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// A query variable, identified by index into the owning query's name table.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Var(pub u32);
 
 impl fmt::Debug for Var {
@@ -23,7 +23,7 @@ impl fmt::Debug for Var {
 }
 
 /// A term: a variable or a constant.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum Term {
     /// Variable occurrence.
     Var(Var),
@@ -54,7 +54,7 @@ impl From<Value> for Term {
 }
 
 /// A relational atom `r(t1, ..., tk)`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct Atom {
     /// Relation name.
     pub relation: String,
@@ -80,7 +80,7 @@ impl Atom {
 }
 
 /// Comparison operators admitted in rule bodies.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum CmpOp {
     /// Equality (marked nulls equal only themselves).
     Eq,
@@ -138,7 +138,7 @@ impl CmpOp {
 }
 
 /// A comparison predicate `lhs op rhs`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct Comparison {
     /// Left operand.
     pub lhs: Term,
@@ -161,7 +161,7 @@ impl Comparison {
 }
 
 /// The body of a CQ: relational atoms plus comparison predicates.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct CqBody {
     /// Relational atoms, joined conjunctively.
     pub atoms: Vec<Atom>,
@@ -205,7 +205,7 @@ impl CqBody {
 /// User queries must be *safe*: every head variable occurs in the body.
 /// (Rule heads with existential variables are modelled by
 /// [`crate::glav::GlavRule`], not by this type.)
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct ConjunctiveQuery {
     /// The head atom; its relation name names the answer relation.
     pub head: Atom,

@@ -39,7 +39,7 @@ use crate::instance::Instance;
 use crate::relation::Version;
 use crate::tuple::{Feed, Tuple};
 use crate::value::{NullFactory, NullId, Value};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
@@ -48,7 +48,7 @@ use std::sync::{Arc, OnceLock};
 
 /// A GLAV coordination rule, node-agnostic (the `codb-core` crate pairs it
 /// with source/target node identifiers).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct GlavRule {
     /// Rule name, unique per network configuration file.
     pub name: String,
@@ -441,7 +441,7 @@ impl fmt::Display for GlavRule {
 /// One field of a firing template: a ground value or an existential
 /// placeholder (keyed by the rule's variable index so placeholders are
 /// shared across head atoms of the same firing).
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum TField {
     /// Ground value carried over from the body answer (or a head constant).
     Const(Value),
@@ -799,9 +799,8 @@ impl fmt::Debug for RuleFiring {
     }
 }
 
-/// `{"atoms": [[relation, fields], …]}`, the shape JSON stores on disk
-/// (and the golden-json fixture) hold. Written against the vendored serde
-/// shim's value-tree API.
+/// `{"atoms": [[relation, fields], …]}`, as a firing always serialised.
+/// Written against the vendored serde shim's value-tree API.
 impl Serialize for RuleFiring {
     fn to_value(&self) -> serde::Value {
         let atoms = self
@@ -810,13 +809,6 @@ impl Serialize for RuleFiring {
             .map(|(rel, fields)| serde::Value::Array(vec![rel.to_value(), fields.to_value()]))
             .collect();
         serde::Value::Object(BTreeMap::from([("atoms".to_owned(), serde::Value::Array(atoms))]))
-    }
-}
-
-impl Deserialize for RuleFiring {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let atoms = v.get("atoms").ok_or_else(|| serde::Error::custom("missing field `atoms`"))?;
-        Vec::<(String, Vec<TField>)>::from_value(atoms).map(RuleFiring::new)
     }
 }
 
@@ -1807,7 +1799,6 @@ mod tests {
             let json =
                 serde::Value::Object(BTreeMap::from([("atoms".to_owned(), spelling.to_value())]));
             assert_eq!(firing.to_value(), json, "{spelling:?}");
-            assert_eq!(RuleFiring::from_value(&json).unwrap(), *firing);
             let plain: Vec<(&str, &Vec<TField>)> =
                 spelling.iter().map(|(rel, fields)| (rel.as_str(), fields)).collect();
             assert_eq!(format!("{firing:?}"), format!("RuleFiring {{ atoms: {plain:?} }}"));

@@ -3,12 +3,12 @@
 use crate::relation::Relation;
 use crate::schema::{DatabaseSchema, RelationSchema, SchemaError};
 use crate::tuple::Tuple;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// A database instance over a [`DatabaseSchema`]: one [`Relation`] per
 /// declared relation schema.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct Instance {
     relations: BTreeMap<String, Relation>,
 }

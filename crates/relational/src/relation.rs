@@ -19,7 +19,7 @@
 use crate::schema::{RelationSchema, SchemaError};
 use crate::tuple::Tuple;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -411,28 +411,15 @@ impl fmt::Debug for Relation {
 }
 
 /// `{"schema": …, "tuples": […]}`, as the derive wrote it before the
-/// relation had anything else — the hashes are left out, and re-derived by
-/// the inserts that read it back. Written against the vendored serde
-/// shim's value-tree API.
+/// relation had anything else: the tuples in filing order, the hashes and
+/// indexes left out. Written against the vendored serde shim's value-tree
+/// API.
 impl Serialize for Relation {
     fn to_value(&self) -> serde::Value {
         serde::Value::Object(BTreeMap::from([
             ("schema".to_owned(), self.schema.to_value()),
             ("tuples".to_owned(), serde::Value::Array(self.iter().map(Tuple::to_value).collect())),
         ]))
-    }
-}
-
-impl Deserialize for Relation {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let fields =
-            v.as_object().ok_or_else(|| serde::Error::custom("expected object for Relation"))?;
-        let mut relation = Relation::new(serde::__from_field(fields, "schema")?);
-        let tuples: Vec<Tuple> = serde::__from_field(fields, "tuples")?;
-        for t in tuples {
-            relation.insert(t).map_err(|e| serde::Error::custom(e.to_string()))?;
-        }
-        Ok(relation)
     }
 }
 
@@ -720,16 +707,12 @@ mod tests {
         // A decoded relation is built afresh: equal to its source, and of
         // a lineage of its own.
         let source = pairs(5);
-        let json: Relation =
-            serde_json::from_str(&serde_json::to_string(&source).unwrap()).unwrap();
         let mut bytes = Vec::new();
         crate::binenc::put_relation(&mut bytes, &source);
-        let binary = crate::binenc::take_relation(&mut crate::binenc::Reader::new(&bytes)).unwrap();
-        for read in [json, binary] {
-            assert_eq!(read, source);
-            assert_eq!(since(&read, source.version()), None);
-            assert_eq!(since(&source, read.version()), None);
-        }
+        let read = crate::binenc::take_relation(&mut crate::binenc::Reader::new(&bytes)).unwrap();
+        assert_eq!(read, source);
+        assert_eq!(since(&read, source.version()), None);
+        assert_eq!(since(&source, read.version()), None);
     }
 
     #[test]
@@ -744,12 +727,5 @@ mod tests {
         assert_eq!(serde_json::to_string(&warm).unwrap(), json);
         assert_eq!(format!("{warm:?}"), printed);
         assert!(json.starts_with(r#"{"schema":{"#) && json.contains(r#"},"tuples":[["#));
-
-        let read: Relation = serde_json::from_str(&json).unwrap();
-        assert_eq!(read, warm);
-        assert_eq!(serde_json::to_string(&read).unwrap(), json, "insertion order kept");
-        assert!(!read.is_indexed(0) && !read.is_indexed(1));
-        assert_eq!(probe(&read, 1, 1).0, probe(&warm, 1, 1).0);
-        assert!(Relation::from_value(&serde::Value::Null).is_err());
     }
 }

@@ -7,12 +7,12 @@
 
 use crate::tuple::Tuple;
 use crate::value::ValueType;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A typed column.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct Column {
     /// Column name (informational; positions are what the engine uses).
     pub name: String,
@@ -28,7 +28,7 @@ impl Column {
 }
 
 /// Schema of one relation.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct RelationSchema {
     /// Relation name, unique within a [`DatabaseSchema`].
     pub name: String,
@@ -81,7 +81,7 @@ impl RelationSchema {
 }
 
 /// Schema of a node's shared database: a set of relation schemas.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct DatabaseSchema {
     relations: BTreeMap<String, RelationSchema>,
 }

@@ -8,16 +8,14 @@
 
 use crate::instance::Instance;
 use crate::value::NullFactory;
-use serde::Deserialize;
 use std::fmt;
 
 /// Snapshot format version; bump on layout changes.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
-/// A persisted database state. Stores write it in the binary form
-/// ([`Snapshot::to_binary_bytes`]); the JSON form of older stores is only
-/// read ([`Snapshot::from_bytes`]).
-#[derive(Clone, Debug, Deserialize)]
+/// A persisted database state, in the binary form stores write and read
+/// ([`Snapshot::to_binary_bytes`], [`Snapshot::from_binary_bytes`]).
+#[derive(Clone, Debug)]
 pub struct Snapshot {
     /// Format version (checked on load).
     pub version: u32,
@@ -30,7 +28,7 @@ pub struct Snapshot {
 /// Snapshot errors.
 #[derive(Debug)]
 pub enum SnapshotError {
-    /// The payload does not decode as a snapshot (JSON or binary).
+    /// The payload does not decode as a snapshot.
     Corrupt(String),
     /// The snapshot was written by an incompatible version.
     VersionMismatch {
@@ -58,20 +56,6 @@ impl Snapshot {
     /// Captures the given state.
     pub fn capture(instance: &Instance, nulls: &NullFactory) -> Self {
         Snapshot { version: SNAPSHOT_VERSION, instance: instance.clone(), nulls: nulls.clone() }
-    }
-
-    /// Restores from the JSON bytes of a legacy store, checking the format
-    /// version.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let snap: Snapshot =
-            serde_json::from_slice(bytes).map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-        if snap.version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::VersionMismatch {
-                found: snap.version,
-                expected: SNAPSHOT_VERSION,
-            });
-        }
-        Ok(snap)
     }
 
     /// Serialises to the compact binary format (`crate::binenc`):
@@ -141,11 +125,13 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_everything() {
-        // Legacy JSON in, binary out and back: every step keeps the state.
+        // Binary out, in and out again: every step keeps the state, and
+        // the second encoding is the first's bytes.
         let (inst, nulls) = sample();
-        let snap = Snapshot::capture(&inst, &nulls);
-        let from_json = Snapshot::from_bytes(&legacy_json(&snap)).unwrap();
-        let restored = Snapshot::from_binary_bytes(&from_json.to_binary_bytes()).unwrap();
+        let bytes = Snapshot::capture(&inst, &nulls).to_binary_bytes();
+        let read = Snapshot::from_binary_bytes(&bytes).unwrap();
+        assert_eq!(read.to_binary_bytes(), bytes);
+        let restored = Snapshot::from_binary_bytes(&read.to_binary_bytes()).unwrap();
         assert_eq!(restored.instance, inst);
         assert_eq!(restored.nulls.invented(), nulls.invented());
     }
@@ -209,7 +195,13 @@ mod tests {
 
     #[test]
     fn corrupt_payload_is_rejected() {
-        assert!(matches!(Snapshot::from_bytes(b"not json"), Err(SnapshotError::Corrupt(_))));
+        // Every cut of a snapshot's bytes short of the whole is corrupt.
+        let (inst, nulls) = sample();
+        let bytes = Snapshot::capture(&inst, &nulls).to_binary_bytes();
+        for cut in 0..bytes.len() {
+            let read = Snapshot::from_binary_bytes(&bytes[..cut]);
+            assert!(matches!(read, Err(SnapshotError::Corrupt(_))), "cut at {cut}");
+        }
     }
 
     #[test]
@@ -218,7 +210,7 @@ mod tests {
         let mut snap = Snapshot::capture(&inst, &nulls);
         snap.version = 99;
         assert!(matches!(
-            Snapshot::from_bytes(&legacy_json(&snap)),
+            Snapshot::from_binary_bytes(&snap.to_binary_bytes()),
             Err(SnapshotError::VersionMismatch { found: 99, .. })
         ));
     }

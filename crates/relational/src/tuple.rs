@@ -1,7 +1,7 @@
 //! Tuples: fixed-arity sequences of [`Value`]s.
 
 use crate::value::{NullId, Value};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cell::Cell;
 use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::fmt;
@@ -242,12 +242,6 @@ impl Serialize for Tuple {
     }
 }
 
-impl Deserialize for Tuple {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Vec::<Value>::from_value(v).map(Tuple::from_iter)
-    }
-}
-
 impl Index<usize> for Tuple {
     type Output = Value;
     fn index(&self, i: usize) -> &Value {
@@ -337,8 +331,6 @@ mod tests {
     fn json_is_the_array_of_the_fields() {
         let t = tup![1, "x", true];
         assert_eq!(t.to_value(), t.as_slice().to_vec().to_value());
-        assert_eq!(Tuple::from_value(&t.to_value()).unwrap(), t);
-        assert!(Tuple::from_value(&serde::Value::Int(1)).is_err());
     }
 
     #[test]

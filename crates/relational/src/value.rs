@@ -8,12 +8,12 @@
 //! a per-node sequence number, so labels are globally unique without any
 //! coordination — mirroring how coDB relies on JXTA-generated identifiers.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Identifier of a marked null: the inventing node plus a local sequence
 /// number. Globally unique as long as node identifiers are unique.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct NullId {
     /// Raw identifier of the node that invented this null.
     pub origin: u64,
@@ -45,7 +45,7 @@ impl fmt::Display for NullId {
 /// Each call to [`NullFactory::fresh`] returns a null never produced before
 /// by this factory. coDB invents one fresh null per existential variable per
 /// rule-body answer, so factories are consulted on every rule application.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct NullFactory {
     origin: u64,
     next: u64,
@@ -90,7 +90,7 @@ impl NullFactory {
 /// booleans and marked nulls. Floats are deliberately omitted so that
 /// [`Value`] has total equality/ordering and can live in hash sets —
 /// the same choice most Datalog engines make.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum Value {
     /// 64-bit signed integer.
     Int(i64),
@@ -186,7 +186,7 @@ impl fmt::Display for Value {
 }
 
 /// Column types for schema validation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum ValueType {
     /// 64-bit signed integer.
     Int,

@@ -1,21 +1,14 @@
-//! The payload codec: how [`WalRecord`]s and [`Snapshot`]s become the
-//! bytes inside the CRC-32 frames, and how a reader tells which encoding
-//! a file on disk uses.
+//! The one store format: how [`WalRecord`]s and
+//! [`Snapshot`](codb_relational::Snapshot)s become the bytes inside the
+//! CRC-32 frames, and the magic every store file starts with.
 //!
-//! Two encodings exist, named per *file* by a **format byte** — the
-//! eighth byte of the magic (`CODBWAL1` / `CODBSNP1` for JSON,
-//! `CODBWAL2` / `CODBSNP2` for binary):
-//!
-//! * [`Codec::Binary`] — the compact varint/tag encoding of
-//!   `codb_relational::binenc`: values, tuples, relations (each as its
-//!   log), receive caches and protocol counters as tagged varints and
-//!   length-prefixed strings. It is the one format a store writes.
-//! * [`Codec::Json`] — the seed format: serde-shim JSON payloads. It is
-//!   only read: a store written before the binary codec existed carries
-//!   format byte `'1'`, and [`crate::Store::open`] recovers it and
-//!   rewrites it as a binary generation before it returns.
-//!
-//! Readers **auto-detect** from the format byte.
+//! Each file starts with an 8-byte magic, [`WAL_MAGIC`] or [`SNAP_MAGIC`],
+//! whose eighth byte is the format byte `'2'`: the compact varint/tag
+//! encoding of `codb_relational::binenc` — values, tuples, relations (each
+//! as its log), receive caches and protocol counters as tagged varints and
+//! length-prefixed strings. A file headed by the magic of the JSON format
+//! stores wrote before it (`CODBWAL1` / `CODBSNP1`) is refused, unread, as
+//! [`StoreError::LegacyFormat`]; any other head is [`StoreError::BadMagic`].
 //!
 //! ## Binary record layout
 //!
@@ -42,100 +35,48 @@ use crate::store::StoreError;
 use crate::wal::{LinkMark, LinkMarks, ProtocolCounters, RecvCaches, WalRecord};
 use codb_relational::binenc::{self, BinDecodeError, Reader};
 use codb_relational::glav::TField;
-use codb_relational::{FiringSet, RuleFiring, Snapshot, SnapshotError, Tuple};
-use std::fmt;
+use codb_relational::{FiringSet, RuleFiring, Tuple};
+use std::path::Path;
 
 /// Length of the magic header of every store file (prefix + format byte).
 pub const MAGIC_LEN: usize = 8;
 
-const WAL_PREFIX: &[u8; 7] = b"CODBWAL";
-const SNAP_PREFIX: &[u8; 7] = b"CODBSNP";
+/// The magic a WAL file starts with.
+pub const WAL_MAGIC: [u8; MAGIC_LEN] = *b"CODBWAL2";
 
-/// The payload encoding of one store file, named by its format byte.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// The magic a snapshot file starts with.
+pub const SNAP_MAGIC: [u8; MAGIC_LEN] = *b"CODBSNP2";
+
+/// Each kind's magic beside the one its JSON files carried before the
+/// binary codec, known only to be refused.
+const LEGACY_MAGICS: [(&[u8; MAGIC_LEN], &[u8; MAGIC_LEN]); 2] =
+    [(&WAL_MAGIC, b"CODBWAL1"), (&SNAP_MAGIC, b"CODBSNP1")];
+
+/// The payload encoding of a store. There is one, and nothing reads this
+/// type: it stays only while `benchmark/` passes it to
+/// [`crate::Store::create`] and [`crate::Store::open`] (ROADMAP item 6).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Codec {
-    /// Serde-shim JSON payloads — the seed format (format byte `'1'`),
-    /// read only.
-    Json,
-    /// Compact varint/tag payloads (format byte `'2'`) — what every store
-    /// writes.
+    /// Compact varint/tag payloads (format byte `'2'`).
     Binary,
 }
 
-impl Codec {
-    /// The format byte this codec stamps as the eighth magic byte.
-    pub const fn format_byte(self) -> u8 {
-        match self {
-            Codec::Json => b'1',
-            Codec::Binary => b'2',
+/// The bytes of store file `file` after its magic, which must be `magic`.
+/// A file headed by the legacy JSON magic of its kind is
+/// [`StoreError::LegacyFormat`], and any other head
+/// [`StoreError::BadMagic`]: nothing past the magic is read.
+pub(crate) fn after_magic<'a>(
+    file: &Path,
+    bytes: &'a [u8],
+    magic: &[u8; MAGIC_LEN],
+) -> Result<&'a [u8], StoreError> {
+    match bytes.split_first_chunk::<MAGIC_LEN>() {
+        Some((head, payload)) if head == magic => Ok(payload),
+        Some((head, _)) if LEGACY_MAGICS.contains(&(magic, head)) => {
+            Err(StoreError::LegacyFormat { file: file.to_owned() })
         }
+        _ => Err(StoreError::BadMagic { file: file.to_owned() }),
     }
-
-    /// Inverse of [`Codec::format_byte`].
-    pub const fn from_format_byte(b: u8) -> Option<Codec> {
-        match b {
-            b'1' => Some(Codec::Json),
-            b'2' => Some(Codec::Binary),
-            _ => None,
-        }
-    }
-
-    /// Magic header of a WAL file in this codec.
-    pub const fn wal_magic(self) -> [u8; MAGIC_LEN] {
-        magic(WAL_PREFIX, self)
-    }
-
-    /// Magic header of a snapshot file in this codec.
-    pub const fn snap_magic(self) -> [u8; MAGIC_LEN] {
-        magic(SNAP_PREFIX, self)
-    }
-
-    /// Detects the codec of a WAL file from its leading bytes.
-    pub fn detect_wal(header: &[u8]) -> Option<Codec> {
-        detect(WAL_PREFIX, header)
-    }
-
-    /// Detects the codec of a snapshot file from its leading bytes.
-    pub fn detect_snap(header: &[u8]) -> Option<Codec> {
-        detect(SNAP_PREFIX, header)
-    }
-
-    /// `Ok` for [`Codec::Binary`], the one format a store writes; a
-    /// [`StoreError::ReadOnlyCodec`] for [`Codec::Json`], which is only
-    /// read.
-    pub fn writable(self) -> Result<(), StoreError> {
-        match self {
-            Codec::Binary => Ok(()),
-            Codec::Json => Err(StoreError::ReadOnlyCodec(self)),
-        }
-    }
-}
-
-impl fmt::Display for Codec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Codec::Json => write!(f, "json"),
-            Codec::Binary => write!(f, "binary"),
-        }
-    }
-}
-
-const fn magic(prefix: &[u8; 7], codec: Codec) -> [u8; MAGIC_LEN] {
-    let mut m = [0u8; MAGIC_LEN];
-    let mut i = 0;
-    while i < prefix.len() {
-        m[i] = prefix[i];
-        i += 1;
-    }
-    m[MAGIC_LEN - 1] = codec.format_byte();
-    m
-}
-
-fn detect(prefix: &[u8; 7], header: &[u8]) -> Option<Codec> {
-    if header.len() < MAGIC_LEN || &header[..7] != prefix {
-        return None;
-    }
-    Codec::from_format_byte(header[7])
 }
 
 // ---- WAL records ----
@@ -196,16 +137,11 @@ pub(crate) fn put_record(out: &mut Vec<u8>, record: &WalRecord) {
     }
 }
 
-/// Decodes one WAL record payload in `codec` (JSON for the records of a
-/// legacy WAL). The error is the *reason* string; the caller owns
-/// file/offset context for the typed [`StoreError::CorruptFrame`].
-pub fn decode_record(payload: &[u8], codec: Codec) -> Result<WalRecord, String> {
-    match codec {
-        Codec::Json => {
-            serde_json::from_slice(payload).map_err(|e| format!("undecodable record: {e}"))
-        }
-        Codec::Binary => decode_record_binary(payload).map_err(undecodable),
-    }
+/// Decodes one WAL record payload. The error is the *reason* string; the
+/// caller owns file/offset context for the typed
+/// [`StoreError::CorruptFrame`].
+pub fn decode_record(payload: &[u8]) -> Result<WalRecord, String> {
+    decode_record_binary(payload).map_err(undecodable)
 }
 
 /// The reason a binary record that failed to decode is corrupt.
@@ -396,23 +332,13 @@ fn take_firings(r: &mut Reader<'_>) -> Result<Vec<RuleFiring>, BinDecodeError> {
     Ok(firings)
 }
 
-// ---- snapshots ----
-
-/// Decodes one snapshot payload in `codec` (corruption and version
-/// mismatches are typed [`SnapshotError`]s). The payload stores write is
-/// [`Snapshot::to_binary_bytes`].
-pub fn decode_snapshot(payload: &[u8], codec: Codec) -> Result<Snapshot, SnapshotError> {
-    match codec {
-        Codec::Json => Snapshot::from_bytes(payload),
-        Codec::Binary => Snapshot::from_binary_bytes(payload),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use codb_relational::glav::TField;
-    use codb_relational::{Instance, NullFactory, RelationSchema, Tuple, Value, ValueType};
+    use codb_relational::{
+        Instance, NullFactory, RelationSchema, Snapshot, Tuple, Value, ValueType,
+    };
 
     fn records() -> Vec<WalRecord> {
         let firing =
@@ -436,7 +362,7 @@ mod tests {
         ]
     }
 
-    /// [`records`] as a legacy JSON WAL holds them, byte for byte.
+    /// [`records`] as a legacy JSON WAL held them, byte for byte.
     const LEGACY_JSON: [&str; 4] = [
         r#"{"Caches":{"recv":[["e0",[{"atoms":[["r",[{"Const":{"Int":-7}},{"Fresh":0}]]]}]]]}}"#,
         r#"{"Counters":{"counters":{"query_seq":1,"req_seq":18446744073709551615,"update_seq":3}}}"#,
@@ -446,10 +372,8 @@ mod tests {
 
     #[test]
     fn records_round_trip_in_both_codecs() {
-        for (record, json) in records().into_iter().zip(LEGACY_JSON) {
-            let bytes = encode_record(&record);
-            assert_eq!(decode_record(&bytes, Codec::Binary).unwrap(), record);
-            assert_eq!(decode_record(json.as_bytes(), Codec::Json).unwrap(), record, "{json}");
+        for record in records() {
+            assert_eq!(decode_record(&encode_record(&record)).unwrap(), record);
         }
     }
 
@@ -472,7 +396,7 @@ mod tests {
         }
         for (record, before) in records.iter().zip(&unmarked) {
             let bytes = encode_record(record);
-            assert_eq!(decode_record(&bytes, Codec::Binary).unwrap(), *record);
+            assert_eq!(decode_record(&bytes).unwrap(), *record);
             let marked = matches!(record, WalRecord::Caches { .. } | WalRecord::Applied { .. });
             assert_eq!(bytes[0] != before[0], marked, "{record:?}");
         }
@@ -481,7 +405,7 @@ mod tests {
         let mut empty = unmarked[0].clone();
         empty[0] = TAG_CACHES_MARKED;
         empty.push(0);
-        assert!(decode_record(&empty, Codec::Binary).is_err());
+        assert!(decode_record(&empty).is_err());
     }
 
     /// An `Applied` record's firings read as a ground batch — its
@@ -556,23 +480,32 @@ mod tests {
         inst.add_relation(RelationSchema::with_types("r", &[ValueType::Int, ValueType::Str]));
         inst.insert("r", Tuple::new(vec![Value::Int(1), Value::str("a")])).unwrap();
         let snap = Snapshot::capture(&inst, &NullFactory::new(5));
-        let restored = decode_snapshot(&snap.to_binary_bytes(), Codec::Binary).unwrap();
-        assert_eq!(restored.instance, snap.instance);
-        // The same state as a legacy JSON snapshot holds it.
-        let json = r#"{"instance":{"relations":[["r",{"schema":{"columns":[{"name":"c0","ty":"Int"},{"name":"c1","ty":"Str"}],"name":"r"},"tuples":[[{"Int":1},{"Str":"a"}]]}]]},"nulls":{"next":0,"origin":5},"version":1}"#;
-        let restored = decode_snapshot(json.as_bytes(), Codec::Json).unwrap();
+        let restored = Snapshot::from_binary_bytes(&snap.to_binary_bytes()).unwrap();
         assert_eq!(restored.instance, snap.instance);
         assert_eq!(restored.nulls.origin(), 5);
     }
 
+    /// A file reads past its magic only where the magic is its kind's
+    /// binary one; the legacy JSON magic of its kind is refused as such.
     #[test]
     fn magic_detection_is_exact() {
-        assert_eq!(Codec::detect_wal(b"CODBWAL1extra"), Some(Codec::Json));
-        assert_eq!(Codec::detect_wal(b"CODBWAL2"), Some(Codec::Binary));
-        assert_eq!(Codec::detect_snap(b"CODBSNP2"), Some(Codec::Binary));
-        assert_eq!(Codec::detect_wal(b"CODBWAL3"), None, "unknown format byte");
-        assert_eq!(Codec::detect_wal(b"CODBSNP1"), None, "wrong kind");
-        assert_eq!(Codec::detect_wal(b"CODBWAL"), None, "too short");
+        let file = Path::new("codb-0000000000.wal");
+        let read = |bytes: &[u8]| after_magic(file, bytes, &WAL_MAGIC).map(<[u8]>::to_vec);
+        assert_eq!(read(b"CODBWAL2extra").unwrap(), b"extra");
+        assert_eq!(after_magic(file, b"CODBSNP2", &SNAP_MAGIC).unwrap(), b"");
+        assert!(matches!(read(b"CODBWAL1extra"), Err(StoreError::LegacyFormat { .. })));
+        assert!(matches!(
+            after_magic(file, b"CODBSNP1", &SNAP_MAGIC),
+            Err(StoreError::LegacyFormat { .. })
+        ));
+        for (bytes, why) in [
+            (&b"CODBWAL3"[..], "unknown format byte"),
+            (b"CODBSNP1", "a snapshot's legacy magic on a WAL"),
+            (b"CODBSNP2", "wrong kind"),
+            (b"CODBWAL", "too short"),
+        ] {
+            assert!(matches!(read(bytes), Err(StoreError::BadMagic { .. })), "{why}");
+        }
     }
 
     #[test]
@@ -587,9 +520,7 @@ mod tests {
             mark: None,
         };
         let bytes = encode_record(&record);
-        assert_eq!(decode_record(&bytes, Codec::Binary).unwrap(), record);
-        let json = r#"{"Applied":{"firings":[{"atoms":[]},{"atoms":[]},{"atoms":[]}],"rule":"r"}}"#;
-        assert_eq!(decode_record(json.as_bytes(), Codec::Json).unwrap(), record);
+        assert_eq!(decode_record(&bytes).unwrap(), record);
     }
 
     #[test]
@@ -604,7 +535,7 @@ mod tests {
             binenc::put_len(&mut out, 1);
             binenc::put_firing(&mut out, &firing);
         }
-        let err = decode_record(&out, Codec::Binary).unwrap_err();
+        let err = decode_record(&out).unwrap_err();
         assert!(err.contains("duplicate cache rule"), "{err}");
         // Same firing twice inside one rule's set.
         let mut out = vec![TAG_CACHES];
@@ -613,18 +544,18 @@ mod tests {
         binenc::put_len(&mut out, 2);
         binenc::put_firing(&mut out, &firing);
         binenc::put_firing(&mut out, &firing);
-        let err = decode_record(&out, Codec::Binary).unwrap_err();
+        let err = decode_record(&out).unwrap_err();
         assert!(err.contains("duplicate firing"), "{err}");
     }
 
     #[test]
     fn junk_binary_payloads_are_errors_not_panics() {
         for payload in [&b""[..], &[99][..], &[TAG_COUNTERS][..], &[TAG_CACHES, 0xFF, 0xFF][..]] {
-            assert!(decode_record(payload, Codec::Binary).is_err(), "{payload:?}");
+            assert!(decode_record(payload).is_err(), "{payload:?}");
         }
         // Trailing garbage after a valid record is corruption too.
         let mut bytes = encode_record(&records()[1]);
         bytes.push(0);
-        assert!(decode_record(&bytes, Codec::Binary).is_err());
+        assert!(decode_record(&bytes).is_err());
     }
 }

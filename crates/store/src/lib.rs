@@ -15,8 +15,8 @@
 //! **The normative durability contract lives in [`durability`]**
 //! (rendered from `docs/DURABILITY.md`): what each [`SyncPolicy`]
 //! guarantees, the ack rule, loss windows, torn-tail vs corrupt-frame
-//! handling, epoch semantics and the conversion of legacy JSON stores at
-//! open. The notes
+//! handling, epoch semantics and the refusal of older store formats. The
+//! notes
 //! below describe mechanisms; the contract page wins on any
 //! disagreement.
 //!
@@ -48,27 +48,24 @@
 //! directory sync. A crash mid-write tears only that slot, which then
 //! fails its checksum, and the file reads as the epoch before, under
 //! which nothing was sent (the open had not returned); no valid slot is
-//! a loud [`StoreError::Epoch`]. A store's creation, and the first write
-//! over a legacy text file (the decimal epoch, which is read), write the
-//! file whole by temp file + rename instead.
+//! a loud [`StoreError::Epoch`], and so is a file of any other length, the
+//! decimal text older stores wrote among them. A store's creation writes
+//! the file whole by temp file + rename instead.
 //!
 //! After the magic, both file kinds are a sequence of CRC-32 *frames* —
 //! layout, checksum and the torn-tail / corruption scanner all live in
 //! [`frame`] (`codb_relational::frame`, shared with the flight recorder).
 //!
 //! Every file starts with an 8-byte magic whose **eighth byte is the
-//! format byte** naming the payload [`Codec`] (see [`codec`]):
-//! `CODBSNP2`/`CODBWAL2` for the compact binary varint/tag encoding, the
-//! one format a store writes; `CODBSNP1`/`CODBWAL1` for the JSON payloads
-//! of the seed format, which are only read. Readers auto-detect the codec
-//! per file, so a store written by any past format keeps recovering, and
-//! [`Store::open`] rotates a legacy JSON store to a binary generation
-//! right after replay — no offline migration step, and no JSON file is
-//! appended to.
+//! format byte**: `CODBSNP2`/`CODBWAL2` ([`codec::SNAP_MAGIC`],
+//! [`codec::WAL_MAGIC`]) for the compact binary varint/tag encoding, the
+//! one format a store writes and reads. A file headed by the
+//! `CODBSNP1`/`CODBWAL1` of the JSON format older stores wrote is refused
+//! unread as [`StoreError::LegacyFormat`], and the open touches no file.
 //!
 //! A `.snap` file is the magic followed by exactly one frame whose
 //! payload is a [`codb_relational::Snapshot`] (version-checked via
-//! `SNAPSHOT_VERSION` in either codec), each relation written as its
+//! `SNAPSHOT_VERSION`), each relation written as its
 //! log, in the order it filed its tuples. A `.wal` file is the magic
 //! followed by any number of frames, each one [`WalRecord`]. Every WAL
 //! opens with two checkpoint records:
@@ -107,11 +104,12 @@
 //! * A complete frame whose checksum does not match is **corruption** and
 //!   is rejected with a typed [`StoreError::CorruptFrame`] — never
 //!   silently accepted. The same holds for a frame whose payload fails to
-//!   decode under the file's codec (unknown tag, wild length, invalid
-//!   UTF-8, trailing bytes): a typed error, never a wrong decode.
+//!   decode (unknown tag, wild length, invalid UTF-8, trailing bytes): a
+//!   typed error, never a wrong decode.
 //! * A snapshot with a mismatched format version is rejected with
-//!   [`codb_relational::SnapshotError::VersionMismatch`]; a file whose
-//!   format byte names no known codec is [`StoreError::BadMagic`].
+//!   [`codb_relational::SnapshotError::VersionMismatch`]; a file headed
+//!   by any magic but its kind's binary or legacy one is
+//!   [`StoreError::BadMagic`].
 
 #![warn(missing_docs)]
 
@@ -133,7 +131,7 @@ pub use wal::{
 /// The normative durability contract, rendered from `docs/DURABILITY.md`
 /// — the single written source of truth for what each [`SyncPolicy`]
 /// guarantees, the on-disk layout, torn-tail vs corrupt-frame handling,
-/// epoch/rejoin semantics and legacy conversion at open. Including the
+/// epoch/rejoin semantics and the refusal of older formats. Including the
 /// file here makes `cargo doc -D warnings` resolve its intra-doc links,
 /// so the contract and the code cannot silently drift.
 #[doc = include_str!("../../../docs/DURABILITY.md")]

@@ -3,7 +3,7 @@
 //!
 //! See the crate docs for the on-disk format and the compaction rules.
 
-use crate::codec::{self, Codec, Head, MAGIC_LEN};
+use crate::codec::{self, Codec, Head, MAGIC_LEN, SNAP_MAGIC};
 use crate::group::FsyncScheduler;
 use crate::wal::{
     apply_arrived, scan_wal, store_name, FrameFault, LinkMark, LinkMarks, ProtocolCounters,
@@ -42,8 +42,13 @@ pub enum StoreError {
         /// What went wrong.
         reason: String,
     },
-    /// A store was asked to write a format it only reads (JSON).
-    ReadOnlyCodec(Codec),
+    /// A snapshot or WAL is in the JSON format older stores wrote, which
+    /// is no longer read. Nothing was read past its magic, and no file of
+    /// the store was touched.
+    LegacyFormat {
+        /// The legacy file.
+        file: PathBuf,
+    },
     /// The snapshot payload was rejected (corrupt or wrong version).
     Snapshot(SnapshotError),
     /// Replaying a WAL record against the snapshot failed (schema drift
@@ -97,9 +102,12 @@ impl fmt::Display for StoreError {
             StoreError::CorruptFrame { file, offset, reason } => {
                 write!(f, "{} corrupt at byte {offset}: {reason}", file.display())
             }
-            StoreError::ReadOnlyCodec(codec) => {
-                write!(f, "the {codec} store format is read only: stores write binary")
-            }
+            StoreError::LegacyFormat { file } => write!(
+                f,
+                "{}: legacy JSON store format, no longer read; convert the store by opening it \
+                 once with a release that still reads it (docs/DURABILITY.md, \"One format\")",
+                file.display()
+            ),
             StoreError::Snapshot(e) => write!(f, "snapshot rejected: {e}"),
             StoreError::Replay { detail } => write!(f, "WAL replay failed: {detail}"),
             StoreError::NoState { dir } => {
@@ -175,12 +183,6 @@ pub struct RecoveredState {
     pub wal_records_replayed: u64,
     /// True when a torn final frame was found (and truncated away).
     pub torn_tail: bool,
-    /// Codec the recovered snapshot file was written in (auto-detected
-    /// from its format byte).
-    pub snapshot_codec: Codec,
-    /// Codec of the recovered WAL file. Where either codec is JSON, the
-    /// open has rotated the store to a binary generation after replay.
-    pub wal_codec: Codec,
 }
 
 impl RecoveredState {
@@ -249,10 +251,9 @@ fn epoch_slot(epoch: u64) -> [u8; EPOCH_SLOT] {
 /// The slot holding the newest epoch is never written, so a write a crash
 /// tears fails its checksum and the file reads as the epoch before, under
 /// which nothing was sent (the open had not returned). Where there is no
-/// slot file yet (`newest` is `None`: a store being created, or a legacy
-/// text file), the file is written whole, `epoch` in both slots, as a
-/// snapshot is: to a temp file fsynced before it is renamed over the name,
-/// then the directory.
+/// slot file yet (`newest` is `None`: a store being created), the file is
+/// written whole, `epoch` in both slots, as a snapshot is: to a temp file
+/// fsynced before it is renamed over the name, then the directory.
 fn write_epoch(dir: &Path, epoch: u64, newest: Option<usize>) -> Result<usize, StoreError> {
     let path = dir.join(EPOCH_FILE);
     if let Some(newest) = newest {
@@ -279,17 +280,20 @@ fn write_epoch(dir: &Path, epoch: u64, newest: Option<usize>) -> Result<usize, S
 }
 
 /// Reads the incarnation counter: the newest epoch whose slot's checksum
-/// holds, and that slot; from a legacy text file, its number and no slot.
-/// A file with no valid slot, or legacy text that is no number, is a loud
+/// holds, and that slot. A file with no valid slot, or of another length —
+/// the decimal text of older stores among them — is a loud
 /// [`StoreError::Epoch`].
-fn read_epoch(dir: &Path) -> Result<(u64, Option<usize>), StoreError> {
+fn read_epoch(dir: &Path) -> Result<(u64, usize), StoreError> {
     let fail = |detail| StoreError::Epoch { dir: dir.to_owned(), detail };
     let bytes =
         std::fs::read(dir.join(EPOCH_FILE)).map_err(|e| fail(format!("unreadable: {e}")))?;
     if bytes.len() != 2 * EPOCH_SLOT {
-        let text = String::from_utf8_lossy(&bytes);
-        let epoch = text.trim().parse().map_err(|e| fail(format!("unparseable {text:?}: {e}")))?;
-        return Ok((epoch, None));
+        return Err(fail(format!(
+            "{} bytes, not two {EPOCH_SLOT}-byte slots; an older store's decimal epoch is \
+             converted by opening the store once with a release that still reads it \
+             (docs/DURABILITY.md, \"One format\")",
+            bytes.len()
+        )));
     }
     let valid = |slot: usize| {
         let (epoch, crc) = bytes[slot * EPOCH_SLOT..][..EPOCH_SLOT].split_at(8);
@@ -301,7 +305,6 @@ fn read_epoch(dir: &Path) -> Result<(u64, Option<usize>), StoreError> {
         (Some(at), None) | (None, Some(at)) => Ok(at),
         (None, None) => Err(fail("both slots fail their checksums".into())),
     }
-    .map(|(epoch, slot)| (epoch, Some(slot)))
 }
 
 fn list_generations(dir: &Path, suffix: &str) -> Result<Vec<u64>, StoreError> {
@@ -334,7 +337,7 @@ fn write_snapshot_file(path: &Path, snapshot: &Snapshot) -> Result<(), StoreErro
     {
         let mut file = std::fs::File::create(&tmp).map_err(|e| StoreError::io(&tmp, e))?;
         let mut buf = Vec::new();
-        buf.extend_from_slice(&Codec::Binary.snap_magic());
+        buf.extend_from_slice(&SNAP_MAGIC);
         encode_frame(&snapshot.to_binary_bytes(), &mut buf);
         file.write_all(&buf).map_err(|e| StoreError::io(&tmp, e))?;
         file.sync_all().map_err(|e| StoreError::io(&tmp, e))?;
@@ -344,14 +347,11 @@ fn write_snapshot_file(path: &Path, snapshot: &Snapshot) -> Result<(), StoreErro
     Ok(())
 }
 
-fn read_snapshot_file(path: &Path) -> Result<(Snapshot, Codec), StoreError> {
+fn read_snapshot_file(path: &Path) -> Result<Snapshot, StoreError> {
     let bytes = std::fs::read(path).map_err(|e| StoreError::io(path, e))?;
-    let Some(codec) = Codec::detect_snap(&bytes) else {
-        return Err(StoreError::BadMagic { file: path.to_owned() });
-    };
-    let mut scanner = FrameScanner::new(&bytes[MAGIC_LEN..]);
+    let mut scanner = FrameScanner::new(codec::after_magic(path, &bytes, &SNAP_MAGIC)?);
     match scanner.next_frame() {
-        FrameStep::Frame(payload) => Ok((codec::decode_snapshot(payload, codec)?, codec)),
+        FrameStep::Frame(payload) => Ok(Snapshot::from_binary_bytes(payload)?),
         FrameStep::End | FrameStep::TornTail => Err(StoreError::CorruptFrame {
             file: path.to_owned(),
             offset: MAGIC_LEN as u64,
@@ -385,29 +385,6 @@ fn start_wal(
     Ok(writer)
 }
 
-/// Writes generation `next` of the store at `dir` whole and returns its
-/// WAL's writer — the one rotation of [`Store::checkpoint`] and of a
-/// legacy store's open. Order matters for crash safety: (1) the fresh WAL
-/// with its checkpoints, (2) the snapshot rename as the commit point; the
-/// caller then removes the previous generation. A crash between any two
-/// steps leaves at least one complete generation.
-#[allow(clippy::too_many_arguments)]
-fn rotate(
-    dir: &Path,
-    next: u64,
-    snapshot: &Snapshot,
-    recv: &RecvCaches,
-    marks: &LinkMarks,
-    counters: &ProtocolCounters,
-    sched: &FsyncScheduler,
-    tracer: &Tracer,
-) -> Result<WalWriter, StoreError> {
-    let writer = start_wal(&wal_path(dir, next), recv, marks, counters, sched, tracer)?;
-    sync_dir(dir)?;
-    write_snapshot_file(&snap_path(dir, next), snapshot)?;
-    Ok(writer)
-}
-
 /// What a store's replay rebuilds on top of its snapshot, one WAL record
 /// at a time.
 struct Replay {
@@ -432,32 +409,30 @@ impl Replay {
         }
     }
 
-    /// Replays one frame's payload, written in `codec`. A binary `Applied`
-    /// record whose firings are each one ground atom of one relation is
-    /// filed straight from its bytes, tuple by tuple, with no firing built:
-    /// a tuple the relation holds already is skipped, as [`apply_arrived`]
-    /// skips its firing — a ground firing never enters a receive cache, so
-    /// the relation is all it changes. Every other record decodes whole and
-    /// replays through [`Replay::record`].
-    fn frame(&mut self, payload: &[u8], codec: Codec) -> Result<(), FrameFault> {
-        if codec == Codec::Binary {
-            let mut r = Reader::new(payload);
-            match codec::take_head(&mut r)? {
-                Head::Applied { rule, mark } => {
-                    if let Some(relation) = codec::take_ground_batch(&mut r, &mut self.tuples)? {
-                        r.expect_end()?;
-                        self.file(&relation).map_err(replay_error)?;
-                        self.mark(rule, mark);
-                        return Ok(());
-                    }
-                }
-                Head::Whole(record) => {
+    /// Replays one frame's payload. An `Applied` record whose firings are
+    /// each one ground atom of one relation is filed straight from its
+    /// bytes, tuple by tuple, with no firing built: a tuple the relation
+    /// holds already is skipped, as [`apply_arrived`] skips its firing — a
+    /// ground firing never enters a receive cache, so the relation is all
+    /// it changes. Every other record decodes whole and replays through
+    /// [`Replay::record`].
+    fn frame(&mut self, payload: &[u8]) -> Result<(), FrameFault> {
+        let mut r = Reader::new(payload);
+        match codec::take_head(&mut r)? {
+            Head::Applied { rule, mark } => {
+                if let Some(relation) = codec::take_ground_batch(&mut r, &mut self.tuples)? {
                     r.expect_end()?;
-                    return Ok(self.record(record)?);
+                    self.file(&relation).map_err(replay_error)?;
+                    self.mark(rule, mark);
+                    return Ok(());
                 }
             }
+            Head::Whole(record) => {
+                r.expect_end()?;
+                return Ok(self.record(record)?);
+            }
         }
-        Ok(self.record(codec::decode_record(payload, codec).map_err(FrameFault::Corrupt)?)?)
+        Ok(self.record(codec::decode_record(payload).map_err(FrameFault::Corrupt)?)?)
     }
 
     /// Files the ground batch [`codec::take_ground_batch`] read into
@@ -516,10 +491,9 @@ impl Store {
     /// Refuses to clobber an existing store.
     ///
     /// Equivalent to [`Store::create_with`] without a shared scheduler
-    /// (every policy then batches through a private one). `codec` must be
-    /// [`Codec::Binary`] ([`Codec::writable`]); the argument stays only
-    /// while `benchmark/` passes it, and goes when the benchmark next
-    /// changes (ROADMAP item 6).
+    /// (every policy then batches through a private one). `codec` is the
+    /// one there is; the argument stays only while `benchmark/` passes it,
+    /// and goes when the benchmark next changes (ROADMAP item 6).
     pub fn create(
         dir: &Path,
         snapshot: &Snapshot,
@@ -528,7 +502,7 @@ impl Store {
         policy: SyncPolicy,
         codec: Codec,
     ) -> Result<Store, StoreError> {
-        codec.writable()?;
+        let Codec::Binary = codec;
         Self::create_with(dir, snapshot, recv, counters, policy, None)
     }
 
@@ -576,22 +550,19 @@ impl Store {
     /// removes files from other generations, and returns the store ready
     /// for appending plus the reconstructed state.
     ///
-    /// Each file's payload encoding is auto-detected from its format
-    /// byte, so a store written under either codec recovers. A legacy
-    /// store — a JSON snapshot or a JSON WAL — is rotated after replay to
-    /// a binary generation through the checkpoint path, so every append
-    /// after an open is binary and a crash mid-way reopens one of the two
-    /// generations whole.
+    /// A store an older release wrote in JSON, or with a decimal
+    /// `codb.epoch`, is refused with every file left as it was
+    /// ([`StoreError::LegacyFormat`], [`StoreError::Epoch`]).
     ///
-    /// `codec` must be [`Codec::Binary`] ([`Codec::writable`]); the
-    /// argument stays only while `benchmark/` passes it, and goes when the
-    /// benchmark next changes (ROADMAP item 6).
+    /// `codec` is the one there is; the argument stays only while
+    /// `benchmark/` passes it, and goes when the benchmark next changes
+    /// (ROADMAP item 6).
     pub fn open(
         dir: &Path,
         policy: SyncPolicy,
         codec: Codec,
     ) -> Result<(Store, RecoveredState), StoreError> {
-        codec.writable()?;
+        let Codec::Binary = codec;
         Self::open_with(dir, policy, None)
     }
 
@@ -610,73 +581,68 @@ impl Store {
         }
         // Latest valid snapshot wins; earlier generations are the fallback
         // if the newest is damaged (e.g. bit rot caught by the checksum).
-        let mut chosen: Option<(u64, Snapshot, Codec)> = None;
+        let mut chosen: Option<(u64, Snapshot)> = None;
         let mut first_error: Option<StoreError> = None;
         for &g in snaps.iter().rev() {
             match read_snapshot_file(&snap_path(dir, g)) {
-                Ok((snap, snap_codec)) => {
-                    chosen = Some((g, snap, snap_codec));
+                Ok(snap) => {
+                    chosen = Some((g, snap));
                     break;
                 }
                 Err(e) => first_error = first_error.or(Some(e)),
             }
         }
-        let Some((generation, snapshot, snapshot_codec)) = chosen else {
+        let Some((generation, snapshot)) = chosen else {
             return Err(first_error.expect("at least one candidate failed"));
         };
 
-        // Replay the WAL tail of the chosen generation, frame by frame, in
-        // whatever codec its format byte declares. A vanished WAL means a
-        // crash mid-checkpoint (or a fallback to a generation whose WAL was
-        // already compacted away): its receive caches are gone, and the
-        // explicit empty cache checkpoint replayed in its place makes the
-        // loss visible rather than silently assumed.
+        // Replay the WAL tail of the chosen generation, frame by frame. A
+        // vanished WAL means a crash mid-checkpoint (or a fallback to a
+        // generation whose WAL was already compacted away): its receive
+        // caches are gone, and the explicit empty cache checkpoint replayed
+        // in its place makes the loss visible rather than silently assumed.
         let wal = wal_path(dir, generation);
         let mut replay = Replay::new(snapshot.instance, snapshot.nulls);
         let scan = if wal.is_file() {
-            Some(scan_wal(&wal, |payload, codec| replay.frame(payload, codec))?)
+            Some(scan_wal(&wal, |payload| replay.frame(payload))?)
         } else {
             replay
                 .record(WalRecord::Caches { recv: RecvCaches::new(), marks: LinkMarks::new() })?;
             None
         };
-        let wal_codec = scan.map_or(Codec::Binary, |scan| scan.codec);
         let Replay { instance, nulls, recv: recv_cache, marks, counters, .. } = replay;
 
-        // The live generation: a legacy store's next one, written whole in
-        // binary (the checkpoint path, so the snapshot rename commits it);
-        // else this one's WAL, reopened for appending or recreated.
-        let tracer = Tracer::disabled();
-        let (live, writer) = if snapshot_codec == Codec::Json || wal_codec == Codec::Json {
-            let (next, snapshot) = (generation + 1, Snapshot::capture(&instance, &nulls));
-            (next, rotate(dir, next, &snapshot, &recv_cache, &marks, &counters, &sched, &tracer)?)
-        } else if let Some(scan) = scan {
-            (generation, WalWriter::open_append(&wal, scan.valid_len, scan.frames, &sched)?)
+        // Each open is a new incarnation: bump the persisted epoch so the
+        // recovered node's envelopes outrank its previous life's. A
+        // missing/unreadable counter is a loud error, raised before the
+        // open writes anything — restarting at a stale epoch would leave
+        // the node mute at its peers.
+        let (last, newest) = read_epoch(dir)?;
+        let epoch = last + 1;
+
+        // The live WAL: this generation's, reopened for appending or
+        // recreated.
+        let writer = if let Some(scan) = scan {
+            WalWriter::open_append(&wal, scan.valid_len, scan.frames, &sched)?
         } else {
             let mut w = WalWriter::create(&wal, &sched)?;
             w.append(&WalRecord::Caches { recv: RecvCaches::new(), marks: LinkMarks::new() })?;
             w.sync()?;
             sync_dir(dir)?;
-            (generation, w)
+            w
         };
-        // Each open is a new incarnation: bump the persisted epoch so the
-        // recovered node's envelopes outrank its previous life's. A
-        // missing/unreadable counter is a loud error — restarting at a
-        // stale epoch would leave the node mute at its peers.
-        let (last, newest) = read_epoch(dir)?;
-        let epoch = last + 1;
         let mut store = Store {
             dir: dir.to_owned(),
-            generation: live,
+            generation,
             writer,
-            tracer,
+            tracer: Tracer::disabled(),
             trace_id: 0,
             marks,
             epoch,
             epoch_slot: 0,
         };
         store.remove_other_generations()?;
-        store.epoch_slot = write_epoch(dir, epoch, newest)?;
+        store.epoch_slot = write_epoch(dir, epoch, Some(newest))?;
         Ok((
             store,
             RecoveredState {
@@ -688,8 +654,6 @@ impl Store {
                 generation,
                 wal_records_replayed: scan.map_or(1, |scan| scan.frames),
                 torn_tail: scan.is_some_and(|scan| scan.torn_tail),
-                snapshot_codec,
-                wal_codec,
             },
         ))
     }
@@ -763,10 +727,16 @@ impl Store {
         recv: &RecvCaches,
         counters: &ProtocolCounters,
     ) -> Result<(), StoreError> {
-        let next = self.generation + 1;
+        // Order matters for crash safety: (1) the fresh WAL with its
+        // checkpoints, (2) the snapshot rename as the commit point, (3)
+        // the previous generation's removal. A crash between any two
+        // steps leaves at least one complete generation.
+        let (dir, next) = (&self.dir, self.generation + 1);
         let sched = self.writer.scheduler();
         let (marks, tracer) = (&self.marks, &self.tracer);
-        self.writer = rotate(&self.dir, next, snapshot, recv, marks, counters, sched, tracer)?;
+        self.writer = start_wal(&wal_path(dir, next), recv, marks, counters, sched, tracer)?;
+        sync_dir(dir)?;
+        write_snapshot_file(&snap_path(dir, next), snapshot)?;
         let old = self.generation;
         self.generation = next;
         self.tracer.emit_with(|| TraceEvent::Checkpoint { store: self.trace_id, generation: next });
@@ -1070,134 +1040,54 @@ mod tests {
         assert_eq!(rec.wal_records_replayed, 2);
     }
 
-    /// A copy of the committed legacy JSON store (`tests/fixtures`).
-    fn legacy_store(name: &str) -> ScratchDir {
-        let dir = ScratchDir::new(name);
-        let fixture =
-            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/golden-json");
-        for entry in std::fs::read_dir(fixture).unwrap() {
-            let entry = entry.unwrap();
-            std::fs::copy(entry.path(), dir.path().join(entry.file_name())).unwrap();
-        }
-        dir
-    }
-
-    /// Every store file under `dir`, with the codec its magic names.
-    fn codecs_on_disk(dir: &Path) -> Vec<(String, Option<Codec>)> {
-        let mut files: Vec<(String, Option<Codec>)> = std::fs::read_dir(dir)
+    /// Every file under `dir`, by name, with its bytes.
+    fn files(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
             .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|path| path.extension().is_some_and(|ext| ext == "snap" || ext == "wal"))
-            .map(|path| {
-                let header = std::fs::read(&path).unwrap();
-                let codec = match path.extension().and_then(|e| e.to_str()) {
-                    Some("snap") => Codec::detect_snap(&header),
-                    _ => Codec::detect_wal(&header),
-                };
-                (path.file_name().unwrap().to_string_lossy().into_owned(), codec)
-            })
-            .collect();
-        files.sort_by(|a, b| a.0.cmp(&b.0));
-        files
+            .map(|e| e.unwrap())
+            .map(|e| (e.file_name().into_string().unwrap(), std::fs::read(e.path()).unwrap()))
+            .collect()
     }
 
+    /// A store whose snapshot or WAL starts with the JSON format's magic
+    /// is refused as such, naming the file, and its open touches no file:
+    /// no epoch bump, no sweep of debris, no cut of a torn tail.
     #[test]
-    fn json_store_upgrades_to_binary_on_rotation() {
-        // The migration story: a legacy JSON store recovers, and its open
-        // rotates it to a binary generation before the first append.
-        let dir = legacy_store("store-upgrade");
-        let (mut store, rec) = Store::open(dir.path(), SyncPolicy::Always, Codec::Binary).unwrap();
-        assert_eq!(
-            (rec.snapshot_codec, rec.wal_codec),
-            (Codec::Json, Codec::Json),
-            "what was read"
-        );
-        assert_eq!((rec.generation, store.generation()), (0, 1));
-        let binary = Some(Codec::Binary);
-        let gen1 = |ext: &str| (format!("codb-0000000001.{ext}"), binary);
-        assert_eq!(codecs_on_disk(dir.path()), [gen1("snap"), gen1("wal")]);
-        let (mut inst, mut nulls, mut recv) = (rec.instance, rec.nulls, rec.recv_cache);
-        let erin =
-            RuleFiring::new([("emp", vec![TField::Const(Value::str("erin")), TField::Fresh(0)])]);
-        apply_live(&mut store, &mut inst, &mut nulls, &mut recv, "e0", vec![erin]);
-        drop(store);
+    fn a_legacy_store_is_refused_and_left_untouched() {
+        for (ext, magic) in [("snap", b"CODBSNP1"), ("wal", b"CODBWAL1")] {
+            let dir = ScratchDir::new("store-legacy");
+            let (inst, nulls) = seed();
+            let snap = Snapshot::capture(&inst, &nulls);
+            let (recv, counters) = (RecvCaches::new(), ProtocolCounters::default());
+            let mut store = Store::create(
+                dir.path(),
+                &snap,
+                &recv,
+                &counters,
+                SyncPolicy::Always,
+                Codec::Binary,
+            )
+            .unwrap();
+            store
+                .append(&WalRecord::LocalInsert { relation: "r".into(), tuple: tup![2, 20] })
+                .unwrap();
+            drop(store);
+            std::fs::write(dir.path().join("codb-0000000001.tmp"), b"half-written").unwrap();
+            let wal = wal_path(dir.path(), 0);
+            let mut torn = std::fs::read(&wal).unwrap();
+            torn.extend_from_slice(&[7, 0, 0]);
+            std::fs::write(&wal, torn).unwrap();
+            let legacy = dir.path().join(format!("codb-0000000000.{ext}"));
+            let mut bytes = std::fs::read(&legacy).unwrap();
+            bytes[..MAGIC_LEN].copy_from_slice(magic);
+            std::fs::write(&legacy, bytes).unwrap();
 
-        let (_s, rec) = Store::open(dir.path(), SyncPolicy::Always, Codec::Binary).unwrap();
-        assert_eq!((rec.snapshot_codec, rec.wal_codec), (Codec::Binary, Codec::Binary));
-        assert_eq!(rec.generation, 1);
-        assert_eq!(rec.wal_records_replayed, 3, "caches + counters + the binary append");
-        assert_eq!(rec.instance, inst, "state survives the codec conversion");
-        assert_eq!(rec.nulls.invented(), nulls.invented());
-        assert_eq!(rec.recv_cache, recv);
-        assert_eq!(rec.epoch, 2);
-    }
-
-    /// The conversion is a checkpoint's rotation: a crash before its
-    /// snapshot rename reopens the JSON generation (and converts again),
-    /// one after it reopens the binary generation.
-    #[test]
-    fn a_crash_mid_conversion_reopens_one_generation_whole() {
-        let clean = legacy_store("store-convert-clean");
-        let (_s, want) = Store::open(clean.path(), SyncPolicy::Always, Codec::Binary).unwrap();
-
-        // Before the commit point: an orphan binary WAL of generation 1
-        // and a half-written snapshot.
-        let before = legacy_store("store-convert-before");
-        let sched = FsyncScheduler::for_store(SyncPolicy::Always, None);
-        drop(WalWriter::create(&wal_path(before.path(), 1), &sched).unwrap());
-        std::fs::write(before.path().join("codb-0000000001.tmp"), b"half-written").unwrap();
-        let (store, rec) = Store::open(before.path(), SyncPolicy::Always, Codec::Binary).unwrap();
-        assert_eq!((rec.generation, rec.snapshot_codec), (0, Codec::Json));
-        assert_eq!(store.generation(), 1);
-        assert_eq!(
-            (rec.instance, rec.recv_cache),
-            (want.instance.clone(), want.recv_cache.clone())
-        );
-        drop(store);
-
-        // After it: the JSON generation was not deleted yet.
-        let after = legacy_store("store-convert-after");
-        let (store, _) = Store::open(after.path(), SyncPolicy::Always, Codec::Binary).unwrap();
-        drop(store);
-        for entry in std::fs::read_dir(legacy_store("store-convert-json").path()).unwrap() {
-            let entry = entry.unwrap();
-            if entry.file_name() != EPOCH_FILE {
-                std::fs::copy(entry.path(), after.path().join(entry.file_name())).unwrap();
-            }
+            let before = files(dir.path());
+            let err = Store::open(dir.path(), SyncPolicy::Always, Codec::Binary).unwrap_err();
+            assert!(matches!(&err, StoreError::LegacyFormat { file } if *file == legacy), "{err}");
+            assert!(err.to_string().contains("legacy JSON store format"), "{err}");
+            assert_eq!(files(dir.path()), before, "{ext}: every file as it was");
         }
-        for dir in [before.path(), after.path()] {
-            let (_s, rec) = Store::open(dir, SyncPolicy::Always, Codec::Binary).unwrap();
-            assert_eq!((rec.generation, rec.snapshot_codec), (1, Codec::Binary));
-            assert_eq!(
-                (rec.instance, rec.recv_cache),
-                (want.instance.clone(), want.recv_cache.clone())
-            );
-            assert_eq!(rec.counters, want.counters);
-            let on_disk = codecs_on_disk(dir);
-            assert!(
-                on_disk
-                    .iter()
-                    .all(|(name, codec)| name.contains("0001") && *codec == Some(Codec::Binary)),
-                "{on_disk:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn a_store_refuses_to_write_json() {
-        let dir = ScratchDir::new("store-json-refused");
-        let (inst, nulls) = seed();
-        let snap = Snapshot::capture(&inst, &nulls);
-        let (recv, counters) = (RecvCaches::new(), ProtocolCounters::default());
-        let json = Codec::Json;
-        assert!(matches!(
-            Store::create(dir.path(), &snap, &recv, &counters, SyncPolicy::Always, json),
-            Err(StoreError::ReadOnlyCodec(Codec::Json))
-        ));
-        assert!(!Store::exists(dir.path()), "nothing written");
-        drop(Store::create(dir.path(), &snap, &recv, &counters, SyncPolicy::Always, Codec::Binary));
-        let err = Store::open(dir.path(), SyncPolicy::Always, json).unwrap_err();
-        assert_eq!(err.to_string(), "the json store format is read only: stores write binary");
     }
 
     #[test]
@@ -1484,6 +1374,24 @@ mod tests {
             Store::open(dir.path(), SyncPolicy::Always, Codec::Binary),
             Err(StoreError::Epoch { .. })
         ));
+        // An older store's decimal epoch, and a file a byte short of two
+        // slots: refused, with the way to convert the store named, and
+        // every file left as it was — the WAL's torn tail not cut.
+        let wal = wal_path(dir.path(), 0);
+        let mut torn = std::fs::read(&wal).unwrap();
+        torn.extend_from_slice(&[7, 0, 0]);
+        std::fs::write(&wal, torn).unwrap();
+        for epoch in [b"7\n".to_vec(), [epoch_slot(4), epoch_slot(5)].concat()[1..].to_vec()] {
+            std::fs::write(dir.path().join("codb.epoch"), &epoch).unwrap();
+            let before = files(dir.path());
+            match Store::open(dir.path(), SyncPolicy::Always, Codec::Binary) {
+                Err(StoreError::Epoch { detail, .. }) => {
+                    assert!(detail.contains("decimal epoch is converted"), "{detail}")
+                }
+                other => panic!("expected an epoch error, got {other:?}"),
+            }
+            assert_eq!(files(dir.path()), before, "{epoch:?}");
+        }
         // A slot file whose two slots both fail their checksums.
         let mut garbled = [epoch_slot(4), epoch_slot(5)].concat();
         garbled[9] ^= 1;
@@ -1534,23 +1442,6 @@ mod tests {
         assert_eq!(reopen(), 2, "the torn slot's epoch is counted again");
         assert_eq!(epoch_slots(dir.path()), [Some(2), Some(1)], "into the torn slot");
         assert_eq!(reopen(), 3);
-    }
-
-    /// A legacy text `codb.epoch` opens at its number plus one and is
-    /// rewritten whole in slot form; from then on the slots count on.
-    #[test]
-    fn a_legacy_text_epoch_opens_one_past_and_is_rewritten_in_slots() {
-        let dir = legacy_store("store-epoch-legacy");
-        let legacy = std::fs::read_to_string(dir.path().join(EPOCH_FILE)).unwrap();
-        let was: u64 = legacy.trim().parse().unwrap();
-        let (store, rec) = Store::open(dir.path(), SyncPolicy::Always, Codec::Binary).unwrap();
-        assert_eq!(rec.epoch, was + 1);
-        assert_eq!(epoch_slots(dir.path()), [Some(was + 1); 2]);
-        assert!(!dir.path().join("codb.epoch.tmp").exists());
-        drop(store);
-        let (_, rec) = Store::open(dir.path(), SyncPolicy::Always, Codec::Binary).unwrap();
-        assert_eq!(rec.epoch, was + 2);
-        assert_eq!(epoch_slots(dir.path()), [Some(was + 1), Some(was + 2)]);
     }
 
     /// Replay files a ground batch of one relation straight from its
@@ -1664,7 +1555,7 @@ mod tests {
         // frame) plus its WAL, as bit rot after a checkpoint would leave.
         let bad_snap = snap_path(dir.path(), 1);
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(&Codec::Binary.snap_magic());
+        bytes.extend_from_slice(&SNAP_MAGIC);
         bytes.extend_from_slice(&[9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 1, 2, 3]);
         std::fs::write(&bad_snap, bytes).unwrap();
         WalWriter::create(

@@ -7,10 +7,9 @@
 //! null factory byte-for-byte (fresh nulls are invented deterministically
 //! from the factory counter, which the snapshot captures).
 //!
-//! The appender writes binary records ([`Codec::Binary`]) only; the
-//! reader decodes whichever [`Codec`] the WAL's magic names, so the JSON
-//! WAL of a legacy store replays too (and [`crate::Store::open`] then
-//! rotates the store to binary: no JSON file is ever appended to).
+//! The appender and the reader share one format, the binary records of
+//! [`crate::codec`]; a WAL headed by the legacy JSON magic is refused
+//! unread ([`StoreError::LegacyFormat`]).
 //!
 //! The appender does no I/O of its own: it encodes each record in place
 //! behind a frame header and hands the frame to the file's
@@ -20,7 +19,7 @@
 //! process kill therefore loses at most the never-acked tail, as a power
 //! cut does (`docs/DURABILITY.md`, rendered as [`crate::durability`]).
 
-use crate::codec::{self, Codec, MAGIC_LEN};
+use crate::codec::{self, MAGIC_LEN, WAL_MAGIC};
 use crate::group::FsyncScheduler;
 use crate::store::StoreError;
 use codb_relational::binenc::BinDecodeError;
@@ -29,7 +28,7 @@ use codb_relational::{
     apply_new_firings, FiringSet, Instance, NullFactory, RuleFiring, SchemaError, Tuple, Version,
 };
 use codb_trace::{TraceEvent, Tracer};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -83,7 +82,7 @@ pub fn apply_arrived(
 /// *resumes* its id space instead of restarting it at zero (which would
 /// make a rejoined initiator mint colliding ids). Each value is the *next*
 /// sequence number to hand out.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProtocolCounters {
     /// Next global-update sequence number (`UpdateId` minting).
     pub update_seq: u64,
@@ -98,7 +97,7 @@ pub struct ProtocolCounters {
 /// and the length of the link body's relation log their firings cover.
 /// Kept so that a restarted node can tell the peer where to repair from
 /// (`docs/DURABILITY.md`, "Link marks").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct LinkMark {
     /// The peer's incarnation when it fired that far.
     pub epoch: u64,
@@ -151,21 +150,8 @@ impl Span {
     }
 }
 
-/// A legacy record names no marks: an absent field reads as none.
-mod no_marks {
-    use super::LinkMarks;
-    use serde::{Deserialize, Error, Value};
-
-    pub fn from_value(v: &Value) -> Result<LinkMarks, Error> {
-        match v {
-            Value::Null => Ok(LinkMarks::new()),
-            v => LinkMarks::from_value(v),
-        }
-    }
-}
-
-/// One WAL record. `Deserialize` reads the records of a legacy JSON WAL.
-#[derive(Clone, Debug, PartialEq, Deserialize)]
+/// One WAL record.
+#[derive(Clone, Debug, PartialEq)]
 pub enum WalRecord {
     /// Checkpoint of the receiver-side state — the first record of every
     /// rotated WAL, so it survives compaction of the log that built it:
@@ -174,7 +160,6 @@ pub enum WalRecord {
         /// The caches at rotation time.
         recv: RecvCaches,
         /// The marks at rotation time.
-        #[serde(with = "no_marks")]
         marks: LinkMarks,
     },
     /// Checkpoint of the protocol counters — written right after
@@ -343,7 +328,7 @@ impl WalWriter {
     /// (see [`FsyncScheduler::for_store`]).
     pub fn create(path: &Path, sched: &FsyncScheduler) -> Result<Self, StoreError> {
         let mut file = File::create(path).map_err(|e| StoreError::io(path, e))?;
-        file.write_all(&Codec::Binary.wal_magic()).map_err(|e| StoreError::io(path, e))?;
+        file.write_all(&WAL_MAGIC).map_err(|e| StoreError::io(path, e))?;
         file.sync_all().map_err(|e| StoreError::io(path, e))?;
         Self::register(file, path, MAGIC_LEN as u64, 0, sched)
     }
@@ -487,30 +472,22 @@ impl Drop for WalWriter {
 pub struct WalContents {
     /// The valid records, in append order.
     pub records: Vec<WalRecord>,
-    /// The codec detected from the file's format byte.
-    pub codec: Codec,
     /// Byte length of the valid prefix (magic + complete frames).
     pub valid_len: u64,
     /// True when a torn final frame was truncated away.
     pub torn_tail: bool,
 }
 
-/// Reads and validates a WAL file, auto-detecting its codec from the
-/// format byte. A torn final frame is tolerated (and reported); a
-/// checksum mismatch or undecodable payload on a complete frame is a
-/// typed error.
+/// Reads and validates a WAL file. A torn final frame is tolerated (and
+/// reported); a checksum mismatch or undecodable payload on a complete
+/// frame is a typed error.
 pub fn read_wal(path: &Path) -> Result<WalContents, StoreError> {
     let mut records = Vec::new();
-    let scan = scan_wal(path, |payload, codec| {
-        records.push(codec::decode_record(payload, codec).map_err(FrameFault::Corrupt)?);
+    let scan = scan_wal(path, |payload| {
+        records.push(codec::decode_record(payload).map_err(FrameFault::Corrupt)?);
         Ok(())
     })?;
-    Ok(WalContents {
-        records,
-        codec: scan.codec,
-        valid_len: scan.valid_len,
-        torn_tail: scan.torn_tail,
-    })
+    Ok(WalContents { records, valid_len: scan.valid_len, torn_tail: scan.torn_tail })
 }
 
 /// Why a frame's payload stopped a scan of its WAL ([`scan_wal`]).
@@ -537,8 +514,6 @@ impl From<BinDecodeError> for FrameFault {
 /// Where a scan of a WAL's frames ended ([`scan_wal`]).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct WalScan {
-    /// The codec detected from the file's format byte.
-    pub(crate) codec: Codec,
     /// Byte length of the valid prefix (magic + complete frames).
     pub(crate) valid_len: u64,
     /// Complete frames in that prefix.
@@ -548,25 +523,23 @@ pub(crate) struct WalScan {
 }
 
 /// Reads the WAL at `path` and hands `each` the payload of every complete
-/// frame, one at a time in append order, with the codec the file's format
-/// byte names — [`read_wal`] and a store's replay both read a WAL this
-/// way. A torn final frame ends the scan cleanly; a checksum mismatch, or
-/// a payload `each` finds undecodable, is a [`StoreError::CorruptFrame`]
-/// at the frame's offset.
+/// frame, one at a time in append order — [`read_wal`] and a store's
+/// replay both read a WAL this way. A head other than [`WAL_MAGIC`] stops
+/// it before the first frame ([`codec::after_magic`]). A torn final frame
+/// ends the scan cleanly; a checksum mismatch, or a payload `each` finds
+/// undecodable, is a [`StoreError::CorruptFrame`] at the frame's offset.
 pub(crate) fn scan_wal(
     path: &Path,
-    mut each: impl FnMut(&[u8], Codec) -> Result<(), FrameFault>,
+    mut each: impl FnMut(&[u8]) -> Result<(), FrameFault>,
 ) -> Result<WalScan, StoreError> {
     let bytes = std::fs::read(path).map_err(|e| StoreError::io(path, e))?;
-    let Some(codec) = Codec::detect_wal(&bytes) else {
-        return Err(StoreError::BadMagic { file: path.to_owned() });
-    };
+    let frames_bytes = codec::after_magic(path, &bytes, &WAL_MAGIC)?;
     let corrupt = |offset: usize, reason| StoreError::CorruptFrame {
         file: path.to_owned(),
         offset: (MAGIC_LEN + offset) as u64,
         reason,
     };
-    let mut scanner = FrameScanner::new(&bytes[MAGIC_LEN..]);
+    let mut scanner = FrameScanner::new(frames_bytes);
     let mut frames = 0;
     loop {
         // The scanner's offset moves past a frame once it validates, so
@@ -574,7 +547,7 @@ pub(crate) fn scan_wal(
         let frame_at = scanner.offset();
         let torn_tail = match scanner.next_frame() {
             FrameStep::Frame(payload) => {
-                match each(payload, codec) {
+                match each(payload) {
                     Ok(()) => frames += 1,
                     Err(FrameFault::Corrupt(reason)) => return Err(corrupt(frame_at, reason)),
                     Err(FrameFault::Failed(e)) => return Err(e),
@@ -586,7 +559,7 @@ pub(crate) fn scan_wal(
             FrameStep::Corrupt { offset, reason } => return Err(corrupt(offset, reason)),
         };
         let valid_len = (MAGIC_LEN + scanner.offset()) as u64;
-        return Ok(WalScan { codec, valid_len, frames, torn_tail });
+        return Ok(WalScan { valid_len, frames, torn_tail });
     }
 }
 
@@ -640,10 +613,6 @@ mod tests {
         assert_eq!((a.as_str(), b.as_str()), ("node0", "node0"));
     }
 
-    /// The WAL of the committed legacy JSON store.
-    const GOLDEN_JSON_WAL: &[u8] =
-        include_bytes!("../../../tests/fixtures/golden-json/codb-0000000000.wal");
-
     #[test]
     fn append_and_read_round_trip_in_both_codecs() {
         let dir = ScratchDir::new("wal-roundtrip");
@@ -666,14 +635,8 @@ mod tests {
         }
         let contents = read_wal(&path).unwrap();
         assert_eq!(contents.records, records);
-        assert_eq!(contents.codec, Codec::Binary, "auto-detected from the format byte");
         assert!(!contents.torn_tail);
         assert_eq!(w.frames(), 3);
-        drop(w);
-        // A legacy JSON WAL reads through the same call.
-        std::fs::write(&path, GOLDEN_JSON_WAL).unwrap();
-        let contents = read_wal(&path).unwrap();
-        assert_eq!((contents.codec, contents.records.len()), (Codec::Json, 5));
     }
 
     #[test]
@@ -740,17 +703,28 @@ mod tests {
 
     #[test]
     fn payload_codec_follows_the_format_byte_not_the_caller() {
-        // `read_wal` takes no codec: the file's format byte picks the
-        // decoder. JSON frames under a binary format byte pass their
+        // `read_wal` takes no codec: the file's format byte decides. A
+        // binary WAL relabelled with the legacy JSON format byte is refused
+        // unread, and JSON frames under the binary format byte pass their
         // checksums and still fail to decode — a typed error, never a
         // misread.
         let dir = ScratchDir::new("wal-mixcheck");
         let path = dir.path().join("codb-0000000000.wal");
-        std::fs::write(&path, GOLDEN_JSON_WAL).unwrap();
-        assert_eq!(read_wal(&path).unwrap().codec, Codec::Json);
-        let mut relabelled = GOLDEN_JSON_WAL.to_vec();
-        relabelled[..MAGIC_LEN].copy_from_slice(&Codec::Binary.wal_magic());
+        let mut w = WalWriter::create(&path, &sched(SyncPolicy::Always)).unwrap();
+        w.append(&WalRecord::Applied { rule: "e".into(), firings: vec![firing(1)], mark: None })
+            .unwrap();
+        drop(w);
+        let mut relabelled = std::fs::read(&path).unwrap();
+        relabelled[MAGIC_LEN - 1] = b'1';
         std::fs::write(&path, &relabelled).unwrap();
+        match read_wal(&path) {
+            Err(StoreError::LegacyFormat { file }) => assert_eq!(file, path),
+            other => panic!("expected LegacyFormat, got {other:?}"),
+        }
+        let mut json = WAL_MAGIC.to_vec();
+        let record = r#"{"Counters":{"counters":{"query_seq":1,"req_seq":2,"update_seq":3}}}"#;
+        codb_relational::frame::encode_frame(record.as_bytes(), &mut json);
+        std::fs::write(&path, &json).unwrap();
         match read_wal(&path) {
             Err(StoreError::CorruptFrame { offset, reason, .. }) => {
                 assert_eq!(offset, MAGIC_LEN as u64, "the first frame");

@@ -1,9 +1,8 @@
 //! Property tests for the on-disk format: WAL frame encode/decode and
 //! snapshot save/load round-trips, plus adversarial corruption — a flipped
 //! bit must surface as a checksum error, a truncated tail must recover
-//! cleanly, and nothing may be silently mis-read. Stores write binary
-//! only; the legacy JSON reader is driven by the committed
-//! `tests/fixtures/golden-json` store's bytes.
+//! cleanly, and nothing may be silently mis-read — exhaustively on the
+//! committed `tests/fixtures/golden-binary` store's bytes, too.
 
 use codb_relational::glav::TField;
 use codb_relational::{
@@ -126,9 +125,9 @@ fn arb_instance() -> impl Strategy<Value = Instance> {
     })
 }
 
-/// A file of a committed golden store (`golden-json` or `golden-binary`).
-fn fixture(store: &str, file: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures").join(store).join(file)
+/// A file of the committed golden store.
+fn fixture(file: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/golden-binary").join(file)
 }
 
 /// A fresh binary WAL at `path` holding `records`.
@@ -139,14 +138,6 @@ fn write_wal(path: &Path, records: &[WalRecord]) {
         w.append(r).unwrap();
     }
     w.sync().unwrap();
-}
-
-/// The JSON a legacy store holds for `snap`, as its writer laid it out:
-/// one object, keys in order.
-fn legacy_json(snap: &Snapshot) -> Vec<u8> {
-    let instance = serde_json::to_string(&snap.instance).unwrap();
-    let nulls = serde_json::to_string(&snap.nulls).unwrap();
-    format!(r#"{{"instance":{instance},"nulls":{nulls},"version":{}}}"#, snap.version).into_bytes()
 }
 
 /// A small instance over a two-column schema with `rows` random rows.
@@ -178,15 +169,14 @@ proptest! {
         write_wal(&path, &records);
         let contents = read_wal(&path).unwrap();
         prop_assert_eq!(contents.records, records);
-        prop_assert_eq!(contents.codec, Codec::Binary);
         prop_assert!(!contents.torn_tail);
     }
 
     /// A firing handle is its atom list: handles order and compare as the
     /// plain lists do, and a twin built separately or read back from
-    /// binary or legacy JSON — another allocation, its hash not yet computed — is
-    /// `==`, compares `Equal` and hashes alike, so a cache recovered from
-    /// disk suppresses a freshly fired duplicate.
+    /// binary — another allocation, its hash not yet computed — is `==`,
+    /// compares `Equal` and hashes alike, so a cache recovered from disk
+    /// suppresses a freshly fired duplicate.
     #[test]
     fn firing_handles_compare_and_hash_as_their_atoms(a in arb_atoms(), b in arb_atoms()) {
         use std::hash::BuildHasher;
@@ -197,11 +187,9 @@ proptest! {
         let mut bytes = Vec::new();
         binenc::put_firing(&mut bytes, &fa);
         let from_binary = binenc::take_firing(&mut binenc::Reader::new(&bytes)).unwrap();
-        let json = serde_json::to_vec(&fa).unwrap();
-        let from_json: RuleFiring = serde_json::from_slice(&json).unwrap();
         let hasher = std::collections::hash_map::RandomState::new();
         let cache: std::collections::HashSet<RuleFiring> = [fa.clone()].into_iter().collect();
-        for twin in [RuleFiring::new(a), from_binary, from_json] {
+        for twin in [RuleFiring::new(a), from_binary] {
             prop_assert!(!twin.ptr_eq(&fa));
             prop_assert_eq!(&twin, &fa);
             prop_assert_eq!(twin.cmp(&fa), std::cmp::Ordering::Equal);
@@ -387,9 +375,7 @@ proptest! {
     }
 
     /// Any instance's snapshot round-trips through the binary codec purely
-    /// in memory — decode(encode(x)) == x, the log in its order — and its
-    /// legacy JSON form reads back to the same state, larger than the
-    /// binary form that replaces it.
+    /// in memory — decode(encode(x)) == x, the log in its order.
     #[test]
     fn arbitrary_snapshots_round_trip_in_both_codecs(
         inst in arb_instance(),
@@ -397,61 +383,40 @@ proptest! {
         invented in 0u64..1000,
     ) {
         let snap = Snapshot::capture(&inst, &NullFactory::from_parts(origin, invented));
-        let json = legacy_json(&snap);
-        let binary = snap.to_binary_bytes();
-        let from_json = Snapshot::from_bytes(&json).unwrap();
-        let from_binary = Snapshot::from_binary_bytes(&binary).unwrap();
-        prop_assert_eq!(&from_json.instance, &inst);
+        let from_binary = Snapshot::from_binary_bytes(&snap.to_binary_bytes()).unwrap();
         prop_assert_eq!(&from_binary.instance, &inst);
         for rel in inst.relations() {
             prop_assert_eq!(from_binary.instance.get(rel.name()).unwrap().filed(), rel.filed());
         }
         prop_assert_eq!(from_binary.nulls.origin(), origin);
         prop_assert_eq!(from_binary.nulls.invented(), invented);
-        prop_assert_eq!(from_json.nulls.invented(), invented);
-        prop_assert!(binary.len() < json.len(), "binary {} vs json {}", binary.len(), json.len());
     }
 
-    /// The decoders — binary and legacy JSON — survive arbitrary bytes:
-    /// junk is a typed error, never a panic (the CRC frames catch flips
-    /// before decode in practice; this pins the decoders' own robustness
-    /// without them).
+    /// The decoders survive arbitrary bytes: junk is a typed error, never
+    /// a panic (the CRC frames catch flips before decode in practice; this
+    /// pins the decoders' own robustness without them).
     #[test]
     fn arbitrary_bytes_never_panic_the_binary_decoder(
         bytes in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
-        for codec in [Codec::Binary, Codec::Json] {
-            let _ = codb_store::codec::decode_record(&bytes, codec);
-            let _ = codb_store::codec::decode_snapshot(&bytes, codec);
-        }
+        let _ = codb_store::codec::decode_record(&bytes);
+        let _ = Snapshot::from_binary_bytes(&bytes);
     }
 }
 
-/// Codec-differential at the record layer: the committed JSON store's WAL
-/// and its binary twin's read back as the identical records.
+/// Every cut of the committed golden WAL reads as a prefix of its
+/// records — torn exactly when the cut falls inside a frame — and every
+/// single-bit flip of it is a typed error.
 #[test]
-fn record_streams_agree_across_codecs() {
-    let [json, binary] = ["golden-json", "golden-binary"]
-        .map(|store| read_wal(&fixture(store, "codb-0000000000.wal")).unwrap());
-    assert_eq!((json.codec, binary.codec), (Codec::Json, Codec::Binary));
-    assert_eq!(json.records.len(), 5, "caches + counters + 3 tail records");
-    assert_eq!(json.records, binary.records);
-}
-
-/// Every cut of the legacy JSON WAL reads as a prefix of its records —
-/// torn exactly when the cut falls inside a frame — and every single-bit
-/// flip of it is a typed error.
-#[test]
-fn every_cut_and_bit_flip_of_the_legacy_json_wal_is_a_prefix_or_a_typed_error() {
-    let original = std::fs::read(fixture("golden-json", "codb-0000000000.wal")).unwrap();
-    let dir = ScratchDir::new("legacy-wal-cut");
+fn every_cut_and_bit_flip_of_the_golden_binary_wal_is_a_prefix_or_a_typed_error() {
+    let original = std::fs::read(fixture("codb-0000000000.wal")).unwrap();
+    let dir = ScratchDir::new("golden-wal-cut");
     let path = dir.path().join("codb-0000000000.wal");
-    let records = read_wal(&fixture("golden-json", "codb-0000000000.wal")).unwrap().records;
+    let records = read_wal(&fixture("codb-0000000000.wal")).unwrap().records;
     assert_eq!(records.len(), 5);
     for keep in 8..=original.len() {
         std::fs::write(&path, &original[..keep]).unwrap();
         let contents = read_wal(&path).unwrap_or_else(|e| panic!("cut at {keep}: {e}"));
-        assert_eq!(contents.codec, Codec::Json);
         assert_eq!(&records[..contents.records.len()], &contents.records[..], "cut at {keep}");
         assert_eq!(contents.torn_tail, (contents.valid_len as usize) < keep, "cut at {keep}");
     }
@@ -469,7 +434,7 @@ fn every_cut_and_bit_flip_of_the_legacy_json_wal_is_a_prefix_or_a_typed_error() 
 }
 
 /// Bit-flips inside the snapshot file are caught by its frame checksum —
-/// in a fresh binary store, and (every bit) in the legacy JSON fixture's.
+/// in a fresh store, and (every bit) in the committed golden store's.
 #[test]
 fn snapshot_bit_flip_is_checksum_error() {
     let fresh = ScratchDir::new("snap-flip");
@@ -484,11 +449,11 @@ fn snapshot_bit_flip_is_checksum_error() {
     )
     .unwrap();
     drop(store);
-    let legacy = ScratchDir::new("snap-flip-legacy");
+    let golden = ScratchDir::new("snap-flip-golden");
     for file in ["codb-0000000000.snap", "codb-0000000000.wal", "codb.epoch"] {
-        std::fs::copy(fixture("golden-json", file), legacy.path().join(file)).unwrap();
+        std::fs::copy(fixture(file), golden.path().join(file)).unwrap();
     }
-    for (dir, bits) in [(&fresh, [0x04].as_slice()), (&legacy, &[1, 2, 4, 8, 16, 32, 64, 128])] {
+    for (dir, bits) in [(&fresh, [0x04].as_slice()), (&golden, &[1, 2, 4, 8, 16, 32, 64, 128])] {
         let snap = dir.path().join("codb-0000000000.snap");
         let original = std::fs::read(&snap).unwrap();
         // Flip every byte position in turn (a cheap exhaustive sweep: the

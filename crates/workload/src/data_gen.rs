@@ -3,10 +3,10 @@
 use codb_relational::{tup, Tuple};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Distribution of generated integer values.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub enum DataDist {
     /// Uniform over `[0, domain)`.
     Uniform {

@@ -8,10 +8,10 @@ use codb_relational::{
     Atom, CmpOp, Comparison, CqBody, DatabaseSchema, GlavRule, RelationSchema, Term, Value,
     ValueType, Var,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How each topology edge is turned into a coordination rule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum RuleStyle {
     /// GAV copy: `r_tgt(X, Y) <- r_src(X, Y)`.
     CopyGav,
@@ -37,7 +37,7 @@ pub enum RuleStyle {
 }
 
 /// A complete experiment scenario.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct Scenario {
     /// The acquaintance graph.
     pub topology: Topology,

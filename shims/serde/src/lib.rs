@@ -9,9 +9,10 @@
 //! through `serde_json` behave the way the application code expects.
 //!
 //! Supported surface (grown on demand):
-//! * `Serialize` / `Deserialize` for the primitives, `String`, `Option`,
-//!   `Vec`, slices, tuples up to arity 4, string-keyed `BTreeMap`/`HashMap`,
-//!   and `BTreeSet`/`HashSet`.
+//! * `Serialize` for the primitives, `String`, `Option`, `Vec`, slices,
+//!   tuples up to arity 4, `BTreeMap`/`HashMap` and `BTreeSet`/`HashSet`.
+//! * `Deserialize` for what the workspace reads back — the integers,
+//!   `bool`, `String`, `Option`, `Vec`, pairs, `BTreeMap` and [`Value`].
 //! * field attribute `#[serde(with = "module")]`, resolved to
 //!   `module::to_value` / `module::from_value`.
 
@@ -195,27 +196,6 @@ pub fn __variant(name: &str, payload: Value) -> Value {
     Value::Object(m)
 }
 
-/// The single `(tag, payload)` member of an externally-tagged enum object.
-pub fn __untag(v: &Value) -> Result<(&str, &Value), Error> {
-    match v {
-        Value::String(s) => Ok((s.as_str(), &Value::Null)),
-        Value::Object(m) if m.len() == 1 => {
-            let (k, val) = m.iter().next().expect("len checked");
-            Ok((k.as_str(), val))
-        }
-        other => Err(Error::expected("enum (string or 1-member object)", other)),
-    }
-}
-
-/// The elements of an array of exactly `n` values.
-pub fn __tuple(v: &Value, n: usize) -> Result<&[Value], Error> {
-    let arr = v.as_array().ok_or_else(|| Error::expected("array", v))?;
-    if arr.len() != n {
-        return Err(Error::custom(format!("expected array of {n} elements, got {}", arr.len())));
-    }
-    Ok(arr)
-}
-
 // ---------------------------------------------------------------------
 // Impls for std types.
 // ---------------------------------------------------------------------
@@ -275,25 +255,11 @@ impl Serialize for std::num::NonZeroU64 {
     }
 }
 
-impl Deserialize for std::num::NonZeroU64 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        std::num::NonZeroU64::new(u64::from_value(v)?)
-            .ok_or_else(|| Error::custom("integer 0 where a nonzero u64 is expected"))
-    }
-}
-
 macro_rules! float_impls {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::Float(*self as f64)
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                v.as_f64()
-                    .map(|f| f as $t)
-                    .ok_or_else(|| Error::expected("number", v))
             }
         }
     )*};
@@ -325,17 +291,6 @@ impl Serialize for char {
     }
 }
 
-impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let s = v.as_str().ok_or_else(|| Error::expected("string", v))?;
-        let mut chars = s.chars();
-        match (chars.next(), chars.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(Error::custom("expected single-character string")),
-        }
-    }
-}
-
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
@@ -348,27 +303,9 @@ impl<T: Serialize + ?Sized> Serialize for Box<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        T::from_value(v).map(Box::new)
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<[T]> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Vec::<T>::from_value(v).map(Vec::into_boxed_slice)
-    }
-}
-
 impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
-    }
-}
-
-impl Deserialize for std::sync::Arc<str> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_str().map(std::sync::Arc::from).ok_or_else(|| Error::expected("string", v))
     }
 }
 
@@ -414,53 +351,18 @@ impl<T: Serialize + Ord> Serialize for std::collections::BTreeSet<T> {
     }
 }
 
-impl<T: Deserialize + Ord> Deserialize for std::collections::BTreeSet<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_array().ok_or_else(|| Error::expected("array", v))?.iter().map(T::from_value).collect()
-    }
-}
-
 impl<T: Serialize, S> Serialize for std::collections::HashSet<T, S> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
 }
 
-impl<T: Deserialize + std::hash::Hash + Eq, S: std::hash::BuildHasher + Default> Deserialize
-    for std::collections::HashSet<T, S>
-{
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_array().ok_or_else(|| Error::expected("array", v))?.iter().map(T::from_value).collect()
-    }
-}
-
 /// Maps serialise as arrays of `[key, value]` pairs so that non-string
-/// keys (ids, tuples) round-trip losslessly. Deserialisation also accepts
-/// JSON objects, for maps that did come from string keys.
+/// keys (ids, tuples) round-trip losslessly.
 fn map_to_value<'a, K: Serialize + 'a, V: Serialize + 'a>(
     entries: impl Iterator<Item = (&'a K, &'a V)>,
 ) -> Value {
     Value::Array(entries.map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()])).collect())
-}
-
-fn map_from_value<K: Deserialize, V: Deserialize, M>(v: &Value) -> Result<M, Error>
-where
-    M: FromIterator<(K, V)>,
-{
-    match v {
-        Value::Array(items) => items
-            .iter()
-            .map(|pair| {
-                let kv = __tuple(pair, 2)?;
-                Ok((K::from_value(&kv[0])?, V::from_value(&kv[1])?))
-            })
-            .collect(),
-        Value::Object(members) => members
-            .iter()
-            .map(|(k, v)| Ok((K::from_value(&Value::String(k.clone()))?, V::from_value(v)?)))
-            .collect(),
-        other => Err(Error::expected("map (array of pairs or object)", other)),
-    }
 }
 
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
@@ -471,21 +373,13 @@ impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
 
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
     fn from_value(v: &Value) -> Result<Self, Error> {
-        map_from_value(v)
+        Vec::<(K, V)>::from_value(v).map(BTreeMap::from_iter)
     }
 }
 
 impl<K: Serialize, V: Serialize> Serialize for std::collections::HashMap<K, V> {
     fn to_value(&self) -> Value {
         map_to_value(self.iter())
-    }
-}
-
-impl<K: Deserialize + std::hash::Hash + Eq, V: Deserialize> Deserialize
-    for std::collections::HashMap<K, V>
-{
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        map_from_value(v)
     }
 }
 
@@ -496,13 +390,6 @@ macro_rules! tuple_impls {
                 Value::Array(vec![$(self.$n.to_value()),+])
             }
         }
-        impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                const N: usize = 0 $(+ { let _ = $n; 1 })+;
-                let arr = __tuple(v, N)?;
-                Ok(($($t::from_value(&arr[$n])?,)+))
-            }
-        }
     )+};
 }
 
@@ -511,6 +398,18 @@ tuple_impls! {
     (0 A 1 B)
     (0 A 1 B 2 C)
     (0 A 1 B 2 C 3 D)
+}
+
+impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        match v.as_array().map(Vec::as_slice) {
+            Some([a, b]) => Ok((A::from_value(a)?, B::from_value(b)?)),
+            Some(other) => {
+                Err(Error::custom(format!("expected array of 2 elements, got {}", other.len())))
+            }
+            None => Err(Error::expected("array", v)),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -538,8 +437,8 @@ mod tests {
         let mut elements = set.to_value().as_array().unwrap().to_vec();
         elements.sort_by_key(Value::as_u64);
         assert_eq!(elements, vec![Value::Int(1), Value::Int(2), Value::Int(3)]);
-        assert_eq!(Set::from_value(&set.to_value()).unwrap(), set);
-        assert!(Set::from_value(&Value::Int(1)).is_err());
+        let back: Set = Vec::<u32>::from_value(&set.to_value()).unwrap().into_iter().collect();
+        assert_eq!(back, set);
     }
 
     #[test]

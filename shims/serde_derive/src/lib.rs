@@ -3,8 +3,9 @@
 //! Because the build runs offline, `syn`/`quote` are unavailable; the item
 //! is parsed directly from the `proc_macro` token stream and the generated
 //! impls are assembled as source text. The supported grammar is exactly
-//! what this workspace uses: non-generic structs (named, tuple, unit) and
-//! enums (unit, tuple and struct variants), plus the field attribute
+//! what this workspace uses: `Serialize` for non-generic structs (named,
+//! tuple, unit) and enums (unit, tuple and struct variants), `Deserialize`
+//! for named structs and one-field tuple structs, plus the field attribute
 //! `#[serde(with = "module")]`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
@@ -370,59 +371,10 @@ fn gen_deserialize(item: &Item) -> String {
         Data::TupleStruct(withs) if withs.len() == 1 => {
             format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(__v)?))")
         }
-        Data::TupleStruct(withs) => {
-            let n = withs.len();
-            let elems: Vec<String> =
-                (0..n).map(|k| format!("::serde::Deserialize::from_value(&__a[{k}])?")).collect();
-            format!(
-                "let __a = ::serde::__tuple(__v, {n})?;\n\
-                 ::std::result::Result::Ok({name}({}))",
-                elems.join(", ")
-            )
-        }
-        Data::UnitStruct => format!("::std::result::Result::Ok({name})"),
-        Data::Enum(variants) => {
-            let mut arms = String::new();
-            for v in variants {
-                let vn = &v.name;
-                match &v.kind {
-                    VariantKind::Unit => arms.push_str(&format!(
-                        "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}),\n"
-                    )),
-                    VariantKind::Tuple(1) => arms.push_str(&format!(
-                        "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}(::serde::Deserialize::from_value(__payload)?)),\n"
-                    )),
-                    VariantKind::Tuple(n) => {
-                        let elems: Vec<String> = (0..*n)
-                            .map(|k| format!("::serde::Deserialize::from_value(&__a[{k}])?"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "\"{vn}\" => {{ let __a = ::serde::__tuple(__payload, {n})?; ::std::result::Result::Ok({name}::{vn}({e})) }}\n",
-                            e = elems.join(", "),
-                        ));
-                    }
-                    VariantKind::Named(fields) => {
-                        let mut inits = String::new();
-                        for f in fields {
-                            inits.push_str(&format!(
-                                "{n}: {e},\n",
-                                n = f.name,
-                                e = de_field_expr(&f.with, "__o", &f.name),
-                            ));
-                        }
-                        arms.push_str(&format!(
-                            "\"{vn}\" => {{ let __o = __payload.as_object().ok_or_else(|| ::serde::Error::custom(\"expected object for {name}::{vn}\"))?; ::std::result::Result::Ok({name}::{vn} {{\n{inits}}}) }}\n"
-                        ));
-                    }
-                }
-            }
-            format!(
-                "let (__tag, __payload) = ::serde::__untag(__v)?;\n\
-                 match __tag {{\n{arms}\
-                 __other => ::std::result::Result::Err(::serde::Error::custom(format!(\"unknown variant `{{__other}}` of {name}\"))),\n\
-                 }}"
-            )
-        }
+        _ => panic!(
+            "serde_derive shim: Deserialize for `{name}`: only named structs and one-field \
+             tuple structs are supported"
+        ),
     };
     format!(
         "#[automatically_derived]\n\

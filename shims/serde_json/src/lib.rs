@@ -1,6 +1,6 @@
 //! Vendored minimal stand-in for `serde_json`, matching the API surface
 //! this workspace uses: `to_string`, `to_string_pretty`, `to_vec`,
-//! `from_str`, `from_slice` and the generic [`Value`].
+//! `from_str` and the generic [`Value`].
 //!
 //! Serialisation goes through the serde shim's [`Value`] tree; this crate
 //! owns the JSON text encoding (RFC 8259 subset: no `\uXXXX` surrogate
@@ -36,13 +36,6 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
     let value = p.parse_root()?;
     T::from_value(&value)
-}
-
-/// Parses JSON bytes into any deserialisable type.
-pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T, Error> {
-    let s = std::str::from_utf8(bytes)
-        .map_err(|e| Error::custom(format!("invalid UTF-8 in JSON input: {e}")))?;
-    from_str(s)
 }
 
 // ---------------------------------------------------------------------

@@ -12,8 +12,8 @@
 //! Options:
 //!   --data-dir DIR                durable stores under DIR/<node>; nodes
 //!                                 with saved state recover it on startup
-//!                                 (a legacy JSON store converts to binary
-//!                                 as it opens)
+//!                                 (a store in an older release's JSON
+//!                                 format is refused, left as it was)
 //!   --sync POLICY                 WAL fsync policy (default always):
 //!                                 always | never | everyN:N |
 //!                                 group[:RECORDS[,BATCH]] — group shares

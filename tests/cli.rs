@@ -254,48 +254,47 @@ fn save_and_recover_require_data_dir() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 }
 
-/// The snapshot files under a node's store directory, by magic prefix.
-fn snap_magics(store_dir: &std::path::Path) -> Vec<[u8; 8]> {
-    let mut magics = Vec::new();
-    for entry in std::fs::read_dir(store_dir).unwrap() {
-        let path = entry.unwrap().path();
-        if path.extension().and_then(|e| e.to_str()) == Some("snap") {
-            let bytes = std::fs::read(&path).unwrap();
-            magics.push(bytes[..8].try_into().unwrap());
-        }
-    }
-    magics
+/// Every file under a node's store directory, by name, with its bytes.
+fn store_files(store_dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(store_dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .map(|e| (e.file_name().into_string().unwrap(), std::fs::read(e.path()).unwrap()))
+        .collect()
 }
 
-/// The committed legacy JSON store (`tests/fixtures/golden-json`) opens
-/// through the CLI as a node's store: it recovers, and the open leaves
-/// it binary. There is no flag to write JSON.
+/// A store in the JSON format older releases wrote — its snapshot and
+/// WAL headed by that format's magic, its epoch decimal text — is refused
+/// through the CLI: a non-zero exit naming the legacy format, and the
+/// store left as it was. There is no flag to read or write JSON.
 #[test]
-fn a_legacy_json_store_opens_through_the_cli_and_stays_binary() {
+fn a_legacy_json_store_is_refused_by_the_cli_and_left_as_it_was() {
     let mut f = tempfileish::NamedTemp::new("codb-demo-legacy");
-    writeln!(f.file, "node hr\nschema hr: emp(str, int)\nschema hr: flags(bool, int)").unwrap();
+    writeln!(f.file, "node hr\nschema hr: emp(str, int)\ndata hr: emp(\"alice\", 30).").unwrap();
     let config = f.into_path();
     let data = TempDir::new("codb-demo-legacy");
+    let show = || {
+        demo().args(["--data-dir", data.as_str(), config.as_str(), "show", "hr"]).output().unwrap()
+    };
+    let out = show();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let store_dir = std::path::Path::new(data.as_str()).join("hr");
-    std::fs::create_dir_all(&store_dir).unwrap();
-    let fixture =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden-json");
-    for entry in std::fs::read_dir(fixture).unwrap() {
-        let entry = entry.unwrap();
-        std::fs::copy(entry.path(), store_dir.join(entry.file_name())).unwrap();
+    for (name, bytes) in store_files(&store_dir) {
+        let path = store_dir.join(&name);
+        match name.rsplit_once('.').map(|(_, ext)| ext) {
+            Some("snap") => std::fs::write(path, [b"CODBSNP1", &bytes[8..]].concat()),
+            Some("wal") => std::fs::write(path, [b"CODBWAL1", &bytes[8..]].concat()),
+            _ => std::fs::write(path, "1\n"),
+        }
+        .unwrap();
     }
-    assert_eq!(snap_magics(&store_dir), vec![*b"CODBSNP1"], "the fixture is JSON");
+    let before = store_files(&store_dir);
 
-    for life in 0..2 {
-        let out = demo()
-            .args(["--data-dir", data.as_str(), config.as_str(), "show", "hr"])
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(stdout.contains("\"alice\"") && stdout.contains("false"), "life {life}:\n{stdout}");
-        assert_eq!(snap_magics(&store_dir), vec![*b"CODBSNP2"], "life {life}: binary on disk");
-    }
+    let out = show();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("legacy JSON store format"), "{stderr}");
+    assert_eq!(store_files(&store_dir), before, "the store is left as it was");
 
     let out = demo().args(["--codec", "json", config.as_str(), "stats"]).output().unwrap();
     assert!(!out.status.success());

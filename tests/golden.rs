@@ -1,21 +1,17 @@
-//! Golden-file tests: committed store directories in **both** on-disk
-//! formats, pinned against byte drift.
+//! Golden-file tests: a committed store directory, pinned against byte
+//! drift.
 //!
-//! `tests/fixtures/golden-json/` is a store exactly as the seed JSON
-//! format wrote it (format byte `'1'`); it is frozen, since no store
-//! writes JSON any more. `tests/fixtures/golden-binary/` is the same
-//! logical store in the binary codec (format byte `'2'`), produced by
-//! [`build_golden`] (re-runnable via the `#[ignore]`d regeneration test
-//! below). Each holds a snapshot, a WAL tail with applied / local-insert /
-//! counter records, and the `codb.epoch` file.
+//! `tests/fixtures/golden-binary/` is a store in the one format stores
+//! write (format byte `'2'`), produced by [`build_golden`] (re-runnable
+//! via the `#[ignore]`d regeneration test below). It holds a snapshot, a
+//! WAL tail with applied / local-insert / counter records, and the
+//! `codb.epoch` file.
 //!
-//! The tests assert that both fixtures recover to the **identical**
-//! instance / null factory / receive caches / protocol counters / epoch —
-//! the meaning of the bytes is pinned in [`expected_final`], so a future
-//! encoder+decoder pair that silently agrees on *different* semantics
-//! still fails here, and an old disk written by either format keeps
-//! recovering forever. A second test pins the upgrade story: opening the
-//! JSON fixture converts it to binary as it opens, in place, losslessly.
+//! The writer must still write it byte for byte, and it must recover to
+//! the instance / null factory / receive caches / protocol counters /
+//! epoch pinned in [`expected_final`], so a future encoder+decoder pair
+//! that silently agrees on *different* semantics still fails here, and a
+//! disk written today keeps recovering.
 
 use codb::prelude::*;
 use codb::relational::glav::TField;
@@ -114,9 +110,8 @@ fn expected_final() -> (Instance, NullFactory, RecvCaches, ProtocolCounters) {
     (inst, nulls, recv, ProtocolCounters { update_seq: 4, ..counters })
 }
 
-/// Regenerates the committed binary fixture (the JSON one is frozen: no
-/// store writes JSON). Run explicitly after an *intentional* format
-/// change, and say so in the change's notes:
+/// Regenerates the committed fixture. Run explicitly after an
+/// *intentional* format change, and say so in the change's notes:
 /// `cargo test --test golden -- --ignored regenerate`
 #[test]
 #[ignore = "rewrites the committed golden fixture"]
@@ -146,92 +141,39 @@ fn golden_binary_fixture_is_what_the_writer_writes() {
     }
 }
 
-/// Both committed formats recover to the identical pinned state: same
-/// instance, same null factory, same receive caches, same counters, same
-/// epoch. This is what lets every future PR change the codec code with
-/// confidence that old disks still mean the same thing.
+/// The committed store recovers to the pinned state: the instance, the
+/// null factory, the receive caches, the counters and the epoch. This is
+/// what lets a change to the codec code go in with confidence that disks
+/// written before it still mean the same thing.
 #[test]
 fn golden_stores_recover_identical_pinned_state() {
     let scratch = ScratchDir::new("golden-recover");
     let (want_inst, want_nulls, want_recv, want_counters) = expected_final();
-    let mut recovered = Vec::new();
-    for (name, codec) in [("golden-json", Codec::Json), ("golden-binary", Codec::Binary)] {
-        // Fixtures are opened from a copy: recovery legitimately writes
-        // (epoch bump, torn-tail truncation) and must not dirty git.
-        let copy = scratch.path().join(name);
-        copy_store(&fixture_dir(name), &copy);
-        let (_store, rec) = Store::open(&copy, SyncPolicy::Always, Codec::Binary).unwrap();
-        assert_eq!(rec.snapshot_codec, codec, "{name}: format byte detected");
-        assert_eq!(rec.wal_codec, codec, "{name}: WAL format byte detected");
-        assert_eq!(rec.instance, want_inst, "{name}: instance pinned");
-        assert_eq!(rec.nulls.invented(), want_nulls.invented(), "{name}: factory pinned");
-        assert_eq!(rec.nulls.origin(), want_nulls.origin(), "{name}: factory origin pinned");
-        assert_eq!(rec.recv_cache, want_recv, "{name}: receive caches pinned");
-        assert_eq!(rec.counters, want_counters, "{name}: counters pinned");
-        assert_eq!(rec.epoch, 1, "{name}: first open of an epoch-0 fixture");
-        assert_eq!(rec.generation, 0);
-        assert_eq!(rec.wal_records_replayed, 5, "caches + counters + 3 tail records");
-        assert!(!rec.torn_tail);
-        recovered.push(rec);
-    }
-    // Belt and braces: the two recoveries agree with each other too.
-    let b = recovered.pop().unwrap();
-    let a = recovered.pop().unwrap();
-    assert_eq!(a.instance, b.instance);
-    assert_eq!(a.counters, b.counters);
-    assert_eq!(a.epoch, b.epoch);
-    assert_eq!(a.recv_cache, b.recv_cache);
+    // The fixture is opened from a copy: recovery legitimately writes
+    // (epoch bump, torn-tail truncation) and must not dirty git.
+    let copy = scratch.path().join("golden-binary");
+    copy_store(&fixture_dir("golden-binary"), &copy);
+    let (_store, rec) = Store::open(&copy, SyncPolicy::Always, Codec::Binary).unwrap();
+    assert_eq!(rec.instance, want_inst, "instance pinned");
+    assert_eq!(rec.nulls.invented(), want_nulls.invented(), "factory pinned");
+    assert_eq!(rec.nulls.origin(), want_nulls.origin(), "factory origin pinned");
+    assert_eq!(rec.recv_cache, want_recv, "receive caches pinned");
+    assert_eq!(rec.counters, want_counters, "counters pinned");
+    assert_eq!(rec.epoch, 1, "first open of an epoch-0 fixture");
+    assert_eq!(rec.generation, 0);
+    assert_eq!(rec.wal_records_replayed, 5, "caches + counters + 3 tail records");
+    assert!(!rec.torn_tail);
 }
 
-/// The upgrade half: a store written by the seed JSON format recovers
-/// unchanged, and its open converts it to binary **in place** — after
-/// which it still recovers the same state (now through the binary
-/// decoder).
-#[test]
-fn legacy_json_fixture_converts_to_binary_at_checkpoint() {
-    let scratch = ScratchDir::new("golden-upgrade");
-    let copy = scratch.path().join("store");
-    copy_store(&fixture_dir("golden-json"), &copy);
-
-    let (store, rec) = Store::open(&copy, SyncPolicy::Always, Codec::Binary).unwrap();
-    assert_eq!((rec.snapshot_codec, rec.wal_codec), (Codec::Json, Codec::Json), "what was read");
-    let (want_inst, want_nulls, want_recv, want_counters) = expected_final();
-    assert_eq!(rec.instance, want_inst, "legacy store recovers unchanged");
-    // The open's rotation is the conversion point: every store file on
-    // disk is binary before anything is appended.
-    assert_eq!(store.generation(), 1);
-    drop(store);
-    for entry in std::fs::read_dir(&copy).unwrap() {
-        let path = entry.unwrap().path();
-        let header = std::fs::read(&path).unwrap();
-        match path.extension().and_then(|e| e.to_str()) {
-            Some("snap") => assert_eq!(Codec::detect_snap(&header), Some(Codec::Binary)),
-            Some("wal") => assert_eq!(Codec::detect_wal(&header), Some(Codec::Binary)),
-            _ => assert_eq!(path.file_name().unwrap(), "codb.epoch"),
-        }
-    }
-
-    // Same state, now decoded from binary files.
-    let (_store, rec2) = Store::open(&copy, SyncPolicy::Always, Codec::Binary).unwrap();
-    assert_eq!((rec2.snapshot_codec, rec2.wal_codec), (Codec::Binary, Codec::Binary));
-    assert_eq!(rec2.instance, want_inst);
-    assert_eq!(rec2.nulls.invented(), want_nulls.invented());
-    assert_eq!(rec2.recv_cache, want_recv);
-    assert_eq!(rec2.counters, want_counters);
-    assert_eq!(rec2.epoch, 2, "epoch keeps counting across the conversion");
-}
-
-/// The committed binary fixture is strictly smaller than its JSON twin —
-/// the size lever, pinned on real bytes rather than a synthetic bench.
+/// The committed store — snapshot, WAL and epoch together — is smaller on
+/// disk than the JSON spelling of the instance it holds alone: the size
+/// lever, pinned on real bytes rather than a synthetic bench.
 #[test]
 fn golden_binary_fixture_is_smaller_on_disk() {
-    let size = |name: &str| -> u64 {
-        std::fs::read_dir(fixture_dir(name))
-            .unwrap()
-            .map(|e| e.unwrap().metadata().unwrap().len())
-            .sum()
-    };
-    let json = size("golden-json");
-    let binary = size("golden-binary");
+    let binary: u64 = std::fs::read_dir(fixture_dir("golden-binary"))
+        .unwrap()
+        .map(|e| e.unwrap().metadata().unwrap().len())
+        .sum();
+    let json = serde_json::to_string(&expected_final().0).unwrap().len() as u64;
     assert!(binary < json, "binary {binary} bytes vs json {json} bytes");
 }

@@ -821,9 +821,8 @@ mod snapshot_props {
         /// A relation files each tuple under the tuple's content hash and
         /// keeps that hash, however it came to hold the tuple: an insert; a
         /// copy rule's firing, filed under the hash it carried; a firing
-        /// with a fresh null; a clone; a snapshot decoded from its binary
-        /// bytes or from the legacy JSON form; a WAL record of firings,
-        /// decoded and replayed.
+        /// with a fresh null; a clone; a snapshot decoded from its bytes; a
+        /// WAL record of firings, decoded and replayed.
         #[test]
         fn every_filed_hash_is_the_content_hash_of_its_tuple(
             steps in proptest::collection::vec((0u8..6, 0i64..6, 0i64..6), 1..40),
@@ -831,7 +830,7 @@ mod snapshot_props {
             use codb::relational::{apply_new_firings, Atom, CqBody, Term, Var};
             use codb::relational::Snapshot;
             use codb::store::codec::{decode_record, encode_record};
-            use codb::store::{apply_arrived, Codec, RecvCaches, WalRecord};
+            use codb::store::{apply_arrived, RecvCaches, WalRecord};
             let [x, y, z] = [0, 1, 2].map(|v| Term::Var(Var(v)));
             let rule = |name: &str, head: Vec<Term>| {
                 let body = CqBody::new(vec![Atom::new("r", vec![x.clone(), y.clone()])], vec![]);
@@ -860,13 +859,7 @@ mod snapshot_props {
                     3 => inst = inst.clone(),
                     4 => {
                         let snap = Snapshot::capture(&inst, &nulls);
-                        let read = if a % 2 == 0 {
-                            let [i, n] = [serde_json::to_string(&snap.instance), serde_json::to_string(&snap.nulls)].map(Result::unwrap);
-                            let json = format!(r#"{{"instance":{i},"nulls":{n},"version":{}}}"#, snap.version);
-                            Snapshot::from_bytes(json.as_bytes()).unwrap()
-                        } else {
-                            Snapshot::from_binary_bytes(&snap.to_binary_bytes()).unwrap()
-                        };
+                        let read = Snapshot::from_binary_bytes(&snap.to_binary_bytes()).unwrap();
                         prop_assert_eq!(&read.instance, &inst);
                         (inst, nulls) = (read.instance, read.nulls);
                     }
@@ -876,7 +869,7 @@ mod snapshot_props {
                         firings.push(RuleFiring::new([("s", tuple)]));
                         let record = WalRecord::Applied { rule: "c".into(), firings, mark: None };
                         let bytes = encode_record(&record);
-                        let Ok(WalRecord::Applied { rule, mut firings, .. }) = decode_record(&bytes, Codec::Binary)
+                        let Ok(WalRecord::Applied { rule, mut firings, .. }) = decode_record(&bytes)
                         else { panic!("an Applied record decodes as one") };
                         apply_arrived(&mut inst, &mut nulls, &mut recv, &rule, &mut firings).unwrap();
                     }
