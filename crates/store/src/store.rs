@@ -1374,9 +1374,36 @@ mod tests {
             Store::open(dir.path(), SyncPolicy::Always, Codec::Binary),
             Err(StoreError::Epoch { .. })
         ));
-        // An older store's decimal epoch, and a file a byte short of two
-        // slots: refused, with the way to convert the store named, and
-        // every file left as it was — the WAL's torn tail not cut.
+        // A slot file whose two slots both fail their checksums.
+        let mut garbled = [epoch_slot(4), epoch_slot(5)].concat();
+        garbled[9] ^= 1;
+        garbled[EPOCH_SLOT + 3] ^= 0x10;
+        std::fs::write(dir.path().join("codb.epoch"), garbled).unwrap();
+        match Store::open(dir.path(), SyncPolicy::Always, Codec::Binary) {
+            Err(StoreError::Epoch { detail, .. }) => {
+                assert!(detail.contains("both slots"), "{detail}")
+            }
+            other => panic!("expected an epoch error, got {other:?}"),
+        }
+    }
+
+    /// An older store's decimal `codb.epoch`, and a file a byte short of
+    /// two slots, are refused with the way to convert the store named,
+    /// and every file is left as it was — the WAL's torn tail not cut.
+    #[test]
+    fn a_legacy_text_epoch_is_refused_and_left_untouched() {
+        let dir = ScratchDir::new("store-epoch-legacy");
+        let (inst, nulls) = seed();
+        let store = Store::create(
+            dir.path(),
+            &Snapshot::capture(&inst, &nulls),
+            &RecvCaches::new(),
+            &ProtocolCounters::default(),
+            SyncPolicy::Always,
+            Codec::Binary,
+        )
+        .unwrap();
+        drop(store);
         let wal = wal_path(dir.path(), 0);
         let mut torn = std::fs::read(&wal).unwrap();
         torn.extend_from_slice(&[7, 0, 0]);
@@ -1391,17 +1418,6 @@ mod tests {
                 other => panic!("expected an epoch error, got {other:?}"),
             }
             assert_eq!(files(dir.path()), before, "{epoch:?}");
-        }
-        // A slot file whose two slots both fail their checksums.
-        let mut garbled = [epoch_slot(4), epoch_slot(5)].concat();
-        garbled[9] ^= 1;
-        garbled[EPOCH_SLOT + 3] ^= 0x10;
-        std::fs::write(dir.path().join("codb.epoch"), garbled).unwrap();
-        match Store::open(dir.path(), SyncPolicy::Always, Codec::Binary) {
-            Err(StoreError::Epoch { detail, .. }) => {
-                assert!(detail.contains("both slots"), "{detail}")
-            }
-            other => panic!("expected an epoch error, got {other:?}"),
         }
     }
 
